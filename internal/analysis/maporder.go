@@ -20,9 +20,10 @@ import (
 //     escapes the iteration) — unless the same variable is passed to a
 //     sort.*/slices.* call or a *Sort* function later in the enclosing
 //     function, which is the canonical collect-then-sort idiom;
-//   - engine emission and seeding (Emitter.EmitTuple/EmitBatch,
-//     Combiner.Add, Cluster.Seed/SeedBatch, Inbox.Append): emission order
-//     becomes inbox order becomes output order;
+//   - engine emission and seeding (every Emitter.Emit* — EmitTuple,
+//     EmitBatch, EmitFanout — Combiner.Add, every Cluster.Seed* — Seed,
+//     SeedBatch, SeedRoundRobin — and Inbox.Append): emission order becomes
+//     inbox order becomes output order;
 //   - data.Relation appends (Append/AppendTuple/AppendVals/...): tuple
 //     order is fingerprint-visible;
 //   - byte-accumulator writes (strings.Builder, bytes.Buffer, hash.Hash,
@@ -106,9 +107,9 @@ func orderSensitiveCall(f *types.Func) string {
 	switch {
 	case pathHasSuffix(pkgPath, "internal/engine"):
 		switch {
-		case typeName == "Emitter" && (name == "EmitTuple" || name == "EmitBatch"),
+		case typeName == "Emitter" && strings.HasPrefix(name, "Emit"),
 			typeName == "Combiner" && name == "Add",
-			typeName == "Cluster" && (name == "Seed" || name == "SeedBatch"),
+			typeName == "Cluster" && strings.HasPrefix(name, "Seed"),
 			typeName == "Inbox" && name == "Append":
 			return "emission/inbox order (and therefore output order and fingerprints)"
 		}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"strings"
 )
 
 // meteredPackages are the strategy packages whose cross-server data
@@ -9,8 +10,9 @@ import (
 // servers has to pass through an Emitter inside a Cluster.Round, where
 // RoundStats charges it. Writing into an Inbox directly, draining an
 // Emitter with the transport-facing EachPending, invoking the delivery
-// kernel by hand, or constructing engine delivery machinery from a
-// composite literal would all move data the Report never meters.
+// kernel by hand, constructing engine delivery machinery from a composite
+// literal, or seeding (Cluster.Seed*, the free initial placement) from
+// inside a round function would all move data the Report never meters.
 var meteredPackages = []string{
 	"internal/core",
 	"internal/skew",
@@ -66,6 +68,8 @@ func runMetering(pass *Pass) error {
 				case typeName == "" && f.Name() == "DeliverLocal":
 					pass.Reportf(v.Pos(),
 						"calling engine.DeliverLocal directly skips RoundStats charging; use Cluster.Round")
+				case typeName == "Cluster" && f.Name() == "Round":
+					reportSeedsInRound(pass, v)
 				}
 			case *ast.CompositeLit:
 				t := pass.TypeOf(v)
@@ -81,4 +85,32 @@ func runMetering(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// reportSeedsInRound flags Cluster.Seed* calls written inside a function
+// literal handed to Cluster.Round. Seeding is free because it models the
+// input's initial placement; from inside a round it would hand tuples to
+// another server at no charge, which is exactly what EmitTuple, EmitBatch
+// and EmitFanout exist to bill.
+func reportSeedsInRound(pass *Pass, round *ast.CallExpr) {
+	for _, arg := range round.Args {
+		lit, ok := arg.(*ast.FuncLit)
+		if !ok {
+			continue
+		}
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			f := calleeFunc(pass.TypesInfo, call)
+			pkgPath, typeName := recvTypeName(f)
+			if typeName == "Cluster" && strings.HasPrefix(f.Name(), "Seed") && pathHasSuffix(pkgPath, "internal/engine") {
+				pass.Reportf(call.Pos(),
+					"Cluster.%s inside a round function moves tuples between servers without charging them; seed before the first round and emit through the round's engine.Emitter",
+					f.Name())
+			}
+			return true
+		})
+	}
 }

@@ -10,6 +10,9 @@ func (e *Emitter) EmitTuple(dst int, tuple []int64)       {}
 func (e *Emitter) EmitBatch(dst int, tuples [][]int64)    {}
 func (e *Emitter) EachPending(f func(dst int, t []int64)) {}
 
+// EmitFanout is the bulk replicate-to-subcube emit.
+func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {}
+
 // Combiner accumulates pre-shuffle partial aggregates in add order.
 type Combiner struct{}
 
@@ -28,6 +31,12 @@ type Cluster struct{}
 
 func (c *Cluster) Seed(server int, tuple []int64)    {}
 func (c *Cluster) SeedBatch(server int, t [][]int64) {}
+
+// SeedRoundRobin deals a flat relation over the first servers.
+func (c *Cluster) SeedRoundRobin(servers, kind, arity int, vals []int64) {}
+
+// Round runs one metered communication round.
+func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emitter)) {}
 
 // DeliveryRound is one round's transport view.
 type DeliveryRound struct {

@@ -45,6 +45,39 @@ func seedInMapRange(m map[int64][]int64, c *engine.Cluster) {
 	}
 }
 
+// fanoutInMapRange replicates tuples to their subcubes in map order: the
+// bulk emit is as order-sensitive as one EmitTuple per destination.
+func fanoutInMapRange(m map[int64][]int64, offsets []int, em *engine.Emitter) {
+	for base, tuple := range m {
+		em.EmitFanout(int(base), offsets, 0, tuple) // want "emission/inbox order"
+	}
+}
+
+// dealInMapRange deals whole relations round-robin in map order: the order
+// of the kinds inside every seeded inbox becomes map-dependent.
+func dealInMapRange(m map[int64][]int64, c *engine.Cluster) {
+	for kind, vals := range m {
+		c.SeedRoundRobin(4, int(kind), 2, vals) // want "emission/inbox order"
+	}
+}
+
+// dealSorted is the clean counterpart: kinds dealt in ascending order.
+func dealSorted(m map[int64][]int64, offsets []int, c *engine.Cluster, em *engine.Emitter) {
+	for _, kind := range collectThenSort(kindsOf(m)) {
+		c.SeedRoundRobin(4, int(kind), 2, m[kind])
+		em.EmitFanout(int(kind), offsets, 0, m[kind])
+	}
+}
+
+// kindsOf counts per key: map to map, not flagged.
+func kindsOf(m map[int64][]int64) map[int64]int {
+	out := make(map[int64]int, len(m))
+	for k, vals := range m {
+		out[k] = len(vals)
+	}
+	return out
+}
+
 // combineInMapRange makes partial-aggregate accumulation order map-dependent.
 func combineInMapRange(m map[int64]int64, cb *engine.Combiner) {
 	for k, v := range m {

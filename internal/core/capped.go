@@ -35,36 +35,8 @@ func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *Ca
 	cluster := engine.NewCluster(gp, bpv)
 	defer cluster.Release()
 
-	for j, a := range q.Atoms {
-		rel := db.Get(a.Name)
-		m := rel.NumTuples()
-		for i := 0; i < m; i++ {
-			cluster.Seed(i%gp, j, rel.Tuple(i))
-		}
-	}
-
-	atomDims := make([][]int, q.NumAtoms())
-	for j, a := range q.Atoms {
-		dims := make([]int, len(a.Vars))
-		for c, v := range a.Vars {
-			dims[c] = q.VarIndex(v)
-		}
-		atomDims[j] = dims
-	}
-	cluster.Round("capped-shuffle", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		bins := make([]int, 8)
-		inbox.Each(func(kind int, tuple []int64) {
-			dims := atomDims[kind]
-			if cap(bins) < len(dims) {
-				bins = make([]int, len(dims))
-			}
-			bins = bins[:len(dims)]
-			for c, d := range dims {
-				bins[c] = family.Bin(d, tuple[c], grid.Shares[d])
-			}
-			grid.Destinations(dims, bins, func(dest int) { emit.EmitTuple(dest, kind, tuple) })
-		})
-	})
+	seedPartitioned(cluster, q, db, gp)
+	hyperCubeShuffle(cluster, "capped-shuffle", q, grid, family)
 
 	// Computation phase under the cap: each server accepts messages in
 	// arrival order until capBits is exhausted. Budget cuts make fragments

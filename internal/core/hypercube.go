@@ -242,7 +242,7 @@ func RunPlanWithCap(pl *Plan, db *data.Database, seed int64, capBits float64) *R
 // through these Net variants — the algorithms themselves are
 // transport-oblivious, as the delivery seam requires.
 func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64, env engine.Env) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, nil, partitionedSeeding(db), env)
+	return runPlanSeeded(pl, db, seed, capBits, nil, seedPartitioned, env)
 }
 
 // RunPlanAggregate executes pl and then computes agg over the join output
@@ -260,7 +260,7 @@ func RunPlanAggregate(pl *Plan, db *data.Database, seed int64, capBits float64, 
 // RunPlanAggregateNet is RunPlanAggregate with round delivery through net
 // (nil = in-process).
 func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, agg, partitionedSeeding(db), env)
+	return runPlanSeeded(pl, db, seed, capBits, agg, seedPartitioned, env)
 }
 
 // RunWithSharesAggregate is RunPlanAggregate over explicit integer shares.
@@ -274,17 +274,15 @@ func RunWithSharesAggregateNet(q *query.Query, db *data.Database, shares []int, 
 	return RunPlanAggregateNet(sharesPlan(q, db, shares), db, seed, capBits, agg, env)
 }
 
-// partitionedSeeding deals each relation round-robin across the grid — the
+// seeding places the free initial input on a fresh cluster of gp servers.
+type seeding func(cluster *engine.Cluster, q *query.Query, db *data.Database, gp int)
+
+// seedPartitioned deals each relation round-robin across the grid — the
 // partitioned-input model of Section 2.1.
-func partitionedSeeding(db *data.Database) func(*engine.Cluster, *query.Query, int) {
-	return func(cluster *engine.Cluster, q *query.Query, gp int) {
-		for j, a := range q.Atoms {
-			rel := db.Get(a.Name)
-			m := rel.NumTuples()
-			for i := 0; i < m; i++ {
-				cluster.Seed(i%gp, j, rel.Tuple(i))
-			}
-		}
+func seedPartitioned(cluster *engine.Cluster, q *query.Query, db *data.Database, gp int) {
+	for j, a := range q.Atoms {
+		rel := db.Get(a.Name)
+		cluster.SeedRoundRobin(gp, j, rel.Arity, rel.Vals())
 	}
 }
 
@@ -294,22 +292,15 @@ func partitionedSeeding(db *data.Database) func(*engine.Cluster, *query.Query, i
 // partitioned-input run — the equivalence the paper uses to transfer its
 // lower bounds between the two models.
 func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *Result {
-	return runPlanSeededLocal(pl, db, seed, 0, nil, func(cluster *engine.Cluster, q *query.Query, gp int) {
+	return runPlanSeeded(pl, db, seed, 0, nil, func(cluster *engine.Cluster, q *query.Query, db *data.Database, gp int) {
 		for j, a := range q.Atoms {
 			rel := db.Get(a.Name)
-			m := rel.NumTuples()
-			for i := 0; i < m; i++ {
-				cluster.Seed(j%gp, j, rel.Tuple(i))
-			}
+			cluster.SeedBatch(j%gp, j, rel.Arity, rel.Vals())
 		}
-	})
+	}, engine.Env{})
 }
 
-func runPlanSeededLocal(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput func(*engine.Cluster, *query.Query, int)) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, agg, seedInput, engine.Env{})
-}
-
-func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput func(*engine.Cluster, *query.Query, int), env engine.Env) *Result {
+func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput seeding, env engine.Env) *Result {
 	q := pl.Query
 	grid := hashing.NewGrid(pl.Shares)
 	gp := grid.P()
@@ -320,36 +311,8 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 		cluster.SetLoadCap(capBits)
 	}
 
-	seedInput(cluster, q, gp)
-
-	// Precompute, per atom, the grid dimension of each column.
-	atomDims := make([][]int, q.NumAtoms())
-	for j, a := range q.Atoms {
-		dims := make([]int, len(a.Vars))
-		for c, v := range a.Vars {
-			dims[c] = q.VarIndex(v)
-		}
-		atomDims[j] = dims
-	}
-
-	// Round 1: every server routes its local tuples to their destination
-	// subcubes.
-	cluster.Round("hypercube-shuffle", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		bins := make([]int, 8)
-		inbox.Each(func(kind int, tuple []int64) {
-			dims := atomDims[kind]
-			if cap(bins) < len(dims) {
-				bins = make([]int, len(dims))
-			}
-			bins = bins[:len(dims)]
-			for c, d := range dims {
-				bins[c] = family.Bin(d, tuple[c], grid.Shares[d])
-			}
-			grid.Destinations(dims, bins, func(dest int) {
-				emit.EmitTuple(dest, kind, tuple)
-			})
-		})
-	})
+	seedInput(cluster, q, db, gp)
+	hyperCubeShuffle(cluster, "hypercube-shuffle", q, grid, family)
 
 	// Computation phase: local evaluation on every server (no
 	// communication). Each worker keeps one kernel scratch whose arenas are
@@ -432,6 +395,33 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 		ComputeSeconds:     computeS,
 		CommSeconds:        commS,
 	}
+}
+
+// hyperCubeShuffle runs the HyperCube communication round: every server
+// routes its local tuples (message kind = atom index) to their destination
+// subcubes D(t) of equation (9). Each atom's route is compiled once, so the
+// per-tuple work is hashing the atom's columns and one fan-out emit.
+func hyperCubeShuffle(cluster *engine.Cluster, name string, q *query.Query, grid *hashing.Grid, family *hashing.Family) {
+	routes := make([]*hashing.Route, q.NumAtoms())
+	for j, a := range q.Atoms {
+		dims := make([]int, len(a.Vars))
+		for c, v := range a.Vars {
+			dims[c] = q.VarIndex(v)
+		}
+		routes[j] = hashing.NewRoute(grid, dims)
+	}
+	cluster.Round(name, func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
+		inbox.EachBatch(func(b engine.Batch) {
+			route := routes[b.Kind]
+			offsets := route.Offsets()
+			for off := 0; off < len(b.Vals); off += b.Arity {
+				tuple := b.Vals[off : off+b.Arity]
+				if base, ok := route.Base(family, tuple); ok {
+					emit.EmitFanout(base, offsets, b.Kind, tuple)
+				}
+			}
+		})
+	})
 }
 
 // runAggregatePhases runs the aggregate tail of a plan execution: the local

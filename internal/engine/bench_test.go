@@ -21,8 +21,6 @@ func newBenchCluster() *Cluster {
 
 // BenchmarkRound measures the batched columnar round: per-(sender→dest)
 // flat buffers, destination-sharded parallel delivery, arena reuse.
-// Compare allocs/op against BenchmarkRoundPerTupleBaseline — the acceptance
-// bar for the batched engine is ≥ 2× fewer allocations per round.
 func BenchmarkRound(b *testing.B) {
 	c := newBenchCluster()
 	route := func(s int, inbox *Inbox, emit *Emitter) {
@@ -57,70 +55,30 @@ func BenchmarkRoundEmitBatch(b *testing.B) {
 	b.ReportMetric(float64(benchP*benchPerServer), "msgs/round")
 }
 
-// ---- per-tuple baseline ----------------------------------------------------
-
-// The baseline reproduces the engine's original per-tuple design — a heap
-// Message per routed tuple, per-sender []routed buffers, a single-threaded
-// delivery loop, and fresh inbox slices every round — so the batched
-// engine's allocation and throughput win stays measurable in one tree.
-
-type baselineMessage struct {
-	Kind  int
-	Tuple []int64
-}
-
-type baselineRouted struct {
-	dest int
-	m    baselineMessage
-}
-
-type baselineCluster struct {
-	p            int
-	bitsPerValue int
-	inbox        [][]baselineMessage
-}
-
-func (c *baselineCluster) round(f func(s int, inbox []baselineMessage, emit func(dest int, m baselineMessage))) {
-	out := make([][]baselineRouted, c.p)
-	ParallelFor(c.p, func(s int) {
-		var buf []baselineRouted
-		f(s, c.inbox[s], func(dest int, m baselineMessage) {
-			buf = append(buf, baselineRouted{dest: dest, m: m})
-		})
-		out[s] = buf
-	})
-	next := make([][]baselineMessage, c.p)
-	recvBits := make([]float64, c.p)
-	for s := 0; s < c.p; s++ {
-		for _, r := range out[s] {
-			next[r.dest] = append(next[r.dest], r.m)
-			recvBits[r.dest] += float64(len(r.m.Tuple) * c.bitsPerValue)
+// BenchmarkRoundEmitFanout replicates every seeded tuple to a 4-server
+// subcube through the bulk fan-out, the HyperCube shuffle's emission shape.
+// Servers re-emit their seeded input each round (a copy: the inbox holds the
+// previous round's 4× deliveries), so the round is steady-state.
+func BenchmarkRoundEmitFanout(b *testing.B) {
+	c := newBenchCluster()
+	input := make([][]int64, benchP)
+	for s := range input {
+		input[s] = append(input[s], c.Inbox(s).Batch(0).Vals...)
+	}
+	offsets := []int{0, 16, 32, 48}
+	route := func(s int, _ *Inbox, emit *Emitter) {
+		for off := 0; off < len(input[s]); off += 2 {
+			tuple := input[s][off : off+2]
+			emit.EmitFanout(int(tuple[0])%16, offsets, 0, tuple)
 		}
 	}
-	c.inbox = next
-}
-
-// BenchmarkRoundPerTupleBaseline is the allocation baseline: the same
-// 64×1000 forwarding round through the original per-tuple Message path.
-func BenchmarkRoundPerTupleBaseline(b *testing.B) {
-	c := &baselineCluster{p: benchP, bitsPerValue: 20, inbox: make([][]baselineMessage, benchP)}
-	for s := 0; s < benchP; s++ {
-		for t := 0; t < benchPerServer; t++ {
-			c.inbox[s] = append(c.inbox[s], baselineMessage{Kind: 0, Tuple: []int64{int64(t), int64(s)}})
-		}
-	}
-	route := func(s int, inbox []baselineMessage, emit func(dest int, m baselineMessage)) {
-		for _, m := range inbox {
-			emit(int(m.Tuple[0])%benchP, m)
-		}
-	}
-	c.round(route)
+	c.Round("warmup", route)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.round(route)
+		c.Round("bench", route)
 	}
-	b.ReportMetric(float64(benchP*benchPerServer), "msgs/round")
+	b.ReportMetric(float64(4*benchP*benchPerServer), "msgs/round")
 }
 
 func BenchmarkParallelFor(b *testing.B) {

@@ -25,6 +25,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -163,12 +164,18 @@ func (ib *Inbox) reset() {
 func (ib *Inbox) appendBlock(kind, arity int, vals []int64) {
 	start := len(ib.arena)
 	ib.arena = append(ib.arena, vals...)
+	ib.addSpan(kind, arity, start, len(vals)/arity)
+}
+
+// addSpan records that the arena's tail from start holds count more tuples
+// of one kind, coalescing with the previous span when it matches.
+func (ib *Inbox) addSpan(kind, arity, start, count int) {
 	if n := len(ib.spans); n > 0 && ib.spans[n-1].kind == kind && ib.spans[n-1].arity == arity {
 		ib.spans[n-1].end = len(ib.arena)
 	} else {
 		ib.spans = append(ib.spans, span{kind: kind, arity: arity, start: start, end: len(ib.arena)})
 	}
-	ib.tuples += len(vals) / arity
+	ib.tuples += count
 	ib.prefix = nil
 }
 
@@ -258,6 +265,11 @@ type Emitter struct {
 	residentHW  int        // pipelined: high-water of resident this round
 }
 
+// reset prepares the emitter for a round of its cluster: every staging
+// buffer touched since the last reset — by this cluster or, for a recycled
+// emitter, by a previous one, even one whose round function panicked
+// mid-emission — is emptied (capacity kept), and the streaming mode is
+// re-read from the cluster.
 func (e *Emitter) reset() {
 	for _, d := range e.touched {
 		e.perDest[d].reset()
@@ -285,8 +297,10 @@ func (e *Emitter) buf(dest int) *sendBuf {
 	if dest < 0 || dest >= e.c.p {
 		panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", dest, e.c.p))
 	}
-	if e.perDest == nil {
-		e.perDest = make([]sendBuf, e.c.p)
+	if len(e.perDest) < e.c.p {
+		// A recycled emitter may come from a smaller cluster: keep its
+		// buffers and extend.
+		e.perDest = append(e.perDest, make([]sendBuf, e.c.p-len(e.perDest))...)
 	}
 	sb := &e.perDest[dest]
 	if len(sb.batches) == 0 {
@@ -327,7 +341,42 @@ func (e *Emitter) EmitTuple(dest, kind int, tuple []int64) {
 		return
 	}
 	b := e.open(dest, kind, len(tuple))
-	b.vals = append(b.vals, tuple...)
+	b.vals = appendTuple(b.vals, tuple)
+}
+
+// EmitFanout sends one tuple to every destination base+offsets[i], in order
+// — the bulk form of EmitTuple for replication to a destination subcube
+// (hashing.Route supplies base and the offset table). It is exactly
+// equivalent to one EmitTuple per destination.
+func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {
+	if len(tuple) == 0 {
+		panic("engine: cannot emit an empty tuple")
+	}
+	if e.pipelined {
+		for _, off := range offsets {
+			e.emitStream(base+off, kind, len(tuple), tuple)
+		}
+		return
+	}
+	for _, off := range offsets {
+		b := e.open(base+off, kind, len(tuple))
+		b.vals = appendTuple(b.vals, tuple)
+	}
+}
+
+// appendTuple is append(dst, tuple...) for the handful of values a routed
+// tuple has: when dst has room, copying in place avoids the memmove call,
+// which costs more than the copy at this size.
+func appendTuple(dst, tuple []int64) []int64 {
+	n := len(dst)
+	if n+len(tuple) > cap(dst) {
+		return append(dst, tuple...)
+	}
+	dst = dst[:n+len(tuple)]
+	for i, v := range tuple {
+		dst[n+i] = v
+	}
+	return dst
 }
 
 // EmitBatch sends a whole flat block of same-kind tuples (len(vals) must be
@@ -372,9 +421,10 @@ func (e *Emitter) EmitBatch(dest, kind, arity int, vals []int64) {
 type Cluster struct {
 	p            int
 	bitsPerValue int
-	inbox        []*Inbox // current contents of each server's inbox
-	spare        []*Inbox // previous round's inboxes, recycled as delivery targets
-	emitters     []*Emitter
+	inbox        []*Inbox    // current contents of each server's inbox
+	spare        []*Inbox    // previous round's inboxes, recycled as delivery targets
+	emitters     []*Emitter  // emitterSet[:p]
+	emitterSet   *[]*Emitter // the pooled set the emitters came from
 	recvBits     []float64
 	recvTuples   []int
 	rounds       []RoundStats
@@ -416,10 +466,19 @@ type Cluster struct {
 // Cluster.Release, already reset; their arena/span capacity is retained.
 var inboxPool = sync.Pool{New: func() any { return &Inbox{} }}
 
+// emitterPool recycles emitter staging — the per-destination batch buffers
+// and pipelined chunk buffers — the same way, one whole cluster's emitters
+// per entry so server s keeps meeting the buffers server s filled last time.
+// Sets enter the pool only through Cluster.Release, detached from their
+// cluster; whatever they still hold is emptied by the reset that opens every
+// Round. A set taken for a larger cluster is extended, one taken for a
+// smaller cluster is used as a prefix.
+var emitterPool = sync.Pool{New: func() any { return new([]*Emitter) }}
+
 // NewCluster creates a cluster of p servers exchanging values of
-// bitsPerValue bits each (⌈log₂ n⌉ for domain [n]). Inbox arenas are drawn
-// from a shared pool; call Release when the run's results have been copied
-// out to hand them back.
+// bitsPerValue bits each (⌈log₂ n⌉ for domain [n]). Inbox arenas and
+// emitter staging are drawn from shared pools; call Release when the run's
+// results have been copied out to hand them back.
 func NewCluster(p, bitsPerValue int) *Cluster {
 	if p < 1 {
 		panic("engine: need at least one server")
@@ -432,24 +491,28 @@ func NewCluster(p, bitsPerValue int) *Cluster {
 		bitsPerValue: bitsPerValue,
 		inbox:        make([]*Inbox, p),
 		spare:        make([]*Inbox, p),
-		emitters:     make([]*Emitter, p),
+		emitterSet:   emitterPool.Get().(*[]*Emitter),
 		recvBits:     make([]float64, p),
 		recvTuples:   make([]int, p),
 	}
+	for len(*c.emitterSet) < p {
+		*c.emitterSet = append(*c.emitterSet, &Emitter{self: len(*c.emitterSet)})
+	}
+	c.emitters = (*c.emitterSet)[:p]
 	for s := 0; s < p; s++ {
 		c.inbox[s] = inboxPool.Get().(*Inbox)
 		c.spare[s] = inboxPool.Get().(*Inbox)
-		c.emitters[s] = &Emitter{c: c, self: s}
+		c.emitters[s].c = c
 	}
 	obsClustersTotal.Inc()
 	return c
 }
 
-// Release returns the cluster's inbox arenas to the shared pool for reuse by
-// later clusters, and closes the cluster's transport link, if any. It must
-// be the last use of the cluster: every Inbox, Batch, or tuple view
-// previously obtained from it is invalidated (round statistics, being plain
-// values, stay valid). Release is idempotent.
+// Release returns the cluster's inbox arenas and emitter staging to the
+// shared pools for reuse by later clusters, and closes the cluster's
+// transport link, if any. It must be the last use of the cluster: every
+// Inbox, Batch, or tuple view previously obtained from it is invalidated
+// (round statistics, being plain values, stay valid). Release is idempotent.
 func (c *Cluster) Release() {
 	if c.link != nil {
 		_ = c.link.Close()
@@ -466,6 +529,13 @@ func (c *Cluster) Release() {
 			inboxPool.Put(c.spare[s])
 			c.spare[s] = nil
 		}
+	}
+	if c.emitterSet != nil {
+		for _, e := range c.emitters {
+			e.c = nil
+		}
+		emitterPool.Put(c.emitterSet)
+		c.emitterSet, c.emitters = nil, nil
 	}
 }
 
@@ -488,6 +558,30 @@ func (c *Cluster) SeedBatch(server, kind, arity int, vals []int64) {
 		return
 	}
 	c.inbox[server].appendBlock(kind, arity, vals)
+}
+
+// SeedRoundRobin deals a relation's flat row-major tuples over servers
+// [0, servers): tuple i goes to server i mod servers — the partitioned
+// input of Section 2.1, free like every seed. It leaves the inboxes exactly
+// as one Seed call per tuple would, but grows each arena once.
+func (c *Cluster) SeedRoundRobin(servers, kind, arity int, vals []int64) {
+	if servers < 1 || servers > c.p {
+		panic(fmt.Sprintf("engine: cannot deal input over %d of %d servers", servers, c.p))
+	}
+	if arity < 1 || len(vals)%arity != 0 {
+		panic(fmt.Sprintf("engine: seed of %d values is not a multiple of arity %d", len(vals), arity))
+	}
+	m := len(vals) / arity
+	for s := 0; s < servers && s < m; s++ {
+		ib := c.inbox[s]
+		count := (m - s + servers - 1) / servers
+		ib.arena = slices.Grow(ib.arena, count*arity)
+		start := len(ib.arena)
+		for off := s * arity; off < len(vals); off += servers * arity {
+			ib.arena = appendTuple(ib.arena, vals[off:off+arity])
+		}
+		ib.addSpan(kind, arity, start, count)
+	}
 }
 
 // Inbox returns the batches currently held by a server (the deliveries of

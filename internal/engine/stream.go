@@ -173,9 +173,12 @@ func (e *Emitter) chunkBuf(dest int) *outBatch {
 	if dest < 0 || dest >= e.c.p {
 		panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", dest, e.c.p))
 	}
-	if e.pchunks == nil {
-		e.pchunks = make([]outBatch, e.c.p)
-		e.ptracked = make([]bool, e.c.p)
+	if len(e.pchunks) < e.c.p {
+		// A recycled emitter may come from a smaller cluster: keep its
+		// buffers and extend.
+		grow := e.c.p - len(e.pchunks)
+		e.pchunks = append(e.pchunks, make([]outBatch, grow)...)
+		e.ptracked = append(e.ptracked, make([]bool, grow)...)
 	}
 	if !e.ptracked[dest] {
 		e.ptracked[dest] = true
@@ -278,11 +281,9 @@ func (c *Cluster) observeBufferedMemory() {
 			vals += int64(e.residentHW)
 			continue
 		}
-		if e.perDest != nil {
-			for _, d := range e.touched {
-				for _, b := range e.perDest[d].batches {
-					vals += int64(len(b.vals))
-				}
+		for _, d := range e.touched {
+			for _, b := range e.perDest[d].batches {
+				vals += int64(len(b.vals))
 			}
 		}
 		for _, b := range e.bcast.batches {

@@ -3,23 +3,24 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // inboxSnapshot flattens an inbox to a comparable string: every tuple, in
 // delivery order, with its kind — the engine's full observable content.
 func inboxSnapshot(ib *Inbox) string {
-	s := ""
+	var s strings.Builder
 	for i := 0; i < ib.NumTuples(); i++ {
 		kind, row := ib.Tuple(i)
-		s += fmt.Sprintf("k%d%v;", kind, row)
+		fmt.Fprintf(&s, "k%d%v;", kind, row)
 	}
-	return s
+	return s.String()
 }
 
 // runScripted drives a deterministic random emission script (seeded per
-// round and server, mixing unicast tuples, batches, broadcasts, and
-// broadcast batches) through nRounds rounds of a cluster and returns the
+// round and server, mixing unicast tuples, batches, fan-outs, broadcasts,
+// and broadcast batches) through nRounds rounds of a cluster and returns the
 // per-round stats plus every inbox's final snapshot.
 func runScripted(c *Cluster, p, nRounds int) (stats []RoundStats, inboxes []string) {
 	for r := 0; r < nRounds; r++ {
@@ -27,7 +28,7 @@ func runScripted(c *Cluster, p, nRounds int) (stats []RoundStats, inboxes []stri
 			rng := rand.New(rand.NewSource(int64(r*100 + s)))
 			for i := 0; i < 30; i++ {
 				kind := rng.Intn(3)
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					emit.EmitTuple(rng.Intn(p), kind, []int64{int64(s), int64(i)})
 				case 1:
@@ -40,6 +41,8 @@ func runScripted(c *Cluster, p, nRounds int) (stats []RoundStats, inboxes []stri
 					emit.EmitTuple(Broadcast, kind, []int64{int64(s), int64(i), 7})
 				case 3:
 					emit.EmitBatch(Broadcast, kind, 3, []int64{int64(s), int64(i), 1, int64(s), int64(i), 2})
+				case 4:
+					emit.EmitFanout(rng.Intn(p-2), []int{0, 2, 1}, kind, []int64{int64(s), int64(i)})
 				}
 			}
 		})
@@ -160,7 +163,7 @@ func TestSetStreamChunkValidation(t *testing.T) {
 func TestAppendChunkValidation(t *testing.T) {
 	ib := &Inbox{}
 	for _, bad := range []func(){
-		func() { ib.AppendChunk(0, 0, 0, 0, []int64{1}, false) },     // arity < 1
+		func() { ib.AppendChunk(0, 0, 0, 0, []int64{1}, false) },       // arity < 1
 		func() { ib.AppendChunk(0, 0, 0, 2, []int64{1, 2, 3}, false) }, // ragged vals
 	} {
 		func() {

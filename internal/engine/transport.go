@@ -93,7 +93,7 @@ func DeliverLocal(io *DeliveryRound) {
 		bits, tuples := 0.0, 0
 		for s := 0; s < io.P; s++ {
 			em := io.Senders[s]
-			if em.perDest != nil {
+			if d < len(em.perDest) { // shorter when the sender never emitted unicast
 				for _, b := range em.perDest[d].batches {
 					ib.appendBlock(b.kind, b.arity, b.vals)
 					tuples += len(b.vals) / b.arity

@@ -21,3 +21,22 @@ func BenchmarkDestinations(b *testing.B) {
 	}
 	_ = count
 }
+
+// BenchmarkRoute is BenchmarkDestinations through a compiled Route: hash the
+// two columns, walk the offset table.
+func BenchmarkRoute(b *testing.B) {
+	g := NewGrid([]int{4, 4, 4})
+	f := NewFamily(1, 3)
+	r := NewRoute(g, []int{0, 1})
+	tuple := []int64{0, 0}
+	count := 0
+	for i := 0; i < b.N; i++ {
+		tuple[0], tuple[1] = int64(i), int64(i+1)
+		if base, ok := r.Base(f, tuple); ok {
+			for _, off := range r.Offsets() {
+				count += base + off
+			}
+		}
+	}
+	_ = count
+}

@@ -9,7 +9,10 @@
 // bounds in package ballsbins.
 package hashing
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Family is a collection of independent hash functions, one per dimension
 // (query variable), all derived from a single seed.
@@ -122,34 +125,40 @@ func (g *Grid) CoordsOf(server int, out []int) []int {
 	return out
 }
 
+// destScratch is the stack space Destinations enumerates a subcube in. A
+// free dimension has share ≥ 2, so 16 of them cover every grid of up to 2¹⁶
+// servers without touching the heap (append spills larger ones: nothing is
+// capped).
+const destScratch = 16
+
 // Destinations calls yield for every server in the destination subcube
 // determined by fixing dimensions dims[i] to coordinates bins[i] and
-// ranging over all other dimensions — the set D(t) of equation (9).
+// ranging over all other dimensions — the set D(t) of equation (9). It is
+// the reference enumeration: a Route precompiles exactly this order, and
+// the strategies route through Routes; Destinations itself allocates
+// nothing.
 func (g *Grid) Destinations(dims, bins []int, yield func(server int)) {
 	base := 0
-	fixed := make([]bool, len(g.Shares))
 	for i, d := range dims {
 		// A dimension may be fixed twice (repeated variable in an atom);
 		// if the two bins disagree the subcube is empty.
-		if fixed[d] {
-			prev := 0 // recover previously set coordinate
-			prev = (base / g.strides[d]) % g.Shares[d]
-			if prev != bins[i] {
+		if first := slices.Index(dims[:i], d); first >= 0 {
+			if bins[first] != bins[i] {
 				return
 			}
 			continue
 		}
-		fixed[d] = true
 		base += bins[i] * g.strides[d]
 	}
-	var free []int
-	for i, f := range fixed {
-		if !f && g.Shares[i] > 1 {
+	var freeBuf, counterBuf [destScratch]int
+	free, counters := freeBuf[:0], counterBuf[:0]
+	for i, share := range g.Shares {
+		if share > 1 && slices.Index(dims, i) < 0 {
 			free = append(free, i)
+			counters = append(counters, 0)
 		}
 	}
 	// Odometer over the free dimensions.
-	counters := make([]int, len(free))
 	for {
 		s := base
 		for i, d := range free {
@@ -169,6 +178,74 @@ func (g *Grid) Destinations(dims, bins []int, yield func(server int)) {
 		}
 	}
 }
+
+// Route is the routing function of one atom over one grid, compiled once so
+// that routing a tuple is base = Σ bin·stride over the atom's hashed columns
+// plus a walk over a precomputed table of subcube offsets: the destinations
+// of t are base+offsets[i], in exactly the order Destinations yields them. A
+// Route is immutable and safe for concurrent use; the hash family stays a
+// per-call argument because it changes with every seed while the route is
+// part of the (cached) plan.
+type Route struct {
+	fixed   []routeCol // first occurrence of every hashed dimension with share > 1
+	guards  []routeCol // repeated occurrences: must land in the same bin as src
+	offsets []int      // never empty: offsets[0] == 0
+}
+
+// routeCol is one hashed column: tuple[col] is binned along dim. For a guard,
+// src is the column of the dimension's first occurrence.
+type routeCol struct {
+	col, dim, share, stride, src int
+}
+
+// NewRoute compiles the route of an atom whose column c carries grid
+// dimension dims[c]; dims[c] < 0 marks a column the route does not hash (the
+// dimension stays free unless another column fixes it).
+func NewRoute(g *Grid, dims []int) *Route {
+	r := &Route{}
+	var hashed []int
+	for c, d := range dims {
+		if d < 0 {
+			continue
+		}
+		hashed = append(hashed, d)
+		// A share of 1 has the single bin 0: nothing to add, nothing to guard.
+		if g.Shares[d] == 1 {
+			continue
+		}
+		rc := routeCol{col: c, dim: d, share: g.Shares[d], stride: g.strides[d]}
+		if first := slices.Index(dims[:c], d); first >= 0 {
+			rc.src = first
+			r.guards = append(r.guards, rc)
+		} else {
+			r.fixed = append(r.fixed, rc)
+		}
+	}
+	zeros := make([]int, len(hashed))
+	g.Destinations(hashed, zeros, func(s int) { r.offsets = append(r.offsets, s) })
+	return r
+}
+
+// Base returns the first destination of tuple under family f, or ok = false
+// when a repeated variable's two values fall in different bins and the
+// subcube is empty.
+func (r *Route) Base(f *Family, tuple []int64) (base int, ok bool) {
+	for i := range r.fixed {
+		c := &r.fixed[i]
+		base += f.Bin(c.dim, tuple[c.col], c.share) * c.stride
+	}
+	for i := range r.guards {
+		c := &r.guards[i]
+		if f.Bin(c.dim, tuple[c.col], c.share) != f.Bin(c.dim, tuple[c.src], c.share) {
+			return 0, false
+		}
+	}
+	return base, true
+}
+
+// Offsets returns the subcube offset table: tuple t goes to Base(t)+off for
+// every off, in order. The caller must not modify it.
+func (r *Route) Offsets() []int { return r.offsets }
 
 // SubcubeSize returns |D(t)| for a tuple fixing the given dimensions: the
 // product of the shares of all unfixed dimensions (the replication factor

@@ -35,10 +35,7 @@ func ccSetup(g *data.Graph, p int, seed int64) (*engine.Cluster, []*ccState, *ha
 	bpv := data.BitsPerValue(g.NumVertices)
 	cluster := engine.NewCluster(p, bpv)
 	family := hashing.NewFamily(seed, 1)
-	m := g.Edges.NumTuples()
-	for i := 0; i < m; i++ {
-		cluster.Seed(i%p, ccEdge, g.Edges.Tuple(i))
-	}
+	cluster.SeedRoundRobin(p, ccEdge, g.Edges.Arity, g.Edges.Vals())
 	owner := func(v int64) int { return family.Bin(0, v, p) }
 
 	// Setup round: deliver each edge to both endpoint owners.

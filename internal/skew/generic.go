@@ -182,6 +182,7 @@ func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int
 		routes[j] = make(map[string][]*genPattern)
 		var buf []byte
 		for _, pat := range patterns {
+			pat.routes = append(pat.routes, hashing.NewRoute(pat.grid, dims))
 			buf = appendSignature(buf[:0], dims, func(c, d int) (int64, bool) {
 				hv, pinned := pat.assign[d]
 				return hv, pinned
@@ -221,35 +222,25 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	for j, a := range q.Atoms {
-		rel := db.Get(a.Name)
-		m := rel.NumTuples()
-		for i := 0; i < m; i++ {
-			cluster.Seed(i%inputServers, j, rel.Tuple(i))
-		}
-	}
+	seedRoundRobin(cluster, q, db, inputServers)
 
 	family := hashing.NewFamily(seed, k)
 
 	cluster.Round("skew-generic", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		bins := make([]int, 8)
 		var sig []byte
-		inbox.Each(func(j int, tuple []int64) {
+		inbox.EachBatch(func(b engine.Batch) {
+			j := b.Kind
 			dims := atomDims[j]
-			if cap(bins) < len(dims) {
-				bins = make([]int, len(dims))
-			}
-			sig = appendSignature(sig[:0], dims, func(c, d int) (int64, bool) {
-				return tuple[c], heavy[d][tuple[c]]
-			})
-			for _, pat := range routes[j][string(sig)] {
-				bins = bins[:len(dims)]
-				for c, d := range dims {
-					bins[c] = family.Bin(d, tuple[c], pat.grid.Shares[d])
-				}
-				pat.grid.Destinations(dims, bins, func(dest int) {
-					emit.EmitTuple(pat.offset+dest, j, tuple)
+			for off := 0; off < len(b.Vals); off += b.Arity {
+				tuple := b.Vals[off : off+b.Arity]
+				sig = appendSignature(sig[:0], dims, func(c, d int) (int64, bool) {
+					return tuple[c], heavy[d][tuple[c]]
 				})
+				for _, pat := range routes[j][string(sig)] {
+					if base, ok := pat.routes[j].Base(family, tuple); ok {
+						emit.EmitFanout(pat.offset+base, pat.routes[j].Offsets(), j, tuple)
+					}
+				}
 			}
 		})
 	})
@@ -291,6 +282,7 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 type genPattern struct {
 	assign map[int]int64
 	grid   *hashing.Grid
+	routes []*hashing.Route // per atom, into grid
 	offset int
 }
 

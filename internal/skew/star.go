@@ -169,9 +169,16 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 			}
 			stats[j] = s
 		}
-		shares := residualShares(stats, ph)
-		grid := hashing.NewGrid(shares)
-		blocks[h] = &block{offset: offset, grid: grid}
+		grid := hashing.NewGrid(residualShares(stats, ph))
+		// Atom j's tuples fix dimension j to the hash of their x_j value
+		// (binary atoms: the non-z column); all other dimensions are free.
+		routes := make([]*hashing.Route, k)
+		for j := range routes {
+			dims := []int{-1, -1}
+			dims[1-zCols[j]] = j
+			routes[j] = hashing.NewRoute(grid, dims)
+		}
+		blocks[h] = &block{offset: offset, routes: routes}
 		offset += grid.P()
 	}
 	return &StarPlan{zCols: zCols, heavy: heavy, blocks: blocks, totalServers: offset}
@@ -198,31 +205,24 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	for j, a := range q.Atoms {
-		rel := db.Get(a.Name)
-		m := rel.NumTuples()
-		for i := 0; i < m; i++ {
-			cluster.Seed(i%p, j, rel.Tuple(i))
-		}
-	}
+	seedRoundRobin(cluster, q, db, p)
 
 	family := hashing.NewFamily(seed, k+1) // dim k hashes z for the light part
 
 	cluster.Round("skew-star", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		subDims, subBins := []int{0}, []int{0}
-		inbox.Each(func(j int, tuple []int64) {
-			z := tuple[zCols[j]]
-			if b, isHeavy := blocks[z]; isHeavy {
-				// Heavy: route within h's block, fixing dimension j to the
-				// hash of the x_j value; all other dimensions free.
-				xj := tuple[1-zCols[j]] // binary atoms: the non-z column
-				subDims[0], subBins[0] = j, family.Bin(j, xj, b.grid.Shares[j])
-				b.grid.Destinations(subDims, subBins, func(sub int) {
-					emit.EmitTuple(b.offset+sub, j, tuple)
-				})
-			} else {
-				// Light: hash-partition on z across the light servers.
-				emit.EmitTuple(family.Bin(k, z, p), j, tuple)
+		inbox.EachBatch(func(bt engine.Batch) {
+			j := bt.Kind
+			for off := 0; off < len(bt.Vals); off += bt.Arity {
+				tuple := bt.Vals[off : off+bt.Arity]
+				z := tuple[zCols[j]]
+				if b, isHeavy := blocks[z]; isHeavy {
+					// Heavy: replicate within h's block.
+					base, _ := b.routes[j].Base(family, tuple) // one hashed column: never empty
+					emit.EmitFanout(b.offset+base, b.routes[j].Offsets(), j, tuple)
+				} else {
+					// Light: hash-partition on z across the light servers.
+					emit.EmitTuple(family.Bin(k, z, p), j, tuple)
+				}
 			}
 		})
 	})
@@ -288,9 +288,20 @@ func evaluatePhase(cluster *engine.Cluster, q *query.Query, servers int,
 	return outputs
 }
 
+// block is one heavy hitter's dedicated server range, starting at offset,
+// with the compiled route of every atom into its residual-share grid.
 type block struct {
 	offset int
-	grid   *hashing.Grid
+	routes []*hashing.Route
+}
+
+// seedRoundRobin deals every atom's relation over servers [0, p) — the
+// partitioned input of Section 2.1, message kind = atom index.
+func seedRoundRobin(cluster *engine.Cluster, q *query.Query, db *data.Database, p int) {
+	for j, a := range q.Atoms {
+		rel := db.Get(a.Name)
+		cluster.SeedRoundRobin(p, j, rel.Arity, rel.Vals())
+	}
 }
 
 // residualShares computes integer shares for the residual Cartesian product

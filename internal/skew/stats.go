@@ -76,10 +76,7 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 		cluster.SetLoadCap(capBits)
 	}
 	for j, rel := range rels {
-		m := rel.NumTuples()
-		for i := 0; i < m; i++ {
-			cluster.Seed(i%p, j, rel.Tuple(i))
-		}
+		cluster.SeedRoundRobin(p, j, rel.Arity, rel.Vals())
 	}
 	st := cluster.Round("stats-sample", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		rng := rand.New(rand.NewSource(seed + int64(s)))

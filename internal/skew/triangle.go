@@ -2,6 +2,7 @@ package skew
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"mpcquery/internal/data"
@@ -159,47 +160,38 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	for j := range rels {
-		m := rels[j].NumTuples()
-		for i := 0; i < m; i++ {
-			cluster.Seed(i%p, j, rels[j].Tuple(i))
-		}
-	}
+	seedRoundRobin(cluster, q, db, p)
 
 	family := hashing.NewFamily(seed, 3)
-	varsOfAtom := make([][2]int, 3) // atom j -> variable indices of (col0, col1)
-	for j, a := range q.Atoms {
-		varsOfAtom[j] = [2]int{q.VarIndex(a.Vars[0]), q.VarIndex(a.Vars[1])}
-	}
 	isPHeavy := func(varIdx int, v int64) bool { return pHeavy[varIdx][v] }
 	isCubeLight := func(varIdx int, v int64) bool { return !cubeHeavy[varIdx][v] }
 
 	cluster.Round("skew-triangle", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		inbox.Each(func(j int, tuple []int64) {
-			v0, v1 := tuple[0], tuple[1]
-			i0, i1 := varsOfAtom[j][0], varsOfAtom[j][1]
+		inbox.EachBatch(func(bt engine.Batch) {
+			j := bt.Kind
+			i0, i1 := layout.atomVars[j][0], layout.atomVars[j][1]
+			light := layout.lightRoutes[j]
+			for off := 0; off < len(bt.Vals); off += bt.Arity {
+				tuple := bt.Vals[off : off+bt.Arity]
+				v0, v1 := tuple[0], tuple[1]
 
-			// Light: both values cube-light -> vanilla HC.
-			if isCubeLight(i0, v0) && isCubeLight(i1, v1) {
-				b0 := family.Bin(i0, v0, layout.light.Shares[i0])
-				b1 := family.Bin(i1, v1, layout.light.Shares[i1])
-				layout.light.Destinations([]int{i0, i1}, []int{b0, b1}, func(d int) {
-					emit.EmitTuple(layout.lightOffset+d, j, tuple)
-				})
-			}
-
-			// Case 1 groups.
-			for _, g := range layout.case1 {
-				g.route(j, tuple, i0, i1, v0, v1, isPHeavy, family, emit)
-			}
-
-			// Case 2 pivot blocks.
-			for pivot := 0; pivot < 3; pivot++ {
-				pb := layout.pivots[pivot]
-				if pb == nil {
-					continue
+				// Light: both values cube-light -> vanilla HC.
+				if isCubeLight(i0, v0) && isCubeLight(i1, v1) {
+					base, _ := light.Base(family, tuple) // distinct variables: never empty
+					emit.EmitFanout(layout.lightOffset+base, light.Offsets(), j, tuple)
 				}
-				pb.route(q, j, tuple, pivot, i0, i1, v0, v1, isPHeavy, cubeHeavy[pivot], family, emit)
+
+				// Case 1 groups.
+				for _, g := range layout.case1 {
+					g.route(j, tuple, i0, i1, v0, v1, isPHeavy, family, emit)
+				}
+
+				// Case 2 pivot blocks.
+				for _, pb := range layout.pivots {
+					if pb != nil {
+						pb.route(j, tuple, i0, i1, v0, v1, isPHeavy, family, emit)
+					}
+				}
 			}
 		})
 	})
@@ -239,8 +231,10 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 
 type triLayout struct {
 	totalServers int
+	atomVars     [3][2]int // atom j -> variable indices of (col0, col1)
 	lightOffset  int
-	light        *hashing.Grid
+	lightSize    int
+	lightRoutes  [3]*hashing.Route // per atom, into the light grid
 	case1        []*case1Group
 	pivots       [3]*pivotBlocks
 }
@@ -289,37 +283,36 @@ func (g *case1Group) route(j int, tuple []int64, i0, i1 int, v0, v1 int64,
 type pivotBlocks struct {
 	pivot  int
 	blocks map[int64]*pivotBlock
+	order  []*pivotBlock // blocks by ascending pivot value
 }
 
+// pivotBlock is the block of one heavy pivot value: a grid over the three
+// variables with share 1 on the pivot, and every atom's compiled route into
+// it. The two pivot-adjacent atoms fix their other variable and replicate
+// along the third; the opposite atom fixes both and lands on one server.
 type pivotBlock struct {
 	offset int
-	grid   *hashing.Grid // 2-dimensional: (first non-pivot var, second non-pivot var)
-	dims   [2]int        // variable indices of grid dimensions 0 and 1
+	routes [3]*hashing.Route
 }
 
-func (pb *pivotBlocks) route(q *query.Query, j int, tuple []int64, pivot, i0, i1 int,
-	v0, v1 int64, isPHeavy func(int, int64) bool, pivotHeavy map[int64]bool,
-	family *hashing.Family, emit *engine.Emitter) {
+func (b *pivotBlock) emit(j int, tuple []int64, family *hashing.Family, emit *engine.Emitter) {
+	base, _ := b.routes[j].Base(family, tuple) // distinct variables: never empty
+	emit.EmitFanout(b.offset+base, b.routes[j].Offsets(), j, tuple)
+}
+
+func (pb *pivotBlocks) route(j int, tuple []int64, i0, i1 int, v0, v1 int64,
+	isPHeavy func(int, int64) bool, family *hashing.Family, emit *engine.Emitter) {
 	switch {
-	case i0 == pivot || i1 == pivot:
+	case i0 == pb.pivot || i1 == pb.pivot:
 		// Relation adjacent to the pivot: route into the block of its pivot
 		// value when the other value is p-light.
 		pv, ov, ovar := v0, v1, i1
-		if i1 == pivot {
+		if i1 == pb.pivot {
 			pv, ov, ovar = v1, v0, i0
 		}
-		if !pivotHeavy[pv] || isPHeavy(ovar, ov) {
-			return
+		if b := pb.blocks[pv]; b != nil && !isPHeavy(ovar, ov) {
+			b.emit(j, tuple, family, emit)
 		}
-		b := pb.blocks[pv]
-		dim := 0
-		if b.dims[1] == ovar {
-			dim = 1
-		}
-		bin := family.Bin(ovar, ov, b.grid.Shares[dim])
-		b.grid.Destinations([]int{dim}, []int{bin}, func(d int) {
-			emit.EmitTuple(b.offset+d, j, tuple)
-		})
 	default:
 		// The opposite relation (no pivot variable): both values must be
 		// p-light; replicate to every pivot block at the fixed grid point.
@@ -328,16 +321,8 @@ func (pb *pivotBlocks) route(q *query.Query, j int, tuple []int64, pivot, i0, i1
 		}
 		// Sorted by pivot value, not map order: replication order feeds
 		// inbox order, which must match across runs and SPMD ranks.
-		for _, pv := range data.SortedKeys(pb.blocks) {
-			b := pb.blocks[pv]
-			d0, d1 := 0, 1
-			if b.dims[0] == i1 {
-				d0, d1 = 1, 0
-			}
-			bins := make([]int, 2)
-			bins[d0] = family.Bin(i0, v0, b.grid.Shares[d0])
-			bins[d1] = family.Bin(i1, v1, b.grid.Shares[d1])
-			emit.EmitTuple(b.offset+b.grid.ServerOf(bins), j, tuple)
+		for _, b := range pb.order {
+			b.emit(j, tuple, family, emit)
 		}
 	}
 }
@@ -347,11 +332,21 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 	lay := &triLayout{}
 	offset := p // servers [0,p) hold the seeded input; light grid starts fresh
 
+	var atomDims [3][]int
+	for j, a := range q.Atoms {
+		lay.atomVars[j] = [2]int{q.VarIndex(a.Vars[0]), q.VarIndex(a.Vars[1])}
+		atomDims[j] = lay.atomVars[j][:]
+	}
+
 	// Light grid: shares p^{1/3} per variable.
 	e := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
-	lay.light = hashing.NewGrid(integerShares3(e, p))
+	light := hashing.NewGrid(integerShares3(e, p))
+	for j := range lay.lightRoutes {
+		lay.lightRoutes[j] = hashing.NewRoute(light, atomDims[j])
+	}
 	lay.lightOffset = offset
-	offset += lay.light.P()
+	lay.lightSize = light.P()
+	offset += light.P()
 
 	// Case-1 groups in priority order: (x1,x2) via S1; (x2,x3) via S2 with
 	// x1 excluded; (x3,x1) via S3 with x2 excluded. Variable/atom indices
@@ -389,15 +384,6 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 			w[h] = wh
 			wsum += wh
 		}
-		// Non-pivot variables in q.Vars() order.
-		var nonPivot [2]int
-		np := 0
-		for i := 0; i < 3; i++ {
-			if i != pivot {
-				nonPivot[np] = i
-				np++
-			}
-		}
 		pb := &pivotBlocks{pivot: pivot, blocks: make(map[int64]*pivotBlock, len(values))}
 		// Residual query for the share LP: R'(a), S(a,b), T'(b).
 		resQ := query.New("residual",
@@ -418,9 +404,16 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 				fiber = 1
 			}
 			sh := packing.ShareExponents(resQ, []float64{fiber, midBits, fiber}, math.Max(2, float64(ph)))
-			ab := integerShares2(sh.Exponents, ph) // exponents for (a, b)
-			grid := hashing.NewGrid(ab)
-			pb.blocks[h] = &pivotBlock{offset: offset, grid: grid, dims: nonPivot}
+			// Shares for (a, b) become the shares of the two non-pivot
+			// variables, in q.Vars() order; the pivot's share is 1.
+			ab := integerShares2(sh.Exponents, ph)
+			grid := hashing.NewGrid(slices.Insert(ab, pivot, 1))
+			b := &pivotBlock{offset: offset}
+			for j := range b.routes {
+				b.routes[j] = hashing.NewRoute(grid, atomDims[j])
+			}
+			pb.blocks[h] = b
+			pb.order = append(pb.order, b)
 			offset += grid.P()
 		}
 		lay.pivots[pivot] = pb
@@ -493,7 +486,7 @@ func (lay *triLayout) filter(s int, res *data.Relation, pHeavy, cubeHeavy []map[
 		// Input-holding servers produce nothing (they only routed).
 		return data.NewRelation(res.Name, res.Arity)
 	}
-	if s < lay.lightOffset+lay.light.P() {
+	if s < lay.lightOffset+lay.lightSize {
 		// Light group: routing already guarantees all three values are
 		// cube-light, but a triangle may still contain a p-heavy (yet
 		// cube-light) PAIR — the cube threshold m/p^{1/3} sits above the
