@@ -36,7 +36,7 @@ func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *Ca
 	defer cluster.Release()
 
 	seedPartitioned(cluster, q, db, gp)
-	hyperCubeShuffle(cluster, "capped-shuffle", q, grid, family)
+	hyperCubeShuffle(cluster, "capped-shuffle", hyperCubeRoutes(q, grid), family)
 
 	// Computation phase under the cap: each server accepts messages in
 	// arrival order until capBits is exhausted. Budget cuts make fragments

@@ -312,16 +312,17 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	}
 
 	seedInput(cluster, q, db, gp)
-	hyperCubeShuffle(cluster, "hypercube-shuffle", q, grid, family)
+	routes := hyperCubeRoutes(q, grid)
+	hyperCubeShuffle(cluster, "hypercube-shuffle", routes, family)
 
 	// Computation phase: local evaluation on every server (no
 	// communication). Each worker keeps one kernel scratch whose arenas are
 	// reused across all the servers it evaluates; the round-scoped index
-	// cache shares index builds between servers that received identical
-	// fragments (whole grid slices do, since a tuple is replicated along
-	// every dimension its atom does not constrain).
-	cache := localjoin.NewIndexCache()
-	scratches := localjoin.NewWorkerScratches()
+	// cache shares index builds between the servers of a route's subcube,
+	// which received the same fragment (a tuple is replicated along every
+	// dimension its atom does not constrain).
+	ev := &evaluator{cluster: cluster, q: q, routes: routes,
+		cache: localjoin.NewIndexCache(), scratches: localjoin.NewWorkerScratches()}
 	var out *data.Relation
 	aggSaved := 0.0
 	if agg == nil {
@@ -341,35 +342,31 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 				outputs[s] = data.NewRelation(q.Name, q.NumVars())
 				return
 			}
-			sc := scratches.Worker(w)
-			frag := sc.Fragments(q)
-			cluster.Inbox(s).EachBatch(func(b engine.Batch) {
-				frag[b.Kind].AppendVals(b.Vals)
-			})
+			sc, frag, sh := ev.server(s, w)
 			switch {
 			case env.Sink != nil:
-				sc.EvaluateAtomsStream(q, frag, cache, streamChunk, func(vals []int64) {
+				sc.EvaluateAtomsStream(q, frag, sh, streamChunk, func(vals []int64) {
 					env.Sink.Chunk(s, q.NumVars(), vals)
 				})
 				outputs[s] = data.NewRelation(q.Name, q.NumVars())
 			case env.Streaming:
 				o := data.NewRelation(q.Name, q.NumVars())
-				sc.EvaluateAtomsStream(q, frag, cache, streamChunk, func(vals []int64) {
+				sc.EvaluateAtomsStream(q, frag, sh, streamChunk, func(vals []int64) {
 					o.AppendVals(vals)
 				})
 				outputs[s] = o
 			default:
-				outputs[s] = sc.EvaluateAtoms(q, frag, cache)
+				outputs[s] = sc.EvaluateAtoms(q, frag, sh)
 			}
 		})
-		scratches.Release()
+		ev.scratches.Release()
 		if env.Sink == nil {
 			out = data.Concat(q.Name, q.NumVars(), outputs)
 		}
 	} else {
-		out, aggSaved = runAggregatePhases(cluster, q, gp, agg, cache, scratches)
+		out, aggSaved = runAggregatePhases(ev, gp, agg)
 	}
-	cache.Publish(cluster.Trace())
+	ev.cache.Publish(cluster.Trace())
 
 	inputBits := 0.0
 	for _, a := range q.Atoms {
@@ -397,11 +394,33 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	}
 }
 
-// hyperCubeShuffle runs the HyperCube communication round: every server
-// routes its local tuples (message kind = atom index) to their destination
-// subcubes D(t) of equation (9). Each atom's route is compiled once, so the
-// per-tuple work is hashing the atom's columns and one fan-out emit.
-func hyperCubeShuffle(cluster *engine.Cluster, name string, q *query.Query, grid *hashing.Grid, family *hashing.Family) {
+// evaluator is the per-server setup of a HyperCube computation phase: the
+// shuffle's routes double as the provenance of what each server received.
+type evaluator struct {
+	cluster   *engine.Cluster
+	q         *query.Query
+	routes    []*hashing.Route
+	cache     *localjoin.IndexCache
+	scratches *localjoin.WorkerScratches
+}
+
+// server returns worker w's scratch with server s's inbox rebuilt into its
+// atom fragments (message kinds are atom indices), and the server's handle on
+// the phase's index cache: atom j's fragment is the one every server of its
+// subcube under routes[j] holds.
+func (ev *evaluator) server(s, w int) (*localjoin.Scratch, []*data.Relation, *localjoin.Shared) {
+	sc := ev.scratches.Worker(w)
+	frag := sc.Fragments(ev.q)
+	ev.cluster.Inbox(s).EachBatch(func(b engine.Batch) {
+		frag[b.Kind].AppendVals(b.Vals)
+	})
+	return sc, frag, sc.Share(ev.cache, ev.routes, 0, s)
+}
+
+// hyperCubeRoutes compiles every atom's route into the grid, once per run, so
+// that the per-tuple work of the shuffle is hashing the atom's columns and
+// one fan-out emit.
+func hyperCubeRoutes(q *query.Query, grid *hashing.Grid) []*hashing.Route {
 	routes := make([]*hashing.Route, q.NumAtoms())
 	for j, a := range q.Atoms {
 		dims := make([]int, len(a.Vars))
@@ -410,6 +429,13 @@ func hyperCubeShuffle(cluster *engine.Cluster, name string, q *query.Query, grid
 		}
 		routes[j] = hashing.NewRoute(grid, dims)
 	}
+	return routes
+}
+
+// hyperCubeShuffle runs the HyperCube communication round: every server
+// routes its local tuples (message kind = atom index) to their destination
+// subcubes D(t) of equation (9).
+func hyperCubeShuffle(cluster *engine.Cluster, name string, routes []*hashing.Route, family *hashing.Family) {
 	cluster.Round(name, func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		inbox.EachBatch(func(b engine.Batch) {
 			route := routes[b.Kind]
@@ -430,8 +456,8 @@ func hyperCubeShuffle(cluster *engine.Cluster, name string, q *query.Query, grid
 // group-key hash — through the Emitter's pre-shuffle combiner on the
 // pushdown path — and the destination-side final fold. It returns the
 // canonical aggregate output and the bits the pushdown saved.
-func runAggregatePhases(cluster *engine.Cluster, q *query.Query, gp int, agg *aggregate.Plan,
-	cache *localjoin.IndexCache, scratches *localjoin.WorkerScratches) (*data.Relation, float64) {
+func runAggregatePhases(ev *evaluator, gp int, agg *aggregate.Plan) (*data.Relation, float64) {
+	cluster, q := ev.cluster, ev.q
 	ka := agg.KeyArity()
 	groupCols := make([]int, len(agg.GroupBy))
 	for i, v := range agg.GroupBy {
@@ -448,20 +474,16 @@ func runAggregatePhases(cluster *engine.Cluster, q *query.Query, gp int, agg *ag
 		if cluster.Inbox(s).NumTuples() == 0 {
 			return
 		}
-		sc := scratches.Worker(w)
-		frag := sc.Fragments(q)
-		cluster.Inbox(s).EachBatch(func(b engine.Batch) {
-			frag[b.Kind].AppendVals(b.Vals)
-		})
+		sc, frag, sh := ev.server(s, w)
 		if agg.Pushdown {
-			partials[s], rawRows[s] = sc.EvaluateAtomsAggregate(q, frag, cache, agg)
+			partials[s], rawRows[s] = sc.EvaluateAtomsAggregate(q, frag, sh, agg)
 		} else {
-			o := sc.EvaluateAtoms(q, frag, cache)
+			o := sc.EvaluateAtoms(q, frag, sh)
 			rawRows[s] = o.NumTuples()
 			partials[s] = aggregate.ProjectRaw(o, groupCols, aggCol, agg)
 		}
 	})
-	scratches.Release()
+	ev.scratches.Release()
 
 	sentRows := make([]int, gp)
 	cluster.Round("aggregate-shuffle", func(s int, _ *engine.Inbox, emit *engine.Emitter) {

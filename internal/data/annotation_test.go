@@ -39,22 +39,6 @@ func TestAnnotatedRelationBasics(t *testing.T) {
 	}
 }
 
-func TestAnnotatedIdentityDiffers(t *testing.T) {
-	plain := FromTuples("r", 1, []int64{1}, []int64{2})
-	ann := NewRelation("r", 1)
-	ann.AppendAnnotatedTuple([]int64{1}, 1)
-	ann.AppendAnnotatedTuple([]int64{2}, 1)
-	if plain.Identity() == ann.Identity() {
-		t.Fatal("annotations must change the content identity")
-	}
-	ann2 := NewRelation("r", 1)
-	ann2.AppendAnnotatedTuple([]int64{1}, 1)
-	ann2.AppendAnnotatedTuple([]int64{2}, 2)
-	if ann.Identity() == ann2.Identity() {
-		t.Fatal("different annotations must change the content identity")
-	}
-}
-
 func TestAnnotatedSizeBitsCountsExtraColumn(t *testing.T) {
 	plain := FromTuples("r", 2, []int64{1, 2})
 	ann := NewRelation("r", 2)

@@ -3,6 +3,7 @@ package data
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -377,4 +378,54 @@ func TestEqualMultiset(t *testing.T) {
 	if EqualMultiset(a, d) {
 		t.Error("different arities must not be equal")
 	}
+}
+
+// TestAppendColumns pins the bulk column append against the row-at-a-time
+// append it replaces on the join kernel's output path, and its one check per
+// call.
+func TestAppendColumns(t *testing.T) {
+	cols := [][]int64{{1, 2, 3, 4}, {10, 20, 30, 40}, {100, 200, 300, 400}}
+	got, want := NewRelation("r", 3), NewRelation("r", 3)
+	got.Append(7, 8, 9) // appends after what is already there
+	want.Append(7, 8, 9)
+	for _, rows := range []int{0, 3, 1} { // a prefix of longer columns is fine
+		got.AppendColumns(cols, rows)
+		for i := 0; i < rows; i++ {
+			want.Append(cols[0][i], cols[1][i], cols[2][i])
+		}
+	}
+	if got.NumTuples() != 5 || !slices.Equal(got.Vals(), want.Vals()) {
+		t.Fatalf("AppendColumns built %v, row appends %v", got.Vals(), want.Vals())
+	}
+
+	one := NewRelation("one", 1)
+	one.AppendColumns([][]int64{{5, 6, 7}}, 3)
+	if !slices.Equal(one.Vals(), []int64{5, 6, 7}) {
+		t.Fatalf("arity 1: %v", one.Vals())
+	}
+	none := NewRelation("none", 2)
+	none.AppendColumns([][]int64{nil, nil}, 0)
+	if none.NumTuples() != 0 {
+		t.Fatal("0 rows must append nothing")
+	}
+
+	mustPanic := func(name string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("annotated target", func() {
+		r := NewRelation("r", 1)
+		r.AppendAnnotatedTuple([]int64{1}, 1)
+		r.AppendColumns([][]int64{{2}}, 1)
+	})
+	mustPanic("short column", func() {
+		NewRelation("r", 2).AppendColumns([][]int64{{1, 2}, {1}}, 2)
+	})
+	mustPanic("column count differs from arity", func() {
+		NewRelation("r", 2).AppendColumns([][]int64{{1}}, 1)
+	})
 }

@@ -8,10 +8,8 @@ package data
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
-	"sync/atomic"
-
-	"mpcquery/internal/hashing"
 )
 
 // Relation is a bag of fixed-arity tuples over int64 values, stored in a
@@ -27,12 +25,6 @@ type Relation struct {
 	Arity int
 	vals  []int64
 	annot []int64 // nil = unannotated; else one value per tuple
-
-	// ident caches the content fingerprint computed by Identity; 0 means
-	// "not computed". Mutators reset it. Stored atomically so concurrent
-	// readers of a shared, no-longer-mutated relation may race only on
-	// writing the identical value.
-	ident atomic.Uint64
 }
 
 // NewRelation returns an empty relation with the given name and arity.
@@ -67,7 +59,6 @@ func (r *Relation) AppendTuple(t []int64) {
 		panic(fmt.Sprintf("data: plain append to annotated relation %s", r.Name))
 	}
 	r.vals = append(r.vals, t...)
-	r.ident.Store(0)
 }
 
 // Annotated reports whether the relation carries an annotation column.
@@ -94,7 +85,6 @@ func (r *Relation) AppendAnnotatedTuple(t []int64, a int64) {
 	}
 	r.vals = append(r.vals, t...)
 	r.annot = append(r.annot, a)
-	r.ident.Store(0)
 }
 
 // AppendVals bulk-appends a flat row-major block of tuples; len(vals) must
@@ -108,7 +98,39 @@ func (r *Relation) AppendVals(vals []int64) {
 		panic(fmt.Sprintf("data: plain append to annotated relation %s", r.Name))
 	}
 	r.vals = append(r.vals, vals...)
-	r.ident.Store(0)
+}
+
+// AppendColumns bulk-appends rows tuples given column-wise — tuple i is
+// (cols[0][i], …, cols[Arity-1][i]) — transposing them straight into the
+// flat storage: the join kernel's output path, with one arity, annotation
+// and length check per call instead of one per row.
+func (r *Relation) AppendColumns(cols [][]int64, rows int) {
+	if len(cols) != r.Arity {
+		panic(fmt.Sprintf("data: %d columns appended to %s (arity %d)", len(cols), r.Name, r.Arity))
+	}
+	if r.annot != nil {
+		panic(fmt.Sprintf("data: plain append to annotated relation %s", r.Name))
+	}
+	for c, col := range cols {
+		if len(col) < rows {
+			panic(fmt.Sprintf("data: column %d of %s holds %d values, %d rows appended", c, r.Name, len(col), rows))
+		}
+	}
+	base, a := len(r.vals), r.Arity
+	r.vals = slices.Grow(r.vals, rows*a)[:base+rows*a]
+	// Column by column within a block of rows: sequential reads, and the
+	// block's output lines stay cached until every column has written them.
+	const block = 1024
+	for lo := 0; lo < rows; lo += block {
+		hi := min(lo+block, rows)
+		for c, col := range cols {
+			o := base + lo*a + c
+			for _, v := range col[lo:hi] {
+				r.vals[o] = v
+				o += a
+			}
+		}
+	}
 }
 
 // Vals returns the relation's flat row-major storage (tuple i occupies
@@ -122,35 +144,6 @@ func (r *Relation) Vals() []int64 { return r.vals }
 func (r *Relation) Reset() {
 	r.vals = r.vals[:0]
 	r.annot = nil
-	r.ident.Store(0)
-}
-
-// Identity returns a 64-bit content fingerprint of (arity, values), never 0,
-// computed lazily and cached until the next mutation. Two relations with
-// equal Identity hold the same tuple sequence with overwhelming probability;
-// the local-join index cache uses it to share one index build across servers
-// that received identical fragments. Concurrent calls on a relation that is
-// no longer being mutated are safe; mutating while another goroutine reads
-// is the caller's race, as with every other accessor.
-func (r *Relation) Identity() uint64 {
-	if id := r.ident.Load(); id != 0 {
-		return id
-	}
-	h := hashing.Combine(0x9d3c0aa1786f3d2b, uint64(r.Arity))
-	for _, v := range r.vals {
-		h = hashing.Combine(h, uint64(v))
-	}
-	if r.annot != nil {
-		h = hashing.Combine(h, 0x5ca1_ab1e_0000_0001)
-		for _, a := range r.annot {
-			h = hashing.Combine(h, uint64(a))
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	r.ident.Store(h)
-	return h
 }
 
 // Tuple returns a view of tuple i; the caller must not grow it, and it is

@@ -23,8 +23,8 @@ func SortedKeys[V any](m map[int64]V) []int64 {
 // ColumnFrequencies returns the frequency of every value in the given column
 // (m_j(h) of Section 4.2, as counts).
 func ColumnFrequencies(r *Relation, col int) map[int64]int {
-	freq := make(map[int64]int)
 	m := r.NumTuples()
+	freq := make(map[int64]int, m) // sized once: growing from empty rehashes log m times
 	for i := 0; i < m; i++ {
 		freq[r.At(i, col)]++
 	}

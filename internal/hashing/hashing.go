@@ -56,13 +56,13 @@ func mix64(z uint64) uint64 {
 }
 
 // Mix64 exposes the SplitMix64 finalizer for hash-table keying elsewhere in
-// the tree (the local-join kernel's open-addressed indexes, relation content
-// identities): a stateless, allocation-free 64-bit mixer.
+// the tree (the local-join kernel's open-addressed indexes): a stateless,
+// allocation-free 64-bit mixer.
 func Mix64(z uint64) uint64 { return mix64(z) }
 
 // Combine folds one more 64-bit value into a running hash. Chaining Combine
 // over a sequence gives an order-sensitive digest suitable for multi-column
-// join keys and content fingerprints.
+// join keys and output-stream digests.
 func Combine(h, v uint64) uint64 {
 	return mix64(h ^ (v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)))
 }
@@ -241,6 +241,21 @@ func (r *Route) Base(f *Family, tuple []int64) (base int, ok bool) {
 		}
 	}
 	return base, true
+}
+
+// BaseOf is the inverse of Base: the base of the one subcube of this route
+// that contains server (a grid-relative id) — the server's own coordinates
+// on the hashed dimensions, 0 on the free ones. A tuple t reaches server
+// exactly when Base(t) == BaseOf(server), so servers with equal BaseOf
+// receive the same tuples through the route, from every sender in the same
+// order: the value names the fragment they share before a tuple has moved.
+func (r *Route) BaseOf(server int) int {
+	base := 0
+	for i := range r.fixed {
+		c := &r.fixed[i]
+		base += server / c.stride % c.share * c.stride
+	}
+	return base
 }
 
 // Offsets returns the subcube offset table: tuple t goes to Base(t)+off for

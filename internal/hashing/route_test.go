@@ -69,7 +69,8 @@ func routed(r *Route, f *Family, tuple []int64) []int {
 // random grids (k ≤ 6, shares including 1) and random atoms (repeated
 // dimensions, unhashed columns, all-free and all-fixed), a compiled Route
 // yields exactly the server sequence of Destinations — same order, empty
-// exactly when a repeated variable's bins disagree.
+// exactly when a repeated variable's bins disagree — and BaseOf names, for
+// every server of the grid, the one base whose tuples reach it.
 func TestRouteMatchesDestinations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	empties, repeats := 0, 0
@@ -129,6 +130,20 @@ func TestRouteMatchesDestinations(t *testing.T) {
 			}
 			if got := routed(route, f, tuple); !slices.Equal(got, want) {
 				t.Fatalf("shares %v cols %v tuple %v: Route %v, Destinations %v", shares, cols, tuple, got, want)
+			}
+			// BaseOf inverts Base: the tuple reaches exactly the servers whose
+			// BaseOf is its base.
+			if base, ok := route.Base(f, tuple); ok {
+				reached := make([]bool, g.P())
+				for _, s := range want {
+					reached[s] = true
+				}
+				for s, in := range reached {
+					if (route.BaseOf(s) == base) != in {
+						t.Fatalf("shares %v cols %v tuple %v: server %d reached=%v but BaseOf %d vs base %d",
+							shares, cols, tuple, s, in, route.BaseOf(s), base)
+					}
+				}
 			}
 			if want == nil {
 				empties++

@@ -16,58 +16,45 @@ import (
 // join rows folded, which the caller uses to meter the communication the
 // pre-shuffle aggregation saved.
 //
-// Inputs follow the EvaluateAtoms contract: rels in atom order, a missing
-// relation panics with *MissingRelationError, cache may be nil.
-func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, cache *IndexCache, plan *aggregate.Plan) (partials *data.Relation, rawRows int) {
+// Inputs follow checkInputs' rule, like every kernel entry point; sh may be
+// nil.
+func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, sh *Shared, plan *aggregate.Plan) (partials *data.Relation, rawRows int) {
 	ka := plan.KeyArity()
-	if baselineMode.Load() {
-		out := s.EvaluateAtoms(q, rels, cache)
-		return FoldOutput(out, q, plan), out.NumTuples()
-	}
-	// A missing relation outranks the empty fast path: an instance with both
-	// a nil and an empty relation must raise, not fold to nothing.
-	for j, r := range rels {
-		if r == nil {
-			panic(&MissingRelationError{Atom: q.Atoms[j].Name})
-		}
-	}
-	for _, r := range rels {
-		if r.NumTuples() == 0 {
-			return data.NewRelation(q.Name, ka), 0
-		}
-	}
-	rows, err := s.joinLoop(q, rels, s.greedyOrder(q, rels), cache)
-	if err != nil {
-		//lint:allow panicdiscipline typed *MissingRelationError panic; Run's recover maps it to the public ErrMissingRelation sentinel
-		panic(err)
-	}
-	if rows == 0 {
+	if checkInputs(q, rels, sh) {
 		return data.NewRelation(q.Name, ka), 0
 	}
-
-	// Resolve the group-by and aggregated variables to binding columns (every
-	// query variable is bound once rows > 0).
-	t := aggregate.NewFoldTable(ka, plan.Semiring)
-	groupCols := make([]int, len(plan.GroupBy))
-	for i, v := range plan.GroupBy {
-		groupCols[i] = s.varPos[v]
+	if baselineMode.Load() {
+		out := s.EvaluateAtoms(q, rels, sh)
+		return FoldOutput(out, q, plan), out.NumTuples()
 	}
-	aggCol := -1
-	if plan.Var != "" {
-		aggCol = s.varPos[plan.Var]
-	}
-	key := make([]int64, ka) // synthetic all-zero key for global aggregates
-	for r := 0; r < rows; r++ {
-		for i, c := range groupCols {
-			key[i] = s.cols[c][r]
+	partials = data.NewRelation(q.Name, ka)
+	order := s.greedyOrder(q, rels)
+	s.join(q, rels, order, sh, rels[order[0]].NumTuples(), func(rows int) {
+		// Resolve the group-by and aggregated variables to binding columns
+		// (every query variable is bound once rows > 0).
+		t := aggregate.NewFoldTable(ka, plan.Semiring)
+		groupCols := make([]int, len(plan.GroupBy))
+		for i, v := range plan.GroupBy {
+			groupCols[i] = s.varPos[v]
 		}
-		av := int64(0)
-		if aggCol >= 0 {
-			av = s.cols[aggCol][r]
+		aggCol := -1
+		if plan.Var != "" {
+			aggCol = s.varPos[plan.Var]
 		}
-		t.Add(key, plan.InitAnnotation(av))
-	}
-	return t.Result(q.Name), rows
+		key := make([]int64, ka) // synthetic all-zero key for global aggregates
+		for r := 0; r < rows; r++ {
+			for i, c := range groupCols {
+				key[i] = s.cols[c][r]
+			}
+			av := int64(0)
+			if aggCol >= 0 {
+				av = s.cols[aggCol][r]
+			}
+			t.Add(key, plan.InitAnnotation(av))
+		}
+		partials, rawRows = t.Result(q.Name), rows
+	})
+	return partials, rawRows
 }
 
 // FoldOutput folds a fully materialized join output (tuples in q.Vars()

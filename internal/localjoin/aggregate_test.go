@@ -106,20 +106,67 @@ func TestEvaluateAtomsAggregateEmptyInput(t *testing.T) {
 	}
 }
 
-func TestEvaluateAtomsAggregateMissingRelationPanics(t *testing.T) {
-	q := query.Star(2)
-	rels := randRels(rand.New(rand.NewSource(1)), q, 10)
-	rels[0] = nil
-	rels[1] = data.NewRelation(q.Atoms[1].Name, 2) // empty AND a nil sibling
-	sc := NewScratch()
-	plan := aggregate.NewPlan(aggregate.Count, "", []string{"z"}, true)
-	defer func() {
-		r := recover()
-		if _, ok := r.(*MissingRelationError); !ok {
-			t.Fatalf("want *MissingRelationError panic, got %v", r)
+// TestEntryPointsAgreeOnMissingAndEmpty is the table of checkInputs' rule:
+// on every kernel entry point a nil relation panics with
+// *MissingRelationError whether or not an empty relation sits next to it, on
+// either side of it; an empty relation alone yields the empty result.
+func TestEntryPointsAgreeOnMissingAndEmpty(t *testing.T) {
+	q := query.MustParse("q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
+	full := func(name string) *data.Relation { return data.FromTuples(name, 2, []int64{1, 1}) }
+	empty := func(name string) *data.Relation { return data.NewRelation(name, 2) }
+	plan := aggregate.NewPlan(aggregate.Count, "", []string{"x"}, true)
+	entries := map[string]func(rels []*data.Relation) int{
+		"Evaluate": func(rels []*data.Relation) int {
+			m := make(map[string]*data.Relation)
+			for j, r := range rels {
+				if r != nil {
+					m[q.Atoms[j].Name] = r
+				}
+			}
+			return Evaluate(q, m).NumTuples()
+		},
+		"EvaluateAtoms": func(rels []*data.Relation) int {
+			return NewScratch().EvaluateAtoms(q, rels, nil).NumTuples()
+		},
+		"EvaluateAtomsStream": func(rels []*data.Relation) int {
+			return NewScratch().EvaluateAtomsStream(q, rels, nil, 4, func([]int64) {})
+		},
+		"EvaluateAtomsAggregate": func(rels []*data.Relation) int {
+			_, rows := NewScratch().EvaluateAtomsAggregate(q, rels, nil, plan)
+			return rows
+		},
+	}
+	for _, tc := range []struct {
+		label   string
+		rels    []*data.Relation
+		missing string // "" = no panic, the result has rows tuples
+		rows    int
+	}{
+		{"all present", []*data.Relation{full("R"), full("S"), full("T")}, "", 1},
+		{"one empty", []*data.Relation{full("R"), empty("S"), full("T")}, "", 0},
+		{"one missing", []*data.Relation{full("R"), nil, full("T")}, "S", 0},
+		{"empty before missing", []*data.Relation{empty("R"), full("S"), nil}, "T", 0},
+		{"missing before empty", []*data.Relation{nil, full("S"), empty("T")}, "R", 0},
+		{"all empty but one missing", []*data.Relation{empty("R"), nil, empty("T")}, "S", 0},
+	} {
+		for name, entry := range entries {
+			func() {
+				defer func() {
+					r := recover()
+					mre, ok := r.(*MissingRelationError)
+					switch {
+					case tc.missing == "" && r != nil:
+						t.Errorf("%s / %s: unexpected panic %v", name, tc.label, r)
+					case tc.missing != "" && (!ok || mre.Atom != tc.missing):
+						t.Errorf("%s / %s: want *MissingRelationError for %s, got %v", name, tc.label, tc.missing, r)
+					}
+				}()
+				if rows := entry(tc.rels); rows != tc.rows {
+					t.Errorf("%s / %s: %d rows, want %d", name, tc.label, rows, tc.rows)
+				}
+			}()
 		}
-	}()
-	sc.EvaluateAtomsAggregate(q, rels, nil, plan)
+	}
 }
 
 // TestEvaluateAtomsAggregateSharedCache folds with a shared index cache from
@@ -133,13 +180,13 @@ func TestEvaluateAtomsAggregateSharedCache(t *testing.T) {
 	scRef := NewScratch()
 	want, _ := scRef.EvaluateAtomsAggregate(q, rels, nil, plan)
 
-	cache := NewIndexCache()
+	sh := shareAll(NewIndexCache(), q)
 	done := make(chan *data.Relation, 8)
 	for w := 0; w < 8; w++ {
 		go func() {
 			sc := GrabScratch()
 			defer sc.Release()
-			got, _ := sc.EvaluateAtomsAggregate(q, rels, cache, plan)
+			got, _ := sc.EvaluateAtomsAggregate(q, rels, sh, plan)
 			done <- got
 		}()
 	}

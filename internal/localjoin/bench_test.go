@@ -50,11 +50,11 @@ func BenchmarkEvaluateCached(b *testing.B) {
 	for j, a := range shape.Q.Atoms {
 		byAtom[j] = shape.Rels[a.Name]
 	}
-	cache := NewIndexCache()
+	sh := shareAll(NewIndexCache(), shape.Q)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := s.EvaluateAtoms(shape.Q, byAtom, cache)
+		out := s.EvaluateAtoms(shape.Q, byAtom, sh)
 		if out.NumTuples() == 0 {
 			b.Fatal("no output")
 		}

@@ -135,45 +135,42 @@ func (ix *atomIndex) contains(key []int64) bool {
 }
 
 // indexKey identifies one shareable index build: the atom being joined, the
-// content identity of the relation under it, and the signature of the build
-// inputs (the same atom joins under different key sets when per-server
-// greedy orders differ).
+// caller-supplied id of the fragment under it, and the signature of the key
+// columns (the same fragment joins under different key sets when per-server
+// greedy orders differ). The atom is its index in the query, not its name:
+// two atoms over one relation are routed differently and hold different
+// fragments under the same id.
 type indexKey struct {
-	atom  string
-	ident uint64
-	sig   uint64
+	atom int
+	id   uint64
+	sig  uint64
 }
 
-// colSig digests everything besides the relation content that shapes an
-// index build: arity, the key-column layout, and the repeated-variable
-// pairs filtered at build time. The eqPairs belong in the signature even
-// though they are atom-determined — callers below Run's desugaring can
-// legally present two atoms with the same name but different
-// repeated-variable patterns, and those must not share a build.
-func colSig(arity int, keyCols []int, eqPairs [][2]int) uint64 {
-	h := hashing.Combine(0x7be3_55c1_9a04_d6ef, uint64(arity))
-	h = hashing.Combine(h, uint64(len(keyCols)))
+// colSig digests the key-column layout of an index build. The atom's
+// arity and repeated-variable pairs also shape a build, but the atom index in
+// the key already fixes them for the one query a cache serves.
+func colSig(keyCols []int) uint64 {
+	h := uint64(0x7be3_55c1_9a04_d6ef)
 	for _, c := range keyCols {
 		h = hashing.Combine(h, uint64(c))
-	}
-	h = hashing.Combine(h, uint64(len(eqPairs)))
-	for _, p := range eqPairs {
-		h = hashing.Combine(h, uint64(p[0])<<32|uint64(p[1]))
 	}
 	return h
 }
 
 // IndexCache shares atom-index builds across the servers of one computation
-// phase. Skew-free HyperCube grids replicate each relation fragment along
-// the dimensions its atom does not constrain, so whole slices of the grid
-// receive byte-identical fragments and would otherwise rebuild the same
-// index; the cache keys builds by (atom, relation content identity,
-// key-column signature) and lets every later server reuse the first build.
+// phase. HyperCube grids replicate each relation fragment along the
+// dimensions its atom does not constrain, so whole slices of the grid receive
+// byte-identical fragments and would otherwise rebuild the same index. Which
+// servers those are is known from the grid before a tuple moves
+// (hashing.Route.BaseOf), so the cache never looks at fragment values: builds
+// are keyed by (atom, fragment id, key-column signature), the id supplied per
+// server through a Shared handle, and every later server of a subcube reuses
+// the first build.
 //
 // A cache is scoped to one computation phase (one round's local evaluation)
-// and must not outlive the phase: cached indexes snapshot fragment contents,
-// and the identity keying is only meaningful while the query and kind
-// numbering are fixed. It is safe for concurrent use by the phase's workers.
+// of one query and must not outlive it: cached indexes snapshot fragment
+// contents, and the ids are only meaningful for that round's routes. It is
+// safe for concurrent use by the phase's workers.
 type IndexCache struct {
 	mu sync.Mutex
 	m  map[indexKey]*cacheEntry
@@ -193,6 +190,45 @@ type cacheEntry struct {
 // NewIndexCache returns an empty cache for one computation phase.
 func NewIndexCache() *IndexCache {
 	return &IndexCache{m: make(map[indexKey]*cacheEntry)}
+}
+
+// Shared is one server's handle on the phase's IndexCache: the cache plus
+// the server's fragment id for every atom. Two servers may present the same
+// non-zero id for atom j only if their atom-j fragments are byte-identical;
+// id 0 means "unique by construction" — that atom's index is built in the
+// worker's private scratch, as a view of the fragment, with no cache
+// traffic. A nil *Shared shares nothing.
+type Shared struct {
+	cache *IndexCache
+	ids   []uint64
+}
+
+// Share returns the scratch's handle on cache for one server of a grid whose
+// first server is offset and whose atom j is routed by routes[j]: the id of
+// atom j is the subcube of routes[j] the server lies in, named by the
+// cluster-wide id of its base server. A subcube of one server (a route with
+// a single offset) gets id 0, as must every atom that reaches the server by
+// any other way than routes[j]. The handle is valid until the scratch's next
+// Share.
+func (s *Scratch) Share(cache *IndexCache, routes []*hashing.Route, offset, server int) *Shared {
+	s.shared.cache = cache
+	s.shared.ids = s.shared.ids[:0]
+	for _, r := range routes {
+		id := uint64(0)
+		if len(r.Offsets()) > 1 {
+			id = uint64(offset+r.BaseOf(server-offset)) + 1
+		}
+		s.shared.ids = append(s.shared.ids, id)
+	}
+	return &s.shared
+}
+
+// id returns atom's fragment id, 0 without a handle.
+func (sh *Shared) id(atom int) uint64 {
+	if sh == nil {
+		return 0
+	}
+	return sh.ids[atom]
 }
 
 // getOrBuild returns the index for k, invoking build exactly once per key

@@ -1,7 +1,9 @@
 package localjoin
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"mpcquery/internal/data"
@@ -11,8 +13,8 @@ import (
 
 // Scratch is the columnar join kernel's reusable working state: the
 // struct-of-arrays binding arena (one value column per bound variable,
-// ping-ponged between join steps), the per-step hash indexes of the uncached
-// path, the join-order and column-map buffers, and the fragment relations a
+// ping-ponged between join steps), the private per-step hash indexes, the
+// join-order and column-map buffers, and the fragment relations a
 // computation phase rebuilds per server. A Scratch is not safe for
 // concurrent use; a parallel computation phase keeps one per worker
 // (engine.ParallelForWorkers / Cluster.Compute hand out worker ids for
@@ -24,8 +26,8 @@ type Scratch struct {
 	// the following step's bindings, then the two swap.
 	cols, next [][]int64
 
-	// Per-step indexes of the uncached path, one slot per join step,
-	// backing arrays reused across calls.
+	// Private indexes of the fragments nobody shares (id 0), one slot per
+	// join step, backing arrays reused across calls.
 	idxs []atomIndex
 
 	// Join-order scratch (mirrors the baseline's greedy heuristic).
@@ -33,30 +35,21 @@ type Scratch struct {
 	used       []bool
 	orderBound map[string]bool
 
-	// Per-step column maps, rebuilt per atom (not per tuple).
-	varPos     map[string]int // bound variable -> binding column
-	sharedBind []int          // binding column per key variable
-	keyCols    []int          // relation column per key variable
-	freshCols  []int          // relation column per fresh variable
-	freshNames []string
-	eqPairs    [][2]int
-	key        []int64 // gathered probe key values
-	row        []int64 // output row assembly buffer
+	// The join order resolved into per-step column maps, rebuilt per
+	// evaluation (not per window, not per tuple).
+	varPos  map[string]int // bound variable -> binding column
+	steps   []joinStep
+	key     []int64        // gathered probe key values
+	hitRow  []int32        // a step's matches in output order: binding row ...
+	hitTup  []int32        // ... and matching tuple (int32, as in atomIndex)
+	outCols [][]int64      // binding columns in q.Vars() order, for AppendColumns
+	block   *data.Relation // the streamed path's window of output rows
 
-	// Atom-indexed views for the map-based entry points and Fragments.
-	rels  []*data.Relation
-	frags []*data.Relation
-
-	// Streaming-evaluation memo (see EvaluateAtomsStream), live only while
-	// streaming is set: memo is the per-evaluation view of the shared cache
-	// and memoBuilt marks uncached per-step indexes already built, so
-	// running the tail steps once per chunk performs exactly the cache
-	// traffic and index builds of one barrier evaluation — the cache
-	// hit/miss totals land in the trace's deterministic Structure and must
-	// not vary with the chunking.
-	streaming bool
-	memo      map[indexKey]*atomIndex
-	memoBuilt []bool
+	// Atom-indexed views for the map-based entry points and Fragments, and
+	// the per-server cache handle Share fills.
+	rels   []*data.Relation
+	frags  []*data.Relation
+	shared Shared
 }
 
 // NewScratch returns an empty kernel scratch.
@@ -73,9 +66,10 @@ func GrabScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // Release returns the scratch to the shared pool. The caller must not use
 // it afterwards. References into caller-owned data — the atom-indexed
-// relation views and the uncached indexes' value views — are dropped so a
-// pooled scratch never pins a retired database; the scratch's own arenas
-// (binding columns, index tables, fragment buffers) are retained for reuse.
+// relation views, the private indexes' value views, the last phase's cache
+// and its indexes — are dropped so a pooled scratch never pins a retired
+// database; the scratch's own arenas (binding columns, index tables, fragment
+// buffers) are retained for reuse.
 func (s *Scratch) Release() {
 	for i := range s.rels {
 		s.rels[i] = nil
@@ -83,6 +77,10 @@ func (s *Scratch) Release() {
 	for i := range s.idxs {
 		s.idxs[i].vals = nil // always a view here; cache-published indexes own copies
 	}
+	for i := range s.steps {
+		s.steps[i].ix = nil
+	}
+	s.shared.cache = nil
 	scratchPool.Put(s)
 }
 
@@ -143,49 +141,54 @@ func (s *Scratch) Fragments(q *query.Query) []*data.Relation {
 // Evaluate is Evaluate with this scratch's arenas (see the package-level
 // function for the contract).
 func (s *Scratch) Evaluate(q *query.Query, rels map[string]*data.Relation) *data.Relation {
-	if baselineMode.Load() {
-		return baseline.Evaluate(q, rels)
-	}
-	if out := emptyFastPath(q, rels); out != nil {
-		return out
-	}
-	byAtom := s.byAtom(q, rels)
-	out, err := s.run(q, byAtom, s.greedyOrder(q, byAtom), nil)
-	if err != nil {
-		//lint:allow panicdiscipline typed *MissingRelationError panic; Run's recover maps it to the public ErrMissingRelation sentinel
-		panic(err)
-	}
-	return out
+	return s.EvaluateAtoms(q, s.byAtom(q, rels), nil)
 }
 
 // EvaluateAtoms evaluates q over relations given in atom order (rels[j] is
 // atom j's relation — the natural indexing for a computation phase, whose
-// message kinds are atom indices), sharing index builds through cache when
-// non-nil. It is the kernel's primary entry point; inputs are assumed
-// validated (Run's boundary checks every atom), and a missing relation
-// panics with *MissingRelationError, which the Run boundary converts to its
-// ErrMissingRelation sentinel.
-func (s *Scratch) EvaluateAtoms(q *query.Query, rels []*data.Relation, cache *IndexCache) *data.Relation {
+// message kinds are atom indices), sharing index builds through sh when
+// non-nil. It is the kernel's primary entry point; inputs follow checkInputs'
+// rule.
+func (s *Scratch) EvaluateAtoms(q *query.Query, rels []*data.Relation, sh *Shared) *data.Relation {
+	if checkInputs(q, rels, sh) {
+		return data.NewRelation(q.Name, q.NumVars())
+	}
 	if baselineMode.Load() {
 		m := make(map[string]*data.Relation, len(rels))
 		for j, r := range rels {
-			if r != nil {
-				m[q.Atoms[j].Name] = r
-			}
+			m[q.Atoms[j].Name] = r
 		}
 		return baseline.Evaluate(q, m)
 	}
-	for _, r := range rels {
-		if r != nil && r.NumTuples() == 0 {
-			return data.NewRelation(q.Name, q.NumVars())
+	return s.run(q, rels, s.greedyOrder(q, rels), sh)
+}
+
+// checkInputs is the one input rule of the kernel's entry points (Evaluate,
+// EvaluateAtoms, EvaluateAtomsStream, EvaluateAtomsAggregate). Inputs are
+// assumed validated — Run's boundary checks every atom — so a nil relation
+// panics with *MissingRelationError (which that boundary converts to its
+// ErrMissingRelation sentinel), and it does so before anything else is
+// looked at: a missing relation outranks an empty one. Otherwise it reports
+// whether some relation is empty; a full conjunctive query needs every atom
+// to contribute, so the caller then returns its empty result without
+// ordering or indexing anything — the common case on the many empty servers
+// of a skew-aware layout. Being the one place every evaluation passes, it is
+// also where the provenance tests' observer sees the fragments.
+func checkInputs(q *query.Query, rels []*data.Relation, sh *Shared) (empty bool) {
+	for j, r := range rels {
+		if r == nil {
+			panic(&MissingRelationError{Atom: q.Atoms[j].Name})
+		}
+		empty = empty || r.NumTuples() == 0
+	}
+	if observe := fragmentObserver.Load(); observe != nil && sh != nil {
+		for j, id := range sh.ids {
+			if id != 0 {
+				(*observe)(sh.cache, j, id, rels[j].Vals())
+			}
 		}
 	}
-	out, err := s.run(q, rels, s.greedyOrder(q, rels), cache)
-	if err != nil {
-		//lint:allow panicdiscipline typed *MissingRelationError panic; Run's recover maps it to the public ErrMissingRelation sentinel
-		panic(err)
-	}
-	return out
+	return empty
 }
 
 // byAtom gathers the map-keyed relations into the scratch's atom-indexed
@@ -200,19 +203,6 @@ func (s *Scratch) byAtom(q *query.Query, rels map[string]*data.Relation) []*data
 		by[j] = rels[q.Atoms[j].Name]
 	}
 	return by
-}
-
-// emptyFastPath returns an empty result when any present relation is empty
-// (a full conjunctive query needs every atom to contribute), skipping all
-// ordering and index work — the common case on the many empty servers of a
-// skew-aware layout. It returns nil when evaluation must proceed.
-func emptyFastPath(q *query.Query, rels map[string]*data.Relation) *data.Relation {
-	for i := range q.Atoms {
-		if rel := rels[q.Atoms[i].Name]; rel != nil && rel.NumTuples() == 0 {
-			return data.NewRelation(q.Name, q.NumVars())
-		}
-	}
-	return nil
 }
 
 // greedyOrder picks the join order exactly as the baseline evaluator does:
@@ -235,20 +225,14 @@ func (s *Scratch) greedyOrder(q *query.Query, rels []*data.Relation) []int {
 	bound := s.orderBound
 	s.order = s.order[:0]
 
-	size := func(j int) int {
-		if r := rels[j]; r != nil {
-			return r.NumTuples()
-		}
-		return 0
-	}
 	sharedCount := func(j int) int {
-		c := 0
-		for _, v := range q.Atoms[j].DistinctVars() {
-			if bound[v] {
-				c++
+		n, vars := 0, q.Atoms[j].Vars
+		for c, v := range vars {
+			if bound[v] && slices.Index(vars[:c], v) < 0 {
+				n++
 			}
 		}
-		return c
+		return n
 	}
 	for len(s.order) < n {
 		best := -1
@@ -258,14 +242,14 @@ func (s *Scratch) greedyOrder(q *query.Query, rels []*data.Relation) []int {
 				continue
 			}
 			sc := sharedCount(j)
-			sz := size(j)
+			sz := rels[j].NumTuples()
 			if best < 0 || sc > bestShared || (sc == bestShared && sz < bestSize) {
 				best, bestShared, bestSize = j, sc, sz
 			}
 		}
 		used[best] = true
 		s.order = append(s.order, best)
-		for _, v := range q.Atoms[best].DistinctVars() {
+		for _, v := range q.Atoms[best].Vars {
 			bound[v] = true
 		}
 	}
@@ -300,181 +284,207 @@ func ensureCols(cols [][]int64, n int) [][]int64 {
 	return cols
 }
 
-// run is the kernel core: a hash join over the atoms in the given order,
-// with partial bindings held column-wise in the scratch arena. Output rows
-// are produced in exactly the baseline evaluator's order — bindings in
-// order, matches per binding in ascending tuple order — so downstream
-// order-sensitive digests (Report.Fingerprint) cannot tell the two apart.
-func (s *Scratch) run(q *query.Query, rels []*data.Relation, order []int, cache *IndexCache) (*data.Relation, error) {
-	vars := q.Vars()
-	rows, err := s.joinLoop(q, rels, order, cache)
-	if err != nil {
-		return nil, err
-	}
+// joinStep is one atom of the join order with its columns resolved against
+// the variables the earlier steps bind. The maps depend on the order alone,
+// not on the data, so they hold for every window of an evaluation.
+type joinStep struct {
+	atom       int
+	nb         int      // bound columns entering the step
+	sharedBind []int    // binding column per key variable
+	keyCols    []int    // relation column per key variable
+	freshCols  []int    // relation column per variable the step binds
+	eqPairs    [][2]int // column pairs a self-consistent tuple agrees on
 
-	// Emit rows in q.Vars() order.
-	out := data.NewRelation(q.Name, len(vars))
-	if rows == 0 {
-		return out, nil
-	}
-	out.Grow(rows)
-	if cap(s.row) < len(vars) {
-		s.row = make([]int64, len(vars))
-	}
-	row := s.row[:len(vars)]
-	// Gather the output column order once (every variable is bound when
-	// rows > 0 here), then emit row-major.
-	outCols := s.sharedBind[:0]
-	for _, v := range vars {
-		outCols = append(outCols, s.varPos[v])
-	}
-	for r := 0; r < rows; r++ {
-		for i, c := range outCols {
-			row[i] = s.cols[c][r]
-		}
-		out.AppendTuple(row)
-	}
-	return out, nil
+	// ix is the step's index (steps after the first), fetched or built when
+	// the first binding reaches the step and kept for the later windows: an
+	// evaluation performs the same builds and cache requests whatever its
+	// window size.
+	ix *atomIndex
 }
 
-// joinLoop executes the hash join, leaving the surviving bindings
-// column-wise in s.cols (s.varPos maps each bound variable to its column)
-// and returning the number of binding rows. It is shared by the
-// materializing output path (run) and the aggregate output path, which folds
-// the bindings instead of emitting them.
-func (s *Scratch) joinLoop(q *query.Query, rels []*data.Relation, order []int, cache *IndexCache) (int, error) {
+// planSteps resolves order into s.steps and s.varPos.
+func (s *Scratch) planSteps(q *query.Query, order []int) []joinStep {
 	if s.varPos == nil {
 		s.varPos = make(map[string]int, q.NumVars())
 	}
 	clear(s.varPos)
-
-	// One empty binding, zero bound columns: joinSteps' step-0 probe of the
-	// keyless index enumerates the first atom's consistent tuples.
-	return s.joinSteps(q, rels, order, 0, cache, 1, 0)
-}
-
-// joinSteps runs the join from fromStep onward over bindings already in
-// s.cols (rows bindings of nb bound columns, s.varPos mapping their
-// variables). joinLoop starts it from step 0 with the single empty binding;
-// the streaming path (EvaluateAtomsStream) seeds step 0's bindings from one
-// chunk of the first atom's tuples and starts it from step 1.
-func (s *Scratch) joinSteps(q *query.Query, rels []*data.Relation, order []int, fromStep int, cache *IndexCache, rows, nb int) (int, error) {
-	for step := fromStep; step < len(order); step++ {
-		ai := order[step]
-		atom := &q.Atoms[ai]
-		rel := rels[ai]
-		if rel == nil {
-			return 0, &MissingRelationError{Atom: atom.Name}
-		}
-
-		// Column maps for this step, built once per atom.
-		s.sharedBind = s.sharedBind[:0]
-		s.keyCols = s.keyCols[:0]
-		s.freshCols = s.freshCols[:0]
-		s.freshNames = s.freshNames[:0]
+	for len(s.steps) < len(order) {
+		s.steps = append(s.steps, joinStep{})
+	}
+	steps := s.steps[:len(order)]
+	nb := 0
+	for i, ai := range order {
+		st, atom := &steps[i], &q.Atoms[ai]
+		st.atom, st.nb, st.ix = ai, nb, nil
+		st.sharedBind, st.keyCols, st.freshCols = st.sharedBind[:0], st.keyCols[:0], st.freshCols[:0]
 		for c, v := range atom.Vars {
-			first := true
-			for _, w := range atom.Vars[:c] {
-				if w == v {
-					first = false
-					break
-				}
-			}
-			if !first {
+			if slices.Index(atom.Vars[:c], v) >= 0 {
 				continue // repeated in-atom occurrence: handled by eqPairs
 			}
 			if pos, ok := s.varPos[v]; ok {
-				s.sharedBind = append(s.sharedBind, pos)
-				s.keyCols = append(s.keyCols, c)
+				st.sharedBind = append(st.sharedBind, pos)
+				st.keyCols = append(st.keyCols, c)
 			} else {
-				s.freshCols = append(s.freshCols, c)
-				s.freshNames = append(s.freshNames, v)
+				s.varPos[v] = nb + len(st.freshCols)
+				st.freshCols = append(st.freshCols, c)
 			}
 		}
-		s.eqPairs = repeatedVarPairs(atom, s.eqPairs[:0])
+		st.eqPairs = repeatedVarPairs(atom, st.eqPairs[:0])
+		nb += len(st.freshCols)
+	}
+	return steps
+}
 
-		// Build or fetch the index. The streaming memo short-circuits
-		// repeat fetches/builds across chunks of one evaluation: the bound
-		// variable set at each step is chunk-independent (it is determined
-		// by the join order, not the data), so the step's key is stable.
-		var ix *atomIndex
-		if cache != nil {
-			k := indexKey{atom: atom.Name, ident: rel.Identity(), sig: colSig(rel.Arity, s.keyCols, s.eqPairs)}
-			if m, ok := s.memo[k]; s.streaming && ok {
-				ix = m
-			} else {
-				ix = cache.getOrBuild(k, func() *atomIndex {
-					fresh := new(atomIndex)
-					fresh.build(rel, s.keyCols, s.eqPairs, true)
-					return fresh
-				})
-				if s.streaming {
-					s.memo[k] = ix
-				}
-			}
-		} else {
-			for len(s.idxs) <= step {
-				s.idxs = append(s.idxs, atomIndex{})
-			}
-			ix = &s.idxs[step]
-			if !s.streaming || len(s.memoBuilt) <= step || !s.memoBuilt[step] {
-				ix.build(rel, s.keyCols, s.eqPairs, false)
-				if s.streaming {
-					for len(s.memoBuilt) <= step {
-						s.memoBuilt = append(s.memoBuilt, false)
-					}
-					s.memoBuilt[step] = true
-				}
-			}
-		}
+// run is the materializing output path: one window over the whole first
+// atom, its bindings transposed into the output in q.Vars() order with one
+// bulk append.
+func (s *Scratch) run(q *query.Query, rels []*data.Relation, order []int, sh *Shared) *data.Relation {
+	out := data.NewRelation(q.Name, q.NumVars())
+	s.join(q, rels, order, sh, rels[order[0]].NumTuples(), func(rows int) {
+		out.AppendColumns(s.outputCols(q), rows)
+	})
+	return out
+}
 
-		// Probe every binding, writing surviving rows column-wise into the
-		// next arena.
-		nOut := nb + len(s.freshCols)
-		s.next = ensureCols(s.next, nOut)
-		nk := len(s.sharedBind)
-		if cap(s.key) < nk {
-			s.key = make([]int64, nk)
-		}
-		key := s.key[:nk]
-		arity := ix.arity
-		outRows := 0
-		for r := 0; r < rows; r++ {
-			for t, bc := range s.sharedBind {
-				key[t] = s.cols[bc][r]
-			}
-			slot := hashKey(key) & ix.mask
-			for e := ix.head[slot]; e != 0; e = ix.next[e] {
-				base := int(e-1) * arity
-				match := true
-				for t, kc := range ix.keyCols {
-					if ix.vals[base+int(kc)] != key[t] {
-						match = false
-						break
-					}
-				}
-				if !match {
-					continue
-				}
-				for c := 0; c < nb; c++ {
-					s.next[c] = append(s.next[c], s.cols[c][r])
-				}
-				for f, fc := range s.freshCols {
-					s.next[nb+f] = append(s.next[nb+f], ix.vals[base+fc])
-				}
-				outRows++
-			}
-		}
+// outputCols returns the binding columns in q.Vars() order; every variable
+// is bound once a window has surviving rows.
+func (s *Scratch) outputCols(q *query.Query) [][]int64 {
+	s.outCols = s.outCols[:0]
+	for _, v := range q.Vars() {
+		s.outCols = append(s.outCols, s.cols[s.varPos[v]])
+	}
+	return s.outCols
+}
 
-		for f, name := range s.freshNames {
-			s.varPos[name] = nb + f
+// join is the kernel core: a hash join over the atoms in the given order,
+// run window rows of the first atom at a time. After every window that
+// leaves rows > 0 complete bindings — column-wise in s.cols, s.varPos mapping
+// each variable to its column — it calls emit(rows); the three output paths
+// (materialize, stream, fold) differ only in their window and their emit.
+//
+// The first atom is not indexed: step 0 scans its window in ascending row
+// order, dropping tuples that disagree with themselves on a repeated
+// variable. Every later step probes an index whose chains run in ascending
+// tuple order. Rows therefore come out in exactly the baseline evaluator's
+// order — bindings in order, matches per binding in ascending tuple index —
+// for every window size, so order-sensitive digests (Report.Fingerprint,
+// sink digests) cannot tell the paths, the chunk sizes or the two evaluators
+// apart.
+func (s *Scratch) join(q *query.Query, rels []*data.Relation, order []int, sh *Shared, window int, emit func(rows int)) {
+	steps := s.planSteps(q, order)
+	st0 := &steps[0]
+	rel0 := rels[st0.atom]
+	arity0, vals0 := rel0.Arity, rel0.Vals()
+	for lo, m := 0, rel0.NumTuples(); lo < m; lo += window {
+		hi := min(lo+window, m)
+		s.cols = ensureCols(s.cols, len(st0.freshCols))
+		for i := range st0.freshCols {
+			s.cols[i] = slices.Grow(s.cols[i], hi-lo)[:hi-lo]
 		}
-		nb = nOut
-		s.cols, s.next = s.next, s.cols
-		rows = outRows
-		if rows == 0 {
-			break
+		rows := 0
+	scan:
+		for base := lo * arity0; base < hi*arity0; base += arity0 {
+			for _, p := range st0.eqPairs {
+				if vals0[base+p[0]] != vals0[base+p[1]] {
+					continue scan
+				}
+			}
+			for i, fc := range st0.freshCols {
+				s.cols[i][rows] = vals0[base+fc]
+			}
+			rows++
+		}
+		for i := range st0.freshCols {
+			s.cols[i] = s.cols[i][:rows]
+		}
+		for i := 1; i < len(steps) && rows > 0; i++ {
+			st := &steps[i]
+			if st.ix == nil {
+				st.ix = s.stepIndex(i, st, rels[st.atom], sh)
+			}
+			rows = s.probe(st, rows)
+		}
+		if rows > 0 {
+			emit(rows)
 		}
 	}
-	return rows, nil
+}
+
+// stepIndex returns the index of one step after the first: the phase's shared
+// build when the server's fragment has an id, else a private build over a
+// view of the fragment.
+func (s *Scratch) stepIndex(step int, st *joinStep, rel *data.Relation, sh *Shared) *atomIndex {
+	if id := sh.id(st.atom); id != 0 {
+		k := indexKey{atom: st.atom, id: id, sig: colSig(st.keyCols)}
+		ix := sh.cache.getOrBuild(k, func() *atomIndex {
+			fresh := new(atomIndex)
+			fresh.build(rel, st.keyCols, st.eqPairs, true)
+			return fresh
+		})
+		if verifyShared.Load() && !slices.Equal(ix.vals, rel.Vals()) {
+			panic(fmt.Sprintf("localjoin: shared index of atom %d, fragment id %d, does not hold this server's fragment", st.atom, id))
+		}
+		return ix
+	}
+	for len(s.idxs) <= step {
+		s.idxs = append(s.idxs, atomIndex{})
+	}
+	ix := &s.idxs[step]
+	ix.build(rel, st.keyCols, st.eqPairs, false)
+	return ix
+}
+
+// probe joins the rows bindings in s.cols with one step's index and returns
+// the number of surviving bindings, left column-wise in s.cols. The matches
+// are first listed as (binding row, tuple) pairs — bindings in order, each
+// chain in ascending tuple order — and the next arena is then gathered from
+// the list one column at a time, so every output value is written once by a
+// loop that does nothing else. A step with no key columns (a Cartesian atom)
+// finds every consistent tuple in one chain.
+func (s *Scratch) probe(st *joinStep, rows int) int {
+	ix, nb := st.ix, st.nb
+	nk := len(st.sharedBind)
+	if cap(s.key) < nk {
+		s.key = make([]int64, nk)
+	}
+	key := s.key[:nk]
+	arity := ix.arity
+	hitRow, hitTup := s.hitRow[:0], s.hitTup[:0]
+	for r := 0; r < rows; r++ {
+		for t, bc := range st.sharedBind {
+			key[t] = s.cols[bc][r]
+		}
+		slot := hashKey(key) & ix.mask
+	chain:
+		for e := ix.head[slot]; e != 0; e = ix.next[e] {
+			base := int(e-1) * arity
+			for t, kc := range ix.keyCols {
+				if ix.vals[base+int(kc)] != key[t] {
+					continue chain
+				}
+			}
+			hitRow = append(hitRow, int32(r))
+			hitTup = append(hitTup, e-1)
+		}
+	}
+	s.hitRow, s.hitTup = hitRow, hitTup
+
+	n := len(hitRow)
+	s.next = ensureCols(s.next, nb+len(st.freshCols))
+	for c := 0; c < nb; c++ {
+		dst, src := slices.Grow(s.next[c], n)[:n], s.cols[c]
+		for i, r := range hitRow {
+			dst[i] = src[r]
+		}
+		s.next[c] = dst
+	}
+	for f, fc := range st.freshCols {
+		dst := slices.Grow(s.next[nb+f], n)[:n]
+		for i, t := range hitTup {
+			dst[i] = ix.vals[int(t)*arity+fc]
+		}
+		s.next[nb+f] = dst
+	}
+	s.cols, s.next = s.next, s.cols
+	return n
 }

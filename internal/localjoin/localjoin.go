@@ -4,7 +4,7 @@
 // hash-join kernel (open-addressed int64-keyed indexes, a struct-of-arrays
 // binding arena, per-worker reusable scratch) that allocates nothing on the
 // steady-state path beyond its output, with a round-scoped IndexCache that
-// shares index builds across servers holding identical routed fragments.
+// shares index builds across the servers a route sends the same fragment to.
 // The pre-kernel evaluator is preserved verbatim in the baseline subpackage
 // for equivalence testing and ablation; the kernel reproduces its output
 // tuple-for-tuple, in order.
@@ -26,10 +26,10 @@ import (
 var ErrMissingRelation = errors.New("localjoin: missing relation")
 
 // MissingRelationError reports that evaluation referenced an atom with no
-// relation supplied. EvaluateOrdered returns it; Evaluate and EvaluateAtoms
-// — whose callers pre-validate inputs — panic with it, and the Run error
-// boundary converts the panic into an ordinary error instead of letting it
-// cross the public API.
+// relation supplied. EvaluateOrdered returns it; the kernel's other entry
+// points — whose callers pre-validate inputs — panic with it (checkInputs),
+// and the Run error boundary converts the panic into an ordinary error
+// instead of letting it cross the public API.
 type MissingRelationError struct {
 	Atom string
 }
@@ -51,6 +51,31 @@ var baselineMode atomic.Bool
 // only; flipping it while evaluations are in flight is safe (the flag is
 // atomic) but makes which evaluator ran unpredictable per call.
 func SetBaselineForTest(on bool) { baselineMode.Store(on) }
+
+// verifyShared makes every fetch from an IndexCache compare the index's
+// stored values with the fetching server's fragment and panic on a
+// difference: the test-only check of the provenance contract a Shared
+// handle's ids promise.
+var verifyShared atomic.Bool
+
+// VerifySharedForTest switches that check on or off. It exists for tests
+// only.
+func VerifySharedForTest(on bool) { verifyShared.Store(on) }
+
+// fragmentObserver, when set, is shown every fragment a server presents under
+// a non-zero id, before the evaluation looks at it.
+var fragmentObserver atomic.Pointer[func(cache *IndexCache, atom int, id uint64, vals []int64)]
+
+// ObserveFragmentsForTest installs fn (nil removes it) as that observer; the
+// phase's workers call it concurrently. It exists for the provenance tests
+// only.
+func ObserveFragmentsForTest(fn func(cache *IndexCache, atom int, id uint64, vals []int64)) {
+	if fn == nil {
+		fragmentObserver.Store(nil)
+		return
+	}
+	fragmentObserver.Store(&fn)
+}
 
 // Evaluate computes q over the given relations (one per atom name) and
 // returns the full result, one column per variable in q.Vars() order.
@@ -80,12 +105,12 @@ func EvaluateOrdered(q *query.Query, rels map[string]*data.Relation, order []int
 			return nil, &MissingRelationError{Atom: q.Atoms[ai].Name}
 		}
 	}
-	s := GrabScratch()
-	defer s.Release()
 	if baselineMode.Load() {
 		return baseline.EvaluateOrdered(q, rels, order), nil
 	}
-	return s.run(q, s.byAtom(q, rels), order, nil)
+	s := GrabScratch()
+	defer s.Release()
+	return s.run(q, s.byAtom(q, rels), order, nil), nil
 }
 
 // SemiJoin returns the tuples of l that join with at least one tuple of r

@@ -8,168 +8,33 @@ import (
 // EvaluateAtomsStream is EvaluateAtoms with a streamed output: instead of
 // materializing the full result relation it yields row-major blocks of
 // output tuples (arity q.NumVars(), in q.Vars() column order) and returns
-// the total row count. The concatenation of the yielded blocks is
-// byte-identical to EvaluateAtoms' output — same join order, same
-// per-binding match order — so order-sensitive digests cannot tell the two
-// apart; only peak memory differs. The yielded slice is reused across
-// calls: consume or copy it before yield returns.
-//
-// Streaming happens over the *first* atom of the unchanged greedy join
-// order: its tuples are windowed into chunks of chunkRows, each chunk's
-// bindings built directly (ascending row order with the repeated-variable
-// filter — exactly the order the keyless step-0 index probe enumerates),
-// and the remaining steps run per chunk through the shared joinSteps core.
-// With an IndexCache the later steps' indexes are keyed on the full
-// relations, so they are built once and shared across chunks (and across
-// servers, as in the barrier path); the cache also receives the step-0
-// build, keeping its hit/miss totals — which appear in the trace's
-// deterministic Structure — identical to a barrier run.
-func (s *Scratch) EvaluateAtomsStream(q *query.Query, rels []*data.Relation, cache *IndexCache, chunkRows int, yield func(vals []int64)) int {
+// the total row count. It is the same join with a smaller window: the first
+// atom of the unchanged greedy order is scanned chunkRows tuples at a time
+// and every window's bindings are yielded as one block, so the concatenation
+// of the blocks is byte-identical to EvaluateAtoms' output and the index
+// builds and cache requests are those of one barrier evaluation — only peak
+// memory differs. The yielded slice is reused across calls: consume or copy
+// it before yield returns.
+func (s *Scratch) EvaluateAtomsStream(q *query.Query, rels []*data.Relation, sh *Shared, chunkRows int, yield func(vals []int64)) int {
+	if checkInputs(q, rels, sh) {
+		return 0
+	}
 	if baselineMode.Load() {
-		out := s.EvaluateAtoms(q, rels, cache)
+		out := s.EvaluateAtoms(q, rels, sh)
 		if out.NumTuples() > 0 {
 			yield(out.Vals())
 		}
 		return out.NumTuples()
 	}
-	for _, r := range rels {
-		if r != nil && r.NumTuples() == 0 {
-			return 0
-		}
+	if s.block == nil || s.block.Arity != q.NumVars() {
+		s.block = data.NewRelation(q.Name, q.NumVars())
 	}
-	if chunkRows < 1 {
-		chunkRows = 1
-	}
-
-	order := s.greedyOrder(q, rels)
-	first := order[0]
-	atom0 := &q.Atoms[first]
-	rel0 := rels[first]
-	if rel0 == nil {
-		panic(&MissingRelationError{Atom: atom0.Name})
-	}
-
-	// First-occurrence columns of the streamed atom (nothing is bound yet,
-	// so every first occurrence is fresh — the same fresh set joinSteps
-	// computes at step 0) and its self-consistency pairs. Local slices, not
-	// scratch fields: joinSteps clobbers the scratch column maps per step.
-	var f0cols []int
-	var f0names []string
-	for c, v := range atom0.Vars {
-		fresh := true
-		for _, w := range atom0.Vars[:c] {
-			if w == v {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			f0cols = append(f0cols, c)
-			f0names = append(f0names, v)
-		}
-	}
-	eq0 := repeatedVarPairs(atom0, nil)
-
-	if cache != nil {
-		// Warm the cache exactly as the barrier path would: joinLoop's step
-		// 0 fetches the keyless index of the first atom. The streamed
-		// windows never probe it, but publishing the identical build keeps
-		// the cache's hit/miss totals — part of the trace's deterministic
-		// Structure — byte-identical between the two paths, and any
-		// non-streamed sibling evaluation in the same phase reuses it.
-		k := indexKey{atom: atom0.Name, ident: rel0.Identity(), sig: colSig(rel0.Arity, nil, eq0)}
-		cache.getOrBuild(k, func() *atomIndex {
-			ix := new(atomIndex)
-			ix.build(rel0, nil, eq0, true)
-			return ix
-		})
-	}
-
-	// Engage the per-evaluation memo: each later-step index is fetched from
-	// the shared cache (or built locally) exactly once for this evaluation,
-	// then reused across chunks — one barrier evaluation's worth of cache
-	// traffic regardless of the chunking.
-	s.streaming = true
-	if s.memo == nil {
-		s.memo = make(map[indexKey]*atomIndex, len(order))
-	}
-	s.memoBuilt = s.memoBuilt[:0]
-	defer func() {
-		s.streaming = false
-		clear(s.memo)
-	}()
-
-	if s.varPos == nil {
-		s.varPos = make(map[string]int, q.NumVars())
-	}
-	vars := q.Vars()
-	nb0 := len(f0cols)
-	m := rel0.NumTuples()
-	arity0 := rel0.Arity
-	vals0 := rel0.Vals()
-
 	total := 0
-	var outBuf []int64
-	outCols := make([]int, 0, len(vars))
-	for lo := 0; lo < m; lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > m {
-			hi = m
-		}
-		// Step 0 over this window: ascending rows, repeated-variable
-		// filter — the enumeration order of the keyless index probe.
-		clear(s.varPos)
-		s.cols = ensureCols(s.cols, nb0)
-		rows := 0
-		for r := lo; r < hi; r++ {
-			base := r * arity0
-			ok := true
-			for _, p := range eq0 {
-				if vals0[base+p[0]] != vals0[base+p[1]] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for i, fc := range f0cols {
-				s.cols[i] = append(s.cols[i], vals0[base+fc])
-			}
-			rows++
-		}
-		if rows == 0 {
-			continue
-		}
-		for i, name := range f0names {
-			s.varPos[name] = i
-		}
-		rows, err := s.joinSteps(q, rels, order, 1, cache, rows, nb0)
-		if err != nil {
-			//lint:allow panicdiscipline typed *MissingRelationError panic; Run's recover maps it to the public ErrMissingRelation sentinel
-			panic(err)
-		}
-		if rows == 0 {
-			continue
-		}
-		// Emit this chunk's rows in q.Vars() order, exactly as run() does.
-		outCols = outCols[:0]
-		for _, v := range vars {
-			outCols = append(outCols, s.varPos[v])
-		}
-		need := rows * len(vars)
-		if cap(outBuf) < need {
-			outBuf = make([]int64, need)
-		}
-		buf := outBuf[:need]
-		for r := 0; r < rows; r++ {
-			o := r * len(vars)
-			for i, c := range outCols {
-				buf[o+i] = s.cols[c][r]
-			}
-		}
-		yield(buf)
+	s.join(q, rels, s.greedyOrder(q, rels), sh, max(chunkRows, 1), func(rows int) {
+		s.block.Reset()
+		s.block.AppendColumns(s.outputCols(q), rows)
+		yield(s.block.Vals())
 		total += rows
-	}
+	})
 	return total
 }

@@ -63,9 +63,9 @@ func TestEvaluateAtomsStreamMatchesMaterialized(t *testing.T) {
 
 		for _, chunk := range []int{1, 3, 7, 1 << 20} {
 			for _, useCache := range []bool{false, true} {
-				var cache *IndexCache
+				var cache *Shared
 				if useCache {
-					cache = NewIndexCache()
+					cache = shareAll(NewIndexCache(), q)
 				}
 				sc := GrabScratch()
 				var got []int64
@@ -92,32 +92,48 @@ func TestEvaluateAtomsStreamMatchesMaterialized(t *testing.T) {
 }
 
 // TestEvaluateAtomsStreamCacheParity pins the cache-shape contract: a
-// streamed evaluation performs the identical sequence of index-cache
-// requests as the barrier path (including the step-0 keyless build it never
-// probes), so the hit/miss totals — which the obs trace renders in its
-// deterministic Structure — cannot distinguish the two paths.
+// streamed evaluation performs the identical index-cache requests as the
+// barrier path whatever its chunk size — one per step a binding reaches, none
+// for the scanned first atom — so the hit/miss totals, which the obs trace
+// renders in its deterministic Structure, cannot distinguish the two paths.
+// The second query's join dies at its second atom in every window: the third
+// atom's index must never be requested.
 func TestEvaluateAtomsStreamCacheParity(t *testing.T) {
-	q := query.MustParse("q(x,y,z) :- R(x,y), S(y,z)")
 	rng := rand.New(rand.NewSource(7))
-	m := map[string]*data.Relation{
-		"R": randomRelation(rng, "R", 2, 50, 10),
-		"S": randomRelation(rng, "S", 2, 60, 10),
-	}
-
-	barrier := NewIndexCache()
-	sc := GrabScratch()
-	sc.EvaluateAtoms(q, atomOrder(q, m), barrier)
-	sc.Release()
-	bh, bm := barrier.Stats()
-
-	streamed := NewIndexCache()
-	sc = GrabScratch()
-	sc.EvaluateAtomsStream(q, atomOrder(q, m), streamed, 8, func([]int64) {})
-	sc.Release()
-	sh, sm := streamed.Stats()
-
-	if bh != sh || bm != sm {
-		t.Fatalf("cache totals diverge: barrier hits=%d misses=%d, streamed hits=%d misses=%d", bh, bm, sh, sm)
+	for _, tc := range []struct {
+		q    string
+		rels map[string]*data.Relation
+		want int
+	}{
+		{"q(x,y,z) :- R(x,y), S(y,z)", map[string]*data.Relation{
+			"R": randomRelation(rng, "R", 2, 50, 10),
+			"S": randomRelation(rng, "S", 2, 60, 10),
+		}, 1},
+		{"q(x,y,z) :- R(x), S(x,y), T(y,z)", map[string]*data.Relation{
+			"R": data.FromTuples("R", 1, []int64{1}, []int64{2}, []int64{3}),
+			"S": data.FromTuples("S", 2, []int64{7, 7}, []int64{8, 8}, []int64{9, 9}, []int64{9, 1}),
+			"T": randomRelation(rng, "T", 2, 60, 10),
+		}, 1},
+	} {
+		q := query.MustParse(tc.q)
+		for _, chunk := range []int{0, 1, 8, 1 << 20} {
+			for pass := 0; pass < 2; pass++ {
+				cache := NewIndexCache()
+				sc := GrabScratch()
+				for i := 0; i <= pass; i++ {
+					if chunk == 0 {
+						sc.EvaluateAtoms(q, atomOrder(q, tc.rels), shareAll(cache, q))
+					} else {
+						sc.EvaluateAtomsStream(q, atomOrder(q, tc.rels), shareAll(cache, q), chunk, func([]int64) {})
+					}
+				}
+				sc.Release()
+				if hits, misses := cache.Stats(); misses != tc.want || hits != pass*tc.want {
+					t.Fatalf("%s chunk=%d after %d evaluations: hits=%d misses=%d, want %d/%d",
+						tc.q, chunk, pass+1, hits, misses, pass*tc.want, tc.want)
+				}
+			}
+		}
 	}
 }
 

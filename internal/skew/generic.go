@@ -246,6 +246,10 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 	})
 
 	outputs := evaluatePhase(cluster, q, total,
+		func(s int) ([]*hashing.Route, int) {
+			pat := patternOf(patterns, s)
+			return pat.routes, pat.offset
+		},
 		func(s int) bool { return s < inputServers },
 		func(s int, res *data.Relation) *data.Relation {
 			return filterPattern(res, patternOf(patterns, s), heavy)
@@ -301,13 +305,15 @@ func (pat *genPattern) matches(dims []int, tuple []int64, heavy []map[int64]bool
 	return true
 }
 
+// patternOf returns the pattern whose block holds server s (nil for an input
+// server): the blocks are laid out back to back in pattern order, after the
+// input servers, up to the last server of the cluster.
 func patternOf(patterns []*genPattern, s int) *genPattern {
-	for _, pat := range patterns {
-		if s >= pat.offset && s < pat.offset+pat.grid.P() {
-			return pat
-		}
+	i := sort.Search(len(patterns), func(i int) bool { return patterns[i].offset > s })
+	if i == 0 {
+		return nil
 	}
-	return nil
+	return patterns[i-1]
 }
 
 // filterPattern drops output rows violating the pattern (can only happen

@@ -230,7 +230,7 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	// Local evaluation everywhere (both light servers and heavy blocks
 	// evaluate the same star query over their fragments), with per-worker
 	// kernel scratch and a round-scoped shared index cache.
-	outputs := evaluatePhase(cluster, q, totalServers, nil, nil)
+	outputs := evaluatePhase(cluster, q, totalServers, sp.routesOf, nil, nil)
 	out := data.Concat(q.Name, q.NumVars(), outputs)
 
 	inputBits := 0.0
@@ -253,15 +253,30 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	}
 }
 
+// routesOf returns the compiled routes and the first server of the heavy
+// block server s lies in, or nil on a light server: those are
+// hash-partitioned on z, one destination per tuple, and share nothing.
+func (sp *StarPlan) routesOf(s int) ([]*hashing.Route, int) {
+	i := sort.Search(len(sp.heavy), func(i int) bool { return sp.blocks[sp.heavy[i]].offset > s })
+	if i == 0 {
+		return nil, 0
+	}
+	b := sp.blocks[sp.heavy[i-1]]
+	return b.routes, b.offset
+}
+
 // evaluatePhase is the shared computation phase of the skew algorithms: for
 // every server with a non-empty inbox (and not excluded by skip — the
 // generalized algorithm's input-only servers) it rebuilds the atom fragments
 // into per-worker scratch relations (bulk batch appends, kinds are atom
 // indices), evaluates q with the columnar kernel, and applies filter (when
-// non-nil) to the server's raw result. One index cache spans the phase so
-// servers holding identical routed fragments (broadcast heavy-heavy groups,
-// replicated grid slices) share index builds.
+// non-nil) to the server's raw result. One index cache spans the phase:
+// routesOf names, for a server inside a residual HyperCube block, the block's
+// per-atom routes and first server, and the servers of one subcube of a route
+// share that atom's index builds. It returns nil routes for a server that
+// receives tuples any other way, which then shares nothing.
 func evaluatePhase(cluster *engine.Cluster, q *query.Query, servers int,
+	routesOf func(s int) (routes []*hashing.Route, offset int),
 	skip func(s int) bool,
 	filter func(s int, res *data.Relation) *data.Relation) []*data.Relation {
 	outputs := make([]*data.Relation, servers)
@@ -277,7 +292,11 @@ func evaluatePhase(cluster *engine.Cluster, q *query.Query, servers int,
 		cluster.Inbox(s).EachBatch(func(b engine.Batch) {
 			frag[b.Kind].AppendVals(b.Vals)
 		})
-		res := sc.EvaluateAtoms(q, frag, cache)
+		var sh *localjoin.Shared
+		if routes, offset := routesOf(s); routes != nil {
+			sh = sc.Share(cache, routes, offset, s)
+		}
+		res := sc.EvaluateAtoms(q, frag, sh)
 		if filter != nil {
 			res = filter(s, res)
 		}

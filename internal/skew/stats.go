@@ -95,7 +95,7 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 				continue
 			}
 			col := cols[j]
-			counts := make(map[int64]int)
+			counts := make(map[int64]int, min(sampleSize, local))
 			n := sampleSize
 			if n >= local {
 				for _, b := range perKind[j] {
@@ -133,7 +133,7 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 	})
 	perAtom := make([]map[int64]int, l)
 	for j := range perAtom {
-		perAtom[j] = make(map[int64]int)
+		perAtom[j] = make(map[int64]int, cluster.Inbox(0).NumTuples())
 	}
 	cluster.Inbox(0).Each(func(kind int, tuple []int64) { // all servers hold the same broadcasts
 		perAtom[kind][tuple[0]] += int(tuple[1])

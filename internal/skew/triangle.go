@@ -103,7 +103,7 @@ func PrepareTriangle(q *query.Query, db *data.Database, p int) *TrianglePlan {
 	pHeavy := make([]map[int64]bool, 3)
 	cubeHeavy := make([]map[int64]bool, 3)
 	for i := range vars {
-		freq[i] = make(map[int64]int)
+		freq[i] = make(map[int64]int, max(rels[tv[i].rels[0]].NumTuples(), rels[tv[i].rels[1]].NumTuples()))
 		pHeavy[i] = make(map[int64]bool)
 		cubeHeavy[i] = make(map[int64]bool)
 		for a := 0; a < 2; a++ {
@@ -197,7 +197,7 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 	})
 
 	// Local evaluation with per-group output predicates.
-	outputs := evaluatePhase(cluster, q, layout.totalServers, nil,
+	outputs := evaluatePhase(cluster, q, layout.totalServers, layout.routesOf, nil,
 		func(s int, res *data.Relation) *data.Relation {
 			return layout.filter(s, res, pHeavy, cubeHeavy)
 		})
@@ -420,6 +420,30 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 	}
 	lay.totalServers = offset
 	return lay
+}
+
+// routesOf returns the compiled routes and first server of the HyperCube
+// block server s lies in — the light grid or one pivot block — or nil in a
+// case-1 group, whose servers are reached by broadcast and by plain hashing.
+func (lay *triLayout) routesOf(s int) ([]*hashing.Route, int) {
+	if s >= lay.lightOffset && s < lay.lightOffset+lay.lightSize {
+		return lay.lightRoutes[:], lay.lightOffset
+	}
+	// The pivot blocks are laid out back to back up to totalServers, in
+	// pivot then value order: s lies in the last one starting at or before it.
+	var in *pivotBlock
+	for _, pb := range lay.pivots {
+		if pb == nil {
+			continue
+		}
+		if i := sort.Search(len(pb.order), func(i int) bool { return pb.order[i].offset > s }); i > 0 {
+			in = pb.order[i-1]
+		}
+	}
+	if in == nil {
+		return nil, 0
+	}
+	return in.routes[:], in.offset
 }
 
 func oppositeAtom(q *query.Query, pivot int) int {

@@ -17,57 +17,55 @@ type OutputSink = engine.OutputSink
 
 // DigestSink is an OutputSink that verifies a streamed output without
 // holding it: per server it folds the chunk stream into a running
-// order-sensitive FNV-1a digest and a row count, in O(servers) memory
-// total. Digest() then merges the per-server streams in ascending server
-// order — the order data.Concat stacks per-server outputs — so a barrier
-// run's materialized output and a streamed run's sink agree digest for
-// digest. The giant-output scenarios of cmd/mpcload -benchstream and the
-// streaming equivalence tests are its consumers.
+// order-sensitive digest (one hashing.Combine per value) and a row count, in
+// O(servers) memory total. Digest() then merges the per-server streams in
+// ascending server order — the order data.Concat stacks per-server outputs —
+// so a barrier run's materialized output and a streamed run's sink agree
+// digest for digest. The giant-output scenarios of cmd/mpcload -benchstream
+// and the streaming equivalence tests are its consumers.
 type DigestSink struct {
 	mu      sync.Mutex
-	servers []digestStream
+	servers []*digestStream // pointers: a stream stays put when the slice grows
 }
 
 type digestStream struct {
 	rows   int
 	arity  int
 	digest uint64
-	live   bool
 }
 
-// fnvOffset/fnvPrime are the standard FNV-1a 64-bit parameters, matching
-// the hashing package's relation digests.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// digestSeed starts every per-server stream and the merged digest.
+const digestSeed = 14695981039346656037
 
-// Chunk folds one row-major block of server s's output into its stream.
+// Chunk folds one row-major block of server s's output into its stream. The
+// sink-wide lock is held only to find the stream and to publish the result;
+// the fold itself runs outside it, so the workers of a compute phase do not
+// serialise on the sink. That is safe because one server's chunks arrive from
+// one goroutine at a time (the OutputSink contract): nobody else moves this
+// stream between the two critical sections.
 func (d *DigestSink) Chunk(server, arity int, vals []int64) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	for len(d.servers) <= server {
-		d.servers = append(d.servers, digestStream{})
+		d.servers = append(d.servers, nil)
 	}
-	st := &d.servers[server]
-	if !st.live {
-		st.live = true
-		st.arity = arity
-		st.digest = fnvOffset
+	st := d.servers[server]
+	if st == nil {
+		st = &digestStream{arity: arity, digest: digestSeed}
+		d.servers[server] = st
 	}
+	h := st.digest
+	d.mu.Unlock()
+
+	for _, v := range vals {
+		h = hashing.Combine(h, uint64(v))
+	}
+
+	d.mu.Lock()
+	st.digest = h
 	if arity > 0 {
 		st.rows += len(vals) / arity
 	}
-	h := st.digest
-	for _, v := range vals {
-		x := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= fnvPrime
-			x >>= 8
-		}
-	}
-	st.digest = h
+	d.mu.Unlock()
 }
 
 // Tuples returns the total rows streamed so far, across all servers.
@@ -75,8 +73,10 @@ func (d *DigestSink) Tuples() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for i := range d.servers {
-		n += d.servers[i].rows
+	for _, st := range d.servers {
+		if st != nil {
+			n += st.rows
+		}
 	}
 	return n
 }
@@ -89,10 +89,9 @@ func (d *DigestSink) Tuples() int {
 func (d *DigestSink) Digest() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h := uint64(fnvOffset)
-	for i := range d.servers {
-		st := &d.servers[i]
-		if !st.live {
+	h := uint64(digestSeed)
+	for i, st := range d.servers {
+		if st == nil {
 			continue
 		}
 		h = hashing.Combine(h, uint64(i))
@@ -119,9 +118,8 @@ func (d *DigestSink) PerServer() []ServerDigest {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]ServerDigest, 0, len(d.servers))
-	for i := range d.servers {
-		st := &d.servers[i]
-		if !st.live {
+	for i, st := range d.servers {
+		if st == nil {
 			continue
 		}
 		out = append(out, ServerDigest{Server: i, Rows: st.rows, Arity: st.arity, Digest: st.digest})
