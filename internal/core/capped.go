@@ -35,7 +35,7 @@ func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *Ca
 	cluster := engine.NewCluster(gp, bpv)
 	defer cluster.Release()
 
-	seedPartitioned(cluster, q, db, gp)
+	cluster.SeedPartitioned(gp, q, db)
 	hyperCubeShuffle(cluster, "capped-shuffle", hyperCubeRoutes(q, grid), family)
 
 	// Computation phase under the cap: each server accepts messages in

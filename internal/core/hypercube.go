@@ -242,7 +242,7 @@ func RunPlanWithCap(pl *Plan, db *data.Database, seed int64, capBits float64) *R
 // through these Net variants — the algorithms themselves are
 // transport-oblivious, as the delivery seam requires.
 func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64, env engine.Env) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, nil, seedPartitioned, env)
+	return runPlanSeeded(pl, db, seed, capBits, nil, (*engine.Cluster).SeedPartitioned, env)
 }
 
 // RunPlanAggregate executes pl and then computes agg over the join output
@@ -260,7 +260,7 @@ func RunPlanAggregate(pl *Plan, db *data.Database, seed int64, capBits float64, 
 // RunPlanAggregateNet is RunPlanAggregate with round delivery through net
 // (nil = in-process).
 func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, agg, seedPartitioned, env)
+	return runPlanSeeded(pl, db, seed, capBits, agg, (*engine.Cluster).SeedPartitioned, env)
 }
 
 // RunWithSharesAggregate is RunPlanAggregate over explicit integer shares.
@@ -274,17 +274,9 @@ func RunWithSharesAggregateNet(q *query.Query, db *data.Database, shares []int, 
 	return RunPlanAggregateNet(sharesPlan(q, db, shares), db, seed, capBits, agg, env)
 }
 
-// seeding places the free initial input on a fresh cluster of gp servers.
-type seeding func(cluster *engine.Cluster, q *query.Query, db *data.Database, gp int)
-
-// seedPartitioned deals each relation round-robin across the grid — the
-// partitioned-input model of Section 2.1.
-func seedPartitioned(cluster *engine.Cluster, q *query.Query, db *data.Database, gp int) {
-	for j, a := range q.Atoms {
-		rel := db.Get(a.Name)
-		cluster.SeedRoundRobin(gp, j, rel.Arity, rel.Vals())
-	}
-}
+// seeding places the free initial input on a fresh cluster of gp servers; the
+// partitioned-input model of Section 2.1 is Cluster.SeedPartitioned.
+type seeding func(cluster *engine.Cluster, gp int, q *query.Query, db *data.Database)
 
 // RunPlanInputServers executes under the input-server model of Section 2.1:
 // relation S_j starts wholly on server j mod p. HyperCube routing depends
@@ -292,7 +284,7 @@ func seedPartitioned(cluster *engine.Cluster, q *query.Query, db *data.Database,
 // partitioned-input run — the equivalence the paper uses to transfer its
 // lower bounds between the two models.
 func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *Result {
-	return runPlanSeeded(pl, db, seed, 0, nil, func(cluster *engine.Cluster, q *query.Query, db *data.Database, gp int) {
+	return runPlanSeeded(pl, db, seed, 0, nil, func(cluster *engine.Cluster, gp int, q *query.Query, db *data.Database) {
 		for j, a := range q.Atoms {
 			rel := db.Get(a.Name)
 			cluster.SeedBatch(j%gp, j, rel.Arity, rel.Vals())
@@ -311,7 +303,7 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 		cluster.SetLoadCap(capBits)
 	}
 
-	seedInput(cluster, q, db, gp)
+	seedInput(cluster, gp, q, db)
 	routes := hyperCubeRoutes(q, grid)
 	hyperCubeShuffle(cluster, "hypercube-shuffle", routes, family)
 
@@ -404,17 +396,13 @@ type evaluator struct {
 	scratches *localjoin.WorkerScratches
 }
 
-// server returns worker w's scratch with server s's inbox rebuilt into its
-// atom fragments (message kinds are atom indices), and the server's handle on
-// the phase's index cache: atom j's fragment is the one every server of its
+// server returns worker w's scratch, server s's atom fragments read from its
+// inbox (message kinds are atom indices), and the server's handle on the
+// phase's index cache: atom j's fragment is the one every server of its
 // subcube under routes[j] holds.
 func (ev *evaluator) server(s, w int) (*localjoin.Scratch, []*data.Relation, *localjoin.Shared) {
 	sc := ev.scratches.Worker(w)
-	frag := sc.Fragments(ev.q)
-	ev.cluster.Inbox(s).EachBatch(func(b engine.Batch) {
-		frag[b.Kind].AppendVals(b.Vals)
-	})
-	return sc, frag, sc.Share(ev.cache, ev.routes, 0, s)
+	return sc, sc.InboxFragments(ev.q, ev.cluster.Inbox(s)), sc.Share(ev.cache, ev.routes, 0, s)
 }
 
 // hyperCubeRoutes compiles every atom's route into the grid, once per run, so

@@ -429,3 +429,31 @@ func TestAppendColumns(t *testing.T) {
 		NewRelation("r", 2).AppendColumns([][]int64{{1}}, 1)
 	})
 }
+
+// TestRelationView: a view reads borrowed storage in place, never writes
+// through it, and lets go of it on Reset.
+func TestRelationView(t *testing.T) {
+	backing := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	r := NewRelation("R", 2)
+	r.Append(9, 9)
+	r.SetView(backing[:6])
+	if !r.IsView() || r.NumTuples() != 3 || &r.Vals()[0] != &backing[0] {
+		t.Fatalf("view of 3 tuples reads %v (view=%v)", r.Vals(), r.IsView())
+	}
+	r.Append(0, 0) // copies first: the borrowed storage stays as it was
+	if backing[6] != 7 || r.NumTuples() != 4 {
+		t.Fatalf("append to a view wrote through: backing %v, relation %v", backing, r.Vals())
+	}
+	r.SetView(backing[:4])
+	r.Reset()
+	r.Append(0, 0)
+	if r.IsView() || backing[0] != 1 || r.NumTuples() != 1 {
+		t.Fatalf("reset view still aliases its storage: backing %v, relation %v", backing, r.Vals())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a ragged view did not panic")
+		}
+	}()
+	r.SetView(backing[:3])
+}

@@ -25,6 +25,7 @@ type Relation struct {
 	Arity int
 	vals  []int64
 	annot []int64 // nil = unannotated; else one value per tuple
+	view  bool    // vals is borrowed storage (SetView), not the relation's own
 }
 
 // NewRelation returns an empty relation with the given name and arity.
@@ -140,11 +141,30 @@ func (r *Relation) Vals() []int64 { return r.vals }
 
 // Reset empties the relation in place, keeping the backing capacity — the
 // reuse path for per-worker fragment buffers rebuilt every server. An
-// annotated relation becomes plain again (both append families are open).
+// annotated relation becomes plain again (both append families are open), and
+// a view lets go of the storage it borrowed.
 func (r *Relation) Reset() {
+	if r.view {
+		r.vals, r.view = nil, false
+	}
 	r.vals = r.vals[:0]
 	r.annot = nil
 }
+
+// SetView makes the relation a read-only view of vals — flat row-major
+// tuples, a multiple of the arity — without copying them: the in-place read
+// path for a fragment that already lies contiguous in an engine inbox. The
+// caller keeps vals unchanged for as long as the view is in use. Appending to
+// a view copies it first, never writing through; Reset detaches it.
+func (r *Relation) SetView(vals []int64) {
+	if len(vals)%r.Arity != 0 {
+		panic(fmt.Sprintf("data: view of %d values set on %s (arity %d)", len(vals), r.Name, r.Arity))
+	}
+	r.vals, r.annot, r.view = vals[:len(vals):len(vals)], nil, true
+}
+
+// IsView reports whether the relation reads borrowed storage (SetView).
+func (r *Relation) IsView() bool { return r.view }
 
 // Tuple returns a view of tuple i; the caller must not grow it, and it is
 // invalidated by subsequent appends.

@@ -12,14 +12,16 @@
 // every one of its p receivers.
 //
 // Communication is batched and columnar: a server's emissions are grouped
-// into per-(sender → destination) flat []int64 buffers partitioned by
-// message kind, delivery is sharded by destination across GOMAXPROCS
-// goroutines, and each server's inbox arena is reused across rounds — no
-// per-tuple allocation happens on the steady-state path. Delivery order is
-// deterministic given the algorithm's emissions, so seeded runs are
-// reproducible: each destination receives batches grouped by sending server
-// id, and within one sender in emission order (with a sender's broadcasts
-// following its unicasts to that destination).
+// into flat []int64 buffers per (sender → target) and message kind, where a
+// target is one destination server or one destination subcube. A tuple
+// replicated to a subcube is staged once by its sender and landed once, in
+// the arena of the subcube's first server; every member's inbox lists it,
+// every member is charged for it, and the computation phase reads it in
+// place (Inbox.KindViews). Delivery is sharded by destination across
+// GOMAXPROCS goroutines, and each server's inbox arena is reused across
+// rounds — no per-tuple allocation happens on the steady-state path. Delivery
+// order is deterministic given the algorithm's emissions, so seeded runs are
+// reproducible; Cluster.Round states the order.
 package engine
 
 import (
@@ -29,7 +31,9 @@ import (
 	"sync"
 	"time"
 
+	"mpcquery/internal/data"
 	"mpcquery/internal/obs"
+	"mpcquery/internal/query"
 )
 
 // Broadcast is the destination pseudo-id that delivers a batch to every
@@ -57,6 +61,7 @@ func (b Batch) NumTuples() int {
 
 // Tuple returns a view of tuple i. The view aliases the batch's values: it
 // is valid only until the owning inbox is recycled (the second next Round).
+// The values may be shared with other servers' inboxes: they are read-only.
 func (b Batch) Tuple(i int) []int64 {
 	return b.Vals[i*b.Arity : (i+1)*b.Arity : (i+1)*b.Arity]
 }
@@ -68,22 +73,34 @@ type span struct {
 	start int // arena offset of the first value
 	end   int // arena offset past the last value
 
+	// owner is nil for a span of the listing inbox's own arena. A multicast
+	// batch is landed once, in the arena of its group's first member; every
+	// other member lists it as a span into that inbox's arena.
+	owner *Inbox
+
 	// Streaming tags, meaningful only while an inbox is accumulating
-	// pipelined chunks (see stream.go): the sending server, its per-round
-	// flush sequence number, and the class (0 = unicast, 1 = broadcast).
-	// finalizeStream sorts on (sender, cls, seq) to reproduce the barrier
-	// delivery order; barrier-path spans leave the tags zero.
+	// pipelined chunks (see stream.go): the sending server, the sequence
+	// number of the batch the chunk belongs to, the sender's per-round flush
+	// sequence number, and the class (0 = unicast and multicast, 1 =
+	// broadcast). finalizeStream sorts on (sender, cls, run, seq) to
+	// reproduce the barrier delivery order; barrier-path spans leave the
+	// tags zero.
 	sender int32
+	run    int32
 	seq    int32
 	cls    int8
 }
 
 // Inbox holds what one server received in the most recent round (or its
 // seeded input before the first round): an ordered sequence of columnar
-// batches backed by a single flat arena that the engine reuses across
-// rounds. Tuple views handed out by Each/Tuple/Batch alias the arena and
-// are invalidated when the arena is recycled, two Rounds later; copy values
-// that must outlive a round.
+// batches backed by flat arenas that the engine reuses across rounds — the
+// inbox's own, and, for batches replicated to a subcube, the arena of the
+// subcube's first server. Tuple views handed out by Each/Tuple/Batch/
+// KindViews alias those arenas, are read-only (other servers may be reading
+// the same values), and are invalidated when the arenas are recycled, two
+// Rounds later — all inboxes of a round are recycled together, so a view into
+// another server's arena lives exactly as long as one into the inbox's own.
+// Copy values that must outlive a round.
 type Inbox struct {
 	arena  []int64
 	spans  []span
@@ -93,6 +110,24 @@ type Inbox struct {
 	// streamed marks an inbox holding unsorted pipelined chunks; cleared
 	// when finalizeStream restores the barrier delivery order.
 	streamed bool
+
+	// shared marks an inbox that lists spans of other inboxes' arenas.
+	shared bool
+
+	// Delivery scratch (see DeliverLocal): the regions of the arena that
+	// hold the multicast batches landed here, and whether the span list is
+	// still to be written once every arena of the round has landed.
+	regions  []region
+	unlisted bool
+}
+
+// vals returns the values of a span, wherever they were landed.
+func (ib *Inbox) vals(sp *span) []int64 {
+	arena := ib.arena
+	if sp.owner != nil {
+		arena = sp.owner.arena
+	}
+	return arena[sp.start:sp.end:sp.end]
 }
 
 // NumTuples returns the total number of tuples in the inbox.
@@ -103,16 +138,18 @@ func (ib *Inbox) NumBatches() int { return len(ib.spans) }
 
 // Batch returns a view of batch i, in delivery order.
 func (ib *Inbox) Batch(i int) Batch {
-	sp := ib.spans[i]
-	return Batch{Kind: sp.kind, Arity: sp.arity, Vals: ib.arena[sp.start:sp.end:sp.end]}
+	sp := &ib.spans[i]
+	return Batch{Kind: sp.kind, Arity: sp.arity, Vals: ib.vals(sp)}
 }
 
 // Each calls f for every tuple in delivery order. The tuple slice aliases
-// the inbox arena; see Inbox for its lifetime.
+// an inbox arena; see Inbox for its lifetime.
 func (ib *Inbox) Each(f func(kind int, tuple []int64)) {
-	for _, sp := range ib.spans {
-		for off := sp.start; off < sp.end; off += sp.arity {
-			f(sp.kind, ib.arena[off:off+sp.arity:off+sp.arity])
+	for i := range ib.spans {
+		sp := &ib.spans[i]
+		kind, arity := sp.kind, sp.arity
+		for vals := ib.vals(sp); len(vals) >= arity; vals = vals[arity:] {
+			f(kind, vals[:arity:arity])
 		}
 	}
 }
@@ -145,18 +182,82 @@ func (ib *Inbox) Tuple(i int) (kind int, tuple []int64) {
 			hi = mid
 		}
 	}
-	sp := ib.spans[lo]
-	off := sp.start + (i-ib.prefix[lo])*sp.arity
-	return sp.kind, ib.arena[off : off+sp.arity : off+sp.arity]
+	sp := &ib.spans[lo]
+	off := (i - ib.prefix[lo]) * sp.arity
+	return sp.kind, ib.vals(sp)[off : off+sp.arity : off+sp.arity]
 }
 
-// reset empties the inbox, keeping the arena's capacity for reuse.
+// KindView is one message kind's share of an inbox, read in place: when OK,
+// Vals holds every tuple of the kind, row-major, in delivery order.
+type KindView struct {
+	Vals  []int64
+	Arity int // 0 when the inbox holds no tuple of the kind
+	OK    bool
+
+	// Where the kind's spans lie so far, while KindViews walks the inbox.
+	owner      *Inbox
+	start, end int
+}
+
+// KindViews reports, for every kind k in [0, len(views)), whether the inbox's
+// tuples of kind k lie physically consecutive, in delivery order, in one
+// arena — and if so hands them out as one read-only slice. That is the case
+// for a kind that reached this server through one destination subcube (its
+// batches are landed side by side, senders ascending, whatever other kinds
+// were delivered in between), for a kind held in a single batch, and for a
+// kind the inbox does not hold at all (an empty view). A kind fed tuple by
+// tuple from several senders next to other kinds, through two subcubes, or
+// over a transport link is scattered: its view is not OK and the caller
+// concatenates the kind's batches instead. A view has the inbox's lifetime.
+func (ib *Inbox) KindViews(views []KindView) {
+	for k := range views {
+		views[k] = KindView{OK: true}
+	}
+	intact := len(views) // kinds not yet found scattered
+	for i := 0; i < len(ib.spans) && intact > 0; i++ {
+		sp := &ib.spans[i]
+		if sp.kind < 0 || sp.kind >= len(views) {
+			continue
+		}
+		owner := sp.owner
+		if owner == nil {
+			owner = ib
+		}
+		switch v := &views[sp.kind]; {
+		case !v.OK:
+		case v.Arity == 0:
+			v.Arity, v.owner, v.start, v.end = sp.arity, owner, sp.start, sp.end
+		case v.Arity == sp.arity && v.owner == owner && v.end == sp.start:
+			v.end = sp.end
+		default:
+			v.OK = false
+			intact--
+		}
+	}
+	for k := range views {
+		if v := &views[k]; v.OK && v.owner != nil {
+			v.Vals = v.owner.arena[v.start:v.end:v.end]
+		}
+		views[k].owner = nil
+	}
+}
+
+// reset empties the inbox, keeping the arena's capacity for reuse. Spans into
+// other inboxes' arenas are dropped, not just truncated: a pooled inbox must
+// not pin or alias an arena some other cluster has taken since.
 func (ib *Inbox) reset() {
 	ib.arena = ib.arena[:0]
+	if ib.shared {
+		clear(ib.spans)
+		ib.shared = false
+	}
 	ib.spans = ib.spans[:0]
 	ib.tuples = 0
 	ib.prefix = nil
 	ib.streamed = false
+	clear(ib.regions)
+	ib.regions = ib.regions[:0]
+	ib.unlisted = false
 }
 
 // appendBlock appends count tuples of one kind, coalescing with the
@@ -164,18 +265,21 @@ func (ib *Inbox) reset() {
 func (ib *Inbox) appendBlock(kind, arity int, vals []int64) {
 	start := len(ib.arena)
 	ib.arena = append(ib.arena, vals...)
-	ib.addSpan(kind, arity, start, len(vals)/arity)
+	ib.addSpan(kind, arity, nil, start, len(ib.arena))
 }
 
-// addSpan records that the arena's tail from start holds count more tuples
-// of one kind, coalescing with the previous span when it matches.
-func (ib *Inbox) addSpan(kind, arity, start, count int) {
-	if n := len(ib.spans); n > 0 && ib.spans[n-1].kind == kind && ib.spans[n-1].arity == arity {
-		ib.spans[n-1].end = len(ib.arena)
+// addSpan lists the values [start, end) of owner's arena (nil = the inbox's
+// own) as further tuples of one kind, coalescing with the previous span when
+// it matches and ends where this one starts.
+func (ib *Inbox) addSpan(kind, arity int, owner *Inbox, start, end int) {
+	if n := len(ib.spans); n > 0 && ib.spans[n-1].kind == kind && ib.spans[n-1].arity == arity &&
+		ib.spans[n-1].owner == owner && ib.spans[n-1].end == start {
+		ib.spans[n-1].end = end
 	} else {
-		ib.spans = append(ib.spans, span{kind: kind, arity: arity, start: start, end: len(ib.arena)})
+		ib.spans = append(ib.spans, span{kind: kind, arity: arity, owner: owner, start: start, end: end})
+		ib.shared = ib.shared || owner != nil
 	}
-	ib.tuples += count
+	ib.tuples += (end - start) / arity
 	ib.prefix = nil
 }
 
@@ -201,6 +305,42 @@ type outBatch struct {
 	vals  []int64
 }
 
+// groupBatch is one pending same-kind batch from a sender to one destination
+// subcube, the servers base+offsets[·]: its tuples are staged here once,
+// whatever the size of the group. offsets is the caller's table, retained
+// until the round is delivered.
+type groupBatch struct {
+	outBatch
+	base    int
+	offsets []int
+
+	// Barrier delivery: the region of the first member's arena the batch is
+	// copied to, and the arena offset it landed at (see DeliverLocal).
+	region, landed int
+
+	// Pipelined delivery: the slot is the target's pending chunk, and run
+	// is the sequence number of the batch the chunk belongs to.
+	run int32
+}
+
+// first returns the group's first member, in whose arena the batch lands.
+func (g *groupBatch) first() int { return g.base + g.offsets[0] }
+
+// targets reports whether the batch is addressed to the group base+offsets[·].
+func (g *groupBatch) targets(base int, offsets []int) bool {
+	return g.base == base && len(g.offsets) == len(offsets) &&
+		(&g.offsets[0] == &offsets[0] || slices.Equal(g.offsets, offsets))
+}
+
+// groupRef records, under one member of a group, that the sender opened a
+// batch for the group: batch idx of Emitter.groups, opened when the sender
+// had ownBefore batches of its own for this member.
+type groupRef struct {
+	idx       int32
+	ownBefore int32
+	first     bool // the member is the group's first: the batch lands in its arena
+}
+
 // sendBuf accumulates a sender's pending batches for one destination (or
 // its broadcasts). Resetting keeps every vals backing array for reuse.
 type sendBuf struct {
@@ -222,8 +362,7 @@ func (sb *sendBuf) open(kind, arity int) *outBatch {
 	return sb.openNew(kind, arity)
 }
 
-// openNew always starts a fresh (possibly recycled) batch slot — the
-// staged streaming path uses it to close a chunk-full batch.
+// openNew starts a fresh (possibly recycled) batch slot.
 func (sb *sendBuf) openNew(kind, arity int) *outBatch {
 	n := len(sb.batches)
 	if n < cap(sb.batches) {
@@ -246,87 +385,140 @@ type Emitter struct {
 	c       *Cluster
 	self    int       // this emitter's server id (the chunk span's sender tag)
 	perDest []sendBuf // lazily allocated, one per destination
-	touched []int     // destinations with pending batches, in first-touch order
+	touched []int     // destinations with pending batches or refs, in first-touch order
 	bcast   sendBuf
+
+	// Multicast staging: the batches addressed to subcubes, in the order
+	// they were opened, and per destination (sized with perDest) the
+	// references to those it is a member of, in the same order.
+	groups []groupBatch
+	refs   [][]groupRef
 
 	// Streaming state (see stream.go). chunkTuples caches the cluster's
 	// chunk size for the round (0 = barrier); pipelined selects the
 	// in-process chunked path, where full chunks flush into destination
-	// spare inboxes mid-emission instead of accumulating in sendBufs.
+	// spare inboxes mid-emission instead of accumulating in sendBufs, and
+	// groups holds one pending chunk per subcube instead of batches.
 	chunkTuples int
 	pipelined   bool
-	pchunks     []outBatch // pipelined: pending chunk per destination
-	ptracked    []bool     // pipelined: pchunks[d] touched this round
-	ptouched    []int      // pipelined: touched destinations, for O(touched) reset
-	pbcast      outBatch   // pipelined: pending broadcast chunk
-	seq         int32      // pipelined: per-round flush sequence number
-	flushes     int        // chunks flushed (pipelined) or closed (staged) this round
-	resident    int        // pipelined: values currently buffered
-	residentHW  int        // pipelined: high-water of resident this round
+	pchunks     []chunk // pipelined: pending chunk per destination
+	ptracked    []bool  // pipelined: pchunks[d] touched this round
+	ptouched    []int   // pipelined: touched destinations, for O(touched) reset
+	pbcast      chunk   // pipelined: pending broadcast chunk
+	runs        int32   // pipelined: batches opened this round
+	seq         int32   // pipelined: per-round flush sequence number
+	flushes     int     // chunks flushed (pipelined) or closed (staged) this round
+	resident    int     // pipelined: values currently buffered
+	residentHW  int     // pipelined: high-water of resident this round
 }
 
 // reset prepares the emitter for a round of its cluster: every staging
 // buffer touched since the last reset — by this cluster or, for a recycled
 // emitter, by a previous one, even one whose round function panicked
-// mid-emission — is emptied (capacity kept), and the streaming mode is
-// re-read from the cluster.
+// mid-emission — is emptied (capacity kept, group descriptors dropped), and
+// the streaming mode is re-read from the cluster.
 func (e *Emitter) reset() {
 	for _, d := range e.touched {
 		e.perDest[d].reset()
+		e.refs[d] = e.refs[d][:0]
 	}
 	e.touched = e.touched[:0]
+	for i := range e.groups {
+		e.groups[i].offsets = nil
+	}
+	e.groups = e.groups[:0]
 	e.bcast.reset()
 	e.chunkTuples = e.c.streamChunk
 	e.pipelined = e.chunkTuples > 0 && e.c.link == nil
+	e.runs = 0
 	e.seq = 0
 	e.flushes = 0
 	e.resident = 0
 	e.residentHW = 0
 	for _, d := range e.ptouched {
-		e.pchunks[d].vals = e.pchunks[d].vals[:0]
+		e.pchunks[d].close()
 		e.ptracked[d] = false
 	}
 	e.ptouched = e.ptouched[:0]
-	e.pbcast.vals = e.pbcast.vals[:0]
+	e.pbcast.close()
+}
+
+// checkDest panics unless dest names a server of the cluster.
+func (e *Emitter) checkDest(dest int) {
+	if dest < 0 || dest >= e.c.p {
+		panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", dest, e.c.p))
+	}
+}
+
+// dest returns the staging of one (checked) destination, noting its first
+// touch of the round.
+func (e *Emitter) dest(dest int) *sendBuf {
+	if len(e.perDest) < e.c.p {
+		// A recycled emitter may come from a smaller cluster: keep its
+		// buffers and extend.
+		grow := e.c.p - len(e.perDest)
+		e.perDest = append(e.perDest, make([]sendBuf, grow)...)
+		e.refs = append(e.refs, make([][]groupRef, grow)...)
+	}
+	sb := &e.perDest[dest]
+	if len(sb.batches) == 0 && len(e.refs[dest]) == 0 {
+		e.touched = append(e.touched, dest)
+	}
+	return sb
 }
 
 func (e *Emitter) buf(dest int) *sendBuf {
 	if dest == Broadcast {
 		return &e.bcast
 	}
-	if dest < 0 || dest >= e.c.p {
-		panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", dest, e.c.p))
-	}
-	if len(e.perDest) < e.c.p {
-		// A recycled emitter may come from a smaller cluster: keep its
-		// buffers and extend.
-		e.perDest = append(e.perDest, make([]sendBuf, e.c.p-len(e.perDest))...)
-	}
-	sb := &e.perDest[dest]
-	if len(sb.batches) == 0 {
-		e.touched = append(e.touched, dest)
-	}
-	return sb
+	e.checkDest(dest)
+	return e.dest(dest)
 }
 
-// open returns the batch to append tuples of (kind, arity) to for dest. In
-// staged streaming mode (chunked delivery over a transport link) a full
-// batch is closed and a fresh one opened so EachPending yields
-// chunk-granular frames; barrier mode coalesces unboundedly as before.
-func (e *Emitter) open(dest, kind, arity int) *outBatch {
-	sb := e.buf(dest)
-	if e.chunkTuples > 0 {
-		if n := len(sb.batches); n > 0 {
-			if last := &sb.batches[n-1]; last.kind == kind && last.arity == arity {
-				if len(last.vals) < e.chunkTuples*arity {
-					return last
-				}
-				e.flushes++
-			}
-		}
-		return sb.openNew(kind, arity)
+// lastGroup returns the sender's latest batch (barrier) or its pending chunk
+// (pipelined) for the subcube base+offsets[·], nil when it has none yet this
+// round: every batch is referenced under its group's first member.
+func (e *Emitter) lastGroup(base int, offsets []int) *groupBatch {
+	first := base + offsets[0]
+	if first < 0 || first >= len(e.refs) {
+		return nil
 	}
-	return sb.open(kind, arity)
+	refs := e.refs[first]
+	for i := len(refs) - 1; i >= 0; i-- {
+		if g := &e.groups[refs[i].idx]; g.targets(base, offsets) {
+			return g
+		}
+	}
+	return nil
+}
+
+// openGroup starts a batch for the subcube base+offsets[·], every member
+// checked once here rather than once per tuple. The batch is referenced under
+// the group's first member, and when members is set (barrier and link rounds,
+// whose delivery walks each destination's references) under every other
+// member too.
+func (e *Emitter) openGroup(base int, offsets []int, kind, arity int, members bool) *groupBatch {
+	for _, off := range offsets {
+		e.checkDest(base + off)
+	}
+	n := len(e.groups)
+	if n < cap(e.groups) {
+		e.groups = e.groups[:n+1]
+	} else {
+		e.groups = append(e.groups, groupBatch{})
+	}
+	g := &e.groups[n]
+	g.kind, g.arity, g.vals = kind, arity, g.vals[:0]
+	g.base, g.offsets = base, offsets
+	if !members {
+		offsets = offsets[:1]
+	}
+	for i, off := range offsets {
+		d := base + off
+		own := len(e.dest(d).batches)
+		e.refs[d] = append(e.refs[d], groupRef{idx: int32(n), ownBefore: int32(own), first: i == 0})
+	}
+	return g
 }
 
 // EmitTuple sends one tuple of the given kind to dest (or Broadcast). This
@@ -340,27 +532,36 @@ func (e *Emitter) EmitTuple(dest, kind int, tuple []int64) {
 		e.emitStream(dest, kind, len(tuple), tuple)
 		return
 	}
-	b := e.open(dest, kind, len(tuple))
+	b := e.buf(dest).open(kind, len(tuple))
 	b.vals = appendTuple(b.vals, tuple)
 }
 
-// EmitFanout sends one tuple to every destination base+offsets[i], in order
-// — the bulk form of EmitTuple for replication to a destination subcube
-// (hashing.Route supplies base and the offset table). It is exactly
-// equivalent to one EmitTuple per destination.
+// EmitFanout sends one tuple to the destination subcube base+offsets[·] —
+// the multicast form of EmitTuple for replication (hashing.Route supplies
+// base and the offset table). Every member receives the tuple and is charged
+// for it, but the tuple is staged once and landed once, in the arena of the
+// group's first member base+offsets[0]; see Cluster.Round for where it sits
+// in each member's delivery order. A group of one is EmitTuple. offsets is
+// retained until the round has been delivered and must not change meanwhile.
 func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {
 	if len(tuple) == 0 {
 		panic("engine: cannot emit an empty tuple")
 	}
-	if e.pipelined {
-		for _, off := range offsets {
-			e.emitStream(base+off, kind, len(tuple), tuple)
-		}
-		return
-	}
-	for _, off := range offsets {
-		b := e.open(base+off, kind, len(tuple))
+	switch {
+	case len(offsets) == 1 && !e.pipelined:
+		b := e.buf(base+offsets[0]).open(kind, len(tuple))
 		b.vals = appendTuple(b.vals, tuple)
+	case len(offsets) == 1:
+		e.emitStream(base+offsets[0], kind, len(tuple), tuple)
+	case len(offsets) == 0:
+	case e.pipelined:
+		e.emitStreamGroup(base, offsets, kind, tuple)
+	default:
+		g := e.lastGroup(base, offsets)
+		if g == nil || g.kind != kind || g.arity != len(tuple) {
+			g = e.openGroup(base, offsets, kind, len(tuple), true)
+		}
+		g.vals = appendTuple(g.vals, tuple)
 	}
 }
 
@@ -394,22 +595,6 @@ func (e *Emitter) EmitBatch(dest, kind, arity int, vals []int64) {
 	}
 	if e.pipelined {
 		e.emitStream(dest, kind, arity, vals)
-		return
-	}
-	if e.chunkTuples > 0 {
-		// Staged streaming: split the block across chunk-capped batches so
-		// the concatenated value stream is unchanged but no single batch
-		// exceeds the chunk size.
-		capVals := e.chunkTuples * arity
-		for len(vals) > 0 {
-			b := e.open(dest, kind, arity)
-			take := capVals - len(b.vals)
-			if take > len(vals) {
-				take = len(vals)
-			}
-			b.vals = append(b.vals, vals[:take]...)
-			vals = vals[take:]
-		}
 		return
 	}
 	b := e.buf(dest).open(kind, arity)
@@ -580,7 +765,17 @@ func (c *Cluster) SeedRoundRobin(servers, kind, arity int, vals []int64) {
 		for off := s * arity; off < len(vals); off += servers * arity {
 			ib.arena = appendTuple(ib.arena, vals[off:off+arity])
 		}
-		ib.addSpan(kind, arity, start, count)
+		ib.addSpan(kind, arity, nil, start, len(ib.arena))
+	}
+}
+
+// SeedPartitioned deals the relation of every atom of q, message kind = atom
+// index, round-robin over servers [0, servers) — the partitioned input of
+// Section 2.1 every one-round strategy starts from.
+func (c *Cluster) SeedPartitioned(servers int, q *query.Query, db *data.Database) {
+	for j, a := range q.Atoms {
+		rel := db.Get(a.Name)
+		c.SeedRoundRobin(servers, j, rel.Arity, rel.Vals())
 	}
 }
 
@@ -591,9 +786,18 @@ func (c *Cluster) Inbox(server int) *Inbox { return c.inbox[server] }
 // Round executes one MPC round: every server runs f concurrently over its
 // current inbox, emitting batches; the engine then delivers all emissions
 // in parallel (sharded by destination), replacing each inbox with what the
-// server received, and records load statistics. Delivery is deterministic:
-// batches arrive grouped by sending server id, in emission order (a
-// sender's broadcasts follow its unicasts to the same destination).
+// server received, and records load statistics.
+//
+// Delivery order is deterministic, and the same for barrier, pipelined and
+// link delivery: per destination, senders ascending; within one sender, its
+// batches in the order it opened them, then its broadcasts. A batch is a
+// maximal run of same-kind tuples the sender emitted to one target — a server
+// (EmitTuple, EmitBatch) or a subcube (EmitFanout) — with no tuple of another
+// kind to that target in between; tuples keep their emission order inside a
+// batch. For a sender that only emits to single servers this is emission
+// order per destination. A sender that interleaves, tuple by tuple, two
+// targets sharing a destination has that destination receive one target's
+// batch after the other's, not the interleaving.
 func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emitter)) RoundStats {
 	// Computation + emission phase: every server concurrently on a small
 	// worker set (ParallelFor), not a goroutine per server — skew-aware
@@ -644,10 +848,11 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 
 	// Delivery phase, through the transport seam: the default (no link) is
 	// DeliverLocal — sharded by destination, each destination collecting its
-	// batches from every sender in sender order into a recycled arena. A
-	// linked cluster hands the round to its Transport instead, which must
-	// reproduce the same delivery order (see Link.Deliver); a delivery error
-	// aborts the run via panic, mapped to a typed error at the API boundary.
+	// batches from every sender in sender order into a recycled arena, a
+	// multicast batch landing once for its whole group. A linked cluster
+	// hands the round to its Transport instead, which must reproduce the same
+	// delivery order (see Link.Deliver); a delivery error aborts the run via
+	// panic, mapped to a typed error at the API boundary.
 	//lint:allow nondeterminism phase wall-clock timing; PhaseSeconds is a simulation metric, excluded from Report.Fingerprint
 	t1 := time.Now()
 	var destSecs []float64
@@ -709,6 +914,9 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	chunkFlushes := 0
 	if c.streamChunk > 0 {
 		for s := 0; s < c.p; s++ {
+			if !pipelined {
+				c.emitters[s].countStagedChunks()
+			}
 			chunkFlushes += c.emitters[s].flushes
 		}
 	}

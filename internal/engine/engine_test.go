@@ -481,63 +481,6 @@ func TestEmptyTuplePanics(t *testing.T) {
 	})
 }
 
-// TestEmitFanoutMatchesEmitTuple: replicating a tuple with one EmitFanout
-// and with one EmitTuple per destination is the same emission — identical
-// inboxes and accounting on every delivery path, and the same
-// out-of-range panic.
-func TestEmitFanoutMatchesEmitTuple(t *testing.T) {
-	const p = 6
-	offsets := []int{0, 3, 1, 4}
-	run := func(mode deliveryMode, fanout bool) ([]RoundStats, []string) {
-		c := NewCluster(p, 9)
-		defer c.Release()
-		mode.apply(c)
-		for i := 0; i < 40; i++ {
-			c.Seed(i%p, i%3, []int64{int64(i), int64(i * i)})
-		}
-		st := c.Round("fan", func(s int, inbox *Inbox, emit *Emitter) {
-			inbox.Each(func(kind int, tuple []int64) {
-				base := int(tuple[0]) % 2
-				if fanout {
-					emit.EmitFanout(base, offsets, kind, tuple)
-					return
-				}
-				for _, off := range offsets {
-					emit.EmitTuple(base+off, kind, tuple)
-				}
-			})
-		})
-		var inboxes []string
-		for s := 0; s < p; s++ {
-			inboxes = append(inboxes, inboxSnapshot(c.Inbox(s)))
-		}
-		return []RoundStats{st}, inboxes
-	}
-	for _, mode := range []deliveryMode{barrier, pipelined, staged} {
-		wantStats, want := run(mode, false)
-		gotStats, got := run(mode, true)
-		if gotStats[0] != wantStats[0] {
-			t.Errorf("mode %d: stats %+v, want %+v", mode, gotStats[0], wantStats[0])
-		}
-		for s := range want {
-			if got[s] != want[s] {
-				t.Errorf("mode %d server %d: fan-out delivered %s, per-tuple %s", mode, s, got[s], want[s])
-			}
-		}
-	}
-
-	c := NewCluster(p, 9)
-	defer c.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("fan-out past the last server did not panic")
-		}
-	}()
-	c.Round("bad", func(s int, _ *Inbox, emit *Emitter) {
-		emit.EmitFanout(p-2, offsets, 0, []int64{1})
-	})
-}
-
 // TestSeedRoundRobinMatchesSeed: dealing a flat relation with
 // SeedRoundRobin leaves every inbox exactly as the per-tuple Seed loop
 // does, including coalescing with what was seeded before and dealing over

@@ -9,33 +9,34 @@ import (
 // This file is the engine's streaming execution path: chunked pipelined
 // rounds with bounded memory. In barrier mode (the default) every server
 // fully materializes its outbound batches, then delivery moves everything
-// at once — peak memory scales with total round traffic, roughly twice the
-// received load, because the emitters still hold the full round when the
-// delivered arenas land. In streaming mode the Emitter flushes fixed-size
-// chunks while senders are still producing, and the flushed buffers are
-// recycled immediately, so the emitter-side residency collapses to O(p ·
-// chunk) per sender instead of O(traffic).
+// at once — peak memory scales with total round traffic: every tuple is held
+// staged once by its sender and landed once per target (a destination
+// server, or a whole destination subcube for a replicated tuple), because
+// the emitters still hold the full round when the delivered arenas land. In
+// streaming mode the Emitter flushes fixed-size chunks while senders are
+// still producing, and the flushed buffers are recycled immediately, so the
+// emitter-side residency collapses to O(targets · chunk) per sender instead
+// of O(traffic).
 //
 // Two sub-modes share the chunk-size knob:
 //
 //   - Pipelined (no transport link): chunks flush mid-emission directly
 //     into the destination spare inboxes under per-destination locks,
-//     tagged with (sender, class, sequence). Finalization sorts each
-//     destination's tagged spans into exactly the barrier delivery order
-//     (per destination: senders ascending; within one sender, unicasts in
-//     emission order, then broadcasts in emission order), so consumers —
-//     and therefore fingerprints — cannot tell the two paths apart. Only
+//     tagged with (sender, class, batch, sequence); a multicast chunk is
+//     copied once, into its group's first member, and listed under every
+//     member. Finalization sorts each destination's tagged spans into
+//     exactly the barrier delivery order (see Cluster.Round), so consumers
+//     — and therefore fingerprints — cannot tell the two paths apart. Only
 //     physical arena layout and span granularity differ, and no consumer
 //     observes span boundaries (they concatenate per-kind values).
 //
-//   - Staged (transport link attached): emission still stages into
-//     sendBufs — a remote delivery cannot write into local inboxes early —
-//     but batches are capped at the chunk size, so EachPending yields
-//     chunk-granular frames and the wire, the fault injector, and the
-//     recovery replay all operate at chunk granularity. Receive-side
-//     span coalescing (Inbox.Append) makes the landed inboxes identical
-//     to barrier delivery, and bits are charged per value, so accounting
-//     is chunking-invariant.
+//   - Staged (transport link attached): emission stages exactly as in
+//     barrier mode — a remote delivery cannot write into local inboxes
+//     early — and EachPending cuts every batch into chunk-size frames, so
+//     the wire, the fault injector, and the recovery replay all operate at
+//     chunk granularity. Receive-side span coalescing (Inbox.Append) makes
+//     the landed inboxes identical to barrier delivery, and bits are
+//     charged per value, so accounting is chunking-invariant.
 //
 // Every metered quantity — RecvBits, RoundStats, TotalBits, trace
 // Structure — is preserved exactly; only wall-clock and peak memory move.
@@ -50,7 +51,8 @@ const DefaultStreamChunk = 4096
 // MemGauge tracks a high-water mark of engine-buffered bytes across the
 // clusters of one run. All methods are atomic and nil-receiver-safe, so
 // clusters observe unconditionally. The gauge measures the engine's own
-// communication buffers (emitter staging + delivered inbox arenas) — a
+// communication buffers (emitter staging + delivered inbox arenas, a
+// replicated tuple counted once in each) — a
 // deterministic, scheduler-independent stand-in for peak RSS that the
 // -benchstream gate and the regression tests can assert exact numbers on.
 type MemGauge struct {
@@ -102,8 +104,8 @@ func (c *Cluster) SetStreamChunk(tuples int) {
 // the pipelined twin of Append, carrying the ordering tags finalizeStream
 // sorts on. sender is the emitting server, seq its per-round flush
 // sequence number, broadcast the chunk's class (a sender's broadcasts
-// order after its unicasts). Only the Emitter's chunk flush path may call
-// this during a round — direct appends bypass the engine's metering (the
+// order after its other batches). Only the Emitter's chunk flush path may
+// call this during a round — direct appends bypass the engine's metering (the
 // mpclint metering analyzer flags them in strategy packages).
 func (ib *Inbox) AppendChunk(sender, seq, kind, arity int, vals []int64, broadcast bool) {
 	if arity < 1 {
@@ -115,34 +117,41 @@ func (ib *Inbox) AppendChunk(sender, seq, kind, arity int, vals []int64, broadca
 	if len(vals) == 0 {
 		return
 	}
-	ib.appendChunk(sender, seq, kind, arity, vals, broadcast)
+	tag := span{kind: kind, arity: arity, sender: int32(sender), seq: int32(seq)}
+	if broadcast {
+		tag.cls = 1
+	}
+	ib.landChunk(&tag, vals)
 }
 
-// appendChunk is AppendChunk without the boundary validation — the
-// internal fast path for the Emitter's chunk flush, which emits only
-// well-formed chunks. Caller holds the destination's lock.
-func (ib *Inbox) appendChunk(sender, seq, kind, arity int, vals []int64, broadcast bool) {
-	start := len(ib.arena)
+// landChunk copies one chunk into the inbox's arena, records in tag (kind,
+// arity and ordering tags) where it landed, and lists it. Caller holds the
+// destination's lock.
+func (ib *Inbox) landChunk(tag *span, vals []int64) {
+	tag.start = len(ib.arena)
 	ib.arena = append(ib.arena, vals...)
-	cls := int8(0)
-	if broadcast {
-		cls = 1
-	}
-	ib.spans = append(ib.spans, span{
-		kind: kind, arity: arity, start: start, end: len(ib.arena),
-		sender: int32(sender), seq: int32(seq), cls: cls,
-	})
-	ib.tuples += len(vals) / arity
+	tag.end = len(ib.arena)
+	ib.listChunk(tag)
+}
+
+// listChunk lists one landed chunk — in this inbox's arena, or in
+// tag.owner's — as a non-coalescing tagged span. Caller holds the
+// destination's lock.
+func (ib *Inbox) listChunk(tag *span) {
+	ib.spans = append(ib.spans, *tag)
+	ib.shared = ib.shared || tag.owner != nil
+	ib.tuples += (tag.end - tag.start) / tag.arity
 	ib.prefix = nil
 	ib.streamed = true
 }
 
 // finalizeStream orders a streamed inbox's spans into the barrier delivery
-// order — (sender ascending, unicasts before broadcasts, flush sequence) —
-// and returns the inbox's receive accounting. The sort key is unique per
-// span (a sender's sequence numbers never repeat within a class), so the
-// logical tuple order is exactly DeliverLocal's. On a non-streamed inbox
-// it only computes the accounting.
+// order — sender ascending, the sender's batches in the order it opened them
+// (each batch's chunks in flush order), then its broadcasts — and returns the
+// inbox's receive accounting; every listed chunk is charged, wherever it was
+// landed. The sort key is unique per span (a sender's flush sequence numbers
+// never repeat), so the logical tuple order is exactly DeliverLocal's. On a
+// non-streamed inbox it only computes the accounting.
 func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 	if ib.streamed {
 		sort.Slice(ib.spans, func(i, j int) bool {
@@ -153,31 +162,47 @@ func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 			if a.cls != b.cls {
 				return a.cls < b.cls
 			}
+			if a.run != b.run {
+				return a.run < b.run
+			}
 			return a.seq < b.seq
 		})
 		ib.streamed = false
 		ib.prefix = nil
 	}
-	for _, sp := range ib.spans {
-		bits += float64((sp.end - sp.start) * bitsPerValue)
+	for i := range ib.spans {
+		bits += float64((ib.spans[i].end - ib.spans[i].start) * bitsPerValue)
 	}
 	return bits, ib.tuples
 }
 
+// chunk is the pending pipelined chunk of one target: the tuples emitted to
+// it since its last flush, and the sequence number of the batch they belong
+// to. A batch outlives its chunks: it ends only when the sender emits another
+// kind to the target.
+type chunk struct {
+	outBatch
+	run int32
+}
+
+// close empties the chunk and ends its batch (no kind has arity 0).
+func (b *chunk) close() {
+	b.vals = b.vals[:0]
+	b.arity = 0
+}
+
 // chunkBuf returns the emitter's pending pipelined chunk for dest,
 // tracking first touches so reset stays O(touched).
-func (e *Emitter) chunkBuf(dest int) *outBatch {
+func (e *Emitter) chunkBuf(dest int) *chunk {
 	if dest == Broadcast {
 		return &e.pbcast
 	}
-	if dest < 0 || dest >= e.c.p {
-		panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", dest, e.c.p))
-	}
+	e.checkDest(dest)
 	if len(e.pchunks) < e.c.p {
 		// A recycled emitter may come from a smaller cluster: keep its
 		// buffers and extend.
 		grow := e.c.p - len(e.pchunks)
-		e.pchunks = append(e.pchunks, make([]outBatch, grow)...)
+		e.pchunks = append(e.pchunks, make([]chunk, grow)...)
 		e.ptracked = append(e.ptracked, make([]bool, grow)...)
 	}
 	if !e.ptracked[dest] {
@@ -187,18 +212,24 @@ func (e *Emitter) chunkBuf(dest int) *outBatch {
 	return &e.pchunks[dest]
 }
 
+// nextRun numbers the batches a sender opens in a pipelined round.
+func (e *Emitter) nextRun() int32 {
+	e.runs++
+	return e.runs
+}
+
 // emitStream is the pipelined emission path: values accumulate in the
 // destination's chunk buffer and flush into its spare inbox whenever the
 // buffer fills or the (kind, arity) changes — mid-emission, while other
 // senders are still producing. The buffer is recycled in place after every
 // flush, which is the whole memory story: a sender's residency is bounded
-// by p+1 chunk buffers instead of its full round traffic.
+// by one chunk buffer per target instead of its full round traffic.
 func (e *Emitter) emitStream(dest, kind, arity int, vals []int64) {
 	b := e.chunkBuf(dest)
-	if len(b.vals) > 0 && (b.kind != kind || b.arity != arity) {
+	if b.kind != kind || b.arity != arity {
 		e.flushChunk(dest, b)
+		b.kind, b.arity, b.run = kind, arity, e.nextRun()
 	}
-	b.kind, b.arity = kind, arity
 	capVals := e.chunkTuples * arity
 	for {
 		room := capVals - len(b.vals)
@@ -217,6 +248,25 @@ func (e *Emitter) emitStream(dest, kind, arity int, vals []int64) {
 	}
 }
 
+// emitStreamGroup is emitStream for one tuple to the subcube
+// base+offsets[·]: the group has one pending chunk, whatever its size.
+func (e *Emitter) emitStreamGroup(base int, offsets []int, kind int, tuple []int64) {
+	g := e.lastGroup(base, offsets)
+	switch {
+	case g == nil:
+		g = e.openGroup(base, offsets, kind, len(tuple), false)
+		g.run = e.nextRun()
+	case g.kind != kind || g.arity != len(tuple):
+		e.flushGroup(g)
+		g.kind, g.arity, g.run = kind, len(tuple), e.nextRun()
+	}
+	g.vals = appendTuple(g.vals, tuple)
+	e.noteResident(len(tuple))
+	if len(g.vals) >= e.chunkTuples*g.arity {
+		e.flushGroup(g)
+	}
+}
+
 // noteResident tracks the emitter's buffered-value high-water for the
 // cluster's memory gauge.
 func (e *Emitter) noteResident(n int) {
@@ -229,28 +279,61 @@ func (e *Emitter) noteResident(n int) {
 // flushChunk moves one pending chunk into its destination's spare inbox
 // (all p of them for a broadcast, each charged to its receiver at
 // finalize), tagged for deterministic reordering, and recycles the buffer.
-func (e *Emitter) flushChunk(dest int, b *outBatch) {
+func (e *Emitter) flushChunk(dest int, b *chunk) {
 	n := len(b.vals)
 	if n == 0 {
 		return
 	}
 	c := e.c
-	seq := e.seq
+	tag := span{kind: b.kind, arity: b.arity, sender: int32(e.self), run: b.run, seq: e.seq}
 	e.seq++
 	if dest == Broadcast {
+		tag.cls = 1
 		for d := 0; d < c.p; d++ {
 			c.destMu[d].Lock()
-			c.spare[d].appendChunk(e.self, int(seq), b.kind, b.arity, b.vals, true)
+			c.spare[d].landChunk(&tag, b.vals)
 			c.destMu[d].Unlock()
 		}
 	} else {
 		c.destMu[dest].Lock()
-		c.spare[dest].appendChunk(e.self, int(seq), b.kind, b.arity, b.vals, false)
+		c.spare[dest].landChunk(&tag, b.vals)
 		c.destMu[dest].Unlock()
 	}
 	e.flushes++
 	e.resident -= n
 	b.vals = b.vals[:0]
+}
+
+// flushGroup moves one pending multicast chunk out: copied once, into the
+// spare inbox of the group's first member under that member's lock, then
+// listed — tagged alike, as a span into that arena — under every other
+// member, each charged for it at finalize.
+func (e *Emitter) flushGroup(g *groupBatch) {
+	n := len(g.vals)
+	if n == 0 {
+		return
+	}
+	c := e.c
+	tag := span{kind: g.kind, arity: g.arity, sender: int32(e.self), run: g.run, seq: e.seq}
+	e.seq++
+	first := g.first()
+	landed := c.spare[first]
+	c.destMu[first].Lock()
+	landed.landChunk(&tag, g.vals)
+	c.destMu[first].Unlock()
+	for _, off := range g.offsets[1:] {
+		d := g.base + off
+		tag.owner = landed
+		if d == first {
+			tag.owner = nil // a group that names its first member twice
+		}
+		c.destMu[d].Lock()
+		c.spare[d].listChunk(&tag)
+		c.destMu[d].Unlock()
+	}
+	e.flushes++
+	e.resident -= n
+	g.vals = g.vals[:0]
 }
 
 // flushPending flushes the emitter's leftover partial chunks at the end of
@@ -260,16 +343,41 @@ func (e *Emitter) flushPending() {
 	for _, d := range e.ptouched {
 		e.flushChunk(d, &e.pchunks[d])
 	}
+	for i := range e.groups {
+		e.flushGroup(&e.groups[i])
+	}
 	e.flushChunk(Broadcast, &e.pbcast)
+}
+
+// countStagedChunks sets flushes, after a staged round, to the number of
+// chunk boundaries EachPending cut inside the emitter's batches: one per
+// frame a batch needed beyond its first, a multicast batch counted for every
+// member it was framed for.
+func (e *Emitter) countStagedChunks() {
+	e.flushes = 0
+	extra := func(b *outBatch) int { return (len(b.vals)/b.arity - 1) / e.chunkTuples }
+	for _, d := range e.touched {
+		for i := range e.perDest[d].batches {
+			e.flushes += extra(&e.perDest[d].batches[i])
+		}
+	}
+	for i := range e.groups {
+		e.flushes += extra(&e.groups[i].outBatch) * len(e.groups[i].offsets)
+	}
+	for i := range e.bcast.batches {
+		e.flushes += extra(&e.bcast.batches[i])
+	}
 }
 
 // observeBufferedMemory records this round's engine-buffered high-water
 // into the cluster's gauge: emitter-resident values plus the delivered
 // inbox arenas, in bytes. Called at the end of Round, after the inbox
 // swap. Barrier rounds hold the full round traffic on both sides at once —
-// emitters are only reset at the next round's start — so streaming's
-// recycled chunk buffers show up here as a direct, deterministic peak
-// reduction; this is the number the -benchstream gate asserts on.
+// emitters are only reset at the next round's start — each tuple staged
+// once by its sender and landed once per target, however many servers of a
+// subcube list it; streaming's recycled chunk buffers show up here as a
+// direct, deterministic peak reduction, the number the -benchstream gate
+// asserts on.
 func (c *Cluster) observeBufferedMemory() {
 	if c.mem == nil {
 		return
@@ -285,6 +393,9 @@ func (c *Cluster) observeBufferedMemory() {
 			for _, b := range e.perDest[d].batches {
 				vals += int64(len(b.vals))
 			}
+		}
+		for i := range e.groups {
+			vals += int64(len(e.groups[i].vals))
 		}
 		for _, b := range e.bcast.batches {
 			vals += int64(len(b.vals))

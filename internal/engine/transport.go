@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"mpcquery/internal/obs"
@@ -15,8 +16,8 @@ import (
 // inboxes); a Transport is the authority on *moving* (and may additionally
 // meter real wire bytes, as internal/transport's TCP session does).
 //
-// The default path — no transport attached — is DeliverLocal, today's
-// sharded zero-copy in-memory delivery, unchanged.
+// The default path — no transport attached — is DeliverLocal, the sharded
+// in-memory delivery.
 
 // Transport provisions per-cluster delivery links. Implementations live in
 // internal/transport; the engine only defines the seam. Attach is called
@@ -37,9 +38,11 @@ type Link interface {
 	// per-destination receive accounting. The engine has already reset the
 	// inboxes; Deliver must produce exactly the delivery order documented
 	// on Cluster.Round (per destination: senders ascending, each sender's
-	// broadcasts after its unicasts), or fingerprints diverge between
-	// transports. A non-nil error aborts the run (the engine panics with
-	// it; the public API maps it to a typed error).
+	// batches in the order it opened them, then its broadcasts), or
+	// fingerprints diverge between transports: visiting senders ascending
+	// and appending what each one's EachPending yields, in order, does. A
+	// non-nil error aborts the run (the engine panics with it; the public
+	// API maps it to a typed error).
 	Deliver(io *DeliveryRound) error
 	// Close releases the link. Called once, by Cluster.Release.
 	Close() error
@@ -79,55 +82,240 @@ type DeliveryRound struct {
 // DeliverLocal is the in-process delivery kernel: sharded by destination,
 // each destination collects its batches from every sender in sender order
 // into a recycled arena and accounts its own received bits — no
-// cross-goroutine writes, no copies beyond the arena append. This is both
-// the default (nil-transport) path and the reference semantics every other
-// Transport must reproduce.
+// cross-goroutine writes, one copy per batch. This is both the default
+// (nil-transport) path and the reference semantics every other Transport
+// must reproduce.
+//
+// A batch addressed to a subcube is copied once, into the arena of the
+// group's first member, where the batches of one group and kind from all
+// senders lie side by side (senders ascending) — so that every member can
+// read the kind in place (Inbox.KindViews) — and is listed, and charged,
+// under every member. Listing a span into another destination's arena needs
+// that arena to have landed, so the destinations that take part in a group
+// land first and list in a second pass; a destination no sender multicast
+// to lands and lists in one pass.
 func DeliverLocal(io *DeliveryRound) {
-	ParallelFor(io.P, func(d int) {
-		var t0 time.Time
-		if io.PerDestSeconds != nil {
-			//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
-			t0 = time.Now()
+	multicast := false
+	for _, em := range io.Senders {
+		if len(em.groups) > 0 {
+			multicast = true
+			break
 		}
-		ib := io.Inboxes[d]
-		bits, tuples := 0.0, 0
-		for s := 0; s < io.P; s++ {
-			em := io.Senders[s]
-			if d < len(em.perDest) { // shorter when the sender never emitted unicast
-				for _, b := range em.perDest[d].batches {
-					ib.appendBlock(b.kind, b.arity, b.vals)
-					tuples += len(b.vals) / b.arity
-					bits += float64(len(b.vals) * io.BitsPerValue)
-				}
-			}
-			for _, b := range em.bcast.batches {
-				ib.appendBlock(b.kind, b.arity, b.vals)
-				tuples += len(b.vals) / b.arity
-				bits += float64(len(b.vals) * io.BitsPerValue)
-			}
+	}
+	io.eachDest(func(d int) {
+		if ib := io.Inboxes[d]; multicast && io.inGroup(d) {
+			io.land(d, ib)
+			ib.unlisted = true
+		} else {
+			io.landAndList(d, ib)
 		}
-		io.RecvBits[d] = bits
-		io.RecvTuples[d] = tuples
-		if io.PerDestSeconds != nil {
-			//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
-			io.PerDestSeconds[d] = time.Since(t0).Seconds()
+	})
+	if !multicast {
+		return
+	}
+	io.eachDest(func(d int) {
+		if ib := io.Inboxes[d]; ib.unlisted {
+			io.list(d, ib)
+			ib.unlisted = false
 		}
 	})
 }
 
-// EachPending visits the emitter's pending batches in emission order:
-// unicast destinations in first-touch order (each destination's batches in
-// emission order), then broadcasts (dest == Broadcast). A transport
-// serializes exactly this sequence; combined with sender-ascending
-// iteration it reproduces DeliverLocal's delivery order.
-func (e *Emitter) EachPending(f func(dest, kind, arity int, vals []int64)) {
-	for _, d := range e.touched {
-		for _, b := range e.perDest[d].batches {
-			f(d, b.kind, b.arity, b.vals)
+// eachDest runs one delivery pass, f(d) for every destination in parallel,
+// adding each destination's wall time to PerDestSeconds in a traced round.
+func (io *DeliveryRound) eachDest(f func(d int)) {
+	if io.PerDestSeconds == nil {
+		ParallelFor(io.P, f)
+		return
+	}
+	ParallelFor(io.P, func(d int) {
+		//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
+		t0 := time.Now()
+		f(d)
+		//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
+		io.PerDestSeconds[d] += time.Since(t0).Seconds()
+	})
+}
+
+// pending returns what sender em holds for destination d: its own batches,
+// and the references to its group batches d is a member of — nothing when it
+// never staged anything that far.
+func (em *Emitter) pending(d int) (own []outBatch, refs []groupRef) {
+	if d < len(em.perDest) {
+		return em.perDest[d].batches, em.refs[d]
+	}
+	return nil, nil
+}
+
+// inGroup reports whether some sender addressed a subcube d is a member of.
+func (io *DeliveryRound) inGroup(d int) bool {
+	for _, em := range io.Senders {
+		if d < len(em.refs) && len(em.refs[d]) > 0 {
+			return true
 		}
 	}
-	for _, b := range e.bcast.batches {
-		f(Broadcast, b.kind, b.arity, b.vals)
+	return false
+}
+
+// charge fills destination d's receive accounting.
+func (io *DeliveryRound) charge(d, values, tuples int) {
+	io.RecvBits[d] = float64(values * io.BitsPerValue)
+	io.RecvTuples[d] = tuples
+}
+
+// landAndList delivers to a destination that is in no group: every batch is
+// appended to the arena and listed as it lands.
+func (io *DeliveryRound) landAndList(d int, ib *Inbox) {
+	for _, em := range io.Senders {
+		if d < len(em.perDest) {
+			for _, b := range em.perDest[d].batches {
+				ib.appendBlock(b.kind, b.arity, b.vals)
+			}
+		}
+		for _, b := range em.bcast.batches {
+			ib.appendBlock(b.kind, b.arity, b.vals)
+		}
+	}
+	io.charge(d, len(ib.arena), ib.tuples)
+}
+
+// region is the part of a first member's arena that holds the batches of one
+// group and kind, from all senders.
+type region struct {
+	base        int
+	offsets     []int
+	kind, arity int
+	size        int // values in the region
+	next        int // arena offset the next batch of the region lands at
+}
+
+// land fills destination d's arena without listing anything: first its own
+// batches and the broadcasts, in delivery order, then one region per (group,
+// kind) for the groups d is the first member of. Every batch landed in a
+// region records where, for its members to list.
+func (io *DeliveryRound) land(d int, ib *Inbox) {
+	regions, total := ib.regions[:0], 0
+	for _, em := range io.Senders {
+		own, refs := em.pending(d)
+		for _, b := range own {
+			total += len(b.vals)
+		}
+		for _, b := range em.bcast.batches {
+			total += len(b.vals)
+		}
+		for _, ref := range refs {
+			if !ref.first {
+				continue
+			}
+			g := &em.groups[ref.idx]
+			g.region = -1
+			for i := range regions {
+				if r := &regions[i]; r.kind == g.kind && r.arity == g.arity && g.targets(r.base, r.offsets) {
+					g.region = i
+					break
+				}
+			}
+			if g.region < 0 {
+				g.region = len(regions)
+				regions = append(regions, region{base: g.base, offsets: g.offsets, kind: g.kind, arity: g.arity})
+			}
+			regions[g.region].size += len(g.vals)
+		}
+	}
+	for i := range regions {
+		regions[i].next = total
+		total += regions[i].size
+	}
+	ib.regions = regions
+	ib.arena = slices.Grow(ib.arena, total)[:total]
+
+	next := 0
+	for _, em := range io.Senders {
+		own, refs := em.pending(d)
+		for _, b := range own {
+			next += copy(ib.arena[next:], b.vals)
+		}
+		for _, ref := range refs {
+			if ref.first {
+				g := &em.groups[ref.idx]
+				g.landed = regions[g.region].next
+				regions[g.region].next += copy(ib.arena[g.landed:], g.vals)
+			}
+		}
+		for _, b := range em.bcast.batches {
+			next += copy(ib.arena[next:], b.vals)
+		}
+	}
+}
+
+// list writes destination d's span list once every arena has landed, in
+// delivery order: per sender, its own batches to d and its group batches d is
+// a member of, merged in the order the sender opened them, then its
+// broadcasts. Own batches and broadcasts sit in d's arena in exactly this
+// order; a group batch sits where its first member landed it.
+func (io *DeliveryRound) list(d int, ib *Inbox) {
+	next, values := 0, 0
+	landed := func(b *outBatch) {
+		ib.addSpan(b.kind, b.arity, nil, next, next+len(b.vals))
+		next += len(b.vals)
+	}
+	for _, em := range io.Senders {
+		own, refs := em.pending(d)
+		listed := 0
+		for _, ref := range refs {
+			for ; listed < int(ref.ownBefore); listed++ {
+				landed(&own[listed])
+			}
+			g := &em.groups[ref.idx]
+			owner := io.Inboxes[g.first()]
+			if owner == ib {
+				owner = nil
+			}
+			ib.addSpan(g.kind, g.arity, owner, g.landed, g.landed+len(g.vals))
+			values += len(g.vals)
+		}
+		for ; listed < len(own); listed++ {
+			landed(&own[listed])
+		}
+		for i := range em.bcast.batches {
+			landed(&em.bcast.batches[i])
+		}
+	}
+	io.charge(d, values+next, ib.tuples)
+}
+
+// EachPending visits the emitter's pending batches for a transport to
+// serialize: destinations in first-touch order, each destination's batches —
+// its own and the multicast batches it is a member of, which are yielded once
+// per member — in the order the sender opened them, then the broadcasts
+// (dest == Broadcast). In a chunked round every batch is cut into frames of
+// at most the chunk size. Visiting senders ascending and appending every
+// yielded block to its destination reproduces DeliverLocal's delivery order.
+// EachPending allocates nothing.
+func (e *Emitter) EachPending(f func(dest, kind, arity int, vals []int64)) {
+	frames := func(dest int, b *outBatch) {
+		vals := b.vals
+		if limit := e.chunkTuples * b.arity; limit > 0 {
+			for ; len(vals) > limit; vals = vals[limit:] {
+				f(dest, b.kind, b.arity, vals[:limit])
+			}
+		}
+		f(dest, b.kind, b.arity, vals)
+	}
+	for _, d := range e.touched {
+		own, sent := e.perDest[d].batches, 0
+		for _, ref := range e.refs[d] {
+			for ; sent < int(ref.ownBefore); sent++ {
+				frames(d, &own[sent])
+			}
+			frames(d, &e.groups[ref.idx].outBatch)
+		}
+		for ; sent < len(own); sent++ {
+			frames(d, &own[sent])
+		}
+	}
+	for i := range e.bcast.batches {
+		frames(Broadcast, &e.bcast.batches[i])
 	}
 }
 

@@ -48,8 +48,8 @@ func hashKey(key []int64) uint64 {
 // for a tuple to be self-consistent, precomputed once per atom. When
 // copyVals is set the index snapshots the relation's values into its own
 // storage, detaching it from later mutation of rel — required for indexes
-// published to a shared IndexCache while per-worker fragment buffers are
-// recycled underneath them.
+// published to a shared IndexCache over per-worker fragment buffers, which
+// are recycled underneath them.
 func (ix *atomIndex) build(rel *data.Relation, keyCols []int, eqPairs [][2]int, copyVals bool) {
 	m := rel.NumTuples()
 	ix.arity = rel.Arity
@@ -168,9 +168,11 @@ func colSig(keyCols []int) uint64 {
 // the first build.
 //
 // A cache is scoped to one computation phase (one round's local evaluation)
-// of one query and must not outlive it: cached indexes snapshot fragment
-// contents, and the ids are only meaningful for that round's routes. It is
-// safe for concurrent use by the phase's workers.
+// of one query and must not outlive it: cached indexes snapshot a fragment's
+// contents, or read them in place when the fragment is a view (data.Relation
+// .IsView), which must then stay unchanged for the phase; and the ids are only
+// meaningful for that round's routes. It is safe for concurrent use by the
+// phase's workers.
 type IndexCache struct {
 	mu sync.Mutex
 	m  map[indexKey]*cacheEntry

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/localjoin/baseline"
 	"mpcquery/internal/query"
 )
@@ -50,6 +51,12 @@ type Scratch struct {
 	rels   []*data.Relation
 	frags  []*data.Relation
 	shared Shared
+
+	// InboxFragments' reusable state: the inbox's per-kind views, one view
+	// header per atom, and the fragment list handed out.
+	kinds []engine.KindView
+	views []*data.Relation
+	inbox []*data.Relation
 }
 
 // NewScratch returns an empty kernel scratch.
@@ -66,16 +73,23 @@ func GrabScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // Release returns the scratch to the shared pool. The caller must not use
 // it afterwards. References into caller-owned data — the atom-indexed
-// relation views, the private indexes' value views, the last phase's cache
-// and its indexes — are dropped so a pooled scratch never pins a retired
-// database; the scratch's own arenas (binding columns, index tables, fragment
-// buffers) are retained for reuse.
+// relation views, the fragment views into inbox arenas, the private indexes'
+// value views, the last phase's cache and its indexes — are dropped so a
+// pooled scratch never pins a retired database or a recycled arena; the
+// scratch's own arenas (binding columns, index tables, fragment buffers) are
+// retained for reuse.
 func (s *Scratch) Release() {
 	for i := range s.rels {
 		s.rels[i] = nil
 	}
+	clear(s.kinds)
+	for _, v := range s.views {
+		if v != nil {
+			v.Reset()
+		}
+	}
 	for i := range s.idxs {
-		s.idxs[i].vals = nil // always a view here; cache-published indexes own copies
+		s.idxs[i].vals = nil // always a view here; cache-published indexes go with the cache
 	}
 	for i := range s.steps {
 		s.steps[i].ix = nil
@@ -136,6 +150,52 @@ func (s *Scratch) Fragments(q *query.Query) []*data.Relation {
 		}
 	}
 	return fr
+}
+
+// InboxFragments returns the fragments of q a server holds in its inbox, one
+// relation per atom in atom order (message kinds are atom indices) — the one
+// inbox→fragments step of every computation phase. An atom whose tuples lie
+// contiguous in an inbox arena (engine.Inbox.KindViews: the atom reached the
+// server through one destination subcube) is read in place, through a view
+// relation whose header the scratch reuses; any other atom's batches are
+// concatenated into the scratch's fragment buffer, as Fragments' callers do.
+// The relations are valid until the next InboxFragments or Fragments call on
+// the scratch, and no longer than the inbox.
+func (s *Scratch) InboxFragments(q *query.Query, ib *engine.Inbox) []*data.Relation {
+	owned := s.Fragments(q)
+	n := len(owned)
+	s.kinds = slices.Grow(s.kinds[:0], n)[:n]
+	ib.KindViews(s.kinds)
+	for len(s.views) < n {
+		s.views = append(s.views, nil)
+	}
+	s.inbox = append(s.inbox[:0], owned...)
+	scattered := false
+	for j, f := range owned {
+		kv := &s.kinds[j]
+		if kv.Arity == 0 {
+			continue // no tuple of the atom: the emptied buffer says so
+		}
+		if kv.OK = kv.OK && kv.Arity == f.Arity; !kv.OK {
+			scattered = true
+			continue
+		}
+		v := s.views[j]
+		if v == nil || v.Arity != f.Arity || v.Name != f.Name {
+			v = data.NewRelation(f.Name, f.Arity)
+			s.views[j] = v
+		}
+		v.SetView(kv.Vals)
+		s.inbox[j] = v
+	}
+	if scattered {
+		ib.EachBatch(func(b engine.Batch) {
+			if !s.kinds[b.Kind].OK {
+				owned[b.Kind].AppendVals(b.Vals)
+			}
+		})
+	}
+	return s.inbox
 }
 
 // Evaluate is Evaluate with this scratch's arenas (see the package-level
@@ -412,7 +472,9 @@ func (s *Scratch) join(q *query.Query, rels []*data.Relation, order []int, sh *S
 
 // stepIndex returns the index of one step after the first: the phase's shared
 // build when the server's fragment has an id, else a private build over a
-// view of the fragment.
+// view of the fragment. A shared build snapshots a fragment held in a worker's
+// buffer, which the worker refills for its next server; a fragment that is
+// itself a view (of an inbox arena, stable for the phase) is indexed in place.
 func (s *Scratch) stepIndex(step int, st *joinStep, rel *data.Relation, sh *Shared) *atomIndex {
 	if id := sh.id(st.atom); id != 0 {
 		k := indexKey{atom: st.atom, id: id, sig: colSig(st.keyCols)}

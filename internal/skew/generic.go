@@ -222,7 +222,7 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	seedRoundRobin(cluster, q, db, inputServers)
+	cluster.SeedPartitioned(inputServers, q, db)
 
 	family := hashing.NewFamily(seed, k)
 

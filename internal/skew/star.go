@@ -205,7 +205,7 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	seedRoundRobin(cluster, q, db, p)
+	cluster.SeedPartitioned(p, q, db)
 
 	family := hashing.NewFamily(seed, k+1) // dim k hashes z for the light part
 
@@ -267,10 +267,9 @@ func (sp *StarPlan) routesOf(s int) ([]*hashing.Route, int) {
 
 // evaluatePhase is the shared computation phase of the skew algorithms: for
 // every server with a non-empty inbox (and not excluded by skip — the
-// generalized algorithm's input-only servers) it rebuilds the atom fragments
-// into per-worker scratch relations (bulk batch appends, kinds are atom
-// indices), evaluates q with the columnar kernel, and applies filter (when
-// non-nil) to the server's raw result. One index cache spans the phase:
+// generalized algorithm's input-only servers) it reads the atom fragments
+// from the inbox (kinds are atom indices), evaluates q with the columnar
+// kernel, and applies filter (when non-nil) to the server's raw result. One index cache spans the phase:
 // routesOf names, for a server inside a residual HyperCube block, the block's
 // per-atom routes and first server, and the servers of one subcube of a route
 // share that atom's index builds. It returns nil routes for a server that
@@ -288,10 +287,7 @@ func evaluatePhase(cluster *engine.Cluster, q *query.Query, servers int,
 			return
 		}
 		sc := scratches.Worker(w)
-		frag := sc.Fragments(q)
-		cluster.Inbox(s).EachBatch(func(b engine.Batch) {
-			frag[b.Kind].AppendVals(b.Vals)
-		})
+		frag := sc.InboxFragments(q, cluster.Inbox(s))
 		var sh *localjoin.Shared
 		if routes, offset := routesOf(s); routes != nil {
 			sh = sc.Share(cache, routes, offset, s)
@@ -312,15 +308,6 @@ func evaluatePhase(cluster *engine.Cluster, q *query.Query, servers int,
 type block struct {
 	offset int
 	routes []*hashing.Route
-}
-
-// seedRoundRobin deals every atom's relation over servers [0, p) — the
-// partitioned input of Section 2.1, message kind = atom index.
-func seedRoundRobin(cluster *engine.Cluster, q *query.Query, db *data.Database, p int) {
-	for j, a := range q.Atoms {
-		rel := db.Get(a.Name)
-		cluster.SeedRoundRobin(p, j, rel.Arity, rel.Vals())
-	}
 }
 
 // residualShares computes integer shares for the residual Cartesian product

@@ -160,7 +160,7 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	seedRoundRobin(cluster, q, db, p)
+	cluster.SeedPartitioned(p, q, db)
 
 	family := hashing.NewFamily(seed, 3)
 	isPHeavy := func(varIdx int, v int64) bool { return pHeavy[varIdx][v] }
@@ -244,19 +244,18 @@ type triLayout struct {
 // tuples and hash-joining the other two relations on joinVar.
 type case1Group struct {
 	offset, size int
-	span         int // atom index broadcast (both vars p-heavy)
-	hv0, hv1     int // variable indices of the heavy pair
-	joinVar      int // the third variable: both other relations hashed on it
-	excludeVar   int // predicate: this variable must NOT be p-heavy (-1 if none)
+	all          []int // 0 … size-1: the whole group as a fan-out table
+	span         int   // atom index broadcast (both vars p-heavy)
+	hv0, hv1     int   // variable indices of the heavy pair
+	joinVar      int   // the third variable: both other relations hashed on it
+	excludeVar   int   // predicate: this variable must NOT be p-heavy (-1 if none)
 }
 
 func (g *case1Group) route(j int, tuple []int64, i0, i1 int, v0, v1 int64,
 	isPHeavy func(int, int64) bool, family *hashing.Family, emit *engine.Emitter) {
 	if j == g.span {
 		if isPHeavy(i0, v0) && isPHeavy(i1, v1) {
-			for d := 0; d < g.size; d++ {
-				emit.EmitTuple(g.offset+d, j, tuple)
-			}
+			emit.EmitFanout(g.offset, g.all, j, tuple)
 		}
 		return
 	}
@@ -351,8 +350,12 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 	// Case-1 groups in priority order: (x1,x2) via S1; (x2,x3) via S2 with
 	// x1 excluded; (x3,x1) via S3 with x2 excluded. Variable/atom indices
 	// follow query.Triangle(): S1(x1,x2), S2(x2,x3), S3(x3,x1).
+	all := make([]int, p)
+	for d := range all {
+		all[d] = d
+	}
 	mk := func(span, hv0, hv1, joinVar, exclude int) *case1Group {
-		g := &case1Group{offset: offset, size: p, span: span, hv0: hv0, hv1: hv1,
+		g := &case1Group{offset: offset, size: p, all: all, span: span, hv0: hv0, hv1: hv1,
 			joinVar: joinVar, excludeVar: exclude}
 		offset += p
 		return g

@@ -1207,9 +1207,10 @@ func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 // assemble rebuilds every inbox and the per-destination accounting from
 // the received frames. Iteration order — ranks ascending, frames in
 // arrival order — yields, per destination, exactly DeliverLocal's order:
-// senders ascending, each sender's unicasts (in emission order) before
-// its broadcasts. The float accumulation order also matches, batch for
-// batch, so RecvBits is bit-identical to the in-process run.
+// senders ascending, each sender's batches in the order it opened them
+// (a multicast batch framed once per member) before its broadcasts.
+// RecvBits sums integral bit counts, so it is bit-identical to the
+// in-process run whatever the order of accumulation.
 func (l *tcpLink) assemble(byRank [][]dataFrame, io *engine.DeliveryRound) error {
 	p := io.P
 	for d := 0; d < p; d++ {

@@ -118,13 +118,15 @@ func WithContext(ctx context.Context) RunOption { return func(c *runConfig) { c.
 func WithFaultInjection(p *FaultPlan) RunOption { return func(c *runConfig) { c.faults = p } }
 
 // WithStreaming toggles streaming execution (default off): rounds deliver
-// in bounded chunks instead of materializing whole per-destination batches
-// — pipelined mid-emission flushes in-process, chunk-capped frames over a
-// distributed runtime — and the plain-join computation phase evaluates
-// through the kernel's streamed probe path. The Report is bit-identical to
-// a barrier run (same Fingerprint, same TotalBits, same trace structure);
-// only wall-clock and Report.PeakBufferedBytes change. Composes with every
-// strategy, both runtimes, fault injection, and recovery.
+// in bounded chunks instead of materializing every sender's whole batches
+// (each tuple staged once and landed once per target, the barrier round's
+// PeakBufferedBytes) — pipelined mid-emission flushes in-process,
+// chunk-capped frames over a distributed runtime — and the plain-join
+// computation phase evaluates through the kernel's streamed probe path. The
+// Report is bit-identical to a barrier run (same Fingerprint, same
+// TotalBits, same trace structure); only wall-clock and
+// Report.PeakBufferedBytes change. Composes with every strategy, both
+// runtimes, fault injection, and recovery.
 func WithStreaming(on bool) RunOption { return func(c *runConfig) { c.streaming = on } }
 
 // WithStreamChunk sets the streaming chunk size in tuples (default:

@@ -70,7 +70,10 @@ type Report struct {
 	// clusters and rounds: the most bytes simultaneously resident in
 	// emitter batches and inbox arenas at any round boundary (sampled
 	// deterministically, once per round, independent of goroutine
-	// scheduling). It is the number streaming mode exists to shrink —
+	// scheduling). A barrier round holds every tuple staged once by its
+	// sender and landed once per target — a tuple replicated to a subcube
+	// is held once on each side, however many servers are charged for it.
+	// It is the number streaming mode exists to shrink —
 	// compare a WithStreaming run against a barrier run of the same
 	// workload. A wall-clock-free memory diagnostic, deliberately excluded
 	// from Fingerprint like the timing fields above.
