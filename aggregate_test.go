@@ -26,42 +26,58 @@ func aggFamilies() []Strategy {
 // TestAggregatePushdownValueIdentical pins the acceptance bar: pushdown and
 // no-pushdown produce bit-identical final aggregate values for every
 // supporting family, while pushdown strictly reduces TotalBits on
-// high-duplicate data and meters the difference in AggregateBitsSaved.
+// high-duplicate data and meters the difference in AggregateBitsSaved. The
+// second instance puts a number on "reduces": two hot z values carry most of
+// both relations, the join has ~(m/2)² rows for a handful of groups, and
+// combining before the shuffle must at least halve the bits (it collapses
+// the aggregate round; the measured ratio is in the hundreds).
 func TestAggregatePushdownValueIdentical(t *testing.T) {
-	q := Star(2)
-	db := highDuplicateStarDB(400)
-	aq := AggregateQuery{Join: q, Op: AggCount, GroupBy: []string{"z"}}
-	for _, s := range aggFamilies() {
-		on, err := RunAggregate(aq, db, WithStrategy(s), WithServers(16), WithSeed(3))
-		if err != nil {
-			t.Fatalf("%s pushdown: %v", s.Name(), err)
-		}
-		off, err := RunAggregate(aq, db, WithStrategy(s), WithServers(16), WithSeed(3),
-			WithAggregatePushdown(false))
-		if err != nil {
-			t.Fatalf("%s no-pushdown: %v", s.Name(), err)
-		}
-		if !EqualRelations(on.Output, off.Output) {
-			t.Errorf("%s: pushdown changed the aggregate values", s.Name())
-		}
-		if on.TotalBits >= off.TotalBits {
-			t.Errorf("%s: pushdown did not reduce TotalBits (%f >= %f)", s.Name(), on.TotalBits, off.TotalBits)
-		}
-		if on.AggregateBitsSaved <= 0 {
-			t.Errorf("%s: AggregateBitsSaved = %f, want > 0", s.Name(), on.AggregateBitsSaved)
-		}
-		if got := off.TotalBits - on.TotalBits; got != on.AggregateBitsSaved {
-			t.Errorf("%s: saved bits %f do not equal the TotalBits delta %f",
-				s.Name(), on.AggregateBitsSaved, got)
-		}
-		if off.AggregateBitsSaved != 0 {
-			t.Errorf("%s: no-pushdown run claims savings", s.Name())
-		}
-		if on.Aggregate == "" || off.Aggregate == "" {
-			t.Errorf("%s: Report.Aggregate not set", s.Name())
-		}
-		if on.Rounds != off.Rounds {
-			t.Errorf("%s: pushdown changed the round count (%d vs %d)", s.Name(), on.Rounds, off.Rounds)
+	cases := []struct {
+		m, p       int
+		strategies []Strategy
+		minRatio   float64 // required off.TotalBits / on.TotalBits
+	}{
+		{400, 16, aggFamilies(), 1},
+		{2000, 64, []Strategy{HyperCube()}, 2},
+	}
+	aq := AggregateQuery{Join: Star(2), Op: AggCount, GroupBy: []string{"z"}}
+	for _, tc := range cases {
+		db := highDuplicateStarDB(tc.m)
+		for _, s := range tc.strategies {
+			on, err := RunAggregate(aq, db, WithStrategy(s), WithServers(tc.p), WithSeed(3))
+			if err != nil {
+				t.Fatalf("%s pushdown: %v", s.Name(), err)
+			}
+			off, err := RunAggregate(aq, db, WithStrategy(s), WithServers(tc.p), WithSeed(3),
+				WithAggregatePushdown(false))
+			if err != nil {
+				t.Fatalf("%s no-pushdown: %v", s.Name(), err)
+			}
+			if !EqualRelations(on.Output, off.Output) {
+				t.Errorf("%s: pushdown changed the aggregate values", s.Name())
+			}
+			if on.TotalBits >= off.TotalBits {
+				t.Errorf("%s: pushdown did not reduce TotalBits (%f >= %f)", s.Name(), on.TotalBits, off.TotalBits)
+			}
+			if ratio := off.TotalBits / on.TotalBits; ratio < tc.minRatio {
+				t.Errorf("%s m=%d p=%d: pushdown cut TotalBits %.1fx, want at least %.0fx", s.Name(), tc.m, tc.p, ratio, tc.minRatio)
+			}
+			if on.AggregateBitsSaved <= 0 {
+				t.Errorf("%s: AggregateBitsSaved = %f, want > 0", s.Name(), on.AggregateBitsSaved)
+			}
+			if got := off.TotalBits - on.TotalBits; got != on.AggregateBitsSaved {
+				t.Errorf("%s: saved bits %f do not equal the TotalBits delta %f",
+					s.Name(), on.AggregateBitsSaved, got)
+			}
+			if off.AggregateBitsSaved != 0 {
+				t.Errorf("%s: no-pushdown run claims savings", s.Name())
+			}
+			if on.Aggregate == "" || off.Aggregate == "" {
+				t.Errorf("%s: Report.Aggregate not set", s.Name())
+			}
+			if on.Rounds != off.Rounds {
+				t.Errorf("%s: pushdown changed the round count (%d vs %d)", s.Name(), on.Rounds, off.Rounds)
+			}
 		}
 	}
 }

@@ -6,27 +6,13 @@
 //
 //	mpcbench [-quick] [-seed N] [-md] [-only E5]
 //	mpcbench -compare [-m 5000] [-p 64] [-seed N]
-//	mpcbench -benchjson BENCH_engine.json [-m 5000] [-p 64] [-seed N]
-//	mpcbench -benchjoin BENCH_localjoin.json [-minspeedup 4]
-//	mpcbench -benchagg BENCH_aggregate.json [-m 2000] [-p 64] [-minreduction 2]
 //
 // -quick shrinks input sizes (useful for smoke runs); -md emits markdown
 // (the format of EXPERIMENTS.md); -only runs a single experiment by id.
-// -compare skips the paper tables and instead benchmarks every strategy of
-// the unified Run API side by side on one shared workload per query family.
-// -benchjson measures every strategy with the testing.Benchmark harness and
-// writes machine-readable per-strategy metrics (ns/op, allocs/op, bytes/op,
-// MaxLoadBits, rounds, output size) to the given file, so CI can track the
-// engine's perf trajectory across commits.
-// -benchjoin benchmarks the columnar local-join kernel against the
-// preserved baseline evaluator per query shape and writes
-// BENCH_localjoin.json (ns/op, allocs/op, speedup); with -minspeedup it
-// exits non-zero when any shape's speedup falls below the gate.
-// -benchagg measures aggregate queries with pre-shuffle partial aggregation
-// on vs off and writes BENCH_aggregate.json (TotalBits both ways, the
-// reduction, wall-clock); with -minreduction it exits non-zero when the
-// gated high-duplicate COUNT scenario's TotalBits reduction falls below the
-// gate, or when any scenario's final values diverge between the two modes.
+// -compare skips the paper tables and instead runs every strategy of the
+// unified Run API side by side on one shared workload per query family and
+// prints the model costs (rounds, loads, replication). It times nothing:
+// wall-clock numbers come from `bash benchmark/run.sh` and `go test -bench`.
 package main
 
 import (
@@ -50,59 +36,10 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON instead of text")
 	only := flag.String("only", "", "run a single experiment id (e.g. E5)")
 	outPath := flag.String("out", "", "also write the output to this file")
-	compare := flag.Bool("compare", false, "benchmark every Run strategy on shared workloads")
-	benchJSON := flag.String("benchjson", "", "write per-strategy benchmark metrics as JSON to this file (e.g. BENCH_engine.json)")
-	benchJoin := flag.String("benchjoin", "", "write kernel-vs-baseline local-join benchmarks as JSON to this file (e.g. BENCH_localjoin.json)")
-	minSpeedup := flag.Float64("minspeedup", 0, "with -benchjoin: exit non-zero if any shape's kernel speedup falls below this")
-	benchAgg := flag.String("benchagg", "", "write aggregate pushdown-vs-no-pushdown benchmarks as JSON to this file (e.g. BENCH_aggregate.json)")
-	minReduction := flag.Float64("minreduction", 0, "with -benchagg: exit non-zero if the gated scenario's TotalBits reduction falls below this")
-	m := flag.Int("m", 5000, "tuples per relation (-compare/-benchjson/-benchagg)")
-	p := flag.Int("p", 64, "servers (-compare/-benchjson/-benchagg)")
+	compare := flag.Bool("compare", false, "run every Run strategy side by side on shared workloads")
+	m := flag.Int("m", 5000, "tuples per relation (-compare)")
+	p := flag.Int("p", 64, "servers (-compare)")
 	flag.Parse()
-
-	if *benchAgg != "" {
-		if *jsonOut || *md || *quick || *only != "" || *outPath != "" || *compare || *benchJSON != "" || *benchJoin != "" {
-			fmt.Fprintln(os.Stderr, "mpcbench: -benchagg does not combine with other modes")
-			os.Exit(2)
-		}
-		// Default to a smaller m unless -m was passed explicitly (the
-		// high-duplicate scenario's join is quadratic in the hot group).
-		am := 2000
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "m" {
-				am = *m
-			}
-		})
-		if err := writeAggBenchJSON(*benchAgg, am, *p, *seed, *minReduction); err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJoin != "" {
-		if *jsonOut || *md || *quick || *only != "" || *outPath != "" || *compare || *benchJSON != "" {
-			fmt.Fprintln(os.Stderr, "mpcbench: -benchjoin does not combine with other modes")
-			os.Exit(2)
-		}
-		if err := writeJoinBenchJSON(*benchJoin, *minSpeedup); err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		if *jsonOut || *md || *quick || *only != "" || *outPath != "" || *compare {
-			fmt.Fprintln(os.Stderr, "mpcbench: -benchjson does not combine with other modes")
-			os.Exit(2)
-		}
-		if err := writeBenchJSON(*benchJSON, *m, *p, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *compare {
 		if *jsonOut || *md || *quick || *only != "" || *outPath != "" {

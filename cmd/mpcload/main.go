@@ -16,10 +16,15 @@
 // paper's algorithms recompute per query: heavy-hitter statistics (the
 // sampling round), share LPs, and layout construction.
 //
+// With -listen and -peers the binary is instead one rank of a multi-process
+// worker group: it runs the same scenario suite through the distributed
+// runtime and verifies every Report against an in-process run (workerMain).
+//
 // Usage:
 //
 //	mpcload -m 120 -p 64 -requests 260 -benchjson BENCH_service.json
 //	mpcload -minspeedup 2.0   # exit non-zero below 2x skew-aware speedup
+//	mpcload -listen 127.0.0.1:7001 -peers 127.0.0.1:7001,127.0.0.1:7002   # one rank; also -maxrestarts, -roundtimeout, -debugaddr
 package main
 
 import (
@@ -132,23 +137,7 @@ func main() {
 	minSpeedup := flag.Float64("minspeedup", 0, "exit non-zero if the skew-aware speedup falls below this")
 	listen := flag.String("listen", "", "worker mode: this rank's listen address (must appear in -peers)")
 	peers := flag.String("peers", "", "worker mode: comma-separated addresses of every rank, in rank order")
-	transportBench := flag.Bool("transportbench", false,
-		"run the distributed-runtime benchmark (loopback verification + coalescing soak) instead of the service bench")
-	waves := flag.Int("waves", 40, "transportbench: identical-request waves in the soak")
-	obsBench := flag.Bool("obsbench", false,
-		"run the observability benchmark (tracing overhead + fingerprint equivalence + kernel allocation audit) instead of the service bench")
-	maxOverhead := flag.Float64("maxoverhead", 0.05, "obsbench: exit non-zero if tracing overhead exceeds this fraction")
-	obsReps := flag.Int("obsreps", 5, "obsbench: interleaved repetitions per configuration")
 	debugAddr := flag.String("debugaddr", "", "worker mode: serve the debug endpoint (/metrics, /debug/pprof/) on this address")
-	chaos := flag.Bool("chaos", false,
-		"run the chaos matrix (every scenario × every fault family on 3 loopback ranks) instead of the service bench")
-	benchStream := flag.Bool("benchstream", false,
-		"run the streaming benchmark (peak-memory reduction + wall-clock gate + giant-output survival) instead of the service bench")
-	minReduction := flag.Float64("minreduction", 0.40,
-		"benchstream: exit non-zero if streaming's peak-memory reduction falls below this fraction")
-	maxWallRatio := flag.Float64("maxwallratio", 1.05,
-		"benchstream: exit non-zero if streaming's min-of-N wall clock exceeds barrier's by more than this ratio")
-	streamReps := flag.Int("streamreps", 7, "benchstream: interleaved wall-clock repetitions per configuration")
 	maxRestarts := flag.Int("maxrestarts", 0,
 		"worker mode: whole-suite replays allowed after a lost peer (0 = fail fast)")
 	roundTimeout := flag.Duration("roundtimeout", 0,
@@ -169,18 +158,6 @@ func main() {
 		}
 		os.Exit(workerMain(*listen, *peers, *m, *p, *debugAddr, *maxRestarts, *roundTimeout))
 	}
-	if *chaos {
-		os.Exit(chaosMain(*m, *p, *benchjson))
-	}
-	if *benchStream {
-		os.Exit(benchStreamMain(*streamReps, *benchjson, *minReduction, *maxWallRatio))
-	}
-	if *transportBench {
-		os.Exit(transportBenchMain(*m, *p, *clients, *waves, *benchjson, *minSpeedup))
-	}
-	if *obsBench {
-		os.Exit(obsBenchMain(*m, *p, *obsReps, *benchjson, *maxOverhead))
-	}
 
 	scenarios := buildScenarios(*m)
 	stream := buildStream(scenarios, *requests)
@@ -193,8 +170,8 @@ func main() {
 	runtime.GC()
 	// Coalescing off in both passes: the cached-vs-uncached comparison
 	// measures the caches; single-flight collapsing identical in-flight
-	// requests would hide exactly the work being compared (the
-	// -transportbench mode measures coalescing itself).
+	// requests would hide exactly the work being compared
+	// (BenchmarkServiceCoalescing measures coalescing itself).
 	unSvc := mpcquery.NewService(
 		mpcquery.WithPlanCaching(false), mpcquery.WithStatsCaching(false),
 		mpcquery.WithRequestCoalescing(false),

@@ -1,20 +1,16 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"mpcquery"
-	"mpcquery/internal/transport"
 )
 
 // ---- worker-process mode (-listen / -peers) --------------------------------
@@ -181,316 +177,4 @@ func workerAttempt(rank int, addrs []string, m, p int, rtOpts []mpcquery.Runtime
 	file.CtrlFrames = st.CtrlFrames
 	file.Resends = st.Resends
 	return file, st, nil
-}
-
-// ---- transport soak (-transportbench) --------------------------------------
-
-// TransportBenchFile is the BENCH_transport.json document: a loopback
-// worker-group verification with full wire accounting, and a sustained
-// coalescing soak (identical-request waves, single-flight off vs on).
-type TransportBenchFile struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-
-	// Loopback verification: every scenario through a 3-rank TCP group.
-	LoopbackRanks      int   `json:"loopback_ranks"`
-	LoopbackScenarios  int   `json:"loopback_scenarios"`
-	LoopbackIdentical  bool  `json:"loopback_reports_identical"`
-	WireBytes          int64 `json:"wire_bytes"`
-	PayloadBytes       int64 `json:"payload_bytes"`
-	BilledPayloadBytes int64 `json:"billed_payload_bytes"`
-	ChargedBits        int64 `json:"charged_bits"`
-	DataFrames         int64 `json:"data_frames"`
-	CtrlFrames         int64 `json:"ctrl_frames"`
-	FrameOverheadBytes int64 `json:"frame_overhead_bytes_per_data_frame"`
-
-	// Coalescing soak: waves of identical concurrent requests.
-	SoakWaves    int `json:"soak_waves"`
-	SoakClients  int `json:"soak_clients"`
-	SoakRequests int `json:"soak_requests"`
-
-	OffWallNs int64   `json:"coalesce_off_wall_ns"`
-	OnWallNs  int64   `json:"coalesce_on_wall_ns"`
-	OffQPS    float64 `json:"coalesce_off_qps"`
-	OnQPS     float64 `json:"coalesce_on_qps"`
-	Speedup   float64 `json:"coalesce_speedup"`
-
-	OffLatencyP50Ns int64 `json:"off_latency_p50_ns"`
-	OffLatencyP95Ns int64 `json:"off_latency_p95_ns"`
-	OffLatencyP99Ns int64 `json:"off_latency_p99_ns"`
-	OnLatencyP50Ns  int64 `json:"on_latency_p50_ns"`
-	OnLatencyP95Ns  int64 `json:"on_latency_p95_ns"`
-	OnLatencyP99Ns  int64 `json:"on_latency_p99_ns"`
-
-	CoalesceHits    int64   `json:"coalesce_hits"`
-	CoalesceRate    float64 `json:"coalesce_rate"`
-	SoakIdentical   bool    `json:"soak_reports_identical"`
-	BackpressureHit bool    `json:"backpressure_probe_shed"`
-}
-
-// transportBenchMain runs the distributed-runtime benchmark: first the
-// loopback verification (3 in-process TCP ranks over the full scenario
-// suite, wire accounting recorded), then the coalescing soak — waves of
-// identical concurrent requests against one Service, single-flight off
-// then on, identical streams. The soak's speedup is the headline number
-// -minspeedup gates: with C clients per wave, coalescing collapses each
-// wave's C executions into one, so the floor is well above 2× whenever
-// execution dominates dispatch.
-func transportBenchMain(m, p, clients, waves int, benchjson string, minSpeedup float64) int {
-	file := TransportBenchFile{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
-
-	if !loopbackVerify(&file, m, p) {
-		return 1
-	}
-
-	// Soak workload: the sampled-statistics star join — the most expensive
-	// single-round scenario (a genuine statistics round plus the data
-	// round), i.e. the one a coalescing tier saves the most on.
-	sc := buildScenarios(m)[0]
-	if clients < 2 {
-		clients = 8
-	}
-	if waves < 1 {
-		waves = 40
-	}
-	file.SoakWaves, file.SoakClients, file.SoakRequests = waves, clients, waves*clients
-
-	offWall, offFPs, offStats, err := soak(sc, p, clients, waves, false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpcload: soak (coalescing off): %v\n", err)
-		return 1
-	}
-	onWall, onFPs, onStats, err := soak(sc, p, clients, waves, true)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpcload: soak (coalescing on): %v\n", err)
-		return 1
-	}
-	file.SoakIdentical = true
-	for i := range offFPs {
-		if offFPs[i] != onFPs[i] {
-			file.SoakIdentical = false
-		}
-	}
-	file.OffWallNs, file.OnWallNs = offWall.Nanoseconds(), onWall.Nanoseconds()
-	file.OffQPS = float64(file.SoakRequests) / offWall.Seconds()
-	file.OnQPS = float64(file.SoakRequests) / onWall.Seconds()
-	file.Speedup = float64(offWall) / float64(onWall)
-	file.OffLatencyP50Ns = offStats.LatencyP50.Nanoseconds()
-	file.OffLatencyP95Ns = offStats.LatencyP95.Nanoseconds()
-	file.OffLatencyP99Ns = offStats.LatencyP99.Nanoseconds()
-	file.OnLatencyP50Ns = onStats.LatencyP50.Nanoseconds()
-	file.OnLatencyP95Ns = onStats.LatencyP95.Nanoseconds()
-	file.OnLatencyP99Ns = onStats.LatencyP99.Nanoseconds()
-	file.CoalesceHits = onStats.Coalesced
-	file.CoalesceRate = onStats.CoalesceRate
-	file.BackpressureHit = backpressureProbe(sc, p)
-
-	fmt.Fprintf(os.Stderr,
-		"mpcload: transport soak %d×%d: %.1f -> %.1f req/s (%.2fx), coalesce rate %.1f%%, p99 %.2fms -> %.2fms, identical=%t\n",
-		waves, clients, file.OffQPS, file.OnQPS, file.Speedup, 100*file.CoalesceRate,
-		float64(file.OffLatencyP99Ns)/1e6, float64(file.OnLatencyP99Ns)/1e6, file.SoakIdentical)
-
-	if benchjson != "" {
-		b, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcload: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(benchjson, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mpcload: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "mpcload: wrote %s\n", benchjson)
-	}
-
-	switch {
-	case !file.SoakIdentical:
-		fmt.Fprintln(os.Stderr, "mpcload: FAIL: coalesced Reports diverged from uncoalesced runs")
-		return 1
-	case !file.BackpressureHit:
-		fmt.Fprintln(os.Stderr, "mpcload: FAIL: backpressure probe never shed load")
-		return 1
-	case minSpeedup > 0 && file.Speedup < minSpeedup:
-		fmt.Fprintf(os.Stderr, "mpcload: FAIL: coalescing speedup %.2fx below required %.2fx\n",
-			file.Speedup, minSpeedup)
-		return 1
-	}
-	return 0
-}
-
-// loopbackVerify runs the full scenario suite through a 3-rank TCP group
-// hosted in this process (one goroutine per rank, real sockets) and checks
-// every rank's every Report against the in-process truth, accumulating the
-// wire accounting into file.
-func loopbackVerify(file *TransportBenchFile, m, p int) bool {
-	const ranks = 3
-	scenarios := buildScenarios(m)
-	file.LoopbackRanks = ranks
-	file.LoopbackScenarios = len(scenarios)
-	file.FrameOverheadBytes = transport.DataFrameOverheadBytes
-	file.LoopbackIdentical = true
-
-	refs := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		rep, err := mpcquery.Run(sc.q, sc.db, scenarioOpts(sc, p)...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcload: loopback reference %s: %v\n", sc.name, err)
-			return false
-		}
-		refs[i] = rep.Fingerprint()
-	}
-
-	addrs, err := transport.FreeLoopbackAddrs(ranks)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpcload: %v\n", err)
-		return false
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	stats := make([]mpcquery.TransportWireStats, ranks)
-	var totalBits float64
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rt, err := mpcquery.DialRuntime(r, addrs)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			defer rt.Close()
-			// Each rank rebuilds the suite itself, exactly as a real worker
-			// process would (the generators are seed-deterministic).
-			for i, sc := range buildScenarios(m) {
-				rep, err := mpcquery.Run(sc.q, sc.db, append(scenarioOpts(sc, p), mpcquery.WithRuntime(rt))...)
-				if err != nil {
-					errs[r] = fmt.Errorf("%s: %w", sc.name, err)
-					return
-				}
-				if rep.Fingerprint() != refs[i] {
-					file.LoopbackIdentical = false
-				}
-				if r == 0 {
-					totalBits += rep.TotalBits
-				}
-			}
-			stats[r] = rt.WireStats()
-		}(r)
-	}
-	wg.Wait()
-	failed := false
-	for r, err := range errs {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcload: loopback rank %d: %v\n", r, err)
-			failed = true
-		}
-	}
-	if failed {
-		return false
-	}
-	for r := 0; r < ranks; r++ {
-		file.WireBytes += stats[r].WireBytes
-		file.PayloadBytes += stats[r].PayloadBytes
-		file.BilledPayloadBytes += stats[r].BilledPayloadBytes
-		file.ChargedBits += stats[r].ChargedBits()
-		file.DataFrames += stats[r].DataFrames
-		file.CtrlFrames += stats[r].CtrlFrames
-	}
-	if float64(file.ChargedBits) != totalBits {
-		fmt.Fprintf(os.Stderr, "mpcload: FAIL: Σ ranks charged %d bits, Reports total %v\n",
-			file.ChargedBits, totalBits)
-		file.LoopbackIdentical = false
-	}
-	if !file.LoopbackIdentical {
-		fmt.Fprintln(os.Stderr, "mpcload: FAIL: loopback group diverged from in-process runs")
-		return false
-	}
-	fmt.Fprintf(os.Stderr,
-		"mpcload: loopback %d ranks × %d scenarios identical; %d wire bytes carry %d charged bits (payload %d bytes + %d data frames × %d overhead)\n",
-		file.LoopbackRanks, file.LoopbackScenarios, file.WireBytes, file.ChargedBits,
-		file.PayloadBytes, file.DataFrames, file.FrameOverheadBytes)
-	return true
-}
-
-func scenarioOpts(sc *scenario, p int) []mpcquery.RunOption {
-	return append([]mpcquery.RunOption{
-		mpcquery.WithStrategy(sc.strategy), mpcquery.WithServers(sc.p(p)), mpcquery.WithSeed(3),
-	}, sc.extra...)
-}
-
-// soak fires `waves` waves of `clients` byte-identical concurrent requests
-// at a fresh Service. Waves vary the seed, so entries never hit the plan
-// cache across waves on the stats round; within a wave all requests are
-// identical, which is precisely what single-flight collapses. Returns the
-// wall time, per-wave fingerprints, and the service stats.
-func soak(sc *scenario, p, clients, waves int, coalesce bool) (time.Duration, []string, mpcquery.ServiceStats, error) {
-	// Both passes run the same fixed-capacity service (2 workers) so the
-	// comparison isolates coalescing: with capacity below the client count,
-	// the uncoalesced pass must serialize identical requests while the
-	// coalesced pass answers a whole wave with one execution.
-	svc := mpcquery.NewService(
-		mpcquery.WithRequestCoalescing(coalesce),
-		mpcquery.WithServiceWorkers(2),
-		mpcquery.WithPlanCaching(false), mpcquery.WithStatsCaching(false),
-		mpcquery.WithServiceQueue(clients*2))
-	defer svc.Close()
-	// Settle the heap so neither pass pays the other's (or the loopback
-	// verify's) garbage-collection debt.
-	runtime.GC()
-	fps := make([]string, waves)
-	start := time.Now()
-	for w := 0; w < waves; w++ {
-		opts := append([]mpcquery.RunOption{
-			mpcquery.WithStrategy(sc.strategy), mpcquery.WithServers(sc.p(p)),
-			mpcquery.WithSeed(int64(1000 + w)),
-		}, sc.extra...)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep, err := svc.Run(context.Background(), sc.q, sc.db, opts...)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if err == nil {
-					if fps[w] == "" {
-						fps[w] = rep.Fingerprint()
-					} else if fps[w] != rep.Fingerprint() {
-						firstErr = fmt.Errorf("wave %d: fingerprints diverged within the wave", w)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return 0, nil, mpcquery.ServiceStats{}, firstErr
-		}
-	}
-	return time.Since(start), fps, svc.Stats(), nil
-}
-
-// backpressureProbe wires a synthetic send-queue depth probe over the
-// limit and checks admission sheds with ErrOverloaded — the documented
-// coupling between transport pressure and the service tier.
-func backpressureProbe(sc *scenario, p int) bool {
-	depth := int64(0)
-	svc := mpcquery.NewService(
-		mpcquery.WithSendQueueBackpressure(func() int64 { return depth }, 1<<20))
-	defer svc.Close()
-	if _, err := svc.Run(context.Background(), sc.q, sc.db, scenarioOpts(sc, p)...); err != nil {
-		return false // healthy request must pass
-	}
-	depth = 1<<20 + 1
-	_, err := svc.Run(context.Background(), sc.q, sc.db, scenarioOpts(sc, p)...)
-	return errors.Is(err, mpcquery.ErrOverloaded)
 }

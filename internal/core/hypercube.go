@@ -245,31 +245,21 @@ func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64,
 	return runPlanSeeded(pl, db, seed, capBits, nil, (*engine.Cluster).SeedPartitioned, env)
 }
 
-// RunPlanAggregate executes pl and then computes agg over the join output
+// RunPlanAggregateNet executes pl and then computes agg over the join output
 // with one extra communication round: every server folds (pushdown) or
 // projects (no pushdown) its local join output into (group key, annotation)
 // rows, routes them by key hash, and destinations fold their received rows
 // into the final groups. The Result's Output is the canonical aggregate
 // relation — (group key..., value) tuples sorted lexicographically, the
 // synthetic key of a global aggregate dropped — identical whether or not
-// pushdown ran; only the second round's bits differ.
-func RunPlanAggregate(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan) *Result {
-	return RunPlanAggregateNet(pl, db, seed, capBits, agg, engine.Env{})
-}
-
-// RunPlanAggregateNet is RunPlanAggregate with round delivery through net
-// (nil = in-process).
+// pushdown ran; only the second round's bits differ. Round delivery goes
+// through env (the zero Env = in-process).
 func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
 	return runPlanSeeded(pl, db, seed, capBits, agg, (*engine.Cluster).SeedPartitioned, env)
 }
 
-// RunWithSharesAggregate is RunPlanAggregate over explicit integer shares.
-func RunWithSharesAggregate(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64, agg *aggregate.Plan) *Result {
-	return RunWithSharesAggregateNet(q, db, shares, seed, capBits, agg, engine.Env{})
-}
-
-// RunWithSharesAggregateNet is RunWithSharesAggregate with round delivery
-// through net (nil = in-process).
+// RunWithSharesAggregateNet is RunPlanAggregateNet over explicit integer
+// shares.
 func RunWithSharesAggregateNet(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
 	return RunPlanAggregateNet(sharesPlan(q, db, shares), db, seed, capBits, agg, env)
 }

@@ -54,7 +54,7 @@ const DefaultStreamChunk = 4096
 // communication buffers (emitter staging + delivered inbox arenas, a
 // replicated tuple counted once in each) — a
 // deterministic, scheduler-independent stand-in for peak RSS that the
-// -benchstream gate and the regression tests can assert exact numbers on.
+// regression tests can assert exact numbers on.
 type MemGauge struct {
 	peak atomic.Int64
 }
@@ -376,8 +376,8 @@ func (e *Emitter) countStagedChunks() {
 // emitters are only reset at the next round's start — each tuple staged
 // once by its sender and landed once per target, however many servers of a
 // subcube list it; streaming's recycled chunk buffers show up here as a
-// direct, deterministic peak reduction, the number the -benchstream gate
-// asserts on.
+// direct, deterministic peak reduction, the number
+// TestStreamingPeakMemoryRegression asserts on.
 func (c *Cluster) observeBufferedMemory() {
 	if c.mem == nil {
 		return

@@ -9,11 +9,66 @@ import (
 	"mpcquery/internal/query"
 )
 
-// BenchmarkEvaluate measures the columnar kernel against the preserved
-// baseline evaluator on every ablation shape. The acceptance gate for the
-// kernel is ≥4× ns/op and ≥10× fewer allocs/op on the triangle and skewed
-// star shapes; cmd/mpcbench -benchjoin emits the same comparison as
-// BENCH_localjoin.json for CI.
+// BenchShape is one (query, relations) workload shared by the kernel
+// benchmarks and the steady-state allocation test.
+type BenchShape struct {
+	Name string
+	Q    *query.Query
+	Rels map[string]*data.Relation
+}
+
+// BenchShapes builds the kernel-ablation workloads: a dense cyclic triangle
+// (the HyperCube computation phase at its most join-intensive), a skewed
+// star (the fragment profile a heavy-hitter block sees: few z values, long
+// match chains), and a matching chain (a long join pipeline with tiny
+// intermediates). Deterministic: fixed seeds, so every run benchmarks the
+// same instances.
+func BenchShapes() []BenchShape {
+	var shapes []BenchShape
+
+	// Dense triangle: 5000 random edges per relation over a 500-value
+	// domain — heavy index probing, large output.
+	rng := rand.New(rand.NewSource(1))
+	tri := query.Triangle()
+	triRels := make(map[string]*data.Relation)
+	for _, a := range tri.Atoms {
+		r := data.NewRelation(a.Name, 2)
+		for i := 0; i < 5000; i++ {
+			r.Append(rng.Int63n(500), rng.Int63n(500))
+		}
+		triRels[a.Name] = r
+	}
+	shapes = append(shapes, BenchShape{"triangle", tri, triRels})
+
+	// Skewed star T_2: each relation concentrates a chunk of its tuples on
+	// two heavy z-values — the fragment a dedicated heavy block evaluates,
+	// where one binding fans out into long match chains.
+	srng := rand.New(rand.NewSource(2))
+	star := query.Star(2)
+	heavy := map[int64]int{7: 1000, 11: 1000}
+	starDB := data.SkewedStarDatabase(srng, 2, 8000, 1<<16, heavy)
+	starRels := make(map[string]*data.Relation)
+	for _, a := range star.Atoms {
+		starRels[a.Name] = starDB.Get(a.Name)
+	}
+	shapes = append(shapes, BenchShape{"star-skewed", star, starRels})
+
+	// Matching chain L_4: long pipeline, output exactly m.
+	crng := rand.New(rand.NewSource(3))
+	chainDB := data.ChainMatchingDatabase(crng, 4, 20000, 1<<20)
+	chain := query.Chain(4)
+	chainRels := make(map[string]*data.Relation)
+	for _, a := range chain.Atoms {
+		chainRels[a.Name] = chainDB.Get(a.Name)
+	}
+	shapes = append(shapes, BenchShape{"chain-matchings", chain, chainRels})
+
+	return shapes
+}
+
+// BenchmarkEvaluate measures the columnar kernel against the reference
+// evaluator in internal/localjoin/baseline on every ablation shape
+// (kernel / baseline sub-benchmarks, same instances).
 func BenchmarkEvaluate(b *testing.B) {
 	for _, shape := range BenchShapes() {
 		b.Run(shape.Name+"/kernel", func(b *testing.B) {

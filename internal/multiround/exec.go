@@ -93,9 +93,9 @@ func ExecuteCapMemo(p *Plan, db *data.Database, servers int, seed int64, capBits
 
 // ExecuteAggregateCapMemo is ExecuteCapMemo with an optional aggregate
 // computed at the root node: intermediate views stay full joins (later
-// rounds need every binding), and the root runs core.RunPlanAggregate — its
-// aggregate-shuffle round is appended to the plan's round accounting. A nil
-// agg executes the plain plan.
+// rounds need every binding), and the root runs core.RunPlanAggregateNet —
+// its aggregate-shuffle round is appended to the plan's round accounting. A
+// nil agg executes the plain plan.
 func ExecuteAggregateCapMemo(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo) *ExecResult {
 	return ExecuteAggregateCapMemoNet(p, db, servers, seed, capBits, agg, memo, engine.Env{})
 }

@@ -5,8 +5,8 @@
 // global RNG — so a chaos run is exactly reproducible, every rank computes
 // the identical schedule from shared configuration, and a recovery replay
 // can be exempted (faults fire only at attempt epoch 0) so it provably
-// converges. cmd/mpcload's -chaos harness and the root chaos matrix tests
-// are built on this package.
+// converges. The root chaos matrix tests (TestChaosMatrix,
+// TestChaosMatrixStreaming) are built on this package.
 package fault
 
 import (

@@ -127,6 +127,70 @@ func TestServiceCoalescingDisjointKeys(t *testing.T) {
 	}
 }
 
+// BenchmarkServiceCoalescing measures what single-flight saves on the
+// stream it exists for: each iteration is one wave of 16 byte-identical
+// concurrent requests against a 2-worker service with plan and statistics
+// caching off, a new seed per wave so no wave repeats another. The request
+// is the sampled-statistics star join (a statistics round plus the data
+// round, ~2 M output rows): the most expensive single-round run, so the one
+// coalescing saves the most on. Uncoalesced, a wave is 16 executions over
+// 2 workers; coalesced it is one. Wave i's fingerprint must agree between
+// the off and on passes; it is taken once per wave with the timer stopped —
+// fingerprinting this output costs about as much as producing it.
+func BenchmarkServiceCoalescing(b *testing.B) {
+	const clients = 16
+	heavy := map[int64]int{}
+	for v := int64(1); v <= 12; v++ {
+		heavy[v] = 500
+	}
+	q := Star(2)
+	db := SkewedStarDatabase(rand.New(rand.NewSource(42)), 2, 4000, 1<<16, heavy)
+	waveFP := map[int]string{} // wave → fingerprint, shared by both passes
+
+	for _, mode := range []struct {
+		name     string
+		coalesce bool
+	}{{"off", false}, {"on", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			svc := NewService(WithRequestCoalescing(mode.coalesce),
+				WithServiceWorkers(2), WithServiceQueue(2*clients),
+				WithPlanCaching(false), WithStatsCaching(false))
+			defer svc.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var (
+					wg   sync.WaitGroup
+					reps [clients]*Report
+					errs [clients]error
+				)
+				opts := []RunOption{WithStrategy(SkewedStarSampled(150)), WithServers(64), WithSeed(int64(1000 + i))}
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						reps[c], errs[c] = svc.Run(context.Background(), q, db, opts...)
+					}(c)
+				}
+				wg.Wait()
+				b.StopTimer()
+				for c, err := range errs {
+					if err != nil {
+						b.Fatalf("wave %d client %d: %v", i, c, err)
+					}
+				}
+				fp := reps[0].Fingerprint()
+				if want, ok := waveFP[i]; !ok {
+					waveFP[i] = fp
+				} else if fp != want {
+					b.Fatalf("wave %d: fingerprint differs between coalescing off and on\n got %s\nwant %s", i, fp, want)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(svc.Stats().Coalesced)/float64(b.N), "coalesced/wave")
+		})
+	}
+}
+
 // TestServiceBackpressureShed asserts the transport-coupled admission
 // valve: a send-queue depth probe over the limit sheds with ErrOverloaded
 // (counted in Stats.Shed) and a healthy depth admits normally.

@@ -21,8 +21,8 @@ type OutputSink = engine.OutputSink
 // O(servers) memory total. Digest() then merges the per-server streams in
 // ascending server order — the order data.Concat stacks per-server outputs —
 // so a barrier run's materialized output and a streamed run's sink agree
-// digest for digest. The giant-output scenarios of cmd/mpcload -benchstream
-// and the streaming equivalence tests are its consumers.
+// digest for digest. The streaming equivalence tests (TestStreamingOutputSink
+// and its giant-output instance) are its consumers.
 type DigestSink struct {
 	mu      sync.Mutex
 	servers []*digestStream // pointers: a stream stays put when the slice grows

@@ -12,21 +12,28 @@ import (
 	"mpcquery/internal/transport"
 )
 
-// chaosFamilies picks one representative per strategy family out of the
-// shared distScenarios catalogue: the one-round HyperCube family, both
-// skew-aware shapes, a multi-round plan, the Auto advisor, the self-join
-// view path, and an aggregate run. The fault machinery sits below all of
-// them identically, so a representative per family is the matrix the
-// chaos suite sweeps.
+// chaosFamilies picks the scenarios the chaos suite sweeps out of the
+// shared distScenarios catalogue: the one-round HyperCube family, every
+// skew-aware shape (exact and sampled statistics — the sampled star runs a
+// statistics round and a data round on one cluster — the triangle and the
+// generalized pattern algorithm), a plain and a skew-aware multi-round
+// plan, the Auto advisor, the self-join view path, and an aggregate run
+// with and without pushdown. The fault machinery sits below all of them
+// identically; what differs is how many rounds and clusters a fault can
+// land in.
 func chaosFamilies() []distScenario {
 	keep := map[string]bool{
-		"hypercube":           true,
-		"skewed-star":         true,
-		"skewed-triangle":     true,
-		"chain-plan":          true,
-		"auto":                true,
-		"selfjoin":            true,
-		"hypercube-agg-count": true,
+		"hypercube":                    true,
+		"skewed-star":                  true,
+		"skewed-star-sampled":          true,
+		"skewed-triangle":              true,
+		"skewed-generic":               true,
+		"chain-plan":                   true,
+		"greedy-plan-skew":             true,
+		"auto":                         true,
+		"selfjoin":                     true,
+		"hypercube-agg-count":          true,
+		"hypercube-agg-sum-nopushdown": true,
 	}
 	var out []distScenario
 	for _, sc := range distScenarios() {
