@@ -41,6 +41,17 @@ func goldenCases() []goldenCase {
 	chainDB := func() *Database {
 		return ChainMatchingDatabase(rand.New(rand.NewSource(103)), 4, 120, 1<<12)
 	}
+	// Local share 4000/16 = 250 > sampleSize 50, so the statistics round
+	// really draws from its rng; the hitters' degrees differ between the two
+	// relations, and z=9's sample count straddles the candidate cut.
+	drawDB := func() *Database {
+		a := SkewedStarDatabase(rand.New(rand.NewSource(106)), 2, 4000, 1<<14, map[int64]int{5: 1300, 9: 30})
+		b := SkewedStarDatabase(rand.New(rand.NewSource(107)), 2, 4000, 1<<14, map[int64]int{5: 40, 9: 1100})
+		db := NewDatabase(1 << 14)
+		db.Add(a.Get("S1"))
+		db.Add(b.Get("S2"))
+		return db
+	}
 	matchDB := func(q *Query) *Database {
 		return MatchingDatabase(rand.New(rand.NewSource(104)), q, 120, 1<<12)
 	}
@@ -51,6 +62,7 @@ func goldenCases() []goldenCase {
 		{"hypercube-shares", mk(Star(2), starDB(), HyperCubeShares(4, 2, 2))},
 		{"skewed-star", mk(Star(2), starDB(), SkewedStar())},
 		{"skewed-star-sampled", mk(Star(2), starDB(), SkewedStarSampled(30))},
+		{"skewed-star-sampled-draws", mk(Star(2), drawDB(), SkewedStarSampled(50))},
 		{"skewed-triangle", mk(Triangle(), triDB(), SkewedTriangle())},
 		{"skewed-generic", mk(Triangle(), triDB(), SkewedGeneric())},
 		{"chain-plan", mk(Chain(4), chainDB(), ChainPlan(0.5))},

@@ -343,7 +343,7 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 		})
 		ev.scratches.Release()
 		if env.Sink == nil {
-			out = data.Concat(q.Name, q.NumVars(), outputs)
+			out = engine.Concat(q.Name, q.NumVars(), outputs)
 		}
 	} else {
 		out, aggSaved = runAggregatePhases(ev, gp, agg)

@@ -45,6 +45,17 @@ func FromTuples(name string, arity int, tuples ...[]int64) *Relation {
 	return r
 }
 
+// FromVals builds a relation that owns vals — flat row-major tuples, a
+// multiple of the arity — without copying them.
+func FromVals(name string, arity int, vals []int64) *Relation {
+	r := NewRelation(name, arity)
+	if len(vals)%arity != 0 {
+		panic(fmt.Sprintf("data: %d values given to %s (arity %d)", len(vals), name, arity))
+	}
+	r.vals = vals
+	return r
+}
+
 // NumTuples returns the number of tuples (m_j in the paper).
 func (r *Relation) NumTuples() int { return len(r.vals) / r.Arity }
 
@@ -314,22 +325,6 @@ func EqualMultiset(a, b *Relation) bool {
 		}
 	}
 	return true
-}
-
-// Concat returns one relation holding every part's tuples in part order —
-// the per-server output union of a computation phase, assembled with one
-// bulk copy per part. Every part must have the given arity.
-func Concat(name string, arity int, parts []*Relation) *Relation {
-	out := NewRelation(name, arity)
-	total := 0
-	for _, p := range parts {
-		total += p.NumTuples()
-	}
-	out.Grow(total)
-	for _, p := range parts {
-		out.AppendVals(p.Vals())
-	}
-	return out
 }
 
 // Database is a set of named relations over a common domain [n].

@@ -74,9 +74,9 @@ func (c *Cluster) Trace() *obs.ClusterTrace { return c.tr }
 // per round/cluster — never per tuple — so the always-on cost is
 // negligible and allocation-free.
 var (
-	obsClustersTotal   = obs.Default().Counter("mpc_engine_clusters_total")
-	obsRoundsTotal     = obs.Default().Counter("mpc_engine_rounds_total")
-	obsRoundAborts     = obs.Default().Counter("mpc_engine_round_aborts_total")
+	obsClustersTotal     = obs.Default().Counter("mpc_engine_clusters_total")
+	obsRoundsTotal       = obs.Default().Counter("mpc_engine_rounds_total")
+	obsRoundAborts       = obs.Default().Counter("mpc_engine_round_aborts_total")
 	obsRecvTuplesTotal   = obs.Default().Counter("mpc_engine_recv_tuples_total")
 	obsRecvBitsTotal     = obs.Default().Gauge("mpc_engine_recv_bits_total")
 	obsChunkFlushesTotal = obs.Default().Counter("mpc_engine_chunk_flushes_total")

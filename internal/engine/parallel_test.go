@@ -2,8 +2,11 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"mpcquery/internal/data"
 )
 
 func TestParallelForRunsAll(t *testing.T) {
@@ -81,5 +84,47 @@ func TestClusterComputeTimesPhases(t *testing.T) {
 	}
 	if comm <= 0 {
 		t.Errorf("comm seconds not accounted: %g", comm)
+	}
+}
+
+// TestConcat holds Concat to a serial append: spans of the output are copied
+// by different workers, so part boundaries inside a span, spans inside a
+// part, empty parts and an empty whole must all land byte for byte in part
+// order, with one worker and with more workers than the box has cores.
+func TestConcat(t *testing.T) {
+	part := func(tuples int, first int64) *data.Relation {
+		r := data.NewRelation("part", 3)
+		for i := 0; i < tuples; i++ {
+			r.Append(first, int64(i), -first)
+		}
+		return r
+	}
+	const big = 100_000 // 300 000 values: several copy spans
+	cases := map[string][]int{
+		"no parts":             {},
+		"empty parts":          {0, 0, 0},
+		"one part":             {17},
+		"fewer than workers":   {big, 5},
+		"more than workers":    {3, 0, 2000, 1, 0, 0, 40_000, 7, 30_000, 0, 1},
+		"huge among empty":     {0, 0, 0, 0, big, 0, 0, 0},
+		"part ends on a span":  {1 << 16, 0, 1, big}, // 3·2¹⁶ values: exactly three spans
+		"many tiny then large": append(make([]int, 300), big),
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for name, sizes := range cases {
+			parts := make([]*data.Relation, len(sizes))
+			want := data.NewRelation("out", 3)
+			for i, n := range sizes {
+				parts[i] = part(n, int64(i+1))
+				want.AppendVals(parts[i].Vals())
+			}
+			got := Concat("out", 3, parts)
+			if got.Name != "out" || got.Arity != 3 || !slices.Equal(got.Vals(), want.Vals()) {
+				t.Errorf("GOMAXPROCS=%d, %s: Concat differs from the serial append (%d vs %d tuples)",
+					procs, name, got.NumTuples(), want.NumTuples())
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }

@@ -100,35 +100,54 @@ func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int
 	if !q.IsConnected() {
 		panic("skew: RunGeneric requires a connected query")
 	}
-	k := q.NumVars()
-	vars := q.Vars()
+	heavy, freqBits := genericHeavy(q, db, p, maxHeavyPerVar)
+	return newGenericPlan(q, db, p, heavy, freqBits)
+}
+
+// genericHeavy returns, per variable, the heavy set (frequency ≥ m_j/p in some
+// adjacent relation, cut to the maxHeavyPerVar heaviest) and every heavy
+// value's largest fragment in bits over the variable's adjacent relations.
+func genericHeavy(q *query.Query, db *data.Database, p, maxHeavyPerVar int) ([]map[int64]bool, []map[int64]float64) {
+	// Every column of every atom, sorted concurrently; only runs of at least
+	// m/p — at most p per column — reach a table.
+	type column struct {
+		rel    *data.Relation
+		col, v int     // position in rel, index of the variable bound there
+		bits   float64 // size of one tuple of rel
+		sorted []int64
+	}
+	bpv := data.BitsPerValue(db.N)
+	var cols []column
+	for _, a := range q.Atoms {
+		for c, av := range a.Vars {
+			cols = append(cols, column{rel: db.Get(a.Name), col: c, v: q.VarIndex(av), bits: float64(a.Arity() * bpv)})
+		}
+	}
+	engine.ParallelFor(len(cols), func(n int) {
+		cols[n].sorted = data.SortedColumn(cols[n].rel, cols[n].col)
+	})
 
 	// Heavy sets per variable.
-	heavy := make([]map[int64]bool, k)
-	freqBits := make([]map[int64]float64, k) // per variable: value -> max fragment bits
-	bpv := data.BitsPerValue(db.N)
-	for i, v := range vars {
+	heavy := make([]map[int64]bool, q.NumVars())
+	freqBits := make([]map[int64]float64, q.NumVars()) // per variable: heavy value -> max fragment bits
+	for i := range heavy {
 		heavy[i] = make(map[int64]bool)
 		freqBits[i] = make(map[int64]float64)
-		for _, j := range q.AtomsOf(v) {
-			atom := q.Atoms[j]
-			rel := db.Get(atom.Name)
-			thr := math.Max(2, float64(rel.NumTuples())/float64(p))
-			for c, av := range atom.Vars {
-				if av != v {
-					continue
-				}
-				for val, cnt := range data.ColumnFrequencies(rel, c) {
-					b := float64(cnt) * float64(atom.Arity()*bpv)
-					if b > freqBits[i][val] {
-						freqBits[i][val] = b
-					}
-					if float64(cnt) >= thr {
-						heavy[i][val] = true
-					}
-				}
-			}
+	}
+	for _, c := range cols {
+		thr := math.Max(2, float64(len(c.sorted))/float64(p))
+		for _, run := range data.Runs(c.sorted, int(math.Ceil(thr))) {
+			heavy[c.v][run.Value] = true
 		}
+	}
+	// A heavy value's fragment is its largest over the variable's columns,
+	// also those where it is light (relation sizes differ): look each one up.
+	for _, c := range cols {
+		for val := range heavy[c.v] {
+			freqBits[c.v][val] = max(freqBits[c.v][val], float64(data.CountOf(c.sorted, val))*c.bits)
+		}
+	}
+	for i := range heavy {
 		if len(heavy[i]) > maxHeavyPerVar {
 			// Keep the heaviest maxHeavyPerVar values; the rest are treated
 			// as light (correct, just with weaker load guarantees).
@@ -153,6 +172,12 @@ func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int
 		}
 	}
 
+	return heavy, freqBits
+}
+
+// newGenericPlan lays the heavy/light patterns of the given heavy sets out
+// over the servers and compiles their routes.
+func newGenericPlan(q *query.Query, db *data.Database, p int, heavy []map[int64]bool, freqBits []map[int64]float64) *GenericPlan {
 	patterns := enumeratePatterns(q, db, p, heavy, freqBits)
 
 	total := 0
@@ -254,7 +279,7 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 		func(s int, res *data.Relation) *data.Relation {
 			return filterPattern(res, patternOf(patterns, s), heavy)
 		})
-	out := data.Concat(q.Name, k, outputs)
+	out := engine.Concat(q.Name, k, outputs)
 
 	inputBits := 0.0
 	for _, a := range q.Atoms {

@@ -1,7 +1,11 @@
 package skew
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"mpcquery/internal/data"
@@ -173,5 +177,274 @@ func TestStarStatsSpecDeterministic(t *testing.T) {
 				t.Fatalf("atom %d value %d: %d vs %d", j, v, c, st2.PerAtom[j][v])
 			}
 		}
+	}
+}
+
+// ---- plan equivalence against a map-based reference ------------------------
+
+// refCounts is the reference's frequency table: one map entry per distinct
+// value of the column, the way every Prepare* counted before the columnar
+// sort-and-count pass.
+func refCounts(rel *data.Relation, col int) map[int64]int {
+	freq := map[int64]int{}
+	for i := 0; i < rel.NumTuples(); i++ {
+		freq[rel.At(i, col)]++
+	}
+	return freq
+}
+
+// refPrepareStar hands PrepareStarWithFrequencies the full frequency maps.
+func refPrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
+	freqs := make([]map[int64]int, q.NumAtoms())
+	for j, a := range q.Atoms {
+		freqs[j] = refCounts(db.Get(a.Name), colOf(a, q.Atoms[0].Vars[0]))
+	}
+	return PrepareStarWithFrequencies(q, db, p, freqs)
+}
+
+// refTriangleHeavy is triangleHeavy from full maps: every value of every
+// column classified, the maximum kept over the variable's two relations.
+func refTriangleHeavy(q *query.Query, db *data.Database, p int) (freq []map[int64]int, pHeavy, cubeHeavy []map[int64]bool) {
+	freq = make([]map[int64]int, 3)
+	pHeavy = make([]map[int64]bool, 3)
+	cubeHeavy = make([]map[int64]bool, 3)
+	for i, v := range q.Vars() {
+		freq[i], pHeavy[i], cubeHeavy[i] = map[int64]int{}, map[int64]bool{}, map[int64]bool{}
+		for _, j := range q.AtomsOf(v) {
+			rel := db.Get(q.Atoms[j].Name)
+			m := float64(rel.NumTuples())
+			for val, c := range refCounts(rel, colOf(q.Atoms[j], v)) {
+				freq[i][val] = max(freq[i][val], c)
+				if float64(c) >= math.Max(2, m/float64(p)) {
+					pHeavy[i][val] = true
+				}
+				if float64(c) >= math.Max(2, m/math.Cbrt(float64(p))) {
+					cubeHeavy[i][val] = true
+				}
+			}
+		}
+	}
+	return freq, pHeavy, cubeHeavy
+}
+
+// refGenericHeavy is genericHeavy from full maps, the cut to maxHeavyPerVar
+// by (bits descending, value ascending) included.
+func refGenericHeavy(q *query.Query, db *data.Database, p, maxHeavyPerVar int) ([]map[int64]bool, []map[int64]float64) {
+	heavy := make([]map[int64]bool, q.NumVars())
+	freqBits := make([]map[int64]float64, q.NumVars())
+	bpv := data.BitsPerValue(db.N)
+	for i, v := range q.Vars() {
+		heavy[i], freqBits[i] = map[int64]bool{}, map[int64]float64{}
+		for _, j := range q.AtomsOf(v) {
+			atom := q.Atoms[j]
+			rel := db.Get(atom.Name)
+			for val, c := range refCounts(rel, colOf(atom, v)) {
+				freqBits[i][val] = max(freqBits[i][val], float64(c)*float64(atom.Arity()*bpv))
+				if float64(c) >= math.Max(2, float64(rel.NumTuples())/float64(p)) {
+					heavy[i][val] = true
+				}
+			}
+		}
+		if len(heavy[i]) > maxHeavyPerVar {
+			vals := make([]int64, 0, len(heavy[i]))
+			for val := range heavy[i] {
+				vals = append(vals, val)
+			}
+			sort.Slice(vals, func(a, b int) bool {
+				if ba, bb := freqBits[i][vals[a]], freqBits[i][vals[b]]; ba != bb {
+					return ba > bb
+				}
+				return vals[a] < vals[b]
+			})
+			heavy[i] = map[int64]bool{}
+			for _, val := range vals[:maxHeavyPerVar] {
+				heavy[i][val] = true
+			}
+		}
+	}
+	return heavy, freqBits
+}
+
+// unevenDB fills q's binary atoms with relations of 300, 3000 and 900 tuples
+// (by atom index), so that the heavy floors m/p and m/p^(1/3) of a
+// variable's relations differ by up to 10×. Every column plants the values
+// 1…planted with counts scattered around its own relation's floor — value 1
+// in its upper half or, with cube set, on every other draw around the cube
+// floor instead — and is shuffled on its own. A value is then often heavy through the small
+// relation only while the large one, where it is light, holds more copies of
+// it: the case in which thresholding each column separately reports the
+// wrong maximum. (Stars plant fewer and smaller hitters: their output is the
+// product of a value's counts over all atoms.)
+func unevenDB(q *query.Query, rng *rand.Rand, p int, planted int64, cube bool) *data.Database {
+	const n = 1 << 16
+	db := data.NewDatabase(n)
+	for j, a := range q.Atoms {
+		m := []int{300, 3000, 900}[j%3]
+		cols := make([][]int64, 2)
+		for c := range cols {
+			col := make([]int64, 0, m)
+			for v := int64(1); v <= planted; v++ {
+				cnt := rng.Intn(m * 13 / (10 * p))
+				if v == 1 {
+					cnt = m*6/(10*p) + rng.Intn(m*7/(10*p))
+				}
+				if cube && v == 1 && rng.Intn(2) == 0 {
+					cnt = int(float64(m)/math.Cbrt(float64(p))) - 5 + rng.Intn(40)
+				}
+				for ; cnt > 0 && len(col) < m; cnt-- {
+					col = append(col, v)
+				}
+			}
+			for len(col) < m {
+				col = append(col, 100+rng.Int63n(n-100))
+			}
+			rng.Shuffle(m, func(x, y int) { col[x], col[y] = col[y], col[x] })
+			cols[c] = col
+		}
+		r := data.NewRelation(a.Name, 2)
+		r.AppendColumns(cols, m)
+		db.Add(r)
+	}
+	return db
+}
+
+// lightMaxima counts the (variable, value) pairs of a plan's heavy sets whose
+// largest count sits in a column where the value is below that column's
+// floor — the pairs only an exact lookup in the other column gets right.
+func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floor func(m int) float64) int {
+	n := 0
+	for i, v := range q.Vars() {
+		for val := range heavy[i] {
+			best, bestLight := 0, false
+			for _, j := range q.AtomsOf(v) {
+				rel := db.Get(q.Atoms[j].Name)
+				if c := refCounts(rel, colOf(q.Atoms[j], v))[val]; c > best {
+					best, bestLight = c, float64(c) < floor(rel.NumTuples())
+				}
+			}
+			if bestLight {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestPlansMatchMapReference holds the sort-and-count preparation to the map
+// code it replaced, over 60 seeds of relations with unequal sizes: the plans
+// are deeply equal (heavy sets, block and pattern offsets, grids, routes),
+// their accessors agree, and running them moves the same bits.
+func TestPlansMatchMapReference(t *testing.T) {
+	const p, seeds, heavyCap = 16, 60, 2
+	sameRun := func(t *testing.T, got, want *Result) {
+		t.Helper()
+		if got.TotalBits != want.TotalBits || got.MaxLoadBits != want.MaxLoadBits ||
+			got.HeavyHitters != want.HeavyHitters || got.ServersUsed != want.ServersUsed {
+			t.Fatalf("run under the plan: %v/%v bits, %d heavy, %d servers; under the reference: %v/%v, %d, %d",
+				got.TotalBits, got.MaxLoadBits, got.HeavyHitters, got.ServersUsed,
+				want.TotalBits, want.MaxLoadBits, want.HeavyHitters, want.ServersUsed)
+		}
+	}
+	pFloor := func(m int) float64 { return math.Max(2, float64(m)/p) }
+	var starLight, triLight, genLight, genCut int
+	for seed := int64(1); seed <= seeds; seed++ {
+		// The run is a pure function of the plan, compared in depth on every
+		// seed; executing both on every fifth keeps the race job affordable.
+		executed := seed%5 == 0
+		for _, k := range []int{2, 3} {
+			t.Run(fmt.Sprintf("star%d/seed=%d", k, seed), func(t *testing.T) {
+				q := query.Star(k)
+				db := unevenDB(q, rand.New(rand.NewSource(seed)), p, 3, false)
+				got, want := PrepareStar(q, db, p), refPrepareStar(q, db, p)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("plan differs from the map reference: heavy %v at %d servers, want %v at %d",
+						got.heavy, got.totalServers, want.heavy, want.totalServers)
+				}
+				if got.HeavyHitters() != want.HeavyHitters() || got.ServersUsed() != want.ServersUsed() {
+					t.Fatal("plan accessors differ from the reference's")
+				}
+				if executed {
+					sameRun(t, RunStarPlanned(got, q, db, p, seed, 0), RunStarPlanned(want, q, db, p, seed, 0))
+				}
+				heavy := make([]map[int64]bool, q.NumVars()) // only z has heavy values
+				heavy[0] = map[int64]bool{}
+				for _, h := range got.heavy {
+					heavy[0][h] = true
+				}
+				starLight += lightMaxima(q, db, heavy, pFloor)
+			})
+		}
+		t.Run(fmt.Sprintf("triangle/seed=%d", seed), func(t *testing.T) {
+			q := query.Triangle()
+			db := unevenDB(q, rand.New(rand.NewSource(seed)), p, 5, true)
+			freq, pHeavy, cubeHeavy := triangleHeavy(q, db, p)
+			wantFreq, wantP, wantCube := refTriangleHeavy(q, db, p)
+			if !reflect.DeepEqual(pHeavy, wantP) || !reflect.DeepEqual(cubeHeavy, wantCube) {
+				t.Fatalf("p-heavy %v, cube-heavy %v; map reference %v, %v", pHeavy, cubeHeavy, wantP, wantCube)
+			}
+			for i := range cubeHeavy {
+				for val := range cubeHeavy[i] {
+					if freq[i][val] != wantFreq[i][val] {
+						t.Fatalf("variable %d value %d: frequency %d, map reference %d", i, val, freq[i][val], wantFreq[i][val])
+					}
+				}
+			}
+			relTuples := make([]int, 3)
+			for j, a := range q.Atoms {
+				relTuples[j] = db.Get(a.Name).NumTuples()
+			}
+			got, want := PrepareTriangle(q, db, p), &TrianglePlan{pHeavy: wantP, cubeHeavy: wantCube,
+				layout: newTriLayout(q, p, wantFreq, wantCube, data.BitsPerValue(db.N), relTuples)}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("plan differs from the map reference: %d servers, want %d", got.ServersUsed(), want.ServersUsed())
+			}
+			if got.HeavyHitters() != want.HeavyHitters() || got.ServersUsed() != want.ServersUsed() {
+				t.Fatal("plan accessors differ from the reference's")
+			}
+			if executed {
+				sameRun(t, RunTrianglePlanned(got, q, db, p, seed, 0), RunTrianglePlanned(want, q, db, p, seed, 0))
+			}
+			triLight += lightMaxima(q, db, got.cubeHeavy, pFloor)
+		})
+		t.Run(fmt.Sprintf("generic/seed=%d", seed), func(t *testing.T) {
+			q := query.Triangle()
+			db := unevenDB(q, rand.New(rand.NewSource(seed)), p, 5, true)
+			heavy, freqBits := genericHeavy(q, db, p, heavyCap)
+			wantHeavy, wantBits := refGenericHeavy(q, db, p, heavyCap)
+			if !reflect.DeepEqual(heavy, wantHeavy) {
+				t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
+			}
+			for i := range heavy {
+				for val := range heavy[i] {
+					if freqBits[i][val] != wantBits[i][val] {
+						t.Fatalf("variable %d value %d: %v fragment bits, map reference %v", i, val, freqBits[i][val], wantBits[i][val])
+					}
+				}
+			}
+			got, want := PrepareGeneric(q, db, p, heavyCap), newGenericPlan(q, db, p, wantHeavy, wantBits)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
+					got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())
+			}
+			if got.HeavyHitters() != want.HeavyHitters() || got.ServersUsed() != want.ServersUsed() {
+				t.Fatal("plan accessors differ from the reference's")
+			}
+			if executed {
+				sameRun(t, RunGenericPlanned(got, q, db, p, seed, 0), RunGenericPlanned(want, q, db, p, seed, 0))
+			}
+			genLight += lightMaxima(q, db, heavy, pFloor)
+			uncut, _ := refGenericHeavy(q, db, p, math.MaxInt)
+			for i := range uncut {
+				if len(uncut[i]) > heavyCap {
+					genCut++
+				}
+			}
+		})
+	}
+	// The instances must really contain what the test is for.
+	t.Logf("light maxima: star %d, triangle %d, generic %d; cut %d", starLight, triLight, genLight, genCut)
+	if starLight == 0 || triLight == 0 || genLight == 0 || genCut == 0 {
+		t.Errorf("heavy values whose maximum sits where they are light: star %d, triangle %d, generic %d; heavy sets cut: %d — want all > 0",
+			starLight, triLight, genLight, genCut)
 	}
 }

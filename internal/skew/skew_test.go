@@ -314,8 +314,8 @@ func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
 
 	// x1-statistics in bits for S1 (col 0) and S3 (col 1); S2 has no x1.
 	bits := make([]map[int64]float64, 3)
-	bits[0] = data.FrequenciesBits(data.ColumnFrequencies(db.Get("S1"), 0), 2, db.N)
-	bits[2] = data.FrequenciesBits(data.ColumnFrequencies(db.Get("S3"), 1), 2, db.N)
+	bits[0] = data.FrequenciesBits(refCounts(db.Get("S1"), 0), 2, db.N)
+	bits[2] = data.FrequenciesBits(refCounts(db.Get("S3"), 1), 2, db.N)
 	lb := bounds.SkewedLB(q, bounds.FreqStats{Var: "x1", Bits: bits}, float64(p))
 	if lb <= 0 {
 		t.Fatal("vacuous lower bound")

@@ -92,15 +92,35 @@ func (sp *StarPlan) HeavyHitters() int { return len(sp.heavy) }
 func (sp *StarPlan) ServersUsed() int { return sp.totalServers }
 
 // PrepareStar computes the star layout from exact column frequencies — the
-// statistics phase of RunStar, split out so its result can be cached.
+// statistics phase of RunStar, split out so its result can be cached. Every
+// atom's z column is sorted once (concurrently) and only its runs of at least
+// starFloor reach a table: at most p values per atom, however many it has.
 func PrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
 	zName := q.Atoms[0].Vars[0]
-	freqs := make([]map[int64]int, q.NumAtoms())
-	for j, a := range q.Atoms {
-		freqs[j] = data.ColumnFrequencies(db.Get(a.Name), colOf(a, zName))
+	k := q.NumAtoms()
+	cols := make([][]int64, k)
+	engine.ParallelFor(k, func(j int) {
+		cols[j] = data.SortedColumn(db.Get(q.Atoms[j].Name), colOf(q.Atoms[j], zName))
+	})
+	// A hitter of one atom weighs in with its exact count in every atom,
+	// also where it is light, so those counts are read off the sorted columns.
+	freqs := make([]map[int64]int, k)
+	for j := range freqs {
+		freqs[j] = make(map[int64]int)
+	}
+	for _, col := range cols {
+		for _, run := range data.Runs(col, starFloor(len(col), p)) {
+			for j := range cols {
+				freqs[j][run.Value] = data.CountOf(cols[j], run.Value)
+			}
+		}
 	}
 	return PrepareStarWithFrequencies(q, db, p, freqs)
 }
+
+// starFloor is the degree from which a z-value of an m-tuple relation gets a
+// dedicated block: the paper's m/p, and never a value that occurs once.
+func starFloor(m, p int) int { return max(2, m/p) }
 
 // PrepareStarWithFrequencies computes the star layout from explicit
 // (exact or estimated) z-frequency statistics.
@@ -112,13 +132,9 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 	heavySet := make(map[int64]bool)
 	for j, a := range q.Atoms {
 		zCols[j] = colOf(a, zName)
-		rel := db.Get(a.Name)
-		thr := rel.NumTuples() / p
-		if thr < 1 {
-			thr = 1
-		}
+		thr := starFloor(db.Get(a.Name).NumTuples(), p)
 		for v, c := range freqs[j] {
-			if c >= thr && c > 1 {
+			if c >= thr {
 				heavySet[v] = true
 			}
 		}
@@ -231,7 +247,7 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	// evaluate the same star query over their fragments), with per-worker
 	// kernel scratch and a round-scoped shared index cache.
 	outputs := evaluatePhase(cluster, q, totalServers, sp.routesOf, nil, nil)
-	out := data.Concat(q.Name, q.NumVars(), outputs)
+	out := engine.Concat(q.Name, q.NumVars(), outputs)
 
 	inputBits := 0.0
 	for _, a := range q.Atoms {

@@ -79,7 +79,6 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 		cluster.SeedRoundRobin(p, j, rel.Arity, rel.Vals())
 	}
 	st := cluster.Round("stats-sample", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		rng := rand.New(rand.NewSource(seed + int64(s)))
 		// Collect each atom's local tuples (batch views — seeding coalesces
 		// each atom's round-robin share into contiguous batches).
 		perKind := make([][]engine.Batch, l)
@@ -88,6 +87,8 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 			perKind[b.Kind] = append(perKind[b.Kind], b)
 			locals[b.Kind] += b.NumTuples()
 		})
+		var rng *rand.Rand // seeded on the first draw: seeding costs more than counting a share
+		var vals []int64   // one atom's sampled values, reused across atoms
 		pair := make([]int64, 2)
 		for j := 0; j < l; j++ {
 			local := locals[j]
@@ -95,16 +96,18 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 				continue
 			}
 			col := cols[j]
-			counts := make(map[int64]int, min(sampleSize, local))
-			n := sampleSize
-			if n >= local {
+			n := min(sampleSize, local)
+			vals = vals[:0]
+			if n == local {
 				for _, b := range perKind[j] {
 					for i := 0; i < b.NumTuples(); i++ {
-						counts[b.Tuple(i)[col]]++
+						vals = append(vals, b.Tuple(i)[col])
 					}
 				}
-				n = local
 			} else {
+				if rng == nil {
+					rng = rand.New(rand.NewSource(seed + int64(s)))
+				}
 				at := func(i int) []int64 {
 					for _, b := range perKind[j] {
 						if i < b.NumTuples() {
@@ -115,17 +118,16 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 					panic("skew: sample index out of range")
 				}
 				for t := 0; t < n; t++ {
-					counts[at(rng.Intn(local))[col]]++
+					vals = append(vals, at(rng.Intn(local))[col])
 				}
 			}
 			scale := float64(local) / float64(n)
-			// Broadcast candidates in ascending value order, not map order:
-			// emission order reaches every inbox (and, distributed, the
-			// wire), so it must be a pure function of the sampled counts.
-			for _, v := range data.SortedKeys(counts) {
-				est := int(float64(counts[v]) * scale)
-				if est >= candidateThresholds[j] {
-					pair[0], pair[1] = v, int64(est)
+			// Broadcast candidates in ascending value order: emission order
+			// reaches every inbox (and, distributed, the wire), so it must be
+			// a pure function of the sampled counts — the sorted runs are.
+			for _, run := range data.Runs(data.SortValues(vals), 1) {
+				if est := int(float64(run.Count) * scale); est >= candidateThresholds[j] {
+					pair[0], pair[1] = run.Value, int64(est)
 					emit.EmitTuple(engine.Broadcast, j, pair)
 				}
 			}
@@ -138,14 +140,17 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 	cluster.Inbox(0).Each(func(kind int, tuple []int64) { // all servers hold the same broadcasts
 		perAtom[kind][tuple[0]] += int(tuple[1])
 	})
-	return &StatsResult{
+	res := &StatsResult{
 		PerAtom:     perAtom,
-		Estimates:   perAtom[0],
 		MaxLoadBits: st.MaxRecvBits,
 		TotalBits:   st.TotalRecvBits,
 		Rounds:      cluster.NumRounds(),
 		Aborted:     cluster.Aborted(),
 	}
+	if l > 0 {
+		res.Estimates = perAtom[0]
+	}
+	return res
 }
 
 // RunStarSampled runs the star algorithm end to end without a statistics

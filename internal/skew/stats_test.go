@@ -2,6 +2,8 @@ package skew
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"mpcquery/internal/core"
@@ -73,6 +75,20 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	}
 }
 
+// TestStatsProtocolWithoutRelations: profiling nothing is an empty round with
+// empty statistics, and a relation with no tuples is an atom with no
+// candidates — neither is a panic.
+func TestStatsProtocolWithoutRelations(t *testing.T) {
+	st := DetectHeavyHittersMPCMulti(nil, nil, 4, 10, nil, 1, 0)
+	if len(st.PerAtom) != 0 || st.Estimates != nil || st.TotalBits != 0 || st.Rounds != 1 {
+		t.Errorf("no relations: got %+v, want one empty round", st)
+	}
+	st = DetectHeavyHittersMPC(data.NewRelation("R", 2), 0, 4, 10, 2, 1)
+	if len(st.PerAtom) != 1 || len(st.Estimates) != 0 || st.TotalBits != 0 {
+		t.Errorf("empty relation: got %+v, want no candidates", st)
+	}
+}
+
 // TestRunStarSampledHonestAccounting pins the corrected end-to-end numbers:
 // Rounds counts the stats round as one genuine round, TotalBits includes
 // the stats communication, MaxLoadBits is the max over the stats and data
@@ -125,5 +141,35 @@ func TestRunStarSampledHeavyDetected(t *testing.T) {
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Errorf("output %d tuples, want %d", res.Output.NumTuples(), want.NumTuples())
+	}
+}
+
+// TestStatsRoundThatDrawsIsPinned pins the branch of the statistics round
+// that really samples: a server's share (4000/16 = 250 tuples) exceeds the
+// sample size 50, so every server draws from its rng. Both hitters are found
+// by some servers and missed by others, so the estimates depend on every
+// draw. The numbers were captured from the frequency-map implementation
+// (commit 650502f) before the sort-and-count round replaced it; the same
+// instance is the skewed-star-sampled-draws golden of the root package.
+func TestStatsRoundThatDrawsIsPinned(t *testing.T) {
+	a := data.SkewedStarDatabase(rand.New(rand.NewSource(106)), 2, 4000, 1<<14, map[int64]int{5: 1300, 9: 30})
+	b := data.SkewedStarDatabase(rand.New(rand.NewSource(107)), 2, 4000, 1<<14, map[int64]int{5: 40, 9: 1100})
+	db := data.NewDatabase(1 << 14)
+	db.Add(a.Get("S1"))
+	db.Add(b.Get("S2"))
+	q := query.Star(2)
+
+	st := StarStatsSpec(q, db, 16).Run(16, 50, 7, 0)
+	want := []map[int64]int{{5: 1160}, {9: 810}}
+	if !reflect.DeepEqual(st.PerAtom, want) {
+		t.Errorf("estimates %v, pinned %v", st.PerAtom, want)
+	}
+	if st.MaxLoadBits != 3200 || st.TotalBits != 51200 || st.Rounds != 1 {
+		t.Errorf("statistics round: load %v, total %v, %d rounds; pinned 3200, 51200, 1", st.MaxLoadBits, st.TotalBits, st.Rounds)
+	}
+	res := RunStarSampledCap(q, db, 16, 7, 50, 0)
+	if res.MaxLoadBits != 10668 || res.TotalBits != 288360 || res.HeavyHitters != 2 || res.ServersUsed != 31 {
+		t.Errorf("sampled run: load %v, total %v, %d heavy, %d servers; pinned 10668, 288360, 2, 31",
+			res.MaxLoadBits, res.TotalBits, res.HeavyHitters, res.ServersUsed)
 	}
 }

@@ -31,13 +31,6 @@ import (
 // The classes are disjoint by construction, so no output deduplication is
 // required (and tests assert none happens).
 
-// triVar describes one variable of the triangle: the two adjacent relations
-// and the column the variable occupies in each.
-type triVar struct {
-	rels [2]int // atom indices
-	cols [2]int
-}
-
 // RunTriangle computes C3 over db with a budget of p servers.
 // q must be query.Triangle() (atoms S1(x1,x2), S2(x2,x3), S3(x3,x1)).
 func RunTriangle(q *query.Query, db *data.Database, p int, seed int64) *Result {
@@ -77,64 +70,62 @@ func (tp *TrianglePlan) ServersUsed() int { return tp.layout.totalServers }
 // Section 4.2.2 algorithm — the statistics phase of RunTriangle, split out
 // so its result can be cached across queries on the same database.
 func PrepareTriangle(q *query.Query, db *data.Database, p int) *TrianglePlan {
-	if q.NumAtoms() != 3 || q.NumVars() != 3 {
-		panic("skew: RunTriangle requires the triangle query")
-	}
-	vars := q.Vars()
-	tv := make([]triVar, 3)
-	for i, v := range vars {
-		adj := q.AtomsOf(v)
-		if len(adj) != 2 {
-			panic("skew: RunTriangle requires the triangle query")
-		}
-		tv[i] = triVar{
-			rels: [2]int{adj[0], adj[1]},
-			cols: [2]int{colOf(q.Atoms[adj[0]], v), colOf(q.Atoms[adj[1]], v)},
-		}
-	}
-
-	rels := make([]*data.Relation, 3)
-	for j, a := range q.Atoms {
-		rels[j] = db.Get(a.Name)
-	}
-
-	// Frequency maps per (variable, adjacent relation).
-	freq := make([]map[int64]int, 3) // variable -> value -> max freq over its two relations
-	pHeavy := make([]map[int64]bool, 3)
-	cubeHeavy := make([]map[int64]bool, 3)
-	for i := range vars {
-		freq[i] = make(map[int64]int, max(rels[tv[i].rels[0]].NumTuples(), rels[tv[i].rels[1]].NumTuples()))
-		pHeavy[i] = make(map[int64]bool)
-		cubeHeavy[i] = make(map[int64]bool)
-		for a := 0; a < 2; a++ {
-			rel := rels[tv[i].rels[a]]
-			m := rel.NumTuples()
-			pThr := math.Max(2, float64(m)/float64(p))
-			cubeThr := math.Max(2, float64(m)/math.Cbrt(float64(p)))
-			for v, c := range data.ColumnFrequencies(rel, tv[i].cols[a]) {
-				if c > freq[i][v] {
-					freq[i][v] = c
-				}
-				if float64(c) >= pThr {
-					pHeavy[i][v] = true
-				}
-				if float64(c) >= cubeThr {
-					cubeHeavy[i][v] = true
-				}
-			}
-		}
-	}
-
-	bpv := data.BitsPerValue(db.N)
+	freq, pHeavy, cubeHeavy := triangleHeavy(q, db, p)
 	relTuples := make([]int, 3)
-	for j := range rels {
-		relTuples[j] = rels[j].NumTuples()
+	for j, a := range q.Atoms {
+		relTuples[j] = db.Get(a.Name).NumTuples()
 	}
 	return &TrianglePlan{
 		pHeavy:    pHeavy,
 		cubeHeavy: cubeHeavy,
-		layout:    newTriLayout(q, p, freq, cubeHeavy, bpv, relTuples),
+		layout:    newTriLayout(q, p, freq, cubeHeavy, data.BitsPerValue(db.N), relTuples),
 	}
+}
+
+// triangleHeavy classifies the values of every variable, counted in both
+// relations adjacent to it: the p-heavy set (frequency ≥ m/p in either), the
+// cube-heavy set (≥ m/p^{1/3}), and every cube-heavy value's larger frequency
+// of the two.
+func triangleHeavy(q *query.Query, db *data.Database, p int) (freq []map[int64]int, pHeavy, cubeHeavy []map[int64]bool) {
+	vars := q.Vars()
+	if q.NumAtoms() != 3 || len(vars) != 3 {
+		panic("skew: RunTriangle requires the triangle query")
+	}
+	for _, v := range vars {
+		if len(q.AtomsOf(v)) != 2 {
+			panic("skew: RunTriangle requires the triangle query")
+		}
+	}
+	// The six (variable, adjacent relation) columns, sorted concurrently; only
+	// runs of at least m/p — at most p per column — reach a table.
+	var sorted [3][2][]int64
+	engine.ParallelFor(6, func(n int) {
+		v := vars[n/2]
+		a := q.Atoms[q.AtomsOf(v)[n%2]]
+		sorted[n/2][n%2] = data.SortedColumn(db.Get(a.Name), colOf(a, v))
+	})
+	freq = make([]map[int64]int, 3)
+	pHeavy = make([]map[int64]bool, 3)
+	cubeHeavy = make([]map[int64]bool, 3)
+	for i := range vars {
+		freq[i] = make(map[int64]int)
+		pHeavy[i] = make(map[int64]bool)
+		cubeHeavy[i] = make(map[int64]bool)
+		for a, col := range sorted[i] {
+			pThr := math.Max(2, float64(len(col))/float64(p))
+			cubeThr := math.Max(2, float64(len(col))/math.Cbrt(float64(p)))
+			for _, run := range data.Runs(col, int(math.Ceil(pThr))) {
+				pHeavy[i][run.Value] = true
+				if float64(run.Count) >= cubeThr {
+					cubeHeavy[i][run.Value] = true
+					// The other relation may hold the larger fiber of a value
+					// that is light there (relation sizes differ): look it up.
+					freq[i][run.Value] = max(run.Count, data.CountOf(sorted[i][1-a], run.Value))
+				}
+			}
+		}
+	}
+	return freq, pHeavy, cubeHeavy
 }
 
 // RunTrianglePlanned executes the triangle data round under a prepared
@@ -201,7 +192,7 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 		func(s int, res *data.Relation) *data.Relation {
 			return layout.filter(s, res, pHeavy, cubeHeavy)
 		})
-	out := data.Concat(q.Name, 3, outputs)
+	out := engine.Concat(q.Name, 3, outputs)
 
 	inputBits := 0.0
 	for j := range rels {

@@ -142,8 +142,8 @@ type WireStats struct {
 	// run. AbandonedChargedBits is the model bits backed out the same
 	// way. Neither ever appears in ChargedBits — retries never
 	// double-bill.
-	AbandonedBytes        int64
-	AbandonedChargedBits  int64
+	AbandonedBytes       int64
+	AbandonedChargedBits int64
 
 	// FaultsInjected counts faults the installed FaultInjector actually
 	// applied (drops, duplicates, resets, delays, injected crashes).

@@ -19,7 +19,7 @@ type OutputSink = engine.OutputSink
 // holding it: per server it folds the chunk stream into a running
 // order-sensitive digest (one hashing.Combine per value) and a row count, in
 // O(servers) memory total. Digest() then merges the per-server streams in
-// ascending server order — the order data.Concat stacks per-server outputs —
+// ascending server order — the order engine.Concat stacks per-server outputs —
 // so a barrier run's materialized output and a streamed run's sink agree
 // digest for digest. The streaming equivalence tests (TestStreamingOutputSink
 // and its giant-output instance) are its consumers.
@@ -112,7 +112,7 @@ type ServerDigest struct {
 
 // PerServer returns the live per-server streams in ascending server order.
 // A materialized relation built by stacking per-server outputs in the same
-// order (data.Concat) can be reconciled against it slice by slice: fold
+// order (engine.Concat) can be reconciled against it slice by slice: fold
 // each server's slice through a fresh DigestSink and compare digests.
 func (d *DigestSink) PerServer() []ServerDigest {
 	d.mu.Lock()
