@@ -155,8 +155,8 @@ func BenchmarkHyperCubeEndToEnd(b *testing.B) {
 			db := MatchingDatabase(rng, q, 5000, 1<<20)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := RunHyperCube(q, db, p, int64(i))
-				if res.MaxLoadBits <= 0 {
+				res, err := Run(q, db, WithServers(p), WithSeed(int64(i)))
+				if err != nil || res.MaxLoadBits <= 0 {
 					b.Fatal("no load")
 				}
 			}

@@ -2,26 +2,9 @@ package mpcquery_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mpcquery"
 )
-
-// ExampleRunHyperCube computes the triangle query on 64 simulated servers
-// and verifies the result against a sequential join.
-func ExampleRunHyperCube() {
-	q := mpcquery.Triangle()
-	rng := rand.New(rand.NewSource(1))
-	db := mpcquery.MatchingDatabase(rng, q, 1000, 1<<20)
-
-	res := mpcquery.RunHyperCube(q, db, 64, 42)
-	want := mpcquery.SequentialAnswer(q, db)
-	fmt.Println("servers:", res.ServersUsed)
-	fmt.Println("matches sequential:", res.Output.NumTuples() == want.NumTuples())
-	// Output:
-	// servers: 64
-	// matches sequential: true
-}
 
 // ExampleTauStar computes the fractional vertex covering number of the
 // Table 2 families.

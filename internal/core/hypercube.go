@@ -173,7 +173,7 @@ type Result struct {
 	TotalBits       float64
 	InputBits       float64
 	ReplicationRate float64
-	Aborted         bool // a declared load cap was exceeded (RunPlanWithCap)
+	Aborted         bool // a declared load cap was exceeded (RunPlanWithCapNet)
 
 	// AggregateBitsSaved is the communication the pre-shuffle partial
 	// aggregation removed: (raw join rows − shipped partial rows) × row bits,
@@ -191,26 +191,9 @@ func Run(q *query.Query, db *data.Database, p int, seed int64, mode Mode) *Resul
 	return RunPlan(PlanForDatabase(q, db, p, mode), db, seed)
 }
 
-// RunWithShares executes with explicit integer shares (one per variable).
-func RunWithShares(q *query.Query, db *data.Database, shares []int, seed int64) *Result {
-	return RunWithSharesCap(q, db, shares, seed, 0)
-}
-
-// RunWithSharesCap is RunWithShares with a declared load cap (0 = none).
-func RunWithSharesCap(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64) *Result {
-	return RunWithSharesCapNet(q, db, shares, seed, capBits, engine.Env{})
-}
-
-// RunWithSharesCapNet is RunWithSharesCap with round delivery through net
-// (nil = in-process).
-func RunWithSharesCapNet(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64, env engine.Env) *Result {
-	return RunPlanWithCapNet(sharesPlan(q, db, shares), db, seed, capBits, env)
-}
-
-// sharesPlan wraps explicit integer shares in a Plan (no LP, zero
-// exponents) — the construction shared by the plain and aggregate
-// explicit-shares entry points.
-func sharesPlan(q *query.Query, db *data.Database, shares []int) *Plan {
+// PlanWithShares wraps explicit integer shares (one per variable) in a Plan
+// (no LP, zero exponents).
+func PlanWithShares(q *query.Query, db *data.Database, shares []int) *Plan {
 	return &Plan{Query: q, P: prodInt(shares), Shares: append([]int(nil), shares...),
 		Exponents: make([]float64, len(shares)), StatsBits: StatsBits(q, db)}
 }
@@ -226,23 +209,18 @@ func prodInt(xs []int) int {
 // RunPlan executes a prepared plan on db with the given hash seed, under
 // the partitioned-input model (each relation dealt round-robin).
 func RunPlan(pl *Plan, db *data.Database, seed int64) *Result {
-	return RunPlanWithCap(pl, db, seed, 0)
+	return RunPlanWithCapNet(pl, db, seed, 0, engine.Env{})
 }
 
-// RunPlanWithCap is RunPlan with a declared load cap (Section 2.1's abort
+// RunPlanWithCapNet is RunPlan with a declared load cap (Section 2.1's abort
 // semantics): when capBits > 0 and any server receives more, the result's
 // Aborted flag is set. The output is still computed (the caller decides
-// whether to retry with a fresh hash seed).
-func RunPlanWithCap(pl *Plan, db *data.Database, seed int64, capBits float64) *Result {
-	return RunPlanWithCapNet(pl, db, seed, capBits, engine.Env{})
-}
-
-// RunPlanWithCapNet is RunPlanWithCap with round delivery through net (nil
-// = in-process). Every strategy path threads its transport exclusively
-// through these Net variants — the algorithms themselves are
-// transport-oblivious, as the delivery seam requires.
+// whether to retry with a fresh hash seed). Round delivery goes through env
+// (the zero Env = in-process, untraced). Every strategy path threads its
+// transport exclusively through the full forms — the algorithms themselves
+// are transport-oblivious, as the delivery seam requires.
 func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64, env engine.Env) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, nil, (*engine.Cluster).SeedPartitioned, env)
+	return RunPlanAggregateNet(pl, db, seed, capBits, nil, env)
 }
 
 // RunPlanAggregateNet executes pl and then computes agg over the join output
@@ -252,16 +230,10 @@ func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64,
 // into the final groups. The Result's Output is the canonical aggregate
 // relation — (group key..., value) tuples sorted lexicographically, the
 // synthetic key of a global aggregate dropped — identical whether or not
-// pushdown ran; only the second round's bits differ. Round delivery goes
-// through env (the zero Env = in-process).
+// pushdown ran; only the second round's bits differ. A nil agg is the plain
+// join (one round).
 func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
 	return runPlanSeeded(pl, db, seed, capBits, agg, (*engine.Cluster).SeedPartitioned, env)
-}
-
-// RunWithSharesAggregateNet is RunPlanAggregateNet over explicit integer
-// shares.
-func RunWithSharesAggregateNet(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
-	return RunPlanAggregateNet(sharesPlan(q, db, shares), db, seed, capBits, agg, env)
 }
 
 // seeding places the free initial input on a fresh cluster of gp servers; the

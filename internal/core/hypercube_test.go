@@ -225,7 +225,7 @@ func TestRunWithShares(t *testing.T) {
 	zi := q.VarIndex("z")
 	shares := []int{1, 1, 1}
 	shares[zi] = 16
-	res := RunWithShares(q, db, shares, 11)
+	res := RunPlan(PlanWithShares(q, db, shares), db, 11)
 	if !data.Equal(res.Output, SequentialAnswer(q, db)) {
 		t.Fatal("hash-join shares: wrong output")
 	}
@@ -269,7 +269,7 @@ func TestSkewObliviousTightness(t *testing.T) {
 	zi := q.VarIndex("z")
 	shares := []int{1, 1, 1}
 	shares[zi] = 16
-	res := RunWithShares(q, db, shares, 3)
+	res := RunPlan(PlanWithShares(q, db, shares), db, 3)
 	m1 := db.Get("S1").SizeBits(n)
 	if res.MaxLoadBits < m1 {
 		t.Errorf("degenerate hashing should load >= M1=%v, got %v", m1, res.MaxLoadBits)

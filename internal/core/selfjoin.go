@@ -35,23 +35,10 @@ func DesugarSelfJoins(name string, atoms []query.Atom) (*query.Query, map[string
 	return query.New(name, renamed...), mapping
 }
 
-// RunWithSelfJoins evaluates a conjunctive query that may repeat relation
-// names (e.g. length-2 paths E(x,y), E(y,z) over one edge relation) with
-// the one-round HyperCube algorithm: atoms are renamed apart and each copy
-// reads the shared relation through a renamed view.
-func RunWithSelfJoins(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode) *Result {
-	return RunWithSelfJoinsCap(name, atoms, db, p, seed, mode, 0)
-}
-
-// RunWithSelfJoinsCap is RunWithSelfJoins with a declared load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunWithSelfJoinsCap(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64) *Result {
-	return RunWithSelfJoinsCapNet(name, atoms, db, p, seed, mode, capBits, engine.Env{})
-}
-
-// RunWithSelfJoinsCapNet is RunWithSelfJoinsCap with round delivery through
-// net (nil = in-process).
-func RunWithSelfJoinsCapNet(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64, env engine.Env) *Result {
+// selfJoinView renames the atoms apart and returns the self-join-free query
+// with a database in which each renamed copy reads the shared relation
+// through a renamed view.
+func selfJoinView(name string, atoms []query.Atom, db *data.Database) (*query.Query, *data.Database) {
 	q, mapping := DesugarSelfJoins(name, atoms)
 	view := data.NewDatabase(db.N)
 	for newName, orig := range mapping {
@@ -63,22 +50,22 @@ func RunWithSelfJoinsCapNet(name string, atoms []query.Atom, db *data.Database, 
 		}
 		view.Add(rel)
 	}
+	return q, view
+}
+
+// RunWithSelfJoins evaluates a conjunctive query that may repeat relation
+// names (e.g. length-2 paths E(x,y), E(y,z) over one edge relation) with
+// the one-round HyperCube algorithm: atoms are renamed apart and each copy
+// reads the shared relation through a renamed view. capBits is a declared
+// load cap in bits (Section 2.1's abort semantics; 0 = none); round delivery
+// goes through env (the zero Env = in-process, untraced).
+func RunWithSelfJoins(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64, env engine.Env) *Result {
+	q, view := selfJoinView(name, atoms, db)
 	return RunPlanWithCapNet(PlanForDatabase(q, view, p, mode), view, seed, capBits, env)
 }
 
 // SequentialAnswerWithSelfJoins is the single-node ground truth for
 // RunWithSelfJoins.
 func SequentialAnswerWithSelfJoins(name string, atoms []query.Atom, db *data.Database) *data.Relation {
-	q, mapping := DesugarSelfJoins(name, atoms)
-	rels := make(map[string]*data.Relation, len(mapping))
-	for newName, orig := range mapping {
-		rel := db.Get(orig)
-		if rel.Name != newName {
-			r := rel.Clone()
-			r.Name = newName
-			rel = r
-		}
-		rels[newName] = rel
-	}
-	return SequentialAnswer(q, &data.Database{N: db.N, Relations: rels})
+	return SequentialAnswer(selfJoinView(name, atoms, db))
 }

@@ -5,6 +5,7 @@ import (
 
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -34,7 +35,7 @@ func AbortProbability(cfg Config) *Table {
 	for _, c := range []float64{0.95, 1.05, 1.2, 1.5} {
 		aborts := 0
 		for tr := 0; tr < trials; tr++ {
-			res := core.RunPlanWithCap(pl, db, cfg.Seed+int64(100+tr), c*base)
+			res := core.RunPlanWithCapNet(pl, db, cfg.Seed+int64(100+tr), c*base, engine.Env{})
 			if res.Aborted {
 				aborts++
 			}

@@ -39,7 +39,7 @@ func SkewedJoin(cfg Config) *Table {
 		zi := q.VarIndex("z")
 		shares := []int{1, 1, 1}
 		shares[zi] = p
-		naive := core.RunWithShares(q, db, shares, cfg.Seed)
+		naive := core.RunPlan(core.PlanWithShares(q, db, shares), db, cfg.Seed)
 		oblivious := core.Run(q, db, p, cfg.Seed, core.SkewOblivious)
 		aware := skew.RunStar(q, db, p, cfg.Seed)
 

@@ -23,10 +23,6 @@ func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, 
 	if checkInputs(q, rels, sh) {
 		return data.NewRelation(q.Name, ka), 0
 	}
-	if baselineMode.Load() {
-		out := s.EvaluateAtoms(q, rels, sh)
-		return FoldOutput(out, q, plan), out.NumTuples()
-	}
 	partials = data.NewRelation(q.Name, ka)
 	order := s.greedyOrder(q, rels)
 	s.join(q, rels, order, sh, rels[order[0]].NumTuples(), func(rows int) {
@@ -58,8 +54,8 @@ func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, 
 }
 
 // FoldOutput folds a fully materialized join output (tuples in q.Vars()
-// order) into partial aggregates — the reference fold the baseline mode and
-// the no-pushdown raw projection are checked against.
+// order) into partial aggregates — the reference fold the fused path of
+// EvaluateAtomsAggregate is checked against (tests and benchmark/).
 func FoldOutput(out *data.Relation, q *query.Query, plan *aggregate.Plan) *data.Relation {
 	ka := plan.KeyArity()
 	t := aggregate.NewFoldTable(ka, plan.Semiring)

@@ -221,66 +221,3 @@ func atomOrder(q *query.Query, rels map[string]*data.Relation) []int {
 	}
 	return order
 }
-
-// SemiJoin returns the tuples of l that join with at least one tuple of r
-// on their common variables (the paper's ⋉ of Section 5.2).
-func SemiJoin(l, r *data.Relation, lVars, rVars []string) *data.Relation {
-	common, lCols, rCols := commonColumns(lVars, rVars)
-	_ = common
-	keys := make(map[string]bool)
-	keyBuf := make([]byte, 8*len(rCols))
-	for i := 0; i < r.NumTuples(); i++ {
-		keys[projKey(r.Tuple(i), rCols, keyBuf)] = true
-	}
-	out := data.NewRelation(l.Name, l.Arity)
-	lBuf := make([]byte, 8*len(lCols))
-	for i := 0; i < l.NumTuples(); i++ {
-		if keys[projKey(l.Tuple(i), lCols, lBuf)] {
-			out.AppendTuple(l.Tuple(i))
-		}
-	}
-	return out
-}
-
-// AntiJoin returns the tuples of l with no matching tuple in r on the
-// common variables (the paper's ▷ of Section 5.2).
-func AntiJoin(l, r *data.Relation, lVars, rVars []string) *data.Relation {
-	_, lCols, rCols := commonColumns(lVars, rVars)
-	keys := make(map[string]bool)
-	keyBuf := make([]byte, 8*len(rCols))
-	for i := 0; i < r.NumTuples(); i++ {
-		keys[projKey(r.Tuple(i), rCols, keyBuf)] = true
-	}
-	out := data.NewRelation(l.Name, l.Arity)
-	lBuf := make([]byte, 8*len(lCols))
-	for i := 0; i < l.NumTuples(); i++ {
-		if !keys[projKey(l.Tuple(i), lCols, lBuf)] {
-			out.AppendTuple(l.Tuple(i))
-		}
-	}
-	return out
-}
-
-func commonColumns(lVars, rVars []string) (common []string, lCols, rCols []int) {
-	rIdx := make(map[string]int, len(rVars))
-	for i, v := range rVars {
-		rIdx[v] = i
-	}
-	for i, v := range lVars {
-		if j, ok := rIdx[v]; ok {
-			common = append(common, v)
-			lCols = append(lCols, i)
-			rCols = append(rCols, j)
-		}
-	}
-	return common, lCols, rCols
-}
-
-func projKey(t []int64, cols []int, buf []byte) string {
-	k := 0
-	for _, c := range cols {
-		binary.LittleEndian.PutUint64(buf[k:], uint64(t[c]))
-		k += 8
-	}
-	return string(buf[:k])
-}

@@ -365,43 +365,6 @@ func TestVerifySharedCatchesBrokenProvenance(t *testing.T) {
 	s.EvaluateAtoms(q, []*data.Relation{r, data.FromTuples("S", 2, []int64{2, 5}, []int64{2, 7})}, shareAll(cache, q))
 }
 
-// TestSemiAntiJoinMatchesBaselineRandom pins the kernel-backed SemiJoin and
-// AntiJoin against the baseline's map implementation.
-func TestSemiAntiJoinMatchesBaselineRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(4321))
-	varSets := [][2][]string{
-		{{"x", "y"}, {"y", "z"}},
-		{{"x", "y"}, {"x", "y"}},
-		{{"x"}, {"y"}}, // no common vars
-		{{"x", "y", "z"}, {"z", "x"}},
-	}
-	for trial := 0; trial < 200; trial++ {
-		vs := varSets[r.Intn(len(varSets))]
-		lv, rv := vs[0], vs[1]
-		l := data.NewRelation("L", len(lv))
-		rr := data.NewRelation("R", len(rv))
-		row := make([]int64, 3)
-		for i, m := 0, r.Intn(30); i < m; i++ {
-			for c := range row {
-				row[c] = int64(r.Intn(6))
-			}
-			l.AppendTuple(row[:len(lv)])
-		}
-		for i, m := 0, r.Intn(30); i < m; i++ {
-			for c := range row {
-				row[c] = int64(r.Intn(6))
-			}
-			rr.AppendTuple(row[:len(rv)])
-		}
-		if got, want := SemiJoin(l, rr, lv, rv), baseline.SemiJoin(l, rr, lv, rv); !sameRelationExactly(got, want) {
-			t.Fatalf("trial %d: SemiJoin diverged (%v ⋉ %v)", trial, lv, rv)
-		}
-		if got, want := AntiJoin(l, rr, lv, rv), baseline.AntiJoin(l, rr, lv, rv); !sameRelationExactly(got, want) {
-			t.Fatalf("trial %d: AntiJoin diverged (%v ▷ %v)", trial, lv, rv)
-		}
-	}
-}
-
 // TestEvaluateOrderedMissingRelation: the ablation entry point returns the
 // typed sentinel instead of panicking across the computation phase.
 func TestEvaluateOrderedMissingRelation(t *testing.T) {
@@ -435,19 +398,4 @@ func TestEvaluatePanicsTypedOnMissingRelation(t *testing.T) {
 	}()
 	q := query.MustParse("q(x,y) :- R(x), S(y)")
 	Evaluate(q, map[string]*data.Relation{"R": data.FromTuples("R", 1, []int64{1})})
-}
-
-// TestBaselineModeSwitch: under SetBaselineForTest every entry point runs
-// the frozen evaluator; outputs must match the kernel's exactly either way.
-func TestBaselineModeSwitch(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	q := randomQuery(r)
-	rels := randomRels(r, q)
-	kernelOut := Evaluate(q, rels)
-	SetBaselineForTest(true)
-	defer SetBaselineForTest(false)
-	baselineOut := Evaluate(q, rels)
-	if !sameRelationExactly(kernelOut, baselineOut) {
-		t.Fatalf("kernel and baseline disagree on %s", q)
-	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
-	"mpcquery/internal/localjoin/baseline"
 	"mpcquery/internal/query"
 )
 
@@ -212,13 +211,6 @@ func (s *Scratch) Evaluate(q *query.Query, rels map[string]*data.Relation) *data
 func (s *Scratch) EvaluateAtoms(q *query.Query, rels []*data.Relation, sh *Shared) *data.Relation {
 	if checkInputs(q, rels, sh) {
 		return data.NewRelation(q.Name, q.NumVars())
-	}
-	if baselineMode.Load() {
-		m := make(map[string]*data.Relation, len(rels))
-		for j, r := range rels {
-			m[q.Atoms[j].Name] = r
-		}
-		return baseline.Evaluate(q, m)
 	}
 	return s.run(q, rels, s.greedyOrder(q, rels), sh)
 }

@@ -6,8 +6,8 @@
 // steady-state path beyond its output, with a round-scoped IndexCache that
 // shares index builds across the servers a route sends the same fragment to.
 // The pre-kernel evaluator is preserved verbatim in the baseline subpackage
-// for equivalence testing and ablation; the kernel reproduces its output
-// tuple-for-tuple, in order.
+// as the reference of this package's tests, which no other code imports; the
+// kernel reproduces its output tuple-for-tuple, in order.
 package localjoin
 
 import (
@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"mpcquery/internal/data"
-	"mpcquery/internal/localjoin/baseline"
 	"mpcquery/internal/query"
 )
 
@@ -40,17 +39,6 @@ func (e *MissingRelationError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrMissingRelation) hold.
 func (e *MissingRelationError) Unwrap() error { return ErrMissingRelation }
-
-// baselineMode routes every kernel entry point to the baseline evaluator —
-// the test hook that lets the strategy-equivalence suite run entire
-// strategies on both implementations and compare Report fingerprints.
-var baselineMode atomic.Bool
-
-// SetBaselineForTest switches evaluation to the frozen baseline evaluator
-// (true) or back to the kernel (false). It exists for equivalence tests
-// only; flipping it while evaluations are in flight is safe (the flag is
-// atomic) but makes which evaluator ran unpredictable per call.
-func SetBaselineForTest(on bool) { baselineMode.Store(on) }
 
 // verifyShared makes every fetch from an IndexCache compare the index's
 // stored values with the fetching server's fragment and panic on a
@@ -105,69 +93,7 @@ func EvaluateOrdered(q *query.Query, rels map[string]*data.Relation, order []int
 			return nil, &MissingRelationError{Atom: q.Atoms[ai].Name}
 		}
 	}
-	if baselineMode.Load() {
-		return baseline.EvaluateOrdered(q, rels, order), nil
-	}
 	s := GrabScratch()
 	defer s.Release()
 	return s.run(q, s.byAtom(q, rels), order, nil), nil
-}
-
-// SemiJoin returns the tuples of l that join with at least one tuple of r
-// on their common variables (the paper's ⋉ of Section 5.2). It probes the
-// kernel's open-addressed index over r — no string keys, no per-tuple
-// allocation.
-func SemiJoin(l, r *data.Relation, lVars, rVars []string) *data.Relation {
-	return semiJoin(l, r, lVars, rVars, true)
-}
-
-// AntiJoin returns the tuples of l with no matching tuple in r on the
-// common variables (the paper's ▷ of Section 5.2).
-func AntiJoin(l, r *data.Relation, lVars, rVars []string) *data.Relation {
-	return semiJoin(l, r, lVars, rVars, false)
-}
-
-func semiJoin(l, r *data.Relation, lVars, rVars []string, keep bool) *data.Relation {
-	lCols, rCols := commonColumns(lVars, rVars)
-	s := GrabScratch()
-	defer s.Release()
-	for len(s.idxs) == 0 {
-		s.idxs = append(s.idxs, atomIndex{})
-	}
-	ix := &s.idxs[0]
-	ix.build(r, rCols, nil, false)
-
-	out := data.NewRelation(l.Name, l.Arity)
-	nk := len(lCols)
-	if cap(s.key) < nk {
-		s.key = make([]int64, nk)
-	}
-	key := s.key[:nk]
-	m := l.NumTuples()
-	for i := 0; i < m; i++ {
-		t := l.Tuple(i)
-		for c, lc := range lCols {
-			key[c] = t[lc]
-		}
-		if ix.contains(key) == keep {
-			out.AppendTuple(t)
-		}
-	}
-	return out
-}
-
-// commonColumns maps the shared variables of two schemas to their column
-// positions on each side.
-func commonColumns(lVars, rVars []string) (lCols, rCols []int) {
-	rIdx := make(map[string]int, len(rVars))
-	for i, v := range rVars {
-		rIdx[v] = i
-	}
-	for i, v := range lVars {
-		if j, ok := rIdx[v]; ok {
-			lCols = append(lCols, i)
-			rCols = append(rCols, j)
-		}
-	}
-	return lCols, rCols
 }

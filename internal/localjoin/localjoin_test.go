@@ -183,36 +183,3 @@ func TestMatchingDatabaseJoinSize(t *testing.T) {
 		t.Fatalf("chain output=%d want 200", got.NumTuples())
 	}
 }
-
-func TestSemiJoinAntiJoin(t *testing.T) {
-	l := data.FromTuples("L", 2, []int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	r := data.FromTuples("R", 2, []int64{10, 5}, []int64{30, 6})
-	lv := []string{"x", "y"}
-	rv := []string{"y", "z"}
-	semi := SemiJoin(l, r, lv, rv)
-	if semi.NumTuples() != 2 {
-		t.Fatalf("semijoin=%d want 2", semi.NumTuples())
-	}
-	anti := AntiJoin(l, r, lv, rv)
-	if anti.NumTuples() != 1 || anti.At(0, 0) != 2 {
-		t.Fatalf("antijoin wrong: %d tuples", anti.NumTuples())
-	}
-	// Semi + anti partition l.
-	if semi.NumTuples()+anti.NumTuples() != l.NumTuples() {
-		t.Error("semijoin and antijoin must partition the left side")
-	}
-}
-
-func TestSemiJoinNoCommonVars(t *testing.T) {
-	l := data.FromTuples("L", 1, []int64{1}, []int64{2})
-	r := data.FromTuples("R", 1, []int64{9})
-	// No common vars: every l-tuple matches (empty key present in r).
-	semi := SemiJoin(l, r, []string{"x"}, []string{"y"})
-	if semi.NumTuples() != 2 {
-		t.Fatalf("disjoint semijoin=%d want 2", semi.NumTuples())
-	}
-	anti := AntiJoin(l, r, []string{"x"}, []string{"y"})
-	if anti.NumTuples() != 0 {
-		t.Fatalf("disjoint antijoin=%d want 0", anti.NumTuples())
-	}
-}

@@ -19,13 +19,6 @@ func (s *Scratch) EvaluateAtomsStream(q *query.Query, rels []*data.Relation, sh 
 	if checkInputs(q, rels, sh) {
 		return 0
 	}
-	if baselineMode.Load() {
-		out := s.EvaluateAtoms(q, rels, sh)
-		if out.NumTuples() > 0 {
-			yield(out.Vals())
-		}
-		return out.NumTuples()
-	}
 	if s.block == nil || s.block.Arity != q.NumVars() {
 		s.block = data.NewRelation(q.Name, q.NumVars())
 	}

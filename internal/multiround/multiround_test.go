@@ -7,8 +7,15 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
+
+// executeSkewAware runs the skew-aware executor in process with no cap and
+// no memo.
+func executeSkewAware(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int) *ExecResult {
+	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, maxHeavyPerVar, 0, nil, engine.Env{})
+}
 
 // TestChainPlanDepths checks Example 5.2 and Table 3: plan depth for L_k is
 // ⌈log_kε k⌉.
@@ -323,7 +330,7 @@ func TestExecuteSkewAwareCorrect(t *testing.T) {
 	db := data.ChainMatchingDatabase(rng, 4, 400, 1<<20)
 	q := query.Chain(4)
 	plan := ChainPlan(4, 0)
-	aware := ExecuteSkewAware(plan, db, 32, 7, 16)
+	aware := executeSkewAware(plan, db, 32, 7, 16)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(aware.Output, want) {
 		t.Fatalf("skew-aware exec: %d vs %d tuples", aware.Output.NumTuples(), want.NumTuples())
@@ -371,7 +378,7 @@ func TestExecuteSkewAwareBeatsVanillaOnSkew(t *testing.T) {
 	q := query.Chain(4)
 	plan := ChainPlan(4, 0)
 	vanilla := Execute(plan, db, 64, 5)
-	aware := ExecuteSkewAware(plan, db, 64, 5, 16)
+	aware := executeSkewAware(plan, db, 64, 5, 16)
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}

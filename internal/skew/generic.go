@@ -13,14 +13,15 @@ import (
 	"mpcquery/internal/query"
 )
 
-// RunGeneric computes an arbitrary connected conjunctive query in one round
-// with heavy-hitter statistics, generalizing the star and triangle
-// algorithms of Section 4.2 along the lines the paper attributes to its
-// follow-up ("the BinHC algorithm", reference [6]): the domain of every
-// variable is split into heavy values (frequency ≥ m_j/p in some adjacent
-// relation) and light values, and every *output pattern* — an assignment of
-// heavy values to a subset of the variables, with all other variables
-// light — gets its own HyperCube block:
+// The generic algorithm (PrepareGeneric + RunGenericPlannedNet) computes an
+// arbitrary connected conjunctive query in one round with heavy-hitter
+// statistics, generalizing the star and triangle algorithms of Section 4.2
+// along the lines the paper attributes to its follow-up ("the BinHC
+// algorithm", reference [6]): the domain of every variable is split into
+// heavy values (frequency ≥ m_j/p in some adjacent relation) and light
+// values, and every *output pattern* — an assignment of heavy values to a
+// subset of the variables, with all other variables light — gets its own
+// HyperCube block:
 //
 //   - the all-light pattern runs the vanilla HyperCube on p servers;
 //   - a pattern σ fixing variables X runs the residual query on a grid over
@@ -33,15 +34,6 @@ import (
 // deduplication occurs. The number of blocks is Π_v (1+|H_v|), so heavy
 // sets are capped at maxHeavyPerVar (the paper notes the general case has
 // no tight bound; this is the honest simplified construction).
-func RunGeneric(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int) *Result {
-	return RunGenericCap(q, db, p, seed, maxHeavyPerVar, 0)
-}
-
-// RunGenericCap is RunGeneric with a declared per-round load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunGenericCap(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int, capBits float64) *Result {
-	return RunGenericPlanned(PrepareGeneric(q, db, p, maxHeavyPerVar), q, db, p, seed, capBits)
-}
 
 // GenericPlan is the reusable, seed-independent part of a generalized
 // heavy/light-pattern run: the per-variable heavy sets and the full pattern
@@ -49,7 +41,7 @@ func RunGenericCap(q *query.Query, db *data.Database, p int, seed int64, maxHeav
 // phase of the algorithm — Π_v(1+|H_v|) patterns, each with its own share-LP
 // solve — so a service caches it per (query shape, database, p, heavy cap)
 // and replays it. The plan is immutable after preparation and safe for
-// concurrent RunGenericPlanned calls.
+// concurrent RunGenericPlannedNet calls.
 type GenericPlan struct {
 	heavy        []map[int64]bool
 	patterns     []*genPattern
@@ -95,10 +87,11 @@ func (gp *GenericPlan) ServersUsed() int { return gp.totalServers }
 func (gp *GenericPlan) NumPatterns() int { return len(gp.patterns) }
 
 // PrepareGeneric computes heavy sets and the pattern layout — the statistics
-// and planning phase of RunGeneric, split out so its result can be cached.
+// and planning phase of the generic algorithm, split out so its result can be
+// cached.
 func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int) *GenericPlan {
 	if !q.IsConnected() {
-		panic("skew: RunGeneric requires a connected query")
+		panic("skew: PrepareGeneric requires a connected query")
 	}
 	heavy, freqBits := genericHeavy(q, db, p, maxHeavyPerVar)
 	return newGenericPlan(q, db, p, heavy, freqBits)
@@ -226,15 +219,9 @@ func newGenericPlan(q *query.Query, db *data.Database, p int, heavy []map[int64]
 	}
 }
 
-// RunGenericPlanned executes the pattern-routing data round under a prepared
-// layout; see RunStarPlanned for the caching contract (bit-identical to the
-// unprepared path).
-func RunGenericPlanned(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunGenericPlannedNet(gp, q, db, p, seed, capBits, engine.Env{})
-}
-
-// RunGenericPlannedNet is RunGenericPlanned with round delivery through net
-// (nil = in-process).
+// RunGenericPlannedNet executes the pattern-routing data round under a
+// prepared layout; see RunStarPlannedNet for the caching contract
+// (bit-identical to the unprepared path), the cap and env.
 func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
 	k := q.NumVars()
 	heavy, patterns := gp.heavy, gp.patterns

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -90,9 +91,9 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	star := query.Star(2)
 	starDB := data.SkewedStarDatabase(rng, 2, 500, n, map[int64]int{7: 60, 9: 40})
 	sp := PrepareStar(star, starDB, 16)
-	a := RunStarPlanned(sp, star, starDB, 16, 5, 0)
-	b := RunStarPlanned(sp, star, starDB, 16, 5, 0)
-	c := RunStarCap(star, starDB, 16, 5, 0)
+	a := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
+	b := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
+	c := RunStar(star, starDB, 16, 5)
 	if a.MaxLoadBits != c.MaxLoadBits || a.TotalBits != c.TotalBits || !data.EqualMultiset(a.Output, c.Output) {
 		t.Error("star: prepared run differs from one-shot run")
 	}
@@ -107,8 +108,8 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	tri := query.Triangle()
 	triDB := data.SkewedTriangleDatabase(rng, 500, n, 7, 60)
 	tp := PrepareTriangle(tri, triDB, 16)
-	ta := RunTrianglePlanned(tp, tri, triDB, 16, 5, 0)
-	tc := RunTriangleCap(tri, triDB, 16, 5, 0)
+	ta := RunTrianglePlannedNet(tp, tri, triDB, 16, 5, 0, engine.Env{})
+	tc := RunTriangle(tri, triDB, 16, 5)
 	if ta.MaxLoadBits != tc.MaxLoadBits || ta.TotalBits != tc.TotalBits || !data.EqualMultiset(ta.Output, tc.Output) {
 		t.Error("triangle: prepared run differs from one-shot run")
 	}
@@ -118,8 +119,8 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 
 	genDB := skewedTriDB(11, 400, n, 3, 30)
 	gp := PrepareGeneric(tri, genDB, 16, 6)
-	ga := RunGenericPlanned(gp, tri, genDB, 16, 5, 0)
-	gc := RunGenericCap(tri, genDB, 16, 5, 6, 0)
+	ga := RunGenericPlannedNet(gp, tri, genDB, 16, 5, 0, engine.Env{})
+	gc := runGeneric(tri, genDB, 16, 5, 6)
 	if ga.MaxLoadBits != gc.MaxLoadBits || ga.TotalBits != gc.TotalBits || !data.EqualMultiset(ga.Output, gc.Output) {
 		t.Error("generic: prepared run differs from one-shot run")
 	}
@@ -130,7 +131,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 
 // TestAddStatsChargesAccounting asserts the cached-vs-charged seam: merging
 // a StatsResult must add its round and bits, take the load max, recompute
-// replication, and join the abort flag — exactly what RunStarSampledCap does
+// replication, and join the abort flag — exactly what RunStarSampled does
 // inline.
 func TestAddStatsChargesAccounting(t *testing.T) {
 	res := &Result{Rounds: 1, MaxLoadBits: 100, TotalBits: 1000, InputBits: 500}
@@ -364,7 +365,7 @@ func TestPlansMatchMapReference(t *testing.T) {
 					t.Fatal("plan accessors differ from the reference's")
 				}
 				if executed {
-					sameRun(t, RunStarPlanned(got, q, db, p, seed, 0), RunStarPlanned(want, q, db, p, seed, 0))
+					sameRun(t, RunStarPlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunStarPlannedNet(want, q, db, p, seed, 0, engine.Env{}))
 				}
 				heavy := make([]map[int64]bool, q.NumVars()) // only z has heavy values
 				heavy[0] = map[int64]bool{}
@@ -402,7 +403,7 @@ func TestPlansMatchMapReference(t *testing.T) {
 				t.Fatal("plan accessors differ from the reference's")
 			}
 			if executed {
-				sameRun(t, RunTrianglePlanned(got, q, db, p, seed, 0), RunTrianglePlanned(want, q, db, p, seed, 0))
+				sameRun(t, RunTrianglePlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunTrianglePlannedNet(want, q, db, p, seed, 0, engine.Env{}))
 			}
 			triLight += lightMaxima(q, db, got.cubeHeavy, pFloor)
 		})
@@ -430,7 +431,7 @@ func TestPlansMatchMapReference(t *testing.T) {
 				t.Fatal("plan accessors differ from the reference's")
 			}
 			if executed {
-				sameRun(t, RunGenericPlanned(got, q, db, p, seed, 0), RunGenericPlanned(want, q, db, p, seed, 0))
+				sameRun(t, RunGenericPlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunGenericPlannedNet(want, q, db, p, seed, 0, engine.Env{}))
 			}
 			genLight += lightMaxima(q, db, heavy, pFloor)
 			uncut, _ := refGenericHeavy(q, db, p, math.MaxInt)

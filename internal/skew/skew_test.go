@@ -60,7 +60,7 @@ func TestSimpleJoinSkewSeparation(t *testing.T) {
 	zi := q.VarIndex("z")
 	shares := []int{1, 1, 1}
 	shares[zi] = p
-	naive := core.RunWithShares(q, db, shares, 5)
+	naive := core.RunPlan(core.PlanWithShares(q, db, shares), db, 5)
 
 	aware := RunStar(q, db, p, 5)
 	if !data.Equal(naive.Output, aware.Output) {
@@ -253,11 +253,11 @@ func TestDetectHeavyHittersMPC(t *testing.T) {
 			rel.Append(other[i], other[(i+1)%m])
 		}
 	}
-	st := DetectHeavyHittersMPC(rel, 0, 16, 100, 20, 3)
+	st := StatsSpec{Rels: []*data.Relation{rel}, Cols: []int{0}, Thresholds: []int{20}}.Run(16, 100, 3, 0)
 	if st.Rounds != 1 {
 		t.Errorf("rounds=%d want 1", st.Rounds)
 	}
-	est := st.Estimates[7]
+	est := st.PerAtom[0][7]
 	if est < 500 || est > 2000 {
 		t.Errorf("estimate for heavy value=%d want ≈1000", est)
 	}

@@ -53,29 +53,13 @@ type Result struct {
 // allocated proportionally to Σ_{∅≠I⊆[ℓ]} Π_{j∈I} M_j(h) (the paper's
 // per-packing allocation, summed over the packing vertices {0,1}^ℓ\0).
 func RunStar(q *query.Query, db *data.Database, p int, seed int64) *Result {
-	return RunStarCap(q, db, p, seed, 0)
-}
-
-// RunStarCap is RunStar with a declared per-round load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunStarCap(q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunStarPlanned(PrepareStar(q, db, p), q, db, p, seed, capBits)
-}
-
-// RunStarWithFrequencies is RunStar with explicit z-frequency statistics,
-// exact or estimated (e.g. from the sampling protocol of
-// DetectHeavyHittersMPC). Statistics only drive heavy-hitter selection and
-// server allocation; correctness never depends on their accuracy, so
-// sampled estimates are safe — bad estimates only cost load. capBits > 0
-// declares a per-round load cap (0 = none).
-func RunStarWithFrequencies(q *query.Query, db *data.Database, p int, seed int64, freqs []map[int64]int, capBits float64) *Result {
-	return RunStarPlanned(PrepareStarWithFrequencies(q, db, p, freqs), q, db, p, seed, capBits)
+	return RunStarPlannedNet(PrepareStar(q, db, p), q, db, p, seed, 0, engine.Env{})
 }
 
 // StarPlan is the reusable, seed-independent part of a star-query run: the
 // heavy-hitter set and the per-heavy-hitter server blocks with their
 // residual-share grids, derived from frequency statistics. A StarPlan is
-// immutable after preparation and safe for concurrent RunStarPlanned calls,
+// immutable after preparation and safe for concurrent RunStarPlannedNet calls,
 // so a service can prepare it once per (query shape, database) and replay it
 // for every arriving query.
 type StarPlan struct {
@@ -123,7 +107,10 @@ func PrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
 func starFloor(m, p int) int { return max(2, m/p) }
 
 // PrepareStarWithFrequencies computes the star layout from explicit
-// (exact or estimated) z-frequency statistics.
+// z-frequency statistics, exact or estimated (e.g. by StatsSpec.RunNet's
+// sampling protocol). Statistics only drive heavy-hitter selection and
+// server allocation; correctness never depends on their accuracy, so
+// sampled estimates are safe — bad estimates only cost load.
 func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs []map[int64]int) *StarPlan {
 	k := q.NumAtoms()
 	zName := q.Atoms[0].Vars[0]
@@ -200,17 +187,13 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 	return &StarPlan{zCols: zCols, heavy: heavy, blocks: blocks, totalServers: offset}
 }
 
-// RunStarPlanned executes the star algorithm's data round under a prepared
-// layout: routing, local evaluation and metering, with the statistics phase
-// already paid for (or cached) by the caller. Running a prepared plan is
-// bit-identical to the unprepared path — preparation only moves work, never
-// accounting.
-func RunStarPlanned(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunStarPlannedNet(sp, q, db, p, seed, capBits, engine.Env{})
-}
-
-// RunStarPlannedNet is RunStarPlanned with round delivery through net (nil
-// = in-process).
+// RunStarPlannedNet executes the star algorithm's data round under a
+// prepared layout: routing, local evaluation and metering, with the
+// statistics phase already paid for (or cached) by the caller. Running a
+// prepared plan is bit-identical to the unprepared path — preparation only
+// moves work, never accounting. capBits is a declared per-round load cap in
+// bits (Section 2.1's abort semantics; 0 = none); round delivery goes
+// through env (the zero Env = in-process, untraced).
 func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
 	k := q.NumAtoms()
 	zCols, blocks, totalServers := sp.zCols, sp.blocks, sp.totalServers

@@ -11,12 +11,8 @@ import (
 // StatsResult reports the one-round distributed statistics protocol.
 type StatsResult struct {
 	// PerAtom holds one value → estimated-global-frequency map per
-	// (relation, column) pair handed to DetectHeavyHittersMPCMulti, in input
-	// order.
-	PerAtom []map[int64]int
-	// Estimates is PerAtom[0] — the single-relation convenience view used by
-	// DetectHeavyHittersMPC.
-	Estimates   map[int64]int
+	// (relation, column) pair of the StatsSpec, in input order.
+	PerAtom     []map[int64]int
 	MaxLoadBits float64 // max bits any server received in the statistics round
 	TotalBits   float64 // total bits communicated by the statistics round
 	Rounds      int     // always 1: the protocol is one genuine MPC round
@@ -27,153 +23,6 @@ type StatsResult struct {
 // candidates travel as (value, count) pairs of int64s, a generous width
 // that upper-bounds ⌈log₂ n⌉ for any int64 domain.
 const statsBitsPerValue = 64
-
-// DetectHeavyHittersMPC estimates per-value frequencies of one relation
-// column with a one-round MPC protocol; see DetectHeavyHittersMPCMulti for
-// the protocol. It remains as the single-relation entry point.
-func DetectHeavyHittersMPC(rel *data.Relation, col, p int, sampleSize int, candidateThreshold int, seed int64) *StatsResult {
-	return DetectHeavyHittersMPCMulti([]*data.Relation{rel}, []int{col}, p,
-		sampleSize, []int{candidateThreshold}, seed, 0)
-}
-
-// DetectHeavyHittersMPCMulti estimates per-value frequencies of ℓ relation
-// columns in ONE MPC round on a single cluster, making executable the
-// paper's remark that heavy-hitter statistics "can be easily obtained in
-// advance from small samples of the input" (Section 1):
-//
-//   - every relation is partitioned over the same p servers (free, per the
-//     model), tagged with its atom index as the message kind;
-//   - each server samples up to sampleSize of its local tuples per
-//     relation, counts the sampled values, scales to its partition size,
-//     and broadcasts every candidate whose scaled estimate reaches that
-//     relation's candidateThreshold, tagged with the atom's kind;
-//   - every server sums the broadcast estimates per atom, so afterwards all
-//     servers agree on the (approximate) statistics, as the model assumes.
-//
-// Because all ℓ atoms share one communication round, a server's load is the
-// SUM of the candidate traffic across atoms — the honest accounting for the
-// protocol (running ℓ separate rounds and taking the max would understate
-// both cost dimensions). The communication is O(p · candidates) values per
-// server: with the paper's m/p heavy-hitter threshold there are at most p
-// true candidates per relation and server, keeping the statistics round's
-// load well below the data rounds'.
-//
-// capBits > 0 declares a load cap for the round (0 = none).
-func DetectHeavyHittersMPCMulti(rels []*data.Relation, cols []int, p, sampleSize int,
-	candidateThresholds []int, seed int64, capBits float64) *StatsResult {
-	return DetectHeavyHittersMPCMultiNet(rels, cols, p, sampleSize, candidateThresholds, seed, capBits, engine.Env{})
-}
-
-// DetectHeavyHittersMPCMultiNet is DetectHeavyHittersMPCMulti with round
-// delivery through net (nil = in-process) — the sampling round's broadcast
-// traffic crosses the wire like any data round.
-func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleSize int,
-	candidateThresholds []int, seed int64, capBits float64, env engine.Env) *StatsResult {
-	l := len(rels)
-	cluster := engine.NewClusterEnv(env, p, statsBitsPerValue)
-	defer cluster.Release()
-	if capBits > 0 {
-		cluster.SetLoadCap(capBits)
-	}
-	for j, rel := range rels {
-		cluster.SeedRoundRobin(p, j, rel.Arity, rel.Vals())
-	}
-	st := cluster.Round("stats-sample", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		// Collect each atom's local tuples (batch views — seeding coalesces
-		// each atom's round-robin share into contiguous batches).
-		perKind := make([][]engine.Batch, l)
-		locals := make([]int, l)
-		inbox.EachBatch(func(b engine.Batch) {
-			perKind[b.Kind] = append(perKind[b.Kind], b)
-			locals[b.Kind] += b.NumTuples()
-		})
-		var rng *rand.Rand // seeded on the first draw: seeding costs more than counting a share
-		var vals []int64   // one atom's sampled values, reused across atoms
-		pair := make([]int64, 2)
-		for j := 0; j < l; j++ {
-			local := locals[j]
-			if local == 0 {
-				continue
-			}
-			col := cols[j]
-			n := min(sampleSize, local)
-			vals = vals[:0]
-			if n == local {
-				for _, b := range perKind[j] {
-					for i := 0; i < b.NumTuples(); i++ {
-						vals = append(vals, b.Tuple(i)[col])
-					}
-				}
-			} else {
-				if rng == nil {
-					rng = rand.New(rand.NewSource(seed + int64(s)))
-				}
-				at := func(i int) []int64 {
-					for _, b := range perKind[j] {
-						if i < b.NumTuples() {
-							return b.Tuple(i)
-						}
-						i -= b.NumTuples()
-					}
-					panic("skew: sample index out of range")
-				}
-				for t := 0; t < n; t++ {
-					vals = append(vals, at(rng.Intn(local))[col])
-				}
-			}
-			scale := float64(local) / float64(n)
-			// Broadcast candidates in ascending value order: emission order
-			// reaches every inbox (and, distributed, the wire), so it must be
-			// a pure function of the sampled counts — the sorted runs are.
-			for _, run := range data.Runs(data.SortValues(vals), 1) {
-				if est := int(float64(run.Count) * scale); est >= candidateThresholds[j] {
-					pair[0], pair[1] = run.Value, int64(est)
-					emit.EmitTuple(engine.Broadcast, j, pair)
-				}
-			}
-		}
-	})
-	perAtom := make([]map[int64]int, l)
-	for j := range perAtom {
-		perAtom[j] = make(map[int64]int, cluster.Inbox(0).NumTuples())
-	}
-	cluster.Inbox(0).Each(func(kind int, tuple []int64) { // all servers hold the same broadcasts
-		perAtom[kind][tuple[0]] += int(tuple[1])
-	})
-	res := &StatsResult{
-		PerAtom:     perAtom,
-		MaxLoadBits: st.MaxRecvBits,
-		TotalBits:   st.TotalRecvBits,
-		Rounds:      cluster.NumRounds(),
-		Aborted:     cluster.Aborted(),
-	}
-	if l > 0 {
-		res.Estimates = perAtom[0]
-	}
-	return res
-}
-
-// RunStarSampled runs the star algorithm end to end without a statistics
-// oracle: a first round gathers sampled z-frequencies for all ℓ atoms with
-// DetectHeavyHittersMPCMulti, and the data round uses the estimates. Output
-// correctness is unconditional; only the load depends on estimate quality.
-//
-// The accounting is honest about both cost dimensions: the statistics
-// protocol executes as one genuine round (Rounds = 1 + data rounds), its
-// communication is included in TotalBits, and MaxLoadBits is the maximum
-// over the statistics and data rounds.
-func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *Result {
-	return RunStarSampledCap(q, db, p, seed, sampleSize, 0)
-}
-
-// RunStarSampledCap is RunStarSampled with a declared per-round load cap in
-// bits (0 = none); the cap applies to the statistics round too.
-func RunStarSampledCap(q *query.Query, db *data.Database, p int, seed int64, sampleSize int, capBits float64) *Result {
-	st := StarStatsSpec(q, db, p).Run(p, sampleSize, seed, capBits)
-	res := RunStarWithFrequencies(q, db, p, seed, st.PerAtom, capBits)
-	AddStatsCharges(res, st)
-	return res
-}
 
 // StatsSpec pins down one invocation of the sampling protocol: the relation
 // columns to profile and the per-relation candidate thresholds. It exists so
@@ -215,9 +64,127 @@ func (spec StatsSpec) Run(p, sampleSize int, seed int64, capBits float64) *Stats
 	return spec.RunNet(p, sampleSize, seed, capBits, engine.Env{})
 }
 
-// RunNet is Run with round delivery through net (nil = in-process).
+// RunNet executes the sampling protocol for the spec: it estimates per-value
+// frequencies of the spec's ℓ relation columns in ONE MPC round on a single
+// cluster, making executable the paper's remark that heavy-hitter statistics
+// "can be easily obtained in advance from small samples of the input"
+// (Section 1):
+//
+//   - every relation is partitioned over the same p servers (free, per the
+//     model), tagged with its atom index as the message kind;
+//   - each server samples up to sampleSize of its local tuples per
+//     relation, counts the sampled values, scales to its partition size,
+//     and broadcasts every candidate whose scaled estimate reaches that
+//     relation's candidate threshold, tagged with the atom's kind;
+//   - every server sums the broadcast estimates per atom, so afterwards all
+//     servers agree on the (approximate) statistics, as the model assumes.
+//
+// Because all ℓ atoms share one communication round, a server's load is the
+// SUM of the candidate traffic across atoms — the honest accounting for the
+// protocol (running ℓ separate rounds and taking the max would understate
+// both cost dimensions). The communication is O(p · candidates) values per
+// server: with the paper's m/p heavy-hitter threshold there are at most p
+// true candidates per relation and server, keeping the statistics round's
+// load well below the data rounds'.
+//
+// capBits > 0 declares a load cap for the round (0 = none). Round delivery
+// goes through env (the zero Env = in-process, untraced) — the sampling
+// round's broadcast traffic crosses the wire like any data round.
 func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env engine.Env) *StatsResult {
-	return DetectHeavyHittersMPCMultiNet(spec.Rels, spec.Cols, p, sampleSize, spec.Thresholds, seed, capBits, env)
+	l := len(spec.Rels)
+	cluster := engine.NewClusterEnv(env, p, statsBitsPerValue)
+	defer cluster.Release()
+	if capBits > 0 {
+		cluster.SetLoadCap(capBits)
+	}
+	for j, rel := range spec.Rels {
+		cluster.SeedRoundRobin(p, j, rel.Arity, rel.Vals())
+	}
+	st := cluster.Round("stats-sample", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
+		// Collect each atom's local tuples (batch views — seeding coalesces
+		// each atom's round-robin share into contiguous batches).
+		perKind := make([][]engine.Batch, l)
+		locals := make([]int, l)
+		inbox.EachBatch(func(b engine.Batch) {
+			perKind[b.Kind] = append(perKind[b.Kind], b)
+			locals[b.Kind] += b.NumTuples()
+		})
+		var rng *rand.Rand // seeded on the first draw: seeding costs more than counting a share
+		var vals []int64   // one atom's sampled values, reused across atoms
+		pair := make([]int64, 2)
+		for j := 0; j < l; j++ {
+			local := locals[j]
+			if local == 0 {
+				continue
+			}
+			col := spec.Cols[j]
+			n := min(sampleSize, local)
+			vals = vals[:0]
+			if n == local {
+				for _, b := range perKind[j] {
+					for i := 0; i < b.NumTuples(); i++ {
+						vals = append(vals, b.Tuple(i)[col])
+					}
+				}
+			} else {
+				if rng == nil {
+					rng = rand.New(rand.NewSource(seed + int64(s)))
+				}
+				at := func(i int) []int64 {
+					for _, b := range perKind[j] {
+						if i < b.NumTuples() {
+							return b.Tuple(i)
+						}
+						i -= b.NumTuples()
+					}
+					panic("skew: sample index out of range")
+				}
+				for t := 0; t < n; t++ {
+					vals = append(vals, at(rng.Intn(local))[col])
+				}
+			}
+			scale := float64(local) / float64(n)
+			// Broadcast candidates in ascending value order: emission order
+			// reaches every inbox (and, distributed, the wire), so it must be
+			// a pure function of the sampled counts — the sorted runs are.
+			for _, run := range data.Runs(data.SortValues(vals), 1) {
+				if est := int(float64(run.Count) * scale); est >= spec.Thresholds[j] {
+					pair[0], pair[1] = run.Value, int64(est)
+					emit.EmitTuple(engine.Broadcast, j, pair)
+				}
+			}
+		}
+	})
+	perAtom := make([]map[int64]int, l)
+	for j := range perAtom {
+		perAtom[j] = make(map[int64]int, cluster.Inbox(0).NumTuples())
+	}
+	cluster.Inbox(0).Each(func(kind int, tuple []int64) { // all servers hold the same broadcasts
+		perAtom[kind][tuple[0]] += int(tuple[1])
+	})
+	return &StatsResult{
+		PerAtom:     perAtom,
+		MaxLoadBits: st.MaxRecvBits,
+		TotalBits:   st.TotalRecvBits,
+		Rounds:      cluster.NumRounds(),
+		Aborted:     cluster.Aborted(),
+	}
+}
+
+// RunStarSampled runs the star algorithm end to end without a statistics
+// oracle: a first round gathers sampled z-frequencies for all ℓ atoms with
+// StarStatsSpec's protocol, and the data round uses the estimates. Output
+// correctness is unconditional; only the load depends on estimate quality.
+//
+// The accounting is honest about both cost dimensions: the statistics
+// protocol executes as one genuine round (Rounds = 1 + data rounds), its
+// communication is included in TotalBits, and MaxLoadBits is the maximum
+// over the statistics and data rounds.
+func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *Result {
+	st := StarStatsSpec(q, db, p).Run(p, sampleSize, seed, 0)
+	res := RunStarPlannedNet(PrepareStarWithFrequencies(q, db, p, st.PerAtom), q, db, p, seed, 0, engine.Env{})
+	AddStatsCharges(res, st)
+	return res
 }
 
 // AddStatsCharges folds the statistics round's cost into a data-round

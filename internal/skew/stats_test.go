@@ -42,7 +42,7 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	// Exhaustive sampling (sampleSize ≥ local partition) makes candidates
 	// deterministic: every server broadcasts exactly one (7, 100) pair per
 	// atom.
-	st := DetectHeavyHittersMPCMulti(rels, cols, p, m, thr, 3, 0)
+	st := StatsSpec{Rels: rels, Cols: cols, Thresholds: thr}.Run(p, m, 3, 0)
 	if st.Rounds != 1 {
 		t.Fatalf("stats protocol must be one genuine round, got %d", st.Rounds)
 	}
@@ -67,8 +67,8 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	}
 
 	// Cross-check the sum property against the single-atom protocol runs.
-	s1 := DetectHeavyHittersMPC(rels[0], 0, p, m, thr[0], 3)
-	s2 := DetectHeavyHittersMPC(rels[1], 0, p, m, thr[1], 3)
+	s1 := StatsSpec{Rels: rels[:1], Cols: cols[:1], Thresholds: thr[:1]}.Run(p, m, 3, 0)
+	s2 := StatsSpec{Rels: rels[1:], Cols: cols[1:], Thresholds: thr[1:]}.Run(p, m, 3, 0)
 	if st.MaxLoadBits != s1.MaxLoadBits+s2.MaxLoadBits {
 		t.Errorf("merged load %v must equal the sum of per-atom loads %v + %v",
 			st.MaxLoadBits, s1.MaxLoadBits, s2.MaxLoadBits)
@@ -79,12 +79,12 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 // empty statistics, and a relation with no tuples is an atom with no
 // candidates — neither is a panic.
 func TestStatsProtocolWithoutRelations(t *testing.T) {
-	st := DetectHeavyHittersMPCMulti(nil, nil, 4, 10, nil, 1, 0)
-	if len(st.PerAtom) != 0 || st.Estimates != nil || st.TotalBits != 0 || st.Rounds != 1 {
+	st := StatsSpec{}.Run(4, 10, 1, 0)
+	if len(st.PerAtom) != 0 || st.TotalBits != 0 || st.Rounds != 1 {
 		t.Errorf("no relations: got %+v, want one empty round", st)
 	}
-	st = DetectHeavyHittersMPC(data.NewRelation("R", 2), 0, 4, 10, 2, 1)
-	if len(st.PerAtom) != 1 || len(st.Estimates) != 0 || st.TotalBits != 0 {
+	st = StatsSpec{Rels: []*data.Relation{data.NewRelation("R", 2)}, Cols: []int{0}, Thresholds: []int{2}}.Run(4, 10, 1, 0)
+	if len(st.PerAtom) != 1 || len(st.PerAtom[0]) != 0 || st.TotalBits != 0 {
 		t.Errorf("empty relation: got %+v, want no candidates", st)
 	}
 }
@@ -167,7 +167,7 @@ func TestStatsRoundThatDrawsIsPinned(t *testing.T) {
 	if st.MaxLoadBits != 3200 || st.TotalBits != 51200 || st.Rounds != 1 {
 		t.Errorf("statistics round: load %v, total %v, %d rounds; pinned 3200, 51200, 1", st.MaxLoadBits, st.TotalBits, st.Rounds)
 	}
-	res := RunStarSampledCap(q, db, 16, 7, 50, 0)
+	res := RunStarSampled(q, db, 16, 7, 50)
 	if res.MaxLoadBits != 10668 || res.TotalBits != 288360 || res.HeavyHitters != 2 || res.ServersUsed != 31 {
 		t.Errorf("sampled run: load %v, total %v, %d heavy, %d servers; pinned 10668, 288360, 2, 31",
 			res.MaxLoadBits, res.TotalBits, res.HeavyHitters, res.ServersUsed)

@@ -34,19 +34,13 @@ import (
 // RunTriangle computes C3 over db with a budget of p servers.
 // q must be query.Triangle() (atoms S1(x1,x2), S2(x2,x3), S3(x3,x1)).
 func RunTriangle(q *query.Query, db *data.Database, p int, seed int64) *Result {
-	return RunTriangleCap(q, db, p, seed, 0)
-}
-
-// RunTriangleCap is RunTriangle with a declared per-round load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunTriangleCap(q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunTrianglePlanned(PrepareTriangle(q, db, p), q, db, p, seed, capBits)
+	return RunTrianglePlannedNet(PrepareTriangle(q, db, p), q, db, p, seed, 0, engine.Env{})
 }
 
 // TrianglePlan is the reusable, seed-independent part of a triangle run:
 // per-variable frequency and heavy-hitter classifications plus the full
 // server layout (light grid, case-1 groups, case-2 pivot blocks). It is
-// immutable after preparation and safe for concurrent RunTrianglePlanned
+// immutable after preparation and safe for concurrent RunTrianglePlannedNet
 // calls, so a service can compute it once per database and replay it.
 type TrianglePlan struct {
 	pHeavy    []map[int64]bool
@@ -128,15 +122,9 @@ func triangleHeavy(q *query.Query, db *data.Database, p int) (freq []map[int64]i
 	return freq, pHeavy, cubeHeavy
 }
 
-// RunTrianglePlanned executes the triangle data round under a prepared
-// layout; see RunStarPlanned for the caching contract (bit-identical to the
-// unprepared path).
-func RunTrianglePlanned(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunTrianglePlannedNet(tp, q, db, p, seed, capBits, engine.Env{})
-}
-
-// RunTrianglePlannedNet is RunTrianglePlanned with round delivery through
-// net (nil = in-process).
+// RunTrianglePlannedNet executes the triangle data round under a prepared
+// layout; see RunStarPlannedNet for the caching contract (bit-identical to
+// the unprepared path), the cap and env.
 func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
 	vars := q.Vars()
 	pHeavy, cubeHeavy, layout := tp.pHeavy, tp.cubeHeavy, tp.layout

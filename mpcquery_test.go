@@ -8,12 +8,21 @@ import (
 	"mpcquery/internal/data"
 )
 
+func mustRun(t *testing.T, q *Query, db *Database, opts ...RunOption) *Report {
+	t.Helper()
+	rep, err := Run(q, db, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestPublicAPIQuickstart exercises the documented quick-start flow.
 func TestPublicAPIQuickstart(t *testing.T) {
 	q := Triangle()
 	rng := rand.New(rand.NewSource(1))
 	db := MatchingDatabase(rng, q, 1000, 1<<20)
-	res := RunHyperCube(q, db, 64, 42)
+	res := mustRun(t, q, db, WithServers(64), WithSeed(42))
 	if res.MaxLoadBits <= 0 {
 		t.Fatal("no load measured")
 	}
@@ -53,9 +62,9 @@ func TestPublicAPIMultiRound(t *testing.T) {
 	if ChainRounds(8, 0) != 3 {
 		t.Error("formula disagrees")
 	}
-	res := ExecutePlan(plan, db, 32, 7)
-	if res.Output.NumTuples() != 200 {
-		t.Fatalf("output=%d want 200", res.Output.NumTuples())
+	res := mustRun(t, Chain(8), db, WithStrategy(ChainPlan(0)), WithServers(32), WithSeed(7))
+	if res.Output.NumTuples() != 200 || res.Rounds != 3 {
+		t.Fatalf("output=%d in %d rounds, want 200 in 3", res.Output.NumTuples(), res.Rounds)
 	}
 }
 
@@ -63,13 +72,13 @@ func TestPublicAPISkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := Star(2)
 	db := SkewedStarDatabase(rng, 2, 300, 1<<20, map[int64]int{7: 150})
-	res := RunSkewedStar(q, db, 8, 5)
+	res := mustRun(t, q, db, WithStrategy(SkewedStar()), WithServers(8), WithSeed(5))
 	want := SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatal("skewed star mismatch")
 	}
 	tri := SkewedTriangleDatabase(rng, 300, 1<<20, 5, 100)
-	tr := RunSkewedTriangle(Triangle(), tri, 27, 5)
+	tr := mustRun(t, Triangle(), tri, WithStrategy(SkewedTriangle()), WithServers(27), WithSeed(5))
 	if !data.Equal(tr.Output, SequentialAnswer(Triangle(), tri)) {
 		t.Fatal("skewed triangle mismatch")
 	}
@@ -141,11 +150,13 @@ func TestPublicAPICappedAndCSV(t *testing.T) {
 	if err != nil || rel.NumTuples() != 2 {
 		t.Fatalf("csv: %v %d", err, rel.NumTuples())
 	}
-	gen := RunSkewedGeneric(Star(2), SkewedStarDatabase(rng, 2, 200, 1<<16, map[int64]int{5: 100}), 8, 3, 8)
+	gen := mustRun(t, Star(2), SkewedStarDatabase(rng, 2, 200, 1<<16, map[int64]int{5: 100}),
+		WithStrategy(SkewedGeneric()), WithHeavyCap(8), WithServers(8), WithSeed(3))
 	if gen.Rounds != 1 {
 		t.Errorf("generic rounds: %d", gen.Rounds)
 	}
-	sampled := RunSkewedStarSampled(Star(2), SkewedStarDatabase(rng, 2, 200, 1<<16, map[int64]int{5: 100}), 8, 3, 50)
+	sampled := mustRun(t, Star(2), SkewedStarDatabase(rng, 2, 200, 1<<16, map[int64]int{5: 100}),
+		WithStrategy(SkewedStarSampled(50)), WithServers(8), WithSeed(3))
 	if sampled.Rounds != 2 {
 		t.Errorf("sampled rounds: %d", sampled.Rounds)
 	}
@@ -158,7 +169,8 @@ func TestPublicAPICappedAndCSV(t *testing.T) {
 	e.Append(2, 3)
 	gdb := NewDatabase(16)
 	gdb.Add(e)
-	sj := RunHyperCubeSelfJoins("p2", []Atom{{Name: "E", Vars: []string{"x", "y"}}, {Name: "E", Vars: []string{"y", "z"}}}, gdb, 4, 1)
+	sj := mustRun(t, nil, gdb, WithStrategy(SelfJoin("p2", Atom{Name: "E", Vars: []string{"x", "y"}}, Atom{Name: "E", Vars: []string{"y", "z"}})),
+		WithServers(4), WithSeed(1))
 	if sj.Output.NumTuples() != 1 {
 		t.Errorf("self-join paths: %d want 1", sj.Output.NumTuples())
 	}

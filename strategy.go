@@ -104,12 +104,7 @@ func (s hyperCubeStrategy) Execute(ctx ExecContext) (*Report, error) {
 	plan := ctx.cachedPlan(fmt.Sprintf("hc|m%d", s.mode), func() any {
 		return core.PlanForDatabase(ctx.Query, ctx.DB, ctx.Servers, s.mode)
 	}).(*core.Plan)
-	var res *core.Result
-	if ap := ctx.aggregatePlan(); ap != nil {
-		res = core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ap, ctx.env)
-	} else {
-		res = core.RunPlanWithCapNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	}
+	res := core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
 	rep := reportFromCore(s.Name(), ctx.Query, res)
 	rep.PredictedLoadBits = plan.PredictedLoadBits()
 	return rep, nil
@@ -142,12 +137,7 @@ func (s sharesStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: HyperCubeShares: shares must be ≥ 1, got %v", s.shares)
 		}
 	}
-	var res *core.Result
-	if ap := ctx.aggregatePlan(); ap != nil {
-		res = core.RunWithSharesAggregateNet(ctx.Query, ctx.DB, s.shares, ctx.Seed, ctx.LoadCapBits, ap, ctx.env)
-	} else {
-		res = core.RunWithSharesCapNet(ctx.Query, ctx.DB, s.shares, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	}
+	res := core.RunPlanAggregateNet(core.PlanWithShares(ctx.Query, ctx.DB, s.shares), ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
 	return reportFromCore(s.Name(), ctx.Query, res), nil
 }
 
@@ -184,7 +174,7 @@ func (s selfJoinStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: SelfJoin: %w: %q", ErrMissingRelation, a.Name)
 		}
 	}
-	res := core.RunWithSelfJoinsCapNet(s.name, s.atoms, ctx.DB, ctx.Servers, ctx.Seed, core.SkewFree, ctx.LoadCapBits, ctx.env)
+	res := core.RunWithSelfJoins(s.name, s.atoms, ctx.DB, ctx.Servers, ctx.Seed, core.SkewFree, ctx.LoadCapBits, ctx.env)
 	rep := reportFromCore(s.Name(), res.Plan.Query, res)
 	rep.PredictedLoadBits = res.Plan.PredictedLoadBits()
 	return rep, nil
