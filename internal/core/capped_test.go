@@ -71,7 +71,7 @@ func TestCappedAtLowerBoundFindsMost(t *testing.T) {
 	db := denseTriangleDB(rng, 3000, 256)
 	pl := PlanForDatabase(q, db, 64, SkewFree)
 	full := RunPlan(pl, db, 3)
-	res := RunPlanCapped(pl, db, 3, 2*full.MaxLoadBits)
+	res := RunPlanCapped(pl, db, 3, 2*full.MaxLoadBits())
 	if res.Fraction < 0.999 {
 		t.Errorf("cap at 2×actual load should lose nothing: fraction=%v", res.Fraction)
 	}
@@ -84,8 +84,8 @@ func TestInputServerModelEquivalence(t *testing.T) {
 	pl := PlanForDatabase(q, db, 64, SkewFree)
 	a := RunPlan(pl, db, 9)
 	b := RunPlanInputServers(pl, db, 9)
-	if a.MaxLoadBits != b.MaxLoadBits {
-		t.Errorf("loads differ: partitioned %v vs input-server %v", a.MaxLoadBits, b.MaxLoadBits)
+	if a.MaxLoadBits() != b.MaxLoadBits() {
+		t.Errorf("loads differ: partitioned %v vs input-server %v", a.MaxLoadBits(), b.MaxLoadBits())
 	}
 	if !data.Equal(a.Output, b.Output) {
 		t.Error("outputs differ between input models")

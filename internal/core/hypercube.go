@@ -160,34 +160,8 @@ func IntegerShares(e []float64, p int) []int {
 	}
 }
 
-// Result reports an executed one-round HyperCube run (two rounds when an
-// aggregate was requested: the input shuffle plus the aggregate shuffle).
-type Result struct {
-	Plan   *Plan
-	Output *data.Relation // full query result (union over servers)
-
-	ServersUsed     int
-	MaxLoadBits     float64 // L: max bits received by any server in any round
-	MaxLoadTuples   int
-	RoundLoads      []float64 // per-round max received bits, in round order
-	TotalBits       float64
-	InputBits       float64
-	ReplicationRate float64
-	Aborted         bool // a declared load cap was exceeded (RunPlanWithCapNet)
-
-	// AggregateBitsSaved is the communication the pre-shuffle partial
-	// aggregation removed: (raw join rows − shipped partial rows) × row bits,
-	// summed over senders. 0 for plain runs and no-pushdown aggregate runs.
-	AggregateBitsSaved float64
-
-	// Wall-clock split of the simulation (not model costs): seconds spent
-	// in local computation vs simulated communication delivery.
-	ComputeSeconds float64
-	CommSeconds    float64
-}
-
 // Run plans and executes the HyperCube algorithm for q on db with p servers.
-func Run(q *query.Query, db *data.Database, p int, seed int64, mode Mode) *Result {
+func Run(q *query.Query, db *data.Database, p int, seed int64, mode Mode) *engine.RunRecord {
 	return RunPlan(PlanForDatabase(q, db, p, mode), db, seed)
 }
 
@@ -208,18 +182,18 @@ func prodInt(xs []int) int {
 
 // RunPlan executes a prepared plan on db with the given hash seed, under
 // the partitioned-input model (each relation dealt round-robin).
-func RunPlan(pl *Plan, db *data.Database, seed int64) *Result {
+func RunPlan(pl *Plan, db *data.Database, seed int64) *engine.RunRecord {
 	return RunPlanWithCapNet(pl, db, seed, 0, engine.Env{})
 }
 
 // RunPlanWithCapNet is RunPlan with a declared load cap (Section 2.1's abort
-// semantics): when capBits > 0 and any server receives more, the result's
-// Aborted flag is set. The output is still computed (the caller decides
+// semantics): when capBits > 0 and any server receives more, the record's
+// Aborted reports it. The output is still computed (the caller decides
 // whether to retry with a fresh hash seed). Round delivery goes through env
 // (the zero Env = in-process, untraced). Every strategy path threads its
 // transport exclusively through the full forms — the algorithms themselves
 // are transport-oblivious, as the delivery seam requires.
-func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64, env engine.Env) *Result {
+func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	return RunPlanAggregateNet(pl, db, seed, capBits, nil, env)
 }
 
@@ -227,12 +201,12 @@ func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64,
 // with one extra communication round: every server folds (pushdown) or
 // projects (no pushdown) its local join output into (group key, annotation)
 // rows, routes them by key hash, and destinations fold their received rows
-// into the final groups. The Result's Output is the canonical aggregate
+// into the final groups. The record's Output is the canonical aggregate
 // relation — (group key..., value) tuples sorted lexicographically, the
 // synthetic key of a global aggregate dropped — identical whether or not
 // pushdown ran; only the second round's bits differ. A nil agg is the plain
 // join (one round).
-func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
+func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
 	return runPlanSeeded(pl, db, seed, capBits, agg, (*engine.Cluster).SeedPartitioned, env)
 }
 
@@ -245,7 +219,7 @@ type seeding func(cluster *engine.Cluster, gp int, q *query.Query, db *data.Data
 // only on tuple content, so the received loads are identical to the
 // partitioned-input run — the equivalence the paper uses to transfer its
 // lower bounds between the two models.
-func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *Result {
+func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *engine.RunRecord {
 	return runPlanSeeded(pl, db, seed, 0, nil, func(cluster *engine.Cluster, gp int, q *query.Query, db *data.Database) {
 		for j, a := range q.Atoms {
 			rel := db.Get(a.Name)
@@ -254,7 +228,7 @@ func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *Result {
 	}, engine.Env{})
 }
 
-func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput seeding, env engine.Env) *Result {
+func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput seeding, env engine.Env) *engine.RunRecord {
 	q := pl.Query
 	grid := hashing.NewGrid(pl.Shares)
 	gp := grid.P()
@@ -284,7 +258,7 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 		// streamed kernel when streaming is on (chunked evaluation, same
 		// bytes — the memoized index cache keeps hit/miss totals identical);
 		// and when a sink is set the output never materializes at all —
-		// chunks flow straight out and Result.Output stays nil, in both
+		// chunks flow straight out and the record's Output stays nil, in both
 		// modes, so fingerprints agree.
 		streamChunk := env.StreamChunk
 		if streamChunk <= 0 {
@@ -326,26 +300,9 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	for _, a := range q.Atoms {
 		inputBits += db.Get(a.Name).SizeBits(db.N)
 	}
-	roundLoads := make([]float64, 0, cluster.NumRounds())
-	for _, rs := range cluster.Rounds() {
-		roundLoads = append(roundLoads, rs.MaxRecvBits)
-	}
-	computeS, commS := cluster.PhaseSeconds()
-	return &Result{
-		Plan:               pl,
-		Output:             out,
-		ServersUsed:        gp,
-		MaxLoadBits:        cluster.MaxLoadBits(),
-		MaxLoadTuples:      cluster.MaxLoadTuples(),
-		RoundLoads:         roundLoads,
-		TotalBits:          cluster.TotalBits(),
-		InputBits:          inputBits,
-		ReplicationRate:    cluster.ReplicationRate(inputBits),
-		Aborted:            cluster.Aborted(),
-		AggregateBitsSaved: aggSaved,
-		ComputeSeconds:     computeS,
-		CommSeconds:        commS,
-	}
+	rec := cluster.Record(out, inputBits)
+	rec.AggregateBitsSaved = aggSaved
+	return rec
 }
 
 // evaluator is the per-server setup of a HyperCube computation phase: the
@@ -504,10 +461,7 @@ func SequentialAnswer(q *query.Query, db *data.Database) *data.Relation {
 func MaxLoadOverSeeds(pl *Plan, db *data.Database, seeds []int64) float64 {
 	worst := 0.0
 	for _, s := range seeds {
-		r := RunPlan(pl, db, s)
-		if r.MaxLoadBits > worst {
-			worst = r.MaxLoadBits
-		}
+		worst = max(worst, RunPlan(pl, db, s).MaxLoadBits())
 	}
 	return worst
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
@@ -46,7 +47,7 @@ func TestIntegerSharesUsesBudget(t *testing.T) {
 	}
 }
 
-func runMatching(t *testing.T, q *query.Query, m int, p int, mode Mode) *Result {
+func runMatching(t *testing.T, q *query.Query, m int, p int, mode Mode) *engine.RunRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	db := data.MatchingDatabase(rng, q, m, int64(m*m))
@@ -144,8 +145,8 @@ func TestTriangleLoadScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := 8000
 	db := data.MatchingDatabase(rng, q, m, int64(m*4))
-	load8 := Run(q, db, 8, 99, SkewFree).MaxLoadBits
-	load64 := Run(q, db, 64, 99, SkewFree).MaxLoadBits
+	load8 := Run(q, db, 8, 99, SkewFree).MaxLoadBits()
+	load64 := Run(q, db, 64, 99, SkewFree).MaxLoadBits()
 	ratio := load8 / load64
 	// Ideal ratio 8^{2/3} = 4; allow generous variance for hashing noise.
 	if ratio < 2.5 || ratio > 6.5 {
@@ -164,11 +165,11 @@ func TestLoadNearPrediction(t *testing.T) {
 	pl := PlanForDatabase(q, db, 64, SkewFree)
 	res := RunPlan(pl, db, 3)
 	pred := pl.PredictedLoadBits()
-	if res.MaxLoadBits > 4*pred {
-		t.Errorf("measured %v >> predicted %v", res.MaxLoadBits, pred)
+	if res.MaxLoadBits() > 4*pred {
+		t.Errorf("measured %v >> predicted %v", res.MaxLoadBits(), pred)
 	}
-	if res.MaxLoadBits < pred/4 {
-		t.Errorf("measured %v << predicted %v (accounting bug?)", res.MaxLoadBits, pred)
+	if res.MaxLoadBits() < pred/4 {
+		t.Errorf("measured %v << predicted %v (accounting bug?)", res.MaxLoadBits(), pred)
 	}
 }
 
@@ -197,8 +198,8 @@ func TestSmallRelationBroadcast(t *testing.T) {
 		t.Fatalf("expected unit-vector packing at p=%d, got %v", p, u)
 	}
 	res := RunPlan(pl, db, 7)
-	if res.MaxLoadBits > 4*lower {
-		t.Errorf("load %v should track linear-speedup bound %v", res.MaxLoadBits, lower)
+	if res.MaxLoadBits() > 4*lower {
+		t.Errorf("load %v should track linear-speedup bound %v", res.MaxLoadBits(), lower)
 	}
 	if !data.Equal(res.Output, SequentialAnswer(q, db)) {
 		t.Fatal("output mismatch")
@@ -212,8 +213,8 @@ func TestReplicationRateMeasured(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db := data.MatchingDatabase(rng, q, 3000, 1<<20)
 	res := Run(q, db, 64, 5, SkewFree)
-	if res.ReplicationRate < 3 || res.ReplicationRate > 5 {
-		t.Errorf("replication rate=%v want ≈4", res.ReplicationRate)
+	if res.ReplicationRate() < 3 || res.ReplicationRate() > 5 {
+		t.Errorf("replication rate=%v want ≈4", res.ReplicationRate())
 	}
 }
 
@@ -271,14 +272,14 @@ func TestSkewObliviousTightness(t *testing.T) {
 	shares[zi] = 16
 	res := RunPlan(PlanWithShares(q, db, shares), db, 3)
 	m1 := db.Get("S1").SizeBits(n)
-	if res.MaxLoadBits < m1 {
-		t.Errorf("degenerate hashing should load >= M1=%v, got %v", m1, res.MaxLoadBits)
+	if res.MaxLoadBits() < m1 {
+		t.Errorf("degenerate hashing should load >= M1=%v, got %v", m1, res.MaxLoadBits())
 	}
 	// The skew-oblivious LP picks cube shares instead, load ~ M/p^{1/3}.
 	obl := Run(q, db, 16, 3, SkewOblivious)
-	if obl.MaxLoadBits >= res.MaxLoadBits {
+	if obl.MaxLoadBits() >= res.MaxLoadBits() {
 		t.Errorf("oblivious shares %v should beat naive %v on this instance",
-			obl.MaxLoadBits, res.MaxLoadBits)
+			obl.MaxLoadBits(), res.MaxLoadBits())
 	}
 	if !data.Equal(obl.Output, SequentialAnswer(q, db)) {
 		t.Error("oblivious output mismatch")

@@ -59,7 +59,7 @@ func selfJoinView(name string, atoms []query.Atom, db *data.Database) (*query.Qu
 // reads the shared relation through a renamed view. capBits is a declared
 // load cap in bits (Section 2.1's abort semantics; 0 = none); round delivery
 // goes through env (the zero Env = in-process, untraced).
-func RunWithSelfJoins(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64, env engine.Env) *Result {
+func RunWithSelfJoins(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64, env engine.Env) *engine.RunRecord {
 	q, view := selfJoinView(name, atoms, db)
 	return RunPlanWithCapNet(PlanForDatabase(q, view, p, mode), view, seed, capBits, env)
 }

@@ -90,7 +90,7 @@ func TestCombinerEquivalentToPostFold(t *testing.T) {
 				got[d][t[0]] += t[1]
 			})
 		}
-		return got, c.TotalBits()
+		return got, c.Record(nil, 0).TotalBits()
 	}
 
 	combinedTotals, combinedBits := fold(true)

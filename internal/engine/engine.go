@@ -805,7 +805,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	// spawning would dominate small rounds. ParallelFor re-raises server
 	// panics on the caller's goroutine, so callers see them as ordinary
 	// panics.
-	//lint:allow nondeterminism phase wall-clock timing; PhaseSeconds is a simulation metric, excluded from Report.Fingerprint
+	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	t0 := time.Now()
 	for s := 0; s < c.p; s++ {
 		c.emitters[s].reset()
@@ -842,7 +842,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			f(s, c.inbox[s], c.emitters[s])
 		})
 	}
-	//lint:allow nondeterminism phase wall-clock timing; PhaseSeconds is a simulation metric, excluded from Report.Fingerprint
+	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	computeDur := time.Since(t0).Seconds()
 	c.computeSeconds += computeDur
 
@@ -853,7 +853,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	// hands the round to its Transport instead, which must reproduce the same
 	// delivery order (see Link.Deliver); a delivery error aborts the run via
 	// panic, mapped to a typed error at the API boundary.
-	//lint:allow nondeterminism phase wall-clock timing; PhaseSeconds is a simulation metric, excluded from Report.Fingerprint
+	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	t1 := time.Now()
 	var destSecs []float64
 	if pipelined {
@@ -907,7 +907,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 		}
 		destSecs = io.PerDestSeconds
 	}
-	//lint:allow nondeterminism phase wall-clock timing; PhaseSeconds is a simulation metric, excluded from Report.Fingerprint
+	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	commDur := time.Since(t1).Seconds()
 	c.commSeconds += commDur
 	c.inbox, c.spare = c.spare, c.inbox
@@ -973,23 +973,15 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 // for every server on the ParallelForWorkers pool (worker ids for per-worker
 // scratch), and the elapsed wall time is accounted to the cluster's
 // compute-phase total. This is the hook strategies use for their final
-// local-evaluation phase so PhaseSeconds covers it.
+// local-evaluation phase so the record's ComputeSeconds covers it.
 func (c *Cluster) Compute(f func(server, worker int)) {
-	//lint:allow nondeterminism phase wall-clock timing; PhaseSeconds is a simulation metric, excluded from Report.Fingerprint
+	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	t0 := time.Now()
 	ParallelForWorkers(c.p, f)
-	//lint:allow nondeterminism phase wall-clock timing; PhaseSeconds is a simulation metric, excluded from Report.Fingerprint
+	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	dur := time.Since(t0).Seconds()
 	c.computeSeconds += dur
 	c.tr.ObserveCompute(t0, dur)
-}
-
-// PhaseSeconds returns the cluster's accumulated wall-clock split: seconds
-// spent computing (round functions + Compute phases) and seconds spent
-// delivering (the simulated communication). These are simulation metrics
-// for perf work, not model costs — the model only charges bits and rounds.
-func (c *Cluster) PhaseSeconds() (compute, comm float64) {
-	return c.computeSeconds, c.commSeconds
 }
 
 // SetLoadCap declares the maximum load L: any subsequent round in which a
@@ -997,75 +989,3 @@ func (c *Cluster) PhaseSeconds() (compute, comm float64) {
 // are still available; callers decide whether to retry with a fresh seed).
 // A cap of 0 removes the limit.
 func (c *Cluster) SetLoadCap(capBits float64) { c.loadCap = capBits }
-
-// Aborted reports whether any executed round exceeded the declared load cap.
-func (c *Cluster) Aborted() bool {
-	for _, r := range c.rounds {
-		if r.Aborted {
-			return true
-		}
-	}
-	return false
-}
-
-// Rounds returns the statistics of all executed rounds in order.
-func (c *Cluster) Rounds() []RoundStats { return c.rounds }
-
-// NumRounds returns r, the number of communication rounds executed.
-func (c *Cluster) NumRounds() int { return len(c.rounds) }
-
-// MaxLoadBits returns L, the maximum number of bits received by any server
-// in any round — the paper's load parameter.
-func (c *Cluster) MaxLoadBits() float64 {
-	best := 0.0
-	for _, r := range c.rounds {
-		if r.MaxRecvBits > best {
-			best = r.MaxRecvBits
-		}
-	}
-	return best
-}
-
-// MaxLoadTuples is MaxLoadBits measured in tuples.
-func (c *Cluster) MaxLoadTuples() int {
-	best := 0
-	for _, r := range c.rounds {
-		if r.MaxRecvTuples > best {
-			best = r.MaxRecvTuples
-		}
-	}
-	return best
-}
-
-// TotalBits returns the total communication Σ_s Σ_r (bits received).
-func (c *Cluster) TotalBits() float64 {
-	total := 0.0
-	for _, r := range c.rounds {
-		total += r.TotalRecvBits
-	}
-	return total
-}
-
-// ReplicationRate returns r = (Σ_s Σ_rounds L_s) / inputBits, the average
-// number of times each input bit is communicated (Section 3.4).
-func (c *Cluster) ReplicationRate(inputBits float64) float64 {
-	if inputBits <= 0 {
-		return 0
-	}
-	return c.TotalBits() / inputBits
-}
-
-// Gather collects every server's current inbox into one batch sequence, in
-// server order — used to assemble the final query output, which the model
-// requires to be present in the union of the servers. The returned batches
-// are views; see Inbox for their lifetime.
-func (c *Cluster) Gather() []Batch {
-	var all []Batch
-	for s := 0; s < c.p; s++ {
-		ib := c.inbox[s]
-		for i := 0; i < ib.NumBatches(); i++ {
-			all = append(all, ib.Batch(i))
-		}
-	}
-	return all
-}

@@ -30,8 +30,8 @@ func TestRoundDeliveryAndLoad(t *testing.T) {
 	} else if _, tup := ib.Tuple(0); tup[0] != 3 {
 		t.Fatalf("server 3 inbox wrong: %v", tup)
 	}
-	if c.NumRounds() != 1 {
-		t.Fatalf("rounds=%d", c.NumRounds())
+	if len(c.Record(nil, 0).Rounds) != 1 {
+		t.Fatalf("rounds=%d", len(c.Record(nil, 0).Rounds))
 	}
 }
 
@@ -83,7 +83,7 @@ func TestBroadcastBatchCharges(t *testing.T) {
 func TestSeedIsFree(t *testing.T) {
 	c := NewCluster(2, 8)
 	c.Seed(0, 0, []int64{1, 2, 3})
-	if c.MaxLoadBits() != 0 {
+	if c.Record(nil, 0).MaxLoadBits() != 0 {
 		t.Error("seeding must not count as load")
 	}
 	if got := c.Inbox(0).NumTuples(); got != 1 {
@@ -131,30 +131,17 @@ func TestMultiRoundStatsAndMaxLoad(t *testing.T) {
 			emit.EmitTuple(0, kind, tup)
 		}
 	})
-	if c.NumRounds() != 2 {
-		t.Fatalf("rounds=%d", c.NumRounds())
+	if len(c.Record(nil, 0).Rounds) != 2 {
+		t.Fatalf("rounds=%d", len(c.Record(nil, 0).Rounds))
 	}
-	if c.MaxLoadBits() != 2 {
-		t.Fatalf("L=%v want 2 (max over rounds)", c.MaxLoadBits())
+	if c.Record(nil, 0).MaxLoadBits() != 2 {
+		t.Fatalf("L=%v want 2 (max over rounds)", c.Record(nil, 0).MaxLoadBits())
 	}
-	if c.TotalBits() != 3 {
-		t.Fatalf("total=%v want 3", c.TotalBits())
+	if c.Record(nil, 0).TotalBits() != 3 {
+		t.Fatalf("total=%v want 3", c.Record(nil, 0).TotalBits())
 	}
-	if rr := c.ReplicationRate(3); rr != 1 {
+	if rr := c.Record(nil, 3).ReplicationRate(); rr != 1 {
 		t.Fatalf("replication=%v want 1", rr)
-	}
-}
-
-func TestGatherOrderAndContent(t *testing.T) {
-	c := NewCluster(3, 1)
-	c.Seed(0, 7, []int64{0})
-	c.Seed(2, 7, []int64{2})
-	all := c.Gather()
-	if len(all) != 2 || all[0].Tuple(0)[0] != 0 || all[1].Tuple(0)[0] != 2 {
-		t.Fatalf("gather: %v", all)
-	}
-	if all[0].Kind != 7 {
-		t.Fatalf("kind: %d", all[0].Kind)
 	}
 }
 
@@ -252,8 +239,8 @@ func TestRoundPanicLeavesClusterUsable(t *testing.T) {
 			panic("boom")
 		})
 	}()
-	if c.NumRounds() != 0 {
-		t.Fatalf("aborted round recorded stats: %d rounds", c.NumRounds())
+	if len(c.Record(nil, 0).Rounds) != 0 {
+		t.Fatalf("aborted round recorded stats: %d rounds", len(c.Record(nil, 0).Rounds))
 	}
 }
 
@@ -335,11 +322,11 @@ func TestInboxReuseAcrossRounds(t *testing.T) {
 			})
 		})
 	}
-	if c.NumRounds() != rounds {
-		t.Fatalf("rounds=%d", c.NumRounds())
+	if len(c.Record(nil, 0).Rounds) != rounds {
+		t.Fatalf("rounds=%d", len(c.Record(nil, 0).Rounds))
 	}
-	if c.MaxLoadBits() != 2*8 {
-		t.Fatalf("steady-state load=%v want 16", c.MaxLoadBits())
+	if c.Record(nil, 0).MaxLoadBits() != 2*8 {
+		t.Fatalf("steady-state load=%v want 16", c.Record(nil, 0).MaxLoadBits())
 	}
 }
 
@@ -431,16 +418,16 @@ func TestAccessorsAndCaps(t *testing.T) {
 			emit.EmitTuple(1, kind, tuple)
 		})
 	})
-	if !st.Aborted || !c.Aborted() {
+	if !st.Aborted || !c.Record(nil, 0).Aborted() {
 		t.Error("14 bits against a 10-bit cap should abort")
 	}
-	if len(c.Rounds()) != 1 {
-		t.Errorf("rounds list: %d", len(c.Rounds()))
+	if len(c.Record(nil, 0).Rounds) != 1 {
+		t.Errorf("rounds list: %d", len(c.Record(nil, 0).Rounds))
 	}
-	if c.MaxLoadTuples() != 1 {
-		t.Errorf("max tuples: %d", c.MaxLoadTuples())
+	if got := c.Record(nil, 0).Rounds[0].MaxRecvTuples; got != 1 {
+		t.Errorf("max tuples: %d", got)
 	}
-	if c.ReplicationRate(0) != 0 {
+	if c.Record(nil, 0).ReplicationRate() != 0 {
 		t.Error("zero input bits should give replication 0")
 	}
 	c.SetLoadCap(0)

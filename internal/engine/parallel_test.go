@@ -78,7 +78,8 @@ func TestClusterComputeTimesPhases(t *testing.T) {
 		inbox.Each(func(kind int, tu []int64) { emit.EmitTuple((s+1)%4, kind, tu) })
 	})
 	c.Compute(func(server, worker int) {})
-	compute, comm := c.PhaseSeconds()
+	rec := c.Record(nil, 0)
+	compute, comm := rec.ComputeSeconds, rec.CommSeconds
 	if compute <= 0 {
 		t.Errorf("compute seconds not accounted: %g", compute)
 	}

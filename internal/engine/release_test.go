@@ -27,7 +27,7 @@ func runEcho(p, rounds int) string {
 			out += fmt.Sprintf("s%d k%d %v;", s, kind, t)
 		})
 	}
-	out += fmt.Sprintf("|L=%.0f T=%.0f", c.MaxLoadBits(), c.TotalBits())
+	out += fmt.Sprintf("|L=%.0f T=%.0f", c.Record(nil, 0).MaxLoadBits(), c.Record(nil, 0).TotalBits())
 	return out
 }
 
@@ -66,9 +66,9 @@ func TestReleaseKeepsStats(t *testing.T) {
 	c.Round("send", func(s int, inbox *Inbox, emit *Emitter) {
 		inbox.Each(func(kind int, t []int64) { emit.EmitTuple(1, kind, t) })
 	})
-	wantLoad, wantTotal, wantRounds := c.MaxLoadBits(), c.TotalBits(), c.NumRounds()
+	wantLoad, wantTotal, wantRounds := c.Record(nil, 0).MaxLoadBits(), c.Record(nil, 0).TotalBits(), len(c.Record(nil, 0).Rounds)
 	c.Release()
-	if c.MaxLoadBits() != wantLoad || c.TotalBits() != wantTotal || c.NumRounds() != wantRounds {
-		t.Fatalf("stats changed across Release: load %v total %v rounds %v", c.MaxLoadBits(), c.TotalBits(), c.NumRounds())
+	if c.Record(nil, 0).MaxLoadBits() != wantLoad || c.Record(nil, 0).TotalBits() != wantTotal || len(c.Record(nil, 0).Rounds) != wantRounds {
+		t.Fatalf("stats changed across Release: load %v total %v rounds %v", c.Record(nil, 0).MaxLoadBits(), c.Record(nil, 0).TotalBits(), len(c.Record(nil, 0).Rounds))
 	}
 }

@@ -36,7 +36,7 @@ func AbortProbability(cfg Config) *Table {
 		aborts := 0
 		for tr := 0; tr < trials; tr++ {
 			res := core.RunPlanWithCapNet(pl, db, cfg.Seed+int64(100+tr), c*base, engine.Env{})
-			if res.Aborted {
+			if res.Aborted() {
 				aborts++
 			}
 		}

@@ -39,8 +39,8 @@ func CartesianProduct(cfg Config) *Table {
 		pl := core.PlanForDatabase(q, db, p, core.SkewFree)
 		res := core.RunPlan(pl, db, cfg.Seed)
 		pred := 2 * M / math.Sqrt(float64(p))
-		t.Add(p, shareString(pl.Shares), res.MaxLoadBits, pred,
-			res.MaxLoadBits/pred, res.ReplicationRate)
+		t.Add(p, shareString(pl.Shares), res.MaxLoadBits(), pred,
+			res.MaxLoadBits()/pred, res.ReplicationRate())
 	}
 	t.Note("two unary sets of m=%d values; every output pair is produced at exactly one server; replication grows as √p, the unavoidable price of the product", m)
 	return t

@@ -40,7 +40,7 @@ func Table2ShareExponents(cfg Config) *Table {
 		predicted := stats[0] / math.Pow(float64(p), 1/tau)
 		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
 		t.Add(q.Name, expString(sh.Exponents), tau, bounds.SpaceExponentLB(q),
-			predicted, res.MaxLoadBits, res.MaxLoadBits/predicted)
+			predicted, res.MaxLoadBits(), res.MaxLoadBits()/predicted)
 	}
 	t.Note("p=%d, m=%d tuples per relation; measured load is bits received in the single shuffle round", p, m)
 	return t
@@ -83,7 +83,7 @@ func TriangleUnequalSizes(cfg Config) *Table {
 		lower, u := packing.LLower(q, stats, float64(p))
 		se := packing.SpeedupExponent(q, stats, float64(p))
 		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
-		t.Add(p, packString(u), se, lower, res.MaxLoadBits, res.MaxLoadBits/lower)
+		t.Add(p, packString(u), se, lower, res.MaxLoadBits(), res.MaxLoadBits()/lower)
 	}
 	t.Note("M1 = M/16: for p ≤ 16 the unit-vector packing wins (broadcast S1, linear speedup); beyond, (1/2,1/2,1/2) with p^{2/3} speedup")
 	return t
@@ -125,10 +125,10 @@ func ReplicationRate(cfg Config) *Table {
 	stats := core.StatsBits(q, db)
 	for _, p := range []int{8, 27, 64, 216} {
 		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
-		L := res.MaxLoadBits
+		L := res.MaxLoadBits()
 		shape := bounds.ReplicationRateShape(q, stats[0], L)
 		lb := bounds.ReplicationRateLB(q, stats, L)
-		t.Add(p, L, res.ReplicationRate, shape, lb, res.ReplicationRate/shape)
+		t.Add(p, L, res.ReplicationRate(), shape, lb, res.ReplicationRate()/shape)
 	}
 	t.Note("the HyperCube replication rate ≈ p^{1/3} meets the sqrt(M/L) shape: r/shape stays Θ(1) as p grows")
 	return t

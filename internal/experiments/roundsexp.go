@@ -79,7 +79,7 @@ func ChainMultiRound(cfg Config) *Table {
 		M := db.Get("S1").SizeBits(db.N)
 		target := M / math.Pow(float64(p), 1-tt.eps)
 		t.Add(fmt.Sprintf("L%d", tt.k), tt.eps, plan.Rounds(), lb,
-			res.Rounds, res.MaxLoadBits, target, res.MaxLoadBits/target)
+			len(res.Rounds), res.MaxLoadBits(), target, res.MaxLoadBits()/target)
 	}
 	// SP_3: τ* = 3 but a 2-round plan reaches load M/p (Example 5.3).
 	spq := query.SpokedWheel(3)
@@ -87,8 +87,8 @@ func ChainMultiRound(cfg Config) *Table {
 	spPlan := multiround.GreedyPlan(spq, 0)
 	spRes := multiround.Execute(spPlan, spdb, p, cfg.Seed)
 	M := spdb.Get("R1").SizeBits(spdb.N)
-	t.Add("SP3", 0.0, spPlan.Rounds(), 2, spRes.Rounds, spRes.MaxLoadBits,
-		M/float64(p), spRes.MaxLoadBits/(M/float64(p)))
+	t.Add("SP3", 0.0, spPlan.Rounds(), 2, len(spRes.Rounds), spRes.MaxLoadBits(),
+		M/float64(p), spRes.MaxLoadBits()/(M/float64(p)))
 	t.Note("p=%d, m=%d; UB = LB on every chain row (tightness of Corollary 5.15)", p, m)
 	return t
 }
@@ -114,7 +114,7 @@ func CycleRounds(cfg Config) *Table {
 		plan := multiround.CyclePlan(k, 0)
 		res := multiround.Execute(plan, db, p, cfg.Seed)
 		ok := data.Equal(res.Output, core.SequentialAnswer(q, db))
-		t.Add(fmt.Sprintf("C%d", k), lb, ub, plan.Rounds(), res.Rounds, ok)
+		t.Add(fmt.Sprintf("C%d", k), lb, ub, plan.Rounds(), len(res.Rounds), ok)
 	}
 	t.Note("C6: LB = UB = 3; C5: LB 2 < UB 3 (open in the paper)")
 	return t

@@ -36,8 +36,8 @@ func SampledStats(cfg Config) *Table {
 		if !data.Equal(oracle.Output, sampled.Output) {
 			panic("experiments: sampled statistics changed the output")
 		}
-		t.Add(sample, oracle.MaxLoadBits, sampled.MaxLoadBits,
-			sampled.MaxLoadBits/oracle.MaxLoadBits, sampled.Rounds)
+		t.Add(sample, oracle.MaxLoadBits(), sampled.MaxLoadBits(),
+			sampled.MaxLoadBits()/oracle.MaxLoadBits(), len(sampled.Rounds))
 	}
 	t.Note("m=%d, p=%d, heavy z-values at m/2 and m/8; output equality is asserted for every row — estimates only affect load", m, p)
 	return t

@@ -44,8 +44,8 @@ func SkewedJoin(cfg Config) *Table {
 		aware := skew.RunStar(q, db, p, cfg.Seed)
 
 		lb := bounds.StarSkewLB(starFreqBits(q, db), float64(p))
-		t.Add(frac, naive.MaxLoadBits, oblivious.MaxLoadBits,
-			aware.MaxLoadBits, lb, naive.MaxLoadBits/aware.MaxLoadBits)
+		t.Add(frac, naive.MaxLoadBits(), oblivious.MaxLoadBits(),
+			aware.MaxLoadBits(), lb, naive.MaxLoadBits()/aware.MaxLoadBits())
 	}
 	t.Note("m=%d, p=%d; at full skew the naive join concentrates all 2m tuples on one server while the skew-aware residual product holds ≈M/sqrt(p)", m, p)
 	return t
@@ -93,7 +93,7 @@ func SkewedStar(cfg Config) *Table {
 		vanilla := core.Run(q, db, p, cfg.Seed, core.SkewFree)
 		aware := skew.RunStar(q, db, p, cfg.Seed)
 		lb := bounds.StarSkewLB(starFreqBits(q, db), float64(p))
-		t.Add(pr.name, vanilla.MaxLoadBits, aware.MaxLoadBits, lb, aware.MaxLoadBits/lb)
+		t.Add(pr.name, vanilla.MaxLoadBits(), aware.MaxLoadBits(), lb, aware.MaxLoadBits()/lb)
 	}
 	t.Note("m=%d, p=%d; aware/LB stays Θ(1) across profiles — the algorithm is optimal to constants (Theorem 4.4)", m, p)
 	return t
@@ -120,8 +120,8 @@ func SkewedTriangle(cfg Config) *Table {
 		aware := skew.RunTriangle(q, db, p, cfg.Seed)
 		M := db.Get("S1").SizeBits(db.N)
 		ub := triangleBound(q, db, M, float64(p))
-		t.Add(hc, vanilla.MaxLoadBits, aware.MaxLoadBits, ub,
-			M/math.Pow(float64(p), 2.0/3), vanilla.MaxLoadBits/aware.MaxLoadBits)
+		t.Add(hc, vanilla.MaxLoadBits(), aware.MaxLoadBits(), ub,
+			M/math.Pow(float64(p), 2.0/3), vanilla.MaxLoadBits()/aware.MaxLoadBits())
 	}
 	t.Note("m=%d, p=%d; heavy value planted on x1 in S1 and S3 (the paper's Case-2 shape)", m, p)
 	return t

@@ -31,7 +31,7 @@ func SpeedupCurve(cfg Config) *Table {
 		for _, p := range grid {
 			res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
 			xs = append(xs, math.Log(float64(p)))
-			ys = append(ys, math.Log(res.MaxLoadBits))
+			ys = append(ys, math.Log(res.MaxLoadBits()))
 		}
 		slope := leastSquaresSlope(xs, ys)
 		tau, _ := packing.TauStar(q)

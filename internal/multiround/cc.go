@@ -119,12 +119,13 @@ func LabelPropagation(g *data.Graph, p int, seed int64, maxRounds int) *CCResult
 
 	labels := collectLabels(g, states, family, p)
 	defer cluster.Release()
+	rec := cluster.Record(nil, 0)
 	return &CCResult{
 		Labels:      labels,
 		SetupRounds: 1,
 		IterRounds:  iter,
-		MaxLoadBits: cluster.MaxLoadBits(),
-		TotalBits:   cluster.TotalBits(),
+		MaxLoadBits: rec.MaxLoadBits(),
+		TotalBits:   rec.TotalBits(),
 	}
 }
 
@@ -223,12 +224,13 @@ func PointerJumping(g *data.Graph, p int, seed int64, maxRounds int) *CCResult {
 
 	labels := collectLabels(g, states, family, p)
 	defer cluster.Release()
+	rec := cluster.Record(nil, 0)
 	return &CCResult{
 		Labels:      labels,
 		SetupRounds: 1,
 		IterRounds:  2 * iter,
-		MaxLoadBits: cluster.MaxLoadBits(),
-		TotalBits:   cluster.TotalBits(),
+		MaxLoadBits: rec.MaxLoadBits(),
+		TotalBits:   rec.TotalBits(),
 	}
 }
 

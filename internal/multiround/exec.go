@@ -10,48 +10,6 @@ import (
 	"mpcquery/internal/skew"
 )
 
-// ExecResult reports an executed multi-round plan.
-type ExecResult struct {
-	Output *data.Relation
-
-	Rounds      int
-	RoundLoads  []float64 // max bits received by any server, per round
-	MaxLoadBits float64   // L = max over rounds
-	TotalBits   float64
-	InputBits   float64
-	// MaxViewTuples is the largest materialized intermediate view. On
-	// matching databases the paper's multi-round analysis relies on
-	// intermediates staying O(m); this makes that observable.
-	MaxViewTuples int
-	// Aborted is set when a declared load cap was exceeded by any node of
-	// any round (Section 2.1's abort semantics).
-	Aborted bool
-
-	// AggregateBitsSaved is the communication the root node's pre-shuffle
-	// partial aggregation removed; 0 for plain and no-pushdown runs.
-	AggregateBitsSaved float64
-
-	// Wall-clock split summed over every node's cluster (not model costs):
-	// seconds in local computation vs simulated communication delivery.
-	ComputeSeconds float64
-	CommSeconds    float64
-}
-
-// nodeResult is what the pluggable one-round operator reports per node.
-type nodeResult struct {
-	out       *data.Relation
-	loadBits  float64 // load of the node's primary round
-	totalBits float64
-	aborted   bool
-	computeS  float64
-	commS     float64
-
-	// extraLoads are per-round loads beyond the node's primary round (the
-	// root's aggregate shuffle); each is an additional plan round.
-	extraLoads []float64
-	aggSaved   float64
-}
-
 // Memo is an optional per-node artifact memoizer supplied by a caching
 // caller (the query service). It must return the value computed by an
 // earlier call with the same key, or run compute and return its result. The
@@ -72,7 +30,7 @@ func (m Memo) do(key string, compute func() any) any {
 // at the same depth execute in the same communication round, splitting the
 // p servers evenly; the round's load is the maximum over its nodes, and the
 // plan's load L is the maximum over rounds — exactly the model's metric.
-func Execute(p *Plan, db *data.Database, servers int, seed int64) *ExecResult {
+func Execute(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRecord {
 	return ExecuteAggregateCapMemoNet(p, db, servers, seed, 0, nil, nil, engine.Env{})
 }
 
@@ -80,13 +38,13 @@ func Execute(p *Plan, db *data.Database, servers int, seed int64) *ExecResult {
 // executor:
 //
 //   - capBits is a declared per-round load cap in bits (0 = none): every
-//     node of every round runs under the cap, and the result's Aborted flag
-//     is set if any of them exceeded it;
+//     node of every round runs under the cap, and the record's Aborted
+//     reports whether any of them exceeded it;
 //   - agg is an optional aggregate computed at the root node: intermediate
 //     views stay full joins (later rounds need every binding), and the root
-//     runs core.RunPlanAggregateNet — its aggregate-shuffle round is
-//     appended to the plan's round accounting. A nil agg executes the plain
-//     plan;
+//     runs core.RunPlanAggregateNet with it — its aggregate-shuffle round
+//     follows the root's round in the plan's record. A nil agg executes the
+//     plain plan;
 //   - per-node HyperCube plans are drawn from memo: every node of every
 //     round needs a share-LP solve over its intermediate views, and a
 //     service replaying the same multi-round query can reuse them all;
@@ -94,26 +52,28 @@ func Execute(p *Plan, db *data.Database, servers int, seed int64) *ExecResult {
 //     in-process, untraced). Nodes execute sequentially, so a distributed
 //     run attaches one cluster at a time, in the same deterministic order at
 //     every rank.
-func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *ExecResult {
-	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) nodeResult {
+func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *engine.RunRecord {
+	aggAt := func(n *Node) *aggregate.Plan {
+		if n == p.Root {
+			return agg
+		}
+		return nil
+	}
+	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) *engine.RunRecord {
 		pl := memo.do(fmt.Sprintf("node|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
 			return core.PlanForDatabase(n.Query, sub, perNode, core.SkewFree)
 		}).(*core.Plan)
-		if agg != nil && n == p.Root {
-			run := core.RunPlanAggregateNet(pl, sub, seed+int64(d), capBits, agg, env)
-			return nodeResult{out: run.Output, loadBits: run.RoundLoads[0], totalBits: run.TotalBits, aborted: run.Aborted,
-				computeS: run.ComputeSeconds, commS: run.CommSeconds,
-				extraLoads: run.RoundLoads[1:], aggSaved: run.AggregateBitsSaved}
-		}
-		run := core.RunPlanWithCapNet(pl, sub, seed+int64(d), capBits, env)
-		return nodeResult{out: run.Output, loadBits: run.MaxLoadBits, totalBits: run.TotalBits, aborted: run.Aborted,
-			computeS: run.ComputeSeconds, commS: run.CommSeconds}
+		return core.RunPlanAggregateNet(pl, sub, seed+int64(d), capBits, aggAt(n), env)
 	})
 }
 
-// executeWith runs the plan with a pluggable one-round operator.
+// executeWith runs the plan with a pluggable one-round operator, level by
+// level: the records of one level's nodes, which share its rounds on disjoint
+// servers, merge Beside each other, and each level's record follows the
+// previous one's. The plan's record spans the servers budget and the whole
+// database's input.
 func executeWith(p *Plan, db *data.Database, servers int,
-	operator func(n *Node, sub *data.Database, perNode, depth int) nodeResult) *ExecResult {
+	operator func(n *Node, sub *data.Database, perNode, depth int) *engine.RunRecord) *engine.RunRecord {
 	if servers < 1 {
 		panic("multiround: need at least one server")
 	}
@@ -140,9 +100,9 @@ func executeWith(p *Plan, db *data.Database, servers int,
 		materialized[name] = r
 	}
 
-	res := &ExecResult{}
+	rec := &engine.RunRecord{ServersUsed: servers}
 	for _, r := range db.Relations {
-		res.InputBits += r.SizeBits(db.N)
+		rec.InputBits += r.SizeBits(db.N)
 	}
 
 	for d := 1; d <= maxDepth; d++ {
@@ -154,8 +114,7 @@ func executeWith(p *Plan, db *data.Database, servers int,
 		if perNode < 1 {
 			perNode = 1
 		}
-		roundLoad := 0.0
-		var extraLoads []float64
+		level := &engine.RunRecord{}
 		for _, n := range nodes {
 			sub := data.NewDatabase(db.N)
 			for _, a := range n.Query.Atoms {
@@ -173,39 +132,14 @@ func executeWith(p *Plan, db *data.Database, servers int,
 				sub.Add(r)
 			}
 			nr := operator(n, sub, perNode, d)
-			nr.out.Name = n.Name
-			materialized[n.Name] = nr.out
-			if nr.out.NumTuples() > res.MaxViewTuples {
-				res.MaxViewTuples = nr.out.NumTuples()
-			}
-			if nr.loadBits > roundLoad {
-				roundLoad = nr.loadBits
-			}
-			res.TotalBits += nr.totalBits
-			res.Aborted = res.Aborted || nr.aborted
-			res.ComputeSeconds += nr.computeS
-			res.CommSeconds += nr.commS
-			res.AggregateBitsSaved += nr.aggSaved
-			extraLoads = append(extraLoads, nr.extraLoads...)
+			nr.Output.Name = n.Name
+			materialized[n.Name] = nr.Output
+			level.Beside(nr)
 		}
-		res.RoundLoads = append(res.RoundLoads, roundLoad)
-		if roundLoad > res.MaxLoadBits {
-			res.MaxLoadBits = roundLoad
-		}
-		res.Rounds++
-		// Extra per-node rounds (the root's aggregate shuffle) extend the
-		// plan's round accounting; only the deepest level, which holds the
-		// lone root node, ever contributes them.
-		for _, l := range extraLoads {
-			res.RoundLoads = append(res.RoundLoads, l)
-			if l > res.MaxLoadBits {
-				res.MaxLoadBits = l
-			}
-			res.Rounds++
-		}
+		rec.Then(level)
 	}
-	res.Output = materialized[p.Root.Name]
-	return res
+	rec.Output = materialized[p.Root.Name]
+	return rec
 }
 
 // ExecuteSkewAwareCapMemoNet is ExecuteAggregateCapMemoNet (without the
@@ -218,13 +152,11 @@ func executeWith(p *Plan, db *data.Database, servers int,
 // per-node skew layouts (heavy-hitter statistics plus pattern grids over the
 // intermediate views) are drawn from memo — the per-node statistics
 // recomputation is the bulk of the skew-aware executor's planning cost.
-func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, capBits float64, memo Memo, env engine.Env) *ExecResult {
-	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) nodeResult {
+func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, capBits float64, memo Memo, env engine.Env) *engine.RunRecord {
+	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) *engine.RunRecord {
 		gp := memo.do(fmt.Sprintf("node-skew|%s|d%d|pn%d|s%d|h%d", n.Name, d, perNode, seed, maxHeavyPerVar), func() any {
 			return skew.PrepareGeneric(n.Query, sub, perNode, maxHeavyPerVar)
 		}).(*skew.GenericPlan)
-		run := skew.RunGenericPlannedNet(gp, n.Query, sub, perNode, seed+int64(d), capBits, env)
-		return nodeResult{out: run.Output, loadBits: run.MaxLoadBits, totalBits: run.TotalBits, aborted: run.Aborted,
-			computeS: run.ComputeSeconds, commS: run.CommSeconds}
+		return skew.RunGenericPlannedNet(gp, n.Query, sub, perNode, seed+int64(d), capBits, env)
 	})
 }

@@ -13,7 +13,7 @@ import (
 
 // executeSkewAware runs the skew-aware executor in process with no cap and
 // no memo.
-func executeSkewAware(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int) *ExecResult {
+func executeSkewAware(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int) *engine.RunRecord {
 	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, maxHeavyPerVar, 0, nil, engine.Env{})
 }
 
@@ -90,11 +90,8 @@ func TestExecuteChainCorrect(t *testing.T) {
 	if res.Output.NumTuples() != 300 {
 		t.Fatalf("composing chain should have 300 outputs, got %d", res.Output.NumTuples())
 	}
-	if res.Rounds != plan.Rounds() {
-		t.Errorf("executed rounds=%d plan says %d", res.Rounds, plan.Rounds())
-	}
-	if len(res.RoundLoads) != res.Rounds {
-		t.Errorf("round loads=%d rounds=%d", len(res.RoundLoads), res.Rounds)
+	if len(res.Rounds) != plan.Rounds() {
+		t.Errorf("executed rounds=%d plan says %d", len(res.Rounds), plan.Rounds())
 	}
 }
 
@@ -138,14 +135,14 @@ func TestMultiRoundLoadAdvantage(t *testing.T) {
 	if !data.Equal(oneRound.Output, twoRound.Output) {
 		t.Fatal("outputs differ")
 	}
-	if twoRound.Rounds != 2 {
-		t.Fatalf("rounds=%d want 2", twoRound.Rounds)
+	if len(twoRound.Rounds) != 2 {
+		t.Fatalf("rounds=%d want 2", len(twoRound.Rounds))
 	}
 	// One-round load should be ≈ sqrt(p) = 8 times larger per server.
-	ratio := oneRound.MaxLoadBits / twoRound.MaxLoadBits
+	ratio := oneRound.MaxLoadBits() / twoRound.MaxLoadBits()
 	if ratio < 2 {
 		t.Errorf("expected multi-round load advantage, got ratio %.2f (1r=%v 2r=%v)",
-			ratio, oneRound.MaxLoadBits, twoRound.MaxLoadBits)
+			ratio, oneRound.MaxLoadBits(), twoRound.MaxLoadBits())
 	}
 }
 
@@ -312,14 +309,36 @@ func TestCCSingleServer(t *testing.T) {
 }
 
 // TestIntermediatesStayLinear: on composing chain matchings every view has
-// exactly m tuples — the premise of the Section 5 load analysis.
+// exactly m tuples — the premise of the Section 5 load analysis. A view is
+// its node's query over its children's views, evaluated here bottom up on
+// one node.
 func TestIntermediatesStayLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	m := 500
 	db := data.ChainMatchingDatabase(rng, 8, m, 1<<20)
-	res := Execute(ChainPlan(8, 0), db, 32, 5)
-	if res.MaxViewTuples != m {
-		t.Errorf("max intermediate=%d want %d (matchings compose 1:1)", res.MaxViewTuples, m)
+	plan := ChainPlan(8, 0)
+	views := data.NewDatabase(db.N)
+	for _, r := range db.Relations {
+		views.Add(r)
+	}
+	var materialize func(n *Node)
+	materialize = func(n *Node) {
+		if n.IsLeaf() {
+			return
+		}
+		for _, c := range n.Children {
+			materialize(c)
+		}
+		v := core.SequentialAnswer(n.Query, views)
+		if v.NumTuples() != m {
+			t.Errorf("view %s has %d tuples, want %d (matchings compose 1:1)", n.Name, v.NumTuples(), m)
+		}
+		v.Name = n.Name
+		views.Add(v)
+	}
+	materialize(plan.Root)
+	if got := Execute(plan, db, 32, 5).Output; !data.Equal(got, views.Get(plan.Root.Name)) {
+		t.Errorf("executed plan output differs from the sequential views")
 	}
 }
 
@@ -335,8 +354,8 @@ func TestExecuteSkewAwareCorrect(t *testing.T) {
 	if !data.Equal(aware.Output, want) {
 		t.Fatalf("skew-aware exec: %d vs %d tuples", aware.Output.NumTuples(), want.NumTuples())
 	}
-	if aware.Rounds != plan.Rounds() {
-		t.Errorf("rounds=%d plan=%d", aware.Rounds, plan.Rounds())
+	if len(aware.Rounds) != plan.Rounds() {
+		t.Errorf("rounds=%d plan=%d", len(aware.Rounds), plan.Rounds())
 	}
 }
 
@@ -386,8 +405,8 @@ func TestExecuteSkewAwareBeatsVanillaOnSkew(t *testing.T) {
 	if !data.Equal(aware.Output, wantSeq) {
 		t.Fatal("output != sequential")
 	}
-	if aware.MaxLoadBits > vanilla.MaxLoadBits {
+	if aware.MaxLoadBits() > vanilla.MaxLoadBits() {
 		t.Errorf("skew-aware %v should not exceed vanilla %v on skewed input",
-			aware.MaxLoadBits, vanilla.MaxLoadBits)
+			aware.MaxLoadBits(), vanilla.MaxLoadBits())
 	}
 }

@@ -222,7 +222,7 @@ func newGenericPlan(q *query.Query, db *data.Database, p int, heavy []map[int64]
 // RunGenericPlannedNet executes the pattern-routing data round under a
 // prepared layout; see RunStarPlannedNet for the caching contract
 // (bit-identical to the unprepared path), the cap and env.
-func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
+func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	k := q.NumVars()
 	heavy, patterns := gp.heavy, gp.patterns
 	inputServers, total := gp.inputServers, gp.totalServers
@@ -268,28 +268,9 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 		})
 	out := engine.Concat(q.Name, k, outputs)
 
-	inputBits := 0.0
-	for _, a := range q.Atoms {
-		inputBits += db.Get(a.Name).SizeBits(db.N)
-	}
-	nHeavy := 0
-	for i := range heavy {
-		nHeavy += len(heavy[i])
-	}
-	computeS, commS := cluster.PhaseSeconds()
-	return &Result{
-		Output:          out,
-		ServersUsed:     total,
-		Rounds:          cluster.NumRounds(),
-		MaxLoadBits:     cluster.MaxLoadBits(),
-		TotalBits:       cluster.TotalBits(),
-		InputBits:       inputBits,
-		ReplicationRate: cluster.ReplicationRate(inputBits),
-		HeavyHitters:    nHeavy,
-		Aborted:         cluster.Aborted(),
-		ComputeSeconds:  computeS,
-		CommSeconds:     commS,
-	}
+	rec := cluster.Record(out, inputBits(q, db))
+	rec.HeavyHitters = gp.nHeavy
+	return rec
 }
 
 // genPattern is one output class: variables in assign are pinned to heavy

@@ -12,7 +12,7 @@ import (
 )
 
 // runGeneric prepares and runs the generic algorithm in process with no cap.
-func runGeneric(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int) *Result {
+func runGeneric(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int) *engine.RunRecord {
 	return RunGenericPlannedNet(PrepareGeneric(q, db, p, maxHeavyPerVar), q, db, p, seed, 0, engine.Env{})
 }
 
@@ -24,8 +24,8 @@ func TestGenericNoSkewMatchesSequential(t *testing.T) {
 		if !data.Equal(res.Output, core.SequentialAnswer(q, db)) {
 			t.Errorf("%s: generic output mismatch", q.Name)
 		}
-		if res.Rounds != 1 {
-			t.Errorf("%s: rounds=%d want 1", q.Name, res.Rounds)
+		if len(res.Rounds) != 1 {
+			t.Errorf("%s: rounds=%d want 1", q.Name, len(res.Rounds))
 		}
 	}
 }
@@ -130,8 +130,8 @@ func TestGenericBeatsVanillaUnderSkew(t *testing.T) {
 	if !data.Equal(vanilla.Output, gen.Output) {
 		t.Fatal("outputs differ")
 	}
-	if gen.MaxLoadBits >= vanilla.MaxLoadBits {
+	if gen.MaxLoadBits() >= vanilla.MaxLoadBits() {
 		t.Errorf("generic %v should beat vanilla %v on fully skewed join",
-			gen.MaxLoadBits, vanilla.MaxLoadBits)
+			gen.MaxLoadBits(), vanilla.MaxLoadBits())
 	}
 }

@@ -94,10 +94,10 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	a := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
 	b := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
 	c := RunStar(star, starDB, 16, 5)
-	if a.MaxLoadBits != c.MaxLoadBits || a.TotalBits != c.TotalBits || !data.EqualMultiset(a.Output, c.Output) {
+	if a.MaxLoadBits() != c.MaxLoadBits() || a.TotalBits() != c.TotalBits() || !data.EqualMultiset(a.Output, c.Output) {
 		t.Error("star: prepared run differs from one-shot run")
 	}
-	if b.MaxLoadBits != a.MaxLoadBits || !data.EqualMultiset(a.Output, b.Output) {
+	if b.MaxLoadBits() != a.MaxLoadBits() || !data.EqualMultiset(a.Output, b.Output) {
 		t.Error("star: prepared plan not reusable")
 	}
 	if sp.HeavyHitters() != a.HeavyHitters || sp.ServersUsed() != a.ServersUsed {
@@ -110,7 +110,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	tp := PrepareTriangle(tri, triDB, 16)
 	ta := RunTrianglePlannedNet(tp, tri, triDB, 16, 5, 0, engine.Env{})
 	tc := RunTriangle(tri, triDB, 16, 5)
-	if ta.MaxLoadBits != tc.MaxLoadBits || ta.TotalBits != tc.TotalBits || !data.EqualMultiset(ta.Output, tc.Output) {
+	if ta.MaxLoadBits() != tc.MaxLoadBits() || ta.TotalBits() != tc.TotalBits() || !data.EqualMultiset(ta.Output, tc.Output) {
 		t.Error("triangle: prepared run differs from one-shot run")
 	}
 	if tp.HeavyHitters() != ta.HeavyHitters || tp.ServersUsed() != ta.ServersUsed {
@@ -121,7 +121,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	gp := PrepareGeneric(tri, genDB, 16, 6)
 	ga := RunGenericPlannedNet(gp, tri, genDB, 16, 5, 0, engine.Env{})
 	gc := runGeneric(tri, genDB, 16, 5, 6)
-	if ga.MaxLoadBits != gc.MaxLoadBits || ga.TotalBits != gc.TotalBits || !data.EqualMultiset(ga.Output, gc.Output) {
+	if ga.MaxLoadBits() != gc.MaxLoadBits() || ga.TotalBits() != gc.TotalBits() || !data.EqualMultiset(ga.Output, gc.Output) {
 		t.Error("generic: prepared run differs from one-shot run")
 	}
 	if gp.NumPatterns() < 2 || gp.HeavyHitters() != ga.HeavyHitters {
@@ -130,27 +130,38 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 }
 
 // TestAddStatsChargesAccounting asserts the cached-vs-charged seam: merging
-// a StatsResult must add its round and bits, take the load max, recompute
-// replication, and join the abort flag — exactly what RunStarSampled does
-// inline.
+// a StatsResult must list its round first, so it adds to the rounds and the
+// bits, takes part in the load max, the replication and the abort flag —
+// exactly what RunStarSampled does inline — and leave the (shared, cached)
+// StatsResult and the record's seconds as they were.
 func TestAddStatsChargesAccounting(t *testing.T) {
-	res := &Result{Rounds: 1, MaxLoadBits: 100, TotalBits: 1000, InputBits: 500}
-	st := &StatsResult{Rounds: 1, MaxLoadBits: 250, TotalBits: 300, Aborted: true}
-	AddStatsCharges(res, st)
-	if res.Rounds != 2 {
-		t.Errorf("rounds = %d, want 2", res.Rounds)
+	rec := &engine.RunRecord{
+		Rounds:    []engine.RoundStats{{Name: "data", MaxRecvBits: 100, TotalRecvBits: 1000}},
+		InputBits: 500, ComputeSeconds: 1,
 	}
-	if res.TotalBits != 1300 {
-		t.Errorf("total = %v, want 1300", res.TotalBits)
+	st := &StatsResult{Round: engine.RoundStats{Name: "stats", MaxRecvBits: 250, TotalRecvBits: 300, Aborted: true}}
+	AddStatsCharges(rec, st)
+	if len(rec.Rounds) != 2 || rec.Rounds[0].Name != "stats" || rec.Rounds[1].Name != "data" {
+		t.Errorf("rounds = %+v, want the statistics round before the data round", rec.Rounds)
 	}
-	if res.MaxLoadBits != 250 {
-		t.Errorf("max load = %v, want 250 (stats round dominates)", res.MaxLoadBits)
+	if rec.TotalBits() != 1300 {
+		t.Errorf("total = %v, want 1300", rec.TotalBits())
 	}
-	if res.ReplicationRate != 1300.0/500 {
-		t.Errorf("replication = %v, want %v", res.ReplicationRate, 1300.0/500)
+	if rec.MaxLoadBits() != 250 {
+		t.Errorf("max load = %v, want 250 (stats round dominates)", rec.MaxLoadBits())
 	}
-	if !res.Aborted {
+	if rec.ReplicationRate() != 1300.0/500 {
+		t.Errorf("replication = %v, want %v", rec.ReplicationRate(), 1300.0/500)
+	}
+	if !rec.Aborted() {
 		t.Error("abort flag not joined")
+	}
+	if rec.ComputeSeconds != 1 {
+		t.Errorf("compute seconds = %v, want 1: a charged round spent no time", rec.ComputeSeconds)
+	}
+	rec.Rounds[0].MaxRecvBits = 0
+	if st.Round.MaxRecvBits != 250 {
+		t.Error("the record aliases the cached statistics round")
 	}
 }
 
@@ -163,7 +174,7 @@ func TestStarStatsSpecDeterministic(t *testing.T) {
 	spec := StarStatsSpec(q, db, 16)
 	st1 := spec.Run(16, 100, 42, 0)
 	st2 := StarStatsSpec(q, db, 16).Run(16, 100, 42, 0)
-	if st1.MaxLoadBits != st2.MaxLoadBits || st1.TotalBits != st2.TotalBits || st1.Rounds != st2.Rounds {
+	if st1.Round != st2.Round {
 		t.Error("stats protocol not deterministic for fixed inputs")
 	}
 	if len(st1.PerAtom) != len(st2.PerAtom) {
@@ -337,13 +348,13 @@ func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floo
 // their accessors agree, and running them moves the same bits.
 func TestPlansMatchMapReference(t *testing.T) {
 	const p, seeds, heavyCap = 16, 60, 2
-	sameRun := func(t *testing.T, got, want *Result) {
+	sameRun := func(t *testing.T, got, want *engine.RunRecord) {
 		t.Helper()
-		if got.TotalBits != want.TotalBits || got.MaxLoadBits != want.MaxLoadBits ||
+		if got.TotalBits() != want.TotalBits() || got.MaxLoadBits() != want.MaxLoadBits() ||
 			got.HeavyHitters != want.HeavyHitters || got.ServersUsed != want.ServersUsed {
 			t.Fatalf("run under the plan: %v/%v bits, %d heavy, %d servers; under the reference: %v/%v, %d, %d",
-				got.TotalBits, got.MaxLoadBits, got.HeavyHitters, got.ServersUsed,
-				want.TotalBits, want.MaxLoadBits, want.HeavyHitters, want.ServersUsed)
+				got.TotalBits(), got.MaxLoadBits(), got.HeavyHitters, got.ServersUsed,
+				want.TotalBits(), want.MaxLoadBits(), want.HeavyHitters, want.ServersUsed)
 		}
 	}
 	pFloor := func(m int) float64 { return math.Max(2, float64(m)/p) }

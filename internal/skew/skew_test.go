@@ -23,8 +23,8 @@ func TestStarNoSkewMatchesSequential(t *testing.T) {
 	if res.HeavyHitters != 0 {
 		t.Errorf("matching data should have no heavy hitters, got %d", res.HeavyHitters)
 	}
-	if res.Rounds != 1 {
-		t.Errorf("star algorithm must be one-round, used %d", res.Rounds)
+	if len(res.Rounds) != 1 {
+		t.Errorf("star algorithm must be one-round, used %d", len(res.Rounds))
 	}
 }
 
@@ -67,10 +67,10 @@ func TestSimpleJoinSkewSeparation(t *testing.T) {
 		t.Fatal("outputs differ")
 	}
 	// Naive: one server receives everything (2m tuples).
-	sep := naive.MaxLoadBits / aware.MaxLoadBits
+	sep := naive.MaxLoadBits() / aware.MaxLoadBits()
 	if sep < 2 {
 		t.Errorf("separation=%.2f: naive %v vs aware %v (want ≥ 2 at p=16)",
-			sep, naive.MaxLoadBits, aware.MaxLoadBits)
+			sep, naive.MaxLoadBits(), aware.MaxLoadBits())
 	}
 }
 
@@ -132,8 +132,8 @@ func TestTriangleNoSkewMatchesSequential(t *testing.T) {
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
-	if res.Rounds != 1 {
-		t.Errorf("triangle algorithm must be one-round, used %d", res.Rounds)
+	if len(res.Rounds) != 1 {
+		t.Errorf("triangle algorithm must be one-round, used %d", len(res.Rounds))
 	}
 }
 
@@ -213,9 +213,9 @@ func TestTriangleSkewSeparation(t *testing.T) {
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
-	if aware.MaxLoadBits >= vanilla.MaxLoadBits {
+	if aware.MaxLoadBits() >= vanilla.MaxLoadBits() {
 		t.Errorf("skew-aware load %v should beat vanilla %v on skewed data",
-			aware.MaxLoadBits, vanilla.MaxLoadBits)
+			aware.MaxLoadBits(), vanilla.MaxLoadBits())
 	}
 }
 
@@ -254,8 +254,8 @@ func TestDetectHeavyHittersMPC(t *testing.T) {
 		}
 	}
 	st := StatsSpec{Rels: []*data.Relation{rel}, Cols: []int{0}, Thresholds: []int{20}}.Run(16, 100, 3, 0)
-	if st.Rounds != 1 {
-		t.Errorf("rounds=%d want 1", st.Rounds)
+	if st.Round.Name != "stats-sample" {
+		t.Errorf("round=%+v want the one sampling round", st.Round)
 	}
 	est := st.PerAtom[0][7]
 	if est < 500 || est > 2000 {
@@ -263,8 +263,8 @@ func TestDetectHeavyHittersMPC(t *testing.T) {
 	}
 	// The statistics round must be cheap relative to the data: p candidates
 	// a few values each.
-	if st.MaxLoadBits > 64*1000 {
-		t.Errorf("stats load too high: %v", st.MaxLoadBits)
+	if st.Round.MaxRecvBits > 64*1000 {
+		t.Errorf("stats load too high: %v", st.Round.MaxRecvBits)
 	}
 }
 
@@ -278,8 +278,8 @@ func TestRunStarSampledCorrect(t *testing.T) {
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("sampled star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
-	if res.Rounds != 2 {
-		t.Errorf("rounds=%d want 2 (stats + data)", res.Rounds)
+	if len(res.Rounds) != 2 {
+		t.Errorf("rounds=%d want 2 (stats + data)", len(res.Rounds))
 	}
 }
 
@@ -296,8 +296,8 @@ func TestRunStarSampledLoadNearExact(t *testing.T) {
 	if !data.Equal(exact.Output, sampled.Output) {
 		t.Fatal("outputs differ")
 	}
-	if sampled.MaxLoadBits > 4*exact.MaxLoadBits {
-		t.Errorf("sampled load %v far above exact %v", sampled.MaxLoadBits, exact.MaxLoadBits)
+	if sampled.MaxLoadBits() > 4*exact.MaxLoadBits() {
+		t.Errorf("sampled load %v far above exact %v", sampled.MaxLoadBits(), exact.MaxLoadBits())
 	}
 }
 
@@ -320,7 +320,7 @@ func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
 	if lb <= 0 {
 		t.Fatal("vacuous lower bound")
 	}
-	if aware.MaxLoadBits < lb/8 { // paper constant is min_j (a_j−d_j)/(4a_j) = 1/8
-		t.Errorf("measured %v below the Theorem 4.4 bound %v", aware.MaxLoadBits, lb)
+	if aware.MaxLoadBits() < lb/8 { // paper constant is min_j (a_j−d_j)/(4a_j) = 1/8
+		t.Errorf("measured %v below the Theorem 4.4 bound %v", aware.MaxLoadBits(), lb)
 	}
 }

@@ -25,25 +25,6 @@ import (
 	"mpcquery/internal/query"
 )
 
-// Result reports an executed skew-aware run.
-type Result struct {
-	Output *data.Relation
-
-	ServersUsed     int
-	Rounds          int
-	MaxLoadBits     float64
-	TotalBits       float64
-	InputBits       float64
-	ReplicationRate float64
-	HeavyHitters    int
-	Aborted         bool // a declared load cap (capBits > 0) was exceeded
-
-	// Wall-clock split of the simulation (not model costs): seconds spent
-	// in local computation vs simulated communication delivery.
-	ComputeSeconds float64
-	CommSeconds    float64
-}
-
 // RunStar computes the star query T_k (atoms S_j(z, x_j)) on db with a
 // budget of p servers, treating as heavy every z-value with frequency
 // ≥ m_j/p in some relation (the paper's threshold).
@@ -52,7 +33,7 @@ type Result struct {
 // gets a dedicated block of p_h servers after that, with Σ_h p_h ≈ p
 // allocated proportionally to Σ_{∅≠I⊆[ℓ]} Π_{j∈I} M_j(h) (the paper's
 // per-packing allocation, summed over the packing vertices {0,1}^ℓ\0).
-func RunStar(q *query.Query, db *data.Database, p int, seed int64) *Result {
+func RunStar(q *query.Query, db *data.Database, p int, seed int64) *engine.RunRecord {
 	return RunStarPlannedNet(PrepareStar(q, db, p), q, db, p, seed, 0, engine.Env{})
 }
 
@@ -194,7 +175,7 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 // moves work, never accounting. capBits is a declared per-round load cap in
 // bits (Section 2.1's abort semantics; 0 = none); round delivery goes
 // through env (the zero Env = in-process, untraced).
-func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
+func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	k := q.NumAtoms()
 	zCols, blocks, totalServers := sp.zCols, sp.blocks, sp.totalServers
 	bpv := data.BitsPerValue(db.N)
@@ -232,24 +213,18 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	outputs := evaluatePhase(cluster, q, totalServers, sp.routesOf, nil, nil)
 	out := engine.Concat(q.Name, q.NumVars(), outputs)
 
-	inputBits := 0.0
+	rec := cluster.Record(out, inputBits(q, db))
+	rec.HeavyHitters = len(sp.heavy)
+	return rec
+}
+
+// inputBits is the input size Σ_j M_j of q's atoms in db, in bits.
+func inputBits(q *query.Query, db *data.Database) float64 {
+	total := 0.0
 	for _, a := range q.Atoms {
-		inputBits += db.Get(a.Name).SizeBits(db.N)
+		total += db.Get(a.Name).SizeBits(db.N)
 	}
-	computeS, commS := cluster.PhaseSeconds()
-	return &Result{
-		Output:          out,
-		ServersUsed:     totalServers,
-		Rounds:          cluster.NumRounds(),
-		MaxLoadBits:     cluster.MaxLoadBits(),
-		TotalBits:       cluster.TotalBits(),
-		InputBits:       inputBits,
-		ReplicationRate: cluster.ReplicationRate(inputBits),
-		HeavyHitters:    len(sp.heavy),
-		Aborted:         cluster.Aborted(),
-		ComputeSeconds:  computeS,
-		CommSeconds:     commS,
-	}
+	return total
 }
 
 // routesOf returns the compiled routes and the first server of the heavy

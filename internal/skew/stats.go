@@ -12,11 +12,10 @@ import (
 type StatsResult struct {
 	// PerAtom holds one value → estimated-global-frequency map per
 	// (relation, column) pair of the StatsSpec, in input order.
-	PerAtom     []map[int64]int
-	MaxLoadBits float64 // max bits any server received in the statistics round
-	TotalBits   float64 // total bits communicated by the statistics round
-	Rounds      int     // always 1: the protocol is one genuine MPC round
-	Aborted     bool    // a declared load cap was exceeded by the stats round
+	PerAtom []map[int64]int
+	// Round is the cost of the protocol's one genuine MPC round, its abort
+	// flag set when a declared load cap was exceeded.
+	Round engine.RoundStats
 }
 
 // statsBitsPerValue is the fixed width charged per broadcast value:
@@ -162,13 +161,7 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 	cluster.Inbox(0).Each(func(kind int, tuple []int64) { // all servers hold the same broadcasts
 		perAtom[kind][tuple[0]] += int(tuple[1])
 	})
-	return &StatsResult{
-		PerAtom:     perAtom,
-		MaxLoadBits: st.MaxRecvBits,
-		TotalBits:   st.TotalRecvBits,
-		Rounds:      cluster.NumRounds(),
-		Aborted:     cluster.Aborted(),
-	}
+	return &StatsResult{PerAtom: perAtom, Round: st}
 }
 
 // RunStarSampled runs the star algorithm end to end without a statistics
@@ -177,32 +170,25 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 // correctness is unconditional; only the load depends on estimate quality.
 //
 // The accounting is honest about both cost dimensions: the statistics
-// protocol executes as one genuine round (Rounds = 1 + data rounds), its
-// communication is included in TotalBits, and MaxLoadBits is the maximum
-// over the statistics and data rounds.
-func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *Result {
+// protocol executes as one genuine round, listed before the data round, so
+// its communication counts in the total and its load in the maximum.
+func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *engine.RunRecord {
 	st := StarStatsSpec(q, db, p).Run(p, sampleSize, seed, 0)
-	res := RunStarPlannedNet(PrepareStarWithFrequencies(q, db, p, st.PerAtom), q, db, p, seed, 0, engine.Env{})
-	AddStatsCharges(res, st)
-	return res
+	rec := RunStarPlannedNet(PrepareStarWithFrequencies(q, db, p, st.PerAtom), q, db, p, seed, 0, engine.Env{})
+	AddStatsCharges(rec, st)
+	return rec
 }
 
-// AddStatsCharges folds the statistics round's cost into a data-round
-// Result: one extra round, its communication added to TotalBits, the load
-// maximum taken across both phases, and the abort flag joined. This is THE
+// AddStatsCharges charges the statistics round to a data-round record: a
+// copy of the round is listed first, where the protocol ran it, so it adds
+// to the rounds and the total and takes part in the load maximum and the
+// abort flag. No seconds are added — a cache hit spent none. This is THE
 // accounting seam between "cached" and "charged": a service may skip
 // re-executing the sampling round when it holds the StatsResult, but it must
 // still pass the cached result through here so the Report charges the bits
 // the protocol would have moved — the paper's cost model meters
 // communication of the algorithm, not of the implementation's memoization.
-func AddStatsCharges(res *Result, st *StatsResult) {
-	res.Rounds += st.Rounds
-	res.TotalBits += st.TotalBits
-	if st.MaxLoadBits > res.MaxLoadBits {
-		res.MaxLoadBits = st.MaxLoadBits
-	}
-	if res.InputBits > 0 {
-		res.ReplicationRate = res.TotalBits / res.InputBits
-	}
-	res.Aborted = res.Aborted || st.Aborted
+// The cached StatsResult is not modified.
+func AddStatsCharges(rec *engine.RunRecord, st *StatsResult) {
+	rec.Rounds = append([]engine.RoundStats{st.Round}, rec.Rounds...)
 }

@@ -43,8 +43,8 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	// deterministic: every server broadcasts exactly one (7, 100) pair per
 	// atom.
 	st := StatsSpec{Rels: rels, Cols: cols, Thresholds: thr}.Run(p, m, 3, 0)
-	if st.Rounds != 1 {
-		t.Fatalf("stats protocol must be one genuine round, got %d", st.Rounds)
+	if st.Round.Name != "stats-sample" {
+		t.Fatalf("stats protocol must be one genuine round, got %+v", st.Round)
 	}
 	if len(st.PerAtom) != 2 {
 		t.Fatalf("per-atom estimates: %d", len(st.PerAtom))
@@ -59,19 +59,19 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	// server. Per receiver and atom: p·2·64 bits; the round carges the SUM
 	// over both atoms.
 	perAtomBits := float64(p * 2 * statsBitsPerValue)
-	if want := 2 * perAtomBits; st.MaxLoadBits != want {
-		t.Errorf("stats round load=%v want %v (sum across atoms, not max)", st.MaxLoadBits, want)
+	if want := 2 * perAtomBits; st.Round.MaxRecvBits != want {
+		t.Errorf("stats round load=%v want %v (sum across atoms, not max)", st.Round.MaxRecvBits, want)
 	}
-	if want := 2 * perAtomBits * float64(p); st.TotalBits != want {
-		t.Errorf("stats round total=%v want %v", st.TotalBits, want)
+	if want := 2 * perAtomBits * float64(p); st.Round.TotalRecvBits != want {
+		t.Errorf("stats round total=%v want %v", st.Round.TotalRecvBits, want)
 	}
 
 	// Cross-check the sum property against the single-atom protocol runs.
 	s1 := StatsSpec{Rels: rels[:1], Cols: cols[:1], Thresholds: thr[:1]}.Run(p, m, 3, 0)
 	s2 := StatsSpec{Rels: rels[1:], Cols: cols[1:], Thresholds: thr[1:]}.Run(p, m, 3, 0)
-	if st.MaxLoadBits != s1.MaxLoadBits+s2.MaxLoadBits {
+	if st.Round.MaxRecvBits != s1.Round.MaxRecvBits+s2.Round.MaxRecvBits {
 		t.Errorf("merged load %v must equal the sum of per-atom loads %v + %v",
-			st.MaxLoadBits, s1.MaxLoadBits, s2.MaxLoadBits)
+			st.Round.MaxRecvBits, s1.Round.MaxRecvBits, s2.Round.MaxRecvBits)
 	}
 }
 
@@ -80,11 +80,11 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 // candidates — neither is a panic.
 func TestStatsProtocolWithoutRelations(t *testing.T) {
 	st := StatsSpec{}.Run(4, 10, 1, 0)
-	if len(st.PerAtom) != 0 || st.TotalBits != 0 || st.Rounds != 1 {
+	if len(st.PerAtom) != 0 || st.Round.TotalRecvBits != 0 || st.Round.Name != "stats-sample" {
 		t.Errorf("no relations: got %+v, want one empty round", st)
 	}
 	st = StatsSpec{Rels: []*data.Relation{data.NewRelation("R", 2)}, Cols: []int{0}, Thresholds: []int{2}}.Run(4, 10, 1, 0)
-	if len(st.PerAtom) != 1 || len(st.PerAtom[0]) != 0 || st.TotalBits != 0 {
+	if len(st.PerAtom) != 1 || len(st.PerAtom[0]) != 0 || st.Round.TotalRecvBits != 0 {
 		t.Errorf("empty relation: got %+v, want no candidates", st)
 	}
 }
@@ -101,8 +101,8 @@ func TestRunStarSampledHonestAccounting(t *testing.T) {
 	res := RunStarSampled(q, db, p, 3, m)
 	oracle := RunStar(q, db, p, 3)
 
-	if res.Rounds != oracle.Rounds+1 {
-		t.Errorf("rounds=%d want %d (stats + data)", res.Rounds, oracle.Rounds+1)
+	if len(res.Rounds) != len(oracle.Rounds)+1 {
+		t.Errorf("rounds=%d want %d (stats + data)", len(res.Rounds), len(oracle.Rounds)+1)
 	}
 	// The sampled statistics are exact here (exhaustive sampling), so the
 	// data round matches the oracle run and the deltas isolate the stats
@@ -111,20 +111,20 @@ func TestRunStarSampledHonestAccounting(t *testing.T) {
 		t.Fatal("exhaustive sampling must reproduce the oracle output")
 	}
 	statsBits := 2 * float64(p*2*statsBitsPerValue) // per-receiver, both atoms
-	if want := oracle.TotalBits + statsBits*float64(p); res.TotalBits != want {
+	if want := oracle.TotalBits() + statsBits*float64(p); res.TotalBits() != want {
 		t.Errorf("TotalBits=%v want %v (data %v + stats %v)",
-			res.TotalBits, want, oracle.TotalBits, statsBits*float64(p))
+			res.TotalBits(), want, oracle.TotalBits(), statsBits*float64(p))
 	}
-	if want := math.Max(oracle.MaxLoadBits, statsBits); res.MaxLoadBits != want {
-		t.Errorf("MaxLoadBits=%v want %v (max over stats and data rounds)", res.MaxLoadBits, want)
+	if want := math.Max(oracle.MaxLoadBits(), statsBits); res.MaxLoadBits() != want {
+		t.Errorf("MaxLoadBits=%v want %v (max over stats and data rounds)", res.MaxLoadBits(), want)
 	}
 	if res.InputBits > 0 {
-		if want := res.TotalBits / res.InputBits; res.ReplicationRate != want {
-			t.Errorf("replication=%v want %v", res.ReplicationRate, want)
+		if want := res.TotalBits() / res.InputBits; res.ReplicationRate() != want {
+			t.Errorf("replication=%v want %v", res.ReplicationRate(), want)
 		}
 	}
-	if res.TotalBits < res.MaxLoadBits {
-		t.Errorf("TotalBits %v below MaxLoadBits %v", res.TotalBits, res.MaxLoadBits)
+	if res.TotalBits() < res.MaxLoadBits() {
+		t.Errorf("TotalBits %v below MaxLoadBits %v", res.TotalBits(), res.MaxLoadBits())
 	}
 }
 
@@ -164,12 +164,12 @@ func TestStatsRoundThatDrawsIsPinned(t *testing.T) {
 	if !reflect.DeepEqual(st.PerAtom, want) {
 		t.Errorf("estimates %v, pinned %v", st.PerAtom, want)
 	}
-	if st.MaxLoadBits != 3200 || st.TotalBits != 51200 || st.Rounds != 1 {
-		t.Errorf("statistics round: load %v, total %v, %d rounds; pinned 3200, 51200, 1", st.MaxLoadBits, st.TotalBits, st.Rounds)
+	if st.Round.MaxRecvBits != 3200 || st.Round.TotalRecvBits != 51200 {
+		t.Errorf("statistics round: load %v, total %v; pinned 3200, 51200", st.Round.MaxRecvBits, st.Round.TotalRecvBits)
 	}
 	res := RunStarSampled(q, db, 16, 7, 50)
-	if res.MaxLoadBits != 10668 || res.TotalBits != 288360 || res.HeavyHitters != 2 || res.ServersUsed != 31 {
+	if res.MaxLoadBits() != 10668 || res.TotalBits() != 288360 || res.HeavyHitters != 2 || res.ServersUsed != 31 {
 		t.Errorf("sampled run: load %v, total %v, %d heavy, %d servers; pinned 10668, 288360, 2, 31",
-			res.MaxLoadBits, res.TotalBits, res.HeavyHitters, res.ServersUsed)
+			res.MaxLoadBits(), res.TotalBits(), res.HeavyHitters, res.ServersUsed)
 	}
 }

@@ -33,7 +33,7 @@ import (
 
 // RunTriangle computes C3 over db with a budget of p servers.
 // q must be query.Triangle() (atoms S1(x1,x2), S2(x2,x3), S3(x3,x1)).
-func RunTriangle(q *query.Query, db *data.Database, p int, seed int64) *Result {
+func RunTriangle(q *query.Query, db *data.Database, p int, seed int64) *engine.RunRecord {
 	return RunTrianglePlannedNet(PrepareTriangle(q, db, p), q, db, p, seed, 0, engine.Env{})
 }
 
@@ -125,14 +125,8 @@ func triangleHeavy(q *query.Query, db *data.Database, p int) (freq []map[int64]i
 // RunTrianglePlannedNet executes the triangle data round under a prepared
 // layout; see RunStarPlannedNet for the caching contract (bit-identical to
 // the unprepared path), the cap and env.
-func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
-	vars := q.Vars()
+func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	pHeavy, cubeHeavy, layout := tp.pHeavy, tp.cubeHeavy, tp.layout
-	rels := make([]*data.Relation, 3)
-	for j, a := range q.Atoms {
-		rels[j] = db.Get(a.Name)
-	}
-
 	bpv := data.BitsPerValue(db.N)
 	cluster := engine.NewClusterEnv(env, layout.totalServers, bpv)
 	defer cluster.Release()
@@ -182,28 +176,9 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 		})
 	out := engine.Concat(q.Name, 3, outputs)
 
-	inputBits := 0.0
-	for j := range rels {
-		inputBits += rels[j].SizeBits(db.N)
-	}
-	nHeavy := 0
-	for i := range vars {
-		nHeavy += len(cubeHeavy[i])
-	}
-	computeS, commS := cluster.PhaseSeconds()
-	return &Result{
-		Output:          out,
-		ServersUsed:     layout.totalServers,
-		Rounds:          cluster.NumRounds(),
-		MaxLoadBits:     cluster.MaxLoadBits(),
-		TotalBits:       cluster.TotalBits(),
-		InputBits:       inputBits,
-		ReplicationRate: cluster.ReplicationRate(inputBits),
-		HeavyHitters:    nHeavy,
-		Aborted:         cluster.Aborted(),
-		ComputeSeconds:  computeS,
-		CommSeconds:     commS,
-	}
+	rec := cluster.Record(out, inputBits(q, db))
+	rec.HeavyHitters = tp.HeavyHitters()
+	return rec
 }
 
 // ---- server layout -------------------------------------------------------

@@ -24,11 +24,11 @@ func snapshotCluster(c *engine.Cluster) string {
 			fmt.Fprintf(&b, "  k%d a%d %v\n", bt.Kind, bt.Arity, bt.Vals)
 		})
 	}
-	for i, rs := range c.Rounds() {
+	for i, rs := range c.Record(nil, 0).Rounds {
 		fmt.Fprintf(&b, "round %d %q: max=%x total=%x mt=%d tt=%d abort=%t\n",
 			i, rs.Name, rs.MaxRecvBits, rs.TotalRecvBits, rs.MaxRecvTuples, rs.TotalRecvTuples, rs.Aborted)
 	}
-	fmt.Fprintf(&b, "totalbits=%x maxload=%x", c.TotalBits(), c.MaxLoadBits())
+	fmt.Fprintf(&b, "totalbits=%x maxload=%x", c.Record(nil, 0).TotalBits(), c.Record(nil, 0).MaxLoadBits())
 	return b.String()
 }
 
@@ -69,7 +69,7 @@ func exerciseCluster(tr engine.Transport) (string, float64) {
 			}
 		})
 	})
-	return snapshotCluster(c), c.TotalBits()
+	return snapshotCluster(c), c.Record(nil, 0).TotalBits()
 }
 
 // TestSessionMatchesLocalDelivery is the transport's core contract at the

@@ -140,9 +140,6 @@ func LayeredPathGraph(rng *rand.Rand, k, perLayer int) *Graph {
 // HyperCubePlan is an executable HyperCube share configuration.
 type HyperCubePlan = core.Plan
 
-// HyperCubeResult reports loads and output of a one-round run.
-type HyperCubeResult = core.Result
-
 // PlanHyperCube computes LP-optimal shares (Theorem 3.4) for q on db.
 func PlanHyperCube(q *Query, db *Database, p int) *HyperCubePlan {
 	return core.PlanForDatabase(q, db, p, core.SkewFree)
@@ -244,8 +241,9 @@ func RunHyperCubeCapped(q *Query, db *Database, p int, seed int64, capBits float
 // RunHyperCubeInputServers executes under the input-server model of
 // Section 2.1 (relation j starts wholly on server j); loads match the
 // partitioned-input run.
-func RunHyperCubeInputServers(q *Query, db *Database, p int, seed int64) *HyperCubeResult {
-	return core.RunPlanInputServers(core.PlanForDatabase(q, db, p, core.SkewFree), db, seed)
+func RunHyperCubeInputServers(q *Query, db *Database, p int, seed int64) *Report {
+	plan := core.PlanForDatabase(q, db, p, core.SkewFree)
+	return hyperCubeReport(HyperCube().Name(), q, plan, core.RunPlanInputServers(plan, db, seed))
 }
 
 // AnswerFractionUB returns the Theorem 3.5 bound on the fraction of the

@@ -104,8 +104,8 @@ func (s hyperCubeStrategy) Execute(ctx ExecContext) (*Report, error) {
 	plan := ctx.cachedPlan(fmt.Sprintf("hc|m%d", s.mode), func() any {
 		return core.PlanForDatabase(ctx.Query, ctx.DB, ctx.Servers, s.mode)
 	}).(*core.Plan)
-	res := core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
-	rep := reportFromCore(s.Name(), ctx.Query, res)
+	rec := core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
+	rep := hyperCubeReport(s.Name(), ctx.Query, plan, rec)
 	rep.PredictedLoadBits = plan.PredictedLoadBits()
 	return rep, nil
 }
@@ -137,8 +137,9 @@ func (s sharesStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: HyperCubeShares: shares must be ≥ 1, got %v", s.shares)
 		}
 	}
-	res := core.RunPlanAggregateNet(core.PlanWithShares(ctx.Query, ctx.DB, s.shares), ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
-	return reportFromCore(s.Name(), ctx.Query, res), nil
+	plan := core.PlanWithShares(ctx.Query, ctx.DB, s.shares)
+	rec := core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
+	return hyperCubeReport(s.Name(), ctx.Query, plan, rec), nil
 }
 
 // ---- self-joins ------------------------------------------------------------
@@ -174,9 +175,17 @@ func (s selfJoinStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: SelfJoin: %w: %q", ErrMissingRelation, a.Name)
 		}
 	}
-	res := core.RunWithSelfJoins(s.name, s.atoms, ctx.DB, ctx.Servers, ctx.Seed, core.SkewFree, ctx.LoadCapBits, ctx.env)
-	rep := reportFromCore(s.Name(), res.Plan.Query, res)
-	rep.PredictedLoadBits = res.Plan.PredictedLoadBits()
+	// The plan RunWithSelfJoins executes: shares of the renamed query over
+	// the renamed copies, each as large as the relation it reads.
+	q, orig := core.DesugarSelfJoins(s.name, s.atoms)
+	stats := make([]float64, q.NumAtoms())
+	for j, a := range q.Atoms {
+		stats[j] = ctx.DB.Get(orig[a.Name]).SizeBits(ctx.DB.N)
+	}
+	plan := core.NewPlan(q, stats, ctx.Servers, core.SkewFree)
+	rec := core.RunWithSelfJoins(s.name, s.atoms, ctx.DB, ctx.Servers, ctx.Seed, core.SkewFree, ctx.LoadCapBits, ctx.env)
+	rep := hyperCubeReport(s.Name(), q, plan, rec)
+	rep.PredictedLoadBits = plan.PredictedLoadBits()
 	return rep, nil
 }
 
@@ -214,7 +223,7 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		return nil, fmt.Errorf("mpcquery: %s needs a star query (every atom S_j(z, x_j...) sharing the first variable); got %s",
 			s.Name(), ctx.Query)
 	}
-	var res *skew.Result
+	var rec *engine.RunRecord
 	if s.sampled {
 		// The sampling protocol costs a genuine communication round; its
 		// result lives in the STATS cache and a hit skips the recomputation,
@@ -227,15 +236,15 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		sp := ctx.cachedPlan(fmt.Sprintf("star-sampled|s%d|ss%d", ctx.Seed, s.sampleSize), func() any {
 			return skew.PrepareStarWithFrequencies(ctx.Query, ctx.DB, ctx.Servers, st.PerAtom)
 		}).(*skew.StarPlan)
-		res = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
-		skew.AddStatsCharges(res, st)
+		rec = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+		skew.AddStatsCharges(rec, st)
 	} else {
 		sp := ctx.cachedPlan("star", func() any {
 			return skew.PrepareStar(ctx.Query, ctx.DB, ctx.Servers)
 		}).(*skew.StarPlan)
-		res = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+		rec = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
 	}
-	return reportFromSkew(s.Name(), ctx.Query, res), nil
+	return newReport(s.Name(), ctx.Query, rec), nil
 }
 
 // isStarQuery reports whether every atom starts with the same variable —
@@ -268,8 +277,8 @@ func (s skewedTriangleStrategy) Execute(ctx ExecContext) (*Report, error) {
 	tp := ctx.cachedPlan("triangle", func() any {
 		return skew.PrepareTriangle(ctx.Query, ctx.DB, ctx.Servers)
 	}).(*skew.TrianglePlan)
-	res := skew.RunTrianglePlannedNet(tp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	return reportFromSkew(s.Name(), ctx.Query, res), nil
+	rec := skew.RunTrianglePlannedNet(tp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	return newReport(s.Name(), ctx.Query, rec), nil
 }
 
 type skewedGenericStrategy struct{}
@@ -285,8 +294,8 @@ func (s skewedGenericStrategy) Execute(ctx ExecContext) (*Report, error) {
 	gp := ctx.cachedPlan(fmt.Sprintf("generic|h%d", ctx.HeavyCap), func() any {
 		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers, ctx.HeavyCap)
 	}).(*skew.GenericPlan)
-	res := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	return reportFromSkew(s.Name(), ctx.Query, res), nil
+	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	return newReport(s.Name(), ctx.Query, rec), nil
 }
 
 // ---- multi-round strategies ------------------------------------------------
@@ -352,11 +361,11 @@ func (s multiRoundStrategy) Execute(ctx ExecContext) (*Report, error) {
 	return executeMultiRound(planKey, s.Name(), plan, s.eps, s.skewAware, ctx)
 }
 
-// executeMultiRound runs a prepared plan and folds its ExecResult into a
-// Report, predicting load as M_max/p^{1−ε} (the Section 5 target). The
-// cacheKey scopes per-node memoized artifacts (share LPs, skew layouts over
-// intermediate views) to this particular plan — node names repeat across
-// plans, so the key must identify the plan, not just the node.
+// executeMultiRound runs a prepared plan and reports its record, predicting
+// load as M_max/p^{1−ε} (the Section 5 target). The cacheKey scopes per-node
+// memoized artifacts (share LPs, skew layouts over intermediate views) to
+// this particular plan — node names repeat across plans, so the key must
+// identify the plan, not just the node.
 func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps float64, skewAware bool, ctx ExecContext) (*Report, error) {
 	var memo multiround.Memo
 	if ctx.cache != nil {
@@ -368,32 +377,13 @@ func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps 
 	if ap != nil && skewAware {
 		return nil, errAggregateUnsupported(name)
 	}
-	var res *multiround.ExecResult
+	var rec *engine.RunRecord
 	if skewAware {
-		res = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.HeavyCap, ctx.LoadCapBits, memo, ctx.env)
+		rec = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.HeavyCap, ctx.LoadCapBits, memo, ctx.env)
 	} else {
-		res = multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
+		rec = multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
 	}
-	rep := &Report{
-		Strategy:           name,
-		Query:              ctx.Query,
-		Output:             res.Output,
-		Rounds:             res.Rounds,
-		ServersUsed:        ctx.Servers,
-		MaxLoadBits:        res.MaxLoadBits,
-		TotalBits:          res.TotalBits,
-		InputBits:          res.InputBits,
-		Aborted:            res.Aborted,
-		AggregateBitsSaved: res.AggregateBitsSaved,
-		ComputeSeconds:     res.ComputeSeconds,
-		CommSeconds:        res.CommSeconds,
-	}
-	for i, l := range res.RoundLoads {
-		rep.RoundStats = append(rep.RoundStats, RoundStat{Round: i + 1, MaxLoadBits: l})
-	}
-	if res.InputBits > 0 {
-		rep.ReplicationRate = res.TotalBits / res.InputBits
-	}
+	rep := newReport(name, ctx.Query, rec)
 	maxM := 0.0
 	for _, r := range ctx.DB.Relations {
 		if m := r.SizeBits(ctx.DB.N); m > maxM {
@@ -455,53 +445,35 @@ func (s autoStrategy) Execute(ctx ExecContext) (*Report, error) {
 	return rep, nil
 }
 
-// reportFromCore folds a one-round core.Result into the unified Report
-// (two rounds when the run carried an aggregate shuffle).
-func reportFromCore(name string, q *Query, res *core.Result) *Report {
+// newReport is the Report view of a run record: every built-in strategy
+// reports through it, so every one lists its rounds.
+func newReport(name string, q *Query, rec *engine.RunRecord) *Report {
 	rep := &Report{
 		Strategy:           name,
 		Query:              q,
-		Output:             res.Output,
-		Rounds:             1,
-		RoundStats:         []RoundStat{{Round: 1, MaxLoadBits: res.MaxLoadBits}},
-		ServersUsed:        res.ServersUsed,
-		MaxLoadBits:        res.MaxLoadBits,
-		TotalBits:          res.TotalBits,
-		InputBits:          res.InputBits,
-		ReplicationRate:    res.ReplicationRate,
-		Aborted:            res.Aborted,
-		AggregateBitsSaved: res.AggregateBitsSaved,
-		ComputeSeconds:     res.ComputeSeconds,
-		CommSeconds:        res.CommSeconds,
+		Output:             rec.Output,
+		Rounds:             len(rec.Rounds),
+		ServersUsed:        rec.ServersUsed,
+		MaxLoadBits:        rec.MaxLoadBits(),
+		TotalBits:          rec.TotalBits(),
+		InputBits:          rec.InputBits,
+		ReplicationRate:    rec.ReplicationRate(),
+		HeavyHitters:       rec.HeavyHitters,
+		Aborted:            rec.Aborted(),
+		AggregateBitsSaved: rec.AggregateBitsSaved,
+		ComputeSeconds:     rec.ComputeSeconds,
+		CommSeconds:        rec.CommSeconds,
 	}
-	if len(res.RoundLoads) > 0 {
-		rep.Rounds = len(res.RoundLoads)
-		rep.RoundStats = rep.RoundStats[:0]
-		for i, l := range res.RoundLoads {
-			rep.RoundStats = append(rep.RoundStats, RoundStat{Round: i + 1, MaxLoadBits: l})
-		}
-	}
-	if res.Plan != nil {
-		rep.Shares = append([]int(nil), res.Plan.Shares...)
+	for i, rs := range rec.Rounds {
+		rep.RoundStats = append(rep.RoundStats, RoundStat{Round: i + 1, MaxLoadBits: rs.MaxRecvBits})
 	}
 	return rep
 }
 
-// reportFromSkew folds a skew.Result into the unified Report.
-func reportFromSkew(name string, q *Query, res *skew.Result) *Report {
-	return &Report{
-		Strategy:        name,
-		Query:           q,
-		Output:          res.Output,
-		Rounds:          res.Rounds,
-		ServersUsed:     res.ServersUsed,
-		MaxLoadBits:     res.MaxLoadBits,
-		TotalBits:       res.TotalBits,
-		InputBits:       res.InputBits,
-		ReplicationRate: res.ReplicationRate,
-		HeavyHitters:    res.HeavyHitters,
-		Aborted:         res.Aborted,
-		ComputeSeconds:  res.ComputeSeconds,
-		CommSeconds:     res.CommSeconds,
-	}
+// hyperCubeReport is newReport for a run of one HyperCube grid: it also
+// reports the plan's shares.
+func hyperCubeReport(name string, q *Query, plan *core.Plan, rec *engine.RunRecord) *Report {
+	rep := newReport(name, q, rec)
+	rep.Shares = append([]int(nil), plan.Shares...)
+	return rep
 }

@@ -16,7 +16,11 @@ import (
 // functions and methods of the three strategy-family packages: one full form
 // per family (the one strategy.go and benchmark/ call), a zero-option
 // convenience only where non-test code calls it, and the two other-model
-// runs of core.
+// runs of core. It also freezes what they return: every strategy run reports
+// one engine.RunRecord — only the answer-fraction run (RunPlanCapped) and the
+// statistics protocol (StatsSpec.Run*, whose round AddStatsCharges folds
+// into a record) return something else — and the packages declare no other
+// exported *Result type.
 func TestStrategyEntryPointSurface(t *testing.T) {
 	want := map[string][]string{
 		"internal/core": {
@@ -31,6 +35,8 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 			"Execute", "ExecuteAggregateCapMemoNet", "ExecuteSkewAwareCapMemoNet",
 		},
 	}
+	notRecords := map[string]bool{"RunPlanCapped": true, "StatsSpec.Run": true, "StatsSpec.RunNet": true}
+	results := map[string]bool{"CappedResult": true, "StatsResult": true, "CCResult": true}
 	for dir, names := range want {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -42,15 +48,27 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 		for _, pkg := range pkgs {
 			for _, file := range pkg.Files {
 				for _, decl := range file.Decls {
-					fn, ok := decl.(*ast.FuncDecl)
-					if !ok || !isEntryPointName(fn.Name.Name) {
-						continue
+					switch d := decl.(type) {
+					case *ast.FuncDecl:
+						if !isEntryPointName(d.Name.Name) {
+							continue
+						}
+						name := d.Name.Name
+						if d.Recv != nil {
+							name = strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*") + "." + name
+						}
+						got = append(got, name)
+						if ret := resultTypes(d.Type.Results); !notRecords[name] && ret != "*engine.RunRecord" {
+							t.Errorf("%s.%s returns %s: return engine.RunRecord — do not add a result dialect", dir, name, ret)
+						}
+					case *ast.GenDecl:
+						for _, spec := range d.Specs {
+							ts, ok := spec.(*ast.TypeSpec)
+							if ok && ts.Name.IsExported() && strings.HasSuffix(ts.Name.Name, "Result") && !results[ts.Name.Name] {
+								t.Errorf("%s declares type %s: return engine.RunRecord — do not add a result dialect", dir, ts.Name.Name)
+							}
+						}
 					}
-					name := fn.Name.Name
-					if fn.Recv != nil {
-						name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
-					}
-					got = append(got, name)
 				}
 			}
 		}
@@ -63,4 +81,18 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 
 func isEntryPointName(name string) bool {
 	return strings.HasPrefix(name, "Run") || strings.HasPrefix(name, "Execute") || strings.HasPrefix(name, "Detect")
+}
+
+// resultTypes renders a function's result list, e.g. "*engine.RunRecord".
+func resultTypes(fl *ast.FieldList) string {
+	if fl == nil {
+		return ""
+	}
+	var parts []string
+	for _, f := range fl.List {
+		for range max(1, len(f.Names)) {
+			parts = append(parts, types.ExprString(f.Type))
+		}
+	}
+	return strings.Join(parts, ", ")
 }
