@@ -15,19 +15,21 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fi
 // run. The golden file holds Report.Fingerprint() on the first line and
 // Report.String() after it; any diff means a user-visible report field or
 // the fingerprint scheme changed, which must be a conscious decision (run
-// with -update-golden and review the diff), never an accident.
+// with -update-golden and review the diff), never an accident. run takes
+// extra options for tests that vary the same run (the goldens pass none).
 type goldenCase struct {
 	name string
-	run  func() (*Report, error)
+	run  func(extra ...RunOption) (*Report, error)
 }
 
 func goldenCases() []goldenCase {
 	const seed = 7
-	mk := func(q *Query, db *Database, s Strategy, extra ...RunOption) func() (*Report, error) {
-		return func() (*Report, error) {
-			return Run(q, db, append([]RunOption{
+	mk := func(q *Query, db *Database, s Strategy, fixed ...RunOption) func(...RunOption) (*Report, error) {
+		return func(extra ...RunOption) (*Report, error) {
+			opts := append([]RunOption{
 				WithStrategy(s), WithServers(16), WithSeed(seed), WithHeavyCap(8),
-			}, extra...)...)
+			}, fixed...)
+			return Run(q, db, append(opts, extra...)...)
 		}
 	}
 	// Workloads are rebuilt per case from fixed generator seeds, so cases
@@ -69,7 +71,7 @@ func goldenCases() []goldenCase {
 		{"greedy-plan", mk(Chain(4), chainDB(), GreedyPlan(0.5))},
 		{"greedy-plan-skew", mk(Chain(4), chainDB(), GreedyPlanSkewAware(0.5))},
 		{"auto", mk(Chain(4), chainDB(), Auto())},
-		{"selfjoin", func() (*Report, error) {
+		{"selfjoin", func(extra ...RunOption) (*Report, error) {
 			edges := NewRelation("E", 2)
 			rng := rand.New(rand.NewSource(105))
 			for i := 0; i < 120; i++ {
@@ -80,7 +82,7 @@ func goldenCases() []goldenCase {
 			sj := SelfJoin("paths",
 				Atom{Name: "E", Vars: []string{"x", "y"}},
 				Atom{Name: "E", Vars: []string{"y", "z"}})
-			return Run(nil, db, WithStrategy(sj), WithServers(16), WithSeed(seed))
+			return Run(nil, db, append([]RunOption{WithStrategy(sj), WithServers(16), WithSeed(seed)}, extra...)...)
 		}},
 		// Aggregate families, pushdown on and off: the pair also documents
 		// that only the bit accounting may differ between the two.

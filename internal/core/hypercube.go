@@ -244,57 +244,17 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	hyperCubeShuffle(cluster, "hypercube-shuffle", routes, family)
 
 	// Computation phase: local evaluation on every server (no
-	// communication). Each worker keeps one kernel scratch whose arenas are
-	// reused across all the servers it evaluates; the round-scoped index
-	// cache shares index builds between the servers of a route's subcube,
-	// which received the same fragment (a tuple is replicated along every
-	// dimension its atom does not constrain).
-	ev := &evaluator{cluster: cluster, q: q, routes: routes,
-		cache: localjoin.NewIndexCache(), scratches: localjoin.NewWorkerScratches()}
+	// communication). The shuffle's routes double as the provenance of what
+	// each server received, so the servers of a route's subcube, which hold
+	// the same fragment, share its index builds.
+	sharing := func(int) ([]*hashing.Route, int) { return routes, 0 }
 	var out *data.Relation
 	aggSaved := 0.0
 	if agg == nil {
-		// Output path: barrier-kernel materialization by default; the
-		// streamed kernel when streaming is on (chunked evaluation, same
-		// bytes — the memoized index cache keeps hit/miss totals identical);
-		// and when a sink is set the output never materializes at all —
-		// chunks flow straight out and the record's Output stays nil, in both
-		// modes, so fingerprints agree.
-		streamChunk := env.StreamChunk
-		if streamChunk <= 0 {
-			streamChunk = engine.DefaultStreamChunk
-		}
-		outputs := make([]*data.Relation, gp)
-		cluster.Compute(func(s, w int) {
-			if cluster.Inbox(s).NumTuples() == 0 {
-				outputs[s] = data.NewRelation(q.Name, q.NumVars())
-				return
-			}
-			sc, frag, sh := ev.server(s, w)
-			switch {
-			case env.Sink != nil:
-				sc.EvaluateAtomsStream(q, frag, sh, streamChunk, func(vals []int64) {
-					env.Sink.Chunk(s, q.NumVars(), vals)
-				})
-				outputs[s] = data.NewRelation(q.Name, q.NumVars())
-			case env.Streaming:
-				o := data.NewRelation(q.Name, q.NumVars())
-				sc.EvaluateAtomsStream(q, frag, sh, streamChunk, func(vals []int64) {
-					o.AppendVals(vals)
-				})
-				outputs[s] = o
-			default:
-				outputs[s] = sc.EvaluateAtoms(q, frag, sh)
-			}
-		})
-		ev.scratches.Release()
-		if env.Sink == nil {
-			out = engine.Concat(q.Name, q.NumVars(), outputs)
-		}
+		out = localjoin.Output(cluster, q, env, sharing, nil)
 	} else {
-		out, aggSaved = runAggregatePhases(ev, gp, agg)
+		out, aggSaved = runAggregatePhases(cluster, q, sharing, agg)
 	}
-	ev.cache.Publish(cluster.Trace())
 
 	inputBits := 0.0
 	for _, a := range q.Atoms {
@@ -303,25 +263,6 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	rec := cluster.Record(out, inputBits)
 	rec.AggregateBitsSaved = aggSaved
 	return rec
-}
-
-// evaluator is the per-server setup of a HyperCube computation phase: the
-// shuffle's routes double as the provenance of what each server received.
-type evaluator struct {
-	cluster   *engine.Cluster
-	q         *query.Query
-	routes    []*hashing.Route
-	cache     *localjoin.IndexCache
-	scratches *localjoin.WorkerScratches
-}
-
-// server returns worker w's scratch, server s's atom fragments read from its
-// inbox (message kinds are atom indices), and the server's handle on the
-// phase's index cache: atom j's fragment is the one every server of its
-// subcube under routes[j] holds.
-func (ev *evaluator) server(s, w int) (*localjoin.Scratch, []*data.Relation, *localjoin.Shared) {
-	sc := ev.scratches.Worker(w)
-	return sc, sc.InboxFragments(ev.q, ev.cluster.Inbox(s)), sc.Share(ev.cache, ev.routes, 0, s)
 }
 
 // hyperCubeRoutes compiles every atom's route into the grid, once per run, so
@@ -363,34 +304,14 @@ func hyperCubeShuffle(cluster *engine.Cluster, name string, routes []*hashing.Ro
 // group-key hash — through the Emitter's pre-shuffle combiner on the
 // pushdown path — and the destination-side final fold. It returns the
 // canonical aggregate output and the bits the pushdown saved.
-func runAggregatePhases(ev *evaluator, gp int, agg *aggregate.Plan) (*data.Relation, float64) {
-	cluster, q := ev.cluster, ev.q
+func runAggregatePhases(cluster *engine.Cluster, q *query.Query, sharing localjoin.Sharing, agg *aggregate.Plan) (*data.Relation, float64) {
+	gp := cluster.P()
 	ka := agg.KeyArity()
-	groupCols := make([]int, len(agg.GroupBy))
-	for i, v := range agg.GroupBy {
-		groupCols[i] = q.VarIndex(v)
-	}
-	aggCol := -1
-	if agg.Var != "" {
-		aggCol = q.VarIndex(agg.Var)
-	}
-
 	partials := make([]*data.Relation, gp)
 	rawRows := make([]int, gp)
-	cluster.Compute(func(s, w int) {
-		if cluster.Inbox(s).NumTuples() == 0 {
-			return
-		}
-		sc, frag, sh := ev.server(s, w)
-		if agg.Pushdown {
-			partials[s], rawRows[s] = sc.EvaluateAtomsAggregate(q, frag, sh, agg)
-		} else {
-			o := sc.EvaluateAtoms(q, frag, sh)
-			rawRows[s] = o.NumTuples()
-			partials[s] = aggregate.ProjectRaw(o, groupCols, aggCol, agg)
-		}
+	localjoin.Phase(cluster, q, sharing, func(s int, sc *localjoin.Scratch, frags []*data.Relation, sh *localjoin.Shared) {
+		partials[s], rawRows[s] = sc.EvaluateAtomsAggregate(q, frags, sh, agg)
 	})
-	ev.scratches.Release()
 
 	sentRows := make([]int, gp)
 	cluster.Round("aggregate-shuffle", func(s int, _ *engine.Inbox, emit *engine.Emitter) {

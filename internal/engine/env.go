@@ -25,7 +25,8 @@ type Env struct {
 	// Streaming enables chunked streaming rounds on every cluster of the
 	// run (see stream.go): pipelined mid-emission flushes in-process,
 	// chunk-capped wire frames over a transport. StreamChunk sets the
-	// chunk size in tuples; <= 0 selects DefaultStreamChunk. Bit
+	// chunk size in tuples, of rounds and of Sink's output chunks alike;
+	// <= 0 selects DefaultStreamChunk. Bit
 	// accounting, fingerprints, and trace structure are identical to
 	// barrier mode — only wall-clock and peak memory change.
 	Streaming   bool
@@ -33,9 +34,9 @@ type Env struct {
 
 	// Sink, when non-nil, receives the query output as row-major chunks
 	// instead of a materialized relation (Report.Output stays nil) — the
-	// escape hatch for outputs larger than memory. Honored by the plain
-	// join strategies' computation phase, in both modes, so a sink never
-	// changes the fingerprinted accounting.
+	// escape hatch for outputs larger than memory. Honored by every join
+	// strategy; a multi-round plan streams its root node; aggregates
+	// materialize. A sink never changes the fingerprinted accounting.
 	Sink OutputSink
 
 	// Mem, when non-nil, collects the run's engine-buffer high-water

@@ -70,24 +70,28 @@ func ParallelForWorkers(n int, f func(i, worker int)) {
 
 // Concat returns one relation holding every part's tuples in part order —
 // the per-server output union of a computation phase. Every part must have
-// the given arity. The output is allocated once at its exact size and filled
-// in fixed spans of values, each copied from the parts it overlaps, under
-// ParallelFor: one huge part among empty ones is assembled by as many
-// workers as an even spread.
+// the given arity; a nil part is empty. The output is allocated once at its
+// exact size and filled in fixed spans of values, each copied from the parts
+// it overlaps, under ParallelFor: one huge part among empty ones is
+// assembled by as many workers as an even spread.
 func Concat(name string, arity int, parts []*data.Relation) *data.Relation {
 	offs := make([]int, len(parts)+1) // part i lands at vals[offs[i]:offs[i+1]]
 	for i, p := range parts {
-		offs[i+1] = offs[i] + len(p.Vals())
+		offs[i+1] = offs[i]
+		if p != nil {
+			offs[i+1] += len(p.Vals())
+		}
 	}
 	total := offs[len(parts)]
 	vals := make([]int64, total)
 	const span = 1 << 16 // values per work item: 512 KiB, far above the hand-off cost
 	ParallelFor((total+span-1)/span, func(n int) {
 		lo, hi := n*span, min((n+1)*span, total)
-		// First part reaching past lo; empty parts in between copy nothing.
-		i := sort.SearchInts(offs, lo+1) - 1
-		for ; lo < hi; i++ {
-			lo += copy(vals[lo:hi], parts[i].Vals()[lo-offs[i]:])
+		// First part reaching past lo; empty parts in between are skipped.
+		for i := sort.SearchInts(offs, lo+1) - 1; lo < hi; i++ {
+			if offs[i+1] > lo {
+				lo += copy(vals[lo:hi], parts[i].Vals()[lo-offs[i]:])
+			}
 		}
 	})
 	return data.FromVals(name, arity, vals)

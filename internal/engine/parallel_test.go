@@ -90,8 +90,9 @@ func TestClusterComputeTimesPhases(t *testing.T) {
 
 // TestConcat holds Concat to a serial append: spans of the output are copied
 // by different workers, so part boundaries inside a span, spans inside a
-// part, empty parts and an empty whole must all land byte for byte in part
-// order, with one worker and with more workers than the box has cores.
+// part, empty and nil parts (size -1) and an empty whole must all land byte
+// for byte in part order, with one worker and with more workers than the box
+// has cores.
 func TestConcat(t *testing.T) {
 	part := func(tuples int, first int64) *data.Relation {
 		r := data.NewRelation("part", 3)
@@ -110,6 +111,7 @@ func TestConcat(t *testing.T) {
 		"huge among empty":     {0, 0, 0, 0, big, 0, 0, 0},
 		"part ends on a span":  {1 << 16, 0, 1, big}, // 3·2¹⁶ values: exactly three spans
 		"many tiny then large": append(make([]int, 300), big),
+		"nil parts":            {-1, 3, -1, -1, big, -1},
 	}
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -117,6 +119,9 @@ func TestConcat(t *testing.T) {
 			parts := make([]*data.Relation, len(sizes))
 			want := data.NewRelation("out", 3)
 			for i, n := range sizes {
+				if n < 0 {
+					continue
+				}
 				parts[i] = part(n, int64(i+1))
 				want.AppendVals(parts[i].Vals())
 			}

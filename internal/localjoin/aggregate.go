@@ -14,7 +14,9 @@ import (
 // aggregates as an annotated relation (arity = plan.KeyArity(), annotation
 // column = folded values, first-contact group order) plus the number of raw
 // join rows folded, which the caller uses to meter the communication the
-// pre-shuffle aggregation saved.
+// pre-shuffle aggregation saved. With plan.Pushdown off nothing is folded:
+// the materialized output is projected to one (group key, annotation) row per
+// join row (aggregate.ProjectRaw), which is what such a sender ships.
 //
 // Inputs follow checkInputs' rule, like every kernel entry point; sh may be
 // nil.
@@ -23,8 +25,13 @@ func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, 
 	if checkInputs(q, rels, sh) {
 		return data.NewRelation(q.Name, ka), 0
 	}
-	partials = data.NewRelation(q.Name, ka)
 	order := s.greedyOrder(q, rels)
+	if !plan.Pushdown {
+		out := s.run(q, rels, order, sh)
+		groupCols, aggCol := aggregateCols(q, plan)
+		return aggregate.ProjectRaw(out, groupCols, aggCol, plan), out.NumTuples()
+	}
+	partials = data.NewRelation(q.Name, ka)
 	s.join(q, rels, order, sh, rels[order[0]].NumTuples(), func(rows int) {
 		// Resolve the group-by and aggregated variables to binding columns
 		// (every query variable is bound once rows > 0).
@@ -59,14 +66,7 @@ func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, 
 func FoldOutput(out *data.Relation, q *query.Query, plan *aggregate.Plan) *data.Relation {
 	ka := plan.KeyArity()
 	t := aggregate.NewFoldTable(ka, plan.Semiring)
-	groupCols := make([]int, len(plan.GroupBy))
-	for i, v := range plan.GroupBy {
-		groupCols[i] = q.VarIndex(v)
-	}
-	aggCol := -1
-	if plan.Var != "" {
-		aggCol = q.VarIndex(plan.Var)
-	}
+	groupCols, aggCol := aggregateCols(q, plan)
 	key := make([]int64, ka)
 	m := out.NumTuples()
 	for i := 0; i < m; i++ {
@@ -81,4 +81,18 @@ func FoldOutput(out *data.Relation, q *query.Query, plan *aggregate.Plan) *data.
 		t.Add(key, plan.InitAnnotation(av))
 	}
 	return t.Result(out.Name)
+}
+
+// aggregateCols resolves plan's group-by variables and aggregated variable
+// (-1: none) to columns of q's output.
+func aggregateCols(q *query.Query, plan *aggregate.Plan) (groupCols []int, aggCol int) {
+	groupCols = make([]int, len(plan.GroupBy))
+	for i, v := range plan.GroupBy {
+		groupCols[i] = q.VarIndex(v)
+	}
+	aggCol = -1
+	if plan.Var != "" {
+		aggCol = q.VarIndex(plan.Var)
+	}
+	return groupCols, aggCol
 }

@@ -51,7 +51,8 @@ func Execute(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRec
 //   - every node's round delivery goes through env (the zero Env =
 //     in-process, untraced). Nodes execute sequentially, so a distributed
 //     run attaches one cluster at a time, in the same deterministic order at
-//     every rank.
+//     every rank. Only the root node streams into env.Sink: intermediate
+//     views feed later rounds and always materialize.
 func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *engine.RunRecord {
 	aggAt := func(n *Node) *aggregate.Plan {
 		if n == p.Root {
@@ -59,7 +60,7 @@ func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed in
 		}
 		return nil
 	}
-	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) *engine.RunRecord {
+	return executeWith(p, db, servers, env, func(n *Node, sub *data.Database, perNode, d int, env engine.Env) *engine.RunRecord {
 		pl := memo.do(fmt.Sprintf("node|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
 			return core.PlanForDatabase(n.Query, sub, perNode, core.SkewFree)
 		}).(*core.Plan)
@@ -70,10 +71,11 @@ func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed in
 // executeWith runs the plan with a pluggable one-round operator, level by
 // level: the records of one level's nodes, which share its rounds on disjoint
 // servers, merge Beside each other, and each level's record follows the
-// previous one's. The plan's record spans the servers budget and the whole
-// database's input.
-func executeWith(p *Plan, db *data.Database, servers int,
-	operator func(n *Node, sub *data.Database, perNode, depth int) *engine.RunRecord) *engine.RunRecord {
+// previous one's. The operator runs every node under env, with the sink
+// handed only to the root: the plan's record then has a nil Output. The
+// plan's record spans the servers budget and the whole database's input.
+func executeWith(p *Plan, db *data.Database, servers int, env engine.Env,
+	operator func(n *Node, sub *data.Database, perNode, depth int, env engine.Env) *engine.RunRecord) *engine.RunRecord {
 	if servers < 1 {
 		panic("multiround: need at least one server")
 	}
@@ -131,8 +133,14 @@ func executeWith(p *Plan, db *data.Database, servers int,
 				}
 				sub.Add(r)
 			}
-			nr := operator(n, sub, perNode, d)
-			nr.Output.Name = n.Name
+			nodeEnv := env
+			if n != p.Root {
+				nodeEnv.Sink = nil
+			}
+			nr := operator(n, sub, perNode, d, nodeEnv)
+			if nr.Output != nil {
+				nr.Output.Name = n.Name
+			}
 			materialized[n.Name] = nr.Output
 			level.Beside(nr)
 		}
@@ -153,7 +161,7 @@ func executeWith(p *Plan, db *data.Database, servers int,
 // intermediate views) are drawn from memo — the per-node statistics
 // recomputation is the bulk of the skew-aware executor's planning cost.
 func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, capBits float64, memo Memo, env engine.Env) *engine.RunRecord {
-	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) *engine.RunRecord {
+	return executeWith(p, db, servers, env, func(n *Node, sub *data.Database, perNode, d int, env engine.Env) *engine.RunRecord {
 		gp := memo.do(fmt.Sprintf("node-skew|%s|d%d|pn%d|s%d|h%d", n.Name, d, perNode, seed, maxHeavyPerVar), func() any {
 			return skew.PrepareGeneric(n.Query, sub, perNode, maxHeavyPerVar)
 		}).(*skew.GenericPlan)

@@ -9,6 +9,7 @@ import (
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
+	"mpcquery/internal/localjoin"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
@@ -257,16 +258,23 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 		})
 	})
 
-	outputs := evaluatePhase(cluster, q, total,
+	// Every server with an inbox lies in a pattern block: the input servers
+	// before the blocks receive nothing. Routing already keeps rows that
+	// violate a block's pattern out of it; the predicate keeps the partition
+	// property robust.
+	vars := make([]int, k) // output column d holds variable d
+	for d := range vars {
+		vars[d] = d
+	}
+	out := localjoin.Output(cluster, q, env,
 		func(s int) ([]*hashing.Route, int) {
 			pat := patternOf(patterns, s)
 			return pat.routes, pat.offset
 		},
-		func(s int) bool { return s < inputServers },
-		func(s int, res *data.Relation) *data.Relation {
-			return filterPattern(res, patternOf(patterns, s), heavy)
+		func(s int) func([]int64) bool {
+			pat := patternOf(patterns, s)
+			return func(row []int64) bool { return pat.matches(vars, row, heavy) }
 		})
-	out := engine.Concat(q.Name, k, outputs)
 
 	rec := cluster.Record(out, inputBits(q, db))
 	rec.HeavyHitters = gp.nHeavy
@@ -307,36 +315,6 @@ func patternOf(patterns []*genPattern, s int) *genPattern {
 		return nil
 	}
 	return patterns[i-1]
-}
-
-// filterPattern drops output rows violating the pattern (can only happen
-// for rows assembled from tuples whose *other* columns disagree with the
-// classification; routing makes this impossible, but the filter keeps the
-// partition property robust).
-func filterPattern(res *data.Relation, pat *genPattern, heavy []map[int64]bool) *data.Relation {
-	if pat == nil {
-		return data.NewRelation(res.Name, res.Arity)
-	}
-	out := data.NewRelation(res.Name, res.Arity)
-	for i := 0; i < res.NumTuples(); i++ {
-		t := res.Tuple(i)
-		ok := true
-		for d := 0; d < res.Arity; d++ {
-			if hv, pinned := pat.assign[d]; pinned {
-				if t[d] != hv {
-					ok = false
-					break
-				}
-			} else if heavy[d][t[d]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out.AppendTuple(t)
-		}
-	}
-	return out
 }
 
 // enumeratePatterns builds every heavy/light pattern with its grid and

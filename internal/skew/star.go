@@ -207,11 +207,10 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 		})
 	})
 
-	// Local evaluation everywhere (both light servers and heavy blocks
-	// evaluate the same star query over their fragments), with per-worker
-	// kernel scratch and a round-scoped shared index cache.
-	outputs := evaluatePhase(cluster, q, totalServers, sp.routesOf, nil, nil)
-	out := engine.Concat(q.Name, q.NumVars(), outputs)
+	// Local evaluation everywhere: light servers and heavy blocks evaluate
+	// the same star query over their fragments, and the servers of one
+	// subcube of a block's route share that atom's index builds.
+	out := localjoin.Output(cluster, q, env, sp.routesOf, nil)
 
 	rec := cluster.Record(out, inputBits(q, db))
 	rec.HeavyHitters = len(sp.heavy)
@@ -237,44 +236,6 @@ func (sp *StarPlan) routesOf(s int) ([]*hashing.Route, int) {
 	}
 	b := sp.blocks[sp.heavy[i-1]]
 	return b.routes, b.offset
-}
-
-// evaluatePhase is the shared computation phase of the skew algorithms: for
-// every server with a non-empty inbox (and not excluded by skip — the
-// generalized algorithm's input-only servers) it reads the atom fragments
-// from the inbox (kinds are atom indices), evaluates q with the columnar
-// kernel, and applies filter (when non-nil) to the server's raw result. One index cache spans the phase:
-// routesOf names, for a server inside a residual HyperCube block, the block's
-// per-atom routes and first server, and the servers of one subcube of a route
-// share that atom's index builds. It returns nil routes for a server that
-// receives tuples any other way, which then shares nothing.
-func evaluatePhase(cluster *engine.Cluster, q *query.Query, servers int,
-	routesOf func(s int) (routes []*hashing.Route, offset int),
-	skip func(s int) bool,
-	filter func(s int, res *data.Relation) *data.Relation) []*data.Relation {
-	outputs := make([]*data.Relation, servers)
-	cache := localjoin.NewIndexCache()
-	scratches := localjoin.NewWorkerScratches()
-	cluster.Compute(func(s, w int) {
-		if (skip != nil && skip(s)) || cluster.Inbox(s).NumTuples() == 0 {
-			outputs[s] = data.NewRelation(q.Name, q.NumVars())
-			return
-		}
-		sc := scratches.Worker(w)
-		frag := sc.InboxFragments(q, cluster.Inbox(s))
-		var sh *localjoin.Shared
-		if routes, offset := routesOf(s); routes != nil {
-			sh = sc.Share(cache, routes, offset, s)
-		}
-		res := sc.EvaluateAtoms(q, frag, sh)
-		if filter != nil {
-			res = filter(s, res)
-		}
-		outputs[s] = res
-	})
-	scratches.Release()
-	cache.Publish(cluster.Trace())
-	return outputs
 }
 
 // block is one heavy hitter's dedicated server range, starting at offset,

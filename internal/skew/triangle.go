@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
+	"mpcquery/internal/localjoin"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
@@ -170,11 +171,9 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 	})
 
 	// Local evaluation with per-group output predicates.
-	outputs := evaluatePhase(cluster, q, layout.totalServers, layout.routesOf, nil,
-		func(s int, res *data.Relation) *data.Relation {
-			return layout.filter(s, res, pHeavy, cubeHeavy)
-		})
-	out := engine.Concat(q.Name, 3, outputs)
+	out := localjoin.Output(cluster, q, env, layout.routesOf, func(s int) func([]int64) bool {
+		return layout.keep(s, pHeavy)
+	})
 
 	rec := cluster.Record(out, inputBits(q, db))
 	rec.HeavyHitters = tp.HeavyHitters()
@@ -461,13 +460,11 @@ func integerSharesN(e []float64, p int) []int {
 	}
 }
 
-// filter applies the per-group output predicate for the server s.
-func (lay *triLayout) filter(s int, res *data.Relation, pHeavy, cubeHeavy []map[int64]bool) *data.Relation {
-	if s < lay.lightOffset {
-		// Input-holding servers produce nothing (they only routed).
-		return data.NewRelation(res.Name, res.Arity)
-	}
-	if s < lay.lightOffset+lay.lightSize {
+// keep returns the output-row predicate of server s's group, nil where
+// routing alone keeps the classes disjoint (case-2 blocks, and case-1 groups
+// with no excluded variable).
+func (lay *triLayout) keep(s int, pHeavy []map[int64]bool) func(row []int64) bool {
+	if s >= lay.lightOffset && s < lay.lightOffset+lay.lightSize {
 		// Light group: routing already guarantees all three values are
 		// cube-light, but a triangle may still contain a p-heavy (yet
 		// cube-light) PAIR — the cube threshold m/p^{1/3} sits above the
@@ -475,36 +472,20 @@ func (lay *triLayout) filter(s int, res *data.Relation, pHeavy, cubeHeavy []map[
 		// group, which also computes them. Keep only triangles with at most
 		// one p-heavy value so the classes stay disjoint (found by the
 		// differential-oracle suite on multi-heavy inputs).
-		out := data.NewRelation(res.Name, res.Arity)
-		for i := 0; i < res.NumTuples(); i++ {
-			t := res.Tuple(i)
+		return func(t []int64) bool {
 			heavy := 0
 			for v := 0; v < 3; v++ {
 				if pHeavy[v][t[v]] {
 					heavy++
 				}
 			}
-			if heavy < 2 {
-				out.AppendTuple(t)
-			}
+			return heavy < 2
 		}
-		return out
 	}
 	for _, g := range lay.case1 {
-		if s >= g.offset && s < g.offset+g.size {
-			if g.excludeVar < 0 {
-				return res
-			}
-			out := data.NewRelation(res.Name, res.Arity)
-			for i := 0; i < res.NumTuples(); i++ {
-				t := res.Tuple(i)
-				if !pHeavy[g.excludeVar][t[g.excludeVar]] {
-					out.AppendTuple(t)
-				}
-			}
-			return out
+		if s >= g.offset && s < g.offset+g.size && g.excludeVar >= 0 {
+			return func(t []int64) bool { return !pHeavy[g.excludeVar][t[g.excludeVar]] }
 		}
 	}
-	// Case-2 blocks need no filter: routing enforces the pivot predicate.
-	return res
+	return nil
 }

@@ -121,12 +121,11 @@ func WithFaultInjection(p *FaultPlan) RunOption { return func(c *runConfig) { c.
 // in bounded chunks instead of materializing every sender's whole batches
 // (each tuple staged once and landed once per target, the barrier round's
 // PeakBufferedBytes) — pipelined mid-emission flushes in-process,
-// chunk-capped frames over a distributed runtime — and the plain-join
-// computation phase evaluates through the kernel's streamed probe path. The
-// Report is bit-identical to a barrier run (same Fingerprint, same
-// TotalBits, same trace structure); only wall-clock and
-// Report.PeakBufferedBytes change. Composes with every strategy, both
-// runtimes, fault injection, and recovery.
+// chunk-capped frames over a distributed runtime. The Report is
+// bit-identical to a barrier run (same Fingerprint, same TotalBits, same
+// trace structure); only wall-clock and Report.PeakBufferedBytes change.
+// Composes with every strategy, both runtimes, fault injection, and
+// recovery.
 func WithStreaming(on bool) RunOption { return func(c *runConfig) { c.streaming = on } }
 
 // WithStreamChunk sets the streaming chunk size in tuples (default:
@@ -138,8 +137,8 @@ func WithStreamChunk(tuples int) RunOption { return func(c *runConfig) { c.strea
 // WithOutputSink streams the query output into sink as row-major chunks
 // instead of materializing it — the escape hatch for outputs larger than
 // memory (Report.Output stays nil; see OutputSink for the call contract).
-// Honored by the plain-join strategies; aggregate runs materialize their
-// (small, folded) output regardless. A sink does not change any
+// Honored by every join strategy; a multi-round plan streams its root node;
+// aggregates materialize their (small, folded) output regardless. A sink does not change any
 // fingerprinted accounting, with or without WithStreaming.
 func WithOutputSink(sink OutputSink) RunOption { return func(c *runConfig) { c.sink = sink } }
 

@@ -144,9 +144,9 @@ func WithServiceCacheCapacity(n int) ServiceOption {
 // what a separate execution would have produced. Requests that carry a
 // DistributedRuntime are never coalesced — every rank of an SPMD group
 // must execute every run, so skipping one rank's execution would desync
-// the group. Requests carrying a WithTrace trace or their own
-// WithDriftMonitor are never coalesced either: those observers only see
-// runs that actually execute.
+// the group. Requests carrying a WithTrace trace, their own
+// WithDriftMonitor or a WithOutputSink sink are never coalesced either:
+// those observers only see runs that actually execute.
 func WithRequestCoalescing(on bool) ServiceOption {
 	return func(c *serviceConfig) { c.coalescing = on }
 }
@@ -354,10 +354,12 @@ func (s *Service) Run(ctx context.Context, q *Query, db *Database, opts ...RunOp
 			s.metrics.RecordFailure(0)
 			return nil, perr
 		}
-		// A request carrying a trace or its own drift monitor must actually
-		// execute — a coalesced completion would leave the caller's trace
-		// empty and its monitor blind — so only plain requests coalesce.
-		if cfg.net == nil && cfg.trace == nil && cfg.drift == nil {
+		// A request carrying a trace, its own drift monitor or an output sink
+		// must actually execute — a coalesced completion would leave the
+		// caller's trace empty, its monitor blind, or its sink starved, and a
+		// plain request coalesced onto a sinked one would get no Output — so
+		// only plain requests coalesce.
+		if cfg.net == nil && cfg.trace == nil && cfg.drift == nil && cfg.sink == nil {
 			//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
 			start := time.Now()
 			v, coalesced, err := s.flight.Do(s.requestKey(&cfg, q, db), func() (any, error) {

@@ -127,6 +127,72 @@ func TestServiceCoalescingDisjointKeys(t *testing.T) {
 	}
 }
 
+// gatedSink is a DigestSink whose Chunk announces the first call on entered
+// and then blocks until release is closed.
+type gatedSink struct {
+	DigestSink
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *gatedSink) Chunk(server, arity int, vals []int64) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	g.DigestSink.Chunk(server, arity, vals)
+}
+
+// TestServiceSinkRequestNeverCoalesces asserts that a request with an output
+// sink executes on its own: the sink is not part of the coalescing key, so a
+// plain request joining a sinked execution would be served its nil Output.
+// The sinked request holds its execution open inside Chunk until the plain
+// request with the same key has completed — or, if that request is waiting
+// on the sinked one instead, until a timeout releases both.
+func TestServiceSinkRequestNeverCoalesces(t *testing.T) {
+	q := Star(2)
+	db := SkewedStarDatabase(rand.New(rand.NewSource(24)), 2, 400, 1<<12, map[int64]int{5: 40})
+	svc := NewService(WithServiceWorkers(2), WithServiceQueue(8))
+	defer svc.Close()
+	opts := []RunOption{WithStrategy(HyperCube()), WithServers(16), WithSeed(3)}
+
+	sink := &gatedSink{entered: make(chan struct{}), release: make(chan struct{})}
+	sinked := make(chan error, 1)
+	go func() {
+		_, err := svc.Run(context.Background(), q, db, append(opts, WithOutputSink(sink))...)
+		sinked <- err
+	}()
+	<-sink.entered
+
+	type result struct {
+		rep *Report
+		err error
+	}
+	plainCh := make(chan result, 1)
+	go func() {
+		rep, err := svc.Run(context.Background(), q, db, opts...)
+		plainCh <- result{rep, err}
+	}()
+	var plain result
+	select {
+	case plain = <-plainCh:
+		close(sink.release)
+	case <-time.After(5 * time.Second):
+		close(sink.release)
+		plain = <-plainCh
+	}
+	if err := <-sinked; err != nil {
+		t.Fatalf("sinked request: %v", err)
+	}
+	if plain.err != nil {
+		t.Fatalf("plain request: %v", plain.err)
+	}
+	if plain.rep.Output == nil {
+		t.Fatal("plain request was served the sinked execution's report (nil Output)")
+	}
+	if n := sink.Tuples(); n != plain.rep.Output.NumTuples() {
+		t.Errorf("sink saw %d rows, plain request's output has %d", n, plain.rep.Output.NumTuples())
+	}
+}
+
 // BenchmarkServiceCoalescing measures what single-flight saves on the
 // stream it exists for: each iteration is one wave of 16 byte-identical
 // concurrent requests against a 2-worker service with plan and statistics

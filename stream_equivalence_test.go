@@ -190,19 +190,22 @@ func TestStreamingPeakMemoryRegression(t *testing.T) {
 // streams or not. The giant instance is the reason the path exists: one
 // heavy value shared by both relations makes ~h² output rows (2 250 088,
 // 54 MB) from 4 000-tuple inputs, and the streamed sink run's whole engine
-// footprint must stay under a tenth of what the barrier run materializes.
+// footprint must stay under a tenth of what the barrier run materializes —
+// also through the skew-aware strategy, which gives the heavy value a block.
 func TestStreamingOutputSink(t *testing.T) {
 	cases := []struct {
-		name  string
-		seed  int64
-		m     int
-		n     int64
-		heavy map[int64]int
-		chunk int
-		giant bool
+		name     string
+		strategy Strategy
+		seed     int64
+		m        int
+		n        int64
+		heavy    map[int64]int
+		chunk    int
+		giant    bool
 	}{
-		{"small", 102, 120, 1 << 12, map[int64]int{5: 40}, 7, false},
-		{"giant", 202, 4000, 1 << 16, map[int64]int{9: 1500}, 32, true},
+		{"small", HyperCube(), 102, 120, 1 << 12, map[int64]int{5: 40}, 7, false},
+		{"giant", HyperCube(), 202, 4000, 1 << 16, map[int64]int{9: 1500}, 32, true},
+		{"giant-skewed-star", SkewedStar(), 202, 4000, 1 << 16, map[int64]int{9: 1500}, 32, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,7 +216,7 @@ func TestStreamingOutputSink(t *testing.T) {
 			db := func() *Database {
 				return SkewedStarDatabase(rand.New(rand.NewSource(tc.seed)), 2, tc.m, tc.n, tc.heavy)
 			}
-			base := []RunOption{WithStrategy(HyperCube()), WithServers(16), WithSeed(7)}
+			base := []RunOption{WithStrategy(tc.strategy), WithServers(16), WithSeed(7)}
 
 			want, err := Run(q, db(), base...)
 			if err != nil {
@@ -259,28 +262,34 @@ func TestStreamingOutputSink(t *testing.T) {
 				}
 			}
 
-			// Slice the materialized relation by the streamed sink's per-server row
-			// counts (ascending server order, Concat's stacking order) and refold
-			// each slice: every per-server digest must match the streamed one.
-			per := streamSink.PerServer()
-			vals := want.Output.Vals()
-			arity := want.Output.Arity
-			off := 0
-			total := 0
-			for _, sd := range per {
-				total += sd.Rows
-			}
-			if total != want.Output.NumTuples() {
-				t.Fatalf("per-server rows sum to %d, materialized output has %d", total, want.Output.NumTuples())
-			}
-			for _, sd := range per {
-				ref := &DigestSink{}
-				ref.Chunk(sd.Server, arity, vals[off*arity:(off+sd.Rows)*arity])
-				if got := ref.PerServer()[0].Digest; got != sd.Digest {
-					t.Errorf("server %d: streamed digest %x != materialized slice digest %x", sd.Server, sd.Digest, got)
-				}
-				off += sd.Rows
-			}
+			reconcileSink(t, streamSink, want.Output)
 		})
+	}
+}
+
+// reconcileSink slices a materialized output by the sink's per-server row
+// counts (ascending server order, Concat's stacking order) and refolds each
+// slice: the rows must add up and every per-server digest must match the
+// streamed one.
+func reconcileSink(t *testing.T, sink *DigestSink, want *Relation) {
+	t.Helper()
+	per := sink.PerServer()
+	vals := want.Vals()
+	arity := want.Arity
+	total := 0
+	for _, sd := range per {
+		total += sd.Rows
+	}
+	if total != want.NumTuples() {
+		t.Fatalf("per-server rows sum to %d, materialized output has %d", total, want.NumTuples())
+	}
+	off := 0
+	for _, sd := range per {
+		ref := &DigestSink{}
+		ref.Chunk(sd.Server, arity, vals[off*arity:(off+sd.Rows)*arity])
+		if got := ref.PerServer()[0].Digest; got != sd.Digest {
+			t.Errorf("server %d: streamed digest %x != materialized slice digest %x", sd.Server, sd.Digest, got)
+		}
+		off += sd.Rows
 	}
 }

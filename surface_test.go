@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -38,9 +39,7 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 	notRecords := map[string]bool{"RunPlanCapped": true, "StatsSpec.Run": true, "StatsSpec.RunNet": true}
 	results := map[string]bool{"CappedResult": true, "StatsResult": true, "CCResult": true}
 	for dir, names := range want {
-		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.SkipObjectResolution)
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nonTest, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +74,53 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, names) {
 			t.Errorf("%s exports entry points\n  %v\nwant\n  %v\nextend the full form's parameters or add a strategy — do not add a rung", dir, got, names)
+		}
+	}
+}
+
+func nonTest(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
+// TestOneComputationPhase keeps every strategy family on localjoin's one
+// computation phase (localjoin.Phase / localjoin.Output): no non-test file of
+// core, skew or multiround sets up kernel scratches or an index cache,
+// evaluates a join or stacks per-server outputs itself. core/capped.go is
+// exempt: Theorem 3.5's budget-cut fragments are not inbox fragments.
+func TestOneComputationPhase(t *testing.T) {
+	forbidden := map[string]bool{
+		"NewIndexCache": true, "NewWorkerScratches": true,
+		"EvaluateAtoms": true, "EvaluateAtomsStream": true, "engine.Concat": true,
+	}
+	for _, dir := range []string{"internal/core", "internal/skew", "internal/multiround"} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, nonTest, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for path, file := range pkg.Files {
+				if filepath.ToSlash(path) == "internal/core/capped.go" {
+					continue
+				}
+				ast.Inspect(file, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					name := sel.Sel.Name
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "engine" {
+						name = "engine." + name
+					}
+					if forbidden[name] {
+						t.Errorf("%s calls %s: use the localjoin computation phase — do not add a second one",
+							fset.Position(call.Pos()), name)
+					}
+					return true
+				})
+			}
 		}
 	}
 }
