@@ -8,11 +8,11 @@ import (
 // meteredPackages are the strategy packages whose cross-server data
 // movement must be bit-accounted: every value that travels between model
 // servers has to pass through an Emitter inside a Cluster.Round, where
-// RoundStats charges it. Writing into an Inbox directly, draining an
-// Emitter with the transport-facing EachPending, invoking the delivery
-// kernel by hand, constructing engine delivery machinery from a composite
-// literal, or seeding (Cluster.Seed*, the free initial placement) from
-// inside a round function would all move data the Report never meters.
+// RoundStats charges it. Writing into an Inbox directly, walking or
+// restaging an Emitter's staging the way a transport does, invoking the
+// delivery kernel by hand, constructing engine delivery machinery from a
+// composite literal, or seeding (Cluster.Seed*, the free initial placement)
+// from inside a round function would all move data the Report never meters.
 var meteredPackages = []string{
 	"internal/core",
 	"internal/skew",
@@ -56,15 +56,12 @@ func runMetering(pass *Pass) error {
 					return true
 				}
 				switch {
-				case typeName == "Inbox" && f.Name() == "Append":
+				case typeName == "Emitter" && f.Name() == "WalkStaged":
 					pass.Reportf(v.Pos(),
-						"direct Inbox.Append bypasses bit accounting; emit through engine.Emitter inside Cluster.Round")
-				case typeName == "Inbox" && f.Name() == "AppendChunk":
+						"Emitter.WalkStaged is the transport-facing walk of a sender's staging; strategies must let Cluster.Round deliver")
+				case typeName == "Emitter" && (f.Name() == "Restage" || strings.HasPrefix(f.Name(), "Stage")):
 					pass.Reportf(v.Pos(),
-						"direct Inbox.AppendChunk bypasses the Emitter's chunk flush and its bit accounting; emit through engine.Emitter inside Cluster.Round")
-				case typeName == "Emitter" && f.Name() == "EachPending":
-					pass.Reportf(v.Pos(),
-						"Emitter.EachPending is the transport-facing drain; strategies must let Cluster.Round deliver")
+						"Emitter.%s is a transport's receive-side restaging and bypasses bit accounting; emit through engine.Emitter inside Cluster.Round", f.Name())
 				case typeName == "" && f.Name() == "DeliverLocal":
 					pass.Reportf(v.Pos(),
 						"calling engine.DeliverLocal directly skips RoundStats charging; use Cluster.Round")

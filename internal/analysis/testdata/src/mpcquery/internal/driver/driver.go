@@ -5,9 +5,9 @@ package driver
 
 import "mpcquery/internal/engine"
 
-func deliver(in *engine.Inbox, tuple []int64) {
-	in.Append(tuple)
-	in.AppendChunk(0, 0, 1, 2, tuple, false)
+func deliver(em *engine.Emitter, tuple []int64) {
+	em.WalkStaged(func(dst int, t []int64) {})
+	copy(em.StageBatch(0, 0, 1, len(tuple)), tuple)
 	io := &engine.DeliveryRound{Round: 0, P: 2}
 	engine.DeliverLocal(io)
 }

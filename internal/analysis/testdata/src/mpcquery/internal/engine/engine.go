@@ -6,9 +6,13 @@ package engine
 // Emitter is the metered emission path.
 type Emitter struct{}
 
-func (e *Emitter) EmitTuple(dst int, tuple []int64)       {}
-func (e *Emitter) EmitBatch(dst int, tuples [][]int64)    {}
-func (e *Emitter) EachPending(f func(dst int, t []int64)) {}
+func (e *Emitter) EmitTuple(dst int, tuple []int64)    {}
+func (e *Emitter) EmitBatch(dst int, tuples [][]int64) {}
+
+// WalkStaged and StageBatch are a transport's walk of a sender's staging
+// and its receive-side replay.
+func (e *Emitter) WalkStaged(f func(dst int, t []int64))       {}
+func (e *Emitter) StageBatch(dest, kind, arity, n int) []int64 { return nil }
 
 // EmitFanout is the bulk replicate-to-subcube emit.
 func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {}
@@ -20,11 +24,6 @@ func (c *Combiner) Add(dst int, key []int64, val int64) {}
 
 // Inbox is a destination's received-tuple arena.
 type Inbox struct{}
-
-func (i *Inbox) Append(tuple []int64) {}
-
-// AppendChunk is the streaming chunk-delivery entry (Emitter flush only).
-func (i *Inbox) AppendChunk(sender, seq, kind, arity int, vals []int64, broadcast bool) {}
 
 // Cluster is the round driver.
 type Cluster struct{}

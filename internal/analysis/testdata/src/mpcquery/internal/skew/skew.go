@@ -1,8 +1,8 @@
 // Package skew is a METERED fixture package (its import path suffix is on
 // the metering list): cross-server data movement must go through
-// engine.Emitter inside Cluster.Round. Direct inbox writes, transport-facing
-// drains, hand-invoked delivery, hand-built delivery state, and seeding from
-// inside a round function are flagged.
+// engine.Emitter inside Cluster.Round. Direct inbox writes, a transport's
+// staging walk or restaging, hand-invoked delivery, hand-built delivery
+// state, and seeding from inside a round function are flagged.
 package skew
 
 import "mpcquery/internal/engine"
@@ -21,26 +21,22 @@ func goodShuffle(c *engine.Cluster, vals []int64, offsets []int) {
 }
 
 // badSeedInRound hands tuples to other servers from inside a round without
-// paying for them; the direct inbox write beside it is still caught too.
+// paying for them; the restaging beside it is still caught too.
 func badSeedInRound(c *engine.Cluster, vals []int64, offsets []int) {
 	c.Round("free-ride", func(s int, in *engine.Inbox, em *engine.Emitter) {
-		c.SeedRoundRobin(4, 0, 2, vals) // want "inside a round function moves tuples between servers without charging"
-		c.Seed(s+1, vals[:2])           // want "inside a round function moves tuples between servers without charging"
-		in.Append(vals[:2])             // want "bypasses bit accounting"
+		c.SeedRoundRobin(4, 0, 2, vals)         // want "inside a round function moves tuples between servers without charging"
+		c.Seed(s+1, vals[:2])                   // want "inside a round function moves tuples between servers without charging"
+		copy(em.StageBatch(s+1, 0, 2, 2), vals) // want "bypasses bit accounting"
 		em.EmitFanout(s, offsets, 0, vals[:2])
 	})
 }
 
-func badInboxWrite(in *engine.Inbox, tuple []int64) {
-	in.Append(tuple) // want "bypasses bit accounting"
-}
-
-func badChunkWrite(in *engine.Inbox, vals []int64) {
-	in.AppendChunk(0, 0, 1, 2, vals, false) // want "bypasses the Emitter's chunk flush"
+func badRestage(em *engine.Emitter, tuple []int64) {
+	copy(em.StageBatch(0, 0, len(tuple), len(tuple)), tuple) // want "receive-side restaging"
 }
 
 func badDrain(em *engine.Emitter) {
-	em.EachPending(func(dst int, t []int64) {}) // want "transport-facing drain"
+	em.WalkStaged(func(dst int, t []int64) {}) // want "transport-facing walk"
 }
 
 func badDeliver() {

@@ -205,10 +205,12 @@ type KindView struct {
 // for a kind that reached this server through one destination subcube (its
 // batches are landed side by side, senders ascending, whatever other kinds
 // were delivered in between), for a kind held in a single batch, and for a
-// kind the inbox does not hold at all (an empty view). A kind fed tuple by
-// tuple from several senders next to other kinds, through two subcubes, or
-// over a transport link is scattered: its view is not OK and the caller
-// concatenates the kind's batches instead. A view has the inbox's lifetime.
+// kind the inbox does not hold at all (an empty view) — after in-process
+// delivery and over a transport link alike, since a link lands its rounds
+// through DeliverLocal. A kind fed tuple by tuple from several senders next
+// to other kinds, or through two subcubes, is scattered: its view is not OK
+// and the caller concatenates the kind's batches instead. A view has the
+// inbox's lifetime.
 func (ib *Inbox) KindViews(views []KindView) {
 	for k := range views {
 		views[k] = KindView{OK: true}
@@ -384,6 +386,7 @@ func (sb *sendBuf) openNew(kind, arity int) *outBatch {
 type Emitter struct {
 	c       *Cluster
 	self    int       // this emitter's server id (the chunk span's sender tag)
+	p       int       // servers of the round being staged
 	perDest []sendBuf // lazily allocated, one per destination
 	touched []int     // destinations with pending batches or refs, in first-touch order
 	bcast   sendBuf
@@ -393,6 +396,12 @@ type Emitter struct {
 	// references to those it is a member of, in the same order.
 	groups []groupBatch
 	refs   [][]groupRef
+
+	// Transport staging (see transport.go): per destination, the group
+	// references WalkStaged has passed; and, on a receive-side emitter, the
+	// values of the batch StageMore extends.
+	walked []int32
+	last   *[]int64
 
 	// Streaming state (see stream.go). chunkTuples caches the cluster's
 	// chunk size for the round (0 = barrier); pipelined selects the
@@ -418,16 +427,7 @@ type Emitter struct {
 // mid-emission — is emptied (capacity kept, group descriptors dropped), and
 // the streaming mode is re-read from the cluster.
 func (e *Emitter) reset() {
-	for _, d := range e.touched {
-		e.perDest[d].reset()
-		e.refs[d] = e.refs[d][:0]
-	}
-	e.touched = e.touched[:0]
-	for i := range e.groups {
-		e.groups[i].offsets = nil
-	}
-	e.groups = e.groups[:0]
-	e.bcast.reset()
+	e.Restage(e.c.p)
 	e.chunkTuples = e.c.streamChunk
 	e.pipelined = e.chunkTuples > 0 && e.c.link == nil
 	e.runs = 0
@@ -445,18 +445,18 @@ func (e *Emitter) reset() {
 
 // checkDest panics unless dest names a server of the cluster.
 func (e *Emitter) checkDest(dest int) {
-	if dest < 0 || dest >= e.c.p {
-		panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", dest, e.c.p))
+	if dest < 0 || dest >= e.p {
+		panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", dest, e.p))
 	}
 }
 
 // dest returns the staging of one (checked) destination, noting its first
 // touch of the round.
 func (e *Emitter) dest(dest int) *sendBuf {
-	if len(e.perDest) < e.c.p {
+	if len(e.perDest) < e.p {
 		// A recycled emitter may come from a smaller cluster: keep its
 		// buffers and extend.
-		grow := e.c.p - len(e.perDest)
+		grow := e.p - len(e.perDest)
 		e.perDest = append(e.perDest, make([]sendBuf, grow)...)
 		e.refs = append(e.refs, make([][]groupRef, grow)...)
 	}
@@ -892,6 +892,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			Inboxes:      c.spare,
 			RecvBits:     c.recvBits,
 			RecvTuples:   c.recvTuples,
+			Chunk:        c.streamChunk,
 			Ctx:          c.runCtx,
 			Trace:        c.runTrace,
 		}

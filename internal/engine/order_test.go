@@ -155,29 +155,43 @@ func inboxSnapshot(ib *Inbox) string {
 	return s.String()
 }
 
-// replayLink is the smallest Link that honours the delivery contract: it
-// drains every sender's staged batches through EachPending, senders
-// ascending, exactly as a network transport serialises them.
+// replayLink is the smallest Link that honours the delivery contract the way
+// a network transport does: every sender's staging is walked (WalkStaged),
+// restaged on a fresh receive-side emitter in pieces of the round's chunk
+// size, each continued with StageMore, and the restaged round is landed by
+// DeliverLocal.
 type replayLink struct{}
 
 func (replayLink) Deliver(io *DeliveryRound) error {
-	for d := 0; d < io.P; d++ {
-		io.RecvBits[d], io.RecvTuples[d] = 0, 0
+	landed := *io
+	landed.Senders = make([]*Emitter, io.P)
+	for s, em := range io.Senders {
+		recv := &Emitter{}
+		recv.Restage(io.P)
+		em.WalkStaged(func(it Staged) { restage(recv, it, io.Chunk) })
+		landed.Senders[s] = recv
 	}
-	for s := 0; s < io.P; s++ {
-		io.Senders[s].EachPending(func(dest, kind, arity int, vals []int64) {
-			lo, hi := dest, dest+1
-			if dest == Broadcast {
-				lo, hi = 0, io.P
-			}
-			for d := lo; d < hi; d++ {
-				io.Inboxes[d].Append(kind, arity, vals)
-				io.RecvBits[d] += float64(len(vals) * io.BitsPerValue)
-				io.RecvTuples[d] += len(vals) / arity
-			}
-		})
-	}
+	DeliverLocal(&landed)
 	return nil
+}
+
+// restage stages one walked batch on a receive-side emitter in pieces of at
+// most chunk tuples (one piece when chunk is 0), as a transport that cut it
+// into frames does.
+func restage(em *Emitter, it Staged, chunk int) {
+	step := len(it.Vals)
+	if chunk > 0 {
+		step = min(step, chunk*it.Arity)
+	}
+	var dst []int64
+	if it.Offsets != nil {
+		dst = em.StageGroup(it.Base, it.Offsets, it.Kind, it.Arity, step)
+	} else {
+		dst = em.StageBatch(it.Dest, it.Kind, it.Arity, step)
+	}
+	for vals := it.Vals[copy(dst, it.Vals):]; len(vals) > 0; {
+		vals = vals[copy(em.StageMore(min(step, len(vals))), vals):]
+	}
 }
 
 func (replayLink) Close() error { return nil }
@@ -502,26 +516,35 @@ func TestKindViews(t *testing.T) {
 		t.Errorf("server 5 holds kind 2 in one batch: view %+v, want %v", v[2], concat(5, 2))
 	}
 
-	// Frame by frame over a link nothing is landed side by side.
-	l := NewCluster(p, 8)
-	defer l.Release()
-	l.link = replayLink{}
-	l.Round("views", func(s int, _ *Inbox, emit *Emitter) {
+	// A link restages the round and lands it through DeliverLocal: every
+	// kind reads in place exactly as after barrier delivery.
+	round := func(s int, _ *Inbox, emit *Emitter) {
 		emit.EmitFanout(1, group, 0, tuple(0, s, 0))
 		emit.EmitFanout(1, group, 1, tuple(1, s, 1))
-	})
-	v := make([]KindView, 2)
-	l.Inbox(2).KindViews(v)
-	if v[0].OK || v[1].OK {
-		t.Errorf("link-delivered kinds reported as views: %+v", v)
+	}
+	b, l := NewCluster(p, 8), NewCluster(p, 8)
+	defer b.Release()
+	defer l.Release()
+	l.link = replayLink{}
+	b.Round("views", round)
+	l.Round("views", round)
+	for _, s := range []int{1, 2, 3} {
+		bv, lv := make([]KindView, 2), make([]KindView, 2)
+		b.Inbox(s).KindViews(bv)
+		l.Inbox(s).KindViews(lv)
+		for k := range lv {
+			if !lv[k].OK || lv[k].Arity != bv[k].Arity || !slices.Equal(lv[k].Vals, bv[k].Vals) {
+				t.Errorf("server %d kind %d: link-delivered view %+v, barrier view %+v", s, k, lv[k], bv[k])
+			}
+		}
 	}
 }
 
-// TestEachPendingAllocatesNothing: serialising a round — own batches,
-// multicast batches per member, chunk-size frames — costs no allocation.
-func TestEachPendingAllocatesNothing(t *testing.T) {
+// stagedRound runs, on a cluster of 8 servers with a link and chunk 2, a
+// round in which every server stages own batches, multicast batches and
+// broadcasts, and returns the cluster with that staging still in place.
+func stagedRound() *Cluster {
 	c := NewCluster(8, 8)
-	defer c.Release()
 	c.SetStreamChunk(2)
 	c.link = replayLink{}
 	c.Round("stage", func(s int, _ *Inbox, emit *Emitter) {
@@ -531,13 +554,39 @@ func TestEachPendingAllocatesNothing(t *testing.T) {
 			emit.EmitTuple(Broadcast, 0, tuple(0, s, i))
 		}
 	})
-	frames := 0
+	return c
+}
+
+// TestWalkStagedAllocatesNothing: walking a sender's staging for a transport
+// — own batches, multicast batches once, broadcasts — costs no allocation.
+func TestWalkStagedAllocatesNothing(t *testing.T) {
+	c := stagedRound()
+	defer c.Release()
+	tuples := 0
 	if allocs := testing.AllocsPerRun(10, func() {
-		c.emitters[3].EachPending(func(dest, kind, arity int, vals []int64) { frames += len(vals) / arity })
+		c.emitters[3].WalkStaged(func(it Staged) { tuples += len(it.Vals) / it.Arity })
 	}); allocs != 0 {
-		t.Errorf("EachPending allocates %v objects per call", allocs)
+		t.Errorf("WalkStaged allocates %v objects per call", allocs)
 	}
-	if frames == 0 {
-		t.Fatal("nothing was pending: the test did not exercise EachPending")
+	if tuples == 0 {
+		t.Fatal("nothing was staged: the test did not exercise WalkStaged")
+	}
+}
+
+// TestRestageAllocatesNothing: restaging a walked round on a warm
+// receive-side emitter — own batches, groups, broadcasts, pieces continued
+// with StageMore — allocates nothing per item or group.
+func TestRestageAllocatesNothing(t *testing.T) {
+	c := stagedRound()
+	defer c.Release()
+	recv := &Emitter{}
+	if allocs := testing.AllocsPerRun(10, func() {
+		recv.Restage(8)
+		c.emitters[3].WalkStaged(func(it Staged) { restage(recv, it, 2) })
+	}); allocs != 0 {
+		t.Errorf("a warm restage allocates %v objects per round", allocs)
+	}
+	if len(recv.groups) == 0 || len(recv.bcast.batches) == 0 {
+		t.Fatal("no group or broadcast was restaged: the test did not exercise them")
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -32,11 +31,14 @@ import (
 //
 //   - Staged (transport link attached): emission stages exactly as in
 //     barrier mode — a remote delivery cannot write into local inboxes
-//     early — and EachPending cuts every batch into chunk-size frames, so
-//     the wire, the fault injector, and the recovery replay all operate at
-//     chunk granularity. Receive-side span coalescing (Inbox.Append) makes
-//     the landed inboxes identical to barrier delivery, and bits are
-//     charged per value, so accounting is chunking-invariant.
+//     early — and the link cuts the records it ships (each sender's
+//     staging, as WalkStaged walks it) into frames of at most the chunk
+//     size, so the wire, the fault injector, and the recovery replay all
+//     operate at chunk granularity. The receiving side restages the pieces
+//     into whole batches (StageMore continues a cut one) and lands them
+//     through DeliverLocal, so the landed inboxes are identical to barrier
+//     delivery, and bits are charged per value, so accounting is
+//     chunking-invariant.
 //
 // Every metered quantity — RecvBits, RoundStats, TotalBits, trace
 // Structure — is preserved exactly; only wall-clock and peak memory move.
@@ -98,30 +100,6 @@ func (c *Cluster) SetStreamChunk(tuples int) {
 		panic("engine: stream chunk must be non-negative")
 	}
 	c.streamChunk = tuples
-}
-
-// AppendChunk appends one streamed chunk as a tagged, non-coalescing span:
-// the pipelined twin of Append, carrying the ordering tags finalizeStream
-// sorts on. sender is the emitting server, seq its per-round flush
-// sequence number, broadcast the chunk's class (a sender's broadcasts
-// order after its other batches). Only the Emitter's chunk flush path may
-// call this during a round — direct appends bypass the engine's metering (the
-// mpclint metering analyzer flags them in strategy packages).
-func (ib *Inbox) AppendChunk(sender, seq, kind, arity int, vals []int64, broadcast bool) {
-	if arity < 1 {
-		panic("engine: inbox chunk append arity must be positive")
-	}
-	if len(vals)%arity != 0 {
-		panic(fmt.Sprintf("engine: inbox chunk append of %d values is not a multiple of arity %d", len(vals), arity))
-	}
-	if len(vals) == 0 {
-		return
-	}
-	tag := span{kind: kind, arity: arity, sender: int32(sender), seq: int32(seq)}
-	if broadcast {
-		tag.cls = 1
-	}
-	ib.landChunk(&tag, vals)
 }
 
 // landChunk copies one chunk into the inbox's arena, records in tag (kind,
@@ -350,9 +328,9 @@ func (e *Emitter) flushPending() {
 }
 
 // countStagedChunks sets flushes, after a staged round, to the number of
-// chunk boundaries EachPending cut inside the emitter's batches: one per
-// frame a batch needed beyond its first, a multicast batch counted for every
-// member it was framed for.
+// chunk boundaries inside the emitter's batches: one per chunk a batch needs
+// beyond its first. A multicast batch is shipped once, whatever the size of
+// its group, so it counts once.
 func (e *Emitter) countStagedChunks() {
 	e.flushes = 0
 	extra := func(b *outBatch) int { return (len(b.vals)/b.arity - 1) / e.chunkTuples }
@@ -362,7 +340,7 @@ func (e *Emitter) countStagedChunks() {
 		}
 	}
 	for i := range e.groups {
-		e.flushes += extra(&e.groups[i].outBatch) * len(e.groups[i].offsets)
+		e.flushes += extra(&e.groups[i].outBatch)
 	}
 	for i := range e.bcast.batches {
 		e.flushes += extra(&e.bcast.batches[i])

@@ -72,22 +72,3 @@ func TestSetStreamChunkValidation(t *testing.T) {
 	}()
 	c.SetStreamChunk(-1)
 }
-
-// TestAppendChunkValidation: malformed chunk appends are caller bugs and
-// must fail loudly, not corrupt the arena.
-func TestAppendChunkValidation(t *testing.T) {
-	ib := &Inbox{}
-	for _, bad := range []func(){
-		func() { ib.AppendChunk(0, 0, 0, 0, []int64{1}, false) },       // arity < 1
-		func() { ib.AppendChunk(0, 0, 0, 2, []int64{1, 2, 3}, false) }, // ragged vals
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("malformed AppendChunk did not panic")
-				}
-			}()
-			bad()
-		}()
-	}
-}

@@ -37,12 +37,12 @@ type Link interface {
 	// Deliver moves one round of emissions into io.Inboxes and fills the
 	// per-destination receive accounting. The engine has already reset the
 	// inboxes; Deliver must produce exactly the delivery order documented
-	// on Cluster.Round (per destination: senders ascending, each sender's
-	// batches in the order it opened them, then its broadcasts), or
-	// fingerprints diverge between transports: visiting senders ascending
-	// and appending what each one's EachPending yields, in order, does. A
-	// non-nil error aborts the run (the engine panics with it; the public
-	// API maps it to a typed error).
+	// on Cluster.Round, or fingerprints diverge between transports. A
+	// network link gets it by moving every sender's staging as WalkStaged
+	// yields it, restaging it on receive-side emitters (StageBatch,
+	// StageGroup, StageMore) and landing those with DeliverLocal. A non-nil
+	// error aborts the run (the engine panics with it; the public API maps
+	// it to a typed error).
 	Deliver(io *DeliveryRound) error
 	// Close releases the link. Called once, by Cluster.Release.
 	Close() error
@@ -61,6 +61,10 @@ type DeliveryRound struct {
 	Inboxes      []*Inbox
 	RecvBits     []float64
 	RecvTuples   []int
+
+	// Chunk is the round's streaming chunk size in tuples, 0 in a barrier
+	// round: a network link ships no frame of more than Chunk tuples.
+	Chunk int
 
 	// PerDestSeconds, when non-nil (a traced round), asks the delivery to
 	// record each destination's assembly wall time. DeliverLocal fills it;
@@ -284,55 +288,117 @@ func (io *DeliveryRound) list(d int, ib *Inbox) {
 	io.charge(d, values+next, ib.tuples)
 }
 
-// EachPending visits the emitter's pending batches for a transport to
-// serialize: destinations in first-touch order, each destination's batches —
-// its own and the multicast batches it is a member of, which are yielded once
-// per member — in the order the sender opened them, then the broadcasts
-// (dest == Broadcast). In a chunked round every batch is cut into frames of
-// at most the chunk size. Visiting senders ascending and appending every
-// yielded block to its destination reproduces DeliverLocal's delivery order.
-// EachPending allocates nothing.
-func (e *Emitter) EachPending(f func(dest, kind, arity int, vals []int64)) {
-	frames := func(dest int, b *outBatch) {
-		vals := b.vals
-		if limit := e.chunkTuples * b.arity; limit > 0 {
-			for ; len(vals) > limit; vals = vals[limit:] {
-				f(dest, b.kind, b.arity, vals[:limit])
-			}
-		}
-		f(dest, b.kind, b.arity, vals)
+// Staged is one batch of a sender's staging as a transport moves it: a batch
+// to the server Dest, a broadcast (Dest == Broadcast), or — when Offsets is
+// non-nil — a batch to the subcube Base+Offsets[·], staged once for the
+// whole group. Vals holds its tuples, row-major, Arity values each, and
+// aliases the staging.
+type Staged struct {
+	Dest        int
+	Base        int
+	Offsets     []int
+	Kind, Arity int
+	Vals        []int64
+}
+
+// WalkStaged visits the emitter's staged batches in replay order: the group
+// batches in the order they were opened, each preceded, for every member, by
+// the batches to that member opened before it; then every destination's
+// remaining batches; then the broadcasts. Staging the visited batches
+// afresh, in this order, on an empty emitter (StageBatch, StageGroup)
+// rebuilds a staging that DeliverLocal delivers exactly as this one — which
+// is how a transport moves a sender's round, each multicast batch once.
+// WalkStaged walks a staged round (barrier, or chunked over a link) and
+// allocates nothing once warm.
+func (e *Emitter) WalkStaged(f func(Staged)) {
+	if n := len(e.refs); len(e.walked) < n {
+		e.walked = append(e.walked, make([]int32, n-len(e.walked))...)
 	}
 	for _, d := range e.touched {
-		own, sent := e.perDest[d].batches, 0
-		for _, ref := range e.refs[d] {
-			for ; sent < int(ref.ownBefore); sent++ {
-				frames(d, &own[sent])
-			}
-			frames(d, &e.groups[ref.idx].outBatch)
+		e.walked[d] = 0
+	}
+	for i := range e.groups {
+		g := &e.groups[i]
+		for _, off := range g.offsets {
+			d := g.base + off
+			e.walkOwn(d, int(e.refs[d][e.walked[d]].ownBefore), f)
+			e.walked[d]++
 		}
-		for ; sent < len(own); sent++ {
-			frames(d, &own[sent])
-		}
+		f(Staged{Base: g.base, Offsets: g.offsets, Kind: g.kind, Arity: g.arity, Vals: g.vals})
+	}
+	for _, d := range e.touched {
+		e.walkOwn(d, len(e.perDest[d].batches), f)
 	}
 	for i := range e.bcast.batches {
-		frames(Broadcast, &e.bcast.batches[i])
+		b := &e.bcast.batches[i]
+		f(Staged{Dest: Broadcast, Kind: b.kind, Arity: b.arity, Vals: b.vals})
 	}
 }
 
-// Append appends one columnar block of len(vals)/arity tuples to the inbox
-// — the transport-facing twin of local delivery's arena append, with the
-// same consecutive same-kind span coalescing. vals is copied.
-func (ib *Inbox) Append(kind, arity int, vals []int64) {
-	if arity < 1 {
-		panic("engine: inbox append arity must be positive")
+// walkOwn visits the batches to d that WalkStaged has not visited yet, up to
+// but excluding batch upto.
+func (e *Emitter) walkOwn(d, upto int, f func(Staged)) {
+	from := 0
+	if n := e.walked[d]; n > 0 {
+		from = int(e.refs[d][n-1].ownBefore)
 	}
-	if len(vals)%arity != 0 {
-		panic(fmt.Sprintf("engine: inbox append of %d values is not a multiple of arity %d", len(vals), arity))
+	batches := e.perDest[d].batches
+	for i := from; i < upto; i++ {
+		f(Staged{Dest: d, Kind: batches[i].kind, Arity: batches[i].arity, Vals: batches[i].vals})
 	}
-	if len(vals) == 0 {
-		return
+}
+
+// Restage empties the emitter for staging a round of p servers, keeping
+// every buffer's capacity. Every Round restages a cluster's emitters; a
+// transport restages the receive-side emitter it rebuilds a sender's round
+// on — one no cluster owns, the zero Emitter included — with StageBatch,
+// StageGroup and StageMore, for DeliverLocal to land.
+func (e *Emitter) Restage(p int) {
+	for _, d := range e.touched {
+		e.perDest[d].reset()
+		e.refs[d] = e.refs[d][:0]
 	}
-	ib.appendBlock(kind, arity, vals)
+	e.touched = e.touched[:0]
+	for i := range e.groups {
+		e.groups[i].offsets = nil
+	}
+	e.groups = e.groups[:0]
+	e.bcast.reset()
+	e.p = p
+	e.last = nil
+}
+
+// StageBatch opens a fresh batch of n values of one kind to dest — the
+// sender's next broadcast when dest is Broadcast — on a receive-side
+// emitter, and returns the values for the caller to fill.
+func (e *Emitter) StageBatch(dest, kind, arity, n int) []int64 {
+	return e.stage(&e.buf(dest).openNew(kind, arity).vals, n)
+}
+
+// StageGroup opens a fresh batch of n values of one kind to the subcube
+// base+offsets[·] on a receive-side emitter and returns the values for the
+// caller to fill. offsets is retained until the round has been delivered.
+func (e *Emitter) StageGroup(base int, offsets []int, kind, arity, n int) []int64 {
+	return e.stage(&e.openGroup(base, offsets, kind, arity, true).vals, n)
+}
+
+// StageMore extends the batch the last StageBatch or StageGroup opened by n
+// values, and returns them for the caller to fill: the rest of a batch a
+// transport cut into pieces.
+func (e *Emitter) StageMore(n int) []int64 {
+	if e.last == nil {
+		panic("engine: StageMore before any staged batch")
+	}
+	return e.stage(e.last, n)
+}
+
+// stage grows *vals by n values, returns them, and remembers the batch for
+// StageMore.
+func (e *Emitter) stage(vals *[]int64, n int) []int64 {
+	e.last = vals
+	k := len(*vals)
+	*vals = slices.Grow(*vals, n)[:k+n]
+	return (*vals)[k:]
 }
 
 // NewClusterNet creates a cluster whose round delivery goes through the

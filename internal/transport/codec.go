@@ -6,24 +6,28 @@
 //   - TCP sessions (Dial): N real OS processes (or N goroutines over real
 //     loopback sockets) executing the same strategy in SPMD style, with
 //     every charged bit serialized through the wire codec below and every
-//     inbox assembled exclusively from received frames.
+//     inbox landed exclusively from received records.
 //
 // The distributed protocol is replicated compute, partitioned wire: every
 // rank runs the full strategy deterministically (all p model servers'
-// round functions and compute phases), but each model server's emissions
-// are serialized and sent by exactly one owning rank, to all ranks
-// (itself included, over a real socket). Inboxes are rebuilt only from
-// received frames, so the wire is load-bearing for correctness — a
-// dropped or corrupted frame changes the answer, it does not just skew a
-// counter. RoundStats are recomputed identically at every rank from the
-// assembled inboxes, so no statistics exchange is needed and every rank
-// produces the identical Report.
+// round functions and compute phases), but each model server's staging is
+// serialized — one record per (server, round) — and sent by exactly one
+// owning rank, to all ranks (itself included, over a real socket). Every
+// rank restages each server from the records it received and lands the
+// round through engine.DeliverLocal, so the wire is load-bearing for
+// correctness — a dropped or corrupted frame changes the answer, it does
+// not just skew a counter. RoundStats are recomputed identically at every
+// rank from the landed inboxes, so no statistics exchange is needed and
+// every rank produces the identical Report.
 package transport
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+
+	"mpcquery/internal/engine"
 )
 
 // Frame types. Every frame on the wire is a little-endian u32 length
@@ -31,7 +35,7 @@ import (
 // a type-specific body.
 const (
 	frameHello    byte = 1 // body: magic u32, version u32, rank u32, epoch u32
-	frameData     byte = 2 // body: dataHeader + payload
+	frameRecord   byte = 2 // body: cluster u32, round u32, seq u32, sender u32, items u32, then the items
 	frameRoundEnd byte = 3 // body: cluster u32, round u32, frames u32
 	frameCtrl     byte = 4 // body: kind u32, gen u32, flags u32
 )
@@ -40,7 +44,7 @@ const (
 // cross-rank barriers: after every attempt each rank announces its outcome
 // (ctrlOutcome, flags bit 0 = succeeded), and before a replay each rank
 // announces it has rewound its receive state (ctrlReady). A ctrlReady also
-// advances the connection's epoch — every data/round-end frame that
+// advances the connection's epoch — every record/round-end frame that
 // precedes it on the connection belongs to the abandoned attempt and is
 // discarded by the receiver.
 const (
@@ -53,50 +57,56 @@ const ctrlOK uint32 = 1
 
 const (
 	helloMagic uint32 = 0x4d504351 // "MPCQ"
-	// helloVersion 2 added the hello epoch field and the frameCtrl frame
-	// type (recovery barriers); v1 peers are refused at the handshake.
-	helloVersion uint32 = 2
+	// helloVersion 3 replaced the per-batch data frame with the per-sender
+	// record frame; version 2 added the hello epoch field and the frameCtrl
+	// frame type (recovery barriers). Older peers are refused at the
+	// handshake.
+	helloVersion uint32 = 3
 )
 
-// dataHeaderLen is the fixed part of a data frame's body: cluster(4),
-// round(4), seq(4), sender(4), dest(4), kind(4), arity(2), width(1),
-// reserved(1), count(4).
-const dataHeaderLen = 32
+// recordHeaderLen is the fixed part of a record frame's body: cluster(4),
+// round(4), seq(4), sender(4), items(4).
+const recordHeaderLen = 20
 
-// DataFrameOverheadBytes is the full framing overhead of one data frame:
-// the 4-byte length prefix, the type byte, and the fixed header. This is
-// the constant the README's accounting section documents: wire bytes of a
-// round = Σ payload + DataFrameOverheadBytes × frames + round-end/hello
-// control frames.
-const DataFrameOverheadBytes = 4 + 1 + dataHeaderLen
+// DataFrameOverheadBytes is the framing overhead of one record frame: the
+// 4-byte length prefix, the type byte, and the fixed header. Every item in
+// the frame adds a header of its own, so the wire bytes of a round are
+// Σ payload + DataFrameOverheadBytes × frames + Σ item headers +
+// round-end/hello control frames.
+const DataFrameOverheadBytes = 4 + 1 + recordHeaderLen
+
+// Record items. A record lists one sender's staging for one round in the
+// order engine.Emitter.WalkStaged replays it; an item is one staged batch,
+// or the continuation of the item before it where a frame cut that one. An
+// item is a tag byte and a width byte, then unsigned varints — arity, count
+// and the fields its tag adds — then count×arity values of width bytes
+// each. A batch of a few tuples to one server has a 6-byte header.
+const (
+	itemBatch byte = 1 // + kind, dest: a batch to one server
+	itemGroup byte = 2 // + kind, base, members, one offset per member: a batch to the subcube base+offset[·]
+	itemBcast byte = 3 // + kind: a broadcast batch
+	itemMore  byte = 4 // nothing more: further tuples of the item before it
+)
+
+// minItemLen is the shortest item: a tag, a width and two one-byte varints.
+const minItemLen = 4
 
 // maxFrameLen bounds a frame body so a corrupt or hostile length prefix
-// cannot make the reader allocate unboundedly (64 MiB ≫ any real round
-// batch in this codebase).
+// cannot make the reader allocate unboundedly; records are cut below it.
 const maxFrameLen = 1 << 26
 
 // errMalformed is wrapped by every decode error, so tests can assert the
 // decoder rejects (rather than panics on) arbitrary input.
 var errMalformed = errors.New("transport: malformed frame")
 
-// dataFrame is one decoded columnar batch in flight: the emissions of one
-// model server (Sender) to one destination (Dest, or -1 for broadcast)
-// within round Round of cluster Cluster. Seq numbers the frames a rank
-// sends for one (cluster, round), letting receivers drop duplicates when
-// a failed write is retried with a full resend. Payload holds
-// Count×Arity values, little-endian, Width bytes each; it aliases the
-// decode input buffer.
-type dataFrame struct {
-	Cluster uint32
-	Round   uint32
-	Seq     uint32
-	Sender  uint32
-	Dest    int32
-	Kind    uint32
-	Arity   uint16
-	Width   uint8
-	Count   uint32
-	Payload []byte
+// recordFrame is one decoded record frame: a piece of the record model
+// server Sender staged in round Round of cluster Cluster, holding Items
+// items, undecoded, in Body (which aliases the read buffer). Seq numbers
+// the frames a rank sends for one (cluster, round), letting receivers drop
+// duplicates when a failed write is retried with a full resend.
+type recordFrame struct {
+	Cluster, Round, Seq, Sender, Items uint32
+	Body                               []byte
 }
 
 // frame is the decoded union of all frame types; Typ selects which fields
@@ -104,7 +114,7 @@ type dataFrame struct {
 type frame struct {
 	typ byte
 
-	data dataFrame // frameData
+	rec recordFrame // frameRecord
 
 	rank  uint32 // frameHello
 	epoch uint32 // frameHello: sender's attempt epoch at dial time
@@ -146,34 +156,154 @@ func widthFor(bitsPerValue int, vals []int64) uint8 {
 	return uint8(w)
 }
 
-// appendDataFrame serializes one batch as a data frame onto dst. width
-// must come from widthFor for these vals (values are truncated to width
-// bytes; widthFor guarantees that is lossless).
-func appendDataFrame(dst []byte, cluster, round, seq, sender uint32, dest int32, kind uint32, arity int, width uint8, vals []int64) []byte {
-	count := len(vals) / arity
-	payload := count * arity * int(width)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+dataHeaderLen+payload))
-	dst = append(dst, frameData)
-	dst = binary.LittleEndian.AppendUint32(dst, cluster)
-	dst = binary.LittleEndian.AppendUint32(dst, round)
-	dst = binary.LittleEndian.AppendUint32(dst, seq)
-	dst = binary.LittleEndian.AppendUint32(dst, sender)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(dest))
-	dst = binary.LittleEndian.AppendUint32(dst, kind)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(arity))
-	dst = append(dst, width, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
+// appendValues appends vals to dst, width bytes per value, little-endian.
+// It stores whole 8-byte words, each value's high bytes overwritten by the
+// next value, into 8 bytes of slack grown up front; width must come from
+// widthFor for these vals, which makes dropping the high bytes lossless.
+func appendValues(dst []byte, vals []int64, width int) []byte {
+	off := len(dst)
+	end := off + len(vals)*width
+	dst = slices.Grow(dst, end+8-off)[:end+8]
 	for _, v := range vals {
-		u := uint64(v)
-		for b := uint8(0); b < width; b++ {
-			dst = append(dst, byte(u>>(8*b)))
+		binary.LittleEndian.PutUint64(dst[off:], uint64(v))
+		off += width
+	}
+	return dst[:end]
+}
+
+// decodeValues fills dst from payload, width bytes per value, little-endian
+// and zero-extended (widthFor never narrows a negative value; width 8 is the
+// identity encoding of int64). It loads whole 8-byte words while the
+// payload has them and assembles the last few values byte by byte; payload
+// must hold len(dst)×width bytes.
+func decodeValues(dst []int64, payload []byte, width int) {
+	mask := ^uint64(0) >> (64 - 8*width)
+	off, i := 0, 0
+	for ; i < len(dst) && off+8 <= len(payload); i++ {
+		dst[i] = int64(binary.LittleEndian.Uint64(payload[off:]) & mask)
+		off += width
+	}
+	for ; i < len(dst); i++ {
+		var u uint64
+		for b := 0; b < width; b++ {
+			u |= uint64(payload[off+b]) << (8 * b)
 		}
+		dst[i] = int64(u)
+		off += width
+	}
+}
+
+// appendItemHeader appends the header of an item of count tuples of it.
+func appendItemHeader(dst []byte, tag, width byte, it *engine.Staged, count int) []byte {
+	dst = append(dst, tag, width)
+	dst = binary.AppendUvarint(dst, uint64(it.Arity))
+	dst = binary.AppendUvarint(dst, uint64(count))
+	switch tag {
+	case itemBatch:
+		dst = binary.AppendUvarint(dst, uint64(it.Kind))
+		dst = binary.AppendUvarint(dst, uint64(it.Dest))
+	case itemGroup:
+		dst = binary.AppendUvarint(dst, uint64(it.Kind))
+		dst = binary.AppendUvarint(dst, uint64(it.Base))
+		dst = binary.AppendUvarint(dst, uint64(len(it.Offsets)))
+		for _, off := range it.Offsets {
+			dst = binary.AppendUvarint(dst, uint64(off))
+		}
+	case itemBcast:
+		dst = binary.AppendUvarint(dst, uint64(it.Kind))
 	}
 	return dst
 }
 
+// recordWriter cuts the records of one rank's senders for one round into a
+// frame stream. A frame holds one sender's items, at most chunk tuples of
+// them when chunk > 0, in a body of at most maxBody bytes — except that a
+// frame always takes one tuple, so a cap smaller than one tuple's item is
+// overrun by that tuple rather than stalling. An item a frame cut goes on
+// as an itemMore at the start of the next frame.
+type recordWriter struct {
+	buf            []byte // the stream, reused across rounds
+	hdr            []byte // item header scratch
+	cluster, round uint32
+	maxBody, chunk int
+
+	frames  uint32 // frames closed so far: the seq of the next one
+	headers int64  // framing and item-header bytes written
+
+	start  int    // buf offset of the open frame's length prefix; -1: none
+	items  uint32 // items in the open frame
+	tuples int    // tuples in the open frame
+}
+
+// begin starts the stream of one round.
+func (w *recordWriter) begin(cluster, round uint32, maxBody, chunk int) {
+	w.buf = w.buf[:0]
+	w.cluster, w.round, w.maxBody, w.chunk = cluster, round, maxBody, chunk
+	w.frames, w.headers, w.start, w.items, w.tuples = 0, 0, -1, 0, 0
+}
+
+// add appends one staged batch of sender's record, width bytes per value.
+func (w *recordWriter) add(sender uint32, it *engine.Staged, width uint8) {
+	tag := itemBatch
+	switch {
+	case it.Offsets != nil:
+		tag = itemGroup
+	case it.Dest == engine.Broadcast:
+		tag = itemBcast
+	}
+	row := it.Arity * int(width)
+	for vals := it.Vals; len(vals) > 0; {
+		if w.start < 0 {
+			w.open(sender)
+		}
+		// The header of the whole rest bounds the header of any piece of it.
+		left := len(vals) / it.Arity
+		w.hdr = appendItemHeader(w.hdr[:0], tag, width, it, left)
+		n := min(left, (w.maxBody-(len(w.buf)-w.start-4)-len(w.hdr))/row)
+		if w.chunk > 0 {
+			n = min(n, w.chunk-w.tuples)
+		}
+		if n < 1 && w.items > 0 {
+			w.close()
+			continue
+		}
+		n = max(n, 1)
+		hdr := len(w.buf)
+		w.buf = appendItemHeader(w.buf, tag, width, it, n)
+		w.headers += int64(len(w.buf) - hdr)
+		w.buf = appendValues(w.buf, vals[:n*it.Arity], int(width))
+		w.items++
+		w.tuples += n
+		vals = vals[n*it.Arity:]
+		tag = itemMore
+	}
+}
+
+// open starts a frame of sender's record; close fills in its length and
+// item count.
+func (w *recordWriter) open(sender uint32) {
+	w.start = len(w.buf)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0)
+	w.buf = append(w.buf, frameRecord)
+	for _, v := range [...]uint32{w.cluster, w.round, w.frames, sender, 0} {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	}
+}
+
+// close finishes the open frame, if there is one.
+func (w *recordWriter) close() {
+	if w.start < 0 {
+		return
+	}
+	binary.LittleEndian.PutUint32(w.buf[w.start:], uint32(len(w.buf)-w.start-4))
+	binary.LittleEndian.PutUint32(w.buf[w.start+DataFrameOverheadBytes-4:], w.items)
+	w.frames++
+	w.headers += DataFrameOverheadBytes
+	w.start, w.items, w.tuples = -1, 0, 0
+}
+
 // appendRoundEnd serializes the barrier frame a rank sends after the last
-// data frame of one (cluster, round): frames declares how many data
+// record frame of one (cluster, round): frames declares how many record
 // frames preceded it, so receivers know when the round is complete.
 func appendRoundEnd(dst []byte, cluster, round, frames uint32) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, 1+12)
@@ -212,7 +342,9 @@ func appendCtrl(dst []byte, kind, gen, flags uint32) []byte {
 
 // decodeFrame parses one frame body (everything after the length prefix).
 // Malformed input of any shape returns an error wrapping errMalformed —
-// never a panic — which the fuzz target FuzzFrameDecode enforces.
+// never a panic — which the fuzz target FuzzFrameDecode enforces. A record
+// frame's items are checked when they are replayed (replayer.record), where
+// the round's server count is known.
 func decodeFrame(body []byte) (frame, error) {
 	var f frame
 	if len(body) < 1 {
@@ -253,54 +385,168 @@ func decodeFrame(body []byte) (frame, error) {
 		f.round = binary.LittleEndian.Uint32(rest[4:8])
 		f.frames = binary.LittleEndian.Uint32(rest[8:12])
 		return f, nil
-	case frameData:
-		if len(rest) < dataHeaderLen {
-			return f, fmt.Errorf("%w: data header is %d bytes, want %d", errMalformed, len(rest), dataHeaderLen)
+	case frameRecord:
+		if len(rest) < recordHeaderLen {
+			return f, fmt.Errorf("%w: record header is %d bytes, want %d", errMalformed, len(rest), recordHeaderLen)
 		}
-		d := &f.data
-		d.Cluster = binary.LittleEndian.Uint32(rest[0:4])
-		d.Round = binary.LittleEndian.Uint32(rest[4:8])
-		d.Seq = binary.LittleEndian.Uint32(rest[8:12])
-		d.Sender = binary.LittleEndian.Uint32(rest[12:16])
-		d.Dest = int32(binary.LittleEndian.Uint32(rest[16:20]))
-		d.Kind = binary.LittleEndian.Uint32(rest[20:24])
-		d.Arity = binary.LittleEndian.Uint16(rest[24:26])
-		d.Width = rest[26]
-		d.Count = binary.LittleEndian.Uint32(rest[28:32])
-		if d.Arity < 1 {
-			return f, fmt.Errorf("%w: zero arity", errMalformed)
+		r := &f.rec
+		r.Cluster = binary.LittleEndian.Uint32(rest[0:4])
+		r.Round = binary.LittleEndian.Uint32(rest[4:8])
+		r.Seq = binary.LittleEndian.Uint32(rest[8:12])
+		r.Sender = binary.LittleEndian.Uint32(rest[12:16])
+		r.Items = binary.LittleEndian.Uint32(rest[16:20])
+		r.Body = rest[recordHeaderLen:]
+		if uint64(r.Items)*minItemLen > uint64(len(r.Body)) {
+			return f, fmt.Errorf("%w: %d items cannot fit in %d bytes", errMalformed, r.Items, len(r.Body))
 		}
-		if d.Width < 1 || d.Width > 8 {
-			return f, fmt.Errorf("%w: width %d out of range [1,8]", errMalformed, d.Width)
-		}
-		if d.Dest < -1 {
-			return f, fmt.Errorf("%w: destination %d", errMalformed, d.Dest)
-		}
-		want := uint64(d.Count) * uint64(d.Arity) * uint64(d.Width)
-		got := uint64(len(rest) - dataHeaderLen)
-		if want != got {
-			return f, fmt.Errorf("%w: payload is %d bytes, header declares %d", errMalformed, got, want)
-		}
-		d.Payload = rest[dataHeaderLen:]
 		return f, nil
 	default:
 		return f, fmt.Errorf("%w: unknown frame type %d", errMalformed, f.typ)
 	}
 }
 
-// decodeValues appends the frame's Count×Arity values onto dst. Widths
-// below 8 are zero-extended (widthFor never narrows a negative value);
-// width 8 is the identity encoding of int64.
-func (d *dataFrame) decodeValues(dst []int64) []int64 {
-	w := int(d.Width)
-	n := int(d.Count) * int(d.Arity)
-	for i := 0; i < n; i++ {
-		var u uint64
-		off := i * w
-		for b := 0; b < w; b++ {
-			u |= uint64(d.Payload[off+b]) << (8 * b)
-		}
-		dst = append(dst, int64(u))
+// header reads the varint fields of one item header. A field that is
+// truncated, or larger than any frame could pay for, marks it bad and
+// reads as 0.
+type header struct {
+	buf []byte
+	bad bool
+}
+
+func (h *header) next() int {
+	v, n := binary.Uvarint(h.buf)
+	if n <= 0 || v > maxFrameLen {
+		h.bad = true
+		return 0
 	}
-	return dst
+	h.buf = h.buf[n:]
+	return int(v)
+}
+
+// maxInternedBytes bounds the offset tables one replayer interns: a table
+// past it is decoded afresh for every group naming it, so a peer cannot
+// grow the table map without bound.
+const maxInternedBytes = 1 << 20
+
+// replayer restages record frames on receive-side emitters for a round of
+// p servers. It carries the arity of the item an itemMore continues from
+// one frame of a sender to the next, and interns group offset tables by
+// their wire bytes, so a warm replay allocates nothing per item or group.
+type replayer struct {
+	p        int
+	arity    int // arity of the item an itemMore continues; 0: none yet
+	tables   map[string][]int
+	interned int // bytes of the tables interned so far
+}
+
+// start prepares the replayer for the records of one sender of a round of
+// p servers.
+func (r *replayer) start(p int) { r.p, r.arity = p, 0 }
+
+// record stages the items of one record frame on em, the receive-side
+// emitter of the frame's sender. An item with an unknown tag, a truncated
+// header, a width outside [1,8], a zero arity or count, a destination or
+// member ≥ p, an empty member list, a continuation with no item to
+// continue or of another arity, or a payload shorter than count × arity ×
+// width is malformed, and so are bytes after the last item. Each is
+// rejected before anything is staged from it, so what a frame stages never
+// exceeds what its bytes pay for.
+func (r *replayer) record(rec *recordFrame, em *engine.Emitter) error {
+	body := rec.Body
+	for i := uint32(0); i < rec.Items; i++ {
+		if len(body) < minItemLen {
+			return fmt.Errorf("%w: item %d: header truncated", errMalformed, i)
+		}
+		tag, width := body[0], int(body[1])
+		h := header{buf: body[2:]}
+		arity, count := h.next(), h.next()
+		var kind, dest, base int
+		var offsets []int
+		switch tag {
+		case itemBatch:
+			kind, dest = h.next(), h.next()
+		case itemGroup:
+			kind, base = h.next(), h.next()
+			members := h.next()
+			if members > len(h.buf) {
+				h.bad = true // every offset takes a byte at least
+			}
+			raw := h.buf
+			for j := 0; j < members && !h.bad; j++ {
+				if m := base + h.next(); m >= r.p && !h.bad {
+					return fmt.Errorf("%w: item %d: member %d out of range for %d servers", errMalformed, i, m, r.p)
+				}
+			}
+			if h.bad {
+				break
+			}
+			if members == 0 {
+				return fmt.Errorf("%w: item %d: empty member list", errMalformed, i)
+			}
+			offsets = r.table(raw[:len(raw)-len(h.buf)], members)
+		case itemBcast:
+			kind = h.next()
+		case itemMore:
+		default:
+			return fmt.Errorf("%w: item %d: unknown tag %d", errMalformed, i, tag)
+		}
+		switch {
+		case h.bad:
+			return fmt.Errorf("%w: item %d: header truncated or out of range", errMalformed, i)
+		case width < 1 || width > 8:
+			return fmt.Errorf("%w: item %d: width %d out of range [1,8]", errMalformed, i, width)
+		case arity < 1:
+			return fmt.Errorf("%w: item %d: zero arity", errMalformed, i)
+		case count == 0:
+			return fmt.Errorf("%w: item %d: no tuples", errMalformed, i)
+		case tag == itemBatch && dest >= r.p:
+			return fmt.Errorf("%w: item %d: destination %d out of range for %d servers", errMalformed, i, dest, r.p)
+		case tag == itemMore && arity != r.arity:
+			return fmt.Errorf("%w: item %d: continuation of arity %d, the open item has %d", errMalformed, i, arity, r.arity)
+		}
+		n := count * arity
+		size := n * width
+		payload := h.buf
+		if len(payload) < size {
+			return fmt.Errorf("%w: item %d: payload is %d bytes, header declares %d", errMalformed, i, len(payload), size)
+		}
+		var dst []int64
+		switch tag {
+		case itemBatch:
+			dst = em.StageBatch(dest, kind, arity, n)
+		case itemGroup:
+			dst = em.StageGroup(base, offsets, kind, arity, n)
+		case itemBcast:
+			dst = em.StageBatch(engine.Broadcast, kind, arity, n)
+		default:
+			dst = em.StageMore(n)
+		}
+		decodeValues(dst, payload, width)
+		r.arity = arity
+		body = payload[size:]
+	}
+	if len(body) > 0 {
+		return fmt.Errorf("%w: %d bytes after the last item", errMalformed, len(body))
+	}
+	return nil
+}
+
+// table returns the members offsets raw encodes, interned: one slice per
+// distinct table, shared by every group that names it.
+func (r *replayer) table(raw []byte, members int) []int {
+	if t, ok := r.tables[string(raw)]; ok {
+		return t
+	}
+	t := make([]int, 0, members)
+	for h := (header{buf: raw}); len(h.buf) > 0; {
+		t = append(t, h.next())
+	}
+	if r.interned+len(raw) <= maxInternedBytes {
+		if r.tables == nil {
+			r.tables = make(map[string][]int)
+		}
+		r.tables[string(raw)] = t
+		r.interned += len(raw)
+	}
+	return t
 }

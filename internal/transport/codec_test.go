@@ -2,8 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"mpcquery/internal/engine"
 )
 
 // TestWidthFor pins the width rules: compact ⌈bpv/8⌉ by default, widened
@@ -36,74 +42,149 @@ func TestWidthFor(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTripProperty encodes random batches — including
-// annotation-style columns with values far above the domain and negative
-// values — and checks a decode returns the frame and values exactly.
-func TestCodecRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 500; iter++ {
-		bpv := 1 + rng.Intn(64)
-		arity := 1 + rng.Intn(5)
-		count := rng.Intn(50)
-		vals := make([]int64, count*arity)
-		for i := range vals {
-			switch rng.Intn(5) {
-			case 0: // domain value
-				vals[i] = rng.Int63n(1 << uint(minInt(bpv, 62)))
-			case 1: // annotation value, possibly far above the domain
-				vals[i] = rng.Int63()
-			case 2: // negative annotation (e.g. a SUM of negatives)
-				vals[i] = -rng.Int63()
-			case 3:
-				vals[i] = 0
-			case 4:
-				vals[i] = int64(rng.Intn(3)) - 1
-			}
-		}
-		cluster, round, seq := rng.Uint32(), rng.Uint32(), rng.Uint32()
-		sender := rng.Uint32() % 1000
-		dest := int32(rng.Intn(100) - 1)
-		kind := rng.Uint32() % 64
+// randValue draws a domain value, an annotation far above the domain, a
+// negative annotation, or a small constant.
+func randValue(rng *rand.Rand, bpv int) int64 {
+	switch rng.Intn(5) {
+	case 0:
+		return rng.Int63n(1 << uint(min(bpv, 62)))
+	case 1:
+		return rng.Int63()
+	case 2:
+		return -rng.Int63()
+	case 3:
+		return 0
+	}
+	return int64(rng.Intn(3)) - 1
+}
 
-		w := widthFor(bpv, vals)
-		enc := appendDataFrame(nil, cluster, round, seq, sender, dest, kind, arity, w, vals)
+// land delivers the round staged on em, its only sender, to p servers
+// through DeliverLocal and renders every inbox and its accounting.
+func land(em *engine.Emitter, p, bpv int) string {
+	round := &engine.DeliveryRound{P: p, BitsPerValue: bpv, Senders: []*engine.Emitter{em},
+		Inboxes: make([]*engine.Inbox, p), RecvBits: make([]float64, p), RecvTuples: make([]int, p)}
+	for d := range round.Inboxes {
+		round.Inboxes[d] = &engine.Inbox{}
+	}
+	engine.DeliverLocal(round)
+	var b strings.Builder
+	for d, ib := range round.Inboxes {
+		fmt.Fprintf(&b, "server %d (%v bits, %d tuples):", d, round.RecvBits[d], round.RecvTuples[d])
+		ib.EachBatch(func(bt engine.Batch) { fmt.Fprintf(&b, " k%d a%d %v;", bt.Kind, bt.Arity, bt.Vals) })
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
-		// Strip the length prefix, as the reader does.
-		if len(enc) < 4 {
-			t.Fatal("frame too short")
-		}
-		f, err := decodeFrame(enc[4:])
+// readStream splits a serialized round stream into its record frames.
+func readStream(t *testing.T, stream []byte) []recordFrame {
+	t.Helper()
+	var frames []recordFrame
+	for len(stream) > 0 {
+		n := binary.LittleEndian.Uint32(stream)
+		f, err := decodeFrame(stream[4 : 4+n])
 		if err != nil {
-			t.Fatalf("decode: %v", err)
+			t.Fatalf("frame %d: %v", len(frames), err)
 		}
-		if f.typ != frameData {
-			t.Fatalf("type %d", f.typ)
+		if f.typ == frameRecord {
+			frames = append(frames, f.rec)
 		}
-		d := f.data
-		if d.Cluster != cluster || d.Round != round || d.Seq != seq || d.Sender != sender ||
-			d.Dest != dest || d.Kind != kind || int(d.Arity) != arity || d.Width != w || int(d.Count) != count {
-			t.Fatalf("header mismatch: %+v", d)
-		}
-		got := d.decodeValues(nil)
-		if count == 0 {
-			if len(got) != 0 {
-				t.Fatalf("empty batch decoded %d values", len(got))
+		stream = stream[4+n:]
+	}
+	return frames
+}
+
+// TestCodecRoundTripProperty stages random rounds — batches, group batches
+// over shared offset tables and broadcasts, with annotation-width and
+// negative values — cuts the record at random chunk sizes and frame caps,
+// replays the frames on a fresh emitter, and requires the replay to land
+// the same inboxes and accounting through DeliverLocal as the original.
+func TestCodecRoundTripProperty(t *testing.T) {
+	const p = 7
+	rng := rand.New(rand.NewSource(42))
+	tables := [][]int{{0, 2, 1}, {0, 1}, {0, 3, 1, 2}}
+	for iter := 0; iter < 300; iter++ {
+		bpv := 1 + rng.Intn(64)
+		src := &engine.Emitter{}
+		src.Restage(p)
+		for i, n := 0, rng.Intn(20); i < n; i++ {
+			kind := rng.Intn(4)
+			arity := 1 + kind
+			size := (1 + rng.Intn(6)) * arity
+			var vals []int64
+			switch rng.Intn(3) {
+			case 0:
+				vals = src.StageBatch(rng.Intn(p), kind, arity, size)
+			case 1:
+				vals = src.StageBatch(engine.Broadcast, kind, arity, size)
+			default:
+				vals = src.StageGroup(rng.Intn(p-3), tables[rng.Intn(len(tables))], kind, arity, size)
 			}
-			continue
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("iter %d: value %d: got %d, want %d (width %d, bpv %d)", iter, i, got[i], vals[i], w, bpv)
+			for j := range vals {
+				vals[j] = randValue(rng, bpv)
 			}
+		}
+		var w recordWriter
+		w.begin(1, 2, 30+rng.Intn(400), rng.Intn(4))
+		src.WalkStaged(func(it engine.Staged) { w.add(3, &it, widthFor(bpv, it.Vals)) })
+		w.close()
+
+		got := &engine.Emitter{}
+		got.Restage(p)
+		var r replayer
+		r.start(p)
+		frames := readStream(t, w.buf)
+		for i := range frames {
+			if f := &frames[i]; f.Cluster != 1 || f.Round != 2 || f.Seq != uint32(i) || f.Sender != 3 {
+				t.Fatalf("iter %d: frame %d is cluster %d round %d seq %d sender %d", iter, i, f.Cluster, f.Round, f.Seq, f.Sender)
+			}
+			if err := r.record(&frames[i], got); err != nil {
+				t.Fatalf("iter %d: frame %d: %v", iter, i, err)
+			}
+		}
+		if len(frames) != int(w.frames) {
+			t.Fatalf("iter %d: %d frames in the stream, the writer counted %d", iter, len(frames), w.frames)
+		}
+		if a, b := land(src, p, bpv), land(got, p, bpv); a != b {
+			t.Fatalf("iter %d: the replay lands\n%s\nthe original lands\n%s", iter, b, a)
 		}
 	}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// TestReplayAllocatesNothing: replaying a warm round's records — batches,
+// group batches whose offset tables are interned, broadcasts and cut
+// continuations — allocates nothing per item or group.
+func TestReplayAllocatesNothing(t *testing.T) {
+	const p = 8
+	src := &engine.Emitter{}
+	src.Restage(p)
+	table := []int{0, 2, 4}
+	for i := 0; i < 9; i++ {
+		copy(src.StageBatch((3+i)%p, 0, 2, 6), []int64{int64(i), 1, 2, 3, 4, 5})
+		copy(src.StageGroup(i%4, table, 1, 3, 3), []int64{int64(i), 2, 3})
+		copy(src.StageBatch(engine.Broadcast, 0, 2, 2), []int64{int64(i), 4})
 	}
-	return b
+	var w recordWriter
+	w.begin(0, 0, maxFrameLen, 2)
+	src.WalkStaged(func(it engine.Staged) { w.add(3, &it, widthFor(8, it.Vals)) })
+	w.close()
+	frames := readStream(t, w.buf)
+	got := &engine.Emitter{}
+	var r replayer
+	if allocs := testing.AllocsPerRun(10, func() {
+		got.Restage(p)
+		r.start(p)
+		for i := range frames {
+			if err := r.record(&frames[i], got); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm replay allocates %v objects per round", allocs)
+	}
+	if land(got, p, 8) != land(src, p, 8) {
+		t.Fatal("the replay does not land like the original")
+	}
 }
 
 // TestCodecControlRoundTrip covers the hello, round-end and ctrl frames.
@@ -133,32 +214,95 @@ func TestCodecControlRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeMalformed feeds systematically broken frames and requires an
-// error — never a panic, never a silent success.
-func TestDecodeMalformed(t *testing.T) {
-	valid := appendDataFrame(nil, 1, 2, 0, 3, 4, 5, 2, 2, []int64{10, 20, 30, 40})[4:]
-	cases := map[string][]byte{
-		"empty":           {},
-		"unknown type":    {99},
-		"hello short":     {frameHello, 1, 2},
-		"hello bad magic": append([]byte{frameHello}, make([]byte, 12)...),
-		"round-end short": {frameRoundEnd, 1},
-		"data no header":  {frameData, 1, 2, 3},
-		"data truncated":  valid[:len(valid)-1],
-		"data extra byte": append(bytes.Clone(valid), 0),
-		"data zero arity": mutate(valid, 24+1, 0, 0), // arity u16 at body offset 1+24
-		"data width 0":    mutate(valid, 26+1, 0),
-		"data width 9":    mutate(valid, 26+1, 9),
-		"data dest -2":    mutate(valid, 16+1, 0xfe, 0xff, 0xff, 0xff),
-		"data count lies": mutate(valid, 28+1, 0xff, 0xff),
+// rawItem encodes one record item by hand: tag and width, the fields as
+// unsigned varints (arity, count, then what the tag adds), and payload.
+func rawItem(tag, width byte, fields []uint64, payload []byte) []byte {
+	b := []byte{tag, width}
+	for _, f := range fields {
+		b = binary.AppendUvarint(b, f)
 	}
-	for name, body := range cases {
-		if _, err := decodeFrame(body); err == nil {
-			t.Errorf("%s: decode accepted malformed frame", name)
+	return append(b, payload...)
+}
+
+// rawRecord frames items as one record frame of server sender in cluster 0,
+// round 0, seq 0, length prefix included.
+func rawRecord(sender uint32, items ...[]byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 0)
+	b = append(b, frameRecord)
+	for _, v := range []uint32{0, 0, 0, sender, uint32(len(items))} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	for _, it := range items {
+		b = append(b, it...)
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// replayOne replays one record frame, alone, at p servers.
+func replayOne(rec *recordFrame, p int) error {
+	em := &engine.Emitter{}
+	em.Restage(p)
+	var r replayer
+	r.start(p)
+	return r.record(rec, em)
+}
+
+// TestDecodeMalformed feeds systematically broken frames and records and
+// requires an error wrapping errMalformed — never a panic, never a silent
+// success: first to the frame decoder, then to the replay of a record at
+// p = 4.
+func TestDecodeMalformed(t *testing.T) {
+	one := []byte{7}
+	batch := rawItem(itemBatch, 1, []uint64{1, 1, 0, 3}, one)
+	valid := rawRecord(1, batch)[4:]
+	frames := map[string][]byte{
+		"empty":            {},
+		"unknown type":     {99},
+		"hello short":      {frameHello, 1, 2},
+		"hello bad magic":  append([]byte{frameHello}, make([]byte, 16)...),
+		"hello version 2":  mutate(appendHello(nil, 1, 0)[4:], 1+4, 2),
+		"round-end short":  {frameRoundEnd, 1},
+		"record no header": {frameRecord, 1, 2, 3},
+		"record items lie": mutate(valid, 1+16, 0xff, 0xff, 0xff, 0xff),
+	}
+	for name, body := range frames {
+		if _, err := decodeFrame(body); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: decode returned %v, want a malformed-frame error", name, err)
 		}
 	}
-	if _, err := decodeFrame(valid); err != nil {
-		t.Fatalf("control: valid frame rejected: %v", err)
+	records := map[string][][]byte{
+		"destination ≥ p":       {rawItem(itemBatch, 1, []uint64{1, 1, 0, 4}, one)},
+		"member ≥ p":            {rawItem(itemGroup, 1, []uint64{1, 1, 0, 2, 2, 0, 2}, one)},
+		"empty member list":     {rawItem(itemGroup, 1, []uint64{1, 1, 0, 0, 0}, one)},
+		"member list truncated": {rawItem(itemGroup, 1, []uint64{1, 1, 0, 0, 3, 0}, nil)},
+		"zero arity":            {rawItem(itemBatch, 1, []uint64{0, 1, 0, 1}, one)},
+		"no tuples":             {rawItem(itemBatch, 1, []uint64{1, 0, 0, 1}, nil)},
+		"width 0":               {rawItem(itemBatch, 0, []uint64{1, 1, 0, 1}, one)},
+		"width 9":               {rawItem(itemBatch, 9, []uint64{1, 1, 0, 1}, one)},
+		"field overflows":       {rawItem(itemBatch, 1, []uint64{1, 1 << 40, 0, 1}, one)},
+		"payload short":         {rawItem(itemBatch, 2, []uint64{1, 1, 0, 1}, one)},
+		"unknown tag":           {rawItem(9, 1, []uint64{1, 1}, one)},
+		"nothing to continue":   {rawItem(itemMore, 1, []uint64{1, 1}, one)},
+		"continuation arity":    {batch, rawItem(itemMore, 1, []uint64{2, 1}, []byte{1, 2})},
+		"header truncated":      {batch[:3]},
+		"trailing byte":         {append(bytes.Clone(batch), 0)},
+	}
+	for name, items := range records {
+		f, err := decodeFrame(rawRecord(1, items...)[4:])
+		if err == nil {
+			err = replayOne(&f.rec, 4)
+		}
+		if !errors.Is(err, errMalformed) {
+			t.Errorf("%s: replay returned %v, want a malformed-frame error", name, err)
+		}
+	}
+	f, err := decodeFrame(valid)
+	if err == nil {
+		err = replayOne(&f.rec, 4)
+	}
+	if err != nil {
+		t.Fatalf("control: a valid record was rejected: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,8 +102,9 @@ func (o *Options) withDefaults() Options {
 // matter how many attempts it took. WireBytes stays monotone (those bytes
 // really crossed the wire).
 type WireStats struct {
-	// DataFrames counts unique data frames serialized (one per sender
-	// batch; each is then shipped to every rank — see WireBytes).
+	// DataFrames counts unique record frames serialized: one per sender
+	// and round, more where the round's chunk size or the frame cap cut a
+	// record. Each is then shipped to every rank — see WireBytes.
 	DataFrames int64
 	// CtrlFrames counts hello, round-end and recovery-barrier frames
 	// actually sent.
@@ -114,25 +116,27 @@ type WireStats struct {
 	// duplicates, resends and abandoned attempts all really happened.
 	WireBytes int64
 
-	// PayloadBytes / HeaderBytes split one copy of all data frames into
-	// value payload and framing overhead (DataFrameOverheadBytes each).
+	// PayloadBytes / HeaderBytes split one copy of all record frames into
+	// value payload and framing overhead (DataFrameOverheadBytes per frame
+	// plus every item's header).
 	PayloadBytes int64
 	HeaderBytes  int64
 
 	// UnicastPayloadBytes and BroadcastPayloadBytes split PayloadBytes
-	// by delivery mode.
+	// by delivery mode; a batch to a subcube is unicast, counted once.
 	UnicastPayloadBytes   int64
 	BroadcastPayloadBytes int64
 
-	// BilledPayloadBytes weights each frame's payload by its number of
-	// model receivers: ×1 for a unicast, ×p for a broadcast (the model
-	// charges every one of the p servers; the wire ships one copy per
-	// rank). This is the wire-side quantity TotalBits is compared to.
+	// BilledPayloadBytes weights each batch's payload by its number of
+	// model receivers: ×1 for a batch to one server, ×members for a batch
+	// to a subcube, ×p for a broadcast (the model charges every receiver;
+	// the wire ships one copy per rank). This is the wire-side quantity
+	// TotalBits is compared to.
 	BilledPayloadBytes int64
 
 	// UnicastChargedBits / BroadcastChargedBits are the model bits
-	// charged for this rank's sends: count×arity×bitsPerValue per
-	// unicast frame, ×p per broadcast frame.
+	// charged for this rank's sends: count×arity×bitsPerValue per batch,
+	// ×members per subcube batch, ×p per broadcast.
 	UnicastChargedBits   int64
 	BroadcastChargedBits int64
 
@@ -232,13 +236,13 @@ type clusterState struct {
 // in arrival order, until every rank has declared (via round-end) and
 // delivered its frame count.
 type roundState struct {
-	byRank    [][]dataFrame
+	byRank    [][]recordFrame
 	ends      []int64 // -1 until the rank's round-end arrives
 	assembled bool    // frames handed to Deliver; late duplicates are dropped
 }
 
 func newRoundState(n int) *roundState {
-	rd := &roundState{byRank: make([][]dataFrame, n), ends: make([]int64, n)}
+	rd := &roundState{byRank: make([][]recordFrame, n), ends: make([]int64, n)}
 	for i := range rd.ends {
 		rd.ends[i] = -1
 	}
@@ -492,7 +496,7 @@ func (s *Session) Attach(p, bitsPerValue int) (engine.Link, error) {
 	if _, ok := s.clusters[id]; !ok {
 		s.clusters[id] = &clusterState{rounds: make(map[uint32]*roundState)}
 	}
-	return &tcpLink{s: s, id: id, bpv: bitsPerValue}, nil
+	return &tcpLink{s: s, id: id, bpv: bitsPerValue, maxBody: maxFrameLen}, nil
 }
 
 // ownedRange block-partitions the p model servers across the n ranks:
@@ -710,23 +714,23 @@ func (s *Session) ingest(peer int, f frame, connEpoch *int) error {
 			st.have++
 			s.cond.Broadcast()
 		}
-	case frameData:
-		if *connEpoch < s.epoch || s.retired[f.data.Cluster] {
+	case frameRecord:
+		if *connEpoch < s.epoch || s.retired[f.rec.Cluster] {
 			return nil // stale frame of an abandoned attempt or closed cluster
 		}
-		rd := s.roundLocked(f.data.Cluster, f.data.Round)
+		rd := s.roundLocked(f.rec.Cluster, f.rec.Round)
 		if rd.assembled {
 			return nil // duplicate after completion (resend overlap)
 		}
-		seq, have := int64(f.data.Seq), int64(len(rd.byRank[peer]))
+		seq, have := int64(f.rec.Seq), int64(len(rd.byRank[peer]))
 		if seq < have {
 			return nil // duplicate prefix of a resend
 		}
 		if seq > have {
 			return fmt.Errorf("transport: rank %d: frame gap in cluster %d round %d: seq %d, want %d",
-				peer, f.data.Cluster, f.data.Round, seq, have)
+				peer, f.rec.Cluster, f.rec.Round, seq, have)
 		}
-		rd.byRank[peer] = append(rd.byRank[peer], f.data)
+		rd.byRank[peer] = append(rd.byRank[peer], f.rec)
 		if rd.ends[peer] >= 0 && int64(len(rd.byRank[peer])) == rd.ends[peer] {
 			s.cond.Broadcast()
 		}
@@ -843,7 +847,7 @@ func (s *Session) writeFrames(r int, buf []byte, desc string, fi FaultInjector, 
 // failed attempt over the outcome barrier, and honors ctx cancellation —
 // the barrier never resolves silently short, and a wedged round cannot
 // outlive its request.
-func (s *Session) waitRound(ctx context.Context, cluster, round uint32) ([][]dataFrame, error) {
+func (s *Session) waitRound(ctx context.Context, cluster, round uint32) ([][]recordFrame, error) {
 	timeout := s.opts.RoundTimeout
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -1095,9 +1099,23 @@ type tcpLink struct {
 	s       *Session
 	id      uint32
 	bpv     int
-	buf     []byte  // serialize scratch, reused across rounds
-	scratch []int64 // decode scratch, reused across frames
+	maxBody int          // frame body cap the record cutter works to
+	w       recordWriter // serialize state; its stream is reused across rounds
+
+	// Receive side, reused across rounds: every sender's frames of the
+	// round, the emitters the senders are restaged on (a set drawn from
+	// recvPool at the first round), one replayer per decoding worker, and
+	// every sender's replay error.
+	frames    [][]*recordFrame
+	recv      *[]*engine.Emitter
+	replayers []replayer
+	errs      []error
 }
+
+// recvPool recycles the receive-side emitter sets of released links, so a
+// link restages its rounds on staging buffers an earlier link grew, as the
+// engine's emitter pool does for senders.
+var recvPool = sync.Pool{New: func() any { return new([]*engine.Emitter) }}
 
 func (l *tcpLink) Close() error {
 	s := l.s
@@ -1108,14 +1126,19 @@ func (l *tcpLink) Close() error {
 	// Attach (or a rewound replay) legitimately reuses it.
 	s.retired[l.id] = true
 	s.mu.Unlock()
+	if l.recv != nil {
+		recvPool.Put(l.recv)
+		l.recv = nil
+	}
 	return nil
 }
 
-// Deliver implements one round of the SPMD protocol: serialize this
-// rank's owned senders' emissions and ship the identical frame stream to
-// every rank (self included, over the socket), wait for all ranks'
-// streams, then assemble every inbox — in the exact delivery order
-// DeliverLocal defines — from the received frames alone.
+// Deliver implements one round of the SPMD protocol: serialize each owned
+// sender's staging as one record — a multicast batch once — and ship the
+// identical frame stream to every rank (self included, over the socket);
+// wait for all ranks' streams; restage every sender from the records
+// received alone, and land the round with engine.DeliverLocal. A TCP inbox
+// thus has the arena layout, spans and kind views of an in-process one.
 func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 	s := l.s
 	if err := s.Err(); err != nil {
@@ -1142,39 +1165,46 @@ func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 		}
 	}
 
-	// Serialize. Frames for one rank's senders are emitted sender-
-	// ascending; combined with rank-block-ascending assembly this
-	// reproduces the engine's sender-ascending delivery order globally.
-	buf := l.buf[:0]
-	frames := uint32(0)
+	// Serialize every owned sender's record, cut into frames of at most
+	// io.Chunk tuples. Each sender is restaged from its own records, so
+	// receivers do not depend on the order senders are written in.
+	w := &l.w
+	w.begin(l.id, round, l.maxBody, io.Chunk)
 	var payloadUni, payloadBc, billed int64
 	var bitsUni, bitsBc int64
 	lo, hi := ownedRange(s.rank, s.n, io.P)
 	for sv := lo; sv < hi; sv++ {
-		io.Senders[sv].EachPending(func(dest, kind, arity int, vals []int64) {
-			w := widthFor(l.bpv, vals)
-			buf = appendDataFrame(buf, l.id, round, frames, uint32(sv), int32(dest), uint32(kind), arity, w, vals)
-			frames++
-			pb := int64(len(vals)) * int64(w)
-			cb := int64(len(vals)) * int64(l.bpv)
-			if dest == engine.Broadcast {
+		io.Senders[sv].WalkStaged(func(it engine.Staged) {
+			width := widthFor(l.bpv, it.Vals)
+			w.add(uint32(sv), &it, width)
+			pb := int64(len(it.Vals)) * int64(width)
+			cb := int64(len(it.Vals)) * int64(l.bpv)
+			switch {
+			case it.Offsets != nil:
+				// Shipped once; billed and charged to every member.
+				payloadUni += pb
+				billed += pb * int64(len(it.Offsets))
+				bitsUni += cb * int64(len(it.Offsets))
+			case it.Dest == engine.Broadcast:
 				payloadBc += pb
 				billed += pb * int64(io.P)
 				bitsBc += cb * int64(io.P)
-			} else {
+			default:
 				payloadUni += pb
 				billed += pb
 				bitsUni += cb
 			}
 		})
+		w.close()
 	}
-	buf = appendRoundEnd(buf, l.id, round, frames)
-	l.buf = buf
+	frames := w.frames
+	w.buf = appendRoundEnd(w.buf, l.id, round, frames)
+	buf := w.buf
 
 	s.ctr.dataFrames.Add(int64(frames))
 	s.ctr.ctrlFrames.Add(int64(s.n))
 	s.ctr.payloadBytes.Add(payloadUni + payloadBc)
-	s.ctr.headerBytes.Add(int64(frames) * DataFrameOverheadBytes)
+	s.ctr.headerBytes.Add(w.headers)
 	s.ctr.unicastPayloadBytes.Add(payloadUni)
 	s.ctr.broadcastPayloadBytes.Add(payloadBc)
 	s.ctr.billedPayloadBytes.Add(billed)
@@ -1201,50 +1231,67 @@ func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 	if err != nil {
 		return err
 	}
-	return l.assemble(byRank, io)
+	if err := l.restage(byRank, io.P); err != nil {
+		s.setFatal(err)
+		return err
+	}
+	landed := *io
+	landed.Senders = (*l.recv)[:io.P]
+	engine.DeliverLocal(&landed)
+	return nil
 }
 
-// assemble rebuilds every inbox and the per-destination accounting from
-// the received frames. Iteration order — ranks ascending, frames in
-// arrival order — yields, per destination, exactly DeliverLocal's order:
-// senders ascending, each sender's batches in the order it opened them
-// (a multicast batch framed once per member) before its broadcasts.
-// RecvBits sums integral bit counts, so it is bit-identical to the
-// in-process run whatever the order of accumulation.
-func (l *tcpLink) assemble(byRank [][]dataFrame, io *engine.DeliveryRound) error {
-	p := io.P
-	for d := 0; d < p; d++ {
-		io.RecvBits[d] = 0
-		io.RecvTuples[d] = 0
+// restage replays every sender's record frames on its receive-side
+// emitter, senders in parallel: a sender's frames all come from its owning
+// rank, in seq order. A rank may only send the records of the servers it
+// owns — a frame of any other server is malformed — and an item the replay
+// rejects is malformed too.
+func (l *tcpLink) restage(byRank [][]recordFrame, p int) error {
+	if l.recv == nil {
+		l.recv = recvPool.Get().(*[]*engine.Emitter)
 	}
-	scratch := l.scratch
+	for len(*l.recv) < p {
+		*l.recv = append(*l.recv, &engine.Emitter{})
+	}
+	if len(l.frames) < p {
+		l.frames = append(l.frames, make([][]*recordFrame, p-len(l.frames))...)
+		l.errs = append(l.errs, make([]error, p-len(l.errs))...)
+	}
+	for sv := range l.frames[:p] {
+		l.frames[sv] = l.frames[sv][:0]
+	}
 	for r := range byRank {
+		lo, hi := ownedRange(r, l.s.n, p)
 		for i := range byRank[r] {
 			f := &byRank[r][i]
-			if int(f.Sender) >= p {
-				return fmt.Errorf("transport: cluster %d: frame sender %d out of range for %d servers", l.id, f.Sender, p)
+			if sv := int(f.Sender); sv < lo || sv >= hi {
+				return fmt.Errorf("%w: cluster %d round %d: rank %d sent a record of server %d, outside its servers [%d,%d)",
+					errMalformed, l.id, f.Round, r, sv, lo, hi)
 			}
-			if int(f.Dest) >= p {
-				return fmt.Errorf("transport: cluster %d: frame destination %d out of range for %d servers", l.id, f.Dest, p)
-			}
-			scratch = f.decodeValues(scratch[:0])
-			arity := int(f.Arity)
-			bits := float64(len(scratch) * io.BitsPerValue)
-			tuples := len(scratch) / arity
-			if f.Dest == int32(engine.Broadcast) {
-				for d := 0; d < p; d++ {
-					io.Inboxes[d].Append(int(f.Kind), arity, scratch)
-					io.RecvBits[d] += bits
-					io.RecvTuples[d] += tuples
-				}
-			} else {
-				d := int(f.Dest)
-				io.Inboxes[d].Append(int(f.Kind), arity, scratch)
-				io.RecvBits[d] += bits
-				io.RecvTuples[d] += tuples
-			}
+			l.frames[f.Sender] = append(l.frames[f.Sender], f)
 		}
 	}
-	l.scratch = scratch
+	for len(l.replayers) < runtime.GOMAXPROCS(0) {
+		l.replayers = append(l.replayers, replayer{})
+	}
+	recv := *l.recv
+	engine.ParallelForWorkers(p, func(sv, worker int) {
+		rp, em := &l.replayers[worker], recv[sv]
+		rp.start(p)
+		em.Restage(p)
+		l.errs[sv] = nil
+		for _, f := range l.frames[sv] {
+			if err := rp.record(f, em); err != nil {
+				l.errs[sv] = fmt.Errorf("cluster %d round %d, record of server %d: %w", l.id, f.Round, sv, err)
+				break
+			}
+		}
+		clear(l.frames[sv])
+	})
+	for _, err := range l.errs[:p] {
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }

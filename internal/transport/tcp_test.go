@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -255,5 +258,293 @@ func TestOwnedRange(t *testing.T) {
 				t.Fatalf("p=%d n=%d: partition covers [0,%d), want [0,%d)", p, n, prev, p)
 			}
 		}
+	}
+}
+
+// runRanks runs f on every rank of a fresh n-rank loopback session group,
+// the ranks concurrently, and fails the test if a rank cannot dial.
+func runRanks(t *testing.T, n int, f func(s *Session)) {
+	t.Helper()
+	addrs, err := FreeLoopbackAddrs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			s, err := Dial(r, addrs, nil)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer s.Close()
+			f(s)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// multicastRound runs one round in which every server replicates tuples
+// through overlapping subcubes that share their first member, next to a
+// kind fed both through a subcube and by unicast, and a broadcast of an
+// annotation-width value, at the given chunk size. It calls inspect, when
+// set, before the cluster is released, and renders every inbox — its
+// batches and its kind views — and the round's accounting.
+func multicastRound(tr engine.Transport, chunk int, inspect func()) string {
+	const p, kinds = 6, 5
+	c := engine.NewClusterNet(tr, p, 12)
+	defer c.Release()
+	c.SetStreamChunk(chunk)
+	tables := [][]int{{0, 2, 1}, {0, 1}, {0, 3, 1, 2}}
+	c.Round("multicast", func(s int, _ *engine.Inbox, em *engine.Emitter) {
+		for i := 0; i < 12; i++ {
+			tu := []int64{int64(s), int64(i), int64(100*s + i)}
+			em.EmitFanout(0, tables[i%3], i%3, tu)
+			switch i % 4 {
+			case 0:
+				em.EmitFanout(1, tables[1], 3, tu)
+			case 2:
+				em.EmitTuple((s+i)%p, 3, tu)
+			}
+		}
+		em.EmitTuple(engine.Broadcast, 4, []int64{1<<40 + int64(s)})
+	})
+	if inspect != nil {
+		inspect()
+	}
+	var b strings.Builder
+	views := make([]engine.KindView, kinds)
+	for s := 0; s < p; s++ {
+		ib := c.Inbox(s)
+		fmt.Fprintf(&b, "server %d:", s)
+		ib.EachBatch(func(bt engine.Batch) { fmt.Fprintf(&b, " k%d a%d %v;", bt.Kind, bt.Arity, bt.Vals) })
+		ib.KindViews(views)
+		for k, v := range views {
+			fmt.Fprintf(&b, " view %d ok=%t a%d %v;", k, v.OK, v.Arity, v.Vals)
+		}
+		b.WriteByte('\n')
+	}
+	rec := c.Record(nil, 0)
+	fmt.Fprintf(&b, "totalbits=%x maxload=%x", rec.TotalBits(), rec.MaxLoadBits())
+	return b.String()
+}
+
+// TestSessionMulticastMatchesLocalDelivery: over two ranks, a round of
+// overlapping multicasts lands exactly as DeliverLocal lands it in process
+// — every inbox's batches and kind views, and the accounting — whether the
+// records cross whole or cut into one-tuple frames.
+func TestSessionMulticastMatchesLocalDelivery(t *testing.T) {
+	want := multicastRound(nil, 0, nil)
+	for _, chunk := range []int{0, 1} {
+		got := make([]string, 2)
+		runRanks(t, 2, func(s *Session) { got[s.Rank()] = multicastRound(s, chunk, nil) })
+		for r := range got {
+			if got[r] != want {
+				t.Errorf("chunk %d, rank %d landed\n%s\nin process\n%s", chunk, r, got[r], want)
+			}
+		}
+	}
+}
+
+// spyTransport attaches the session's links with the record cutter's frame
+// body cap set to maxBody, and keeps them so a test can read the stream a
+// link last serialized.
+type spyTransport struct {
+	s       *Session
+	maxBody int
+	links   []*tcpLink
+}
+
+func (sp *spyTransport) Attach(p, bitsPerValue int) (engine.Link, error) {
+	l, err := sp.s.Attach(p, bitsPerValue)
+	if err != nil {
+		return nil, err
+	}
+	tl := l.(*tcpLink)
+	tl.maxBody = sp.maxBody
+	sp.links = append(sp.links, tl)
+	return tl, nil
+}
+
+// recordTuples counts the tuples the items of one record frame carry.
+func recordTuples(rec *recordFrame) int {
+	tuples, body := 0, rec.Body
+	next := func() int {
+		v, n := binary.Uvarint(body)
+		body = body[n:]
+		return int(v)
+	}
+	for i := uint32(0); i < rec.Items; i++ {
+		tag, width := body[0], int(body[1])
+		body = body[2:]
+		arity, count := next(), next()
+		switch tag {
+		case itemBatch:
+			next()
+			next()
+		case itemGroup:
+			next()
+			next()
+			for m := next(); m > 0; m-- {
+				next()
+			}
+		case itemBcast:
+			next()
+		}
+		body = body[count*arity*width:]
+		tuples += count
+	}
+	return tuples
+}
+
+// checkCuts reports a record frame of stream that carries more than chunk
+// tuples (chunk > 0), or more than one tuple in a body over maxBody bytes,
+// and a stream in which no sender's record was cut at all.
+func checkCuts(stream []byte, chunk, maxBody int) error {
+	frames, senders := 0, map[uint32]bool{}
+	for len(stream) > 0 {
+		n := int(binary.LittleEndian.Uint32(stream))
+		f, err := decodeFrame(stream[4 : 4+n])
+		stream = stream[4+n:]
+		if err != nil {
+			return err
+		}
+		if f.typ != frameRecord {
+			continue
+		}
+		frames++
+		senders[f.rec.Sender] = true
+		switch tuples := recordTuples(&f.rec); {
+		case chunk > 0 && tuples > chunk:
+			return fmt.Errorf("frame %d carries %d tuples, the chunk is %d", f.rec.Seq, tuples, chunk)
+		case n > maxBody && tuples > 1:
+			return fmt.Errorf("frame %d has a %d-byte body, over the %d-byte cap, and %d tuples", f.rec.Seq, n, maxBody, tuples)
+		}
+	}
+	if frames <= len(senders) {
+		return fmt.Errorf("%d frames for %d senders: no record was cut", frames, len(senders))
+	}
+	return nil
+}
+
+// TestSessionRecordCuts: the record cutter holds both of its limits, and
+// cut records land bit-identically. Over two ranks, a round streamed in
+// one-tuple chunks ships no frame of more than one tuple, and with a
+// 96-byte frame cap — below every sender's record — records split into
+// frames within the cap.
+func TestSessionRecordCuts(t *testing.T) {
+	want := multicastRound(nil, 0, nil)
+	for _, tc := range []struct {
+		name           string
+		chunk, maxBody int
+	}{
+		{"one-tuple chunks", 1, maxFrameLen},
+		{"96-byte frames", 0, 96},
+	} {
+		got, errs := make([]string, 2), make([]error, 2)
+		runRanks(t, 2, func(s *Session) {
+			sp := &spyTransport{s: s, maxBody: tc.maxBody}
+			got[s.Rank()] = multicastRound(sp, tc.chunk, func() {
+				errs[s.Rank()] = checkCuts(sp.links[0].w.buf, tc.chunk, tc.maxBody)
+			})
+		})
+		for r := range got {
+			if errs[r] != nil {
+				t.Errorf("%s, rank %d: %v", tc.name, r, errs[r])
+			}
+			if got[r] != want {
+				t.Errorf("%s, rank %d landed\n%s\nin process\n%s", tc.name, r, got[r], want)
+			}
+		}
+	}
+}
+
+// roundErr runs f and returns the error a round panicked with inside it.
+func roundErr(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = r.(error); !ok {
+				err = fmt.Errorf("%v", r)
+			}
+		}
+	}()
+	f()
+	return nil
+}
+
+// TestSessionRejectsHostileRecords: a peer that ships a well-formed record
+// of a server another rank owns, or a record naming a server ≥ p, fails
+// the receiving rank's round with a malformed-frame error. Its tuples never
+// land, so no answer or bit count changes silently.
+func TestSessionRejectsHostileRecords(t *testing.T) {
+	one := []byte{7}
+	for _, tc := range []struct {
+		name   string
+		record []byte
+	}{
+		// Of p = 2 servers, rank 0 owns server 0 and rank 1 server 1.
+		{"another rank's server", rawRecord(0, rawItem(itemBatch, 1, []uint64{1, 1, 0, 1}, one))},
+		{"destination ≥ p", rawRecord(1, rawItem(itemBatch, 1, []uint64{1, 1, 0, 2}, one))},
+		{"member ≥ p", rawRecord(1, rawItem(itemGroup, 1, []uint64{1, 1, 0, 1, 2, 0, 1}, one))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, err := FreeLoopbackAddrs(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rank 1 is played by hand: it drains what rank 0 sends it, and
+			// dials rank 0 to ship a valid hello, then the record as its
+			// whole round.
+			ln, err := net.Listen("tcp", addrs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						_, _ = io.Copy(io.Discard, c)
+						c.Close()
+					}()
+				}
+			}()
+			s, err := Dial(0, addrs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			peer, err := net.Dial("tcp", addrs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			stream := append(appendHello(nil, 1, 0), tc.record...)
+			if _, err := peer.Write(appendRoundEnd(stream, 0, 0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			err = roundErr(func() {
+				c := engine.NewClusterNet(s, 2, 8)
+				defer c.Release()
+				c.Round("hostile", func(sv int, _ *engine.Inbox, em *engine.Emitter) {
+					em.EmitTuple(1-sv, 0, []int64{int64(sv)})
+				})
+			})
+			if !errors.Is(err, errMalformed) {
+				t.Fatalf("the hostile round returned %v, want a malformed-frame error", err)
+			}
+		})
 	}
 }
