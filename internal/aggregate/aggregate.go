@@ -316,37 +316,45 @@ func ProjectRaw(out *data.Relation, groupCols []int, aggCol int, p *Plan) *data.
 // synthetic key column of a global aggregate is dropped — sorted
 // lexicographically. Group keys are disjoint across destinations (the
 // shuffle partitions by key), so the sort makes the output independent of
-// server count, strategy, and pushdown setting.
+// server count, strategy, and pushdown setting. It is Canonical over the
+// Rows of every part.
 func Finalize(name string, parts []*data.Relation, p *Plan) *data.Relation {
-	ka := p.KeyArity()
-	dropKey := len(p.GroupBy) == 0
-	outArity := ka + 1
-	if dropKey {
-		outArity = 1
-	}
-	out := data.NewRelation(name, outArity)
-	total := 0
+	out := data.NewRelation(name, p.OutArity())
 	for _, part := range parts {
 		if part != nil {
-			total += part.NumTuples()
+			out.AppendVals(Rows(part, p).Vals())
 		}
 	}
-	out.Grow(total)
-	row := make([]int64, outArity)
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for i := 0; i < part.NumTuples(); i++ {
-			if dropKey {
-				row[0] = part.Annotation(i)
-			} else {
-				copy(row, part.Tuple(i))
-				row[ka] = part.Annotation(i)
-			}
-			out.AppendTuple(row)
-		}
+	return Canonical(out)
+}
+
+// OutArity returns the arity of the canonical output rows: the group key and
+// the value, or the value alone for a global aggregate.
+func (p *Plan) OutArity() int {
+	if len(p.GroupBy) == 0 {
+		return 1
 	}
+	return p.KeyArity() + 1
+}
+
+// Rows turns one destination's folded partial into plain output rows,
+// (group key..., value) or (value), in the partial's order.
+func Rows(part *data.Relation, p *Plan) *data.Relation {
+	ka, outArity := p.KeyArity(), p.OutArity()
+	m := part.NumTuples()
+	vals := make([]int64, 0, m*outArity)
+	for i := 0; i < m; i++ {
+		if outArity > 1 {
+			vals = append(vals, part.Tuple(i)[:ka]...)
+		}
+		vals = append(vals, part.Annotation(i))
+	}
+	return data.FromVals(part.Name, outArity, vals)
+}
+
+// Canonical sorts output rows lexicographically, in place, and returns them:
+// the canonical aggregate output once every destination's Rows are in.
+func Canonical(out *data.Relation) *data.Relation {
 	sortRelation(out)
 	return out
 }

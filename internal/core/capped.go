@@ -44,11 +44,11 @@ func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *Ca
 	outputs := make([]*data.Relation, gp)
 	dropped := make([]float64, gp)
 	scratches := localjoin.NewWorkerScratches()
-	cluster.Compute(func(s, w int) {
+	cluster.Compute(func(s int, ib *engine.Inbox, w int) {
 		sc := scratches.Worker(w)
 		frag := sc.Fragments(q)
 		budget := capBits
-		cluster.Inbox(s).Each(func(kind int, tuple []int64) {
+		ib.Each(func(kind int, tuple []int64) {
 			cost := float64(len(tuple) * bpv)
 			if cost > budget {
 				dropped[s] += cost

@@ -303,7 +303,8 @@ func hyperCubeShuffle(cluster *engine.Cluster, name string, routes []*hashing.Ro
 // rows when off), the aggregate-shuffle round that routes partial rows by
 // group-key hash — through the Emitter's pre-shuffle combiner on the
 // pushdown path — and the destination-side final fold. It returns the
-// canonical aggregate output and the bits the pushdown saved.
+// canonical aggregate output and the bits the pushdown saved, both gathered
+// over every server, owned or not.
 func runAggregatePhases(cluster *engine.Cluster, q *query.Query, sharing localjoin.Sharing, agg *aggregate.Plan) (*data.Relation, float64) {
 	gp := cluster.P()
 	ka := agg.KeyArity()
@@ -346,8 +347,7 @@ func runAggregatePhases(cluster *engine.Cluster, q *query.Query, sharing localjo
 	})
 
 	outputs := make([]*data.Relation, gp)
-	cluster.Compute(func(s, w int) {
-		ib := cluster.Inbox(s)
+	cluster.Compute(func(s int, ib *engine.Inbox, w int) {
 		if ib.NumTuples() == 0 {
 			return
 		}
@@ -355,15 +355,20 @@ func runAggregatePhases(cluster *engine.Cluster, q *query.Query, sharing localjo
 		ib.EachBatch(func(b engine.Batch) {
 			t.AddRows(b.Vals)
 		})
-		outputs[s] = t.Result(q.Name)
+		outputs[s] = aggregate.Rows(t.Result(q.Name), agg)
 	})
+	out := cluster.Gather(q.Name, agg.OutArity(), outputs)
 
-	saved := 0
-	for s := 0; s < gp; s++ {
-		saved += rawRows[s] - sentRows[s]
+	savedRows := make([]*data.Relation, gp)
+	lo, hi := cluster.Owned()
+	for s := lo; s < hi; s++ {
+		savedRows[s] = data.FromVals("saved", 1, []int64{int64(rawRows[s] - sentRows[s])})
 	}
-	return aggregate.Finalize(q.Name, outputs, agg),
-		float64(saved) * float64(ka+1) * float64(cluster.BitsPerValue())
+	saved := int64(0)
+	for _, v := range cluster.Gather("saved", 1, savedRows).Vals() {
+		saved += v
+	}
+	return aggregate.Canonical(out), float64(saved) * float64(ka+1) * float64(cluster.BitsPerValue())
 }
 
 // SequentialAnswer computes q(db) on one node — the ground truth for

@@ -316,9 +316,10 @@ type groupBatch struct {
 	base    int
 	offsets []int
 
-	// Barrier delivery: the region of the first member's arena the batch is
-	// copied to, and the arena offset it landed at (see DeliverLocal).
-	region, landed int
+	// Barrier delivery: the member whose arena the batch is copied to (its
+	// first owned member), the region of that arena, and the arena offset
+	// it landed at (see DeliverLocal).
+	home, region, landed int
 
 	// Pipelined delivery: the slot is the target's pending chunk, and run
 	// is the sequence number of the batch the chunk belongs to.
@@ -340,7 +341,6 @@ func (g *groupBatch) targets(base int, offsets []int) bool {
 type groupRef struct {
 	idx       int32
 	ownBefore int32
-	first     bool // the member is the group's first: the batch lands in its arena
 }
 
 // sendBuf accumulates a sender's pending batches for one destination (or
@@ -513,10 +513,10 @@ func (e *Emitter) openGroup(base int, offsets []int, kind, arity int, members bo
 	if !members {
 		offsets = offsets[:1]
 	}
-	for i, off := range offsets {
+	for _, off := range offsets {
 		d := base + off
 		own := len(e.dest(d).batches)
-		e.refs[d] = append(e.refs[d], groupRef{idx: int32(n), ownBefore: int32(own), first: i == 0})
+		e.refs[d] = append(e.refs[d], groupRef{idx: int32(n), ownBefore: int32(own)})
 	}
 	return g
 }
@@ -601,8 +601,12 @@ func (e *Emitter) EmitBatch(dest, kind, arity int, vals []int64) {
 	b.vals = append(b.vals, vals...)
 }
 
-// Cluster simulates p MPC servers. A Cluster is not safe for concurrent use
-// by multiple goroutines; the parallelism lives inside Round.
+// Cluster simulates p MPC servers, or, attached to a transport whose process
+// owns only some of them, that process's share of the servers: it seeds,
+// evaluates and lands its owned servers alone, and still meters every
+// server's receive accounting, so every process records the same rounds. A
+// Cluster is not safe for concurrent use by multiple goroutines; the
+// parallelism lives inside Round.
 type Cluster struct {
 	p            int
 	bitsPerValue int
@@ -615,6 +619,18 @@ type Cluster struct {
 	rounds       []RoundStats
 	loadCap      float64 // 0 = unlimited; otherwise rounds flag Aborted
 	link         Link    // non-nil when delivery goes through a Transport
+
+	// lo, hi bound the servers this process owns, [0, p) unless a link
+	// owns part of them (Link.Owned): only owned servers are seeded, run
+	// round functions and computation phases, and have their inboxes
+	// landed. gathers counts the cluster's output gathers (Gather).
+	lo, hi  int
+	gathers int
+
+	// landed is the staging the last round was landed from: the cluster's
+	// emitters, or, over a link, the link's receive-side emitters for the
+	// senders another process owns (see EachBroadcast).
+	landed []*Emitter
 
 	// streamChunk > 0 enables chunked streaming rounds (SetStreamChunk):
 	// pipelined mid-emission flushes when link is nil, chunk-capped staged
@@ -679,6 +695,7 @@ func NewCluster(p, bitsPerValue int) *Cluster {
 		emitterSet:   emitterPool.Get().(*[]*Emitter),
 		recvBits:     make([]float64, p),
 		recvTuples:   make([]int, p),
+		hi:           p,
 	}
 	for len(*c.emitterSet) < p {
 		*c.emitterSet = append(*c.emitterSet, &Emitter{self: len(*c.emitterSet)})
@@ -703,6 +720,7 @@ func (c *Cluster) Release() {
 		_ = c.link.Close()
 		c.link = nil
 	}
+	c.landed = nil
 	for s := 0; s < c.p; s++ {
 		if c.inbox[s] != nil {
 			c.inbox[s].reset()
@@ -727,19 +745,30 @@ func (c *Cluster) Release() {
 // P returns the number of servers.
 func (c *Cluster) P() int { return c.p }
 
+// Owned returns the servers [lo, hi) this process owns: [0, p) in process,
+// the link's share (Link.Owned) over a transport. Only owned servers hold
+// inboxes, emit and compute; see Cluster.
+func (c *Cluster) Owned() (lo, hi int) { return c.lo, c.hi }
+
+// owns reports whether server s is one of the cluster's owned servers.
+func (c *Cluster) owns(s int) bool { return s >= c.lo && s < c.hi }
+
 // BitsPerValue returns the configured per-value bit width.
 func (c *Cluster) BitsPerValue() int { return c.bitsPerValue }
 
 // Seed places one initial input tuple directly into a server's inbox
 // without charging communication — the partitioned-input assumption of
-// Section 2.1. Consecutive same-kind seeds coalesce into one batch.
+// Section 2.1. Consecutive same-kind seeds coalesce into one batch. A seed
+// for a server another process owns is dropped: that process seeds it.
 func (c *Cluster) Seed(server, kind int, tuple []int64) {
-	c.inbox[server].appendBlock(kind, len(tuple), tuple)
+	if c.owns(server) {
+		c.inbox[server].appendBlock(kind, len(tuple), tuple)
+	}
 }
 
 // SeedBatch seeds a whole flat block of same-kind tuples at once.
 func (c *Cluster) SeedBatch(server, kind, arity int, vals []int64) {
-	if len(vals) == 0 {
+	if len(vals) == 0 || !c.owns(server) {
 		return
 	}
 	c.inbox[server].appendBlock(kind, arity, vals)
@@ -757,7 +786,7 @@ func (c *Cluster) SeedRoundRobin(servers, kind, arity int, vals []int64) {
 		panic(fmt.Sprintf("engine: seed of %d values is not a multiple of arity %d", len(vals), arity))
 	}
 	m := len(vals) / arity
-	for s := 0; s < servers && s < m; s++ {
+	for s := c.lo; s < c.hi && s < servers && s < m; s++ {
 		ib := c.inbox[s]
 		count := (m - s + servers - 1) / servers
 		ib.arena = slices.Grow(ib.arena, count*arity)
@@ -780,13 +809,30 @@ func (c *Cluster) SeedPartitioned(servers int, q *query.Query, db *data.Database
 }
 
 // Inbox returns the batches currently held by a server (the deliveries of
-// the most recent round, or the seeded input before the first round).
+// the most recent round, or the seeded input before the first round). The
+// inbox of a server another process owns is empty.
 func (c *Cluster) Inbox(server int) *Inbox { return c.inbox[server] }
 
-// Round executes one MPC round: every server runs f concurrently over its
-// current inbox, emitting batches; the engine then delivers all emissions
-// in parallel (sharded by destination), replacing each inbox with what the
-// server received, and records load statistics.
+// EachBroadcast calls f for every tuple broadcast in the last round, in
+// delivery order, read from the staging that round was landed from — how a
+// process that owns no server of a linked cluster reads what every server
+// received. It is valid until the next Round and visits nothing after a
+// pipelined round, whose broadcasts leave no staging behind.
+func (c *Cluster) EachBroadcast(f func(kind int, tuple []int64)) {
+	for _, em := range c.landed {
+		for _, b := range em.bcast.batches {
+			for vals := b.vals; len(vals) >= b.arity; vals = vals[b.arity:] {
+				f(b.kind, vals[:b.arity:b.arity])
+			}
+		}
+	}
+}
+
+// Round executes one MPC round: every owned server runs f concurrently over
+// its current inbox, emitting batches; the engine then delivers all
+// emissions in parallel (sharded by destination), replacing each owned
+// inbox with what the server received, and records load statistics — of
+// every server, owned or not, so every process records the same round.
 //
 // Delivery order is deterministic, and the same for barrier, pipelined and
 // link delivery: per destination, senders ascending; within one sender, its
@@ -829,16 +875,18 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	// reads, no slice.
 	var serverSecs []float64
 	if c.tr != nil {
-		serverSecs = make([]float64, c.p)
-		ParallelFor(c.p, func(s int) {
+		serverSecs = make([]float64, c.hi-c.lo)
+		ParallelFor(c.hi-c.lo, func(i int) {
+			s := c.lo + i
 			//lint:allow nondeterminism per-server emit spans are trace telemetry, excluded from Report.Fingerprint
 			ts := time.Now()
 			f(s, c.inbox[s], c.emitters[s])
 			//lint:allow nondeterminism per-server emit spans are trace telemetry, excluded from Report.Fingerprint
-			serverSecs[s] = time.Since(ts).Seconds()
+			serverSecs[i] = time.Since(ts).Seconds()
 		})
 	} else {
-		ParallelFor(c.p, func(s int) {
+		ParallelFor(c.hi-c.lo, func(i int) {
+			s := c.lo + i
 			f(s, c.inbox[s], c.emitters[s])
 		})
 	}
@@ -856,6 +904,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	t1 := time.Now()
 	var destSecs []float64
+	c.landed = nil
 	if pipelined {
 		// Most of the round's traffic already flushed during emission; what
 		// remains is the leftover partial chunks, then each destination
@@ -892,6 +941,8 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			Inboxes:      c.spare,
 			RecvBits:     c.recvBits,
 			RecvTuples:   c.recvTuples,
+			Lo:           c.lo,
+			Hi:           c.hi,
 			Chunk:        c.streamChunk,
 			Ctx:          c.runCtx,
 			Trace:        c.runTrace,
@@ -907,6 +958,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			DeliverLocal(io)
 		}
 		destSecs = io.PerDestSeconds
+		c.landed = io.Senders
 	}
 	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	commDur := time.Since(t1).Seconds()
@@ -955,6 +1007,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			ComputeSeconds:       computeDur,
 			DeliverStart:         t1,
 			DeliverSeconds:       commDur,
+			FirstServer:          c.lo,
 			ServerComputeSeconds: serverSecs,
 			DestDeliverSeconds:   destSecs,
 			ChunkFlushes:         chunkFlushes,
@@ -971,18 +1024,35 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 }
 
 // Compute runs one computation phase outside a communication round: f runs
-// for every server on the ParallelForWorkers pool (worker ids for per-worker
-// scratch), and the elapsed wall time is accounted to the cluster's
-// compute-phase total. This is the hook strategies use for their final
-// local-evaluation phase so the record's ComputeSeconds covers it.
-func (c *Cluster) Compute(f func(server, worker int)) {
+// for every owned server, over its inbox, on the ParallelForWorkers pool
+// (worker ids for per-worker scratch), and the elapsed wall time is
+// accounted to the cluster's compute-phase total. This is the hook
+// strategies use for their final local-evaluation phase so the record's
+// ComputeSeconds covers it; a phase reads only the inbox it is handed, as
+// the model's local computation does.
+func (c *Cluster) Compute(f func(server int, inbox *Inbox, worker int)) {
 	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	t0 := time.Now()
-	ParallelForWorkers(c.p, f)
+	var serverSecs []float64
+	if c.tr != nil {
+		serverSecs = make([]float64, c.hi-c.lo)
+	}
+	ParallelForWorkers(c.hi-c.lo, func(i, w int) {
+		s := c.lo + i
+		if serverSecs == nil {
+			f(s, c.inbox[s], w)
+			return
+		}
+		//lint:allow nondeterminism per-server compute spans are trace telemetry, excluded from Report.Fingerprint
+		ts := time.Now()
+		f(s, c.inbox[s], w)
+		//lint:allow nondeterminism per-server compute spans are trace telemetry, excluded from Report.Fingerprint
+		serverSecs[i] = time.Since(ts).Seconds()
+	})
 	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	dur := time.Since(t0).Seconds()
 	c.computeSeconds += dur
-	c.tr.ObserveCompute(t0, dur)
+	c.tr.ObserveCompute(t0, dur, c.lo, serverSecs)
 }
 
 // SetLoadCap declares the maximum load L: any subsequent round in which a

@@ -77,7 +77,7 @@ func TestClusterComputeTimesPhases(t *testing.T) {
 	c.Round("r", func(s int, inbox *Inbox, emit *Emitter) {
 		inbox.Each(func(kind int, tu []int64) { emit.EmitTuple((s+1)%4, kind, tu) })
 	})
-	c.Compute(func(server, worker int) {})
+	c.Compute(func(server int, _ *Inbox, worker int) {})
 	rec := c.Record(nil, 0)
 	compute, comm := rec.ComputeSeconds, rec.CommSeconds
 	if compute <= 0 {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"mpcquery/internal/data"
 	"mpcquery/internal/obs"
 )
 
@@ -34,16 +35,29 @@ type Transport interface {
 
 // Link delivers the rounds of one cluster.
 type Link interface {
-	// Deliver moves one round of emissions into io.Inboxes and fills the
-	// per-destination receive accounting. The engine has already reset the
-	// inboxes; Deliver must produce exactly the delivery order documented
-	// on Cluster.Round, or fingerprints diverge between transports. A
-	// network link gets it by moving every sender's staging as WalkStaged
-	// yields it, restaging it on receive-side emitters (StageBatch,
-	// StageGroup, StageMore) and landing those with DeliverLocal. A non-nil
-	// error aborts the run (the engine panics with it; the public API maps
-	// it to a typed error).
+	// Owned returns the servers [lo, hi) of a p-server cluster this
+	// process owns: it seeds, evaluates and lands those alone, and the
+	// other processes of the group own the rest. A link that moves rounds
+	// within one process returns [0, p).
+	Owned(p int) (lo, hi int)
+	// Deliver moves one round of emissions into the owned inboxes
+	// io.Inboxes[io.Lo:io.Hi] and fills the receive accounting of all p
+	// destinations. The engine has already reset the inboxes; Deliver must
+	// produce exactly the delivery order documented on Cluster.Round, or
+	// fingerprints diverge between transports. A network link gets it by
+	// moving the staging other processes need as WalkStaged yields it,
+	// restaging what it receives on receive-side emitters (StageBatch,
+	// StageGroup, StageMore), and landing those next to its own senders'
+	// emitters with DeliverLocal; it leaves io.Senders naming the staging
+	// it landed from. A non-nil error aborts the run (the engine panics
+	// with it; the public API maps it to a typed error).
 	Deliver(io *DeliveryRound) error
+	// Gather all-gathers one computation phase's output: g.Parts holds the
+	// owned servers' parts, and Gather returns the values of all p parts,
+	// in server order — the same values at every process of the group. It
+	// is not a round of the model and charges nothing. An error aborts the
+	// run as Deliver's does.
+	Gather(g *GatherRound) ([]int64, error)
 	// Close releases the link. Called once, by Cluster.Release.
 	Close() error
 }
@@ -61,6 +75,10 @@ type DeliveryRound struct {
 	Inboxes      []*Inbox
 	RecvBits     []float64
 	RecvTuples   []int
+
+	// Lo, Hi bound the owned destinations, the only inboxes the delivery
+	// lands: [0, P) in process.
+	Lo, Hi int
 
 	// Chunk is the round's streaming chunk size in tuples, 0 in a barrier
 	// round: a network link ships no frame of more than Chunk tuples.
@@ -84,26 +102,28 @@ type DeliveryRound struct {
 }
 
 // DeliverLocal is the in-process delivery kernel: sharded by destination,
-// each destination collects its batches from every sender in sender order
-// into a recycled arena and accounts its own received bits — no
+// each owned destination collects its batches from every sender in sender
+// order into a recycled arena and accounts its own received bits — no
 // cross-goroutine writes, one copy per batch. This is both the default
 // (nil-transport) path and the reference semantics every other Transport
 // must reproduce.
 //
 // A batch addressed to a subcube is copied once, into the arena of the
-// group's first member, where the batches of one group and kind from all
-// senders lie side by side (senders ascending) — so that every member can
-// read the kind in place (Inbox.KindViews) — and is listed, and charged,
-// under every member. Listing a span into another destination's arena needs
-// that arena to have landed, so the destinations that take part in a group
-// land first and list in a second pass; a destination no sender multicast
-// to lands and lists in one pass.
+// group's first owned member — the first member, in process — where the
+// batches of one group and kind from all senders lie side by side (senders
+// ascending) — so that every member can read the kind in place
+// (Inbox.KindViews) — and is listed, and charged, under every owned member.
+// Listing a span into another destination's arena needs that arena to have
+// landed, so the destinations that take part in a group land first and list
+// in a second pass; a destination no sender multicast to lands and lists in
+// one pass.
 func DeliverLocal(io *DeliveryRound) {
 	multicast := false
 	for _, em := range io.Senders {
-		if len(em.groups) > 0 {
+		for i := range em.groups {
+			g := &em.groups[i]
+			g.home = io.home(g)
 			multicast = true
-			break
 		}
 	}
 	io.eachDest(func(d int) {
@@ -125,20 +145,36 @@ func DeliverLocal(io *DeliveryRound) {
 	})
 }
 
-// eachDest runs one delivery pass, f(d) for every destination in parallel,
-// adding each destination's wall time to PerDestSeconds in a traced round.
+// eachDest runs one delivery pass, f(d) for every owned destination in
+// parallel, adding each destination's wall time to PerDestSeconds in a
+// traced round.
 func (io *DeliveryRound) eachDest(f func(d int)) {
 	if io.PerDestSeconds == nil {
-		ParallelFor(io.P, f)
+		ParallelFor(io.Hi-io.Lo, func(i int) { f(io.Lo + i) })
 		return
 	}
-	ParallelFor(io.P, func(d int) {
+	ParallelFor(io.Hi-io.Lo, func(i int) {
+		d := io.Lo + i
 		//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
 		t0 := time.Now()
 		f(d)
 		//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
 		io.PerDestSeconds[d] += time.Since(t0).Seconds()
 	})
+}
+
+// home returns the member of a group whose arena its batch lands in: the
+// first owned member, -1 when the group has none.
+func (io *DeliveryRound) home(g *groupBatch) int {
+	if io.Lo == 0 && io.Hi == io.P {
+		return g.first()
+	}
+	for _, off := range g.offsets {
+		if d := g.base + off; d >= io.Lo && d < io.Hi {
+			return d
+		}
+	}
+	return -1
 }
 
 // pending returns what sender em holds for destination d: its own batches,
@@ -195,8 +231,8 @@ type region struct {
 
 // land fills destination d's arena without listing anything: first its own
 // batches and the broadcasts, in delivery order, then one region per (group,
-// kind) for the groups d is the first member of. Every batch landed in a
-// region records where, for its members to list.
+// kind) for the groups d is the home of. Every batch landed in a region
+// records where, for its members to list.
 func (io *DeliveryRound) land(d int, ib *Inbox) {
 	regions, total := ib.regions[:0], 0
 	for _, em := range io.Senders {
@@ -208,10 +244,10 @@ func (io *DeliveryRound) land(d int, ib *Inbox) {
 			total += len(b.vals)
 		}
 		for _, ref := range refs {
-			if !ref.first {
+			g := &em.groups[ref.idx]
+			if g.home != d {
 				continue
 			}
-			g := &em.groups[ref.idx]
 			g.region = -1
 			for i := range regions {
 				if r := &regions[i]; r.kind == g.kind && r.arity == g.arity && g.targets(r.base, r.offsets) {
@@ -240,8 +276,7 @@ func (io *DeliveryRound) land(d int, ib *Inbox) {
 			next += copy(ib.arena[next:], b.vals)
 		}
 		for _, ref := range refs {
-			if ref.first {
-				g := &em.groups[ref.idx]
+			if g := &em.groups[ref.idx]; g.home == d {
 				g.landed = regions[g.region].next
 				regions[g.region].next += copy(ib.arena[g.landed:], g.vals)
 			}
@@ -256,7 +291,7 @@ func (io *DeliveryRound) land(d int, ib *Inbox) {
 // delivery order: per sender, its own batches to d and its group batches d is
 // a member of, merged in the order the sender opened them, then its
 // broadcasts. Own batches and broadcasts sit in d's arena in exactly this
-// order; a group batch sits where its first member landed it.
+// order; a group batch sits where its home landed it.
 func (io *DeliveryRound) list(d int, ib *Inbox) {
 	next, values := 0, 0
 	landed := func(b *outBatch) {
@@ -271,7 +306,7 @@ func (io *DeliveryRound) list(d int, ib *Inbox) {
 				landed(&own[listed])
 			}
 			g := &em.groups[ref.idx]
-			owner := io.Inboxes[g.first()]
+			owner := io.Inboxes[g.home]
 			if owner == ib {
 				owner = nil
 			}
@@ -416,6 +451,50 @@ func NewClusterNet(t Transport, p, bitsPerValue int) *Cluster {
 			panic(fmt.Errorf("engine: transport attach failed: %w", err))
 		}
 		c.link = link
+		c.lo, c.hi = link.Owned(p)
 	}
 	return c
+}
+
+// GatherRound is one output gather of a cluster: the per-server parts of a
+// computation phase's output, rows of Arity values each, of which this
+// process holds those of the servers it owns (Link.Owned).
+type GatherRound struct {
+	Seq          int // the cluster's gathers before this one
+	P            int
+	Arity        int
+	BitsPerValue int
+	Parts        [][]int64
+
+	// Ctx and Trace are the run's, as on DeliveryRound.
+	Ctx   context.Context
+	Trace *obs.Trace
+}
+
+// Gather returns one relation holding every server's part of a computation
+// phase's output, in server order — Concat's result. When another process
+// owns some of the servers, the owned parts are exchanged with it over the
+// link first, once, after the phase: every process then holds the same
+// relation. The exchange is not a round of the model: it charges nothing
+// and appears in no RoundStats. A nil part is empty; parts of servers this
+// process does not own are ignored.
+func (c *Cluster) Gather(name string, arity int, parts []*data.Relation) *data.Relation {
+	if c.link == nil || (c.lo == 0 && c.hi == c.p) {
+		return Concat(name, arity, parts)
+	}
+	g := &GatherRound{
+		Seq: c.gathers, P: c.p, Arity: arity, BitsPerValue: c.bitsPerValue,
+		Parts: make([][]int64, c.p), Ctx: c.runCtx, Trace: c.runTrace,
+	}
+	c.gathers++
+	for s := c.lo; s < c.hi; s++ {
+		if parts[s] != nil {
+			g.Parts[s] = parts[s].Vals()
+		}
+	}
+	vals, err := c.link.Gather(g)
+	if err != nil {
+		panic(fmt.Errorf("engine: output gather %d failed: %w", g.Seq, err))
+	}
+	return data.FromVals(name, arity, vals)
 }

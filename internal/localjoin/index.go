@@ -156,6 +156,8 @@ type IndexCache struct {
 	mu sync.Mutex
 	m  map[indexKey]*cacheEntry
 
+	servers int // servers of the phase's cluster, for the fragment observer
+
 	hits, misses int
 }
 
@@ -180,8 +182,9 @@ func NewIndexCache() *IndexCache {
 // worker's private scratch, as a view of the fragment, with no cache
 // traffic. A nil *Shared shares nothing.
 type Shared struct {
-	cache *IndexCache
-	ids   []uint64
+	cache  *IndexCache
+	server int
+	ids    []uint64
 }
 
 // Share returns the scratch's handle on cache for one server of a grid whose
@@ -192,7 +195,7 @@ type Shared struct {
 // any other way than routes[j]. The handle is valid until the scratch's next
 // Share.
 func (s *Scratch) Share(cache *IndexCache, routes []*hashing.Route, offset, server int) *Shared {
-	s.shared.cache = cache
+	s.shared.cache, s.shared.server = cache, server
 	s.shared.ids = s.shared.ids[:0]
 	for _, r := range routes {
 		id := uint64(0)

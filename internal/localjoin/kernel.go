@@ -236,7 +236,7 @@ func checkInputs(q *query.Query, rels []*data.Relation, sh *Shared) (empty bool)
 	if observe := fragmentObserver.Load(); observe != nil && sh != nil {
 		for j, id := range sh.ids {
 			if id != 0 {
-				(*observe)(sh.cache, j, id, rels[j].Vals())
+				(*observe)(sh.cache, sh.cache.servers, sh.server, j, id, rels[j].Vals())
 			}
 		}
 	}

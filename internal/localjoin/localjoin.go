@@ -51,13 +51,14 @@ var verifyShared atomic.Bool
 func VerifySharedForTest(on bool) { verifyShared.Store(on) }
 
 // fragmentObserver, when set, is shown every fragment a server presents under
-// a non-zero id, before the evaluation looks at it.
-var fragmentObserver atomic.Pointer[func(cache *IndexCache, atom int, id uint64, vals []int64)]
+// a non-zero id, before the evaluation looks at it, with the server and the
+// number of servers of its cluster.
+var fragmentObserver atomic.Pointer[func(cache *IndexCache, servers, server, atom int, id uint64, vals []int64)]
 
 // ObserveFragmentsForTest installs fn (nil removes it) as that observer; the
 // phase's workers call it concurrently. It exists for the provenance tests
 // only.
-func ObserveFragmentsForTest(fn func(cache *IndexCache, atom int, id uint64, vals []int64)) {
+func ObserveFragmentsForTest(fn func(cache *IndexCache, servers, server, atom int, id uint64, vals []int64)) {
 	if fn == nil {
 		fragmentObserver.Store(nil)
 		return

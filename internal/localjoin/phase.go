@@ -13,7 +13,7 @@ import (
 type Sharing func(server int) (routes []*hashing.Route, offset int)
 
 // Phase is the computation phase of a round (Section 2.1: local work reads
-// only what the server received). For every server of cluster with a
+// only what the server received). For every owned server of cluster with a
 // non-empty inbox it hands fn the worker's scratch, the server's atom
 // fragments read from its inbox (message kinds are atom indices) and the
 // server's handle on the phase's index cache, built from sharing. The
@@ -22,9 +22,9 @@ type Sharing func(server int) (routes []*hashing.Route, offset int)
 func Phase(cluster *engine.Cluster, q *query.Query, sharing Sharing,
 	fn func(server int, sc *Scratch, frags []*data.Relation, sh *Shared)) {
 	cache := NewIndexCache()
+	cache.servers = cluster.P()
 	scratches := NewWorkerScratches()
-	cluster.Compute(func(s, w int) {
-		ib := cluster.Inbox(s)
+	cluster.Compute(func(s int, ib *engine.Inbox, w int) {
 		if ib.NumTuples() == 0 {
 			return
 		}
@@ -40,12 +40,14 @@ func Phase(cluster *engine.Cluster, q *query.Query, sharing Sharing,
 }
 
 // Output runs Phase as a plain join and returns q's output: every server's
-// rows, in ascending server order. keep, when non-nil, gives a server's
-// output-row predicate (a nil predicate keeps every row) — the per-group
-// output classes of the skew algorithms. With env.Sink set the output is
-// never materialized: each server's rows stream through the sink in chunks
-// of env.StreamChunk rows (<= 0: engine.DefaultStreamChunk) and Output
-// returns nil; the rows and their order are the same either way.
+// rows, in ascending server order, gathered from the processes that own
+// them (Cluster.Gather). keep, when non-nil, gives a server's output-row
+// predicate (a nil predicate keeps every row) — the per-group output
+// classes of the skew algorithms. With env.Sink set the output is never
+// materialized nor gathered: each owned server's rows stream through this
+// process's sink in chunks of env.StreamChunk rows (<= 0:
+// engine.DefaultStreamChunk) and Output returns nil; the rows and their
+// order are the same either way.
 func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, sharing Sharing,
 	keep func(server int) func(row []int64) bool) *data.Relation {
 	arity := q.NumVars()
@@ -78,7 +80,7 @@ func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, sharing Sha
 		}
 		parts[s] = out
 	})
-	return engine.Concat(q.Name, arity, parts)
+	return cluster.Gather(q.Name, arity, parts)
 }
 
 // compact moves the rows of vals that keep accepts to its front, in order,

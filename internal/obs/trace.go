@@ -145,9 +145,11 @@ type RoundObservation struct {
 	DeliverStart   time.Time
 	DeliverSeconds float64
 
-	// ServerComputeSeconds[s] is server s's emit/compute closure time;
-	// DestDeliverSeconds[d] is destination d's local assembly time (zeros
-	// under a network link, which delivers remotely).
+	// ServerComputeSeconds[i] is server FirstServer+i's emit closure time:
+	// the servers this process evaluated, all of them unless a transport
+	// gave other processes a share. DestDeliverSeconds[d] is destination
+	// d's local assembly time (zero where this process landed nothing).
+	FirstServer          int
 	ServerComputeSeconds []float64
 	DestDeliverSeconds   []float64
 
@@ -171,10 +173,13 @@ type RoundObservation struct {
 }
 
 // ComputePhase is one Cluster.Compute call (a local computation phase
-// between rounds).
+// between rounds). ServerSeconds[i] is server FirstServer+i's share of it,
+// as ServerComputeSeconds is a round's.
 type ComputePhase struct {
-	Start   time.Time
-	Seconds float64
+	Start         time.Time
+	Seconds       float64
+	FirstServer   int
+	ServerSeconds []float64
 }
 
 // ObserveRound appends one round's record. Slices are copied, so callers
@@ -192,14 +197,18 @@ func (ct *ClusterTrace) ObserveRound(ro RoundObservation) {
 	ct.rounds = append(ct.rounds, ro)
 }
 
-// ObserveCompute appends one local computation phase.
-func (ct *ClusterTrace) ObserveCompute(start time.Time, seconds float64) {
+// ObserveCompute appends one local computation phase, with the time each
+// evaluated server took, the first of them being firstServer. The slice is
+// copied.
+func (ct *ClusterTrace) ObserveCompute(start time.Time, seconds float64, firstServer int, serverSeconds []float64) {
 	if ct == nil {
 		return
 	}
+	cp := ComputePhase{Start: start, Seconds: seconds, FirstServer: firstServer,
+		ServerSeconds: append([]float64(nil), serverSeconds...)}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	ct.computePhases = append(ct.computePhases, ComputePhase{Start: start, Seconds: seconds})
+	ct.computePhases = append(ct.computePhases, cp)
 }
 
 // ObserveKernelCache accumulates the join-kernel IndexCache totals of one
@@ -351,11 +360,17 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 				Pid: ct.id, Tid: 0,
 				Args: deliverArgs,
 			})
-			for s, secs := range ro.ServerComputeSeconds {
-				ev := chromeEvent{
-					Name: "emit", Cat: "server", Ph: "X",
-					Ts: t.micros(ro.ComputeStart), Dur: secs * 1e6,
-					Pid: ct.id, Tid: s + 1,
+			// One emit span per evaluated server, carrying what the server
+			// received this round; a server another process evaluated gets
+			// an instant at the delivery instead, carrying the same
+			// accounting, so the per-server receive totals cover all p.
+			last := ro.FirstServer + len(ro.ServerComputeSeconds)
+			for s := range max(len(ro.RecvBits), last) {
+				ev := chromeEvent{Name: "emit", Cat: "server", Pid: ct.id, Tid: s + 1}
+				if s >= ro.FirstServer && s < last {
+					ev.Ph, ev.Ts, ev.Dur = "X", t.micros(ro.ComputeStart), ro.ServerComputeSeconds[s-ro.FirstServer]*1e6
+				} else {
+					ev.Ph, ev.S, ev.Ts = "i", "t", t.micros(ro.DeliverStart)
 				}
 				if s < len(ro.RecvBits) {
 					ev.Args = map[string]any{"recv_bits": ro.RecvBits[s], "recv_tuples": ro.RecvTuples[s]}
@@ -379,6 +394,13 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 				Ts: t.micros(cp.Start), Dur: cp.Seconds * 1e6,
 				Pid: ct.id, Tid: 0,
 			})
+			for i, secs := range cp.ServerSeconds {
+				evs = append(evs, chromeEvent{
+					Name: "compute", Cat: "server", Ph: "X",
+					Ts: t.micros(cp.Start), Dur: secs * 1e6,
+					Pid: ct.id, Tid: cp.FirstServer + i + 1,
+				})
+			}
 		}
 		if ct.kernelSamples > 0 {
 			evs = append(evs, chromeEvent{

@@ -22,7 +22,7 @@ func populate(t *Trace) {
 		MaxRecvBits:          400, TotalRecvBits: 1000,
 		MaxRecvTuples: 4, TotalRecvTuples: 10,
 	})
-	ct.ObserveCompute(now.Add(20*time.Millisecond), 0.002)
+	ct.ObserveCompute(now.Add(20*time.Millisecond), 0.002, 0, nil)
 	ct.ObserveKernelCache(5, 3)
 	t.Instant("drift", KV{"strategy", "hypercube"}, KV{"round", "1"})
 	t.ObserveWire(WireObservation{DataFrames: 7, WireBytes: 512})
@@ -147,7 +147,7 @@ func TestNilTraceObservationsNoOp(t *testing.T) {
 		t.Fatal("nil trace must hand out nil cluster sinks")
 	}
 	ct.ObserveRound(RoundObservation{Name: "x"})
-	ct.ObserveCompute(time.Time{}, 1)
+	ct.ObserveCompute(time.Time{}, 1, 0, nil)
 	ct.ObserveKernelCache(1, 1)
 	tr.Instant("x")
 	tr.ObserveWire(WireObservation{})

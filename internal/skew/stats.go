@@ -154,11 +154,17 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 			}
 		}
 	})
+	// Every server received the same broadcasts: read them from an owned
+	// server's inbox, or, owning none, from the round's staging.
+	each := cluster.EachBroadcast
+	if lo, hi := cluster.Owned(); lo < hi {
+		each = cluster.Inbox(lo).Each
+	}
 	perAtom := make([]map[int64]int, l)
 	for j := range perAtom {
-		perAtom[j] = make(map[int64]int, cluster.Inbox(0).NumTuples())
+		perAtom[j] = make(map[int64]int)
 	}
-	cluster.Inbox(0).Each(func(kind int, tuple []int64) { // all servers hold the same broadcasts
+	each(func(kind int, tuple []int64) {
 		perAtom[kind][tuple[0]] += int(tuple[1])
 	})
 	return &StatsResult{PerAtom: perAtom, Round: st}

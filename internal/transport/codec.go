@@ -5,19 +5,24 @@
 //   - Inproc: today's sharded, zero-copy, in-memory delivery — the default.
 //   - TCP sessions (Dial): N real OS processes (or N goroutines over real
 //     loopback sockets) executing the same strategy in SPMD style, with
-//     every charged bit serialized through the wire codec below and every
-//     inbox landed exclusively from received records.
+//     every bit a server receives from another rank serialized through the
+//     wire codec below.
 //
-// The distributed protocol is replicated compute, partitioned wire: every
-// rank runs the full strategy deterministically (all p model servers'
-// round functions and compute phases), but each model server's staging is
-// serialized — one record per (server, round) — and sent by exactly one
-// owning rank, to all ranks (itself included, over a real socket). Every
-// rank restages each server from the records it received and lands the
-// round through engine.DeliverLocal, so the wire is load-bearing for
-// correctness — a dropped or corrupted frame changes the answer, it does
-// not just skew a counter. RoundStats are recomputed identically at every
-// rank from the landed inboxes, so no statistics exchange is needed and
+// The distributed protocol is owner-computes: every rank plans the whole
+// run, but the p model servers of a cluster are block-partitioned over the
+// ranks (ownedRange), and a rank seeds, evaluates and lands only the
+// servers it owns. Each round, a rank serializes its senders' staging — one
+// record per (server, round) and peer — and ships a peer only the items
+// with a destination that peer owns: a batch to its destination's owner, a
+// subcube batch to every rank owning a member, a broadcast to every rank.
+// Its own senders' staging it lands directly. A receiving rank restages
+// each remote sender from the records it received and lands the round
+// through engine.DeliverLocal, so the wire is load-bearing for correctness
+// — a dropped or corrupted frame changes the answer, it does not just skew
+// a counter. Every round-end frame declares what the sending rank's senders
+// sent each of the p destinations, so every rank meters the whole round,
+// and identical RoundStats, at every rank. After a computation phase the
+// ranks all-gather the owned servers' output parts once (Link.Gather), so
 // every rank produces the identical Report.
 package transport
 
@@ -25,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"mpcquery/internal/engine"
@@ -36,9 +42,18 @@ import (
 const (
 	frameHello    byte = 1 // body: magic u32, version u32, rank u32, epoch u32
 	frameRecord   byte = 2 // body: cluster u32, round u32, seq u32, sender u32, items u32, then the items
-	frameRoundEnd byte = 3 // body: cluster u32, round u32, frames u32
+	frameRoundEnd byte = 3 // body: cluster u32, round u32, frames u32, then per server values u32, tuples u32
 	frameCtrl     byte = 4 // body: kind u32, gen u32, flags u32
 )
+
+// helloFrameLen is the length prefix of a hello frame, the first frame of
+// every connection: a type byte and four u32 fields.
+const helloFrameLen = 1 + 16
+
+// gatherRound numbers the exchange of a cluster's gather seq apart from its
+// rounds: an output gather travels as record frames and a round-end, as a
+// round does, each part of server s an item of s's record addressed to s.
+func gatherRound(seq int) uint32 { return 1<<31 | uint32(seq) }
 
 // Control-frame kinds (frameCtrl). They carry the recovery supervisor's
 // cross-rank barriers: after every attempt each rank announces its outcome
@@ -57,11 +72,13 @@ const ctrlOK uint32 = 1
 
 const (
 	helloMagic uint32 = 0x4d504351 // "MPCQ"
-	// helloVersion 3 replaced the per-batch data frame with the per-sender
-	// record frame; version 2 added the hello epoch field and the frameCtrl
-	// frame type (recovery barriers). Older peers are refused at the
-	// handshake.
-	helloVersion uint32 = 3
+	// helloVersion 4 made the protocol owner-computes: records are routed to
+	// the owners of their destinations, round-ends declare per-destination
+	// counts, and output gathers close computation phases. Version 3
+	// replaced the per-batch data frame with the per-sender record frame;
+	// version 2 added the hello epoch field and the frameCtrl frame type
+	// (recovery barriers). Older peers are refused at the handshake.
+	helloVersion uint32 = 4
 )
 
 // recordHeaderLen is the fixed part of a record frame's body: cluster(4),
@@ -122,6 +139,7 @@ type frame struct {
 	cluster uint32 // frameRoundEnd
 	round   uint32 // frameRoundEnd
 	frames  uint32 // frameRoundEnd
+	counts  []byte // frameRoundEnd: per server, values u32 and tuples u32
 
 	ckind uint32 // frameCtrl: ctrlOutcome or ctrlReady
 	gen   uint32 // frameCtrl: the attempt epoch the barrier belongs to
@@ -141,19 +159,13 @@ func widthFor(bitsPerValue int, vals []int64) uint8 {
 	if w > 8 {
 		w = 8
 	}
-	var maxv int64
+	// The OR of the values has the largest value's top bit, and the sign
+	// bit when any value is negative.
+	var acc uint64
 	for _, v := range vals {
-		if v < 0 {
-			return 8
-		}
-		if v > maxv {
-			maxv = v
-		}
+		acc |= uint64(v)
 	}
-	for w < 8 && maxv >= int64(1)<<(8*w) {
-		w++
-	}
-	return uint8(w)
+	return uint8(max(w, uint(bits.Len64(acc)+7)/8))
 }
 
 // appendValues appends vals to dst, width bytes per value, little-endian.
@@ -304,14 +316,26 @@ func (w *recordWriter) close() {
 
 // appendRoundEnd serializes the barrier frame a rank sends after the last
 // record frame of one (cluster, round): frames declares how many record
-// frames preceded it, so receivers know when the round is complete.
-func appendRoundEnd(dst []byte, cluster, round, frames uint32) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, 1+12)
+// frames preceded it, so receivers know when the round is complete, and
+// counts — values then tuples, for every server — what the rank's senders
+// sent each server this round, or, closing a gather, each owned server's
+// part.
+func appendRoundEnd(dst []byte, cluster, round, frames uint32, counts []uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+12+4*len(counts)))
 	dst = append(dst, frameRoundEnd)
 	dst = binary.LittleEndian.AppendUint32(dst, cluster)
 	dst = binary.LittleEndian.AppendUint32(dst, round)
 	dst = binary.LittleEndian.AppendUint32(dst, frames)
+	for _, c := range counts {
+		dst = binary.LittleEndian.AppendUint32(dst, c)
+	}
 	return dst
+}
+
+// roundEndCount reads server s's declared (values, tuples) from a
+// round-end's counts.
+func roundEndCount(counts []byte, s int) (values, tuples int) {
+	return int(binary.LittleEndian.Uint32(counts[8*s:])), int(binary.LittleEndian.Uint32(counts[8*s+4:]))
 }
 
 // appendHello serializes the handshake frame, the first frame on every
@@ -320,7 +344,7 @@ func appendRoundEnd(dst []byte, cluster, round, frames uint32) []byte {
 // the dialer's attempt epoch so a connection opened mid-replay starts at
 // the right generation.
 func appendHello(dst []byte, rank, epoch uint32) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, 1+16)
+	dst = binary.LittleEndian.AppendUint32(dst, helloFrameLen)
 	dst = append(dst, frameHello)
 	dst = binary.LittleEndian.AppendUint32(dst, helloMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, helloVersion)
@@ -378,12 +402,13 @@ func decodeFrame(body []byte) (frame, error) {
 		}
 		return f, nil
 	case frameRoundEnd:
-		if len(rest) != 12 {
-			return f, fmt.Errorf("%w: round-end body is %d bytes, want 12", errMalformed, len(rest))
+		if len(rest) < 12 || (len(rest)-12)%8 != 0 {
+			return f, fmt.Errorf("%w: round-end body is %d bytes, want 12 + 8 per server", errMalformed, len(rest))
 		}
 		f.cluster = binary.LittleEndian.Uint32(rest[0:4])
 		f.round = binary.LittleEndian.Uint32(rest[4:8])
 		f.frames = binary.LittleEndian.Uint32(rest[8:12])
+		f.counts = rest[12:]
 		return f, nil
 	case frameRecord:
 		if len(rest) < recordHeaderLen {
@@ -524,6 +549,55 @@ func (r *replayer) record(rec *recordFrame, em *engine.Emitter) error {
 		decodeValues(dst, payload, width)
 		r.arity = arity
 		body = payload[size:]
+	}
+	if len(body) > 0 {
+		return fmt.Errorf("%w: %d bytes after the last item", errMalformed, len(body))
+	}
+	return nil
+}
+
+// gatherItems walks the items of one record frame of an output gather, each
+// an itemBatch of the gather's arity addressed to the frame's own sender, or
+// the continuation of one, and calls fn with every item's payload, width
+// and value count. An item of another shape, a truncated header or payload,
+// or bytes after the last item is malformed.
+func gatherItems(rec *recordFrame, arity int, fn func(payload []byte, width, n int) error) error {
+	body := rec.Body
+	for i := uint32(0); i < rec.Items; i++ {
+		if len(body) < minItemLen {
+			return fmt.Errorf("%w: item %d: header truncated", errMalformed, i)
+		}
+		tag, width := body[0], int(body[1])
+		h := header{buf: body[2:]}
+		a, count := h.next(), h.next()
+		switch tag {
+		case itemBatch:
+			if _, dest := h.next(), h.next(); dest != int(rec.Sender) && !h.bad {
+				return fmt.Errorf("%w: item %d: a part of server %d addressed to %d", errMalformed, i, rec.Sender, dest)
+			}
+		case itemMore:
+		default:
+			return fmt.Errorf("%w: item %d: tag %d in a gather", errMalformed, i, tag)
+		}
+		switch {
+		case h.bad:
+			return fmt.Errorf("%w: item %d: header truncated or out of range", errMalformed, i)
+		case width < 1 || width > 8:
+			return fmt.Errorf("%w: item %d: width %d out of range [1,8]", errMalformed, i, width)
+		case a != arity:
+			return fmt.Errorf("%w: item %d: arity %d, the gather's is %d", errMalformed, i, a, arity)
+		case count == 0:
+			return fmt.Errorf("%w: item %d: no tuples", errMalformed, i)
+		}
+		n := count * arity
+		size := n * width
+		if len(h.buf) < size {
+			return fmt.Errorf("%w: item %d: payload is %d bytes, header declares %d", errMalformed, i, len(h.buf), size)
+		}
+		if err := fn(h.buf[:size], width, n); err != nil {
+			return err
+		}
+		body = h.buf[size:]
 	}
 	if len(body) > 0 {
 		return fmt.Errorf("%w: %d bytes after the last item", errMalformed, len(body))

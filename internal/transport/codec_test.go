@@ -61,7 +61,7 @@ func randValue(rng *rand.Rand, bpv int) int64 {
 // land delivers the round staged on em, its only sender, to p servers
 // through DeliverLocal and renders every inbox and its accounting.
 func land(em *engine.Emitter, p, bpv int) string {
-	round := &engine.DeliveryRound{P: p, BitsPerValue: bpv, Senders: []*engine.Emitter{em},
+	round := &engine.DeliveryRound{P: p, BitsPerValue: bpv, Senders: []*engine.Emitter{em}, Hi: p,
 		Inboxes: make([]*engine.Inbox, p), RecvBits: make([]float64, p), RecvTuples: make([]int, p)}
 	for d := range round.Inboxes {
 		round.Inboxes[d] = &engine.Inbox{}
@@ -194,10 +194,15 @@ func TestCodecControlRoundTrip(t *testing.T) {
 	if err != nil || f.typ != frameHello || f.rank != 7 || f.epoch != 2 {
 		t.Fatalf("hello round-trip: %+v, %v", f, err)
 	}
-	enc = appendRoundEnd(nil, 3, 9, 42)
+	enc = appendRoundEnd(nil, 3, 9, 42, []uint32{5, 1, 0, 0, 1 << 31, 7})
 	f, err = decodeFrame(enc[4:])
-	if err != nil || f.typ != frameRoundEnd || f.cluster != 3 || f.round != 9 || f.frames != 42 {
+	if err != nil || f.typ != frameRoundEnd || f.cluster != 3 || f.round != 9 || f.frames != 42 || len(f.counts) != 24 {
 		t.Fatalf("round-end round-trip: %+v, %v", f, err)
+	}
+	for s, want := range [][2]int{{5, 1}, {0, 0}, {1 << 31, 7}} {
+		if v, tu := roundEndCount(f.counts, s); v != want[0] || tu != want[1] {
+			t.Errorf("round-end server %d: (%d, %d), want %v", s, v, tu, want)
+		}
 	}
 	enc = appendCtrl(nil, ctrlOutcome, 5, ctrlOK)
 	f, err = decodeFrame(enc[4:])
@@ -263,6 +268,7 @@ func TestDecodeMalformed(t *testing.T) {
 		"hello bad magic":  append([]byte{frameHello}, make([]byte, 16)...),
 		"hello version 2":  mutate(appendHello(nil, 1, 0)[4:], 1+4, 2),
 		"round-end short":  {frameRoundEnd, 1},
+		"round-end ragged": appendRoundEnd(nil, 1, 2, 3, []uint32{4, 2, 1})[4:],
 		"record no header": {frameRecord, 1, 2, 3},
 		"record items lie": mutate(valid, 1+16, 0xff, 0xff, 0xff, 0xff),
 	}

@@ -11,6 +11,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mpcquery/internal/engine"
@@ -202,6 +203,23 @@ type localLink struct {
 	lt    *localTransport
 	id    uint32
 	inner engine.Link
+}
+
+// Owned implements engine.Link: the inner link's share, all of it in
+// process.
+func (l *localLink) Owned(p int) (lo, hi int) {
+	if l.inner != nil {
+		return l.inner.Owned(p)
+	}
+	return 0, p
+}
+
+// Gather implements engine.Link through the inner link, if any.
+func (l *localLink) Gather(g *engine.GatherRound) ([]int64, error) {
+	if l.inner != nil {
+		return l.inner.Gather(g)
+	}
+	return slices.Concat(g.Parts...), nil
 }
 
 func (l *localLink) Close() error {

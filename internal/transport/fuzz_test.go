@@ -20,7 +20,11 @@ const fuzzServers = 6
 // corpus under testdata/fuzz/FuzzFrameDecode pins regression inputs.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendHello(nil, 3, 0)[4:])
-	f.Add(appendRoundEnd(nil, 1, 2, 3)[4:])
+	f.Add(appendRoundEnd(nil, 1, 2, 3, make([]uint32, 2*fuzzServers))[4:])
+	// A round-end whose counts are not 8 bytes a server, and one declaring
+	// counts for the wrong number of servers.
+	f.Add(appendRoundEnd(nil, 1, 2, 3, []uint32{4, 2, 1})[4:])
+	f.Add(appendRoundEnd(nil, 1, 2, 3, []uint32{4, 2, 1, 1})[4:])
 	f.Add(appendCtrl(nil, ctrlOutcome, 1, ctrlOK)[4:])
 	f.Add(appendCtrl(nil, ctrlReady, 2, 1)[4:])
 	f.Add(rawRecord(2, rawItem(itemBatch, 2, []uint64{2, 2, 0, 5}, []byte{1, 0, 2, 0, 3, 0, 4, 0}))[4:])
@@ -33,10 +37,21 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(rawRecord(1, rawItem(itemGroup, 1, []uint64{1, 1, 0, 4, 2, 0, 2}, []byte{1}))[4:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)
+		l := &tcpLink{s: &Session{n: 1}, p: fuzzServers}
+		if err == nil && fr.typ == frameRoundEnd {
+			if err := l.checkCounts(0, fr.counts, fr.round); err != nil {
+				if !errors.Is(err, errMalformed) {
+					t.Fatalf("round-end counts failed with %v, not a malformed-frame error", err)
+				}
+				return
+			}
+			for d := 0; d < fuzzServers; d++ {
+				roundEndCount(fr.counts, d)
+			}
+		}
 		if err != nil || fr.typ != frameRecord {
 			return
 		}
-		l := &tcpLink{s: &Session{n: 1}}
 		if err := l.restage([][]recordFrame{{fr.rec}}, fuzzServers); err != nil {
 			if !errors.Is(err, errMalformed) {
 				t.Fatalf("replay failed with %v, not a malformed-frame error", err)
@@ -61,7 +76,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if values > len(body) {
 			t.Fatalf("staged %d values from a %d-byte frame", values, len(body))
 		}
-		round := &engine.DeliveryRound{P: fuzzServers, BitsPerValue: 8, Senders: senders,
+		round := &engine.DeliveryRound{P: fuzzServers, BitsPerValue: 8, Senders: senders, Hi: fuzzServers,
 			Inboxes:    make([]*engine.Inbox, fuzzServers),
 			RecvBits:   make([]float64, fuzzServers),
 			RecvTuples: make([]int, fuzzServers)}

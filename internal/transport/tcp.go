@@ -2,13 +2,14 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,37 +103,47 @@ func (o *Options) withDefaults() Options {
 // matter how many attempts it took. WireBytes stays monotone (those bytes
 // really crossed the wire).
 type WireStats struct {
-	// DataFrames counts unique record frames serialized: one per sender
-	// and round, more where the round's chunk size or the frame cap cut a
-	// record. Each is then shipped to every rank — see WireBytes.
+	// DataFrames counts the record frames of rounds shipped to peers: at
+	// most one per sender, round and peer that owns a destination of the
+	// sender's staging, more where the round's chunk size or the frame cap
+	// cut a record. A rank never ships a frame to itself.
 	DataFrames int64
 	// CtrlFrames counts hello, round-end and recovery-barrier frames
 	// actually sent.
 	CtrlFrames int64
 
-	// WireBytes is every byte handed to a socket, across all peers —
-	// data frames are counted once per peer shipped. Unlike the model
-	// counters below it is never rewound: injected torn writes,
-	// duplicates, resends and abandoned attempts all really happened.
+	// WireBytes is every byte handed to a socket, across all peers. Unlike
+	// the model counters below it is never rewound: injected torn writes,
+	// duplicates, resends and abandoned attempts all really happened. It
+	// covers the round frames (PayloadBytes + HeaderBytes, plus round-ends
+	// and control frames) and the output gathers (GatherBytes).
 	WireBytes int64
 
-	// PayloadBytes / HeaderBytes split one copy of all record frames into
-	// value payload and framing overhead (DataFrameOverheadBytes per frame
-	// plus every item's header).
+	// PayloadBytes / HeaderBytes split the record frames of rounds shipped
+	// to peers into value payload and framing overhead
+	// (DataFrameOverheadBytes per frame plus every item's header).
 	PayloadBytes int64
 	HeaderBytes  int64
 
 	// UnicastPayloadBytes and BroadcastPayloadBytes split PayloadBytes
-	// by delivery mode; a batch to a subcube is unicast, counted once.
+	// by delivery mode; a batch to a subcube is unicast, shipped once to
+	// every rank owning a member.
 	UnicastPayloadBytes   int64
 	BroadcastPayloadBytes int64
 
 	// BilledPayloadBytes weights each batch's payload by its number of
 	// model receivers: ×1 for a batch to one server, ×members for a batch
 	// to a subcube, ×p for a broadcast (the model charges every receiver;
-	// the wire ships one copy per rank). This is the wire-side quantity
-	// TotalBits is compared to.
+	// the wire ships at most one copy per rank). This is the wire-side
+	// quantity TotalBits is compared to.
 	BilledPayloadBytes int64
+
+	// GatherBytes is every byte of the output gathers this rank shipped:
+	// after a computation phase, the owned servers' output parts go to
+	// every peer once, so each rank can return the whole output. A gather
+	// is not a model round — none of it is charged or billed — and, like
+	// WireBytes, it is never rewound.
+	GatherBytes int64
 
 	// UnicastChargedBits / BroadcastChargedBits are the model bits
 	// charged for this rank's sends: count×arity×bitsPerValue per batch,
@@ -176,6 +187,7 @@ type wireCounters struct {
 	broadcastChargedBits  atomic.Int64
 	abandonedBytes        atomic.Int64
 	abandonedChargedBits  atomic.Int64
+	gatherBytes           atomic.Int64
 	faultsInjected        atomic.Int64
 	redials               atomic.Int64
 	resends               atomic.Int64
@@ -193,6 +205,7 @@ var (
 	obsPayloadBytes   = obs.Default().Counter("mpc_transport_payload_bytes_total")
 	obsBilledBytes    = obs.Default().Counter("mpc_transport_billed_payload_bytes_total")
 	obsAbandonedBytes = obs.Default().Counter("mpc_transport_abandoned_bytes_total")
+	obsGatherBytes    = obs.Default().Counter("mpc_transport_gather_bytes_total")
 	obsFaults         = obs.Default().Counter("mpc_faults_injected_total")
 	obsRedials        = obs.Default().Counter("mpc_transport_redials_total")
 	obsResends        = obs.Default().Counter("mpc_transport_resends_total")
@@ -212,6 +225,7 @@ func (c *wireCounters) snapshot() WireStats {
 		BroadcastChargedBits:  c.broadcastChargedBits.Load(),
 		AbandonedBytes:        c.abandonedBytes.Load(),
 		AbandonedChargedBits:  c.abandonedChargedBits.Load(),
+		GatherBytes:           c.gatherBytes.Load(),
 		FaultsInjected:        c.faultsInjected.Load(),
 		Redials:               c.redials.Load(),
 		Resends:               c.resends.Load(),
@@ -233,25 +247,32 @@ type clusterState struct {
 }
 
 // roundState accumulates one (cluster, round)'s frames per source rank,
-// in arrival order, until every rank has declared (via round-end) and
-// delivered its frame count.
+// in arrival order, until every other rank has declared (via round-end)
+// and delivered its frame count. A round or gather exchange needs nothing
+// from the receiving rank itself.
 type roundState struct {
 	byRank    [][]recordFrame
-	ends      []int64 // -1 until the rank's round-end arrives
-	assembled bool    // frames handed to Deliver; late duplicates are dropped
+	ends      []int64  // -1 until the rank's round-end arrives
+	counts    [][]byte // each rank's round-end counts
+	assembled bool     // frames handed to Deliver; late duplicates are dropped
 }
 
 func newRoundState(n int) *roundState {
-	rd := &roundState{byRank: make([][]recordFrame, n), ends: make([]int64, n)}
+	rd := &roundState{byRank: make([][]recordFrame, n), ends: make([]int64, n), counts: make([][]byte, n)}
 	for i := range rd.ends {
 		rd.ends[i] = -1
 	}
 	return rd
 }
 
-func (rd *roundState) complete(n int) bool {
+// pending reports whether rank r's frames of the round are still missing.
+func (rd *roundState) pending(r int) bool {
+	return rd.ends[r] < 0 || int64(len(rd.byRank[r])) != rd.ends[r]
+}
+
+func (rd *roundState) complete(n, self int) bool {
 	for r := 0; r < n; r++ {
-		if rd.ends[r] < 0 || int64(len(rd.byRank[r])) != rd.ends[r] {
+		if r != self && rd.pending(r) {
 			return false
 		}
 	}
@@ -268,11 +289,12 @@ type ctrlState struct {
 func ctrlKey(kind, gen uint32) uint64 { return uint64(kind)<<32 | uint64(gen) }
 
 // Session is one rank of a distributed run: a listener at addrs[rank], an
-// outgoing connection to every rank (itself included — self-delivery
-// crosses the real loopback socket, it is not short-circuited), and the
-// receive-side buffers that rounds are assembled from. A Session is an
-// engine.Transport; attach it via engine.NewClusterNet (or the public
-// WithRuntime option).
+// outgoing connection to every rank, and the receive-side buffers that
+// rounds are assembled from. Rounds and gathers travel only between
+// distinct ranks — a rank lands its own servers' staging directly — while
+// the recovery barriers below reach every rank, this one included, over its
+// socket. A Session is an engine.Transport; attach it via
+// engine.NewClusterNet (or the public WithRuntime option).
 //
 // All ranks must execute the same sequence of runs: cluster identities
 // are assigned by Attach order, and round payloads are only exchanged,
@@ -496,11 +518,12 @@ func (s *Session) Attach(p, bitsPerValue int) (engine.Link, error) {
 	if _, ok := s.clusters[id]; !ok {
 		s.clusters[id] = &clusterState{rounds: make(map[uint32]*roundState)}
 	}
-	return &tcpLink{s: s, id: id, bpv: bitsPerValue, maxBody: maxFrameLen}, nil
+	return newTCPLink(s, id, p, bitsPerValue), nil
 }
 
 // ownedRange block-partitions the p model servers across the n ranks:
-// rank owns (serializes and sends the emissions of) servers [lo, hi).
+// rank owns servers [lo, hi) — it seeds them, runs their round functions
+// and computation phases, ships their staging and lands their inboxes.
 func ownedRange(rank, ranks, p int) (lo, hi int) {
 	return rank * p / ranks, (rank + 1) * p / ranks
 }
@@ -599,20 +622,31 @@ func (s *Session) acceptLoop() {
 	}
 }
 
-// readFrame reads one length-prefixed frame and decodes it. The returned
-// frame's payload aliases a per-frame buffer, safe to retain.
-func readFrame(br *bufio.Reader) (frame, error) {
+// frameGrowStep bounds how far readFrame grows a frame body ahead of the
+// bytes that arrived: a length prefix alone never buys more memory.
+const frameGrowStep = 1 << 20
+
+// readFrame reads one length-prefixed frame of at most maxLen bytes and
+// decodes it. The body grows as its bytes arrive, frameGrowStep at a time,
+// so a peer that declares a large frame and stalls pins at most one step.
+// The returned frame's payload aliases a per-frame buffer, safe to retain.
+func readFrame(br *bufio.Reader, maxLen uint32) (frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n < 1 || n > maxFrameLen {
+	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
+	if n < 1 || n > int(maxLen) {
 		return frame{}, fmt.Errorf("%w: frame length %d", errMalformed, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return frame{}, err
+	body := make([]byte, 0, min(n, frameGrowStep))
+	for len(body) < n {
+		k := len(body)
+		step := min(n-k, frameGrowStep)
+		body = slices.Grow(body, step)[:k+step]
+		if _, err := io.ReadFull(br, body[k:]); err != nil {
+			return frame{}, err
+		}
 	}
 	return decodeFrame(body)
 }
@@ -621,7 +655,8 @@ func (s *Session) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer c.Close()
 	br := bufio.NewReaderSize(c, 1<<16)
-	f, err := readFrame(br)
+	// The first frame must be a hello: a longer one is refused unread.
+	f, err := readFrame(br, helloFrameLen)
 	if err != nil || f.typ != frameHello || int(f.rank) >= s.n {
 		// Not a valid peer handshake (or a health probe): drop the
 		// connection without poisoning the session — a stray connect must
@@ -635,7 +670,7 @@ func (s *Session) serveConn(c net.Conn) {
 	// ingest is needed.
 	connEpoch := int(f.epoch)
 	for {
-		f, err := readFrame(br)
+		f, err := readFrame(br, maxFrameLen)
 		if err != nil {
 			// Connection closed or broken mid-stream. Not fatal: the
 			// peer redials and resends on its side; sequence numbers
@@ -743,13 +778,14 @@ func (s *Session) ingest(peer int, f frame, connEpoch *int) error {
 			return nil
 		}
 		if rd.ends[peer] >= 0 {
-			if rd.ends[peer] != int64(f.frames) {
-				return fmt.Errorf("transport: rank %d: conflicting round-end for cluster %d round %d: %d vs %d",
+			if rd.ends[peer] != int64(f.frames) || !bytes.Equal(rd.counts[peer], f.counts) {
+				return fmt.Errorf("transport: rank %d: conflicting round-end for cluster %d round %d: %d vs %d frames",
 					peer, f.cluster, f.round, rd.ends[peer], f.frames)
 			}
 			return nil
 		}
 		rd.ends[peer] = int64(f.frames)
+		rd.counts[peer] = f.counts
 		s.cond.Broadcast()
 	case frameHello:
 		return fmt.Errorf("transport: rank %d: unexpected mid-stream hello", peer)
@@ -841,13 +877,13 @@ func (s *Session) writeFrames(r int, buf []byte, desc string, fi FaultInjector, 
 		ErrPeerUnavailable, s.rank, desc, r, s.addrs[r], lastErr)
 }
 
-// waitRound blocks until every rank's frames for (cluster, round) have
-// arrived, then claims them for assembly. It fails with ErrPeerUnavailable
-// on timeout (naming the pending peers) or as soon as any rank announces a
-// failed attempt over the outcome barrier, and honors ctx cancellation —
-// the barrier never resolves silently short, and a wedged round cannot
-// outlive its request.
-func (s *Session) waitRound(ctx context.Context, cluster, round uint32) ([][]recordFrame, error) {
+// waitRound blocks until every other rank's frames for (cluster, round)
+// have arrived, then claims them, and the ranks' round-end counts, for
+// assembly. It fails with ErrPeerUnavailable on timeout (naming the pending
+// peers) or as soon as any rank announces a failed attempt over the outcome
+// barrier, and honors ctx cancellation — the barrier never resolves
+// silently short, and a wedged round cannot outlive its request.
+func (s *Session) waitRound(ctx context.Context, cluster, round uint32) ([][]recordFrame, [][]byte, error) {
 	timeout := s.opts.RoundTimeout
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -869,34 +905,34 @@ func (s *Session) waitRound(ctx context.Context, cluster, round uint32) ([][]rec
 	rd := s.roundLocked(cluster, round)
 	for {
 		if s.fatal != nil {
-			return nil, s.fatal
+			return nil, nil, s.fatal
 		}
 		if s.closed {
-			return nil, ErrSessionClosed
+			return nil, nil, ErrSessionClosed
 		}
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("transport: rank %d: cluster %d round %d: %w", s.rank, cluster, round, err)
+				return nil, nil, fmt.Errorf("transport: rank %d: cluster %d round %d: %w", s.rank, cluster, round, err)
 			}
 		}
 		if r, aborted := s.abortedLocked(); aborted {
-			return nil, fmt.Errorf("%w: rank %d: cluster %d round %d aborted: peer %d (%s) announced a failed attempt",
+			return nil, nil, fmt.Errorf("%w: rank %d: cluster %d round %d aborted: peer %d (%s) announced a failed attempt",
 				ErrPeerUnavailable, s.rank, cluster, round, r, s.addrs[r])
 		}
-		if rd.complete(s.n) {
+		if rd.complete(s.n, s.rank) {
 			rd.assembled = true
-			frames := rd.byRank
-			rd.byRank = nil
-			return frames, nil
+			frames, counts := rd.byRank, rd.counts
+			rd.byRank, rd.counts = nil, nil
+			return frames, counts, nil
 		}
 		if !time.Now().Before(deadline) {
 			var pending []string
 			for r := 0; r < s.n; r++ {
-				if rd.ends[r] < 0 || int64(len(rd.byRank[r])) != rd.ends[r] {
+				if r != s.rank && rd.pending(r) {
 					pending = append(pending, fmt.Sprintf("%d (%s)", r, s.addrs[r]))
 				}
 			}
-			return nil, fmt.Errorf("%w: rank %d: cluster %d round %d incomplete after %v, pending peers: %s",
+			return nil, nil, fmt.Errorf("%w: rank %d: cluster %d round %d incomplete after %v, pending peers: %s",
 				ErrPeerUnavailable, s.rank, cluster, round, timeout, strings.Join(pending, ", "))
 		}
 		s.cond.Wait()
@@ -1092,206 +1128,4 @@ func (s *Session) ReadyBarrier() error {
 	}
 	_, err := s.waitCtrl(ctrlReady, gen, "ready")
 	return err
-}
-
-// tcpLink delivers the rounds of one cluster over the session.
-type tcpLink struct {
-	s       *Session
-	id      uint32
-	bpv     int
-	maxBody int          // frame body cap the record cutter works to
-	w       recordWriter // serialize state; its stream is reused across rounds
-
-	// Receive side, reused across rounds: every sender's frames of the
-	// round, the emitters the senders are restaged on (a set drawn from
-	// recvPool at the first round), one replayer per decoding worker, and
-	// every sender's replay error.
-	frames    [][]*recordFrame
-	recv      *[]*engine.Emitter
-	replayers []replayer
-	errs      []error
-}
-
-// recvPool recycles the receive-side emitter sets of released links, so a
-// link restages its rounds on staging buffers an earlier link grew, as the
-// engine's emitter pool does for senders.
-var recvPool = sync.Pool{New: func() any { return new([]*engine.Emitter) }}
-
-func (l *tcpLink) Close() error {
-	s := l.s
-	s.mu.Lock()
-	delete(s.clusters, l.id)
-	// Late frames for a released cluster (a slow peer's resend tail) must
-	// not re-materialize its state; retire the identity until a future
-	// Attach (or a rewound replay) legitimately reuses it.
-	s.retired[l.id] = true
-	s.mu.Unlock()
-	if l.recv != nil {
-		recvPool.Put(l.recv)
-		l.recv = nil
-	}
-	return nil
-}
-
-// Deliver implements one round of the SPMD protocol: serialize each owned
-// sender's staging as one record — a multicast batch once — and ship the
-// identical frame stream to every rank (self included, over the socket);
-// wait for all ranks' streams; restage every sender from the records
-// received alone, and land the round with engine.DeliverLocal. A TCP inbox
-// thus has the arena layout, spans and kind views of an in-process one.
-func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
-	s := l.s
-	if err := s.Err(); err != nil {
-		return err
-	}
-	round := uint32(io.Round)
-	fi, epoch := s.injectorAndEpoch()
-	var faults int64
-	if fi != nil {
-		delay, crash := fi.DeliverFault(s.rank, epoch, l.id, round)
-		if delay > 0 {
-			s.countFault(&faults)
-			io.Trace.Instant("fault_straggler",
-				obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, obs.KV{Key: "round", Value: fmt.Sprint(round)},
-				obs.KV{Key: "delay_ns", Value: fmt.Sprint(int64(delay))})
-			time.Sleep(delay)
-		}
-		if crash != nil {
-			s.countFault(&faults)
-			io.Trace.Instant("fault_crash",
-				obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, obs.KV{Key: "round", Value: fmt.Sprint(round)})
-			return fmt.Errorf("%w: rank %d: cluster %d round %d: injected crash: %w",
-				ErrPeerUnavailable, s.rank, l.id, round, crash)
-		}
-	}
-
-	// Serialize every owned sender's record, cut into frames of at most
-	// io.Chunk tuples. Each sender is restaged from its own records, so
-	// receivers do not depend on the order senders are written in.
-	w := &l.w
-	w.begin(l.id, round, l.maxBody, io.Chunk)
-	var payloadUni, payloadBc, billed int64
-	var bitsUni, bitsBc int64
-	lo, hi := ownedRange(s.rank, s.n, io.P)
-	for sv := lo; sv < hi; sv++ {
-		io.Senders[sv].WalkStaged(func(it engine.Staged) {
-			width := widthFor(l.bpv, it.Vals)
-			w.add(uint32(sv), &it, width)
-			pb := int64(len(it.Vals)) * int64(width)
-			cb := int64(len(it.Vals)) * int64(l.bpv)
-			switch {
-			case it.Offsets != nil:
-				// Shipped once; billed and charged to every member.
-				payloadUni += pb
-				billed += pb * int64(len(it.Offsets))
-				bitsUni += cb * int64(len(it.Offsets))
-			case it.Dest == engine.Broadcast:
-				payloadBc += pb
-				billed += pb * int64(io.P)
-				bitsBc += cb * int64(io.P)
-			default:
-				payloadUni += pb
-				billed += pb
-				bitsUni += cb
-			}
-		})
-		w.close()
-	}
-	frames := w.frames
-	w.buf = appendRoundEnd(w.buf, l.id, round, frames)
-	buf := w.buf
-
-	s.ctr.dataFrames.Add(int64(frames))
-	s.ctr.ctrlFrames.Add(int64(s.n))
-	s.ctr.payloadBytes.Add(payloadUni + payloadBc)
-	s.ctr.headerBytes.Add(w.headers)
-	s.ctr.unicastPayloadBytes.Add(payloadUni)
-	s.ctr.broadcastPayloadBytes.Add(payloadBc)
-	s.ctr.billedPayloadBytes.Add(billed)
-	s.ctr.unicastChargedBits.Add(bitsUni)
-	s.ctr.broadcastChargedBits.Add(bitsBc)
-	obsDataFrames.Add(int64(frames))
-	obsCtrlFrames.Add(int64(s.n))
-	obsPayloadBytes.Add(payloadUni + payloadBc)
-	obsBilledBytes.Add(billed)
-
-	desc := fmt.Sprintf("cluster %d round %d", l.id, round)
-	for r := 0; r < s.n; r++ {
-		if err := s.writeFrames(r, buf, desc, fi, epoch, l.id, round, &faults); err != nil {
-			return err
-		}
-	}
-	if faults > 0 {
-		io.Trace.Instant("faults_injected",
-			obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, obs.KV{Key: "round", Value: fmt.Sprint(round)},
-			obs.KV{Key: "count", Value: fmt.Sprint(faults)})
-	}
-
-	byRank, err := s.waitRound(io.Ctx, l.id, round)
-	if err != nil {
-		return err
-	}
-	if err := l.restage(byRank, io.P); err != nil {
-		s.setFatal(err)
-		return err
-	}
-	landed := *io
-	landed.Senders = (*l.recv)[:io.P]
-	engine.DeliverLocal(&landed)
-	return nil
-}
-
-// restage replays every sender's record frames on its receive-side
-// emitter, senders in parallel: a sender's frames all come from its owning
-// rank, in seq order. A rank may only send the records of the servers it
-// owns — a frame of any other server is malformed — and an item the replay
-// rejects is malformed too.
-func (l *tcpLink) restage(byRank [][]recordFrame, p int) error {
-	if l.recv == nil {
-		l.recv = recvPool.Get().(*[]*engine.Emitter)
-	}
-	for len(*l.recv) < p {
-		*l.recv = append(*l.recv, &engine.Emitter{})
-	}
-	if len(l.frames) < p {
-		l.frames = append(l.frames, make([][]*recordFrame, p-len(l.frames))...)
-		l.errs = append(l.errs, make([]error, p-len(l.errs))...)
-	}
-	for sv := range l.frames[:p] {
-		l.frames[sv] = l.frames[sv][:0]
-	}
-	for r := range byRank {
-		lo, hi := ownedRange(r, l.s.n, p)
-		for i := range byRank[r] {
-			f := &byRank[r][i]
-			if sv := int(f.Sender); sv < lo || sv >= hi {
-				return fmt.Errorf("%w: cluster %d round %d: rank %d sent a record of server %d, outside its servers [%d,%d)",
-					errMalformed, l.id, f.Round, r, sv, lo, hi)
-			}
-			l.frames[f.Sender] = append(l.frames[f.Sender], f)
-		}
-	}
-	for len(l.replayers) < runtime.GOMAXPROCS(0) {
-		l.replayers = append(l.replayers, replayer{})
-	}
-	recv := *l.recv
-	engine.ParallelForWorkers(p, func(sv, worker int) {
-		rp, em := &l.replayers[worker], recv[sv]
-		rp.start(p)
-		em.Restage(p)
-		l.errs[sv] = nil
-		for _, f := range l.frames[sv] {
-			if err := rp.record(f, em); err != nil {
-				l.errs[sv] = fmt.Errorf("cluster %d round %d, record of server %d: %w", l.id, f.Round, sv, err)
-				break
-			}
-		}
-		clear(l.frames[sv])
-	})
-	for _, err := range l.errs[:p] {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,47 +1,111 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mpcquery/internal/engine"
+	"mpcquery/internal/obs"
 )
 
-// snapshotCluster renders everything a delivery influences — every
-// server's inbox contents (kinds, arities, exact values, span structure)
-// and every round's statistics — so two runs can be compared for
-// bit-identity.
-func snapshotCluster(c *engine.Cluster) string {
-	var b strings.Builder
+// clusterView renders everything a delivery influences, as one process
+// sees it: every owned server's inbox contents (kinds, arities, exact
+// values, span structure, kind views), and the accounting of every round —
+// its statistics and the bits and tuples every one of the p servers
+// received — so two runs can be compared for bit-identity server by server.
+type clusterView struct {
+	servers []string // "" for a server another process owns
+	acct    string
+}
+
+// newClusterView renders c, whose rounds the trace tr observed.
+func newClusterView(c *engine.Cluster, tr *obs.Trace, render func(ib *engine.Inbox, b *strings.Builder)) clusterView {
+	v := clusterView{servers: make([]string, c.P())}
+	lo, hi := c.Owned()
 	for s := 0; s < c.P(); s++ {
 		ib := c.Inbox(s)
-		fmt.Fprintf(&b, "server %d: %d tuples, %d batches\n", s, ib.NumTuples(), ib.NumBatches())
-		ib.EachBatch(func(bt engine.Batch) {
-			fmt.Fprintf(&b, "  k%d a%d %v\n", bt.Kind, bt.Arity, bt.Vals)
-		})
+		switch {
+		case s >= lo && s < hi:
+			var b strings.Builder
+			render(ib, &b)
+			v.servers[s] = b.String()
+		case ib.NumTuples() > 0 || ib.NumBatches() > 0:
+			v.servers[s] = fmt.Sprintf("server %d, owned by another rank, holds %d tuples", s, ib.NumTuples())
+		}
 	}
+	var b strings.Builder
 	for i, rs := range c.Record(nil, 0).Rounds {
 		fmt.Fprintf(&b, "round %d %q: max=%x total=%x mt=%d tt=%d abort=%t\n",
 			i, rs.Name, rs.MaxRecvBits, rs.TotalRecvBits, rs.MaxRecvTuples, rs.TotalRecvTuples, rs.Aborted)
 	}
+	for i, ro := range c.Trace().Rounds() {
+		fmt.Fprintf(&b, "round %d recv bits %v tuples %v\n", i, ro.RecvBits, ro.RecvTuples)
+	}
 	fmt.Fprintf(&b, "totalbits=%x maxload=%x", c.Record(nil, 0).TotalBits(), c.Record(nil, 0).MaxLoadBits())
+	v.acct = b.String()
+	return v
+}
+
+// diff reports how v, one rank's view, departs from want, the in-process
+// view of every server: an owned inbox that differs, an inbox a rank holds
+// for a server it does not own, or different accounting. It returns "" when
+// they agree.
+func (v clusterView) diff(want clusterView) string {
+	var b strings.Builder
+	for s, got := range v.servers {
+		if got != "" && got != want.servers[s] {
+			fmt.Fprintf(&b, "server %d landed\n%s\nin process\n%s\n", s, got, want.servers[s])
+		}
+	}
+	if v.acct != want.acct {
+		fmt.Fprintf(&b, "accounting\n%s\nin process\n%s\n", v.acct, want.acct)
+	}
 	return b.String()
+}
+
+// owned counts the servers a view renders.
+func (v clusterView) owned() int {
+	n := 0
+	for _, s := range v.servers {
+		if s != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// renderBatches renders an inbox's batches in delivery order.
+func renderBatches(ib *engine.Inbox, b *strings.Builder) {
+	fmt.Fprintf(b, "%d tuples, %d batches\n", ib.NumTuples(), ib.NumBatches())
+	ib.EachBatch(func(bt engine.Batch) {
+		fmt.Fprintf(b, "  k%d a%d %v\n", bt.Kind, bt.Arity, bt.Vals)
+	})
+}
+
+// tracedCluster creates a cluster over tr whose rounds a fresh trace
+// observes.
+func tracedCluster(tr engine.Transport, p, bpv int) (*engine.Cluster, *obs.Trace) {
+	trace := obs.NewTrace()
+	return engine.NewClusterEnv(engine.Env{Net: tr, Trace: trace}, p, bpv), trace
 }
 
 // exerciseCluster drives a small but representative engine program:
 // unicast shuffles, a broadcast round, an empty round (barrier only), and
 // a round carrying annotation-width and negative values that force the
 // codec's width-widening path.
-func exerciseCluster(tr engine.Transport) (string, float64) {
+func exerciseCluster(tr engine.Transport) (clusterView, float64) {
 	const p, bpv = 5, 16
-	c := engine.NewClusterNet(tr, p, bpv)
+	c, trace := tracedCluster(tr, p, bpv)
 	defer c.Release()
 	for s := 0; s < p; s++ {
 		c.Seed(s, 0, []int64{int64(s), int64(s * 10)})
@@ -72,19 +136,21 @@ func exerciseCluster(tr engine.Transport) (string, float64) {
 			}
 		})
 	})
-	return snapshotCluster(c), c.Record(nil, 0).TotalBits()
+	return newClusterView(c, trace, renderBatches), c.Record(nil, 0).TotalBits()
 }
 
 // TestSessionMatchesLocalDelivery is the transport's core contract at the
-// engine level: the same program through 3 TCP-loopback ranks produces,
-// at every rank, inboxes and statistics bit-identical to the in-process
-// run — and the ranks' summed charged bits equal the engine's TotalBits.
+// engine level: the same program through 3 TCP-loopback ranks produces, at
+// every rank, owned inboxes and statistics bit-identical to the in-process
+// run, no inbox for a server another rank owns, and the receive accounting
+// of all p servers — and the ranks' summed charged bits equal the engine's
+// TotalBits.
 func TestSessionMatchesLocalDelivery(t *testing.T) {
 	wantSnap, wantBits := exerciseCluster(nil)
 
 	inprocSnap, inprocBits := exerciseCluster(Inproc())
-	if inprocSnap != wantSnap || inprocBits != wantBits {
-		t.Fatalf("Inproc transport diverged from nil transport:\n%s\nvs\n%s", inprocSnap, wantSnap)
+	if d := inprocSnap.diff(wantSnap); d != "" || inprocSnap.owned() != len(wantSnap.servers) || inprocBits != wantBits {
+		t.Fatalf("Inproc transport diverged from nil transport:\n%s", d)
 	}
 
 	const ranks = 3
@@ -92,7 +158,7 @@ func TestSessionMatchesLocalDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := make([]string, ranks)
+	snaps := make([]clusterView, ranks)
 	bits := make([]float64, ranks)
 	charged := make([]int64, ranks)
 	errs := make([]error, ranks)
@@ -118,10 +184,12 @@ func TestSessionMatchesLocalDelivery(t *testing.T) {
 		}
 	}
 	var chargedSum int64
+	owned := 0
 	for r := 0; r < ranks; r++ {
-		if snaps[r] != wantSnap {
-			t.Errorf("rank %d diverged from local delivery:\n%s\nvs\n%s", r, snaps[r], wantSnap)
+		if d := snaps[r].diff(wantSnap); d != "" {
+			t.Errorf("rank %d diverged from local delivery:\n%s", r, d)
 		}
+		owned += snaps[r].owned()
 		if bits[r] != wantBits {
 			t.Errorf("rank %d TotalBits = %v, want %v", r, bits[r], wantBits)
 		}
@@ -130,10 +198,14 @@ func TestSessionMatchesLocalDelivery(t *testing.T) {
 	if float64(chargedSum) != wantBits {
 		t.Errorf("summed wire-charged bits = %d, want TotalBits %v", chargedSum, wantBits)
 	}
+	if owned != len(wantSnap.servers) {
+		t.Errorf("the ranks landed %d servers between them, want %d", owned, len(wantSnap.servers))
+	}
 }
 
-// TestSessionSingleRank runs the degenerate 1-rank session: every
-// delivery still crosses a real loopback socket.
+// TestSessionSingleRank runs the degenerate 1-rank session: the one rank
+// owns every server, so nothing crosses a socket but the handshake, and the
+// run matches local delivery.
 func TestSessionSingleRank(t *testing.T) {
 	addrs, err := FreeLoopbackAddrs(1)
 	if err != nil {
@@ -146,15 +218,15 @@ func TestSessionSingleRank(t *testing.T) {
 	defer s.Close()
 	wantSnap, wantBits := exerciseCluster(nil)
 	snap, bits := exerciseCluster(s)
-	if snap != wantSnap || bits != wantBits {
-		t.Fatalf("single-rank session diverged:\n%s\nvs\n%s", snap, wantSnap)
+	if d := snap.diff(wantSnap); d != "" || snap.owned() != len(wantSnap.servers) || bits != wantBits {
+		t.Fatalf("single-rank session diverged:\n%s", d)
 	}
 	st := s.Stats()
 	if float64(st.ChargedBits()) != wantBits {
 		t.Errorf("charged bits %d, want %v", st.ChargedBits(), wantBits)
 	}
-	if st.WireBytes == 0 || st.DataFrames == 0 {
-		t.Errorf("no wire traffic recorded: %+v", st)
+	if st.DataFrames != 0 || st.GatherBytes != 0 || st.WireBytes != int64(len(appendHello(nil, 0, 0))) {
+		t.Errorf("a single rank put more than its handshake on the wire: %+v", st)
 	}
 	// Wire-accounting inequality: the model's bits never exceed the
 	// billed payload bits (values are byte-padded, never truncated).
@@ -298,9 +370,9 @@ func runRanks(t *testing.T, n int, f func(s *Session)) {
 // annotation-width value, at the given chunk size. It calls inspect, when
 // set, before the cluster is released, and renders every inbox — its
 // batches and its kind views — and the round's accounting.
-func multicastRound(tr engine.Transport, chunk int, inspect func()) string {
+func multicastRound(tr engine.Transport, chunk int, inspect func()) clusterView {
 	const p, kinds = 6, 5
-	c := engine.NewClusterNet(tr, p, 12)
+	c, trace := tracedCluster(tr, p, 12)
 	defer c.Release()
 	c.SetStreamChunk(chunk)
 	tables := [][]int{{0, 2, 1}, {0, 1}, {0, 3, 1, 2}}
@@ -320,35 +392,28 @@ func multicastRound(tr engine.Transport, chunk int, inspect func()) string {
 	if inspect != nil {
 		inspect()
 	}
-	var b strings.Builder
 	views := make([]engine.KindView, kinds)
-	for s := 0; s < p; s++ {
-		ib := c.Inbox(s)
-		fmt.Fprintf(&b, "server %d:", s)
-		ib.EachBatch(func(bt engine.Batch) { fmt.Fprintf(&b, " k%d a%d %v;", bt.Kind, bt.Arity, bt.Vals) })
+	return newClusterView(c, trace, func(ib *engine.Inbox, b *strings.Builder) {
+		ib.EachBatch(func(bt engine.Batch) { fmt.Fprintf(b, " k%d a%d %v;", bt.Kind, bt.Arity, bt.Vals) })
 		ib.KindViews(views)
 		for k, v := range views {
-			fmt.Fprintf(&b, " view %d ok=%t a%d %v;", k, v.OK, v.Arity, v.Vals)
+			fmt.Fprintf(b, " view %d ok=%t a%d %v;", k, v.OK, v.Arity, v.Vals)
 		}
-		b.WriteByte('\n')
-	}
-	rec := c.Record(nil, 0)
-	fmt.Fprintf(&b, "totalbits=%x maxload=%x", rec.TotalBits(), rec.MaxLoadBits())
-	return b.String()
+	})
 }
 
 // TestSessionMulticastMatchesLocalDelivery: over two ranks, a round of
 // overlapping multicasts lands exactly as DeliverLocal lands it in process
-// — every inbox's batches and kind views, and the accounting — whether the
-// records cross whole or cut into one-tuple frames.
+// — every owned inbox's batches and kind views, and the accounting of all p
+// servers — whether the records cross whole or cut into one-tuple frames.
 func TestSessionMulticastMatchesLocalDelivery(t *testing.T) {
 	want := multicastRound(nil, 0, nil)
 	for _, chunk := range []int{0, 1} {
-		got := make([]string, 2)
+		got := make([]clusterView, 2)
 		runRanks(t, 2, func(s *Session) { got[s.Rank()] = multicastRound(s, chunk, nil) })
 		for r := range got {
-			if got[r] != want {
-				t.Errorf("chunk %d, rank %d landed\n%s\nin process\n%s", chunk, r, got[r], want)
+			if d := got[r].diff(want); d != "" || got[r].owned() != 3 {
+				t.Errorf("chunk %d, rank %d (%d servers owned):\n%s", chunk, r, got[r].owned(), d)
 			}
 		}
 	}
@@ -438,8 +503,8 @@ func checkCuts(stream []byte, chunk, maxBody int) error {
 // TestSessionRecordCuts: the record cutter holds both of its limits, and
 // cut records land bit-identically. Over two ranks, a round streamed in
 // one-tuple chunks ships no frame of more than one tuple, and with a
-// 96-byte frame cap — below every sender's record — records split into
-// frames within the cap.
+// 48-byte frame cap — below a sender's record to the other rank — records
+// split into frames within the cap.
 func TestSessionRecordCuts(t *testing.T) {
 	want := multicastRound(nil, 0, nil)
 	for _, tc := range []struct {
@@ -447,21 +512,21 @@ func TestSessionRecordCuts(t *testing.T) {
 		chunk, maxBody int
 	}{
 		{"one-tuple chunks", 1, maxFrameLen},
-		{"96-byte frames", 0, 96},
+		{"48-byte frames", 0, 48},
 	} {
-		got, errs := make([]string, 2), make([]error, 2)
+		got, errs := make([]clusterView, 2), make([]error, 2)
 		runRanks(t, 2, func(s *Session) {
 			sp := &spyTransport{s: s, maxBody: tc.maxBody}
 			got[s.Rank()] = multicastRound(sp, tc.chunk, func() {
-				errs[s.Rank()] = checkCuts(sp.links[0].w.buf, tc.chunk, tc.maxBody)
+				errs[s.Rank()] = checkCuts(sp.links[0].w[1-s.Rank()].buf, tc.chunk, tc.maxBody)
 			})
 		})
 		for r := range got {
 			if errs[r] != nil {
 				t.Errorf("%s, rank %d: %v", tc.name, r, errs[r])
 			}
-			if got[r] != want {
-				t.Errorf("%s, rank %d landed\n%s\nin process\n%s", tc.name, r, got[r], want)
+			if d := got[r].diff(want); d != "" || got[r].owned() != 3 {
+				t.Errorf("%s, rank %d (%d servers owned):\n%s", tc.name, r, got[r].owned(), d)
 			}
 		}
 	}
@@ -481,6 +546,56 @@ func roundErr(f func()) (err error) {
 	return nil
 }
 
+// hostileRound plays rank 1 of a 2-rank group by hand against a real rank
+// 0: it drains what rank 0 sends it and dials rank 0 to ship a valid hello,
+// then stream as its whole round. Rank 0 runs a round of p = 2 servers —
+// it owns server 0, rank 1 server 1 — in which each server sends the other
+// one tuple, and hostileRound returns the error that round failed with.
+func hostileRound(t *testing.T, stream []byte) error {
+	t.Helper()
+	addrs, err := FreeLoopbackAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				_, _ = io.Copy(io.Discard, c)
+				c.Close()
+			}()
+		}
+	}()
+	s, err := Dial(0, addrs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	peer, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if _, err := peer.Write(append(appendHello(nil, 1, 0), stream...)); err != nil {
+		t.Fatal(err)
+	}
+	return roundErr(func() {
+		c := engine.NewClusterNet(s, 2, 8)
+		defer c.Release()
+		c.Round("hostile", func(sv int, _ *engine.Inbox, em *engine.Emitter) {
+			em.EmitTuple(1-sv, 0, []int64{int64(sv)})
+		})
+	})
+}
+
 // TestSessionRejectsHostileRecords: a peer that ships a well-formed record
 // of a server another rank owns, or a record naming a server ≥ p, fails
 // the receiving rank's round with a malformed-frame error. Its tuples never
@@ -497,54 +612,122 @@ func TestSessionRejectsHostileRecords(t *testing.T) {
 		{"member ≥ p", rawRecord(1, rawItem(itemGroup, 1, []uint64{1, 1, 0, 1, 2, 0, 1}, one))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			addrs, err := FreeLoopbackAddrs(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Rank 1 is played by hand: it drains what rank 0 sends it, and
-			// dials rank 0 to ship a valid hello, then the record as its
-			// whole round.
-			ln, err := net.Listen("tcp", addrs[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			go func() {
-				for {
-					c, err := ln.Accept()
-					if err != nil {
-						return
-					}
-					go func() {
-						_, _ = io.Copy(io.Discard, c)
-						c.Close()
-					}()
-				}
-			}()
-			s, err := Dial(0, addrs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			peer, err := net.Dial("tcp", addrs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer peer.Close()
-			stream := append(appendHello(nil, 1, 0), tc.record...)
-			if _, err := peer.Write(appendRoundEnd(stream, 0, 0, 1)); err != nil {
-				t.Fatal(err)
-			}
-			err = roundErr(func() {
-				c := engine.NewClusterNet(s, 2, 8)
-				defer c.Release()
-				c.Round("hostile", func(sv int, _ *engine.Inbox, em *engine.Emitter) {
-					em.EmitTuple(1-sv, 0, []int64{int64(sv)})
-				})
-			})
+			err := hostileRound(t, appendRoundEnd(tc.record, 0, 0, 1, []uint32{1, 1, 0, 0}))
 			if !errors.Is(err, errMalformed) {
 				t.Fatalf("the hostile round returned %v, want a malformed-frame error", err)
 			}
 		})
+	}
+}
+
+// TestSessionRejectsHostileRoundEnd: a peer whose round-end declares, for a
+// server the receiving rank owns, other counts than its records landed
+// there, or declares counts for another number of servers, fails the
+// receiving rank's round with a malformed-frame error — the declared counts
+// meter the servers other ranks own, so they must never go unchecked where
+// they can be.
+func TestSessionRejectsHostileRoundEnd(t *testing.T) {
+	// Server 1's one tuple to server 0, as rank 1 would ship it.
+	record := rawRecord(1, rawItem(itemBatch, 1, []uint64{1, 1, 0, 0}, []byte{1}))
+	for _, tc := range []struct {
+		name   string
+		counts []uint32
+	}{
+		{"more values than landed", []uint32{2, 1, 0, 0}},
+		{"fewer tuples than landed", []uint32{1, 0, 0, 0}},
+		{"counts of three servers", []uint32{1, 1, 0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := hostileRound(t, appendRoundEnd(record, 0, 0, 1, tc.counts))
+			if !errors.Is(err, errMalformed) {
+				t.Fatalf("the hostile round-end returned %v, want a malformed-frame error", err)
+			}
+		})
+	}
+	// The honest round-end of the same record is accepted.
+	if err := hostileRound(t, appendRoundEnd(record, 0, 0, 1, []uint32{1, 1, 0, 0})); err != nil {
+		t.Fatalf("the honest round failed: %v", err)
+	}
+}
+
+// stalledFrame is a length prefix declaring a 64 MiB frame followed by the
+// first 10 bytes of its body: what a peer that declares a large frame and
+// then stalls has sent.
+func stalledFrame() []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, maxFrameLen), make([]byte, 10)...)
+}
+
+// TestReadFrameGrowsWithArrivals: a frame that declares 64 MiB and
+// delivers 10 bytes costs its reader no more than one growth step, not the
+// declared length.
+func TestReadFrameGrowsWithArrivals(t *testing.T) {
+	br := bufio.NewReaderSize(bytes.NewReader(stalledFrame()), 1<<16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(br, maxFrameLen)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a truncated frame returned %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Fatalf("reading 10 bytes of a declared 64 MiB frame allocated %d bytes", alloc)
+	}
+}
+
+// TestSessionSurvivesStalledFrames: a connection whose first frame declares
+// 64 MiB is refused unread, one that sends a hello and then stalls in a 64
+// MiB frame pins one growth step; either way the session keeps serving
+// rounds, and Close returns.
+func TestSessionSurvivesStalledFrames(t *testing.T) {
+	want, _ := exerciseCluster(nil)
+	addrs, err := FreeLoopbackAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := make([]*Session, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range sessions {
+		wg.Add(1)
+		go func() { defer wg.Done(); sessions[r], errs[r] = Dial(r, addrs, nil) }()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for _, stream := range [][]byte{stalledFrame(), append(appendHello(nil, 1, 0), stalledFrame()...)} {
+		c, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]clusterView, 2)
+	for r, s := range sessions {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[r], _ = exerciseCluster(s) }()
+	}
+	wg.Wait()
+	for r := range got {
+		if d := got[r].diff(want); d != "" {
+			t.Errorf("rank %d, next to stalled connections, diverged:\n%s", r, d)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		for _, s := range sessions {
+			s.Close()
+		}
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return with stalled connections open")
 	}
 }

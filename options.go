@@ -139,7 +139,10 @@ func WithStreamChunk(tuples int) RunOption { return func(c *runConfig) { c.strea
 // memory (Report.Output stays nil; see OutputSink for the call contract).
 // Honored by every join strategy; a multi-round plan streams its root node;
 // aggregates materialize their (small, folded) output regardless. A sink does not change any
-// fingerprinted accounting, with or without WithStreaming.
+// fingerprinted accounting, with or without WithStreaming. Under
+// WithRuntime, a rank's sink receives the chunks of the servers that rank
+// owns, nothing is gathered across the group, and the ranks' sinks
+// together receive every server's chunks.
 func WithOutputSink(sink OutputSink) RunOption { return func(c *runConfig) { c.sink = sink } }
 
 // WithRecovery enables the run-level recovery supervisor: when a

@@ -76,7 +76,8 @@ type Report struct {
 	// It is the number streaming mode exists to shrink —
 	// compare a WithStreaming run against a barrier run of the same
 	// workload. A wall-clock-free memory diagnostic, deliberately excluded
-	// from Fingerprint like the timing fields above.
+	// from Fingerprint like the timing fields above. Under WithRuntime it is
+	// the rank's own: the emitters and inboxes of the servers it owns.
 	PeakBufferedBytes int64
 
 	// Recovered counts the abandoned attempts a WithRecovery run replayed

@@ -84,8 +84,15 @@ func nonTest(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.
 // computation phase (localjoin.Phase / localjoin.Output): no non-test file of
 // core, skew or multiround sets up kernel scratches or an index cache,
 // evaluates a join or stacks per-server outputs itself. core/capped.go is
-// exempt: Theorem 3.5's budget-cut fragments are not inbox fragments.
+// exempt: Theorem 3.5's budget-cut fragments are not inbox fragments. Nor
+// does any of them read an inbox outside a phase (Cluster.Inbox): under a
+// runtime a rank holds only its owned servers' inboxes. core/capped.go and
+// multiround/cc.go build clusters no runtime ever links, and skew/stats.go
+// reads the statistics round's broadcasts from an owned server's inbox.
 func TestOneComputationPhase(t *testing.T) {
+	inboxReads := map[string]bool{
+		"internal/core/capped.go": true, "internal/multiround/cc.go": true, "internal/skew/stats.go": true,
+	}
 	forbidden := map[string]bool{
 		"NewIndexCache": true, "NewWorkerScratches": true,
 		"EvaluateAtoms": true, "EvaluateAtomsStream": true, "engine.Concat": true,
@@ -117,6 +124,10 @@ func TestOneComputationPhase(t *testing.T) {
 					if forbidden[name] {
 						t.Errorf("%s calls %s: use the localjoin computation phase — do not add a second one",
 							fset.Position(call.Pos()), name)
+					}
+					if name == "Inbox" && !inboxReads[filepath.ToSlash(path)] {
+						t.Errorf("%s calls .Inbox(: a rank holds only its owned servers' inboxes — read inside the phase",
+							fset.Position(call.Pos()))
 					}
 					return true
 				})

@@ -38,17 +38,22 @@ type TransportWireStats = transport.WireStats
 
 // DistributedRuntime connects this process to a fixed group of worker
 // processes ("ranks") over TCP and makes every Run that carries it execute
-// its communication rounds across the group.
+// across the group.
 //
-// The execution model is SPMD: every rank must execute the same sequence
-// of runs with the same queries, databases, and options — each rank
-// replicates the computation of all p model servers, but each model
-// server's emitted tuples are serialized and shipped by exactly one owning
-// rank, and every rank's inboxes are rebuilt exclusively from the frames
-// it received. The wire is therefore load-bearing (drop it and results
-// change), byte-metered, and the resulting Reports — loads, total bits,
-// outputs, Fingerprint() — are identical at every rank and identical to a
-// plain in-process Run.
+// The execution model is SPMD and owner-computes: every rank must execute
+// the same sequence of runs with the same queries, databases, and options,
+// and every rank plans the whole run, but of every cluster of p model
+// servers, rank r of n owns the block [r·p/n, (r+1)·p/n) and computes only
+// those: it seeds their input, runs their round functions and local
+// joins, and lands their inboxes. Each round, a rank ships a peer only the
+// tuples addressed to servers that peer owns, and declares what it sent
+// every server, so each rank meters the whole round. After the final
+// computation phase the ranks exchange their servers' outputs once. The
+// wire is therefore load-bearing (drop it and results change),
+// byte-metered, and the resulting Reports — loads, total bits, outputs,
+// Fingerprint() — are identical at every rank and identical to a plain
+// in-process Run. Only Report.PeakBufferedBytes, and the timings, are the
+// rank's own: a rank buffers only what its servers stage and receive.
 type DistributedRuntime struct {
 	s *transport.Session
 }
@@ -121,11 +126,14 @@ func (rt *DistributedRuntime) QueuedSendBytes() int64 { return rt.s.QueuedSendBy
 // rounds fail with ErrRuntimeClosed. Close is idempotent.
 func (rt *DistributedRuntime) Close() error { return rt.s.Close() }
 
-// WithRuntime routes every communication round of the run through rt's
-// worker group instead of delivering in-process. All ranks must issue the
-// same Run (SPMD — see DistributedRuntime); each obtains the full Report.
-// A nil rt means in-process delivery, so the same code path can serve
-// both modes.
+// WithRuntime runs the run across rt's worker group instead of in
+// process: each rank computes the servers it owns and every communication
+// round crosses the group (see DistributedRuntime). All ranks must issue the
+// same Run (SPMD); each obtains the full Report. With WithOutputSink, each
+// rank's sink receives the output of the servers that rank owns, and no
+// output is exchanged: the ranks' sinks together see the whole output. A
+// nil rt means in-process delivery, so the same code path can serve both
+// modes.
 func WithRuntime(rt *DistributedRuntime) RunOption {
 	return func(c *runConfig) {
 		if rt == nil {

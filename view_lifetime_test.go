@@ -33,7 +33,7 @@ type inPlaceCounter struct {
 
 func watchInPlace(t *testing.T) *inPlaceCounter {
 	c := &inPlaceCounter{first: make(map[fragmentKey]*int64)}
-	localjoin.ObserveFragmentsForTest(func(cache *localjoin.IndexCache, atom int, id uint64, vals []int64) {
+	localjoin.ObserveFragmentsForTest(func(cache *localjoin.IndexCache, _, _, atom int, id uint64, vals []int64) {
 		if len(vals) == 0 {
 			return
 		}
