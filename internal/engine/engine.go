@@ -621,7 +621,7 @@ type Cluster struct {
 	link         Link    // non-nil when delivery goes through a Transport
 
 	// lo, hi bound the servers this process owns, [0, p) unless a link
-	// owns part of them (Link.Owned): only owned servers are seeded, run
+	// owns part of them (PartialLink.Owned): only owned servers are seeded, run
 	// round functions and computation phases, and have their inboxes
 	// landed. gathers counts the cluster's output gathers (Gather).
 	lo, hi  int
@@ -746,7 +746,7 @@ func (c *Cluster) Release() {
 func (c *Cluster) P() int { return c.p }
 
 // Owned returns the servers [lo, hi) this process owns: [0, p) in process,
-// the link's share (Link.Owned) over a transport. Only owned servers hold
+// the link's share over a PartialLink. Only owned servers hold
 // inboxes, emit and compute; see Cluster.
 func (c *Cluster) Owned() (lo, hi int) { return c.lo, c.hi }
 

@@ -194,17 +194,13 @@ func restage(em *Emitter, it Staged, chunk int) {
 	}
 }
 
-func (replayLink) Owned(p int) (lo, hi int)               { return 0, p }
-func (replayLink) Gather(g *GatherRound) ([]int64, error) { return slices.Concat(g.Parts...), nil }
-func (replayLink) Close() error                           { return nil }
+func (replayLink) Close() error { return nil }
 
 // localLink is the in-process transport's link: DeliverLocal behind the seam.
 type localLink struct{}
 
-func (localLink) Deliver(io *DeliveryRound) error        { DeliverLocal(io); return nil }
-func (localLink) Owned(p int) (lo, hi int)               { return 0, p }
-func (localLink) Gather(g *GatherRound) ([]int64, error) { return slices.Concat(g.Parts...), nil }
-func (localLink) Close() error                           { return nil }
+func (localLink) Deliver(io *DeliveryRound) error { DeliverLocal(io); return nil }
+func (localLink) Close() error                    { return nil }
 
 // deliveryMode is one way a cluster can be set up to deliver a round.
 type deliveryMode struct {

@@ -35,11 +35,6 @@ type Transport interface {
 
 // Link delivers the rounds of one cluster.
 type Link interface {
-	// Owned returns the servers [lo, hi) of a p-server cluster this
-	// process owns: it seeds, evaluates and lands those alone, and the
-	// other processes of the group own the rest. A link that moves rounds
-	// within one process returns [0, p).
-	Owned(p int) (lo, hi int)
 	// Deliver moves one round of emissions into the owned inboxes
 	// io.Inboxes[io.Lo:io.Hi] and fills the receive accounting of all p
 	// destinations. The engine has already reset the inboxes; Deliver must
@@ -52,14 +47,24 @@ type Link interface {
 	// it landed from. A non-nil error aborts the run (the engine panics
 	// with it; the public API maps it to a typed error).
 	Deliver(io *DeliveryRound) error
+	// Close releases the link. Called once, by Cluster.Release.
+	Close() error
+}
+
+// A PartialLink is the Link of a process that owns only some of a
+// cluster's servers, the other processes of its group owning the rest. A
+// Link that is not one owns every server.
+type PartialLink interface {
+	Link
+	// Owned returns the servers [lo, hi) of a p-server cluster this
+	// process owns: it seeds, evaluates and lands those alone.
+	Owned(p int) (lo, hi int)
 	// Gather all-gathers one computation phase's output: g.Parts holds the
 	// owned servers' parts, and Gather returns the values of all p parts,
 	// in server order — the same values at every process of the group. It
 	// is not a round of the model and charges nothing. An error aborts the
 	// run as Deliver's does.
 	Gather(g *GatherRound) ([]int64, error)
-	// Close releases the link. Called once, by Cluster.Release.
-	Close() error
 }
 
 // DeliveryRound is one round's worth of pending communication: every
@@ -451,14 +456,16 @@ func NewClusterNet(t Transport, p, bitsPerValue int) *Cluster {
 			panic(fmt.Errorf("engine: transport attach failed: %w", err))
 		}
 		c.link = link
-		c.lo, c.hi = link.Owned(p)
+		if pl, ok := link.(PartialLink); ok {
+			c.lo, c.hi = pl.Owned(p)
+		}
 	}
 	return c
 }
 
 // GatherRound is one output gather of a cluster: the per-server parts of a
 // computation phase's output, rows of Arity values each, of which this
-// process holds those of the servers it owns (Link.Owned).
+// process holds those of the servers it owns (PartialLink.Owned).
 type GatherRound struct {
 	Seq          int // the cluster's gathers before this one
 	P            int
@@ -479,7 +486,7 @@ type GatherRound struct {
 // and appears in no RoundStats. A nil part is empty; parts of servers this
 // process does not own are ignored.
 func (c *Cluster) Gather(name string, arity int, parts []*data.Relation) *data.Relation {
-	if c.link == nil || (c.lo == 0 && c.hi == c.p) {
+	if c.lo == 0 && c.hi == c.p {
 		return Concat(name, arity, parts)
 	}
 	g := &GatherRound{
@@ -492,7 +499,7 @@ func (c *Cluster) Gather(name string, arity int, parts []*data.Relation) *data.R
 			g.Parts[s] = parts[s].Vals()
 		}
 	}
-	vals, err := c.link.Gather(g)
+	vals, err := c.link.(PartialLink).Gather(g)
 	if err != nil {
 		panic(fmt.Errorf("engine: output gather %d failed: %w", g.Seq, err))
 	}

@@ -21,8 +21,11 @@
 // — a dropped or corrupted frame changes the answer, it does not just skew
 // a counter. Every round-end frame declares what the sending rank's senders
 // sent each of the p destinations, so every rank meters the whole round,
-// and identical RoundStats, at every rank. After a computation phase the
-// ranks all-gather the owned servers' output parts once (Link.Gather), so
+// and identical RoundStats, at every rank. A destination's owner checks the
+// declared sum against what landed; with more than two ranks it also
+// confirms what landed to every peer, which checks it against what it
+// charged, so no rank's counts can differ from the owner's unnoticed. After a computation phase the
+// ranks all-gather the owned servers' output parts once (PartialLink.Gather), so
 // every rank produces the identical Report.
 package transport
 
@@ -55,6 +58,12 @@ const helloFrameLen = 1 + 16
 // round does, each part of server s an item of s's record addressed to s.
 func gatherRound(seq int) uint32 { return 1<<31 | uint32(seq) }
 
+// confirmRound numbers the exchange that closes round r of a cluster in a
+// group of more than two ranks: every rank sends every peer a round-end
+// with no frames counting what landed in the servers it owns, so each rank
+// checks the counts it charged another rank's servers against their owner.
+func confirmRound(r uint32) uint32 { return 1<<30 | r }
+
 // Control-frame kinds (frameCtrl). They carry the recovery supervisor's
 // cross-rank barriers: after every attempt each rank announces its outcome
 // (ctrlOutcome, flags bit 0 = succeeded), and before a replay each rank
@@ -74,7 +83,8 @@ const (
 	helloMagic uint32 = 0x4d504351 // "MPCQ"
 	// helloVersion 4 made the protocol owner-computes: records are routed to
 	// the owners of their destinations, round-ends declare per-destination
-	// counts, and output gathers close computation phases. Version 3
+	// counts, owners confirm them in groups of more than two ranks, and
+	// output gathers close computation phases. Version 3
 	// replaced the per-batch data frame with the per-sender record frame;
 	// version 2 added the hello epoch field and the frameCtrl frame type
 	// (recovery barriers). Older peers are refused at the handshake.
@@ -319,7 +329,7 @@ func (w *recordWriter) close() {
 // frames preceded it, so receivers know when the round is complete, and
 // counts — values then tuples, for every server — what the rank's senders
 // sent each server this round, or, closing a gather, each owned server's
-// part.
+// part, or, confirming a round, what landed in each owned server.
 func appendRoundEnd(dst []byte, cluster, round, frames uint32, counts []uint32) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+12+4*len(counts)))
 	dst = append(dst, frameRoundEnd)

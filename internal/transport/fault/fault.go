@@ -11,7 +11,6 @@ package fault
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"mpcquery/internal/engine"
@@ -166,7 +165,8 @@ func Wrap(t engine.Transport, p *Plan) engine.Transport {
 // straggler) to a non-session transport, including the nil (in-process)
 // one. It mirrors the session's attempt-epoch semantics via AdvanceEpoch
 // so the recovery supervisor can replay past an injected crash without a
-// wire.
+// wire. Its inner transport is never a Session (Inject hands a session its
+// injector instead), so its links own every server.
 type localTransport struct {
 	inner engine.Transport
 	plan  *Plan
@@ -203,23 +203,6 @@ type localLink struct {
 	lt    *localTransport
 	id    uint32
 	inner engine.Link
-}
-
-// Owned implements engine.Link: the inner link's share, all of it in
-// process.
-func (l *localLink) Owned(p int) (lo, hi int) {
-	if l.inner != nil {
-		return l.inner.Owned(p)
-	}
-	return 0, p
-}
-
-// Gather implements engine.Link through the inner link, if any.
-func (l *localLink) Gather(g *engine.GatherRound) ([]int64, error) {
-	if l.inner != nil {
-		return l.inner.Gather(g)
-	}
-	return slices.Concat(g.Parts...), nil
 }
 
 func (l *localLink) Close() error {

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"slices"
-
-	"mpcquery/internal/engine"
-)
+import "mpcquery/internal/engine"
 
 // Inproc returns the in-process transport: round delivery via
 // engine.DeliverLocal, the sharded zero-copy path the engine uses when no
@@ -25,14 +21,6 @@ type inprocLink struct{}
 func (inprocLink) Deliver(io *engine.DeliveryRound) error {
 	engine.DeliverLocal(io)
 	return nil
-}
-
-// Owned implements engine.Link: one process owns every server.
-func (inprocLink) Owned(p int) (lo, hi int) { return 0, p }
-
-// Gather implements engine.Link: every part is already here.
-func (inprocLink) Gather(g *engine.GatherRound) ([]int64, error) {
-	return slices.Concat(g.Parts...), nil
 }
 
 func (inprocLink) Close() error { return nil }

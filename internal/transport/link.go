@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -71,7 +72,7 @@ var (
 	writerPool = sync.Pool{New: func() any { return new([]recordWriter) }}
 )
 
-// Owned implements engine.Link: this rank's block of the servers.
+// Owned implements engine.PartialLink: this rank's block of the servers.
 func (l *tcpLink) Owned(p int) (lo, hi int) { return ownedRange(l.s.rank, l.s.n, p) }
 
 func (l *tcpLink) Close() error {
@@ -105,7 +106,8 @@ func (l *tcpLink) Close() error {
 // engine.DeliverLocal. A TCP inbox thus has the arena layout, spans and
 // kind views of an in-process one. The declared counts fill the accounting
 // of the destinations other ranks own, and must match what landed in the
-// owned ones.
+// owned ones; with more than two ranks, each rank then confirms what landed
+// in its servers to every peer (confirmRound).
 func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 	s := l.s
 	if err := s.Err(); err != nil {
@@ -154,7 +156,9 @@ func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 		return err
 	}
 	if err := l.land(io, byRank, counts); err != nil {
-		s.setFatal(err)
+		if errors.Is(err, errMalformed) {
+			s.setFatal(err)
+		}
 		return err
 	}
 	return nil
@@ -286,7 +290,9 @@ func (l *tcpLink) checkCounts(r int, counts []byte, round uint32) error {
 // inboxes from those and the owned senders' emitters, leaving io.Senders
 // naming that staging. Then it meters the round from the declared counts:
 // the ranks' sum is what each destination received; an owned destination
-// must have landed exactly that, and the others are charged it.
+// must have landed exactly that, and the others are charged it — in a
+// group of more than two ranks, once their owners have confirmed it. A
+// count that disagrees is malformed.
 func (l *tcpLink) land(io *engine.DeliveryRound, byRank [][]recordFrame, counts [][]byte) error {
 	s := l.s
 	round := uint32(io.Round)
@@ -313,6 +319,7 @@ func (l *tcpLink) land(io *engine.DeliveryRound, byRank [][]recordFrame, counts 
 	}
 	io.Senders = l.landed
 	engine.DeliverLocal(io)
+	var bad error
 	for d := 0; d < io.P; d++ {
 		values, tuples := int(l.decl[2*d]), int(l.decl[2*d+1])
 		for r := range counts {
@@ -325,9 +332,86 @@ func (l *tcpLink) land(io *engine.DeliveryRound, byRank [][]recordFrame, counts 
 		bits := float64(values * l.bpv)
 		if d < l.lo || d >= l.hi {
 			io.RecvBits[d], io.RecvTuples[d] = bits, tuples
-		} else if io.RecvBits[d] != bits || io.RecvTuples[d] != tuples {
-			return fmt.Errorf("%w: cluster %d round %d: the ranks declared %d values and %d tuples for server %d, %v bits and %d tuples landed",
+		} else if (io.RecvBits[d] != bits || io.RecvTuples[d] != tuples) && bad == nil {
+			bad = fmt.Errorf("%w: cluster %d round %d: the ranks declared %d values and %d tuples for server %d, %v bits and %d tuples landed",
 				errMalformed, l.id, round, values, tuples, d, io.RecvBits[d], io.RecvTuples[d])
+		}
+	}
+	if s.n <= 2 {
+		// A rank charges the peer's servers what it sent them itself and
+		// what the peer declared for its own senders: the owner's word.
+		return bad
+	}
+	// A third rank's declaration for another rank's server is checked by
+	// that server's owner alone: every owner confirms what landed, its
+	// own mismatch included, before any rank keeps its counts.
+	err := l.confirm(io)
+	if bad != nil {
+		return bad
+	}
+	if err != nil {
+		return err
+	}
+	return l.checkConfirmed(io)
+}
+
+// confirm ships every peer a round-end of the round's confirm exchange
+// counting what landed in each owned server.
+func (l *tcpLink) confirm(io *engine.DeliveryRound) error {
+	s := l.s
+	round := confirmRound(uint32(io.Round))
+	landed := l.sent
+	clear(landed)
+	for d := l.lo; d < l.hi; d++ {
+		landed[2*d], landed[2*d+1] = uint64(io.RecvBits[d])/uint64(l.bpv), uint64(io.RecvTuples[d])
+	}
+	if err := l.declare(landed); err != nil {
+		return fmt.Errorf("rank %d: cluster %d round %d: %w", s.rank, l.id, io.Round, err)
+	}
+	w := &l.w[s.rank]
+	w.buf = appendRoundEnd(w.buf[:0], l.id, round, 0, l.decl)
+	fi, epoch := s.injectorAndEpoch()
+	var faults int64
+	desc := fmt.Sprintf("cluster %d round %d confirmation", l.id, io.Round)
+	for r := 0; r < s.n; r++ {
+		if r == s.rank {
+			continue
+		}
+		if err := s.writeFrames(r, w.buf, desc, fi, epoch, l.id, round, &faults); err != nil {
+			return err
+		}
+	}
+	s.ctr.ctrlFrames.Add(int64(s.n - 1))
+	obsCtrlFrames.Add(int64(s.n - 1))
+	return nil
+}
+
+// checkConfirmed waits for the peers' confirmations of the round and fails
+// it when an owner landed other counts in a server than this rank charged.
+func (l *tcpLink) checkConfirmed(io *engine.DeliveryRound) error {
+	s := l.s
+	round := confirmRound(uint32(io.Round))
+	byRank, counts, err := s.waitRound(io.Ctx, l.id, round)
+	if err != nil {
+		return err
+	}
+	for r := range counts {
+		if r == s.rank {
+			continue
+		}
+		if len(byRank[r]) > 0 {
+			return fmt.Errorf("%w: cluster %d round %d: rank %d sent record frames in a confirmation", errMalformed, l.id, io.Round, r)
+		}
+		if err := l.checkCounts(r, counts[r], round); err != nil {
+			return err
+		}
+		lo, hi := ownedRange(r, s.n, io.P)
+		for d := lo; d < hi; d++ {
+			values, tuples := roundEndCount(counts[r], d)
+			if float64(values*l.bpv) != io.RecvBits[d] || tuples != io.RecvTuples[d] {
+				return fmt.Errorf("%w: cluster %d round %d: rank %d landed %d values and %d tuples in server %d, the ranks declared %v bits and %d tuples",
+					errMalformed, l.id, io.Round, r, values, tuples, d, io.RecvBits[d], io.RecvTuples[d])
+			}
 		}
 	}
 	return nil
@@ -345,8 +429,7 @@ func (l *tcpLink) restage(byRank [][]recordFrame, p int) error {
 	for len(*l.recv) < p {
 		*l.recv = append(*l.recv, &engine.Emitter{})
 	}
-	if len(l.frames) < p {
-		l.frames = append(l.frames, make([][]*recordFrame, p-len(l.frames))...)
+	if len(l.errs) < p {
 		l.errs = append(l.errs, make([]error, p-len(l.errs))...)
 	}
 	if err := l.bySender(byRank, p); err != nil {
@@ -384,6 +467,9 @@ func (l *tcpLink) restage(byRank [][]recordFrame, p int) error {
 // bySender files the received record frames under their senders, checking
 // that each rank sent records of its own servers only.
 func (l *tcpLink) bySender(byRank [][]recordFrame, p int) error {
+	if len(l.frames) < p {
+		l.frames = append(l.frames, make([][]*recordFrame, p-len(l.frames))...)
+	}
 	for sv := range l.frames[:p] {
 		l.frames[sv] = l.frames[sv][:0]
 	}
@@ -401,7 +487,7 @@ func (l *tcpLink) bySender(byRank [][]recordFrame, p int) error {
 	return nil
 }
 
-// Gather implements engine.Link: it ships the owned servers' output parts —
+// Gather implements engine.PartialLink: it ships the owned servers' output parts —
 // each one item of its server's record, addressed to the server itself —
 // to every peer, closed by a round-end declaring each part's size, and
 // assembles the output from the parts it holds and those it receives. The
@@ -495,11 +581,24 @@ func (l *tcpLink) assemble(g *engine.GatherRound, byRank [][]recordFrame, counts
 			}
 		}
 	}
+	if err := l.bySender(byRank, g.P); err != nil {
+		return nil, err
+	}
 	start := make([]int, g.P+1) // part sv lands at out[start[sv]:start[sv+1]]
 	for sv := 0; sv < g.P; sv++ {
 		size := len(g.Parts[sv])
 		if r := int(l.owner[sv]); r != s.rank {
+			// Every value takes at least one byte of its part's frames, so
+			// the declared size allocates no more than the bytes received.
 			size, _ = roundEndCount(counts[r], sv)
+			received := 0
+			for _, f := range l.frames[sv] {
+				received += len(f.Body)
+			}
+			if size > received {
+				return nil, fmt.Errorf("%w: cluster %d gather %d: rank %d declared %d values for server %d in %d bytes",
+					errMalformed, l.id, g.Seq, r, size, sv, received)
+			}
 		}
 		start[sv+1] = start[sv] + size
 	}
@@ -523,9 +622,6 @@ func (l *tcpLink) assemble(g *engine.GatherRound, byRank [][]recordFrame, counts
 		if part := g.Parts[sv]; len(part) > 0 {
 			split(gatherPiece{dst: out[start[sv]:start[sv+1]], src: part})
 		}
-	}
-	if err := l.bySender(byRank, g.P); err != nil {
-		return nil, err
 	}
 	for sv := 0; sv < g.P; sv++ {
 		if sv >= l.lo && sv < l.hi {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/obs"
 )
@@ -546,14 +548,14 @@ func roundErr(f func()) (err error) {
 	return nil
 }
 
-// hostileRound plays rank 1 of a 2-rank group by hand against a real rank
-// 0: it drains what rank 0 sends it and dials rank 0 to ship a valid hello,
-// then stream as its whole round. Rank 0 runs a round of p = 2 servers —
-// it owns server 0, rank 1 server 1 — in which each server sends the other
-// one tuple, and hostileRound returns the error that round failed with.
-func hostileRound(t *testing.T, stream []byte) error {
+// hostileGroup plays rank 1 of a group of len(streams) ranks by hand
+// against real ranks: it drains what they send it, and dials every other
+// rank r to ship a valid hello, then streams[r]. Each real rank runs run
+// on its session; hostileGroup returns the error each run failed with,
+// indexed by rank.
+func hostileGroup(t *testing.T, streams [][]byte, run func(s *Session)) []error {
 	t.Helper()
-	addrs, err := FreeLoopbackAddrs(2)
+	addrs, err := FreeLoopbackAddrs(len(streams))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,26 +576,61 @@ func hostileRound(t *testing.T, stream []byte) error {
 			}()
 		}
 	}()
-	s, err := Dial(0, addrs, nil)
-	if err != nil {
-		t.Fatal(err)
+	sessions := make([]*Session, len(streams))
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for r := range streams {
+		if r == 1 {
+			continue
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); sessions[r], errs[r] = Dial(r, addrs, nil) }()
 	}
-	defer s.Close()
-	peer, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
 	}
-	defer peer.Close()
-	if _, err := peer.Write(append(appendHello(nil, 1, 0), stream...)); err != nil {
-		t.Fatal(err)
+	for r, s := range sessions {
+		if s == nil {
+			continue
+		}
+		defer s.Close()
+		peer, err := net.Dial("tcp", addrs[r])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		if _, err := peer.Write(append(appendHello(nil, 1, 0), streams[r]...)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return roundErr(func() {
+	for r, s := range sessions {
+		if s == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); errs[r] = roundErr(func() { run(s) }) }()
+	}
+	wg.Wait()
+	return errs
+}
+
+// hostileRound plays rank 1 of a 2-rank group by hand against a real rank
+// 0 (hostileGroup), shipping stream as its whole round. Rank 0 runs a
+// round of p = 2 servers — it owns server 0, rank 1 server 1 — in which
+// each server sends the other one tuple, and hostileRound returns the
+// error that round failed with.
+func hostileRound(t *testing.T, stream []byte) error {
+	t.Helper()
+	return hostileGroup(t, [][]byte{stream, nil}, func(s *Session) {
 		c := engine.NewClusterNet(s, 2, 8)
 		defer c.Release()
 		c.Round("hostile", func(sv int, _ *engine.Inbox, em *engine.Emitter) {
 			em.EmitTuple(1-sv, 0, []int64{int64(sv)})
 		})
-	})
+	})[0]
 }
 
 // TestSessionRejectsHostileRecords: a peer that ships a well-formed record
@@ -647,6 +684,73 @@ func TestSessionRejectsHostileRoundEnd(t *testing.T) {
 	// The honest round-end of the same record is accepted.
 	if err := hostileRound(t, appendRoundEnd(record, 0, 0, 1, []uint32{1, 1, 0, 0})); err != nil {
 		t.Fatalf("the honest round failed: %v", err)
+	}
+}
+
+// TestSessionOwnersConfirmCounts: in a 3-rank group, where a rank charges
+// another rank's server what a third rank declared for it, a declaration
+// the owner did not land — sent to every rank or only to a bystander — or
+// an owner's false confirmation of what it landed fails every rank whose
+// counts it would change with a malformed-frame error, never with other
+// RoundStats. Of p = 3 servers rank r owns server r, and each server sends
+// the next one tuple; rank 1 is played by hand.
+func TestSessionOwnersConfirmCounts(t *testing.T) {
+	// Server 1's one tuple to server 2, as rank 1 ships it to rank 2.
+	record := rawRecord(1, rawItem(itemBatch, 1, []uint64{1, 1, 0, 2}, []byte{1}))
+	honest, inflated := []uint32{0, 0, 0, 0, 1, 1}, []uint32{0, 0, 0, 0, 2, 2}
+	landed := []uint32{0, 0, 1, 1, 0, 0} // server 1 landed server 0's tuple
+	stream := func(frames []byte, n uint32, decl, confirmed []uint32) []byte {
+		b := appendRoundEnd(append([]byte(nil), frames...), 0, 0, n, decl)
+		return appendRoundEnd(b, 0, confirmRound(0), 0, confirmed)
+	}
+	for _, tc := range []struct {
+		name       string
+		to0, to2   []byte
+		bad0, bad2 bool
+	}{
+		{"honest", stream(nil, 0, honest, landed), stream(record, 1, honest, landed), false, false},
+		{"inflated for a third rank's server", stream(nil, 0, inflated, landed), stream(record, 1, inflated, landed), true, true},
+		{"inflated to the bystander only", stream(nil, 0, inflated, landed), stream(record, 1, honest, landed), true, false},
+		{"a false confirmation", stream(nil, 0, honest, []uint32{0, 0, 3, 3, 0, 0}), stream(record, 1, honest, []uint32{0, 0, 3, 3, 0, 0}), true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := hostileGroup(t, [][]byte{tc.to0, nil, tc.to2}, func(s *Session) {
+				c := engine.NewClusterNet(s, 3, 8)
+				defer c.Release()
+				c.Round("hostile", func(sv int, _ *engine.Inbox, em *engine.Emitter) {
+					em.EmitTuple((sv+1)%3, 0, []int64{int64(sv)})
+				})
+			})
+			for r, bad := range map[int]bool{0: tc.bad0, 2: tc.bad2} {
+				if bad && !errors.Is(errs[r], errMalformed) {
+					t.Errorf("rank %d returned %v, want a malformed-frame error", r, errs[r])
+				}
+				if !bad && errs[r] != nil {
+					t.Errorf("rank %d, whose counts are right, failed: %v", r, errs[r])
+				}
+			}
+		})
+	}
+}
+
+// TestSessionRejectsHostileGather: a gather round-end that declares a part
+// of 2³²−1 values with no frames is malformed, and costs the receiving
+// rank no allocation of its declared size.
+func TestSessionRejectsHostileGather(t *testing.T) {
+	stream := appendRoundEnd(nil, 0, gatherRound(0), 0, []uint32{0, 0, math.MaxUint32, 1})
+	var before, after runtime.MemStats
+	err := hostileGroup(t, [][]byte{stream, nil}, func(s *Session) {
+		c := engine.NewClusterNet(s, 2, 8)
+		defer c.Release()
+		runtime.ReadMemStats(&before)
+		defer runtime.ReadMemStats(&after)
+		c.Gather("out", 1, make([]*data.Relation, 2))
+	})[0]
+	if !errors.Is(err, errMalformed) {
+		t.Fatalf("the hostile gather returned %v, want a malformed-frame error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("a gather declaring 2³²−1 values allocated %d bytes", alloc)
 	}
 }
 
