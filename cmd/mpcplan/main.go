@@ -31,6 +31,14 @@ func main() {
 	eps := flag.Float64("eps", 0, "space exponent for the multi-round plan")
 	dot := flag.Bool("dot", false, "print only the Graphviz hypergraph and exit")
 	flag.Parse()
+	if *p < 1 {
+		fmt.Fprintf(os.Stderr, "mpcplan: -p must be at least 1, got %d\n", *p)
+		os.Exit(2)
+	}
+	if *eps < 0 || *eps >= 1 {
+		fmt.Fprintf(os.Stderr, "mpcplan: -eps must be in [0,1), got %g\n", *eps)
+		os.Exit(2)
+	}
 
 	q, err := mpcquery.ParseQuery(*qs)
 	if err != nil {

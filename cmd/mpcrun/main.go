@@ -32,6 +32,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	verify := flag.Bool("verify", true, "compare against a sequential join")
 	flag.Parse()
+	if *m < 0 {
+		usageError("-m must be non-negative, got %d", *m)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	q := buildQuery(*family, *k)
@@ -57,8 +60,7 @@ func main() {
 	case "auto":
 		strategy = mpcquery.Auto()
 	default:
-		fmt.Fprintf(os.Stderr, "mpcrun: unknown algorithm %q\n", *algo)
-		os.Exit(2)
+		usageError("unknown algorithm %q", *algo)
 	}
 
 	rep, err := mpcquery.Run(q, db,
@@ -84,23 +86,33 @@ func main() {
 	}
 }
 
+// usageError reports a flag value mpcrun cannot run with and exits 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mpcrun: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func buildQuery(family string, k int) *mpcquery.Query {
+	var build func(int) *mpcquery.Query
+	minK := 1
 	switch family {
 	case "triangle":
 		return mpcquery.Triangle()
 	case "cycle":
-		return mpcquery.Cycle(k)
+		build, minK = mpcquery.Cycle, 2
 	case "chain":
-		return mpcquery.Chain(k)
+		build = mpcquery.Chain
 	case "star":
-		return mpcquery.Star(k)
+		build = mpcquery.Star
 	case "spokedwheel":
-		return mpcquery.SpokedWheel(k)
+		build = mpcquery.SpokedWheel
 	default:
-		fmt.Fprintf(os.Stderr, "mpcrun: unknown family %q\n", family)
-		os.Exit(2)
-		return nil
+		usageError("unknown family %q", family)
 	}
+	if k < minK {
+		usageError("-family %s needs -k >= %d, got %d", family, minK, k)
+	}
+	return build(k)
 }
 
 func buildData(rng *rand.Rand, q *mpcquery.Query, family string, m int, n int64, skewFrac float64, p int) *mpcquery.Database {

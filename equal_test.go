@@ -2,6 +2,8 @@ package mpcquery
 
 import (
 	"testing"
+
+	"mpcquery/internal/query"
 )
 
 // TestEqualRelationsRespectsMultiplicity pins the bag semantics of
@@ -31,7 +33,7 @@ func TestEqualRelationsRespectsMultiplicity(t *testing.T) {
 // to the same server, where the local join multiplies multiplicities just
 // as the sequential evaluation does.
 func TestDuplicateInputTuplesPreserveBagSemantics(t *testing.T) {
-	q := MustParseQuery("q(x,y,z) :- R(x,y), S(y,z)")
+	q := query.MustParse("q(x,y,z) :- R(x,y), S(y,z)")
 	db := NewDatabase(1 << 10)
 	r := NewRelation("R", 2)
 	r.Append(1, 2)

@@ -21,21 +21,14 @@ func ExampleTauStar() {
 	// T7: τ* = 1
 }
 
-// ExamplePlanChain shows the Example 5.2 plan: L16 in two rounds of
-// four-way joins at space exponent 1/2.
-func ExamplePlanChain() {
-	plan := mpcquery.PlanChain(16, 0.5)
-	fmt.Println("rounds:", plan.Rounds())
-	fmt.Println("formula:", mpcquery.ChainRounds(16, 0.5))
-	// Output:
-	// rounds: 2
-	// formula: 2
-}
-
 // ExampleParseQuery parses datalog-like notation and inspects the
 // hypergraph.
 func ExampleParseQuery() {
-	q := mpcquery.MustParseQuery("q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
+	q, err := mpcquery.ParseQuery("q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println("atoms:", q.NumAtoms())
 	fmt.Println("tree-like:", q.IsTreeLike())
 	fmt.Println("acyclic:", q.IsAcyclic())

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"mpcquery/internal/packing"
 )
 
 // BenchmarkShareIntegerizationAblation compares the greedy integerization
@@ -24,7 +26,7 @@ func BenchmarkShareIntegerizationAblation(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		prod := 0
 		for i := 0; i < b.N; i++ {
-			sh := IntegerShares(exps, p)
+			sh := packing.IntegerShares(exps, p)
 			prod = sh[0] * sh[1] * sh[2]
 		}
 		b.ReportMetric(float64(prod), "servers-used")

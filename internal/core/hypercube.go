@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"mpcquery/internal/aggregate"
@@ -93,7 +92,7 @@ func NewPlan(q *query.Query, statsBits []float64, p int, mode Mode) *Plan {
 	} else {
 		sh = packing.ShareExponents(q, statsBits, float64(p))
 	}
-	shares := IntegerShares(sh.Exponents, p)
+	shares := packing.IntegerShares(sh.Exponents, p)
 	return &Plan{
 		Query:     q,
 		Mode:      mode,
@@ -117,47 +116,6 @@ func StatsBits(q *query.Query, db *data.Database) []float64 {
 		stats[j] = db.Get(a.Name).SizeBits(db.N)
 	}
 	return stats
-}
-
-// IntegerShares rounds fractional share exponents e (for p servers) to
-// integer shares with product at most p: starting from all-ones, it
-// repeatedly increments the dimension whose integer share is furthest below
-// its fractional target p^{e_i}, as long as the product stays within p.
-func IntegerShares(e []float64, p int) []int {
-	k := len(e)
-	target := make([]float64, k)
-	for i, ei := range e {
-		target[i] = math.Pow(float64(p), ei)
-	}
-	shares := make([]int, k)
-	for i := range shares {
-		shares[i] = 1
-	}
-	prod := 1
-	blocked := make([]bool, k)
-	for {
-		best := -1
-		bestGap := 1.0 // ratio share/target; grow the most underallocated
-		for i := 0; i < k; i++ {
-			if blocked[i] {
-				continue
-			}
-			gap := float64(shares[i]) / target[i]
-			if gap < bestGap-1e-12 {
-				bestGap = gap
-				best = i
-			}
-		}
-		if best < 0 {
-			return shares
-		}
-		if prod/shares[best]*(shares[best]+1) > p {
-			blocked[best] = true
-			continue
-		}
-		prod = prod / shares[best] * (shares[best] + 1)
-		shares[best]++
-	}
 }
 
 // Run plans and executes the HyperCube algorithm for q on db with p servers.
@@ -390,16 +348,4 @@ func MaxLoadOverSeeds(pl *Plan, db *data.Database, seeds []int64) float64 {
 		worst = max(worst, RunPlan(pl, db, s).MaxLoadBits())
 	}
 	return worst
-}
-
-// SharesByName returns the plan's shares keyed by variable name, sorted for
-// stable display.
-func (pl *Plan) SharesByName() []string {
-	vars := pl.Query.Vars()
-	out := make([]string, len(vars))
-	for i, v := range vars {
-		out[i] = fmt.Sprintf("%s=%d", v, pl.Shares[i])
-	}
-	sort.Strings(out)
-	return out
 }

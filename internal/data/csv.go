@@ -8,30 +8,6 @@ import (
 	"strings"
 )
 
-// WriteCSV writes the relation as comma-separated integer rows, one tuple
-// per line, in storage order.
-func (r *Relation) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	m := r.NumTuples()
-	for i := 0; i < m; i++ {
-		t := r.Tuple(i)
-		for c, v := range t {
-			if c > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.FormatInt(v, 10)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadCSV reads a relation with the given name and arity from
 // comma-separated integer rows. Blank lines and lines starting with '#' are
 // skipped; every other line must have exactly arity fields.
@@ -64,16 +40,4 @@ func ReadCSV(rd io.Reader, name string, arity int) (*Relation, error) {
 		return nil, err
 	}
 	return rel, nil
-}
-
-// MaxValue returns the largest value occurring in the relation (0 when
-// empty) — handy for choosing a domain size after ReadCSV.
-func (r *Relation) MaxValue() int64 {
-	var best int64
-	for _, v := range r.vals {
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }

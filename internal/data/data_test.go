@@ -1,7 +1,6 @@
 package data
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"strings"
@@ -10,6 +9,15 @@ import (
 
 	"mpcquery/internal/query"
 )
+
+// maxDegree returns the largest frequency in the column.
+func maxDegree(r *Relation, col int) int {
+	best := 0
+	for _, run := range ColumnRuns(r, col, 1) {
+		best = max(best, run.Count)
+	}
+	return best
+}
 
 func TestRelationBasics(t *testing.T) {
 	r := NewRelation("R", 2)
@@ -98,7 +106,7 @@ func TestRandomMatchingDegrees(t *testing.T) {
 			return false
 		}
 		for c := 0; c < arity; c++ {
-			if MaxDegree(rel, c) != 1 {
+			if maxDegree(rel, c) != 1 {
 				return false
 			}
 		}
@@ -163,28 +171,6 @@ func TestChainMatchingDatabase(t *testing.T) {
 	}
 }
 
-func TestSkewedPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s1, s2 := SkewedPair(rng, 1000, 1_000_000, 42, 0.5)
-	f1 := ColumnFrequencies(s1, 1)
-	if f1[42] != 500 {
-		t.Errorf("S1 heavy count=%d want 500", f1[42])
-	}
-	if MaxDegree(s1, 0) != 1 {
-		t.Error("S1 column 0 should be a matching column")
-	}
-	f2 := ColumnFrequencies(s2, 1)
-	if f2[42] != 500 {
-		t.Errorf("S2 heavy count=%d want 500", f2[42])
-	}
-	// Light values have degree 1.
-	for v, c := range f1 {
-		if v != 42 && c != 1 {
-			t.Errorf("light value %d has degree %d", v, c)
-		}
-	}
-}
-
 func TestSkewedStarDatabase(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	heavy := map[int64]int{7: 100, 9: 50}
@@ -195,7 +181,7 @@ func TestSkewedStarDatabase(t *testing.T) {
 		if freq[7] != 100 || freq[9] != 50 {
 			t.Errorf("S%d heavy counts: %d, %d", j, freq[7], freq[9])
 		}
-		if MaxDegree(r, 1) != 1 {
+		if maxDegree(r, 1) != 1 {
 			t.Errorf("S%d x-column should be matching", j)
 		}
 	}
@@ -210,61 +196,16 @@ func TestSkewedTriangleDatabase(t *testing.T) {
 	if got := ColumnFrequencies(db.Get("S3"), 1)[3]; got != 100 {
 		t.Errorf("S3 x1-heavy count=%d", got)
 	}
-	if MaxDegree(db.Get("S2"), 0) != 1 || MaxDegree(db.Get("S2"), 1) != 1 {
+	if maxDegree(db.Get("S2"), 0) != 1 || maxDegree(db.Get("S2"), 1) != 1 {
 		t.Error("S2 should be a matching")
 	}
 }
 
-func TestHeavyHittersAndTopK(t *testing.T) {
+func TestHeavyHitters(t *testing.T) {
 	freq := map[int64]int{1: 100, 2: 50, 3: 5, 4: 5}
 	hh := HeavyHitters(freq, 50)
 	if len(hh) != 2 || hh[1] != 100 || hh[2] != 50 {
 		t.Errorf("heavy hitters: %v", hh)
-	}
-	top := TopK(freq, 3)
-	if len(top) != 3 || top[0] != 1 || top[1] != 2 {
-		t.Errorf("TopK: %v", top)
-	}
-}
-
-func TestSampledFrequencies(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	r := NewRelation("R", 2)
-	// Value 5 occupies half the relation.
-	for i := 0; i < 1000; i++ {
-		if i < 500 {
-			r.Append(5, int64(i))
-		} else {
-			r.Append(int64(i+1000), int64(i))
-		}
-	}
-	est := SampledFrequencies(rng, r, 0, 200)
-	if est[5] < 300 || est[5] > 700 {
-		t.Errorf("estimate for heavy value: %v (want ≈500)", est[5])
-	}
-	// Full-sample path returns exact counts.
-	exact := SampledFrequencies(rng, r, 0, 10_000)
-	if exact[5] != 500 {
-		t.Errorf("exact path: %v", exact[5])
-	}
-}
-
-func TestDegreePromise(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	rel := RandomMatching(rng, "R", 2, 100, 1000)
-	// Matching: degree 1 per column gives β=0.1 there, but the full-tuple
-	// constraint 1 ≤ β²·m/(p0·p1) forces β = 1. β = O(1) is what the
-	// Corollary 3.3 promise needs.
-	if beta := DegreePromise(rel, 10, 10); beta > 1.01 {
-		t.Errorf("matching promise β=%v (should be ≤ 1)", beta)
-	}
-	// Fully skewed relation: one value everywhere in column 0.
-	sk := NewRelation("S", 2)
-	for i := int64(0); i < 100; i++ {
-		sk.Append(7, i)
-	}
-	if beta := DegreePromise(sk, 10, 10); beta < 9 {
-		t.Errorf("skewed promise β=%v (should be ≈10)", beta)
 	}
 }
 
@@ -300,34 +241,6 @@ func TestRandomGraphAndComponents(t *testing.T) {
 	}
 }
 
-func TestZipfRelation(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	r := ZipfRelation(rng, "Z", 10000, 1_000_000, 0, 1.5, 1000)
-	if r.NumTuples() != 10000 {
-		t.Fatalf("tuples=%d", r.NumTuples())
-	}
-	// Zipf with s=1.5 should make value 0 clearly heavy.
-	freq := ColumnFrequencies(r, 0)
-	if freq[0] < 1000 {
-		t.Errorf("zipf head frequency=%d (expected heavy)", freq[0])
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	r := FromTuples("R", 2, []int64{1, 2}, []int64{-3, 40}, []int64{0, 0})
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, "R", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(r, got) {
-		t.Fatalf("round trip mismatch: %d tuples", got.NumTuples())
-	}
-}
-
 func TestCSVCommentsAndErrors(t *testing.T) {
 	in := "# header\n1,2\n\n3,4\n"
 	r, err := ReadCSV(strings.NewReader(in), "R", 2)
@@ -339,16 +252,6 @@ func TestCSVCommentsAndErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("a,b\n"), "R", 2); err == nil {
 		t.Error("non-integer should fail")
-	}
-}
-
-func TestMaxValue(t *testing.T) {
-	r := FromTuples("R", 2, []int64{1, 9}, []int64{5, 2})
-	if r.MaxValue() != 9 {
-		t.Errorf("max=%d", r.MaxValue())
-	}
-	if NewRelation("E", 1).MaxValue() != 0 {
-		t.Error("empty max should be 0")
 	}
 }
 

@@ -86,28 +86,6 @@ func chainAtomName(j int) string {
 	return query.Chain(j).Atoms[j-1].Name // "Sj" — keeps naming in one place
 }
 
-// SkewedPair generates the Example 4.1 worst case for the simple join
-// q(x,y,z) = S1(x,z), S2(y,z): a fraction heavyFrac of the tuples of both
-// relations carry the single z-value heavyVal; the remainder is a matching.
-// Column 0 (x resp. y) is always a matching column.
-func SkewedPair(rng *rand.Rand, m int, n int64, heavyVal int64, heavyFrac float64) (*Relation, *Relation) {
-	mk := func(name string) *Relation {
-		heavy := int(float64(m) * heavyFrac)
-		r := NewRelation(name, 2)
-		r.Grow(m)
-		left := SampleDistinct(rng, m, n)
-		zLight := SampleDistinct(rng, m-heavy, n)
-		for i := 0; i < heavy; i++ {
-			r.Append(left[i], heavyVal)
-		}
-		for i := heavy; i < m; i++ {
-			r.Append(left[i], zLight[i-heavy])
-		}
-		return r
-	}
-	return mk("S1"), mk("S2")
-}
-
 // SkewedStarDatabase generates data for the star query T_k with planted
 // heavy hitters on z: each relation S_j(z,x_j) gets, for every (value,count)
 // in heavy, count tuples with z = value; the rest of the m tuples use
@@ -173,23 +151,4 @@ func SkewedTriangleDatabase(rng *rand.Rand, m int, n int64, heavyVal int64, heav
 	db.Add(RandomMatching(rng, "S2", 2, m, n))
 	db.Add(plant("S3", 1))
 	return db
-}
-
-// ZipfRelation generates a binary relation whose column col follows a Zipf
-// distribution with exponent s (values 0..v-1), the other column being a
-// matching column. Used for smooth skew sweeps.
-func ZipfRelation(rng *rand.Rand, name string, m int, n int64, col int, s float64, v uint64) *Relation {
-	z := rand.NewZipf(rng, s, 1, v-1)
-	r := NewRelation(name, 2)
-	r.Grow(m)
-	other := SampleDistinct(rng, m, n)
-	for i := 0; i < m; i++ {
-		zv := int64(z.Uint64())
-		if col == 0 {
-			r.Append(zv, other[i])
-		} else {
-			r.Append(other[i], zv)
-		}
-	}
-	return r
 }

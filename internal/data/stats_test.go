@@ -27,7 +27,7 @@ func mapRuns(r *Relation, col, floor int) []Run {
 }
 
 // checkColumnRuns compares every column of r with the map reference at the
-// floors 1, 2, m and m+1, and the map façade and MaxDegree with it.
+// floors 1, 2, m and m+1, and the map façade with it.
 func checkColumnRuns(t *testing.T, r *Relation) {
 	t.Helper()
 	m := r.NumTuples()
@@ -39,7 +39,7 @@ func checkColumnRuns(t *testing.T, r *Relation) {
 			}
 		}
 		all := mapRuns(r, col, 1)
-		freq, maxDeg := ColumnFrequencies(r, col), 0
+		freq := ColumnFrequencies(r, col)
 		if len(freq) != len(all) {
 			t.Fatalf("column %d: ColumnFrequencies holds %d values, want %d", col, len(freq), len(all))
 		}
@@ -49,10 +49,6 @@ func checkColumnRuns(t *testing.T, r *Relation) {
 				t.Fatalf("column %d value %d: map %d, CountOf %d, want %d",
 					col, run.Value, freq[run.Value], CountOf(sorted, run.Value), run.Count)
 			}
-			maxDeg = max(maxDeg, run.Count)
-		}
-		if got := MaxDegree(r, col); got != maxDeg {
-			t.Fatalf("column %d: MaxDegree %d, want %d", col, got, maxDeg)
 		}
 	}
 }

@@ -94,16 +94,6 @@ func (t *Trace) ObserveWire(w WireObservation) {
 	t.wire = append(t.wire, w)
 }
 
-// Instants returns a copy of the run-level point events recorded so far.
-func (t *Trace) Instants() []Instant {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Instant(nil), t.instants...)
-}
-
 // NewCluster registers a cluster (p model servers, bitsPerValue-bit
 // values) with the trace and returns its per-cluster sink. Returns nil —
 // a valid no-op sink — when the trace itself is nil.

@@ -118,21 +118,6 @@ func IsPacking(q *query.Query, u []float64, tol float64) bool {
 	return true
 }
 
-// Saturates reports whether packing u saturates every variable in vars:
-// Σ_{j: x ∈ Sj} uj ≥ 1 for each x in vars (Section 4.2.3).
-func Saturates(q *query.Query, u []float64, vars []string, tol float64) bool {
-	for _, v := range vars {
-		sum := 0.0
-		for _, j := range q.AtomsOf(v) {
-			sum += u[j]
-		}
-		if sum < 1-tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Vertices enumerates the extreme points pk(q) of the fractional edge
 // packing polytope of q (Section 3.3). Each vertex is obtained by choosing
 // ℓ of the k+ℓ defining inequalities to hold with equality and solving the

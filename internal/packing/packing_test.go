@@ -330,17 +330,6 @@ func TestStarSharesConcentrate(t *testing.T) {
 	}
 }
 
-func TestSaturates(t *testing.T) {
-	q := query.Star(2)
-	// u = (1,1) saturates z (sum=2 ≥ 1) and both x's.
-	if !Saturates(q, []float64{1, 1}, []string{"z"}, 1e-9) {
-		t.Error("(1,1) should saturate z")
-	}
-	if Saturates(q, []float64{0.4, 0.4}, []string{"z"}, 1e-9) {
-		t.Error("(0.4,0.4) should not saturate z")
-	}
-}
-
 func TestVerticesCountsSmall(t *testing.T) {
 	// pk of a single binary atom S(x,y): vertices {0} and {1}.
 	q := query.MustParse("S(x,y)")

@@ -44,6 +44,49 @@ func trivialShares(q *query.Query, M []float64, p float64) Shares {
 // Share returns the (real-valued) share p^{e_i} of variable i.
 func (s Shares) Share(i int) float64 { return math.Pow(s.P, s.Exponents[i]) }
 
+// IntegerShares rounds fractional share exponents e (for p servers) to
+// integer shares with product at most p: starting from all-ones, it
+// repeatedly increments the dimension whose integer share is furthest below
+// its fractional target p^{e_i}, as long as the product stays within p.
+// Every grid in the repository is rounded by it: HyperCube's, and the
+// residual grids of the skew layouts.
+func IntegerShares(e []float64, p int) []int {
+	k := len(e)
+	target := make([]float64, k)
+	for i, ei := range e {
+		target[i] = math.Pow(float64(p), ei)
+	}
+	shares := make([]int, k)
+	for i := range shares {
+		shares[i] = 1
+	}
+	prod := 1
+	blocked := make([]bool, k)
+	for {
+		best := -1
+		bestGap := 1.0 // ratio share/target; grow the most underallocated
+		for i := 0; i < k; i++ {
+			if blocked[i] {
+				continue
+			}
+			gap := float64(shares[i]) / target[i]
+			if gap < bestGap-1e-12 {
+				bestGap = gap
+				best = i
+			}
+		}
+		if best < 0 {
+			return shares
+		}
+		if prod/shares[best]*(shares[best]+1) > p {
+			blocked[best] = true
+			continue
+		}
+		prod = prod / shares[best] * (shares[best] + 1)
+		shares[best]++
+	}
+}
+
 // ShareExponents solves the paper's LP (10): given statistics M (sizes of
 // the ℓ relations, in bits) and p servers, find share exponents e minimizing
 // λ subject to

@@ -136,14 +136,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Purge drops every entry.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*cacheEntry)
-	c.order = nil
-}
-
 // PurgeMatching drops every entry whose key contains substr — used when a
 // database is invalidated: its old version tag makes the entries
 // unreachable anyway, but dropping them frees potentially large layouts

@@ -139,15 +139,6 @@ func TestCachePanicRetries(t *testing.T) {
 	}
 }
 
-func TestCachePurge(t *testing.T) {
-	c := NewCache(8)
-	c.GetOrCompute("a", func() any { return 1 })
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len after Purge = %d", c.Len())
-	}
-}
-
 func TestCachePurgeMatching(t *testing.T) {
 	c := NewCache(8)
 	c.GetOrCompute("q1|db1.v0|x", func() any { return 1 })

@@ -469,7 +469,7 @@ func patternShares(q *query.Query, assign map[int]int64, stats []float64, ps int
 	}
 	res := query.New("res:"+patKey(assign), atoms...)
 	exp := packing.ShareExponents(res, resStats, float64(ps))
-	lightShares := integerSharesN(exp.Exponents, ps)
+	lightShares := packing.IntegerShares(exp.Exponents, ps)
 	for i, v := range res.Vars() {
 		sh[q.VarIndex(v)] = lightShares[i]
 	}

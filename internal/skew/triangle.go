@@ -292,7 +292,7 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 
 	// Light grid: shares p^{1/3} per variable.
 	e := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
-	light := hashing.NewGrid(integerShares3(e, p))
+	light := hashing.NewGrid(packing.IntegerShares(e, p))
 	for j := range lay.lightRoutes {
 		lay.lightRoutes[j] = hashing.NewRoute(light, atomDims[j])
 	}
@@ -362,7 +362,7 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 			sh := packing.ShareExponents(resQ, []float64{fiber, midBits, fiber}, math.Max(2, float64(ph)))
 			// Shares for (a, b) become the shares of the two non-pivot
 			// variables, in q.Vars() order; the pivot's share is 1.
-			ab := integerShares2(sh.Exponents, ph)
+			ab := packing.IntegerShares(sh.Exponents[:2], ph) // the residual share LP has 2 variables (a, b)
 			grid := hashing.NewGrid(slices.Insert(ab, pivot, 1))
 			b := &pivotBlock{offset: offset}
 			for j := range b.routes {
@@ -410,54 +410,6 @@ func oppositeAtom(q *query.Query, pivot int) int {
 		}
 	}
 	panic("skew: no opposite atom")
-}
-
-func integerShares3(e []float64, p int) []int {
-	return integerSharesN(e, p)
-}
-
-func integerShares2(e []float64, p int) []int {
-	// The residual share LP has 2 variables (a, b).
-	return integerSharesN(e[:2], p)
-}
-
-// integerSharesN mirrors core.IntegerShares (duplicated to avoid an import
-// cycle with package core, which depends on skew-free planning only).
-func integerSharesN(e []float64, p int) []int {
-	k := len(e)
-	target := make([]float64, k)
-	for i, ei := range e {
-		target[i] = math.Pow(float64(p), ei)
-	}
-	shares := make([]int, k)
-	for i := range shares {
-		shares[i] = 1
-	}
-	prod := 1
-	blocked := make([]bool, k)
-	for {
-		best := -1
-		bestGap := 1.0
-		for i := 0; i < k; i++ {
-			if blocked[i] {
-				continue
-			}
-			gap := float64(shares[i]) / target[i]
-			if gap < bestGap-1e-12 {
-				bestGap = gap
-				best = i
-			}
-		}
-		if best < 0 {
-			return shares
-		}
-		if prod/shares[best]*(shares[best]+1) > p {
-			blocked[best] = true
-			continue
-		}
-		prod = prod / shares[best] * (shares[best] + 1)
-		shares[best]++
-	}
 }
 
 // keep returns the output-row predicate of server s's group, nil where

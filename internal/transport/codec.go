@@ -1,12 +1,10 @@
-// Package transport moves the engine's rounds between servers. It provides
-// the two implementations of the engine's delivery seam
-// (engine.Transport):
-//
-//   - Inproc: today's sharded, zero-copy, in-memory delivery — the default.
-//   - TCP sessions (Dial): N real OS processes (or N goroutines over real
-//     loopback sockets) executing the same strategy in SPMD style, with
-//     every bit a server receives from another rank serialized through the
-//     wire codec below.
+// Package transport moves the engine's rounds between servers over TCP.
+// It implements the engine's delivery seam (engine.Transport) with
+// sessions (Dial): N real OS processes (or N goroutines over real loopback
+// sockets) executing the same strategy in SPMD style, with every bit a
+// server receives from another rank serialized through the wire codec
+// below. Without a transport the engine delivers in process
+// (engine.DeliverLocal).
 //
 // The distributed protocol is owner-computes: every rank plans the whole
 // run, but the p model servers of a cluster are block-partitioned over the

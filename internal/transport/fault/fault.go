@@ -141,15 +141,13 @@ func (p *Plan) DeliverFault(rank, epoch int, cluster, round uint32) (time.Durati
 	return delay, nil
 }
 
-// Wrap installs the plan on a transport. A *transport.Session gets the
-// plan as its fault injector (returning the session itself — the wire
-// faults flow through the real retry/dedup/recovery machinery). Any other
-// transport — including the in-process default — is wrapped so that
-// DeliverFault's crash/straggle schedule still applies before each
-// delivery; wire-level actions are meaningless without a wire and are
-// skipped. Wrap(nil, plan) returns a faulty in-process transport stand-in
-// (nil engine.Transport semantics are preserved by returning nil when the
-// plan is nil too).
+// Wrap installs the plan on a transport, which is either nil (in-process
+// delivery) or a *transport.Session. A session gets the plan as its fault
+// injector (returning the session itself — the wire faults flow through
+// the real retry/dedup/recovery machinery). The in-process default is
+// replaced by a stand-in that applies DeliverFault's crash/straggle
+// schedule before each delivery; wire-level actions are meaningless
+// without a wire and are skipped. Wrap(t, nil) returns t.
 func Wrap(t engine.Transport, p *Plan) engine.Transport {
 	if p == nil {
 		return t
@@ -158,17 +156,15 @@ func Wrap(t engine.Transport, p *Plan) engine.Transport {
 		s.SetFaultInjector(p)
 		return s
 	}
-	return &localTransport{inner: t, plan: p}
+	return &localTransport{plan: p}
 }
 
 // localTransport applies a Plan's delivery-level faults (crash,
-// straggler) to a non-session transport, including the nil (in-process)
-// one. It mirrors the session's attempt-epoch semantics via AdvanceEpoch
-// so the recovery supervisor can replay past an injected crash without a
-// wire. Its inner transport is never a Session (Inject hands a session its
-// injector instead), so its links own every server.
+// straggler) to in-process delivery. It mirrors the session's
+// attempt-epoch semantics via AdvanceEpoch so the recovery supervisor can
+// replay past an injected crash without a wire. Its links own every
+// server.
 type localTransport struct {
-	inner engine.Transport
 	plan  *Plan
 	epoch int
 	rank  int
@@ -188,29 +184,15 @@ func (lt *localTransport) AdvanceEpoch() {
 func (lt *localTransport) Attach(p, bitsPerValue int) (engine.Link, error) {
 	id := lt.nextCluster
 	lt.nextCluster++
-	var inner engine.Link
-	if lt.inner != nil {
-		l, err := lt.inner.Attach(p, bitsPerValue)
-		if err != nil {
-			return nil, err
-		}
-		inner = l
-	}
-	return &localLink{lt: lt, id: id, inner: inner}, nil
+	return &localLink{lt: lt, id: id}, nil
 }
 
 type localLink struct {
-	lt    *localTransport
-	id    uint32
-	inner engine.Link
+	lt *localTransport
+	id uint32
 }
 
-func (l *localLink) Close() error {
-	if l.inner != nil {
-		return l.inner.Close()
-	}
-	return nil
-}
+func (l *localLink) Close() error { return nil }
 
 func (l *localLink) Deliver(io *engine.DeliveryRound) error {
 	lt := l.lt
@@ -223,9 +205,6 @@ func (l *localLink) Deliver(io *engine.DeliveryRound) error {
 		// recovery supervisor treats both identically.
 		return fmt.Errorf("%w: rank %d: cluster %d round %d: injected crash: %w",
 			transport.ErrPeerUnavailable, lt.rank, l.id, io.Round, crash)
-	}
-	if l.inner != nil {
-		return l.inner.Deliver(io)
 	}
 	engine.DeliverLocal(io)
 	return nil

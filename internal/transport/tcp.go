@@ -346,9 +346,8 @@ type Session struct {
 	closed      bool
 	fatal       error
 
-	queued atomic.Int64
-	ctr    wireCounters
-	wg     sync.WaitGroup
+	ctr wireCounters
+	wg  sync.WaitGroup
 }
 
 // Dial starts rank's session of an n-rank run: it listens at addrs[rank],
@@ -407,11 +406,6 @@ func (s *Session) Ranks() int { return s.n }
 // Addr returns the session's actual listen address.
 func (s *Session) Addr() string { return s.ln.Addr().String() }
 
-// QueuedSendBytes returns the bytes currently queued into (or in flight
-// through) peer sockets — the send-queue depth the service tier's
-// backpressure admission reads. It is an instantaneous, racy snapshot.
-func (s *Session) QueuedSendBytes() int64 { return s.queued.Load() }
-
 // Stats returns a snapshot of the session's wire accounting.
 func (s *Session) Stats() WireStats { return s.ctr.snapshot() }
 
@@ -420,14 +414,6 @@ func (s *Session) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fatal
-}
-
-// Epoch returns the session's current attempt epoch: 0 until the first
-// recovery rewind, monotone thereafter.
-func (s *Session) Epoch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
 }
 
 // SetFaultInjector installs (or, with nil, removes) the session's fault
@@ -861,9 +847,7 @@ func (s *Session) writeFrames(r int, buf []byte, desc string, fi FaultInjector, 
 			}
 		}
 		pc.conn.SetWriteDeadline(time.Now().Add(s.opts.RoundTimeout))
-		s.queued.Add(int64(len(out)))
 		_, err := pc.conn.Write(out)
-		s.queued.Add(-int64(len(out)))
 		if err == nil {
 			s.ctr.wireBytes.Add(int64(len(out)))
 			obsWireBytes.Add(int64(len(out)))

@@ -8,18 +8,19 @@
 // The package is a façade over the internal packages; it exposes everything
 // a downstream user needs:
 //
-//   - conjunctive queries: Chain, Cycle, Star, Triangle, Binom,
-//     SpokedWheel, ParseQuery, and the hypergraph machinery on Query;
-//   - workloads: MatchingDatabase and the skewed generators;
+//   - conjunctive queries: Chain, Cycle, Star, Triangle, SpokedWheel,
+//     ParseQuery, DesugarSelfJoins, and the hypergraph machinery on Query;
+//   - workloads: MatchingDatabase, the skewed generators and
+//     ReadRelationCSV;
 //   - algorithms: the single entry point Run with a Strategy per paper
 //     algorithm — HyperCube variants (one round), SkewedStar /
 //     SkewedTriangle / SkewedGeneric (one round with heavy-hitter
 //     statistics), ChainPlan / GreedyPlan (multi-round), and Auto (the
 //     advisor-driven pick) — all returning the unified Report; plus the
 //     connected-components algorithms;
-//   - bounds: TauStar, LoadLowerBound, ShareExponents, SpaceExponentLB,
-//     round-count bounds, and the skewed bounds;
-//   - the experiment harness regenerating every table in the paper;
+//   - bounds: TauStar, LoadLowerBound, SpaceExponentLB, the round-count
+//     bounds (ChainRounds, RoundsUB, RoundBounds) and StarSkewLB;
+//   - planning: Advise enumerates the rounds/load tradeoff of Table 3;
 //   - serving: NewService wraps Run in a long-lived, concurrency-safe query
 //     service with plan and statistics caching (keyed by Query.ShapeKey and
 //     a database fingerprint), admission control (ErrOverloaded), and
@@ -28,6 +29,8 @@
 //     COUNT/SUM/MIN/MAX over a join with group-by, with pre-shuffle partial
 //     aggregation (senders combine same-group tuples before routing —
 //     WithAggregatePushdown, Report.AggregateBitsSaved).
+//
+// cmd/mpcbench regenerates the paper's tables.
 //
 // Quick start:
 //
@@ -43,12 +46,9 @@ import (
 	"math/rand"
 
 	"mpcquery/internal/advisor"
-
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
-	"mpcquery/internal/entropy"
-	"mpcquery/internal/experiments"
 	"mpcquery/internal/multiround"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
@@ -62,14 +62,8 @@ type Query = query.Query
 // Atom is one relational atom of a query.
 type Atom = query.Atom
 
-// NewQuery builds a query from atoms; relation names must be distinct.
-func NewQuery(name string, atoms ...Atom) *Query { return query.New(name, atoms...) }
-
 // ParseQuery reads datalog-like notation, e.g. "q(x,y,z) :- R(x,y), S(y,z)".
 func ParseQuery(s string) (*Query, error) { return query.Parse(s) }
-
-// MustParseQuery is ParseQuery that panics on error.
-func MustParseQuery(s string) *Query { return query.MustParse(s) }
 
 // Chain returns L_k, the chain query S1(x0,x1),…,Sk(x_{k−1},x_k).
 func Chain(k int) *Query { return query.Chain(k) }
@@ -82,9 +76,6 @@ func Triangle() *Query { return query.Triangle() }
 
 // Star returns T_k = S1(z,x1),…,Sk(z,xk); Star(2) is the simple join.
 func Star(k int) *Query { return query.Star(k) }
-
-// Binom returns B_{k,m}: one m-ary atom per m-subset of k variables.
-func Binom(k, m int) *Query { return query.Binom(k, m) }
 
 // SpokedWheel returns SP_k = ∧ R_i(z,x_i), S_i(x_i,y_i) (Example 5.3).
 func SpokedWheel(k int) *Query { return query.SpokedWheel(k) }
@@ -135,15 +126,7 @@ func LayeredPathGraph(rng *rand.Rand, k, perLayer int) *Graph {
 	return data.LayeredPathGraph(rng, k, perLayer)
 }
 
-// ---- one-round algorithms ----------------------------------------------------
-
-// HyperCubePlan is an executable HyperCube share configuration.
-type HyperCubePlan = core.Plan
-
-// PlanHyperCube computes LP-optimal shares (Theorem 3.4) for q on db.
-func PlanHyperCube(q *Query, db *Database, p int) *HyperCubePlan {
-	return core.PlanForDatabase(q, db, p, core.SkewFree)
-}
+// ---- ground truth -------------------------------------------------------------
 
 // SequentialAnswer computes q(db) on one node (ground truth).
 func SequentialAnswer(q *Query, db *Database) *Relation {
@@ -157,11 +140,6 @@ type MultiRoundPlan = multiround.Plan
 
 // CCResult reports a connected-components computation.
 type CCResult = multiround.CCResult
-
-// PlanChain builds the ⌈log_kε k⌉-round plan for L_k (Example 5.2), for plan
-// inspection; Run with WithStrategy(ChainPlan(eps)) builds and executes in
-// one call.
-func PlanChain(k int, eps float64) *MultiRoundPlan { return multiround.ChainPlan(k, eps) }
 
 // PlanGreedy builds a plan for any connected query at space exponent ε, for
 // plan inspection; Run with WithStrategy(GreedyPlan(eps)) builds and executes
@@ -192,11 +170,6 @@ func LoadLowerBound(q *Query, M []float64, p float64) (float64, []float64) {
 	return packing.LLower(q, M, p)
 }
 
-// ShareExponents solves LP (10); the optimal one-round load is p^λ.
-func ShareExponents(q *Query, M []float64, p float64) packing.Shares {
-	return packing.ShareExponents(q, M, p)
-}
-
 // SpaceExponentLB returns 1 − 1/τ*(q) (Section 3.4).
 func SpaceExponentLB(q *Query) float64 { return bounds.SpaceExponentLB(q) }
 
@@ -213,62 +186,7 @@ func StarSkewLB(freq []map[int64]float64, p float64) float64 {
 	return bounds.StarSkewLB(freq, p)
 }
 
-// ---- experiments -------------------------------------------------------------
-
-// ExperimentConfig controls experiment sizes.
-type ExperimentConfig = experiments.Config
-
-// ExperimentTable is one regenerated paper artifact.
-type ExperimentTable = experiments.Table
-
-// RunAllExperiments regenerates every table/figure of the paper.
-func RunAllExperiments(cfg ExperimentConfig) []*ExperimentTable {
-	return experiments.All(cfg)
-}
-
-// ---- lower-bound machinery ---------------------------------------------------
-
-// CappedResult reports a load-capped HyperCube run (Theorem 3.5 observed).
-type CappedResult = core.CappedResult
-
-// RunHyperCubeCapped executes the HyperCube routing but lets every server
-// keep only capBits of received data, measuring the fraction of answers an
-// algorithm with maximum load capBits can report (Theorems 3.5/3.7).
-func RunHyperCubeCapped(q *Query, db *Database, p int, seed int64, capBits float64) *CappedResult {
-	return core.RunPlanCapped(core.PlanForDatabase(q, db, p, core.SkewFree), db, seed, capBits)
-}
-
-// RunHyperCubeInputServers executes under the input-server model of
-// Section 2.1 (relation j starts wholly on server j); loads match the
-// partitioned-input run.
-func RunHyperCubeInputServers(q *Query, db *Database, p int, seed int64) *Report {
-	plan := core.PlanForDatabase(q, db, p, core.SkewFree)
-	return hyperCubeReport(HyperCube().Name(), q, plan, core.RunPlanInputServers(plan, db, seed))
-}
-
-// AnswerFractionUB returns the Theorem 3.5 bound on the fraction of the
-// expected answers reportable with maximum load L.
-func AnswerFractionUB(q *Query, M []float64, p, L float64) float64 {
-	return bounds.AnswerFractionUB(q, M, p, L)
-}
-
-// ---- information-theoretic toolkit -------------------------------------------
-
-// MatchingEntropyBits returns the exact encoding size (entropy) of an
-// a-dimensional matching with m tuples over [n] — equation (12).
-func MatchingEntropyBits(arity int, m, n float64) float64 {
-	return entropy.MatchingBits(arity, m, n)
-}
-
-// FriedgutCheck evaluates both sides of Friedgut's inequality (7) for the
-// given per-atom weight vectors over [n]^{a_j} and fractional edge cover u.
-func FriedgutCheck(q *Query, w [][]float64, n int, u []float64) (lhs, rhs float64) {
-	return entropy.Friedgut(q, w, n, u)
-}
-
-// AGMBound returns the output-size bound Π_j |S_j|^{u_j} for a fractional
-// edge cover u (Section 2.4).
-func AGMBound(sizes, u []float64) float64 { return entropy.AGMBound(sizes, u) }
+// ---- input and statistics ----------------------------------------------------
 
 // ReadRelationCSV reads a relation from comma-separated integer rows.
 func ReadRelationCSV(r io.Reader, name string, arity int) (*Relation, error) {
@@ -297,12 +215,6 @@ type AdviceOption = advisor.Option
 // count — the Table 3 tradeoff as a planning service.
 func Advise(q *Query, M []float64, p int) []AdviceOption {
 	return advisor.Advise(q, M, p)
-}
-
-// BestStrategy picks the lowest-load option within a round budget
-// (0 = unlimited).
-func BestStrategy(opts []AdviceOption, maxRounds int) (AdviceOption, bool) {
-	return advisor.Best(opts, maxRounds)
 }
 
 // RoundBounds summarizes what the paper's theory says about q at space

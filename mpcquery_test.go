@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/packing"
+	"mpcquery/internal/query"
 )
 
 func mustRun(t *testing.T, q *Query, db *Database, opts ...RunOption) *Report {
@@ -33,7 +35,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPIParseAndBounds(t *testing.T) {
-	q := MustParseQuery("q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
+	q := query.MustParse("q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
 	tau, u := TauStar(q)
 	if tau != 1.5 {
 		t.Errorf("τ*=%v want 1.5", tau)
@@ -46,7 +48,7 @@ func TestPublicAPIParseAndBounds(t *testing.T) {
 	}
 	M := []float64{1 << 20, 1 << 20, 1 << 20}
 	lower, _ := LoadLowerBound(q, M, 64)
-	upper := ShareExponents(q, M, 64).Load()
+	upper := packing.ShareExponents(q, M, 64).Load()
 	if lower <= 0 || upper/lower > 1.001 || lower/upper > 1.001 {
 		t.Errorf("bounds: lower=%v upper=%v", lower, upper)
 	}
@@ -55,10 +57,6 @@ func TestPublicAPIParseAndBounds(t *testing.T) {
 func TestPublicAPIMultiRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := ChainMatchingDatabase(rng, 8, 200, 1<<20)
-	plan := PlanChain(8, 0)
-	if plan.Rounds() != 3 {
-		t.Fatalf("L8 plan rounds=%d want 3", plan.Rounds())
-	}
 	if ChainRounds(8, 0) != 3 {
 		t.Error("formula disagrees")
 	}
@@ -102,31 +100,9 @@ func TestPublicAPIConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestPublicAPIExperiments(t *testing.T) {
-	tables := RunAllExperiments(ExperimentConfig{Seed: 1, Quick: true})
-	if len(tables) != 17 {
-		t.Fatalf("tables=%d want 17", len(tables))
-	}
-}
-
 func TestPublicAPIBoundsAndTools(t *testing.T) {
-	q := Triangle()
-	M := []float64{1 << 20, 1 << 20, 1 << 20}
-	if f := AnswerFractionUB(q, M, 64, float64(1<<20)/64); f <= 0 || f > 1 {
-		t.Errorf("fraction UB: %v", f)
-	}
 	if RoundsUB(Chain(8), 0) < 3 {
 		t.Error("L8 rounds UB")
-	}
-	if b := MatchingEntropyBits(2, 2, 4); b <= 0 {
-		t.Errorf("matching entropy: %v", b)
-	}
-	if b := AGMBound([]float64{100, 100, 100}, []float64{0.5, 0.5, 0.5}); b < 999.99 || b > 1000.01 {
-		t.Errorf("AGM: %v", b)
-	}
-	lhs, rhs := FriedgutCheck(Star(2), [][]float64{{1, 1, 1, 1}, {1, 1, 1, 1}}, 2, []float64{1, 1})
-	if lhs > rhs {
-		t.Errorf("Friedgut: %v > %v", lhs, rhs)
 	}
 	freq := []map[int64]float64{{1: 100}, {1: 100}}
 	if lb := StarSkewLB(freq, 4); lb <= 0 {
@@ -134,18 +110,8 @@ func TestPublicAPIBoundsAndTools(t *testing.T) {
 	}
 }
 
-func TestPublicAPICappedAndCSV(t *testing.T) {
-	q := Triangle()
+func TestPublicAPICSVAndStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	db := MatchingDatabase(rng, q, 300, 1<<16)
-	capped := RunHyperCubeCapped(q, db, 27, 3, 1e12)
-	if capped.Fraction != 1 {
-		t.Errorf("unlimited cap fraction: %v", capped.Fraction)
-	}
-	is := RunHyperCubeInputServers(q, db, 27, 3)
-	if is.MaxLoadBits <= 0 {
-		t.Error("input-server run recorded no load")
-	}
 	rel, err := ReadRelationCSV(strings.NewReader("1,2\n3,4\n"), "R", 2)
 	if err != nil || rel.NumTuples() != 2 {
 		t.Fatalf("csv: %v %d", err, rel.NumTuples())

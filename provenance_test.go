@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mpcquery/internal/localjoin"
+	"mpcquery/internal/query"
 	"mpcquery/internal/transport"
 )
 
@@ -106,7 +107,7 @@ func randomProvenanceQuery(rng *rand.Rand) (*Query, *Database) {
 		}
 		atoms[j] = Atom{Name: fmt.Sprintf("S%d", j+1), Vars: vars}
 	}
-	q := NewQuery("q", atoms...)
+	q := query.New("q", atoms...)
 	db := NewDatabase(1 << 10)
 	for _, a := range atoms {
 		rel := NewRelation(a.Name, len(a.Vars))

@@ -153,9 +153,8 @@ func WithRequestCoalescing(on bool) ServiceOption {
 
 // WithSendQueueBackpressure ties admission to transport pressure: when
 // depth() exceeds limit at admission time, the request is shed with
-// ErrOverloaded before it queues. Pass DistributedRuntime.QueuedSendBytes
-// as the probe to stop accepting work while the runtime's sockets are
-// backed up; a nil probe or non-positive limit disables the check.
+// ErrOverloaded before it queues; a nil probe or non-positive limit
+// disables the check.
 func WithSendQueueBackpressure(depth func() int64, limit int64) ServiceOption {
 	return func(c *serviceConfig) { c.bpDepth, c.bpLimit = depth, limit }
 }

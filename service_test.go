@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpcquery/internal/query"
 )
 
 // serviceCase is one (workload, strategy) pair exercised by the cache
@@ -128,8 +130,8 @@ func TestServiceCachedReportsBitIdentical(t *testing.T) {
 // plan cache and still reports identically to its own plain Run.
 func TestServiceShapeRenamedQuerySharesCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	q1 := MustParseQuery("q(x,y,z) :- R(x,y), S(y,z)")
-	q2 := MustParseQuery("other(a,b,c) :- R(a,b), S(b,c)")
+	q1 := query.MustParse("q(x,y,z) :- R(x,y), S(y,z)")
+	q2 := query.MustParse("other(a,b,c) :- R(a,b), S(b,c)")
 	db := MatchingDatabase(rng, q1, 500, 1<<16)
 
 	svc := NewService()

@@ -153,3 +153,174 @@ func resultTypes(fl *ast.FieldList) string {
 	}
 	return strings.Join(parts, ", ")
 }
+
+// idleExportAllowlist names the exported functions and methods under
+// internal/ that no non-test file calls, each with the reason it stays.
+// Keys are "<dir>.<Func>" or "<dir>.<Type>.<Method>".
+var idleExportAllowlist = map[string]string{
+	// Statements of the paper, kept to become gates that assert each
+	// theorem against measured runs.
+	"internal/bounds.ChainRoundsLB":                "Corollary 5.15: rounds for L_k",
+	"internal/bounds.ConnectedComponentsRoundsLB":  "Theorem 5.20: rounds for connected components",
+	"internal/bounds.CycleRoundsLB":                "Lemma 5.18: rounds for C_k",
+	"internal/bounds.ExpectedOutput":               "Lemma 3.6: expected answers on matching databases",
+	"internal/bounds.SkewedLB":                     "Section 4: heavy-hitter load lower bound",
+	"internal/core.RunPlanInputServers":            "Section 2.1: the input-server model; frozen by TestStrategyEntryPointSurface",
+	"internal/entropy.AGMBound":                    "Section 2.4: AGM output bound; a ceiling for the local join's intermediates",
+	"internal/entropy.Binary":                      "Proposition 3.11: binary entropy",
+	"internal/entropy.Conditional":                 "equation (4): conditional entropy",
+	"internal/entropy.Friedgut":                    "inequality (7): Friedgut",
+	"internal/entropy.Proposition314Holds":         "Proposition 3.14: matching entropy against size",
+	"internal/multiround.EpsPlan.OutputFractionUB": "Theorem 5.11: answer fraction of r+1 rounds",
+
+	// Referenced by tests only: accessors and references the tests assert
+	// through.
+	"internal/aggregate.FoldTable.Len":            "aggregate tests count groups without finalizing",
+	"internal/core.SequentialAnswerWithSelfJoins": "oracle of the self-join tests",
+	"internal/data.Relation.Annotated":            "annotation-column tests",
+	"internal/data.Relation.Annotations":          "annotation-column tests",
+	"internal/data.Relation.IsView":               "zero-copy view tests",
+	"internal/engine.Inbox.NumBatches":            "engine tests compare batch layout across delivery paths",
+	"internal/hashing.Grid.CoordsOf":              "hashing tests invert the grid",
+	"internal/hashing.Grid.ServerOf":              "hashing tests invert the grid",
+	"internal/hashing.Grid.SubcubeSize":           "hashing and routing tests",
+	"internal/localjoin.EvaluateOrdered":          "join-order ablation benchmark and its error test",
+	"internal/localjoin/baseline.Evaluate":        "per-server order reference of the kernel equivalence tests",
+	"internal/multiround.EpsPlan.Verify":          "multiround tests check plans against Definition 5.5",
+	"internal/obs.Histogram.Min":                  "registry tests",
+	"internal/obs.Trace.Structure":                "trace determinism tests",
+	"internal/packing.VertexCover":                "packing tests check τ* against the dual LP",
+	"internal/service.Cache.Len":                  "cache eviction and purge tests",
+	"internal/skew.GenericPlan.NumPatterns":       "generic-plan tests",
+
+	// Fixtures that tests in several packages share: moving them into
+	// _test.go files would duplicate them, not remove them.
+	"internal/data.FromTuples":  "relation literal in the tests of five packages",
+	"internal/data.RandomGraph": "graph generator of the data and multiround tests",
+	"internal/query.K4":         "query fixture of the query and packing tests",
+	"internal/query.MustParse":  "query literal in the tests of four packages and the root",
+	"internal/query.SimpleJoin": "query fixture of the packing and core tests",
+
+	"internal/query.Query.IsAcyclic":                 "decides when a semijoin pre-pass may run on a fragment",
+	"internal/localjoin.MissingRelationError.Unwrap": "errors.Is/As unwrap the typed error",
+}
+
+// TestNoIdleInternalExports keeps internal/ free of exported functions and
+// methods nothing runs. Go's internal rule means only this repository can
+// call them, so one whose only callers are _test.go files is dead code.
+// Every exported function or method declared in a non-test file under
+// internal/ (analysistest, the analyzers' test harness, aside) must be named
+// by a non-test file somewhere in the repository, benchmark/ included, or
+// appear in idleExportAllowlist with its reason. Functions match by package
+// and name; methods match by name — any selector, or an interface method,
+// of that name. *ForTest hooks exist for tests and are exempt. An
+// allowlisted name that gains a caller or disappears must leave the list.
+func TestNoIdleInternalExports(t *testing.T) {
+	refs := map[string]bool{}    // "mpcquery/<dir>.Func" and ".Method"
+	decls := map[string]string{} // "<dir>.Func" or "<dir>.Type.Method" -> its refs key
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkg := "mpcquery"
+		if dir != "." {
+			pkg += "/" + dir
+		}
+		imports := map[string]string{}
+		for _, im := range f.Imports {
+			p := strings.Trim(im.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = p
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					refs[imports[x.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+				refs["."+n.Sel.Name] = true
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				refs[pkg+"."+n.Name] = true
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						refs["."+name.Name] = true
+					}
+				}
+			}
+			return true
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				ast.Inspect(decl, visit)
+				continue
+			}
+			if fd.Recv != nil {
+				ast.Inspect(fd.Recv, visit)
+			}
+			ast.Inspect(fd.Type, visit)
+			if fd.Body != nil {
+				ast.Inspect(fd.Body, visit)
+			}
+			if !strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "internal/analysis/analysistest") ||
+				!fd.Name.IsExported() || strings.HasSuffix(fd.Name.Name, "ForTest") {
+				continue
+			}
+			key, ref := dir+"."+fd.Name.Name, pkg+"."+fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				key, ref = dir+"."+types.ExprString(recv)+"."+fd.Name.Name, "."+fd.Name.Name
+			}
+			decls[key] = ref
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(decls))
+	for key := range decls {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		_, allowed := idleExportAllowlist[key]
+		switch used := refs[decls[key]]; {
+		case !used && !allowed:
+			t.Errorf("%s is exported but only tests call it: delete it, or add it to idleExportAllowlist with a reason", key)
+		case used && allowed:
+			t.Errorf("%s has a non-test caller now: remove it from idleExportAllowlist", key)
+		}
+	}
+	for key := range idleExportAllowlist {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("idleExportAllowlist names %s, which no longer exists: remove the entry", key)
+		}
+	}
+}

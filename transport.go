@@ -117,11 +117,6 @@ func (rt *DistributedRuntime) Addr() string { return rt.s.Addr() }
 // WireStats snapshots this rank's cumulative wire accounting.
 func (rt *DistributedRuntime) WireStats() TransportWireStats { return rt.s.Stats() }
 
-// QueuedSendBytes reports the bytes currently being pushed into peer
-// sockets — the runtime's send-queue depth, usable as a backpressure
-// signal for Service admission (see WithSendQueueBackpressure).
-func (rt *DistributedRuntime) QueuedSendBytes() int64 { return rt.s.QueuedSendBytes() }
-
 // Close tears down the listener and every peer connection. In-flight
 // rounds fail with ErrRuntimeClosed. Close is idempotent.
 func (rt *DistributedRuntime) Close() error { return rt.s.Close() }
