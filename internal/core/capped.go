@@ -36,7 +36,7 @@ func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *Ca
 	defer cluster.Release()
 
 	cluster.SeedPartitioned(gp, q, db)
-	hyperCubeShuffle(cluster, "capped-shuffle", hyperCubeRoutes(q, grid), family)
+	hyperCubeShuffle(cluster, "capped-shuffle", hashing.NewBlock(0, grid, q.AtomDims()), family)
 
 	// Computation phase under the cap: each server accepts messages in
 	// arrival order until capBits is exhausted. Budget cuts make fragments

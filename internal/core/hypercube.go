@@ -198,20 +198,19 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	}
 
 	seedInput(cluster, gp, q, db)
-	routes := hyperCubeRoutes(q, grid)
-	hyperCubeShuffle(cluster, "hypercube-shuffle", routes, family)
+	layout := hashing.Layout{hashing.NewBlock(0, grid, q.AtomDims())}
+	hyperCubeShuffle(cluster, "hypercube-shuffle", layout[0], family)
 
 	// Computation phase: local evaluation on every server (no
-	// communication). The shuffle's routes double as the provenance of what
+	// communication). The shuffle's block doubles as the provenance of what
 	// each server received, so the servers of a route's subcube, which hold
 	// the same fragment, share its index builds.
-	sharing := func(int) ([]*hashing.Route, int) { return routes, 0 }
 	var out *data.Relation
 	aggSaved := 0.0
 	if agg == nil {
-		out = localjoin.Output(cluster, q, env, sharing, nil)
+		out = localjoin.Output(cluster, q, env, layout, nil)
 	} else {
-		out, aggSaved = runAggregatePhases(cluster, q, sharing, agg)
+		out, aggSaved = runAggregatePhases(cluster, q, layout, agg)
 	}
 
 	inputBits := 0.0
@@ -223,34 +222,14 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	return rec
 }
 
-// hyperCubeRoutes compiles every atom's route into the grid, once per run, so
-// that the per-tuple work of the shuffle is hashing the atom's columns and
-// one fan-out emit.
-func hyperCubeRoutes(q *query.Query, grid *hashing.Grid) []*hashing.Route {
-	routes := make([]*hashing.Route, q.NumAtoms())
-	for j, a := range q.Atoms {
-		dims := make([]int, len(a.Vars))
-		for c, v := range a.Vars {
-			dims[c] = q.VarIndex(v)
-		}
-		routes[j] = hashing.NewRoute(grid, dims)
-	}
-	return routes
-}
-
 // hyperCubeShuffle runs the HyperCube communication round: every server
 // routes its local tuples (message kind = atom index) to their destination
-// subcubes D(t) of equation (9).
-func hyperCubeShuffle(cluster *engine.Cluster, name string, routes []*hashing.Route, family *hashing.Family) {
+// subcubes D(t) of equation (9) in block.
+func hyperCubeShuffle(cluster *engine.Cluster, name string, block *hashing.Block, family *hashing.Family) {
 	cluster.Round(name, func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		inbox.EachBatch(func(b engine.Batch) {
-			route := routes[b.Kind]
-			offsets := route.Offsets()
 			for off := 0; off < len(b.Vals); off += b.Arity {
-				tuple := b.Vals[off : off+b.Arity]
-				if base, ok := route.Base(family, tuple); ok {
-					emit.EmitFanout(base, offsets, b.Kind, tuple)
-				}
+				emit.EmitRouted(block, family, b.Kind, b.Vals[off:off+b.Arity])
 			}
 		})
 	})
@@ -263,12 +242,12 @@ func hyperCubeShuffle(cluster *engine.Cluster, name string, routes []*hashing.Ro
 // pushdown path — and the destination-side final fold. It returns the
 // canonical aggregate output and the bits the pushdown saved, both gathered
 // over every server, owned or not.
-func runAggregatePhases(cluster *engine.Cluster, q *query.Query, sharing localjoin.Sharing, agg *aggregate.Plan) (*data.Relation, float64) {
+func runAggregatePhases(cluster *engine.Cluster, q *query.Query, layout hashing.Layout, agg *aggregate.Plan) (*data.Relation, float64) {
 	gp := cluster.P()
 	ka := agg.KeyArity()
 	partials := make([]*data.Relation, gp)
 	rawRows := make([]int, gp)
-	localjoin.Phase(cluster, q, sharing, func(s int, sc *localjoin.Scratch, frags []*data.Relation, sh *localjoin.Shared) {
+	localjoin.Phase(cluster, q, layout, func(s int, sc *localjoin.Scratch, frags []*data.Relation, sh *localjoin.Shared) {
 		partials[s], rawRows[s] = sc.EvaluateAtomsAggregate(q, frags, sh, agg)
 	})
 

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/hashing"
 	"mpcquery/internal/obs"
 	"mpcquery/internal/query"
 )
@@ -536,13 +537,26 @@ func (e *Emitter) EmitTuple(dest, kind int, tuple []int64) {
 	b.vals = appendTuple(b.vals, tuple)
 }
 
+// EmitRouted sends one tuple of atom kind to its destination subcube D(t) of
+// eq. (9) in block b under family f: b.Routes[kind].Base plus EmitFanout at
+// the block's offset. A tuple whose repeated variable falls in two bins has
+// an empty subcube and goes nowhere. Every strategy's join routing is this
+// call.
+func (e *Emitter) EmitRouted(b *hashing.Block, f *hashing.Family, kind int, tuple []int64) {
+	r := b.Routes[kind]
+	if base, ok := r.Base(f, tuple); ok {
+		e.EmitFanout(b.Offset+base, r.Offsets(), kind, tuple)
+	}
+}
+
 // EmitFanout sends one tuple to the destination subcube base+offsets[·] —
-// the multicast form of EmitTuple for replication (hashing.Route supplies
-// base and the offset table). Every member receives the tuple and is charged
-// for it, but the tuple is staged once and landed once, in the arena of the
-// group's first member base+offsets[0]; see Cluster.Round for where it sits
-// in each member's delivery order. A group of one is EmitTuple. offsets is
-// retained until the round has been delivered and must not change meanwhile.
+// the multicast form of EmitTuple for replication, which EmitRouted feeds
+// from a block's compiled route. Every member receives the tuple and is
+// charged for it, but the tuple is staged once and landed once, in the arena
+// of the group's first member base+offsets[0]; see Cluster.Round for where
+// it sits in each member's delivery order. A group of one stages exactly as
+// EmitTuple. offsets is retained until the round has been delivered and must
+// not change meanwhile.
 func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {
 	if len(tuple) == 0 {
 		panic("engine: cannot emit an empty tuple")

@@ -2,6 +2,8 @@
 // hypercube coordinate grid used by the HyperCube algorithm (Section 3.1):
 // servers are points of [p1]×…×[pk], and a tuple t of relation Sj is routed
 // to the destination subcube D(t) = {y | ∀m: h_{i_m}(t[i_m]) = y_{i_m}}.
+// A Block places such a grid on a range of servers with every atom's
+// compiled Route, and a Layout finds the block that holds a server.
 //
 // The paper assumes perfectly random (strongly universal) hash functions;
 // we substitute a SplitMix64 finalizer keyed per (seed, dimension), whose
@@ -12,6 +14,7 @@ package hashing
 import (
 	"fmt"
 	"slices"
+	"sort"
 )
 
 // Family is a collection of independent hash functions, one per dimension
@@ -261,6 +264,42 @@ func (r *Route) BaseOf(server int) int {
 // Offsets returns the subcube offset table: tuple t goes to Base(t)+off for
 // every off, in order. The caller must not modify it.
 func (r *Route) Offsets() []int { return r.offsets }
+
+// Block is a grid placed on the servers [Offset, Offset+Grid.P()) with the
+// compiled route of every atom into it: Routes[j] routes the tuples of atom
+// j (message kind j). It is the one primitive of every one-round strategy —
+// HyperCube is one block at offset 0, and the skew algorithms place a block
+// per light part, heavy hitter, case-1 group or heavy/light pattern. A Block
+// is immutable and safe for concurrent use.
+type Block struct {
+	Offset int
+	Grid   *Grid
+	Routes []*Route
+}
+
+// NewBlock places grid at offset and compiles the route of every atom j
+// whose column c carries grid dimension atomDims[j][c] (see NewRoute).
+func NewBlock(offset int, grid *Grid, atomDims [][]int) *Block {
+	b := &Block{Offset: offset, Grid: grid, Routes: make([]*Route, len(atomDims))}
+	for j, dims := range atomDims {
+		b.Routes[j] = NewRoute(grid, dims)
+	}
+	return b
+}
+
+// Layout is a cluster's blocks in ascending server order. Servers outside
+// every block (input servers, gaps) receive their tuples some other way.
+type Layout []*Block
+
+// Find returns the index of the block that holds server, or -1 when no block
+// does.
+func (l Layout) Find(server int) int {
+	i := sort.Search(len(l), func(i int) bool { return l[i].Offset > server }) - 1
+	if i < 0 || server >= l[i].Offset+l[i].Grid.P() {
+		return -1
+	}
+	return i
+}
 
 // SubcubeSize returns |D(t)| for a tuple fixing the given dimensions: the
 // product of the shares of all unfixed dimensions (the replication factor

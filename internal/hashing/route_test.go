@@ -155,6 +155,73 @@ func TestRouteMatchesDestinations(t *testing.T) {
 	if empties == 0 || repeats == empties {
 		t.Fatalf("property did not exercise both guard outcomes: %d repeated columns, %d empty subcubes", repeats, empties)
 	}
+
+	// One dimension d carries the whole share P, every other dimension share
+	// 1 — the grids of star's light partition and triangle's case-1 groups. A
+	// route hashing d lands on f.Bin(d, v, P) alone; a route hashing no
+	// dimension of share above 1 reaches 0…P−1 in order.
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(4)
+		d := rng.Intn(k)
+		shares := make([]int, k)
+		for i := range shares {
+			shares[i] = 1
+		}
+		shares[d] = 1 + rng.Intn(9)
+		g := NewGrid(shares)
+		f := NewFamily(rng.Int63(), k)
+		var rest []int // columns that fix no dimension of share above 1
+		for c := rng.Intn(3); c > 0; c-- {
+			rest = append(rest, rng.Intn(k+1)-1)
+		}
+		rest = slices.DeleteFunc(rest, func(e int) bool { return e == d })
+		hashed := NewRoute(g, append([]int{d}, rest...))
+		spanning := NewRoute(g, append(rest, -1))
+		all := make([]int, g.P())
+		for s := range all {
+			all[s] = s
+		}
+		for rep := 0; rep < 8; rep++ {
+			tuple := make([]int64, len(rest)+1)
+			for c := range tuple {
+				tuple[c] = rng.Int63()
+			}
+			want := f.Bin(d, tuple[0], shares[d])
+			if base, ok := hashed.Base(f, tuple); !ok || base != want || !slices.Equal(hashed.Offsets(), []int{0}) {
+				t.Fatalf("shares %v, route on %d: base %d ok=%v offsets %v, want Bin %d offsets [0]",
+					shares, d, base, ok, hashed.Offsets(), want)
+			}
+			if got := routed(spanning, f, tuple); !slices.Equal(got, all) {
+				t.Fatalf("shares %v, route off %d: %v, want %v", shares, d, got, all)
+			}
+		}
+	}
+}
+
+// TestLayoutFind looks servers up in a layout of back-to-back blocks that
+// starts after a range of input servers: the first and last server of each
+// block find it, a server before the first or past the last finds none.
+func TestLayoutFind(t *testing.T) {
+	const input = 4
+	var layout Layout
+	offset := input
+	for _, shares := range [][]int{{2, 3}, {1}, {4}, {1, 1}, {2, 2, 2}} {
+		b := NewBlock(offset, NewGrid(shares), nil)
+		layout = append(layout, b)
+		offset += b.Grid.P()
+	}
+	cases := []struct{ server, want int }{{0, -1}, {input - 1, -1}, {offset, -1}, {offset + 5, -1}}
+	for i, b := range layout {
+		cases = append(cases, struct{ server, want int }{b.Offset, i}, struct{ server, want int }{b.Offset + b.Grid.P() - 1, i})
+	}
+	for _, c := range cases {
+		if got := layout.Find(c.server); got != c.want {
+			t.Errorf("Find(%d) = %d, want %d", c.server, got, c.want)
+		}
+	}
+	if got := (Layout{}).Find(0); got != -1 {
+		t.Errorf("empty layout: Find(0) = %d, want -1", got)
+	}
 }
 
 // TestRoutingAllocatesNothing pins the steady-state contract of the shuffle:

@@ -187,20 +187,19 @@ type Shared struct {
 	ids    []uint64
 }
 
-// Share returns the scratch's handle on cache for one server of a grid whose
-// first server is offset and whose atom j is routed by routes[j]: the id of
-// atom j is the subcube of routes[j] the server lies in, named by the
-// cluster-wide id of its base server. A subcube of one server (a route with
-// a single offset) gets id 0, as must every atom that reaches the server by
-// any other way than routes[j]. The handle is valid until the scratch's next
-// Share.
-func (s *Scratch) Share(cache *IndexCache, routes []*hashing.Route, offset, server int) *Shared {
+// Share returns the scratch's handle on cache for one server of block b,
+// whose atom j reached it through b.Routes[j]: the id of atom j is the
+// subcube of b.Routes[j] the server lies in, named by the cluster-wide id of
+// its base server. A subcube of one server (a route with a single offset)
+// gets id 0, as must every atom that reaches the server by any other way than
+// b.Routes[j]. The handle is valid until the scratch's next Share.
+func (s *Scratch) Share(cache *IndexCache, b *hashing.Block, server int) *Shared {
 	s.shared.cache, s.shared.server = cache, server
 	s.shared.ids = s.shared.ids[:0]
-	for _, r := range routes {
+	for _, r := range b.Routes {
 		id := uint64(0)
 		if len(r.Offsets()) > 1 {
-			id = uint64(offset+r.BaseOf(server-offset)) + 1
+			id = uint64(b.Offset+r.BaseOf(server-b.Offset)) + 1
 		}
 		s.shared.ids = append(s.shared.ids, id)
 	}

@@ -7,19 +7,16 @@ import (
 	"mpcquery/internal/query"
 )
 
-// Sharing names, for one server, the routes that delivered its fragments and
-// the first server of the grid they route into (see Scratch.Share); nil routes
-// share nothing — the server received its tuples some other way.
-type Sharing func(server int) (routes []*hashing.Route, offset int)
-
 // Phase is the computation phase of a round (Section 2.1: local work reads
 // only what the server received). For every owned server of cluster with a
 // non-empty inbox it hands fn the worker's scratch, the server's atom
 // fragments read from its inbox (message kinds are atom indices) and the
-// server's handle on the phase's index cache, built from sharing. The
-// scratches are released and the cache's totals published once, after the
-// phase. fn runs concurrently for different servers.
-func Phase(cluster *engine.Cluster, q *query.Query, sharing Sharing,
+// server's handle on the phase's index cache, built from the block of layout
+// that holds the server (nil for a server outside every block: it received
+// its tuples some other way and shares nothing). The scratches are released
+// and the cache's totals published once, after the phase. fn runs
+// concurrently for different servers.
+func Phase(cluster *engine.Cluster, q *query.Query, layout hashing.Layout,
 	fn func(server int, sc *Scratch, frags []*data.Relation, sh *Shared)) {
 	cache := NewIndexCache()
 	cache.servers = cluster.P()
@@ -30,8 +27,8 @@ func Phase(cluster *engine.Cluster, q *query.Query, sharing Sharing,
 		}
 		sc := scratches.Worker(w)
 		var sh *Shared
-		if routes, offset := sharing(s); routes != nil {
-			sh = sc.Share(cache, routes, offset, s)
+		if i := layout.Find(s); i >= 0 {
+			sh = sc.Share(cache, layout[i], s)
 		}
 		fn(s, sc, sc.InboxFragments(q, ib), sh)
 	})
@@ -48,7 +45,7 @@ func Phase(cluster *engine.Cluster, q *query.Query, sharing Sharing,
 // process's sink in chunks of env.StreamChunk rows (<= 0:
 // engine.DefaultStreamChunk) and Output returns nil; the rows and their
 // order are the same either way.
-func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, sharing Sharing,
+func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hashing.Layout,
 	keep func(server int) func(row []int64) bool) *data.Relation {
 	arity := q.NumVars()
 	keepAt := func(s int) func([]int64) bool {
@@ -62,7 +59,7 @@ func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, sharing Sha
 		if chunk <= 0 {
 			chunk = engine.DefaultStreamChunk
 		}
-		Phase(cluster, q, sharing, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
+		Phase(cluster, q, layout, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
 			k := keepAt(s)
 			sc.EvaluateAtomsStream(q, frags, sh, chunk, func(vals []int64) {
 				if vals = compact(vals, arity, k); len(vals) > 0 {
@@ -73,7 +70,7 @@ func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, sharing Sha
 		return nil
 	}
 	parts := make([]*data.Relation, cluster.P())
-	Phase(cluster, q, sharing, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
+	Phase(cluster, q, layout, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
 		out := sc.EvaluateAtoms(q, frags, sh)
 		if k := keepAt(s); k != nil {
 			out = data.FromVals(q.Name, arity, compact(out.Vals(), arity, k))

@@ -119,6 +119,19 @@ func (q *Query) VarIndex(v string) int {
 	return -1
 }
 
+// AtomDims returns, for every atom j, the variable index of each of its
+// columns: the grid dimension a route hashes that column on.
+func (q *Query) AtomDims() [][]int {
+	dims := make([][]int, len(q.Atoms))
+	for j, a := range q.Atoms {
+		dims[j] = make([]int, len(a.Vars))
+		for c, v := range a.Vars {
+			dims[j][c] = q.VarIndex(v)
+		}
+	}
+	return dims
+}
+
 // AtomsOf returns the indices of the atoms containing variable v
 // (the paper's atoms(x_i)).
 func (q *Query) AtomsOf(v string) []int {

@@ -46,6 +46,7 @@ import (
 type GenericPlan struct {
 	heavy        []map[int64]bool
 	patterns     []*genPattern
+	layout       hashing.Layout // patterns[i].block is layout[i]
 	inputServers int
 	totalServers int
 	nHeavy       int
@@ -172,36 +173,25 @@ func genericHeavy(q *query.Query, db *data.Database, p, maxHeavyPerVar int) ([]m
 // newGenericPlan lays the heavy/light patterns of the given heavy sets out
 // over the servers and compiles their routes.
 func newGenericPlan(q *query.Query, db *data.Database, p int, heavy []map[int64]bool, freqBits []map[int64]float64) *GenericPlan {
-	patterns := enumeratePatterns(q, db, p, heavy, freqBits)
-
-	total := 0
-	for _, pat := range patterns {
-		pat.offset = total
-		total += pat.grid.P()
+	atomDims := q.AtomDims()
+	patterns := enumeratePatterns(q, db, p, heavy, freqBits, atomDims)
+	layout := make(hashing.Layout, len(patterns))
+	total := p
+	for i, pat := range patterns {
+		layout[i] = pat.block
+		total += pat.block.Grid.P()
 	}
-	inputServers := p
-	for i := range patterns {
-		patterns[i].offset += inputServers
-	}
-	total += inputServers
 
 	nHeavy := 0
 	for i := range heavy {
 		nHeavy += len(heavy[i])
 	}
 
-	atomDims := make([][]int, q.NumAtoms())
 	routes := make([]map[string][]*genPattern, q.NumAtoms())
-	for j, a := range q.Atoms {
-		dims := make([]int, len(a.Vars))
-		for c, v := range a.Vars {
-			dims[c] = q.VarIndex(v)
-		}
-		atomDims[j] = dims
+	for j, dims := range atomDims {
 		routes[j] = make(map[string][]*genPattern)
 		var buf []byte
 		for _, pat := range patterns {
-			pat.routes = append(pat.routes, hashing.NewRoute(pat.grid, dims))
 			buf = appendSignature(buf[:0], dims, func(c, d int) (int64, bool) {
 				hv, pinned := pat.assign[d]
 				return hv, pinned
@@ -212,7 +202,8 @@ func newGenericPlan(q *query.Query, db *data.Database, p int, heavy []map[int64]
 	return &GenericPlan{
 		heavy:        heavy,
 		patterns:     patterns,
-		inputServers: inputServers,
+		layout:       layout,
+		inputServers: p,
 		totalServers: total,
 		nHeavy:       nHeavy,
 		atomDims:     atomDims,
@@ -250,9 +241,7 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 					return tuple[c], heavy[d][tuple[c]]
 				})
 				for _, pat := range routes[j][string(sig)] {
-					if base, ok := pat.routes[j].Base(family, tuple); ok {
-						emit.EmitFanout(pat.offset+base, pat.routes[j].Offsets(), j, tuple)
-					}
+					emit.EmitRouted(pat.block, family, j, tuple)
 				}
 			}
 		})
@@ -266,15 +255,10 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 	for d := range vars {
 		vars[d] = d
 	}
-	out := localjoin.Output(cluster, q, env,
-		func(s int) ([]*hashing.Route, int) {
-			pat := patternOf(patterns, s)
-			return pat.routes, pat.offset
-		},
-		func(s int) func([]int64) bool {
-			pat := patternOf(patterns, s)
-			return func(row []int64) bool { return pat.matches(vars, row, heavy) }
-		})
+	out := localjoin.Output(cluster, q, env, gp.layout, func(s int) func([]int64) bool {
+		pat := patterns[gp.layout.Find(s)]
+		return func(row []int64) bool { return pat.matches(vars, row, heavy) }
+	})
 
 	rec := cluster.Record(out, inputBits(q, db))
 	rec.HeavyHitters = gp.nHeavy
@@ -282,13 +266,11 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 }
 
 // genPattern is one output class: variables in assign are pinned to heavy
-// values, all others must be light. Its grid spans all k dimensions, with
-// share 1 on the pinned ones.
+// values, all others must be light. Its block's grid spans all k
+// dimensions, with share 1 on the pinned ones.
 type genPattern struct {
 	assign map[int]int64
-	grid   *hashing.Grid
-	routes []*hashing.Route // per atom, into grid
-	offset int
+	block  *hashing.Block
 }
 
 // matches reports whether a tuple of an atom (with the given variable dims)
@@ -306,21 +288,11 @@ func (pat *genPattern) matches(dims []int, tuple []int64, heavy []map[int64]bool
 	return true
 }
 
-// patternOf returns the pattern whose block holds server s (nil for an input
-// server): the blocks are laid out back to back in pattern order, after the
-// input servers, up to the last server of the cluster.
-func patternOf(patterns []*genPattern, s int) *genPattern {
-	i := sort.Search(len(patterns), func(i int) bool { return patterns[i].offset > s })
-	if i == 0 {
-		return nil
-	}
-	return patterns[i-1]
-}
-
-// enumeratePatterns builds every heavy/light pattern with its grid and
-// server allocation.
+// enumeratePatterns builds every heavy/light pattern with its server
+// allocation and its block, the blocks back to back after the p input
+// servers.
 func enumeratePatterns(q *query.Query, db *data.Database, p int,
-	heavy []map[int64]bool, freqBits []map[int64]float64) []*genPattern {
+	heavy []map[int64]bool, freqBits []map[int64]float64, atomDims [][]int) []*genPattern {
 	k := q.NumVars()
 	heavyVals := make([][]int64, k)
 	for i := range heavy {
@@ -354,49 +326,28 @@ func enumeratePatterns(q *query.Query, db *data.Database, p int,
 		panic(fmt.Sprintf("skew: %d heavy patterns exceed the supported 4096; lower maxHeavyPerVar", len(raw)))
 	}
 
-	// Weight and shares per pattern.
-	stats := make([]float64, q.NumAtoms())
+	// Weight per pattern.
 	weights := make([]float64, len(raw))
-	shares := make([][]int, len(raw))
 	sumW := 0.0
 	for pi, assign := range raw {
-		for j, a := range q.Atoms {
-			// Fragment size estimate: full size, or the smallest pinned
-			// fiber among the atom's pinned variables.
-			s := db.Get(a.Name).SizeBits(db.N)
-			for _, v := range a.Vars {
-				d := q.VarIndex(v)
-				if hv, ok := assign[d]; ok {
-					if fb := freqBits[d][hv]; fb > 0 && fb < s {
-						s = fb
-					}
-				}
-			}
-			if s < 1 {
-				s = 1
-			}
-			stats[j] = s
-		}
 		if len(assign) == 0 {
-			weights[pi] = 0 // the all-light pattern gets the full p below
-		} else {
-			w := 0.0
-			for mask := 1; mask < 1<<uint(q.NumAtoms()); mask++ {
-				prod := 1.0
-				for j := 0; j < q.NumAtoms(); j++ {
-					if mask&(1<<uint(j)) != 0 {
-						prod *= stats[j]
-					}
-				}
-				w += prod
-			}
-			weights[pi] = w
-			sumW += w
+			continue // the all-light pattern gets the full p below
 		}
-		shares[pi] = patternShares(q, assign, stats, p)
+		stats := statsFor(q, db, assign, freqBits)
+		for mask := 1; mask < 1<<uint(q.NumAtoms()); mask++ {
+			prod := 1.0
+			for j := 0; j < q.NumAtoms(); j++ {
+				if mask&(1<<uint(j)) != 0 {
+					prod *= stats[j]
+				}
+			}
+			weights[pi] += prod
+		}
+		sumW += weights[pi]
 	}
 
 	out := make([]*genPattern, 0, len(raw))
+	offset := p
 	for pi, assign := range raw {
 		ps := p
 		if len(assign) > 0 {
@@ -408,12 +359,15 @@ func enumeratePatterns(q *query.Query, db *data.Database, p int,
 				}
 			}
 		}
-		sh := patternShares(q, assign, statsFor(q, db, assign, freqBits), ps)
-		out = append(out, &genPattern{assign: assign, grid: hashing.NewGrid(sh)})
+		grid := hashing.NewGrid(patternShares(q, assign, statsFor(q, db, assign, freqBits), ps))
+		out = append(out, &genPattern{assign: assign, block: hashing.NewBlock(offset, grid, atomDims)})
+		offset += grid.P()
 	}
 	return out
 }
 
+// statsFor estimates every atom's fragment under a pattern, in bits: the
+// atom's full size, or the smallest pinned fiber among its pinned variables.
 func statsFor(q *query.Query, db *data.Database, assign map[int]int64, freqBits []map[int64]float64) []float64 {
 	stats := make([]float64, q.NumAtoms())
 	for j, a := range q.Atoms {

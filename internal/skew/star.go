@@ -46,7 +46,8 @@ func RunStar(q *query.Query, db *data.Database, p int, seed int64) *engine.RunRe
 type StarPlan struct {
 	zCols        []int
 	heavy        []int64
-	blocks       map[int64]*block
+	blocks       map[int64]*hashing.Block // heavy hitter -> its residual block
+	layout       hashing.Layout           // the light block, then the heavy ones
 	totalServers int
 }
 
@@ -133,7 +134,18 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 	for _, h := range heavy {
 		totalW += weight(h)
 	}
-	blocks := make(map[int64]*block, len(heavy))
+	// Light block: a hash partition on z — dimension k, of the whole share
+	// p — across servers [0, p).
+	lightShares := make([]int, k+1)
+	lightDims := make([][]int, k)
+	for j := range lightDims {
+		lightShares[j] = 1
+		lightDims[j] = []int{-1, -1}
+		lightDims[j][zCols[j]] = k
+	}
+	lightShares[k] = p
+	layout := hashing.Layout{hashing.NewBlock(0, hashing.NewGrid(lightShares), lightDims)}
+	blocks := make(map[int64]*hashing.Block, len(heavy))
 	offset := p // heavy blocks start after the light servers
 	for _, h := range heavy {
 		ph := 1
@@ -153,19 +165,19 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 			}
 			stats[j] = s
 		}
-		grid := hashing.NewGrid(residualShares(stats, ph))
 		// Atom j's tuples fix dimension j to the hash of their x_j value
 		// (binary atoms: the non-z column); all other dimensions are free.
-		routes := make([]*hashing.Route, k)
-		for j := range routes {
-			dims := []int{-1, -1}
-			dims[1-zCols[j]] = j
-			routes[j] = hashing.NewRoute(grid, dims)
+		dims := make([][]int, k)
+		for j := range dims {
+			dims[j] = []int{-1, -1}
+			dims[j][1-zCols[j]] = j
 		}
-		blocks[h] = &block{offset: offset, routes: routes}
-		offset += grid.P()
+		b := hashing.NewBlock(offset, hashing.NewGrid(residualShares(stats, ph)), dims)
+		blocks[h] = b
+		layout = append(layout, b)
+		offset += b.Grid.P()
 	}
-	return &StarPlan{zCols: zCols, heavy: heavy, blocks: blocks, totalServers: offset}
+	return &StarPlan{zCols: zCols, heavy: heavy, blocks: blocks, layout: layout, totalServers: offset}
 }
 
 // RunStarPlannedNet executes the star algorithm's data round under a
@@ -177,7 +189,7 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 // through env (the zero Env = in-process, untraced).
 func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	k := q.NumAtoms()
-	zCols, blocks, totalServers := sp.zCols, sp.blocks, sp.totalServers
+	zCols, blocks, light, totalServers := sp.zCols, sp.blocks, sp.layout[0], sp.totalServers
 	bpv := data.BitsPerValue(db.N)
 
 	cluster := engine.NewClusterEnv(env, totalServers, bpv)
@@ -194,15 +206,13 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 			j := bt.Kind
 			for off := 0; off < len(bt.Vals); off += bt.Arity {
 				tuple := bt.Vals[off : off+bt.Arity]
-				z := tuple[zCols[j]]
-				if b, isHeavy := blocks[z]; isHeavy {
-					// Heavy: replicate within h's block.
-					base, _ := b.routes[j].Base(family, tuple) // one hashed column: never empty
-					emit.EmitFanout(b.offset+base, b.routes[j].Offsets(), j, tuple)
-				} else {
-					// Light: hash-partition on z across the light servers.
-					emit.EmitTuple(family.Bin(k, z, p), j, tuple)
+				// Heavy: replicate within h's block; light: hash-partition on
+				// z across the light servers.
+				b, isHeavy := blocks[tuple[zCols[j]]]
+				if !isHeavy {
+					b = light
 				}
+				emit.EmitRouted(b, family, j, tuple)
 			}
 		})
 	})
@@ -210,7 +220,7 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	// Local evaluation everywhere: light servers and heavy blocks evaluate
 	// the same star query over their fragments, and the servers of one
 	// subcube of a block's route share that atom's index builds.
-	out := localjoin.Output(cluster, q, env, sp.routesOf, nil)
+	out := localjoin.Output(cluster, q, env, sp.layout, nil)
 
 	rec := cluster.Record(out, inputBits(q, db))
 	rec.HeavyHitters = len(sp.heavy)
@@ -224,25 +234,6 @@ func inputBits(q *query.Query, db *data.Database) float64 {
 		total += db.Get(a.Name).SizeBits(db.N)
 	}
 	return total
-}
-
-// routesOf returns the compiled routes and the first server of the heavy
-// block server s lies in, or nil on a light server: those are
-// hash-partitioned on z, one destination per tuple, and share nothing.
-func (sp *StarPlan) routesOf(s int) ([]*hashing.Route, int) {
-	i := sort.Search(len(sp.heavy), func(i int) bool { return sp.blocks[sp.heavy[i]].offset > s })
-	if i == 0 {
-		return nil, 0
-	}
-	b := sp.blocks[sp.heavy[i-1]]
-	return b.routes, b.offset
-}
-
-// block is one heavy hitter's dedicated server range, starting at offset,
-// with the compiled route of every atom into its residual-share grid.
-type block struct {
-	offset int
-	routes []*hashing.Route
 }
 
 // residualShares computes integer shares for the residual Cartesian product

@@ -143,16 +143,14 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 	cluster.Round("skew-triangle", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		inbox.EachBatch(func(bt engine.Batch) {
 			j := bt.Kind
-			i0, i1 := layout.atomVars[j][0], layout.atomVars[j][1]
-			light := layout.lightRoutes[j]
+			i0, i1 := layout.atomDims[j][0], layout.atomDims[j][1]
 			for off := 0; off < len(bt.Vals); off += bt.Arity {
 				tuple := bt.Vals[off : off+bt.Arity]
 				v0, v1 := tuple[0], tuple[1]
 
 				// Light: both values cube-light -> vanilla HC.
 				if isCubeLight(i0, v0) && isCubeLight(i1, v1) {
-					base, _ := light.Base(family, tuple) // distinct variables: never empty
-					emit.EmitFanout(layout.lightOffset+base, light.Offsets(), j, tuple)
+					emit.EmitRouted(layout.light, family, j, tuple)
 				}
 
 				// Case 1 groups.
@@ -171,7 +169,7 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 	})
 
 	// Local evaluation with per-group output predicates.
-	out := localjoin.Output(cluster, q, env, layout.routesOf, func(s int) func([]int64) bool {
+	out := localjoin.Output(cluster, q, env, layout.blocks, func(s int) func([]int64) bool {
 		return layout.keep(s, pHeavy)
 	})
 
@@ -184,72 +182,58 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 
 type triLayout struct {
 	totalServers int
-	atomVars     [3][2]int // atom j -> variable indices of (col0, col1)
-	lightOffset  int
-	lightSize    int
-	lightRoutes  [3]*hashing.Route // per atom, into the light grid
+	atomDims     [][]int // atom j -> variable index of each column
+	light        *hashing.Block
 	case1        []*case1Group
 	pivots       [3]*pivotBlocks
+	blocks       hashing.Layout // light, case-1 groups, pivot blocks
 }
 
-// case1Group handles triangles whose heavy pair is (hv0, hv1) — adjacent
-// variables spanned by relation span — by broadcasting span's heavy-heavy
-// tuples and hash-joining the other two relations on joinVar.
+// case1Group handles triangles whose heavy pair is the two variables of
+// relation span by broadcasting span's heavy-heavy tuples and hash-joining
+// the other two relations on joinVar, the third variable. Its block's
+// grid has the whole share p on joinVar: span's route hashes no dimension of
+// share above 1, so it reaches every server of the group in order, and the
+// other two atoms' routes land on the bin of their joinVar value.
 type case1Group struct {
-	offset, size int
-	all          []int // 0 … size-1: the whole group as a fan-out table
-	span         int   // atom index broadcast (both vars p-heavy)
-	hv0, hv1     int   // variable indices of the heavy pair
-	joinVar      int   // the third variable: both other relations hashed on it
-	excludeVar   int   // predicate: this variable must NOT be p-heavy (-1 if none)
+	block      *hashing.Block
+	span       int // atom index broadcast (both vars p-heavy)
+	joinVar    int // the third variable: both other relations hashed on it
+	excludeVar int // predicate: this variable must NOT be p-heavy (-1 if none)
 }
 
 func (g *case1Group) route(j int, tuple []int64, i0, i1 int, v0, v1 int64,
 	isPHeavy func(int, int64) bool, family *hashing.Family, emit *engine.Emitter) {
 	if j == g.span {
 		if isPHeavy(i0, v0) && isPHeavy(i1, v1) {
-			emit.EmitFanout(g.offset, g.all, j, tuple)
+			emit.EmitRouted(g.block, family, j, tuple)
 		}
 		return
 	}
 	// The other two relations each contain joinVar in one column and one of
 	// the heavy variables in the other; route when the heavy-side value is
 	// p-heavy, hashed on joinVar.
-	var joinVal, heavyVal int64
-	var heavyVar int
+	heavyVar, heavyVal := i0, v0
 	switch {
 	case i0 == g.joinVar:
-		joinVal, heavyVal, heavyVar = v0, v1, i1
-	case i1 == g.joinVar:
-		joinVal, heavyVal, heavyVar = v1, v0, i0
-	default:
+		heavyVar, heavyVal = i1, v1
+	case i1 != g.joinVar:
 		return
 	}
 	if isPHeavy(heavyVar, heavyVal) {
-		emit.EmitTuple(g.offset+family.Bin(g.joinVar, joinVal, g.size), j, tuple)
+		emit.EmitRouted(g.block, family, j, tuple)
 	}
 }
 
 // pivotBlocks holds the case-2 blocks for one pivot variable: one HyperCube
-// block per cube-heavy value of the pivot.
+// block per cube-heavy value of the pivot, over the three variables with
+// share 1 on the pivot. The two pivot-adjacent atoms fix their other
+// variable and replicate along the third; the opposite atom fixes both and
+// lands on one server.
 type pivotBlocks struct {
 	pivot  int
-	blocks map[int64]*pivotBlock
-	order  []*pivotBlock // blocks by ascending pivot value
-}
-
-// pivotBlock is the block of one heavy pivot value: a grid over the three
-// variables with share 1 on the pivot, and every atom's compiled route into
-// it. The two pivot-adjacent atoms fix their other variable and replicate
-// along the third; the opposite atom fixes both and lands on one server.
-type pivotBlock struct {
-	offset int
-	routes [3]*hashing.Route
-}
-
-func (b *pivotBlock) emit(j int, tuple []int64, family *hashing.Family, emit *engine.Emitter) {
-	base, _ := b.routes[j].Base(family, tuple) // distinct variables: never empty
-	emit.EmitFanout(b.offset+base, b.routes[j].Offsets(), j, tuple)
+	blocks map[int64]*hashing.Block
+	order  []*hashing.Block // blocks by ascending pivot value
 }
 
 func (pb *pivotBlocks) route(j int, tuple []int64, i0, i1 int, v0, v1 int64,
@@ -263,7 +247,7 @@ func (pb *pivotBlocks) route(j int, tuple []int64, i0, i1 int, v0, v1 int64,
 			pv, ov, ovar = v1, v0, i0
 		}
 		if b := pb.blocks[pv]; b != nil && !isPHeavy(ovar, ov) {
-			b.emit(j, tuple, family, emit)
+			emit.EmitRouted(b, family, j, tuple)
 		}
 	default:
 		// The opposite relation (no pivot variable): both values must be
@@ -274,49 +258,37 @@ func (pb *pivotBlocks) route(j int, tuple []int64, i0, i1 int, v0, v1 int64,
 		// Sorted by pivot value, not map order: replication order feeds
 		// inbox order, which must match across runs and SPMD ranks.
 		for _, b := range pb.order {
-			b.emit(j, tuple, family, emit)
+			emit.EmitRouted(b, family, j, tuple)
 		}
 	}
 }
 
 // newTriLayout allocates the server ranges for all groups.
 func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[int64]bool, bpv int, relTuples []int) *triLayout {
-	lay := &triLayout{}
+	lay := &triLayout{atomDims: q.AtomDims()}
 	offset := p // servers [0,p) hold the seeded input; light grid starts fresh
-
-	var atomDims [3][]int
-	for j, a := range q.Atoms {
-		lay.atomVars[j] = [2]int{q.VarIndex(a.Vars[0]), q.VarIndex(a.Vars[1])}
-		atomDims[j] = lay.atomVars[j][:]
+	place := func(shares []int) *hashing.Block {
+		b := hashing.NewBlock(offset, hashing.NewGrid(shares), lay.atomDims)
+		lay.blocks = append(lay.blocks, b)
+		offset += b.Grid.P()
+		return b
 	}
 
 	// Light grid: shares p^{1/3} per variable.
-	e := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
-	light := hashing.NewGrid(packing.IntegerShares(e, p))
-	for j := range lay.lightRoutes {
-		lay.lightRoutes[j] = hashing.NewRoute(light, atomDims[j])
-	}
-	lay.lightOffset = offset
-	lay.lightSize = light.P()
-	offset += light.P()
+	lay.light = place(packing.IntegerShares([]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}, p))
 
 	// Case-1 groups in priority order: (x1,x2) via S1; (x2,x3) via S2 with
 	// x1 excluded; (x3,x1) via S3 with x2 excluded. Variable/atom indices
 	// follow query.Triangle(): S1(x1,x2), S2(x2,x3), S3(x3,x1).
-	all := make([]int, p)
-	for d := range all {
-		all[d] = d
-	}
-	mk := func(span, hv0, hv1, joinVar, exclude int) *case1Group {
-		g := &case1Group{offset: offset, size: p, all: all, span: span, hv0: hv0, hv1: hv1,
-			joinVar: joinVar, excludeVar: exclude}
-		offset += p
-		return g
+	mk := func(span, joinVar, exclude int) *case1Group {
+		shares := []int{1, 1, 1}
+		shares[joinVar] = p
+		return &case1Group{block: place(shares), span: span, joinVar: joinVar, excludeVar: exclude}
 	}
 	lay.case1 = []*case1Group{
-		mk(0, 0, 1, 2, -1),
-		mk(1, 1, 2, 0, 0),
-		mk(2, 2, 0, 1, 1),
+		mk(0, 2, -1),
+		mk(1, 0, 0),
+		mk(2, 1, 1),
 	}
 
 	// Case-2 pivot blocks.
@@ -340,7 +312,7 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 			w[h] = wh
 			wsum += wh
 		}
-		pb := &pivotBlocks{pivot: pivot, blocks: make(map[int64]*pivotBlock, len(values))}
+		pb := &pivotBlocks{pivot: pivot, blocks: make(map[int64]*hashing.Block, len(values))}
 		// Residual query for the share LP: R'(a), S(a,b), T'(b).
 		resQ := query.New("residual",
 			query.Atom{Name: "Rp", Vars: []string{"a"}},
@@ -363,43 +335,14 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 			// Shares for (a, b) become the shares of the two non-pivot
 			// variables, in q.Vars() order; the pivot's share is 1.
 			ab := packing.IntegerShares(sh.Exponents[:2], ph) // the residual share LP has 2 variables (a, b)
-			grid := hashing.NewGrid(slices.Insert(ab, pivot, 1))
-			b := &pivotBlock{offset: offset}
-			for j := range b.routes {
-				b.routes[j] = hashing.NewRoute(grid, atomDims[j])
-			}
+			b := place(slices.Insert(ab, pivot, 1))
 			pb.blocks[h] = b
 			pb.order = append(pb.order, b)
-			offset += grid.P()
 		}
 		lay.pivots[pivot] = pb
 	}
 	lay.totalServers = offset
 	return lay
-}
-
-// routesOf returns the compiled routes and first server of the HyperCube
-// block server s lies in — the light grid or one pivot block — or nil in a
-// case-1 group, whose servers are reached by broadcast and by plain hashing.
-func (lay *triLayout) routesOf(s int) ([]*hashing.Route, int) {
-	if s >= lay.lightOffset && s < lay.lightOffset+lay.lightSize {
-		return lay.lightRoutes[:], lay.lightOffset
-	}
-	// The pivot blocks are laid out back to back up to totalServers, in
-	// pivot then value order: s lies in the last one starting at or before it.
-	var in *pivotBlock
-	for _, pb := range lay.pivots {
-		if pb == nil {
-			continue
-		}
-		if i := sort.Search(len(pb.order), func(i int) bool { return pb.order[i].offset > s }); i > 0 {
-			in = pb.order[i-1]
-		}
-	}
-	if in == nil {
-		return nil, 0
-	}
-	return in.routes[:], in.offset
 }
 
 func oppositeAtom(q *query.Query, pivot int) int {
@@ -416,7 +359,12 @@ func oppositeAtom(q *query.Query, pivot int) int {
 // routing alone keeps the classes disjoint (case-2 blocks, and case-1 groups
 // with no excluded variable).
 func (lay *triLayout) keep(s int, pHeavy []map[int64]bool) func(row []int64) bool {
-	if s >= lay.lightOffset && s < lay.lightOffset+lay.lightSize {
+	i := lay.blocks.Find(s)
+	if i < 0 {
+		return nil
+	}
+	b := lay.blocks[i]
+	if b == lay.light {
 		// Light group: routing already guarantees all three values are
 		// cube-light, but a triangle may still contain a p-heavy (yet
 		// cube-light) PAIR — the cube threshold m/p^{1/3} sits above the
@@ -435,7 +383,7 @@ func (lay *triLayout) keep(s int, pHeavy []map[int64]bool) func(row []int64) boo
 		}
 	}
 	for _, g := range lay.case1 {
-		if s >= g.offset && s < g.offset+g.size && g.excludeVar >= 0 {
+		if g.block == b && g.excludeVar >= 0 {
 			return func(t []int64) bool { return !pHeavy[g.excludeVar][t[g.excludeVar]] }
 		}
 	}

@@ -60,8 +60,6 @@ type Service struct {
 
 	flight     *service.Flight
 	coalesceOn bool
-	bpDepth    func() int64 // send-queue depth probe; nil = no backpressure
-	bpLimit    int64
 
 	breakerOn        bool // WithCircuitBreaker enabled
 	breakerThreshold int
@@ -103,8 +101,6 @@ type serviceConfig struct {
 	planCaching   bool
 	statsCaching  bool
 	coalescing    bool
-	bpDepth       func() int64
-	bpLimit       int64
 	driftFactor   float64
 	debugAddr     string
 	breakerThresh int
@@ -149,14 +145,6 @@ func WithServiceCacheCapacity(n int) ServiceOption {
 // those observers only see runs that actually execute.
 func WithRequestCoalescing(on bool) ServiceOption {
 	return func(c *serviceConfig) { c.coalescing = on }
-}
-
-// WithSendQueueBackpressure ties admission to transport pressure: when
-// depth() exceeds limit at admission time, the request is shed with
-// ErrOverloaded before it queues; a nil probe or non-positive limit
-// disables the check.
-func WithSendQueueBackpressure(depth func() int64, limit int64) ServiceOption {
-	return func(c *serviceConfig) { c.bpDepth, c.bpLimit = depth, limit }
 }
 
 // WithServiceDriftFactor attaches a drift monitor to every query the
@@ -239,8 +227,6 @@ func NewService(opts ...ServiceOption) *Service {
 		statsOn:    cfg.statsCaching,
 		flight:     service.NewFlight(),
 		coalesceOn: cfg.coalescing,
-		bpDepth:    cfg.bpDepth,
-		bpLimit:    cfg.bpLimit,
 		dbs:        make(map[*Database]*dbEntry),
 	}
 	if cfg.breakerThresh > 0 || cfg.breakerCool > 0 {
@@ -337,10 +323,6 @@ func (s *Service) Run(ctx context.Context, q *Query, db *Database, opts ...RunOp
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mpcquery: service request canceled: %w", err)
-	}
-	if s.bpDepth != nil && s.bpLimit > 0 && s.bpDepth() > s.bpLimit {
-		s.metrics.RecordShed()
-		return nil, fmt.Errorf("mpcquery: service admission: %w (transport send queue over limit)", ErrOverloaded)
 	}
 	if s.coalesceOn {
 		// Resolve the options once to decide coalescing soundness and build

@@ -257,43 +257,6 @@ func BenchmarkServiceCoalescing(b *testing.B) {
 	}
 }
 
-// TestServiceBackpressureShed asserts the transport-coupled admission
-// valve: a send-queue depth probe over the limit sheds with ErrOverloaded
-// (counted in Stats.Shed) and a healthy depth admits normally.
-func TestServiceBackpressureShed(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	q := Star(2)
-	db := MatchingDatabase(rng, q, 200, 1<<12)
-
-	depth := int64(0)
-	var mu sync.Mutex
-	svc := NewService(WithSendQueueBackpressure(func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return depth
-	}, 1<<20))
-	defer svc.Close()
-
-	if _, err := svc.Run(context.Background(), q, db, WithServers(8)); err != nil {
-		t.Fatalf("healthy depth must admit: %v", err)
-	}
-	mu.Lock()
-	depth = 1<<20 + 1
-	mu.Unlock()
-	if _, err := svc.Run(context.Background(), q, db, WithServers(8)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-limit depth = %v, want ErrOverloaded", err)
-	}
-	if st := svc.Stats(); st.Shed == 0 {
-		t.Fatal("shed request not counted in Stats.Shed")
-	}
-	mu.Lock()
-	depth = 0
-	mu.Unlock()
-	if _, err := svc.Run(context.Background(), q, db, WithServers(8)); err != nil {
-		t.Fatalf("recovered depth must admit again: %v", err)
-	}
-}
-
 // deadPeerRuntime joins a 2-rank loopback group whose rank 1 dials in and
 // immediately leaves: rank 0's runtime is connected but every distributed
 // run on it fails with ErrPeerUnavailable within the round timeout.
