@@ -144,6 +144,15 @@ func main() {
 		"worker mode: per-round delivery timeout (0 = transport default); also the restart settle delay")
 	flag.Parse()
 
+	if *m < 0 {
+		usageError("-m must be non-negative, got %d", *m)
+	}
+	if *p < 1 {
+		usageError("-p must be at least 1, got %d", *p)
+	}
+	if *requests < 1 {
+		usageError("-requests must be at least 1, got %d", *requests)
+	}
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
@@ -153,8 +162,7 @@ func main() {
 
 	if *listen != "" || *peers != "" {
 		if *listen == "" || *peers == "" {
-			fmt.Fprintln(os.Stderr, "mpcload: worker mode needs both -listen and -peers")
-			os.Exit(2)
+			usageError("worker mode needs both -listen and -peers")
 		}
 		os.Exit(workerMain(*listen, *peers, *m, *p, *debugAddr, *maxRestarts, *roundTimeout))
 	}
@@ -319,6 +327,12 @@ func main() {
 			file.SkewAwareSpeedup, *minSpeedup)
 		os.Exit(1)
 	}
+}
+
+// usageError reports a flag value mpcload cannot run with and exits 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mpcload: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // buildScenarios constructs the mixed workload. The sampled-statistics star

@@ -39,8 +39,15 @@ func BenchmarkRound(b *testing.B) {
 
 // BenchmarkRoundEmitBatch is BenchmarkRound using the bulk EmitBatch path:
 // each server forwards its inbox batches wholesale to one destination.
-func BenchmarkRoundEmitBatch(b *testing.B) {
+func BenchmarkRoundEmitBatch(b *testing.B) { benchRoundEmitBatch(b, 0) }
+
+// BenchmarkRoundEmitBatchStreamed is BenchmarkRoundEmitBatch in pipelined
+// rounds at the default chunk size.
+func BenchmarkRoundEmitBatchStreamed(b *testing.B) { benchRoundEmitBatch(b, DefaultStreamChunk) }
+
+func benchRoundEmitBatch(b *testing.B, chunk int) {
 	c := newBenchCluster()
+	c.SetStreamChunk(chunk)
 	route := func(s int, inbox *Inbox, emit *Emitter) {
 		inbox.EachBatch(func(bt Batch) {
 			emit.EmitBatch((s+1)%benchP, bt.Kind, bt.Arity, bt.Vals)
@@ -59,8 +66,15 @@ func BenchmarkRoundEmitBatch(b *testing.B) {
 // subcube through the bulk fan-out, the HyperCube shuffle's emission shape.
 // Servers re-emit their seeded input each round (a copy: the inbox holds the
 // previous round's 4× deliveries), so the round is steady-state.
-func BenchmarkRoundEmitFanout(b *testing.B) {
+func BenchmarkRoundEmitFanout(b *testing.B) { benchRoundEmitFanout(b, 0) }
+
+// BenchmarkRoundEmitFanoutStreamed is BenchmarkRoundEmitFanout in pipelined
+// rounds at the default chunk size.
+func BenchmarkRoundEmitFanoutStreamed(b *testing.B) { benchRoundEmitFanout(b, DefaultStreamChunk) }
+
+func benchRoundEmitFanout(b *testing.B, chunk int) {
 	c := newBenchCluster()
+	c.SetStreamChunk(chunk)
 	input := make([][]int64, benchP)
 	for s := range input {
 		input[s] = append(input[s], c.Inbox(s).Batch(0).Vals...)

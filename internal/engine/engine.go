@@ -27,6 +27,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -301,11 +302,16 @@ type RoundStats struct {
 	Aborted bool
 }
 
-// outBatch is one pending same-kind batch from a sender to one destination.
+// outBatch is one pending same-kind batch from a sender to one target. run
+// numbers the batches the sender opened this round, in opening order; limit
+// is the number of values at which the batch is flushed, one chunk in a
+// pipelined round and never otherwise (see stream.go).
 type outBatch struct {
 	kind  int
 	arity int
+	limit int
 	vals  []int64
+	run   int32
 }
 
 // groupBatch is one pending same-kind batch from a sender to one destination
@@ -321,10 +327,6 @@ type groupBatch struct {
 	// first owned member), the region of that arena, and the arena offset
 	// it landed at (see DeliverLocal).
 	home, region, landed int
-
-	// Pipelined delivery: the slot is the target's pending chunk, and run
-	// is the sequence number of the batch the chunk belongs to.
-	run int32
 }
 
 // first returns the group's first member, in whose arena the batch lands.
@@ -354,29 +356,18 @@ func (sb *sendBuf) reset() {
 	sb.batches = sb.batches[:0]
 }
 
-// open returns the batch to append to for (kind, arity): the last one when
-// it matches, otherwise a fresh (possibly recycled) batch.
-func (sb *sendBuf) open(kind, arity int) *outBatch {
-	if n := len(sb.batches); n > 0 {
-		if last := &sb.batches[n-1]; last.kind == kind && last.arity == arity {
-			return last
-		}
-	}
-	return sb.openNew(kind, arity)
-}
-
-// openNew starts a fresh (possibly recycled) batch slot.
-func (sb *sendBuf) openNew(kind, arity int) *outBatch {
+// openNew starts a fresh (possibly recycled) batch slot, for the caller to
+// label.
+func (sb *sendBuf) openNew() *outBatch {
 	n := len(sb.batches)
 	if n < cap(sb.batches) {
 		// Recycle the slot (and its vals capacity) from an earlier round.
 		sb.batches = sb.batches[:n+1]
 		b := &sb.batches[n]
-		b.kind, b.arity = kind, arity
 		b.vals = b.vals[:0]
 		return b
 	}
-	sb.batches = append(sb.batches, outBatch{kind: kind, arity: arity})
+	sb.batches = append(sb.batches, outBatch{})
 	return &sb.batches[n]
 }
 
@@ -404,44 +395,30 @@ type Emitter struct {
 	walked []int32
 	last   *[]int64
 
-	// Streaming state (see stream.go). chunkTuples caches the cluster's
-	// chunk size for the round (0 = barrier); pipelined selects the
-	// in-process chunked path, where full chunks flush into destination
-	// spare inboxes mid-emission instead of accumulating in sendBufs, and
-	// groups holds one pending chunk per subcube instead of batches.
+	// Streaming state (see stream.go). chunkTuples is the cluster's chunk
+	// size for the round (0 = barrier). In a pipelined round every batch is
+	// flushed into its destinations' spare inboxes each time it holds
+	// chunkTuples tuples, and when the sender switches kind on a target the
+	// target's batch is flushed and relabelled, so each target keeps one
+	// buffer of unflushed values.
 	chunkTuples int
 	pipelined   bool
-	pchunks     []chunk // pipelined: pending chunk per destination
-	ptracked    []bool  // pipelined: pchunks[d] touched this round
-	ptouched    []int   // pipelined: touched destinations, for O(touched) reset
-	pbcast      chunk   // pipelined: pending broadcast chunk
-	runs        int32   // pipelined: batches opened this round
-	seq         int32   // pipelined: per-round flush sequence number
-	flushes     int     // chunks flushed (pipelined) or closed (staged) this round
-	resident    int     // pipelined: values currently buffered
-	residentHW  int     // pipelined: high-water of resident this round
+	runs        int32 // batches opened this round
+	seq         int32 // pipelined: per-round flush sequence number
+	flushes     int   // chunks flushed (pipelined) or closed (staged) this round
+	staged      int   // values staged and not yet flushed
+	stagedHW    int   // high-water of staged, as of the last flush
 }
 
 // reset prepares the emitter for a round of its cluster: every staging
 // buffer touched since the last reset — by this cluster or, for a recycled
 // emitter, by a previous one, even one whose round function panicked
 // mid-emission — is emptied (capacity kept, group descriptors dropped), and
-// the streaming mode is re-read from the cluster.
-func (e *Emitter) reset() {
+// the round's streaming mode is set.
+func (e *Emitter) reset(pipelined bool) {
 	e.Restage(e.c.p)
 	e.chunkTuples = e.c.streamChunk
-	e.pipelined = e.chunkTuples > 0 && e.c.link == nil
-	e.runs = 0
-	e.seq = 0
-	e.flushes = 0
-	e.resident = 0
-	e.residentHW = 0
-	for _, d := range e.ptouched {
-		e.pchunks[d].close()
-		e.ptracked[d] = false
-	}
-	e.ptouched = e.ptouched[:0]
-	e.pbcast.close()
+	e.pipelined = pipelined
 }
 
 // checkDest panics unless dest names a server of the cluster.
@@ -476,29 +453,10 @@ func (e *Emitter) buf(dest int) *sendBuf {
 	return e.dest(dest)
 }
 
-// lastGroup returns the sender's latest batch (barrier) or its pending chunk
-// (pipelined) for the subcube base+offsets[·], nil when it has none yet this
-// round: every batch is referenced under its group's first member.
-func (e *Emitter) lastGroup(base int, offsets []int) *groupBatch {
-	first := base + offsets[0]
-	if first < 0 || first >= len(e.refs) {
-		return nil
-	}
-	refs := e.refs[first]
-	for i := len(refs) - 1; i >= 0; i-- {
-		if g := &e.groups[refs[i].idx]; g.targets(base, offsets) {
-			return g
-		}
-	}
-	return nil
-}
-
 // openGroup starts a batch for the subcube base+offsets[·], every member
-// checked once here rather than once per tuple. The batch is referenced under
-// the group's first member, and when members is set (barrier and link rounds,
-// whose delivery walks each destination's references) under every other
-// member too.
-func (e *Emitter) openGroup(base int, offsets []int, kind, arity int, members bool) *groupBatch {
+// checked once here rather than once per tuple, and references it under
+// every member.
+func (e *Emitter) openGroup(base int, offsets []int, kind, arity int) *groupBatch {
 	for _, off := range offsets {
 		e.checkDest(base + off)
 	}
@@ -509,17 +467,66 @@ func (e *Emitter) openGroup(base int, offsets []int, kind, arity int, members bo
 		e.groups = append(e.groups, groupBatch{})
 	}
 	g := &e.groups[n]
-	g.kind, g.arity, g.vals = kind, arity, g.vals[:0]
+	g.vals = g.vals[:0]
 	g.base, g.offsets = base, offsets
-	if !members {
-		offsets = offsets[:1]
-	}
+	e.label(&g.outBatch, kind, arity)
 	for _, off := range offsets {
 		d := base + off
 		own := len(e.dest(d).batches)
 		e.refs[d] = append(e.refs[d], groupRef{idx: int32(n), ownBefore: int32(own)})
 	}
 	return g
+}
+
+// label makes b the sender's next batch, of (kind, arity) tuples.
+func (e *Emitter) label(b *outBatch, kind, arity int) {
+	e.runs++
+	b.kind, b.arity, b.run, b.limit = kind, arity, e.runs, math.MaxInt
+	if e.pipelined {
+		b.limit = e.chunkTuples * arity
+	}
+}
+
+// batch returns the batch to stage (kind, arity) tuples to dest (or
+// Broadcast) in: the target's last batch when it holds that kind; otherwise
+// a new batch, or in a pipelined round the last batch flushed and relabelled.
+func (e *Emitter) batch(dest, kind, arity int) *outBatch {
+	sb := e.buf(dest)
+	if n := len(sb.batches); n > 0 {
+		switch last := &sb.batches[n-1]; {
+		case last.kind == kind && last.arity == arity:
+			return last
+		case e.pipelined:
+			e.flushChunk(dest, last)
+			e.label(last, kind, arity)
+			return last
+		}
+	}
+	b := sb.openNew()
+	e.label(b, kind, arity)
+	return b
+}
+
+// group is batch for the subcube base+offsets[·]: the sender's latest batch
+// for it, if any this round, is referenced under its first member.
+func (e *Emitter) group(base int, offsets []int, kind, arity int) *groupBatch {
+	if first := base + offsets[0]; first >= 0 && first < len(e.refs) {
+		refs := e.refs[first]
+		for i := len(refs) - 1; i >= 0; i-- {
+			if g := &e.groups[refs[i].idx]; g.targets(base, offsets) {
+				switch {
+				case g.kind == kind && g.arity == arity:
+					return g
+				case e.pipelined:
+					e.flushGroup(g)
+					e.label(&g.outBatch, kind, arity)
+					return g
+				}
+				break
+			}
+		}
+	}
+	return e.openGroup(base, offsets, kind, arity)
 }
 
 // EmitTuple sends one tuple of the given kind to dest (or Broadcast). This
@@ -529,12 +536,12 @@ func (e *Emitter) EmitTuple(dest, kind int, tuple []int64) {
 	if len(tuple) == 0 {
 		panic("engine: cannot emit an empty tuple")
 	}
-	if e.pipelined {
-		e.emitStream(dest, kind, len(tuple), tuple)
-		return
-	}
-	b := e.buf(dest).open(kind, len(tuple))
+	b := e.batch(dest, kind, len(tuple))
 	b.vals = appendTuple(b.vals, tuple)
+	e.staged += len(tuple)
+	if len(b.vals) >= b.limit {
+		e.flushChunk(dest, b)
+	}
 }
 
 // EmitRouted sends one tuple of atom kind to its destination subcube D(t) of
@@ -561,21 +568,17 @@ func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {
 	if len(tuple) == 0 {
 		panic("engine: cannot emit an empty tuple")
 	}
-	switch {
-	case len(offsets) == 1 && !e.pipelined:
-		b := e.buf(base+offsets[0]).open(kind, len(tuple))
-		b.vals = appendTuple(b.vals, tuple)
-	case len(offsets) == 1:
-		e.emitStream(base+offsets[0], kind, len(tuple), tuple)
-	case len(offsets) == 0:
-	case e.pipelined:
-		e.emitStreamGroup(base, offsets, kind, tuple)
+	switch len(offsets) {
+	case 0:
+	case 1:
+		e.EmitTuple(base+offsets[0], kind, tuple)
 	default:
-		g := e.lastGroup(base, offsets)
-		if g == nil || g.kind != kind || g.arity != len(tuple) {
-			g = e.openGroup(base, offsets, kind, len(tuple), true)
-		}
+		g := e.group(base, offsets, kind, len(tuple))
 		g.vals = appendTuple(g.vals, tuple)
+		e.staged += len(tuple)
+		if len(g.vals) >= g.limit {
+			e.flushGroup(g)
+		}
 	}
 }
 
@@ -607,12 +610,16 @@ func (e *Emitter) EmitBatch(dest, kind, arity int, vals []int64) {
 	if len(vals) == 0 {
 		return
 	}
-	if e.pipelined {
-		e.emitStream(dest, kind, arity, vals)
-		return
+	b := e.batch(dest, kind, arity)
+	for len(vals) > 0 {
+		n := min(len(vals), b.limit-len(b.vals))
+		b.vals = append(b.vals, vals[:n]...)
+		e.staged += n
+		vals = vals[n:]
+		if len(b.vals) >= b.limit {
+			e.flushChunk(dest, b)
+		}
 	}
-	b := e.buf(dest).open(kind, arity)
-	b.vals = append(b.vals, vals...)
 }
 
 // Cluster simulates p MPC servers, or, attached to a transport whose process
@@ -681,13 +688,12 @@ type Cluster struct {
 // Cluster.Release, already reset; their arena/span capacity is retained.
 var inboxPool = sync.Pool{New: func() any { return &Inbox{} }}
 
-// emitterPool recycles emitter staging — the per-destination batch buffers
-// and pipelined chunk buffers — the same way, one whole cluster's emitters
-// per entry so server s keeps meeting the buffers server s filled last time.
-// Sets enter the pool only through Cluster.Release, detached from their
-// cluster; whatever they still hold is emptied by the reset that opens every
-// Round. A set taken for a larger cluster is extended, one taken for a
-// smaller cluster is used as a prefix.
+// emitterPool recycles emitter staging — the per-target batch buffers — the
+// same way, one whole cluster's emitters per entry so server s keeps meeting
+// the buffers server s filled last time. Sets enter the pool only through
+// Cluster.Release, detached from their cluster; whatever they still hold is
+// emptied by the reset that opens every Round. A set taken for a larger
+// cluster is extended, one taken for a smaller cluster is used as a prefix.
 var emitterPool = sync.Pool{New: func() any { return new([]*Emitter) }}
 
 // NewCluster creates a cluster of p servers exchanging values of
@@ -831,7 +837,7 @@ func (c *Cluster) Inbox(server int) *Inbox { return c.inbox[server] }
 // delivery order, read from the staging that round was landed from — how a
 // process that owns no server of a linked cluster reads what every server
 // received. It is valid until the next Round and visits nothing after a
-// pipelined round, whose broadcasts leave no staging behind.
+// pipelined round, whose broadcasts were flushed as they were staged.
 func (c *Cluster) EachBroadcast(f func(kind int, tuple []int64)) {
 	for _, em := range c.landed {
 		for _, b := range em.bcast.batches {
@@ -867,10 +873,10 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	// panics.
 	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
 	t0 := time.Now()
-	for s := 0; s < c.p; s++ {
-		c.emitters[s].reset()
-	}
 	pipelined := c.streamChunk > 0 && c.link == nil
+	for s := 0; s < c.p; s++ {
+		c.emitters[s].reset(pipelined)
+	}
 	if pipelined {
 		// Pipelined rounds retire the previous arenas up front: full chunks
 		// flush into the spare inboxes concurrently with emission, under

@@ -6,26 +6,31 @@ import (
 )
 
 // This file is the engine's streaming execution path: chunked pipelined
-// rounds with bounded memory. In barrier mode (the default) every server
-// fully materializes its outbound batches, then delivery moves everything
-// at once — peak memory scales with total round traffic: every tuple is held
-// staged once by its sender and landed once per target (a destination
-// server, or a whole destination subcube for a replicated tuple), because
-// the emitters still hold the full round when the delivered arenas land. In
-// streaming mode the Emitter flushes fixed-size chunks while senders are
-// still producing, and the flushed buffers are recycled immediately, so the
-// emitter-side residency collapses to O(targets · chunk) per sender instead
-// of O(traffic).
+// rounds with bounded memory. Every round, whatever its mode, stages a
+// sender's emissions into the same per-target batches (Emitter.batch and
+// Emitter.group, each batch numbered by the order the sender opened it);
+// streaming is only a flush threshold on them. In barrier mode (the default)
+// nothing is flushed: every server fully materializes its outbound batches,
+// then delivery moves everything at once — peak memory scales with total
+// round traffic: every tuple is held staged once by its sender and landed
+// once per target (a destination server, or a whole destination subcube for
+// a replicated tuple), because the emitters still hold the full round when
+// the delivered arenas land. In streaming mode a batch is flushed each time
+// it holds a chunk, while senders are still producing, and its buffer is
+// recycled immediately, so the emitter-side residency collapses to
+// O(targets · chunk) per sender instead of O(traffic).
 //
 // Two sub-modes share the chunk-size knob:
 //
-//   - Pipelined (no transport link): chunks flush mid-emission directly
-//     into the destination spare inboxes under per-destination locks,
-//     tagged with (sender, class, batch, sequence); a multicast chunk is
-//     copied once, into its group's first member, and listed under every
-//     member. Finalization sorts each destination's tagged spans into
-//     exactly the barrier delivery order (see Cluster.Round), so consumers
-//     — and therefore fingerprints — cannot tell the two paths apart. Only
+//   - Pipelined (no transport link): a full batch flushes mid-emission
+//     directly into the destination spare inboxes under per-destination
+//     locks, tagged with (sender, class, batch, sequence); a multicast chunk
+//     is copied once, into its group's first member, and listed under every
+//     member. When the sender switches kind on a target, the target's batch
+//     is flushed and relabelled, so each target keeps one buffer.
+//     Finalization sorts each destination's tagged spans into exactly the
+//     barrier delivery order (see Cluster.Round), so consumers — and
+//     therefore fingerprints — cannot tell the two paths apart. Only
 //     physical arena layout and span granularity differ, and no consumer
 //     observes span boundaries (they concatenate per-kind values).
 //
@@ -154,110 +159,11 @@ func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 	return bits, ib.tuples
 }
 
-// chunk is the pending pipelined chunk of one target: the tuples emitted to
-// it since its last flush, and the sequence number of the batch they belong
-// to. A batch outlives its chunks: it ends only when the sender emits another
-// kind to the target.
-type chunk struct {
-	outBatch
-	run int32
-}
-
-// close empties the chunk and ends its batch (no kind has arity 0).
-func (b *chunk) close() {
-	b.vals = b.vals[:0]
-	b.arity = 0
-}
-
-// chunkBuf returns the emitter's pending pipelined chunk for dest,
-// tracking first touches so reset stays O(touched).
-func (e *Emitter) chunkBuf(dest int) *chunk {
-	if dest == Broadcast {
-		return &e.pbcast
-	}
-	e.checkDest(dest)
-	if len(e.pchunks) < e.c.p {
-		// A recycled emitter may come from a smaller cluster: keep its
-		// buffers and extend.
-		grow := e.c.p - len(e.pchunks)
-		e.pchunks = append(e.pchunks, make([]chunk, grow)...)
-		e.ptracked = append(e.ptracked, make([]bool, grow)...)
-	}
-	if !e.ptracked[dest] {
-		e.ptracked[dest] = true
-		e.ptouched = append(e.ptouched, dest)
-	}
-	return &e.pchunks[dest]
-}
-
-// nextRun numbers the batches a sender opens in a pipelined round.
-func (e *Emitter) nextRun() int32 {
-	e.runs++
-	return e.runs
-}
-
-// emitStream is the pipelined emission path: values accumulate in the
-// destination's chunk buffer and flush into its spare inbox whenever the
-// buffer fills or the (kind, arity) changes — mid-emission, while other
-// senders are still producing. The buffer is recycled in place after every
-// flush, which is the whole memory story: a sender's residency is bounded
-// by one chunk buffer per target instead of its full round traffic.
-func (e *Emitter) emitStream(dest, kind, arity int, vals []int64) {
-	b := e.chunkBuf(dest)
-	if b.kind != kind || b.arity != arity {
-		e.flushChunk(dest, b)
-		b.kind, b.arity, b.run = kind, arity, e.nextRun()
-	}
-	capVals := e.chunkTuples * arity
-	for {
-		room := capVals - len(b.vals)
-		if room > len(vals) {
-			b.vals = append(b.vals, vals...)
-			e.noteResident(len(vals))
-			return
-		}
-		b.vals = append(b.vals, vals[:room]...)
-		e.noteResident(room)
-		vals = vals[room:]
-		e.flushChunk(dest, b)
-		if len(vals) == 0 {
-			return
-		}
-	}
-}
-
-// emitStreamGroup is emitStream for one tuple to the subcube
-// base+offsets[·]: the group has one pending chunk, whatever its size.
-func (e *Emitter) emitStreamGroup(base int, offsets []int, kind int, tuple []int64) {
-	g := e.lastGroup(base, offsets)
-	switch {
-	case g == nil:
-		g = e.openGroup(base, offsets, kind, len(tuple), false)
-		g.run = e.nextRun()
-	case g.kind != kind || g.arity != len(tuple):
-		e.flushGroup(g)
-		g.kind, g.arity, g.run = kind, len(tuple), e.nextRun()
-	}
-	g.vals = appendTuple(g.vals, tuple)
-	e.noteResident(len(tuple))
-	if len(g.vals) >= e.chunkTuples*g.arity {
-		e.flushGroup(g)
-	}
-}
-
-// noteResident tracks the emitter's buffered-value high-water for the
-// cluster's memory gauge.
-func (e *Emitter) noteResident(n int) {
-	e.resident += n
-	if e.resident > e.residentHW {
-		e.residentHW = e.resident
-	}
-}
-
-// flushChunk moves one pending chunk into its destination's spare inbox
-// (all p of them for a broadcast, each charged to its receiver at
-// finalize), tagged for deterministic reordering, and recycles the buffer.
-func (e *Emitter) flushChunk(dest int, b *chunk) {
+// flushChunk moves a batch's unflushed values, as one chunk, into its
+// destination's spare inbox (all p of them for a broadcast, each charged to
+// its receiver at finalize), tagged for deterministic reordering, and
+// recycles the buffer.
+func (e *Emitter) flushChunk(dest int, b *outBatch) {
 	n := len(b.vals)
 	if n == 0 {
 		return
@@ -277,15 +183,14 @@ func (e *Emitter) flushChunk(dest int, b *chunk) {
 		c.spare[dest].landChunk(&tag, b.vals)
 		c.destMu[dest].Unlock()
 	}
-	e.flushes++
-	e.resident -= n
+	e.flushed(n)
 	b.vals = b.vals[:0]
 }
 
-// flushGroup moves one pending multicast chunk out: copied once, into the
-// spare inbox of the group's first member under that member's lock, then
-// listed — tagged alike, as a span into that arena — under every other
-// member, each charged for it at finalize.
+// flushGroup moves a multicast batch's unflushed values out as one chunk:
+// copied once, into the spare inbox of the group's first member under that
+// member's lock, then listed — tagged alike, as a span into that arena —
+// under every other member, each charged for it at finalize.
 func (e *Emitter) flushGroup(g *groupBatch) {
 	n := len(g.vals)
 	if n == 0 {
@@ -309,22 +214,33 @@ func (e *Emitter) flushGroup(g *groupBatch) {
 		c.spare[d].listChunk(&tag)
 		c.destMu[d].Unlock()
 	}
-	e.flushes++
-	e.resident -= n
+	e.flushed(n)
 	g.vals = g.vals[:0]
 }
 
-// flushPending flushes the emitter's leftover partial chunks at the end of
+// flushed counts one flush of n values, first raising the staged high-water
+// to what was staged before it.
+func (e *Emitter) flushed(n int) {
+	e.flushes++
+	e.stagedHW = max(e.stagedHW, e.staged)
+	e.staged -= n
+}
+
+// flushPending flushes what the emitter's batches still hold at the end of
 // the emission phase — the pipelined counterpart of the barrier's delivery
 // hand-off, after which every emitted value is in some destination arena.
 func (e *Emitter) flushPending() {
-	for _, d := range e.ptouched {
-		e.flushChunk(d, &e.pchunks[d])
+	for _, d := range e.touched {
+		for i := range e.perDest[d].batches {
+			e.flushChunk(d, &e.perDest[d].batches[i])
+		}
 	}
 	for i := range e.groups {
 		e.flushGroup(&e.groups[i])
 	}
-	e.flushChunk(Broadcast, &e.pbcast)
+	for i := range e.bcast.batches {
+		e.flushChunk(Broadcast, &e.bcast.batches[i])
+	}
 }
 
 // countStagedChunks sets flushes, after a staged round, to the number of
@@ -348,36 +264,21 @@ func (e *Emitter) countStagedChunks() {
 }
 
 // observeBufferedMemory records this round's engine-buffered high-water
-// into the cluster's gauge: emitter-resident values plus the delivered
-// inbox arenas, in bytes. Called at the end of Round, after the inbox
-// swap. Barrier rounds hold the full round traffic on both sides at once —
-// emitters are only reset at the next round's start — each tuple staged
-// once by its sender and landed once per target, however many servers of a
-// subcube list it; streaming's recycled chunk buffers show up here as a
-// direct, deterministic peak reduction, the number
+// into the cluster's gauge: each emitter's high-water of staged-but-unflushed
+// values plus the delivered inbox arenas, in bytes. Called at the end of
+// Round, after the inbox swap. A barrier round flushes nothing, so its
+// emitters hold the full round traffic while the delivered arenas land —
+// each tuple staged once by its sender and landed once per target, however
+// many servers of a subcube list it; streaming's flushed chunks show up here
+// as a direct, deterministic peak reduction, the number
 // TestStreamingPeakMemoryRegression asserts on.
 func (c *Cluster) observeBufferedMemory() {
 	if c.mem == nil {
 		return
 	}
 	var vals int64
-	for s := 0; s < c.p; s++ {
-		e := c.emitters[s]
-		if e.pipelined {
-			vals += int64(e.residentHW)
-			continue
-		}
-		for _, d := range e.touched {
-			for _, b := range e.perDest[d].batches {
-				vals += int64(len(b.vals))
-			}
-		}
-		for i := range e.groups {
-			vals += int64(len(e.groups[i].vals))
-		}
-		for _, b := range e.bcast.batches {
-			vals += int64(len(b.vals))
-		}
+	for _, e := range c.emitters {
+		vals += int64(max(e.stagedHW, e.staged))
 	}
 	for d := 0; d < c.p; d++ {
 		vals += int64(len(c.inbox[d].arena))

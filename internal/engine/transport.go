@@ -406,20 +406,24 @@ func (e *Emitter) Restage(p int) {
 	e.bcast.reset()
 	e.p = p
 	e.last = nil
+	e.runs, e.seq, e.flushes = 0, 0, 0
+	e.staged, e.stagedHW = 0, 0
 }
 
 // StageBatch opens a fresh batch of n values of one kind to dest — the
 // sender's next broadcast when dest is Broadcast — on a receive-side
 // emitter, and returns the values for the caller to fill.
 func (e *Emitter) StageBatch(dest, kind, arity, n int) []int64 {
-	return e.stage(&e.buf(dest).openNew(kind, arity).vals, n)
+	b := e.buf(dest).openNew()
+	e.label(b, kind, arity)
+	return e.stage(&b.vals, n)
 }
 
 // StageGroup opens a fresh batch of n values of one kind to the subcube
 // base+offsets[·] on a receive-side emitter and returns the values for the
 // caller to fill. offsets is retained until the round has been delivered.
 func (e *Emitter) StageGroup(base int, offsets []int, kind, arity, n int) []int64 {
-	return e.stage(&e.openGroup(base, offsets, kind, arity, true).vals, n)
+	return e.stage(&e.openGroup(base, offsets, kind, arity).vals, n)
 }
 
 // StageMore extends the batch the last StageBatch or StageGroup opened by n
