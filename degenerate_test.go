@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"mpcquery/internal/oracle"
 )
 
 // The degenerate-input suite: empty relations, a single server, and
@@ -184,6 +186,39 @@ func TestDegenerateAllDuplicateCounts(t *testing.T) {
 				t.Fatalf("p=%d pushdown=%t: count = %v, want single row %d",
 					servers, pushdown, rep.Output.Vals(), want)
 			}
+		}
+	}
+}
+
+// TestDenseBipartiteTriangle makes every relation of C3 the complete 8×8
+// bipartite graph on its own value blocks (192 tuples). At p = 512 every
+// value reaches its heavy cut (degree 8 = m/8 on the 8×8×8 skew-free grid),
+// so Π_v(1+16) = 4913 patterns would exceed the planner's 4096: it must keep
+// the heaviest values that fit, treat the rest as light, and stay correct.
+func TestDenseBipartiteTriangle(t *testing.T) {
+	q := Triangle()
+	db := NewDatabase(1 << 8)
+	for j, a := range q.Atoms {
+		r := NewRelation(a.Name, 2)
+		for x := int64(0); x < 8; x++ {
+			for y := int64(0); y < 8; y++ {
+				r.Append(int64(16*j)+x, int64(16*j+8)+y)
+			}
+		}
+		db.Add(r)
+	}
+	want := oracle.Evaluate(q, db)
+	for _, p := range []int{64, 512} {
+		for _, s := range []Strategy{SkewedTriangle(), SkewedGeneric()} {
+			rep, err := Run(q, db, WithStrategy(s), WithServers(p))
+			if err != nil {
+				t.Fatalf("%s at p=%d: %v", s.Name(), p, err)
+			}
+			if !EqualRelations(rep.Output, want) {
+				t.Errorf("%s at p=%d: output (%d tuples) differs from oracle (%d tuples)",
+					s.Name(), p, rep.Output.NumTuples(), want.NumTuples())
+			}
+			t.Logf("%s at p=%d: %d heavy, %d servers", s.Name(), p, rep.HeavyHitters, rep.ServersUsed)
 		}
 	}
 }

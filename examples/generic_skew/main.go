@@ -1,10 +1,11 @@
 // Generalized skew handling: the paper's specialized algorithms cover star
 // and triangle queries; its reference [6] generalizes the technique to
 // arbitrary conjunctive queries by splitting every variable's domain into
-// heavy and light values and giving each heavy/light *pattern* its own
-// HyperCube block. This example runs that pattern strategy on a query
-// outside the specialized cases — the chain L3 with a heavy middle value —
-// and compares it with the vanilla (skew-free-optimal) HyperCube, both
+// heavy values (degree at least m_j/s_v, s the skew-free grid's shares) and
+// light values and giving each heavy/light *pattern* its own HyperCube
+// block. The same planner runs SkewedTriangle. This example runs it on a
+// query outside the paper's cases — the chain L3 with a heavy value of x2
+// in the middle relation — and compares it with the vanilla (skew-free-optimal) HyperCube, both
 // through Run.
 package main
 
@@ -52,13 +53,12 @@ func main() {
 			vanilla.MaxLoadBits/pattern.MaxLoadBits)
 	}
 
-	fmt.Println("\nthe pattern algorithm peels the heavy value of x1 into its own")
-	fmt.Println("server block (a residual join on the remaining variables). On L3")
-	fmt.Println("the vanilla HyperCube is partially protected by the x2 hash, so the")
-	fmt.Println("gain is moderate and grows with the heavy fraction; the dramatic")
-	fmt.Println("separations live in examples/skewedjoin, where hashing has no")
-	fmt.Println("second coordinate to hide behind. The point here is generality:")
-	fmt.Println("chains are outside the paper's specialized star/triangle cases.")
+	fmt.Println("\nthe skew-free shares of L3 are 8 on x0 and x2 and 1 on x1 and x3,")
+	fmt.Println("so a value of x2 is heavy once its degree reaches m/8: the vanilla")
+	fmt.Println("HyperCube sends all its tuples to one x2 bin, while the pattern")
+	fmt.Println("algorithm peels it into its own server block (a residual join on")
+	fmt.Println("the remaining variables). The point here is generality: the same")
+	fmt.Println("planner runs SkewedTriangle, and chains besides.")
 }
 
 func randomMatchingRel(rng *rand.Rand, name string, m int, n int64) *mpcquery.Relation {
@@ -71,7 +71,7 @@ func randomMatchingRel(rng *rand.Rand, name string, m int, n int64) *mpcquery.Re
 	return rel
 }
 
-// heavyMiddle builds S2 where frac of the tuples share x1 = 7.
+// heavyMiddle builds S2 where frac of the tuples share x2 = 7.
 func heavyMiddle(rng *rand.Rand, name string, m int, n int64, frac float64) *mpcquery.Relation {
 	rel := mpcquery.NewRelation(name, 2)
 	heavy := int(frac * float64(m))
@@ -79,7 +79,7 @@ func heavyMiddle(rng *rand.Rand, name string, m int, n int64, frac float64) *mpc
 	right := sample(rng, m, n)
 	for i := 0; i < m; i++ {
 		if i < heavy {
-			rel.Append(7, right[i])
+			rel.Append(left[i], 7)
 		} else {
 			rel.Append(left[i], right[i])
 		}

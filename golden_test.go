@@ -22,6 +22,13 @@ type goldenCase struct {
 	run  func(extra ...RunOption) (*Report, error)
 }
 
+// goldenTriDB is the C3 workload of the skew goldens: a small domain so the
+// instance holds triangles, and x1's hitter (degree 60) above its heavy cut
+// m/3 on the 3×2×2 skew-free grid.
+func goldenTriDB() *Database {
+	return SkewedTriangleDatabase(rand.New(rand.NewSource(101)), 120, 1<<8, 7, 60)
+}
+
 func goldenCases() []goldenCase {
 	const seed = 7
 	mk := func(q *Query, db *Database, s Strategy, fixed ...RunOption) func(...RunOption) (*Report, error) {
@@ -34,9 +41,6 @@ func goldenCases() []goldenCase {
 	}
 	// Workloads are rebuilt per case from fixed generator seeds, so cases
 	// stay independent and order-insensitive.
-	triDB := func() *Database {
-		return SkewedTriangleDatabase(rand.New(rand.NewSource(101)), 120, 1<<12, 7, 30)
-	}
 	starDB := func() *Database {
 		return SkewedStarDatabase(rand.New(rand.NewSource(102)), 2, 120, 1<<12, map[int64]int{5: 40})
 	}
@@ -65,8 +69,8 @@ func goldenCases() []goldenCase {
 		{"skewed-star", mk(Star(2), starDB(), SkewedStar())},
 		{"skewed-star-sampled", mk(Star(2), starDB(), SkewedStarSampled(30))},
 		{"skewed-star-sampled-draws", mk(Star(2), drawDB(), SkewedStarSampled(50))},
-		{"skewed-triangle", mk(Triangle(), triDB(), SkewedTriangle())},
-		{"skewed-generic", mk(Triangle(), triDB(), SkewedGeneric())},
+		{"skewed-triangle", mk(Triangle(), goldenTriDB(), SkewedTriangle())},
+		{"skewed-generic", mk(Triangle(), goldenTriDB(), SkewedGeneric())},
 		{"chain-plan", mk(Chain(4), chainDB(), ChainPlan(0.5))},
 		{"greedy-plan", mk(Chain(4), chainDB(), GreedyPlan(0.5))},
 		{"greedy-plan-skew", mk(Chain(4), chainDB(), GreedyPlanSkewAware(0.5))},

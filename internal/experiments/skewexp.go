@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 	"mpcquery/internal/skew"
 )
@@ -101,12 +102,12 @@ func SkewedStar(cfg Config) *Table {
 
 // SkewedTriangle regenerates the Section 4.2.2 experiment: C3 with a
 // planted heavy value of x1, comparing the vanilla HyperCube, the
-// skew-aware three-case algorithm, and the Õ upper bound.
+// skew-aware heavy/light pattern algorithm, and the Õ upper bound.
 func SkewedTriangle(cfg Config) *Table {
 	t := &Table{
 		ID:    "E7",
 		Ref:   "§4.2.2",
-		Title: "triangle with one heavy value: three-case algorithm",
+		Title: "triangle with one heavy value: heavy/light patterns",
 		Columns: []string{"heavy count", "vanilla HC L", "skew-aware L",
 			"predicted Õ bound", "skew-free M/p^{2/3}", "vanilla/aware"},
 	}
@@ -117,7 +118,7 @@ func SkewedTriangle(cfg Config) *Table {
 	for _, hc := range []int{0, m / 16, m / 4, m / 2} {
 		db := data.SkewedTriangleDatabase(rng, m, int64(16*m), 5, hc)
 		vanilla := core.Run(q, db, p, cfg.Seed, core.SkewFree)
-		aware := skew.RunTriangle(q, db, p, cfg.Seed)
+		aware := skew.RunGenericPlannedNet(skew.PrepareGeneric(q, db, p, skew.DefaultHeavyCap), q, db, p, cfg.Seed, 0, engine.Env{})
 		M := db.Get("S1").SizeBits(db.N)
 		ub := triangleBound(q, db, M, float64(p))
 		t.Add(hc, vanilla.MaxLoadBits(), aware.MaxLoadBits(), ub,

@@ -269,8 +269,8 @@ func (r *Route) Offsets() []int { return r.offsets }
 // compiled route of every atom into it: Routes[j] routes the tuples of atom
 // j (message kind j). It is the one primitive of every one-round strategy —
 // HyperCube is one block at offset 0, and the skew algorithms place a block
-// per light part, heavy hitter, case-1 group or heavy/light pattern. A Block
-// is immutable and safe for concurrent use.
+// per light part, heavy hitter or heavy/light pattern. A Block is immutable
+// and safe for concurrent use.
 type Block struct {
 	Offset int
 	Grid   *Grid

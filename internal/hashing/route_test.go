@@ -157,9 +157,9 @@ func TestRouteMatchesDestinations(t *testing.T) {
 	}
 
 	// One dimension d carries the whole share P, every other dimension share
-	// 1 — the grids of star's light partition and triangle's case-1 groups. A
-	// route hashing d lands on f.Bin(d, v, P) alone; a route hashing no
-	// dimension of share above 1 reaches 0…P−1 in order.
+	// 1 — the grid of star's light partition. A route hashing d lands on
+	// f.Bin(d, v, P) alone; a route hashing no dimension of share above 1
+	// reaches 0…P−1 in order.
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(4)
 		d := rng.Intn(k)

@@ -10,26 +10,14 @@ import (
 )
 
 // The Prepare* benchmarks run the statistics phase alone on the benchmark's
-// skewed datasets (p = 64, domain 16·m: one x1 value of degree m/3 for the
-// triangle and the generic algorithm, z degrees halving from 3·m/p for the
+// skewed datasets (p = 64, domain 16·m: one x1 value of degree m/3 on the
+// triangle for the generic algorithm, z degrees halving from 3·m/p for the
 // star) at sizes where its growth shows; m = 10⁴ is the size benchmark/ runs.
 const benchServers = 64
 
 var benchSizes = []int{10_000, 100_000, 1_000_000}
 
 var planSink any
-
-func BenchmarkPrepareTriangle(b *testing.B) {
-	q := query.Triangle()
-	for _, m := range benchSizes {
-		db := data.SkewedTriangleDatabase(rand.New(rand.NewSource(1)), m, int64(16*m), 1, m/3)
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			for b.Loop() {
-				planSink = PrepareTriangle(q, db, benchServers)
-			}
-		})
-	}
-}
 
 func BenchmarkPrepareStar(b *testing.B) {
 	q := query.Star(2)

@@ -45,7 +45,7 @@ func skewedTriDB(seed int64, m int, n int64, h, cnt int) *data.Database {
 // brute-force matches() predicate accepts, in enumeration order.
 func TestGenericRouteIndexMatchesBruteForce(t *testing.T) {
 	q := query.Triangle()
-	db := skewedTriDB(7, 400, 1<<16, 4, 30)
+	db := skewedTriDB(7, 400, 1<<16, 2, 200)
 	gp := PrepareGeneric(q, db, 16, 6)
 
 	checked := 0
@@ -109,7 +109,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	triDB := data.SkewedTriangleDatabase(rng, 500, n, 7, 60)
 	tp := PrepareTriangle(tri, triDB, 16)
 	ta := RunTrianglePlannedNet(tp, tri, triDB, 16, 5, 0, engine.Env{})
-	tc := RunTriangle(tri, triDB, 16, 5)
+	tc := runGeneric(tri, triDB, 16, 5, DefaultHeavyCap)
 	if ta.MaxLoadBits() != tc.MaxLoadBits() || ta.TotalBits() != tc.TotalBits() || !data.EqualMultiset(ta.Output, tc.Output) {
 		t.Error("triangle: prepared run differs from one-shot run")
 	}
@@ -117,7 +117,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 		t.Error("triangle plan accessors disagree with the run")
 	}
 
-	genDB := skewedTriDB(11, 400, n, 3, 30)
+	genDB := skewedTriDB(11, 400, n, 3, 150)
 	gp := PrepareGeneric(tri, genDB, 16, 6)
 	ga := RunGenericPlannedNet(gp, tri, genDB, 16, 5, 0, engine.Env{})
 	gc := runGeneric(tri, genDB, 16, 5, 6)
@@ -214,34 +214,11 @@ func refPrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
 	return PrepareStarWithFrequencies(q, db, p, freqs)
 }
 
-// refTriangleHeavy is triangleHeavy from full maps: every value of every
-// column classified, the maximum kept over the variable's two relations.
-func refTriangleHeavy(q *query.Query, db *data.Database, p int) (freq []map[int64]int, pHeavy, cubeHeavy []map[int64]bool) {
-	freq = make([]map[int64]int, 3)
-	pHeavy = make([]map[int64]bool, 3)
-	cubeHeavy = make([]map[int64]bool, 3)
-	for i, v := range q.Vars() {
-		freq[i], pHeavy[i], cubeHeavy[i] = map[int64]int{}, map[int64]bool{}, map[int64]bool{}
-		for _, j := range q.AtomsOf(v) {
-			rel := db.Get(q.Atoms[j].Name)
-			m := float64(rel.NumTuples())
-			for val, c := range refCounts(rel, colOf(q.Atoms[j], v)) {
-				freq[i][val] = max(freq[i][val], c)
-				if float64(c) >= math.Max(2, m/float64(p)) {
-					pHeavy[i][val] = true
-				}
-				if float64(c) >= math.Max(2, m/math.Cbrt(float64(p))) {
-					cubeHeavy[i][val] = true
-				}
-			}
-		}
-	}
-	return freq, pHeavy, cubeHeavy
-}
-
-// refGenericHeavy is genericHeavy from full maps, the cut to maxHeavyPerVar
-// by (bits descending, value ascending) included.
-func refGenericHeavy(q *query.Query, db *data.Database, p, maxHeavyPerVar int) ([]map[int64]bool, []map[int64]float64) {
+// refGenericHeavy is genericHeavy from full maps — a value of variable v is
+// heavy iff its count in some column of v reaches max(2, m_j/light[v]) — the
+// cut to maxHeavyPerVar by (bits descending, value ascending) included. The
+// test's caps keep the patterns far below maxPatterns, so it has no trim.
+func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar int) ([]map[int64]bool, []map[int64]float64) {
 	heavy := make([]map[int64]bool, q.NumVars())
 	freqBits := make([]map[int64]float64, q.NumVars())
 	bpv := data.BitsPerValue(db.N)
@@ -252,7 +229,7 @@ func refGenericHeavy(q *query.Query, db *data.Database, p, maxHeavyPerVar int) (
 			rel := db.Get(atom.Name)
 			for val, c := range refCounts(rel, colOf(atom, v)) {
 				freqBits[i][val] = max(freqBits[i][val], float64(c)*float64(atom.Arity()*bpv))
-				if float64(c) >= math.Max(2, float64(rel.NumTuples())/float64(p)) {
+				if float64(c) >= math.Max(2, float64(rel.NumTuples())/float64(light[i])) {
 					heavy[i][val] = true
 				}
 			}
@@ -278,30 +255,29 @@ func refGenericHeavy(q *query.Query, db *data.Database, p, maxHeavyPerVar int) (
 }
 
 // unevenDB fills q's binary atoms with relations of 300, 3000 and 900 tuples
-// (by atom index), so that the heavy floors m/p and m/p^(1/3) of a
-// variable's relations differ by up to 10×. Every column plants the values
-// 1…planted with counts scattered around its own relation's floor — value 1
-// in its upper half or, with cube set, on every other draw around the cube
-// floor instead — and is shuffled on its own. A value is then often heavy through the small
-// relation only while the large one, where it is light, holds more copies of
-// it: the case in which thresholding each column separately reports the
-// wrong maximum. (Stars plant fewer and smaller hitters: their output is the
-// product of a value's counts over all atoms.)
-func unevenDB(q *query.Query, rng *rand.Rand, p int, planted int64, cube bool) *data.Database {
+// (by atom index), so that the heavy floors m_j/div[v] of a variable's
+// relations differ by up to 10×. Every column of a variable v with
+// div[v] > 1 plants the values 1…planted with counts scattered around its
+// own relation's floor — value 1 in its upper half — and is shuffled on its
+// own; a column with div[v] = 1 plants nothing (its floor is the whole
+// column). A value is then often heavy through the small relation only while
+// the large one, where it is light, holds more copies of it: the case in
+// which thresholding each column separately reports the wrong maximum.
+// (Stars plant fewer and smaller hitters: their output is the product of a
+// value's counts over all atoms.)
+func unevenDB(q *query.Query, rng *rand.Rand, div []int, planted int64) *data.Database {
 	const n = 1 << 16
 	db := data.NewDatabase(n)
 	for j, a := range q.Atoms {
 		m := []int{300, 3000, 900}[j%3]
 		cols := make([][]int64, 2)
 		for c := range cols {
+			d := div[q.VarIndex(a.Vars[c])]
 			col := make([]int64, 0, m)
-			for v := int64(1); v <= planted; v++ {
-				cnt := rng.Intn(m * 13 / (10 * p))
+			for v := int64(1); v <= planted && d > 1; v++ {
+				cnt := rng.Intn(m * 13 / (10 * d))
 				if v == 1 {
-					cnt = m*6/(10*p) + rng.Intn(m*7/(10*p))
-				}
-				if cube && v == 1 && rng.Intn(2) == 0 {
-					cnt = int(float64(m)/math.Cbrt(float64(p))) - 5 + rng.Intn(40)
+					cnt = m*6/(10*d) + rng.Intn(m*7/(10*d))
 				}
 				for ; cnt > 0 && len(col) < m; cnt-- {
 					col = append(col, v)
@@ -321,9 +297,10 @@ func unevenDB(q *query.Query, rng *rand.Rand, p int, planted int64, cube bool) *
 }
 
 // lightMaxima counts the (variable, value) pairs of a plan's heavy sets whose
-// largest count sits in a column where the value is below that column's
-// floor — the pairs only an exact lookup in the other column gets right.
-func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floor func(m int) float64) int {
+// largest count sits in a column where it is below that column's floor (of
+// the relation's size and the variable's index) — the pairs only an exact
+// lookup in the other column gets right.
+func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floor func(m, v int) float64) int {
 	n := 0
 	for i, v := range q.Vars() {
 		for val := range heavy[i] {
@@ -331,7 +308,7 @@ func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floo
 			for _, j := range q.AtomsOf(v) {
 				rel := db.Get(q.Atoms[j].Name)
 				if c := refCounts(rel, colOf(q.Atoms[j], v))[val]; c > best {
-					best, bestLight = c, float64(c) < floor(rel.NumTuples())
+					best, bestLight = c, float64(c) < floor(rel.NumTuples(), i)
 				}
 			}
 			if bestLight {
@@ -357,8 +334,13 @@ func TestPlansMatchMapReference(t *testing.T) {
 				want.TotalBits(), want.MaxLoadBits(), want.HeavyHitters, want.ServersUsed)
 		}
 	}
-	pFloor := func(m int) float64 { return math.Max(2, float64(m)/p) }
-	var starLight, triLight, genLight, genCut int
+	pFloor := func(m, _ int) float64 { return math.Max(2, float64(m)/p) }
+	// The skew-free C3 grid's shares depend only on the relation sizes,
+	// which unevenDB fixes per atom index.
+	tri := query.Triangle()
+	light := patternShares(tri, nil, statsFor(tri, unevenDB(tri, rand.New(rand.NewSource(0)), []int{1, 1, 1}, 0), nil, nil), p)
+	shareFloor := func(m, v int) float64 { return math.Max(2, float64(m)/float64(light[v])) }
+	var starLight, genLight, genCut int
 	for seed := int64(1); seed <= seeds; seed++ {
 		// The run is a pure function of the plan, compared in depth on every
 		// seed; executing both on every fifth keeps the race job affordable.
@@ -366,7 +348,11 @@ func TestPlansMatchMapReference(t *testing.T) {
 		for _, k := range []int{2, 3} {
 			t.Run(fmt.Sprintf("star%d/seed=%d", k, seed), func(t *testing.T) {
 				q := query.Star(k)
-				db := unevenDB(q, rand.New(rand.NewSource(seed)), p, 3, false)
+				div := make([]int, q.NumVars())
+				for v := range div {
+					div[v] = p
+				}
+				db := unevenDB(q, rand.New(rand.NewSource(seed)), div, 3)
 				got, want := PrepareStar(q, db, p), refPrepareStar(q, db, p)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("plan differs from the map reference: heavy %v at %d servers, want %v at %d",
@@ -386,77 +372,57 @@ func TestPlansMatchMapReference(t *testing.T) {
 				starLight += lightMaxima(q, db, heavy, pFloor)
 			})
 		}
-		t.Run(fmt.Sprintf("triangle/seed=%d", seed), func(t *testing.T) {
-			q := query.Triangle()
-			db := unevenDB(q, rand.New(rand.NewSource(seed)), p, 5, true)
-			freq, pHeavy, cubeHeavy := triangleHeavy(q, db, p)
-			wantFreq, wantP, wantCube := refTriangleHeavy(q, db, p)
-			if !reflect.DeepEqual(pHeavy, wantP) || !reflect.DeepEqual(cubeHeavy, wantCube) {
-				t.Fatalf("p-heavy %v, cube-heavy %v; map reference %v, %v", pHeavy, cubeHeavy, wantP, wantCube)
-			}
-			for i := range cubeHeavy {
-				for val := range cubeHeavy[i] {
-					if freq[i][val] != wantFreq[i][val] {
-						t.Fatalf("variable %d value %d: frequency %d, map reference %d", i, val, freq[i][val], wantFreq[i][val])
+		// The triangle front door (PrepareTriangle: the generic planner at
+		// DefaultHeavyCap, which cuts nothing here) and the generic planner
+		// at a cap that cuts.
+		for _, c := range []struct {
+			name     string
+			heavyCap int
+			prepare  func(q *query.Query, db *data.Database) *GenericPlan
+		}{
+			{"triangle", DefaultHeavyCap, func(q *query.Query, db *data.Database) *GenericPlan { return PrepareTriangle(q, db, p) }},
+			{"generic", heavyCap, func(q *query.Query, db *data.Database) *GenericPlan { return PrepareGeneric(q, db, p, heavyCap) }},
+		} {
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				q := tri
+				db := unevenDB(q, rand.New(rand.NewSource(seed)), light, 5)
+				heavy, freqBits := genericHeavy(q, db, light, c.heavyCap)
+				wantHeavy, wantBits := refGenericHeavy(q, db, light, c.heavyCap)
+				if !reflect.DeepEqual(heavy, wantHeavy) {
+					t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
+				}
+				for i := range heavy {
+					for val := range heavy[i] {
+						if freqBits[i][val] != wantBits[i][val] {
+							t.Fatalf("variable %d value %d: %v fragment bits, map reference %v", i, val, freqBits[i][val], wantBits[i][val])
+						}
 					}
 				}
-			}
-			relTuples := make([]int, 3)
-			for j, a := range q.Atoms {
-				relTuples[j] = db.Get(a.Name).NumTuples()
-			}
-			got, want := PrepareTriangle(q, db, p), &TrianglePlan{pHeavy: wantP, cubeHeavy: wantCube,
-				layout: newTriLayout(q, p, wantFreq, wantCube, data.BitsPerValue(db.N), relTuples)}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("plan differs from the map reference: %d servers, want %d", got.ServersUsed(), want.ServersUsed())
-			}
-			if got.HeavyHitters() != want.HeavyHitters() || got.ServersUsed() != want.ServersUsed() {
-				t.Fatal("plan accessors differ from the reference's")
-			}
-			if executed {
-				sameRun(t, RunTrianglePlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunTrianglePlannedNet(want, q, db, p, seed, 0, engine.Env{}))
-			}
-			triLight += lightMaxima(q, db, got.cubeHeavy, pFloor)
-		})
-		t.Run(fmt.Sprintf("generic/seed=%d", seed), func(t *testing.T) {
-			q := query.Triangle()
-			db := unevenDB(q, rand.New(rand.NewSource(seed)), p, 5, true)
-			heavy, freqBits := genericHeavy(q, db, p, heavyCap)
-			wantHeavy, wantBits := refGenericHeavy(q, db, p, heavyCap)
-			if !reflect.DeepEqual(heavy, wantHeavy) {
-				t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
-			}
-			for i := range heavy {
-				for val := range heavy[i] {
-					if freqBits[i][val] != wantBits[i][val] {
-						t.Fatalf("variable %d value %d: %v fragment bits, map reference %v", i, val, freqBits[i][val], wantBits[i][val])
+				got, want := c.prepare(q, db), newGenericPlan(q, db, p, light, wantHeavy, wantBits)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
+						got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())
+				}
+				if got.HeavyHitters() != want.HeavyHitters() || got.ServersUsed() != want.ServersUsed() {
+					t.Fatal("plan accessors differ from the reference's")
+				}
+				if executed {
+					sameRun(t, RunGenericPlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunGenericPlannedNet(want, q, db, p, seed, 0, engine.Env{}))
+				}
+				genLight += lightMaxima(q, db, heavy, shareFloor)
+				uncut, _ := refGenericHeavy(q, db, light, math.MaxInt)
+				for i := range uncut {
+					if len(uncut[i]) > c.heavyCap {
+						genCut++
 					}
 				}
-			}
-			got, want := PrepareGeneric(q, db, p, heavyCap), newGenericPlan(q, db, p, wantHeavy, wantBits)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
-					got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())
-			}
-			if got.HeavyHitters() != want.HeavyHitters() || got.ServersUsed() != want.ServersUsed() {
-				t.Fatal("plan accessors differ from the reference's")
-			}
-			if executed {
-				sameRun(t, RunGenericPlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunGenericPlannedNet(want, q, db, p, seed, 0, engine.Env{}))
-			}
-			genLight += lightMaxima(q, db, heavy, pFloor)
-			uncut, _ := refGenericHeavy(q, db, p, math.MaxInt)
-			for i := range uncut {
-				if len(uncut[i]) > heavyCap {
-					genCut++
-				}
-			}
-		})
+			})
+		}
 	}
 	// The instances must really contain what the test is for.
-	t.Logf("light maxima: star %d, triangle %d, generic %d; cut %d", starLight, triLight, genLight, genCut)
-	if starLight == 0 || triLight == 0 || genLight == 0 || genCut == 0 {
-		t.Errorf("heavy values whose maximum sits where they are light: star %d, triangle %d, generic %d; heavy sets cut: %d — want all > 0",
-			starLight, triLight, genLight, genCut)
+	t.Logf("light maxima: star %d, generic %d; cut %d", starLight, genLight, genCut)
+	if starLight == 0 || genLight == 0 || genCut == 0 {
+		t.Errorf("heavy values whose maximum sits where they are light: star %d, generic %d; heavy sets cut: %d — want all > 0",
+			starLight, genLight, genCut)
 	}
 }

@@ -127,7 +127,7 @@ func TestTriangleNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := query.Triangle()
 	db := data.MatchingDatabase(rng, q, 500, 1<<20)
-	res := RunTriangle(q, db, 27, 3)
+	res := runGeneric(q, db, 27, 3, DefaultHeavyCap)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -142,7 +142,7 @@ func TestTriangleOneHeavyCorrect(t *testing.T) {
 	q := query.Triangle()
 	m := 600
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, 200)
-	res := RunTriangle(q, db, 27, 13)
+	res := runGeneric(q, db, 27, 13, DefaultHeavyCap)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("one-heavy triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -153,15 +153,15 @@ func TestTriangleNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	q := query.Triangle()
 	db := data.SkewedTriangleDatabase(rng, 400, 1<<20, 5, 150)
-	res := RunTriangle(q, db, 27, 7)
+	res := runGeneric(q, db, 27, 7, DefaultHeavyCap)
 	if res.Output.NumTuples() != res.Output.Canonical().NumTuples() {
 		t.Errorf("duplicates: %d vs %d distinct",
 			res.Output.NumTuples(), res.Output.Canonical().NumTuples())
 	}
 }
 
-// TestTriangleDensePlusHeavy plants a heavy value inside an otherwise dense
-// random (non-matching) instance so that all three cases fire.
+// TestTriangleDensePlusHeavy runs a dense random (non-matching) instance on
+// a tiny domain, where heavy and light patterns mix.
 func TestTriangleDensePlusHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	q := query.Triangle()
@@ -173,7 +173,7 @@ func TestTriangleDensePlusHeavy(t *testing.T) {
 		}
 		db.Add(rel)
 	}
-	res := RunTriangle(q, db, 27, 11)
+	res := runGeneric(q, db, 27, 11, DefaultHeavyCap)
 	want := core.SequentialAnswer(q, db)
 	// Dense random data yields duplicate input tuples, so compare as sets.
 	if !data.Equal(res.Output, want) {
@@ -191,7 +191,7 @@ func TestTriangleRandomized(t *testing.T) {
 		heavyCount := r.Intn(m / 2)
 		db := data.SkewedTriangleDatabase(r, m, 1<<20, int64(r.Intn(10)), heavyCount)
 		p := []int{8, 27, 64}[r.Intn(3)]
-		res := RunTriangle(q, db, p, seed)
+		res := runGeneric(q, db, p, seed, DefaultHeavyCap)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rng}); err != nil {
@@ -209,7 +209,7 @@ func TestTriangleSkewSeparation(t *testing.T) {
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<22, 5, m/2)
 	vanilla := core.Run(q, db, p, 3, core.SkewFree)
-	aware := RunTriangle(q, db, p, 3)
+	aware := runGeneric(q, db, p, 3, DefaultHeavyCap)
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -301,7 +301,7 @@ func TestRunStarSampledLoadNearExact(t *testing.T) {
 	}
 }
 
-// TestTriangleMeasuredAboveGeneralLB ties the triangle algorithm to the
+// TestTriangleMeasuredAboveGeneralLB ties the triangle run to the
 // general Theorem 4.4 machinery: the measured skew-aware load must dominate
 // the skewed lower bound computed from the x1-statistics.
 func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
@@ -310,7 +310,7 @@ func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
 	m := 3000
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, m/2)
-	aware := RunTriangle(q, db, p, 3)
+	aware := runGeneric(q, db, p, 3, DefaultHeavyCap)
 
 	// x1-statistics in bits for S1 (col 0) and S3 (col 1); S2 has no x1.
 	bits := make([]map[int64]float64, 3)

@@ -7,8 +7,8 @@
 //     z, while each heavy hitter h gets a dedicated server group computing
 //     the residual Cartesian product with servers allocated proportionally
 //     to Π_j M_j(h)^{u_j} over the packings u ∈ {0,1}^ℓ;
-//   - the triangle algorithm of Section 4.2.2 with its three cases (see
-//     triangle.go).
+//   - the generic heavy/light pattern algorithm (generic.go), which runs
+//     the triangle of Section 4.2.2 and every other connected query.
 //
 // Following the paper, the algorithms may use Θ(p) servers — a constant
 // factor more than p (the paper's own accounting allows (ℓ+1)·|pk(q_z)|·p).

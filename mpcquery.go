@@ -13,11 +13,11 @@
 //   - workloads: MatchingDatabase, the skewed generators and
 //     ReadRelationCSV;
 //   - algorithms: the single entry point Run with a Strategy per paper
-//     algorithm — HyperCube variants (one round), SkewedStar /
-//     SkewedTriangle / SkewedGeneric (one round with heavy-hitter
-//     statistics), ChainPlan / GreedyPlan (multi-round), and Auto (the
-//     advisor-driven pick) — all returning the unified Report; plus the
-//     connected-components algorithms;
+//     algorithm — HyperCube variants (one round), SkewedStar and
+//     SkewedGeneric (one round with heavy-hitter statistics; SkewedTriangle
+//     is SkewedGeneric checked for C3), ChainPlan / GreedyPlan
+//     (multi-round), and Auto (the advisor-driven pick) — all returning
+//     the unified Report; plus the connected-components algorithms;
 //   - bounds: TauStar, LoadLowerBound, SpaceExponentLB, the round-count
 //     bounds (ChainRounds, RoundsUB, RoundBounds) and StarSkewLB;
 //   - planning: Advise enumerates the rounds/load tradeoff of Table 3;

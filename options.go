@@ -5,6 +5,7 @@ import (
 
 	"mpcquery/internal/engine"
 	"mpcquery/internal/obs"
+	"mpcquery/internal/skew"
 	"mpcquery/internal/transport/fault"
 )
 
@@ -46,7 +47,7 @@ func defaultConfig() runConfig {
 	return runConfig{
 		servers:     64,
 		seed:        1,
-		heavyCap:    32,
+		heavyCap:    skew.DefaultHeavyCap,
 		aggPushdown: true,
 	}
 }

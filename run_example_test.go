@@ -109,8 +109,8 @@ func ExampleRun_skewedStarSampled() {
 	// rounds: 2
 }
 
-// The Section 4.2.2 three-case strategy handles a triangle input with one
-// planted heavy x1-value.
+// The Section 4.2.2 strategy — the generic heavy/light pattern planner,
+// checked for C3 — handles a triangle input with one planted heavy x1-value.
 func ExampleRun_skewedTriangle() {
 	rng := rand.New(rand.NewSource(6))
 	db := mpcquery.SkewedTriangleDatabase(rng, 600, 1<<20, 5, 200)

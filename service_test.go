@@ -163,6 +163,36 @@ func TestServiceShapeRenamedQuerySharesCache(t *testing.T) {
 	}
 }
 
+// TestServiceTriangleSharesGenericPlan asserts that SkewedTriangle is a
+// front door to the generic planner: run after it on the same C3 database,
+// SkewedGeneric hits the plan SkewedTriangle cached and moves the same bits.
+func TestServiceTriangleSharesGenericPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	q := Triangle()
+	db := SkewedTriangleDatabase(rng, 1000, 1<<16, 7, 500)
+	svc := NewService()
+	defer svc.Close()
+
+	tri, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedTriangle()), WithServers(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedGeneric()), WithServers(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats().PlanCache; st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("plan cache %+v, want 1 miss and 1 hit", st)
+	}
+	if !EqualRelations(tri.Output, gen.Output) || tri.MaxLoadBits != gen.MaxLoadBits {
+		t.Errorf("triangle: %d tuples at %v bits; generic: %d tuples at %v bits",
+			tri.Output.NumTuples(), tri.MaxLoadBits, gen.Output.NumTuples(), gen.MaxLoadBits)
+	}
+	if tri.HeavyHitters == 0 {
+		t.Error("the instance holds no hitter above the heavy cut")
+	}
+}
+
 // TestServiceSizeChangeInvalidates asserts the automatic part of the
 // database fingerprint: growing a relation changes the cache key, so the
 // service replans instead of serving a stale layout.

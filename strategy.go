@@ -264,8 +264,11 @@ func isStarQuery(q *Query) bool {
 
 type skewedTriangleStrategy struct{}
 
-// SkewedTriangle returns the Section 4.2.2 three-case strategy for the
-// triangle query C3.
+// SkewedTriangle returns the skew-aware strategy for the triangle query C3
+// (Section 4.2.2): the generalized heavy/light pattern algorithm of
+// SkewedGeneric, whose heavy cut m_j/s_v relative to the skew-free grid's
+// shares s is about the cube cut m/p^{1/3} on C3. It checks the query and
+// shares SkewedGeneric's cached plan.
 func SkewedTriangle() Strategy { return skewedTriangleStrategy{} }
 
 func (skewedTriangleStrategy) Name() string { return "skewed-triangle" }
@@ -274,11 +277,7 @@ func (s skewedTriangleStrategy) Execute(ctx ExecContext) (*Report, error) {
 	if ctx.Query.NumAtoms() != 3 || ctx.Query.NumVars() != 3 {
 		return nil, fmt.Errorf("mpcquery: skewed-triangle needs the triangle query C3; got %s", ctx.Query)
 	}
-	tp := ctx.cachedPlan("triangle", func() any {
-		return skew.PrepareTriangle(ctx.Query, ctx.DB, ctx.Servers)
-	}).(*skew.TrianglePlan)
-	rec := skew.RunTrianglePlannedNet(tp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	return newReport(s.Name(), ctx.Query, rec), nil
+	return runGeneric(s.Name(), ctx), nil
 }
 
 type skewedGenericStrategy struct{}
@@ -291,11 +290,17 @@ func SkewedGeneric() Strategy { return skewedGenericStrategy{} }
 func (skewedGenericStrategy) Name() string { return "skewed-generic" }
 
 func (s skewedGenericStrategy) Execute(ctx ExecContext) (*Report, error) {
+	return runGeneric(s.Name(), ctx), nil
+}
+
+// runGeneric runs the generic pattern algorithm under the plan cached for
+// ctx's heavy cap.
+func runGeneric(name string, ctx ExecContext) *Report {
 	gp := ctx.cachedPlan(fmt.Sprintf("generic|h%d", ctx.HeavyCap), func() any {
 		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers, ctx.HeavyCap)
 	}).(*skew.GenericPlan)
 	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	return newReport(s.Name(), ctx.Query, rec), nil
+	return newReport(name, ctx.Query, rec)
 }
 
 // ---- multi-round strategies ------------------------------------------------

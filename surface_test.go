@@ -30,7 +30,7 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 		},
 		"internal/skew": {
 			"RunGenericPlannedNet", "RunStar", "RunStarPlannedNet", "RunStarSampled",
-			"RunTriangle", "RunTrianglePlannedNet", "StatsSpec.Run", "StatsSpec.RunNet",
+			"RunTrianglePlannedNet", "StatsSpec.Run", "StatsSpec.RunNet",
 		},
 		"internal/multiround": {
 			"Execute", "ExecuteAggregateCapMemoNet", "ExecuteSkewAwareCapMemoNet",

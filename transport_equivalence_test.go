@@ -32,9 +32,6 @@ func distScenarios() []distScenario {
 		}}
 	}
 	named := func(name string, sc distScenario) distScenario { sc.name = name; return sc }
-	triDB := func() *Database {
-		return SkewedTriangleDatabase(rand.New(rand.NewSource(101)), 120, 1<<12, 7, 30)
-	}
 	starDB := func() *Database {
 		return SkewedStarDatabase(rand.New(rand.NewSource(102)), 2, 120, 1<<12, map[int64]int{5: 40})
 	}
@@ -53,8 +50,8 @@ func distScenarios() []distScenario {
 		named("hypercube-shares", mk(star2, starDB, HyperCubeShares(4, 2, 2))),
 		named("skewed-star", mk(star2, starDB, SkewedStar())),
 		named("skewed-star-sampled", mk(star2, starDB, SkewedStarSampled(30))),
-		named("skewed-triangle", mk(Triangle, triDB, SkewedTriangle())),
-		named("skewed-generic", mk(Triangle, triDB, SkewedGeneric())),
+		named("skewed-triangle", mk(Triangle, goldenTriDB, SkewedTriangle())),
+		named("skewed-generic", mk(Triangle, goldenTriDB, SkewedGeneric())),
 		named("chain-plan", mk(chain4, chainDB, ChainPlan(0.5))),
 		named("greedy-plan", mk(chain4, chainDB, GreedyPlan(0.5))),
 		named("greedy-plan-skew", mk(chain4, chainDB, GreedyPlanSkewAware(0.5))),
