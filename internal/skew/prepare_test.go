@@ -42,13 +42,18 @@ func skewedTriDB(seed int64, m int, n int64, h, cnt int) *data.Database {
 // TestGenericRouteIndexMatchesBruteForce pins the routing index to its
 // specification: for every tuple of every relation, the pattern list under
 // the tuple's heavy/light signature must be exactly the patterns the
-// brute-force matches() predicate accepts, in enumeration order.
+// brute-force matches() predicate accepts, in enumeration order. At p = 64
+// the skew-free shares are 4/4/4, so the cut is 100: the value 1 of every
+// variable (degree 120) is heavy and the 160 random tuples per relation
+// are light, which yields the signatures light-light, heavy-light and
+// light-heavy.
 func TestGenericRouteIndexMatchesBruteForce(t *testing.T) {
 	q := query.Triangle()
-	db := skewedTriDB(7, 400, 1<<16, 2, 200)
-	gp := PrepareGeneric(q, db, 16, 6)
+	db := skewedTriDB(7, 400, 1<<16, 1, 120)
+	gp := PrepareGeneric(q, db, 64, 6)
 
 	checked := 0
+	classes := map[string]int{} // per signature class, e.g. "HL": tuples checked
 	for j, a := range q.Atoms {
 		rel := db.Get(a.Name)
 		dims := gp.atomDims[j]
@@ -73,11 +78,22 @@ func TestGenericRouteIndexMatchesBruteForce(t *testing.T) {
 					t.Fatalf("atom %d tuple %v: pattern order diverges at %d", j, tuple, k)
 				}
 			}
+			class := ""
+			for c, d := range dims {
+				class += map[bool]string{false: "L", true: "H"}[gp.heavy[d][tuple[c]]]
+			}
+			classes[class]++
 			checked++
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no tuples checked")
+	}
+	t.Logf("tuples checked per signature class: %v", classes)
+	for _, class := range []string{"LL", "HL", "LH"} {
+		if classes[class] == 0 {
+			t.Errorf("no %s tuple checked (classes %v)", class, classes)
+		}
 	}
 }
 
@@ -117,7 +133,10 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 		t.Error("triangle plan accessors disagree with the run")
 	}
 
-	genDB := skewedTriDB(11, 400, n, 3, 150)
+	// At p = 16 the skew-free shares are 3/2/2 (cuts 134 and 200): the value
+	// 1 of x1 (degree 140) is heavy, and 260 of the 400 tuples of S1 and S3
+	// and all of S2 are light.
+	genDB := skewedTriDB(11, 400, n, 1, 140)
 	gp := PrepareGeneric(tri, genDB, 16, 6)
 	ga := RunGenericPlannedNet(gp, tri, genDB, 16, 5, 0, engine.Env{})
 	gc := runGeneric(tri, genDB, 16, 5, 6)
@@ -215,9 +234,11 @@ func refPrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
 }
 
 // refGenericHeavy is genericHeavy from full maps — a value of variable v is
-// heavy iff its count in some column of v reaches max(2, m_j/light[v]) — the
-// cut to maxHeavyPerVar by (bits descending, value ascending) included. The
-// test's caps keep the patterns far below maxPatterns, so it has no trim.
+// heavy iff its count in some column of v reaches max(2, m_j/light[v]) —
+// the cut to maxHeavyPerVar by (bits descending, value ascending) included.
+// Then, while the heavy sets span more than maxPatterns patterns, it drops
+// the lightest heavy value left, across variables, in the order (bits
+// descending, value ascending, variable ascending).
 func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar int) ([]map[int64]bool, []map[int64]float64) {
 	heavy := make([]map[int64]bool, q.NumVars())
 	freqBits := make([]map[int64]float64, q.NumVars())
@@ -251,7 +272,91 @@ func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPer
 			}
 		}
 	}
+	type hv struct {
+		v   int
+		val int64
+	}
+	var kept []hv
+	for i := range heavy {
+		for val := range heavy[i] {
+			kept = append(kept, hv{i, val})
+		}
+	}
+	sort.Slice(kept, func(a, b int) bool {
+		x, y := kept[a], kept[b]
+		if bx, by := freqBits[x.v][x.val], freqBits[y.v][y.val]; bx != by {
+			return bx > by
+		}
+		if x.val != y.val {
+			return x.val < y.val
+		}
+		return x.v < y.v
+	})
+	patterns := func() int {
+		n := 1
+		for i := range heavy {
+			n *= 1 + len(heavy[i])
+		}
+		return n
+	}
+	for ; patterns() > maxPatterns; kept = kept[:len(kept)-1] {
+		last := kept[len(kept)-1]
+		delete(heavy[last.v], last.val)
+	}
 	return heavy, freqBits
+}
+
+// denseBipartiteTriDB makes every relation of C3 the complete 8×8 bipartite
+// graph on its own value blocks (64 tuples each). At p = 512 the skew-free
+// shares are 8/8/8, so every value reaches the cut 64/8 = 8, and each
+// variable has 16 heavy values: 17³ = 4913 patterns, above maxPatterns.
+func denseBipartiteTriDB() *data.Database {
+	db := data.NewDatabase(1 << 8)
+	for j, a := range query.Triangle().Atoms {
+		r := data.NewRelation(a.Name, 2)
+		for x := int64(0); x < 8; x++ {
+			for y := int64(0); y < 8; y++ {
+				r.Append(int64(16*j)+x, int64(16*j+8)+y)
+			}
+		}
+		db.Add(r)
+	}
+	return db
+}
+
+// TestGenericHeavyTrimMatchesMapReference pins which heavy values the
+// pattern trim keeps: on the dense bipartite C3 at p = 512, where the 48
+// heavy values span 4913 patterns, genericHeavy must keep exactly the
+// values refGenericHeavy keeps, and the plan must be the reference's.
+func TestGenericHeavyTrimMatchesMapReference(t *testing.T) {
+	const p = 512
+	q := query.Triangle()
+	db := denseBipartiteTriDB()
+	light := patternShares(q, nil, statsFor(q, db, nil, nil), p)
+	heavy, freqBits := genericHeavy(q, db, light, DefaultHeavyCap)
+	wantHeavy, wantBits := refGenericHeavy(q, db, light, DefaultHeavyCap)
+	if !reflect.DeepEqual(heavy, wantHeavy) {
+		t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
+	}
+	n, patterns := 0, 1
+	for i := range heavy {
+		n += len(heavy[i])
+		patterns *= 1 + len(heavy[i])
+		for val := range heavy[i] {
+			if freqBits[i][val] != wantBits[i][val] {
+				t.Fatalf("variable %d value %d: %v fragment bits, map reference %v", i, val, freqBits[i][val], wantBits[i][val])
+			}
+		}
+	}
+	if n >= 48 || patterns > maxPatterns {
+		t.Fatalf("%d heavy values on %d patterns: the trim did not fire, or left more than %d patterns", n, patterns, maxPatterns)
+	}
+	got, want := PrepareGeneric(q, db, p, DefaultHeavyCap), newGenericPlan(q, db, p, light, wantHeavy, wantBits)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
+			got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())
+	}
+	t.Logf("kept %d of 48 heavy values: %d patterns", n, patterns)
 }
 
 // unevenDB fills q's binary atoms with relations of 300, 3000 and 900 tuples

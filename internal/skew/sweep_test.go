@@ -12,41 +12,10 @@ import (
 	"mpcquery/internal/query"
 )
 
-// multiHeavyTriDB fills C3's relations with m tuples each. Every column
-// plants nh values of degree 2m/p; a variable's heavy values are the same in
-// both relations that hold it. The other entries are drawn from a large
-// domain, and every column is shuffled on its own.
-func multiHeavyTriDB(seed int64, m, p, nh int) *data.Database {
-	const n = 1 << 22
-	q := query.Triangle()
-	rng := rand.New(rand.NewSource(seed))
-	db := data.NewDatabase(n)
-	for _, a := range q.Atoms {
-		cols := make([][]int64, 2)
-		for c, v := range a.Vars {
-			d := q.VarIndex(v)
-			col := make([]int64, 0, m)
-			for h := 0; h < nh; h++ {
-				for i := 0; i < 2*m/p; i++ {
-					col = append(col, int64(d*nh+h+1))
-				}
-			}
-			for len(col) < m {
-				col = append(col, 1000+rng.Int63n(n-1000))
-			}
-			rng.Shuffle(m, func(x, y int) { col[x], col[y] = col[y], col[x] })
-			cols[c] = col
-		}
-		r := data.NewRelation(a.Name, 2)
-		r.AppendColumns(cols, m)
-		db.Add(r)
-	}
-	return db
-}
-
 // TestTriangleSweep runs the generic planner at DefaultHeavyCap — what
 // SkewedTriangle runs — over one planted hitter of degree m/256 … m/4 and
-// over several heavy values per variable, and holds its MaxLoadBits to the
+// over several values of degree 2m/p per variable (heavy under the deleted
+// planner's m/p cut, light under the share cut), and holds its MaxLoadBits to the
 // hand-built Section 4.2.2 planner it replaced (recorded below, same data
 // and hash seed 7) and to oblivious HyperCube. The output is compared with
 // the frozen map-index evaluator of localjoin/baseline, which shares no code
@@ -70,9 +39,11 @@ func TestTriangleSweep(t *testing.T) {
 			data.SkewedTriangleDatabase(rand.New(rand.NewSource(7)), m, 64000, 1, h),
 			map[int]float64{16: before[16][i], 64: before[64][i], 256: before[256][i]}})
 	}
+	// nh values of degree 2m/p = 200 in both columns of every relation, each
+	// shared by the two relations of its variable.
 	for i, nh := range []int{1, 4, 8} {
 		rows = append(rows, row{fmt.Sprintf("multi-heavy/nh=%d", nh),
-			multiHeavyTriDB(7, 6400, 64, nh), map[int]float64{64: []float64{62436, 77132, 79552}[i]}})
+			skewedTriDB(7, 6400, 1<<12, nh, 200), map[int]float64{64: []float64{34200, 42720, 43704}[i]}})
 	}
 
 	for _, r := range rows {

@@ -241,6 +241,13 @@ func TestRunErrorBoundaries(t *testing.T) {
 	if _, err := Run(q, db, WithStrategy(ChainPlan(0))); err == nil {
 		t.Error("chain-plan accepted a triangle query")
 	}
+	notTri, err := ParseQuery("q(x,y,z) :- S1(x,y), S2(y,z), S3(y,x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(notTri, db, WithStrategy(SkewedTriangle())); err == nil || !strings.Contains(err.Error(), "needs the triangle query") {
+		t.Errorf("skewed-triangle on a query with three atoms and three variables that is not C3: %v", err)
+	}
 	star := Star(2)
 	sdb := SkewedStarDatabase(rand.New(rand.NewSource(10)), 2, 50, 1<<16, nil)
 	if _, err := Run(star, sdb, WithStrategy(SkewedStarSampled(0))); err == nil {
@@ -250,7 +257,7 @@ func TestRunErrorBoundaries(t *testing.T) {
 		t.Error("space exponent 1.5 accepted")
 	}
 
-	_, err := Run(q, db, WithStrategy(panickyStrategy{}))
+	_, err = Run(q, db, WithStrategy(panickyStrategy{}))
 	var se *StrategyError
 	if !errors.As(err, &se) || se.Strategy != "panicky" {
 		t.Errorf("panic not converted to StrategyError: %v", err)

@@ -274,10 +274,30 @@ func SkewedTriangle() Strategy { return skewedTriangleStrategy{} }
 func (skewedTriangleStrategy) Name() string { return "skewed-triangle" }
 
 func (s skewedTriangleStrategy) Execute(ctx ExecContext) (*Report, error) {
-	if ctx.Query.NumAtoms() != 3 || ctx.Query.NumVars() != 3 {
+	if !isTriangleQuery(ctx.Query) {
 		return nil, fmt.Errorf("mpcquery: skewed-triangle needs the triangle query C3; got %s", ctx.Query)
 	}
 	return runGeneric(s.Name(), ctx), nil
+}
+
+// isTriangleQuery reports whether q is C3 up to names: three binary atoms
+// over three variables, each atom on two distinct variables and each
+// variable in exactly two atoms.
+func isTriangleQuery(q *Query) bool {
+	if q.NumAtoms() != 3 || q.NumVars() != 3 {
+		return false
+	}
+	for _, a := range q.Atoms {
+		if len(a.Vars) != 2 || a.Vars[0] == a.Vars[1] {
+			return false
+		}
+	}
+	for _, v := range q.Vars() {
+		if len(q.AtomsOf(v)) != 2 {
+			return false
+		}
+	}
+	return true
 }
 
 type skewedGenericStrategy struct{}
