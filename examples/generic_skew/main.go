@@ -1,12 +1,12 @@
 // Generalized skew handling: the paper's specialized algorithms cover star
 // and triangle queries; its reference [6] generalizes the technique to
 // arbitrary conjunctive queries by splitting every variable's domain into
-// heavy values (degree at least m_j/s_v, s the skew-free grid's shares) and
-// light values and giving each heavy/light *pattern* its own HyperCube
-// block. The same planner runs SkewedTriangle. This example runs it on a
-// query outside the paper's cases — the chain L3 with one heavy value in
-// the middle relation, on x1 or on x2 — and compares it with the vanilla
-// (skew-free-optimal) HyperCube, both through Run.
+// heavy values (degree at least ⌊m_j/s_v⌋, s the skew-free grid's shares)
+// and light values and giving each heavy/light *pattern* its own HyperCube
+// block. The same planner runs SkewedStar and SkewedTriangle. This example
+// runs it on a query outside the paper's cases — the chain L3 with one heavy
+// value in the middle relation, on x1 or on x2 — and compares it with the
+// vanilla (skew-free-optimal) HyperCube, both through Run.
 package main
 
 import (
@@ -64,8 +64,8 @@ func main() {
 	fmt.Println("nothing, and the pattern run is the vanilla run. A cut of m/p would")
 	fmt.Println("peel the x1 value anyway and gain 1.09x / 1.21x on these rows; the")
 	fmt.Println("share cut gives that up so that one cut serves every query. The")
-	fmt.Println("point here is generality: the same planner runs SkewedTriangle,")
-	fmt.Println("and chains besides.")
+	fmt.Println("point here is generality: the same planner runs SkewedStar and")
+	fmt.Println("SkewedTriangle, and chains besides.")
 }
 
 func randomMatchingRel(rng *rand.Rand, name string, m int, n int64) *mpcquery.Relation {

@@ -7,9 +7,10 @@
 //     server;
 //   - HyperCubeOblivious — the worst-case shares of LP (18), which hold
 //     M/p^{1/3} regardless of the data;
-//   - SkewedStar — the Section 4.2.1 algorithm, which knows the heavy
-//     hitters and computes their residual Cartesian products on dedicated
-//     server groups, tracking the optimal bound (20).
+//   - SkewedStar — the Section 4.2.1 algorithm, run by the generic
+//     heavy/light-pattern planner: it knows the heavy hitters and computes
+//     each one's residual Cartesian product on a block of its own, tracking
+//     the optimal bound (20).
 package main
 
 import (

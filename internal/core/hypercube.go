@@ -208,7 +208,7 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	var out *data.Relation
 	aggSaved := 0.0
 	if agg == nil {
-		out = localjoin.Output(cluster, q, env, layout, nil)
+		out = localjoin.Output(cluster, q, env, layout)
 	} else {
 		out, aggSaved = runAggregatePhases(cluster, q, layout, agg)
 	}

@@ -30,7 +30,7 @@ func SampledStats(cfg Config) *Table {
 	db := data.SkewedStarDatabase(rng, 2, m, int64(16*m), map[int64]int{
 		7: m / 2, 9: m / 8,
 	})
-	oracle := skew.RunStar(q, db, p, cfg.Seed)
+	oracle := skewAware(q, db, p, cfg.Seed)
 	for _, sample := range []int{10, 50, 200, m} {
 		sampled := skew.RunStarSampled(q, db, p, cfg.Seed, sample)
 		if !data.Equal(oracle.Output, sampled.Output) {

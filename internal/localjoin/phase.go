@@ -38,31 +38,21 @@ func Phase(cluster *engine.Cluster, q *query.Query, layout hashing.Layout,
 
 // Output runs Phase as a plain join and returns q's output: every server's
 // rows, in ascending server order, gathered from the processes that own
-// them (Cluster.Gather). keep, when non-nil, gives a server's output-row
-// predicate (a nil predicate keeps every row) — the per-group output
-// classes of the skew algorithms. With env.Sink set the output is never
+// them (Cluster.Gather). With env.Sink set the output is never
 // materialized nor gathered: each owned server's rows stream through this
 // process's sink in chunks of env.StreamChunk rows (<= 0:
 // engine.DefaultStreamChunk) and Output returns nil; the rows and their
 // order are the same either way.
-func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hashing.Layout,
-	keep func(server int) func(row []int64) bool) *data.Relation {
+func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hashing.Layout) *data.Relation {
 	arity := q.NumVars()
-	keepAt := func(s int) func([]int64) bool {
-		if keep == nil {
-			return nil
-		}
-		return keep(s)
-	}
 	if sink := env.Sink; sink != nil {
 		chunk := env.StreamChunk
 		if chunk <= 0 {
 			chunk = engine.DefaultStreamChunk
 		}
 		Phase(cluster, q, layout, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
-			k := keepAt(s)
 			sc.EvaluateAtomsStream(q, frags, sh, chunk, func(vals []int64) {
-				if vals = compact(vals, arity, k); len(vals) > 0 {
+				if len(vals) > 0 {
 					sink.Chunk(s, arity, vals)
 				}
 			})
@@ -71,26 +61,7 @@ func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hash
 	}
 	parts := make([]*data.Relation, cluster.P())
 	Phase(cluster, q, layout, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
-		out := sc.EvaluateAtoms(q, frags, sh)
-		if k := keepAt(s); k != nil {
-			out = data.FromVals(q.Name, arity, compact(out.Vals(), arity, k))
-		}
-		parts[s] = out
+		parts[s] = sc.EvaluateAtoms(q, frags, sh)
 	})
 	return cluster.Gather(q.Name, arity, parts)
-}
-
-// compact moves the rows of vals that keep accepts to its front, in order,
-// and returns them; a nil keep accepts every row.
-func compact(vals []int64, arity int, keep func(row []int64) bool) []int64 {
-	if keep == nil {
-		return vals
-	}
-	n := 0
-	for off := 0; off < len(vals); off += arity {
-		if row := vals[off : off+arity]; keep(row) {
-			n += copy(vals[n:], row)
-		}
-	}
-	return vals[:n]
 }

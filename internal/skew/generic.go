@@ -1,3 +1,34 @@
+// Package skew implements the skew-aware one-round algorithm of Section 4.2,
+// which assumes the servers know the heavy hitters and their (approximate)
+// frequencies, as the heavy/light-pattern construction of the paper's
+// follow-up ("the BinHC algorithm", reference [6]; arXiv 1401.1872): one
+// planner, PrepareGeneric + RunGenericPlannedNet, for every connected query.
+// The star of Section 4.2.1 (the simple join is its k = 2 case) is the case
+// with one heavy variable, z; the triangle of Section 4.2.2 is C3.
+//
+// Let s be the integer HyperCube shares of the skew-free (all-light) grid on
+// p servers. A value of variable v is heavy iff its degree in some atom j
+// holding v is at least max(2, ⌊m_j/s_v⌋), the degree below which HyperCube
+// on shares s keeps its skew-free load; on a star of equal relation sizes
+// s_z = p, and the cut is the paper's m/p.
+// Every *output pattern* — an assignment of heavy values to a subset of the
+// variables, with all other variables light — gets its own HyperCube block:
+//
+//   - the all-light pattern runs the vanilla HyperCube on shares s;
+//   - a pattern σ fixing variables X runs the residual query on a grid over
+//     the light variables, with shares from the share LP on the residual
+//     statistics (atom j's count M_j(σ) of the pinned values) and servers
+//     allocated proportionally to the pattern's packing weight.
+//
+// Tuples route to every pattern consistent with them; output tuples are
+// produced in exactly one block (patterns partition the output), so no
+// deduplication occurs. The number of blocks is Π_v (1+|H_v|), so the heavy
+// sets are cut, lightest first, to maxPatterns blocks (and, on request, to
+// a per-variable cap). The blocks are laid back to back from server 0, on
+// the input servers as well: the layout spans max(p, Σ block sizes)
+// servers. Following the paper, the algorithm may use Θ(p) servers, a
+// constant factor more than p; loads are compared against bounds
+// parameterized by the requested p.
 package skew
 
 import (
@@ -13,33 +44,6 @@ import (
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
-
-// The generic algorithm (PrepareGeneric + RunGenericPlannedNet) computes an
-// arbitrary connected conjunctive query — the triangle of Section 4.2.2
-// included — in one round with heavy-hitter statistics, along the lines of
-// the paper's follow-up ("the BinHC algorithm", reference [6]; arXiv
-// 1401.1872). Let s be the integer HyperCube shares of the skew-free
-// (all-light) grid on p servers. A value of variable v is heavy iff its
-// degree in some atom j holding v is at least max(2, m_j/s_v), the degree
-// below which HyperCube on shares s keeps its skew-free load. Every *output
-// pattern* — an assignment of heavy values to a subset of the variables,
-// with all other variables light — gets its own HyperCube block:
-//
-//   - the all-light pattern runs the vanilla HyperCube on shares s;
-//   - a pattern σ fixing variables X runs the residual query on a grid over
-//     the light variables, with shares from the share LP on the residual
-//     statistics and servers allocated proportionally to the pattern's
-//     packing weight.
-//
-// Tuples route to every pattern consistent with them; output tuples are
-// produced in exactly one block (patterns partition the output), so no
-// deduplication occurs. The number of blocks is Π_v (1+|H_v|), so heavy
-// sets are capped at maxHeavyPerVar and, lightest first, to maxPatterns
-// blocks (the paper notes the general case has no tight bound; this is the
-// honest simplified construction).
-
-// DefaultHeavyCap is the per-variable heavy-set cap of a run that sets none.
-const DefaultHeavyCap = 32
 
 // maxPatterns bounds the heavy/light patterns of one plan.
 const maxPatterns = 4096
@@ -96,61 +100,119 @@ func (gp *GenericPlan) ServersUsed() int { return gp.totalServers }
 // NumPatterns returns the number of heavy/light output patterns.
 func (gp *GenericPlan) NumPatterns() int { return len(gp.patterns) }
 
-// PrepareGeneric computes heavy sets and the pattern layout — the statistics
-// and planning phase of the generic algorithm, split out so its result can be
-// cached.
+// PrepareGeneric computes heavy sets and the pattern layout from exact
+// column counts — the statistics and planning phase of the generic
+// algorithm, split out so its result can be cached. maxHeavyPerVar caps each
+// variable's heavy set (math.MaxInt: no cap).
 func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int) *GenericPlan {
-	if !q.IsConnected() {
-		panic("skew: PrepareGeneric requires a connected query")
-	}
-	light := patternShares(q, nil, statsFor(q, db, nil, nil), p)
-	heavy, freqBits := genericHeavy(q, db, light, maxHeavyPerVar)
-	return newGenericPlan(q, db, p, light, heavy, freqBits)
+	light := skewFreeShares(q, db, p)
+	return planFromCounts(q, db, p, light, exactCounts(q, db, light), maxHeavyPerVar)
 }
 
-// genericHeavy returns, per variable v, the heavy set (degree ≥
-// max(2, m_j/light[v]) in some adjacent relation j, cut to the
-// maxHeavyPerVar heaviest and then, lightest first, to maxPatterns patterns)
-// and every heavy value's largest fragment in bits over v's adjacent
-// relations.
-func genericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar int) ([]map[int64]bool, []map[int64]float64) {
-	// Every column of every atom, sorted concurrently; only runs of at least
-	// m_j/s_v — at most s_v per column — reach a table.
-	type column struct {
-		rel    *data.Relation
-		col, v int     // position in rel, index of the variable bound there
-		bits   float64 // size of one tuple of rel
-		sorted []int64
+// PrepareGenericFromStats is PrepareGeneric on estimated counts: perAtom
+// holds, per (relation, column) pair of spec, its value counts, as
+// StatsSpec.RunNet returns them. A column spec does not profile has no heavy
+// values and leaves its atom's fragments at the atom's size. Statistics only
+// drive heavy-hitter selection and server allocation; correctness never
+// depends on their accuracy — bad estimates only cost load.
+func PrepareGenericFromStats(q *query.Query, db *data.Database, p int, maxHeavyPerVar int, spec StatsSpec, perAtom []map[int64]int) *GenericPlan {
+	counts := make([][]map[int64]int, q.NumAtoms())
+	for j, a := range q.Atoms {
+		counts[j] = make([]map[int64]int, a.Arity())
+		for i, rel := range spec.Rels {
+			if rel == db.Get(a.Name) {
+				counts[j][spec.Cols[i]] = perAtom[i]
+			}
+		}
 	}
-	bpv := data.BitsPerValue(db.N)
+	return planFromCounts(q, db, p, skewFreeShares(q, db, p), counts, maxHeavyPerVar)
+}
+
+// skewFreeShares returns the integer HyperCube shares of q's all-light grid
+// on p servers, from which the heavy cuts are taken.
+func skewFreeShares(q *query.Query, db *data.Database, p int) []int {
+	if !q.IsConnected() {
+		panic("skew: the generic planner requires a connected query")
+	}
+	return patternShares(q, nil, statsFor(q, db, nil, nil), p)
+}
+
+func planFromCounts(q *query.Query, db *data.Database, p int, light []int, counts [][]map[int64]int, maxHeavyPerVar int) *GenericPlan {
+	return newGenericPlan(q, db, p, light, genericHeavy(q, db, light, counts, maxHeavyPerVar), counts)
+}
+
+// heavyCut is the degree from which a value of a variable with share s is
+// heavy in an m-tuple column: ⌊m/s⌋, and never a value that occurs once.
+func heavyCut(m, s int) int { return max(2, m/s) }
+
+// exactCounts returns, per atom and column, the exact count of every value
+// that reaches its cut in some column of its variable. Every column is sorted
+// once (concurrently) and only its runs of at least the cut — at most s_v —
+// become candidates; each candidate is then counted in all of its variable's
+// columns, also those where it is light, since every atom's fragment of a
+// pinned value is its own count there.
+func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]int {
+	type column struct {
+		j, c, v int
+		sorted  []int64
+	}
 	var cols []column
-	for _, a := range q.Atoms {
+	for j, a := range q.Atoms {
 		for c, av := range a.Vars {
-			cols = append(cols, column{rel: db.Get(a.Name), col: c, v: q.VarIndex(av), bits: float64(a.Arity() * bpv)})
+			cols = append(cols, column{j: j, c: c, v: q.VarIndex(av)})
 		}
 	}
 	engine.ParallelFor(len(cols), func(n int) {
-		cols[n].sorted = data.SortedColumn(cols[n].rel, cols[n].col)
+		cols[n].sorted = data.SortedColumn(db.Get(q.Atoms[cols[n].j].Name), cols[n].c)
 	})
-
-	// Heavy sets per variable.
-	heavy := make([]map[int64]bool, q.NumVars())
-	freqBits := make([]map[int64]float64, q.NumVars()) // per variable: heavy value -> max fragment bits
-	for i := range heavy {
-		heavy[i] = make(map[int64]bool)
-		freqBits[i] = make(map[int64]float64)
-	}
+	candidates := make([][]int64, q.NumVars())
 	for _, c := range cols {
-		thr := math.Max(2, float64(len(c.sorted))/float64(light[c.v]))
-		for _, run := range data.Runs(c.sorted, int(math.Ceil(thr))) {
-			heavy[c.v][run.Value] = true
+		for _, run := range data.Runs(c.sorted, heavyCut(len(c.sorted), light[c.v])) {
+			candidates[c.v] = append(candidates[c.v], run.Value)
 		}
 	}
-	// A heavy value's fragment is its largest over the variable's columns,
-	// also those where it is light (relation sizes differ): look each one up.
+	counts := make([][]map[int64]int, q.NumAtoms())
+	for j, a := range q.Atoms {
+		counts[j] = make([]map[int64]int, a.Arity())
+	}
 	for _, c := range cols {
-		for val := range heavy[c.v] {
-			freqBits[c.v][val] = max(freqBits[c.v][val], float64(data.CountOf(c.sorted, val))*c.bits)
+		counts[c.j][c.c] = make(map[int64]int, len(candidates[c.v]))
+		for _, val := range candidates[c.v] {
+			if n := data.CountOf(c.sorted, val); n > 0 {
+				counts[c.j][c.c][val] = n
+			}
+		}
+	}
+	return counts
+}
+
+// genericHeavy returns, per variable v, the heavy set: every value whose
+// count in some column of v reaches heavyCut(m_j, light[v]), cut to the
+// maxHeavyPerVar heaviest and then, lightest first, to maxPatterns
+// patterns. A value weighs its largest fragment in bits over v's columns.
+func genericHeavy(q *query.Query, db *data.Database, light []int, counts [][]map[int64]int, maxHeavyPerVar int) []map[int64]bool {
+	bpv := data.BitsPerValue(db.N)
+	frag := make([]map[int64]float64, q.NumVars()) // per variable: heavy value -> largest fragment bits
+	for i := range frag {
+		frag[i] = make(map[int64]float64)
+	}
+	for j, a := range q.Atoms {
+		m := db.Get(a.Name).NumTuples()
+		for c, av := range a.Vars {
+			v := q.VarIndex(av)
+			for val, n := range counts[j][c] {
+				if n >= heavyCut(m, light[v]) {
+					frag[v][val] = 0
+				}
+			}
+		}
+	}
+	for j, a := range q.Atoms {
+		for c, av := range a.Vars {
+			v := q.VarIndex(av)
+			for val := range frag[v] {
+				frag[v][val] = max(frag[v][val], float64(counts[j][c][val]*a.Arity()*bpv))
+			}
 		}
 	}
 	// Keep the heaviest values (by fragment bits, ties by value): at most
@@ -163,15 +225,18 @@ func genericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar
 		bits float64
 	}
 	var all []hv
-	for v := range heavy {
-		for val := range heavy[v] {
-			all = append(all, hv{v, val, freqBits[v][val]})
+	for v := range frag {
+		for val, bits := range frag[v] {
+			all = append(all, hv{v, val, bits})
 		}
-		heavy[v] = make(map[int64]bool)
 	}
 	slices.SortFunc(all, func(x, y hv) int {
 		return cmp.Or(cmp.Compare(y.bits, x.bits), cmp.Compare(x.val, y.val), cmp.Compare(x.v, y.v))
 	})
+	heavy := make([]map[int64]bool, q.NumVars())
+	for i := range heavy {
+		heavy[i] = make(map[int64]bool)
+	}
 	patterns := 1
 	for _, e := range all {
 		n := len(heavy[e.v])
@@ -185,17 +250,16 @@ func genericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar
 		patterns = next
 		heavy[e.v][e.val] = true
 	}
-
-	return heavy, freqBits
+	return heavy
 }
 
 // newGenericPlan lays the heavy/light patterns of the given heavy sets out
 // over the servers and compiles their routes.
-func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, heavy []map[int64]bool, freqBits []map[int64]float64) *GenericPlan {
+func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, heavy []map[int64]bool, counts [][]map[int64]int) *GenericPlan {
 	atomDims := q.AtomDims()
-	patterns := enumeratePatterns(q, db, p, light, heavy, freqBits, atomDims)
+	patterns := enumeratePatterns(q, db, p, light, heavy, counts, atomDims)
 	layout := make(hashing.Layout, len(patterns))
-	total := p
+	total := 0
 	for i, pat := range patterns {
 		layout[i] = pat.block
 		total += pat.block.Grid.P()
@@ -223,7 +287,7 @@ func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, heavy
 		patterns:     patterns,
 		layout:       layout,
 		inputServers: p,
-		totalServers: total,
+		totalServers: max(p, total),
 		nHeavy:       nHeavy,
 		atomDims:     atomDims,
 		routes:       routes,
@@ -231,23 +295,24 @@ func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, heavy
 }
 
 // RunGenericPlannedNet executes the pattern-routing data round under a
-// prepared layout; see RunStarPlannedNet for the caching contract
-// (bit-identical to the unprepared path), the cap and env.
+// prepared layout: routing, local evaluation and metering, with the
+// statistics phase already paid for (or cached) by the caller. Running a
+// prepared plan is bit-identical to preparing it anew — preparation only
+// moves work, never accounting. capBits is a declared per-round load cap in
+// bits (Section 2.1's abort semantics; 0 = none); round delivery goes
+// through env (the zero Env = in-process, untraced).
 func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
-	k := q.NumVars()
-	heavy, patterns := gp.heavy, gp.patterns
-	inputServers, total := gp.inputServers, gp.totalServers
-	atomDims, routes := gp.atomDims, gp.routes
+	heavy, atomDims, routes := gp.heavy, gp.atomDims, gp.routes
 	bpv := data.BitsPerValue(db.N)
 
-	cluster := engine.NewClusterEnv(env, total, bpv)
+	cluster := engine.NewClusterEnv(env, gp.totalServers, bpv)
 	defer cluster.Release()
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	cluster.SeedPartitioned(inputServers, q, db)
+	cluster.SeedPartitioned(gp.inputServers, q, db)
 
-	family := hashing.NewFamily(seed, k)
+	family := hashing.NewFamily(seed, q.NumVars())
 
 	cluster.Round("skew-generic", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		var sig []byte
@@ -266,22 +331,26 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 		})
 	})
 
-	// Every server with an inbox lies in a pattern block: the input servers
-	// before the blocks receive nothing. Routing already keeps rows that
-	// violate a block's pattern out of it; the predicate keeps the partition
-	// property robust.
-	vars := make([]int, k) // output column d holds variable d
-	for d := range vars {
-		vars[d] = d
-	}
-	out := localjoin.Output(cluster, q, env, gp.layout, func(s int) func([]int64) bool {
-		pat := patterns[gp.layout.Find(s)]
-		return func(row []int64) bool { return pat.matches(vars, row, heavy) }
-	})
+	// A block receives only the tuples that match its pattern on every
+	// column: pinned to its value where the pattern pins the variable,
+	// light where it does not. Every variable sits in some atom, so every
+	// output row of a block binds each variable to a value some matching
+	// tuple carries: every row matches the block's pattern, and no row
+	// needs filtering.
+	out := localjoin.Output(cluster, q, env, gp.layout)
 
 	rec := cluster.Record(out, inputBits(q, db))
 	rec.HeavyHitters = gp.nHeavy
 	return rec
+}
+
+// inputBits is the input size Σ_j M_j of q's atoms in db, in bits.
+func inputBits(q *query.Query, db *data.Database) float64 {
+	total := 0.0
+	for _, a := range q.Atoms {
+		total += db.Get(a.Name).SizeBits(db.N)
+	}
+	return total
 }
 
 // genPattern is one output class: variables in assign are pinned to heavy
@@ -292,26 +361,11 @@ type genPattern struct {
 	block  *hashing.Block
 }
 
-// matches reports whether a tuple of an atom (with the given variable dims)
-// is consistent with the pattern.
-func (pat *genPattern) matches(dims []int, tuple []int64, heavy []map[int64]bool) bool {
-	for c, d := range dims {
-		if hv, pinned := pat.assign[d]; pinned {
-			if tuple[c] != hv {
-				return false
-			}
-		} else if heavy[d][tuple[c]] {
-			return false
-		}
-	}
-	return true
-}
-
 // enumeratePatterns builds every heavy/light pattern with its server
-// allocation and its block, the blocks back to back after the p input
-// servers; the all-light pattern runs on the shares light.
+// allocation and its block, the blocks back to back from server 0; the
+// all-light pattern runs on the shares light.
 func enumeratePatterns(q *query.Query, db *data.Database, p int, light []int,
-	heavy []map[int64]bool, freqBits []map[int64]float64, atomDims [][]int) []*genPattern {
+	heavy []map[int64]bool, counts [][]map[int64]int, atomDims [][]int) []*genPattern {
 	k := q.NumVars()
 	heavyVals := make([][]int64, k)
 	for i := range heavy {
@@ -342,7 +396,7 @@ func enumeratePatterns(q *query.Query, db *data.Database, p int, light []int,
 		if len(assign) == 0 {
 			continue // the all-light pattern gets the full p below
 		}
-		stats := statsFor(q, db, assign, freqBits)
+		stats := statsFor(q, db, assign, counts)
 		for mask := 1; mask < 1<<uint(q.NumAtoms()); mask++ {
 			prod := 1.0
 			for j := 0; j < q.NumAtoms(); j++ {
@@ -356,7 +410,7 @@ func enumeratePatterns(q *query.Query, db *data.Database, p int, light []int,
 	}
 
 	out := make([]*genPattern, 0, len(raw))
-	offset := p
+	offset := 0
 	for pi, assign := range raw {
 		shares := light
 		if len(assign) > 0 {
@@ -364,7 +418,7 @@ func enumeratePatterns(q *query.Query, db *data.Database, p int, light []int,
 			if sumW > 0 {
 				ps = max(1, int(float64(p)*weights[pi]/sumW))
 			}
-			shares = patternShares(q, assign, statsFor(q, db, assign, freqBits), ps)
+			shares = patternShares(q, assign, statsFor(q, db, assign, counts), ps)
 		}
 		grid := hashing.NewGrid(shares)
 		out = append(out, &genPattern{assign: assign, block: hashing.NewBlock(offset, grid, atomDims)})
@@ -374,17 +428,17 @@ func enumeratePatterns(q *query.Query, db *data.Database, p int, light []int,
 }
 
 // statsFor estimates every atom's fragment under a pattern, in bits: the
-// atom's full size, or the smallest pinned fiber among its pinned variables.
-func statsFor(q *query.Query, db *data.Database, assign map[int]int64, freqBits []map[int64]float64) []float64 {
+// atom's full size, or, where the pattern pins some of its variables, the
+// smallest of the atom's own counts of the pinned values (the paper's
+// M_j(h)). A column without counts leaves the size.
+func statsFor(q *query.Query, db *data.Database, assign map[int]int64, counts [][]map[int64]int) []float64 {
+	bpv := data.BitsPerValue(db.N)
 	stats := make([]float64, q.NumAtoms())
 	for j, a := range q.Atoms {
 		s := db.Get(a.Name).SizeBits(db.N)
-		for _, v := range a.Vars {
-			d := q.VarIndex(v)
-			if hv, ok := assign[d]; ok {
-				if fb := freqBits[d][hv]; fb > 0 && fb < s {
-					s = fb
-				}
+		for c, v := range a.Vars {
+			if hv, ok := assign[q.VarIndex(v)]; ok && counts[j][c] != nil {
+				s = min(s, float64(counts[j][c][hv]*a.Arity()*bpv))
 			}
 		}
 		stats[j] = max(s, 1)
@@ -434,19 +488,32 @@ func patternShares(q *query.Query, assign map[int]int64, stats []float64, ps int
 	return sh
 }
 
-// The triangle names below only keep benchmark/'s call site compiling: the
-// triangle runs the generic algorithm. They go with ROADMAP item 2(e), the
-// rename that moves that call site.
+// The star and triangle names below only keep benchmark/'s call sites
+// compiling: both queries run the generic algorithm. They go with ROADMAP
+// item 2(e), the rename that moves those call sites.
 
 // TrianglePlan is GenericPlan; it goes with ROADMAP item 2(e).
 type TrianglePlan = GenericPlan
 
-// PrepareTriangle is PrepareGeneric at DefaultHeavyCap; it goes with ROADMAP item 2(e).
+// PrepareTriangle is PrepareGeneric with no heavy cap; it goes with ROADMAP item 2(e).
 func PrepareTriangle(q *query.Query, db *data.Database, p int) *TrianglePlan {
-	return PrepareGeneric(q, db, p, DefaultHeavyCap)
+	return PrepareGeneric(q, db, p, math.MaxInt)
 }
 
 // RunTrianglePlannedNet is RunGenericPlannedNet; it goes with ROADMAP item 2(e).
 func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	return RunGenericPlannedNet(tp, q, db, p, seed, capBits, env)
+}
+
+// StarPlan is GenericPlan; it goes with ROADMAP item 2(e).
+type StarPlan = GenericPlan
+
+// PrepareStarWithFrequencies is PrepareGenericFromStats on StarStatsSpec's columns with no heavy cap; it goes with ROADMAP item 2(e).
+func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs []map[int64]int) *StarPlan {
+	return PrepareGenericFromStats(q, db, p, math.MaxInt, StarStatsSpec(q, db, p), freqs)
+}
+
+// RunStarPlannedNet is RunGenericPlannedNet; it goes with ROADMAP item 2(e).
+func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
+	return RunGenericPlannedNet(sp, q, db, p, seed, capBits, env)
 }

@@ -39,10 +39,26 @@ func skewedTriDB(seed int64, m int, n int64, h, cnt int) *data.Database {
 	return db
 }
 
+// matches reports whether a tuple of an atom (with the given variable dims)
+// is consistent with the pattern: pinned to its value where the pattern pins
+// the variable, light where it does not.
+func (pat *genPattern) matches(dims []int, tuple []int64, heavy []map[int64]bool) bool {
+	for c, d := range dims {
+		if hv, pinned := pat.assign[d]; pinned {
+			if tuple[c] != hv {
+				return false
+			}
+		} else if heavy[d][tuple[c]] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestGenericRouteIndexMatchesBruteForce pins the routing index to its
 // specification: for every tuple of every relation, the pattern list under
 // the tuple's heavy/light signature must be exactly the patterns the
-// brute-force matches() predicate accepts, in enumeration order. At p = 64
+// brute-force matches predicate accepts, in enumeration order. At p = 64
 // the skew-free shares are 4/4/4, so the cut is 100: the value 1 of every
 // variable (degree 120) is heavy and the 160 random tuples per relation
 // are light, which yields the signatures light-light, heavy-light and
@@ -104,12 +120,14 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	n := int64(1 << 16)
 	rng := rand.New(rand.NewSource(3))
 
+	// The star names are the generic planner's: the prepared plan, fed the
+	// exact z-counts, runs as the one-shot path and is reusable.
 	star := query.Star(2)
 	starDB := data.SkewedStarDatabase(rng, 2, 500, n, map[int64]int{7: 60, 9: 40})
-	sp := PrepareStar(star, starDB, 16)
+	sp := refPrepareStar(star, starDB, 16)
 	a := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
 	b := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
-	c := RunStar(star, starDB, 16, 5)
+	c := runGeneric(star, starDB, 16, 5, math.MaxInt)
 	if a.MaxLoadBits() != c.MaxLoadBits() || a.TotalBits() != c.TotalBits() || !data.EqualMultiset(a.Output, c.Output) {
 		t.Error("star: prepared run differs from one-shot run")
 	}
@@ -125,7 +143,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	triDB := data.SkewedTriangleDatabase(rng, 500, n, 7, 60)
 	tp := PrepareTriangle(tri, triDB, 16)
 	ta := RunTrianglePlannedNet(tp, tri, triDB, 16, 5, 0, engine.Env{})
-	tc := runGeneric(tri, triDB, 16, 5, DefaultHeavyCap)
+	tc := runGeneric(tri, triDB, 16, 5, math.MaxInt)
 	if ta.MaxLoadBits() != tc.MaxLoadBits() || ta.TotalBits() != tc.TotalBits() || !data.EqualMultiset(ta.Output, tc.Output) {
 		t.Error("triangle: prepared run differs from one-shot run")
 	}
@@ -224,8 +242,9 @@ func refCounts(rel *data.Relation, col int) map[int64]int {
 	return freq
 }
 
-// refPrepareStar hands PrepareStarWithFrequencies the full frequency maps.
-func refPrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
+// refPrepareStar hands the frequency path (PrepareStarWithFrequencies:
+// StarStatsSpec's z columns) the full frequency maps.
+func refPrepareStar(q *query.Query, db *data.Database, p int) *GenericPlan {
 	freqs := make([]map[int64]int, q.NumAtoms())
 	for j, a := range q.Atoms {
 		freqs[j] = refCounts(db.Get(a.Name), colOf(a, q.Atoms[0].Vars[0]))
@@ -234,23 +253,32 @@ func refPrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
 }
 
 // refGenericHeavy is genericHeavy from full maps — a value of variable v is
-// heavy iff its count in some column of v reaches max(2, m_j/light[v]) —
-// the cut to maxHeavyPerVar by (bits descending, value ascending) included.
-// Then, while the heavy sets span more than maxPatterns patterns, it drops
-// the lightest heavy value left, across variables, in the order (bits
-// descending, value ascending, variable ascending).
-func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar int) ([]map[int64]bool, []map[int64]float64) {
+// heavy iff its count in some column of v reaches max(2, ⌊m_j/light[v]⌋) —
+// the cut to maxHeavyPerVar by (bits descending, value ascending) included,
+// a value's bits being its largest count over v's columns times the tuple
+// width. Then, while the heavy sets span more than maxPatterns patterns, it
+// drops the lightest heavy value left, across variables, in the order (bits
+// descending, value ascending, variable ascending). It also returns every
+// column's full counts.
+func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar int) ([]map[int64]bool, [][]map[int64]int) {
 	heavy := make([]map[int64]bool, q.NumVars())
 	freqBits := make([]map[int64]float64, q.NumVars())
+	counts := make([][]map[int64]int, q.NumAtoms())
+	for j, a := range q.Atoms {
+		counts[j] = make([]map[int64]int, a.Arity())
+		for c := range a.Vars {
+			counts[j][c] = refCounts(db.Get(a.Name), c)
+		}
+	}
 	bpv := data.BitsPerValue(db.N)
 	for i, v := range q.Vars() {
 		heavy[i], freqBits[i] = map[int64]bool{}, map[int64]float64{}
 		for _, j := range q.AtomsOf(v) {
 			atom := q.Atoms[j]
 			rel := db.Get(atom.Name)
-			for val, c := range refCounts(rel, colOf(atom, v)) {
+			for val, c := range counts[j][colOf(atom, v)] {
 				freqBits[i][val] = max(freqBits[i][val], float64(c)*float64(atom.Arity()*bpv))
-				if float64(c) >= math.Max(2, float64(rel.NumTuples())/float64(light[i])) {
+				if c >= max(2, rel.NumTuples()/light[i]) {
 					heavy[i][val] = true
 				}
 			}
@@ -303,7 +331,22 @@ func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPer
 		last := kept[len(kept)-1]
 		delete(heavy[last.v], last.val)
 	}
-	return heavy, freqBits
+	return heavy, counts
+}
+
+// sameHeavyCounts fails t unless counts holds wantCounts' count of every
+// heavy value in every column of its variable.
+func sameHeavyCounts(t *testing.T, q *query.Query, heavy []map[int64]bool, counts, wantCounts [][]map[int64]int) {
+	t.Helper()
+	for j, a := range q.Atoms {
+		for c, v := range a.Vars {
+			for val := range heavy[q.VarIndex(v)] {
+				if counts[j][c][val] != wantCounts[j][c][val] {
+					t.Fatalf("atom %d column %d value %d: count %d, map reference %d", j, c, val, counts[j][c][val], wantCounts[j][c][val])
+				}
+			}
+		}
+	}
 }
 
 // denseBipartiteTriDB makes every relation of C3 the complete 8×8 bipartite
@@ -333,25 +376,22 @@ func TestGenericHeavyTrimMatchesMapReference(t *testing.T) {
 	q := query.Triangle()
 	db := denseBipartiteTriDB()
 	light := patternShares(q, nil, statsFor(q, db, nil, nil), p)
-	heavy, freqBits := genericHeavy(q, db, light, DefaultHeavyCap)
-	wantHeavy, wantBits := refGenericHeavy(q, db, light, DefaultHeavyCap)
+	counts := exactCounts(q, db, light)
+	heavy := genericHeavy(q, db, light, counts, math.MaxInt)
+	wantHeavy, wantCounts := refGenericHeavy(q, db, light, math.MaxInt)
 	if !reflect.DeepEqual(heavy, wantHeavy) {
 		t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
 	}
+	sameHeavyCounts(t, q, heavy, counts, wantCounts)
 	n, patterns := 0, 1
 	for i := range heavy {
 		n += len(heavy[i])
 		patterns *= 1 + len(heavy[i])
-		for val := range heavy[i] {
-			if freqBits[i][val] != wantBits[i][val] {
-				t.Fatalf("variable %d value %d: %v fragment bits, map reference %v", i, val, freqBits[i][val], wantBits[i][val])
-			}
-		}
 	}
 	if n >= 48 || patterns > maxPatterns {
 		t.Fatalf("%d heavy values on %d patterns: the trim did not fire, or left more than %d patterns", n, patterns, maxPatterns)
 	}
-	got, want := PrepareGeneric(q, db, p, DefaultHeavyCap), newGenericPlan(q, db, p, light, wantHeavy, wantBits)
+	got, want := PrepareGeneric(q, db, p, math.MaxInt), newGenericPlan(q, db, p, light, wantHeavy, wantCounts)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
 			got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())
@@ -429,7 +469,7 @@ func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floo
 // are deeply equal (heavy sets, block and pattern offsets, grids, routes),
 // their accessors agree, and running them moves the same bits.
 func TestPlansMatchMapReference(t *testing.T) {
-	const p, seeds, heavyCap = 16, 60, 2
+	const p, starP, seeds, heavyCap = 16, 64, 60, 2
 	sameRun := func(t *testing.T, got, want *engine.RunRecord) {
 		t.Helper()
 		if got.TotalBits() != want.TotalBits() || got.MaxLoadBits() != want.MaxLoadBits() ||
@@ -439,12 +479,11 @@ func TestPlansMatchMapReference(t *testing.T) {
 				want.TotalBits(), want.MaxLoadBits(), want.HeavyHitters, want.ServersUsed)
 		}
 	}
-	pFloor := func(m, _ int) float64 { return math.Max(2, float64(m)/p) }
 	// The skew-free C3 grid's shares depend only on the relation sizes,
 	// which unevenDB fixes per atom index.
 	tri := query.Triangle()
 	light := patternShares(tri, nil, statsFor(tri, unevenDB(tri, rand.New(rand.NewSource(0)), []int{1, 1, 1}, 0), nil, nil), p)
-	shareFloor := func(m, v int) float64 { return math.Max(2, float64(m)/float64(light[v])) }
+	shareFloor := func(m, v int) float64 { return float64(heavyCut(m, light[v])) }
 	var starLight, genLight, genCut int
 	for seed := int64(1); seed <= seeds; seed++ {
 		// The run is a pure function of the plan, compared in depth on every
@@ -452,13 +491,18 @@ func TestPlansMatchMapReference(t *testing.T) {
 		executed := seed%5 == 0
 		for _, k := range []int{2, 3} {
 			t.Run(fmt.Sprintf("star%d/seed=%d", k, seed), func(t *testing.T) {
+				// Plant around z's own cut m_j/s_z only: the skew-free star
+				// grid on these sizes has s_z < p, and a heavy x value would
+				// be invisible to the z-frequency path. At starP = 4p servers
+				// the hitters' residual products stay small enough to run.
 				q := query.Star(k)
 				div := make([]int, q.NumVars())
 				for v := range div {
-					div[v] = p
+					div[v] = 1
 				}
+				div[0] = skewFreeShares(q, unevenDB(q, rand.New(rand.NewSource(0)), div, 0), starP)[0]
 				db := unevenDB(q, rand.New(rand.NewSource(seed)), div, 3)
-				got, want := PrepareStar(q, db, p), refPrepareStar(q, db, p)
+				got, want := PrepareGeneric(q, db, starP, math.MaxInt), refPrepareStar(q, db, starP)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("plan differs from the map reference: heavy %v at %d servers, want %v at %d",
 						got.heavy, got.totalServers, want.heavy, want.totalServers)
@@ -467,43 +511,32 @@ func TestPlansMatchMapReference(t *testing.T) {
 					t.Fatal("plan accessors differ from the reference's")
 				}
 				if executed {
-					sameRun(t, RunStarPlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunStarPlannedNet(want, q, db, p, seed, 0, engine.Env{}))
+					sameRun(t, RunGenericPlannedNet(got, q, db, starP, seed, 0, engine.Env{}), RunGenericPlannedNet(want, q, db, starP, seed, 0, engine.Env{}))
 				}
-				heavy := make([]map[int64]bool, q.NumVars()) // only z has heavy values
-				heavy[0] = map[int64]bool{}
-				for _, h := range got.heavy {
-					heavy[0][h] = true
-				}
-				starLight += lightMaxima(q, db, heavy, pFloor)
+				starLight += lightMaxima(q, db, got.heavy, func(m, _ int) float64 { return float64(heavyCut(m, div[0])) })
 			})
 		}
-		// The triangle front door (PrepareTriangle: the generic planner at
-		// DefaultHeavyCap, which cuts nothing here) and the generic planner
-		// at a cap that cuts.
+		// The triangle front door (PrepareTriangle: the generic planner with
+		// no heavy cap) and the generic planner at a cap that cuts.
 		for _, c := range []struct {
 			name     string
 			heavyCap int
 			prepare  func(q *query.Query, db *data.Database) *GenericPlan
 		}{
-			{"triangle", DefaultHeavyCap, func(q *query.Query, db *data.Database) *GenericPlan { return PrepareTriangle(q, db, p) }},
+			{"triangle", math.MaxInt, func(q *query.Query, db *data.Database) *GenericPlan { return PrepareTriangle(q, db, p) }},
 			{"generic", heavyCap, func(q *query.Query, db *data.Database) *GenericPlan { return PrepareGeneric(q, db, p, heavyCap) }},
 		} {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
 				q := tri
 				db := unevenDB(q, rand.New(rand.NewSource(seed)), light, 5)
-				heavy, freqBits := genericHeavy(q, db, light, c.heavyCap)
-				wantHeavy, wantBits := refGenericHeavy(q, db, light, c.heavyCap)
+				counts := exactCounts(q, db, light)
+				heavy := genericHeavy(q, db, light, counts, c.heavyCap)
+				wantHeavy, wantCounts := refGenericHeavy(q, db, light, c.heavyCap)
 				if !reflect.DeepEqual(heavy, wantHeavy) {
 					t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
 				}
-				for i := range heavy {
-					for val := range heavy[i] {
-						if freqBits[i][val] != wantBits[i][val] {
-							t.Fatalf("variable %d value %d: %v fragment bits, map reference %v", i, val, freqBits[i][val], wantBits[i][val])
-						}
-					}
-				}
-				got, want := c.prepare(q, db), newGenericPlan(q, db, p, light, wantHeavy, wantBits)
+				sameHeavyCounts(t, q, heavy, counts, wantCounts)
+				got, want := c.prepare(q, db), newGenericPlan(q, db, p, light, wantHeavy, wantCounts)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
 						got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())

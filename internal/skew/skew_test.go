@@ -1,6 +1,7 @@
 package skew
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func TestStarNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := query.Star(3)
 	db := data.MatchingDatabase(rng, q, 400, 1<<20)
-	res := RunStar(q, db, 16, 99)
+	res := runGeneric(q, db, 16, 99, math.MaxInt)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew star: got %d want %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -34,7 +35,7 @@ func TestSimpleJoinFullSkewCorrect(t *testing.T) {
 	q := query.Star(2)
 	m := 500
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	res := RunStar(q, db, 16, 5)
+	res := runGeneric(q, db, 16, 5, math.MaxInt)
 	want := core.SequentialAnswer(q, db)
 	if want.NumTuples() != m*m {
 		t.Fatalf("worst case should produce m² = %d outputs, got %d", m*m, want.NumTuples())
@@ -62,7 +63,7 @@ func TestSimpleJoinSkewSeparation(t *testing.T) {
 	shares[zi] = p
 	naive := core.RunPlan(core.PlanWithShares(q, db, shares), db, 5)
 
-	aware := RunStar(q, db, p, 5)
+	aware := runGeneric(q, db, p, 5, math.MaxInt)
 	if !data.Equal(naive.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -81,7 +82,7 @@ func TestStarMixedSkewCorrect(t *testing.T) {
 	heavy := map[int64]int{3: 60, 11: 40} // output grows as Σ count³
 
 	db := data.SkewedStarDatabase(rng, 3, m, 1<<20, heavy)
-	res := RunStar(q, db, 27, 17)
+	res := runGeneric(q, db, 27, 17, math.MaxInt)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("mixed star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -95,7 +96,7 @@ func TestStarNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := query.Star(2)
 	db := data.SkewedStarDatabase(rng, 2, 300, 1<<20, map[int64]int{9: 100})
-	res := RunStar(q, db, 8, 23)
+	res := runGeneric(q, db, 8, 23, math.MaxInt)
 	if res.Output.NumTuples() != res.Output.Canonical().NumTuples() {
 		t.Errorf("output has duplicates: %d vs %d distinct",
 			res.Output.NumTuples(), res.Output.Canonical().NumTuples())
@@ -115,7 +116,7 @@ func TestStarRandomized(t *testing.T) {
 		q := query.Star(k)
 		db := data.SkewedStarDatabase(r, k, m, 1<<20, heavy)
 		p := []int{4, 8, 16, 27}[r.Intn(4)]
-		res := RunStar(q, db, p, seed)
+		res := runGeneric(q, db, p, seed, math.MaxInt)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rng}); err != nil {
@@ -127,7 +128,7 @@ func TestTriangleNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := query.Triangle()
 	db := data.MatchingDatabase(rng, q, 500, 1<<20)
-	res := runGeneric(q, db, 27, 3, DefaultHeavyCap)
+	res := runGeneric(q, db, 27, 3, math.MaxInt)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -142,7 +143,7 @@ func TestTriangleOneHeavyCorrect(t *testing.T) {
 	q := query.Triangle()
 	m := 600
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, 200)
-	res := runGeneric(q, db, 27, 13, DefaultHeavyCap)
+	res := runGeneric(q, db, 27, 13, math.MaxInt)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("one-heavy triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -153,7 +154,7 @@ func TestTriangleNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	q := query.Triangle()
 	db := data.SkewedTriangleDatabase(rng, 400, 1<<20, 5, 150)
-	res := runGeneric(q, db, 27, 7, DefaultHeavyCap)
+	res := runGeneric(q, db, 27, 7, math.MaxInt)
 	if res.Output.NumTuples() != res.Output.Canonical().NumTuples() {
 		t.Errorf("duplicates: %d vs %d distinct",
 			res.Output.NumTuples(), res.Output.Canonical().NumTuples())
@@ -173,7 +174,7 @@ func TestTriangleDensePlusHeavy(t *testing.T) {
 		}
 		db.Add(rel)
 	}
-	res := runGeneric(q, db, 27, 11, DefaultHeavyCap)
+	res := runGeneric(q, db, 27, 11, math.MaxInt)
 	want := core.SequentialAnswer(q, db)
 	// Dense random data yields duplicate input tuples, so compare as sets.
 	if !data.Equal(res.Output, want) {
@@ -191,7 +192,7 @@ func TestTriangleRandomized(t *testing.T) {
 		heavyCount := r.Intn(m / 2)
 		db := data.SkewedTriangleDatabase(r, m, 1<<20, int64(r.Intn(10)), heavyCount)
 		p := []int{8, 27, 64}[r.Intn(3)]
-		res := runGeneric(q, db, p, seed, DefaultHeavyCap)
+		res := runGeneric(q, db, p, seed, math.MaxInt)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rng}); err != nil {
@@ -209,35 +210,13 @@ func TestTriangleSkewSeparation(t *testing.T) {
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<22, 5, m/2)
 	vanilla := core.Run(q, db, p, 3, core.SkewFree)
-	aware := runGeneric(q, db, p, 3, DefaultHeavyCap)
+	aware := runGeneric(q, db, p, 3, math.MaxInt)
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
 	if aware.MaxLoadBits() >= vanilla.MaxLoadBits() {
 		t.Errorf("skew-aware load %v should beat vanilla %v on skewed data",
 			aware.MaxLoadBits(), vanilla.MaxLoadBits())
-	}
-}
-
-func TestResidualShares(t *testing.T) {
-	// Equal fibers: balanced shares.
-	sh := residualShares([]float64{1000, 1000}, 16)
-	if sh[0] != 4 || sh[1] != 4 {
-		t.Errorf("equal fibers: %v want [4 4]", sh)
-	}
-	// Unequal fibers: proportional (shares ratio ≈ size ratio).
-	sh2 := residualShares([]float64{4000, 1000}, 16)
-	if sh2[0] <= sh2[1] {
-		t.Errorf("larger fiber should get more shares: %v", sh2)
-	}
-	prod := sh2[0] * sh2[1]
-	if prod > 16 {
-		t.Errorf("product %d exceeds budget", prod)
-	}
-	// One tiny fiber: everything to the big one.
-	sh3 := residualShares([]float64{10000, 1}, 8)
-	if sh3[0] != 8 || sh3[1] != 1 {
-		t.Errorf("tiny fiber: %v want [8 1]", sh3)
 	}
 }
 
@@ -291,7 +270,7 @@ func TestRunStarSampledLoadNearExact(t *testing.T) {
 	q := query.Star(2)
 	m := 1200
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	exact := RunStar(q, db, 16, 9)
+	exact := runGeneric(q, db, 16, 9, math.MaxInt)
 	sampled := RunStarSampled(q, db, 16, 9, 200)
 	if !data.Equal(exact.Output, sampled.Output) {
 		t.Fatal("outputs differ")
@@ -310,7 +289,7 @@ func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
 	m := 3000
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, m/2)
-	aware := runGeneric(q, db, p, 3, DefaultHeavyCap)
+	aware := runGeneric(q, db, p, 3, math.MaxInt)
 
 	// x1-statistics in bits for S1 (col 0) and S3 (col 1); S2 has no x1.
 	bits := make([]map[int64]float64, 3)

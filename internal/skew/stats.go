@@ -1,6 +1,7 @@
 package skew
 
 import (
+	"math"
 	"math/rand"
 
 	"mpcquery/internal/data"
@@ -170,17 +171,19 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 	return &StatsResult{PerAtom: perAtom, Round: st}
 }
 
-// RunStarSampled runs the star algorithm end to end without a statistics
-// oracle: a first round gathers sampled z-frequencies for all ℓ atoms with
-// StarStatsSpec's protocol, and the data round uses the estimates. Output
-// correctness is unconditional; only the load depends on estimate quality.
+// RunStarSampled runs the skew-aware algorithm on a star end to end without
+// a statistics oracle: a first round gathers sampled z-frequencies for all ℓ
+// atoms with StarStatsSpec's protocol, and the data round runs the generic
+// planner on the estimates, with no heavy cap. Output correctness is
+// unconditional; only the load depends on estimate quality.
 //
 // The accounting is honest about both cost dimensions: the statistics
 // protocol executes as one genuine round, listed before the data round, so
 // its communication counts in the total and its load in the maximum.
 func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *engine.RunRecord {
-	st := StarStatsSpec(q, db, p).Run(p, sampleSize, seed, 0)
-	rec := RunStarPlannedNet(PrepareStarWithFrequencies(q, db, p, st.PerAtom), q, db, p, seed, 0, engine.Env{})
+	spec := StarStatsSpec(q, db, p)
+	st := spec.Run(p, sampleSize, seed, 0)
+	rec := RunGenericPlannedNet(PrepareGenericFromStats(q, db, p, math.MaxInt, spec, st.PerAtom), q, db, p, seed, 0, engine.Env{})
 	AddStatsCharges(rec, st)
 	return rec
 }
@@ -197,4 +200,13 @@ func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sample
 // The cached StatsResult is not modified.
 func AddStatsCharges(rec *engine.RunRecord, st *StatsResult) {
 	rec.Rounds = append([]engine.RoundStats{st.Round}, rec.Rounds...)
+}
+
+func colOf(a query.Atom, v string) int {
+	for c, w := range a.Vars {
+		if w == v {
+			return c
+		}
+	}
+	panic("skew: variable " + v + " not in atom " + a.Name)
 }

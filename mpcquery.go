@@ -1,8 +1,9 @@
 // Package mpcquery is a Go implementation of the algorithms and bounds of
 // Beame, Koutris and Suciu, "Communication Cost in Parallel Query
 // Processing": the Massively Parallel Communication (MPC) model, the
-// one-round HyperCube algorithm with LP-optimal shares, skew-aware
-// algorithms for star and triangle queries, multi-round query plans, and
+// one-round HyperCube algorithm with LP-optimal shares, one skew-aware
+// heavy/light-pattern planner for star, triangle and other connected
+// queries, multi-round query plans, and
 // the accompanying load and round lower bounds.
 //
 // The package is a façade over the internal packages; it exposes everything
@@ -13,9 +14,10 @@
 //   - workloads: MatchingDatabase, the skewed generators and
 //     ReadRelationCSV;
 //   - algorithms: the single entry point Run with a Strategy per paper
-//     algorithm — HyperCube variants (one round), SkewedStar and
-//     SkewedGeneric (one round with heavy-hitter statistics; SkewedTriangle
-//     is SkewedGeneric checked for C3), ChainPlan / GreedyPlan
+//     algorithm — HyperCube variants (one round), SkewedGeneric (one round
+//     with heavy-hitter statistics; SkewedStar and SkewedTriangle are
+//     SkewedGeneric checked for stars and C3, SkewedStarSampled runs it on
+//     sampled statistics), ChainPlan / GreedyPlan
 //     (multi-round), and Auto (the advisor-driven pick) — all returning
 //     the unified Report; plus the connected-components algorithms;
 //   - bounds: TauStar, LoadLowerBound, SpaceExponentLB, the round-count

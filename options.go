@@ -2,10 +2,10 @@ package mpcquery
 
 import (
 	"context"
+	"math"
 
 	"mpcquery/internal/engine"
 	"mpcquery/internal/obs"
-	"mpcquery/internal/skew"
 	"mpcquery/internal/transport/fault"
 )
 
@@ -47,7 +47,7 @@ func defaultConfig() runConfig {
 	return runConfig{
 		servers:     64,
 		seed:        1,
-		heavyCap:    skew.DefaultHeavyCap,
+		heavyCap:    math.MaxInt,
 		aggPushdown: true,
 	}
 }
@@ -72,9 +72,10 @@ func WithStrategy(s Strategy) RunOption { return func(c *runConfig) { c.strategy
 // the multi-round plans.
 func WithLoadCap(bits float64) RunOption { return func(c *runConfig) { c.loadCapBits = bits } }
 
-// WithHeavyCap bounds the per-variable heavy-hitter sets of the generalized
-// skew strategy (default 32). Values beyond the cap are treated as light,
-// which stays correct and only costs load.
+// WithHeavyCap bounds the per-variable heavy-hitter sets of the skew-aware
+// strategies to maxPerVar ≥ 1 (default: no cap beyond the planner's bound
+// on its number of heavy/light patterns). Values beyond the cap are treated
+// as light, which stays correct and only costs load.
 func WithHeavyCap(maxPerVar int) RunOption { return func(c *runConfig) { c.heavyCap = maxPerVar } }
 
 // WithRoundBudget caps the rounds the Auto strategy may spend (0 = default

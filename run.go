@@ -84,6 +84,9 @@ func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 	if cfg.servers < 1 {
 		return nil, fmt.Errorf("mpcquery: need at least one server, got %d", cfg.servers)
 	}
+	if cfg.heavyCap < 1 {
+		return nil, fmt.Errorf("mpcquery: heavy cap must be at least 1, got %d", cfg.heavyCap)
+	}
 	if q.NumAtoms() == 0 {
 		return nil, fmt.Errorf("mpcquery: query %q has no atoms", q.Name)
 	}

@@ -193,6 +193,35 @@ func TestServiceTriangleSharesGenericPlan(t *testing.T) {
 	}
 }
 
+// TestServiceStarSharesGenericPlan asserts that SkewedStar is a front door
+// to the generic planner: run after it on the same star database,
+// SkewedGeneric hits the plan SkewedStar cached and moves the same bits.
+func TestServiceStarSharesGenericPlan(t *testing.T) {
+	q := Star(2)
+	db := SkewedStarDatabase(rand.New(rand.NewSource(9)), 2, 1000, 1<<16, map[int64]int{5: 200, 9: 80})
+	svc := NewService()
+	defer svc.Close()
+
+	star, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedStar()), WithServers(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedGeneric()), WithServers(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats().PlanCache; st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("plan cache %+v, want 1 miss and 1 hit", st)
+	}
+	if !EqualRelations(star.Output, gen.Output) || star.MaxLoadBits != gen.MaxLoadBits {
+		t.Errorf("star: %d tuples at %v bits; generic: %d tuples at %v bits",
+			star.Output.NumTuples(), star.MaxLoadBits, gen.Output.NumTuples(), gen.MaxLoadBits)
+	}
+	if star.HeavyHitters != 2 {
+		t.Errorf("%d heavy hitters, want both planted values above the cut m/p", star.HeavyHitters)
+	}
+}
+
 // TestServiceSizeChangeInvalidates asserts the automatic part of the
 // database fingerprint: growing a relation changes the cache key, so the
 // service replans instead of serving a stale layout.

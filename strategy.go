@@ -198,7 +198,11 @@ type skewedStarStrategy struct {
 
 // SkewedStar returns the Section 4.2.1 heavy-hitter strategy for star
 // queries T_k (which covers the simple join as k=2), with exact frequency
-// statistics (the paper's oracle assumption).
+// statistics (the paper's oracle assumption). It checks the query and runs
+// SkewedGeneric's planner under SkewedGeneric's cached plan: each z-value of
+// degree at least ⌊m_j/s_z⌋ — the paper's m/p when the skew-free grid puts
+// all p servers on z, as it does for equal relation sizes — gets a block of
+// its own for the residual Cartesian product.
 func SkewedStar() Strategy { return skewedStarStrategy{} }
 
 // SkewedStarSampled is SkewedStar with statistics gathered by the one-round
@@ -223,32 +227,28 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		return nil, fmt.Errorf("mpcquery: %s needs a star query (every atom S_j(z, x_j...) sharing the first variable); got %s",
 			s.Name(), ctx.Query)
 	}
-	var rec *engine.RunRecord
-	if s.sampled {
-		// The sampling protocol costs a genuine communication round; its
-		// result lives in the STATS cache and a hit skips the recomputation,
-		// but AddStatsCharges below always charges the round's bits to the
-		// Report — cached vs charged (see execCache).
-		st := ctx.cachedStats(fmt.Sprintf("star-stats|s%d|ss%d|c%g", ctx.Seed, s.sampleSize, ctx.LoadCapBits), func() any {
-			return skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers).
-				RunNet(ctx.Servers, s.sampleSize, ctx.Seed, ctx.LoadCapBits, ctx.env)
-		}).(*skew.StatsResult)
-		sp := ctx.cachedPlan(fmt.Sprintf("star-sampled|s%d|ss%d", ctx.Seed, s.sampleSize), func() any {
-			return skew.PrepareStarWithFrequencies(ctx.Query, ctx.DB, ctx.Servers, st.PerAtom)
-		}).(*skew.StarPlan)
-		rec = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
-		skew.AddStatsCharges(rec, st)
-	} else {
-		sp := ctx.cachedPlan("star", func() any {
-			return skew.PrepareStar(ctx.Query, ctx.DB, ctx.Servers)
-		}).(*skew.StarPlan)
-		rec = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	if !s.sampled {
+		return runGeneric(s.Name(), ctx), nil
 	}
+	// The sampling protocol costs a genuine communication round; its result
+	// lives in the STATS cache and a hit skips the recomputation, but
+	// AddStatsCharges below always charges the round's bits to the Report —
+	// cached vs charged (see execCache).
+	st := ctx.cachedStats(fmt.Sprintf("star-stats|s%d|ss%d|c%g", ctx.Seed, s.sampleSize, ctx.LoadCapBits), func() any {
+		return skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers).
+			RunNet(ctx.Servers, s.sampleSize, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	}).(*skew.StatsResult)
+	gp := ctx.cachedPlan(fmt.Sprintf("star-sampled|s%d|ss%d|h%d", ctx.Seed, s.sampleSize, ctx.HeavyCap), func() any {
+		spec := skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers)
+		return skew.PrepareGenericFromStats(ctx.Query, ctx.DB, ctx.Servers, ctx.HeavyCap, spec, st.PerAtom)
+	}).(*skew.GenericPlan)
+	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	skew.AddStatsCharges(rec, st)
 	return newReport(s.Name(), ctx.Query, rec), nil
 }
 
 // isStarQuery reports whether every atom starts with the same variable —
-// the shape RunStar assumes (T_k with a shared z in position 0).
+// the star shape T_k, with a shared z in position 0.
 func isStarQuery(q *Query) bool {
 	if q.NumAtoms() < 2 {
 		return false

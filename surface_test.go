@@ -29,7 +29,7 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 			"RunPlanInputServers", "RunPlanWithCapNet", "RunWithSelfJoins",
 		},
 		"internal/skew": {
-			"RunGenericPlannedNet", "RunStar", "RunStarPlannedNet", "RunStarSampled",
+			"RunGenericPlannedNet", "RunStarPlannedNet", "RunStarSampled",
 			"RunTrianglePlannedNet", "StatsSpec.Run", "StatsSpec.RunNet",
 		},
 		"internal/multiround": {
