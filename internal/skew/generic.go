@@ -106,7 +106,8 @@ func (gp *GenericPlan) NumPatterns() int { return len(gp.patterns) }
 // variable's heavy set (math.MaxInt: no cap).
 func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int) *GenericPlan {
 	light := skewFreeShares(q, db, p)
-	return planFromCounts(q, db, p, light, exactCounts(q, db, light), maxHeavyPerVar)
+	counts := exactCounts(q, db, light)
+	return newGenericPlan(q, db, p, light, genericHeavy(q, db, light, counts, maxHeavyPerVar), counts)
 }
 
 // PrepareGenericFromStats is PrepareGeneric on estimated counts: perAtom
@@ -125,7 +126,8 @@ func PrepareGenericFromStats(q *query.Query, db *data.Database, p int, maxHeavyP
 			}
 		}
 	}
-	return planFromCounts(q, db, p, skewFreeShares(q, db, p), counts, maxHeavyPerVar)
+	light := skewFreeShares(q, db, p)
+	return newGenericPlan(q, db, p, light, genericHeavy(q, db, light, counts, maxHeavyPerVar), counts)
 }
 
 // skewFreeShares returns the integer HyperCube shares of q's all-light grid
@@ -135,10 +137,6 @@ func skewFreeShares(q *query.Query, db *data.Database, p int) []int {
 		panic("skew: the generic planner requires a connected query")
 	}
 	return patternShares(q, nil, statsFor(q, db, nil, nil), p)
-}
-
-func planFromCounts(q *query.Query, db *data.Database, p int, light []int, counts [][]map[int64]int, maxHeavyPerVar int) *GenericPlan {
-	return newGenericPlan(q, db, p, light, genericHeavy(q, db, light, counts, maxHeavyPerVar), counts)
 }
 
 // heavyCut is the degree from which a value of a variable with share s is
