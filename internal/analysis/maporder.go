@@ -22,7 +22,8 @@ import (
 //     function, which is the canonical collect-then-sort idiom;
 //   - engine emission and seeding (every Emitter.Emit* — EmitTuple,
 //     EmitBatch, EmitFanout, EmitRouted — Combiner.Add, every
-//     Cluster.Seed* — Seed, SeedBatch, SeedRoundRobin — and Inbox.Append):
+//     Cluster.Seed* — Seed, SeedBatch, SeedRoundRobin, SeedRelations,
+//     SeedPartitioned — and Inbox.Append):
 //     emission order becomes inbox order becomes output order;
 //   - data.Relation appends (Append/AppendTuple/AppendVals/...): tuple
 //     order is fingerprint-visible;

@@ -1,6 +1,11 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+
+	"mpcquery/internal/data"
+	"mpcquery/internal/query"
+)
 
 // benchRound runs one steady-state communication round on a pre-seeded
 // cluster: 64 servers each forwarding their ~1000 binary tuples. The
@@ -100,5 +105,32 @@ func BenchmarkParallelFor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ParallelFor(256, func(j int) { sink[j] = j * j })
+	}
+}
+
+// BenchmarkSeedPartitioned deals the triangle's three relations of 20 000
+// binary tuples each over 64 servers: the free input placement every
+// one-round strategy starts from. The inboxes are emptied between deals, so
+// their arenas are reused, as a pooled cluster's are.
+func BenchmarkSeedPartitioned(b *testing.B) {
+	const m = 20_000
+	q := query.Triangle()
+	db := data.NewDatabase(1 << 20)
+	for j, a := range q.Atoms {
+		rel := data.NewRelation(a.Name, 2)
+		for i := 0; i < m; i++ {
+			rel.Append(int64(i), int64((i*(j+7))%m))
+		}
+		db.Add(rel)
+	}
+	c := NewCluster(benchP, 20)
+	defer c.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ib := range c.inbox {
+			ib.reset()
+		}
+		c.SeedPartitioned(benchP, q, db)
 	}
 }

@@ -796,36 +796,75 @@ func (c *Cluster) SeedBatch(server, kind, arity int, vals []int64) {
 
 // SeedRoundRobin deals a relation's flat row-major tuples over servers
 // [0, servers): tuple i goes to server i mod servers — the partitioned
-// input of Section 2.1, free like every seed. It leaves the inboxes exactly
-// as one Seed call per tuple would, but grows each arena once.
+// input of Section 2.1, free like every seed. It is the one-relation case of
+// SeedRelations: the inboxes end up exactly as one Seed call per tuple would
+// leave them.
 func (c *Cluster) SeedRoundRobin(servers, kind, arity int, vals []int64) {
-	if servers < 1 || servers > c.p {
-		panic(fmt.Sprintf("engine: cannot deal input over %d of %d servers", servers, c.p))
-	}
-	if arity < 1 || len(vals)%arity != 0 {
-		panic(fmt.Sprintf("engine: seed of %d values is not a multiple of arity %d", len(vals), arity))
-	}
-	m := len(vals) / arity
-	for s := c.lo; s < c.hi && s < servers && s < m; s++ {
-		ib := c.inbox[s]
-		count := (m - s + servers - 1) / servers
-		ib.arena = slices.Grow(ib.arena, count*arity)
-		start := len(ib.arena)
-		for off := s * arity; off < len(vals); off += servers * arity {
-			ib.arena = appendTuple(ib.arena, vals[off:off+arity])
-		}
-		ib.addSpan(kind, arity, nil, start, len(ib.arena))
-	}
+	c.deal(servers, []dealt{{kind, arity, vals}})
 }
 
 // SeedPartitioned deals the relation of every atom of q, message kind = atom
 // index, round-robin over servers [0, servers) — the partitioned input of
 // Section 2.1 every one-round strategy starts from.
 func (c *Cluster) SeedPartitioned(servers int, q *query.Query, db *data.Database) {
+	rels := make([]*data.Relation, len(q.Atoms))
 	for j, a := range q.Atoms {
-		rel := db.Get(a.Name)
-		c.SeedRoundRobin(servers, j, rel.Arity, rel.Vals())
+		rels[j] = db.Get(a.Name)
 	}
+	c.SeedRelations(servers, rels)
+}
+
+// SeedRelations deals every relation, message kind = its index in rels,
+// round-robin over servers [0, servers), as one SeedRoundRobin per relation
+// in order would: each server's share of rels[0], then of rels[1], and so
+// on.
+func (c *Cluster) SeedRelations(servers int, rels []*data.Relation) {
+	ds := make([]dealt, len(rels))
+	for j, rel := range rels {
+		ds[j] = dealt{j, rel.Arity, rel.Vals()}
+	}
+	c.deal(servers, ds)
+}
+
+// dealt is one relation's flat tuples, dealt round-robin under one kind.
+type dealt struct {
+	kind, arity int
+	vals        []int64
+}
+
+// deal seeds every relation of ds in order, tuple i of each going to server
+// i mod servers. The owned servers are filled in parallel, each growing its
+// arena once for its share of all the relations; an inbox ends up exactly
+// as one Seed call per tuple, relation after relation, would leave it.
+func (c *Cluster) deal(servers int, ds []dealt) {
+	if servers < 1 || servers > c.p {
+		panic(fmt.Sprintf("engine: cannot deal input over %d of %d servers", servers, c.p))
+	}
+	for _, d := range ds {
+		if d.arity < 1 || len(d.vals)%d.arity != 0 {
+			panic(fmt.Sprintf("engine: seed of %d values is not a multiple of arity %d", len(d.vals), d.arity))
+		}
+	}
+	// count is server s's share of one relation's m tuples.
+	count := func(d dealt, s int) int { return (len(d.vals)/d.arity - s + servers - 1) / servers }
+	ParallelFor(min(c.hi, servers)-c.lo, func(i int) {
+		s, ib := c.lo+i, c.inbox[c.lo+i]
+		grow := 0
+		for _, d := range ds {
+			grow += count(d, s) * d.arity
+		}
+		ib.arena = slices.Grow(ib.arena, grow)
+		for _, d := range ds {
+			if count(d, s) == 0 {
+				continue
+			}
+			start := len(ib.arena)
+			for off := s * d.arity; off < len(d.vals); off += servers * d.arity {
+				ib.arena = appendTuple(ib.arena, d.vals[off:off+d.arity])
+			}
+			ib.addSpan(d.kind, d.arity, nil, start, len(ib.arena))
+		}
+	})
 }
 
 // Inbox returns the batches currently held by a server (the deliveries of

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"mpcquery/internal/data"
+	"mpcquery/internal/query"
 )
 
 func TestRoundDeliveryAndLoad(t *testing.T) {
@@ -466,6 +470,84 @@ func TestEmptyTuplePanics(t *testing.T) {
 			emit.EmitTuple(1, 0, nil)
 		}
 	})
+}
+
+// ownedTransport attaches links owning the servers [lo, hi) of every
+// cluster, as one process of a group does; it delivers nothing.
+type ownedTransport struct{ lo, hi int }
+
+func (t ownedTransport) Attach(p, _ int) (Link, error) { return ownedLink(t), nil }
+
+type ownedLink ownedTransport
+
+func (l ownedLink) Owned(int) (lo, hi int)             { return l.lo, l.hi }
+func (ownedLink) Deliver(*DeliveryRound) error         { return nil }
+func (ownedLink) Gather(*GatherRound) ([]int64, error) { return nil, nil }
+func (ownedLink) Close() error                         { return nil }
+
+// TestSeedPartitionedMatchesSeed holds the parallel deal to the per-tuple
+// Seed loop it replaces: every inbox's arena, span list and tuple count
+// must be identical, over one server and many, a prefix of the servers,
+// relations with fewer tuples than servers, an empty relation, input
+// already seeded ahead of the deal, and the partial owned range of a linked
+// cluster.
+func TestSeedPartitionedMatchesSeed(t *testing.T) {
+	q := query.MustParse("q(x,y,z) :- R(x,y), S(y), T(x,y,z), U(z,x)")
+	for _, tc := range []struct {
+		p, servers int
+		owned      *ownedTransport
+	}{
+		{p: 1, servers: 1},
+		{p: 3, servers: 3},
+		{p: 3, servers: 2},
+		{p: 64, servers: 64},
+		{p: 64, servers: 40},
+		{p: 64, servers: 64, owned: &ownedTransport{16, 48}},
+		{p: 64, servers: 40, owned: &ownedTransport{32, 64}},
+		{p: 64, servers: 20, owned: &ownedTransport{32, 64}}, // owns none of the input servers
+	} {
+		for _, m := range []int{0, 1, 5, 1000} {
+			db := data.NewDatabase(1 << 20)
+			for j, a := range q.Atoms {
+				rel := data.NewRelation(a.Name, a.Arity())
+				size := []int{m, 0, 3 * m, m / 2}[j] // S is empty, U shorter
+				for i := 0; i < size; i++ {
+					tu := make([]int64, a.Arity())
+					for c := range tu {
+						tu[c] = int64(1000*j + 10*i + c)
+					}
+					rel.AppendTuple(tu)
+				}
+				db.Add(rel)
+			}
+			newCluster := func() *Cluster {
+				if tc.owned != nil {
+					return NewClusterNet(*tc.owned, tc.p, 8)
+				}
+				return NewCluster(tc.p, 8)
+			}
+			want, got := newCluster(), newCluster()
+			for _, c := range []*Cluster{want, got} {
+				c.Seed(tc.servers-1, 0, []int64{-1, -1}) // same kind as the first deal: must coalesce
+			}
+			for j, a := range q.Atoms {
+				rel := db.Get(a.Name)
+				for i := 0; i < rel.NumTuples(); i++ {
+					want.Seed(i%tc.servers, j, rel.Tuple(i))
+				}
+			}
+			got.SeedPartitioned(tc.servers, q, db)
+			for s := 0; s < tc.p; s++ {
+				g, w := got.Inbox(s), want.Inbox(s)
+				if !slices.Equal(g.arena, w.arena) || !slices.Equal(g.spans, w.spans) || g.tuples != w.tuples {
+					t.Errorf("p=%d servers=%d owned=%v m=%d server %d: dealt %d values in spans %v, want %d in %v",
+						tc.p, tc.servers, tc.owned, m, s, len(g.arena), g.spans, len(w.arena), w.spans)
+				}
+			}
+			want.Release()
+			got.Release()
+		}
+	}
 }
 
 // TestSeedRoundRobinMatchesSeed: dealing a flat relation with

@@ -4,14 +4,16 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mpcquery/internal/data"
 )
 
 // ParallelFor runs f(i) for i in [0,n) on up to GOMAXPROCS goroutines and
 // waits for completion. It is the computation-phase helper for work outside
-// a communication round (e.g. final local joins). Panics in f propagate to
-// the caller.
+// a communication round (e.g. final local joins). Items are claimed one at a
+// time from a shared atomic counter, and the calling goroutine is one of the
+// executors. Panics in f propagate to the caller.
 func ParallelFor(n int, f func(i int)) {
 	ParallelForWorkers(n, func(i, _ int) { f(i) })
 }
@@ -22,50 +24,59 @@ func ParallelFor(n int, f func(i int)) {
 // id is the hook for per-worker reusable state — a computation phase keeps
 // one localjoin.Scratch per worker and reuses its arenas across all the
 // servers that worker evaluates, the same way the engine reuses inbox
-// arenas across rounds. Panics in f propagate to the caller.
+// arenas across rounds.
+//
+// The caller runs as worker 0 and min(GOMAXPROCS, n)-1 goroutines are
+// spawned beside it; every executor claims its next item with one atomic
+// add, so an item costs no hand-off. Every index runs exactly once. A panic
+// in f is recovered per item, so its executor goes on claiming, and the
+// first one is re-raised on the caller after every executor has stopped.
 func ParallelForWorkers(n int, f func(i, worker int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	fo := &fanOut{n: n, f: f}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	fo.wg.Add(max(0, workers-1))
+	for w := 1; w < workers; w++ {
+		go fo.spawned(w)
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i, 0)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Recover per item so a panicking iteration does not stop this
-			// worker from draining the channel (which would deadlock the
-			// sender).
-			for i := range next {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicOnce.Do(func() { panicked = r })
-						}
-					}()
-					f(i, w)
-				}()
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if panicked != nil {
+	fo.run(0)
+	fo.wg.Wait()
+	if fo.panicked != nil {
 		//lint:allow panicdiscipline re-panic of the captured worker panic, already classified at its original site
-		panic(panicked)
+		panic(fo.panicked)
 	}
+}
+
+// fanOut is one ParallelForWorkers call's state, shared by its executors.
+type fanOut struct {
+	n         int
+	f         func(i, worker int)
+	next      atomic.Int64 // the next unclaimed item
+	wg        sync.WaitGroup
+	panicOnce sync.Once
+	panicked  any // the first item panic, re-raised on the caller
+}
+
+func (fo *fanOut) spawned(w int) {
+	defer fo.wg.Done()
+	fo.run(w)
+}
+
+// run claims and runs items as worker w until none is left.
+func (fo *fanOut) run(w int) {
+	for i := int(fo.next.Add(1) - 1); i < fo.n; i = int(fo.next.Add(1) - 1) {
+		fo.item(i, w)
+	}
+}
+
+// item runs one item, recovering its panic so the executor goes on
+// claiming.
+func (fo *fanOut) item(i, w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			fo.panicOnce.Do(func() { fo.panicked = r })
+		}
+	}()
+	fo.f(i, w)
 }
 
 // Concat returns one relation holding every part's tuples in part order —
@@ -84,7 +95,7 @@ func Concat(name string, arity int, parts []*data.Relation) *data.Relation {
 	}
 	total := offs[len(parts)]
 	vals := make([]int64, total)
-	const span = 1 << 16 // values per work item: 512 KiB, far above the hand-off cost
+	const span = 1 << 16 // values per work item: 512 KiB, far above the cost of claiming one
 	ParallelFor((total+span-1)/span, func(n int) {
 		lo, hi := n*span, min((n+1)*span, total)
 		// First part reaching past lo; empty parts in between are skipped.

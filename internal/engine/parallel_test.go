@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpcquery/internal/data"
 )
@@ -39,34 +42,113 @@ func TestParallelForPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestParallelForWorkersIdsInRange(t *testing.T) {
-	workers := runtime.GOMAXPROCS(0)
-	const n = 200
-	seen := make([]int32, n)
-	ParallelForWorkers(n, func(i, w int) {
-		if w < 0 || w >= workers {
-			t.Errorf("worker id %d out of [0,%d)", w, workers)
-		}
-		atomic.AddInt32(&seen[i], 1)
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("item %d executed %d times", i, c)
-		}
+// atProcs runs f once at each GOMAXPROCS setting, restoring the original.
+func atProcs(t *testing.T, f func(t *testing.T, procs int)) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) { f(t, procs) })
+		runtime.GOMAXPROCS(prev)
 	}
+}
+
+// TestParallelForWorkersIdsInRange pins the fan-out's contract: every index
+// runs exactly once, and worker ids lie in [0, min(GOMAXPROCS, n)).
+func TestParallelForWorkersIdsInRange(t *testing.T) {
+	atProcs(t, func(t *testing.T, procs int) {
+		for _, n := range []int{0, 1, 2, procs, 1000} {
+			seen := make([]int32, n)
+			var bad atomic.Int32
+			ParallelForWorkers(n, func(i, w int) {
+				if w < 0 || w >= min(procs, n) {
+					bad.Store(int32(w) + 1)
+				}
+				atomic.AddInt32(&seen[i], 1)
+			})
+			if w := bad.Load(); w != 0 {
+				t.Errorf("n=%d: worker id %d out of [0,%d)", n, w-1, min(procs, n))
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d: item %d executed %d times", n, i, c)
+				}
+			}
+		}
+	})
 }
 
 // TestParallelForWorkersSequentialPerWorker pins the property per-worker
 // scratch reuse relies on: items assigned to one worker id never run
 // concurrently, so unsynchronized per-worker state is safe.
 func TestParallelForWorkersSequentialPerWorker(t *testing.T) {
-	workers := runtime.GOMAXPROCS(0)
-	busy := make([]atomic.Bool, workers)
-	ParallelForWorkers(500, func(i, w int) {
-		if !busy[w].CompareAndSwap(false, true) {
-			t.Errorf("worker %d entered concurrently", w)
+	atProcs(t, func(t *testing.T, procs int) {
+		busy := make([]atomic.Bool, procs)
+		ParallelForWorkers(500, func(i, w int) {
+			if !busy[w].CompareAndSwap(false, true) {
+				t.Errorf("worker %d entered concurrently", w)
+			}
+			busy[w].Store(false)
+		})
+	})
+}
+
+// TestParallelForPanicWaitsForEveryExecutor raises a panic in an item run by
+// the calling goroutine (worker 0) and in one run by a spawned goroutine
+// (the last worker). Either must reach the caller, and only once no item is
+// running any more: the other executors' items are still sleeping when the
+// panic is raised. The first items are held at a barrier until every
+// executor has claimed one, so each worker id is sure to run an item.
+func TestParallelForPanicWaitsForEveryExecutor(t *testing.T) {
+	atProcs(t, func(t *testing.T, procs int) {
+		culprits := []int{0}
+		if procs > 1 {
+			culprits = append(culprits, procs-1)
 		}
-		busy[w].Store(false)
+		for _, culprit := range culprits {
+			var arrived sync.WaitGroup
+			arrived.Add(procs)
+			var running, done atomic.Int32
+			const n = 64
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Errorf("worker %d's panic: recovered %v, want boom", culprit, r)
+					}
+				}()
+				ParallelForWorkers(n, func(i, w int) {
+					running.Add(1)
+					defer running.Add(-1)
+					if i < procs {
+						arrived.Done()
+						arrived.Wait()
+					}
+					if w == culprit && i < procs {
+						panic("boom")
+					}
+					time.Sleep(100 * time.Microsecond)
+					done.Add(1)
+				})
+			}()
+			if r := running.Load(); r != 0 {
+				t.Errorf("worker %d's panic reached the caller with %d items running", culprit, r)
+			}
+			if d := done.Load(); d != n-1 {
+				t.Errorf("worker %d's panic: %d of the other %d items completed", culprit, d, n-1)
+			}
+		}
+	})
+}
+
+// TestParallelForNested runs a ParallelFor inside every item of another:
+// the inner call's caller is itself an executor of the outer one.
+func TestParallelForNested(t *testing.T) {
+	atProcs(t, func(t *testing.T, procs int) {
+		var sum atomic.Int64
+		ParallelFor(16, func(i int) {
+			ParallelFor(100, func(j int) { sum.Add(int64(i*100 + j)) })
+		})
+		if got, want := sum.Load(), int64(1600*1599/2); got != want {
+			t.Errorf("nested sum %d, want %d", got, want)
+		}
 	})
 }
 

@@ -97,9 +97,7 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
 	}
-	for j, rel := range spec.Rels {
-		cluster.SeedRoundRobin(p, j, rel.Arity, rel.Vals())
-	}
+	cluster.SeedRelations(p, spec.Rels)
 	st := cluster.Round("stats-sample", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		// Collect each atom's local tuples (batch views — seeding coalesces
 		// each atom's round-robin share into contiguous batches).
