@@ -1,7 +1,7 @@
 package mpcquery
 
 // One benchmark per paper artifact (tables, worked examples and theorems of
-// the evaluation — see the experiment index E1–E17 in DESIGN.md). Each
+// the evaluation — experiments.All lists E1–E17 in index order). Each
 // bench regenerates its table on reduced inputs and reports the headline
 // "shape" metric the paper predicts, so `go test -bench=.` doubles as a
 // reproduction smoke test. cmd/mpcbench prints the full tables.

@@ -29,9 +29,6 @@ type execCache struct {
 	plans *service.Cache
 	stats *service.Cache
 
-	planOn  bool
-	statsOn bool
-
 	dbTag  string // "db<id>.v<version>" from the owning Service
 	prefix string // composed per Run; empty until composePrefix
 }
@@ -68,7 +65,7 @@ func (ec *execCache) composePrefix(q *Query, db *Database, servers int) *execCac
 // outside a Service) it simply computes.
 func (ctx ExecContext) cachedPlan(suffix string, compute func() any) any {
 	ec := ctx.cache
-	if ec == nil || !ec.planOn || ec.prefix == "" {
+	if ec == nil || ec.prefix == "" {
 		return compute()
 	}
 	return ec.plans.GetOrCompute(ec.prefix+"|"+suffix, compute)
@@ -78,7 +75,7 @@ func (ctx ExecContext) cachedPlan(suffix string, compute func() any) any {
 // cost communication, cached for reuse but always re-charged by the caller.
 func (ctx ExecContext) cachedStats(suffix string, compute func() any) any {
 	ec := ctx.cache
-	if ec == nil || !ec.statsOn || ec.prefix == "" {
+	if ec == nil || ec.prefix == "" {
 		return compute()
 	}
 	return ec.stats.GetOrCompute(ec.prefix+"|"+suffix, compute)

@@ -1,5 +1,5 @@
 // Command mpcbench regenerates every table and worked example of the paper
-// (experiment index E1–E12 in DESIGN.md) and prints paper-predicted vs
+// (experiments.All, E1–E17 in index order) and prints paper-predicted vs
 // measured values.
 //
 // Usage:

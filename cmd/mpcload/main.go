@@ -181,7 +181,7 @@ func main() {
 	// requests would hide exactly the work being compared
 	// (BenchmarkServiceCoalescing measures coalescing itself).
 	unSvc := mpcquery.NewService(
-		mpcquery.WithPlanCaching(false), mpcquery.WithStatsCaching(false),
+		mpcquery.WithCaching(false),
 		mpcquery.WithRequestCoalescing(false),
 		mpcquery.WithServiceWorkers(*workers), mpcquery.WithServiceQueue(len(stream)))
 	unWall, unLat, unFPs, err := drive(unSvc, stream, *p, *clients)

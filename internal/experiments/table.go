@@ -2,7 +2,7 @@
 // paper's evaluation, comparing closed-form predictions with loads and
 // round counts measured on the MPC engine. Each function returns a Table;
 // cmd/mpcbench prints them all, and the root benchmarks exercise one
-// experiment per paper artifact (see DESIGN.md's experiment index E1–E12).
+// experiment per paper artifact (All lists the index, E1–E17, in order).
 package experiments
 
 import (
@@ -13,7 +13,7 @@ import (
 
 // Table is one reproduced artifact: a paper table, example or theorem.
 type Table struct {
-	ID      string // experiment id from DESIGN.md (E1..E12)
+	ID      string // experiment id, E1..E17 in All's order
 	Ref     string // the paper artifact it regenerates
 	Title   string
 	Columns []string

@@ -61,7 +61,8 @@ func TestHandlerNoTrace(t *testing.T) {
 		t.Fatalf("no-trace download: code=%d, want 404", code)
 	}
 	// Default registry serves without explicit regs.
-	if code, body := get(t, srv, "/metrics"); code != 200 || !strings.Contains(body, "# TYPE") {
+	Default().Counter("obs_test_default_probe_total").Add(1)
+	if code, body := get(t, srv, "/metrics"); code != 200 || !strings.Contains(body, "obs_test_default_probe_total") {
 		t.Fatalf("default metrics: code=%d body=%q", code, body)
 	}
 }

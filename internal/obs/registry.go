@@ -1,8 +1,7 @@
 // Package obs is the cluster observability layer: a process-wide metrics
 // registry (counters, gauges, fixed-bucket histograms), a per-run Trace
-// with round/phase spans exportable as Chrome trace-event JSON, and a
-// drift monitor comparing observed per-round load against the planner's
-// prediction.
+// with round/phase spans exportable as Chrome trace-event JSON, and the
+// debug HTTP handler serving both.
 //
 // The package is stdlib-only and sits at the bottom of the dependency
 // graph: engine, localjoin, service, and transport all publish into it,

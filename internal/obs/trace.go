@@ -14,9 +14,9 @@ import (
 
 // Trace captures one run's execution timeline: per-cluster round spans
 // with phase timings and per-server bit accounting, compute phases,
-// kernel-cache totals, wire deltas, and run-level instant events (drift
-// violations). A Trace is attached to a run with the root WithTrace
-// option; the engine and strategies populate it.
+// kernel-cache totals, wire deltas, and run-level instant events (recovery
+// replays, injected faults). A Trace is attached to a run with the root
+// WithTrace option; the engine and strategies populate it.
 //
 // All methods are safe for concurrent use, and every observation method
 // tolerates a nil receiver as a no-op — the disabled path is a nil check.
@@ -27,7 +27,7 @@ import (
 //     Chrome trace-event JSON for chrome://tracing / Perfetto.
 //   - Structure renders only the deterministic skeleton — cluster
 //     geometry, round names, per-server bits/tuples, phase counts,
-//     kernel-cache totals, drift events — so two seeded runs of the same
+//     kernel-cache totals, instant events — so two seeded runs of the same
 //     query can be asserted structurally identical modulo timing.
 type Trace struct {
 	mu       sync.Mutex
@@ -51,7 +51,7 @@ type KV struct {
 	Value string
 }
 
-// Instant is a run-level point event, e.g. a drift violation.
+// Instant is a run-level point event, e.g. a recovery replay.
 type Instant struct {
 	Name   string
 	Offset time.Duration // since the trace epoch

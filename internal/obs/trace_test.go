@@ -24,7 +24,7 @@ func populate(t *Trace) {
 	})
 	ct.ObserveCompute(now.Add(20*time.Millisecond), 0.002, 0, nil)
 	ct.ObserveKernelCache(5, 3)
-	t.Instant("drift", KV{"strategy", "hypercube"}, KV{"round", "1"})
+	t.Instant("replay", KV{"attempt", "1"}, KV{"backoff", "25ms"})
 	t.ObserveWire(WireObservation{DataFrames: 7, WireBytes: 512})
 }
 
@@ -38,7 +38,7 @@ func TestTraceStructureDeterministicModuloTiming(t *testing.T) {
 	}
 	if !strings.Contains(a.Structure(), `name="shuffle"`) ||
 		!strings.Contains(a.Structure(), "kernel_cache hits=5 misses=3") ||
-		!strings.Contains(a.Structure(), `instant "drift" strategy=hypercube round=1`) {
+		!strings.Contains(a.Structure(), `instant "replay" attempt=1 backoff=25ms`) {
 		t.Fatalf("structure missing expected lines:\n%s", a.Structure())
 	}
 	// Wire counters are timing-dependent and must stay out of Structure.
@@ -112,7 +112,7 @@ func TestWriteChromeValidSchema(t *testing.T) {
 	}
 	// populate() records: compute span + deliver span + 4 server emits +
 	// 2 nonzero dest delivers + 1 compute phase = 9 spans; kernel-cache +
-	// drift + wire = 3 instants.
+	// replay + wire = 3 instants.
 	if spans != 9 || instants != 3 {
 		t.Fatalf("spans=%d instants=%d, want 9 and 3", spans, instants)
 	}

@@ -13,8 +13,7 @@ import (
 )
 
 // TestTracingPreservesFingerprint is the tentpole contract at the public
-// API: for every strategy family, attaching a trace and a drift monitor
-// changes nothing the Report's Fingerprint covers — observability is
+// API: for every strategy family, attaching a trace changes nothing the Report's Fingerprint covers — observability is
 // purely observational. The scenario list is the same one the distributed
 // runtime's equivalence test drives, so every built-in strategy family is
 // covered.
@@ -27,8 +26,7 @@ func TestTracingPreservesFingerprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := NewTrace()
-			dm := NewDriftMonitor(0)
-			traced, err := sc.run(WithTrace(tr), WithDriftMonitor(dm))
+			traced, err := sc.run(WithTrace(tr))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,22 +110,16 @@ func TestTraceChromeExport(t *testing.T) {
 }
 
 // TestServiceObservability exercises the service-level integration in one
-// pass: a service with a drift monitor and a debug listener serves
-// queries, its drift counters move, and the debug endpoint answers with
-// Prometheus metrics, the stats JSON, and pprof.
+// pass: a service with a debug listener serves queries, and the debug
+// endpoint answers with Prometheus metrics, the stats JSON, and pprof.
 func TestServiceObservability(t *testing.T) {
-	svc := NewService(
-		WithServiceDriftFactor(1.0), // tightest factor: skewed loads will violate
-		WithDebugListener("127.0.0.1:0"))
+	svc := NewService(WithDebugListener("127.0.0.1:0"))
 	defer svc.Close()
 	addr := svc.DebugAddr()
 	if addr == "" {
 		t.Fatal("debug listener did not bind")
 	}
 
-	// HyperCube carries an LP load prediction, so every run is checkable
-	// by the drift monitor (skew-aware strategies without predictions are
-	// skipped by design).
 	q := Triangle()
 	db := MatchingDatabase(rand.New(rand.NewSource(104)), q, 120, 1<<12)
 	for i := 0; i < 2; i++ {
@@ -140,12 +132,6 @@ func TestServiceObservability(t *testing.T) {
 	st := svc.Stats()
 	if st.Completed != 2 {
 		t.Fatalf("Completed = %d, want 2", st.Completed)
-	}
-	if st.DriftChecks == 0 {
-		t.Error("drift monitor never checked a round")
-	}
-	if st.DriftViolations > 0 && len(svc.DriftEvents()) == 0 {
-		t.Error("violations counted but no events recorded")
 	}
 
 	get := func(path string) (int, string) {

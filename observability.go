@@ -10,7 +10,7 @@ import (
 // round (compute/emit phase and delivery phase, with per-server timings
 // and the per-destination bit accounting the load L is defined over),
 // local computation phases, join-kernel index-cache totals, transport
-// wire deltas, and drift-violation instants.
+// wire deltas, and instants for recovery replays and injected faults.
 //
 // Attach a trace with WithTrace; after the run, export it with
 // WriteChrome (Chrome trace-event JSON, loadable in chrome://tracing or
@@ -19,39 +19,16 @@ import (
 // byte-identical with tracing on or off.
 type Trace = obs.Trace
 
-// DriftMonitor watches the paper's bounds at runtime: it compares each
-// round's observed MaxLoadBits against the plan's PredictedLoadBits and
-// records a DriftEvent when observed/predicted exceeds its factor — the
-// signal that the skew assumptions behind the share LP no longer hold.
-// Attach one with WithDriftMonitor (or WithServiceDriftFactor on a
-// Service); strategies without a prediction are not checkable and are
-// skipped.
-type DriftMonitor = obs.DriftMonitor
-
-// DriftEvent is one recorded bound violation; see DriftMonitor.
-type DriftEvent = obs.DriftEvent
-
 // NewTrace returns an empty trace whose clock starts now.
 func NewTrace() *Trace { return obs.NewTrace() }
-
-// NewDriftMonitor returns a monitor firing when a round's observed load
-// exceeds factor × the plan's prediction; factor <= 0 selects the default
-// (1.5).
-func NewDriftMonitor(factor float64) *DriftMonitor { return obs.NewDriftMonitor(factor) }
 
 // WithTrace attaches a trace to the run. A nil trace disables tracing
 // (the default). The same Trace may observe several runs in sequence;
 // cluster indices keep growing across them.
 func WithTrace(t *Trace) RunOption { return func(c *runConfig) { c.trace = t } }
 
-// WithDriftMonitor attaches a drift monitor to the run: after execution,
-// every predicted round of the Report is checked and violations are
-// recorded on the monitor (and as trace instants, when a trace is also
-// attached).
-func WithDriftMonitor(m *DriftMonitor) RunOption { return func(c *runConfig) { c.drift = m } }
-
 // DebugHandler returns the process-wide debug endpoint: /metrics serves
-// the global registry (engine, kernel, transport, drift totals) in
+// the global registry (engine, kernel, transport and run totals) in
 // Prometheus text format, and /debug/pprof/ the standard profilers. Mount
 // it on any listener; cmd/mpcload's worker mode (-debugaddr) and
 // Service's WithDebugListener use the same handler with their own

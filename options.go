@@ -29,7 +29,6 @@ type runConfig struct {
 	cache       *execCache        // set by Service; nil for plain Run (no caching)
 	net         engine.Transport  // set by WithRuntime; nil = in-process delivery
 	trace       *obs.Trace        // set by WithTrace; nil = tracing off
-	drift       *obs.DriftMonitor // set by WithDriftMonitor; nil = no drift checks
 	ctx         context.Context   // set by WithContext; nil = unbounded
 	faults      *fault.Plan       // set by WithFaultInjection; nil = no injection
 	recovery    int               // set by WithRecovery; 0 = fail on first peer loss

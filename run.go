@@ -232,7 +232,6 @@ func runOnce(q *Query, db *Database, strategy Strategy, cfg *runConfig) (rep *Re
 	if rep.Output != nil && rep.Query != nil && rep.Query.Name != "" {
 		rep.Output.Name = rep.Query.Name
 	}
-	observeDrift(cfg, rep)
 	return rep, nil
 }
 
@@ -345,33 +344,4 @@ func runSupervised(q *Query, db *Database, strategy Strategy, cfg *runConfig) (*
 		}
 	}
 	return nil, lastErr
-}
-
-// observeDrift feeds the finished report to the run's drift monitor (set
-// by WithDriftMonitor): every round with a plan prediction is checked, or
-// the whole-run load once when the strategy reports no per-round stats.
-// Violations become trace instants too, when a trace is attached. Reads
-// only — the Report is never modified, so Fingerprint() is unaffected.
-func observeDrift(cfg *runConfig, rep *Report) {
-	if cfg.drift == nil || rep == nil || rep.PredictedLoadBits <= 0 {
-		return
-	}
-	record := func(round int, observed float64) {
-		ev, violated := cfg.drift.Observe(rep.Strategy, round, observed, rep.PredictedLoadBits)
-		if violated {
-			cfg.trace.Instant("drift",
-				obs.KV{Key: "strategy", Value: ev.Strategy},
-				obs.KV{Key: "round", Value: fmt.Sprintf("%d", ev.Round)},
-				obs.KV{Key: "observed_bits", Value: fmt.Sprintf("%.0f", ev.ObservedBits)},
-				obs.KV{Key: "predicted_bits", Value: fmt.Sprintf("%.0f", ev.PredictedBits)},
-				obs.KV{Key: "ratio", Value: fmt.Sprintf("%.3f", ev.Ratio)})
-		}
-	}
-	if len(rep.RoundStats) == 0 {
-		record(0, rep.MaxLoadBits)
-		return
-	}
-	for _, rs := range rep.RoundStats {
-		record(rs.Round, rs.MaxLoadBits)
-	}
 }

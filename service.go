@@ -55,8 +55,7 @@ type Service struct {
 	metrics *service.Metrics
 	plans   *service.Cache
 	stats   *service.Cache
-	planOn  bool
-	statsOn bool
+	cacheOn bool
 
 	flight     *service.Flight
 	coalesceOn bool
@@ -68,8 +67,7 @@ type Service struct {
 	breakers         map[engine.Transport]*service.Breaker // one per distributed runtime
 	degraded         atomic.Int64                          // requests answered by the in-process fallback
 
-	drift    *obs.DriftMonitor // nil = drift monitoring off
-	debugLn  net.Listener      // nil = no debug listener
+	debugLn  net.Listener // nil = no debug listener
 	debugSrv *http.Server
 
 	mu      sync.Mutex
@@ -85,6 +83,10 @@ type Service struct {
 // re-registers it under a fresh id (a cache miss, never a stale hit).
 const maxTrackedDatabases = 1024
 
+// cacheCapacity bounds the entry count of each of the plan and statistics
+// caches.
+const cacheCapacity = 1024
+
 // dbEntry tracks the identity and version of a registered database; the
 // version is bumped by InvalidateDatabase so stale cache entries become
 // unreachable.
@@ -97,11 +99,8 @@ type dbEntry struct {
 type serviceConfig struct {
 	workers       int
 	queueDepth    int
-	cacheCapacity int
-	planCaching   bool
-	statsCaching  bool
+	caching       bool
 	coalescing    bool
-	driftFactor   float64
 	debugAddr     string
 	breakerThresh int
 	breakerCool   time.Duration
@@ -120,16 +119,10 @@ func WithServiceWorkers(n int) ServiceOption { return func(c *serviceConfig) { c
 // Requests beyond workers+queue are shed with ErrOverloaded.
 func WithServiceQueue(n int) ServiceOption { return func(c *serviceConfig) { c.queueDepth = n } }
 
-// WithPlanCaching toggles the plan cache (default on).
-func WithPlanCaching(on bool) ServiceOption { return func(c *serviceConfig) { c.planCaching = on } }
-
-// WithStatsCaching toggles the statistics cache (default on).
-func WithStatsCaching(on bool) ServiceOption { return func(c *serviceConfig) { c.statsCaching = on } }
-
-// WithServiceCacheCapacity bounds each cache's entry count (default 1024).
-func WithServiceCacheCapacity(n int) ServiceOption {
-	return func(c *serviceConfig) { c.cacheCapacity = n }
-}
+// WithCaching toggles the plan and statistics caches together (default
+// on). Off, every request plans and samples afresh — the Report is the same
+// either way.
+func WithCaching(on bool) ServiceOption { return func(c *serviceConfig) { c.caching = on } }
 
 // WithRequestCoalescing toggles single-flight request coalescing (default
 // on): while one request executes, concurrent requests that are
@@ -140,29 +133,12 @@ func WithServiceCacheCapacity(n int) ServiceOption {
 // what a separate execution would have produced. Requests that carry a
 // DistributedRuntime are never coalesced — every rank of an SPMD group
 // must execute every run, so skipping one rank's execution would desync
-// the group. Requests carrying a WithTrace trace, their own
-// WithDriftMonitor or a WithOutputSink sink are never coalesced either:
-// those observers only see runs that actually execute.
+// the group. Requests carrying a WithTrace trace, a WithOutputSink sink or a
+// WithFaultInjection schedule are never coalesced either: the trace and the
+// sink only see runs that actually execute, and a faulted run's error is
+// its own, not a plain caller's.
 func WithRequestCoalescing(on bool) ServiceOption {
 	return func(c *serviceConfig) { c.coalescing = on }
-}
-
-// WithServiceDriftFactor attaches a drift monitor to every query the
-// service executes: each round with a plan prediction is checked and a
-// violation is recorded when observed load exceeds factor × predicted —
-// the signal that the optimizer's skew assumptions no longer hold for the
-// data the service is actually seeing. Totals appear in Stats()
-// (DriftChecks, DriftViolations) and recent events in DriftEvents().
-// factor <= 0 selects the default (1.5); the zero serviceConfig leaves
-// monitoring off entirely. A request's own WithDriftMonitor overrides the
-// service's monitor for that request.
-func WithServiceDriftFactor(factor float64) ServiceOption {
-	return func(c *serviceConfig) {
-		if factor <= 0 {
-			factor = obs.DefaultDriftFactor
-		}
-		c.driftFactor = factor
-	}
 }
 
 // WithCircuitBreaker guards every distributed runtime the service's
@@ -201,11 +177,9 @@ func WithDebugListener(addr string) ServiceOption {
 // worker goroutines.
 func NewService(opts ...ServiceOption) *Service {
 	cfg := serviceConfig{
-		workers:       runtime.GOMAXPROCS(0),
-		cacheCapacity: 1024,
-		planCaching:   true,
-		statsCaching:  true,
-		coalescing:    true,
+		workers:    runtime.GOMAXPROCS(0),
+		caching:    true,
+		coalescing: true,
 	}
 	for _, opt := range opts {
 		if opt != nil {
@@ -221,10 +195,9 @@ func NewService(opts ...ServiceOption) *Service {
 	s := &Service{
 		pool:       service.NewPool(cfg.workers, cfg.queueDepth),
 		metrics:    service.NewMetrics(),
-		plans:      service.NewCache(cfg.cacheCapacity),
-		stats:      service.NewCache(cfg.cacheCapacity),
-		planOn:     cfg.planCaching,
-		statsOn:    cfg.statsCaching,
+		plans:      service.NewCache(cacheCapacity),
+		stats:      service.NewCache(cacheCapacity),
+		cacheOn:    cfg.caching,
 		flight:     service.NewFlight(),
 		coalesceOn: cfg.coalescing,
 		dbs:        make(map[*Database]*dbEntry),
@@ -234,9 +207,6 @@ func NewService(opts ...ServiceOption) *Service {
 		s.breakerThreshold = cfg.breakerThresh
 		s.breakerCooldown = cfg.breakerCool
 		s.breakers = make(map[engine.Transport]*service.Breaker)
-	}
-	if cfg.driftFactor > 0 {
-		s.drift = obs.NewDriftMonitor(cfg.driftFactor)
 	}
 	// Pool and cache state is computed on demand, so it publishes as gauge
 	// functions sampled at scrape time rather than stored series.
@@ -251,8 +221,6 @@ func NewService(opts ...ServiceOption) *Service {
 	reg.GaugeFunc("mpc_service_stats_cache_misses", func() float64 { return float64(s.stats.Stats().Misses) })
 	reg.GaugeFunc("mpc_service_stats_cache_entries", func() float64 { return float64(s.stats.Stats().Entries) })
 	reg.GaugeFunc("mpc_service_coalesced_requests", func() float64 { return float64(s.flight.Stats().Hits) })
-	reg.GaugeFunc("mpc_service_drift_checks", func() float64 { return float64(s.drift.Checks()) })
-	reg.GaugeFunc("mpc_service_drift_violations", func() float64 { return float64(s.drift.Violations()) })
 	if s.breakerOn {
 		// Worst state across the guarded runtimes: 0 closed, 1 half-open,
 		// 2 open — an alerting threshold of >= 2 means "degrading now".
@@ -297,12 +265,6 @@ func (s *Service) DebugAddr() string {
 	return s.debugLn.Addr().String()
 }
 
-// DriftEvents returns the drift violations recorded so far (bounded to
-// the most recent; see WithServiceDriftFactor). Nil without a monitor.
-func (s *Service) DriftEvents() []DriftEvent {
-	return s.drift.Events()
-}
-
 // Run executes one query through the service: the request is admitted to
 // the bounded worker pool (or shed with ErrOverloaded), executed by Run
 // with the service's caches attached, and recorded in the aggregate
@@ -335,12 +297,12 @@ func (s *Service) Run(ctx context.Context, q *Query, db *Database, opts ...RunOp
 			s.metrics.RecordFailure(0)
 			return nil, perr
 		}
-		// A request carrying a trace, its own drift monitor or an output sink
-		// must actually execute — a coalesced completion would leave the
-		// caller's trace empty, its monitor blind, or its sink starved, and a
-		// plain request coalesced onto a sinked one would get no Output — so
-		// only plain requests coalesce.
-		if cfg.net == nil && cfg.trace == nil && cfg.drift == nil && cfg.sink == nil {
+		// A request carrying a trace, an output sink or a fault schedule must
+		// actually execute — a coalesced completion would leave the caller's
+		// trace empty or its sink starved, a plain request coalesced onto a
+		// sinked one would get no Output, and one coalesced onto a faulted
+		// one would get its injected error — so only plain requests coalesce.
+		if cfg.net == nil && cfg.trace == nil && cfg.sink == nil && cfg.faults == nil {
 			//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
 			start := time.Now()
 			v, coalesced, err := s.flight.Do(s.requestKey(&cfg, q, db), func() (any, error) {
@@ -430,12 +392,8 @@ func (s *Service) execute(ctx context.Context, q *Query, db *Database, opts []Ru
 		err error
 	}
 	ec := s.execCacheFor(db)
-	runOpts := make([]RunOption, 0, len(opts)+4)
+	runOpts := make([]RunOption, 0, len(opts)+3)
 	runOpts = append(runOpts, withExecCache(ec))
-	if s.drift != nil {
-		// Prepended so a request's own WithDriftMonitor (in opts) wins.
-		runOpts = append(runOpts, WithDriftMonitor(s.drift))
-	}
 	// Propagate the request deadline into the run: a distributed round
 	// waiting on a wedged peer fails with ctx's error instead of holding a
 	// worker for the full RoundTimeout. Prepended so a request's own
@@ -546,9 +504,10 @@ func (s *Service) requestKey(cfg *runConfig, q *Query, db *Database) string {
 			}
 		}
 	}
-	return fmt.Sprintf("%#v|p%d|s%d|cap%g|h%d|rb%d|agg%#v|push%t|%s|%s%s",
+	return fmt.Sprintf("%#v|p%d|s%d|cap%g|h%d|rb%d|agg%#v|push%t|st%t|ch%d|%s|%s%s",
 		cfg.strategy, cfg.servers, cfg.seed, cfg.loadCapBits, cfg.heavyCap,
-		cfg.roundBudget, cfg.aggregate, cfg.aggPushdown, qs, s.dbTag(db), sizes)
+		cfg.roundBudget, cfg.aggregate, cfg.aggPushdown, cfg.streaming, cfg.streamChunk,
+		qs, s.dbTag(db), sizes)
 }
 
 // dbTag registers db (if new) and returns its identity-and-version tag —
@@ -580,19 +539,13 @@ func (s *Service) dbTag(db *Database) string {
 }
 
 // execCacheFor returns the cache handle for one request, tagging keys with
-// the database's identity and current version. With both caches disabled it
-// returns nil and Run behaves exactly like the plain path.
+// the database's identity and current version. With caching off it returns
+// nil and Run behaves exactly like the plain path.
 func (s *Service) execCacheFor(db *Database) *execCache {
-	if db == nil || (!s.planOn && !s.statsOn) {
+	if db == nil || !s.cacheOn {
 		return nil
 	}
-	return &execCache{
-		plans:   s.plans,
-		stats:   s.stats,
-		planOn:  s.planOn,
-		statsOn: s.statsOn,
-		dbTag:   s.dbTag(db),
-	}
+	return &execCache{plans: s.plans, stats: s.stats, dbTag: s.dbTag(db)}
 }
 
 // InvalidateDatabase declares that db's contents changed in place, bumping
@@ -656,12 +609,6 @@ type ServiceStats struct {
 	Coalesced    int64
 	CoalesceRate float64
 
-	// Drift monitoring (WithServiceDriftFactor): predicted rounds checked
-	// against observed load, and checks whose ratio exceeded the factor.
-	// Zero without a monitor.
-	DriftChecks     int64
-	DriftViolations int64
-
 	// Circuit breaking (WithCircuitBreaker): requests answered by the
 	// in-process fallback while a runtime's breaker was open, lifetime
 	// breaker trips, and the worst current breaker state ("closed",
@@ -682,30 +629,28 @@ func (s *Service) Stats() ServiceStats {
 	pc, sc := s.plans.Stats(), s.stats.Stats()
 	fl := s.flight.Stats()
 	return ServiceStats{
-		Completed:       sum.Completed,
-		Failed:          sum.Failed,
-		Shed:            sum.Shed,
-		Uptime:          sum.Uptime,
-		Throughput:      sum.Throughput,
-		LatencyP50:      sum.LatencyP50,
-		LatencyP95:      sum.LatencyP95,
-		LatencyP99:      sum.LatencyP99,
-		LatencyMax:      sum.LatencyMax,
-		TotalBits:       sum.TotalBits,
-		MaxLoadBits:     sum.MaxLoadBits,
-		TotalRounds:     sum.TotalRounds,
-		PlanCache:       pc,
-		StatsCache:      sc,
-		Coalesced:       fl.Hits,
-		CoalesceRate:    fl.HitRate(),
-		DriftChecks:     s.drift.Checks(),
-		DriftViolations: s.drift.Violations(),
-		Degraded:        s.degraded.Load(),
-		BreakerTrips:    s.breakerTrips(),
-		CircuitState:    s.breakerState().String(),
-		Workers:         s.pool.Workers(),
-		QueueDepth:      s.pool.QueueDepth(),
-		Queued:          s.pool.Queued(),
+		Completed:    sum.Completed,
+		Failed:       sum.Failed,
+		Shed:         sum.Shed,
+		Uptime:       sum.Uptime,
+		Throughput:   sum.Throughput,
+		LatencyP50:   sum.LatencyP50,
+		LatencyP95:   sum.LatencyP95,
+		LatencyP99:   sum.LatencyP99,
+		LatencyMax:   sum.LatencyMax,
+		TotalBits:    sum.TotalBits,
+		MaxLoadBits:  sum.MaxLoadBits,
+		TotalRounds:  sum.TotalRounds,
+		PlanCache:    pc,
+		StatsCache:   sc,
+		Coalesced:    fl.Hits,
+		CoalesceRate: fl.HitRate(),
+		Degraded:     s.degraded.Load(),
+		BreakerTrips: s.breakerTrips(),
+		CircuitState: s.breakerState().String(),
+		Workers:      s.pool.Workers(),
+		QueueDepth:   s.pool.QueueDepth(),
+		Queued:       s.pool.Queued(),
 	}
 }
 

@@ -77,7 +77,7 @@ func (c serviceCase) runOpts() []RunOption {
 func TestServiceCachedReportsBitIdentical(t *testing.T) {
 	svc := NewService(WithServiceWorkers(2))
 	defer svc.Close()
-	svcOff := NewService(WithPlanCaching(false), WithStatsCaching(false))
+	svcOff := NewService(WithCaching(false))
 	defer svcOff.Close()
 
 	for _, c := range serviceCases(t) {

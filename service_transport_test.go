@@ -59,8 +59,7 @@ func TestServiceRequestCoalescing(t *testing.T) {
 	q := Star(2)
 	db := SkewedStarDatabase(rng, 2, 4000, 1<<16, map[int64]int{7: 500})
 
-	svc := NewService(WithServiceWorkers(1), WithServiceQueue(64),
-		WithPlanCaching(false), WithStatsCaching(false))
+	svc := NewService(WithServiceWorkers(1), WithServiceQueue(64), WithCaching(false))
 	defer svc.Close()
 
 	const clients = 16
@@ -111,7 +110,7 @@ func TestServiceCoalescingDisjointKeys(t *testing.T) {
 	q := Star(2)
 	db := MatchingDatabase(rng, q, 400, 1<<16)
 
-	svc := NewService(WithPlanCaching(false), WithStatsCaching(false))
+	svc := NewService(WithCaching(false))
 	defer svc.Close()
 
 	a, err := svc.Run(context.Background(), q, db, WithStrategy(HyperCube()), WithServers(16), WithSeed(1))
@@ -193,6 +192,85 @@ func TestServiceSinkRequestNeverCoalesces(t *testing.T) {
 	}
 }
 
+// TestServiceFaultedOrStreamedRequestNeverCoalesces asserts that a plain
+// request never shares the execution of an otherwise identical request that
+// carries a fault schedule, streams, or streams in another chunk size: it
+// must not be served the faulted run's injected error or the streamed run's
+// PeakBufferedBytes. The leader is held in flight by an option that blocks
+// when the pooled execution resolves it — that resolution carries the
+// request context, the coalescing check before it does not.
+func TestServiceFaultedOrStreamedRequestNeverCoalesces(t *testing.T) {
+	q := Triangle()
+	db := MatchingDatabase(rand.New(rand.NewSource(31)), q, 4000, 1<<12)
+	base := []RunOption{WithStrategy(HyperCube()), WithServers(16), WithSeed(5)}
+	crash := NewFaultPlan(1)
+	crash.CrashRank = 0
+	for _, tc := range []struct {
+		name          string
+		leader, plain []RunOption
+	}{
+		{"faults", []RunOption{WithFaultInjection(crash)}, nil},
+		{"streaming", []RunOption{WithStreaming(true)}, nil},
+		{"chunk", []RunOption{WithStreaming(true), WithStreamChunk(16)}, []RunOption{WithStreaming(true)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plainOpts := append(append([]RunOption(nil), base...), tc.plain...)
+			want, err := Run(q, db, plainOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc := NewService(WithServiceWorkers(2), WithServiceQueue(8))
+			defer svc.Close()
+
+			entered, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			hold := func(c *runConfig) {
+				if c.ctx != nil {
+					once.Do(func() { close(entered); <-release })
+				}
+			}
+			leaderOpts := append(append(append([]RunOption(nil), base...), tc.leader...), hold)
+			leaderDone := make(chan struct{})
+			go func() {
+				defer close(leaderDone)
+				svc.Run(context.Background(), q, db, leaderOpts...)
+			}()
+			<-entered
+
+			type result struct {
+				rep *Report
+				err error
+			}
+			plainCh := make(chan result, 1)
+			go func() {
+				rep, err := svc.Run(context.Background(), q, db, plainOpts...)
+				plainCh <- result{rep, err}
+			}()
+			var plain result
+			select {
+			case plain = <-plainCh:
+				close(release)
+			case <-time.After(5 * time.Second):
+				close(release)
+				plain = <-plainCh
+			}
+			<-leaderDone
+			if plain.err != nil {
+				t.Fatalf("plain request was served the leader's outcome: %v", plain.err)
+			}
+			if n := svc.Stats().Coalesced; n != 0 {
+				t.Errorf("Coalesced = %d, want 0", n)
+			}
+			if got := plain.rep.PeakBufferedBytes; got != want.PeakBufferedBytes {
+				t.Errorf("PeakBufferedBytes = %d, want %d (a plain Run's)", got, want.PeakBufferedBytes)
+			}
+			if plain.rep.Fingerprint() != want.Fingerprint() {
+				t.Error("fingerprint differs from a plain Run's")
+			}
+		})
+	}
+}
+
 // BenchmarkServiceCoalescing measures what single-flight saves on the
 // stream it exists for: each iteration is one wave of 16 byte-identical
 // concurrent requests against a 2-worker service with plan and statistics
@@ -219,8 +297,7 @@ func BenchmarkServiceCoalescing(b *testing.B) {
 	}{{"off", false}, {"on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			svc := NewService(WithRequestCoalescing(mode.coalesce),
-				WithServiceWorkers(2), WithServiceQueue(2*clients),
-				WithPlanCaching(false), WithStatsCaching(false))
+				WithServiceWorkers(2), WithServiceQueue(2*clients), WithCaching(false))
 			defer svc.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -305,7 +382,7 @@ func TestServiceCircuitBreakerDegrades(t *testing.T) {
 
 	rt := deadPeerRuntime(t, 300*time.Millisecond)
 	svc := NewService(WithCircuitBreaker(1, time.Hour),
-		WithServiceWorkers(2), WithPlanCaching(false), WithStatsCaching(false))
+		WithServiceWorkers(2), WithCaching(false))
 	defer svc.Close()
 
 	// First request probes the dead group, fails, and trips the breaker

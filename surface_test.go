@@ -78,6 +78,43 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 	}
 }
 
+// TestOptionSurface freezes the exported With* constructors of the root
+// package — run, service and runtime options alike. Every knob is a branch
+// each caller may take and each test must cover, so one joins the list only
+// when two non-test callers need different values; a knob every caller sets
+// the same way is a constant.
+func TestOptionSurface(t *testing.T) {
+	want := []string{
+		"WithAggregate", "WithAggregatePushdown", "WithCaching", "WithCircuitBreaker",
+		"WithContext", "WithDebugListener", "WithDialBudget", "WithFaultInjection",
+		"WithHeavyCap", "WithLoadCap", "WithOutputSink", "WithRecovery",
+		"WithRequestCoalescing", "WithRoundBudget", "WithRoundTimeout", "WithRuntime",
+		"WithSeed", "WithServers", "WithServiceQueue", "WithServiceWorkers",
+		"WithStrategy", "WithStreamChunk", "WithStreaming", "WithTrace",
+		"WithWriteRetries",
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nonTest, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() &&
+					strings.HasPrefix(fd.Name.Name, "With") {
+					got = append(got, fd.Name.Name)
+				}
+			}
+		}
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("root package exports %d With* options\n  %v\nwant %d\n  %v\na new option needs two non-test callers that need different values",
+			len(got), got, len(want), want)
+	}
+}
+
 func nonTest(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 
 // TestOneComputationPhase keeps every strategy family on localjoin's one
