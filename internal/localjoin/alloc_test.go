@@ -1,6 +1,10 @@
 package localjoin
 
-import "testing"
+import (
+	"testing"
+
+	"mpcquery/internal/engine"
+)
 
 // TestKernelSteadyStateAllocations pins what a warmed Scratch allocates per
 // Evaluate: the output relation and its value slice, nothing else. The
@@ -31,5 +35,37 @@ func TestKernelSteadyStateAllocations(t *testing.T) {
 				t.Errorf("steady-state Evaluate: %v allocs per run, ceiling %d", allocs, ceiling)
 			}
 		})
+	}
+}
+
+// TestOutputAllocationsFlatInServers pins that a warm plain computation
+// phase allocates nothing per server: Output at p = 64 with 1, 8 and 64
+// non-empty servers (the same rows in all three) allocates the same number
+// of objects, up to a small slack. Each worker appends its servers' rows to its scratch's output
+// arena and the gather reads them in place; a per-server output relation
+// would add two allocations per non-empty server.
+func TestOutputAllocationsFlatInServers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations per evaluation")
+	}
+	counts := make(map[int]float64)
+	for _, busy := range []int{1, 8, 64} {
+		c, q := outputCluster(64, busy, 2000)
+		for i := 0; i < 20; i++ {
+			Output(c, q, engine.Env{}, nil)
+		}
+		counts[busy] = testing.AllocsPerRun(50, func() {
+			if out := Output(c, q, engine.Env{}, nil); out.NumTuples() != 2000 {
+				t.Fatalf("%d busy servers: %d output rows, want 2000", busy, out.NumTuples())
+			}
+		})
+		c.Release()
+	}
+	// Which worker claims which server varies by run, so a worker's arena
+	// may still grow once in a while past its warm-up size.
+	const slack = 2
+	if counts[8] > counts[1]+slack || counts[64] > counts[1]+slack {
+		t.Errorf("warm Output allocates %v objects with 1 non-empty server, %v with 8, %v with 64: the count grows with the servers",
+			counts[1], counts[8], counts[64])
 	}
 }

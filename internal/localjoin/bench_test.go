@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/localjoin/baseline"
 	"mpcquery/internal/query"
 )
@@ -140,4 +141,40 @@ func BenchmarkJoinOrderAblation(b *testing.B) {
 			}
 		}
 	})
+}
+
+// outputCluster returns a cluster of p servers holding L2's fragments
+// (R(x,y) and S(y,z), m matching tuples each) hash-partitioned on y over its
+// first busy servers only — the inboxes of a one-round join's computation
+// phase, read as often as Output is called.
+func outputCluster(p, busy, m int) (*engine.Cluster, *query.Query) {
+	q := query.MustParse("q(x,y,z) :- R(x,y), S(y,z)")
+	rng := rand.New(rand.NewSource(35))
+	c := engine.NewCluster(p, 32)
+	c.Round("seed", func(s int, _ *engine.Inbox, emit *engine.Emitter) {
+		if s != 0 {
+			return
+		}
+		for i := 0; i < m; i++ {
+			y := int64(i)
+			emit.EmitTuple(i%busy, 0, []int64{rng.Int63n(int64(m)), y})
+			emit.EmitTuple(i%busy, 1, []int64{y, rng.Int63n(int64(m))})
+		}
+	})
+	return c, q
+}
+
+// BenchmarkOutput measures a whole plain computation phase, output assembly
+// included: L2 over 64 servers, 20 000 tuples per relation and output row
+// spread over all of them.
+func BenchmarkOutput(b *testing.B) {
+	c, q := outputCluster(64, 64, 20000)
+	defer c.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := Output(c, q, engine.Env{}, nil); out.NumTuples() != 20000 {
+			b.Fatalf("%d output rows, want 20000", out.NumTuples())
+		}
+	}
 }

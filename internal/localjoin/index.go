@@ -82,17 +82,40 @@ func (ix *atomIndex) build(rel *data.Relation, keyCols []int, eqPairs [][2]int, 
 	}
 	ix.mask = uint64(size - 1)
 
-	// Insert descending with chain prepend: each slot's chain then iterates
-	// tuples in ascending index order, matching the baseline's per-key match
-	// order (which multiset-insensitive callers never see, but the
-	// order-sensitive Report.Fingerprint does).
+	if len(ix.keyCols) == 1 && len(eqPairs) == 0 {
+		ix.chainOne()
+	} else {
+		ix.chainKeys(eqPairs)
+	}
+}
+
+// chainOne chains the tuples of an index with exactly one key column and no
+// repeated variable — most builds — hashing the key column in place
+// (hashKey of one value), as matchOne probes it. The slots and chains are
+// chainKeys'.
+func (ix *atomIndex) chainOne() {
+	vals, head, next, mask := ix.vals, ix.head, ix.next, ix.mask
+	arity, kc := ix.arity, int(ix.keyCols[0])
+	for i := len(next) - 2; i >= 0; i-- {
+		slot := hashing.Combine(hashSeed, uint64(vals[i*arity+kc])) & mask
+		next[i+1] = head[slot]
+		head[slot] = int32(i + 1)
+	}
+}
+
+// chainKeys chains the self-consistent tuples of any index. Tuples are
+// inserted descending with chain prepend: each slot's chain then iterates
+// tuples in ascending index order, matching the baseline's per-key match
+// order (which multiset-insensitive callers never see, but the
+// order-sensitive Report.Fingerprint does).
+func (ix *atomIndex) chainKeys(eqPairs [][2]int) {
 	arity := ix.arity
 	nk := len(ix.keyCols)
 	if cap(ix.keybuf) < nk {
 		ix.keybuf = make([]int64, nk)
 	}
 	key := ix.keybuf[:nk]
-	for i := m - 1; i >= 0; i-- {
+	for i := len(ix.next) - 2; i >= 0; i-- {
 		base := i * arity
 		ok := true
 		for _, p := range eqPairs {
@@ -166,8 +189,9 @@ type IndexCache struct {
 // duplicating the O(m) build — at the start of a phase every worker hits
 // the same hot keys simultaneously, exactly the case the cache targets.
 type cacheEntry struct {
-	ready chan struct{}
-	ix    *atomIndex
+	ready    chan struct{} // closed when ix is set (or build panicked)
+	ix       *atomIndex
+	panicked any // non-nil when build panicked; waiters re-panic with it
 }
 
 // NewIndexCache returns an empty cache for one computation phase.
@@ -215,19 +239,33 @@ func (sh *Shared) id(atom int) uint64 {
 }
 
 // getOrBuild returns the index for k, invoking build exactly once per key
-// across all workers (single flight). build must not re-enter the cache.
+// across all workers (single flight). build must not re-enter the cache. If
+// build panics, the builder and every worker waiting on k panic with its
+// value, instead of the waiters blocking for good.
 func (c *IndexCache) getOrBuild(k indexKey, build func() *atomIndex) *atomIndex {
 	c.mu.Lock()
 	if e, ok := c.m[k]; ok {
 		c.hits++
 		c.mu.Unlock()
 		<-e.ready
+		if e.panicked != nil {
+			//lint:allow panicdiscipline re-panic of the builder's panic so every waiter observes the original failure
+			panic(e.panicked)
+		}
 		return e.ix
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.m[k] = e
 	c.misses++
 	c.mu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+			close(e.ready)
+			//lint:allow panicdiscipline re-panic of the recovered build panic, already classified at its original site
+			panic(r)
+		}
+	}()
 	e.ix = build()
 	close(e.ready)
 	return e.ix

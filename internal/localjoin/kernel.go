@@ -8,6 +8,7 @@ import (
 
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
+	"mpcquery/internal/hashing"
 	"mpcquery/internal/query"
 )
 
@@ -18,8 +19,9 @@ import (
 // computation phase rebuilds per server. A Scratch is not safe for
 // concurrent use; a parallel computation phase keeps one per worker
 // (engine.ParallelForWorkers / Cluster.Compute hand out worker ids for
-// exactly this). After warm-up, evaluating with a Scratch allocates only the
-// output relation.
+// exactly this). After warm-up, EvaluateAtoms allocates only the relation it
+// returns, and a phase's Output allocates nothing per server: each worker's
+// rows land in its scratch's output arena.
 type Scratch struct {
 	// Binding arena: cols holds the current partial bindings column-wise
 	// (cols[c][r] = value of bound variable c in binding r); next receives
@@ -44,6 +46,7 @@ type Scratch struct {
 	hitTup  []int32        // ... and matching tuple (int32, as in atomIndex)
 	outCols [][]int64      // binding columns in q.Vars() order, for AppendColumns
 	block   *data.Relation // the streamed path's window of output rows
+	arena   *data.Relation // Output's rows of every server this worker evaluated, back to back
 
 	// Atom-indexed views for the map-based entry points and Fragments, and
 	// the per-server cache handle Share fills.
@@ -75,9 +78,12 @@ func GrabScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // relation views, the fragment views into inbox arenas, the private indexes'
 // value views, the last phase's cache and its indexes — are dropped so a
 // pooled scratch never pins a retired database or a recycled arena; the
-// scratch's own arenas (binding columns, index tables, fragment buffers) are
-// retained for reuse.
+// scratch's own arenas (binding columns, index tables, fragment buffers, the
+// output arena, emptied) are retained for reuse.
 func (s *Scratch) Release() {
+	if s.arena != nil {
+		s.arena.Reset()
+	}
 	for i := range s.rels {
 		s.rels[i] = nil
 	}
@@ -387,15 +393,38 @@ func (s *Scratch) planSteps(q *query.Query, order []int) []joinStep {
 	return steps
 }
 
-// run is the materializing output path: one window over the whole first
-// atom, its bindings transposed into the output in q.Vars() order with one
-// bulk append.
+// run is the materializing output path into a fresh relation.
 func (s *Scratch) run(q *query.Query, rels []*data.Relation, order []int, sh *Shared) *data.Relation {
 	out := data.NewRelation(q.Name, q.NumVars())
+	s.appendRun(out, q, rels, order, sh)
+	return out
+}
+
+// appendRun is the materializing output path: one window over the whole
+// first atom, its bindings transposed onto the end of out in q.Vars() order
+// with one bulk append.
+func (s *Scratch) appendRun(out *data.Relation, q *query.Query, rels []*data.Relation, order []int, sh *Shared) {
 	s.join(q, rels, order, sh, rels[order[0]].NumTuples(), func(rows int) {
 		out.AppendColumns(s.outputCols(q), rows)
 	})
-	return out
+}
+
+// appendOutput is EvaluateAtoms into the scratch's output arena: the rows
+// are appended after those of the servers the scratch evaluated before in
+// this phase, and s.arena.Vals()[lo:hi] holds them once the phase is over
+// (a later append may move the arena). Only Release empties the arena.
+func (s *Scratch) appendOutput(q *query.Query, rels []*data.Relation, sh *Shared) (lo, hi int) {
+	if a := s.arena; a == nil {
+		s.arena = data.NewRelation(q.Name, q.NumVars())
+	} else if a.Arity != q.NumVars() {
+		// Empty, as Release left it: a phase evaluates one query.
+		s.arena = data.FromVals(q.Name, q.NumVars(), a.Vals()[:0])
+	}
+	lo = len(s.arena.Vals())
+	if !checkInputs(q, rels, sh) {
+		s.appendRun(s.arena, q, rels, s.greedyOrder(q, rels), sh)
+	}
+	return lo, len(s.arena.Vals())
 }
 
 // outputCols returns the binding columns in q.Vars() order; every variable
@@ -493,35 +522,17 @@ func (s *Scratch) stepIndex(step int, st *joinStep, rel *data.Relation, sh *Shar
 // are first listed as (binding row, tuple) pairs — bindings in order, each
 // chain in ascending tuple order — and the next arena is then gathered from
 // the list one column at a time, so every output value is written once by a
-// loop that does nothing else. A step with no key columns (a Cartesian atom)
-// finds every consistent tuple in one chain.
+// loop that does nothing else.
 func (s *Scratch) probe(st *joinStep, rows int) int {
 	ix, nb := st.ix, st.nb
-	nk := len(st.sharedBind)
-	if cap(s.key) < nk {
-		s.key = make([]int64, nk)
-	}
-	key := s.key[:nk]
-	arity := ix.arity
 	hitRow, hitTup := s.hitRow[:0], s.hitTup[:0]
-	for r := 0; r < rows; r++ {
-		for t, bc := range st.sharedBind {
-			key[t] = s.cols[bc][r]
-		}
-		slot := hashKey(key) & ix.mask
-	chain:
-		for e := ix.head[slot]; e != 0; e = ix.next[e] {
-			base := int(e-1) * arity
-			for t, kc := range ix.keyCols {
-				if ix.vals[base+int(kc)] != key[t] {
-					continue chain
-				}
-			}
-			hitRow = append(hitRow, int32(r))
-			hitTup = append(hitTup, e-1)
-		}
+	if len(st.sharedBind) == 1 {
+		hitRow, hitTup = ix.matchOne(s.cols[st.sharedBind[0]][:rows], hitRow, hitTup)
+	} else {
+		hitRow, hitTup = s.matchKeys(st, rows, hitRow, hitTup)
 	}
 	s.hitRow, s.hitTup = hitRow, hitTup
+	arity := ix.arity
 
 	n := len(hitRow)
 	s.next = ensureCols(s.next, nb+len(st.freshCols))
@@ -541,4 +552,55 @@ func (s *Scratch) probe(st *joinStep, rows int) int {
 	}
 	s.cols, s.next = s.next, s.cols
 	return n
+}
+
+// matchOne lists the matches of a step with exactly one key column — most
+// steps of chains, stars and the triangle's first probe — appending them to
+// hitRow/hitTup: keys[r] is binding r's key value, hashed directly (the
+// one-value case of hashKey) and compared in place against the candidate's
+// key column. It is matchKeys with the key gather and the key loops gone.
+func (ix *atomIndex) matchOne(keys []int64, hitRow, hitTup []int32) ([]int32, []int32) {
+	vals, head, next, mask := ix.vals, ix.head, ix.next, ix.mask
+	arity, kc := ix.arity, int(ix.keyCols[0])
+	for r, v := range keys {
+		for e := head[hashing.Combine(hashSeed, uint64(v))&mask]; e != 0; e = next[e] {
+			if vals[int(e-1)*arity+kc] == v {
+				hitRow = append(hitRow, int32(r))
+				hitTup = append(hitTup, e-1)
+			}
+		}
+	}
+	return hitRow, hitTup
+}
+
+// matchKeys lists the matches of any step, appending them to hitRow/hitTup:
+// each binding's key is gathered, hashed and compared column by column. A
+// step with no key columns (a Cartesian atom) finds every consistent tuple
+// in one chain.
+func (s *Scratch) matchKeys(st *joinStep, rows int, hitRow, hitTup []int32) ([]int32, []int32) {
+	ix := st.ix
+	nk := len(st.sharedBind)
+	if cap(s.key) < nk {
+		s.key = make([]int64, nk)
+	}
+	key := s.key[:nk]
+	arity := ix.arity
+	for r := 0; r < rows; r++ {
+		for t, bc := range st.sharedBind {
+			key[t] = s.cols[bc][r]
+		}
+		slot := hashKey(key) & ix.mask
+	chain:
+		for e := ix.head[slot]; e != 0; e = ix.next[e] {
+			base := int(e-1) * arity
+			for t, kc := range ix.keyCols {
+				if ix.vals[base+int(kc)] != key[t] {
+					continue chain
+				}
+			}
+			hitRow = append(hitRow, int32(r))
+			hitTup = append(hitTup, e-1)
+		}
+	}
+	return hitRow, hitTup
 }

@@ -18,6 +18,13 @@ import (
 // concurrently for different servers.
 func Phase(cluster *engine.Cluster, q *query.Query, layout hashing.Layout,
 	fn func(server int, sc *Scratch, frags []*data.Relation, sh *Shared)) {
+	phase(cluster, q, layout, fn).Release()
+}
+
+// phase is Phase that hands the caller the phase's scratches, still holding
+// what fn left in them; the caller releases them.
+func phase(cluster *engine.Cluster, q *query.Query, layout hashing.Layout,
+	fn func(server int, sc *Scratch, frags []*data.Relation, sh *Shared)) *WorkerScratches {
 	cache := NewIndexCache()
 	cache.servers = cluster.P()
 	scratches := NewWorkerScratches()
@@ -32,17 +39,27 @@ func Phase(cluster *engine.Cluster, q *query.Query, layout hashing.Layout,
 		}
 		fn(s, sc, sc.InboxFragments(q, ib), sh)
 	})
-	scratches.Release()
 	cache.Publish(cluster.Trace())
+	return scratches
+}
+
+// outSpan is where one server's output rows lie: values [lo, hi) of the
+// output arena of the scratch that evaluated it.
+type outSpan struct {
+	sc     *Scratch
+	lo, hi int
 }
 
 // Output runs Phase as a plain join and returns q's output: every server's
 // rows, in ascending server order, gathered from the processes that own
-// them (Cluster.Gather). With env.Sink set the output is never
-// materialized nor gathered: each owned server's rows stream through this
-// process's sink in chunks of env.StreamChunk rows (<= 0:
-// engine.DefaultStreamChunk) and Output returns nil; the rows and their
-// order are the same either way.
+// them (Cluster.Gather). Each worker appends the rows of the servers it
+// evaluates to its scratch's output arena, and the gather reads every
+// server's span of those arenas in place before the scratches go back to the
+// pool: each output value is written once by the join and copied once into
+// the result. With env.Sink set the output is never materialized nor
+// gathered: each owned server's rows stream through this process's sink in
+// chunks of env.StreamChunk rows (<= 0: engine.DefaultStreamChunk) and
+// Output returns nil; the rows and their order are the same either way.
 func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hashing.Layout) *data.Relation {
 	arity := q.NumVars()
 	if sink := env.Sink; sink != nil {
@@ -59,9 +76,21 @@ func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hash
 		})
 		return nil
 	}
-	parts := make([]*data.Relation, cluster.P())
-	Phase(cluster, q, layout, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
-		parts[s] = sc.EvaluateAtoms(q, frags, sh)
+	p := cluster.P()
+	spans := make([]outSpan, p)
+	scratches := phase(cluster, q, layout, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
+		lo, hi := sc.appendOutput(q, frags, sh)
+		spans[s] = outSpan{sc, lo, hi}
 	})
+	defer scratches.Release()
+	views := make([]data.Relation, p)
+	parts := make([]*data.Relation, p)
+	for s, sp := range spans {
+		if sp.hi > sp.lo {
+			views[s] = data.Relation{Name: q.Name, Arity: arity}
+			views[s].SetView(sp.sc.arena.Vals()[sp.lo:sp.hi])
+			parts[s] = &views[s]
+		}
+	}
 	return cluster.Gather(q.Name, arity, parts)
 }

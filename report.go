@@ -2,7 +2,6 @@ package mpcquery
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 
@@ -169,18 +168,16 @@ func (r *Report) Fingerprint() string {
 	if r.Output == nil {
 		b.WriteString("|out=nil")
 	} else {
-		h := fnv.New64a()
-		var buf [8]byte
-		m := r.Output.NumTuples()
-		for i := 0; i < m; i++ {
-			for _, v := range r.Output.Tuple(i) {
-				for s := 0; s < 8; s++ {
-					buf[s] = byte(uint64(v) >> (8 * s))
-				}
-				h.Write(buf[:])
+		// FNV-1a (hash/fnv's New64a) over the values in row order, 8
+		// little-endian bytes each, folded inline.
+		const offset64, prime64 = 14695981039346656037, 1099511628211
+		h := uint64(offset64)
+		for _, v := range r.Output.Vals() {
+			for s := 0; s < 64; s += 8 {
+				h = (h ^ uint64(v)>>s&0xff) * prime64
 			}
 		}
-		fmt.Fprintf(&b, "|out=%d/%d#%016x", m, r.Output.Arity, h.Sum64())
+		fmt.Fprintf(&b, "|out=%d/%d#%016x", r.Output.NumTuples(), r.Output.Arity, h)
 	}
 	return b.String()
 }

@@ -1,7 +1,12 @@
 package mpcquery
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -34,5 +39,35 @@ func TestReportInvariantsOverGoldenTable(t *testing.T) {
 				t.Errorf("ReplicationRate = %v, want TotalBits/InputBits = %v", rep.ReplicationRate, want)
 			}
 		})
+	}
+}
+
+// TestFingerprintOutputDigestIsFNV1a holds the output digest Fingerprint
+// folds inline to hash/fnv's FNV-1a over every value in row order, 8
+// little-endian bytes each — the digest the golden files pin — on random
+// relations of arity 1 to 4 with negative values, the empty relation
+// included.
+func TestFingerprintOutputDigestIsFNV1a(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 40; trial++ {
+		arity, m := 1+trial%4, r.Intn(50)
+		out := NewRelation("q", arity)
+		for i := 0; i < m; i++ {
+			tu := make([]int64, arity)
+			for c := range tu {
+				tu[c] = r.Int63() - r.Int63() // both signs, full width
+			}
+			out.AppendTuple(tu)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, v := range out.Vals() {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+		want := fmt.Sprintf("|out=%d/%d#%016x", m, arity, h.Sum64())
+		if got := (&Report{Output: out}).Fingerprint(); !strings.HasSuffix(got, want) {
+			t.Fatalf("trial %d: fingerprint %s does not end in %s", trial, got, want)
+		}
 	}
 }

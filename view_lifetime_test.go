@@ -3,6 +3,7 @@ package mpcquery
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -157,4 +158,45 @@ func TestViewLifetimeGivesGoldenFingerprints(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestViewLifetimeReportOutputOutlivesArenas: a computation phase's rows are
+// written into pooled per-worker output arenas, and Report.Output must not
+// be one of them. Reports of several golden workloads are kept while the
+// same workloads run again on the arenas their runs pooled; every kept
+// Output still holds the rows it held when its run returned, and still
+// fingerprints to the golden file.
+func TestViewLifetimeReportOutputOutlivesArenas(t *testing.T) {
+	scenarios := make(map[string]distScenario)
+	for _, sc := range distScenarios() {
+		scenarios[sc.name] = sc
+	}
+	names := []string{"hypercube-shares", "skewed-star", "skewed-triangle", "chain-plan", "selfjoin"}
+	kept := make([]*Report, len(names))
+	rows := make([][]int64, len(names))
+	for i, name := range names {
+		rep, err := scenarios[name].run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Output.NumTuples() == 0 {
+			t.Fatalf("%s: empty output, nothing to hold", name)
+		}
+		kept[i], rows[i] = rep, slices.Clone(rep.Output.Vals())
+	}
+	for round := 0; round < 3; round++ {
+		for _, name := range names {
+			if _, err := scenarios[name].run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, name := range names {
+		if !slices.Equal(kept[i].Output.Vals(), rows[i]) {
+			t.Errorf("%s: Report.Output changed after later runs reused the pooled arenas", name)
+		}
+		if got, want := kept[i].Fingerprint(), goldenFingerprint(t, name); got != want {
+			t.Errorf("%s: kept report's fingerprint diverged from the golden file\n got %s\nwant %s", name, got, want)
+		}
+	}
 }
