@@ -377,11 +377,9 @@ func buildScenarios(m int) []*scenario {
 		{name: "triangle-skewed", q: mpcquery.Triangle(), db: triSkew,
 			strategy: mpcquery.SkewedTriangle(), servers: 32, weight: 1, skewAware: true},
 		{name: "triangle-generic", q: mpcquery.Triangle(), db: triMulti,
-			strategy: mpcquery.SkewedGeneric(), extra: []mpcquery.RunOption{mpcquery.WithHeavyCap(6)},
-			servers: 32, weight: 1, skewAware: true},
+			strategy: mpcquery.SkewedGeneric(), servers: 32, weight: 1, skewAware: true},
 		{name: "chain-skewaware", q: mpcquery.Chain(6), db: chainDB,
-			strategy: mpcquery.GreedyPlanSkewAware(0), extra: []mpcquery.RunOption{mpcquery.WithHeavyCap(6)},
-			servers: 32, weight: 1, skewAware: true},
+			strategy: mpcquery.GreedyPlanSkewAware(0), servers: 32, weight: 1, skewAware: true},
 		{name: "triangle-skewfree", q: mpcquery.Triangle(), db: triFree,
 			strategy: mpcquery.HyperCube(), weight: 1},
 		{name: "chain-auto", q: mpcquery.Chain(6), db: chainDB,

@@ -108,7 +108,7 @@ func TestDegenerateInputsAcrossFamilies(t *testing.T) {
 			for _, s := range degenerateStrategiesFor(q) {
 				for _, servers := range []int{1, 16} {
 					label := fmt.Sprintf("%s/%s/%s/p%d", q.Name, dbName, s.Name(), servers)
-					rep, err := Run(q, db, WithStrategy(s), WithServers(servers), WithSeed(1), WithHeavyCap(4))
+					rep, err := Run(q, db, WithStrategy(s), WithServers(servers), WithSeed(1))
 					if err != nil {
 						t.Errorf("%s: %v", label, err)
 						continue

@@ -2,8 +2,9 @@
 // and triangle queries; its reference [6] generalizes the technique to
 // arbitrary conjunctive queries by splitting every variable's domain into
 // heavy values (degree at least ⌊m_j/s_v⌋, s the skew-free grid's shares)
-// and light values and giving each heavy/light *pattern* its own HyperCube
-// block. The same planner runs SkewedStar and SkewedTriangle. This example
+// and light values, binning the heavy values by degree, and giving each
+// pattern of bins its own HyperCube block. The same planner runs SkewedStar
+// and SkewedTriangle. This example
 // runs it on a query outside the paper's cases — the chain L3 with one heavy
 // value in the middle relation, on x1 or on x2 — and compares it with the
 // vanilla (skew-free-optimal) HyperCube, both through Run.
@@ -40,7 +41,6 @@ func main() {
 			}
 			pattern, err := mpcquery.Run(q, db,
 				mpcquery.WithStrategy(mpcquery.SkewedGeneric()),
-				mpcquery.WithHeavyCap(16),
 				mpcquery.WithServers(p), mpcquery.WithSeed(3))
 			if err != nil {
 				panic(err)

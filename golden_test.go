@@ -34,7 +34,7 @@ func goldenCases() []goldenCase {
 	mk := func(q *Query, db *Database, s Strategy, fixed ...RunOption) func(...RunOption) (*Report, error) {
 		return func(extra ...RunOption) (*Report, error) {
 			opts := append([]RunOption{
-				WithStrategy(s), WithServers(16), WithSeed(seed), WithHeavyCap(8),
+				WithStrategy(s), WithServers(16), WithSeed(seed),
 			}, fixed...)
 			return Run(q, db, append(opts, extra...)...)
 		}

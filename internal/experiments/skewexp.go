@@ -53,10 +53,10 @@ func SkewedJoin(cfg Config) *Table {
 }
 
 // skewAware runs the skew-aware one-round algorithm of Section 4.2 — the
-// generic heavy/light-pattern planner on exact statistics, with no heavy
-// cap — as SkewedStar and SkewedTriangle do.
+// generic heavy/light planner on exact statistics — as SkewedStar and
+// SkewedTriangle do.
 func skewAware(q *query.Query, db *data.Database, p int, seed int64) *engine.RunRecord {
-	return skew.RunGenericPlannedNet(skew.PrepareGeneric(q, db, p, math.MaxInt), q, db, p, seed, 0, engine.Env{})
+	return skew.RunGenericPlannedNet(skew.PrepareGeneric(q, db, p), q, db, p, seed, 0, engine.Env{})
 }
 
 // starFreqBits returns the z-frequency statistics of a star query database

@@ -156,14 +156,14 @@ func executeWith(p *Plan, db *data.Database, servers int, env engine.Env,
 // multi-round skew open (Section 7); this is the natural engineering answer:
 // intermediate views can become skewed even when the input is not (joins
 // concentrate values), and per-node skew handling contains the resulting
-// hotspots. maxHeavyPerVar caps the pattern enumeration per node. The
-// per-node skew layouts (heavy-hitter statistics plus pattern grids over the
-// intermediate views) are drawn from memo — the per-node statistics
-// recomputation is the bulk of the skew-aware executor's planning cost.
-func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, capBits float64, memo Memo, env engine.Env) *engine.RunRecord {
+// hotspots. The per-node skew layouts (heavy-hitter statistics plus pattern
+// grids over the intermediate views) are drawn from memo — the per-node
+// statistics recomputation is the bulk of the skew-aware executor's planning
+// cost.
+func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, memo Memo, env engine.Env) *engine.RunRecord {
 	return executeWith(p, db, servers, env, func(n *Node, sub *data.Database, perNode, d int, env engine.Env) *engine.RunRecord {
-		gp := memo.do(fmt.Sprintf("node-skew|%s|d%d|pn%d|s%d|h%d", n.Name, d, perNode, seed, maxHeavyPerVar), func() any {
-			return skew.PrepareGeneric(n.Query, sub, perNode, maxHeavyPerVar)
+		gp := memo.do(fmt.Sprintf("node-skew|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
+			return skew.PrepareGeneric(n.Query, sub, perNode)
 		}).(*skew.GenericPlan)
 		return skew.RunGenericPlannedNet(gp, n.Query, sub, perNode, seed+int64(d), capBits, env)
 	})

@@ -13,8 +13,8 @@ import (
 
 // executeSkewAware runs the skew-aware executor in process with no cap and
 // no memo.
-func executeSkewAware(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int) *engine.RunRecord {
-	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, maxHeavyPerVar, 0, nil, engine.Env{})
+func executeSkewAware(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRecord {
+	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, 0, nil, engine.Env{})
 }
 
 // TestChainPlanDepths checks Example 5.2 and Table 3: plan depth for L_k is
@@ -349,7 +349,7 @@ func TestExecuteSkewAwareCorrect(t *testing.T) {
 	db := data.ChainMatchingDatabase(rng, 4, 400, 1<<20)
 	q := query.Chain(4)
 	plan := ChainPlan(4, 0)
-	aware := executeSkewAware(plan, db, 32, 7, 16)
+	aware := executeSkewAware(plan, db, 32, 7)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(aware.Output, want) {
 		t.Fatalf("skew-aware exec: %d vs %d tuples", aware.Output.NumTuples(), want.NumTuples())
@@ -397,7 +397,7 @@ func TestExecuteSkewAwareBeatsVanillaOnSkew(t *testing.T) {
 	q := query.Chain(4)
 	plan := ChainPlan(4, 0)
 	vanilla := Execute(plan, db, 64, 5)
-	aware := executeSkewAware(plan, db, 64, 5, 16)
+	aware := executeSkewAware(plan, db, 64, 5)
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}

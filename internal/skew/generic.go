@@ -1,34 +1,32 @@
-// Package skew implements the skew-aware one-round algorithm of Section 4.2,
-// which assumes the servers know the heavy hitters and their (approximate)
-// frequencies, as the heavy/light-pattern construction of the paper's
-// follow-up ("the BinHC algorithm", reference [6]; arXiv 1401.1872): one
-// planner, PrepareGeneric + RunGenericPlannedNet, for every connected query.
-// The star of Section 4.2.1 (the simple join is its k = 2 case) is the case
-// with one heavy variable, z; the triangle of Section 4.2.2 is C3.
+// Package skew implements the skew-aware one-round algorithm of Section 4.2
+// (servers know the heavy hitters and their approximate frequencies) as the
+// BinHC algorithm of the paper's follow-up (reference [6]; arXiv 1401.1872):
+// one planner, PrepareGeneric + RunGenericPlannedNet, for every connected
+// query. The star of Section 4.2.1 is the case with one heavy variable, z;
+// the triangle of Section 4.2.2 is C3.
 //
 // Let s be the integer HyperCube shares of the skew-free (all-light) grid on
 // p servers. A value of variable v is heavy iff its degree in some atom j
-// holding v is at least max(2, ⌊m_j/s_v⌋), the degree below which HyperCube
-// on shares s keeps its skew-free load; on a star of equal relation sizes
-// s_z = p, and the cut is the paper's m/p.
-// Every *output pattern* — an assignment of heavy values to a subset of the
-// variables, with all other variables light — gets its own HyperCube block:
+// holding v is at least max(2, ⌊m_j/s_v⌋), below which HyperCube on s keeps
+// its skew-free load (on a star of equal relation sizes, the paper's m/p).
+// Two heavy values of v share a bin iff ⌊log₂⌋ of their fragments agree in
+// every column of v: O(log p) bins per column. Every *bin pattern* — a bin
+// for each variable of a subset, all others light — gets a HyperCube block;
+// the all-light one runs on s. A pattern B of |H_B| value tuples bounds atom
+// j's fragment by its bins' largest count (the paper's M_j(h)), weighs
+// w_B = |H_B|·w(M) but at least (|H_B|−1)·W/p (W: the heavy patterns'
+// total), and gets p_B = max(1, ⌊p·w_B/W⌋) servers. Ranked in its bin by
+// weight, a pinned value falls in group rank mod g_v: g_v is the bin's size
+// K_v if p_B ≥ |H_B|, else the integer shares of p_B at exponents
+// ln K_v / ln |H_B|. Each group tuple gets a sub-block of ⌊p_B/Π g_v⌋
+// servers, a grid over the light variables shaped by the share LP.
 //
-//   - the all-light pattern runs the vanilla HyperCube on shares s;
-//   - a pattern σ fixing variables X runs the residual query on a grid over
-//     the light variables, with shares from the share LP on the residual
-//     statistics (atom j's count M_j(σ) of the pinned values) and servers
-//     allocated proportionally to the pattern's packing weight.
-//
-// Tuples route to every pattern consistent with them; output tuples are
-// produced in exactly one block (patterns partition the output), so no
-// deduplication occurs. The number of blocks is Π_v (1+|H_v|), so the heavy
-// sets are cut, lightest first, to maxPatterns blocks (and, on request, to
-// a per-variable cap). The blocks are laid back to back from server 0, on
-// the input servers as well: the layout spans max(p, Σ block sizes)
-// servers. Following the paper, the algorithm may use Θ(p) servers, a
-// constant factor more than p; loads are compared against bounds
-// parameterized by the requested p.
+// Tuples route to every sub-block consistent with them, and each output
+// tuple is produced in exactly one. The Π_v (1+bins_v) patterns are laid
+// back to back from server 0 over at most 2p + Π_v (1+bins_v) servers: the
+// algorithm may use Θ(p) servers, and loads are compared against bounds
+// parameterized by the requested p. Where every bin holds one value, the
+// plan is the per-value one: a block per heavy/light pattern.
 package skew
 
 import (
@@ -45,51 +43,58 @@ import (
 	"mpcquery/internal/query"
 )
 
-// maxPatterns bounds the heavy/light patterns of one plan.
-const maxPatterns = 4096
-
-// GenericPlan is the reusable, seed-independent part of a generalized
-// heavy/light-pattern run: the per-variable heavy sets and the full pattern
-// enumeration with grids and server offsets. Preparing it is the expensive
-// phase of the algorithm — Π_v(1+|H_v|) patterns, each with its own share-LP
-// solve — so a service caches it per (query shape, database, p, heavy cap)
-// and replays it. The plan is immutable after preparation and safe for
-// concurrent RunGenericPlannedNet calls.
+// GenericPlan is the reusable, seed-independent part of a heavy/light run:
+// the heavy values with their bins, and every bin pattern with its
+// sub-blocks and routes. Preparing it costs one share-LP solve per bin
+// pattern, so a service caches it per (query shape, database, p). It is
+// immutable and safe for concurrent RunGenericPlannedNet calls.
 type GenericPlan struct {
-	heavy        []map[int64]bool
-	patterns     []*genPattern
-	layout       hashing.Layout // patterns[i].block is layout[i]
+	heavy        []map[int64]heavyVal // per variable: heavy value → its bin and rank
+	patterns     []*binPattern
+	layout       hashing.Layout // every pattern's sub-blocks, in pattern order
 	inputServers int
 	totalServers int
 	nHeavy       int
-
-	// Routing index: atomDims[j] lists the grid dimension of each column of
-	// atom j, and routes[j] maps a tuple's heavy/light signature on those
-	// dimensions to exactly the patterns it matches. A tuple matches a
-	// pattern iff the pattern pins precisely the tuple's heavy values and
-	// leaves its light dimensions unpinned, so the signature determines the
-	// match set — routing costs O(matches) instead of O(all patterns).
-	atomDims [][]int
-	routes   []map[string][]*genPattern
+	atoms        []atomIndex
 }
 
-// appendSignature appends the heavy/light signature of vals over dims:
-// per column, either a light marker or the pinned/heavy value. get reports
-// the pinned value (pattern side) or the tuple value with its heavy flag
-// (tuple side).
-func appendSignature(buf []byte, dims []int, val func(c, d int) (int64, bool)) []byte {
-	for c, d := range dims {
-		v, heavy := val(c, d)
-		if !heavy {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1,
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return buf
+// heavyVal places a heavy value: bin is 1 + its bin's index among its
+// variable's bins (ordered by their smallest value), so the zero heavyVal
+// marks a light value, and rank is its rank in the bin (weight descending,
+// value ascending).
+type heavyVal struct{ bin, rank int }
+
+// binPattern is one output class: pinned[v] is v's bin, or -1 where v must be
+// light. blocks is a mixed-radix array over groups (the last variable
+// fastest); a value of rank r is in group r mod groups[v]. Every sub-block
+// spans all k dimensions, with share 1 on the pinned ones.
+type binPattern struct {
+	pinned []int
+	groups []int
+	blocks []*hashing.Block
 }
+
+// atomIndex routes one atom's tuples. A tuple's bin vector is the mixed-radix
+// number Σ (1+bin)·radix[c] over its heavy columns; routes[vector] lists the
+// patterns consistent with it, in pattern order. src[c] is the first column
+// of column c's variable; a later column of a repeated variable has radix 0
+// and only has to agree with the first.
+type atomIndex struct {
+	dims, radix, src []int
+	routes           [][]patternRoute
+}
+
+// patternRoute sends an atom's tuple into one pattern: to the sub-blocks
+// base+fan[i], where base is Σ (rank mod groups)·stride over cols, the
+// atom's columns of variables with several groups, and fan ranges over the
+// groups of the pinned variables the atom lacks.
+type patternRoute struct {
+	blocks []*hashing.Block
+	cols   []groupCol
+	fan    []int
+}
+
+type groupCol struct{ col, groups, stride int }
 
 // HeavyHitters returns the total number of heavy values across variables.
 func (gp *GenericPlan) HeavyHitters() int { return gp.nHeavy }
@@ -97,17 +102,15 @@ func (gp *GenericPlan) HeavyHitters() int { return gp.nHeavy }
 // ServersUsed returns the total servers the layout spans.
 func (gp *GenericPlan) ServersUsed() int { return gp.totalServers }
 
-// NumPatterns returns the number of heavy/light output patterns.
+// NumPatterns returns the number of heavy/light bin patterns.
 func (gp *GenericPlan) NumPatterns() int { return len(gp.patterns) }
 
 // PrepareGeneric computes heavy sets and the pattern layout from exact
 // column counts — the statistics and planning phase of the generic
-// algorithm, split out so its result can be cached. maxHeavyPerVar caps each
-// variable's heavy set (math.MaxInt: no cap).
-func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int) *GenericPlan {
+// algorithm, split out so its result can be cached.
+func PrepareGeneric(q *query.Query, db *data.Database, p int) *GenericPlan {
 	light := skewFreeShares(q, db, p)
-	counts := exactCounts(q, db, light)
-	return newGenericPlan(q, db, p, light, genericHeavy(q, db, light, counts, maxHeavyPerVar), counts)
+	return newGenericPlan(q, db, p, light, exactCounts(q, db, light))
 }
 
 // PrepareGenericFromStats is PrepareGeneric on estimated counts: perAtom
@@ -116,7 +119,7 @@ func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int
 // values and leaves its atom's fragments at the atom's size. Statistics only
 // drive heavy-hitter selection and server allocation; correctness never
 // depends on their accuracy — bad estimates only cost load.
-func PrepareGenericFromStats(q *query.Query, db *data.Database, p int, maxHeavyPerVar int, spec StatsSpec, perAtom []map[int64]int) *GenericPlan {
+func PrepareGenericFromStats(q *query.Query, db *data.Database, p int, spec StatsSpec, perAtom []map[int64]int) *GenericPlan {
 	counts := make([][]map[int64]int, q.NumAtoms())
 	for j, a := range q.Atoms {
 		counts[j] = make([]map[int64]int, a.Arity())
@@ -126,8 +129,7 @@ func PrepareGenericFromStats(q *query.Query, db *data.Database, p int, maxHeavyP
 			}
 		}
 	}
-	light := skewFreeShares(q, db, p)
-	return newGenericPlan(q, db, p, light, genericHeavy(q, db, light, counts, maxHeavyPerVar), counts)
+	return newGenericPlan(q, db, p, skewFreeShares(q, db, p), counts)
 }
 
 // skewFreeShares returns the integer HyperCube shares of q's all-light grid
@@ -136,7 +138,8 @@ func skewFreeShares(q *query.Query, db *data.Database, p int) []int {
 	if !q.IsConnected() {
 		panic("skew: the generic planner requires a connected query")
 	}
-	return patternShares(q, nil, statsFor(q, db, nil, nil), p)
+	allLight := slices.Repeat([]int{-1}, q.NumVars())
+	return patternShares(q, allLight, statsFor(q, db, allLight, nil, nil), p)
 }
 
 // heavyCut is the degree from which a value of a variable with share s is
@@ -184,112 +187,203 @@ func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]i
 	return counts
 }
 
-// genericHeavy returns, per variable v, the heavy set: every value whose
-// count in some column of v reaches heavyCut(m_j, light[v]), cut to the
-// maxHeavyPerVar heaviest and then, lightest first, to maxPatterns
-// patterns. A value weighs its largest fragment in bits over v's columns.
-func genericHeavy(q *query.Query, db *data.Database, light []int, counts [][]map[int64]int, maxHeavyPerVar int) []map[int64]bool {
-	bpv := data.BitsPerValue(db.N)
-	frag := make([]map[int64]float64, q.NumVars()) // per variable: heavy value -> largest fragment bits
-	for i := range frag {
-		frag[i] = make(map[int64]float64)
-	}
-	for j, a := range q.Atoms {
-		m := db.Get(a.Name).NumTuples()
-		for c, av := range a.Vars {
-			v := q.VarIndex(av)
-			for val, n := range counts[j][c] {
-				if n >= heavyCut(m, light[v]) {
-					frag[v][val] = 0
+// newGenericPlan picks the heavy values from the given counts — every value
+// whose count in some column of its variable v reaches heavyCut(m_j,
+// light[v]) — bins them, lays the bin patterns out over the servers and
+// compiles their routes. A heavy value weighs its largest fragment in bits
+// over v's columns.
+func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, counts [][]map[int64]int) *GenericPlan {
+	k, atomDims, bpv := q.NumVars(), q.AtomDims(), data.BitsPerValue(db.N)
+	gp := &GenericPlan{heavy: make([]map[int64]heavyVal, k), inputServers: p}
+	bins := make([][][]int64, k) // bins[v][b]: the values of v's bin b, by rank
+	for v := range k {
+		set := map[int64]bool{}
+		for j, dims := range atomDims {
+			for c, d := range dims {
+				for val, n := range counts[j][c] {
+					if d == v && n >= heavyCut(db.Get(q.Atoms[j].Name).NumTuples(), light[v]) {
+						set[val] = true
+					}
 				}
 			}
 		}
-	}
-	for j, a := range q.Atoms {
-		for c, av := range a.Vars {
-			v := q.VarIndex(av)
-			for val := range frag[v] {
-				frag[v][val] = max(frag[v][val], float64(counts[j][c][val]*a.Arity()*bpv))
+		gp.nHeavy += len(set)
+		w, byBin := map[int64]float64{}, map[string][]int64{}
+		for _, val := range slices.Sorted(maps.Keys(set)) {
+			// Per column of v: 1+⌊log₂ fragment bits⌋, or 0 where val is absent
+			// (Ilogb(0) is MinInt32).
+			var key []byte
+			for j, dims := range atomDims {
+				for c, d := range dims {
+					if bits := float64(counts[j][c][val] * len(dims) * bpv); d == v {
+						key = append(key, byte(max(0, 1+math.Ilogb(bits))))
+						w[val] = max(w[val], bits)
+					}
+				}
+			}
+			byBin[string(key)] = append(byBin[string(key)], val)
+		}
+		bins[v] = slices.SortedFunc(maps.Values(byBin), func(x, y []int64) int { return cmp.Compare(x[0], y[0]) })
+		gp.heavy[v] = make(map[int64]heavyVal, len(set))
+		for b, bin := range bins[v] {
+			slices.SortStableFunc(bin, func(x, y int64) int { return cmp.Compare(w[y], w[x]) })
+			for r, val := range bin {
+				gp.heavy[v][val] = heavyVal{1 + b, r}
 			}
 		}
 	}
-	// Keep the heaviest values (by fragment bits, ties by value): at most
-	// maxHeavyPerVar per variable, and no more than fit maxPatterns patterns.
-	// The rest are treated as light (correct, just with weaker load
-	// guarantees).
-	type hv struct {
-		v    int
-		val  int64
-		bits float64
+	gp.patterns = enumeratePatterns(q, db, p, light, bins, counts)
+	for _, pat := range gp.patterns {
+		gp.layout = append(gp.layout, pat.blocks...)
 	}
-	var all []hv
-	for v := range frag {
-		for val, bits := range frag[v] {
-			all = append(all, hv{v, val, bits})
-		}
-	}
-	slices.SortFunc(all, func(x, y hv) int {
-		return cmp.Or(cmp.Compare(y.bits, x.bits), cmp.Compare(x.val, y.val), cmp.Compare(x.v, y.v))
-	})
-	heavy := make([]map[int64]bool, q.NumVars())
-	for i := range heavy {
-		heavy[i] = make(map[int64]bool)
-	}
-	patterns := 1
-	for _, e := range all {
-		n := len(heavy[e.v])
-		if n >= maxHeavyPerVar {
-			continue
-		}
-		next := patterns / (n + 1) * (n + 2) // one more value of e.v
-		if next > maxPatterns {
-			break
-		}
-		patterns = next
-		heavy[e.v][e.val] = true
-	}
-	return heavy
+	last := gp.layout[len(gp.layout)-1]
+	gp.totalServers = max(p, last.Offset+last.Grid.P())
+	gp.atoms = indexAtoms(atomDims, bins, gp.patterns)
+	return gp
 }
 
-// newGenericPlan lays the heavy/light patterns of the given heavy sets out
-// over the servers and compiles their routes.
-func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, heavy []map[int64]bool, counts [][]map[int64]int) *GenericPlan {
-	atomDims := q.AtomDims()
-	patterns := enumeratePatterns(q, db, p, light, heavy, counts, atomDims)
-	layout := make(hashing.Layout, len(patterns))
-	total := 0
-	for i, pat := range patterns {
-		layout[i] = pat.block
-		total += pat.block.Grid.P()
+// enumeratePatterns builds every bin pattern with its server allocation and
+// its sub-blocks, back to back from server 0; the all-light pattern runs on
+// the shares light.
+func enumeratePatterns(q *query.Query, db *data.Database, p int, light []int, bins [][][]int64, counts [][]map[int64]int) []*binPattern {
+	k, n := q.NumVars(), 1
+	for _, b := range bins {
+		n *= 1 + len(b)
+	}
+	// Per pattern (variable 0 slowest, light before every bin): its value
+	// tuples |H_B| (a group per value of each bin for now), its statistics
+	// and its weight.
+	patterns, tuples := make([]*binPattern, n), make([]int, n)
+	stats, weights, sumW := make([][]float64, n), make([]float64, n), 0.0
+	for pi := range patterns {
+		pat := &binPattern{pinned: make([]int, k), groups: slices.Repeat([]int{1}, k)}
+		patterns[pi], tuples[pi] = pat, 1
+		for v, rest := k-1, pi; v >= 0; v-- {
+			pat.pinned[v], rest = rest%(1+len(bins[v]))-1, rest/(1+len(bins[v]))
+			if b := pat.pinned[v]; b >= 0 {
+				pat.groups[v] = len(bins[v][b])
+				tuples[pi] *= pat.groups[v]
+			}
+		}
+		if pi == 0 {
+			continue // the all-light pattern gets the full p below
+		}
+		stats[pi] = statsFor(q, db, pat.pinned, bins, counts)
+		for mask := 1; mask < 1<<uint(q.NumAtoms()); mask++ {
+			prod := 1.0
+			for j := 0; j < q.NumAtoms(); j++ {
+				if mask&(1<<uint(j)) != 0 {
+					prod *= stats[pi][j]
+				}
+			}
+			weights[pi] += prod
+		}
+		weights[pi] *= float64(tuples[pi])
+		sumW += weights[pi]
+	}
+	// A value tuple of a bin beyond its first weighs at least W/p, the one
+	// server it would get as a pattern of its own: value tuples then share p
+	// instead of adding a server each to it.
+	floor, sumW := sumW/float64(p), 0.0
+	for pi := 1; pi < len(patterns); pi++ {
+		weights[pi] = max(weights[pi], float64(tuples[pi]-1)*floor)
+		sumW += weights[pi]
 	}
 
-	nHeavy := 0
-	for i := range heavy {
-		nHeavy += len(heavy[i])
-	}
-
-	routes := make([]map[string][]*genPattern, q.NumAtoms())
-	for j, dims := range atomDims {
-		routes[j] = make(map[string][]*genPattern)
-		var buf []byte
-		for _, pat := range patterns {
-			buf = appendSignature(buf[:0], dims, func(c, d int) (int64, bool) {
-				hv, pinned := pat.assign[d]
-				return hv, pinned
-			})
-			routes[j][string(buf)] = append(routes[j][string(buf)], pat)
+	offset, atomDims := 0, q.AtomDims()
+	for pi, pat := range patterns {
+		shares, sub := light, 1
+		if pi > 0 {
+			ps := max(1, int(float64(p)*weights[pi]/sumW))
+			if ps < tuples[pi] {
+				exp := make([]float64, k)
+				for v, g := range pat.groups {
+					exp[v] = math.Log(float64(g)) / math.Log(float64(tuples[pi]))
+				}
+				pat.groups = packing.IntegerShares(exp, ps)
+			}
+			for _, g := range pat.groups {
+				sub *= g
+			}
+			shares = patternShares(q, pat.pinned, stats[pi], ps/sub)
+		}
+		// The sub-blocks share one grid and its compiled routes.
+		first := hashing.NewBlock(offset, hashing.NewGrid(shares), atomDims)
+		for range sub {
+			b := *first
+			b.Offset = offset
+			pat.blocks = append(pat.blocks, &b)
+			offset += b.Grid.P()
 		}
 	}
-	return &GenericPlan{
-		heavy:        heavy,
-		patterns:     patterns,
-		layout:       layout,
-		inputServers: p,
-		totalServers: max(p, total),
-		nHeavy:       nHeavy,
-		atomDims:     atomDims,
-		routes:       routes,
+	return patterns
+}
+
+// indexAtoms compiles every atom's route table over the patterns: a pattern
+// is consistent with exactly one bin vector of each atom, the one pinning
+// its variables' columns to its bins and leaving the others light.
+func indexAtoms(atomDims [][]int, bins [][][]int64, patterns []*binPattern) []atomIndex {
+	atoms := make([]atomIndex, len(atomDims))
+	for j, dims := range atomDims {
+		ai := atomIndex{dims: dims, radix: make([]int, len(dims)), src: make([]int, len(dims))}
+		n := 1
+		for c, d := range dims {
+			if ai.src[c] = slices.Index(dims, d); ai.src[c] == c {
+				ai.radix[c] = n
+				n *= 1 + len(bins[d])
+			}
+		}
+		ai.routes = make([][]patternRoute, n)
+		for _, pat := range patterns {
+			vec, stride := 0, len(pat.blocks)
+			r := patternRoute{blocks: pat.blocks}
+			for c, d := range dims {
+				vec += (1 + pat.pinned[d]) * ai.radix[c]
+			}
+			for v, g := range pat.groups {
+				if stride /= g; g > 1 && slices.Contains(dims, v) {
+					r.cols = append(r.cols, groupCol{slices.Index(dims, v), g, stride})
+				}
+			}
+			// The sub-blocks whose digits on the atom's variables are 0:
+			// the groups of the pinned variables the atom lacks.
+			for i := range pat.blocks {
+				if !slices.ContainsFunc(r.cols, func(c groupCol) bool { return i/c.stride%c.groups != 0 }) {
+					r.fan = append(r.fan, i)
+				}
+			}
+			ai.routes[vec] = append(ai.routes[vec], r)
+		}
+		atoms[j] = ai
 	}
+	return atoms
+}
+
+// route appends to dst the sub-blocks a tuple of atom j reaches, in layout
+// order, and returns it; ranks is scratch of at least the atom's arity.
+func (gp *GenericPlan) route(dst []*hashing.Block, j int, tuple []int64, ranks []int) []*hashing.Block {
+	ai := &gp.atoms[j]
+	vec := 0
+	for c, d := range ai.dims {
+		hv := gp.heavy[d][tuple[c]]
+		ranks[c] = hv.rank
+		if src := ai.src[c]; src == c {
+			vec += hv.bin * ai.radix[c]
+		} else if tuple[c] != tuple[src] && hv.bin+gp.heavy[d][tuple[src]].bin > 0 {
+			return dst // patterns want a repeated variable's values equal or all light
+		}
+	}
+	for i := range ai.routes[vec] {
+		r := &ai.routes[vec][i]
+		base := 0
+		for _, c := range r.cols {
+			base += ranks[c.col] % c.groups * c.stride
+		}
+		for _, f := range r.fan {
+			dst = append(dst, r.blocks[base+f])
+		}
+	}
+	return dst
 }
 
 // RunGenericPlannedNet executes the pattern-routing data round under a
@@ -300,10 +394,7 @@ func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, heavy
 // bits (Section 2.1's abort semantics; 0 = none); round delivery goes
 // through env (the zero Env = in-process, untraced).
 func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
-	heavy, atomDims, routes := gp.heavy, gp.atomDims, gp.routes
-	bpv := data.BitsPerValue(db.N)
-
-	cluster := engine.NewClusterEnv(env, gp.totalServers, bpv)
+	cluster := engine.NewClusterEnv(env, gp.totalServers, data.BitsPerValue(db.N))
 	defer cluster.Release()
 	if capBits > 0 {
 		cluster.SetLoadCap(capBits)
@@ -313,28 +404,27 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 	family := hashing.NewFamily(seed, q.NumVars())
 
 	cluster.Round("skew-generic", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		var sig []byte
+		var ranks []int
+		var dst []*hashing.Block
 		inbox.EachBatch(func(b engine.Batch) {
 			j := b.Kind
-			dims := atomDims[j]
+			if len(ranks) < b.Arity {
+				ranks = make([]int, b.Arity)
+			}
 			for off := 0; off < len(b.Vals); off += b.Arity {
 				tuple := b.Vals[off : off+b.Arity]
-				sig = appendSignature(sig[:0], dims, func(c, d int) (int64, bool) {
-					return tuple[c], heavy[d][tuple[c]]
-				})
-				for _, pat := range routes[j][string(sig)] {
-					emit.EmitRouted(pat.block, family, j, tuple)
+				dst = gp.route(dst[:0], j, tuple, ranks)
+				for _, blk := range dst {
+					emit.EmitRouted(blk, family, j, tuple)
 				}
 			}
 		})
 	})
 
-	// A block receives only the tuples that match its pattern on every
-	// column: pinned to its value where the pattern pins the variable,
-	// light where it does not. Every variable sits in some atom, so every
-	// output row of a block binds each variable to a value some matching
-	// tuple carries: every row matches the block's pattern, and no row
-	// needs filtering.
+	// A sub-block receives only the tuples that match it on every column:
+	// in the pinned bin and group where its pattern pins the variable, light
+	// where it does not. Every variable sits in some atom, so every output
+	// row of a sub-block matches it too, and no row needs filtering.
 	out := localjoin.Output(cluster, q, env, gp.layout)
 
 	rec := cluster.Record(out, inputBits(q, db))
@@ -351,92 +441,22 @@ func inputBits(q *query.Query, db *data.Database) float64 {
 	return total
 }
 
-// genPattern is one output class: variables in assign are pinned to heavy
-// values, all others must be light. Its block's grid spans all k
-// dimensions, with share 1 on the pinned ones.
-type genPattern struct {
-	assign map[int]int64
-	block  *hashing.Block
-}
-
-// enumeratePatterns builds every heavy/light pattern with its server
-// allocation and its block, the blocks back to back from server 0; the
-// all-light pattern runs on the shares light.
-func enumeratePatterns(q *query.Query, db *data.Database, p int, light []int,
-	heavy []map[int64]bool, counts [][]map[int64]int, atomDims [][]int) []*genPattern {
-	k := q.NumVars()
-	heavyVals := make([][]int64, k)
-	for i := range heavy {
-		heavyVals[i] = slices.Sorted(maps.Keys(heavy[i]))
-	}
-
-	var raw []map[int]int64
-	cur := make(map[int]int64)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == k {
-			raw = append(raw, maps.Clone(cur))
-			return
-		}
-		rec(d + 1) // d stays light
-		for _, hv := range heavyVals[d] {
-			cur[d] = hv
-			rec(d + 1)
-			delete(cur, d)
-		}
-	}
-	rec(0)
-
-	// Weight per pattern.
-	weights := make([]float64, len(raw))
-	sumW := 0.0
-	for pi, assign := range raw {
-		if len(assign) == 0 {
-			continue // the all-light pattern gets the full p below
-		}
-		stats := statsFor(q, db, assign, counts)
-		for mask := 1; mask < 1<<uint(q.NumAtoms()); mask++ {
-			prod := 1.0
-			for j := 0; j < q.NumAtoms(); j++ {
-				if mask&(1<<uint(j)) != 0 {
-					prod *= stats[j]
-				}
-			}
-			weights[pi] += prod
-		}
-		sumW += weights[pi]
-	}
-
-	out := make([]*genPattern, 0, len(raw))
-	offset := 0
-	for pi, assign := range raw {
-		shares := light
-		if len(assign) > 0 {
-			ps := 1
-			if sumW > 0 {
-				ps = max(1, int(float64(p)*weights[pi]/sumW))
-			}
-			shares = patternShares(q, assign, statsFor(q, db, assign, counts), ps)
-		}
-		grid := hashing.NewGrid(shares)
-		out = append(out, &genPattern{assign: assign, block: hashing.NewBlock(offset, grid, atomDims)})
-		offset += grid.P()
-	}
-	return out
-}
-
-// statsFor estimates every atom's fragment under a pattern, in bits: the
-// atom's full size, or, where the pattern pins some of its variables, the
-// smallest of the atom's own counts of the pinned values (the paper's
-// M_j(h)). A column without counts leaves the size.
-func statsFor(q *query.Query, db *data.Database, assign map[int]int64, counts [][]map[int64]int) []float64 {
+// statsFor bounds every atom's fragment under a pattern, in bits: the atom's
+// size, or the smallest over its pinned columns of its largest count of a
+// value of the pinned bin there (the paper's M_j(h)). A column without
+// counts leaves the size.
+func statsFor(q *query.Query, db *data.Database, pinned []int, bins [][][]int64, counts [][]map[int64]int) []float64 {
 	bpv := data.BitsPerValue(db.N)
 	stats := make([]float64, q.NumAtoms())
 	for j, a := range q.Atoms {
 		s := db.Get(a.Name).SizeBits(db.N)
 		for c, v := range a.Vars {
-			if hv, ok := assign[q.VarIndex(v)]; ok && counts[j][c] != nil {
-				s = min(s, float64(counts[j][c][hv]*a.Arity()*bpv))
+			if b := pinned[q.VarIndex(v)]; b >= 0 && counts[j][c] != nil {
+				n := 0
+				for _, val := range bins[q.VarIndex(v)][b] {
+					n = max(n, counts[j][c][val])
+				}
+				s = min(s, float64(n*a.Arity()*bpv))
 			}
 		}
 		stats[j] = max(s, 1)
@@ -444,14 +464,11 @@ func statsFor(q *query.Query, db *data.Database, assign map[int]int64, counts []
 	return stats
 }
 
-// patternShares computes integer shares over all k dims: pinned dims get
-// share 1; light dims get the share-LP solution of the residual query.
-func patternShares(q *query.Query, assign map[int]int64, stats []float64, ps int) []int {
-	k := q.NumVars()
-	sh := make([]int, k)
-	for i := range sh {
-		sh[i] = 1
-	}
+// patternShares computes integer shares over all k dims: pinned dims
+// (pinned[v] ≥ 0) get share 1; light dims get the share-LP solution of the
+// residual query.
+func patternShares(q *query.Query, pinned []int, stats []float64, ps int) []int {
+	sh := slices.Repeat([]int{1}, q.NumVars())
 	if ps < 2 {
 		return sh
 	}
@@ -463,7 +480,7 @@ func patternShares(q *query.Query, assign map[int]int64, stats []float64, ps int
 		var lightVars []string
 		seen := map[string]bool{}
 		for _, v := range a.Vars {
-			if _, pinned := assign[q.VarIndex(v)]; !pinned && !seen[v] {
+			if pinned[q.VarIndex(v)] < 0 && !seen[v] {
 				seen[v] = true
 				lightVars = append(lightVars, v)
 			}
@@ -486,32 +503,30 @@ func patternShares(q *query.Query, assign map[int]int64, stats []float64, ps int
 	return sh
 }
 
-// The star and triangle names below only keep benchmark/'s call sites
-// compiling: both queries run the generic algorithm. They go with ROADMAP
-// item 2(e), the rename that moves those call sites.
+// The star and triangle names below are the generic planner's under the
+// names benchmark/'s call sites use. They go with ROADMAP item 2(e), the
+// rename that moves those call sites.
+type (
+	TrianglePlan = GenericPlan
+	StarPlan     = GenericPlan
+)
 
-// TrianglePlan is GenericPlan; it goes with ROADMAP item 2(e).
-type TrianglePlan = GenericPlan
-
-// PrepareTriangle is PrepareGeneric with no heavy cap; it goes with ROADMAP item 2(e).
+// PrepareTriangle is PrepareGeneric.
 func PrepareTriangle(q *query.Query, db *data.Database, p int) *TrianglePlan {
-	return PrepareGeneric(q, db, p, math.MaxInt)
+	return PrepareGeneric(q, db, p)
 }
 
-// RunTrianglePlannedNet is RunGenericPlannedNet; it goes with ROADMAP item 2(e).
+// RunTrianglePlannedNet is RunGenericPlannedNet.
 func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	return RunGenericPlannedNet(tp, q, db, p, seed, capBits, env)
 }
 
-// StarPlan is GenericPlan; it goes with ROADMAP item 2(e).
-type StarPlan = GenericPlan
-
-// PrepareStarWithFrequencies is PrepareGenericFromStats on StarStatsSpec's columns with no heavy cap; it goes with ROADMAP item 2(e).
+// PrepareStarWithFrequencies is PrepareGenericFromStats on StarStatsSpec's columns.
 func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs []map[int64]int) *StarPlan {
-	return PrepareGenericFromStats(q, db, p, math.MaxInt, StarStatsSpec(q, db, p), freqs)
+	return PrepareGenericFromStats(q, db, p, StarStatsSpec(q, db, p), freqs)
 }
 
-// RunStarPlannedNet is RunGenericPlannedNet; it goes with ROADMAP item 2(e).
+// RunStarPlannedNet is RunGenericPlannedNet.
 func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
 	return RunGenericPlannedNet(sp, q, db, p, seed, capBits, env)
 }

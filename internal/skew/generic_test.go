@@ -11,16 +11,17 @@ import (
 	"mpcquery/internal/query"
 )
 
-// runGeneric prepares and runs the generic algorithm in process with no cap.
-func runGeneric(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int) *engine.RunRecord {
-	return RunGenericPlannedNet(PrepareGeneric(q, db, p, maxHeavyPerVar), q, db, p, seed, 0, engine.Env{})
+// runGeneric prepares and runs the generic algorithm in process with no
+// load cap.
+func runGeneric(q *query.Query, db *data.Database, p int, seed int64) *engine.RunRecord {
+	return RunGenericPlannedNet(PrepareGeneric(q, db, p), q, db, p, seed, 0, engine.Env{})
 }
 
 func TestGenericNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, q := range []*query.Query{query.Triangle(), query.Chain(3), query.Star(3)} {
 		db := data.MatchingDatabase(rng, q, 400, 1<<20)
-		res := runGeneric(q, db, 16, 7, 16)
+		res := runGeneric(q, db, 16, 7)
 		if !data.Equal(res.Output, core.SequentialAnswer(q, db)) {
 			t.Errorf("%s: generic output mismatch", q.Name)
 		}
@@ -35,7 +36,7 @@ func TestGenericStarSkew(t *testing.T) {
 	q := query.Star(2)
 	m := 500
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m / 2, 9: m / 4})
-	res := runGeneric(q, db, 16, 3, 16)
+	res := runGeneric(q, db, 16, 3)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -49,7 +50,7 @@ func TestGenericTriangleSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := query.Triangle()
 	db := data.SkewedTriangleDatabase(rng, 500, 1<<20, 5, 150)
-	res := runGeneric(q, db, 27, 5, 16)
+	res := runGeneric(q, db, 27, 5)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -77,7 +78,7 @@ func TestGenericChainSkew(t *testing.T) {
 	db.Add(data.RandomMatching(rng, "S1", 2, m, n))
 	db.Add(s2)
 	db.Add(data.RandomMatching(rng, "S3", 2, m, n))
-	res := runGeneric(q, db, 16, 9, 16)
+	res := runGeneric(q, db, 16, 9)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic chain: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -99,23 +100,11 @@ func TestGenericDenseRandom(t *testing.T) {
 			}
 			db.Add(rel)
 		}
-		res := runGeneric(q, db, 8, seed, 8)
+		res := runGeneric(q, db, 8, seed)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGenericHeavyCap(t *testing.T) {
-	// With the cap at 1 heavy value per variable, extra heavy values are
-	// treated as light — output must still be correct.
-	rng := rand.New(rand.NewSource(6))
-	q := query.Star(2)
-	db := data.SkewedStarDatabase(rng, 2, 400, 1<<20, map[int64]int{7: 120, 9: 100, 11: 80})
-	res := runGeneric(q, db, 8, 3, 1)
-	if !data.Equal(res.Output, core.SequentialAnswer(q, db)) {
-		t.Fatal("capped heavy sets broke correctness")
 	}
 }
 
@@ -126,7 +115,7 @@ func TestGenericBeatsVanillaUnderSkew(t *testing.T) {
 	p := 16
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
 	vanilla := core.Run(q, db, p, 3, core.SkewFree)
-	gen := runGeneric(q, db, p, 3, 16)
+	gen := runGeneric(q, db, p, 3)
 	if !data.Equal(vanilla.Output, gen.Output) {
 		t.Fatal("outputs differ")
 	}

@@ -1,15 +1,19 @@
 package skew
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
+	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
+	"mpcquery/internal/hashing"
+	"mpcquery/internal/localjoin/baseline"
 	"mpcquery/internal/query"
 )
 
@@ -39,77 +43,181 @@ func skewedTriDB(seed int64, m int, n int64, h, cnt int) *data.Database {
 	return db
 }
 
-// matches reports whether a tuple of an atom (with the given variable dims)
-// is consistent with the pattern: pinned to its value where the pattern pins
-// the variable, light where it does not.
-func (pat *genPattern) matches(dims []int, tuple []int64, heavy []map[int64]bool) bool {
-	for c, d := range dims {
-		if hv, pinned := pat.assign[d]; pinned {
-			if tuple[c] != hv {
-				return false
+// bruteRoute is the routing index's specification: a tuple of atom j
+// belongs to sub-block i of a pattern iff every column of a variable the
+// pattern pins holds a heavy value in the pinned bin and in sub-block i's
+// group for the variable (the mixed-radix digits of i over the pattern's
+// groups, the last variable fastest), every other column is light, and a
+// pinned variable repeated in the atom holds one value in all its columns.
+// A pinned variable the atom lacks constrains nothing. The sub-blocks are
+// listed in layout order.
+func (gp *GenericPlan) bruteRoute(j int, tuple []int64) []*hashing.Block {
+	var out []*hashing.Block
+	for _, pat := range gp.patterns {
+		for i, blk := range pat.blocks {
+			group := make([]int, len(pat.groups))
+			for v, rest := len(group)-1, i; v >= 0; v-- {
+				group[v], rest = rest%pat.groups[v], rest/pat.groups[v]
 			}
-		} else if heavy[d][tuple[c]] {
-			return false
+			in := true
+			dims := gp.atoms[j].dims
+			for c, d := range dims {
+				hv, heavy := gp.heavy[d][tuple[c]]
+				if pat.pinned[d] < 0 {
+					in = in && !heavy
+				} else {
+					in = in && heavy && hv.bin == 1+pat.pinned[d] && hv.rank%pat.groups[d] == group[d] &&
+						tuple[c] == tuple[slices.Index(dims, d)]
+				}
+			}
+			if in {
+				out = append(out, blk)
+			}
 		}
 	}
-	return true
+	return out
+}
+
+// heavySets returns the plan's heavy values per variable.
+func (gp *GenericPlan) heavySets() []map[int64]bool {
+	sets := make([]map[int64]bool, len(gp.heavy))
+	for v, vals := range gp.heavy {
+		sets[v] = map[int64]bool{}
+		for val := range vals {
+			sets[v][val] = true
+		}
+	}
+	return sets
+}
+
+// binSizes returns, per variable, the number of heavy values in each bin.
+func (gp *GenericPlan) binSizes() [][]int {
+	sizes := make([][]int, len(gp.heavy))
+	for v, vals := range gp.heavy {
+		for _, hv := range vals {
+			for len(sizes[v]) < hv.bin {
+				sizes[v] = append(sizes[v], 0)
+			}
+			sizes[v][hv.bin-1]++
+		}
+	}
+	return sizes
 }
 
 // TestGenericRouteIndexMatchesBruteForce pins the routing index to its
-// specification: for every tuple of every relation, the pattern list under
-// the tuple's heavy/light signature must be exactly the patterns the
-// brute-force matches predicate accepts, in enumeration order. At p = 64
-// the skew-free shares are 4/4/4, so the cut is 100: the value 1 of every
-// variable (degree 120) is heavy and the 160 random tuples per relation
-// are light, which yields the signatures light-light, heavy-light and
-// light-heavy.
+// specification: for every tuple of every relation, the sub-blocks the
+// index routes it to must be exactly those bruteRoute accepts, in layout
+// order. The input is the dense bipartite C3 with two more x1 values of
+// degree 12 in S1 and S3, at p = 1024: x1 has two bins of eight values of
+// degree 8 (one per relation) and a bin of the two heavier values, x2 and
+// x3 one bin of eight each. The instance must cover both group branches on
+// multi-value bins — every value tuple its own sub-block (p_B ≥ |H_B|), and
+// fewer groups than values (p_B < |H_B|) — and a pattern pinning, with
+// several groups, a variable the routed atom lacks.
 func TestGenericRouteIndexMatchesBruteForce(t *testing.T) {
 	q := query.Triangle()
-	db := skewedTriDB(7, 400, 1<<16, 1, 120)
-	gp := PrepareGeneric(q, db, 64, 6)
+	db := denseBipartiteTriDB()
+	for _, name := range []string{"S1", "S3"} {
+		rel := db.Get(name)
+		for i := 0; i < 12; i++ {
+			for _, x := range []int64{200, 201} {
+				if name == "S1" {
+					rel.Append(x, 210+int64(i))
+				} else {
+					rel.Append(220+int64(i), x)
+				}
+			}
+		}
+	}
+	gp := PrepareGeneric(q, db, 1024)
+	sizes := gp.binSizes()
 
-	checked := 0
-	classes := map[string]int{} // per signature class, e.g. "HL": tuples checked
+	var perValue, grouped, fanned int // tuples routed into each kind of pattern
+	ranks := make([]int, 2)
 	for j, a := range q.Atoms {
 		rel := db.Get(a.Name)
-		dims := gp.atomDims[j]
-		var sig []byte
 		for i := 0; i < rel.NumTuples(); i++ {
 			tuple := rel.Tuple(i)
-			sig = appendSignature(sig[:0], dims, func(c, d int) (int64, bool) {
-				return tuple[c], gp.heavy[d][tuple[c]]
-			})
-			indexed := gp.routes[j][string(sig)]
-			var brute []*genPattern
+			indexed, brute := gp.route(nil, j, tuple, ranks), gp.bruteRoute(j, tuple)
+			if !slices.Equal(indexed, brute) {
+				t.Fatalf("atom %d tuple %v: index routes to %d sub-blocks, brute force to %d (or the order diverges)", j, tuple, len(indexed), len(brute))
+			}
 			for _, pat := range gp.patterns {
-				if pat.matches(dims, tuple, gp.heavy) {
-					brute = append(brute, pat)
+				if !slices.ContainsFunc(pat.blocks, func(b *hashing.Block) bool { return slices.Contains(brute, b) }) {
+					continue
+				}
+				multi, split := false, false
+				for v, b := range pat.pinned {
+					if b >= 0 && sizes[v][b] > 1 {
+						multi = true
+						split = split || pat.groups[v] < sizes[v][b]
+						if pat.groups[v] > 1 && !slices.Contains(gp.atoms[j].dims, v) {
+							fanned++
+						}
+					}
+				}
+				switch {
+				case split:
+					grouped++
+				case multi:
+					perValue++
 				}
 			}
-			if len(indexed) != len(brute) {
-				t.Fatalf("atom %d tuple %v: index has %d patterns, brute force %d", j, tuple, len(indexed), len(brute))
-			}
-			for k := range brute {
-				if indexed[k] != brute[k] {
-					t.Fatalf("atom %d tuple %v: pattern order diverges at %d", j, tuple, k)
-				}
-			}
-			class := ""
-			for c, d := range dims {
-				class += map[bool]string{false: "L", true: "H"}[gp.heavy[d][tuple[c]]]
-			}
-			classes[class]++
-			checked++
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no tuples checked")
+	t.Logf("%d patterns on %d servers; tuples into per-value patterns %d, grouped patterns %d, fanned out %d",
+		gp.NumPatterns(), gp.ServersUsed(), perValue, grouped, fanned)
+	if perValue == 0 || grouped == 0 || fanned == 0 {
+		t.Errorf("the instance misses a case: per-value %d, grouped %d, fanned out %d — want all > 0", perValue, grouped, fanned)
 	}
-	t.Logf("tuples checked per signature class: %v", classes)
-	for _, class := range []string{"LL", "HL", "LH"} {
-		if classes[class] == 0 {
-			t.Errorf("no %s tuple checked (classes %v)", class, classes)
+}
+
+// TestGenericRepeatedVariableRoutes holds the route of an atom with a
+// repeated variable, R(x, x) joined with S(x, y), to bruteRoute: R's tuples
+// with two equal heavy values reach their patterns, and those mixing two
+// heavy values, or a heavy and a light one, reach none, since every pattern
+// wants both columns pinned to one value or both light. The output is the
+// reference evaluator's.
+func TestGenericRepeatedVariableRoutes(t *testing.T) {
+	q := query.New("rep", query.Atom{Name: "R", Vars: []string{"x", "x"}}, query.Atom{Name: "S", Vars: []string{"x", "y"}})
+	rng := rand.New(rand.NewSource(5))
+	db := data.NewDatabase(1 << 16)
+	r, sRel := data.NewRelation("R", 2), data.NewRelation("S", 2)
+	for i := range 240 {
+		sRel.Append(int64(1+i%4), 1000+rng.Int63n(1<<15))
+		sRel.Append(1000+rng.Int63n(1<<15), 1000+rng.Int63n(1<<15))
+	}
+	for _, pair := range [][2]int64{{1, 1}, {2, 2}, {1, 2}, {3, 5000}, {5000, 3}, {5000, 5001}, {5002, 5002}} {
+		for range 20 {
+			r.Append(pair[0], pair[1])
 		}
+	}
+	db.Add(r)
+	db.Add(sRel)
+	gp := PrepareGeneric(q, db, 16)
+	if gp.HeavyHitters() == 0 {
+		t.Fatal("no heavy value of x")
+	}
+	mixed, ranks := 0, make([]int, 2)
+	for j, a := range q.Atoms {
+		rel := db.Get(a.Name)
+		for i := 0; i < rel.NumTuples(); i++ {
+			tuple := rel.Tuple(i)
+			indexed, brute := gp.route(nil, j, tuple, ranks), gp.bruteRoute(j, tuple)
+			if !slices.Equal(indexed, brute) {
+				t.Fatalf("atom %d tuple %v: index routes to %d sub-blocks, brute force to %d (or the order diverges)", j, tuple, len(indexed), len(brute))
+			}
+			if _, heavy := gp.heavy[0][tuple[0]]; j == 0 && tuple[0] != tuple[1] && heavy && len(indexed) == 0 {
+				mixed++
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Error("no R tuple mixing a heavy value with another value was checked")
+	}
+	rec := RunGenericPlannedNet(gp, q, db, 16, 3, 0, engine.Env{})
+	if want := baseline.Evaluate(q, map[string]*data.Relation{"R": r, "S": sRel}); !data.EqualMultiset(rec.Output, want) {
+		t.Fatalf("output: %d tuples, reference %d", rec.Output.NumTuples(), want.NumTuples())
 	}
 }
 
@@ -127,7 +235,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	sp := refPrepareStar(star, starDB, 16)
 	a := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
 	b := RunStarPlannedNet(sp, star, starDB, 16, 5, 0, engine.Env{})
-	c := runGeneric(star, starDB, 16, 5, math.MaxInt)
+	c := runGeneric(star, starDB, 16, 5)
 	if a.MaxLoadBits() != c.MaxLoadBits() || a.TotalBits() != c.TotalBits() || !data.EqualMultiset(a.Output, c.Output) {
 		t.Error("star: prepared run differs from one-shot run")
 	}
@@ -143,7 +251,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	triDB := data.SkewedTriangleDatabase(rng, 500, n, 7, 60)
 	tp := PrepareTriangle(tri, triDB, 16)
 	ta := RunTrianglePlannedNet(tp, tri, triDB, 16, 5, 0, engine.Env{})
-	tc := runGeneric(tri, triDB, 16, 5, math.MaxInt)
+	tc := runGeneric(tri, triDB, 16, 5)
 	if ta.MaxLoadBits() != tc.MaxLoadBits() || ta.TotalBits() != tc.TotalBits() || !data.EqualMultiset(ta.Output, tc.Output) {
 		t.Error("triangle: prepared run differs from one-shot run")
 	}
@@ -155,9 +263,9 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	// 1 of x1 (degree 140) is heavy, and 260 of the 400 tuples of S1 and S3
 	// and all of S2 are light.
 	genDB := skewedTriDB(11, 400, n, 1, 140)
-	gp := PrepareGeneric(tri, genDB, 16, 6)
+	gp := PrepareGeneric(tri, genDB, 16)
 	ga := RunGenericPlannedNet(gp, tri, genDB, 16, 5, 0, engine.Env{})
-	gc := runGeneric(tri, genDB, 16, 5, 6)
+	gc := runGeneric(tri, genDB, 16, 5)
 	if ga.MaxLoadBits() != gc.MaxLoadBits() || ga.TotalBits() != gc.TotalBits() || !data.EqualMultiset(ga.Output, gc.Output) {
 		t.Error("generic: prepared run differs from one-shot run")
 	}
@@ -252,17 +360,11 @@ func refPrepareStar(q *query.Query, db *data.Database, p int) *GenericPlan {
 	return PrepareStarWithFrequencies(q, db, p, freqs)
 }
 
-// refGenericHeavy is genericHeavy from full maps — a value of variable v is
-// heavy iff its count in some column of v reaches max(2, ⌊m_j/light[v]⌋) —
-// the cut to maxHeavyPerVar by (bits descending, value ascending) included,
-// a value's bits being its largest count over v's columns times the tuple
-// width. Then, while the heavy sets span more than maxPatterns patterns, it
-// drops the lightest heavy value left, across variables, in the order (bits
-// descending, value ascending, variable ascending). It also returns every
-// column's full counts.
-func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPerVar int) ([]map[int64]bool, [][]map[int64]int) {
+// refGenericHeavy picks the heavy values from full maps: a value of variable
+// v is heavy iff its count in some column of v reaches
+// max(2, ⌊m_j/light[v]⌋). It also returns every column's full counts.
+func refGenericHeavy(q *query.Query, db *data.Database, light []int) ([]map[int64]bool, [][]map[int64]int) {
 	heavy := make([]map[int64]bool, q.NumVars())
-	freqBits := make([]map[int64]float64, q.NumVars())
 	counts := make([][]map[int64]int, q.NumAtoms())
 	for j, a := range q.Atoms {
 		counts[j] = make([]map[int64]int, a.Arity())
@@ -270,66 +372,16 @@ func refGenericHeavy(q *query.Query, db *data.Database, light []int, maxHeavyPer
 			counts[j][c] = refCounts(db.Get(a.Name), c)
 		}
 	}
-	bpv := data.BitsPerValue(db.N)
 	for i, v := range q.Vars() {
-		heavy[i], freqBits[i] = map[int64]bool{}, map[int64]float64{}
+		heavy[i] = map[int64]bool{}
 		for _, j := range q.AtomsOf(v) {
 			atom := q.Atoms[j]
-			rel := db.Get(atom.Name)
 			for val, c := range counts[j][colOf(atom, v)] {
-				freqBits[i][val] = max(freqBits[i][val], float64(c)*float64(atom.Arity()*bpv))
-				if c >= max(2, rel.NumTuples()/light[i]) {
+				if c >= max(2, db.Get(atom.Name).NumTuples()/light[i]) {
 					heavy[i][val] = true
 				}
 			}
 		}
-		if len(heavy[i]) > maxHeavyPerVar {
-			vals := make([]int64, 0, len(heavy[i]))
-			for val := range heavy[i] {
-				vals = append(vals, val)
-			}
-			sort.Slice(vals, func(a, b int) bool {
-				if ba, bb := freqBits[i][vals[a]], freqBits[i][vals[b]]; ba != bb {
-					return ba > bb
-				}
-				return vals[a] < vals[b]
-			})
-			heavy[i] = map[int64]bool{}
-			for _, val := range vals[:maxHeavyPerVar] {
-				heavy[i][val] = true
-			}
-		}
-	}
-	type hv struct {
-		v   int
-		val int64
-	}
-	var kept []hv
-	for i := range heavy {
-		for val := range heavy[i] {
-			kept = append(kept, hv{i, val})
-		}
-	}
-	sort.Slice(kept, func(a, b int) bool {
-		x, y := kept[a], kept[b]
-		if bx, by := freqBits[x.v][x.val], freqBits[y.v][y.val]; bx != by {
-			return bx > by
-		}
-		if x.val != y.val {
-			return x.val < y.val
-		}
-		return x.v < y.v
-	})
-	patterns := func() int {
-		n := 1
-		for i := range heavy {
-			n *= 1 + len(heavy[i])
-		}
-		return n
-	}
-	for ; patterns() > maxPatterns; kept = kept[:len(kept)-1] {
-		last := kept[len(kept)-1]
-		delete(heavy[last.v], last.val)
 	}
 	return heavy, counts
 }
@@ -352,7 +404,8 @@ func sameHeavyCounts(t *testing.T, q *query.Query, heavy []map[int64]bool, count
 // denseBipartiteTriDB makes every relation of C3 the complete 8×8 bipartite
 // graph on its own value blocks (64 tuples each). At p = 512 the skew-free
 // shares are 8/8/8, so every value reaches the cut 64/8 = 8, and each
-// variable has 16 heavy values: 17³ = 4913 patterns, above maxPatterns.
+// variable has 16 heavy values of one weight: 17³ = 4913 value patterns,
+// but 2³ bin patterns.
 func denseBipartiteTriDB() *data.Database {
 	db := data.NewDatabase(1 << 8)
 	for j, a := range query.Triangle().Atoms {
@@ -367,36 +420,120 @@ func denseBipartiteTriDB() *data.Database {
 	return db
 }
 
-// TestGenericHeavyTrimMatchesMapReference pins which heavy values the
-// pattern trim keeps: on the dense bipartite C3 at p = 512, where the 48
-// heavy values span 4913 patterns, genericHeavy must keep exactly the
-// values refGenericHeavy keeps, and the plan must be the reference's.
-func TestGenericHeavyTrimMatchesMapReference(t *testing.T) {
-	const p = 512
-	q := query.Triangle()
-	db := denseBipartiteTriDB()
-	light := patternShares(q, nil, statsFor(q, db, nil, nil), p)
-	counts := exactCounts(q, db, light)
-	heavy := genericHeavy(q, db, light, counts, math.MaxInt)
-	wantHeavy, wantCounts := refGenericHeavy(q, db, light, math.MaxInt)
-	if !reflect.DeepEqual(heavy, wantHeavy) {
-		t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
+// checkBins holds a plan's bins to their definition: two heavy values of a
+// variable share a bin iff ⌊log₂⌋ of their fragments in bits agree in every
+// column of the variable (a column without the value counting as its own
+// class), a variable's bins are ordered by their smallest value, and a bin's
+// values are ranked by (weight descending, value ascending), a value's
+// weight being its largest fragment in bits. It returns the number of bins
+// per variable.
+func checkBins(t *testing.T, gp *GenericPlan, q *query.Query, db *data.Database, heavy []map[int64]bool, counts [][]map[int64]int) []int {
+	t.Helper()
+	bpv := data.BitsPerValue(db.N)
+	nbins := make([]int, len(heavy))
+	for v := range heavy {
+		w, byBin := map[int64]float64{}, map[string][]int64{}
+		for val := range heavy[v] {
+			var key []int
+			for j, a := range q.Atoms {
+				for c, av := range a.Vars {
+					if bits := float64(counts[j][c][val] * a.Arity() * bpv); q.VarIndex(av) == v {
+						key = append(key, -1)
+						if bits > 0 {
+							key[len(key)-1] = int(math.Floor(math.Log2(bits)))
+						}
+						w[val] = max(w[val], bits)
+					}
+				}
+			}
+			byBin[fmt.Sprint(key)] = append(byBin[fmt.Sprint(key)], val)
+		}
+		var order [][]int64
+		for _, vals := range byBin {
+			slices.SortFunc(vals, func(x, y int64) int { return cmp.Or(cmp.Compare(w[y], w[x]), cmp.Compare(x, y)) })
+			order = append(order, vals)
+		}
+		slices.SortFunc(order, func(x, y []int64) int { return cmp.Compare(slices.Min(x), slices.Min(y)) })
+		want := map[int64]heavyVal{}
+		for b, vals := range order {
+			for r, val := range vals {
+				want[val] = heavyVal{1 + b, r}
+			}
+		}
+		if !reflect.DeepEqual(gp.heavy[v], want) {
+			t.Fatalf("variable %d: bins and ranks %v, want %v", v, gp.heavy[v], want)
+		}
+		nbins[v] = len(order)
 	}
-	sameHeavyCounts(t, q, heavy, counts, wantCounts)
-	n, patterns := 0, 1
-	for i := range heavy {
-		n += len(heavy[i])
-		patterns *= 1 + len(heavy[i])
+	return nbins
+}
+
+// TestGenericDenseBinBounds holds the bin layout to its bounds on inputs
+// with many heavy values: the heavy sets are the map reference's, uncut;
+// the plan has at most Π_v (1+bins_v) patterns on at most 2p + NumPatterns
+// servers (checkServers); the output is the reference evaluator's; and the
+// load stays at or below oblivious HyperCube's on p servers. The rows are the
+// dense bipartite C3 (48 heavy values at p = 512, none at p = 64) and a T2
+// whose hitters have degrees 2^i·m/p, i = 0…4 (two each at i ≤ 1), which
+// spread over several bins.
+func TestGenericDenseBinBounds(t *testing.T) {
+	type row struct {
+		name  string
+		q     *query.Query
+		db    *data.Database
+		p     int
+		heavy int // heavy values the row must have
 	}
-	if n >= 48 || patterns > maxPatterns {
-		t.Fatalf("%d heavy values on %d patterns: the trim did not fire, or left more than %d patterns", n, patterns, maxPatterns)
+	const m, starP = 4000, 64
+	hitters := map[int64]int{}
+	for i, n := range []int{2, 2, 1, 1, 1} {
+		for c := range n {
+			hitters[int64(10*i+c+1)] = m / starP << i
+		}
 	}
-	got, want := PrepareGeneric(q, db, p, math.MaxInt), newGenericPlan(q, db, p, light, wantHeavy, wantCounts)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
-			got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())
+	star := data.SkewedStarDatabase(rand.New(rand.NewSource(7)), 2, m, 16*m, hitters)
+	rows := []row{
+		{"C3-dense", query.Triangle(), denseBipartiteTriDB(), 64, 0},
+		{"C3-dense", query.Triangle(), denseBipartiteTriDB(), 512, 48},
+		{"T2-spread", query.Star(2), star, starP, 7},
 	}
-	t.Logf("kept %d of 48 heavy values: %d patterns", n, patterns)
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%s/p=%d", r.name, r.p), func(t *testing.T) {
+			q, db, p := r.q, r.db, r.p
+			light := skewFreeShares(q, db, p)
+			gp := PrepareGeneric(q, db, p)
+			heavy, wantCounts := refGenericHeavy(q, db, light)
+			if got := gp.heavySets(); !reflect.DeepEqual(got, heavy) {
+				t.Fatalf("heavy sets %v, map reference %v", got, heavy)
+			}
+			sameHeavyCounts(t, q, heavy, exactCounts(q, db, light), wantCounts)
+			if gp.HeavyHitters() != r.heavy {
+				t.Fatalf("%d heavy values, want %d", gp.HeavyHitters(), r.heavy)
+			}
+			bound := 1
+			for _, n := range checkBins(t, gp, q, db, heavy, wantCounts) {
+				bound *= 1 + n
+			}
+			if gp.NumPatterns() > bound {
+				t.Errorf("%d patterns above Π(1+bins) = %d", gp.NumPatterns(), bound)
+			}
+			rec := RunGenericPlannedNet(gp, q, db, p, 7, 0, engine.Env{})
+			checkServers(t, rec, p, gp)
+			rels := map[string]*data.Relation{}
+			for _, a := range q.Atoms {
+				rels[a.Name] = db.Get(a.Name)
+			}
+			if want := baseline.Evaluate(q, rels); !data.EqualMultiset(rec.Output, want) {
+				t.Fatalf("output: %d tuples, reference %d", rec.Output.NumTuples(), want.NumTuples())
+			}
+			hc := core.Run(q, db, p, 7, core.SkewOblivious).MaxLoadBits()
+			if got := rec.MaxLoadBits(); got > hc {
+				t.Errorf("MaxLoadBits %v above oblivious HyperCube's %v", got, hc)
+			}
+			t.Logf("%d heavy values in bins %v: %d patterns on %d servers, MaxLoadBits %v (oblivious HyperCube %v)",
+				gp.HeavyHitters(), checkBins(t, gp, q, db, heavy, wantCounts), gp.NumPatterns(), gp.ServersUsed(), rec.MaxLoadBits(), hc)
+		})
+	}
 }
 
 // unevenDB fills q's binary atoms with relations of 300, 3000 and 900 tuples
@@ -445,7 +582,7 @@ func unevenDB(q *query.Query, rng *rand.Rand, div []int, planted int64) *data.Da
 // largest count sits in a column where it is below that column's floor (of
 // the relation's size and the variable's index) — the pairs only an exact
 // lookup in the other column gets right.
-func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floor func(m, v int) float64) int {
+func lightMaxima[V any](q *query.Query, db *data.Database, heavy []map[int64]V, floor func(m, v int) float64) int {
 	n := 0
 	for i, v := range q.Vars() {
 		for val := range heavy[i] {
@@ -466,10 +603,11 @@ func lightMaxima(q *query.Query, db *data.Database, heavy []map[int64]bool, floo
 
 // TestPlansMatchMapReference holds the sort-and-count preparation to the map
 // code it replaced, over 60 seeds of relations with unequal sizes: the plans
-// are deeply equal (heavy sets, block and pattern offsets, grids, routes),
-// their accessors agree, and running them moves the same bits.
+// are deeply equal (heavy sets and bins, pattern and sub-block offsets,
+// grids, routes), their accessors agree, and running them moves the same
+// bits.
 func TestPlansMatchMapReference(t *testing.T) {
-	const p, starP, seeds, heavyCap = 16, 64, 60, 2
+	const p, starP, seeds = 16, 64, 60
 	sameRun := func(t *testing.T, got, want *engine.RunRecord) {
 		t.Helper()
 		if got.TotalBits() != want.TotalBits() || got.MaxLoadBits() != want.MaxLoadBits() ||
@@ -479,12 +617,13 @@ func TestPlansMatchMapReference(t *testing.T) {
 				want.TotalBits(), want.MaxLoadBits(), want.HeavyHitters, want.ServersUsed)
 		}
 	}
-	// The skew-free C3 grid's shares depend only on the relation sizes,
-	// which unevenDB fixes per atom index.
+	// The skew-free grid's shares depend only on the relation sizes, which
+	// unevenDB fixes per atom index.
 	tri := query.Triangle()
-	light := patternShares(tri, nil, statsFor(tri, unevenDB(tri, rand.New(rand.NewSource(0)), []int{1, 1, 1}, 0), nil, nil), p)
-	shareFloor := func(m, v int) float64 { return float64(heavyCut(m, light[v])) }
-	var starLight, genLight, genCut int
+	skewFree := func(p int) []int {
+		return skewFreeShares(tri, unevenDB(tri, rand.New(rand.NewSource(0)), []int{1, 1, 1}, 0), p)
+	}
+	var starLight, genLight, multiBins int
 	for seed := int64(1); seed <= seeds; seed++ {
 		// The run is a pure function of the plan, compared in depth on every
 		// seed; executing both on every fifth keeps the race job affordable.
@@ -502,7 +641,7 @@ func TestPlansMatchMapReference(t *testing.T) {
 				}
 				div[0] = skewFreeShares(q, unevenDB(q, rand.New(rand.NewSource(0)), div, 0), starP)[0]
 				db := unevenDB(q, rand.New(rand.NewSource(seed)), div, 3)
-				got, want := PrepareGeneric(q, db, starP, math.MaxInt), refPrepareStar(q, db, starP)
+				got, want := PrepareGeneric(q, db, starP), refPrepareStar(q, db, starP)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("plan differs from the map reference: heavy %v at %d servers, want %v at %d",
 						got.heavy, got.totalServers, want.heavy, want.totalServers)
@@ -516,27 +655,26 @@ func TestPlansMatchMapReference(t *testing.T) {
 				starLight += lightMaxima(q, db, got.heavy, func(m, _ int) float64 { return float64(heavyCut(m, div[0])) })
 			})
 		}
-		// The triangle front door (PrepareTriangle: the generic planner with
-		// no heavy cap) and the generic planner at a cap that cuts.
+		// The triangle front door (PrepareTriangle) at p, and the generic
+		// planner at starP, where the cuts are lower and more values share
+		// a bin.
 		for _, c := range []struct {
-			name     string
-			heavyCap int
-			prepare  func(q *query.Query, db *data.Database) *GenericPlan
+			name    string
+			p       int
+			prepare func(q *query.Query, db *data.Database, p int) *GenericPlan
 		}{
-			{"triangle", math.MaxInt, func(q *query.Query, db *data.Database) *GenericPlan { return PrepareTriangle(q, db, p) }},
-			{"generic", heavyCap, func(q *query.Query, db *data.Database) *GenericPlan { return PrepareGeneric(q, db, p, heavyCap) }},
+			{"triangle", p, PrepareTriangle},
+			{"generic", starP, PrepareGeneric},
 		} {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
-				q := tri
+				q, p, light := tri, c.p, skewFree(c.p)
 				db := unevenDB(q, rand.New(rand.NewSource(seed)), light, 5)
-				counts := exactCounts(q, db, light)
-				heavy := genericHeavy(q, db, light, counts, c.heavyCap)
-				wantHeavy, wantCounts := refGenericHeavy(q, db, light, c.heavyCap)
-				if !reflect.DeepEqual(heavy, wantHeavy) {
-					t.Fatalf("heavy sets %v, map reference %v", heavy, wantHeavy)
+				heavy, wantCounts := refGenericHeavy(q, db, light)
+				got, want := c.prepare(q, db, p), newGenericPlan(q, db, p, light, wantCounts)
+				if !reflect.DeepEqual(got.heavySets(), heavy) {
+					t.Fatalf("heavy sets %v, map reference %v", got.heavySets(), heavy)
 				}
-				sameHeavyCounts(t, q, heavy, counts, wantCounts)
-				got, want := c.prepare(q, db), newGenericPlan(q, db, p, light, wantHeavy, wantCounts)
+				sameHeavyCounts(t, q, heavy, exactCounts(q, db, light), wantCounts)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("plan differs from the map reference: %d patterns on %d servers, want %d on %d",
 						got.NumPatterns(), got.ServersUsed(), want.NumPatterns(), want.ServersUsed())
@@ -547,20 +685,21 @@ func TestPlansMatchMapReference(t *testing.T) {
 				if executed {
 					sameRun(t, RunGenericPlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunGenericPlannedNet(want, q, db, p, seed, 0, engine.Env{}))
 				}
-				genLight += lightMaxima(q, db, heavy, shareFloor)
-				uncut, _ := refGenericHeavy(q, db, light, math.MaxInt)
-				for i := range uncut {
-					if len(uncut[i]) > c.heavyCap {
-						genCut++
+				genLight += lightMaxima(q, db, heavy, func(m, v int) float64 { return float64(heavyCut(m, light[v])) })
+				for _, sizes := range got.binSizes() {
+					for _, n := range sizes {
+						if n > 1 {
+							multiBins++
+						}
 					}
 				}
 			})
 		}
 	}
 	// The instances must really contain what the test is for.
-	t.Logf("light maxima: star %d, generic %d; cut %d", starLight, genLight, genCut)
-	if starLight == 0 || genLight == 0 || genCut == 0 {
-		t.Errorf("heavy values whose maximum sits where they are light: star %d, generic %d; heavy sets cut: %d — want all > 0",
-			starLight, genLight, genCut)
+	t.Logf("light maxima: star %d, generic %d; bins of several values %d", starLight, genLight, multiBins)
+	if starLight == 0 || genLight == 0 || multiBins == 0 {
+		t.Errorf("heavy values whose maximum sits where they are light: star %d, generic %d; bins of several values: %d — want all > 0",
+			starLight, genLight, multiBins)
 	}
 }

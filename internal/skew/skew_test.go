@@ -1,7 +1,6 @@
 package skew
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,7 +15,7 @@ func TestStarNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := query.Star(3)
 	db := data.MatchingDatabase(rng, q, 400, 1<<20)
-	res := runGeneric(q, db, 16, 99, math.MaxInt)
+	res := runGeneric(q, db, 16, 99)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew star: got %d want %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -35,7 +34,7 @@ func TestSimpleJoinFullSkewCorrect(t *testing.T) {
 	q := query.Star(2)
 	m := 500
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	res := runGeneric(q, db, 16, 5, math.MaxInt)
+	res := runGeneric(q, db, 16, 5)
 	want := core.SequentialAnswer(q, db)
 	if want.NumTuples() != m*m {
 		t.Fatalf("worst case should produce m² = %d outputs, got %d", m*m, want.NumTuples())
@@ -63,7 +62,7 @@ func TestSimpleJoinSkewSeparation(t *testing.T) {
 	shares[zi] = p
 	naive := core.RunPlan(core.PlanWithShares(q, db, shares), db, 5)
 
-	aware := runGeneric(q, db, p, 5, math.MaxInt)
+	aware := runGeneric(q, db, p, 5)
 	if !data.Equal(naive.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -82,7 +81,7 @@ func TestStarMixedSkewCorrect(t *testing.T) {
 	heavy := map[int64]int{3: 60, 11: 40} // output grows as Σ count³
 
 	db := data.SkewedStarDatabase(rng, 3, m, 1<<20, heavy)
-	res := runGeneric(q, db, 27, 17, math.MaxInt)
+	res := runGeneric(q, db, 27, 17)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("mixed star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -96,7 +95,7 @@ func TestStarNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := query.Star(2)
 	db := data.SkewedStarDatabase(rng, 2, 300, 1<<20, map[int64]int{9: 100})
-	res := runGeneric(q, db, 8, 23, math.MaxInt)
+	res := runGeneric(q, db, 8, 23)
 	if res.Output.NumTuples() != res.Output.Canonical().NumTuples() {
 		t.Errorf("output has duplicates: %d vs %d distinct",
 			res.Output.NumTuples(), res.Output.Canonical().NumTuples())
@@ -116,7 +115,7 @@ func TestStarRandomized(t *testing.T) {
 		q := query.Star(k)
 		db := data.SkewedStarDatabase(r, k, m, 1<<20, heavy)
 		p := []int{4, 8, 16, 27}[r.Intn(4)]
-		res := runGeneric(q, db, p, seed, math.MaxInt)
+		res := runGeneric(q, db, p, seed)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rng}); err != nil {
@@ -128,7 +127,7 @@ func TestTriangleNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := query.Triangle()
 	db := data.MatchingDatabase(rng, q, 500, 1<<20)
-	res := runGeneric(q, db, 27, 3, math.MaxInt)
+	res := runGeneric(q, db, 27, 3)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -143,7 +142,7 @@ func TestTriangleOneHeavyCorrect(t *testing.T) {
 	q := query.Triangle()
 	m := 600
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, 200)
-	res := runGeneric(q, db, 27, 13, math.MaxInt)
+	res := runGeneric(q, db, 27, 13)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("one-heavy triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -154,7 +153,7 @@ func TestTriangleNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	q := query.Triangle()
 	db := data.SkewedTriangleDatabase(rng, 400, 1<<20, 5, 150)
-	res := runGeneric(q, db, 27, 7, math.MaxInt)
+	res := runGeneric(q, db, 27, 7)
 	if res.Output.NumTuples() != res.Output.Canonical().NumTuples() {
 		t.Errorf("duplicates: %d vs %d distinct",
 			res.Output.NumTuples(), res.Output.Canonical().NumTuples())
@@ -174,7 +173,7 @@ func TestTriangleDensePlusHeavy(t *testing.T) {
 		}
 		db.Add(rel)
 	}
-	res := runGeneric(q, db, 27, 11, math.MaxInt)
+	res := runGeneric(q, db, 27, 11)
 	want := core.SequentialAnswer(q, db)
 	// Dense random data yields duplicate input tuples, so compare as sets.
 	if !data.Equal(res.Output, want) {
@@ -192,7 +191,7 @@ func TestTriangleRandomized(t *testing.T) {
 		heavyCount := r.Intn(m / 2)
 		db := data.SkewedTriangleDatabase(r, m, 1<<20, int64(r.Intn(10)), heavyCount)
 		p := []int{8, 27, 64}[r.Intn(3)]
-		res := runGeneric(q, db, p, seed, math.MaxInt)
+		res := runGeneric(q, db, p, seed)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rng}); err != nil {
@@ -210,7 +209,7 @@ func TestTriangleSkewSeparation(t *testing.T) {
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<22, 5, m/2)
 	vanilla := core.Run(q, db, p, 3, core.SkewFree)
-	aware := runGeneric(q, db, p, 3, math.MaxInt)
+	aware := runGeneric(q, db, p, 3)
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -270,7 +269,7 @@ func TestRunStarSampledLoadNearExact(t *testing.T) {
 	q := query.Star(2)
 	m := 1200
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	exact := runGeneric(q, db, 16, 9, math.MaxInt)
+	exact := runGeneric(q, db, 16, 9)
 	sampled := RunStarSampled(q, db, 16, 9, 200)
 	if !data.Equal(exact.Output, sampled.Output) {
 		t.Fatal("outputs differ")
@@ -289,7 +288,7 @@ func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
 	m := 3000
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, m/2)
-	aware := runGeneric(q, db, p, 3, math.MaxInt)
+	aware := runGeneric(q, db, p, 3)
 
 	// x1-statistics in bits for S1 (col 0) and S3 (col 1); S2 has no x1.
 	bits := make([]map[int64]float64, 3)

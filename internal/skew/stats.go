@@ -1,7 +1,6 @@
 package skew
 
 import (
-	"math"
 	"math/rand"
 
 	"mpcquery/internal/data"
@@ -172,8 +171,8 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 // RunStarSampled runs the skew-aware algorithm on a star end to end without
 // a statistics oracle: a first round gathers sampled z-frequencies for all ℓ
 // atoms with StarStatsSpec's protocol, and the data round runs the generic
-// planner on the estimates, with no heavy cap. Output correctness is
-// unconditional; only the load depends on estimate quality.
+// planner on the estimates. Output correctness is unconditional; only the
+// load depends on estimate quality.
 //
 // The accounting is honest about both cost dimensions: the statistics
 // protocol executes as one genuine round, listed before the data round, so
@@ -181,7 +180,7 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *engine.RunRecord {
 	spec := StarStatsSpec(q, db, p)
 	st := spec.Run(p, sampleSize, seed, 0)
-	rec := RunGenericPlannedNet(PrepareGenericFromStats(q, db, p, math.MaxInt, spec, st.PerAtom), q, db, p, seed, 0, engine.Env{})
+	rec := RunGenericPlannedNet(PrepareGenericFromStats(q, db, p, spec, st.PerAtom), q, db, p, seed, 0, engine.Env{})
 	AddStatsCharges(rec, st)
 	return rec
 }

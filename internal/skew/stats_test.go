@@ -99,7 +99,7 @@ func TestRunStarSampledHonestAccounting(t *testing.T) {
 	q := query.Star(2)
 
 	res := RunStarSampled(q, db, p, 3, m)
-	oracle := runGeneric(q, db, p, 3, math.MaxInt)
+	oracle := runGeneric(q, db, p, 3)
 
 	if len(res.Rounds) != len(oracle.Rounds)+1 {
 		t.Errorf("rounds=%d want %d (stats + data)", len(res.Rounds), len(oracle.Rounds)+1)

@@ -2,7 +2,6 @@ package skew
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -14,14 +13,14 @@ import (
 	"mpcquery/internal/query"
 )
 
-// TestTriangleSweep runs the generic planner with no heavy cap — what
-// SkewedTriangle runs — over one planted hitter of degree m/256 … m/4 and
-// over several values of degree 2m/p per variable (heavy under the deleted
-// planner's m/p cut, light under the share cut), and holds its MaxLoadBits to the
-// hand-built Section 4.2.2 planner it replaced (recorded below, same data
-// and hash seed 7) and to oblivious HyperCube. The output is compared with
-// the frozen map-index evaluator of localjoin/baseline, which shares no code
-// with the kernel the servers run.
+// TestTriangleSweep runs the generic planner — what SkewedTriangle runs —
+// over one planted hitter of degree m/256 … m/4 and over several values of
+// degree 2m/p per variable (heavy under the deleted planner's m/p cut, light
+// under the share cut), and holds its MaxLoadBits to the hand-built Section
+// 4.2.2 planner it replaced (recorded below, same data and hash seed 7) and
+// to oblivious HyperCube. The output is compared with the frozen map-index
+// evaluator of localjoin/baseline, which shares no code with the kernel the
+// servers run.
 func TestTriangleSweep(t *testing.T) {
 	q := query.Triangle()
 	type row struct {
@@ -60,7 +59,7 @@ func TestTriangleSweep(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/p=%d", r.name, p), func(t *testing.T) {
-				gp := PrepareGeneric(q, r.db, p, math.MaxInt)
+				gp := PrepareGeneric(q, r.db, p)
 				rec := RunGenericPlannedNet(gp, q, r.db, p, 7, 0, engine.Env{})
 				if !data.EqualMultiset(rec.Output, want) {
 					t.Fatalf("output: %d tuples, reference %d", rec.Output.NumTuples(), want.NumTuples())
@@ -111,12 +110,12 @@ func bagDigest(r *data.Relation) [2]uint64 {
 	return [2]uint64{uint64(r.NumTuples()), sum}
 }
 
-// TestStarSweep runs the generic planner with no heavy cap — what SkewedStar
-// runs — over stars with one hitter of degree m/256 … m/4 and with many
-// hitters of degree ⌊m/p⌋, and holds its MaxLoadBits to the deleted
-// Section 4.2.1 planner's (recorded below, same data and hash seed 7) within
-// starLoadSlack, and to oblivious HyperCube. The output is compared with the
-// frozen map-index evaluator of localjoin/baseline.
+// TestStarSweep runs the generic planner — what SkewedStar runs — over stars
+// with one hitter of degree m/256 … m/4 and with many hitters of degree
+// ⌊m/p⌋, and holds its MaxLoadBits to the deleted Section 4.2.1 planner's
+// (recorded below, same data and hash seed 7) within starLoadSlack, and to
+// oblivious HyperCube. The output is compared with the frozen map-index
+// evaluator of localjoin/baseline.
 func TestStarSweep(t *testing.T) {
 	type row struct {
 		k, m, deg, nh int
@@ -152,7 +151,7 @@ func TestStarSweep(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("T%d/m=%d/deg=%d/nh=%d/p=%d", r.k, r.m, r.deg, r.nh, p), func(t *testing.T) {
-				gp := PrepareGeneric(q, db, p, math.MaxInt)
+				gp := PrepareGeneric(q, db, p)
 				rec := RunGenericPlannedNet(gp, q, db, p, 7, 0, engine.Env{})
 				if got := bagDigest(rec.Output); got != want {
 					t.Fatalf("output (rows, digest) %v, reference %v", got, want)

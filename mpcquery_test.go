@@ -117,7 +117,7 @@ func TestPublicAPICSVAndStrategies(t *testing.T) {
 		t.Fatalf("csv: %v %d", err, rel.NumTuples())
 	}
 	gen := mustRun(t, Star(2), SkewedStarDatabase(rng, 2, 200, 1<<16, map[int64]int{5: 100}),
-		WithStrategy(SkewedGeneric()), WithHeavyCap(8), WithServers(8), WithSeed(3))
+		WithStrategy(SkewedGeneric()), WithServers(8), WithSeed(3))
 	if gen.Rounds != 1 {
 		t.Errorf("generic rounds: %d", gen.Rounds)
 	}

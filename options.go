@@ -2,7 +2,6 @@ package mpcquery
 
 import (
 	"context"
-	"math"
 
 	"mpcquery/internal/engine"
 	"mpcquery/internal/obs"
@@ -22,7 +21,6 @@ type runConfig struct {
 	seed        int64
 	strategy    Strategy
 	loadCapBits float64
-	heavyCap    int
 	roundBudget int
 	aggregate   *AggregateSpec // nil = plain join run
 	aggPushdown bool
@@ -46,7 +44,6 @@ func defaultConfig() runConfig {
 	return runConfig{
 		servers:     64,
 		seed:        1,
-		heavyCap:    math.MaxInt,
 		aggPushdown: true,
 	}
 }
@@ -70,12 +67,6 @@ func WithStrategy(s Strategy) RunOption { return func(c *runConfig) { c.strategy
 // algorithms (including the sampled-statistics round), and each round of
 // the multi-round plans.
 func WithLoadCap(bits float64) RunOption { return func(c *runConfig) { c.loadCapBits = bits } }
-
-// WithHeavyCap bounds the per-variable heavy-hitter sets of the skew-aware
-// strategies to maxPerVar ≥ 1 (default: no cap beyond the planner's bound
-// on its number of heavy/light patterns). Values beyond the cap are treated
-// as light, which stays correct and only costs load.
-func WithHeavyCap(maxPerVar int) RunOption { return func(c *runConfig) { c.heavyCap = maxPerVar } }
 
 // WithRoundBudget caps the rounds the Auto strategy may spend (0 = default
 // = unlimited); other strategies ignore it.

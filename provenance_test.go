@@ -176,7 +176,7 @@ func TestFragmentIDsNameIdenticalFragments(t *testing.T) {
 		starSkew := func() *Database {
 			return SkewedStarDatabase(rand.New(rand.NewSource(seed)), 3, 300, 1<<12, map[int64]int{5: 80, 9: 40})
 		}
-		common := []RunOption{WithServers(32), WithSeed(10 + seed), WithHeavyCap(4)}
+		common := []RunOption{WithServers(32), WithSeed(10 + seed)}
 		add(fmt.Sprintf("hypercube-matching-%d", seed), tri, triMatching, append(common, WithStrategy(HyperCube()))...)
 		add(fmt.Sprintf("skewed-star-%d", seed), star, starSkew, append(common, WithStrategy(SkewedStar()))...)
 		add(fmt.Sprintf("skewed-triangle-%d", seed), tri, triSkew, append(common, WithStrategy(SkewedTriangle()))...)

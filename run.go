@@ -84,9 +84,6 @@ func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 	if cfg.servers < 1 {
 		return nil, fmt.Errorf("mpcquery: need at least one server, got %d", cfg.servers)
 	}
-	if cfg.heavyCap < 1 {
-		return nil, fmt.Errorf("mpcquery: heavy cap must be at least 1, got %d", cfg.heavyCap)
-	}
 	if q.NumAtoms() == 0 {
 		return nil, fmt.Errorf("mpcquery: query %q has no atoms", q.Name)
 	}
@@ -192,7 +189,6 @@ func runOnce(q *Query, db *Database, strategy Strategy, cfg *runConfig) (rep *Re
 		Servers:     cfg.servers,
 		Seed:        cfg.seed,
 		LoadCapBits: cfg.loadCapBits,
-		HeavyCap:    cfg.heavyCap,
 		RoundBudget: cfg.roundBudget,
 		Aggregate:   cfg.aggregate,
 		AggPushdown: cfg.aggPushdown,

@@ -130,7 +130,7 @@ func ExampleRun_skewedTriangle() {
 }
 
 // The generalized heavy/light pattern strategy covers queries outside the
-// star/triangle special cases; WithHeavyCap bounds the heavy sets.
+// star/triangle special cases.
 func ExampleRun_skewedGeneric() {
 	q := mpcquery.Chain(3)
 	rng := rand.New(rand.NewSource(7))
@@ -138,7 +138,6 @@ func ExampleRun_skewedGeneric() {
 
 	rep, err := mpcquery.Run(q, db,
 		mpcquery.WithStrategy(mpcquery.SkewedGeneric()),
-		mpcquery.WithHeavyCap(16),
 		mpcquery.WithServers(16))
 	if err != nil {
 		panic(err)

@@ -504,8 +504,8 @@ func (s *Service) requestKey(cfg *runConfig, q *Query, db *Database) string {
 			}
 		}
 	}
-	return fmt.Sprintf("%#v|p%d|s%d|cap%g|h%d|rb%d|agg%#v|push%t|st%t|ch%d|%s|%s%s",
-		cfg.strategy, cfg.servers, cfg.seed, cfg.loadCapBits, cfg.heavyCap,
+	return fmt.Sprintf("%#v|p%d|s%d|cap%g|rb%d|agg%#v|push%t|st%t|ch%d|%s|%s%s",
+		cfg.strategy, cfg.servers, cfg.seed, cfg.loadCapBits,
 		cfg.roundBudget, cfg.aggregate, cfg.aggPushdown, cfg.streaming, cfg.streamChunk,
 		qs, s.dbTag(db), sizes)
 }

@@ -55,10 +55,10 @@ func serviceCases(tb testing.TB) []serviceCase {
 		{"skewed-star", star, starDB, SkewedStar(), nil},
 		{"skewed-star-sampled", star, starDB, SkewedStarSampled(100), nil},
 		{"skewed-triangle", tri, triSkewDB, SkewedTriangle(), nil},
-		{"skewed-generic", tri, triSkewDB, SkewedGeneric(), []RunOption{WithHeavyCap(8)}},
+		{"skewed-generic", tri, triSkewDB, SkewedGeneric(), nil},
 		{"chain-plan", chain, chainDB, ChainPlan(0.5), nil},
 		{"greedy-plan", chain, chainDB, GreedyPlan(0), nil},
-		{"greedy-plan-skew", chain, chainDB, GreedyPlanSkewAware(0), []RunOption{WithHeavyCap(8)}},
+		{"greedy-plan-skew", chain, chainDB, GreedyPlanSkewAware(0), nil},
 		{"auto", chain, chainDB, Auto(), nil},
 	}
 }

@@ -21,7 +21,6 @@ type ExecContext struct {
 	Seed    int64
 
 	LoadCapBits float64 // 0 = no cap (WithLoadCap)
-	HeavyCap    int     // per-variable heavy-hitter cap (WithHeavyCap)
 	RoundBudget int     // max rounds for Auto, 0 = unlimited (WithRoundBudget)
 
 	// Aggregate is the aggregate attached by WithAggregate (nil for plain
@@ -238,9 +237,9 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		return skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers).
 			RunNet(ctx.Servers, s.sampleSize, ctx.Seed, ctx.LoadCapBits, ctx.env)
 	}).(*skew.StatsResult)
-	gp := ctx.cachedPlan(fmt.Sprintf("star-sampled|s%d|ss%d|h%d", ctx.Seed, s.sampleSize, ctx.HeavyCap), func() any {
+	gp := ctx.cachedPlan(fmt.Sprintf("star-sampled|s%d|ss%d", ctx.Seed, s.sampleSize), func() any {
 		spec := skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers)
-		return skew.PrepareGenericFromStats(ctx.Query, ctx.DB, ctx.Servers, ctx.HeavyCap, spec, st.PerAtom)
+		return skew.PrepareGenericFromStats(ctx.Query, ctx.DB, ctx.Servers, spec, st.PerAtom)
 	}).(*skew.GenericPlan)
 	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
 	skew.AddStatsCharges(rec, st)
@@ -302,9 +301,9 @@ func isTriangleQuery(q *Query) bool {
 
 type skewedGenericStrategy struct{}
 
-// SkewedGeneric returns the generalized heavy/light pattern strategy
-// (reference [6] of the paper) for any connected query; WithHeavyCap bounds
-// the per-variable heavy sets.
+// SkewedGeneric returns the BinHC heavy/light strategy (reference [6] of the
+// paper) for any connected query: one block per pattern of degree bins, so
+// its layout is bounded whatever the number of heavy values.
 func SkewedGeneric() Strategy { return skewedGenericStrategy{} }
 
 func (skewedGenericStrategy) Name() string { return "skewed-generic" }
@@ -313,11 +312,10 @@ func (s skewedGenericStrategy) Execute(ctx ExecContext) (*Report, error) {
 	return runGeneric(s.Name(), ctx), nil
 }
 
-// runGeneric runs the generic pattern algorithm under the plan cached for
-// ctx's heavy cap.
+// runGeneric runs the generic pattern algorithm under its cached plan.
 func runGeneric(name string, ctx ExecContext) *Report {
-	gp := ctx.cachedPlan(fmt.Sprintf("generic|h%d", ctx.HeavyCap), func() any {
-		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers, ctx.HeavyCap)
+	gp := ctx.cachedPlan("generic", func() any {
+		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers)
 	}).(*skew.GenericPlan)
 	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
 	return newReport(name, ctx.Query, rec)
@@ -343,7 +341,7 @@ func GreedyPlan(eps float64) Strategy { return multiRoundStrategy{eps: eps} }
 
 // GreedyPlanSkewAware is GreedyPlan with every plan node computed by the
 // generalized pattern algorithm, containing hotspots in skewed intermediate
-// views; WithHeavyCap bounds the heavy sets.
+// views.
 func GreedyPlanSkewAware(eps float64) Strategy {
 	return multiRoundStrategy{eps: eps, skewAware: true}
 }
@@ -404,7 +402,7 @@ func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps 
 	}
 	var rec *engine.RunRecord
 	if skewAware {
-		rec = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.HeavyCap, ctx.LoadCapBits, memo, ctx.env)
+		rec = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, memo, ctx.env)
 	} else {
 		rec = multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
 	}

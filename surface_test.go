@@ -87,7 +87,7 @@ func TestOptionSurface(t *testing.T) {
 	want := []string{
 		"WithAggregate", "WithAggregatePushdown", "WithCaching", "WithCircuitBreaker",
 		"WithContext", "WithDebugListener", "WithDialBudget", "WithFaultInjection",
-		"WithHeavyCap", "WithLoadCap", "WithOutputSink", "WithRecovery",
+		"WithLoadCap", "WithOutputSink", "WithRecovery",
 		"WithRequestCoalescing", "WithRoundBudget", "WithRoundTimeout", "WithRuntime",
 		"WithSeed", "WithServers", "WithServiceQueue", "WithServiceWorkers",
 		"WithStrategy", "WithStreamChunk", "WithStreaming", "WithTrace",

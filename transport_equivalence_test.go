@@ -26,7 +26,7 @@ func distScenarios() []distScenario {
 	mk := func(q func() *Query, db func() *Database, s Strategy, fixed ...RunOption) distScenario {
 		return distScenario{run: func(extra ...RunOption) (*Report, error) {
 			opts := append([]RunOption{
-				WithStrategy(s), WithServers(16), WithSeed(seed), WithHeavyCap(8),
+				WithStrategy(s), WithServers(16), WithSeed(seed),
 			}, fixed...)
 			return Run(q(), db(), append(opts, extra...)...)
 		}}
