@@ -15,10 +15,8 @@ var (
 	// query, Of set for Count or missing for Sum/Min/Max).
 	ErrInvalidAggregate = errors.New("invalid aggregate")
 	// ErrAggregateUnsupported: the selected strategy has no aggregate path.
-	// The HyperCube one-round family (HyperCube, HyperCubeOblivious,
-	// HyperCubeShares), the multi-round plans (ChainPlan, GreedyPlan), and
-	// Auto support aggregation; the skew-aware and self-join strategies do
-	// not yet.
+	// Every built-in strategy has one; Run returns this for an external
+	// Strategy implementation, before it executes.
 	ErrAggregateUnsupported = errors.New("strategy does not support aggregation")
 )
 
@@ -125,11 +123,6 @@ func (ctx ExecContext) aggregatePlan() *aggregate.Plan {
 	}
 	return aggregate.NewPlan(aggregate.Op(ctx.Aggregate.Op), ctx.Aggregate.Of,
 		ctx.Aggregate.GroupBy, ctx.AggPushdown)
-}
-
-// errAggregateUnsupported builds the per-strategy unsupported error.
-func errAggregateUnsupported(name string) error {
-	return fmt.Errorf("mpcquery: %w: %s", ErrAggregateUnsupported, name)
 }
 
 // aggDescribe renders a spec for Report.Aggregate ("count() by z", ...).

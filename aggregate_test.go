@@ -5,6 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"mpcquery/internal/core"
+	"mpcquery/internal/oracle"
 )
 
 // highDuplicateStarDB builds the workload pushdown shines on: a simple join
@@ -19,7 +22,8 @@ func highDuplicateStarDB(m int) *Database {
 func aggFamilies() []Strategy {
 	return []Strategy{
 		HyperCube(), HyperCubeOblivious(), HyperCubeShares(4, 2, 2),
-		GreedyPlan(0.5), Auto(),
+		SkewedStarSampled(50), SkewedGeneric(),
+		GreedyPlan(0.5), GreedyPlanSkewAware(0.5), Auto(),
 	}
 }
 
@@ -173,39 +177,32 @@ func TestAggregateValidation(t *testing.T) {
 	}
 }
 
+// TestAggregateUnsupportedStrategies: every built-in strategy has an
+// aggregate path, SelfJoin's over its renamed view included; only an external
+// Strategy implementation is refused.
 func TestAggregateUnsupportedStrategies(t *testing.T) {
-	db := highDuplicateStarDB(50)
-	unsupported := []struct {
-		q *Query
-		s Strategy
-	}{
-		{Star(2), SkewedStar()},
-		{Star(2), SkewedStarSampled(20)},
-		{Star(2), SkewedGeneric()},
-		{Triangle(), SkewedTriangle()},
-		{Star(2), GreedyPlanSkewAware(0.5)},
+	// SelfJoin carries its own query: a COUNT of length-2 paths per middle
+	// node, over the renamed view.
+	rng := rand.New(rand.NewSource(99))
+	edges := NewRelation("E", 2)
+	for i := 0; i < 150; i++ {
+		edges.Append(rng.Int63n(40), rng.Int63n(40))
 	}
-	for _, c := range unsupported {
-		d := db
-		if c.q.NumAtoms() == 3 {
-			d = MatchingDatabase(rand.New(rand.NewSource(1)), c.q, 50, 1<<12)
-		}
-		_, err := Run(c.q, d, WithStrategy(c.s), WithAggregate(AggCount, "", c.q.Vars()[0]))
-		if !errors.Is(err, ErrAggregateUnsupported) {
-			t.Errorf("%s: err = %v, want ErrAggregateUnsupported", c.s.Name(), err)
-		}
+	paths := NewDatabase(1 << 8)
+	paths.Add(edges)
+	atoms := []Atom{{Name: "E", Vars: []string{"x", "y"}}, {Name: "E", Vars: []string{"y", "z"}}}
+	rep, err := Run(nil, paths, WithStrategy(SelfJoin("paths", atoms...)), WithServers(16), WithAggregate(AggCount, "", "y"))
+	if err != nil {
+		t.Fatalf("selfjoin: %v", err)
 	}
-	// SelfJoin carries its own query.
-	sj := SelfJoin("paths",
-		Atom{Name: "S1", Vars: []string{"x", "y"}},
-		Atom{Name: "S1", Vars: []string{"y", "z"}})
-	if _, err := Run(nil, db, WithStrategy(sj), WithAggregate(AggCount, "")); !errors.Is(err, ErrAggregateUnsupported) {
-		t.Errorf("selfjoin: err = %v, want ErrAggregateUnsupported", err)
+	q, view := core.SelfJoinView("paths", atoms, paths)
+	if want := oracle.Aggregate(q, view, "count", "", []string{"y"}); want.NumTuples() == 0 || !relExactlyEqual(rep.Output, want) {
+		t.Errorf("selfjoin: %d groups, oracle %d; aggregate values differ", rep.Output.NumTuples(), want.NumTuples())
 	}
 	// An external Strategy implementation must be refused before it executes
 	// — otherwise its plain join output would be mislabeled as aggregate
 	// rows.
-	if _, err := Run(Star(2), db, WithStrategy(plainJoinStrategy{}), WithAggregate(AggCount, "", "z")); !errors.Is(err, ErrAggregateUnsupported) {
+	if _, err := Run(Star(2), highDuplicateStarDB(50), WithStrategy(plainJoinStrategy{}), WithAggregate(AggCount, "", "z")); !errors.Is(err, ErrAggregateUnsupported) {
 		t.Errorf("external strategy: err = %v, want ErrAggregateUnsupported", err)
 	}
 }

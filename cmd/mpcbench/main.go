@@ -119,8 +119,7 @@ func compareStrategies(m, p int, seed int64) {
 		}},
 		{"simple join, half-skewed", star, starDB, []mpcquery.Strategy{
 			mpcquery.HyperCube(), mpcquery.HyperCubeOblivious(),
-			mpcquery.SkewedStar(), mpcquery.SkewedStarSampled(200),
-			mpcquery.SkewedGeneric(), mpcquery.Auto(),
+			mpcquery.SkewedStarSampled(200), mpcquery.SkewedGeneric(), mpcquery.Auto(),
 		}},
 		{"chain L8, matchings", chain, chainDB, []mpcquery.Strategy{
 			mpcquery.HyperCube(), mpcquery.ChainPlan(0), mpcquery.ChainPlan(0.5),

@@ -373,7 +373,7 @@ func buildScenarios(m int) []*scenario {
 		{name: "join-sampled-b", q: mpcquery.Star(2), db: starB,
 			strategy: mpcquery.SkewedStarSampled(100), weight: 4, skewAware: true},
 		{name: "join-skewed", q: mpcquery.Star(2), db: starA,
-			strategy: mpcquery.SkewedStar(), servers: 32, weight: 1, skewAware: true},
+			strategy: mpcquery.SkewedGeneric(), servers: 32, weight: 1, skewAware: true},
 		{name: "triangle-skewed", q: mpcquery.Triangle(), db: triSkew,
 			strategy: mpcquery.SkewedTriangle(), servers: 32, weight: 1, skewAware: true},
 		{name: "triangle-generic", q: mpcquery.Triangle(), db: triMulti,

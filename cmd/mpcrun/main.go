@@ -7,7 +7,7 @@
 //
 //	mpcrun -family triangle -m 10000 -p 64 -algo hc
 //	mpcrun -family chain -k 8 -m 5000 -p 64 -algo multiround -eps 0.5
-//	mpcrun -family star -k 2 -m 5000 -p 16 -algo star -skew 0.5
+//	mpcrun -family star -k 2 -m 5000 -p 16 -algo generic -skew 0.5
 //	mpcrun -family chain -k 8 -m 5000 -p 64 -algo auto -budget 2
 package main
 
@@ -25,7 +25,7 @@ func main() {
 	k := flag.Int("k", 3, "family size parameter")
 	m := flag.Int("m", 10000, "tuples per relation")
 	p := flag.Int("p", 64, "number of servers")
-	algo := flag.String("algo", "hc", "strategy: hc|oblivious|star|star-sampled|triangle|generic|multiround|auto")
+	algo := flag.String("algo", "hc", "strategy: hc|oblivious|star-sampled|triangle|generic|multiround|auto")
 	eps := flag.Float64("eps", 0, "space exponent (multiround)")
 	budget := flag.Int("budget", 0, "round budget for -algo auto (0 = unlimited)")
 	skewFrac := flag.Float64("skew", 0, "fraction of tuples carrying one heavy value")
@@ -36,19 +36,12 @@ func main() {
 		usageError("-m must be non-negative, got %d", *m)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	q := buildQuery(*family, *k)
-	n := int64(16 * *m)
-	db := buildData(rng, q, *family, *m, n, *skewFrac, *p)
-
 	var strategy mpcquery.Strategy
 	switch *algo {
 	case "hc":
 		strategy = mpcquery.HyperCube()
 	case "oblivious":
 		strategy = mpcquery.HyperCubeOblivious()
-	case "star":
-		strategy = mpcquery.SkewedStar()
 	case "star-sampled":
 		strategy = mpcquery.SkewedStarSampled(200)
 	case "triangle":
@@ -62,6 +55,11 @@ func main() {
 	default:
 		usageError("unknown algorithm %q", *algo)
 	}
+
+	rng := rand.New(rand.NewSource(*seed))
+	q := buildQuery(*family, *k)
+	n := int64(16 * *m)
+	db := buildData(rng, q, *family, *m, n, *skewFrac, *p)
 
 	rep, err := mpcquery.Run(q, db,
 		mpcquery.WithStrategy(strategy),

@@ -42,6 +42,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-m -5", 2, "mpcrun: -m must be non-negative, got -5"},
 		{"-family square", 2, `mpcrun: unknown family "square"`},
 		{"-algo nope -m 50", 2, `mpcrun: unknown algorithm "nope"`},
+		{"-algo star -m 50", 2, `mpcrun: unknown algorithm "star"`},
 	} {
 		cmd := exec.Command(exe, strings.Fields(tc.args)...)
 		cmd.Env = append(os.Environ(), "MPCRUN_AS_MAIN=1")

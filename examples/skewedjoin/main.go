@@ -47,7 +47,7 @@ func main() {
 		for name, s := range map[string]mpcquery.Strategy{
 			"naive":     mpcquery.HyperCubeShares(shares...),
 			"oblivious": mpcquery.HyperCubeOblivious(),
-			"aware":     mpcquery.SkewedStar(),
+			"aware":     mpcquery.SkewedGeneric(),
 		} {
 			rep, err := mpcquery.Run(q, db,
 				mpcquery.WithStrategy(s), mpcquery.WithServers(p), mpcquery.WithSeed(3))

@@ -66,7 +66,7 @@ func goldenCases() []goldenCase {
 		{"hypercube", mk(Triangle(), matchDB(Triangle()), HyperCube())},
 		{"hypercube-oblivious", mk(Triangle(), matchDB(Triangle()), HyperCubeOblivious())},
 		{"hypercube-shares", mk(Star(2), starDB(), HyperCubeShares(4, 2, 2))},
-		{"skewed-star", mk(Star(2), starDB(), SkewedStar())},
+		{"skewed-generic-star", mk(Star(2), starDB(), SkewedGeneric())},
 		{"skewed-star-sampled", mk(Star(2), starDB(), SkewedStarSampled(30))},
 		{"skewed-star-sampled-draws", mk(Star(2), drawDB(), SkewedStarSampled(50))},
 		{"skewed-triangle", mk(Triangle(), goldenTriDB(), SkewedTriangle())},
@@ -98,6 +98,9 @@ func goldenCases() []goldenCase {
 			WithAggregate(AggSum, "x1"))},
 		{"chain-plan-agg-count", mk(Chain(4), chainDB(), ChainPlan(0.5),
 			WithAggregate(AggCount, "", Chain(4).Vars()[0]))},
+		// The skew-aware fold: z=5's block folds its hitter's group alone.
+		{"skewed-generic-agg-count", mk(Star(2), starDB(), SkewedGeneric(),
+			WithAggregate(AggCount, "", "z"))},
 	}
 }
 

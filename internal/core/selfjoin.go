@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpcquery/internal/data"
-	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -12,9 +11,9 @@ import (
 // that this is without loss of generality: repeated occurrences of a
 // relation are renamed apart and the relation is logically copied, at the
 // cost of an ℓ-times-larger input in the worst case. This file makes that
-// reduction practical: DesugarSelfJoins renames the atoms, and
-// RunWithSelfJoins executes the renamed query against views of the shared
-// relations (no physical copying).
+// reduction practical: DesugarSelfJoins renames the atoms, and SelfJoinView
+// pairs the renamed query with a database in which each copy reads the
+// shared relation under its new name, for any strategy to run.
 
 // DesugarSelfJoins renames repeated relation occurrences apart
 // (E, E#2, E#3, …) and returns the resulting self-join-free query together
@@ -35,10 +34,10 @@ func DesugarSelfJoins(name string, atoms []query.Atom) (*query.Query, map[string
 	return query.New(name, renamed...), mapping
 }
 
-// selfJoinView renames the atoms apart and returns the self-join-free query
+// SelfJoinView renames the atoms apart and returns the self-join-free query
 // with a database in which each renamed copy reads the shared relation
 // through a renamed view.
-func selfJoinView(name string, atoms []query.Atom, db *data.Database) (*query.Query, *data.Database) {
+func SelfJoinView(name string, atoms []query.Atom, db *data.Database) (*query.Query, *data.Database) {
 	q, mapping := DesugarSelfJoins(name, atoms)
 	view := data.NewDatabase(db.N)
 	for newName, orig := range mapping {
@@ -53,19 +52,8 @@ func selfJoinView(name string, atoms []query.Atom, db *data.Database) (*query.Qu
 	return q, view
 }
 
-// RunWithSelfJoins evaluates a conjunctive query that may repeat relation
-// names (e.g. length-2 paths E(x,y), E(y,z) over one edge relation) with
-// the one-round HyperCube algorithm: atoms are renamed apart and each copy
-// reads the shared relation through a renamed view. capBits is a declared
-// load cap in bits (Section 2.1's abort semantics; 0 = none); round delivery
-// goes through env (the zero Env = in-process, untraced).
-func RunWithSelfJoins(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64, env engine.Env) *engine.RunRecord {
-	q, view := selfJoinView(name, atoms, db)
-	return RunPlanWithCapNet(PlanForDatabase(q, view, p, mode), view, seed, capBits, env)
-}
-
-// SequentialAnswerWithSelfJoins is the single-node ground truth for
-// RunWithSelfJoins.
+// SequentialAnswerWithSelfJoins is the single-node ground truth for a run on
+// SelfJoinView.
 func SequentialAnswerWithSelfJoins(name string, atoms []query.Atom, db *data.Database) *data.Relation {
-	return SequentialAnswer(selfJoinView(name, atoms, db))
+	return SequentialAnswer(SelfJoinView(name, atoms, db))
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpcquery/internal/data"
-	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -46,7 +45,8 @@ func TestSelfJoinPath2(t *testing.T) {
 		{Name: "E", Vars: []string{"x", "y"}},
 		{Name: "E", Vars: []string{"y", "z"}},
 	}
-	res := RunWithSelfJoins("path2", atoms, db, 16, 7, SkewFree, 0, engine.Env{})
+	q, view := SelfJoinView("path2", atoms, db)
+	res := RunPlan(PlanForDatabase(q, view, 16, SkewFree), view, 7)
 	want := SequentialAnswerWithSelfJoins("path2", atoms, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("self-join path2: %d vs %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -72,7 +72,8 @@ func TestSelfJoinTriangleSingleRelation(t *testing.T) {
 		{Name: "E", Vars: []string{"y", "z"}},
 		{Name: "E", Vars: []string{"z", "x"}},
 	}
-	res := RunWithSelfJoins("tri", atoms, db, 27, 3, SkewFree, 0, engine.Env{})
+	q, view := SelfJoinView("tri", atoms, db)
+	res := RunPlan(PlanForDatabase(q, view, 27, SkewFree), view, 3)
 	want := SequentialAnswerWithSelfJoins("tri", atoms, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("self-join triangle: %d vs %d", res.Output.NumTuples(), want.NumTuples())

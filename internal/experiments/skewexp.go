@@ -56,7 +56,7 @@ func SkewedJoin(cfg Config) *Table {
 // generic heavy/light planner on exact statistics — as SkewedStar and
 // SkewedTriangle do.
 func skewAware(q *query.Query, db *data.Database, p int, seed int64) *engine.RunRecord {
-	return skew.RunGenericPlannedNet(skew.PrepareGeneric(q, db, p), q, db, p, seed, 0, engine.Env{})
+	return skew.RunGenericPlannedNet(skew.PrepareGeneric(q, db, p), q, db, seed, 0, nil, engine.Env{})
 }
 
 // starFreqBits returns the z-frequency statistics of a star query database

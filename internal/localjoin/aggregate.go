@@ -3,8 +3,84 @@ package localjoin
 import (
 	"mpcquery/internal/aggregate"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
+	"mpcquery/internal/hashing"
 	"mpcquery/internal/query"
 )
+
+// aggregateOutput is Output's aggregate tail: the local evaluation (folding
+// when pushdown is on, materializing and projecting raw rows when off), the
+// aggregate-shuffle round that routes partial rows by group-key hash —
+// through the Emitter's pre-shuffle combiner on the pushdown path — and the
+// destination-side final fold. It returns the canonical aggregate output and
+// the bits the pushdown saved, both gathered over every server, owned or
+// not. The layout must produce each output row on one server only, so that
+// no row is folded twice.
+func aggregateOutput(cluster *engine.Cluster, q *query.Query, layout hashing.Layout, agg *aggregate.Plan) (*data.Relation, float64) {
+	gp := cluster.P()
+	ka := agg.KeyArity()
+	partials := make([]*data.Relation, gp)
+	rawRows := make([]int, gp)
+	Phase(cluster, q, layout, func(s int, sc *Scratch, frags []*data.Relation, sh *Shared) {
+		partials[s], rawRows[s] = sc.EvaluateAtomsAggregate(q, frags, sh, agg)
+	})
+
+	sentRows := make([]int, gp)
+	cluster.Round("aggregate-shuffle", func(s int, _ *engine.Inbox, emit *engine.Emitter) {
+		pr := partials[s]
+		if pr == nil || pr.NumTuples() == 0 {
+			return
+		}
+		m := pr.NumTuples()
+		row := make([]int64, ka+1)
+		if agg.Pushdown {
+			// The kernel fold already left one row per distinct group key on
+			// this sender, so the combiner acts as the destination
+			// partitioner and raw-vs-sent meter here; its same-key merging
+			// kicks in for emitters that route unfolded rows (it is the
+			// general pre-shuffle hook, exercised directly in the engine
+			// tests).
+			cb := emit.Combiner(0, ka, agg.Semiring.Combine)
+			for i := 0; i < m; i++ {
+				copy(row, pr.Tuple(i))
+				row[ka] = pr.Annotation(i)
+				cb.Add(aggregate.DestOf(row[:ka], gp), row)
+			}
+			_, sentRows[s] = cb.Flush()
+		} else {
+			for i := 0; i < m; i++ {
+				copy(row, pr.Tuple(i))
+				row[ka] = pr.Annotation(i)
+				emit.EmitTuple(aggregate.DestOf(row[:ka], gp), 0, row)
+			}
+			sentRows[s] = m
+		}
+	})
+
+	outputs := make([]*data.Relation, gp)
+	cluster.Compute(func(s int, ib *engine.Inbox, w int) {
+		if ib.NumTuples() == 0 {
+			return
+		}
+		t := aggregate.NewFoldTable(ka, agg.Semiring)
+		ib.EachBatch(func(b engine.Batch) {
+			t.AddRows(b.Vals)
+		})
+		outputs[s] = aggregate.Rows(t.Result(q.Name), agg)
+	})
+	out := cluster.Gather(q.Name, agg.OutArity(), outputs)
+
+	savedRows := make([]*data.Relation, gp)
+	lo, hi := cluster.Owned()
+	for s := lo; s < hi; s++ {
+		savedRows[s] = data.FromVals("saved", 1, []int64{int64(rawRows[s] - sentRows[s])})
+	}
+	saved := int64(0)
+	for _, v := range cluster.Gather("saved", 1, savedRows).Vals() {
+		saved += v
+	}
+	return aggregate.Canonical(out), float64(saved) * float64(ka+1) * float64(cluster.BitsPerValue())
+}
 
 // EvaluateAtomsAggregate is the kernel's aggregate output path: it runs the
 // same columnar hash join as EvaluateAtoms but folds each surviving binding

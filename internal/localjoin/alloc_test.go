@@ -52,10 +52,10 @@ func TestOutputAllocationsFlatInServers(t *testing.T) {
 	for _, busy := range []int{1, 8, 64} {
 		c, q := outputCluster(64, busy, 2000)
 		for i := 0; i < 20; i++ {
-			Output(c, q, engine.Env{}, nil)
+			Output(c, q, engine.Env{}, nil, nil)
 		}
 		counts[busy] = testing.AllocsPerRun(50, func() {
-			if out := Output(c, q, engine.Env{}, nil); out.NumTuples() != 2000 {
+			if out, _ := Output(c, q, engine.Env{}, nil, nil); out.NumTuples() != 2000 {
 				t.Fatalf("%d busy servers: %d output rows, want 2000", busy, out.NumTuples())
 			}
 		})

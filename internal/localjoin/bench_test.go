@@ -173,7 +173,7 @@ func BenchmarkOutput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := Output(c, q, engine.Env{}, nil); out.NumTuples() != 20000 {
+		if out, _ := Output(c, q, engine.Env{}, nil, nil); out.NumTuples() != 20000 {
 			b.Fatalf("%d output rows, want 20000", out.NumTuples())
 		}
 	}

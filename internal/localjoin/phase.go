@@ -1,6 +1,7 @@
 package localjoin
 
 import (
+	"mpcquery/internal/aggregate"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
@@ -50,17 +51,28 @@ type outSpan struct {
 	lo, hi int
 }
 
-// Output runs Phase as a plain join and returns q's output: every server's
-// rows, in ascending server order, gathered from the processes that own
-// them (Cluster.Gather). Each worker appends the rows of the servers it
-// evaluates to its scratch's output arena, and the gather reads every
-// server's span of those arenas in place before the scratches go back to the
-// pool: each output value is written once by the join and copied once into
-// the result. With env.Sink set the output is never materialized nor
-// gathered: each owned server's rows stream through this process's sink in
-// chunks of env.StreamChunk rows (<= 0: engine.DefaultStreamChunk) and
-// Output returns nil; the rows and their order are the same either way.
-func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hashing.Layout) *data.Relation {
+// Output runs the computation phase of a one-round layout and the tail that
+// follows it, and returns q's output together with the bits pre-shuffle
+// aggregation saved (0 without agg).
+//
+// A nil agg is the plain join: every server's rows, in ascending server
+// order, gathered from the processes that own them (Cluster.Gather). Each
+// worker appends the rows of the servers it evaluates to its scratch's
+// output arena, and the gather reads every server's span of those arenas in
+// place before the scratches go back to the pool: each output value is
+// written once by the join and copied once into the result. With env.Sink
+// set the output is never materialized nor gathered: each owned server's
+// rows stream through this process's sink in chunks of env.StreamChunk rows
+// (<= 0: engine.DefaultStreamChunk) and Output returns nil; the rows and
+// their order are the same either way.
+//
+// A non-nil agg turns the output into the canonical aggregate relation
+// (aggregateOutput), materialized whatever env.Sink says: it costs one more
+// round, aggregate-shuffle.
+func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hashing.Layout, agg *aggregate.Plan) (*data.Relation, float64) {
+	if agg != nil {
+		return aggregateOutput(cluster, q, layout, agg)
+	}
 	arity := q.NumVars()
 	if sink := env.Sink; sink != nil {
 		chunk := env.StreamChunk
@@ -74,7 +86,7 @@ func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hash
 				}
 			})
 		})
-		return nil
+		return nil, 0
 	}
 	p := cluster.P()
 	spans := make([]outSpan, p)
@@ -92,5 +104,5 @@ func Output(cluster *engine.Cluster, q *query.Query, env engine.Env, layout hash
 			parts[s] = &views[s]
 		}
 	}
-	return cluster.Gather(q.Name, arity, parts)
+	return cluster.Gather(q.Name, arity, parts), 0
 }

@@ -54,28 +54,23 @@ func Execute(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRec
 //     every rank. Only the root node streams into env.Sink: intermediate
 //     views feed later rounds and always materialize.
 func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *engine.RunRecord {
-	aggAt := func(n *Node) *aggregate.Plan {
-		if n == p.Root {
-			return agg
-		}
-		return nil
-	}
-	return executeWith(p, db, servers, env, func(n *Node, sub *data.Database, perNode, d int, env engine.Env) *engine.RunRecord {
+	return executeWith(p, db, servers, agg, env, func(n *Node, sub *data.Database, perNode, d int, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
 		pl := memo.do(fmt.Sprintf("node|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
 			return core.PlanForDatabase(n.Query, sub, perNode, core.SkewFree)
 		}).(*core.Plan)
-		return core.RunPlanAggregateNet(pl, sub, seed+int64(d), capBits, aggAt(n), env)
+		return core.RunPlanAggregateNet(pl, sub, seed+int64(d), capBits, agg, env)
 	})
 }
 
 // executeWith runs the plan with a pluggable one-round operator, level by
 // level: the records of one level's nodes, which share its rounds on disjoint
 // servers, merge Beside each other, and each level's record follows the
-// previous one's. The operator runs every node under env, with the sink
-// handed only to the root: the plan's record then has a nil Output. The
-// plan's record spans the servers budget and the whole database's input.
-func executeWith(p *Plan, db *data.Database, servers int, env engine.Env,
-	operator func(n *Node, sub *data.Database, perNode, depth int, env engine.Env) *engine.RunRecord) *engine.RunRecord {
+// previous one's. The operator runs every node under env, with the sink and
+// agg handed only to the root: with a sink the plan's record has a nil
+// Output, with agg it holds the aggregate. The plan's record spans the
+// servers budget and the whole database's input.
+func executeWith(p *Plan, db *data.Database, servers int, agg *aggregate.Plan, env engine.Env,
+	operator func(n *Node, sub *data.Database, perNode, depth int, agg *aggregate.Plan, env engine.Env) *engine.RunRecord) *engine.RunRecord {
 	if servers < 1 {
 		panic("multiround: need at least one server")
 	}
@@ -133,11 +128,11 @@ func executeWith(p *Plan, db *data.Database, servers int, env engine.Env,
 				}
 				sub.Add(r)
 			}
-			nodeEnv := env
+			nodeEnv, nodeAgg := env, agg
 			if n != p.Root {
-				nodeEnv.Sink = nil
+				nodeEnv.Sink, nodeAgg = nil, nil
 			}
-			nr := operator(n, sub, perNode, d, nodeEnv)
+			nr := operator(n, sub, perNode, d, nodeAgg, nodeEnv)
 			if nr.Output != nil {
 				nr.Output.Name = n.Name
 			}
@@ -150,21 +145,21 @@ func executeWith(p *Plan, db *data.Database, servers int, env engine.Env,
 	return rec
 }
 
-// ExecuteSkewAwareCapMemoNet is ExecuteAggregateCapMemoNet (without the
-// aggregate) with every plan node computed by the generalized heavy/light
-// pattern algorithm instead of the vanilla HyperCube. The paper leaves
-// multi-round skew open (Section 7); this is the natural engineering answer:
-// intermediate views can become skewed even when the input is not (joins
-// concentrate values), and per-node skew handling contains the resulting
-// hotspots. The per-node skew layouts (heavy-hitter statistics plus pattern
-// grids over the intermediate views) are drawn from memo — the per-node
-// statistics recomputation is the bulk of the skew-aware executor's planning
-// cost.
-func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, memo Memo, env engine.Env) *engine.RunRecord {
-	return executeWith(p, db, servers, env, func(n *Node, sub *data.Database, perNode, d int, env engine.Env) *engine.RunRecord {
+// ExecuteSkewAwareCapMemoNet is ExecuteAggregateCapMemoNet with every plan
+// node computed by the generalized heavy/light pattern algorithm instead of
+// the vanilla HyperCube; agg, as there, is computed at the root node. The
+// paper leaves multi-round skew open (Section 7); this is the natural
+// engineering answer: intermediate views can become skewed even when the
+// input is not (joins concentrate values), and per-node skew handling
+// contains the resulting hotspots. The per-node skew layouts (heavy-hitter
+// statistics plus pattern grids over the intermediate views) are drawn from
+// memo — the per-node statistics recomputation is the bulk of the skew-aware
+// executor's planning cost.
+func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *engine.RunRecord {
+	return executeWith(p, db, servers, agg, env, func(n *Node, sub *data.Database, perNode, d int, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
 		gp := memo.do(fmt.Sprintf("node-skew|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
 			return skew.PrepareGeneric(n.Query, sub, perNode)
 		}).(*skew.GenericPlan)
-		return skew.RunGenericPlannedNet(gp, n.Query, sub, perNode, seed+int64(d), capBits, env)
+		return skew.RunGenericPlannedNet(gp, n.Query, sub, seed+int64(d), capBits, agg, env)
 	})
 }

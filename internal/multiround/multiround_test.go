@@ -14,7 +14,7 @@ import (
 // executeSkewAware runs the skew-aware executor in process with no cap and
 // no memo.
 func executeSkewAware(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRecord {
-	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, 0, nil, engine.Env{})
+	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, 0, nil, nil, engine.Env{})
 }
 
 // TestChainPlanDepths checks Example 5.2 and Table 3: plan depth for L_k is

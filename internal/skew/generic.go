@@ -31,10 +31,13 @@ package skew
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"math"
 	"slices"
 
+	"mpcquery/internal/aggregate"
+	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
@@ -390,10 +393,12 @@ func (gp *GenericPlan) route(dst []*hashing.Block, j int, tuple []int64, ranks [
 // prepared layout: routing, local evaluation and metering, with the
 // statistics phase already paid for (or cached) by the caller. Running a
 // prepared plan is bit-identical to preparing it anew — preparation only
-// moves work, never accounting. capBits is a declared per-round load cap in
-// bits (Section 2.1's abort semantics; 0 = none); round delivery goes
-// through env (the zero Env = in-process, untraced).
-func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
+// moves work, never accounting. The layout spans the plan's own servers.
+// capBits is a declared per-round load cap in bits (Section 2.1's abort
+// semantics; 0 = none); agg, when set, aggregates the output with one more
+// round, as core.RunPlanAggregateNet does (nil: the plain join); round
+// delivery goes through env (the zero Env = in-process, untraced).
+func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
 	cluster := engine.NewClusterEnv(env, gp.totalServers, data.BitsPerValue(db.N))
 	defer cluster.Release()
 	if capBits > 0 {
@@ -424,21 +429,14 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 	// A sub-block receives only the tuples that match it on every column:
 	// in the pinned bin and group where its pattern pins the variable, light
 	// where it does not. Every variable sits in some atom, so every output
-	// row of a sub-block matches it too, and no row needs filtering.
-	out := localjoin.Output(cluster, q, env, gp.layout)
+	// row of a sub-block matches it too, no row needs filtering, and each
+	// is produced, and folded, once.
+	out, saved := localjoin.Output(cluster, q, env, gp.layout, agg)
 
-	rec := cluster.Record(out, inputBits(q, db))
+	rec := cluster.Record(out, core.InputBits(q, db))
+	rec.AggregateBitsSaved = saved
 	rec.HeavyHitters = gp.nHeavy
 	return rec
-}
-
-// inputBits is the input size Σ_j M_j of q's atoms in db, in bits.
-func inputBits(q *query.Query, db *data.Database) float64 {
-	total := 0.0
-	for _, a := range q.Atoms {
-		total += db.Get(a.Name).SizeBits(db.N)
-	}
-	return total
 }
 
 // statsFor bounds every atom's fragment under a pattern, in bits: the atom's
@@ -516,9 +514,11 @@ func PrepareTriangle(q *query.Query, db *data.Database, p int) *TrianglePlan {
 	return PrepareGeneric(q, db, p)
 }
 
-// RunTrianglePlannedNet is RunGenericPlannedNet.
+// RunTrianglePlannedNet is RunGenericPlannedNet without an aggregate. p
+// must be the plan's own server count.
 func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
-	return RunGenericPlannedNet(tp, q, db, p, seed, capBits, env)
+	tp.checkP(p)
+	return RunGenericPlannedNet(tp, q, db, seed, capBits, nil, env)
 }
 
 // PrepareStarWithFrequencies is PrepareGenericFromStats on StarStatsSpec's columns.
@@ -526,7 +526,16 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 	return PrepareGenericFromStats(q, db, p, StarStatsSpec(q, db, p), freqs)
 }
 
-// RunStarPlannedNet is RunGenericPlannedNet.
+// RunStarPlannedNet is RunGenericPlannedNet without an aggregate. p must be
+// the plan's own server count.
 func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *engine.RunRecord {
-	return RunGenericPlannedNet(sp, q, db, p, seed, capBits, env)
+	sp.checkP(p)
+	return RunGenericPlannedNet(sp, q, db, seed, capBits, nil, env)
+}
+
+// checkP panics unless p is the server count gp was prepared for.
+func (gp *GenericPlan) checkP(p int) {
+	if p != gp.inputServers {
+		panic(fmt.Sprintf("skew: plan prepared for p=%d run with p=%d", gp.inputServers, p))
+	}
 }

@@ -14,7 +14,7 @@ import (
 // runGeneric prepares and runs the generic algorithm in process with no
 // load cap.
 func runGeneric(q *query.Query, db *data.Database, p int, seed int64) *engine.RunRecord {
-	return RunGenericPlannedNet(PrepareGeneric(q, db, p), q, db, p, seed, 0, engine.Env{})
+	return RunGenericPlannedNet(PrepareGeneric(q, db, p), q, db, seed, 0, nil, engine.Env{})
 }
 
 func TestGenericNoSkewMatchesSequential(t *testing.T) {

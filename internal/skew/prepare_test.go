@@ -215,9 +215,41 @@ func TestGenericRepeatedVariableRoutes(t *testing.T) {
 	if mixed == 0 {
 		t.Error("no R tuple mixing a heavy value with another value was checked")
 	}
-	rec := RunGenericPlannedNet(gp, q, db, 16, 3, 0, engine.Env{})
+	rec := RunGenericPlannedNet(gp, q, db, 3, 0, nil, engine.Env{})
 	if want := baseline.Evaluate(q, map[string]*data.Relation{"R": r, "S": sRel}); !data.EqualMultiset(rec.Output, want) {
 		t.Fatalf("output: %d tuples, reference %d", rec.Output.NumTuples(), want.NumTuples())
+	}
+}
+
+// TestPlannedNetShimsCheckServers: the star and triangle shims take a p the
+// plan already fixes, so they panic on any other value instead of ignoring
+// it, and run the plan on the matching one.
+func TestPlannedNetShimsCheckServers(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		name string
+		run  func(*GenericPlan, *query.Query, *data.Database, int, int64, float64, engine.Env) *engine.RunRecord
+		q    *query.Query
+		db   *data.Database
+	}{
+		{"star", RunStarPlannedNet, query.Star(2), data.SkewedStarDatabase(rng, 2, 200, 1<<12, map[int64]int{7: 60})},
+		{"triangle", RunTrianglePlannedNet, query.Triangle(), data.SkewedTriangleDatabase(rng, 200, 1<<12, 7, 60)},
+	} {
+		gp := PrepareGeneric(c.q, c.db, 16)
+		for _, p := range []int{1, 8, 17} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: p=%d on a plan for 16 servers did not panic", c.name, p)
+					}
+				}()
+				c.run(gp, c.q, c.db, p, 5, 0, engine.Env{})
+			}()
+		}
+		got, want := c.run(gp, c.q, c.db, 16, 5, 0, engine.Env{}), RunGenericPlannedNet(gp, c.q, c.db, 5, 0, nil, engine.Env{})
+		if got.TotalBits() != want.TotalBits() || !data.EqualMultiset(got.Output, want.Output) {
+			t.Errorf("%s: p=16 differs from RunGenericPlannedNet", c.name)
+		}
 	}
 }
 
@@ -264,7 +296,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	// and all of S2 are light.
 	genDB := skewedTriDB(11, 400, n, 1, 140)
 	gp := PrepareGeneric(tri, genDB, 16)
-	ga := RunGenericPlannedNet(gp, tri, genDB, 16, 5, 0, engine.Env{})
+	ga := RunGenericPlannedNet(gp, tri, genDB, 5, 0, nil, engine.Env{})
 	gc := runGeneric(tri, genDB, 16, 5)
 	if ga.MaxLoadBits() != gc.MaxLoadBits() || ga.TotalBits() != gc.TotalBits() || !data.EqualMultiset(ga.Output, gc.Output) {
 		t.Error("generic: prepared run differs from one-shot run")
@@ -517,7 +549,7 @@ func TestGenericDenseBinBounds(t *testing.T) {
 			if gp.NumPatterns() > bound {
 				t.Errorf("%d patterns above Π(1+bins) = %d", gp.NumPatterns(), bound)
 			}
-			rec := RunGenericPlannedNet(gp, q, db, p, 7, 0, engine.Env{})
+			rec := RunGenericPlannedNet(gp, q, db, 7, 0, nil, engine.Env{})
 			checkServers(t, rec, p, gp)
 			rels := map[string]*data.Relation{}
 			for _, a := range q.Atoms {
@@ -650,7 +682,7 @@ func TestPlansMatchMapReference(t *testing.T) {
 					t.Fatal("plan accessors differ from the reference's")
 				}
 				if executed {
-					sameRun(t, RunGenericPlannedNet(got, q, db, starP, seed, 0, engine.Env{}), RunGenericPlannedNet(want, q, db, starP, seed, 0, engine.Env{}))
+					sameRun(t, RunGenericPlannedNet(got, q, db, seed, 0, nil, engine.Env{}), RunGenericPlannedNet(want, q, db, seed, 0, nil, engine.Env{}))
 				}
 				starLight += lightMaxima(q, db, got.heavy, func(m, _ int) float64 { return float64(heavyCut(m, div[0])) })
 			})
@@ -683,7 +715,7 @@ func TestPlansMatchMapReference(t *testing.T) {
 					t.Fatal("plan accessors differ from the reference's")
 				}
 				if executed {
-					sameRun(t, RunGenericPlannedNet(got, q, db, p, seed, 0, engine.Env{}), RunGenericPlannedNet(want, q, db, p, seed, 0, engine.Env{}))
+					sameRun(t, RunGenericPlannedNet(got, q, db, seed, 0, nil, engine.Env{}), RunGenericPlannedNet(want, q, db, seed, 0, nil, engine.Env{}))
 				}
 				genLight += lightMaxima(q, db, heavy, func(m, v int) float64 { return float64(heavyCut(m, light[v])) })
 				for _, sizes := range got.binSizes() {

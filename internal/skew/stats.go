@@ -180,7 +180,7 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *engine.RunRecord {
 	spec := StarStatsSpec(q, db, p)
 	st := spec.Run(p, sampleSize, seed, 0)
-	rec := RunGenericPlannedNet(PrepareGenericFromStats(q, db, p, spec, st.PerAtom), q, db, p, seed, 0, engine.Env{})
+	rec := RunGenericPlannedNet(PrepareGenericFromStats(q, db, p, spec, st.PerAtom), q, db, seed, 0, nil, engine.Env{})
 	AddStatsCharges(rec, st)
 	return rec
 }

@@ -60,7 +60,7 @@ func TestTriangleSweep(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/p=%d", r.name, p), func(t *testing.T) {
 				gp := PrepareGeneric(q, r.db, p)
-				rec := RunGenericPlannedNet(gp, q, r.db, p, 7, 0, engine.Env{})
+				rec := RunGenericPlannedNet(gp, q, r.db, 7, 0, nil, engine.Env{})
 				if !data.EqualMultiset(rec.Output, want) {
 					t.Fatalf("output: %d tuples, reference %d", rec.Output.NumTuples(), want.NumTuples())
 				}
@@ -152,7 +152,7 @@ func TestStarSweep(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("T%d/m=%d/deg=%d/nh=%d/p=%d", r.k, r.m, r.deg, r.nh, p), func(t *testing.T) {
 				gp := PrepareGeneric(q, db, p)
-				rec := RunGenericPlannedNet(gp, q, db, p, 7, 0, engine.Env{})
+				rec := RunGenericPlannedNet(gp, q, db, 7, 0, nil, engine.Env{})
 				if got := bagDigest(rec.Output); got != want {
 					t.Fatalf("output (rows, digest) %v, reference %v", got, want)
 				}

@@ -15,9 +15,9 @@
 //     ReadRelationCSV;
 //   - algorithms: the single entry point Run with a Strategy per paper
 //     algorithm — HyperCube variants (one round), SkewedGeneric (one round
-//     with heavy-hitter statistics; SkewedStar and SkewedTriangle are
-//     SkewedGeneric checked for stars and C3, SkewedStarSampled runs it on
-//     sampled statistics), ChainPlan / GreedyPlan
+//     with heavy-hitter statistics; SkewedTriangle is SkewedGeneric checked
+//     for C3, SkewedStarSampled runs it on a star's sampled statistics),
+//     ChainPlan / GreedyPlan
 //     (multi-round), and Auto (the advisor-driven pick) — all returning
 //     the unified Report; plus the connected-components algorithms;
 //   - bounds: TauStar, LoadLowerBound, SpaceExponentLB, the round-count
@@ -28,7 +28,8 @@
 //     a database fingerprint), admission control (ErrOverloaded), and
 //     aggregate metrics — see Service and cmd/mpcload;
 //   - aggregation: AggregateQuery / RunAggregate / WithAggregate compute
-//     COUNT/SUM/MIN/MAX over a join with group-by, with pre-shuffle partial
+//     COUNT/SUM/MIN/MAX over a join with group-by, under every strategy
+//     above, with pre-shuffle partial
 //     aggregation (senders combine same-group tuples before routing —
 //     WithAggregatePushdown, Report.AggregateBitsSaved).
 //

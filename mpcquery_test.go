@@ -70,7 +70,7 @@ func TestPublicAPISkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := Star(2)
 	db := SkewedStarDatabase(rng, 2, 300, 1<<20, map[int64]int{7: 150})
-	res := mustRun(t, q, db, WithStrategy(SkewedStar()), WithServers(8), WithSeed(5))
+	res := mustRun(t, q, db, WithStrategy(SkewedGeneric()), WithServers(8), WithSeed(5))
 	want := SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatal("skewed star mismatch")

@@ -11,7 +11,7 @@ import (
 // RunOption configures one Run invocation. Options follow the functional
 // options pattern so call sites read like the sentence they mean:
 //
-//	Run(q, db, WithServers(64), WithStrategy(SkewedStar()))
+//	Run(q, db, WithServers(64), WithStrategy(SkewedGeneric()))
 type RunOption func(*runConfig)
 
 // runConfig collects the knobs shared by every strategy; it is materialized
@@ -75,10 +75,11 @@ func WithRoundBudget(rounds int) RunOption { return func(c *runConfig) { c.round
 // WithAggregate turns the run into an aggregate query: op over variable of
 // (must be "" for AggCount), grouped by the given variables (none = global
 // aggregate). The Report's Output becomes the sorted (group key..., value)
-// relation and TotalBits includes the aggregate-shuffle round. Supported by
-// the HyperCube one-round family, the multi-round plans, and Auto; every
-// other strategy — including external Strategy implementations — is refused
-// with ErrAggregateUnsupported before it executes.
+// relation and TotalBits includes the aggregate-shuffle round. Every
+// built-in strategy supports it: the one-round ones fold on the servers of
+// their layout, the multi-round plans at their root node. An external
+// Strategy implementation is refused with ErrAggregateUnsupported before it
+// executes.
 func WithAggregate(op AggregateOp, of string, groupBy ...string) RunOption {
 	return func(c *runConfig) {
 		c.aggregate = &AggregateSpec{Op: op, Of: of, GroupBy: append([]string(nil), groupBy...)}

@@ -70,13 +70,12 @@ func oracleGenerators() []oracleGenerator {
 	}
 }
 
-// oracleWorkload couples a query with the strategy families that accept it.
+// oracleWorkload couples a query with the strategy families that accept it;
+// each runs its joins and its aggregates.
 type oracleWorkload struct {
 	name       string
 	q          *Query
 	strategies []Strategy
-	// aggStrategies are the families with an aggregate path for this query.
-	aggStrategies []Strategy
 }
 
 func oracleWorkloads() []oracleWorkload {
@@ -85,20 +84,15 @@ func oracleWorkloads() []oracleWorkload {
 			name: "star2", q: Star(2),
 			strategies: []Strategy{
 				HyperCube(), HyperCubeOblivious(), HyperCubeShares(4, 2, 2),
-				SkewedStar(), SkewedStarSampled(40), SkewedGeneric(),
+				SkewedStarSampled(40), SkewedGeneric(),
 				GreedyPlan(0.5), GreedyPlanSkewAware(0.5), Auto(),
-			},
-			aggStrategies: []Strategy{
-				HyperCube(), HyperCubeOblivious(), HyperCubeShares(4, 2, 2),
-				GreedyPlan(0.5), Auto(),
 			},
 		},
 		{
 			name: "star3", q: Star(3),
 			strategies: []Strategy{
-				HyperCube(), SkewedStar(), SkewedGeneric(), Auto(),
+				HyperCube(), SkewedGeneric(), Auto(),
 			},
-			aggStrategies: []Strategy{HyperCube(), Auto()},
 		},
 		{
 			name: "triangle", q: Triangle(),
@@ -106,7 +100,6 @@ func oracleWorkloads() []oracleWorkload {
 				HyperCube(), HyperCubeOblivious(), SkewedTriangle(),
 				SkewedGeneric(), GreedyPlan(0), Auto(),
 			},
-			aggStrategies: []Strategy{HyperCube(), HyperCubeOblivious(), GreedyPlan(0)},
 		},
 		{
 			name: "chain4", q: Chain(4),
@@ -114,7 +107,6 @@ func oracleWorkloads() []oracleWorkload {
 				HyperCube(), ChainPlan(0.5), GreedyPlan(0.5),
 				GreedyPlanSkewAware(0.5), Auto(),
 			},
-			aggStrategies: []Strategy{HyperCube(), ChainPlan(0.5), GreedyPlan(0.5)},
 		},
 	}
 }
@@ -188,7 +180,7 @@ func TestDifferentialOracleAggregates(t *testing.T) {
 				db := gen.build(rng, w.q, m, n)
 				for _, aq := range oracleAggCases(w.q) {
 					want := oracle.Aggregate(w.q, db, opName(aq.Op), aq.Of, aq.GroupBy)
-					for _, s := range w.aggStrategies {
+					for _, s := range w.strategies {
 						for _, pushdown := range []bool{true, false} {
 							rep, err := RunAggregate(aq, db, WithStrategy(s), WithServers(p),
 								WithSeed(seed), WithAggregatePushdown(pushdown))

@@ -55,10 +55,11 @@ func (e *StrategyError) Error() string {
 //		mpcquery.WithStrategy(mpcquery.SkewedTriangle()))
 //
 // Every algorithm of the paper is reachable here: HyperCube(),
-// HyperCubeOblivious(), HyperCubeShares(...), SelfJoin(...), SkewedStar(),
+// HyperCubeOblivious(), HyperCubeShares(...), SelfJoin(...),
 // SkewedStarSampled(...), SkewedTriangle(), SkewedGeneric(), ChainPlan(ε),
-// GreedyPlan(ε), GreedyPlanSkewAware(ε), and Auto(). Run never panics: any
-// panic escaping a strategy is converted into a *StrategyError.
+// GreedyPlan(ε), GreedyPlanSkewAware(ε), and Auto(); each also runs
+// WithAggregate. Run never panics: any panic escaping a strategy is
+// converted into a *StrategyError.
 func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
@@ -95,8 +96,8 @@ func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 		// path would otherwise execute a plain join and have its output
 		// mislabeled as aggregate rows below. External Strategy
 		// implementations always land here.
-		if !supportsAggregateStrategy(strategy) {
-			return nil, errAggregateUnsupported(strategy.Name())
+		if _, ok := strategy.(aggregateCapable); !ok {
+			return nil, fmt.Errorf("mpcquery: %w: %s", ErrAggregateUnsupported, strategy.Name())
 		}
 	}
 	// Strategies that carry their own query (SelfJoin) resolve relations

@@ -67,15 +67,15 @@ func ExampleRun_hyperCubeShares() {
 	// shares: [16 1 1]
 }
 
-// The Section 4.2.1 star strategy gives each heavy hitter its own server
-// group; here half of both relations share one z-value.
+// On the Section 4.2.1 star, the skew-aware strategy gives each heavy hitter
+// its own server group; here half of both relations share one z-value.
 func ExampleRun_skewedStar() {
 	q := mpcquery.Star(2)
 	rng := rand.New(rand.NewSource(4))
 	db := mpcquery.SkewedStarDatabase(rng, 2, 600, 1<<20, map[int64]int{9: 300})
 
 	rep, err := mpcquery.Run(q, db,
-		mpcquery.WithStrategy(mpcquery.SkewedStar()),
+		mpcquery.WithStrategy(mpcquery.SkewedGeneric()),
 		mpcquery.WithServers(16))
 	if err != nil {
 		panic(err)
@@ -84,7 +84,7 @@ func ExampleRun_skewedStar() {
 	fmt.Println("heavy hitters:", rep.HeavyHitters)
 	fmt.Println("matches sequential:", mpcquery.EqualRelations(rep.Output, mpcquery.SequentialAnswer(q, db)))
 	// Output:
-	// strategy: skewed-star
+	// strategy: skewed-generic
 	// heavy hitters: 1
 	// matches sequential: true
 }

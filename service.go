@@ -49,7 +49,7 @@ var (
 //
 //	svc := mpcquery.NewService(mpcquery.WithServiceWorkers(8))
 //	defer svc.Close()
-//	rep, err := svc.Run(ctx, q, db, mpcquery.WithStrategy(mpcquery.SkewedStar()))
+//	rep, err := svc.Run(ctx, q, db, mpcquery.WithStrategy(mpcquery.SkewedGeneric()))
 type Service struct {
 	pool    *service.Pool
 	metrics *service.Metrics

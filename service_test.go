@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mpcquery/internal/oracle"
 	"mpcquery/internal/query"
 )
 
@@ -52,7 +53,7 @@ func serviceCases(tb testing.TB) []serviceCase {
 		{"selfjoin", nil, pathsDB, SelfJoin("paths",
 			Atom{Name: "E", Vars: []string{"x", "y"}},
 			Atom{Name: "E", Vars: []string{"y", "z"}}), nil},
-		{"skewed-star", star, starDB, SkewedStar(), nil},
+		{"skewed-star", star, starDB, SkewedGeneric(), nil},
 		{"skewed-star-sampled", star, starDB, SkewedStarSampled(100), nil},
 		{"skewed-triangle", tri, triSkewDB, SkewedTriangle(), nil},
 		{"skewed-generic", tri, triSkewDB, SkewedGeneric(), nil},
@@ -193,32 +194,36 @@ func TestServiceTriangleSharesGenericPlan(t *testing.T) {
 	}
 }
 
-// TestServiceStarSharesGenericPlan asserts that SkewedStar is a front door
-// to the generic planner: run after it on the same star database,
-// SkewedGeneric hits the plan SkewedStar cached and moves the same bits.
+// TestServiceStarSharesGenericPlan asserts that an aggregate over a skewed
+// star runs on the generic plan a plain run of the same star cached: the
+// aggregate run hits it, its data round moves the same bits, and one more
+// round, aggregate-shuffle, folds the groups to the oracle's values.
 func TestServiceStarSharesGenericPlan(t *testing.T) {
 	q := Star(2)
 	db := SkewedStarDatabase(rand.New(rand.NewSource(9)), 2, 1000, 1<<16, map[int64]int{5: 200, 9: 80})
 	svc := NewService()
 	defer svc.Close()
 
-	star, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedStar()), WithServers(16))
+	plain, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedGeneric()), WithServers(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedGeneric()), WithServers(16))
+	agg, err := svc.RunAggregate(context.Background(), AggregateQuery{Join: q, Op: AggCount, GroupBy: []string{"z"}},
+		db, WithStrategy(SkewedGeneric()), WithServers(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats().PlanCache; st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("plan cache %+v, want 1 miss and 1 hit", st)
 	}
-	if !EqualRelations(star.Output, gen.Output) || star.MaxLoadBits != gen.MaxLoadBits {
-		t.Errorf("star: %d tuples at %v bits; generic: %d tuples at %v bits",
-			star.Output.NumTuples(), star.MaxLoadBits, gen.Output.NumTuples(), gen.MaxLoadBits)
+	if agg.Rounds != plain.Rounds+1 || agg.RoundStats[0] != plain.RoundStats[0] {
+		t.Errorf("aggregate rounds %v, want the plain run's %v and aggregate-shuffle", agg.RoundStats, plain.RoundStats)
 	}
-	if star.HeavyHitters != 2 {
-		t.Errorf("%d heavy hitters, want both planted values above the cut m/p", star.HeavyHitters)
+	if want := oracle.Aggregate(q, db, "count", "", []string{"z"}); !relExactlyEqual(agg.Output, want) {
+		t.Errorf("%d groups, oracle %d; aggregate values differ", agg.Output.NumTuples(), want.NumTuples())
+	}
+	if plain.HeavyHitters != 2 || agg.HeavyHitters != 2 {
+		t.Errorf("%d and %d heavy hitters, want both planted values above the cut m/p", plain.HeavyHitters, agg.HeavyHitters)
 	}
 }
 
@@ -259,17 +264,17 @@ func TestServiceInvalidateDatabase(t *testing.T) {
 	svc := NewService()
 	defer svc.Close()
 
-	if _, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedStar()), WithServers(8)); err != nil {
+	if _, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedGeneric()), WithServers(8)); err != nil {
 		t.Fatal(err)
 	}
 	// Swap a value in place: same sizes, different frequencies.
 	db.Get("S1").Tuple(0)[0] = 9999
 	svc.InvalidateDatabase(db)
-	rep, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedStar()), WithServers(8))
+	rep, err := svc.Run(context.Background(), q, db, WithStrategy(SkewedGeneric()), WithServers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := Run(q, db, WithStrategy(SkewedStar()), WithServers(8))
+	base, _ := Run(q, db, WithStrategy(SkewedGeneric()), WithServers(8))
 	if rep.Fingerprint() != base.Fingerprint() {
 		t.Error("post-invalidation service run differs from plain Run")
 	}

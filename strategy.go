@@ -25,8 +25,8 @@ type ExecContext struct {
 
 	// Aggregate is the aggregate attached by WithAggregate (nil for plain
 	// join runs); AggPushdown selects pre-shuffle partial aggregation.
-	// Strategies without an aggregate path must return
-	// ErrAggregateUnsupported when Aggregate is set.
+	// Every built-in strategy computes it. Run refuses WithAggregate for
+	// any other Strategy, so an external Execute never sees it set.
 	Aggregate   *AggregateSpec
 	AggPushdown bool
 
@@ -60,20 +60,14 @@ type queryProvider interface {
 	provideQuery() *Query
 }
 
-// aggregateCapable marks the built-in strategies with an aggregate path.
-// Run refuses WithAggregate for any strategy that does not declare support,
+// aggregateCapable marks the strategies with an aggregate path: every
+// built-in one. Run refuses WithAggregate for any strategy without the mark,
 // so a strategy that would silently ignore ExecContext.Aggregate — and
 // return plain join tuples mislabeled as aggregate rows — can never execute
 // one. The method is deliberately unexported: external Strategy
 // implementations cannot opt in yet, and get ErrAggregateUnsupported.
 type aggregateCapable interface {
-	supportsAggregate() bool
-}
-
-// supportsAggregateStrategy reports whether s declares an aggregate path.
-func supportsAggregateStrategy(s Strategy) bool {
-	ac, ok := s.(aggregateCapable)
-	return ok && ac.supportsAggregate()
+	supportsAggregate()
 }
 
 // ---- one-round HyperCube ---------------------------------------------------
@@ -97,7 +91,7 @@ func (s hyperCubeStrategy) Name() string {
 	return "hypercube"
 }
 
-func (hyperCubeStrategy) supportsAggregate() bool { return true }
+func (hyperCubeStrategy) supportsAggregate() {}
 
 func (s hyperCubeStrategy) Execute(ctx ExecContext) (*Report, error) {
 	plan := ctx.cachedPlan(fmt.Sprintf("hc|m%d", s.mode), func() any {
@@ -125,7 +119,7 @@ func HyperCubeShares(shares ...int) Strategy {
 
 func (s sharesStrategy) Name() string { return "hypercube-shares" }
 
-func (sharesStrategy) supportsAggregate() bool { return true }
+func (sharesStrategy) supportsAggregate() {}
 
 func (s sharesStrategy) Execute(ctx ExecContext) (*Report, error) {
 	if got, want := len(s.shares), ctx.Query.NumVars(); got != want {
@@ -160,6 +154,8 @@ func SelfJoin(name string, atoms ...Atom) Strategy {
 
 func (s selfJoinStrategy) Name() string { return "hypercube-selfjoin" }
 
+func (selfJoinStrategy) supportsAggregate() {}
+
 func (s selfJoinStrategy) provideQuery() *Query {
 	q, _ := core.DesugarSelfJoins(s.name, s.atoms)
 	return q
@@ -174,60 +170,46 @@ func (s selfJoinStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: SelfJoin: %w: %q", ErrMissingRelation, a.Name)
 		}
 	}
-	// The plan RunWithSelfJoins executes: shares of the renamed query over
-	// the renamed copies, each as large as the relation it reads.
-	q, orig := core.DesugarSelfJoins(s.name, s.atoms)
-	stats := make([]float64, q.NumAtoms())
-	for j, a := range q.Atoms {
-		stats[j] = ctx.DB.Get(orig[a.Name]).SizeBits(ctx.DB.N)
+	// HyperCube on the renamed query over renamed views of the relations.
+	// The plan cache is scoped to the request's query and database, not to
+	// the view, so the plan is not cached.
+	ctx.Query, ctx.DB = core.SelfJoinView(s.name, s.atoms, ctx.DB)
+	ctx.cache = nil
+	rep, err := HyperCube().Execute(ctx)
+	if err != nil {
+		return nil, err
 	}
-	plan := core.NewPlan(q, stats, ctx.Servers, core.SkewFree)
-	rec := core.RunWithSelfJoins(s.name, s.atoms, ctx.DB, ctx.Servers, ctx.Seed, core.SkewFree, ctx.LoadCapBits, ctx.env)
-	rep := hyperCubeReport(s.Name(), q, plan, rec)
-	rep.PredictedLoadBits = plan.PredictedLoadBits()
+	rep.Strategy = s.Name()
 	return rep, nil
 }
 
 // ---- skew-aware one-round strategies ---------------------------------------
 
 type skewedStarStrategy struct {
-	sampled    bool
 	sampleSize int
 }
 
-// SkewedStar returns the Section 4.2.1 heavy-hitter strategy for star
-// queries T_k (which covers the simple join as k=2), with exact frequency
-// statistics (the paper's oracle assumption). It checks the query and runs
-// SkewedGeneric's planner under SkewedGeneric's cached plan: each z-value of
-// degree at least ⌊m_j/s_z⌋ — the paper's m/p when the skew-free grid puts
-// all p servers on z, as it does for equal relation sizes — gets a block of
-// its own for the residual Cartesian product.
-func SkewedStar() Strategy { return skewedStarStrategy{} }
-
-// SkewedStarSampled is SkewedStar with statistics gathered by the one-round
-// sampling protocol instead of an oracle; sampleSize tuples are sampled per
-// server. Correctness is unconditional; only load depends on the estimates.
+// SkewedStarSampled returns the Section 4.2.1 heavy-hitter strategy for star
+// queries T_k (which covers the simple join as k=2) with statistics gathered
+// by the one-round sampling protocol instead of an oracle; sampleSize tuples
+// are sampled per server. It runs SkewedGeneric's planner on the sampled
+// z-frequencies. Correctness is unconditional; only load depends on the
+// estimates.
 func SkewedStarSampled(sampleSize int) Strategy {
-	return skewedStarStrategy{sampled: true, sampleSize: sampleSize}
+	return skewedStarStrategy{sampleSize: sampleSize}
 }
 
-func (s skewedStarStrategy) Name() string {
-	if s.sampled {
-		return "skewed-star-sampled"
-	}
-	return "skewed-star"
-}
+func (s skewedStarStrategy) Name() string { return "skewed-star-sampled" }
+
+func (skewedStarStrategy) supportsAggregate() {}
 
 func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
-	if s.sampled && s.sampleSize < 1 {
+	if s.sampleSize < 1 {
 		return nil, fmt.Errorf("mpcquery: SkewedStarSampled: sample size must be ≥ 1, got %d", s.sampleSize)
 	}
 	if !isStarQuery(ctx.Query) {
 		return nil, fmt.Errorf("mpcquery: %s needs a star query (every atom S_j(z, x_j...) sharing the first variable); got %s",
 			s.Name(), ctx.Query)
-	}
-	if !s.sampled {
-		return runGeneric(s.Name(), ctx), nil
 	}
 	// The sampling protocol costs a genuine communication round; its result
 	// lives in the STATS cache and a hit skips the recomputation, but
@@ -241,7 +223,7 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		spec := skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers)
 		return skew.PrepareGenericFromStats(ctx.Query, ctx.DB, ctx.Servers, spec, st.PerAtom)
 	}).(*skew.GenericPlan)
-	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
 	skew.AddStatsCharges(rec, st)
 	return newReport(s.Name(), ctx.Query, rec), nil
 }
@@ -271,6 +253,8 @@ type skewedTriangleStrategy struct{}
 func SkewedTriangle() Strategy { return skewedTriangleStrategy{} }
 
 func (skewedTriangleStrategy) Name() string { return "skewed-triangle" }
+
+func (skewedTriangleStrategy) supportsAggregate() {}
 
 func (s skewedTriangleStrategy) Execute(ctx ExecContext) (*Report, error) {
 	if !isTriangleQuery(ctx.Query) {
@@ -308,6 +292,8 @@ func SkewedGeneric() Strategy { return skewedGenericStrategy{} }
 
 func (skewedGenericStrategy) Name() string { return "skewed-generic" }
 
+func (skewedGenericStrategy) supportsAggregate() {}
+
 func (s skewedGenericStrategy) Execute(ctx ExecContext) (*Report, error) {
 	return runGeneric(s.Name(), ctx), nil
 }
@@ -317,7 +303,7 @@ func runGeneric(name string, ctx ExecContext) *Report {
 	gp := ctx.cachedPlan("generic", func() any {
 		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers)
 	}).(*skew.GenericPlan)
-	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
 	return newReport(name, ctx.Query, rec)
 }
 
@@ -346,9 +332,8 @@ func GreedyPlanSkewAware(eps float64) Strategy {
 	return multiRoundStrategy{eps: eps, skewAware: true}
 }
 
-// supportsAggregate: the plain executors aggregate at the root node; the
-// skew-aware executor does not have an aggregate path yet.
-func (s multiRoundStrategy) supportsAggregate() bool { return !s.skewAware }
+// supportsAggregate: both executors aggregate at the root node.
+func (multiRoundStrategy) supportsAggregate() {}
 
 func (s multiRoundStrategy) Name() string {
 	switch {
@@ -397,12 +382,9 @@ func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps 
 		}
 	}
 	ap := ctx.aggregatePlan()
-	if ap != nil && skewAware {
-		return nil, errAggregateUnsupported(name)
-	}
 	var rec *engine.RunRecord
 	if skewAware {
-		rec = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, memo, ctx.env)
+		rec = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
 	} else {
 		rec = multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
 	}
@@ -429,9 +411,7 @@ func Auto() Strategy { return autoStrategy{} }
 
 func (autoStrategy) Name() string { return "auto" }
 
-// supportsAggregate: every strategy Auto delegates to (HyperCube variants,
-// plain multi-round plans) has an aggregate path.
-func (autoStrategy) supportsAggregate() bool { return true }
+func (autoStrategy) supportsAggregate() {}
 
 func (s autoStrategy) Execute(ctx ExecContext) (*Report, error) {
 	if !ctx.Query.IsConnected() {

@@ -205,7 +205,7 @@ func TestStreamingOutputSink(t *testing.T) {
 	}{
 		{"small", HyperCube(), 102, 120, 1 << 12, map[int64]int{5: 40}, 7, false},
 		{"giant", HyperCube(), 202, 4000, 1 << 16, map[int64]int{9: 1500}, 32, true},
-		{"giant-skewed-star", SkewedStar(), 202, 4000, 1 << 16, map[int64]int{9: 1500}, 32, true},
+		{"giant-skewed-star", SkewedGeneric(), 202, 4000, 1 << 16, map[int64]int{9: 1500}, 32, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,7 +26,7 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 	want := map[string][]string{
 		"internal/core": {
 			"Run", "RunPlan", "RunPlanAggregateNet", "RunPlanCapped",
-			"RunPlanInputServers", "RunPlanWithCapNet", "RunWithSelfJoins",
+			"RunPlanInputServers", "RunPlanWithCapNet",
 		},
 		"internal/skew": {
 			"RunGenericPlannedNet", "RunStarPlannedNet", "RunStarSampled",

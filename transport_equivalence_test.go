@@ -48,7 +48,7 @@ func distScenarios() []distScenario {
 		named("hypercube", mk(Triangle, matchDB(Triangle, 1<<12), HyperCube())),
 		named("hypercube-oblivious", mk(Triangle, matchDB(Triangle, 1<<12), HyperCubeOblivious())),
 		named("hypercube-shares", mk(star2, starDB, HyperCubeShares(4, 2, 2))),
-		named("skewed-star", mk(star2, starDB, SkewedStar())),
+		named("skewed-star", mk(star2, starDB, SkewedGeneric())),
 		named("skewed-star-sampled", mk(star2, starDB, SkewedStarSampled(30))),
 		named("skewed-triangle", mk(Triangle, goldenTriDB, SkewedTriangle())),
 		named("skewed-generic", mk(Triangle, goldenTriDB, SkewedGeneric())),
@@ -167,6 +167,58 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 				t.Errorf("wire accounting off: wire=%d shipped=%d gathered=%d ctrl=%d", wire, shipped, gathered, ctrl)
 			}
 		})
+	}
+}
+
+// TestDistributedSkewedGenericAggregate: the skew-aware layout's aggregate
+// tail — the fold on the layout's servers, the aggregate-shuffle round and
+// the gathers of groups and saved bits — yields, at each of two ranks, the
+// in-process run's Report bit for bit.
+func TestDistributedSkewedGenericAggregate(t *testing.T) {
+	const ranks = 2
+	run := func(extra ...RunOption) (*Report, error) {
+		db := SkewedStarDatabase(rand.New(rand.NewSource(102)), 2, 120, 1<<12, map[int64]int{5: 40})
+		return Run(Star(2), db, append([]RunOption{WithStrategy(SkewedGeneric()), WithServers(16), WithSeed(7),
+			WithAggregate(AggCount, "", "z")}, extra...)...)
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.HeavyHitters == 0 || want.AggregateBitsSaved == 0 {
+		t.Fatalf("%d heavy hitters, %v bits saved: the run exercises neither the skew layout nor the fold",
+			want.HeavyHitters, want.AggregateBitsSaved)
+	}
+	addrs, err := transport.FreeLoopbackAddrs(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg   sync.WaitGroup
+		reps [ranks]*Report
+		errs [ranks]error
+	)
+	for r := 0; r < ranks; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt, err := DialRuntime(r, addrs)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer rt.Close()
+			reps[r], errs[r] = run(WithRuntime(rt))
+		}()
+	}
+	wg.Wait()
+	for r := 0; r < ranks; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if got := reps[r].Fingerprint(); got != want.Fingerprint() {
+			t.Errorf("rank %d fingerprint diverged from in-process run\n got %s\nwant %s", r, got, want.Fingerprint())
+		}
 	}
 }
 

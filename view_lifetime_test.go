@@ -171,7 +171,7 @@ func TestViewLifetimeReportOutputOutlivesArenas(t *testing.T) {
 	for _, sc := range distScenarios() {
 		scenarios[sc.name] = sc
 	}
-	names := []string{"hypercube-shares", "skewed-star", "skewed-triangle", "chain-plan", "selfjoin"}
+	names := []string{"hypercube-shares", "skewed-star-sampled", "skewed-triangle", "chain-plan", "selfjoin"}
 	kept := make([]*Report, len(names))
 	rows := make([][]int64, len(names))
 	for i, name := range names {
