@@ -81,15 +81,6 @@ type ScenarioResult struct {
 	MaxLoadBits    float64 `json:"max_load_bits"`
 	TotalBits      float64 `json:"total_bits"`
 	OutputTuples   int     `json:"output_tuples"`
-
-	// Wall-clock split of one representative run (the sampleReport
-	// request): seconds inside the engine's computation phases (local
-	// joins) vs its simulated communication delivery, plus computation's
-	// share of the two. Tells future perf PRs which phase to attack per
-	// scenario.
-	ComputeSeconds  float64 `json:"compute_seconds"`
-	CommSeconds     float64 `json:"comm_seconds"`
-	ComputeFraction float64 `json:"compute_fraction"`
 }
 
 // BenchFile is the BENCH_service.json document.
@@ -274,21 +265,14 @@ func main() {
 			MaxLoadBits:    rep.MaxLoadBits,
 			TotalBits:      rep.TotalBits,
 			OutputTuples:   rep.Output.NumTuples(),
-			ComputeSeconds: rep.ComputeSeconds,
-			CommSeconds:    rep.CommSeconds,
 		}
 		if perCa[sc.name] > 0 {
 			res.Speedup = float64(perUn[sc.name]) / float64(perCa[sc.name])
 		}
-		if total := res.ComputeSeconds + res.CommSeconds; total > 0 {
-			res.ComputeFraction = res.ComputeSeconds / total
-		}
 		file.Scenarios = append(file.Scenarios, res)
-		fmt.Fprintf(os.Stderr, "mpcload: %-22s %3d reqs  %8.2fms -> %8.2fms  speedup %.2fx  identical=%t  compute/comm %4.1f%%/%4.1f%% (%.2fms/%.2fms)\n",
+		fmt.Fprintf(os.Stderr, "mpcload: %-22s %3d reqs  %8.2fms -> %8.2fms  speedup %.2fx  identical=%t\n",
 			sc.name, perCount[sc.name],
-			float64(perUn[sc.name])/1e6, float64(perCa[sc.name])/1e6, res.Speedup, matched[sc.name],
-			100*res.ComputeFraction, 100*(1-res.ComputeFraction),
-			res.ComputeSeconds*1e3, res.CommSeconds*1e3)
+			float64(perUn[sc.name])/1e6, float64(perCa[sc.name])/1e6, res.Speedup, matched[sc.name])
 	}
 
 	// Admission-control probe: a deliberately tiny service under a burst

@@ -25,7 +25,7 @@ func main() {
 	k := flag.Int("k", 3, "family size parameter")
 	m := flag.Int("m", 10000, "tuples per relation")
 	p := flag.Int("p", 64, "number of servers")
-	algo := flag.String("algo", "hc", "strategy: hc|oblivious|star-sampled|triangle|generic|multiround|auto")
+	algo := flag.String("algo", "hc", "strategy: hc|oblivious|star-sampled|generic|multiround|auto")
 	eps := flag.Float64("eps", 0, "space exponent (multiround)")
 	budget := flag.Int("budget", 0, "round budget for -algo auto (0 = unlimited)")
 	skewFrac := flag.Float64("skew", 0, "fraction of tuples carrying one heavy value")
@@ -44,8 +44,6 @@ func main() {
 		strategy = mpcquery.HyperCubeOblivious()
 	case "star-sampled":
 		strategy = mpcquery.SkewedStarSampled(200)
-	case "triangle":
-		strategy = mpcquery.SkewedTriangle()
 	case "generic":
 		strategy = mpcquery.SkewedGeneric()
 	case "multiround":

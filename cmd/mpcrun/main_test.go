@@ -43,6 +43,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-family square", 2, `mpcrun: unknown family "square"`},
 		{"-algo nope -m 50", 2, `mpcrun: unknown algorithm "nope"`},
 		{"-algo star -m 50", 2, `mpcrun: unknown algorithm "star"`},
+		{"-algo triangle -m 50", 2, `mpcrun: unknown algorithm "triangle"`},
 	} {
 		cmd := exec.Command(exe, strings.Fields(tc.args)...)
 		cmd.Env = append(os.Environ(), "MPCRUN_AS_MAIN=1")

@@ -8,10 +8,13 @@ import (
 // wall-clock readings never reach a Report fingerprint. internal/service
 // feeds latency metrics; internal/transport arms dial/IO deadlines;
 // internal/obs is telemetry by definition — traces carry timestamps and a
-// trace's deterministic skeleton (Structure) excludes them. The engine's
-// phase timers are NOT allowlisted wholesale — its sites carry individual
-// //lint:allow comments so any new wall-clock read in the engine has to
-// justify itself.
+// trace's deterministic skeleton (Structure) excludes them. No other
+// library package reads a clock, and no site outside the list is allowed
+// one: the engine
+// takes its span timestamps from the trace's stopwatch (obs.ClusterTrace,
+// which reads no clock when untraced) and the root package its request
+// latencies from service.Metrics. CI fails on any non-test allow of this
+// analyzer.
 var ndTimeAllowedPkgs = []string{
 	"internal/obs",
 	"internal/service",

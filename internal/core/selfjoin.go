@@ -36,15 +36,16 @@ func DesugarSelfJoins(name string, atoms []query.Atom) (*query.Query, map[string
 
 // SelfJoinView renames the atoms apart and returns the self-join-free query
 // with a database in which each renamed copy reads the shared relation
-// through a renamed view.
+// through a renamed view: the copies share the original's values, so the
+// "logical copy" costs no memory (an append to a view copies it first).
 func SelfJoinView(name string, atoms []query.Atom, db *data.Database) (*query.Query, *data.Database) {
 	q, mapping := DesugarSelfJoins(name, atoms)
 	view := data.NewDatabase(db.N)
 	for newName, orig := range mapping {
 		rel := db.Get(orig)
 		if rel.Name != newName {
-			r := rel.Clone()
-			r.Name = newName
+			r := data.NewRelation(newName, rel.Arity)
+			r.SetView(rel.Vals())
 			rel = r
 		}
 		view.Add(rel)

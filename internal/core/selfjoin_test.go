@@ -56,6 +56,30 @@ func TestSelfJoinPath2(t *testing.T) {
 	}
 }
 
+// TestSelfJoinViewSharesValues: every renamed copy reads the original's
+// backing array instead of holding a copy of it, and appending to a copy
+// leaves the original as it was.
+func TestSelfJoinViewSharesValues(t *testing.T) {
+	db := data.NewDatabase(10)
+	db.Add(data.FromTuples("E", 2, []int64{1, 2}, []int64{2, 3}))
+	atoms := []query.Atom{
+		{Name: "E", Vars: []string{"x", "y"}},
+		{Name: "E", Vars: []string{"y", "z"}},
+		{Name: "E", Vars: []string{"z", "w"}},
+	}
+	_, view := SelfJoinView("path3", atoms, db)
+	orig := db.Get("E").Vals()
+	for _, name := range []string{"E", "E#2", "E#3"} {
+		if vals := view.Get(name).Vals(); len(vals) != len(orig) || &vals[0] != &orig[0] {
+			t.Errorf("%s does not alias E's values", name)
+		}
+	}
+	view.Get("E#2").Append(3, 4)
+	if db.Get("E").NumTuples() != 2 || view.Get("E#3").NumTuples() != 2 {
+		t.Error("an append to a renamed copy wrote through to the shared values")
+	}
+}
+
 // TestSelfJoinTriangleSingleRelation computes triangles within one edge
 // relation: E(x,y), E(y,z), E(z,x).
 func TestSelfJoinTriangleSingleRelation(t *testing.T) {

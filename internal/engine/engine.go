@@ -30,7 +30,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"mpcquery/internal/data"
 	"mpcquery/internal/hashing"
@@ -673,13 +672,6 @@ type Cluster struct {
 	// cancellation and report injected faults. Both nil by default.
 	runCtx   context.Context
 	runTrace *obs.Trace
-
-	// Wall-clock split of the simulation, not a model cost: time spent in
-	// server computation (round functions and Compute phases) vs delivery
-	// (the simulated communication). cmd/mpcload reports the split per
-	// scenario so perf work knows which phase dominates.
-	computeSeconds float64
-	commSeconds    float64
 }
 
 // inboxPool recycles inbox arenas across clusters, so a service executing a
@@ -909,9 +901,9 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	// layouts routinely span hundreds of servers, and per-server goroutine
 	// spawning would dominate small rounds. ParallelFor re-raises server
 	// panics on the caller's goroutine, so callers see them as ordinary
-	// panics.
-	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
-	t0 := time.Now()
+	// panics. Every timestamp comes from the trace's stopwatch, which reads
+	// no clock on an untraced cluster.
+	t0 := c.tr.Start()
 	pipelined := c.streamChunk > 0 && c.link == nil
 	for s := 0; s < c.p; s++ {
 		c.emitters[s].reset(pipelined)
@@ -929,29 +921,20 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 		}
 	}
 	// When tracing, each server's closure is individually timed so the
-	// trace can show per-server emit spans (the skew the load L is about);
-	// untraced, the closures run bare — same calls, no per-server clock
-	// reads, no slice.
+	// trace can show per-server emit spans (the skew the load L is about).
 	var serverSecs []float64
 	if c.tr != nil {
 		serverSecs = make([]float64, c.hi-c.lo)
-		ParallelFor(c.hi-c.lo, func(i int) {
-			s := c.lo + i
-			//lint:allow nondeterminism per-server emit spans are trace telemetry, excluded from Report.Fingerprint
-			ts := time.Now()
-			f(s, c.inbox[s], c.emitters[s])
-			//lint:allow nondeterminism per-server emit spans are trace telemetry, excluded from Report.Fingerprint
-			serverSecs[i] = time.Since(ts).Seconds()
-		})
-	} else {
-		ParallelFor(c.hi-c.lo, func(i int) {
-			s := c.lo + i
-			f(s, c.inbox[s], c.emitters[s])
-		})
 	}
-	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
-	computeDur := time.Since(t0).Seconds()
-	c.computeSeconds += computeDur
+	ParallelFor(c.hi-c.lo, func(i int) {
+		s := c.lo + i
+		ts := c.tr.Start()
+		f(s, c.inbox[s], c.emitters[s])
+		if serverSecs != nil {
+			serverSecs[i] = c.tr.Seconds(ts)
+		}
+	})
+	computeDur := c.tr.Seconds(t0)
 
 	// Delivery phase, through the transport seam: the default (no link) is
 	// DeliverLocal — sharded by destination, each destination collecting its
@@ -960,8 +943,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	// hands the round to its Transport instead, which must reproduce the same
 	// delivery order (see Link.Deliver); a delivery error aborts the run via
 	// panic, mapped to a typed error at the API boundary.
-	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
-	t1 := time.Now()
+	t1 := c.tr.Start()
 	var destSecs []float64
 	c.landed = nil
 	if pipelined {
@@ -975,17 +957,12 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			destSecs = make([]float64, c.p)
 		}
 		ParallelFor(c.p, func(d int) {
-			var td time.Time
-			if destSecs != nil {
-				//lint:allow nondeterminism per-destination finalize spans are trace telemetry, excluded from Report.Fingerprint
-				td = time.Now()
-			}
+			td := c.tr.Start()
 			bits, tuples := c.spare[d].finalizeStream(c.bitsPerValue)
 			c.recvBits[d] = bits
 			c.recvTuples[d] = tuples
 			if destSecs != nil {
-				//lint:allow nondeterminism per-destination finalize spans are trace telemetry, excluded from Report.Fingerprint
-				destSecs[d] = time.Since(td).Seconds()
+				destSecs[d] = c.tr.Seconds(td)
 			}
 		})
 	} else {
@@ -1005,6 +982,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			Chunk:        c.streamChunk,
 			Ctx:          c.runCtx,
 			Trace:        c.runTrace,
+			tr:           c.tr,
 		}
 		if c.tr != nil {
 			io.PerDestSeconds = make([]float64, c.p)
@@ -1019,9 +997,7 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 		destSecs = io.PerDestSeconds
 		c.landed = io.Senders
 	}
-	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
-	commDur := time.Since(t1).Seconds()
-	c.commSeconds += commDur
+	commDur := c.tr.Seconds(t1)
 	c.inbox, c.spare = c.spare, c.inbox
 	chunkFlushes := 0
 	if c.streamChunk > 0 {
@@ -1084,34 +1060,25 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 
 // Compute runs one computation phase outside a communication round: f runs
 // for every owned server, over its inbox, on the ParallelForWorkers pool
-// (worker ids for per-worker scratch), and the elapsed wall time is
-// accounted to the cluster's compute-phase total. This is the hook
-// strategies use for their final local-evaluation phase so the record's
-// ComputeSeconds covers it; a phase reads only the inbox it is handed, as
+// (worker ids for per-worker scratch). This is the hook strategies use for
+// their final local-evaluation phase, so a traced run records it as a
+// compute span per server; a phase reads only the inbox it is handed, as
 // the model's local computation does.
 func (c *Cluster) Compute(f func(server int, inbox *Inbox, worker int)) {
-	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
-	t0 := time.Now()
+	t0 := c.tr.Start()
 	var serverSecs []float64
 	if c.tr != nil {
 		serverSecs = make([]float64, c.hi-c.lo)
 	}
 	ParallelForWorkers(c.hi-c.lo, func(i, w int) {
 		s := c.lo + i
-		if serverSecs == nil {
-			f(s, c.inbox[s], w)
-			return
-		}
-		//lint:allow nondeterminism per-server compute spans are trace telemetry, excluded from Report.Fingerprint
-		ts := time.Now()
+		ts := c.tr.Start()
 		f(s, c.inbox[s], w)
-		//lint:allow nondeterminism per-server compute spans are trace telemetry, excluded from Report.Fingerprint
-		serverSecs[i] = time.Since(ts).Seconds()
+		if serverSecs != nil {
+			serverSecs[i] = c.tr.Seconds(ts)
+		}
 	})
-	//lint:allow nondeterminism phase wall-clock timing; the RunRecord phase split is a simulation metric, excluded from Report.Fingerprint
-	dur := time.Since(t0).Seconds()
-	c.computeSeconds += dur
-	c.tr.ObserveCompute(t0, dur, c.lo, serverSecs)
+	c.tr.ObserveCompute(t0, c.tr.Seconds(t0), c.lo, serverSecs)
 }
 
 // SetLoadCap declares the maximum load L: any subsequent round in which a

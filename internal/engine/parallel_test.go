@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"slices"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/obs"
 )
 
 func TestParallelForRunsAll(t *testing.T) {
@@ -152,21 +155,81 @@ func TestParallelForNested(t *testing.T) {
 	})
 }
 
-func TestClusterComputeTimesPhases(t *testing.T) {
-	c := NewCluster(4, 8)
-	defer c.Release()
-	c.Seed(0, 0, []int64{1, 2})
-	c.Round("r", func(s int, inbox *Inbox, emit *Emitter) {
-		inbox.Each(func(kind int, tu []int64) { emit.EmitTuple((s+1)%4, kind, tu) })
-	})
-	c.Compute(func(server int, _ *Inbox, worker int) {})
-	rec := c.Record(nil, 0)
-	compute, comm := rec.ComputeSeconds, rec.CommSeconds
-	if compute <= 0 {
-		t.Errorf("compute seconds not accounted: %g", compute)
+// TestClusterTraceTimesPhases: a traced cluster times every round's compute
+// and deliver phases, barrier and pipelined, and every compute phase, in
+// total and once per owned server; an untraced cluster records nothing.
+func TestClusterTraceTimesPhases(t *testing.T) {
+	const p = 4
+	send := func(s int, inbox *Inbox, emit *Emitter) {
+		inbox.Each(func(kind int, tu []int64) { emit.EmitTuple((s+1)%p, kind, tu) })
 	}
-	if comm <= 0 {
-		t.Errorf("comm seconds not accounted: %g", comm)
+	run := func(c *Cluster) {
+		c.Seed(0, 0, []int64{1, 2})
+		c.Round("barrier", send)
+		c.SetStreamChunk(1)
+		c.Round("pipelined", send)
+		c.Compute(func(int, *Inbox, int) {})
+	}
+	tr := obs.NewTrace()
+	c := NewClusterEnv(Env{Trace: tr}, p, 8)
+	defer c.Release()
+	run(c)
+	rounds := c.Trace().Rounds()
+	if len(rounds) != 2 {
+		t.Fatalf("traced %d rounds, want 2", len(rounds))
+	}
+	for _, ro := range rounds {
+		if ro.ComputeSeconds <= 0 || ro.DeliverSeconds <= 0 {
+			t.Errorf("round %q: compute %g s, deliver %g s", ro.Name, ro.ComputeSeconds, ro.DeliverSeconds)
+		}
+		if len(ro.ServerComputeSeconds) != p || len(ro.DestDeliverSeconds) != p {
+			t.Fatalf("round %q: %d emit spans, %d deliver spans, want %d each",
+				ro.Name, len(ro.ServerComputeSeconds), len(ro.DestDeliverSeconds), p)
+		}
+		for s := range p {
+			if ro.ServerComputeSeconds[s] <= 0 || ro.DestDeliverSeconds[s] <= 0 {
+				t.Errorf("round %q server %d: emit %g s, deliver %g s",
+					ro.Name, s, ro.ServerComputeSeconds[s], ro.DestDeliverSeconds[s])
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name, Cat string
+			Dur       float64
+			Tid       int
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	phases, servers := 0, map[int]bool{}
+	for _, ev := range file.TraceEvents {
+		if ev.Name != "compute" {
+			continue
+		}
+		if ev.Dur <= 0 {
+			t.Errorf("compute span %+v has no duration", ev)
+		}
+		if ev.Cat == "compute" {
+			phases++
+		} else {
+			servers[ev.Tid-1] = true
+		}
+	}
+	if phases != 1 || len(servers) != p {
+		t.Errorf("compute phase: %d phase spans, spans on %d servers; want 1 and %d", phases, len(servers), p)
+	}
+
+	untraced := NewCluster(p, 8)
+	defer untraced.Release()
+	run(untraced)
+	if untraced.Trace() != nil || untraced.Trace().Rounds() != nil {
+		t.Error("an untraced cluster recorded rounds")
 	}
 }
 

@@ -24,24 +24,17 @@ type RunRecord struct {
 	// aggregation removed: (raw join rows − shipped partial rows) × row bits,
 	// summed over senders. 0 for plain runs and no-pushdown aggregate runs.
 	AggregateBitsSaved float64
-
-	// Wall-clock split of the simulation, not model costs: seconds spent in
-	// server computation (round functions and Compute phases) vs delivery.
-	ComputeSeconds float64
-	CommSeconds    float64
 }
 
 // Record returns the run record of everything the cluster executed so far:
-// its rounds, its server count and its phase clock, with the output and
-// input size the caller supplies. The record owns its copy of the rounds.
+// its rounds and its server count, with the output and input size the
+// caller supplies. The record owns its copy of the rounds.
 func (c *Cluster) Record(out *data.Relation, inputBits float64) *RunRecord {
 	return &RunRecord{
-		Output:         out,
-		Rounds:         slices.Clone(c.rounds),
-		ServersUsed:    c.p,
-		InputBits:      inputBits,
-		ComputeSeconds: c.computeSeconds,
-		CommSeconds:    c.commSeconds,
+		Output:      out,
+		Rounds:      slices.Clone(c.rounds),
+		ServersUsed: c.p,
+		InputBits:   inputBits,
 	}
 }
 
@@ -79,17 +72,17 @@ func (r *RunRecord) Aborted() bool {
 }
 
 // Then makes r the record of a run that executed r and then next: next's
-// rounds follow r's, and next's timings and saved bits add to r's. The
-// executor's fields (Output, ServersUsed, InputBits, HeavyHitters) stay r's.
+// rounds follow r's, and next's saved bits add to r's. The executor's
+// fields (Output, ServersUsed, InputBits, HeavyHitters) stay r's.
 func (r *RunRecord) Then(next *RunRecord) {
 	r.Rounds = append(r.Rounds, next.Rounds...)
-	r.addTotals(next)
+	r.AggregateBitsSaved += next.AggregateBitsSaved
 }
 
 // Beside merges into r a run that shared r's rounds on disjoint servers:
 // round i of the merge has the larger of the two maxima, the sum of the
 // totals and either abort flag; rounds only one side ran are kept as they
-// are. Timings and saved bits add; the executor's fields stay r's.
+// are. Saved bits add; the executor's fields stay r's.
 func (r *RunRecord) Beside(other *RunRecord) {
 	for i, o := range other.Rounds {
 		if i == len(r.Rounds) {
@@ -103,11 +96,5 @@ func (r *RunRecord) Beside(other *RunRecord) {
 		rs.TotalRecvTuples += o.TotalRecvTuples
 		rs.Aborted = rs.Aborted || o.Aborted
 	}
-	r.addTotals(other)
-}
-
-func (r *RunRecord) addTotals(o *RunRecord) {
-	r.AggregateBitsSaved += o.AggregateBitsSaved
-	r.ComputeSeconds += o.ComputeSeconds
-	r.CommSeconds += o.CommSeconds
+	r.AggregateBitsSaved += other.AggregateBitsSaved
 }

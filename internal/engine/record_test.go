@@ -33,13 +33,12 @@ func TestRecordCopiesRounds(t *testing.T) {
 // TestThenAndBeside pins the two compositions: Then lists later rounds after
 // earlier ones; Beside merges runs that shared rounds on disjoint servers —
 // max of maxima, sum of totals, either abort flag, a longer side's extra
-// rounds kept. Both add timings and saved bits and leave the executor's
-// fields alone.
+// rounds kept. Both add saved bits and leave the executor's fields alone.
 func TestThenAndBeside(t *testing.T) {
 	a := &RunRecord{
 		Rounds:    []RoundStats{{Name: "a1", MaxRecvBits: 5, TotalRecvBits: 9, MaxRecvTuples: 1, TotalRecvTuples: 3}},
 		InputBits: 100, ServersUsed: 4, HeavyHitters: 1,
-		AggregateBitsSaved: 1, ComputeSeconds: 1, CommSeconds: 2,
+		AggregateBitsSaved: 1,
 	}
 	b := &RunRecord{
 		Rounds: []RoundStats{
@@ -47,7 +46,7 @@ func TestThenAndBeside(t *testing.T) {
 			{Name: "b2", MaxRecvBits: 3, TotalRecvBits: 3},
 		},
 		InputBits: 1, ServersUsed: 1, HeavyHitters: 9,
-		AggregateBitsSaved: 2, ComputeSeconds: 3, CommSeconds: 4,
+		AggregateBitsSaved: 2,
 	}
 	a.Beside(b)
 	want := []RoundStats{
@@ -58,7 +57,7 @@ func TestThenAndBeside(t *testing.T) {
 		t.Fatalf("Beside rounds %+v, want %+v", a.Rounds, want)
 	}
 	if a.InputBits != 100 || a.ServersUsed != 4 || a.HeavyHitters != 1 ||
-		a.AggregateBitsSaved != 3 || a.ComputeSeconds != 4 || a.CommSeconds != 6 {
+		a.AggregateBitsSaved != 3 {
 		t.Fatalf("Beside fields: %+v", a)
 	}
 	if a.MaxLoadBits() != 7 || a.TotalBits() != 22 || !a.Aborted() || a.ReplicationRate() != 0.22 {
@@ -66,12 +65,12 @@ func TestThenAndBeside(t *testing.T) {
 	}
 
 	plan := &RunRecord{ServersUsed: 16}
-	plan.Then(&RunRecord{Rounds: []RoundStats{{Name: "l1", MaxRecvBits: 2}}, CommSeconds: 1})
+	plan.Then(&RunRecord{Rounds: []RoundStats{{Name: "l1", MaxRecvBits: 2}}})
 	plan.Then(a)
 	if len(plan.Rounds) != 3 || plan.Rounds[0].Name != "l1" || plan.Rounds[1].Name != "a1" || plan.Rounds[2].Name != "b2" {
 		t.Fatalf("Then rounds: %+v", plan.Rounds)
 	}
-	if plan.ServersUsed != 16 || plan.InputBits != 0 || plan.CommSeconds != 7 || plan.AggregateBitsSaved != 3 {
+	if plan.ServersUsed != 16 || plan.InputBits != 0 || plan.AggregateBitsSaved != 3 {
 		t.Fatalf("Then fields: %+v", plan)
 	}
 	if plan.ReplicationRate() != 0 {

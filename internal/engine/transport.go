@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"mpcquery/internal/data"
 	"mpcquery/internal/obs"
@@ -104,6 +103,10 @@ type DeliveryRound struct {
 	// Trace, when non-nil, receives the transport's instant events
 	// (injected faults, replays). Telemetry only — never fingerprinted.
 	Trace *obs.Trace
+
+	// tr is the delivering cluster's trace, the stopwatch PerDestSeconds
+	// is timed with; nil when the round is untraced.
+	tr *obs.ClusterTrace
 }
 
 // DeliverLocal is the in-process delivery kernel: sharded by destination,
@@ -154,17 +157,13 @@ func DeliverLocal(io *DeliveryRound) {
 // parallel, adding each destination's wall time to PerDestSeconds in a
 // traced round.
 func (io *DeliveryRound) eachDest(f func(d int)) {
-	if io.PerDestSeconds == nil {
-		ParallelFor(io.Hi-io.Lo, func(i int) { f(io.Lo + i) })
-		return
-	}
 	ParallelFor(io.Hi-io.Lo, func(i int) {
 		d := io.Lo + i
-		//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
-		t0 := time.Now()
+		t0 := io.tr.Start()
 		f(d)
-		//lint:allow nondeterminism per-destination delivery spans are trace telemetry, excluded from Report.Fingerprint
-		io.PerDestSeconds[d] += time.Since(t0).Seconds()
+		if io.PerDestSeconds != nil {
+			io.PerDestSeconds[d] += io.tr.Seconds(t0)
+		}
 	})
 }
 

@@ -172,6 +172,25 @@ type ComputePhase struct {
 	ServerSeconds []float64
 }
 
+// Start reads the wall clock for a span of a traced cluster. On a nil
+// ClusterTrace it returns the zero time and reads no clock: an untraced
+// engine takes no timestamps at all.
+func (ct *ClusterTrace) Start() time.Time {
+	if ct == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// Seconds returns the seconds elapsed since start, a time Start returned;
+// 0, reading no clock, on a nil ClusterTrace.
+func (ct *ClusterTrace) Seconds(start time.Time) float64 {
+	if ct == nil {
+		return 0
+	}
+	return time.Since(start).Seconds()
+}
+
 // ObserveRound appends one round's record. Slices are copied, so callers
 // may reuse their buffers.
 func (ct *ClusterTrace) ObserveRound(ro RoundObservation) {

@@ -57,6 +57,14 @@ func NewMetrics() *Metrics {
 // Service also registers its pool/cache gauges here.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
+// Now stamps a request's arrival, for Since to measure its latency from.
+// The service's request latency is read from this clock only.
+func (m *Metrics) Now() time.Time { return time.Now() }
+
+// Since returns the latency of a request that arrived at start, a stamp
+// Now returned.
+func (m *Metrics) Since(start time.Time) time.Duration { return time.Since(start) }
+
 // RecordSuccess records one completed query.
 func (m *Metrics) RecordSuccess(latency time.Duration, totalBits, maxLoadBits float64, rounds int) {
 	m.completed.Inc()

@@ -57,14 +57,6 @@ type Report struct {
 	// aggregates actually cost. 0 for plain runs and no-pushdown runs.
 	AggregateBitsSaved float64
 
-	// ComputeSeconds and CommSeconds split the run's wall-clock between the
-	// computation phases (local evaluation, the localjoin kernel) and the
-	// simulated communication (engine delivery). They are simulation
-	// diagnostics, not model costs, and are deliberately excluded from
-	// Fingerprint — two bit-identical runs will time differently.
-	ComputeSeconds float64
-	CommSeconds    float64
-
 	// PeakBufferedBytes is the run's engine-buffer high-water across all
 	// clusters and rounds: the most bytes simultaneously resident in
 	// emitter batches and inbox arenas at any round boundary (sampled

@@ -303,8 +303,7 @@ func (s *Service) Run(ctx context.Context, q *Query, db *Database, opts ...RunOp
 		// sinked one would get no Output, and one coalesced onto a faulted
 		// one would get its injected error — so only plain requests coalesce.
 		if cfg.net == nil && cfg.trace == nil && cfg.sink == nil && cfg.faults == nil {
-			//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
-			start := time.Now()
+			start := s.metrics.Now()
 			v, coalesced, err := s.flight.Do(s.requestKey(&cfg, q, db), func() (any, error) {
 				return s.execute(ctx, q, db, opts)
 			})
@@ -314,11 +313,9 @@ func (s *Service) Run(ctx context.Context, q *Query, db *Database, opts ...RunOp
 				// toward throughput with its real wait latency — that moved
 				// no bits of its own.
 				if err != nil {
-					//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
-					s.metrics.RecordFailure(time.Since(start))
+					s.metrics.RecordFailure(s.metrics.Since(start))
 				} else {
-					//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
-					s.metrics.RecordSuccess(time.Since(start), 0, 0, 0)
+					s.metrics.RecordSuccess(s.metrics.Since(start), 0, 0, 0)
 				}
 			}
 			return rep, err
@@ -423,8 +420,7 @@ func (s *Service) execute(ctx context.Context, q *Query, db *Database, opts []Ru
 		}
 	}
 
-	//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
-	start := time.Now()
+	start := s.metrics.Now()
 	ch := make(chan outcome, 1)
 	var abandoned atomic.Bool
 	if err := s.pool.Submit(func() {
@@ -466,8 +462,7 @@ func (s *Service) execute(ctx context.Context, q *Query, db *Database, opts []Ru
 	}
 	select {
 	case out := <-ch:
-		//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
-		latency := time.Since(start)
+		latency := s.metrics.Since(start)
 		if out.err != nil {
 			s.metrics.RecordFailure(latency)
 			return nil, out.err
@@ -476,8 +471,7 @@ func (s *Service) execute(ctx context.Context, q *Query, db *Database, opts []Ru
 		return out.rep, nil
 	case <-ctx.Done():
 		abandoned.Store(true)
-		//lint:allow nondeterminism request-latency metric; service metrics are never fingerprinted
-		s.metrics.RecordFailure(time.Since(start))
+		s.metrics.RecordFailure(s.metrics.Since(start))
 		return nil, fmt.Errorf("mpcquery: service request canceled: %w", ctx.Err())
 	}
 }
@@ -589,8 +583,11 @@ type ServiceStats struct {
 	Uptime     time.Duration
 	Throughput float64 // completed queries per second of uptime
 
-	// Wall-clock latency percentiles (queue wait + execution) over the most
-	// recent queries.
+	// Wall-clock latency (queue wait + execution) of every request served
+	// since NewService, failed ones included, from one cumulative
+	// histogram. Each percentile is reported as the upper bound of the
+	// bucket it falls in, on a ladder from 100µs to 60s, and never above
+	// LatencyMax, which is exact.
 	LatencyP50 time.Duration
 	LatencyP95 time.Duration
 	LatencyP99 time.Duration

@@ -464,8 +464,6 @@ func newReport(name string, q *Query, rec *engine.RunRecord) *Report {
 		HeavyHitters:       rec.HeavyHitters,
 		Aborted:            rec.Aborted(),
 		AggregateBitsSaved: rec.AggregateBitsSaved,
-		ComputeSeconds:     rec.ComputeSeconds,
-		CommSeconds:        rec.CommSeconds,
 	}
 	for i, rs := range rec.Rounds {
 		rep.RoundStats = append(rep.RoundStats, RoundStat{Round: i + 1, MaxLoadBits: rs.MaxRecvBits})
