@@ -12,13 +12,18 @@
 // FoldTable — an open-addressed group-by hash table mirroring the local-join
 // kernel's columnar atomIndex design (flat int64 row storage, slot heads
 // with intra-slot chains, collisions resolved by in-place key compare).
+//
+// A partial aggregate has one form, from the fold to the final output: a
+// plain relation of (key..., value) rows of arity KeyArity()+1. The table
+// stores its rows that way, Result and ProjectRaw return them, the
+// aggregate shuffle ships them as they are, and AddRows folds them back in.
 package aggregate
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"mpcquery/internal/data"
@@ -132,7 +137,7 @@ func NewPlan(op Op, of string, groupBy []string, pushdown bool) *Plan {
 
 // KeyArity returns the wire arity of a group key. A global aggregate (no
 // group-by variables) uses one synthetic all-zero key column, so partial
-// aggregates always have at least one key column ahead of the annotation.
+// aggregates always have at least one key column ahead of the value.
 func (p *Plan) KeyArity() int {
 	if len(p.GroupBy) == 0 {
 		return 1
@@ -170,20 +175,20 @@ func DestOf(key []int64, p int) int {
 	return int((h >> 32) * uint64(p) >> 32)
 }
 
-// FoldTable is the group-by hash table: flat columnar key rows plus one
-// annotation per row, an open-addressed slot table with intra-slot chains
-// (the PR 4 atomIndex layout, adapted from probe-only to insert-or-combine).
-// Rows keep first-insertion order, so a single-threaded fold is
-// deterministic. A FoldTable is not safe for concurrent use.
+// FoldTable is the group-by hash table: flat row-major (key..., value) rows
+// — the aggregate shuffle's wire format — and an open-addressed slot table
+// with intra-slot chains (the PR 4 atomIndex layout, adapted from
+// probe-only to insert-or-combine). Rows keep first-insertion order, so a
+// single-threaded fold is deterministic. A FoldTable is not safe for
+// concurrent use.
 type FoldTable struct {
 	keyArity int
 	sr       Semiring
 
-	keys   []int64 // flat row-major group keys
-	annots []int64 // one annotation per row
-	head   []int32 // slot -> first chained row index + 1 (0 = empty)
-	next   []int32 // row index + 1 -> next chained row + 1
-	mask   uint64
+	rows []int64 // flat row-major (key..., value) rows
+	head []int32 // slot -> first chained row index + 1 (0 = empty)
+	next []int32 // row index -> next chained row + 1
+	mask uint64
 }
 
 // NewFoldTable returns an empty fold table for keys of the given arity.
@@ -196,8 +201,7 @@ func NewFoldTable(keyArity int, sr Semiring) *FoldTable {
 // Reset empties the table in place for a new fold, keeping capacity.
 func (t *FoldTable) Reset(keyArity int) {
 	t.keyArity = keyArity
-	t.keys = t.keys[:0]
-	t.annots = t.annots[:0]
+	t.rows = t.rows[:0]
 	if cap(t.head) < 16 {
 		t.head = make([]int32, 16)
 	} else {
@@ -211,39 +215,39 @@ func (t *FoldTable) Reset(keyArity int) {
 }
 
 // Len returns the number of distinct groups folded so far.
-func (t *FoldTable) Len() int { return len(t.annots) }
+func (t *FoldTable) Len() int { return len(t.next) }
 
 func hashGroupKey(key []int64) uint64 {
 	return hashing.CombineSlice(0x51a0_f3c2_b44e_9d17, key)
 }
 
-// Add folds one (key, annotation) pair into the table.
-func (t *FoldTable) Add(key []int64, annot int64) {
+// Add folds one (key, value) pair into the table.
+func (t *FoldTable) Add(key []int64, v int64) {
+	ka := t.keyArity
 	slot := hashGroupKey(key) & t.mask
 	for e := t.head[slot]; e != 0; e = t.next[e-1] {
-		base := int(e-1) * t.keyArity
+		row := t.rows[int(e-1)*(ka+1):]
 		match := true
-		for c, v := range key {
-			if t.keys[base+c] != v {
+		for c, kv := range key {
+			if row[c] != kv {
 				match = false
 				break
 			}
 		}
 		if match {
-			t.annots[e-1] = t.sr.Combine(t.annots[e-1], annot)
+			row[ka] = t.sr.Combine(row[ka], v)
 			return
 		}
 	}
-	t.keys = append(t.keys, key...)
-	t.annots = append(t.annots, annot)
+	t.rows = append(append(t.rows, key...), v)
 	t.next = append(t.next, t.head[slot])
-	t.head[slot] = int32(len(t.annots))
-	if uint64(len(t.annots))*2 > uint64(len(t.head)) {
+	t.head[slot] = int32(len(t.next))
+	if uint64(len(t.next))*2 > uint64(len(t.head)) {
 		t.grow()
 	}
 }
 
-// AddRows folds a flat block of (key..., annot) rows of arity keyArity+1 —
+// AddRows folds a flat block of (key..., value) rows of arity keyArity+1 —
 // the wire format of the aggregate shuffle.
 func (t *FoldTable) AddRows(vals []int64) {
 	w := t.keyArity + 1
@@ -254,7 +258,7 @@ func (t *FoldTable) AddRows(vals []int64) {
 
 // grow doubles the slot table and rechains every row.
 func (t *FoldTable) grow() {
-	size := 1 << bits.Len(uint(2*len(t.annots)))
+	size := 1 << bits.Len(uint(2*len(t.next)))
 	if size <= len(t.head) {
 		size = len(t.head) * 2
 	}
@@ -267,53 +271,48 @@ func (t *FoldTable) grow() {
 		}
 	}
 	t.mask = uint64(size - 1)
-	for i := range t.annots {
-		slot := hashGroupKey(t.keys[i*t.keyArity:(i+1)*t.keyArity]) & t.mask
+	w := t.keyArity + 1
+	for i := range t.next {
+		slot := hashGroupKey(t.rows[i*w:i*w+t.keyArity]) & t.mask
 		t.next[i] = t.head[slot]
 		t.head[slot] = int32(i + 1)
 	}
 }
 
-// Result materializes the fold as a fresh annotated relation (arity =
-// keyArity, annotation column = folded values), rows in first-insertion
-// order. The relation owns its storage: the table may be reset afterwards.
+// Result materializes the fold as a fresh relation of (key..., value) rows
+// (arity keyArity+1), in first-insertion order: the rows a sender ships and
+// AddRows folds. The relation owns its storage: the table may be reset
+// afterwards.
 func (t *FoldTable) Result(name string) *data.Relation {
-	out := data.NewRelation(name, t.keyArity)
-	out.Grow(len(t.annots))
-	for i, a := range t.annots {
-		out.AppendAnnotatedTuple(t.keys[i*t.keyArity:(i+1)*t.keyArity], a)
-	}
-	return out
+	return data.FromVals(name, t.keyArity+1, slices.Clone(t.rows))
 }
 
-// ProjectRaw projects a full join output to unfolded annotated rows, one per
-// output tuple — the no-pushdown wire payload. groupCols are the output
-// columns forming the group key (empty for a global aggregate, which gets
-// one synthetic zero key column); aggCol is the aggregated column (-1 for
-// Count).
+// ProjectRaw projects a full join output to unfolded (key..., value) rows,
+// one per output tuple — the no-pushdown wire payload. groupCols are the
+// output columns forming the group key (empty for a global aggregate, which
+// gets one synthetic zero key column); aggCol is the aggregated column (-1
+// for Count).
 func ProjectRaw(out *data.Relation, groupCols []int, aggCol int, p *Plan) *data.Relation {
-	ka := p.KeyArity()
-	raw := data.NewRelation(out.Name, ka)
+	w := p.KeyArity() + 1
 	m := out.NumTuples()
-	raw.Grow(m)
-	key := make([]int64, ka)
+	vals := make([]int64, m*w) // zeroed: a global aggregate's key column stays 0
 	for i := 0; i < m; i++ {
-		t := out.Tuple(i)
+		t, row := out.Tuple(i), vals[i*w:(i+1)*w]
 		for c, gc := range groupCols {
-			key[c] = t[gc]
+			row[c] = t[gc]
 		}
 		av := int64(0)
 		if aggCol >= 0 {
 			av = t[aggCol]
 		}
-		raw.AppendAnnotatedTuple(key, p.InitAnnotation(av))
+		row[w-1] = p.InitAnnotation(av)
 	}
-	return raw
+	return data.FromVals(out.Name, w, vals)
 }
 
 // Finalize assembles the canonical aggregate output from per-destination
-// folded partials: rows become plain (group key..., value) tuples — the
-// synthetic key column of a global aggregate is dropped — sorted
+// folded (key..., value) partials: the synthetic key column of a global
+// aggregate is dropped and the rows are sorted
 // lexicographically. Group keys are disjoint across destinations (the
 // shuffle partitions by key), so the sort makes the output independent of
 // server count, strategy, and pushdown setting. It is Canonical over the
@@ -337,49 +336,20 @@ func (p *Plan) OutArity() int {
 	return p.KeyArity() + 1
 }
 
-// Rows turns one destination's folded partial into plain output rows,
-// (group key..., value) or (value), in the partial's order.
+// Rows turns one destination's folded (key..., value) rows into output
+// rows, in the same order: the rows themselves for a group-by, the value
+// column alone for a global aggregate, whose synthetic key it drops.
 func Rows(part *data.Relation, p *Plan) *data.Relation {
-	ka, outArity := p.KeyArity(), p.OutArity()
-	m := part.NumTuples()
-	vals := make([]int64, 0, m*outArity)
-	for i := 0; i < m; i++ {
-		if outArity > 1 {
-			vals = append(vals, part.Tuple(i)[:ka]...)
-		}
-		vals = append(vals, part.Annotation(i))
+	if len(p.GroupBy) > 0 {
+		return part
 	}
-	return data.FromVals(part.Name, outArity, vals)
+	vals := make([]int64, part.NumTuples())
+	for i := range vals {
+		vals[i] = part.At(i, 1)
+	}
+	return data.FromVals(part.Name, 1, vals)
 }
 
-// Canonical sorts output rows lexicographically, in place, and returns them:
-// the canonical aggregate output once every destination's Rows are in.
-func Canonical(out *data.Relation) *data.Relation {
-	sortRelation(out)
-	return out
-}
-
-// sortRelation sorts a plain relation's tuples lexicographically in place.
-func sortRelation(r *data.Relation) {
-	m, a := r.NumTuples(), r.Arity
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
-	}
-	vals := r.Vals()
-	sort.Slice(idx, func(i, j int) bool {
-		ti, tj := vals[idx[i]*a:(idx[i]+1)*a], vals[idx[j]*a:(idx[j]+1)*a]
-		for c := 0; c < a; c++ {
-			if ti[c] != tj[c] {
-				return ti[c] < tj[c]
-			}
-		}
-		return false
-	})
-	sorted := make([]int64, 0, m*a)
-	for _, i := range idx {
-		sorted = append(sorted, vals[i*a:(i+1)*a]...)
-	}
-	r.Reset()
-	r.AppendVals(sorted)
-}
+// Canonical returns output rows sorted lexicographically: the canonical
+// aggregate output once every destination's Rows are in.
+func Canonical(out *data.Relation) *data.Relation { return out.Sorted() }

@@ -3,6 +3,7 @@ package aggregate
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/data"
@@ -65,13 +66,13 @@ func TestFoldTableAgainstMap(t *testing.T) {
 			t.Fatalf("trial %d: %d groups, want %d", trial, tbl.Len(), len(want))
 		}
 		res := tbl.Result("g")
-		if !res.Annotated() || res.Arity != ka || res.NumTuples() != len(want) {
+		if res.Arity != ka+1 || res.NumTuples() != len(want) {
 			t.Fatalf("trial %d: bad result shape", trial)
 		}
 		for i := 0; i < res.NumTuples(); i++ {
-			ks := keyString(res.Tuple(i))
-			if res.Annotation(i) != want[ks] {
-				t.Fatalf("trial %d: group %v = %d, want %d", trial, res.Tuple(i), res.Annotation(i), want[ks])
+			ks := keyString(res.Tuple(i)[:ka])
+			if res.At(i, ka) != want[ks] {
+				t.Fatalf("trial %d: group %v = %d, want %d", trial, res.Tuple(i)[:ka], res.At(i, ka), want[ks])
 			}
 			if ks != order[i] {
 				t.Fatalf("trial %d: group %d out of first-insertion order", trial, i)
@@ -112,8 +113,33 @@ func TestFoldTableAddRowsMatchesAdd(t *testing.T) {
 				t.Fatalf("group %d key mismatch", i)
 			}
 		}
-		if ra.Annotation(i) != rb.Annotation(i) {
-			t.Fatalf("group %d annotation mismatch", i)
+		if ra.At(i, ka) != rb.At(i, ka) {
+			t.Fatalf("group %d value mismatch", i)
+		}
+	}
+}
+
+// TestFoldTableResultIsWireFormat pins that partial rows are wire rows: a
+// table's Result, fed through AddRows into a fresh table, comes back as the
+// same rows in the same order, for every operator and key arity.
+func TestFoldTableResultIsWireFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, op := range []Op{Count, Sum, Min, Max} {
+		for ka := 1; ka <= 3; ka++ {
+			a := NewFoldTable(ka, ForOp(op))
+			key := make([]int64, ka)
+			for i := 0; i < 400; i++ {
+				for c := range key {
+					key[c] = rng.Int63n(6)
+				}
+				a.Add(key, rng.Int63n(1000)-500)
+			}
+			ra := a.Result("x")
+			b := NewFoldTable(ka, ForOp(op))
+			b.AddRows(ra.Vals())
+			if rb := b.Result("x"); rb.Arity != ra.Arity || !slices.Equal(rb.Vals(), ra.Vals()) {
+				t.Fatalf("%s ka=%d: refolded rows differ:\n got %v\nwant %v", op, ka, rb.Vals(), ra.Vals())
+			}
 		}
 	}
 }
@@ -139,11 +165,8 @@ func TestDestOfRangeAndDeterminism(t *testing.T) {
 
 func TestFinalizeSortsAndDropsSyntheticKey(t *testing.T) {
 	grouped := NewPlan(Count, "", []string{"z"}, true)
-	p1 := data.NewRelation("a", 1)
-	p1.AppendAnnotatedTuple([]int64{5}, 2)
-	p1.AppendAnnotatedTuple([]int64{1}, 7)
-	p2 := data.NewRelation("a", 1)
-	p2.AppendAnnotatedTuple([]int64{3}, 4)
+	p1 := data.FromTuples("a", 2, []int64{5, 2}, []int64{1, 7})
+	p2 := data.FromTuples("a", 2, []int64{3, 4})
 	out := Finalize("q", []*data.Relation{p1, nil, p2}, grouped)
 	if out.Arity != 2 || out.NumTuples() != 3 {
 		t.Fatalf("bad grouped output shape: arity %d, %d tuples", out.Arity, out.NumTuples())
@@ -156,8 +179,7 @@ func TestFinalizeSortsAndDropsSyntheticKey(t *testing.T) {
 	}
 
 	global := NewPlan(Count, "", nil, true)
-	g := data.NewRelation("a", 1)
-	g.AppendAnnotatedTuple([]int64{0}, 11)
+	g := data.FromTuples("a", 2, []int64{0, 11})
 	gout := Finalize("q", []*data.Relation{g}, global)
 	if gout.Arity != 1 || gout.NumTuples() != 1 || gout.At(0, 0) != 11 {
 		t.Fatalf("global output wrong: arity %d tuples %d", gout.Arity, gout.NumTuples())
@@ -173,17 +195,17 @@ func TestProjectRawKeepsMultiplicity(t *testing.T) {
 	out := data.FromTuples("q", 2, []int64{1, 10}, []int64{1, 20}, []int64{1, 10})
 	p := NewPlan(Count, "", []string{"x"}, false)
 	raw := ProjectRaw(out, []int{0}, -1, p)
-	if raw.NumTuples() != 3 || !raw.Annotated() {
-		t.Fatalf("raw projection must keep one row per output tuple, got %d", raw.NumTuples())
+	if raw.NumTuples() != 3 || raw.Arity != 2 {
+		t.Fatalf("raw projection must keep one (key, value) row per output tuple, got %d of arity %d", raw.NumTuples(), raw.Arity)
 	}
 	for i := 0; i < 3; i++ {
-		if raw.Annotation(i) != 1 {
-			t.Fatal("count projection must annotate 1 per row")
+		if raw.At(i, 0) != 1 || raw.At(i, 1) != 1 {
+			t.Fatal("count projection must carry the key and 1 per row")
 		}
 	}
 	sum := NewPlan(Sum, "y", []string{"x"}, false)
 	rawSum := ProjectRaw(out, []int{0}, 1, sum)
-	if rawSum.Annotation(0) != 10 || rawSum.Annotation(1) != 20 {
+	if rawSum.At(0, 1) != 10 || rawSum.At(1, 1) != 20 {
 		t.Fatal("sum projection must annotate the aggregated column value")
 	}
 }

@@ -21,9 +21,9 @@ import (
 //     sort.*/slices.* call or a *Sort* function later in the enclosing
 //     function, which is the canonical collect-then-sort idiom;
 //   - engine emission and seeding (every Emitter.Emit* — EmitTuple,
-//     EmitBatch, EmitFanout, EmitRouted — Combiner.Add, every
-//     Cluster.Seed* — Seed, SeedBatch, SeedRoundRobin, SeedRelations,
-//     SeedPartitioned — and Inbox.Append):
+//     EmitBatch, EmitFanout, EmitRouted — every Cluster.Seed* — Seed,
+//     SeedBatch, SeedRoundRobin, SeedRelations, SeedPartitioned — and
+//     Inbox.Append):
 //     emission order becomes inbox order becomes output order;
 //   - data.Relation appends (Append/AppendTuple/AppendVals/...): tuple
 //     order is fingerprint-visible;
@@ -109,7 +109,6 @@ func orderSensitiveCall(f *types.Func) string {
 	case pathHasSuffix(pkgPath, "internal/engine"):
 		switch {
 		case typeName == "Emitter" && strings.HasPrefix(name, "Emit"),
-			typeName == "Combiner" && name == "Add",
 			typeName == "Cluster" && strings.HasPrefix(name, "Seed"),
 			typeName == "Inbox" && name == "Append":
 			return "emission/inbox order (and therefore output order and fingerprints)"

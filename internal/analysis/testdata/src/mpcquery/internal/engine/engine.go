@@ -17,11 +17,6 @@ func (e *Emitter) StageBatch(dest, kind, arity, n int) []int64 { return nil }
 // EmitFanout is the bulk replicate-to-subcube emit.
 func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {}
 
-// Combiner accumulates pre-shuffle partial aggregates in add order.
-type Combiner struct{}
-
-func (c *Combiner) Add(dst int, key []int64, val int64) {}
-
 // Inbox is a destination's received-tuple arena.
 type Inbox struct{}
 

@@ -78,13 +78,6 @@ func kindsOf(m map[int64][]int64) map[int64]int {
 	return out
 }
 
-// combineInMapRange makes partial-aggregate accumulation order map-dependent.
-func combineInMapRange(m map[int64]int64, cb *engine.Combiner) {
-	for k, v := range m {
-		cb.Add(0, []int64{k}, v) // want "emission/inbox order"
-	}
-}
-
 // relationAppend makes tuple order (fingerprint-visible) map-dependent.
 func relationAppend(m map[int64]int64, r *data.Relation) {
 	for k, v := range m {

@@ -157,7 +157,7 @@ func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64,
 
 // RunPlanAggregateNet executes pl and then computes agg over the join output
 // with one extra communication round: every server folds (pushdown) or
-// projects (no pushdown) its local join output into (group key, annotation)
+// projects (no pushdown) its local join output into (group key..., value)
 // rows, routes them by key hash, and destinations fold their received rows
 // into the final groups. The record's Output is the canonical aggregate
 // relation — (group key..., value) tuples sorted lexicographically, the

@@ -320,11 +320,6 @@ func TestAppendColumns(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("annotated target", func() {
-		r := NewRelation("r", 1)
-		r.AppendAnnotatedTuple([]int64{1}, 1)
-		r.AppendColumns([][]int64{{2}}, 1)
-	})
 	mustPanic("short column", func() {
 		NewRelation("r", 2).AppendColumns([][]int64{{1, 2}, {1}}, 2)
 	})

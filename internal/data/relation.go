@@ -9,23 +9,15 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Relation is a bag of fixed-arity tuples over int64 values, stored in a
 // single flat slice (row-major) to keep per-tuple overhead at zero.
-//
-// A relation may additionally carry one semiring annotation per tuple (see
-// package aggregate): partial aggregates travel as annotated relations whose
-// Arity covers the group key and whose annotation column holds the folded
-// value. A relation is either fully annotated or not at all; the two append
-// families must not be mixed.
 type Relation struct {
 	Name  string
 	Arity int
 	vals  []int64
-	annot []int64 // nil = unannotated; else one value per tuple
-	view  bool    // vals is borrowed storage (SetView), not the relation's own
+	view  bool // vals is borrowed storage (SetView), not the relation's own
 }
 
 // NewRelation returns an empty relation with the given name and arity.
@@ -67,36 +59,7 @@ func (r *Relation) AppendTuple(t []int64) {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("data: tuple of length %d appended to %s (arity %d)", len(t), r.Name, r.Arity))
 	}
-	if r.annot != nil {
-		panic(fmt.Sprintf("data: plain append to annotated relation %s", r.Name))
-	}
 	r.vals = append(r.vals, t...)
-}
-
-// Annotated reports whether the relation carries an annotation column.
-func (r *Relation) Annotated() bool { return r.annot != nil }
-
-// Annotation returns tuple i's annotation; the relation must be annotated.
-func (r *Relation) Annotation(i int) int64 { return r.annot[i] }
-
-// Annotations returns the annotation column (nil for plain relations); the
-// caller must not modify it.
-func (r *Relation) Annotations() []int64 { return r.annot }
-
-// AppendAnnotatedTuple adds one tuple with its semiring annotation. Plain
-// and annotated appends must not be mixed on one relation.
-func (r *Relation) AppendAnnotatedTuple(t []int64, a int64) {
-	if len(t) != r.Arity {
-		panic(fmt.Sprintf("data: tuple of length %d appended to %s (arity %d)", len(t), r.Name, r.Arity))
-	}
-	if r.annot == nil && len(r.vals) > 0 {
-		panic(fmt.Sprintf("data: annotated append to plain relation %s", r.Name))
-	}
-	if r.annot == nil {
-		r.annot = make([]int64, 0, 8)
-	}
-	r.vals = append(r.vals, t...)
-	r.annot = append(r.annot, a)
 }
 
 // AppendVals bulk-appends a flat row-major block of tuples; len(vals) must
@@ -106,22 +69,16 @@ func (r *Relation) AppendVals(vals []int64) {
 	if len(vals)%r.Arity != 0 {
 		panic(fmt.Sprintf("data: block of %d values appended to %s (arity %d)", len(vals), r.Name, r.Arity))
 	}
-	if r.annot != nil {
-		panic(fmt.Sprintf("data: plain append to annotated relation %s", r.Name))
-	}
 	r.vals = append(r.vals, vals...)
 }
 
 // AppendColumns bulk-appends rows tuples given column-wise — tuple i is
 // (cols[0][i], …, cols[Arity-1][i]) — transposing them straight into the
-// flat storage: the join kernel's output path, with one arity, annotation
-// and length check per call instead of one per row.
+// flat storage: the join kernel's output path, with one arity and length
+// check per call instead of one per row.
 func (r *Relation) AppendColumns(cols [][]int64, rows int) {
 	if len(cols) != r.Arity {
 		panic(fmt.Sprintf("data: %d columns appended to %s (arity %d)", len(cols), r.Name, r.Arity))
-	}
-	if r.annot != nil {
-		panic(fmt.Sprintf("data: plain append to annotated relation %s", r.Name))
 	}
 	for c, col := range cols {
 		if len(col) < rows {
@@ -151,15 +108,13 @@ func (r *Relation) AppendColumns(cols [][]int64, rows int) {
 func (r *Relation) Vals() []int64 { return r.vals }
 
 // Reset empties the relation in place, keeping the backing capacity — the
-// reuse path for per-worker fragment buffers rebuilt every server. An
-// annotated relation becomes plain again (both append families are open), and
-// a view lets go of the storage it borrowed.
+// reuse path for per-worker fragment buffers rebuilt every server. A view
+// lets go of the storage it borrowed.
 func (r *Relation) Reset() {
 	if r.view {
 		r.vals, r.view = nil, false
 	}
 	r.vals = r.vals[:0]
-	r.annot = nil
 }
 
 // SetView makes the relation a read-only view of vals — flat row-major
@@ -171,7 +126,7 @@ func (r *Relation) SetView(vals []int64) {
 	if len(vals)%r.Arity != 0 {
 		panic(fmt.Sprintf("data: view of %d values set on %s (arity %d)", len(vals), r.Name, r.Arity))
 	}
-	r.vals, r.annot, r.view = vals[:len(vals):len(vals)], nil, true
+	r.vals, r.view = vals[:len(vals):len(vals)], true
 }
 
 // IsView reports whether the relation reads borrowed storage (SetView).
@@ -198,22 +153,13 @@ func (r *Relation) Grow(n int) {
 
 // Clone returns a deep copy.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{Name: r.Name, Arity: r.Arity, vals: append([]int64(nil), r.vals...)}
-	if r.annot != nil {
-		c.annot = append([]int64(nil), r.annot...)
-	}
-	return c
+	return &Relation{Name: r.Name, Arity: r.Arity, vals: append([]int64(nil), r.vals...)}
 }
 
 // SizeBits returns M_j = a_j · m_j · ⌈log₂ n⌉, the paper's size-in-bits
-// measure for a relation over domain [n]. An annotation column counts as one
-// extra value per tuple — it travels on the wire like any other column.
+// measure for a relation over domain [n].
 func (r *Relation) SizeBits(n int64) float64 {
-	a := r.Arity
-	if r.annot != nil {
-		a++
-	}
-	return float64(a) * float64(r.NumTuples()) * float64(BitsPerValue(n))
+	return float64(r.Arity) * float64(r.NumTuples()) * float64(BitsPerValue(n))
 }
 
 // BitsPerValue returns ⌈log₂ n⌉, the bits needed to encode one domain value.
@@ -224,90 +170,56 @@ func BitsPerValue(n int64) int {
 	return bits.Len64(uint64(n - 1))
 }
 
-// Canonical returns a sorted, duplicate-free copy, used to compare query
-// results for set equality.
-func (r *Relation) Canonical() *Relation {
-	m := r.NumTuples()
+// Sorted returns a copy of r with its tuples in lexicographic order,
+// duplicates kept. It is the tree's one tuple sort: Canonical,
+// EqualMultiset and the canonical aggregate output all order through it.
+func (r *Relation) Sorted() *Relation {
+	m, a := r.NumTuples(), r.Arity
 	idx := make([]int, m)
 	for i := range idx {
 		idx[i] = i
 	}
-	a := r.Arity
-	less := func(i, j int) bool {
-		ti, tj := r.Tuple(idx[i]), r.Tuple(idx[j])
-		for c := 0; c < a; c++ {
-			if ti[c] != tj[c] {
-				return ti[c] < tj[c]
+	// A hand-rolled compare: slices.Compare's generic cmp.Compare makes the
+	// sort about 1.4× slower on int64 tuples.
+	slices.SortFunc(idx, func(i, j int) int {
+		ti, tj := r.vals[i*a:(i+1)*a], r.vals[j*a:(j+1)*a]
+		for c, v := range ti {
+			if v != tj[c] {
+				if v < tj[c] {
+					return -1
+				}
+				return 1
 			}
 		}
-		return false
-	}
-	sort.Slice(idx, less)
-	out := NewRelation(r.Name, a)
-	out.Grow(m)
-	var prev []int64
+		return 0
+	})
+	vals := make([]int64, 0, m*a)
 	for _, i := range idx {
-		t := r.Tuple(i)
-		if prev != nil && tupleEq(prev, t) {
-			continue
-		}
-		out.AppendTuple(t)
-		prev = out.Tuple(out.NumTuples() - 1)
+		vals = append(vals, r.Tuple(i)...)
 	}
-	return out
+	return FromVals(r.Name, a, vals)
 }
 
-func tupleEq(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// Canonical returns a sorted, duplicate-free copy, used to compare query
+// results for set equality.
+func (r *Relation) Canonical() *Relation {
+	out := r.Sorted()
+	a, vals := out.Arity, out.vals[:0]
+	for off := 0; off < len(out.vals); off += a {
+		t := out.vals[off : off+a]
+		if len(vals) > 0 && slices.Equal(vals[len(vals)-a:], t) {
+			continue
 		}
+		vals = append(vals, t...)
 	}
-	return true
+	out.vals = vals
+	return out
 }
 
 // Equal reports whether a and b contain the same set of tuples
 // (ignoring order and multiplicity).
 func Equal(a, b *Relation) bool {
-	if a.Arity != b.Arity {
-		return false
-	}
-	ca, cb := a.Canonical(), b.Canonical()
-	if ca.NumTuples() != cb.NumTuples() {
-		return false
-	}
-	for i := 0; i < ca.NumTuples(); i++ {
-		if !tupleEq(ca.Tuple(i), cb.Tuple(i)) {
-			return false
-		}
-	}
-	return true
-}
-
-// sorted returns a copy of r with its tuples in lexicographic order,
-// keeping duplicates.
-func (r *Relation) sorted() *Relation {
-	m := r.NumTuples()
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
-	}
-	a := r.Arity
-	sort.Slice(idx, func(i, j int) bool {
-		ti, tj := r.Tuple(idx[i]), r.Tuple(idx[j])
-		for c := 0; c < a; c++ {
-			if ti[c] != tj[c] {
-				return ti[c] < tj[c]
-			}
-		}
-		return false
-	})
-	out := NewRelation(r.Name, a)
-	out.Grow(m)
-	for _, i := range idx {
-		out.AppendTuple(r.Tuple(i))
-	}
-	return out
+	return a.Arity == b.Arity && slices.Equal(a.Canonical().vals, b.Canonical().vals)
 }
 
 // EqualMultiset reports whether a and b contain the same bag of tuples:
@@ -318,13 +230,7 @@ func EqualMultiset(a, b *Relation) bool {
 	if a.Arity != b.Arity || a.NumTuples() != b.NumTuples() {
 		return false
 	}
-	sa, sb := a.sorted(), b.sorted()
-	for i := 0; i < sa.NumTuples(); i++ {
-		if !tupleEq(sa.Tuple(i), sb.Tuple(i)) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Sorted().vals, b.Sorted().vals)
 }
 
 // Database is a set of named relations over a common domain [n].

@@ -72,7 +72,7 @@ func Combine(h, v uint64) uint64 {
 
 // CombineSlice folds a whole []int64 key into a running hash starting from
 // seed — the shared shape of every composite-key hash in the tree (group
-// keys, combiner keys, routing keys). Distinct call sites keep distinct
+// keys, aggregate destinations, routing keys). Distinct call sites keep distinct
 // seeds so their hash spaces stay independent.
 func CombineSlice(seed uint64, vals []int64) uint64 {
 	h := seed

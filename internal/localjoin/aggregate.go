@@ -10,12 +10,11 @@ import (
 
 // aggregateOutput is Output's aggregate tail: the local evaluation (folding
 // when pushdown is on, materializing and projecting raw rows when off), the
-// aggregate-shuffle round that routes partial rows by group-key hash —
-// through the Emitter's pre-shuffle combiner on the pushdown path — and the
-// destination-side final fold. It returns the canonical aggregate output and
-// the bits the pushdown saved, both gathered over every server, owned or
-// not. The layout must produce each output row on one server only, so that
-// no row is folded twice.
+// aggregate-shuffle round that routes each (key..., value) partial row by
+// group-key hash, and the destination-side final fold. It returns the
+// canonical aggregate output and the bits the pushdown saved, both gathered
+// over every server, owned or not. The layout must produce each output row
+// on one server only, so that no row is folded twice.
 func aggregateOutput(cluster *engine.Cluster, q *query.Query, layout hashing.Layout, agg *aggregate.Plan) (*data.Relation, float64) {
 	gp := cluster.P()
 	ka := agg.KeyArity()
@@ -25,36 +24,21 @@ func aggregateOutput(cluster *engine.Cluster, q *query.Query, layout hashing.Lay
 		partials[s], rawRows[s] = sc.EvaluateAtomsAggregate(q, frags, sh, agg)
 	})
 
+	// A pushdown sender's partial already holds one row per group, so it
+	// ships as it is; a no-pushdown sender ships one row per join row. Rows
+	// keep their order, one batch per destination.
 	sentRows := make([]int, gp)
 	cluster.Round("aggregate-shuffle", func(s int, _ *engine.Inbox, emit *engine.Emitter) {
 		pr := partials[s]
-		if pr == nil || pr.NumTuples() == 0 {
+		if pr == nil {
 			return
 		}
 		m := pr.NumTuples()
-		row := make([]int64, ka+1)
-		if agg.Pushdown {
-			// The kernel fold already left one row per distinct group key on
-			// this sender, so the combiner acts as the destination
-			// partitioner and raw-vs-sent meter here; its same-key merging
-			// kicks in for emitters that route unfolded rows (it is the
-			// general pre-shuffle hook, exercised directly in the engine
-			// tests).
-			cb := emit.Combiner(0, ka, agg.Semiring.Combine)
-			for i := 0; i < m; i++ {
-				copy(row, pr.Tuple(i))
-				row[ka] = pr.Annotation(i)
-				cb.Add(aggregate.DestOf(row[:ka], gp), row)
-			}
-			_, sentRows[s] = cb.Flush()
-		} else {
-			for i := 0; i < m; i++ {
-				copy(row, pr.Tuple(i))
-				row[ka] = pr.Annotation(i)
-				emit.EmitTuple(aggregate.DestOf(row[:ka], gp), 0, row)
-			}
-			sentRows[s] = m
+		for i := 0; i < m; i++ {
+			row := pr.Tuple(i)
+			emit.EmitTuple(aggregate.DestOf(row[:ka], gp), 0, row)
 		}
+		sentRows[s] = m
 	})
 
 	outputs := make([]*data.Relation, gp)
@@ -87,19 +71,19 @@ func aggregateOutput(cluster *engine.Cluster, q *query.Query, layout hashing.Lay
 // straight into a group-by table instead of materializing the output
 // relation — the binding arena is read column-wise once and only one row per
 // distinct group is ever allocated. It returns the server's partial
-// aggregates as an annotated relation (arity = plan.KeyArity(), annotation
-// column = folded values, first-contact group order) plus the number of raw
-// join rows folded, which the caller uses to meter the communication the
-// pre-shuffle aggregation saved. With plan.Pushdown off nothing is folded:
-// the materialized output is projected to one (group key, annotation) row per
-// join row (aggregate.ProjectRaw), which is what such a sender ships.
+// aggregates as (key..., value) rows of arity plan.KeyArity()+1, in
+// first-contact group order, plus the number of raw join rows folded, which
+// the caller uses to meter the communication the pre-shuffle aggregation
+// saved. With plan.Pushdown off nothing is folded: the materialized output
+// is projected to one (group key, value) row per join row
+// (aggregate.ProjectRaw), which is what such a sender ships.
 //
 // Inputs follow checkInputs' rule, like every kernel entry point; sh may be
 // nil.
 func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, sh *Shared, plan *aggregate.Plan) (partials *data.Relation, rawRows int) {
 	ka := plan.KeyArity()
 	if checkInputs(q, rels, sh) {
-		return data.NewRelation(q.Name, ka), 0
+		return data.NewRelation(q.Name, ka+1), 0
 	}
 	order := s.greedyOrder(q, rels)
 	if !plan.Pushdown {
@@ -107,7 +91,7 @@ func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, 
 		groupCols, aggCol := aggregateCols(q, plan)
 		return aggregate.ProjectRaw(out, groupCols, aggCol, plan), out.NumTuples()
 	}
-	partials = data.NewRelation(q.Name, ka)
+	partials = data.NewRelation(q.Name, ka+1)
 	s.join(q, rels, order, sh, rels[order[0]].NumTuples(), func(rows int) {
 		// Resolve the group-by and aggregated variables to binding columns
 		// (every query variable is bound once rows > 0).
@@ -138,24 +122,13 @@ func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, 
 
 // FoldOutput folds a fully materialized join output (tuples in q.Vars()
 // order) into partial aggregates — the reference fold the fused path of
-// EvaluateAtomsAggregate is checked against (tests and benchmark/).
+// EvaluateAtomsAggregate is checked against (tests and benchmark/): the
+// output's raw (key..., value) rows, folded as a destination folds what it
+// receives.
 func FoldOutput(out *data.Relation, q *query.Query, plan *aggregate.Plan) *data.Relation {
-	ka := plan.KeyArity()
-	t := aggregate.NewFoldTable(ka, plan.Semiring)
 	groupCols, aggCol := aggregateCols(q, plan)
-	key := make([]int64, ka)
-	m := out.NumTuples()
-	for i := 0; i < m; i++ {
-		tp := out.Tuple(i)
-		for c, gc := range groupCols {
-			key[c] = tp[gc]
-		}
-		av := int64(0)
-		if aggCol >= 0 {
-			av = tp[aggCol]
-		}
-		t.Add(key, plan.InitAnnotation(av))
-	}
+	t := aggregate.NewFoldTable(plan.KeyArity(), plan.Semiring)
+	t.AddRows(aggregate.ProjectRaw(out, groupCols, aggCol, plan).Vals())
 	return t.Result(out.Name)
 }
 

@@ -66,7 +66,7 @@ func TestEvaluateAtomsAggregateMatchesFoldOfFullJoin(t *testing.T) {
 				if raw != full.NumTuples() {
 					t.Fatalf("%s %s: raw rows %d, join has %d", q.Name, plan.Describe(), raw, full.NumTuples())
 				}
-				if !annotatedEqual(got, want) {
+				if !partialsEqual(got, want) {
 					t.Fatalf("%s trial %d %s: fold-during-join (%d groups) != fold-after-join (%d groups)",
 						q.Name, trial, plan.Describe(), got.NumTuples(), want.NumTuples())
 				}
@@ -75,19 +75,20 @@ func TestEvaluateAtomsAggregateMatchesFoldOfFullJoin(t *testing.T) {
 	}
 }
 
-// annotatedEqual compares two annotated relations as (key -> annotation)
-// maps, order-insensitively.
-func annotatedEqual(a, b *data.Relation) bool {
+// partialsEqual compares two relations of (key..., value) partial rows as
+// (key -> value) maps, order-insensitively; the value sits in column ka.
+func partialsEqual(a, b *data.Relation) bool {
 	if a.Arity != b.Arity || a.NumTuples() != b.NumTuples() {
 		return false
 	}
+	ka := a.Arity - 1
 	am := make(map[string]int64, a.NumTuples())
 	for i := 0; i < a.NumTuples(); i++ {
-		am[fmt.Sprint(a.Tuple(i))] = a.Annotation(i)
+		am[fmt.Sprint(a.Tuple(i)[:ka])] = a.At(i, ka)
 	}
 	for i := 0; i < b.NumTuples(); i++ {
-		v, ok := am[fmt.Sprint(b.Tuple(i))]
-		if !ok || v != b.Annotation(i) {
+		v, ok := am[fmt.Sprint(b.Tuple(i)[:ka])]
+		if !ok || v != b.At(i, ka) {
 			return false
 		}
 	}
@@ -191,7 +192,7 @@ func TestEvaluateAtomsAggregateSharedCache(t *testing.T) {
 		}()
 	}
 	for w := 0; w < 8; w++ {
-		if got := <-done; !annotatedEqual(got, want) {
+		if got := <-done; !partialsEqual(got, want) {
 			t.Fatal("shared-cache fold diverged from uncached fold")
 		}
 	}

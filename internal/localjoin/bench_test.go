@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mpcquery/internal/aggregate"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/localjoin/baseline"
@@ -176,5 +177,40 @@ func BenchmarkOutput(b *testing.B) {
 		if out, _ := Output(c, q, engine.Env{}, nil, nil); out.NumTuples() != 20000 {
 			b.Fatalf("%d output rows, want 20000", out.NumTuples())
 		}
+	}
+}
+
+// BenchmarkOutputAggregate measures Output's aggregate tail on
+// BenchmarkOutput's cluster: COUNT grouped by x — the fold (or, with
+// pushdown off, the raw projection), the aggregate-shuffle round and the
+// destinations' final fold. The round replaces the inboxes, so each
+// iteration seeds a fresh cluster off the clock.
+func BenchmarkOutputAggregate(b *testing.B) {
+	for _, pushdown := range []bool{true, false} {
+		name := "pushdown=off"
+		if pushdown {
+			name = "pushdown=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			plan := aggregate.NewPlan(aggregate.Count, "", []string{"x"}, pushdown)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, q := outputCluster(64, 64, 20000)
+				b.StartTimer()
+				out, _ := Output(c, q, engine.Env{}, nil, plan)
+				b.StopTimer()
+				c.Release()
+				total := int64(0)
+				for j := 0; j < out.NumTuples(); j++ {
+					total += out.At(j, 1)
+				}
+				if total != 20000 {
+					b.Fatalf("counts sum to %d, want 20000", total)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -271,7 +271,7 @@ func TestKernelCachedSharedAcrossWorkers(t *testing.T) {
 // decided by the caller's fragment ids and never by content. Equal ids share
 // one build per probed atom (the first atom of the order is scanned and never
 // requested); different ids and id 0 do not share, whatever the fragments
-// hold — annotated or plain, equal or not.
+// hold — equal or not.
 func TestIndexCacheSharesByFragmentID(t *testing.T) {
 	q := query.MustParse("q(x,y,z) :- R(x,y), S(y,z)")
 	mk := func() []*data.Relation {
@@ -279,14 +279,10 @@ func TestIndexCacheSharesByFragmentID(t *testing.T) {
 		ss := data.FromTuples("S", 2, []int64{2, 5}, []int64{4, 6}, []int64{4, 7})
 		return []*data.Relation{rr, ss}
 	}
-	annotated := mk()
-	annotated[1] = data.NewRelation("S", 2)
-	for i, a := range []int64{10, 20, 30} {
-		annotated[1].AppendAnnotatedTuple(mk()[1].Tuple(i), a)
-	}
+	other := mk()
+	other[1] = data.FromTuples("S", 2, []int64{2, 8}, []int64{2, 9}, []int64{5, 1})
 	cache := NewIndexCache()
 	s := NewScratch()
-	want := s.EvaluateAtoms(q, mk(), nil)
 	for i, tc := range []struct {
 		rels         []*data.Relation
 		ids          []uint64
@@ -296,10 +292,11 @@ func TestIndexCacheSharesByFragmentID(t *testing.T) {
 		{mk(), []uint64{5, 5}, 1, 1}, // fresh objects, same ids
 		{mk(), []uint64{0, 5}, 2, 1}, // only the probed atom's id matters
 		{mk(), []uint64{5, 6}, 2, 2}, // same content, another id: its own build
-		{annotated, []uint64{5, 7}, 2, 3},
+		{other, []uint64{5, 7}, 2, 3},
 		{mk(), []uint64{5, 0}, 2, 3}, // id 0: private index, no cache traffic
 		{mk(), []uint64{0, 0}, 2, 3},
 	} {
+		want := NewScratch().EvaluateAtoms(q, tc.rels, nil)
 		got := s.EvaluateAtoms(q, tc.rels, &Shared{cache: cache, ids: tc.ids})
 		if !sameRelationExactly(got, want) {
 			t.Fatalf("evaluation %d: result differs", i)

@@ -18,9 +18,9 @@ package obs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -255,37 +255,18 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// numShards splits the registry's name→metric maps so concurrent
-// registration from many clusters does not serialize on one lock.
-const numShards = 16
-
-type registryShard struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	funcs    map[string]func() float64
-}
-
 // Registry is a name-indexed set of metrics. Metric handles are
 // registered once (get-or-create by name) and then operated on without
 // touching the registry again, so the hot path never sees a lock.
 // Registering one name as two different kinds panics.
 type Registry struct {
-	shards [numShards]registryShard
+	mu      sync.RWMutex
+	metrics map[string]any // *Counter, *Gauge, *Histogram or func() float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.counters = make(map[string]*Counter)
-		s.gauges = make(map[string]*Gauge)
-		s.hists = make(map[string]*Histogram)
-		s.funcs = make(map[string]func() float64)
-	}
-	return r
+	return &Registry{metrics: make(map[string]any)}
 }
 
 var defaultRegistry = NewRegistry()
@@ -294,96 +275,60 @@ var defaultRegistry = NewRegistry()
 // transport publish into.
 func Default() *Registry { return defaultRegistry }
 
-func (r *Registry) shard(name string) *registryShard {
-	h := fnv.New32a()
-	_, _ = io.WriteString(h, name)
-	return &r.shards[h.Sum32()%numShards]
+// kindOf names a registered metric's kind.
+func kindOf(m any) string {
+	switch m.(type) {
+	case *Counter:
+		return "counter"
+	case *Gauge:
+		return "gauge"
+	case *Histogram:
+		return "histogram"
+	}
+	return "gaugefunc"
 }
 
-func (s *registryShard) checkKind(name, want string) {
-	has := ""
-	switch {
-	case s.counters[name] != nil:
-		has = "counter"
-	case s.gauges[name] != nil:
-		has = "gauge"
-	case s.hists[name] != nil:
-		has = "histogram"
-	case s.funcs[name] != nil:
-		has = "gaugefunc"
+// register returns the metric of type M registered under name, creating
+// it with mk if the name is free. A name held by another kind panics.
+func register[M any](r *Registry, name, kind string, mk func() M) M {
+	r.mu.RLock()
+	m, ok := r.metrics[name].(M)
+	r.mu.RUnlock()
+	if ok {
+		return m
 	}
-	if has != "" && has != want {
-		panic(fmt.Sprintf("obs: metric %q already registered as %s, requested as %s", name, has, want))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.metrics[name]
+	if m, ok := old.(M); ok {
+		return m
 	}
+	if old != nil {
+		panic(fmt.Sprintf("obs: metric %q already registered as %s, requested as %s", name, kindOf(old), kind))
+	}
+	m = mk()
+	r.metrics[name] = m
+	return m
 }
 
 // Counter returns the counter registered under name, creating it if
 // needed.
 func (r *Registry) Counter(name string) *Counter {
-	s := r.shard(name)
-	s.mu.RLock()
-	c := s.counters[name]
-	s.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c = s.counters[name]; c != nil {
-		return c
-	}
-	s.checkKind(name, "counter")
-	c = &Counter{}
-	s.counters[name] = c
-	return c
+	return register(r, name, "counter", func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the gauge registered under name, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	s := r.shard(name)
-	s.mu.RLock()
-	g := s.gauges[name]
-	s.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g = s.gauges[name]; g != nil {
-		return g
-	}
-	s.checkKind(name, "gauge")
-	g = &Gauge{}
-	s.gauges[name] = g
-	return g
+	return register(r, name, "gauge", func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the histogram registered under name, creating it with
 // the given ascending bucket upper bounds if needed. Re-registering an
 // existing histogram with different bounds panics.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	s := r.shard(name)
-	s.mu.RLock()
-	h := s.hists[name]
-	s.mu.RUnlock()
-	if h == nil {
-		s.mu.Lock()
-		if h = s.hists[name]; h == nil {
-			s.checkKind(name, "histogram")
-			h = newHistogram(bounds)
-			s.hists[name] = h
-			s.mu.Unlock()
-			return h
-		}
-		s.mu.Unlock()
-	}
-	if len(h.bounds) != len(bounds) {
+	h := register(r, name, "histogram", func() *Histogram { return newHistogram(bounds) })
+	if !slices.Equal(h.bounds, bounds) {
 		panic(fmt.Sprintf("obs: histogram %q re-registered with different bucket bounds", name))
-	}
-	for i := range bounds {
-		if h.bounds[i] != bounds[i] {
-			panic(fmt.Sprintf("obs: histogram %q re-registered with different bucket bounds", name))
-		}
 	}
 	return h
 }
@@ -395,11 +340,14 @@ func (r *Registry) GaugeFunc(name string, f func() float64) {
 	if f == nil {
 		panic("obs: nil GaugeFunc callback")
 	}
-	s := r.shard(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.checkKind(name, "gaugefunc")
-	s.funcs[name] = f
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old := r.metrics[name]; old != nil {
+		if _, ok := old.(func() float64); !ok {
+			panic(fmt.Sprintf("obs: metric %q already registered as %s, requested as gaugefunc", name, kindOf(old)))
+		}
+	}
+	r.metrics[name] = f
 }
 
 // formatFloat renders a metric value the way the Prometheus text
@@ -420,23 +368,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		f    func() float64
 	}
 	var entries []entry
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for name, c := range s.counters {
-			entries = append(entries, entry{name: name, kind: "counter", c: c})
+	r.mu.RLock()
+	for name, m := range r.metrics {
+		e := entry{name: name, kind: kindOf(m)}
+		switch m := m.(type) {
+		case *Counter:
+			e.c = m
+		case *Gauge:
+			e.g = m
+		case *Histogram:
+			e.h = m
+		case func() float64:
+			e.kind, e.f = "gauge", m
 		}
-		for name, g := range s.gauges {
-			entries = append(entries, entry{name: name, kind: "gauge", g: g})
-		}
-		for name, h := range s.hists {
-			entries = append(entries, entry{name: name, kind: "histogram", h: h})
-		}
-		for name, f := range s.funcs {
-			entries = append(entries, entry{name: name, kind: "gauge", f: f})
-		}
-		s.mu.RUnlock()
+		entries = append(entries, e)
 	}
+	r.mu.RUnlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	for _, e := range entries {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", e.name, e.kind); err != nil {

@@ -156,7 +156,7 @@ type frame struct {
 
 // widthFor picks the per-value byte width of one batch: the compact width
 // ⌈bitsPerValue/8⌉ when every value fits it, widened when values exceed
-// the domain (annotation columns — a SUM can outgrow ⌈log₂ n⌉ bits), and
+// the domain (aggregate value columns — a SUM can outgrow ⌈log₂ n⌉ bits), and
 // the full 8 bytes when any value is negative. Widening keeps the wire ≥
 // the model's charge: payload bits are always ≥ Count×Arity×bitsPerValue.
 func widthFor(bitsPerValue int, vals []int64) uint8 {

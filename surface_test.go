@@ -214,8 +214,6 @@ var idleExportAllowlist = map[string]string{
 	// through.
 	"internal/aggregate.FoldTable.Len":            "aggregate tests count groups without finalizing",
 	"internal/core.SequentialAnswerWithSelfJoins": "oracle of the self-join tests",
-	"internal/data.Relation.Annotated":            "annotation-column tests",
-	"internal/data.Relation.Annotations":          "annotation-column tests",
 	"internal/data.Relation.IsView":               "zero-copy view tests",
 	"internal/engine.Inbox.NumBatches":            "engine tests compare batch layout across delivery paths",
 	"internal/hashing.Grid.CoordsOf":              "hashing tests invert the grid",
