@@ -21,9 +21,9 @@ import (
 //     sort.*/slices.* call or a *Sort* function later in the enclosing
 //     function, which is the canonical collect-then-sort idiom;
 //   - engine emission and seeding (every Emitter.Emit* — EmitTuple,
-//     EmitBatch, EmitFanout, EmitRouted — every Cluster.Seed* — Seed,
-//     SeedBatch, SeedRoundRobin, SeedRelations, SeedPartitioned — and
-//     Inbox.Append):
+//     EmitBatch, EmitFanout, and EmitRouted, which routes a whole block —
+//     every Cluster.Seed* — Seed, SeedBatch, SeedRoundRobin, SeedRelations,
+//     SeedPartitioned — and Inbox.Append):
 //     emission order becomes inbox order becomes output order;
 //   - data.Relation appends (Append/AppendTuple/AppendVals/...): tuple
 //     order is fingerprint-visible;

@@ -87,8 +87,8 @@ func runMetering(pass *Pass) error {
 // reportSeedsInRound flags Cluster.Seed* calls written inside a function
 // literal handed to Cluster.Round. Seeding is free because it models the
 // input's initial placement; from inside a round it would hand tuples to
-// another server at no charge, which is exactly what EmitTuple, EmitBatch
-// and EmitFanout exist to bill.
+// another server at no charge, which is exactly what EmitTuple, EmitBatch,
+// EmitFanout and the block form EmitRouted exist to bill.
 func reportSeedsInRound(pass *Pass, round *ast.CallExpr) {
 	for _, arg := range round.Args {
 		lit, ok := arg.(*ast.FuncLit)

@@ -14,8 +14,9 @@ func (e *Emitter) EmitBatch(dst int, tuples [][]int64) {}
 func (e *Emitter) WalkStaged(f func(dst int, t []int64))       {}
 func (e *Emitter) StageBatch(dest, kind, arity, n int) []int64 { return nil }
 
-// EmitFanout is the bulk replicate-to-subcube emit.
+// EmitFanout and EmitRouted are the subcube emits, of a tuple and of a block.
 func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {}
+func (e *Emitter) EmitRouted(block, family any, kind, arity int, vals []int64) {}
 
 // Inbox is a destination's received-tuple arena.
 type Inbox struct{}

@@ -46,10 +46,11 @@ func seedInMapRange(m map[int64][]int64, c *engine.Cluster) {
 }
 
 // fanoutInMapRange replicates tuples to their subcubes in map order: the
-// bulk emit is as order-sensitive as one EmitTuple per destination.
+// bulk emits are as order-sensitive as one EmitTuple per destination.
 func fanoutInMapRange(m map[int64][]int64, offsets []int, em *engine.Emitter) {
 	for base, tuple := range m {
 		em.EmitFanout(int(base), offsets, 0, tuple) // want "emission/inbox order"
+		em.EmitRouted(nil, nil, 0, 2, tuple)        // want "emission/inbox order"
 	}
 }
 

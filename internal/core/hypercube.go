@@ -227,9 +227,7 @@ func InputBits(q *query.Query, db *data.Database) float64 {
 func hyperCubeShuffle(cluster *engine.Cluster, name string, block *hashing.Block, family *hashing.Family) {
 	cluster.Round(name, func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		inbox.EachBatch(func(b engine.Batch) {
-			for off := 0; off < len(b.Vals); off += b.Arity {
-				emit.EmitRouted(block, family, b.Kind, b.Vals[off:off+b.Arity])
-			}
+			emit.EmitRouted(block, family, b.Kind, b.Arity, b.Vals)
 		})
 	})
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/hashing"
 	"mpcquery/internal/query"
 )
 
@@ -98,6 +100,46 @@ func benchRoundEmitFanout(b *testing.B, chunk int) {
 		c.Round("bench", route)
 	}
 	b.ReportMetric(float64(4*benchP*benchPerServer), "msgs/round")
+}
+
+// BenchmarkRoundEmitRouted routes every server's seeded input through a
+// block's compiled route with one EmitRouted, as the HyperCube shuffle
+// routes an inbox batch: fan-out 1 on an 8×8 grid hashing both columns, and
+// fan-out 4 on a 16×4 grid hashing the first, each in barrier and in
+// pipelined rounds at the default chunk size. Servers re-emit a copy of
+// their seeded input, so the round is steady-state.
+func BenchmarkRoundEmitRouted(b *testing.B) {
+	blocks := map[int]*hashing.Block{
+		1: hashing.NewBlock(0, hashing.NewGrid([]int{8, 8}), [][]int{{0, 1}}),
+		4: hashing.NewBlock(0, hashing.NewGrid([]int{16, 4}), [][]int{{0, -1}}),
+	}
+	f := hashing.NewFamily(1, 2)
+	for _, fan := range []int{1, 4} {
+		for _, chunk := range []int{0, DefaultStreamChunk} {
+			name := fmt.Sprintf("fanout=%d", fan)
+			if chunk > 0 {
+				name += "/streamed"
+			}
+			b.Run(name, func(b *testing.B) {
+				c := newBenchCluster()
+				c.SetStreamChunk(chunk)
+				input := make([][]int64, benchP)
+				for s := range input {
+					input[s] = append(input[s], c.Inbox(s).Batch(0).Vals...)
+				}
+				route := func(s int, _ *Inbox, emit *Emitter) {
+					emit.EmitRouted(blocks[fan], f, 0, 2, input[s])
+				}
+				c.Round("warmup", route)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.Round("bench", route)
+				}
+				b.ReportMetric(float64(fan*benchP*benchPerServer), "msgs/round")
+			})
+		}
+	}
 }
 
 func BenchmarkParallelFor(b *testing.B) {

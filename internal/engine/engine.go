@@ -349,10 +349,11 @@ type groupRef struct {
 // its broadcasts). Resetting keeps every vals backing array for reuse.
 type sendBuf struct {
 	batches []outBatch
+	slot    int32 // running EmitRouted's table: 1 + index of the batch to it, or of the group it heads
 }
 
 func (sb *sendBuf) reset() {
-	sb.batches = sb.batches[:0]
+	sb.batches, sb.slot = sb.batches[:0], 0
 }
 
 // openNew starts a fresh (possibly recycled) batch slot, for the caller to
@@ -380,6 +381,7 @@ type Emitter struct {
 	p       int       // servers of the round being staged
 	perDest []sendBuf // lazily allocated, one per destination
 	touched []int     // destinations with pending batches or refs, in first-touch order
+	slotted []int32   // destinations whose sendBuf.slot the running EmitRouted has set
 	bcast   sendBuf
 
 	// Multicast staging: the batches addressed to subcubes, in the order
@@ -405,8 +407,7 @@ type Emitter struct {
 	runs        int32 // batches opened this round
 	seq         int32 // pipelined: per-round flush sequence number
 	flushes     int   // chunks flushed (pipelined) or closed (staged) this round
-	staged      int   // values staged and not yet flushed
-	stagedHW    int   // high-water of staged, as of the last flush
+	stagedHW    int   // high-water of the values staged and not yet flushed (see noteStaged)
 }
 
 // reset prepares the emitter for a round of its cluster: every staging
@@ -453,9 +454,9 @@ func (e *Emitter) buf(dest int) *sendBuf {
 }
 
 // openGroup starts a batch for the subcube base+offsets[·], every member
-// checked once here rather than once per tuple, and references it under
-// every member.
-func (e *Emitter) openGroup(base int, offsets []int, kind, arity int) *groupBatch {
+// checked once here rather than once per tuple, references it under every
+// member, and returns its index in e.groups.
+func (e *Emitter) openGroup(base int, offsets []int, kind, arity int) int {
 	for _, off := range offsets {
 		e.checkDest(base + off)
 	}
@@ -474,7 +475,7 @@ func (e *Emitter) openGroup(base int, offsets []int, kind, arity int) *groupBatc
 		own := len(e.dest(d).batches)
 		e.refs[d] = append(e.refs[d], groupRef{idx: int32(n), ownBefore: int32(own)})
 	}
-	return g
+	return n
 }
 
 // label makes b the sender's next batch, of (kind, arity) tuples.
@@ -496,7 +497,7 @@ func (e *Emitter) batch(dest, kind, arity int) *outBatch {
 		case last.kind == kind && last.arity == arity:
 			return last
 		case e.pipelined:
-			e.flushChunk(dest, last)
+			e.spill(dest, last)
 			e.label(last, kind, arity)
 			return last
 		}
@@ -506,20 +507,20 @@ func (e *Emitter) batch(dest, kind, arity int) *outBatch {
 	return b
 }
 
-// group is batch for the subcube base+offsets[·]: the sender's latest batch
-// for it, if any this round, is referenced under its first member.
-func (e *Emitter) group(base int, offsets []int, kind, arity int) *groupBatch {
+// group is batch for the subcube base+offsets[·], as an index of e.groups:
+// the sender's latest batch for it, if any, is referenced under its first member.
+func (e *Emitter) group(base int, offsets []int, kind, arity int) int {
 	if first := base + offsets[0]; first >= 0 && first < len(e.refs) {
 		refs := e.refs[first]
 		for i := len(refs) - 1; i >= 0; i-- {
 			if g := &e.groups[refs[i].idx]; g.targets(base, offsets) {
 				switch {
 				case g.kind == kind && g.arity == arity:
-					return g
+					return int(refs[i].idx)
 				case e.pipelined:
-					e.flushGroup(g)
+					e.spillGroup(g)
 					e.label(&g.outBatch, kind, arity)
-					return g
+					return int(refs[i].idx)
 				}
 				break
 			}
@@ -537,32 +538,74 @@ func (e *Emitter) EmitTuple(dest, kind int, tuple []int64) {
 	}
 	b := e.batch(dest, kind, len(tuple))
 	b.vals = appendTuple(b.vals, tuple)
-	e.staged += len(tuple)
 	if len(b.vals) >= b.limit {
-		e.flushChunk(dest, b)
+		e.spill(dest, b)
 	}
 }
 
-// EmitRouted sends one tuple of atom kind to its destination subcube D(t) of
-// eq. (9) in block b under family f: b.Routes[kind].Base plus EmitFanout at
-// the block's offset. A tuple whose repeated variable falls in two bins has
-// an empty subcube and goes nowhere. Every strategy's join routing is this
-// call.
-func (e *Emitter) EmitRouted(b *hashing.Block, f *hashing.Family, kind int, tuple []int64) {
+// EmitRouted sends every tuple of vals, a row-major block of atom kind's
+// tuples, to its destination subcube D(t) of eq. (9) in block b under family
+// f: b.Routes[kind].Base plus the route's offsets at the block's offset. A
+// tuple whose repeated variable falls in two bins goes nowhere. It stages
+// exactly what one EmitFanout per tuple would, but looks up and checks each
+// target once per call. Every strategy's join routing is this call.
+func (e *Emitter) EmitRouted(b *hashing.Block, f *hashing.Family, kind, arity int, vals []int64) {
 	r := b.Routes[kind]
-	if base, ok := r.Base(f, tuple); ok {
-		e.EmitFanout(b.Offset+base, r.Offsets(), kind, tuple)
+	switch {
+	case arity < 1:
+		panic("engine: routed arity must be positive")
+	case len(vals)%arity != 0:
+		panic(fmt.Sprintf("engine: routed block of %d values is not a multiple of arity %d", len(vals), arity))
+	case r.Width() > arity:
+		panic(fmt.Sprintf("engine: the route of kind %d reads column %d of arity-%d tuples", kind, r.Width()-1, arity))
 	}
+	first, offsets := b.Offset, r.Offsets()
+	for ; len(vals) > 0; vals = vals[arity:] {
+		t := vals[:arity:arity]
+		base, ok := r.Base(f, t)
+		if !ok {
+			continue
+		}
+		d := first + base
+		if uint(d) >= uint(len(e.perDest)) || e.perDest[d].slot == 0 {
+			e.checkDest(d)
+			var i int
+			if len(offsets) == 1 {
+				e.batch(d, kind, arity)
+				i = len(e.perDest[d].batches) - 1
+			} else {
+				i = e.group(d, offsets, kind, arity)
+			}
+			e.perDest[d].slot = int32(i + 1)
+			e.slotted = append(e.slotted, int32(d))
+		}
+		i := e.perDest[d].slot - 1
+		if len(offsets) == 1 {
+			bt := &e.perDest[d].batches[i]
+			if bt.vals = appendTuple(bt.vals, t); len(bt.vals) >= bt.limit {
+				e.spill(d, bt)
+			}
+		} else {
+			g := &e.groups[i]
+			if g.vals = appendTuple(g.vals, t); len(g.vals) >= g.limit {
+				e.spillGroup(g)
+			}
+		}
+	}
+	for _, d := range e.slotted {
+		e.perDest[d].slot = 0
+	}
+	e.slotted = e.slotted[:0]
 }
 
 // EmitFanout sends one tuple to the destination subcube base+offsets[·] —
-// the multicast form of EmitTuple for replication, which EmitRouted feeds
-// from a block's compiled route. Every member receives the tuple and is
-// charged for it, but the tuple is staged once and landed once, in the arena
-// of the group's first member base+offsets[0]; see Cluster.Round for where
-// it sits in each member's delivery order. A group of one stages exactly as
-// EmitTuple. offsets is retained until the round has been delivered and must
-// not change meanwhile.
+// the multicast form of EmitTuple; EmitRouted stages blocks into the same
+// groups. Every member receives the tuple and is charged for it, but the
+// tuple is staged once and landed once, in the arena of the group's first
+// member base+offsets[0]; see Cluster.Round for where it sits in each
+// member's delivery order. A group of one stages exactly as EmitTuple.
+// offsets is retained until the round has been delivered and must not
+// change meanwhile.
 func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {
 	if len(tuple) == 0 {
 		panic("engine: cannot emit an empty tuple")
@@ -572,11 +615,10 @@ func (e *Emitter) EmitFanout(base int, offsets []int, kind int, tuple []int64) {
 	case 1:
 		e.EmitTuple(base+offsets[0], kind, tuple)
 	default:
-		g := e.group(base, offsets, kind, len(tuple))
+		g := &e.groups[e.group(base, offsets, kind, len(tuple))]
 		g.vals = appendTuple(g.vals, tuple)
-		e.staged += len(tuple)
 		if len(g.vals) >= g.limit {
-			e.flushGroup(g)
+			e.spillGroup(g)
 		}
 	}
 }
@@ -613,10 +655,9 @@ func (e *Emitter) EmitBatch(dest, kind, arity int, vals []int64) {
 	for len(vals) > 0 {
 		n := min(len(vals), b.limit-len(b.vals))
 		b.vals = append(b.vals, vals[:n]...)
-		e.staged += n
 		vals = vals[n:]
 		if len(b.vals) >= b.limit {
-			e.flushChunk(dest, b)
+			e.spill(dest, b)
 		}
 	}
 }
@@ -889,10 +930,11 @@ func (c *Cluster) EachBroadcast(f func(kind int, tuple []int64)) {
 // link delivery: per destination, senders ascending; within one sender, its
 // batches in the order it opened them, then its broadcasts. A batch is a
 // maximal run of same-kind tuples the sender emitted to one target — a server
-// (EmitTuple, EmitBatch) or a subcube (EmitFanout) — with no tuple of another
-// kind to that target in between; tuples keep their emission order inside a
-// batch. For a sender that only emits to single servers this is emission
-// order per destination. A sender that interleaves, tuple by tuple, two
+// (EmitTuple, EmitBatch, EmitRouted at fan-out 1) or a subcube (EmitFanout,
+// EmitRouted) — with no tuple of another kind to that target in between;
+// tuples keep their emission order, or block order, inside a batch. For a
+// sender that only emits to single servers this is emission order per
+// destination. A sender that interleaves, tuple by tuple, two
 // targets sharing a destination has that destination receive one target's
 // batch after the other's, not the interleaving.
 func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emitter)) RoundStats {

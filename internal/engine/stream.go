@@ -183,7 +183,7 @@ func (e *Emitter) flushChunk(dest int, b *outBatch) {
 		c.spare[dest].landChunk(&tag, b.vals)
 		c.destMu[dest].Unlock()
 	}
-	e.flushed(n)
+	e.flushes++
 	b.vals = b.vals[:0]
 }
 
@@ -214,33 +214,50 @@ func (e *Emitter) flushGroup(g *groupBatch) {
 		c.spare[d].listChunk(&tag)
 		c.destMu[d].Unlock()
 	}
-	e.flushed(n)
+	e.flushes++
 	g.vals = g.vals[:0]
 }
 
-// flushed counts one flush of n values, first raising the staged high-water
-// to what was staged before it.
-func (e *Emitter) flushed(n int) {
-	e.flushes++
-	e.stagedHW = max(e.stagedHW, e.staged)
-	e.staged -= n
+// spill and spillGroup flush a batch in mid-emission — full, or relabelled
+// for another kind — after raising the staged high-water.
+func (e *Emitter) spill(dest int, b *outBatch) { e.noteStaged(); e.flushChunk(dest, b) }
+func (e *Emitter) spillGroup(g *groupBatch)    { e.noteStaged(); e.flushGroup(g) }
+
+// noteStaged raises the staged high-water to what the batches hold now: before
+// each mid-emission flush and at the end of emission, so no emit counts per tuple.
+func (e *Emitter) noteStaged() {
+	n := 0
+	e.eachBatch(func(_ int, b *outBatch, _ *groupBatch) { n += len(b.vals) })
+	e.stagedHW = max(e.stagedHW, n)
+}
+
+// eachBatch calls f for every batch staged: to a server, a subcube (g), or all.
+func (e *Emitter) eachBatch(f func(dest int, b *outBatch, g *groupBatch)) {
+	for _, d := range e.touched {
+		for i := range e.perDest[d].batches {
+			f(d, &e.perDest[d].batches[i], nil)
+		}
+	}
+	for i := range e.groups {
+		f(0, &e.groups[i].outBatch, &e.groups[i])
+	}
+	for i := range e.bcast.batches {
+		f(Broadcast, &e.bcast.batches[i], nil)
+	}
 }
 
 // flushPending flushes what the emitter's batches still hold at the end of
 // the emission phase — the pipelined counterpart of the barrier's delivery
 // hand-off, after which every emitted value is in some destination arena.
 func (e *Emitter) flushPending() {
-	for _, d := range e.touched {
-		for i := range e.perDest[d].batches {
-			e.flushChunk(d, &e.perDest[d].batches[i])
+	e.noteStaged()
+	e.eachBatch(func(dest int, b *outBatch, g *groupBatch) {
+		if g != nil {
+			e.flushGroup(g)
+		} else {
+			e.flushChunk(dest, b)
 		}
-	}
-	for i := range e.groups {
-		e.flushGroup(&e.groups[i])
-	}
-	for i := range e.bcast.batches {
-		e.flushChunk(Broadcast, &e.bcast.batches[i])
-	}
+	})
 }
 
 // countStagedChunks sets flushes, after a staged round, to the number of
@@ -249,18 +266,7 @@ func (e *Emitter) flushPending() {
 // its group, so it counts once.
 func (e *Emitter) countStagedChunks() {
 	e.flushes = 0
-	extra := func(b *outBatch) int { return (len(b.vals)/b.arity - 1) / e.chunkTuples }
-	for _, d := range e.touched {
-		for i := range e.perDest[d].batches {
-			e.flushes += extra(&e.perDest[d].batches[i])
-		}
-	}
-	for i := range e.groups {
-		e.flushes += extra(&e.groups[i].outBatch)
-	}
-	for i := range e.bcast.batches {
-		e.flushes += extra(&e.bcast.batches[i])
-	}
+	e.eachBatch(func(_ int, b *outBatch, _ *groupBatch) { e.flushes += (len(b.vals)/b.arity - 1) / e.chunkTuples })
 }
 
 // observeBufferedMemory records this round's engine-buffered high-water
@@ -278,7 +284,8 @@ func (c *Cluster) observeBufferedMemory() {
 	}
 	var vals int64
 	for _, e := range c.emitters {
-		vals += int64(max(e.stagedHW, e.staged))
+		e.noteStaged()
+		vals += int64(e.stagedHW)
 	}
 	for d := 0; d < c.p; d++ {
 		vals += int64(len(c.inbox[d].arena))

@@ -405,8 +405,7 @@ func (e *Emitter) Restage(p int) {
 	e.bcast.reset()
 	e.p = p
 	e.last = nil
-	e.runs, e.seq, e.flushes = 0, 0, 0
-	e.staged, e.stagedHW = 0, 0
+	e.runs, e.seq, e.flushes, e.stagedHW = 0, 0, 0, 0
 }
 
 // StageBatch opens a fresh batch of n values of one kind to dest — the
@@ -422,7 +421,7 @@ func (e *Emitter) StageBatch(dest, kind, arity, n int) []int64 {
 // base+offsets[·] on a receive-side emitter and returns the values for the
 // caller to fill. offsets is retained until the round has been delivered.
 func (e *Emitter) StageGroup(base int, offsets []int, kind, arity, n int) []int64 {
-	return e.stage(&e.openGroup(base, offsets, kind, arity).vals, n)
+	return e.stage(&e.groups[e.openGroup(base, offsets, kind, arity)].vals, n)
 }
 
 // StageMore extends the batch the last StageBatch or StageGroup opened by n

@@ -193,6 +193,7 @@ type Route struct {
 	fixed   []routeCol // first occurrence of every hashed dimension with share > 1
 	guards  []routeCol // repeated occurrences: must land in the same bin as src
 	offsets []int      // never empty: offsets[0] == 0
+	width   int        // one past the last column Base reads
 }
 
 // routeCol is one hashed column: tuple[col] is binned along dim. For a guard,
@@ -217,6 +218,7 @@ func NewRoute(g *Grid, dims []int) *Route {
 			continue
 		}
 		rc := routeCol{col: c, dim: d, share: g.Shares[d], stride: g.strides[d]}
+		r.width = c + 1
 		if first := slices.Index(dims[:c], d); first >= 0 {
 			rc.src = first
 			r.guards = append(r.guards, rc)
@@ -260,6 +262,9 @@ func (r *Route) BaseOf(server int) int {
 	}
 	return base
 }
+
+// Width returns one past the last column Base reads: the least arity it routes.
+func (r *Route) Width() int { return r.width }
 
 // Offsets returns the subcube offset table: tuple t goes to Base(t)+off for
 // every off, in order. The caller must not modify it.

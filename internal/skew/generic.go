@@ -408,20 +408,27 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, se
 
 	family := hashing.NewFamily(seed, q.NumVars())
 
+	// Consecutive tuples routed to the same blocks go out as one EmitRouted per
+	// block: the blocks cover disjoint servers, so each keeps inbox order.
 	cluster.Round("skew-generic", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		var ranks []int
-		var dst []*hashing.Block
+		var run, dst []*hashing.Block
 		inbox.EachBatch(func(b engine.Batch) {
-			j := b.Kind
+			j, from := b.Kind, 0
 			if len(ranks) < b.Arity {
 				ranks = make([]int, b.Arity)
 			}
-			for off := 0; off < len(b.Vals); off += b.Arity {
-				tuple := b.Vals[off : off+b.Arity]
-				dst = gp.route(dst[:0], j, tuple, ranks)
-				for _, blk := range dst {
-					emit.EmitRouted(blk, family, j, tuple)
+			run = run[:0]
+			for off := 0; off <= len(b.Vals); off += b.Arity { // off = len(b.Vals) closes the last run
+				if off < len(b.Vals) {
+					if dst = gp.route(dst[:0], j, b.Vals[off:off+b.Arity], ranks); slices.Equal(dst, run) {
+						continue
+					}
 				}
+				for _, blk := range run {
+					emit.EmitRouted(blk, family, j, b.Arity, b.Vals[from:off])
+				}
+				run, dst, from = dst, run, off
 			}
 		})
 	})
