@@ -23,7 +23,7 @@ func aggFamilies() []Strategy {
 	return []Strategy{
 		HyperCube(), HyperCubeOblivious(), HyperCubeShares(4, 2, 2),
 		SkewedStarSampled(50), SkewedGeneric(),
-		GreedyPlan(0.5), GreedyPlanSkewAware(0.5), Auto(),
+		GreedyPlan(0.5), Auto(),
 	}
 }
 

@@ -363,7 +363,7 @@ func buildScenarios(m int) []*scenario {
 		{name: "triangle-generic", q: mpcquery.Triangle(), db: triMulti,
 			strategy: mpcquery.SkewedGeneric(), servers: 32, weight: 1, skewAware: true},
 		{name: "chain-skewaware", q: mpcquery.Chain(6), db: chainDB,
-			strategy: mpcquery.GreedyPlanSkewAware(0), servers: 32, weight: 1, skewAware: true},
+			strategy: mpcquery.GreedyPlan(0), servers: 32, weight: 1, skewAware: true},
 		{name: "triangle-skewfree", q: mpcquery.Triangle(), db: triFree,
 			strategy: mpcquery.HyperCube(), weight: 1},
 		{name: "chain-auto", q: mpcquery.Chain(6), db: chainDB,

@@ -89,7 +89,7 @@ func checkFinite(t *testing.T, label string, rep *Report) {
 }
 
 func degenerateStrategiesFor(q *Query) []Strategy {
-	ss := []Strategy{HyperCube(), HyperCubeOblivious(), SkewedGeneric(), GreedyPlan(0.5), GreedyPlanSkewAware(0.5), Auto()}
+	ss := []Strategy{HyperCube(), HyperCubeOblivious(), SkewedGeneric(), GreedyPlan(0.5), Auto()}
 	if isStarQuery(q) {
 		ss = append(ss, SkewedStarSampled(10))
 	}

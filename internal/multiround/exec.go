@@ -2,9 +2,9 @@ package multiround
 
 import (
 	"fmt"
+	"maps"
 
 	"mpcquery/internal/aggregate"
-	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/skew"
@@ -13,10 +13,11 @@ import (
 // Memo is an optional per-node artifact memoizer supplied by a caching
 // caller (the query service). It must return the value computed by an
 // earlier call with the same key, or run compute and return its result. The
-// per-node artifacts memoized here (HyperCube plans, skew layouts for the
-// intermediate views) are deterministic in (plan, database, servers, seed),
-// which the caller encodes in the key prefix; a nil Memo recomputes
-// everything, and both paths execute identically.
+// per-node artifacts memoized here (the heavy/light layouts over the
+// intermediate views: heavy-hitter statistics plus pattern grids) are
+// deterministic in (plan, database, servers, seed), which the caller encodes
+// in the key prefix; a nil Memo recomputes everything, and both paths
+// execute identically.
 type Memo func(key string, compute func() any) any
 
 func (m Memo) do(key string, compute func() any) any {
@@ -34,83 +35,53 @@ func Execute(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRec
 	return ExecuteAggregateCapMemoNet(p, db, servers, seed, 0, nil, nil, engine.Env{})
 }
 
-// ExecuteAggregateCapMemoNet is Execute with every option of the vanilla
-// executor:
+// ExecuteAggregateCapMemoNet is Execute with every option. Every plan node
+// is planned by skew.PrepareGeneric over its views and run by
+// skew.RunGenericPlannedNet. The paper leaves multi-round skew open (Section
+// 7): joins can concentrate values, so a view can be skewed when the input
+// is not, and the heavy/light layout contains the hotspots. A node whose
+// views hold no heavy value runs the all-light grid, HyperCube's plan.
 //
-//   - capBits is a declared per-round load cap in bits (0 = none): every
-//     node of every round runs under the cap, and the record's Aborted
-//     reports whether any of them exceeded it;
-//   - agg is an optional aggregate computed at the root node: intermediate
-//     views stay full joins (later rounds need every binding), and the root
-//     runs core.RunPlanAggregateNet with it — its aggregate-shuffle round
-//     follows the root's round in the plan's record. A nil agg executes the
-//     plain plan;
-//   - per-node HyperCube plans are drawn from memo: every node of every
-//     round needs a share-LP solve over its intermediate views, and a
-//     service replaying the same multi-round query can reuse them all;
+//   - capBits is a declared per-round load cap in bits (0 = none) that every
+//     node runs under; the record's Aborted reports whether any exceeded it;
+//   - agg, when set, is computed at the root node: intermediate views stay
+//     full joins, and the root's aggregate-shuffle round follows its join
+//     round in the record, which then holds the aggregate;
+//   - per-node layouts (column statistics and a share LP per bin pattern)
+//     are drawn from memo, so a service replaying the query reuses them;
 //   - every node's round delivery goes through env (the zero Env =
-//     in-process, untraced). Nodes execute sequentially, so a distributed
-//     run attaches one cluster at a time, in the same deterministic order at
-//     every rank. Only the root node streams into env.Sink: intermediate
-//     views feed later rounds and always materialize.
+//     in-process, untraced). Nodes execute sequentially, in the same order
+//     at every rank, so a distributed run attaches one cluster at a time.
+//     Only the root streams into env.Sink (the record's Output is then nil).
+//
+// The records of one level's nodes, which share its round on disjoint
+// servers, merge Beside each other, and each level follows the previous
+// one. The plan's record spans the servers budget and the whole database's
+// input, and its HeavyHitters sums the nodes'.
 func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *engine.RunRecord {
-	return executeWith(p, db, servers, agg, env, func(n *Node, sub *data.Database, perNode, d int, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
-		pl := memo.do(fmt.Sprintf("node|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
-			return core.PlanForDatabase(n.Query, sub, perNode, core.SkewFree)
-		}).(*core.Plan)
-		return core.RunPlanAggregateNet(pl, sub, seed+int64(d), capBits, agg, env)
-	})
-}
-
-// executeWith runs the plan with a pluggable one-round operator, level by
-// level: the records of one level's nodes, which share its rounds on disjoint
-// servers, merge Beside each other, and each level's record follows the
-// previous one's. The operator runs every node under env, with the sink and
-// agg handed only to the root: with a sink the plan's record has a nil
-// Output, with agg it holds the aggregate. The plan's record spans the
-// servers budget and the whole database's input.
-func executeWith(p *Plan, db *data.Database, servers int, agg *aggregate.Plan, env engine.Env,
-	operator func(n *Node, sub *data.Database, perNode, depth int, agg *aggregate.Plan, env engine.Env) *engine.RunRecord) *engine.RunRecord {
 	if servers < 1 {
 		panic("multiround: need at least one server")
 	}
-	levels := make(map[int][]*Node)
-	maxDepth := 0
+	levels := make([][]*Node, p.Rounds()+1) // by depth; every depth has a node
 	var collect func(n *Node)
 	collect = func(n *Node) {
-		if n.IsLeaf() {
-			return
-		}
-		d := n.Depth()
-		levels[d] = append(levels[d], n)
-		if d > maxDepth {
-			maxDepth = d
-		}
-		for _, c := range n.Children {
-			collect(c)
+		if !n.IsLeaf() {
+			levels[n.Depth()] = append(levels[n.Depth()], n)
+			for _, c := range n.Children {
+				collect(c)
+			}
 		}
 	}
 	collect(p.Root)
 
-	materialized := make(map[string]*data.Relation, len(db.Relations))
-	for name, r := range db.Relations {
-		materialized[name] = r
-	}
-
+	materialized := maps.Clone(db.Relations)
 	rec := &engine.RunRecord{ServersUsed: servers}
 	for _, r := range db.Relations {
 		rec.InputBits += r.SizeBits(db.N)
 	}
-
-	for d := 1; d <= maxDepth; d++ {
+	for d := 1; d < len(levels); d++ {
 		nodes := levels[d]
-		if len(nodes) == 0 {
-			continue
-		}
-		perNode := servers / len(nodes)
-		if perNode < 1 {
-			perNode = 1
-		}
+		perNode := max(1, servers/len(nodes))
 		level := &engine.RunRecord{}
 		for _, n := range nodes {
 			sub := data.NewDatabase(db.N)
@@ -132,34 +103,19 @@ func executeWith(p *Plan, db *data.Database, servers int, agg *aggregate.Plan, e
 			if n != p.Root {
 				nodeEnv.Sink, nodeAgg = nil, nil
 			}
-			nr := operator(n, sub, perNode, d, nodeAgg, nodeEnv)
+			gp := memo.do(fmt.Sprintf("node|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
+				return skew.PrepareGeneric(n.Query, sub, perNode)
+			}).(*skew.GenericPlan)
+			nr := skew.RunGenericPlannedNet(gp, n.Query, sub, seed+int64(d), capBits, nodeAgg, nodeEnv)
 			if nr.Output != nil {
 				nr.Output.Name = n.Name
 			}
 			materialized[n.Name] = nr.Output
+			rec.HeavyHitters += nr.HeavyHitters
 			level.Beside(nr)
 		}
 		rec.Then(level)
 	}
 	rec.Output = materialized[p.Root.Name]
 	return rec
-}
-
-// ExecuteSkewAwareCapMemoNet is ExecuteAggregateCapMemoNet with every plan
-// node computed by the generalized heavy/light pattern algorithm instead of
-// the vanilla HyperCube; agg, as there, is computed at the root node. The
-// paper leaves multi-round skew open (Section 7); this is the natural
-// engineering answer: intermediate views can become skewed even when the
-// input is not (joins concentrate values), and per-node skew handling
-// contains the resulting hotspots. The per-node skew layouts (heavy-hitter
-// statistics plus pattern grids over the intermediate views) are drawn from
-// memo — the per-node statistics recomputation is the bulk of the skew-aware
-// executor's planning cost.
-func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *engine.RunRecord {
-	return executeWith(p, db, servers, agg, env, func(n *Node, sub *data.Database, perNode, d int, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
-		gp := memo.do(fmt.Sprintf("node-skew|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
-			return skew.PrepareGeneric(n.Query, sub, perNode)
-		}).(*skew.GenericPlan)
-		return skew.RunGenericPlannedNet(gp, n.Query, sub, seed+int64(d), capBits, agg, env)
-	})
 }

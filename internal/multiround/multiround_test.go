@@ -7,15 +7,8 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
-	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
-
-// executeSkewAware runs the skew-aware executor in process with no cap and
-// no memo.
-func executeSkewAware(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRecord {
-	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, 0, nil, nil, engine.Env{})
-}
 
 // TestChainPlanDepths checks Example 5.2 and Table 3: plan depth for L_k is
 // ⌈log_kε k⌉.
@@ -342,14 +335,15 @@ func TestIntermediatesStayLinear(t *testing.T) {
 	}
 }
 
-// TestExecuteSkewAwareCorrect: the skew-aware executor must produce the
-// same output as the vanilla executor and the sequential join.
+// TestExecuteSkewAwareCorrect: the executor, which plans every node with
+// the heavy/light planner, must produce the sequential join in the plan's
+// rounds on a skew-free chain, where no node holds a heavy value.
 func TestExecuteSkewAwareCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	db := data.ChainMatchingDatabase(rng, 4, 400, 1<<20)
 	q := query.Chain(4)
 	plan := ChainPlan(4, 0)
-	aware := executeSkewAware(plan, db, 32, 7)
+	aware := Execute(plan, db, 32, 7)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(aware.Output, want) {
 		t.Fatalf("skew-aware exec: %d vs %d tuples", aware.Output.NumTuples(), want.NumTuples())
@@ -357,11 +351,16 @@ func TestExecuteSkewAwareCorrect(t *testing.T) {
 	if len(aware.Rounds) != plan.Rounds() {
 		t.Errorf("rounds=%d plan=%d", len(aware.Rounds), plan.Rounds())
 	}
+	if aware.HeavyHitters != 0 {
+		t.Errorf("heavy hitters=%d on a chain of matchings, want 0", aware.HeavyHitters)
+	}
 }
 
 // TestExecuteSkewAwareBeatsVanillaOnSkew: a chain whose middle relation has
 // a heavy join value produces a skewed intermediate view; per-node skew
-// handling must contain the hotspot that the vanilla executor hits.
+// handling must contain the hotspot. Running one HyperCube shuffle per node,
+// the executor this one replaced, read 65 600 bits on this instance; the
+// heavy/light planner read 16 860 there, and may not do worse.
 func TestExecuteSkewAwareBeatsVanillaOnSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	n := int64(1 << 20)
@@ -379,7 +378,7 @@ func TestExecuteSkewAwareBeatsVanillaOnSkew(t *testing.T) {
 		}
 	}
 	db.Add(s1)
-	// S2(x1,x2): the heavy value 7 also appears on the left m/2 times.
+	// S2(x1,x2): the heavy value 7 also starts 8 of its tuples.
 	s2 := data.NewRelation("S2", 2)
 	l2 := data.SampleDistinct(rng, m, n)
 	r2 := data.SampleDistinct(rng, m, n)
@@ -395,18 +394,15 @@ func TestExecuteSkewAwareBeatsVanillaOnSkew(t *testing.T) {
 	db.Add(data.RandomMatching(rng, "S4", 2, m, n))
 
 	q := query.Chain(4)
-	plan := ChainPlan(4, 0)
-	vanilla := Execute(plan, db, 64, 5)
-	aware := executeSkewAware(plan, db, 64, 5)
-	if !data.Equal(vanilla.Output, aware.Output) {
-		t.Fatal("outputs differ")
-	}
-	wantSeq := core.SequentialAnswer(q, db)
-	if !data.Equal(aware.Output, wantSeq) {
+	const hyperCubePerNodeBits, maxBits = 65_600, 16_860
+	aware := Execute(ChainPlan(4, 0), db, 64, 5)
+	if !data.Equal(aware.Output, core.SequentialAnswer(q, db)) {
 		t.Fatal("output != sequential")
 	}
-	if aware.MaxLoadBits() > vanilla.MaxLoadBits() {
-		t.Errorf("skew-aware %v should not exceed vanilla %v on skewed input",
-			aware.MaxLoadBits(), vanilla.MaxLoadBits())
+	if aware.HeavyHitters == 0 {
+		t.Error("no node found the planted heavy value")
+	}
+	if got := aware.MaxLoadBits(); got > maxBits {
+		t.Errorf("max load %v bits, want ≤ %d (HyperCube per node: %d)", got, maxBits, hyperCubePerNodeBits)
 	}
 }

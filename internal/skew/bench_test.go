@@ -13,7 +13,10 @@ import (
 // skewed triangle (p = 64, domain 16·m, one x1 value of degree m/3) at sizes
 // where its growth shows; m = 10⁴ is the size benchmark/ runs. The dense case
 // is the bipartite C3 at p = 512, where all 48 values are heavy: its cost is
-// the number of bin patterns, not the 192 tuples.
+// the number of bin patterns, not the 192 tuples. The no-heavy case is a
+// multi-round plan node over skew-free views: the chain L2 on matchings of
+// m = 10⁴ at p = 16, where the column screen finds no candidate and sorts
+// nothing.
 const benchServers = 64
 
 var benchSizes = []int{10_000, 100_000, 1_000_000}
@@ -30,6 +33,13 @@ func BenchmarkPrepareGeneric(b *testing.B) {
 			}
 		})
 	}
+	b.Run("no-heavy-L2/p=16", func(b *testing.B) {
+		l2 := query.Chain(2)
+		db := data.ChainMatchingDatabase(rand.New(rand.NewSource(1)), 2, 10_000, 1<<20)
+		for b.Loop() {
+			planSink = PrepareGeneric(l2, db, 16)
+		}
+	})
 	b.Run("dense-C3/p=512", func(b *testing.B) {
 		db := denseBipartiteTriDB()
 		for b.Loop() {

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 
 	"mpcquery/internal/aggregate"
@@ -150,31 +151,49 @@ func skewFreeShares(q *query.Query, db *data.Database, p int) []int {
 func heavyCut(m, s int) int { return max(2, m/s) }
 
 // exactCounts returns, per atom and column, the exact count of every value
-// that reaches its cut in some column of its variable. Every column is sorted
-// once (concurrently) and only its runs of at least the cut — at most s_v —
-// become candidates; each candidate is then counted in all of its variable's
-// columns, also those where it is light, since every atom's fragment of a
-// pinned value is its own count there.
+// that reaches its cut in some column of its variable. Every column is
+// screened first (concurrently). Under share 1 the cut is the column's size,
+// so only a constant column holds a candidate; any other column is sorted,
+// for its runs of at least the cut (at most s_v), only if mayReach says it
+// may hold one. Each candidate is then counted in all of its variable's
+// columns, sorted for it, also where it is light, since every atom's
+// fragment of a pinned value is its own count there. The counts equal those
+// of sorting every column.
 func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]int {
 	type column struct {
-		j, c, v int
-		sorted  []int64
+		rel          *data.Relation
+		j, c, v, cut int
+		sorted       []int64
+		runs         []data.Run
 	}
 	var cols []column
 	for j, a := range q.Atoms {
+		rel := db.Get(a.Name)
 		for c, av := range a.Vars {
-			cols = append(cols, column{j: j, c: c, v: q.VarIndex(av)})
+			v := q.VarIndex(av)
+			cols = append(cols, column{rel: rel, j: j, c: c, v: v, cut: heavyCut(rel.NumTuples(), light[v])})
 		}
 	}
 	engine.ParallelFor(len(cols), func(n int) {
-		cols[n].sorted = data.SortedColumn(db.Get(q.Atoms[cols[n].j].Name), cols[n].c)
+		col, m := &cols[n], cols[n].rel.NumTuples()
+		if s := light[col.v]; s == 1 && m >= col.cut && isConstant(col.rel, col.c) {
+			col.runs = []data.Run{{Value: col.rel.At(0, col.c), Count: m}}
+		} else if s > 1 && mayReach(col.rel, col.c, s, col.cut) {
+			col.sorted = data.SortedColumn(col.rel, col.c)
+			col.runs = data.Runs(col.sorted, col.cut)
+		}
 	})
 	candidates := make([][]int64, q.NumVars())
 	for _, c := range cols {
-		for _, run := range data.Runs(c.sorted, heavyCut(len(c.sorted), light[c.v])) {
+		for _, run := range c.runs {
 			candidates[c.v] = append(candidates[c.v], run.Value)
 		}
 	}
+	engine.ParallelFor(len(cols), func(n int) {
+		if col := &cols[n]; col.sorted == nil && len(candidates[col.v]) > 0 {
+			col.sorted = data.SortedColumn(col.rel, col.c)
+		}
+	})
 	counts := make([][]map[int64]int, q.NumAtoms())
 	for j, a := range q.Atoms {
 		counts[j] = make([]map[int64]int, a.Arity())
@@ -189,6 +208,38 @@ func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]i
 	}
 	return counts
 }
+
+// isConstant reports whether column c of rel holds one value, stopping at
+// the first that differs.
+func isConstant(rel *data.Relation, c int) bool {
+	vals := rel.Vals()
+	for i := c; i < len(vals); i += rel.Arity {
+		if vals[i] != vals[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// mayReach reports whether some value may occur at least cut times in
+// column c of rel, for a variable of share s. It counts the column into
+// 2^b ≥ max(1024, 8s) hash buckets: a bucket's count bounds the count of
+// every value in it, so a false answer is exact.
+func mayReach(rel *data.Relation, c, s, cut int) bool {
+	b, vals := max(10, bits.Len(uint(8*s-1))), rel.Vals()
+	buckets := make([]int32, 1<<b)
+	for i := c; i < len(vals); i += rel.Arity {
+		h := bucketOf(vals[i], b)
+		if buckets[h]++; int(buckets[h]) >= cut {
+			return true
+		}
+	}
+	return false
+}
+
+// bucketOf hashes v into one of 2^b buckets: the top b bits of a Fibonacci
+// multiplicative hash.
+func bucketOf(v int64, b int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 >> (64 - b) }
 
 // newGenericPlan picks the heavy values from the given counts — every value
 // whose count in some column of its variable v reaches heavyCut(m_j,
@@ -394,6 +445,8 @@ func (gp *GenericPlan) route(dst []*hashing.Block, j int, tuple []int64, ranks [
 // statistics phase already paid for (or cached) by the caller. Running a
 // prepared plan is bit-identical to preparing it anew — preparation only
 // moves work, never accounting. The layout spans the plan's own servers.
+// It runs every multi-round plan node too, where most atoms hold no heavy
+// value: such an atom's batches go out whole, with no per-tuple lookup.
 // capBits is a declared per-round load cap in bits (Section 2.1's abort
 // semantics; 0 = none); agg, when set, aggregates the output with one more
 // round, as core.RunPlanAggregateNet does (nil: the plain join); round
@@ -409,7 +462,9 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, se
 	family := hashing.NewFamily(seed, q.NumVars())
 
 	// Consecutive tuples routed to the same blocks go out as one EmitRouted per
-	// block: the blocks cover disjoint servers, so each keeps inbox order.
+	// block: the blocks cover disjoint servers, so each keeps inbox order. An
+	// atom with one route has no heavy value, so all of a batch goes where its
+	// first tuple does: light values have rank 0 and never drop a tuple.
 	cluster.Round("skew-generic", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		var ranks []int
 		var run, dst []*hashing.Block
@@ -417,6 +472,13 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, se
 			j, from := b.Kind, 0
 			if len(ranks) < b.Arity {
 				ranks = make([]int, b.Arity)
+			}
+			if len(gp.atoms[j].routes) == 1 && len(b.Vals) > 0 {
+				dst = gp.route(dst[:0], j, b.Vals[:b.Arity], ranks)
+				for _, blk := range dst {
+					emit.EmitRouted(blk, family, j, b.Arity, b.Vals)
+				}
+				return
 			}
 			run = run[:0]
 			for off := 0; off <= len(b.Vals); off += b.Arity { // off = len(b.Vals) closes the last run

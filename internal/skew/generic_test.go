@@ -1,7 +1,10 @@
 package skew
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,5 +125,150 @@ func TestGenericBeatsVanillaUnderSkew(t *testing.T) {
 	if gen.MaxLoadBits() >= vanilla.MaxLoadBits() {
 		t.Errorf("generic %v should beat vanilla %v on fully skewed join",
 			gen.MaxLoadBits(), vanilla.MaxLoadBits())
+	}
+}
+
+// refSortedCounts is exactCounts without the screen: every column is sorted,
+// its runs of at least the cut are the candidates, and each candidate is
+// counted in all of its variable's columns.
+func refSortedCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]int {
+	sorted := make([][][]int64, q.NumAtoms())
+	candidates := make([][]int64, q.NumVars())
+	for j, a := range q.Atoms {
+		rel := db.Get(a.Name)
+		for c, v := range a.Vars {
+			col := data.SortedColumn(rel, c)
+			sorted[j] = append(sorted[j], col)
+			for _, run := range data.Runs(col, heavyCut(rel.NumTuples(), light[q.VarIndex(v)])) {
+				candidates[q.VarIndex(v)] = append(candidates[q.VarIndex(v)], run.Value)
+			}
+		}
+	}
+	counts := make([][]map[int64]int, q.NumAtoms())
+	for j, a := range q.Atoms {
+		for c, v := range a.Vars {
+			col := map[int64]int{}
+			for _, val := range candidates[q.VarIndex(v)] {
+				if n := data.CountOf(sorted[j][c], val); n > 0 {
+					col[val] = n
+				}
+			}
+			counts[j] = append(counts[j], col)
+		}
+	}
+	return counts
+}
+
+// TestGenericScreenMatchesSortedCounts: screening columns before sorting
+// them changes no count. The cases put a value at the cut and one just
+// below it, many distinct values in one hash bucket (so the screen passes a
+// column without a candidate and the sort must decide), constant and
+// nearly constant columns of share-1 variables, relations of 0, 1 and 2
+// tuples, a repeated variable, and random columns.
+func TestGenericScreenMatchesSortedCounts(t *testing.T) {
+	db := func(rels ...*data.Relation) *data.Database {
+		d := data.NewDatabase(1 << 20)
+		for _, r := range rels {
+			d.Add(r)
+		}
+		return d
+	}
+	rel := func(name string, vals ...int64) *data.Relation { return data.FromVals(name, 2, vals) }
+	// pairs lays out x values as (x, 100000+i) tuples.
+	pairs := func(name string, xs ...int64) *data.Relation {
+		var vals []int64
+		for i, x := range xs {
+			vals = append(vals, x, int64(100_000+i))
+		}
+		return rel(name, vals...)
+	}
+	repeat := func(v int64, n int) []int64 { return slices.Repeat([]int64{v}, n) }
+	check := func(name string, q *query.Query, d *data.Database, light []int) [][]map[int64]int {
+		t.Helper()
+		got, want := exactCounts(q, d, light), refSortedCounts(q, d, light)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: counts %v, sorted reference %v", name, got, want)
+		}
+		return got
+	}
+	one := query.New("one", query.Atom{Name: "R", Vars: []string{"x", "y"}})
+	two := query.New("two", query.Atom{Name: "R", Vars: []string{"x", "y"}}, query.Atom{Name: "T", Vars: []string{"x", "z"}})
+
+	// m = 40 at share 4: the cut is 10.
+	atCut := pairs("R", slices.Concat(repeat(1000, 10), repeat(2000, 9), data.SampleDistinct(rand.New(rand.NewSource(1)), 21, 1<<20))...)
+	if got := check("cut", one, db(atCut), []int{4, 4}); !reflect.DeepEqual(got[0][0], map[int64]int{1000: 10}) {
+		t.Errorf("cut: x counts %v, want only 1000 at the cut", got[0][0])
+	}
+
+	// Twelve distinct values the screen (1024 buckets at share 4) puts in
+	// one bucket, three times each: the bucket reaches the cut 10, no value
+	// does.
+	var same []int64
+	for v := int64(1); len(same) < 12; v++ {
+		if bucketOf(v, 10) == bucketOf(0, 10) {
+			same = append(same, v)
+		}
+	}
+	thrice := func(vs []int64) (out []int64) {
+		for _, v := range vs {
+			out = append(out, v, v, v)
+		}
+		return out
+	}
+	crowded := append(thrice(same), 1, 2, 3, 4)
+	if !mayReach(pairs("R", crowded...), 0, 4, 10) {
+		t.Fatal("the crowded bucket stays below the cut; the fallback sort is not exercised")
+	}
+	check("bucket", one, db(pairs("R", crowded...)), []int{4, 4})
+	// The same bucket, 40 tuples, with one of its values at the cut.
+	crowded = append(repeat(same[0], 10), thrice(same[1:11])...)
+	if got := check("bucket/cut", one, db(pairs("R", crowded...)), []int{4, 4}); !reflect.DeepEqual(got[0][0], map[int64]int{same[0]: 10}) {
+		t.Errorf("bucket/cut: x counts %v, want only %d at the cut", got[0][0], same[0])
+	}
+
+	// Share 1: the cut is m, so only a constant column holds a candidate.
+	for _, xs := range [][]int64{{5, 5, 5, 5, 5, 5}, {5, 5, 5, 5, 5, 6}, {6, 5, 5, 5, 5, 5}, {5, 5}, {5, 6}, {5}, {}} {
+		for _, light := range [][]int{{1, 1}, {1, 2}, {2, 1}, {4, 4}} {
+			check(fmt.Sprintf("constant/%v/%v", xs, light), one, db(pairs("R", xs...)), light)
+		}
+	}
+	// A constant R column makes 5 a candidate of x; T's column, constant
+	// but for its last tuple, has its count of 5 taken without being one.
+	if got := check("constant/two", two, db(pairs("R", repeat(5, 6)...), rel("T", 5, 1, 5, 2, 5, 3, 6, 4)), []int{1, 8, 8}); got[1][0][5] != 3 {
+		t.Errorf("constant/two: T counts %v, want 5 three times", got[1][0])
+	}
+
+	// m ∈ {0, 1, 2}.
+	for _, r := range []*data.Relation{rel("R"), rel("R", 7, 8), rel("R", 7, 8, 7, 9), rel("R", 7, 8, 9, 8)} {
+		for _, light := range [][]int{{1, 1}, {2, 2}, {1, 16}} {
+			check(fmt.Sprintf("small/m=%d/%v", r.NumTuples(), light), one, db(r), light)
+		}
+	}
+
+	// A repeated variable: R(x, x) counts x in both of its columns.
+	rep := query.New("rep", query.Atom{Name: "R", Vars: []string{"x", "x"}}, query.Atom{Name: "S", Vars: []string{"x", "y"}})
+	r := rel("R", slices.Concat(repeat(1, 20), repeat(2, 10))...)
+	for range 15 {
+		r.Append(3, 5000)
+	}
+	check("repeated", rep, db(r, pairs("S", slices.Concat(repeat(1, 4), repeat(3, 9), repeat(4, 12))...)), []int{4, 2})
+
+	// Random columns over small domains, at random shares.
+	rng := rand.New(rand.NewSource(9))
+	for i := range 200 {
+		q := []*query.Query{query.Triangle(), query.Chain(3), query.Star(2), rep}[i%4]
+		d := data.NewDatabase(1 << 20)
+		for _, a := range q.Atoms {
+			r, dom := data.NewRelation(a.Name, a.Arity()), 1+rng.Int63n(24)
+			for range rng.Intn(80) {
+				r.Append(rng.Int63n(dom), rng.Int63n(dom))
+			}
+			d.Add(r)
+		}
+		light := make([]int, q.NumVars())
+		for v := range light {
+			light[v] = []int{1, 2, 3, 4, 8, 16}[rng.Intn(6)]
+		}
+		check(fmt.Sprintf("random/%d", i), q, d, light)
 	}
 }

@@ -37,7 +37,7 @@ func TestWithLoadCapSetsAbortedAllStrategies(t *testing.T) {
 		{"skewed-generic", chain, chainDB, SkewedGeneric()},
 		{"chain-plan", chain, chainDB, ChainPlan(0)},
 		{"greedy-plan", chain, chainDB, GreedyPlan(0)},
-		{"greedy-plan-skew", chain, chainDB, GreedyPlanSkewAware(0)},
+		{"greedy-plan-skew", chain, skewedChainDB(), GreedyPlan(0)},
 		{"auto", chain, chainDB, Auto()},
 	}
 	for _, tc := range cases {

@@ -85,7 +85,7 @@ func oracleWorkloads() []oracleWorkload {
 			strategies: []Strategy{
 				HyperCube(), HyperCubeOblivious(), HyperCubeShares(4, 2, 2),
 				SkewedStarSampled(40), SkewedGeneric(),
-				GreedyPlan(0.5), GreedyPlanSkewAware(0.5), Auto(),
+				GreedyPlan(0.5), Auto(),
 			},
 		},
 		{
@@ -104,8 +104,7 @@ func oracleWorkloads() []oracleWorkload {
 		{
 			name: "chain4", q: Chain(4),
 			strategies: []Strategy{
-				HyperCube(), ChainPlan(0.5), GreedyPlan(0.5),
-				GreedyPlanSkewAware(0.5), Auto(),
+				HyperCube(), ChainPlan(0.5), GreedyPlan(0.5), Auto(),
 			},
 		},
 	}

@@ -57,9 +57,9 @@ func (e *StrategyError) Error() string {
 // Every algorithm of the paper is reachable here: HyperCube(),
 // HyperCubeOblivious(), HyperCubeShares(...), SelfJoin(...),
 // SkewedStarSampled(...), SkewedTriangle(), SkewedGeneric(), ChainPlan(ε),
-// GreedyPlan(ε), GreedyPlanSkewAware(ε), and Auto(); each also runs
-// WithAggregate. Run never panics: any panic escaping a strategy is
-// converted into a *StrategyError.
+// GreedyPlan(ε) and Auto(); each also runs WithAggregate. The multi-round
+// plans run every node with SkewedGeneric's planner. Run never panics: any
+// panic escaping a strategy is converted into a *StrategyError.
 func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {

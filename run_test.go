@@ -62,7 +62,6 @@ func TestRunCrossStrategyChain(t *testing.T) {
 		ChainPlan(0),
 		ChainPlan(0.5),
 		GreedyPlan(0),
-		GreedyPlanSkewAware(0),
 		Auto(),
 	}
 	for _, s := range strategies {
@@ -261,5 +260,29 @@ func TestRunErrorBoundaries(t *testing.T) {
 	var se *StrategyError
 	if !errors.As(err, &se) || se.Strategy != "panicky" {
 		t.Errorf("panic not converted to StrategyError: %v", err)
+	}
+}
+
+// TestAutoMultiRoundContainsSkew: on a C3 whose x1 = 1 has degree 1 000 in
+// S1 and S3 of 4 000 tuples, Auto picks a two-round ε = 0 plan. Each of its
+// nodes runs the heavy/light planner, so the hitter the first round's views
+// inherit is contained. With one HyperCube shuffle per node the same plan
+// read 37 200 bits, above HyperCube's own 36 864.
+func TestAutoMultiRoundContainsSkew(t *testing.T) {
+	q := Triangle()
+	db := SkewedTriangleDatabase(rand.New(rand.NewSource(7)), 4000, 64000, 1, 1000)
+	rep, err := Run(q, db, WithStrategy(Auto()), WithServers(64), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hyperCubePerNodeBits, maxBits = 37_200, 5_248
+	if rep.Rounds != 2 || !strings.Contains(rep.Strategy, "ε=0.00") {
+		t.Errorf("auto picked %s in %d rounds, want the two-round ε = 0 plan", rep.Strategy, rep.Rounds)
+	}
+	if rep.MaxLoadBits > maxBits {
+		t.Errorf("max load %v bits, want ≤ %d (HyperCube per node: %d)", rep.MaxLoadBits, maxBits, hyperCubePerNodeBits)
+	}
+	if !EqualRelations(rep.Output, SequentialAnswer(q, db)) {
+		t.Error("output mismatch")
 	}
 }

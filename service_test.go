@@ -59,7 +59,7 @@ func serviceCases(tb testing.TB) []serviceCase {
 		{"skewed-generic", tri, triSkewDB, SkewedGeneric(), nil},
 		{"chain-plan", chain, chainDB, ChainPlan(0.5), nil},
 		{"greedy-plan", chain, chainDB, GreedyPlan(0), nil},
-		{"greedy-plan-skew", chain, chainDB, GreedyPlanSkewAware(0), nil},
+		{"greedy-plan-skew", chain, skewedChainDB(), GreedyPlan(0), nil},
 		{"auto", chain, chainDB, Auto(), nil},
 	}
 }

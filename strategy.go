@@ -310,9 +310,8 @@ func runGeneric(name string, ctx ExecContext) *Report {
 // ---- multi-round strategies ------------------------------------------------
 
 type multiRoundStrategy struct {
-	eps       float64
-	chain     bool
-	skewAware bool
+	eps   float64
+	chain bool
 }
 
 // ChainPlan returns the multi-round strategy of Example 5.2 for the chain
@@ -322,28 +321,19 @@ func ChainPlan(eps float64) Strategy { return multiRoundStrategy{eps: eps, chain
 
 // GreedyPlan returns the generic multi-round strategy: the greedy grouping
 // of Lemma 5.4 over any connected query at space exponent eps, executed
-// level by level with per-round load metering.
+// level by level with per-round load metering. Every plan node runs the
+// heavy/light planner over its views, so a node whose intermediate views
+// became skewed contains its hotspots.
 func GreedyPlan(eps float64) Strategy { return multiRoundStrategy{eps: eps} }
 
-// GreedyPlanSkewAware is GreedyPlan with every plan node computed by the
-// generalized pattern algorithm, containing hotspots in skewed intermediate
-// views.
-func GreedyPlanSkewAware(eps float64) Strategy {
-	return multiRoundStrategy{eps: eps, skewAware: true}
-}
-
-// supportsAggregate: both executors aggregate at the root node.
+// supportsAggregate: the executor aggregates at the root node.
 func (multiRoundStrategy) supportsAggregate() {}
 
 func (s multiRoundStrategy) Name() string {
-	switch {
-	case s.chain:
+	if s.chain {
 		return fmt.Sprintf("chain-plan(ε=%.2f)", s.eps)
-	case s.skewAware:
-		return fmt.Sprintf("greedy-plan-skew(ε=%.2f)", s.eps)
-	default:
-		return fmt.Sprintf("greedy-plan(ε=%.2f)", s.eps)
 	}
+	return fmt.Sprintf("greedy-plan(ε=%.2f)", s.eps)
 }
 
 func (s multiRoundStrategy) Execute(ctx ExecContext) (*Report, error) {
@@ -359,41 +349,33 @@ func (s multiRoundStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: chain-plan needs the chain query L%d (atoms S1..S%d); got %s", k, k, ctx.Query)
 		}
 	}
-	planKey := fmt.Sprintf("mr|c%t|sk%t|e%g", s.chain, s.skewAware, s.eps)
+	planKey := fmt.Sprintf("mr|c%t|e%g", s.chain, s.eps)
 	plan := ctx.cachedPlan(planKey, func() any {
 		if s.chain {
 			return multiround.ChainPlan(ctx.Query.NumAtoms(), s.eps)
 		}
 		return multiround.GreedyPlan(ctx.Query, s.eps)
 	}).(*multiround.Plan)
-	return executeMultiRound(planKey, s.Name(), plan, s.eps, s.skewAware, ctx)
+	return executeMultiRound(planKey, s.Name(), plan, s.eps, ctx)
 }
 
 // executeMultiRound runs a prepared plan and reports its record, predicting
 // load as M_max/p^{1−ε} (the Section 5 target). The cacheKey scopes per-node
-// memoized artifacts (share LPs, skew layouts over intermediate views) to
+// memoized artifacts (the heavy/light layouts over intermediate views) to
 // this particular plan — node names repeat across plans, so the key must
 // identify the plan, not just the node.
-func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps float64, skewAware bool, ctx ExecContext) (*Report, error) {
+func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps float64, ctx ExecContext) (*Report, error) {
 	var memo multiround.Memo
 	if ctx.cache != nil {
 		memo = func(key string, compute func() any) any {
 			return ctx.cachedPlan(cacheKey+"|"+key, compute)
 		}
 	}
-	ap := ctx.aggregatePlan()
-	var rec *engine.RunRecord
-	if skewAware {
-		rec = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
-	} else {
-		rec = multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
-	}
+	rec := multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), memo, ctx.env)
 	rep := newReport(name, ctx.Query, rec)
 	maxM := 0.0
 	for _, r := range ctx.DB.Relations {
-		if m := r.SizeBits(ctx.DB.N); m > maxM {
-			maxM = m
-		}
+		maxM = max(maxM, r.SizeBits(ctx.DB.N))
 	}
 	rep.PredictedLoadBits = maxM / math.Pow(float64(ctx.Servers), 1-eps)
 	return rep, nil
@@ -434,7 +416,7 @@ func (s autoStrategy) Execute(ctx ExecContext) (*Report, error) {
 	)
 	switch {
 	case best.Plan != nil:
-		rep, err = executeMultiRound("auto|"+best.Name, s.Name(), best.Plan, best.SpaceExponent, false, ctx)
+		rep, err = executeMultiRound("auto|"+best.Name, s.Name(), best.Plan, best.SpaceExponent, ctx)
 	case best.SkewRobust:
 		rep, err = HyperCubeOblivious().Execute(ctx)
 	default:

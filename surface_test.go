@@ -33,7 +33,7 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 			"RunTrianglePlannedNet", "StatsSpec.Run", "StatsSpec.RunNet",
 		},
 		"internal/multiround": {
-			"Execute", "ExecuteAggregateCapMemoNet", "ExecuteSkewAwareCapMemoNet",
+			"Execute", "ExecuteAggregateCapMemoNet",
 		},
 	}
 	notRecords := map[string]bool{"RunPlanCapped": true, "StatsSpec.Run": true, "StatsSpec.RunNet": true}

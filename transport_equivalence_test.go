@@ -54,7 +54,7 @@ func distScenarios() []distScenario {
 		named("skewed-generic", mk(Triangle, goldenTriDB, SkewedGeneric())),
 		named("chain-plan", mk(chain4, chainDB, ChainPlan(0.5))),
 		named("greedy-plan", mk(chain4, chainDB, GreedyPlan(0.5))),
-		named("greedy-plan-skew", mk(chain4, chainDB, GreedyPlanSkewAware(0.5))),
+		named("greedy-plan-skew", mk(chain4, skewedChainDB, GreedyPlan(0))),
 		named("auto", mk(chain4, chainDB, Auto())),
 		named("selfjoin", distScenario{run: func(extra ...RunOption) (*Report, error) {
 			edges := NewRelation("E", 2)
