@@ -72,6 +72,11 @@ type Semiring interface {
 	Identity() int64
 	// Combine folds two annotations.
 	Combine(a, b int64) int64
+	// Repeat is the n-fold ⊕, a ⊕ a ⊕ … ⊕ a of n ≥ 1 copies of a: what n
+	// join rows with one group key and one annotation fold to, without
+	// enumerating them. It is a·n with int64 wraparound for count/sum
+	// (equal to n wrapping additions) and a for min/max.
+	Repeat(a, n int64) int64
 }
 
 type sumSemiring struct{ name string }
@@ -79,11 +84,13 @@ type sumSemiring struct{ name string }
 func (s sumSemiring) Name() string           { return s.name }
 func (sumSemiring) Identity() int64          { return 0 }
 func (sumSemiring) Combine(a, b int64) int64 { return a + b }
+func (sumSemiring) Repeat(a, n int64) int64  { return a * n }
 
 type minSemiring struct{}
 
-func (minSemiring) Name() string    { return "min" }
-func (minSemiring) Identity() int64 { return math.MaxInt64 }
+func (minSemiring) Name() string            { return "min" }
+func (minSemiring) Identity() int64         { return math.MaxInt64 }
+func (minSemiring) Repeat(a, _ int64) int64 { return a }
 func (minSemiring) Combine(a, b int64) int64 {
 	if b < a {
 		return b
@@ -93,8 +100,9 @@ func (minSemiring) Combine(a, b int64) int64 {
 
 type maxSemiring struct{}
 
-func (maxSemiring) Name() string    { return "max" }
-func (maxSemiring) Identity() int64 { return math.MinInt64 }
+func (maxSemiring) Name() string            { return "max" }
+func (maxSemiring) Identity() int64         { return math.MinInt64 }
+func (maxSemiring) Repeat(a, _ int64) int64 { return a }
 func (maxSemiring) Combine(a, b int64) int64 {
 	if b > a {
 		return b
@@ -193,14 +201,15 @@ type FoldTable struct {
 
 // NewFoldTable returns an empty fold table for keys of the given arity.
 func NewFoldTable(keyArity int, sr Semiring) *FoldTable {
-	t := &FoldTable{sr: sr}
-	t.Reset(keyArity)
+	t := new(FoldTable)
+	t.Reset(keyArity, sr)
 	return t
 }
 
-// Reset empties the table in place for a new fold, keeping capacity.
-func (t *FoldTable) Reset(keyArity int) {
-	t.keyArity = keyArity
+// Reset empties the table in place for a new fold of keys of the given arity
+// under sr, keeping capacity.
+func (t *FoldTable) Reset(keyArity int, sr Semiring) {
+	t.keyArity, t.sr = keyArity, sr
 	t.rows = t.rows[:0]
 	if cap(t.head) < 16 {
 		t.head = make([]int32, 16)

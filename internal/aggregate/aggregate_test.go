@@ -26,6 +26,16 @@ func TestSemiringLaws(t *testing.T) {
 			if got := sr.Combine(a, sr.Identity()); got != a {
 				t.Fatalf("%s: identity broken: combine(%d, id) = %d", sr.Name(), a, got)
 			}
+			// The n-fold ⊕ is n chained Combines, over the whole int64
+			// range so that count/sum wrap.
+			w := int64(rng.Uint64())
+			chained := w
+			for n := int64(1); n <= 64; n++ {
+				if got := sr.Repeat(w, n); got != chained {
+					t.Fatalf("%s: Repeat(%d, %d) = %d, %d chained Combines give %d", sr.Name(), w, n, got, n, chained)
+				}
+				chained = sr.Combine(chained, w)
+			}
 		}
 	}
 }

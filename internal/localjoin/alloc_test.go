@@ -3,11 +3,13 @@ package localjoin
 import (
 	"testing"
 
+	"mpcquery/internal/aggregate"
 	"mpcquery/internal/engine"
 )
 
 // TestKernelSteadyStateAllocations pins what a warmed Scratch allocates per
-// Evaluate: the output relation and its value slice, nothing else. The
+// Evaluate and per EvaluateAtomsAggregate: the output relation and its value
+// slice, nothing else. The
 // ceiling is the measured count, so any allocation that creeps into the
 // join loop (a tracing hook, a per-call map, a grown buffer that is not
 // kept) fails here rather than showing up as GC time in a benchmark.
@@ -33,6 +35,28 @@ func TestKernelSteadyStateAllocations(t *testing.T) {
 			}
 			if allocs > ceiling {
 				t.Errorf("steady-state Evaluate: %v allocs per run, ceiling %d", allocs, ceiling)
+			}
+		})
+		// The fold path keeps its table, group key and count memos in the
+		// scratch: a warm fold allocates the partial relation it returns
+		// and its value slice.
+		t.Run(shape.Name+"/aggregate", func(t *testing.T) {
+			const aggCeiling = 2
+			sc := NewScratch()
+			rels := sc.byAtom(shape.Q, shape.Rels)
+			plan := aggregate.NewPlan(aggregate.Count, "", shape.Q.Vars()[:1], true)
+			for i := 0; i < 50; i++ {
+				sc.EvaluateAtomsAggregate(shape.Q, rels, nil, plan)
+			}
+			rows := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				_, rows = sc.EvaluateAtomsAggregate(shape.Q, rels, nil, plan)
+			})
+			if rows == 0 {
+				t.Fatal("kernel folded no row")
+			}
+			if allocs > aggCeiling {
+				t.Errorf("steady-state EvaluateAtomsAggregate: %v allocs per run, ceiling %d", allocs, aggCeiling)
 			}
 		})
 	}

@@ -180,34 +180,65 @@ func BenchmarkOutput(b *testing.B) {
 	}
 }
 
-// BenchmarkOutputAggregate measures Output's aggregate tail on
-// BenchmarkOutput's cluster: COUNT grouped by x — the fold (or, with
-// pushdown off, the raw projection), the aggregate-shuffle round and the
-// destinations' final fold. The round replaces the inboxes, so each
-// iteration seeds a fresh cluster off the clock.
-func BenchmarkOutputAggregate(b *testing.B) {
-	for _, pushdown := range []bool{true, false} {
-		name := "pushdown=off"
-		if pushdown {
-			name = "pushdown=on"
+// heavyStarCluster returns a cluster of p servers holding T2's fragments
+// (S1(z,x1) and S2(z,x2), m tuples each) hash-partitioned on z, where z = 0
+// has degree heavy in both relations and every other z degree 1: the server
+// of z = 0 owns heavy² output rows, every server one row per light z.
+func heavyStarCluster(p, m, heavy int) (*engine.Cluster, *query.Query) {
+	q := query.Star(2)
+	rng := rand.New(rand.NewSource(36))
+	c := engine.NewCluster(p, 32)
+	c.Round("seed", func(s int, _ *engine.Inbox, emit *engine.Emitter) {
+		if s != 0 {
+			return
 		}
-		b.Run(name, func(b *testing.B) {
-			plan := aggregate.NewPlan(aggregate.Count, "", []string{"x"}, pushdown)
+		for i := 0; i < m; i++ {
+			z := int64(max(i-heavy+1, 0))
+			for j := range q.Atoms {
+				emit.EmitTuple(int(z%int64(p)), j, []int64{z, rng.Int63n(int64(m))})
+			}
+		}
+	})
+	return c, q
+}
+
+// BenchmarkOutputAggregate measures Output's aggregate tail: the fold (or,
+// with pushdown off, the raw projection), the aggregate-shuffle round and
+// the destinations' final fold. The L2 cases run on BenchmarkOutput's
+// cluster, COUNT grouped by x; the T2 case, COUNT grouped by z, on a star
+// whose one heavy z puts 10⁶ of the 1 019 000 join rows on one server — the
+// rows the fold counts instead of enumerating. The round replaces the
+// inboxes, so each iteration seeds a fresh cluster off the clock.
+func BenchmarkOutputAggregate(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		cluster func() (*engine.Cluster, *query.Query)
+		plan    *aggregate.Plan
+		rows    int64
+	}{
+		{"pushdown=on", func() (*engine.Cluster, *query.Query) { return outputCluster(64, 64, 20000) },
+			aggregate.NewPlan(aggregate.Count, "", []string{"x"}, true), 20000},
+		{"pushdown=off", func() (*engine.Cluster, *query.Query) { return outputCluster(64, 64, 20000) },
+			aggregate.NewPlan(aggregate.Count, "", []string{"x"}, false), 20000},
+		{"T2-heavy-z/pushdown=on", func() (*engine.Cluster, *query.Query) { return heavyStarCluster(64, 20000, 1000) },
+			aggregate.NewPlan(aggregate.Count, "", []string{"z"}, true), 1000*1000 + 19000},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				c, q := outputCluster(64, 64, 20000)
+				cl, q := c.cluster()
 				b.StartTimer()
-				out, _ := Output(c, q, engine.Env{}, nil, plan)
+				out, _ := Output(cl, q, engine.Env{}, nil, c.plan)
 				b.StopTimer()
-				c.Release()
+				cl.Release()
 				total := int64(0)
 				for j := 0; j < out.NumTuples(); j++ {
 					total += out.At(j, 1)
 				}
-				if total != 20000 {
-					b.Fatalf("counts sum to %d, want 20000", total)
+				if total != c.rows {
+					b.Fatalf("counts sum to %d, want %d", total, c.rows)
 				}
 				b.StartTimer()
 			}

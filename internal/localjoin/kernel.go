@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"mpcquery/internal/aggregate"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
@@ -45,8 +46,19 @@ type Scratch struct {
 	hitRow  []int32        // a step's matches in output order: binding row ...
 	hitTup  []int32        // ... and matching tuple (int32, as in atomIndex)
 	outCols [][]int64      // binding columns in q.Vars() order, for AppendColumns
+	mult    []int64        // the fold path's multiplicity per enumerated binding row
 	block   *data.Relation // the streamed path's window of output rows
 	arena   *data.Relation // Output's rows of every server this worker evaluated, back to back
+
+	// The fold path's table, group-by columns and group key, and its
+	// per-slot match counts of single-key counted steps (one array per
+	// step, valid where an entry's gen is memoGen: each evaluation bumps
+	// it).
+	fold      *aggregate.FoldTable
+	groupCols []int
+	groupKey  []int64
+	memos     [][]slotCount
+	memoGen   uint32
 
 	// Atom-indexed views for the map-based entry points and Fragments, and
 	// the per-server cache handle Share fills.
@@ -404,7 +416,7 @@ func (s *Scratch) run(q *query.Query, rels []*data.Relation, order []int, sh *Sh
 // first atom, its bindings transposed onto the end of out in q.Vars() order
 // with one bulk append.
 func (s *Scratch) appendRun(out *data.Relation, q *query.Query, rels []*data.Relation, order []int, sh *Shared) {
-	s.join(q, rels, order, sh, rels[order[0]].NumTuples(), func(rows int) {
+	s.join(rels, s.planSteps(q, order), sh, rels[order[0]].NumTuples(), func(rows int) {
 		out.AppendColumns(s.outputCols(q), rows)
 	})
 }
@@ -437,11 +449,14 @@ func (s *Scratch) outputCols(q *query.Query) [][]int64 {
 	return s.outCols
 }
 
-// join is the kernel core: a hash join over the atoms in the given order,
+// join is the kernel core: a hash join over the planned steps (planSteps),
 // run window rows of the first atom at a time. After every window that
-// leaves rows > 0 complete bindings — column-wise in s.cols, s.varPos mapping
-// each variable to its column — it calls emit(rows); the three output paths
-// (materialize, stream, fold) differ only in their window and their emit.
+// leaves rows > 0 bindings of the steps — column-wise in s.cols, s.varPos
+// mapping each variable they bind to its column — it calls emit(rows). The
+// materialize and stream paths pass every step, so the bindings are complete
+// output rows, and differ only in their window and their emit. The fold path
+// passes a prefix of the steps and counts the matches of the rest (see
+// EvaluateAtomsAggregate): join enumerates exactly the steps it is given.
 //
 // The first atom is not indexed: step 0 scans its window in ascending row
 // order, dropping tuples that disagree with themselves on a repeated
@@ -451,8 +466,7 @@ func (s *Scratch) outputCols(q *query.Query) [][]int64 {
 // for every window size, so order-sensitive digests (Report.Fingerprint,
 // sink digests) cannot tell the paths, the chunk sizes or the two evaluators
 // apart.
-func (s *Scratch) join(q *query.Query, rels []*data.Relation, order []int, sh *Shared, window int, emit func(rows int)) {
-	steps := s.planSteps(q, order)
+func (s *Scratch) join(rels []*data.Relation, steps []joinStep, sh *Shared, window int, emit func(rows int)) {
 	st0 := &steps[0]
 	rel0 := rels[st0.atom]
 	arity0, vals0 := rel0.Arity, rel0.Vals()
@@ -603,4 +617,81 @@ func (s *Scratch) matchKeys(st *joinStep, rows int, hitRow, hitTup []int32) ([]i
 		}
 	}
 	return hitRow, hitTup
+}
+
+// slotCount memoizes one index slot's match count for the fold path: n
+// tuples of the slot's chain hold key, valid while gen is the scratch's
+// memoGen.
+type slotCount struct {
+	key int64
+	n   int32
+	gen uint32
+}
+
+// countOne is matchOne counting instead of listing: it multiplies mult[r],
+// for every binding r with mult[r] != 0, by the number of tuples whose key
+// column holds keys[r], and returns how many bindings keep a non-zero
+// multiplicity. The count of a key is taken once per evaluation: memo has an
+// entry per index slot, holding the last key counted there.
+func (ix *atomIndex) countOne(keys, mult []int64, memo []slotCount, gen uint32) (live int) {
+	vals, head, next, mask := ix.vals, ix.head, ix.next, ix.mask
+	arity, kc := ix.arity, int(ix.keyCols[0])
+	for r, v := range keys {
+		if mult[r] == 0 {
+			continue
+		}
+		slot := hashing.Combine(hashSeed, uint64(v)) & mask
+		m := &memo[slot]
+		if m.gen != gen || m.key != v {
+			n := int32(0)
+			for e := head[slot]; e != 0; e = next[e] {
+				if vals[int(e-1)*arity+kc] == v {
+					n++
+				}
+			}
+			*m = slotCount{key: v, n: n, gen: gen}
+		}
+		if mult[r] *= int64(m.n); mult[r] != 0 {
+			live++
+		}
+	}
+	return live
+}
+
+// countKeys is matchKeys counting instead of listing, with countOne's
+// contract for the multiplicities. A Cartesian step (no key columns) counts
+// its one chain once.
+func (s *Scratch) countKeys(st *joinStep, mult []int64) (live int) {
+	ix := st.ix
+	nk := len(st.sharedBind)
+	if cap(s.key) < nk {
+		s.key = make([]int64, nk)
+	}
+	key := s.key[:nk]
+	n := int64(-1)
+	for r := range mult {
+		if mult[r] == 0 {
+			continue
+		}
+		if nk > 0 || n < 0 {
+			for t, bc := range st.sharedBind {
+				key[t] = s.cols[bc][r]
+			}
+			n = 0
+		chain:
+			for e := ix.head[hashKey(key)&ix.mask]; e != 0; e = ix.next[e] {
+				base := int(e-1) * ix.arity
+				for t, kc := range ix.keyCols {
+					if ix.vals[base+int(kc)] != key[t] {
+						continue chain
+					}
+				}
+				n++
+			}
+		}
+		if mult[r] *= n; mult[r] != 0 {
+			live++
+		}
+	}
+	return live
 }

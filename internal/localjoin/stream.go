@@ -23,7 +23,7 @@ func (s *Scratch) EvaluateAtomsStream(q *query.Query, rels []*data.Relation, sh 
 		s.block = data.NewRelation(q.Name, q.NumVars())
 	}
 	total := 0
-	s.join(q, rels, s.greedyOrder(q, rels), sh, max(chunkRows, 1), func(rows int) {
+	s.join(rels, s.planSteps(q, s.greedyOrder(q, rels)), sh, max(chunkRows, 1), func(rows int) {
 		s.block.Reset()
 		s.block.AppendColumns(s.outputCols(q), rows)
 		yield(s.block.Vals())

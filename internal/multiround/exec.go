@@ -15,9 +15,10 @@ import (
 // earlier call with the same key, or run compute and return its result. The
 // per-node artifacts memoized here (the heavy/light layouts over the
 // intermediate views: heavy-hitter statistics plus pattern grids) are
-// deterministic in (plan, database, servers, seed), which the caller encodes
-// in the key prefix; a nil Memo recomputes everything, and both paths
-// execute identically.
+// deterministic in (plan, database, servers), which the caller encodes in
+// the key prefix. They do not depend on the seed: a view's tuple order does,
+// but skew.PrepareGeneric reads its values order-free. A nil Memo recomputes
+// everything, and both paths execute identically.
 type Memo func(key string, compute func() any) any
 
 func (m Memo) do(key string, compute func() any) any {
@@ -103,7 +104,7 @@ func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed in
 			if n != p.Root {
 				nodeEnv.Sink, nodeAgg = nil, nil
 			}
-			gp := memo.do(fmt.Sprintf("node|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
+			gp := memo.do(fmt.Sprintf("node|%s|d%d|pn%d", n.Name, d, perNode), func() any {
 				return skew.PrepareGeneric(n.Query, sub, perNode)
 			}).(*skew.GenericPlan)
 			nr := skew.RunGenericPlannedNet(gp, n.Query, sub, seed+int64(d), capBits, nodeAgg, nodeEnv)

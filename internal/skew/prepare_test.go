@@ -732,3 +732,39 @@ func TestPlansMatchMapReference(t *testing.T) {
 			starLight, genLight, multiBins)
 	}
 }
+
+// TestPrepareGenericIgnoresTupleOrder pins what lets a caller memoize a plan
+// node's layout across seeds: PrepareGeneric reads values, not tuple order.
+// A multi-round view's rows come out in a seed-dependent order, so the plan
+// over a view and over a row-permuted copy of it must be the same plan.
+func TestPrepareGenericIgnoresTupleOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+		db   *data.Database
+	}{
+		{"star", query.Star(2), data.SkewedStarDatabase(rng, 2, 600, 1<<12, map[int64]int{7: 120, 9: 40})},
+		{"triangle", query.Triangle(), data.SkewedTriangleDatabase(rng, 600, 1<<12, 7, 150)},
+	} {
+		views, permuted := data.NewDatabase(c.db.N), data.NewDatabase(c.db.N)
+		for _, a := range c.q.Atoms {
+			r := c.db.Get(a.Name)
+			v := data.NewRelation(a.Name, r.Arity)
+			v.SetView(r.Vals())
+			views.Add(v)
+			p := data.NewRelation(a.Name, r.Arity)
+			for _, i := range rng.Perm(r.NumTuples()) {
+				p.AppendTuple(r.Tuple(i))
+			}
+			permuted.Add(p)
+		}
+		want := PrepareGeneric(c.q, views, 64)
+		if want.HeavyHitters() == 0 {
+			t.Fatalf("%s: no heavy value, the layout has nothing order could move", c.name)
+		}
+		if got := PrepareGeneric(c.q, permuted, 64); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the plan over a row-permuted copy differs from the plan over the view", c.name)
+		}
+	}
+}

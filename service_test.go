@@ -227,6 +227,40 @@ func TestServiceStarSharesGenericPlan(t *testing.T) {
 	}
 }
 
+// TestServiceMultiRoundPlanSharedAcrossSeeds asserts that a multi-round
+// plan's per-node layouts are cached per (plan, database, servers), not per
+// seed: a new seed's views hold the same values in another order, which
+// skew.PrepareGeneric does not read. Seeds 2 and 3 hit every entry seed 1
+// cached, and every report equals its uncached plain Run.
+func TestServiceMultiRoundPlanSharedAcrossSeeds(t *testing.T) {
+	q := Chain(8)
+	db := ChainMatchingDatabase(rand.New(rand.NewSource(12)), 8, 2000, 1<<16)
+	svc := NewService()
+	defer svc.Close()
+
+	var misses int64
+	for seed := int64(1); seed <= 3; seed++ {
+		opts := []RunOption{WithStrategy(GreedyPlan(0)), WithServers(64), WithSeed(seed)}
+		rep, err := svc.Run(context.Background(), q, db, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := Run(q, db, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Fingerprint() != base.Fingerprint() {
+			t.Errorf("seed %d: cached run differs from plain Run:\n got %s\nwant %s", seed, rep.Fingerprint(), base.Fingerprint())
+		}
+		got := svc.Stats().PlanCache.Misses
+		if seed == 1 {
+			misses = got
+		} else if got != misses {
+			t.Errorf("seed %d: %d plan-cache misses, want seed 1's %d", seed, got, misses)
+		}
+	}
+}
+
 // TestServiceSizeChangeInvalidates asserts the automatic part of the
 // database fingerprint: growing a relation changes the cache key, so the
 // service replans instead of serving a stale layout.
