@@ -283,49 +283,40 @@ func TestEqualMultiset(t *testing.T) {
 	}
 }
 
-// TestAppendColumns pins the bulk column append against the row-at-a-time
-// append it replaces on the join kernel's output path, and its one check per
-// call.
-func TestAppendColumns(t *testing.T) {
-	cols := [][]int64{{1, 2, 3, 4}, {10, 20, 30, 40}, {100, 200, 300, 400}}
-	got, want := NewRelation("r", 3), NewRelation("r", 3)
-	got.Append(7, 8, 9) // appends after what is already there
-	want.Append(7, 8, 9)
-	for _, rows := range []int{0, 3, 1} { // a prefix of longer columns is fine
-		got.AppendColumns(cols, rows)
-		for i := 0; i < rows; i++ {
-			want.Append(cols[0][i], cols[1][i], cols[2][i])
+// TestExtend pins the kernel's output append: Extend adds n tuples after
+// what the relation holds and hands back exactly their storage, and
+// extending a view never writes through to the borrowed values.
+func TestExtend(t *testing.T) {
+	got := NewRelation("r", 3)
+	got.Append(7, 8, 9)
+	want := []int64{7, 8, 9}
+	for _, rows := range []int{0, 3, 1} {
+		dst := got.Extend(rows)
+		if len(dst) != rows*3 {
+			t.Fatalf("Extend(%d) returned %d values, want %d", rows, len(dst), rows*3)
+		}
+		for i := range dst {
+			dst[i] = int64(len(want))
+			want = append(want, int64(len(want)))
 		}
 	}
-	if got.NumTuples() != 5 || !slices.Equal(got.Vals(), want.Vals()) {
-		t.Fatalf("AppendColumns built %v, row appends %v", got.Vals(), want.Vals())
+	if got.NumTuples() != 5 || !slices.Equal(got.Vals(), want) {
+		t.Fatalf("Extend built %v, want %v", got.Vals(), want)
 	}
 
 	one := NewRelation("one", 1)
-	one.AppendColumns([][]int64{{5, 6, 7}}, 3)
+	copy(one.Extend(3), []int64{5, 6, 7})
 	if !slices.Equal(one.Vals(), []int64{5, 6, 7}) {
 		t.Fatalf("arity 1: %v", one.Vals())
 	}
-	none := NewRelation("none", 2)
-	none.AppendColumns([][]int64{nil, nil}, 0)
-	if none.NumTuples() != 0 {
-		t.Fatal("0 rows must append nothing")
-	}
 
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
+	backing := []int64{1, 2, 3, 4}
+	view := NewRelation("v", 2)
+	view.SetView(backing)
+	copy(view.Extend(1), []int64{5, 6})
+	if !slices.Equal(backing, []int64{1, 2, 3, 4}) || !slices.Equal(view.Vals(), []int64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("extending a view: backing %v, view %v", backing, view.Vals())
 	}
-	mustPanic("short column", func() {
-		NewRelation("r", 2).AppendColumns([][]int64{{1, 2}, {1}}, 2)
-	})
-	mustPanic("column count differs from arity", func() {
-		NewRelation("r", 2).AppendColumns([][]int64{{1}}, 1)
-	})
 }
 
 // TestRelationView: a view reads borrowed storage in place, never writes

@@ -72,34 +72,14 @@ func (r *Relation) AppendVals(vals []int64) {
 	r.vals = append(r.vals, vals...)
 }
 
-// AppendColumns bulk-appends rows tuples given column-wise — tuple i is
-// (cols[0][i], …, cols[Arity-1][i]) — transposing them straight into the
-// flat storage: the join kernel's output path, with one arity and length
-// check per call instead of one per row.
-func (r *Relation) AppendColumns(cols [][]int64, rows int) {
-	if len(cols) != r.Arity {
-		panic(fmt.Sprintf("data: %d columns appended to %s (arity %d)", len(cols), r.Name, r.Arity))
-	}
-	for c, col := range cols {
-		if len(col) < rows {
-			panic(fmt.Sprintf("data: column %d of %s holds %d values, %d rows appended", c, r.Name, len(col), rows))
-		}
-	}
-	base, a := len(r.vals), r.Arity
-	r.vals = slices.Grow(r.vals, rows*a)[:base+rows*a]
-	// Column by column within a block of rows: sequential reads, and the
-	// block's output lines stay cached until every column has written them.
-	const block = 1024
-	for lo := 0; lo < rows; lo += block {
-		hi := min(lo+block, rows)
-		for c, col := range cols {
-			o := base + lo*a + c
-			for _, v := range col[lo:hi] {
-				r.vals[o] = v
-				o += a
-			}
-		}
-	}
+// Extend grows the relation by n tuples and returns their storage, n·Arity
+// values of unspecified content that the caller must overwrite: the join
+// kernel's output path, which writes each output row once, straight into the
+// relation. Extending a view copies it first, never writing through.
+func (r *Relation) Extend(n int) []int64 {
+	base := len(r.vals)
+	r.vals = slices.Grow(r.vals, n*r.Arity)[:base+n*r.Arity]
+	return r.vals[base:]
 }
 
 // Vals returns the relation's flat row-major storage (tuple i occupies

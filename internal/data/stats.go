@@ -30,8 +30,15 @@ type Run struct {
 // digit on which every value agrees costs no pass — a column over a domain
 // of 2²² values is sorted in two. This is the one way the repository orders
 // a column for counting: a comparison sort is 5× slower at m ≥ 10⁴, a
-// frequency map slower still and unordered.
+// frequency map slower still and unordered. Below smallSort values, the
+// measured crossover on two-digit columns (wider ones break even near
+// 2 048), the radix's counter clears and copy cost more than comparisons,
+// and slices.Sort sorts vals in place.
 func SortValues(vals []int64) []int64 {
+	if len(vals) < smallSort {
+		slices.Sort(vals)
+		return vals
+	}
 	const bits, mask = 11, 1<<11 - 1
 	var diff uint64
 	for _, v := range vals {
@@ -60,6 +67,8 @@ func SortValues(vals []int64) []int64 {
 	}
 	return src
 }
+
+const smallSort = 1024 // SortValues' cutoff
 
 // SortedColumn returns the given column of r in ascending order.
 func SortedColumn(r *Relation, col int) []int64 {

@@ -95,6 +95,34 @@ func TestColumnRunsMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestSortValuesAroundCutoff holds SortValues to slices.Sort on both sides
+// of smallSort, where it switches from the comparison sort to the radix
+// passes, over columns with negatives, duplicates and the int64 extremes.
+func TestSortValuesAroundCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	gens := map[string]func() int64{
+		"negatives":  func() int64 { return -rng.Int63n(1 << 20) },
+		"mixed-dups": func() int64 { return rng.Int63n(16) - 8 },
+		"wide":       func() int64 { return int64(rng.Uint64()) },
+		"extremes": func() int64 {
+			return []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 40}[rng.Intn(5)]
+		},
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 2, smallSort - 2, smallSort - 1, smallSort, smallSort + 1, 2 * smallSort} {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = gen()
+			}
+			want := slices.Clone(vals)
+			slices.Sort(want)
+			if got := SortValues(slices.Clone(vals)); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d values: SortValues differs from slices.Sort", name, n)
+			}
+		}
+	}
+}
+
 // FuzzColumnRuns decodes a column and a floor from the input — 8-byte values
 // while they last, so every bit of an int64 is reachable — repeats it so
 // that runs longer than one exist, and holds the counting pass to the map

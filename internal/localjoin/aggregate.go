@@ -119,7 +119,7 @@ func (s *Scratch) EvaluateAtomsAggregate(q *query.Query, rels []*data.Relation, 
 		}
 		s.memoGen = 1
 	}
-	s.join(rels, steps[:k], sh, rels[order[0]].NumTuples(), func(rows int) {
+	s.join(rels, steps[:k], sh, rels[order[0]].NumTuples(), nil, func(rows int) {
 		mult := s.multiplicities(rels, steps, k, sh, rows)
 		for r, n := range mult {
 			if n == 0 {

@@ -1,40 +1,58 @@
 package localjoin
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mpcquery/internal/aggregate"
+	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 )
 
 // TestKernelSteadyStateAllocations pins what a warmed Scratch allocates per
-// Evaluate and per EvaluateAtomsAggregate: the output relation and its value
-// slice, nothing else. The
-// ceiling is the measured count, so any allocation that creeps into the
-// join loop (a tracing hook, a per-call map, a grown buffer that is not
-// kept) fails here rather than showing up as GC time in a benchmark.
+// call: Evaluate and EvaluateAtomsAggregate allocate the relation they return
+// and its value slice, nothing else, and EvaluateAtomsStream allocates
+// nothing (its block is the scratch's). The ceilings are the measured
+// counts, so any allocation that creeps into the join loop (a tracing hook,
+// a per-call map, a grown buffer that is not kept) fails here rather than
+// showing up as GC time in a benchmark.
+//
+// The calls are counted with the collector off (measureAllocs): a GC cycle's
+// cleanup goroutines allocate on their own, about two objects a cycle, and a
+// shape whose output is tens of megabytes would be charged for them. Each
+// shape's run count is sized by its cost (allocRuns).
 func TestKernelSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds an allocation per Evaluate (3 measured against 2)")
 	}
-	const ceiling = 2
+	const ceiling, streamCeiling = 2, 0
 	for _, shape := range BenchShapes() {
+		sc := NewScratch()
+		rels := sc.byAtom(shape.Q, shape.Rels)
+		runs := allocRuns(sc.Evaluate(shape.Q, shape.Rels))
 		t.Run(shape.Name, func(t *testing.T) {
-			sc := NewScratch()
-			// Warm the scratch past its cold-start growth (pools, index
-			// tables, buffer capacities).
-			for i := 0; i < 50; i++ {
-				sc.Evaluate(shape.Q, shape.Rels)
-			}
 			rows := 0
-			allocs := testing.AllocsPerRun(200, func() {
+			allocs := measureAllocs(runs, func() {
 				rows = sc.Evaluate(shape.Q, shape.Rels).NumTuples()
 			})
 			if rows == 0 {
 				t.Fatal("kernel produced no output")
 			}
 			if allocs > ceiling {
-				t.Errorf("steady-state Evaluate: %v allocs per run, ceiling %d", allocs, ceiling)
+				t.Errorf("steady-state Evaluate: %v allocs per run over %d runs, ceiling %d", allocs, runs, ceiling)
+			}
+		})
+		t.Run(shape.Name+"/stream", func(t *testing.T) {
+			rows := 0
+			allocs := measureAllocs(runs, func() {
+				rows = sc.EvaluateAtomsStream(shape.Q, rels, nil, 1000, func([]int64) {})
+			})
+			if rows == 0 {
+				t.Fatal("kernel streamed no output")
+			}
+			if allocs > streamCeiling {
+				t.Errorf("steady-state EvaluateAtomsStream: %v allocs per run over %d runs, ceiling %d", allocs, runs, streamCeiling)
 			}
 		})
 		// The fold path keeps its table, group key and count memos in the
@@ -42,14 +60,9 @@ func TestKernelSteadyStateAllocations(t *testing.T) {
 		// and its value slice.
 		t.Run(shape.Name+"/aggregate", func(t *testing.T) {
 			const aggCeiling = 2
-			sc := NewScratch()
-			rels := sc.byAtom(shape.Q, shape.Rels)
 			plan := aggregate.NewPlan(aggregate.Count, "", shape.Q.Vars()[:1], true)
-			for i := 0; i < 50; i++ {
-				sc.EvaluateAtomsAggregate(shape.Q, rels, nil, plan)
-			}
-			rows := 0
-			allocs := testing.AllocsPerRun(200, func() {
+			partials, rows := sc.EvaluateAtomsAggregate(shape.Q, rels, nil, plan)
+			allocs := measureAllocs(allocRuns(partials), func() {
 				_, rows = sc.EvaluateAtomsAggregate(shape.Q, rels, nil, plan)
 			})
 			if rows == 0 {
@@ -60,6 +73,26 @@ func TestKernelSteadyStateAllocations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// allocRuns sizes an allocation measurement by the cost of one call, read
+// off the relation the call returned: about 2²¹ output values in all, so
+// that the garbage left with the collector off stays near 16 MB, within 3
+// and 200 runs. The skewed star's 6·10⁶ values a call take the 3.
+func allocRuns(out *data.Relation) int {
+	return max(3, min(200, (1<<21)/max(len(out.Vals()), 1)))
+}
+
+// measureAllocs is testing.AllocsPerRun with the collector off for the
+// measured calls, after a few warm-up calls that grow the scratch past its
+// cold-start sizes (pools, index tables, buffer capacities).
+func measureAllocs(runs int, f func()) float64 {
+	for i := 0; i < 5; i++ {
+		f()
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
 }
 
 // TestOutputAllocationsFlatInServers pins that a warm plain computation

@@ -40,15 +40,15 @@ type Scratch struct {
 
 	// The join order resolved into per-step column maps, rebuilt per
 	// evaluation (not per window, not per tuple).
-	varPos  map[string]int // bound variable -> binding column
-	steps   []joinStep
-	key     []int64        // gathered probe key values
-	hitRow  []int32        // a step's matches in output order: binding row ...
-	hitTup  []int32        // ... and matching tuple (int32, as in atomIndex)
-	outCols [][]int64      // binding columns in q.Vars() order, for AppendColumns
-	mult    []int64        // the fold path's multiplicity per enumerated binding row
-	block   *data.Relation // the streamed path's window of output rows
-	arena   *data.Relation // Output's rows of every server this worker evaluated, back to back
+	varPos map[string]int // bound variable -> binding column
+	steps  []joinStep
+	key    []int64        // gathered probe key values
+	hitRow []int32        // a step's matches in output order: binding row ...
+	hitTup []int32        // ... and matching tuple (int32, as in atomIndex)
+	outPos []int          // binding column of each variable, in q.Vars() order
+	mult   []int64        // the fold path's multiplicity per enumerated binding row
+	block  *data.Relation // the streamed path's window of output rows
+	arena  *data.Relation // Output's rows of every server this worker evaluated, back to back
 
 	// The fold path's table, group-by columns and group key, and its
 	// per-slot match counts of single-key counted steps (one array per
@@ -402,6 +402,10 @@ func (s *Scratch) planSteps(q *query.Query, order []int) []joinStep {
 		st.eqPairs = repeatedVarPairs(atom, st.eqPairs[:0])
 		nb += len(st.freshCols)
 	}
+	s.outPos = s.outPos[:0]
+	for _, v := range q.Vars() {
+		s.outPos = append(s.outPos, s.varPos[v])
+	}
 	return steps
 }
 
@@ -413,12 +417,9 @@ func (s *Scratch) run(q *query.Query, rels []*data.Relation, order []int, sh *Sh
 }
 
 // appendRun is the materializing output path: one window over the whole
-// first atom, its bindings transposed onto the end of out in q.Vars() order
-// with one bulk append.
+// first atom, whose last step writes its rows onto the end of out.
 func (s *Scratch) appendRun(out *data.Relation, q *query.Query, rels []*data.Relation, order []int, sh *Shared) {
-	s.join(rels, s.planSteps(q, order), sh, rels[order[0]].NumTuples(), func(rows int) {
-		out.AppendColumns(s.outputCols(q), rows)
-	})
+	s.join(rels, s.planSteps(q, order), sh, rels[order[0]].NumTuples(), out, nil)
 }
 
 // appendOutput is EvaluateAtoms into the scratch's output arena: the rows
@@ -439,24 +440,17 @@ func (s *Scratch) appendOutput(q *query.Query, rels []*data.Relation, sh *Shared
 	return lo, len(s.arena.Vals())
 }
 
-// outputCols returns the binding columns in q.Vars() order; every variable
-// is bound once a window has surviving rows.
-func (s *Scratch) outputCols(q *query.Query) [][]int64 {
-	s.outCols = s.outCols[:0]
-	for _, v := range q.Vars() {
-		s.outCols = append(s.outCols, s.cols[s.varPos[v]])
-	}
-	return s.outCols
-}
-
 // join is the kernel core: a hash join over the planned steps (planSteps),
-// run window rows of the first atom at a time. After every window that
-// leaves rows > 0 bindings of the steps — column-wise in s.cols, s.varPos
-// mapping each variable they bind to its column — it calls emit(rows). The
-// materialize and stream paths pass every step, so the bindings are complete
-// output rows, and differ only in their window and their emit. The fold path
-// passes a prefix of the steps and counts the matches of the rest (see
-// EvaluateAtomsAggregate): join enumerates exactly the steps it is given.
+// run window rows of the first atom at a time. With a destination out, the
+// last step writes every window's rows onto its end as output rows, in
+// q.Vars() order (writeRows), and join then calls emit(rows) if the window
+// left rows > 0 of them; emit may be nil. The materialize and stream paths
+// pass every step, and differ only in their window, their destination and
+// their emit. The fold path passes a nil out and a prefix of the steps, and
+// counts the matches of the rest (see EvaluateAtomsAggregate): join
+// enumerates exactly the steps it is given, and after every window emit
+// reads the rows bindings column-wise in s.cols, s.varPos mapping each
+// variable they bind to its column.
 //
 // The first atom is not indexed: step 0 scans its window in ascending row
 // order, dropping tuples that disagree with themselves on a repeated
@@ -466,43 +460,52 @@ func (s *Scratch) outputCols(q *query.Query) [][]int64 {
 // for every window size, so order-sensitive digests (Report.Fingerprint,
 // sink digests) cannot tell the paths, the chunk sizes or the two evaluators
 // apart.
-func (s *Scratch) join(rels []*data.Relation, steps []joinStep, sh *Shared, window int, emit func(rows int)) {
+func (s *Scratch) join(rels []*data.Relation, steps []joinStep, sh *Shared, window int, out *data.Relation, emit func(rows int)) {
 	st0 := &steps[0]
 	rel0 := rels[st0.atom]
-	arity0, vals0 := rel0.Arity, rel0.Vals()
+	last := len(steps) - 1
 	for lo, m := 0, rel0.NumTuples(); lo < m; lo += window {
-		hi := min(lo+window, m)
-		s.cols = ensureCols(s.cols, len(st0.freshCols))
-		for i := range st0.freshCols {
-			s.cols[i] = slices.Grow(s.cols[i], hi-lo)[:hi-lo]
-		}
-		rows := 0
-	scan:
-		for base := lo * arity0; base < hi*arity0; base += arity0 {
-			for _, p := range st0.eqPairs {
-				if vals0[base+p[0]] != vals0[base+p[1]] {
-					continue scan
-				}
-			}
-			for i, fc := range st0.freshCols {
-				s.cols[i][rows] = vals0[base+fc]
-			}
-			rows++
-		}
-		for i := range st0.freshCols {
-			s.cols[i] = s.cols[i][:rows]
-		}
-		for i := 1; i < len(steps) && rows > 0; i++ {
-			st := &steps[i]
+		rows := s.scan(st0, rel0, lo, min(lo+window, m))
+		vals, arity := rel0.Vals(), rel0.Arity
+		for i := 0; i < last && rows > 0; i++ {
+			s.gather(&steps[i], vals, arity, rows)
+			st := &steps[i+1]
 			if st.ix == nil {
-				st.ix = s.stepIndex(i, st, rels[st.atom], sh)
+				st.ix = s.stepIndex(i+1, st, rels[st.atom], sh)
 			}
+			vals, arity = st.ix.vals, st.ix.arity
 			rows = s.probe(st, rows)
 		}
-		if rows > 0 {
+		if rows == 0 {
+			continue
+		}
+		if out != nil {
+			s.writeRows(out, &steps[last], vals, arity, rows)
+		} else {
+			s.gather(&steps[last], vals, arity, rows)
+		}
+		if emit != nil {
 			emit(rows)
 		}
 	}
+}
+
+// scan lists step 0's matches in rows [lo, hi) of its relation: the tuples,
+// ascending, that agree with themselves on every repeated variable, as
+// s.hitTup. It returns their number.
+func (s *Scratch) scan(st *joinStep, rel *data.Relation, lo, hi int) int {
+	vals, arity := rel.Vals(), rel.Arity
+	s.hitTup = slices.Grow(s.hitTup[:0], hi-lo)
+scan:
+	for t := lo; t < hi; t++ {
+		for _, p := range st.eqPairs {
+			if vals[t*arity+p[0]] != vals[t*arity+p[1]] {
+				continue scan
+			}
+		}
+		s.hitTup = append(s.hitTup, int32(t))
+	}
+	return len(s.hitTup)
 }
 
 // stepIndex returns the index of one step after the first: the phase's shared
@@ -531,41 +534,69 @@ func (s *Scratch) stepIndex(step int, st *joinStep, rel *data.Relation, sh *Shar
 	return ix
 }
 
-// probe joins the rows bindings in s.cols with one step's index and returns
-// the number of surviving bindings, left column-wise in s.cols. The matches
-// are first listed as (binding row, tuple) pairs — bindings in order, each
-// chain in ascending tuple order — and the next arena is then gathered from
-// the list one column at a time, so every output value is written once by a
-// loop that does nothing else.
+// probe lists the matches of the rows bindings in s.cols with one step's
+// index as (binding row, tuple) pairs in s.hitRow and s.hitTup — bindings in
+// order, each chain in ascending tuple order — and returns their number.
 func (s *Scratch) probe(st *joinStep, rows int) int {
-	ix, nb := st.ix, st.nb
-	hitRow, hitTup := s.hitRow[:0], s.hitTup[:0]
 	if len(st.sharedBind) == 1 {
-		hitRow, hitTup = ix.matchOne(s.cols[st.sharedBind[0]][:rows], hitRow, hitTup)
+		s.hitRow, s.hitTup = st.ix.matchOne(s.cols[st.sharedBind[0]][:rows], s.hitRow[:0], s.hitTup[:0])
 	} else {
-		hitRow, hitTup = s.matchKeys(st, rows, hitRow, hitTup)
+		s.hitRow, s.hitTup = s.matchKeys(st, rows, s.hitRow[:0], s.hitTup[:0])
 	}
-	s.hitRow, s.hitTup = hitRow, hitTup
-	arity := ix.arity
+	return len(s.hitRow)
+}
 
-	n := len(hitRow)
+// gather turns a step's rows matches (scan or probe; vals and arity are the
+// step's relation or index) into the bindings that leave it, column-wise in
+// s.cols: the nb columns entering the step, then the fresh ones. Every value
+// is written once, by a loop that does nothing else.
+func (s *Scratch) gather(st *joinStep, vals []int64, arity, rows int) {
+	nb := st.nb
 	s.next = ensureCols(s.next, nb+len(st.freshCols))
 	for c := 0; c < nb; c++ {
-		dst, src := slices.Grow(s.next[c], n)[:n], s.cols[c]
-		for i, r := range hitRow {
+		dst, src := slices.Grow(s.next[c], rows)[:rows], s.cols[c]
+		for i, r := range s.hitRow[:rows] {
 			dst[i] = src[r]
 		}
 		s.next[c] = dst
 	}
 	for f, fc := range st.freshCols {
-		dst := slices.Grow(s.next[nb+f], n)[:n]
-		for i, t := range hitTup {
-			dst[i] = ix.vals[int(t)*arity+fc]
+		dst := slices.Grow(s.next[nb+f], rows)[:rows]
+		for i, t := range s.hitTup[:rows] {
+			dst[i] = vals[int(t)*arity+fc]
 		}
 		s.next[nb+f] = dst
 	}
 	s.cols, s.next = s.next, s.cols
-	return n
+}
+
+// writeRows is gather for the last step with a destination: it writes the
+// step's rows matches straight onto the end of out as row-major output rows
+// in q.Vars() order (s.outPos), each value once. A block of rows is filled
+// one column at a time: sequential reads, and the block's output lines stay
+// cached until every column has written them.
+func (s *Scratch) writeRows(out *data.Relation, st *joinStep, vals []int64, arity, rows int) {
+	dst, a := out.Extend(rows), out.Arity
+	const block = 1024
+	for lo := 0; lo < rows; lo += block {
+		hi := min(lo+block, rows)
+		for c, pos := range s.outPos {
+			o := lo*a + c
+			if pos < st.nb {
+				src := s.cols[pos]
+				for _, r := range s.hitRow[lo:hi] {
+					dst[o] = src[r]
+					o += a
+				}
+				continue
+			}
+			fc := st.freshCols[pos-st.nb]
+			for _, t := range s.hitTup[lo:hi] {
+				dst[o] = vals[int(t)*arity+fc]
+				o += a
+			}
+		}
+	}
 }
 
 // matchOne lists the matches of a step with exactly one key column — most

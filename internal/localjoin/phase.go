@@ -56,15 +56,15 @@ type outSpan struct {
 // aggregation saved (0 without agg).
 //
 // A nil agg is the plain join: every server's rows, in ascending server
-// order, gathered from the processes that own them (Cluster.Gather). Each
-// worker appends the rows of the servers it evaluates to its scratch's
-// output arena, and the gather reads every server's span of those arenas in
-// place before the scratches go back to the pool: each output value is
-// written once by the join and copied once into the result. With env.Sink
-// set the output is never materialized nor gathered: each owned server's
-// rows stream through this process's sink in chunks of env.StreamChunk rows
-// (<= 0: engine.DefaultStreamChunk) and Output returns nil; the rows and
-// their order are the same either way.
+// order, gathered from the processes that own them (Cluster.Gather). The
+// last join step of each server writes its rows straight onto the end of
+// its worker's output arena, and the gather reads every server's span of
+// those arenas in place before the scratches go back to the pool: each
+// output value is written once by the join and copied once into the
+// result. With env.Sink set the output is never materialized nor gathered:
+// each owned server's rows stream through this process's sink in chunks of
+// env.StreamChunk rows (<= 0: engine.DefaultStreamChunk) and Output returns
+// nil; the rows and their order are the same either way.
 //
 // A non-nil agg turns the output into the canonical aggregate relation
 // (aggregateOutput), materialized whatever env.Sink says: it costs one more

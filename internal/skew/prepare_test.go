@@ -601,7 +601,9 @@ func unevenDB(q *query.Query, rng *rand.Rand, div []int, planted int64) *data.Da
 			cols[c] = col
 		}
 		r := data.NewRelation(a.Name, 2)
-		r.AppendColumns(cols, m)
+		for i := 0; i < m; i++ {
+			r.Append(cols[0][i], cols[1][i])
+		}
 		db.Add(r)
 	}
 	return db

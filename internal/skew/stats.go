@@ -141,14 +141,16 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 				}
 			}
 			scale := float64(local) / float64(n)
+			floor := candidateFloor(spec.Thresholds[j], scale, n)
+			if floor > n {
+				continue // no sampled value can reach the threshold
+			}
 			// Broadcast candidates in ascending value order: emission order
 			// reaches every inbox (and, distributed, the wire), so it must be
 			// a pure function of the sampled counts — the sorted runs are.
-			for _, run := range data.Runs(data.SortValues(vals), 1) {
-				if est := int(float64(run.Count) * scale); est >= spec.Thresholds[j] {
-					pair[0], pair[1] = run.Value, int64(est)
-					emit.EmitTuple(engine.Broadcast, j, pair)
-				}
+			for _, run := range data.Runs(data.SortValues(vals), floor) {
+				pair[0], pair[1] = run.Value, int64(float64(run.Count)*scale)
+				emit.EmitTuple(engine.Broadcast, j, pair)
 			}
 		}
 	})
@@ -166,6 +168,19 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 		perAtom[kind][tuple[0]] += int(tuple[1])
 	})
 	return &StatsResult{PerAtom: perAtom, Round: st}
+}
+
+// candidateFloor returns the smallest count c ≥ 1 of a sample of n values
+// whose scaled estimate int(c·scale) reaches threshold, or a count above n
+// when none does. The estimate only grows with the count, so the runs at
+// least this long are exactly the candidates. The search starts one below
+// threshold/scale, which rounding puts at most one above the answer.
+func candidateFloor(threshold int, scale float64, n int) int {
+	c := max(1, int(float64(threshold)/scale)-1)
+	for c <= n && int(float64(c)*scale) < threshold {
+		c++
+	}
+	return c
 }
 
 // RunStarSampled runs the skew-aware algorithm on a star end to end without

@@ -177,3 +177,49 @@ func TestStatsRoundThatDrawsIsPinned(t *testing.T) {
 			res.MaxLoadBits(), res.TotalBits(), res.HeavyHitters, res.ServersUsed)
 	}
 }
+
+// TestCandidateFloorKeepsEveryCandidate pins the statistics round's cut: the
+// runs candidateFloor lets through are exactly the sampled values whose
+// scaled estimate reaches the threshold — the filter over every run that it
+// replaces — and the floor is the least count that does, over sample sizes,
+// shares and thresholds drawn at random and at their edges.
+func TestCandidateFloorKeepsEveryCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		local := n + rng.Intn(4*n)
+		if trial%5 == 0 {
+			local = n // the whole share sampled: scale 1
+		}
+		scale := float64(local) / float64(n)
+		thr := rng.Intn(2*local + 2)
+		floor := candidateFloor(thr, scale, n)
+		least := n + 1
+		for c := n; c >= 1; c-- {
+			if int(float64(c)*scale) >= thr {
+				least = c
+			}
+		}
+		if floor != least && (floor <= n || least <= n) {
+			t.Fatalf("threshold %d, scale %d/%d: floor %d, least reaching count %d", thr, local, n, floor, least)
+		}
+
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(int64(1 + rng.Intn(n)))
+		}
+		sorted := data.SortValues(vals)
+		var want, got []data.Run
+		for _, run := range data.Runs(sorted, 1) {
+			if int(float64(run.Count)*scale) >= thr {
+				want = append(want, run)
+			}
+		}
+		if floor <= n {
+			got = data.Runs(sorted, floor)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("threshold %d, scale %d/%d: candidates %v, want %v", thr, local, n, got, want)
+		}
+	}
+}
