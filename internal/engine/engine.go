@@ -96,7 +96,7 @@ type span struct {
 // seeded input before the first round): an ordered sequence of columnar
 // batches backed by flat arenas that the engine reuses across rounds — the
 // inbox's own, and, for batches replicated to a subcube, the arena of the
-// subcube's first server. Tuple views handed out by Each/Tuple/Batch/
+// subcube's first server. Tuple views handed out by Each/Batch/
 // KindViews alias those arenas, are read-only (other servers may be reading
 // the same values), and are invalidated when the arenas are recycled, two
 // Rounds later — all inboxes of a round are recycled together, so a view into
@@ -106,7 +106,6 @@ type Inbox struct {
 	arena  []int64
 	spans  []span
 	tuples int
-	prefix []int // lazy cumulative tuple counts per span, for Tuple(i)
 
 	// streamed marks an inbox holding unsorted pipelined chunks; cleared
 	// when finalizeStream restores the barrier delivery order.
@@ -162,30 +161,6 @@ func (ib *Inbox) EachBatch(f func(b Batch)) {
 	for i := range ib.spans {
 		f(ib.Batch(i))
 	}
-}
-
-// Tuple returns tuple i (0 ≤ i < NumTuples()) and its kind, in delivery
-// order — random access for sampling protocols.
-func (ib *Inbox) Tuple(i int) (kind int, tuple []int64) {
-	if ib.prefix == nil {
-		ib.prefix = make([]int, len(ib.spans)+1)
-		for j, sp := range ib.spans {
-			ib.prefix[j+1] = ib.prefix[j] + (sp.end-sp.start)/sp.arity
-		}
-	}
-	// Binary search for the span holding tuple i.
-	lo, hi := 0, len(ib.spans)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ib.prefix[mid+1] <= i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	sp := &ib.spans[lo]
-	off := (i - ib.prefix[lo]) * sp.arity
-	return sp.kind, ib.vals(sp)[off : off+sp.arity : off+sp.arity]
 }
 
 // KindView is one message kind's share of an inbox, read in place: when OK,
@@ -256,7 +231,6 @@ func (ib *Inbox) reset() {
 	}
 	ib.spans = ib.spans[:0]
 	ib.tuples = 0
-	ib.prefix = nil
 	ib.streamed = false
 	clear(ib.regions)
 	ib.regions = ib.regions[:0]
@@ -283,7 +257,6 @@ func (ib *Inbox) addSpan(kind, arity int, owner *Inbox, start, end int) {
 		ib.shared = ib.shared || owner != nil
 	}
 	ib.tuples += (end - start) / arity
-	ib.prefix = nil
 }
 
 // RoundStats records the communication metrics of one round.
@@ -406,7 +379,7 @@ type Emitter struct {
 	pipelined   bool
 	runs        int32 // batches opened this round
 	seq         int32 // pipelined: per-round flush sequence number
-	flushes     int   // chunks flushed (pipelined) or closed (staged) this round
+	flushes     int   // chunks flushed this round (pipelined only)
 	stagedHW    int   // high-water of the values staged and not yet flushed (see noteStaged)
 }
 
@@ -694,8 +667,8 @@ type Cluster struct {
 	landed []*Emitter
 
 	// streamChunk > 0 enables chunked streaming rounds (SetStreamChunk):
-	// pipelined mid-emission flushes when link is nil, chunk-capped staged
-	// batches when delivery goes over a transport. destMu guards the spare
+	// pipelined mid-emission flushes when link is nil; over a transport the
+	// round stages as in barrier mode. destMu guards the spare
 	// inboxes during concurrent pipelined flushes; mem, when set, receives
 	// the per-round engine-buffer high-water (see stream.go).
 	streamChunk int
@@ -1021,7 +994,6 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			RecvTuples:   c.recvTuples,
 			Lo:           c.lo,
 			Hi:           c.hi,
-			Chunk:        c.streamChunk,
 			Ctx:          c.runCtx,
 			Trace:        c.runTrace,
 			tr:           c.tr,
@@ -1042,11 +1014,8 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	commDur := c.tr.Seconds(t1)
 	c.inbox, c.spare = c.spare, c.inbox
 	chunkFlushes := 0
-	if c.streamChunk > 0 {
+	if pipelined {
 		for s := 0; s < c.p; s++ {
-			if !pipelined {
-				c.emitters[s].countStagedChunks()
-			}
 			chunkFlushes += c.emitters[s].flushes
 		}
 	}

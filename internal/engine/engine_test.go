@@ -26,12 +26,12 @@ func TestRoundDeliveryAndLoad(t *testing.T) {
 	}
 	if ib := c.Inbox(1); ib.NumTuples() != 1 {
 		t.Fatalf("server 1 inbox size %d", ib.NumTuples())
-	} else if _, tup := ib.Tuple(0); tup[0] != 1 {
+	} else if tup := ib.Batch(0).Tuple(0); tup[0] != 1 {
 		t.Fatalf("server 1 inbox wrong: %v", tup)
 	}
 	if ib := c.Inbox(3); ib.NumTuples() != 1 {
 		t.Fatalf("server 3 inbox size %d", ib.NumTuples())
-	} else if _, tup := ib.Tuple(0); tup[0] != 3 {
+	} else if tup := ib.Batch(0).Tuple(0); tup[0] != 3 {
 		t.Fatalf("server 3 inbox wrong: %v", tup)
 	}
 	if len(c.Record(nil, 0).Rounds) != 1 {
@@ -131,8 +131,8 @@ func TestMultiRoundStatsAndMaxLoad(t *testing.T) {
 	// Round 2: send one tuple back (load 1 bit).
 	c.Round("r2", func(s int, inbox *Inbox, emit *Emitter) {
 		if s == 1 && inbox.NumTuples() > 0 {
-			kind, tup := inbox.Tuple(0)
-			emit.EmitTuple(0, kind, tup)
+			b := inbox.Batch(0)
+			emit.EmitTuple(0, b.Kind, b.Tuple(0))
 		}
 	})
 	if len(c.Record(nil, 0).Rounds) != 2 {
@@ -296,7 +296,7 @@ func TestInboxMutationDoesNotCorruptDelivery(t *testing.T) {
 			tuple[0], tuple[1] = -1, -1 // scribble over the inbox view
 		})
 	})
-	_, tup := c.Inbox(1).Tuple(0)
+	tup := c.Inbox(1).Batch(0).Tuple(0)
 	if tup[0] != 42 || tup[1] != 43 {
 		t.Fatalf("delivered tuple corrupted by sender-side mutation: %v", tup)
 	}
@@ -398,14 +398,18 @@ func TestInboxRandomAccess(t *testing.T) {
 		c.Seed(0, 1, []int64{int64(100 + i)})
 	}
 	ib := c.Inbox(0)
-	for i := 0; i < 7; i++ {
-		if kind, tup := ib.Tuple(i); kind != 0 || tup[0] != int64(i) {
-			t.Fatalf("tuple %d: kind=%d %v", i, kind, tup)
-		}
+	if ib.NumBatches() != 2 {
+		t.Fatalf("%d batches, want one per kind", ib.NumBatches())
 	}
-	for i := 7; i < 11; i++ {
-		if kind, tup := ib.Tuple(i); kind != 1 || tup[0] != int64(100+i-7) {
-			t.Fatalf("tuple %d: kind=%d %v", i, kind, tup)
+	for k, want := range [][]int64{{0, 1, 2, 3, 4, 5, 6}, {100, 101, 102, 103}} {
+		b := ib.Batch(k)
+		if b.Kind != k || b.NumTuples() != len(want) {
+			t.Fatalf("batch %d: kind %d, %d tuples", k, b.Kind, b.NumTuples())
+		}
+		for i, v := range want {
+			if tup := b.Tuple(i); tup[0] != v {
+				t.Fatalf("batch %d tuple %d: %v, want %d first", k, i, tup, v)
+			}
 		}
 	}
 }

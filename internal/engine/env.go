@@ -23,12 +23,13 @@ type Env struct {
 	Ctx context.Context
 
 	// Streaming enables chunked streaming rounds on every cluster of the
-	// run (see stream.go): pipelined mid-emission flushes in-process,
-	// chunk-capped wire frames over a transport. StreamChunk sets the
-	// chunk size in tuples, of rounds and of Sink's output chunks alike;
-	// <= 0 selects DefaultStreamChunk. Bit
-	// accounting, fingerprints, and trace structure are identical to
-	// barrier mode — only wall-clock and peak memory change.
+	// run (see stream.go): pipelined mid-emission flushes in-process. Over a
+	// transport a round stages as in barrier mode and its records are cut
+	// only at the frame body cap, so streaming streams Sink's output.
+	// StreamChunk sets the chunk size in tuples, of in-process rounds and of
+	// Sink's output chunks; <= 0 selects DefaultStreamChunk. Bit accounting,
+	// fingerprints, and trace structure are identical to barrier mode —
+	// only wall-clock and peak memory change.
 	Streaming   bool
 	StreamChunk int
 

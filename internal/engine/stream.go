@@ -20,7 +20,7 @@ import (
 // recycled immediately, so the emitter-side residency collapses to
 // O(targets · chunk) per sender instead of O(traffic).
 //
-// Two sub-modes share the chunk-size knob:
+// Two sub-modes, by where the round is delivered:
 //
 //   - Pipelined (no transport link): a full batch flushes mid-emission
 //     directly into the destination spare inboxes under per-destination
@@ -36,14 +36,12 @@ import (
 //
 //   - Staged (transport link attached): emission stages exactly as in
 //     barrier mode — a remote delivery cannot write into local inboxes
-//     early — and the link cuts the records it ships (each sender's
-//     staging, as WalkStaged walks it) into frames of at most the chunk
-//     size, so the wire, the fault injector, and the recovery replay all
-//     operate at chunk granularity. The receiving side restages the pieces
-//     into whole batches (StageMore continues a cut one) and lands them
-//     through DeliverLocal, so the landed inboxes are identical to barrier
-//     delivery, and bits are charged per value, so accounting is
-//     chunking-invariant.
+//     early — and the round crosses the wire as it would unstreamed: the
+//     link cuts a record into frames only at its frame body cap, since it
+//     serializes a peer's whole stream before shipping it and lands a round
+//     only once all of it has arrived, so a chunk cut would bound no buffer.
+//     Over a runtime, streaming thus streams the sink's output; the chunk
+//     size sets the sink's chunks, not the wire's frames.
 //
 // Every metered quantity — RecvBits, RoundStats, TotalBits, trace
 // Structure — is preserved exactly; only wall-clock and peak memory move.
@@ -124,7 +122,6 @@ func (ib *Inbox) listChunk(tag *span) {
 	ib.spans = append(ib.spans, *tag)
 	ib.shared = ib.shared || tag.owner != nil
 	ib.tuples += (tag.end - tag.start) / tag.arity
-	ib.prefix = nil
 	ib.streamed = true
 }
 
@@ -151,7 +148,6 @@ func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 			return a.seq < b.seq
 		})
 		ib.streamed = false
-		ib.prefix = nil
 	}
 	for i := range ib.spans {
 		bits += float64((ib.spans[i].end - ib.spans[i].start) * bitsPerValue)
@@ -258,15 +254,6 @@ func (e *Emitter) flushPending() {
 			e.flushChunk(dest, b)
 		}
 	})
-}
-
-// countStagedChunks sets flushes, after a staged round, to the number of
-// chunk boundaries inside the emitter's batches: one per chunk a batch needs
-// beyond its first. A multicast batch is shipped once, whatever the size of
-// its group, so it counts once.
-func (e *Emitter) countStagedChunks() {
-	e.flushes = 0
-	e.eachBatch(func(_ int, b *outBatch, _ *groupBatch) { e.flushes += (len(b.vals)/b.arity - 1) / e.chunkTuples })
 }
 
 // observeBufferedMemory records this round's engine-buffered high-water

@@ -84,10 +84,6 @@ type DeliveryRound struct {
 	// lands: [0, P) in process.
 	Lo, Hi int
 
-	// Chunk is the round's streaming chunk size in tuples, 0 in a barrier
-	// round: a network link ships no frame of more than Chunk tuples.
-	Chunk int
-
 	// PerDestSeconds, when non-nil (a traced round), asks the delivery to
 	// record each destination's assembly wall time. DeliverLocal fills it;
 	// a network link may leave it zeroed (its delivery time is dominated by
@@ -347,7 +343,7 @@ type Staged struct {
 // afresh, in this order, on an empty emitter (StageBatch, StageGroup)
 // rebuilds a staging that DeliverLocal delivers exactly as this one — which
 // is how a transport moves a sender's round, each multicast batch once.
-// WalkStaged walks a staged round (barrier, or chunked over a link) and
+// WalkStaged walks a staged round (barrier, or streamed over a link) and
 // allocates nothing once warm.
 func (e *Emitter) WalkStaged(f func(Staged)) {
 	if n := len(e.refs); len(e.walked) < n {

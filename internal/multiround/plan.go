@@ -45,15 +45,6 @@ func (n *Node) Depth() int {
 	return d + 1
 }
 
-// Vars returns the output variables of the node (the base relation's
-// columns are unnamed, so leaves return nil).
-func (n *Node) Vars() []string {
-	if n.IsLeaf() {
-		return nil
-	}
-	return n.Query.Vars()
-}
-
 func (n *Node) String() string {
 	var b strings.Builder
 	n.describe(&b, 0)

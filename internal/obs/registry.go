@@ -74,19 +74,11 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a float64 that can be set, accumulated, or max-tracked.
+// Gauge is a float64 that can be accumulated or max-tracked.
 // Concurrency-safe and allocation-free: the value lives as float bits in
 // one atomic word.
 type Gauge struct {
 	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
 }
 
 // Add accumulates v into the gauge via a CAS loop.

@@ -154,7 +154,7 @@ func TestRegistryKinds(t *testing.T) {
 		t.Fatalf("counter identity or value wrong: %d", c.Value())
 	}
 	g := r.Gauge("b")
-	g.Set(1.5)
+	g.Add(1.5)
 	g.Add(0.5)
 	g.SetMax(1.0) // lower: no-op
 	if g.Value() != 2.0 {
@@ -194,7 +194,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var h *Histogram
 	c.Add(1)
 	c.Inc()
-	g.Set(1)
 	g.Add(1)
 	g.SetMax(1)
 	h.Observe(1)
@@ -206,7 +205,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 func TestWritePrometheusSortedAndWellFormed(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_total").Add(7)
-	r.Gauge("aa_gauge").Set(1.25)
+	r.Gauge("aa_gauge").Add(1.25)
 	h := r.Histogram("mm_seconds", 0.1, 1)
 	h.Observe(0.05)
 	h.Observe(0.5)

@@ -154,8 +154,8 @@ type RoundObservation struct {
 	TotalRecvTuples int
 	Aborted         bool
 
-	// ChunkFlushes counts the streaming chunks flushed (pipelined) or
-	// closed (staged) this round; 0 in barrier mode. Chunk granularity is
+	// ChunkFlushes counts the streaming chunks a pipelined round flushed;
+	// 0 in barrier mode and over a transport. Chunk granularity is
 	// a wall-clock/memory concern, not an accounting one, so the count
 	// appears in the Chrome export but is deliberately excluded from
 	// Structure — streamed and barrier runs must render identically.

@@ -41,9 +41,6 @@ func trivialShares(q *query.Query, M []float64, p float64) Shares {
 		trivial: true, trivialLoad: sum(M)}
 }
 
-// Share returns the (real-valued) share p^{e_i} of variable i.
-func (s Shares) Share(i int) float64 { return math.Pow(s.P, s.Exponents[i]) }
-
 // IntegerShares rounds fractional share exponents e (for p servers) to
 // integer shares with product at most p: starting from all-ones, it
 // repeatedly increments the dimension whose integer share is furthest below

@@ -144,8 +144,8 @@ type frame struct {
 	rank  uint32 // frameHello
 	epoch uint32 // frameHello: sender's attempt epoch at dial time
 
-	cluster uint32 // frameRoundEnd
-	round   uint32 // frameRoundEnd
+	cluster uint32 // frameRoundEnd, frameRecord
+	round   uint32 // frameRoundEnd, frameRecord
 	frames  uint32 // frameRoundEnd
 	counts  []byte // frameRoundEnd: per server, values u32 and tuples u32
 
@@ -236,30 +236,29 @@ func appendItemHeader(dst []byte, tag, width byte, it *engine.Staged, count int)
 }
 
 // recordWriter cuts the records of one rank's senders for one round into a
-// frame stream. A frame holds one sender's items, at most chunk tuples of
-// them when chunk > 0, in a body of at most maxBody bytes — except that a
-// frame always takes one tuple, so a cap smaller than one tuple's item is
-// overrun by that tuple rather than stalling. An item a frame cut goes on
-// as an itemMore at the start of the next frame.
+// frame stream. A frame holds one sender's items in a body of at most
+// maxBody bytes — except that a frame always takes one tuple, so a cap
+// smaller than one tuple's item is overrun by that tuple rather than
+// stalling. An item a frame cut goes on as an itemMore at the start of the
+// next frame.
 type recordWriter struct {
 	buf            []byte // the stream, reused across rounds
 	hdr            []byte // item header scratch
 	cluster, round uint32
-	maxBody, chunk int
+	maxBody        int
 
 	frames  uint32 // frames closed so far: the seq of the next one
 	headers int64  // framing and item-header bytes written
 
-	start  int    // buf offset of the open frame's length prefix; -1: none
-	items  uint32 // items in the open frame
-	tuples int    // tuples in the open frame
+	start int    // buf offset of the open frame's length prefix; -1: none
+	items uint32 // items in the open frame
 }
 
 // begin starts the stream of one round.
-func (w *recordWriter) begin(cluster, round uint32, maxBody, chunk int) {
+func (w *recordWriter) begin(cluster, round uint32, maxBody int) {
 	w.buf = w.buf[:0]
-	w.cluster, w.round, w.maxBody, w.chunk = cluster, round, maxBody, chunk
-	w.frames, w.headers, w.start, w.items, w.tuples = 0, 0, -1, 0, 0
+	w.cluster, w.round, w.maxBody = cluster, round, maxBody
+	w.frames, w.headers, w.start, w.items = 0, 0, -1, 0
 }
 
 // add appends one staged batch of sender's record, width bytes per value.
@@ -280,9 +279,6 @@ func (w *recordWriter) add(sender uint32, it *engine.Staged, width uint8) {
 		left := len(vals) / it.Arity
 		w.hdr = appendItemHeader(w.hdr[:0], tag, width, it, left)
 		n := min(left, (w.maxBody-(len(w.buf)-w.start-4)-len(w.hdr))/row)
-		if w.chunk > 0 {
-			n = min(n, w.chunk-w.tuples)
-		}
 		if n < 1 && w.items > 0 {
 			w.close()
 			continue
@@ -293,7 +289,6 @@ func (w *recordWriter) add(sender uint32, it *engine.Staged, width uint8) {
 		w.headers += int64(len(w.buf) - hdr)
 		w.buf = appendValues(w.buf, vals[:n*it.Arity], int(width))
 		w.items++
-		w.tuples += n
 		vals = vals[n*it.Arity:]
 		tag = itemMore
 	}
@@ -319,7 +314,7 @@ func (w *recordWriter) close() {
 	binary.LittleEndian.PutUint32(w.buf[w.start+DataFrameOverheadBytes-4:], w.items)
 	w.frames++
 	w.headers += DataFrameOverheadBytes
-	w.start, w.items, w.tuples = -1, 0, 0
+	w.start, w.items = -1, 0
 }
 
 // appendRoundEnd serializes the barrier frame a rank sends after the last
@@ -375,8 +370,8 @@ func appendCtrl(dst []byte, kind, gen, flags uint32) []byte {
 // decodeFrame parses one frame body (everything after the length prefix).
 // Malformed input of any shape returns an error wrapping errMalformed —
 // never a panic — which the fuzz target FuzzFrameDecode enforces. A record
-// frame's items are checked when they are replayed (replayer.record), where
-// the round's server count is known.
+// frame's items are checked when they are walked (itemReader), where the
+// round's server count is known.
 func decodeFrame(body []byte) (frame, error) {
 	var f frame
 	if len(body) < 1 {
@@ -429,6 +424,7 @@ func decodeFrame(body []byte) (frame, error) {
 		r.Sender = binary.LittleEndian.Uint32(rest[12:16])
 		r.Items = binary.LittleEndian.Uint32(rest[16:20])
 		r.Body = rest[recordHeaderLen:]
+		f.cluster, f.round = r.Cluster, r.Round
 		if uint64(r.Items)*minItemLen > uint64(len(r.Body)) {
 			return f, fmt.Errorf("%w: %d items cannot fit in %d bytes", errMalformed, r.Items, len(r.Body))
 		}
@@ -438,22 +434,87 @@ func decodeFrame(body []byte) (frame, error) {
 	}
 }
 
-// header reads the varint fields of one item header. A field that is
-// truncated, or larger than any frame could pay for, marks it bad and
-// reads as 0.
-type header struct {
-	buf []byte
-	bad bool
+// itemReader walks the items of one record frame and owns what every item
+// has. next reads an item's tag, width, arity and count; the caller reads
+// the fields its tag adds (field) and rejects a tag or field its record
+// does not take (fail); payload checks the item and returns its values'
+// bytes. A field that is truncated, or larger than any frame could pay for,
+// reads as 0 and fails the item. Every error wraps errMalformed, and an item
+// is rejected before anything is taken from it, so what a record yields
+// never exceeds what its bytes pay for.
+type itemReader struct {
+	body     []byte // the current item and those after it
+	rest     []byte // the current item's header after the fields read
+	items, i uint32 // the frame's items; the current one
+	tag      byte
+	width    int
+	arity    int
+	count    int
+	bad      bool // a field was truncated or out of range
+	err      error
 }
 
-func (h *header) next() int {
-	v, n := binary.Uvarint(h.buf)
+// next starts the next item; false after the last one, or once the walk
+// failed. Bytes after the last item are malformed.
+func (r *itemReader) next() bool {
+	switch {
+	case r.err != nil:
+		return false
+	case r.i == r.items:
+		if len(r.body) > 0 {
+			r.err = fmt.Errorf("%w: %d bytes after the last item", errMalformed, len(r.body))
+		}
+		return false
+	case len(r.body) < minItemLen:
+		r.fail("header truncated")
+		return false
+	}
+	r.tag, r.width, r.rest, r.bad = r.body[0], int(r.body[1]), r.body[2:], false
+	r.arity, r.count = r.field(), r.field()
+	return true
+}
+
+// field reads the next varint field of the current item's header.
+func (r *itemReader) field() int {
+	v, n := binary.Uvarint(r.rest)
 	if n <= 0 || v > maxFrameLen {
-		h.bad = true
+		r.bad = true
 		return 0
 	}
-	h.buf = h.buf[n:]
+	r.rest = r.rest[n:]
 	return int(v)
+}
+
+// fail rejects the current item, unless the walk failed already.
+func (r *itemReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: item %d: %s", errMalformed, r.i, fmt.Sprintf(format, args...))
+	}
+}
+
+// payload checks the current item — no field truncated or out of range, a
+// width in [1,8], a non-zero arity and count, and count × arity values of
+// payload — and returns the payload, or nil once the walk failed.
+func (r *itemReader) payload() []byte {
+	size := r.count * r.arity * r.width
+	switch {
+	case r.err != nil:
+	case r.bad:
+		r.fail("header truncated or out of range")
+	case r.width < 1 || r.width > 8:
+		r.fail("width %d out of range [1,8]", r.width)
+	case r.arity < 1:
+		r.fail("zero arity")
+	case r.count == 0:
+		r.fail("no tuples")
+	case len(r.rest) < size:
+		r.fail("payload is %d bytes, header declares %d", len(r.rest), size)
+	default:
+		payload := r.rest[:size]
+		r.body, r.i = r.rest[size:], r.i+1
+		return payload
+	}
+	return nil
 }
 
 // maxInternedBytes bounds the offset tables one replayer interns: a table
@@ -477,151 +538,78 @@ type replayer struct {
 func (r *replayer) start(p int) { r.p, r.arity = p, 0 }
 
 // record stages the items of one record frame on em, the receive-side
-// emitter of the frame's sender. An item with an unknown tag, a truncated
-// header, a width outside [1,8], a zero arity or count, a destination or
-// member ≥ p, an empty member list, a continuation with no item to
-// continue or of another arity, or a payload shorter than count × arity ×
-// width is malformed, and so are bytes after the last item. Each is
-// rejected before anything is staged from it, so what a frame stages never
-// exceeds what its bytes pay for.
+// emitter of the frame's sender. Besides what itemReader rejects, an item
+// with an unknown tag, a destination or member ≥ p, an empty member list,
+// or a continuation with no item to continue or of another arity is
+// malformed.
 func (r *replayer) record(rec *recordFrame, em *engine.Emitter) error {
-	body := rec.Body
-	for i := uint32(0); i < rec.Items; i++ {
-		if len(body) < minItemLen {
-			return fmt.Errorf("%w: item %d: header truncated", errMalformed, i)
-		}
-		tag, width := body[0], int(body[1])
-		h := header{buf: body[2:]}
-		arity, count := h.next(), h.next()
+	items := itemReader{body: rec.Body, items: rec.Items}
+	for items.next() {
 		var kind, dest, base int
 		var offsets []int
-		switch tag {
+		switch items.tag {
 		case itemBatch:
-			kind, dest = h.next(), h.next()
+			if kind, dest = items.field(), items.field(); dest >= r.p {
+				items.fail("destination %d out of range for %d servers", dest, r.p)
+			}
 		case itemGroup:
-			kind, base = h.next(), h.next()
-			members := h.next()
-			if members > len(h.buf) {
-				h.bad = true // every offset takes a byte at least
-			}
-			raw := h.buf
-			for j := 0; j < members && !h.bad; j++ {
-				if m := base + h.next(); m >= r.p && !h.bad {
-					return fmt.Errorf("%w: item %d: member %d out of range for %d servers", errMalformed, i, m, r.p)
-				}
-			}
-			if h.bad {
-				break
-			}
-			if members == 0 {
-				return fmt.Errorf("%w: item %d: empty member list", errMalformed, i)
-			}
-			offsets = r.table(raw[:len(raw)-len(h.buf)], members)
+			kind, base = items.field(), items.field()
+			offsets = r.members(&items, base)
 		case itemBcast:
-			kind = h.next()
+			kind, dest = items.field(), engine.Broadcast
 		case itemMore:
+			if items.arity != r.arity {
+				items.fail("continuation of arity %d, the open item has %d", items.arity, r.arity)
+			}
 		default:
-			return fmt.Errorf("%w: item %d: unknown tag %d", errMalformed, i, tag)
+			items.fail("unknown tag %d", items.tag)
 		}
-		switch {
-		case h.bad:
-			return fmt.Errorf("%w: item %d: header truncated or out of range", errMalformed, i)
-		case width < 1 || width > 8:
-			return fmt.Errorf("%w: item %d: width %d out of range [1,8]", errMalformed, i, width)
-		case arity < 1:
-			return fmt.Errorf("%w: item %d: zero arity", errMalformed, i)
-		case count == 0:
-			return fmt.Errorf("%w: item %d: no tuples", errMalformed, i)
-		case tag == itemBatch && dest >= r.p:
-			return fmt.Errorf("%w: item %d: destination %d out of range for %d servers", errMalformed, i, dest, r.p)
-		case tag == itemMore && arity != r.arity:
-			return fmt.Errorf("%w: item %d: continuation of arity %d, the open item has %d", errMalformed, i, arity, r.arity)
+		payload := items.payload()
+		if payload == nil {
+			break
 		}
-		n := count * arity
-		size := n * width
-		payload := h.buf
-		if len(payload) < size {
-			return fmt.Errorf("%w: item %d: payload is %d bytes, header declares %d", errMalformed, i, len(payload), size)
-		}
+		n := items.count * items.arity
 		var dst []int64
-		switch tag {
-		case itemBatch:
-			dst = em.StageBatch(dest, kind, arity, n)
+		switch items.tag {
 		case itemGroup:
-			dst = em.StageGroup(base, offsets, kind, arity, n)
-		case itemBcast:
-			dst = em.StageBatch(engine.Broadcast, kind, arity, n)
-		default:
-			dst = em.StageMore(n)
-		}
-		decodeValues(dst, payload, width)
-		r.arity = arity
-		body = payload[size:]
-	}
-	if len(body) > 0 {
-		return fmt.Errorf("%w: %d bytes after the last item", errMalformed, len(body))
-	}
-	return nil
-}
-
-// gatherItems walks the items of one record frame of an output gather, each
-// an itemBatch of the gather's arity addressed to the frame's own sender, or
-// the continuation of one, and calls fn with every item's payload, width
-// and value count. An item of another shape, a truncated header or payload,
-// or bytes after the last item is malformed.
-func gatherItems(rec *recordFrame, arity int, fn func(payload []byte, width, n int) error) error {
-	body := rec.Body
-	for i := uint32(0); i < rec.Items; i++ {
-		if len(body) < minItemLen {
-			return fmt.Errorf("%w: item %d: header truncated", errMalformed, i)
-		}
-		tag, width := body[0], int(body[1])
-		h := header{buf: body[2:]}
-		a, count := h.next(), h.next()
-		switch tag {
-		case itemBatch:
-			if _, dest := h.next(), h.next(); dest != int(rec.Sender) && !h.bad {
-				return fmt.Errorf("%w: item %d: a part of server %d addressed to %d", errMalformed, i, rec.Sender, dest)
-			}
+			dst = em.StageGroup(base, offsets, kind, items.arity, n)
 		case itemMore:
+			dst = em.StageMore(n)
 		default:
-			return fmt.Errorf("%w: item %d: tag %d in a gather", errMalformed, i, tag)
+			dst = em.StageBatch(dest, kind, items.arity, n)
 		}
-		switch {
-		case h.bad:
-			return fmt.Errorf("%w: item %d: header truncated or out of range", errMalformed, i)
-		case width < 1 || width > 8:
-			return fmt.Errorf("%w: item %d: width %d out of range [1,8]", errMalformed, i, width)
-		case a != arity:
-			return fmt.Errorf("%w: item %d: arity %d, the gather's is %d", errMalformed, i, a, arity)
-		case count == 0:
-			return fmt.Errorf("%w: item %d: no tuples", errMalformed, i)
-		}
-		n := count * arity
-		size := n * width
-		if len(h.buf) < size {
-			return fmt.Errorf("%w: item %d: payload is %d bytes, header declares %d", errMalformed, i, len(h.buf), size)
-		}
-		if err := fn(h.buf[:size], width, n); err != nil {
-			return err
-		}
-		body = h.buf[size:]
+		decodeValues(dst, payload, items.width)
+		r.arity = items.arity
 	}
-	if len(body) > 0 {
-		return fmt.Errorf("%w: %d bytes after the last item", errMalformed, len(body))
-	}
-	return nil
+	return items.err
 }
 
-// table returns the members offsets raw encodes, interned: one slice per
+// members reads a group item's member list, every member base+offset below
+// p, and returns its offsets, interned by their wire bytes: one slice per
 // distinct table, shared by every group that names it.
-func (r *replayer) table(raw []byte, members int) []int {
+func (r *replayer) members(items *itemReader, base int) []int {
+	members := items.field()
+	if members > len(items.rest) {
+		items.bad = true // every offset takes a byte at least
+	}
+	raw := items.rest
+	for j := 0; j < members && !items.bad; j++ {
+		if m := base + items.field(); m >= r.p && !items.bad {
+			items.fail("member %d out of range for %d servers", m, r.p)
+		}
+	}
+	if members == 0 {
+		items.fail("empty member list")
+	}
+	if raw = raw[:len(raw)-len(items.rest)]; items.bad || items.err != nil {
+		return nil
+	}
 	if t, ok := r.tables[string(raw)]; ok {
 		return t
 	}
 	t := make([]int, 0, members)
-	for h := (header{buf: raw}); len(h.buf) > 0; {
-		t = append(t, h.next())
+	for rd := (itemReader{rest: raw}); len(rd.rest) > 0; {
+		t = append(t, rd.field())
 	}
 	if r.interned+len(raw) <= maxInternedBytes {
 		if r.tables == nil {
@@ -631,4 +619,35 @@ func (r *replayer) table(raw []byte, members int) []int {
 		r.interned += len(raw)
 	}
 	return t
+}
+
+// gatherPart walks one record frame of server sender's part of an output
+// gather: items of the gather's arity, each an itemBatch addressed to the
+// server itself or the continuation of one. It places them in turn at the
+// front of dst, the values the part has left, appending to pieces the
+// pieces that do, and returns what is left of dst.
+func gatherPart(rec *recordFrame, arity int, dst []int64, pieces []gatherPiece) ([]int64, []gatherPiece, error) {
+	items := itemReader{body: rec.Body, items: rec.Items}
+	for items.next() {
+		switch items.tag {
+		case itemBatch:
+			if _, dest := items.field(), items.field(); dest != int(rec.Sender) {
+				items.fail("a part of server %d addressed to %d", rec.Sender, dest)
+			}
+		case itemMore:
+		default:
+			items.fail("tag %d in a gather", items.tag)
+		}
+		n := items.count * arity
+		if items.arity != arity {
+			items.fail("arity %d, the gather's is %d", items.arity, arity)
+		} else if n > len(dst) {
+			items.fail("the part outgrows its declared values")
+		}
+		if payload := items.payload(); payload != nil {
+			pieces = appendPiece(pieces, gatherPiece{dst: dst[:n], payload: payload, width: items.width})
+			dst = dst[n:]
+		}
+	}
+	return dst, pieces, items.err
 }

@@ -96,7 +96,7 @@ func readStream(t *testing.T, stream []byte) []recordFrame {
 
 // TestCodecRoundTripProperty stages random rounds — batches, group batches
 // over shared offset tables and broadcasts, with annotation-width and
-// negative values — cuts the record at random chunk sizes and frame caps,
+// negative values — cuts the record at random frame caps,
 // replays the frames on a fresh emitter, and requires the replay to land
 // the same inboxes and accounting through DeliverLocal as the original.
 func TestCodecRoundTripProperty(t *testing.T) {
@@ -125,7 +125,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			}
 		}
 		var w recordWriter
-		w.begin(1, 2, 30+rng.Intn(400), rng.Intn(4))
+		w.begin(1, 2, 30+rng.Intn(400))
 		src.WalkStaged(func(it engine.Staged) { w.add(3, &it, widthFor(bpv, it.Vals)) })
 		w.close()
 
@@ -165,7 +165,7 @@ func TestReplayAllocatesNothing(t *testing.T) {
 		copy(src.StageBatch(engine.Broadcast, 0, 2, 2), []int64{int64(i), 4})
 	}
 	var w recordWriter
-	w.begin(0, 0, maxFrameLen, 2)
+	w.begin(0, 0, 32)
 	src.WalkStaged(func(it engine.Staged) { w.add(3, &it, widthFor(8, it.Vals)) })
 	w.close()
 	frames := readStream(t, w.buf)

@@ -16,7 +16,10 @@ const fuzzServers = 6
 // record of a one-rank round of fuzzServers servers: it is either rejected
 // as malformed or restages a round DeliverLocal lands, having staged no more
 // values than the frame has bytes and landing exactly the tuples its items
-// name. Seeds cover every frame type and every item type; the checked-in
+// name. The record is also walked as one server's part of an output gather
+// of arity 1, 2 and 3: it is either rejected as malformed or places no more
+// values than the frame has bytes, each decoded from a payload that holds
+// it. Seeds cover every frame type and every item type; the checked-in
 // corpus under testdata/fuzz/FuzzFrameDecode pins regression inputs.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendHello(nil, 3, 0)[4:])
@@ -39,7 +42,7 @@ func FuzzFrameDecode(f *testing.F) {
 		fr, err := decodeFrame(body)
 		l := &tcpLink{s: &Session{n: 1}, p: fuzzServers}
 		if err == nil && fr.typ == frameRoundEnd {
-			if err := l.checkCounts(0, fr.counts, fr.round); err != nil {
+			if err := l.checkCounts(0, fr.counts, "fuzzed round-end"); err != nil {
 				if !errors.Is(err, errMalformed) {
 					t.Fatalf("round-end counts failed with %v, not a malformed-frame error", err)
 				}
@@ -51,6 +54,28 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if err != nil || fr.typ != frameRecord {
 			return
+		}
+		for arity := 1; arity <= 3; arity++ {
+			room := 8*len(body) + 8
+			left, pieces, err := gatherPart(&fr.rec, arity, make([]int64, room), nil)
+			if err != nil {
+				if !errors.Is(err, errMalformed) {
+					t.Fatalf("gather part of arity %d failed with %v, not a malformed-frame error", arity, err)
+				}
+				continue
+			}
+			placed := 0
+			for _, pc := range pieces {
+				if len(pc.payload) != len(pc.dst)*pc.width {
+					t.Fatalf("a piece of %d values has %d payload bytes at width %d", len(pc.dst), len(pc.payload), pc.width)
+				}
+				decodeValues(pc.dst, pc.payload, pc.width)
+				placed += len(pc.dst)
+			}
+			if placed > len(body) || placed != room-len(left) {
+				t.Fatalf("gather part of arity %d placed %d values (%d slots used) from a %d-byte frame",
+					arity, placed, room-len(left), len(body))
+			}
 		}
 		if err := l.restage([][]recordFrame{{fr.rec}}, fuzzServers); err != nil {
 			if !errors.Is(err, errMalformed) {

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -78,7 +81,7 @@ func (l *tcpLink) Owned(p int) (lo, hi int) { return ownedRange(l.s.rank, l.s.n,
 func (l *tcpLink) Close() error {
 	s := l.s
 	s.mu.Lock()
-	delete(s.clusters, l.id)
+	maps.DeleteFunc(s.rounds, func(k roundKey, _ *roundState) bool { return k.cluster == l.id })
 	// Late frames for a released cluster (a slow peer's resend tail) must
 	// not re-materialize its state; retire the identity until a future
 	// Attach (or a rewound replay) legitimately reuses it.
@@ -114,21 +117,20 @@ func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 		return err
 	}
 	round := uint32(io.Round)
+	step := obs.KV{Key: "round", Value: fmt.Sprint(round)}
 	fi, epoch := s.injectorAndEpoch()
 	var faults int64
 	if fi != nil {
 		delay, crash := fi.DeliverFault(s.rank, epoch, l.id, round)
 		if delay > 0 {
 			s.countFault(&faults)
-			io.Trace.Instant("fault_straggler",
-				obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, obs.KV{Key: "round", Value: fmt.Sprint(round)},
+			io.Trace.Instant("fault_straggler", obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, step,
 				obs.KV{Key: "delay_ns", Value: fmt.Sprint(int64(delay))})
 			time.Sleep(delay)
 		}
 		if crash != nil {
 			s.countFault(&faults)
-			io.Trace.Instant("fault_crash",
-				obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, obs.KV{Key: "round", Value: fmt.Sprint(round)})
+			io.Trace.Instant("fault_crash", obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, step)
 			return fmt.Errorf("%w: rank %d: cluster %d round %d: injected crash: %w",
 				ErrPeerUnavailable, s.rank, l.id, round, crash)
 		}
@@ -136,37 +138,79 @@ func (l *tcpLink) Deliver(io *engine.DeliveryRound) error {
 	if err := l.serialize(io); err != nil {
 		return err
 	}
-	desc := fmt.Sprintf("cluster %d round %d", l.id, round)
-	for r := range l.w {
+	if _, err := l.send(fi, epoch, faults, io.Trace, round, step, func(r int) []byte { return l.w[r].buf }); err != nil {
+		return err
+	}
+	byRank, counts, err := l.collect(io.Ctx, round, step)
+	if err == nil {
+		err = l.land(io, byRank, counts)
+	}
+	if errors.Is(err, errMalformed) {
+		s.setFatal(err)
+	}
+	return err
+}
+
+// describe names one exchange of the link in errors.
+func (l *tcpLink) describe(step obs.KV) string {
+	return fmt.Sprintf("cluster %d %s %s", l.id, step.Key, step.Value)
+}
+
+// send writes every peer its frame stream of one exchange of the link — a
+// round, the owners' confirmation of one or a gather, named by step and
+// numbered round on the wire — through writeFrames, with the session's
+// fault injector fi at epoch, and returns the bytes written; stream(r) is
+// peer r's stream. When the injector applied faults, the faults already
+// counted included, a faults_injected instant on tr names the exchange.
+func (l *tcpLink) send(fi FaultInjector, epoch int, faults int64, tr *obs.Trace, round uint32, step obs.KV, stream func(r int) []byte) (int64, error) {
+	s, desc := l.s, l.describe(step)
+	var sent int64
+	for r := 0; r < s.n; r++ {
 		if r == s.rank {
 			continue
 		}
-		if err := s.writeFrames(r, l.w[r].buf, desc, fi, epoch, l.id, round, &faults); err != nil {
-			return err
+		buf := stream(r)
+		if err := s.writeFrames(r, buf, desc, fi, epoch, l.id, round, &faults); err != nil {
+			return sent, err
 		}
+		sent += int64(len(buf))
 	}
 	if faults > 0 {
-		io.Trace.Instant("faults_injected",
-			obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, obs.KV{Key: "round", Value: fmt.Sprint(round)},
+		tr.Instant("faults_injected", obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, step,
 			obs.KV{Key: "count", Value: fmt.Sprint(faults)})
 	}
+	return sent, nil
+}
 
-	byRank, counts, err := s.waitRound(io.Ctx, l.id, round)
-	if err != nil {
-		return err
+// collect waits for every other rank's frames of one exchange of the link
+// (Session.await), then claims them, and the ranks' round-end counts, for
+// assembly. A rank's counts that do not name the link's p servers are
+// malformed.
+func (l *tcpLink) collect(ctx context.Context, round uint32, step obs.KV) ([][]recordFrame, [][]byte, error) {
+	s, what := l.s, l.describe(step)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rd := s.roundLocked(l.id, round)
+	if err := s.await(ctx, what, s.opts.RoundTimeout, true, func(r int) bool { return r != s.rank && rd.pending(r) }); err != nil {
+		return nil, nil, err
 	}
-	if err := l.land(io, byRank, counts); err != nil {
-		if errors.Is(err, errMalformed) {
-			s.setFatal(err)
+	rd.assembled = true
+	byRank, counts := rd.byRank, rd.counts
+	rd.byRank, rd.counts = nil, nil
+	for r := range counts {
+		if r == s.rank {
+			continue
 		}
-		return err
+		if err := l.checkCounts(r, counts[r], what); err != nil {
+			return nil, nil, err
+		}
 	}
-	return nil
+	return byRank, counts, nil
 }
 
 // serialize writes every peer's stream of the round: each owned sender's
-// items that peer needs, in WalkStaged order, cut into frames of at most
-// io.Chunk tuples, and the round-end. It meters the streams and charges the
+// items that peer needs, in WalkStaged order, cut into frames at the frame
+// body cap, and the round-end. It meters the streams and charges the
 // round's model bits, once per item whoever it is shipped to. Each sender
 // is restaged from its own records, so receivers do not depend on the order
 // senders are written in.
@@ -174,30 +218,30 @@ func (l *tcpLink) serialize(io *engine.DeliveryRound) error {
 	s := l.s
 	round := uint32(io.Round)
 	for r := range l.w {
-		l.w[r].begin(l.id, round, l.maxBody, io.Chunk)
+		l.w[r].begin(l.id, round, l.maxBody)
 	}
 	sent := l.sent
 	clear(sent)
 	var bcVals, bcTuples uint64
-	var payloadUni, payloadBc, billed, bitsUni, bitsBc int64
+	var tally [numCounters]int64 // the round's wire counts
 	for sv := l.lo; sv < l.hi; sv++ {
 		io.Senders[sv].WalkStaged(func(it engine.Staged) {
 			width := widthFor(l.bpv, it.Vals)
 			pb := int64(len(it.Vals)) * int64(width)
 			cb := int64(len(it.Vals)) * int64(l.bpv)
 			vals, tuples := uint64(len(it.Vals)), uint64(len(it.Vals)/it.Arity)
-			ship := func(r int, payload *int64) {
+			ship := func(r, payload int) {
 				if r != s.rank {
 					l.w[r].add(uint32(sv), &it, width)
-					*payload += pb
+					tally[payload] += pb
 				}
 			}
 			switch {
 			case it.Offsets != nil:
 				// Billed and charged to every member; shipped once to
 				// every rank owning one.
-				billed += pb * int64(len(it.Offsets))
-				bitsUni += cb * int64(len(it.Offsets))
+				tally[cBilledPayloadBytes] += pb * int64(len(it.Offsets))
+				tally[cUnicastChargedBits] += cb * int64(len(it.Offsets))
 				for _, off := range it.Offsets {
 					d := it.Base + off
 					sent[2*d] += vals
@@ -207,23 +251,23 @@ func (l *tcpLink) serialize(io *engine.DeliveryRound) error {
 				for r, to := range l.to {
 					if to {
 						l.to[r] = false
-						ship(r, &payloadUni)
+						ship(r, cUnicastPayloadBytes)
 					}
 				}
 			case it.Dest == engine.Broadcast:
-				billed += pb * int64(io.P)
-				bitsBc += cb * int64(io.P)
+				tally[cBilledPayloadBytes] += pb * int64(io.P)
+				tally[cBroadcastChargedBits] += cb * int64(io.P)
 				bcVals += vals
 				bcTuples += tuples
 				for r := range l.w {
-					ship(r, &payloadBc)
+					ship(r, cBroadcastPayloadBytes)
 				}
 			default:
-				billed += pb
-				bitsUni += cb
+				tally[cBilledPayloadBytes] += pb
+				tally[cUnicastChargedBits] += cb
 				sent[2*it.Dest] += vals
 				sent[2*it.Dest+1] += tuples
-				ship(int(l.owner[it.Dest]), &payloadUni)
+				ship(int(l.owner[it.Dest]), cUnicastPayloadBytes)
 			}
 		})
 		for r := range l.w {
@@ -237,30 +281,20 @@ func (l *tcpLink) serialize(io *engine.DeliveryRound) error {
 	if err := l.declare(sent); err != nil {
 		return fmt.Errorf("rank %d: cluster %d round %d: %w", s.rank, l.id, round, err)
 	}
-	var frames, headers int64
 	for r := range l.w {
 		if r == s.rank {
 			continue
 		}
 		w := &l.w[r]
 		w.buf = appendRoundEnd(w.buf, l.id, round, w.frames, l.decl)
-		frames += int64(w.frames)
-		headers += w.headers
+		tally[cDataFrames] += int64(w.frames)
+		tally[cHeaderBytes] += w.headers
 	}
-	peers := int64(s.n - 1)
-	s.ctr.dataFrames.Add(frames)
-	s.ctr.ctrlFrames.Add(peers)
-	s.ctr.payloadBytes.Add(payloadUni + payloadBc)
-	s.ctr.headerBytes.Add(headers)
-	s.ctr.unicastPayloadBytes.Add(payloadUni)
-	s.ctr.broadcastPayloadBytes.Add(payloadBc)
-	s.ctr.billedPayloadBytes.Add(billed)
-	s.ctr.unicastChargedBits.Add(bitsUni)
-	s.ctr.broadcastChargedBits.Add(bitsBc)
-	obsDataFrames.Add(frames)
-	obsCtrlFrames.Add(peers)
-	obsPayloadBytes.Add(payloadUni + payloadBc)
-	obsBilledBytes.Add(billed)
+	tally[cCtrlFrames] = int64(s.n - 1)
+	tally[cPayloadBytes] = tally[cUnicastPayloadBytes] + tally[cBroadcastPayloadBytes]
+	for k, v := range tally {
+		s.ctr.add(k, v)
+	}
 	return nil
 }
 
@@ -276,12 +310,12 @@ func (l *tcpLink) declare(totals []uint64) error {
 	return nil
 }
 
-// checkCounts rejects a rank's round-end whose count vector does not name
-// the link's p servers.
-func (l *tcpLink) checkCounts(r int, counts []byte, round uint32) error {
+// checkCounts rejects a rank's round-end of the exchange what whose count
+// vector does not name the link's p servers.
+func (l *tcpLink) checkCounts(r int, counts []byte, what string) error {
 	if len(counts) != 8*l.p {
-		return fmt.Errorf("%w: cluster %d round %d: rank %d declared counts for %d servers, want %d",
-			errMalformed, l.id, round, r, len(counts)/8, l.p)
+		return fmt.Errorf("%w: %s: rank %d declared counts for %d servers, want %d",
+			errMalformed, what, r, len(counts)/8, l.p)
 	}
 	return nil
 }
@@ -295,28 +329,13 @@ func (l *tcpLink) checkCounts(r int, counts []byte, round uint32) error {
 // count that disagrees is malformed.
 func (l *tcpLink) land(io *engine.DeliveryRound, byRank [][]recordFrame, counts [][]byte) error {
 	s := l.s
-	round := uint32(io.Round)
-	for r := range counts {
-		if r == s.rank {
-			continue
-		}
-		if err := l.checkCounts(r, counts[r], round); err != nil {
-			return err
-		}
-	}
 	if err := l.restage(byRank, io.P); err != nil {
 		return err
 	}
-	if l.landed == nil {
-		l.landed = make([]*engine.Emitter, io.P)
-	}
-	for sv := range l.landed {
-		if sv >= l.lo && sv < l.hi {
-			l.landed[sv] = io.Senders[sv]
-		} else {
-			l.landed[sv] = (*l.recv)[sv]
-		}
-	}
+	// The owned senders land from their own emitters, the others from the
+	// receive-side ones.
+	l.landed = append(l.landed[:0], (*l.recv)[:io.P]...)
+	copy(l.landed[l.lo:l.hi], io.Senders[l.lo:l.hi])
 	io.Senders = l.landed
 	engine.DeliverLocal(io)
 	var bad error
@@ -334,7 +353,7 @@ func (l *tcpLink) land(io *engine.DeliveryRound, byRank [][]recordFrame, counts 
 			io.RecvBits[d], io.RecvTuples[d] = bits, tuples
 		} else if (io.RecvBits[d] != bits || io.RecvTuples[d] != tuples) && bad == nil {
 			bad = fmt.Errorf("%w: cluster %d round %d: the ranks declared %d values and %d tuples for server %d, %v bits and %d tuples landed",
-				errMalformed, l.id, round, values, tuples, d, io.RecvBits[d], io.RecvTuples[d])
+				errMalformed, l.id, io.Round, values, tuples, d, io.RecvBits[d], io.RecvTuples[d])
 		}
 	}
 	if s.n <= 2 {
@@ -345,21 +364,17 @@ func (l *tcpLink) land(io *engine.DeliveryRound, byRank [][]recordFrame, counts 
 	// A third rank's declaration for another rank's server is checked by
 	// that server's owner alone: every owner confirms what landed, its
 	// own mismatch included, before any rank keeps its counts.
-	err := l.confirm(io)
-	if bad != nil {
-		return bad
-	}
-	if err != nil {
-		return err
-	}
-	return l.checkConfirmed(io)
+	return l.confirm(io, bad)
 }
 
 // confirm ships every peer a round-end of the round's confirm exchange
-// counting what landed in each owned server.
-func (l *tcpLink) confirm(io *engine.DeliveryRound) error {
+// counting what landed in each owned server. Then, unless this rank's own
+// servers failed their check (bad), it waits for the peers' confirmations
+// and fails the round when an owner landed other counts in a server than
+// this rank charged.
+func (l *tcpLink) confirm(io *engine.DeliveryRound, bad error) error {
 	s := l.s
-	round := confirmRound(uint32(io.Round))
+	round, step := confirmRound(uint32(io.Round)), obs.KV{Key: "confirmation", Value: fmt.Sprint(io.Round)}
 	landed := l.sent
 	clear(landed)
 	for d := l.lo; d < l.hi; d++ {
@@ -371,27 +386,14 @@ func (l *tcpLink) confirm(io *engine.DeliveryRound) error {
 	w := &l.w[s.rank]
 	w.buf = appendRoundEnd(w.buf[:0], l.id, round, 0, l.decl)
 	fi, epoch := s.injectorAndEpoch()
-	var faults int64
-	desc := fmt.Sprintf("cluster %d round %d confirmation", l.id, io.Round)
-	for r := 0; r < s.n; r++ {
-		if r == s.rank {
-			continue
-		}
-		if err := s.writeFrames(r, w.buf, desc, fi, epoch, l.id, round, &faults); err != nil {
-			return err
-		}
+	_, err := l.send(fi, epoch, 0, io.Trace, round, step, func(int) []byte { return w.buf })
+	if err == nil {
+		s.ctr.add(cCtrlFrames, int64(s.n-1))
 	}
-	s.ctr.ctrlFrames.Add(int64(s.n - 1))
-	obsCtrlFrames.Add(int64(s.n - 1))
-	return nil
-}
-
-// checkConfirmed waits for the peers' confirmations of the round and fails
-// it when an owner landed other counts in a server than this rank charged.
-func (l *tcpLink) checkConfirmed(io *engine.DeliveryRound) error {
-	s := l.s
-	round := confirmRound(uint32(io.Round))
-	byRank, counts, err := s.waitRound(io.Ctx, l.id, round)
+	if err != nil || bad != nil {
+		return cmp.Or(bad, err)
+	}
+	byRank, counts, err := l.collect(io.Ctx, round, step)
 	if err != nil {
 		return err
 	}
@@ -401,9 +403,6 @@ func (l *tcpLink) checkConfirmed(io *engine.DeliveryRound) error {
 		}
 		if len(byRank[r]) > 0 {
 			return fmt.Errorf("%w: cluster %d round %d: rank %d sent record frames in a confirmation", errMalformed, l.id, io.Round, r)
-		}
-		if err := l.checkCounts(r, counts[r], round); err != nil {
-			return err
 		}
 		lo, hi := ownedRange(r, s.n, io.P)
 		for d := lo; d < hi; d++ {
@@ -500,9 +499,9 @@ func (l *tcpLink) Gather(g *engine.GatherRound) ([]int64, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	round := gatherRound(g.Seq)
+	round, step := gatherRound(g.Seq), obs.KV{Key: "gather", Value: fmt.Sprint(g.Seq)}
 	w := &l.w[s.rank]
-	w.begin(l.id, round, l.maxBody, 0)
+	w.begin(l.id, round, l.maxBody)
 	sizes := l.sent
 	clear(sizes)
 	for sv := l.lo; sv < l.hi; sv++ {
@@ -519,34 +518,20 @@ func (l *tcpLink) Gather(g *engine.GatherRound) ([]int64, error) {
 	}
 	w.buf = appendRoundEnd(w.buf, l.id, round, w.frames, l.decl)
 	fi, epoch := s.injectorAndEpoch()
-	var faults int64
-	desc := fmt.Sprintf("cluster %d gather %d", l.id, g.Seq)
-	for r := 0; r < s.n; r++ {
-		if r == s.rank {
-			continue
-		}
-		if err := s.writeFrames(r, w.buf, desc, fi, epoch, l.id, round, &faults); err != nil {
-			return nil, err
-		}
-		s.ctr.gatherBytes.Add(int64(len(w.buf)))
-		obsGatherBytes.Add(int64(len(w.buf)))
-	}
-	if faults > 0 {
-		g.Trace.Instant("faults_injected",
-			obs.KV{Key: "cluster", Value: fmt.Sprint(l.id)}, obs.KV{Key: "gather", Value: fmt.Sprint(g.Seq)},
-			obs.KV{Key: "count", Value: fmt.Sprint(faults)})
-	}
-
-	byRank, counts, err := s.waitRound(g.Ctx, l.id, round)
+	sent, err := l.send(fi, epoch, 0, g.Trace, round, step, func(int) []byte { return w.buf })
+	s.ctr.add(cGatherBytes, sent)
 	if err != nil {
 		return nil, err
 	}
-	out, err := l.assemble(g, byRank, counts)
-	if err != nil {
+	byRank, counts, err := l.collect(g.Ctx, round, step)
+	var out []int64
+	if err == nil {
+		out, err = l.assemble(g, byRank, counts)
+	}
+	if errors.Is(err, errMalformed) {
 		s.setFatal(err)
-		return nil, err
 	}
-	return out, nil
+	return out, err
 }
 
 // gatherPiece is one run of output values to place: copied from src, or
@@ -562,19 +547,29 @@ type gatherPiece struct {
 // placed by as many workers as an even spread.
 const gatherPieceVals = 1 << 16
 
+// appendPiece appends pc to pieces, cut into pieces of at most
+// gatherPieceVals values.
+func appendPiece(pieces []gatherPiece, pc gatherPiece) []gatherPiece {
+	for len(pc.dst) > gatherPieceVals {
+		head := pc
+		head.dst = pc.dst[:gatherPieceVals]
+		if pc.src != nil {
+			head.src, pc.src = pc.src[:gatherPieceVals], pc.src[gatherPieceVals:]
+		} else {
+			head.payload, pc.payload = pc.payload[:gatherPieceVals*pc.width], pc.payload[gatherPieceVals*pc.width:]
+		}
+		pieces = append(pieces, head)
+		pc.dst = pc.dst[gatherPieceVals:]
+	}
+	return append(pieces, pc)
+}
+
 // assemble places every part of a gather at its offset in one output
 // allocation.
 func (l *tcpLink) assemble(g *engine.GatherRound, byRank [][]recordFrame, counts [][]byte) ([]int64, error) {
 	s := l.s
-	round := gatherRound(g.Seq)
 	for r := range counts {
-		if r == s.rank {
-			continue
-		}
-		if err := l.checkCounts(r, counts[r], round); err != nil {
-			return nil, err
-		}
-		for sv := 0; sv < g.P; sv++ {
+		for sv := 0; sv < g.P && r != s.rank; sv++ {
 			if v, _ := roundEndCount(counts[r], sv); v != 0 && int(l.owner[sv]) != r {
 				return nil, fmt.Errorf("%w: cluster %d gather %d: rank %d declared a part of server %d, which it does not own",
 					errMalformed, l.id, g.Seq, r, sv)
@@ -604,47 +599,24 @@ func (l *tcpLink) assemble(g *engine.GatherRound, byRank [][]recordFrame, counts
 	}
 	out := make([]int64, start[g.P])
 	var pieces []gatherPiece
-	split := func(pc gatherPiece) {
-		for len(pc.dst) > gatherPieceVals {
-			head := pc
-			head.dst = pc.dst[:gatherPieceVals]
-			if pc.src != nil {
-				head.src, pc.src = pc.src[:gatherPieceVals], pc.src[gatherPieceVals:]
-			} else {
-				head.payload, pc.payload = pc.payload[:gatherPieceVals*pc.width], pc.payload[gatherPieceVals*pc.width:]
-			}
-			pieces = append(pieces, head)
-			pc.dst = pc.dst[gatherPieceVals:]
-		}
-		pieces = append(pieces, pc)
-	}
-	for sv := l.lo; sv < l.hi; sv++ {
-		if part := g.Parts[sv]; len(part) > 0 {
-			split(gatherPiece{dst: out[start[sv]:start[sv+1]], src: part})
-		}
-	}
 	for sv := 0; sv < g.P; sv++ {
+		dst := out[start[sv]:start[sv+1]]
 		if sv >= l.lo && sv < l.hi {
+			if len(dst) > 0 {
+				pieces = appendPiece(pieces, gatherPiece{dst: dst, src: g.Parts[sv]})
+			}
 			continue
 		}
-		at := start[sv]
 		for _, f := range l.frames[sv] {
-			err := gatherItems(f, g.Arity, func(payload []byte, width, n int) error {
-				if at+n > start[sv+1] {
-					return fmt.Errorf("%w: the part outgrows its declared %d values", errMalformed, start[sv+1]-start[sv])
-				}
-				split(gatherPiece{dst: out[at : at+n], payload: payload, width: width})
-				at += n
-				return nil
-			})
-			if err != nil {
+			var err error
+			if dst, pieces, err = gatherPart(f, g.Arity, dst, pieces); err != nil {
 				return nil, fmt.Errorf("cluster %d gather %d, part of server %d: %w", l.id, g.Seq, sv, err)
 			}
 		}
 		clear(l.frames[sv])
-		if at != start[sv+1] {
+		if len(dst) > 0 {
 			return nil, fmt.Errorf("%w: cluster %d gather %d: server %d's part has %d values, its owner declared %d",
-				errMalformed, l.id, g.Seq, sv, at-start[sv], start[sv+1]-start[sv])
+				errMalformed, l.id, g.Seq, sv, start[sv+1]-start[sv]-len(dst), start[sv+1]-start[sv])
 		}
 	}
 	engine.ParallelFor(len(pieces), func(i int) {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"slices"
 	"strings"
@@ -105,8 +106,8 @@ func (o *Options) withDefaults() Options {
 type WireStats struct {
 	// DataFrames counts the record frames of rounds shipped to peers: at
 	// most one per sender, round and peer that owns a destination of the
-	// sender's staging, more where the round's chunk size or the frame cap
-	// cut a record. A rank never ships a frame to itself.
+	// sender's staging, more where the frame body cap cut a record. A rank
+	// never ships a frame to itself.
 	DataFrames int64
 	// CtrlFrames counts hello, round-end and recovery-barrier frames
 	// actually sent.
@@ -174,62 +175,82 @@ type WireStats struct {
 // owned senders.
 func (w WireStats) ChargedBits() int64 { return w.UnicastChargedBits + w.BroadcastChargedBits }
 
-type wireCounters struct {
-	dataFrames            atomic.Int64
-	ctrlFrames            atomic.Int64
-	wireBytes             atomic.Int64
-	payloadBytes          atomic.Int64
-	headerBytes           atomic.Int64
-	unicastPayloadBytes   atomic.Int64
-	broadcastPayloadBytes atomic.Int64
-	billedPayloadBytes    atomic.Int64
-	unicastChargedBits    atomic.Int64
-	broadcastChargedBits  atomic.Int64
-	abandonedBytes        atomic.Int64
-	abandonedChargedBits  atomic.Int64
-	gatherBytes           atomic.Int64
-	faultsInjected        atomic.Int64
-	redials               atomic.Int64
-	resends               atomic.Int64
-}
-
-// Process-wide transport totals in the obs registry, mirrored from the
-// per-session wireCounters at the same update sites. Sessions come and go
-// (one per runtime); the registry aggregates across all of them for the
-// /metrics endpoint, while Session.Stats() stays the per-rank snapshot
-// the accounting identities are asserted on.
-var (
-	obsDataFrames     = obs.Default().Counter("mpc_transport_data_frames_total")
-	obsCtrlFrames     = obs.Default().Counter("mpc_transport_ctrl_frames_total")
-	obsWireBytes      = obs.Default().Counter("mpc_transport_wire_bytes_total")
-	obsPayloadBytes   = obs.Default().Counter("mpc_transport_payload_bytes_total")
-	obsBilledBytes    = obs.Default().Counter("mpc_transport_billed_payload_bytes_total")
-	obsAbandonedBytes = obs.Default().Counter("mpc_transport_abandoned_bytes_total")
-	obsGatherBytes    = obs.Default().Counter("mpc_transport_gather_bytes_total")
-	obsFaults         = obs.Default().Counter("mpc_faults_injected_total")
-	obsRedials        = obs.Default().Counter("mpc_transport_redials_total")
-	obsResends        = obs.Default().Counter("mpc_transport_resends_total")
+// Wire counters: one per WireStats field, in field order, indexing a
+// session's wireCounters.
+const (
+	cDataFrames = iota
+	cCtrlFrames
+	cWireBytes
+	cPayloadBytes
+	cHeaderBytes
+	cUnicastPayloadBytes
+	cBroadcastPayloadBytes
+	cBilledPayloadBytes
+	cGatherBytes
+	cUnicastChargedBits
+	cBroadcastChargedBits
+	cAbandonedBytes
+	cAbandonedChargedBits
+	cFaultsInjected
+	cRedials
+	cResends
+	numCounters
 )
 
-func (c *wireCounters) snapshot() WireStats {
-	return WireStats{
-		DataFrames:            c.dataFrames.Load(),
-		CtrlFrames:            c.ctrlFrames.Load(),
-		WireBytes:             c.wireBytes.Load(),
-		PayloadBytes:          c.payloadBytes.Load(),
-		HeaderBytes:           c.headerBytes.Load(),
-		UnicastPayloadBytes:   c.unicastPayloadBytes.Load(),
-		BroadcastPayloadBytes: c.broadcastPayloadBytes.Load(),
-		BilledPayloadBytes:    c.billedPayloadBytes.Load(),
-		UnicastChargedBits:    c.unicastChargedBits.Load(),
-		BroadcastChargedBits:  c.broadcastChargedBits.Load(),
-		AbandonedBytes:        c.abandonedBytes.Load(),
-		AbandonedChargedBits:  c.abandonedChargedBits.Load(),
-		GatherBytes:           c.gatherBytes.Load(),
-		FaultsInjected:        c.faultsInjected.Load(),
-		Redials:               c.redials.Load(),
-		Resends:               c.resends.Load(),
+// wireCounters is a session's live WireStats, one counter per field.
+type wireCounters [numCounters]atomic.Int64
+
+// obsTotals pairs wire counters with process-wide totals in the obs
+// registry, which add updates with them (nil: the counter has none).
+// Sessions come and go (one per runtime); the registry aggregates across all
+// of them for the /metrics endpoint, while Session.Stats() stays the
+// per-rank snapshot the accounting identities are asserted on.
+var obsTotals = [numCounters]*obs.Counter{
+	cDataFrames:         obs.Default().Counter("mpc_transport_data_frames_total"),
+	cCtrlFrames:         obs.Default().Counter("mpc_transport_ctrl_frames_total"),
+	cWireBytes:          obs.Default().Counter("mpc_transport_wire_bytes_total"),
+	cPayloadBytes:       obs.Default().Counter("mpc_transport_payload_bytes_total"),
+	cBilledPayloadBytes: obs.Default().Counter("mpc_transport_billed_payload_bytes_total"),
+	cAbandonedBytes:     obs.Default().Counter("mpc_transport_abandoned_bytes_total"),
+	cGatherBytes:        obs.Default().Counter("mpc_transport_gather_bytes_total"),
+	cFaultsInjected:     obs.Default().Counter("mpc_faults_injected_total"),
+	cRedials:            obs.Default().Counter("mpc_transport_redials_total"),
+	cResends:            obs.Default().Counter("mpc_transport_resends_total"),
+}
+
+// add counts v on counter k and on its process-wide total.
+func (c *wireCounters) add(k int, v int64) {
+	c[k].Add(v)
+	obsTotals[k].Add(v)
+}
+
+// fields maps every wire counter to its WireStats field.
+func (w *WireStats) fields() [numCounters]*int64 {
+	return [numCounters]*int64{
+		cDataFrames:            &w.DataFrames,
+		cCtrlFrames:            &w.CtrlFrames,
+		cWireBytes:             &w.WireBytes,
+		cPayloadBytes:          &w.PayloadBytes,
+		cHeaderBytes:           &w.HeaderBytes,
+		cUnicastPayloadBytes:   &w.UnicastPayloadBytes,
+		cBroadcastPayloadBytes: &w.BroadcastPayloadBytes,
+		cBilledPayloadBytes:    &w.BilledPayloadBytes,
+		cGatherBytes:           &w.GatherBytes,
+		cUnicastChargedBits:    &w.UnicastChargedBits,
+		cBroadcastChargedBits:  &w.BroadcastChargedBits,
+		cAbandonedBytes:        &w.AbandonedBytes,
+		cAbandonedChargedBits:  &w.AbandonedChargedBits,
+		cFaultsInjected:        &w.FaultsInjected,
+		cRedials:               &w.Redials,
+		cResends:               &w.Resends,
 	}
+}
+
+func (c *wireCounters) snapshot() (w WireStats) {
+	for k, f := range w.fields() {
+		*f = c[k].Load()
+	}
+	return w
 }
 
 // peerConn is the session's one outgoing connection to a peer. The mutex
@@ -241,10 +262,8 @@ type peerConn struct {
 	conn net.Conn
 }
 
-// clusterState buffers the received frames of one cluster, keyed by round.
-type clusterState struct {
-	rounds map[uint32]*roundState
-}
+// roundKey names one exchange on the wire: a cluster and a round number.
+type roundKey struct{ cluster, round uint32 }
 
 // roundState accumulates one (cluster, round)'s frames per source rank,
 // in arrival order, until every other rank has declared (via round-end)
@@ -270,20 +289,10 @@ func (rd *roundState) pending(r int) bool {
 	return rd.ends[r] < 0 || int64(len(rd.byRank[r])) != rd.ends[r]
 }
 
-func (rd *roundState) complete(n, self int) bool {
-	for r := 0; r < n; r++ {
-		if r != self && rd.pending(r) {
-			return false
-		}
-	}
-	return true
-}
-
 // ctrlState collects one recovery barrier's announcements, one per rank.
 type ctrlState struct {
 	got   []bool
 	flags []uint32
-	have  int
 }
 
 func ctrlKey(kind, gen uint32) uint64 { return uint64(kind)<<32 | uint64(gen) }
@@ -331,11 +340,11 @@ type Session struct {
 	opts  Options
 	ln    net.Listener
 
-	peers []*peerConn
+	peers []peerConn
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	clusters    map[uint32]*clusterState
+	rounds      map[roundKey]*roundState // received frames, by exchange
 	retired     map[uint32]bool
 	ctrl        map[uint64]*ctrlState
 	nextCluster uint32
@@ -367,20 +376,17 @@ func Dial(rank int, addrs []string, opts *Options) (*Session, error) {
 		return nil, fmt.Errorf("transport: rank %d listen %s: %w", rank, addrs[rank], err)
 	}
 	s := &Session{
-		rank:     rank,
-		n:        n,
-		addrs:    append([]string(nil), addrs...),
-		opts:     opts.withDefaults(),
-		ln:       ln,
-		peers:    make([]*peerConn, n),
-		clusters: make(map[uint32]*clusterState),
-		retired:  make(map[uint32]bool),
-		ctrl:     make(map[uint64]*ctrlState),
+		rank:    rank,
+		n:       n,
+		addrs:   append([]string(nil), addrs...),
+		opts:    opts.withDefaults(),
+		ln:      ln,
+		peers:   make([]peerConn, n),
+		rounds:  make(map[roundKey]*roundState),
+		retired: make(map[uint32]bool),
+		ctrl:    make(map[uint64]*ctrlState),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for i := range s.peers {
-		s.peers[i] = &peerConn{}
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	for r := 0; r < n; r++ {
@@ -389,7 +395,7 @@ func Dial(rank int, addrs []string, opts *Options) (*Session, error) {
 			s.Close()
 			return nil, err
 		}
-		pc := s.peers[r]
+		pc := &s.peers[r]
 		pc.mu.Lock()
 		pc.conn = c
 		pc.mu.Unlock()
@@ -433,11 +439,8 @@ func (s *Session) injectorAndEpoch() (FaultInjector, int) {
 }
 
 func (s *Session) countFault(local *int64) {
-	s.ctr.faultsInjected.Add(1)
-	obsFaults.Inc()
-	if local != nil {
-		*local++
-	}
+	s.ctr.add(cFaultsInjected, 1)
+	*local++
 }
 
 // Close shuts the session down: the listener and every connection are
@@ -459,7 +462,8 @@ func (s *Session) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	for _, pc := range s.peers {
+	for i := range s.peers {
+		pc := &s.peers[i]
 		pc.mu.Lock()
 		if pc.conn != nil {
 			pc.conn.Close()
@@ -501,9 +505,6 @@ func (s *Session) Attach(p, bitsPerValue int) (engine.Link, error) {
 	id := s.nextCluster
 	s.nextCluster++
 	delete(s.retired, id)
-	if _, ok := s.clusters[id]; !ok {
-		s.clusters[id] = &clusterState{rounds: make(map[uint32]*roundState)}
-	}
 	return newTCPLink(s, id, p, bitsPerValue), nil
 }
 
@@ -538,8 +539,7 @@ func (s *Session) dialPeer(r int) (net.Conn, error) {
 	var lastErr error
 	for attempt := 0; attempt < s.opts.DialAttempts; attempt++ {
 		if attempt > 0 {
-			s.ctr.redials.Add(1)
-			obsRedials.Inc()
+			s.ctr.add(cRedials, 1)
 			time.Sleep(backoffFor(attempt, s.opts.DialBackoff))
 		}
 		if s.isClosed() {
@@ -555,10 +555,8 @@ func (s *Session) dialPeer(r int) (net.Conn, error) {
 			lastErr = err
 			continue
 		}
-		s.ctr.wireBytes.Add(int64(len(hello)))
-		s.ctr.ctrlFrames.Add(1)
-		obsWireBytes.Add(int64(len(hello)))
-		obsCtrlFrames.Inc()
+		s.ctr.add(cWireBytes, int64(len(hello)))
+		s.ctr.add(cCtrlFrames, 1)
 		return c, nil
 	}
 	return nil, fmt.Errorf("%w: rank %d dial %s: %v", ErrPeerUnavailable, s.rank, s.addrs[r], lastErr)
@@ -677,15 +675,11 @@ func (s *Session) serveConn(c net.Conn) {
 // round). Frames may arrive before the local Attach of their cluster —
 // state is keyed purely by the wire identities.
 func (s *Session) roundLocked(cluster, round uint32) *roundState {
-	cs, ok := s.clusters[cluster]
-	if !ok {
-		cs = &clusterState{rounds: make(map[uint32]*roundState)}
-		s.clusters[cluster] = cs
-	}
-	rd, ok := cs.rounds[round]
+	k := roundKey{cluster, round}
+	rd, ok := s.rounds[k]
 	if !ok {
 		rd = newRoundState(s.n)
-		cs.rounds[round] = rd
+		s.rounds[k] = rd
 	}
 	return rd
 }
@@ -698,23 +692,6 @@ func (s *Session) ctrlLocked(kind, gen uint32) *ctrlState {
 		s.ctrl[k] = st
 	}
 	return st
-}
-
-// abortedLocked reports whether any rank has announced a failed outcome
-// for the upcoming barrier (gen+1 — the one this attempt will join). A
-// waiting round uses it to fail fast instead of sitting out the full
-// round timeout when a peer already knows the attempt is dead.
-func (s *Session) abortedLocked() (int, bool) {
-	st, ok := s.ctrl[ctrlKey(ctrlOutcome, s.gen+1)]
-	if !ok {
-		return 0, false
-	}
-	for r := 0; r < s.n; r++ {
-		if st.got[r] && st.flags[r]&ctrlOK == 0 {
-			return r, true
-		}
-	}
-	return 0, false
 }
 
 func (s *Session) ingest(peer int, f frame, connEpoch *int) error {
@@ -732,16 +709,28 @@ func (s *Session) ingest(peer int, f frame, connEpoch *int) error {
 		if !st.got[peer] {
 			st.got[peer] = true
 			st.flags[peer] = f.flags
-			st.have++
 			s.cond.Broadcast()
 		}
-	case frameRecord:
-		if *connEpoch < s.epoch || s.retired[f.rec.Cluster] {
+	case frameRecord, frameRoundEnd:
+		if *connEpoch < s.epoch || s.retired[f.cluster] {
 			return nil // stale frame of an abandoned attempt or closed cluster
 		}
-		rd := s.roundLocked(f.rec.Cluster, f.rec.Round)
+		rd := s.roundLocked(f.cluster, f.round)
 		if rd.assembled {
 			return nil // duplicate after completion (resend overlap)
+		}
+		if f.typ == frameRoundEnd {
+			if rd.ends[peer] >= 0 {
+				if rd.ends[peer] != int64(f.frames) || !bytes.Equal(rd.counts[peer], f.counts) {
+					return fmt.Errorf("transport: rank %d: conflicting round-end for cluster %d round %d: %d vs %d frames",
+						peer, f.cluster, f.round, rd.ends[peer], f.frames)
+				}
+				return nil
+			}
+			rd.ends[peer] = int64(f.frames)
+			rd.counts[peer] = f.counts
+			s.cond.Broadcast()
+			return nil
 		}
 		seq, have := int64(f.rec.Seq), int64(len(rd.byRank[peer]))
 		if seq < have {
@@ -755,24 +744,6 @@ func (s *Session) ingest(peer int, f frame, connEpoch *int) error {
 		if rd.ends[peer] >= 0 && int64(len(rd.byRank[peer])) == rd.ends[peer] {
 			s.cond.Broadcast()
 		}
-	case frameRoundEnd:
-		if *connEpoch < s.epoch || s.retired[f.cluster] {
-			return nil
-		}
-		rd := s.roundLocked(f.cluster, f.round)
-		if rd.assembled {
-			return nil
-		}
-		if rd.ends[peer] >= 0 {
-			if rd.ends[peer] != int64(f.frames) || !bytes.Equal(rd.counts[peer], f.counts) {
-				return fmt.Errorf("transport: rank %d: conflicting round-end for cluster %d round %d: %d vs %d frames",
-					peer, f.cluster, f.round, rd.ends[peer], f.frames)
-			}
-			return nil
-		}
-		rd.ends[peer] = int64(f.frames)
-		rd.counts[peer] = f.counts
-		s.cond.Broadcast()
 	case frameHello:
 		return fmt.Errorf("transport: rank %d: unexpected mid-stream hello", peer)
 	}
@@ -792,14 +763,13 @@ func (s *Session) ingest(peer int, f frame, connEpoch *int) error {
 // injected failure then flows through the exact retry/dedup machinery a
 // real one would.
 func (s *Session) writeFrames(r int, buf []byte, desc string, fi FaultInjector, epoch int, cluster, round uint32, faults *int64) error {
-	pc := s.peers[r]
+	pc := &s.peers[r]
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt <= s.opts.WriteRetries; attempt++ {
 		if attempt > 0 {
-			s.ctr.resends.Add(1)
-			obsResends.Inc()
+			s.ctr.add(cResends, 1)
 			time.Sleep(backoffFor(attempt, s.opts.DialBackoff))
 		}
 		if s.isClosed() {
@@ -831,10 +801,8 @@ func (s *Session) writeFrames(r int, buf []byte, desc string, fi FaultInjector, 
 				s.countFault(faults)
 				torn := buf[:len(buf)/2]
 				pc.conn.SetWriteDeadline(time.Now().Add(s.opts.RoundTimeout))
-				if n, _ := pc.conn.Write(torn); n > 0 {
-					s.ctr.wireBytes.Add(int64(n))
-					obsWireBytes.Add(int64(n))
-				}
+				n, _ := pc.conn.Write(torn)
+				s.ctr.add(cWireBytes, int64(n))
 				pc.conn.Close()
 				pc.conn = nil
 				lastErr = errInjectedDrop
@@ -849,8 +817,7 @@ func (s *Session) writeFrames(r int, buf []byte, desc string, fi FaultInjector, 
 		pc.conn.SetWriteDeadline(time.Now().Add(s.opts.RoundTimeout))
 		_, err := pc.conn.Write(out)
 		if err == nil {
-			s.ctr.wireBytes.Add(int64(len(out)))
-			obsWireBytes.Add(int64(len(out)))
+			s.ctr.add(cWireBytes, int64(len(out)))
 			return nil
 		}
 		lastErr = err
@@ -861,102 +828,60 @@ func (s *Session) writeFrames(r int, buf []byte, desc string, fi FaultInjector, 
 		ErrPeerUnavailable, s.rank, desc, r, s.addrs[r], lastErr)
 }
 
-// waitRound blocks until every other rank's frames for (cluster, round)
-// have arrived, then claims them, and the ranks' round-end counts, for
-// assembly. It fails with ErrPeerUnavailable on timeout (naming the pending
-// peers) or as soon as any rank announces a failed attempt over the outcome
-// barrier, and honors ctx cancellation — the barrier never resolves
-// silently short, and a wedged round cannot outlive its request.
-func (s *Session) waitRound(ctx context.Context, cluster, round uint32) ([][]recordFrame, [][]byte, error) {
-	timeout := s.opts.RoundTimeout
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
+// await waits, holding s.mu, until no rank is pending in one exchange —
+// a round, a gather or a barrier, named by what in errors. It wakes on every
+// arrival, on ctx's cancellation and at the deadline, timeout from now, and
+// fails with the session's fatal error, ErrSessionClosed, ctx's error, or,
+// at the deadline, ErrPeerUnavailable naming the pending peers: an exchange
+// never resolves silently short, and a wedged one cannot outlive its
+// request. An abortable exchange (a round) also fails as soon as any rank
+// announces a failed attempt over the outcome barrier, instead of sitting
+// out its timeout.
+func (s *Session) await(ctx context.Context, what string, timeout time.Duration, abortable bool, pending func(r int) bool) error {
+	wake := func() {
 		s.mu.Lock()
 		s.cond.Broadcast()
 		s.mu.Unlock()
-	})
-	defer timer.Stop()
+	}
+	deadline := time.Now().Add(timeout)
+	defer time.AfterFunc(timeout, wake).Stop()
 	if ctx != nil {
-		stop := context.AfterFunc(ctx, func() {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-		defer stop()
+		defer context.AfterFunc(ctx, wake)()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rd := s.roundLocked(cluster, round)
 	for {
-		if s.fatal != nil {
-			return nil, nil, s.fatal
+		switch {
+		case s.fatal != nil:
+			return s.fatal
+		case s.closed:
+			return ErrSessionClosed
+		case ctx != nil && ctx.Err() != nil:
+			return fmt.Errorf("transport: rank %d: %s: %w", s.rank, what, ctx.Err())
 		}
-		if s.closed {
-			return nil, nil, ErrSessionClosed
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("transport: rank %d: cluster %d round %d: %w", s.rank, cluster, round, err)
-			}
-		}
-		if r, aborted := s.abortedLocked(); aborted {
-			return nil, nil, fmt.Errorf("%w: rank %d: cluster %d round %d aborted: peer %d (%s) announced a failed attempt",
-				ErrPeerUnavailable, s.rank, cluster, round, r, s.addrs[r])
-		}
-		if rd.complete(s.n, s.rank) {
-			rd.assembled = true
-			frames, counts := rd.byRank, rd.counts
-			rd.byRank, rd.counts = nil, nil
-			return frames, counts, nil
-		}
-		if !time.Now().Before(deadline) {
-			var pending []string
-			for r := 0; r < s.n; r++ {
-				if r != s.rank && rd.pending(r) {
-					pending = append(pending, fmt.Sprintf("%d (%s)", r, s.addrs[r]))
+		// The outcome barrier this attempt will join is generation gen+1.
+		if st := s.ctrl[ctrlKey(ctrlOutcome, s.gen+1)]; abortable && st != nil {
+			for r := range st.got {
+				if st.got[r] && st.flags[r]&ctrlOK == 0 {
+					return fmt.Errorf("%w: rank %d: %s aborted: peer %d (%s) announced a failed attempt",
+						ErrPeerUnavailable, s.rank, what, r, s.addrs[r])
 				}
 			}
-			return nil, nil, fmt.Errorf("%w: rank %d: cluster %d round %d incomplete after %v, pending peers: %s",
-				ErrPeerUnavailable, s.rank, cluster, round, timeout, strings.Join(pending, ", "))
 		}
-		s.cond.Wait()
-	}
-}
-
-// waitCtrl blocks until every rank's announcement for one barrier has
-// arrived. Barriers wait up to twice the round timeout — a slow peer must
-// first time out of its own round before it can join the barrier.
-func (s *Session) waitCtrl(kind, gen uint32, name string) ([]uint32, error) {
-	timeout := 2 * s.opts.RoundTimeout
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.ctrlLocked(kind, gen)
-	for {
-		if s.fatal != nil {
-			return nil, s.fatal
+		done := true
+		for r := 0; r < s.n && done; r++ {
+			done = !pending(r)
 		}
-		if s.closed {
-			return nil, ErrSessionClosed
-		}
-		if st.have == s.n {
-			return append([]uint32(nil), st.flags...), nil
+		if done {
+			return nil
 		}
 		if !time.Now().Before(deadline) {
-			var pending []string
+			var late []string
 			for r := 0; r < s.n; r++ {
-				if !st.got[r] {
-					pending = append(pending, fmt.Sprintf("%d (%s)", r, s.addrs[r]))
+				if pending(r) {
+					late = append(late, fmt.Sprintf("%d (%s)", r, s.addrs[r]))
 				}
 			}
-			return nil, fmt.Errorf("%w: rank %d: %s barrier gen %d incomplete after %v, pending peers: %s",
-				ErrPeerUnavailable, s.rank, name, gen, timeout, strings.Join(pending, ", "))
+			return fmt.Errorf("%w: rank %d: %s incomplete after %v, pending peers: %s",
+				ErrPeerUnavailable, s.rank, what, timeout, strings.Join(late, ", "))
 		}
 		s.cond.Wait()
 	}
@@ -987,38 +912,57 @@ func (s *Session) Mark() RunMark {
 // answer; a rank that succeeded while a peer failed must discard and
 // replay, which determinism makes free).
 func (s *Session) ExchangeOutcome(ok bool) (bool, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrSessionClosed
-	}
-	s.gen++
-	gen := s.gen
-	s.mu.Unlock()
 	var flags uint32
 	if ok {
 		flags = ctrlOK
 	}
-	buf := appendCtrl(nil, ctrlOutcome, gen, flags)
-	desc := fmt.Sprintf("outcome barrier gen %d", gen)
+	all, err := s.barrier(ctrlOutcome, flags)
+	return all&ctrlOK != 0, err
+}
+
+// barrierNames names the barrier kinds in errors.
+var barrierNames = [...]string{ctrlOutcome: "outcome", ctrlReady: "ready"}
+
+// barrier runs one recovery barrier: it opens the session's next barrier
+// generation, announces flags under kind to every rank, this one included,
+// and waits for every rank's announcement — up to twice the round timeout,
+// as a slow peer must first time out of its own round before it can join.
+// It returns the AND of the ranks' flags.
+func (s *Session) barrier(kind, flags uint32) (uint32, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, ErrSessionClosed
+	}
+	s.gen++
+	gen := s.gen
+	s.mu.Unlock()
+	what := fmt.Sprintf("%s barrier gen %d", barrierNames[kind], gen)
+	buf := appendCtrl(nil, kind, gen, flags)
 	for r := 0; r < s.n; r++ {
-		s.ctr.ctrlFrames.Add(1)
-		obsCtrlFrames.Inc()
-		if err := s.writeFrames(r, buf, desc, nil, 0, 0, 0, nil); err != nil {
-			return false, err
+		s.ctr.add(cCtrlFrames, 1)
+		if err := s.writeFrames(r, buf, what, nil, 0, 0, 0, nil); err != nil {
+			return 0, err
 		}
 	}
-	got, err := s.waitCtrl(ctrlOutcome, gen, "outcome")
-	if err != nil {
-		return false, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.ctrlLocked(kind, gen)
+	if err := s.await(nil, what, 2*s.opts.RoundTimeout, false, func(r int) bool { return !st.got[r] }); err != nil {
+		return 0, err
 	}
-	allOK := true
-	for _, f := range got {
-		if f&ctrlOK == 0 {
-			allOK = false
-		}
+	all := ^uint32(0)
+	for _, f := range st.flags {
+		all &= f
 	}
-	return allOK, nil
+	return all, nil
+}
+
+// rewound lists the counters of an attempt's model accounting: Rewind backs
+// them out of a failed attempt, and the process-wide totals keep them.
+var rewound = [...]int{
+	cDataFrames, cPayloadBytes, cHeaderBytes, cUnicastPayloadBytes,
+	cBroadcastPayloadBytes, cBilledPayloadBytes, cUnicastChargedBits, cBroadcastChargedBits,
 }
 
 // Rewind discards the failed attempt at this rank: all receive state at
@@ -1042,47 +986,23 @@ func (s *Session) Rewind(m RunMark) error {
 		s.mu.Unlock()
 		return err
 	}
-	for id := range s.clusters {
-		if id >= m.cluster {
-			delete(s.clusters, id)
-		}
-	}
-	for id := range s.retired {
-		if id >= m.cluster {
-			delete(s.retired, id)
-		}
-	}
+	maps.DeleteFunc(s.rounds, func(k roundKey, _ *roundState) bool { return k.cluster >= m.cluster })
+	maps.DeleteFunc(s.retired, func(id uint32, _ bool) bool { return id >= m.cluster })
 	s.nextCluster = m.cluster
 	s.epoch++
 	// Old barriers can never complete again; keep a small window for
 	// stragglers' duplicate announcements, drop the rest.
-	for k := range s.ctrl {
-		if uint32(k)+16 < s.gen {
-			delete(s.ctrl, k)
-		}
-	}
+	maps.DeleteFunc(s.ctrl, func(k uint64, _ *ctrlState) bool { return uint32(k)+16 < s.gen })
 	s.mu.Unlock()
 
-	now := s.ctr.snapshot()
-	dataFrames := now.DataFrames - m.base.DataFrames
-	payload := now.PayloadBytes - m.base.PayloadBytes
-	header := now.HeaderBytes - m.base.HeaderBytes
-	uniPayload := now.UnicastPayloadBytes - m.base.UnicastPayloadBytes
-	bcPayload := now.BroadcastPayloadBytes - m.base.BroadcastPayloadBytes
-	billed := now.BilledPayloadBytes - m.base.BilledPayloadBytes
-	uniBits := now.UnicastChargedBits - m.base.UnicastChargedBits
-	bcBits := now.BroadcastChargedBits - m.base.BroadcastChargedBits
-	s.ctr.dataFrames.Add(-dataFrames)
-	s.ctr.payloadBytes.Add(-payload)
-	s.ctr.headerBytes.Add(-header)
-	s.ctr.unicastPayloadBytes.Add(-uniPayload)
-	s.ctr.broadcastPayloadBytes.Add(-bcPayload)
-	s.ctr.billedPayloadBytes.Add(-billed)
-	s.ctr.unicastChargedBits.Add(-uniBits)
-	s.ctr.broadcastChargedBits.Add(-bcBits)
-	s.ctr.abandonedBytes.Add(payload + header)
-	s.ctr.abandonedChargedBits.Add(uniBits + bcBits)
-	obsAbandonedBytes.Add(payload + header)
+	base := m.base.fields()
+	var back [numCounters]int64
+	for _, k := range rewound {
+		back[k] = s.ctr[k].Load() - *base[k]
+		s.ctr[k].Add(-back[k])
+	}
+	s.ctr.add(cAbandonedBytes, back[cPayloadBytes]+back[cHeaderBytes])
+	s.ctr.add(cAbandonedChargedBits, back[cUnicastChargedBits]+back[cBroadcastChargedBits])
 	return nil
 }
 
@@ -1092,24 +1012,7 @@ func (s *Session) Rewind(m RunMark) error {
 // returns, every peer is guaranteed to have discarded the abandoned
 // attempt — the replay's frames will land in fresh state.
 func (s *Session) ReadyBarrier() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrSessionClosed
-	}
-	s.gen++
-	gen := s.gen
-	epoch := uint32(s.epoch)
-	s.mu.Unlock()
-	buf := appendCtrl(nil, ctrlReady, gen, epoch)
-	desc := fmt.Sprintf("ready barrier gen %d", gen)
-	for r := 0; r < s.n; r++ {
-		s.ctr.ctrlFrames.Add(1)
-		obsCtrlFrames.Inc()
-		if err := s.writeFrames(r, buf, desc, nil, 0, 0, 0, nil); err != nil {
-			return err
-		}
-	}
-	_, err := s.waitCtrl(ctrlReady, gen, "ready")
+	_, epoch := s.injectorAndEpoch()
+	_, err := s.barrier(ctrlReady, uint32(epoch))
 	return err
 }

@@ -278,6 +278,78 @@ func TestRoundTimeout(t *testing.T) {
 	}
 }
 
+// TestBarrierOutcomes: over two loopback ranks that both announce, the
+// outcome barrier returns true at both only when both announced success,
+// and the ready barrier that follows each one completes — every cell of the
+// outcome table, one barrier generation after another.
+func TestBarrierOutcomes(t *testing.T) {
+	cases := [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}}
+	got, errs := make([][]bool, 2), make([]error, 2)
+	runRanks(t, 2, func(s *Session) {
+		r := s.Rank()
+		for _, c := range cases {
+			ok, err := s.ExchangeOutcome(c[r])
+			if err == nil {
+				err = s.ReadyBarrier()
+			}
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			got[r] = append(got[r], ok)
+		}
+	})
+	for r := range got {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		for i, c := range cases {
+			if want := c[0] && c[1]; got[r][i] != want {
+				t.Errorf("rank %d, announcements %v: outcome %t, want %t", r, c, got[r][i], want)
+			}
+		}
+	}
+}
+
+// TestBarrierTimesOut: a barrier that one of two ranks never joins fails
+// the other with ErrPeerUnavailable naming the pending rank, and only it,
+// after twice the round timeout — for the outcome and the ready barrier.
+func TestBarrierTimesOut(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	addrs, err := FreeLoopbackAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{RoundTimeout: timeout}
+	sessions, errs := make([]*Session, 2), make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range sessions {
+		wg.Add(1)
+		go func() { defer wg.Done(); sessions[r], errs[r] = Dial(r, addrs, opts) }()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+		defer sessions[r].Close()
+	}
+	for name, barrier := range map[string]func(s *Session) error{
+		"outcome": func(s *Session) error { _, err := s.ExchangeOutcome(true); return err },
+		"ready":   func(s *Session) error { return s.ReadyBarrier() },
+	} {
+		start := time.Now()
+		err := barrier(sessions[0])
+		if elapsed := time.Since(start); elapsed < 2*timeout {
+			t.Errorf("%s barrier failed after %v, before twice the %v round timeout", name, elapsed, timeout)
+		}
+		pending := fmt.Sprintf("pending peers: 1 (%s)", addrs[1])
+		if !errors.Is(err, ErrPeerUnavailable) || !strings.HasSuffix(fmt.Sprint(err), pending) {
+			t.Errorf("%s barrier returned %v, want ErrPeerUnavailable ending %q", name, err, pending)
+		}
+	}
+}
+
 // TestDialUnreachable pins the dial-side retry budget: a peer that never
 // listens yields ErrPeerUnavailable after bounded attempts.
 func TestDialUnreachable(t *testing.T) {
@@ -402,7 +474,7 @@ func multicastRound(tr engine.Transport, chunk int, inspect func()) clusterView 
 // TestSessionMulticastMatchesLocalDelivery: over two ranks, a round of
 // overlapping multicasts lands exactly as DeliverLocal lands it in process
 // — every owned inbox's batches and kind views, and the accounting of all p
-// servers — whether the records cross whole or cut into one-tuple frames.
+// servers — in a barrier round and in a streamed one.
 func TestSessionMulticastMatchesLocalDelivery(t *testing.T) {
 	want := multicastRound(nil, 0, nil)
 	for _, chunk := range []int{0, 1} {
@@ -467,10 +539,10 @@ func recordTuples(rec *recordFrame) int {
 	return tuples
 }
 
-// checkCuts reports a record frame of stream that carries more than chunk
-// tuples (chunk > 0), or more than one tuple in a body over maxBody bytes,
-// and a stream in which no sender's record was cut at all.
-func checkCuts(stream []byte, chunk, maxBody int) error {
+// checkCuts reports a record frame of stream that carries more than one
+// tuple in a body over maxBody bytes, and a stream in which no sender's
+// record was cut at all.
+func checkCuts(stream []byte, maxBody int) error {
 	frames, senders := 0, map[uint32]bool{}
 	for len(stream) > 0 {
 		n := int(binary.LittleEndian.Uint32(stream))
@@ -484,10 +556,7 @@ func checkCuts(stream []byte, chunk, maxBody int) error {
 		}
 		frames++
 		senders[f.rec.Sender] = true
-		switch tuples := recordTuples(&f.rec); {
-		case chunk > 0 && tuples > chunk:
-			return fmt.Errorf("frame %d carries %d tuples, the chunk is %d", f.rec.Seq, tuples, chunk)
-		case n > maxBody && tuples > 1:
+		if tuples := recordTuples(&f.rec); n > maxBody && tuples > 1 {
 			return fmt.Errorf("frame %d has a %d-byte body, over the %d-byte cap, and %d tuples", f.rec.Seq, n, maxBody, tuples)
 		}
 	}
@@ -497,34 +566,26 @@ func checkCuts(stream []byte, chunk, maxBody int) error {
 	return nil
 }
 
-// TestSessionRecordCuts: the record cutter holds both of its limits, and
-// cut records land bit-identically. Over two ranks, a round streamed in
-// one-tuple chunks ships no frame of more than one tuple, and with a
-// 48-byte frame cap — below a sender's record to the other rank — records
-// split into frames within the cap.
+// TestSessionRecordCuts: the record cutter holds its frame body cap, and
+// cut records land bit-identically. Over two ranks, with a 48-byte frame
+// cap — below a sender's record to the other rank — records split into
+// frames within the cap.
 func TestSessionRecordCuts(t *testing.T) {
+	const maxBody = 48
 	want := multicastRound(nil, 0, nil)
-	for _, tc := range []struct {
-		name           string
-		chunk, maxBody int
-	}{
-		{"one-tuple chunks", 1, maxFrameLen},
-		{"48-byte frames", 0, 48},
-	} {
-		got, errs := make([]clusterView, 2), make([]error, 2)
-		runRanks(t, 2, func(s *Session) {
-			sp := &spyTransport{s: s, maxBody: tc.maxBody}
-			got[s.Rank()] = multicastRound(sp, tc.chunk, func() {
-				errs[s.Rank()] = checkCuts(sp.links[0].w[1-s.Rank()].buf, tc.chunk, tc.maxBody)
-			})
+	got, errs := make([]clusterView, 2), make([]error, 2)
+	runRanks(t, 2, func(s *Session) {
+		sp := &spyTransport{s: s, maxBody: maxBody}
+		got[s.Rank()] = multicastRound(sp, 0, func() {
+			errs[s.Rank()] = checkCuts(sp.links[0].w[1-s.Rank()].buf, maxBody)
 		})
-		for r := range got {
-			if errs[r] != nil {
-				t.Errorf("%s, rank %d: %v", tc.name, r, errs[r])
-			}
-			if d := got[r].diff(want); d != "" || got[r].owned() != 3 {
-				t.Errorf("%s, rank %d (%d servers owned):\n%s", tc.name, r, got[r].owned(), d)
-			}
+	})
+	for r := range got {
+		if errs[r] != nil {
+			t.Errorf("rank %d: %v", r, errs[r])
+		}
+		if d := got[r].diff(want); d != "" || got[r].owned() != 3 {
+			t.Errorf("rank %d (%d servers owned):\n%s", r, got[r].owned(), d)
 		}
 	}
 }

@@ -110,21 +110,23 @@ func WithContext(ctx context.Context) RunOption { return func(c *runConfig) { c.
 // injects nothing.
 func WithFaultInjection(p *FaultPlan) RunOption { return func(c *runConfig) { c.faults = p } }
 
-// WithStreaming toggles streaming execution (default off): rounds deliver
-// in bounded chunks instead of materializing every sender's whole batches
-// (each tuple staged once and landed once per target, the barrier round's
-// PeakBufferedBytes) — pipelined mid-emission flushes in-process,
-// chunk-capped frames over a distributed runtime. The Report is
-// bit-identical to a barrier run (same Fingerprint, same TotalBits, same
-// trace structure); only wall-clock and Report.PeakBufferedBytes change.
-// Composes with every strategy, both runtimes, fault injection, and
-// recovery.
+// WithStreaming toggles streaming execution (default off). In process,
+// rounds deliver in bounded chunks instead of materializing every sender's
+// whole batches (each tuple staged once and landed once per target, the
+// barrier round's PeakBufferedBytes): full chunks flush mid-emission. Over a
+// distributed runtime, streaming streams the sink's output, and rounds
+// travel as in a barrier run, cut into frames only at the frame body cap.
+// The Report is bit-identical to a barrier run (same Fingerprint, same
+// TotalBits, same trace structure); only wall-clock and
+// Report.PeakBufferedBytes change. Composes with every strategy, both
+// runtimes, fault injection, and recovery.
 func WithStreaming(on bool) RunOption { return func(c *runConfig) { c.streaming = on } }
 
 // WithStreamChunk sets the streaming chunk size in tuples (default:
-// engine.DefaultStreamChunk). Smaller chunks bound memory tighter and flush
-// more often; the result is identical for every positive size. Ignored
-// without WithStreaming / WithOutputSink.
+// engine.DefaultStreamChunk): of in-process rounds and of the sink's output
+// chunks, not of a distributed runtime's wire frames. Smaller chunks bound
+// memory tighter and flush more often; the result is identical for every
+// positive size. Ignored without WithStreaming / WithOutputSink.
 func WithStreamChunk(tuples int) RunOption { return func(c *runConfig) { c.streamChunk = tuples } }
 
 // WithOutputSink streams the query output into sink as row-major chunks
