@@ -1,7 +1,6 @@
 package mpcquery
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -71,48 +70,6 @@ func (sp *AggregateSpec) validate(q *Query) error {
 		seen[v] = true
 	}
 	return nil
-}
-
-// AggregateQuery is an aggregation over the output of a conjunctive join:
-// op (over variable Of, for AggSum/AggMin/AggMax) grouped by GroupBy. The
-// output relation holds one sorted tuple per group, (group key..., value);
-// a global aggregate (empty GroupBy) yields a single (value) tuple, or no
-// tuple when the join is empty.
-type AggregateQuery struct {
-	Join    *Query
-	Op      AggregateOp
-	Of      string   // aggregated variable; "" for AggCount
-	GroupBy []string // group-by variables; empty = global aggregate
-}
-
-// Spec returns the query's aggregate specification.
-func (aq AggregateQuery) Spec() AggregateSpec {
-	return AggregateSpec{Op: aq.Op, Of: aq.Of, GroupBy: aq.GroupBy}
-}
-
-// RunAggregate executes an aggregate query — shorthand for Run on the join
-// body with WithAggregate attached:
-//
-//	aq := mpcquery.AggregateQuery{Join: mpcquery.Star(2), Op: mpcquery.AggCount, GroupBy: []string{"z"}}
-//	rep, err := mpcquery.RunAggregate(aq, db, mpcquery.WithServers(64))
-//	// rep.Output: one (z, count) tuple per group, sorted by z
-//
-// Senders partially aggregate same-group tuples before the aggregate
-// shuffle by default; WithAggregatePushdown(false) disables it (for
-// measuring the savings — Report.AggregateBitsSaved and TotalBits change,
-// the final values never do).
-func RunAggregate(aq AggregateQuery, db *Database, opts ...RunOption) (*Report, error) {
-	return Run(aq.Join, db, append(append([]RunOption(nil), opts...),
-		WithAggregate(aq.Op, aq.Of, aq.GroupBy...))...)
-}
-
-// RunAggregate executes an aggregate query through the service, with the
-// same admission control, caching, and metrics as Run. Plan-cache entries
-// are shared with plain runs of the same join shape — planning is
-// aggregate-independent.
-func (s *Service) RunAggregate(ctx context.Context, aq AggregateQuery, db *Database, opts ...RunOption) (*Report, error) {
-	return s.Run(ctx, aq.Join, db, append(append([]RunOption(nil), opts...),
-		WithAggregate(aq.Op, aq.Of, aq.GroupBy...))...)
 }
 
 // aggregatePlan resolves the context's aggregate spec (nil when the run is

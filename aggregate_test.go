@@ -44,15 +44,15 @@ func TestAggregatePushdownValueIdentical(t *testing.T) {
 		{400, 16, aggFamilies(), 1},
 		{2000, 64, []Strategy{HyperCube()}, 2},
 	}
-	aq := AggregateQuery{Join: Star(2), Op: AggCount, GroupBy: []string{"z"}}
+	count := WithAggregate(AggCount, "", "z")
 	for _, tc := range cases {
 		db := highDuplicateStarDB(tc.m)
 		for _, s := range tc.strategies {
-			on, err := RunAggregate(aq, db, WithStrategy(s), WithServers(tc.p), WithSeed(3))
+			on, err := Run(Star(2), db, count, WithStrategy(s), WithServers(tc.p), WithSeed(3))
 			if err != nil {
 				t.Fatalf("%s pushdown: %v", s.Name(), err)
 			}
-			off, err := RunAggregate(aq, db, WithStrategy(s), WithServers(tc.p), WithSeed(3),
+			off, err := Run(Star(2), db, count, WithStrategy(s), WithServers(tc.p), WithSeed(3),
 				WithAggregatePushdown(false))
 			if err != nil {
 				t.Fatalf("%s no-pushdown: %v", s.Name(), err)
@@ -122,7 +122,7 @@ func TestAggregateGlobalAndOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Global count = join size.
-	rep, err := RunAggregate(AggregateQuery{Join: q, Op: AggCount}, db, WithServers(8), WithSeed(1))
+	rep, err := Run(q, db, WithAggregate(AggCount, ""), WithServers(8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +133,11 @@ func TestAggregateGlobalAndOps(t *testing.T) {
 		t.Fatalf("global count = %d, join has %d tuples", got, want)
 	}
 	// Min ≤ Max per group, same groups as count.
-	mn, err := RunAggregate(AggregateQuery{Join: q, Op: AggMin, Of: "x1", GroupBy: []string{"z"}}, db,
-		WithServers(8), WithSeed(1))
+	mn, err := Run(q, db, WithAggregate(AggMin, "x1", "z"), WithServers(8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx, err := RunAggregate(AggregateQuery{Join: q, Op: AggMax, Of: "x1", GroupBy: []string{"z"}}, db,
-		WithServers(8), WithSeed(1))
+	mx, err := Run(q, db, WithAggregate(AggMax, "x1", "z"), WithServers(8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +221,9 @@ func (plainJoinStrategy) Execute(ctx ExecContext) (*Report, error) {
 func TestAggregateServiceCachingBitIdentical(t *testing.T) {
 	q := Star(2)
 	db := highDuplicateStarDB(150)
-	aq := AggregateQuery{Join: q, Op: AggSum, Of: "x2", GroupBy: []string{"z"}}
+	sum := WithAggregate(AggSum, "x2", "z")
 
-	plain, err := RunAggregate(aq, db, WithServers(16), WithSeed(5))
+	plain, err := Run(q, db, sum, WithServers(16), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +234,7 @@ func TestAggregateServiceCachingBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		rep, err := svc.RunAggregate(context.Background(), aq, db, WithServers(16), WithSeed(5))
+		rep, err := svc.Run(context.Background(), q, db, sum, WithServers(16), WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +242,7 @@ func TestAggregateServiceCachingBitIdentical(t *testing.T) {
 			t.Fatalf("cached aggregate run %d diverged from the plain path", i)
 		}
 	}
-	if hits := svc.Stats().PlanCache.Hits; hits == 0 {
+	if hits := svc.Stats().Cache.Hits; hits == 0 {
 		t.Fatal("aggregate runs must hit the shape-keyed plan cache")
 	}
 }

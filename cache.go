@@ -7,27 +7,25 @@ import (
 	"mpcquery/internal/service"
 )
 
-// execCache carries a Service's plan and statistics caches into one Run
-// invocation, together with the key prefix that scopes every entry to
-// (query shape, database identity+version, per-atom sizes, server count).
-// A nil *execCache — the plain Run path — disables caching entirely.
+// execCache carries a Service's artifact cache into one run, together with
+// the key prefix that scopes every entry to (query shape, database
+// identity+version, per-atom sizes, server count). A nil *execCache — the
+// plain Run path — disables caching entirely.
 //
-// What may be cached under which cache is a semantic split, not a size one:
+// The cache holds two kinds of artifact under distinct key suffixes:
 //
-//   - the PLAN cache holds artifacts of planning — HyperCube share
-//     allocations (LP solutions), skew layouts (heavy-hitter blocks,
-//     pattern grids), multi-round plan trees, advisor option lists. These
-//     are free in the paper's model (servers know the statistics), so
-//     reusing them changes no Report field.
-//   - the STATS cache holds results of statistics *protocols* that cost
-//     genuine communication rounds (the sampling round of
-//     SkewedStarSampled). Reusing one skips the recomputation but the
-//     strategy must still charge its bits to the Report via
-//     skew.AddStatsCharges — cached, yet charged. Tests pin this down by
-//     asserting cached and uncached Reports are bit-identical.
+//   - artifacts of planning — HyperCube share allocations (LP solutions),
+//     skew layouts (heavy-hitter blocks, pattern grids), multi-round plan
+//     trees, advisor option lists. These are free in the paper's model
+//     (servers know the statistics), so reusing them changes no Report
+//     field.
+//   - results of statistics *protocols* that cost genuine communication
+//     rounds (the sampling round of SkewedStarSampled). Reusing one skips
+//     the recomputation but the strategy must still charge its bits to the
+//     Report via skew.AddStatsCharges — cached, yet charged. Tests pin this
+//     down by asserting cached and uncached Reports are bit-identical.
 type execCache struct {
-	plans *service.Cache
-	stats *service.Cache
+	cache *service.Cache
 
 	dbTag  string // "db<id>.v<version>" from the owning Service
 	prefix string // composed per Run; empty until composePrefix
@@ -60,23 +58,14 @@ func (ec *execCache) composePrefix(q *Query, db *Database, servers int) *execCac
 	return &cp
 }
 
-// cachedPlan returns the plan-cache entry for this run's prefix plus the
+// cached returns the cache entry for this run's prefix plus the
 // strategy-specific suffix, computing it on a miss. With caching off (or
 // outside a Service) it simply computes.
-func (ctx ExecContext) cachedPlan(suffix string, compute func() any) any {
+func (ctx ExecContext) cached(suffix string, compute func() any) any {
 	ec := ctx.cache
 	if ec == nil || ec.prefix == "" {
 		return compute()
 	}
-	return ec.plans.GetOrCompute(ec.prefix+"|"+suffix, compute)
-}
-
-// cachedStats is cachedPlan for the statistics cache: protocol results that
-// cost communication, cached for reuse but always re-charged by the caller.
-func (ctx ExecContext) cachedStats(suffix string, compute func() any) any {
-	ec := ctx.cache
-	if ec == nil || ec.prefix == "" {
-		return compute()
-	}
-	return ec.stats.GetOrCompute(ec.prefix+"|"+suffix, compute)
+	v, _ := ec.cache.Do(ec.prefix+"|"+suffix, compute)
+	return v
 }

@@ -106,11 +106,9 @@ type BenchFile struct {
 	UncachedLatencyP50Ns int64   `json:"uncached_latency_p50_ns"`
 	UncachedLatencyP99Ns int64   `json:"uncached_latency_p99_ns"`
 
-	PlanCacheHits    int64   `json:"plan_cache_hits"`
-	PlanCacheMisses  int64   `json:"plan_cache_misses"`
-	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"`
-	StatsCacheHits   int64   `json:"stats_cache_hits"`
-	StatsCacheMisses int64   `json:"stats_cache_misses"`
+	CacheHits    int64   `json:"cache_hits"`
+	CacheMisses  int64   `json:"cache_misses"`
+	CacheHitRate float64 `json:"cache_hit_rate"`
 
 	OverloadProbeSubmitted int   `json:"overload_probe_submitted"`
 	OverloadProbeShed      int64 `json:"overload_probe_shed"`
@@ -229,11 +227,9 @@ func main() {
 		UncachedLatencyP99Ns: unStats.LatencyP99.Nanoseconds(),
 		CachedLatencyP50Ns:   caStats.LatencyP50.Nanoseconds(),
 		CachedLatencyP99Ns:   caStats.LatencyP99.Nanoseconds(),
-		PlanCacheHits:        caStats.PlanCache.Hits,
-		PlanCacheMisses:      caStats.PlanCache.Misses,
-		PlanCacheHitRate:     caStats.PlanCache.HitRate(),
-		StatsCacheHits:       caStats.StatsCache.Hits,
-		StatsCacheMisses:     caStats.StatsCache.Misses,
+		CacheHits:            caStats.Cache.Hits,
+		CacheMisses:          caStats.Cache.Misses,
+		CacheHitRate:         caStats.Cache.HitRate(),
 	}
 
 	var skewUn, skewCa int64

@@ -124,12 +124,12 @@ func TestDegenerateAggregates(t *testing.T) {
 	for _, q := range []*Query{Star(2), Chain(3)} {
 		groupVar := q.Vars()[0]
 		aggVar := q.Vars()[len(q.Vars())-1]
-		specs := []AggregateQuery{
-			{Join: q, Op: AggCount, GroupBy: []string{groupVar}},
-			{Join: q, Op: AggCount},
-			{Join: q, Op: AggSum, Of: aggVar, GroupBy: []string{groupVar}},
-			{Join: q, Op: AggMin, Of: aggVar},
-			{Join: q, Op: AggMax, Of: aggVar, GroupBy: []string{groupVar}},
+		specs := []AggregateSpec{
+			{Op: AggCount, GroupBy: []string{groupVar}},
+			{Op: AggCount},
+			{Op: AggSum, Of: aggVar, GroupBy: []string{groupVar}},
+			{Op: AggMin, Of: aggVar},
+			{Op: AggMax, Of: aggVar, GroupBy: []string{groupVar}},
 		}
 		strategies := []Strategy{HyperCube(), GreedyPlan(0.5)}
 		if Chain(q.NumAtoms()).SameShape(q) {
@@ -141,7 +141,7 @@ func TestDegenerateAggregates(t *testing.T) {
 					for _, pushdown := range []bool{true, false} {
 						for _, servers := range []int{1, 16} {
 							label := fmt.Sprintf("%s/%s/%s/%v/p%d/push%t", q.Name, dbName, s.Name(), aq.Op, servers, pushdown)
-							rep, err := RunAggregate(aq, db, WithStrategy(s), WithServers(servers),
+							rep, err := Run(q, db, withSpec(aq), WithStrategy(s), WithServers(servers),
 								WithSeed(1), WithAggregatePushdown(pushdown))
 							if err != nil {
 								t.Errorf("%s: %v", label, err)
@@ -177,7 +177,7 @@ func TestDegenerateAllDuplicateCounts(t *testing.T) {
 	want := int64(30 * 30)
 	for _, servers := range []int{1, 16} {
 		for _, pushdown := range []bool{true, false} {
-			rep, err := RunAggregate(AggregateQuery{Join: q, Op: AggCount}, db,
+			rep, err := Run(q, db, WithAggregate(AggCount, ""),
 				WithServers(servers), WithSeed(2), WithAggregatePushdown(pushdown))
 			if err != nil {
 				t.Fatal(err)

@@ -23,17 +23,14 @@ func main() {
 	// Hot values 7 and 11 carry three quarters of both relations.
 	db := mpcquery.SkewedStarDatabase(rng, 2, m, 1<<16, map[int64]int{7: m / 2, 11: m / 4})
 
-	aq := mpcquery.AggregateQuery{
-		Join:    mpcquery.Star(2), // T2(z,x1,x2) :- S1(z,x1), S2(z,x2)
-		Op:      mpcquery.AggCount,
-		GroupBy: []string{"z"},
-	}
+	q := mpcquery.Star(2) // T2(z,x1,x2) :- S1(z,x1), S2(z,x2)
+	count := mpcquery.WithAggregate(mpcquery.AggCount, "", "z")
 
-	pushdown, err := mpcquery.RunAggregate(aq, db, mpcquery.WithServers(64))
+	pushdown, err := mpcquery.Run(q, db, mpcquery.WithServers(64), count)
 	if err != nil {
 		log.Fatal(err)
 	}
-	raw, err := mpcquery.RunAggregate(aq, db, mpcquery.WithServers(64),
+	raw, err := mpcquery.Run(q, db, mpcquery.WithServers(64), count,
 		mpcquery.WithAggregatePushdown(false))
 	if err != nil {
 		log.Fatal(err)

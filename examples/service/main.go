@@ -1,7 +1,7 @@
 // Serving concurrent workloads: a Service wraps the one-shot Run path in a
-// long-lived, concurrency-safe query service with a plan cache (HyperCube
-// shares, skew layouts, advisor choices keyed by Query.ShapeKey plus a
-// database fingerprint), a statistics cache (the sampling round's
+// long-lived, concurrency-safe query service with one cache, keyed by
+// Query.ShapeKey plus a database fingerprint, of plans (HyperCube shares,
+// skew layouts, advisor choices) and statistics (the sampling round's
 // heavy-hitter estimates — skipped on a hit but still charged to the
 // Report), and admission control (a bounded worker pool that sheds load
 // with ErrOverloaded instead of queueing without bound).
@@ -74,10 +74,8 @@ func main() {
 	st := svc.Stats()
 	fmt.Printf("served %d queries (%d shed), %d bit-identical mismatches\n",
 		st.Completed, st.Shed, mismatches)
-	fmt.Printf("plan cache: %d hits / %d misses (rate %.2f)\n",
-		st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.HitRate())
-	fmt.Printf("stats cache: %d hits / %d misses — sampling round executed once, charged %d times\n",
-		st.StatsCache.Hits, st.StatsCache.Misses, st.Completed)
+	fmt.Printf("cache (plans and statistics): %d hits / %d misses (rate %.2f) — sampling round executed once, charged %d times\n",
+		st.Cache.Hits, st.Cache.Misses, st.Cache.HitRate(), st.Completed)
 	fmt.Printf("latency p50 %v, p99 %v; total communication %.0f bits over the stream\n",
 		st.LatencyP50, st.LatencyP99, st.TotalBits)
 	fmt.Printf("every report still meters the stats round: rounds=%d (1 stats + %d data)\n",

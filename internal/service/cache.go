@@ -1,6 +1,8 @@
 package service
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,18 +25,23 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is a bounded, concurrency-safe, keyed artifact cache with
-// single-flight computation: concurrent callers asking for the same absent
-// key share one computation instead of racing to duplicate it (plan and
-// statistics preparation is exactly the work the service exists to
-// amortize, so computing it twice under a thundering herd would defeat the
-// point). Eviction is FIFO by insertion order — the artifacts cached here
-// are tiny next to the databases they describe, so recency tracking isn't
-// worth the bookkeeping.
+// Cache is the package's single-flight primitive plus a bounded FIFO of
+// completed values. Concurrent callers asking for the same absent key share
+// one computation instead of racing to duplicate it (plan and statistics
+// preparation is exactly the work the service exists to amortize, so
+// computing it twice under a thundering herd would defeat the point).
+// Completed values are kept up to the capacity and evicted oldest first —
+// the artifacts cached here are tiny next to the databases they describe,
+// so recency tracking isn't worth the bookkeeping.
+//
+// A Cache of capacity 0 keeps nothing: a key is forgotten as soon as its
+// computation returns, so it coalesces concurrent duplicates only — sound
+// even for work with effects that must happen at least once per burst
+// (metering a query's communication) but are wasteful to repeat within one.
 type Cache struct {
 	mu       sync.Mutex
-	entries  map[string]*cacheEntry
-	order    []string // insertion order, for FIFO eviction
+	entries  map[string]*cacheEntry // in flight, or completed and kept
+	order    []string               // kept keys in completion order, for FIFO eviction
 	capacity int
 
 	hits      atomic.Int64
@@ -48,21 +55,20 @@ type cacheEntry struct {
 	panicked any // non-nil when compute panicked; waiters re-panic with it
 }
 
-// NewCache returns a cache holding at most capacity entries (minimum 1).
+// NewCache returns a cache keeping at most capacity completed values; 0
+// (or less) keeps none.
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{entries: make(map[string]*cacheEntry), capacity: capacity}
+	return &Cache{entries: make(map[string]*cacheEntry), capacity: max(capacity, 0)}
 }
 
-// GetOrCompute returns the value cached under key, computing and storing it
-// with compute on a miss. Exactly one caller runs compute per absent key;
-// the others block until it finishes and share the result. A panicking
-// compute removes the entry (so a later call may retry) and re-panics in
-// the computing caller AND in every waiter, so all callers observe the same
-// failure instead of a nil value.
-func (c *Cache) GetOrCompute(key string, compute func() any) any {
+// Do returns the value for key, computing it with compute unless it is kept
+// or already being computed; shared reports that another caller's
+// computation produced it. Exactly one caller runs compute per absent key;
+// the others block until it finishes and share the result (read-only). A
+// panicking compute forgets the key (so a later call runs again) and
+// re-panics in the computing caller AND in every waiter, so all callers
+// observe the same failure instead of a nil value.
+func (c *Cache) Do(key string, compute func() any) (v any, shared bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -73,91 +79,68 @@ func (c *Cache) GetOrCompute(key string, compute func() any) any {
 			panic(e.panicked)
 		}
 		c.hits.Add(1)
-		return e.value
+		return e.value, true
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[key] = e
-	c.order = append(c.order, key)
-	c.evictLocked()
 	c.mu.Unlock()
 	c.misses.Add(1)
 
+	completed := false
 	defer func() {
-		if r := recover(); r != nil {
-			// compute panicked: drop the placeholder (map AND order, so the
-			// key cannot occupy two order slots after a retry), release the
-			// waiters with the panic value, and re-panic here.
-			e.panicked = r
-			c.mu.Lock()
-			if c.entries[key] == e {
+		if !completed {
+			e.panicked = recover()
+		}
+		// Keep the value, or forget the key — unless a purge already
+		// dropped it (a later caller may own the key by now).
+		c.mu.Lock()
+		if c.entries[key] == e {
+			if completed && c.capacity > 0 {
+				c.order = append(c.order, key)
+				c.evictLocked()
+			} else {
 				delete(c.entries, key)
-				c.removeFromOrderLocked(key)
 			}
-			c.mu.Unlock()
-			close(e.ready)
+		}
+		c.mu.Unlock()
+		close(e.ready)
+		if e.panicked != nil {
 			//lint:allow panicdiscipline re-panic of the recovered compute panic, already classified at its original site
-			panic(r)
+			panic(e.panicked)
 		}
 	}()
 	e.value = compute()
-	close(e.ready)
-	return e.value
+	completed = true
+	return e.value, false
 }
 
-// removeFromOrderLocked deletes the first occurrence of key from the FIFO
-// order slice (rare paths only: panic cleanup and targeted purges).
-func (c *Cache) removeFromOrderLocked(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// evictLocked drops oldest entries until within capacity. In-flight entries
-// may be evicted from the map (waiters already hold the entry pointer and
-// still get their value; the cache just forgets it early).
+// evictLocked drops the oldest kept values until within capacity. In-flight
+// entries are not in the order, so they are never evicted.
 func (c *Cache) evictLocked() {
-	for len(c.entries) > c.capacity && len(c.order) > 0 {
-		oldest := c.order[0]
+	for len(c.order) > c.capacity {
+		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
-		if _, ok := c.entries[oldest]; ok {
-			delete(c.entries, oldest)
-			c.evictions.Add(1)
-		}
+		c.evictions.Add(1)
 	}
-}
-
-// Len returns the current number of entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // PurgeMatching drops every entry whose key contains substr — used when a
 // database is invalidated: its old version tag makes the entries
 // unreachable anyway, but dropping them frees potentially large layouts
-// immediately instead of letting them squat in the FIFO until evicted.
+// immediately instead of letting them squat in the FIFO until evicted. An
+// in-flight computation of a purged key still answers its waiters, and its
+// value is not kept.
 func (c *Cache) PurgeMatching(substr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	kept := c.order[:0]
-	for _, k := range c.order {
-		if strings.Contains(k, substr) {
-			delete(c.entries, k)
-		} else {
-			kept = append(kept, k)
-		}
-	}
-	c.order = kept
+	maps.DeleteFunc(c.entries, func(k string, _ *cacheEntry) bool { return strings.Contains(k, substr) })
+	c.order = slices.DeleteFunc(c.order, func(k string) bool { return strings.Contains(k, substr) })
 }
 
-// Stats returns a snapshot of hit/miss/eviction counters.
+// Stats returns a snapshot of the counters; Entries counts kept values.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	n := len(c.entries)
+	n := len(c.order)
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),

@@ -1,7 +1,8 @@
 // Package service provides the concurrency substrate of the long-lived
 // query service: a bounded worker pool with queue-depth admission control
-// and load shedding, a keyed single-flight cache for plan and statistics
-// artifacts, and aggregate service metrics (throughput, latency
+// and load shedding, one keyed single-flight cache — for plan and
+// statistics artifacts, and, keeping nothing, for coalescing duplicate
+// requests — and aggregate service metrics (throughput, latency
 // percentiles, communication totals).
 //
 // The package is deliberately generic — it knows nothing about queries,

@@ -85,7 +85,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i] = c.GetOrCompute("k", func() any {
+			results[i], _ = c.Do("k", func() any {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
 				return 42
@@ -110,14 +110,14 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheEvictionFIFO(t *testing.T) {
 	c := NewCache(2)
-	c.GetOrCompute("a", func() any { return 1 })
-	c.GetOrCompute("b", func() any { return 2 })
-	c.GetOrCompute("c", func() any { return 3 }) // evicts "a"
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	c.Do("a", func() any { return 1 })
+	c.Do("b", func() any { return 2 })
+	c.Do("c", func() any { return 3 }) // evicts "a"
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 	recomputed := false
-	c.GetOrCompute("a", func() any { recomputed = true; return 1 })
+	c.Do("a", func() any { recomputed = true; return 1 })
 	if !recomputed {
 		t.Fatal("evicted key served from cache")
 	}
@@ -130,10 +130,10 @@ func TestCachePanicRetries(t *testing.T) {
 	c := NewCache(4)
 	func() {
 		defer func() { _ = recover() }()
-		c.GetOrCompute("k", func() any { panic("boom") })
+		c.Do("k", func() any { panic("boom") })
 		t.Fatal("panic did not propagate")
 	}()
-	got := c.GetOrCompute("k", func() any { return "ok" })
+	got, _ := c.Do("k", func() any { return "ok" })
 	if got != "ok" {
 		t.Fatalf("retry after panic returned %v", got)
 	}
@@ -141,20 +141,20 @@ func TestCachePanicRetries(t *testing.T) {
 
 func TestCachePurgeMatching(t *testing.T) {
 	c := NewCache(8)
-	c.GetOrCompute("q1|db1.v0|x", func() any { return 1 })
-	c.GetOrCompute("q1|db2.v0|x", func() any { return 2 })
-	c.GetOrCompute("q2|db1.v0|y", func() any { return 3 })
+	c.Do("q1|db1.v0|x", func() any { return 1 })
+	c.Do("q1|db2.v0|x", func() any { return 2 })
+	c.Do("q2|db1.v0|y", func() any { return 3 })
 	c.PurgeMatching("|db1.v0|")
-	if c.Len() != 1 {
-		t.Fatalf("len after PurgeMatching = %d, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("entries after PurgeMatching = %d, want 1", n)
 	}
 	kept := false
-	c.GetOrCompute("q1|db2.v0|x", func() any { kept = true; return 2 })
+	c.Do("q1|db2.v0|x", func() any { kept = true; return 2 })
 	if kept {
 		t.Fatal("PurgeMatching dropped an entry of another database")
 	}
 	recomputed := false
-	c.GetOrCompute("q1|db1.v0|x", func() any { recomputed = true; return 1 })
+	c.Do("q1|db1.v0|x", func() any { recomputed = true; return 1 })
 	if !recomputed {
 		t.Fatal("purged entry served from cache")
 	}
@@ -178,7 +178,7 @@ func TestCachePanicPropagatesToWaiters(t *testing.T) {
 					panics.Add(1)
 				}
 			}()
-			c.GetOrCompute("k", func() any {
+			c.Do("k", func() any {
 				if computes.Add(1) == 1 {
 					close(started)
 				}
@@ -201,13 +201,94 @@ func TestCachePanicPropagatesToWaiters(t *testing.T) {
 	// slot: with [a, k-retried, b] at capacity 2, eviction must drop a (the
 	// true oldest), not follow a stale front slot for k and evict the live
 	// retried entry.
-	c.GetOrCompute("a", func() any { return 1 })
-	c.GetOrCompute("k", func() any { return "ok" })
-	c.GetOrCompute("b", func() any { return 2 }) // exceeds capacity: evicts a
+	c.Do("a", func() any { return 1 })
+	c.Do("k", func() any { return "ok" })
+	c.Do("b", func() any { return 2 }) // exceeds capacity: evicts a
 	fromCache := true
-	c.GetOrCompute("k", func() any { fromCache = false; return "ok" })
+	c.Do("k", func() any { fromCache = false; return "ok" })
 	if !fromCache {
 		t.Fatal("retried entry was evicted via a stale FIFO slot left by the panic")
+	}
+}
+
+// TestCoalescedLeaderPanicReleasesWaiters: in a cache that keeps nothing
+// (request coalescing), a leader whose computation panics releases every
+// caller waiting on it with the same panic, and the key runs again. A
+// caller that arrives after the panic ran its own computation; the test
+// only bounds how long the callers may stay blocked.
+func TestCoalescedLeaderPanicReleasesWaiters(t *testing.T) {
+	c := NewCache(0)
+	started, release := make(chan struct{}), make(chan struct{})
+	const callers = 8
+	var panics, own atomic.Int64
+	var wg sync.WaitGroup
+	call := func(leader bool) {
+		defer wg.Done()
+		defer func() {
+			if r := recover(); r == "boom" {
+				panics.Add(1)
+			}
+		}()
+		c.Do("req", func() any {
+			if leader {
+				close(started)
+				<-release
+				panic("boom")
+			}
+			own.Add(1)
+			return "late"
+		})
+	}
+	wg.Add(1)
+	go call(true)
+	<-started
+	wg.Add(callers)
+	for i := 0; i < callers; i++ {
+		go call(false)
+	}
+	time.Sleep(20 * time.Millisecond) // let the callers pile up as waiters
+	close(release)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("callers still blocked 10s after the leader panicked")
+	}
+	if got := panics.Load() + own.Load(); got != callers+1 || panics.Load() < 1 {
+		t.Fatalf("%d callers saw the panic and %d computed, want %d in all, the leader panicking", panics.Load(), own.Load(), callers+1)
+	}
+	ran := false
+	if v, shared := c.Do("req", func() any { ran = true; return "again" }); !ran || shared || v != "again" {
+		t.Fatalf("after the panic the key returned %v (shared %t, ran %t), want a fresh run", v, shared, ran)
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("a cache of capacity 0 kept %d values", st.Entries)
+	}
+}
+
+// TestCoalescingKeepsNothing: a capacity-0 cache shares one computation
+// among concurrent callers only; once it returns, the next call runs again.
+func TestCoalescingKeepsNothing(t *testing.T) {
+	c := NewCache(0)
+	release := make(chan struct{})
+	var runs atomic.Int64
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Do("req", func() any { runs.Add(1); <-release; return 1 })
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if st := c.Stats(); st.Hits+st.Misses != 4 || st.Misses != runs.Load() || st.Entries != 0 {
+		t.Fatalf("stats %+v after 4 calls and %d runs", st, runs.Load())
+	}
+	if _, shared := c.Do("req", func() any { return 2 }); shared {
+		t.Fatal("a completed call was shared with a later caller")
 	}
 }
 

@@ -83,9 +83,14 @@ func (l *tcpLink) Close() error {
 	s.mu.Lock()
 	maps.DeleteFunc(s.rounds, func(k roundKey, _ *roundState) bool { return k.cluster == l.id })
 	// Late frames for a released cluster (a slow peer's resend tail) must
-	// not re-materialize its state; retire the identity until a future
-	// Attach (or a rewound replay) legitimately reuses it.
+	// not re-materialize its state; retire the identity until a rewound
+	// replay legitimately reuses it. Ids only grow, so the set keeps only
+	// the ids released ahead of an older cluster still attached.
 	s.retired[l.id] = true
+	for s.retired[s.released] {
+		delete(s.retired, s.released)
+		s.released++
+	}
 	s.mu.Unlock()
 	if l.recv != nil {
 		recvPool.Put(l.recv)

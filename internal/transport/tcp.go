@@ -345,7 +345,8 @@ type Session struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	rounds      map[roundKey]*roundState // received frames, by exchange
-	retired     map[uint32]bool
+	released    uint32                   // every cluster id below it is released
+	retired     map[uint32]bool          // released cluster ids at or above released
 	ctrl        map[uint64]*ctrlState
 	nextCluster uint32
 	epoch       int    // attempt epoch: bumped by Rewind, filters stale frames
@@ -504,7 +505,6 @@ func (s *Session) Attach(p, bitsPerValue int) (engine.Link, error) {
 	}
 	id := s.nextCluster
 	s.nextCluster++
-	delete(s.retired, id)
 	return newTCPLink(s, id, p, bitsPerValue), nil
 }
 
@@ -712,7 +712,7 @@ func (s *Session) ingest(peer int, f frame, connEpoch *int) error {
 			s.cond.Broadcast()
 		}
 	case frameRecord, frameRoundEnd:
-		if *connEpoch < s.epoch || s.retired[f.cluster] {
+		if *connEpoch < s.epoch || f.cluster < s.released || s.retired[f.cluster] {
 			return nil // stale frame of an abandoned attempt or closed cluster
 		}
 		rd := s.roundLocked(f.cluster, f.round)
@@ -988,6 +988,7 @@ func (s *Session) Rewind(m RunMark) error {
 	}
 	maps.DeleteFunc(s.rounds, func(k roundKey, _ *roundState) bool { return k.cluster >= m.cluster })
 	maps.DeleteFunc(s.retired, func(id uint32, _ bool) bool { return id >= m.cluster })
+	s.released = min(s.released, m.cluster)
 	s.nextCluster = m.cluster
 	s.epoch++
 	// Old barriers can never complete again; keep a small window for

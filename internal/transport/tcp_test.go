@@ -382,6 +382,45 @@ func TestAttachAfterClose(t *testing.T) {
 	}
 }
 
+// TestReleasedClustersStayBounded: two ranks run 200 one-round clusters,
+// each attached and released in turn. Afterwards the session remembers no
+// released id one by one, a late round-end of a released cluster re-creates
+// no round state, and a frame of a cluster not attached yet is still kept.
+func TestReleasedClustersStayBounded(t *testing.T) {
+	const clusters = 200
+	runRanks(t, 2, func(s *Session) {
+		for i := 0; i < clusters; i++ {
+			c := engine.NewClusterNet(s, 4, 8)
+			c.Seed(0, 0, []int64{int64(i)})
+			c.Round("one", func(sv int, in *engine.Inbox, em *engine.Emitter) {
+				em.EmitTuple((sv+1)%4, 0, []int64{int64(sv)})
+			})
+			c.Release()
+		}
+		s.mu.Lock()
+		retired, released, epoch := len(s.retired), s.released, s.epoch
+		s.mu.Unlock()
+		if retired != 0 || released != clusters {
+			t.Errorf("rank %d: %d retired ids kept, released below %d; want 0 and %d", s.Rank(), retired, released, clusters)
+		}
+		peer := 1 - s.Rank()
+		for _, id := range []uint32{0, clusters - 1, clusters} {
+			if err := s.ingest(peer, frame{typ: frameRoundEnd, cluster: id}, &epoch); err != nil {
+				t.Errorf("rank %d: ingest of cluster %d: %v", s.Rank(), id, err)
+			}
+		}
+		s.mu.Lock()
+		_, first := s.rounds[roundKey{0, 0}]
+		_, last := s.rounds[roundKey{clusters - 1, 0}]
+		_, next := s.rounds[roundKey{clusters, 0}]
+		s.mu.Unlock()
+		if first || last || !next {
+			t.Errorf("rank %d: round state after late frames: cluster 0 %t, %d %t, %d %t; want false, false, true",
+				s.Rank(), first, clusters-1, last, clusters, next)
+		}
+	})
+}
+
 // TestOwnedRange checks the block partition covers [0,p) exactly, in
 // order, for every rank count.
 func TestOwnedRange(t *testing.T) {

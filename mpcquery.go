@@ -24,11 +24,12 @@
 //     bounds (ChainRounds, RoundsUB, RoundBounds) and StarSkewLB;
 //   - planning: Advise enumerates the rounds/load tradeoff of Table 3;
 //   - serving: NewService wraps Run in a long-lived, concurrency-safe query
-//     service with plan and statistics caching (keyed by Query.ShapeKey and
-//     a database fingerprint), admission control (ErrOverloaded), and
-//     aggregate metrics — see Service and cmd/mpcload;
-//   - aggregation: AggregateQuery / RunAggregate / WithAggregate compute
-//     COUNT/SUM/MIN/MAX over a join with group-by, under every strategy
+//     service with one cache of plans and statistics (keyed by
+//     Query.ShapeKey and a database fingerprint), admission control
+//     (ErrOverloaded), and aggregate metrics — see Service and
+//     cmd/mpcload;
+//   - aggregation: WithAggregate computes COUNT/SUM/MIN/MAX over a join
+//     with group-by, under every strategy
 //     above, with pre-shuffle partial
 //     aggregation (senders combine same-group tuples before routing —
 //     WithAggregatePushdown, Report.AggregateBitsSaved).

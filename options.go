@@ -24,28 +24,26 @@ type runConfig struct {
 	roundBudget int
 	aggregate   *AggregateSpec // nil = plain join run
 	aggPushdown bool
-	cache       *execCache        // set by Service; nil for plain Run (no caching)
+	cache       *execCache        // set by Service.Run; nil = no caching
 	net         engine.Transport  // set by WithRuntime; nil = in-process delivery
 	trace       *obs.Trace        // set by WithTrace; nil = tracing off
 	ctx         context.Context   // set by WithContext; nil = unbounded
 	faults      *fault.Plan       // set by WithFaultInjection; nil = no injection
 	recovery    int               // set by WithRecovery; 0 = fail on first peer loss
 	streaming   bool              // set by WithStreaming; false = barrier rounds
-	streamChunk int               // set by WithStreamChunk; 0 = engine default
+	streamChunk int               // set by tests only; 0 = engine.DefaultStreamChunk
 	sink        engine.OutputSink // set by WithOutputSink; nil = materialize output
 }
 
-// withExecCache is the internal option a Service uses to hand Run its plan
-// and statistics caches. It is deliberately unexported: caching is only
-// sound under the Service's database-version bookkeeping.
-func withExecCache(ec *execCache) RunOption { return func(c *runConfig) { c.cache = ec } }
-
-func defaultConfig() runConfig {
-	return runConfig{
-		servers:     64,
-		seed:        1,
-		aggPushdown: true,
+// resolve applies opts, in order, over the defaults.
+func resolve(opts []RunOption) runConfig {
+	cfg := runConfig{servers: 64, seed: 1, aggPushdown: true}
+	for _, opt := range opts {
+		if opt != nil {
+			opt(&cfg)
+		}
 	}
+	return cfg
 }
 
 // WithServers sets the server budget p (default 64). Skew-aware strategies
@@ -121,13 +119,6 @@ func WithFaultInjection(p *FaultPlan) RunOption { return func(c *runConfig) { c.
 // Report.PeakBufferedBytes change. Composes with every strategy, both
 // runtimes, fault injection, and recovery.
 func WithStreaming(on bool) RunOption { return func(c *runConfig) { c.streaming = on } }
-
-// WithStreamChunk sets the streaming chunk size in tuples (default:
-// engine.DefaultStreamChunk): of in-process rounds and of the sink's output
-// chunks, not of a distributed runtime's wire frames. Smaller chunks bound
-// memory tighter and flush more often; the result is identical for every
-// positive size. Ignored without WithStreaming / WithOutputSink.
-func WithStreamChunk(tuples int) RunOption { return func(c *runConfig) { c.streamChunk = tuples } }
 
 // WithOutputSink streams the query output into sink as row-major chunks
 // instead of materializing it — the escape hatch for outputs larger than

@@ -149,17 +149,20 @@ func TestDifferentialOracleJoins(t *testing.T) {
 
 // oracleAggCases enumerates the aggregate specs checked per workload, using
 // the query's first variable as group key and its last as aggregated value.
-func oracleAggCases(q *Query) []AggregateQuery {
+func oracleAggCases(q *Query) []AggregateSpec {
 	vars := q.Vars()
 	g, v := vars[0], vars[len(vars)-1]
-	return []AggregateQuery{
-		{Join: q, Op: AggCount, GroupBy: []string{g}},
-		{Join: q, Op: AggCount}, // global count
-		{Join: q, Op: AggSum, Of: v, GroupBy: []string{g}},
-		{Join: q, Op: AggMin, Of: v, GroupBy: []string{g}},
-		{Join: q, Op: AggMax, Of: v, GroupBy: []string{g, v}}, // multi-column key
+	return []AggregateSpec{
+		{Op: AggCount, GroupBy: []string{g}},
+		{Op: AggCount}, // global count
+		{Op: AggSum, Of: v, GroupBy: []string{g}},
+		{Op: AggMin, Of: v, GroupBy: []string{g}},
+		{Op: AggMax, Of: v, GroupBy: []string{g, v}}, // multi-column key
 	}
 }
+
+// withSpec attaches sp with WithAggregate.
+func withSpec(sp AggregateSpec) RunOption { return WithAggregate(sp.Op, sp.Of, sp.GroupBy...) }
 
 func opName(op AggregateOp) string { return op.String() }
 
@@ -181,7 +184,7 @@ func TestDifferentialOracleAggregates(t *testing.T) {
 					want := oracle.Aggregate(w.q, db, opName(aq.Op), aq.Of, aq.GroupBy)
 					for _, s := range w.strategies {
 						for _, pushdown := range []bool{true, false} {
-							rep, err := RunAggregate(aq, db, WithStrategy(s), WithServers(p),
+							rep, err := Run(w.q, db, withSpec(aq), WithStrategy(s), WithServers(p),
 								WithSeed(seed), WithAggregatePushdown(pushdown))
 							if err != nil {
 								t.Fatalf("%s %v pushdown=%t: %v", s.Name(), aq.Op, pushdown, err)

@@ -210,7 +210,7 @@ func TestFragmentIDsNameIdenticalFragments(t *testing.T) {
 
 			for _, chunk := range []int{1, 7} {
 				l = watchFragments(t)
-				rep, err = sc.run(WithStreaming(true), WithStreamChunk(chunk))
+				rep, err = sc.run(WithStreaming(true), withStreamChunk(chunk))
 				if got := check(fmt.Sprintf("pipelined chunk=%d", chunk), l, wantFP, rep, err); got != shared {
 					t.Errorf("pipelined chunk=%d: %d shared presentations, barrier had %d", chunk, got, shared)
 				}

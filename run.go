@@ -60,13 +60,13 @@ func (e *StrategyError) Error() string {
 // GreedyPlan(ε) and Auto(); each also runs WithAggregate. The multi-round
 // plans run every node with SkewedGeneric's planner. Run never panics: any
 // panic escaping a strategy is converted into a *StrategyError.
-func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
+func Run(q *Query, db *Database, opts ...RunOption) (*Report, error) {
+	return run(q, db, resolve(opts))
+}
+
+// run is Run's executor over resolved options; the Service's pooled
+// execution calls it too.
+func run(q *Query, db *Database, cfg runConfig) (*Report, error) {
 	strategy := cfg.strategy
 	if strategy == nil {
 		strategy = HyperCube()

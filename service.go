@@ -30,15 +30,15 @@ var (
 // query service that amortizes planning and statistics work across a query
 // stream:
 //
-//   - a PLAN cache keyed by Query.ShapeKey() plus a database fingerprint
+//   - one cache, keyed by Query.ShapeKey() plus a database fingerprint,
 //     memoizes HyperCube share allocations (the LP solutions), skew-aware
 //     layouts (heavy-hitter blocks, pattern grids), multi-round plan trees,
-//     and the Auto advisor's option enumeration;
-//   - a STATISTICS cache memoizes results of statistics protocols that cost
-//     genuine communication (the sampling round of SkewedStarSampled).
-//     Cache hits skip the recomputation but every Report still charges the
-//     protocol's bits, so cached and uncached runs are bit-identical — the
-//     paper's cost model meters the algorithm, not the memoization;
+//     the Auto advisor's option enumeration, and the results of statistics
+//     protocols that cost genuine communication (the sampling round of
+//     SkewedStarSampled). A statistics hit skips the recomputation but every
+//     Report still charges the protocol's bits, so cached and uncached runs
+//     are bit-identical — the paper's cost model meters the algorithm, not
+//     the memoization;
 //   - admission control: a bounded worker pool with a queue-depth limit
 //     sheds load (ErrOverloaded) instead of building an unbounded backlog;
 //   - aggregate metrics: throughput, latency percentiles, total
@@ -53,11 +53,10 @@ var (
 type Service struct {
 	pool    *service.Pool
 	metrics *service.Metrics
-	plans   *service.Cache
-	stats   *service.Cache
+	cache   *service.Cache
 	cacheOn bool
 
-	flight     *service.Flight
+	flight     *service.Cache // keeps nothing: coalesces in-flight requests only
 	coalesceOn bool
 
 	breakerOn        bool // WithCircuitBreaker enabled
@@ -83,9 +82,9 @@ type Service struct {
 // re-registers it under a fresh id (a cache miss, never a stale hit).
 const maxTrackedDatabases = 1024
 
-// cacheCapacity bounds the entry count of each of the plan and statistics
-// caches.
-const cacheCapacity = 1024
+// cacheCapacity bounds the entry count of the artifact cache: room for
+// 1 024 plans and 1 024 statistics results.
+const cacheCapacity = 2 * 1024
 
 // dbEntry tracks the identity and version of a registered database; the
 // version is bumped by InvalidateDatabase so stale cache entries become
@@ -119,7 +118,7 @@ func WithServiceWorkers(n int) ServiceOption { return func(c *serviceConfig) { c
 // Requests beyond workers+queue are shed with ErrOverloaded.
 func WithServiceQueue(n int) ServiceOption { return func(c *serviceConfig) { c.queueDepth = n } }
 
-// WithCaching toggles the plan and statistics caches together (default
+// WithCaching toggles the artifact cache of plans and statistics (default
 // on). Off, every request plans and samples afresh — the Report is the same
 // either way.
 func WithCaching(on bool) ServiceOption { return func(c *serviceConfig) { c.caching = on } }
@@ -195,10 +194,9 @@ func NewService(opts ...ServiceOption) *Service {
 	s := &Service{
 		pool:       service.NewPool(cfg.workers, cfg.queueDepth),
 		metrics:    service.NewMetrics(),
-		plans:      service.NewCache(cacheCapacity),
-		stats:      service.NewCache(cacheCapacity),
+		cache:      service.NewCache(cacheCapacity),
 		cacheOn:    cfg.caching,
-		flight:     service.NewFlight(),
+		flight:     service.NewCache(0),
 		coalesceOn: cfg.coalescing,
 		dbs:        make(map[*Database]*dbEntry),
 	}
@@ -214,12 +212,9 @@ func NewService(opts ...ServiceOption) *Service {
 	reg.GaugeFunc("mpc_service_pool_workers", func() float64 { return float64(s.pool.Workers()) })
 	reg.GaugeFunc("mpc_service_pool_queue_depth", func() float64 { return float64(s.pool.QueueDepth()) })
 	reg.GaugeFunc("mpc_service_pool_queued", func() float64 { return float64(s.pool.Queued()) })
-	reg.GaugeFunc("mpc_service_plan_cache_hits", func() float64 { return float64(s.plans.Stats().Hits) })
-	reg.GaugeFunc("mpc_service_plan_cache_misses", func() float64 { return float64(s.plans.Stats().Misses) })
-	reg.GaugeFunc("mpc_service_plan_cache_entries", func() float64 { return float64(s.plans.Stats().Entries) })
-	reg.GaugeFunc("mpc_service_stats_cache_hits", func() float64 { return float64(s.stats.Stats().Hits) })
-	reg.GaugeFunc("mpc_service_stats_cache_misses", func() float64 { return float64(s.stats.Stats().Misses) })
-	reg.GaugeFunc("mpc_service_stats_cache_entries", func() float64 { return float64(s.stats.Stats().Entries) })
+	reg.GaugeFunc("mpc_service_cache_hits", func() float64 { return float64(s.cache.Stats().Hits) })
+	reg.GaugeFunc("mpc_service_cache_misses", func() float64 { return float64(s.cache.Stats().Misses) })
+	reg.GaugeFunc("mpc_service_cache_entries", func() float64 { return float64(s.cache.Stats().Entries) })
 	reg.GaugeFunc("mpc_service_coalesced_requests", func() float64 { return float64(s.flight.Stats().Hits) })
 	if s.breakerOn {
 		// Worst state across the guarded runtimes: 0 closed, 1 half-open,
@@ -265,9 +260,10 @@ func (s *Service) DebugAddr() string {
 	return s.debugLn.Addr().String()
 }
 
-// Run executes one query through the service: the request is admitted to
-// the bounded worker pool (or shed with ErrOverloaded), executed by Run
-// with the service's caches attached, and recorded in the aggregate
+// Run executes one query through the service: its options are resolved
+// once (a panicking option comes back as an error), the request is admitted
+// to the bounded worker pool (or shed with ErrOverloaded), executed by Run's
+// executor with the service's cache attached, and recorded in the aggregate
 // metrics. The returned Report is bit-identical to what a plain Run of the
 // same request would produce, whether or not any cache was hit.
 //
@@ -286,60 +282,63 @@ func (s *Service) Run(ctx context.Context, q *Query, db *Database, opts ...RunOp
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mpcquery: service request canceled: %w", err)
 	}
-	if s.coalesceOn {
-		// Resolve the options once to decide coalescing soundness and build
-		// the identity key. A request carrying a DistributedRuntime is never
-		// coalesced: in an SPMD group every rank must execute every run.
-		// Caller-supplied options may panic; contain that here just as the
-		// pooled execution path does, so the worker answer is an error.
-		cfg, perr := resolveOpts(opts)
-		if perr != nil {
-			s.metrics.RecordFailure(0)
-			return nil, perr
-		}
-		// A request carrying a trace, an output sink or a fault schedule must
-		// actually execute — a coalesced completion would leave the caller's
-		// trace empty or its sink starved, a plain request coalesced onto a
-		// sinked one would get no Output, and one coalesced onto a faulted
-		// one would get its injected error — so only plain requests coalesce.
-		if cfg.net == nil && cfg.trace == nil && cfg.sink == nil && cfg.faults == nil {
-			start := s.metrics.Now()
-			v, coalesced, err := s.flight.Do(s.requestKey(&cfg, q, db), func() (any, error) {
-				return s.execute(ctx, q, db, opts)
-			})
-			rep, _ := v.(*Report)
-			if coalesced {
-				// A coalesced completion is a served request — it counts
-				// toward throughput with its real wait latency — that moved
-				// no bits of its own.
-				if err != nil {
-					s.metrics.RecordFailure(s.metrics.Since(start))
-				} else {
-					s.metrics.RecordSuccess(s.metrics.Since(start), 0, 0, 0)
-				}
-			}
-			return rep, err
+	cfg, perr := resolveOpts(opts)
+	if perr != nil {
+		s.metrics.RecordFailure(0)
+		return nil, perr
+	}
+	cfg.cache = s.execCacheFor(db)
+	// The request deadline bounds the run: a distributed round waiting on a
+	// wedged peer fails with ctx's error instead of holding a worker for the
+	// full RoundTimeout. A request's own WithContext wins.
+	if cfg.ctx == nil {
+		cfg.ctx = ctx
+	}
+	// Only plain requests coalesce. In an SPMD group every rank must execute
+	// every run, so a request carrying a DistributedRuntime never does; nor
+	// does one carrying a trace, an output sink or a fault schedule — a
+	// coalesced completion would leave the caller's trace empty or its sink
+	// starved, a plain request coalesced onto a sinked one would get no
+	// Output, and one coalesced onto a faulted one would get its injected
+	// error.
+	if !s.coalesceOn || cfg.net != nil || cfg.trace != nil || cfg.sink != nil || cfg.faults != nil {
+		return s.execute(ctx, q, db, cfg)
+	}
+	start := s.metrics.Now()
+	v, coalesced := s.flight.Do(s.requestKey(&cfg, q, db), func() any {
+		rep, err := s.execute(ctx, q, db, cfg)
+		return outcome{rep, err}
+	})
+	out := v.(outcome)
+	if coalesced {
+		// A coalesced completion is a served request — it counts toward
+		// throughput with its real wait latency — that moved no bits of its
+		// own.
+		if out.err != nil {
+			s.metrics.RecordFailure(s.metrics.Since(start))
+		} else {
+			s.metrics.RecordSuccess(s.metrics.Since(start), 0, 0, 0)
 		}
 	}
-	return s.execute(ctx, q, db, opts)
+	return out.rep, out.err
+}
+
+// outcome is one executed request's answer.
+type outcome struct {
+	rep *Report
+	err error
 }
 
 // resolveOpts materializes a request's RunOptions into a runConfig,
-// containing any panic from a caller-supplied option (the same
-// containment the pooled execution path applies).
+// containing any panic from a caller-supplied option, so the caller gets
+// an error and the service a failure.
 func resolveOpts(opts []RunOption) (cfg runConfig, perr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			perr = fmt.Errorf("mpcquery: service request panicked: %v", r)
 		}
 	}()
-	cfg = defaultConfig()
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
-	return cfg, nil
+	return resolve(opts), nil
 }
 
 // breakerFor returns (creating on first use) the circuit breaker guarding
@@ -381,42 +380,20 @@ func (s *Service) breakerTrips() int64 {
 	return n
 }
 
-// execute admits one request to the pool and waits for its result or the
-// context, recording metrics either way.
-func (s *Service) execute(ctx context.Context, q *Query, db *Database, opts []RunOption) (*Report, error) {
-	type outcome struct {
-		rep *Report
-		err error
-	}
-	ec := s.execCacheFor(db)
-	runOpts := make([]RunOption, 0, len(opts)+3)
-	runOpts = append(runOpts, withExecCache(ec))
-	// Propagate the request deadline into the run: a distributed round
-	// waiting on a wedged peer fails with ctx's error instead of holding a
-	// worker for the full RoundTimeout. Prepended so a request's own
-	// WithContext (in opts) wins.
-	runOpts = append(runOpts, WithContext(ctx))
-	runOpts = append(runOpts, opts...)
-
+// execute admits one request to the pool, runs it with Run's executor and
+// waits for its result or the context, recording metrics either way.
+func (s *Service) execute(ctx context.Context, q *Query, db *Database, cfg runConfig) (*Report, error) {
 	// Circuit breaker: a request carrying a distributed runtime whose
-	// breaker is open is downgraded to the in-process runtime — appended
-	// last so it overrides the request's own WithRuntime — and its Report
+	// breaker is open is downgraded to the in-process runtime and its Report
 	// marked Degraded. Closed (or probing half-open) breakers let the
 	// request through and learn from its outcome.
 	var br *service.Breaker
 	degradedReq := false
-	if s.breakerOn {
-		cfg, perr := resolveOpts(runOpts)
-		if perr != nil {
-			s.metrics.RecordFailure(0)
-			return nil, perr
-		}
-		if cfg.net != nil {
-			br = s.breakerFor(cfg.net)
-			if !br.Allow() {
-				degradedReq = true
-				runOpts = append(runOpts, WithRuntime(nil))
-			}
+	if s.breakerOn && cfg.net != nil {
+		br = s.breakerFor(cfg.net)
+		if !br.Allow() {
+			degradedReq = true
+			cfg.net = nil
 		}
 	}
 
@@ -427,16 +404,16 @@ func (s *Service) execute(ctx context.Context, q *Query, db *Database, opts []Ru
 		if abandoned.Load() {
 			return // caller already gone; skip the work entirely
 		}
-		// Run converts strategy panics into *StrategyError, but a panic can
-		// fire before its recover boundary (e.g. a caller-supplied RunOption
-		// that panics). Contain it here so one bad request neither kills
-		// the worker nor leaves this caller blocked on ch forever.
+		// run converts strategy panics into *StrategyError, but a panic can
+		// fire before its recover boundary. Contain it here so one bad
+		// request neither kills the worker nor leaves this caller blocked on
+		// ch forever.
 		defer func() {
 			if r := recover(); r != nil {
 				ch <- outcome{nil, fmt.Errorf("mpcquery: service request panicked: %v", r)}
 			}
 		}()
-		rep, err := Run(q, db, runOpts...)
+		rep, err := run(q, db, cfg)
 		if br != nil && !degradedReq {
 			// A degraded run never touched the runtime, so it teaches the
 			// breaker nothing. Of runs that did, only peer unavailability is
@@ -485,7 +462,7 @@ func (s *Service) requestKey(cfg *runConfig, q *Query, db *Database) string {
 	if q != nil {
 		qs = q.Name + "|" + q.String()
 	}
-	// Per-atom tuple counts fingerprint growth, exactly as the plan cache's
+	// Per-atom tuple counts fingerprint growth, exactly as the cache's
 	// composePrefix does (deterministic order: the query's atoms, never a
 	// map walk).
 	sizes := ""
@@ -539,12 +516,12 @@ func (s *Service) execCacheFor(db *Database) *execCache {
 	if db == nil || !s.cacheOn {
 		return nil
 	}
-	return &execCache{plans: s.plans, stats: s.stats, dbTag: s.dbTag(db)}
+	return &execCache{cache: s.cache, dbTag: s.dbTag(db)}
 }
 
 // InvalidateDatabase declares that db's contents changed in place, bumping
 // its version so every cached plan and statistic derived from it becomes
-// unreachable, and purging the now-dead entries from both caches.
+// unreachable, and purging the now-dead entries from the cache.
 // Appending tuples to a relation is detected automatically (relation sizes
 // are part of every cache key); only in-place value edits need this call.
 func (s *Service) InvalidateDatabase(db *Database) {
@@ -565,8 +542,7 @@ func (s *Service) InvalidateDatabase(db *Database) {
 // embed the tag as a |-delimited field, so the substring match is exact.
 func (s *Service) purgeDB(e *dbEntry) {
 	tag := fmt.Sprintf("|db%d.v%d|", e.id, e.version)
-	s.plans.PurgeMatching(tag)
-	s.stats.PurgeMatching(tag)
+	s.cache.PurgeMatching(tag)
 }
 
 // ServiceCacheStats reports one cache's effectiveness (hits, misses,
@@ -597,8 +573,7 @@ type ServiceStats struct {
 	MaxLoadBits float64 // max Report.MaxLoadBits seen
 	TotalRounds int64   // Σ Report.Rounds
 
-	PlanCache  ServiceCacheStats
-	StatsCache ServiceCacheStats
+	Cache ServiceCacheStats // plans and statistics results
 
 	// Request coalescing (WithRequestCoalescing): completed requests served
 	// by another in-flight execution's result, and the fraction of all
@@ -623,7 +598,6 @@ type ServiceStats struct {
 // Stats returns the service's aggregate metrics.
 func (s *Service) Stats() ServiceStats {
 	sum := s.metrics.Snapshot()
-	pc, sc := s.plans.Stats(), s.stats.Stats()
 	fl := s.flight.Stats()
 	return ServiceStats{
 		Completed:    sum.Completed,
@@ -638,8 +612,7 @@ func (s *Service) Stats() ServiceStats {
 		TotalBits:    sum.TotalBits,
 		MaxLoadBits:  sum.MaxLoadBits,
 		TotalRounds:  sum.TotalRounds,
-		PlanCache:    pc,
-		StatsCache:   sc,
+		Cache:        s.cache.Stats(),
 		Coalesced:    fl.Hits,
 		CoalesceRate: fl.HitRate(),
 		Degraded:     s.degraded.Load(),

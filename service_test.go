@@ -74,7 +74,7 @@ func (c serviceCase) runOpts() []RunOption {
 // path, the warm (cached-plan / cached-stats) path, and with caching
 // disabled — must be bit-identical to the plain Run path. In particular the
 // sampled-statistics strategy must still charge the sampling round's bits
-// when the round itself was skipped on a stats-cache hit.
+// when the round itself was skipped on a cache hit.
 func TestServiceCachedReportsBitIdentical(t *testing.T) {
 	svc := NewService(WithServiceWorkers(2))
 	defer svc.Close()
@@ -97,9 +97,19 @@ func TestServiceCachedReportsBitIdentical(t *testing.T) {
 			if got := cold.Fingerprint(); got != want {
 				t.Errorf("cold service run differs from plain Run:\n got %s\nwant %s", got, want)
 			}
+			before := svc.Stats().Cache
 			warm, err := svc.Run(context.Background(), c.q, c.db, c.runOpts()...)
 			if err != nil {
 				t.Fatalf("service warm: %v", err)
+			}
+			after := svc.Stats().Cache
+			if after.Misses != before.Misses {
+				t.Errorf("warm pass missed the cache %d times", after.Misses-before.Misses)
+			}
+			// The sampled star caches its statistics and its plan in the
+			// one cache, under two keys.
+			if hits := after.Hits - before.Hits; c.name == "skewed-star-sampled" && hits != 2 {
+				t.Errorf("warm pass hit the cache %d times, want 2 (statistics and plan)", hits)
 			}
 			if got := warm.Fingerprint(); got != want {
 				t.Errorf("warm (cached) service run differs from plain Run:\n got %s\nwant %s", got, want)
@@ -114,14 +124,10 @@ func TestServiceCachedReportsBitIdentical(t *testing.T) {
 		})
 	}
 
-	st := svc.Stats()
-	if st.PlanCache.Hits == 0 {
-		t.Errorf("warm pass never hit the plan cache: %+v", st.PlanCache)
+	if st := svc.Stats(); st.Cache.Hits == 0 {
+		t.Errorf("warm pass never hit the cache: %+v", st.Cache)
 	}
-	if st.StatsCache.Hits == 0 {
-		t.Errorf("warm pass never hit the stats cache: %+v", st.StatsCache)
-	}
-	if off := svcOff.Stats(); off.PlanCache.Hits+off.PlanCache.Misses+off.StatsCache.Hits+off.StatsCache.Misses != 0 {
+	if off := svcOff.Stats(); off.Cache.Hits+off.Cache.Misses != 0 {
 		t.Errorf("caching-off service touched its caches: %+v", off)
 	}
 }
@@ -140,12 +146,12 @@ func TestServiceShapeRenamedQuerySharesCache(t *testing.T) {
 	if _, err := svc.Run(context.Background(), q1, db, WithServers(16)); err != nil {
 		t.Fatal(err)
 	}
-	misses := svc.Stats().PlanCache.Misses
+	misses := svc.Stats().Cache.Misses
 	rep2, err := svc.Run(context.Background(), q2, db, WithServers(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.Stats().PlanCache.Misses; got != misses {
+	if got := svc.Stats().Cache.Misses; got != misses {
 		t.Errorf("renamed same-shape query missed the plan cache (misses %d -> %d)", misses, got)
 	}
 	base, err := Run(q2, db, WithServers(16))
@@ -182,7 +188,7 @@ func TestServiceTriangleSharesGenericPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Stats().PlanCache; st.Misses != 1 || st.Hits != 1 {
+	if st := svc.Stats().Cache; st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("plan cache %+v, want 1 miss and 1 hit", st)
 	}
 	if !EqualRelations(tri.Output, gen.Output) || tri.MaxLoadBits != gen.MaxLoadBits {
@@ -208,12 +214,12 @@ func TestServiceStarSharesGenericPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := svc.RunAggregate(context.Background(), AggregateQuery{Join: q, Op: AggCount, GroupBy: []string{"z"}},
-		db, WithStrategy(SkewedGeneric()), WithServers(16))
+	agg, err := svc.Run(context.Background(), q, db, WithAggregate(AggCount, "", "z"),
+		WithStrategy(SkewedGeneric()), WithServers(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Stats().PlanCache; st.Misses != 1 || st.Hits != 1 {
+	if st := svc.Stats().Cache; st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("plan cache %+v, want 1 miss and 1 hit", st)
 	}
 	if agg.Rounds != plain.Rounds+1 || agg.RoundStats[0] != plain.RoundStats[0] {
@@ -252,7 +258,7 @@ func TestServiceMultiRoundPlanSharedAcrossSeeds(t *testing.T) {
 		if rep.Fingerprint() != base.Fingerprint() {
 			t.Errorf("seed %d: cached run differs from plain Run:\n got %s\nwant %s", seed, rep.Fingerprint(), base.Fingerprint())
 		}
-		got := svc.Stats().PlanCache.Misses
+		got := svc.Stats().Cache.Misses
 		if seed == 1 {
 			misses = got
 		} else if got != misses {
@@ -274,13 +280,13 @@ func TestServiceSizeChangeInvalidates(t *testing.T) {
 	if _, err := svc.Run(context.Background(), q, db, WithServers(8)); err != nil {
 		t.Fatal(err)
 	}
-	misses := svc.Stats().PlanCache.Misses
+	misses := svc.Stats().Cache.Misses
 	db.Get("S1").Append(1, 2) // grow a relation
 	rep, err := svc.Run(context.Background(), q, db, WithServers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.Stats().PlanCache.Misses; got <= misses {
+	if got := svc.Stats().Cache.Misses; got <= misses {
 		t.Errorf("grown database hit a stale plan (misses stayed %d)", misses)
 	}
 	base, _ := Run(q, db, WithServers(8))
@@ -462,8 +468,8 @@ func TestServiceMetrics(t *testing.T) {
 	if st.Throughput <= 0 || st.LatencyP50 <= 0 || st.LatencyMax < st.LatencyP50 {
 		t.Errorf("degenerate latency metrics: %+v", st)
 	}
-	if st.PlanCache.HitRate() <= 0 {
-		t.Errorf("plan cache never hit across %d identical queries: %+v", runs, st.PlanCache)
+	if st.Cache.HitRate() <= 0 {
+		t.Errorf("cache never hit across %d identical queries: %+v", runs, st.Cache)
 	}
 }
 

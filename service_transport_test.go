@@ -196,9 +196,9 @@ func TestServiceSinkRequestNeverCoalesces(t *testing.T) {
 // request never shares the execution of an otherwise identical request that
 // carries a fault schedule, streams, or streams in another chunk size: it
 // must not be served the faulted run's injected error or the streamed run's
-// PeakBufferedBytes. The leader is held in flight by an option that blocks
-// when the pooled execution resolves it — that resolution carries the
-// request context, the coalescing check before it does not.
+// PeakBufferedBytes. A sinked request holds the single worker inside its
+// sink while the leader and then the plain request queue behind it; a plain
+// request coalesced onto the leader would wait on it instead of queuing.
 func TestServiceFaultedOrStreamedRequestNeverCoalesces(t *testing.T) {
 	q := Triangle()
 	db := MatchingDatabase(rand.New(rand.NewSource(31)), q, 4000, 1<<12)
@@ -211,7 +211,7 @@ func TestServiceFaultedOrStreamedRequestNeverCoalesces(t *testing.T) {
 	}{
 		{"faults", []RunOption{WithFaultInjection(crash)}, nil},
 		{"streaming", []RunOption{WithStreaming(true)}, nil},
-		{"chunk", []RunOption{WithStreaming(true), WithStreamChunk(16)}, []RunOption{WithStreaming(true)}},
+		{"chunk", []RunOption{WithStreaming(true), withStreamChunk(16)}, []RunOption{WithStreaming(true)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plainOpts := append(append([]RunOption(nil), base...), tc.plain...)
@@ -219,52 +219,53 @@ func TestServiceFaultedOrStreamedRequestNeverCoalesces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			svc := NewService(WithServiceWorkers(2), WithServiceQueue(8))
+			svc := NewService(WithServiceWorkers(1), WithServiceQueue(8))
 			defer svc.Close()
 
-			entered, release := make(chan struct{}), make(chan struct{})
-			var once sync.Once
-			hold := func(c *runConfig) {
-				if c.ctx != nil {
-					once.Do(func() { close(entered); <-release })
+			sink := &gatedSink{entered: make(chan struct{}), release: make(chan struct{})}
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				svc.Run(context.Background(), q, db, append(append([]RunOption(nil), base...), WithOutputSink(sink))...)
+			}()
+			<-sink.entered
+			go func() {
+				defer wg.Done()
+				svc.Run(context.Background(), q, db, append(append([]RunOption(nil), base...), tc.leader...)...)
+			}()
+			queued := func(n int) bool {
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if svc.Stats().Queued == n {
+						return true
+					}
 				}
+				return false
 			}
-			leaderOpts := append(append(append([]RunOption(nil), base...), tc.leader...), hold)
-			leaderDone := make(chan struct{})
+			if !queued(1) {
+				t.Fatal("the leader never queued behind the sinked request")
+			}
+			var plain *Report
+			wg.Add(1)
 			go func() {
-				defer close(leaderDone)
-				svc.Run(context.Background(), q, db, leaderOpts...)
+				defer wg.Done()
+				plain, err = svc.Run(context.Background(), q, db, plainOpts...)
 			}()
-			<-entered
-
-			type result struct {
-				rep *Report
-				err error
+			if !queued(2) {
+				t.Error("the plain request did not queue: it waits on the leader's execution")
 			}
-			plainCh := make(chan result, 1)
-			go func() {
-				rep, err := svc.Run(context.Background(), q, db, plainOpts...)
-				plainCh <- result{rep, err}
-			}()
-			var plain result
-			select {
-			case plain = <-plainCh:
-				close(release)
-			case <-time.After(5 * time.Second):
-				close(release)
-				plain = <-plainCh
-			}
-			<-leaderDone
-			if plain.err != nil {
-				t.Fatalf("plain request was served the leader's outcome: %v", plain.err)
+			close(sink.release)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("plain request was served the leader's outcome: %v", err)
 			}
 			if n := svc.Stats().Coalesced; n != 0 {
 				t.Errorf("Coalesced = %d, want 0", n)
 			}
-			if got := plain.rep.PeakBufferedBytes; got != want.PeakBufferedBytes {
+			if got := plain.PeakBufferedBytes; got != want.PeakBufferedBytes {
 				t.Errorf("PeakBufferedBytes = %d, want %d (a plain Run's)", got, want.PeakBufferedBytes)
 			}
-			if plain.rep.Fingerprint() != want.Fingerprint() {
+			if plain.Fingerprint() != want.Fingerprint() {
 				t.Error("fingerprint differs from a plain Run's")
 			}
 		})

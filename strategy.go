@@ -30,9 +30,9 @@ type ExecContext struct {
 	Aggregate   *AggregateSpec
 	AggPushdown bool
 
-	// cache is the Service's plan/statistics cache handle; nil for plain
-	// Run. Built-in strategies consult it through cachedPlan/cachedStats;
-	// caching is transparent to external Strategy implementations.
+	// cache is the Service's artifact cache handle; nil for plain Run.
+	// Built-in strategies consult it through cached; caching is
+	// transparent to external Strategy implementations.
 	cache *execCache
 
 	// env is the execution environment every cluster is created against:
@@ -94,7 +94,7 @@ func (s hyperCubeStrategy) Name() string {
 func (hyperCubeStrategy) supportsAggregate() {}
 
 func (s hyperCubeStrategy) Execute(ctx ExecContext) (*Report, error) {
-	plan := ctx.cachedPlan(fmt.Sprintf("hc|m%d", s.mode), func() any {
+	plan := ctx.cached(fmt.Sprintf("hc|m%d", s.mode), func() any {
 		return core.PlanForDatabase(ctx.Query, ctx.DB, ctx.Servers, s.mode)
 	}).(*core.Plan)
 	rec := core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
@@ -171,7 +171,7 @@ func (s selfJoinStrategy) Execute(ctx ExecContext) (*Report, error) {
 		}
 	}
 	// HyperCube on the renamed query over renamed views of the relations.
-	// The plan cache is scoped to the request's query and database, not to
+	// The cache is scoped to the request's query and database, not to
 	// the view, so the plan is not cached.
 	ctx.Query, ctx.DB = core.SelfJoinView(s.name, s.atoms, ctx.DB)
 	ctx.cache = nil
@@ -211,15 +211,15 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		return nil, fmt.Errorf("mpcquery: %s needs a star query (every atom S_j(z, x_j...) sharing the first variable); got %s",
 			s.Name(), ctx.Query)
 	}
-	// The sampling protocol costs a genuine communication round; its result
-	// lives in the STATS cache and a hit skips the recomputation, but
-	// AddStatsCharges below always charges the round's bits to the Report —
-	// cached vs charged (see execCache).
-	st := ctx.cachedStats(fmt.Sprintf("star-stats|s%d|ss%d|c%g", ctx.Seed, s.sampleSize, ctx.LoadCapBits), func() any {
+	// The sampling protocol costs a genuine communication round; a cached
+	// result skips the recomputation, but AddStatsCharges below always
+	// charges the round's bits to the Report — cached vs charged (see
+	// execCache).
+	st := ctx.cached(fmt.Sprintf("star-stats|s%d|ss%d|c%g", ctx.Seed, s.sampleSize, ctx.LoadCapBits), func() any {
 		return skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers).
 			RunNet(ctx.Servers, s.sampleSize, ctx.Seed, ctx.LoadCapBits, ctx.env)
 	}).(*skew.StatsResult)
-	gp := ctx.cachedPlan(fmt.Sprintf("star-sampled|s%d|ss%d", ctx.Seed, s.sampleSize), func() any {
+	gp := ctx.cached(fmt.Sprintf("star-sampled|s%d|ss%d", ctx.Seed, s.sampleSize), func() any {
 		spec := skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers)
 		return skew.PrepareGenericFromStats(ctx.Query, ctx.DB, ctx.Servers, spec, st.PerAtom)
 	}).(*skew.GenericPlan)
@@ -300,7 +300,7 @@ func (s skewedGenericStrategy) Execute(ctx ExecContext) (*Report, error) {
 
 // runGeneric runs the generic pattern algorithm under its cached plan.
 func runGeneric(name string, ctx ExecContext) *Report {
-	gp := ctx.cachedPlan("generic", func() any {
+	gp := ctx.cached("generic", func() any {
 		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers)
 	}).(*skew.GenericPlan)
 	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
@@ -350,7 +350,7 @@ func (s multiRoundStrategy) Execute(ctx ExecContext) (*Report, error) {
 		}
 	}
 	planKey := fmt.Sprintf("mr|c%t|e%g", s.chain, s.eps)
-	plan := ctx.cachedPlan(planKey, func() any {
+	plan := ctx.cached(planKey, func() any {
 		if s.chain {
 			return multiround.ChainPlan(ctx.Query.NumAtoms(), s.eps)
 		}
@@ -368,7 +368,7 @@ func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps 
 	var memo multiround.Memo
 	if ctx.cache != nil {
 		memo = func(key string, compute func() any) any {
-			return ctx.cachedPlan(cacheKey+"|"+key, compute)
+			return ctx.cached(cacheKey+"|"+key, compute)
 		}
 	}
 	rec := multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), memo, ctx.env)
@@ -402,7 +402,7 @@ func (s autoStrategy) Execute(ctx ExecContext) (*Report, error) {
 	// The advisor's full option enumeration (two share LPs plus a greedy
 	// plan per ε-grid point) is shape+stats determined; memoize it and keep
 	// only the cheap budget-dependent Best pick per request.
-	opts := ctx.cachedPlan("advice", func() any {
+	opts := ctx.cached("advice", func() any {
 		return advisor.AdviseDatabase(ctx.Query, ctx.DB, ctx.Servers)
 	}).([]advisor.Option)
 	best, ok := advisor.Best(opts, ctx.RoundBudget)

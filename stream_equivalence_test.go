@@ -8,6 +8,11 @@ import (
 	"mpcquery/internal/transport"
 )
 
+// withStreamChunk sets the chunk size in tuples of in-process streamed
+// rounds and of the sink's output chunks (0 = engine.DefaultStreamChunk);
+// the Report is identical for every size. Only tests vary it.
+func withStreamChunk(tuples int) RunOption { return func(c *runConfig) { c.streamChunk = tuples } }
+
 // streamChunkSweep is the chunk-size grid the streaming differential tests
 // sweep: degenerate one-tuple chunks, a small prime that never divides the
 // workload evenly, 0 (the engine default), and a chunk larger than any
@@ -36,7 +41,7 @@ func TestStreamingMatchesBarrier(t *testing.T) {
 
 			for _, chunk := range streamChunkSweep {
 				tr := NewTrace()
-				rep, err := sc.run(WithStreaming(true), WithStreamChunk(chunk), WithTrace(tr))
+				rep, err := sc.run(WithStreaming(true), withStreamChunk(chunk), WithTrace(tr))
 				if err != nil {
 					t.Fatalf("chunk=%d: %v", chunk, err)
 				}
@@ -100,7 +105,7 @@ func TestStreamingDistributedMatchesInProcess(t *testing.T) {
 						return
 					}
 					defer rt.Close()
-					rep, err := sc.run(WithRuntime(rt), WithStreaming(true), WithStreamChunk(7))
+					rep, err := sc.run(WithRuntime(rt), WithStreaming(true), withStreamChunk(7))
 					if err != nil {
 						errs[r] = err
 						return
@@ -159,7 +164,7 @@ func TestStreamingPeakMemoryRegression(t *testing.T) {
 				t.Fatal(err)
 			}
 			streamed, err := Run(q, db(), WithStrategy(HyperCube()), WithServers(16), WithSeed(7),
-				WithStreaming(true), WithStreamChunk(tc.chunk))
+				WithStreaming(true), withStreamChunk(tc.chunk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +238,7 @@ func TestStreamingOutputSink(t *testing.T) {
 			}
 			streamSink := &DigestSink{}
 			repB, err := Run(q, db(), append(base,
-				WithOutputSink(streamSink), WithStreaming(true), WithStreamChunk(tc.chunk))...)
+				WithOutputSink(streamSink), WithStreaming(true), withStreamChunk(tc.chunk))...)
 			if err != nil {
 				t.Fatal(err)
 			}

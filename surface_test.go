@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"mpcquery/internal/analysis"
 )
 
 // TestStrategyEntryPointSurface freezes the exported Run*/Execute*/Detect*
@@ -90,7 +92,7 @@ func TestOptionSurface(t *testing.T) {
 		"WithLoadCap", "WithOutputSink", "WithRecovery",
 		"WithRequestCoalescing", "WithRoundBudget", "WithRoundTimeout", "WithRuntime",
 		"WithSeed", "WithServers", "WithServiceQueue", "WithServiceWorkers",
-		"WithStrategy", "WithStreamChunk", "WithStreaming", "WithTrace",
+		"WithStrategy", "WithStreaming", "WithTrace",
 		"WithWriteRetries",
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nonTest, parser.SkipObjectResolution)
@@ -213,6 +215,8 @@ var idleExportAllowlist = map[string]string{
 	// Referenced by tests only: accessors and references the tests assert
 	// through.
 	"internal/aggregate.FoldTable.Len":            "aggregate tests count groups without finalizing",
+	"internal/aggregate.Semiring.Identity":        "the semiring law tests check the identity element",
+	"internal/aggregate.Semiring.Name":            "the semiring law tests name the failing semiring",
 	"internal/core.SequentialAnswerWithSelfJoins": "oracle of the self-join tests",
 	"internal/data.Relation.IsView":               "zero-copy view tests",
 	"internal/engine.Inbox.NumBatches":            "engine tests compare batch layout across delivery paths",
@@ -223,11 +227,13 @@ var idleExportAllowlist = map[string]string{
 	"internal/localjoin.EvaluateOrdered":          "join-order ablation benchmark and its error test",
 	"internal/localjoin/baseline.Evaluate":        "per-server order reference of the kernel equivalence tests",
 	"internal/multiround.EpsPlan.Verify":          "multiround tests check plans against Definition 5.5",
+	"internal/obs.ClusterTrace.Rounds":            "tracer tests read a cluster's observed rounds",
 	"internal/obs.Histogram.Min":                  "registry tests",
 	"internal/obs.Trace.Structure":                "trace determinism tests",
 	"internal/packing.VertexCover":                "packing tests check τ* against the dual LP",
-	"internal/service.Cache.Len":                  "cache eviction and purge tests",
+	"internal/skew.GenericPlan.HeavyHitters":      "generic-plan tests count the planned heavy values",
 	"internal/skew.GenericPlan.NumPatterns":       "generic-plan tests",
+	"internal/skew.GenericPlan.ServersUsed":       "generic-plan tests bound the layout's servers",
 
 	// Fixtures that tests in several packages share: moving them into
 	// _test.go files would duplicate them, not remove them.
@@ -244,101 +250,60 @@ var idleExportAllowlist = map[string]string{
 // TestNoIdleInternalExports keeps internal/ free of exported functions and
 // methods nothing runs. Go's internal rule means only this repository can
 // call them, so one whose only callers are _test.go files is dead code.
-// Every exported function or method declared in a non-test file under
-// internal/ (analysistest, the analyzers' test harness, aside) must be named
-// by a non-test file somewhere in the repository, benchmark/ included, or
-// appear in idleExportAllowlist with its reason. Functions match by package
-// and name; methods match by name — any selector, or an interface method,
-// of that name. *ForTest hooks exist for tests and are exempt. An
-// allowlisted name that gains a caller or disappears must leave the list.
+// Every exported function, method and interface method declared in a
+// non-test file under internal/ (analysistest, the analyzers' test harness,
+// aside) must be referenced by a non-test file somewhere in the repository,
+// benchmark/ included, or appear in idleExportAllowlist with its reason.
+// References are resolved by the type checker, so a selector of the same
+// name on another type does not count. A method also counts as used when it
+// implements an interface method that a non-test file references, or that
+// an interface declared in a non-test file holds (the interface method is
+// then checked itself), or fmt.Stringer or error, which the standard library
+// calls. *ForTest hooks exist for tests and are exempt. An allowlisted name
+// that gains a caller or disappears must leave the list.
 func TestNoIdleInternalExports(t *testing.T) {
-	refs := map[string]bool{}    // "mpcquery/<dir>.Func" and ".Method"
-	decls := map[string]string{} // "<dir>.Func" or "<dir>.Type.Method" -> its refs key
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		pkg := "mpcquery"
-		if dir != "." {
-			pkg += "/" + dir
-		}
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					refs[imports[x.Name]+"."+n.Sel.Name] = true
-					return false
-				}
-				refs["."+n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				refs[pkg+"."+n.Name] = true
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						refs["."+name.Name] = true
-					}
-				}
-			}
-			return true
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				ast.Inspect(decl, visit)
-				continue
-			}
-			if fd.Recv != nil {
-				ast.Inspect(fd.Recv, visit)
-			}
-			ast.Inspect(fd.Type, visit)
-			if fd.Body != nil {
-				ast.Inspect(fd.Body, visit)
-			}
-			if !strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "internal/analysis/analysistest") ||
-				!fd.Name.IsExported() || strings.HasSuffix(fd.Name.Name, "ForTest") {
-				continue
-			}
-			key, ref := dir+"."+fd.Name.Name, pkg+"."+fd.Name.Name
-			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				key, ref = dir+"."+types.ExprString(recv)+"."+fd.Name.Name, "."+fd.Name.Name
-			}
-			decls[key] = ref
-		}
-		return nil
-	})
+	pkgs, err := analysis.LoadPackages(".", "./...")
 	if err != nil {
 		t.Fatal(err)
+	}
+	bench, err := analysis.LoadPackages("benchmark", ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{} // funcKey of every referenced function and method
+	// Interfaces by method name: referenced or declared interface methods,
+	// and the two the standard library calls.
+	str := types.NewFunc(token.NoPos, nil, "String", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false))
+	ifaces := map[string][]*types.Interface{
+		"String": {types.NewInterfaceType([]*types.Func{str}, nil).Complete()},
+		"Error":  {types.Universe.Lookup("error").Type().Underlying().(*types.Interface)},
+	}
+	addIface := func(fn *types.Func) {
+		if iface, ok := recvType(fn).Underlying().(*types.Interface); ok {
+			ifaces[fn.Name()] = append(ifaces[fn.Name()], iface)
+		}
+	}
+	decls := map[string]*types.Func{} // "<dir>.Func" or "<dir>.Type.Method"
+	for _, p := range append(pkgs, bench...) {
+		for _, obj := range p.TypesInfo.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[funcKey(fn)] = true
+				addIface(fn)
+			}
+		}
+		dir := strings.TrimPrefix(p.ImportPath, "mpcquery/")
+		internal := strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "internal/analysis/analysistest")
+		for _, obj := range p.TypesInfo.Defs {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			addIface(fn)
+			if internal && fn.Exported() && !strings.HasSuffix(fn.Name(), "ForTest") {
+				decls[strings.TrimPrefix(funcKey(fn), "mpcquery/")] = fn
+			}
+		}
 	}
 	keys := make([]string, 0, len(decls))
 	for key := range decls {
@@ -347,10 +312,10 @@ func TestNoIdleInternalExports(t *testing.T) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		_, allowed := idleExportAllowlist[key]
-		switch used := refs[decls[key]]; {
-		case !used && !allowed:
+		switch isUsed := used[funcKey(decls[key])] || implementsAny(decls[key], ifaces[decls[key].Name()]); {
+		case !isUsed && !allowed:
 			t.Errorf("%s is exported but only tests call it: delete it, or add it to idleExportAllowlist with a reason", key)
-		case used && allowed:
+		case isUsed && allowed:
 			t.Errorf("%s has a non-test caller now: remove it from idleExportAllowlist", key)
 		}
 	}
@@ -359,4 +324,72 @@ func TestNoIdleInternalExports(t *testing.T) {
 			t.Errorf("idleExportAllowlist names %s, which no longer exists: remove the entry", key)
 		}
 	}
+}
+
+// recvType is the receiver's type of a method, pointer removed, or nil for
+// a function.
+func recvType(fn *types.Func) types.Type {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return types.Typ[types.Invalid]
+	}
+	if p, ok := recv.Type().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv.Type()
+}
+
+// funcKey names a function "<import path>.Func" and a method
+// "<import path>.Type.Method", the same in every type-checking universe.
+func funcKey(fn *types.Func) string {
+	key := "."
+	if fn.Pkg() != nil { // nil for error.Error
+		key = fn.Pkg().Path() + key
+	}
+	if named, ok := types.Unalias(recvType(fn)).(*types.Named); ok {
+		key += named.Origin().Obj().Name() + "."
+	}
+	return key + fn.Name()
+}
+
+// implementsAny reports whether fn is a concrete method of a type that
+// implements one of ifaces. Method sets are compared by name and by the
+// text of the parameter and result types, since the two loads give one
+// package two identities.
+func implementsAny(fn *types.Func, ifaces []*types.Interface) bool {
+	if fn.Type().(*types.Signature).Recv() == nil || types.IsInterface(recvType(fn)) {
+		return false
+	}
+	have := map[string]string{}
+	ms := types.NewMethodSet(types.NewPointer(recvType(fn)))
+	for i := range ms.Len() {
+		m := ms.At(i).Obj()
+		have[m.Name()] = sigText(m.Type().(*types.Signature))
+	}
+	for _, iface := range ifaces {
+		all := true
+		for i := range iface.NumMethods() {
+			m := iface.Method(i)
+			all = all && have[m.Name()] == sigText(m.Type().(*types.Signature))
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// sigText renders a signature's parameter and result types, names left out.
+func sigText(sig *types.Signature) string {
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := range tuple.Len() {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), nil) + ",")
+		}
+		b.WriteString("->")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }

@@ -244,7 +244,7 @@ func TestChaosMatrixStreaming(t *testing.T) {
 						}
 						defer rt.Close()
 						rep, err := sc.run(WithRuntime(rt),
-							WithStreaming(true), WithStreamChunk(5),
+							WithStreaming(true), withStreamChunk(5),
 							WithFaultInjection(k.plan()),
 							WithRecovery(k.recovery))
 						if err != nil {

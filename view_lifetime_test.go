@@ -70,10 +70,10 @@ func TestViewLifetimeGivesGoldenFingerprints(t *testing.T) {
 		inPlace      bool // the barrier in-process HyperCube grids replicate: views must occur
 	}{
 		{"chain-plan", "chain-plan", nil, false},
-		{"chain-plan/streamed", "chain-plan", []RunOption{WithStreaming(true), WithStreamChunk(3)}, false},
+		{"chain-plan/streamed", "chain-plan", []RunOption{WithStreaming(true), withStreamChunk(3)}, false},
 		{"chain-plan-agg-count", "chain-plan-agg-count", nil, false},
 		{"hypercube", "hypercube", nil, true},
-		{"hypercube/streamed", "hypercube", []RunOption{WithStreaming(true), WithStreamChunk(3)}, false},
+		{"hypercube/streamed", "hypercube", []RunOption{WithStreaming(true), withStreamChunk(3)}, false},
 		{"hypercube-agg-count", "hypercube-agg-count", nil, false},
 		{"hypercube-shares", "hypercube-shares", nil, true},
 		{"skewed-triangle", "skewed-triangle", nil, true},
@@ -106,7 +106,7 @@ func TestViewLifetimeGivesGoldenFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := scenarios["hypercube"].run(WithOutputSink(streamed), WithStreaming(true), WithStreamChunk(3))
+		b, err := scenarios["hypercube"].run(WithOutputSink(streamed), WithStreaming(true), withStreamChunk(3))
 		if err != nil {
 			t.Fatal(err)
 		}
