@@ -21,7 +21,6 @@ package aggregate
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -66,10 +65,6 @@ func (op Op) Valid() bool { return op >= Count && op <= Max }
 // partial aggregation may fold tuples in any grouping and any order —
 // pushdown and no-pushdown runs produce bit-identical final values.
 type Semiring interface {
-	// Name returns the operator name ("count", "sum", ...).
-	Name() string
-	// Identity returns the ⊕-identity (0 for count/sum, +∞/−∞ for min/max).
-	Identity() int64
 	// Combine folds two annotations.
 	Combine(a, b int64) int64
 	// Repeat is the n-fold ⊕, a ⊕ a ⊕ … ⊕ a of n ≥ 1 copies of a: what n
@@ -79,17 +74,13 @@ type Semiring interface {
 	Repeat(a, n int64) int64
 }
 
-type sumSemiring struct{ name string }
+type sumSemiring struct{}
 
-func (s sumSemiring) Name() string           { return s.name }
-func (sumSemiring) Identity() int64          { return 0 }
 func (sumSemiring) Combine(a, b int64) int64 { return a + b }
 func (sumSemiring) Repeat(a, n int64) int64  { return a * n }
 
 type minSemiring struct{}
 
-func (minSemiring) Name() string            { return "min" }
-func (minSemiring) Identity() int64         { return math.MaxInt64 }
 func (minSemiring) Repeat(a, _ int64) int64 { return a }
 func (minSemiring) Combine(a, b int64) int64 {
 	if b < a {
@@ -100,8 +91,6 @@ func (minSemiring) Combine(a, b int64) int64 {
 
 type maxSemiring struct{}
 
-func (maxSemiring) Name() string            { return "max" }
-func (maxSemiring) Identity() int64         { return math.MinInt64 }
 func (maxSemiring) Repeat(a, _ int64) int64 { return a }
 func (maxSemiring) Combine(a, b int64) int64 {
 	if b > a {
@@ -113,10 +102,8 @@ func (maxSemiring) Combine(a, b int64) int64 {
 // ForOp returns the semiring of one operator.
 func ForOp(op Op) Semiring {
 	switch op {
-	case Count:
-		return sumSemiring{name: "count"}
-	case Sum:
-		return sumSemiring{name: "sum"}
+	case Count, Sum:
+		return sumSemiring{}
 	case Min:
 		return minSemiring{}
 	case Max:

@@ -1,8 +1,9 @@
 // Package bounds evaluates the paper's closed-form lower and upper bounds:
-// the one-round load bounds of Section 3, the skewed bounds of Section 4,
-// and the multi-round round-count bounds of Section 5. These are the
-// "paper-predicted" columns that the experiment harness compares against
-// measured loads.
+// the AGM output bound of Section 2.4, the one-round load and output
+// bounds of Section 3, the skewed bounds of Section 4, and the multi-round
+// round-count bounds of Section 5. These are the "paper-predicted" fields
+// of the experiment harness's rows, which its tests compare against
+// measured loads, answer counts and rounds.
 package bounds
 
 import (
@@ -29,6 +30,20 @@ func ExpectedOutput(q *query.Query, m []float64, n float64) float64 {
 		logOut += math.Log(mj)
 	}
 	return math.Exp(logOut)
+}
+
+// AGMBound returns the Atserias–Grohe–Marx output-size bound, Friedgut's
+// inequality with 0/1 weights (Section 2.4):
+//
+//	|q(I)| ≤ Π_j |S_j|^{u_j}   for any fractional edge cover u.
+func AGMBound(sizes []float64, u []float64) float64 {
+	logB := 0.0
+	for j, uj := range u {
+		if uj > 0 {
+			logB += uj * math.Log(sizes[j])
+		}
+	}
+	return math.Exp(logB)
 }
 
 // AnswerFractionUB returns the strongest Theorem 3.5 bound on the fraction

@@ -2,8 +2,11 @@ package bounds
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"mpcquery/internal/data"
+	"mpcquery/internal/localjoin"
 	"mpcquery/internal/query"
 )
 
@@ -199,9 +202,6 @@ func TestChainRounds(t *testing.T) {
 	if got := ChainRounds(5, 0); got != 3 {
 		t.Errorf("L5 ε=0: rounds=%d want 3", got)
 	}
-	if got := ChainRoundsLB(16, 0.5); got != 2 {
-		t.Errorf("LB should equal UB for chains")
-	}
 }
 
 // TestCycleRounds checks Example 5.19: at ε=0, C6 has LB 3 and UB 3;
@@ -256,20 +256,27 @@ func TestCeilFloorLog(t *testing.T) {
 	}
 }
 
-func TestCCRoundsLBGrows(t *testing.T) {
-	prev := -1
-	grew := false
-	for _, p := range []int{1 << 10, 1 << 20, 1 << 30, 1 << 40} {
-		lb := ConnectedComponentsRoundsLB(p, 2)
-		if lb < prev {
-			t.Errorf("CC LB not monotone: %d then %d", prev, lb)
+// TestAGMBound checks that the Friedgut-derived output bound dominates the
+// actual join size on random instances (the Section 2.4 corollary).
+func TestAGMBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	q := query.Triangle()
+	for trial := 0; trial < 20; trial++ {
+		rels := make(map[string]*data.Relation)
+		sizes := make([]float64, 3)
+		for j, a := range q.Atoms {
+			rel := data.NewRelation(a.Name, 2)
+			m := 1 + rng.Intn(40)
+			for i := 0; i < m; i++ {
+				rel.Append(int64(rng.Intn(6)), int64(rng.Intn(6)))
+			}
+			rels[a.Name] = rel.Canonical() // set semantics for the bound
+			sizes[j] = float64(rels[a.Name].NumTuples())
 		}
-		if lb > prev && prev >= 0 {
-			grew = true
+		out := localjoin.Evaluate(q, rels).Canonical()
+		bound := AGMBound(sizes, []float64{0.5, 0.5, 0.5})
+		if float64(out.NumTuples()) > bound+1e-9 {
+			t.Fatalf("AGM violated: |out|=%d bound=%v sizes=%v", out.NumTuples(), bound, sizes)
 		}
-		prev = lb
-	}
-	if !grew {
-		t.Error("CC LB should grow with p (Ω(log p))")
 	}
 }

@@ -1,8 +1,6 @@
 package bounds
 
 import (
-	"math"
-
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
@@ -66,11 +64,6 @@ func ChainRounds(k int, eps float64) int {
 	return CeilLog(ke, k)
 }
 
-// ChainRoundsLB returns the Corollary 5.15 lower bound ⌈log_kε k⌉ on the
-// number of rounds of any tuple-based MPC algorithm for L_k with load
-// O(M/p^{1−ε}). It coincides with ChainRounds (the bound is tight).
-func ChainRoundsLB(k int, eps float64) int { return ChainRounds(k, eps) }
-
 // TreeLikeRoundsLB returns the Corollary 5.17 lower bound
 // ⌈log_kε diam(q)⌉ for a tree-like query q.
 func TreeLikeRoundsLB(q *query.Query, eps float64) int {
@@ -107,25 +100,4 @@ func CycleRoundsLB(k int, eps float64) int {
 		return 1
 	}
 	return FloorLogRatio(ke, k, me+1) + 2
-}
-
-// ConnectedComponentsRoundsLB returns the Theorem 5.20 round lower bound
-// shape for computing connected components with load O(m/p^{1−ε}),
-// ε = 1−1/t: the construction reduces from L_k with k = ⌊p^δ⌋,
-// δ = 1/(2t(t+2)), yielding Ω(log p) rounds. We return the asymptotic form
-// ⌈δ·log p / log kε⌉ with the additive constants of the reduction dropped
-// (the theorem is an Ω-bound; the constants make the exact expression
-// vacuous at laptop-scale p).
-func ConnectedComponentsRoundsLB(p int, t int) int {
-	if t < 2 {
-		panic("bounds: ConnectedComponentsRoundsLB requires t >= 2")
-	}
-	eps := 1 - 1/float64(t)
-	delta := 1 / float64(2*t*(t+2))
-	ke := float64(KEpsilon(eps))
-	lb := int(math.Ceil(delta * math.Log(float64(p)) / math.Log(ke)))
-	if lb < 0 {
-		lb = 0
-	}
-	return lb
 }

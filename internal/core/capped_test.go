@@ -76,18 +76,3 @@ func TestCappedAtLowerBoundFindsMost(t *testing.T) {
 		t.Errorf("cap at 2×actual load should lose nothing: fraction=%v", res.Fraction)
 	}
 }
-
-func TestInputServerModelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	q := query.Triangle()
-	db := data.MatchingDatabase(rng, q, 2000, 1<<20)
-	pl := PlanForDatabase(q, db, 64, SkewFree)
-	a := RunPlan(pl, db, 9)
-	b := RunPlanInputServers(pl, db, 9)
-	if a.MaxLoadBits() != b.MaxLoadBits() {
-		t.Errorf("loads differ: partitioned %v vs input-server %v", a.MaxLoadBits(), b.MaxLoadBits())
-	}
-	if !data.Equal(a.Output, b.Output) {
-		t.Error("outputs differ between input models")
-	}
-}

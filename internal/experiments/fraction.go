@@ -10,18 +10,20 @@ import (
 	"mpcquery/internal/query"
 )
 
+// AnswerFractionRow is one server count of E13.
+type AnswerFractionRow struct {
+	P       int
+	Found   float64 // fraction of the answers found under the cap 3M/p
+	UB      float64 // the Theorem 3.5 fraction bound at that cap
+	AtLower float64 // fraction found under the cap 8·L_lower
+}
+
 // AnswerFraction regenerates the Theorem 3.5/3.7 prediction: a one-round
-// algorithm for C3 whose load is capped at c·M/p (space exponent 0, below
+// algorithm for C3 whose load is capped at 3M/p (space exponent 0, below
 // the required 1/3) reports a vanishing fraction of the answers as p
 // grows, while a cap proportional to L_lower = M/p^{2/3} retains them all.
-func AnswerFraction(cfg Config) *Table {
-	t := &Table{
-		ID:    "E13",
-		Ref:   "Theorems 3.5/3.7",
-		Title: "answer fraction under a load cap (the lower bound, observed)",
-		Columns: []string{"p", "cap", "fraction found", "Thm 3.5 fraction UB",
-			"fraction at cap ∝ L_lower"},
-	}
+// The relations are dense over a small domain, so C3 has many answers.
+func AnswerFraction(cfg Config) []AnswerFractionRow {
 	q := query.Triangle()
 	m := cfg.scale(4000, 1200)
 	n := int64(cfg.scale(256, 128))
@@ -36,19 +38,17 @@ func AnswerFraction(cfg Config) *Table {
 	}
 	stats := core.StatsBits(q, db)
 	M := stats[0]
+	var out []AnswerFractionRow
 	for _, p := range []int{8, 64, 512, 4096} {
 		pl := core.PlanForDatabase(q, db, p, core.SkewFree)
 		capBits := 3 * M / float64(p)
-		capped := core.RunPlanCapped(pl, db, cfg.Seed, capBits)
-		ub := bounds.AnswerFractionUB(q, stats, float64(p), capBits)
-		atLower := core.RunPlanCapped(pl, db, cfg.Seed, 8*packingLower(q, stats, float64(p)))
-		t.Add(p, "3M/p", capped.Fraction, ub, atLower.Fraction)
+		lower, _ := packing.LLower(q, stats, float64(p))
+		out = append(out, AnswerFractionRow{
+			P:       p,
+			Found:   core.RunPlanCapped(pl, db, cfg.Seed, capBits).Fraction,
+			UB:      bounds.AnswerFractionUB(q, stats, float64(p), capBits),
+			AtLower: core.RunPlanCapped(pl, db, cfg.Seed, 8*lower).Fraction,
+		})
 	}
-	t.Note("m=%d over domain %d (dense, so C3 has many answers); the sub-L_lower cap loses progressively more of the output while a small constant times L_lower keeps ≈1", m, n)
-	return t
-}
-
-func packingLower(q *query.Query, stats []float64, p float64) float64 {
-	l, _ := packing.LLower(q, stats, p)
-	return l
+	return out
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -12,21 +11,40 @@ import (
 	"mpcquery/internal/query"
 )
 
+// answerSamples is the number of fresh matching databases E1 averages the
+// answer count over, to compare with the Lemma 3.6 expectation.
+const answerSamples = 20
+
+// ShareExponentRow is one query of E1, measured on a matching database.
+type ShareExponentRow struct {
+	Query     string
+	Exponents []float64 // share exponents of the LP optimum
+	TauStar   float64
+	EpsLB     float64 // the space-exponent lower bound 1 − 1/τ*
+	Predicted float64 // M/p^{1/τ*} bits
+	Measured  float64 // max load bits, input partitioned over the servers
+	// InputServer is the max load bits of the same plan and seed under the
+	// input-server model of Section 2.1 (relation S_j starts on server j).
+	InputServer float64
+	Answers     int     // |q(I)|
+	AGM         float64 // the AGM bound Π_j m_j^{u_j} at a ρ* edge cover u
+	Expected    float64 // Lemma 3.6: E[|q(I)|] over matching databases
+	MeanAnswers float64 // mean |q(I)| over answerSamples fresh databases
+	AnswersSE   float64 // the standard error of MeanAnswers
+}
+
 // Table2ShareExponents regenerates Table 2 (share exponents, τ*, and the
 // space-exponent lower bound for C_k, T_k, L_k, B_{k,m}) and validates each
-// row by running the HyperCube algorithm on matching data: the measured
-// load must track M/p^{1/τ*} within a small constant.
-func Table2ShareExponents(cfg Config) *Table {
-	t := &Table{
-		ID:    "E1",
-		Ref:   "Table 2",
-		Title: "share exponents, τ*, and space-exponent lower bound (equal sizes)",
-		Columns: []string{"query", "share exponents", "τ*", "ε lower bound",
-			"predicted L (bits)", "measured L (bits)", "measured/predicted"},
-	}
+// row by running the HyperCube algorithm on matching data (p = 64): the
+// measured load must track M/p^{1/τ*} within a small constant, both input
+// models must load the servers alike, and the answer count must respect
+// the AGM bound and, averaged over fresh databases, Lemma 3.6.
+func Table2ShareExponents(cfg Config) []ShareExponentRow {
 	p := 64
 	m := cfg.scale(4000, 600)
+	n := int64(8 * m)
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	var out []ShareExponentRow
 	for _, q := range []*query.Query{
 		query.Cycle(3), query.Cycle(4), query.Cycle(5), query.Cycle(6),
 		query.Star(2), query.Star(3),
@@ -34,44 +52,58 @@ func Table2ShareExponents(cfg Config) *Table {
 		query.Binom(3, 2), query.Binom(4, 3),
 	} {
 		tau, _ := packing.TauStar(q)
-		db := data.MatchingDatabase(rng, q, m, int64(8*m))
+		_, cover := packing.RhoStar(q)
+		db := data.MatchingDatabase(rng, q, m, n)
 		stats := core.StatsBits(q, db)
-		sh := packing.ShareExponents(q, stats, float64(p))
-		predicted := stats[0] / math.Pow(float64(p), 1/tau)
-		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
-		t.Add(q.Name, expString(sh.Exponents), tau, bounds.SpaceExponentLB(q),
-			predicted, res.MaxLoadBits(), res.MaxLoadBits()/predicted)
+		pl := core.PlanForDatabase(q, db, p, core.SkewFree)
+		res := core.RunPlan(pl, db, cfg.Seed)
+		sizes := make([]float64, q.NumAtoms())
+		for j := range sizes {
+			sizes[j] = float64(m)
+		}
+		var sum, sumSq float64
+		for i := 0; i < answerSamples; i++ {
+			c := float64(core.SequentialAnswer(q, data.MatchingDatabase(rng, q, m, n)).NumTuples())
+			sum += c
+			sumSq += c * c
+		}
+		mean := sum / answerSamples
+		variance := (sumSq - answerSamples*mean*mean) / (answerSamples - 1)
+		out = append(out, ShareExponentRow{
+			Query:       q.Name,
+			Exponents:   packing.ShareExponents(q, stats, float64(p)).Exponents,
+			TauStar:     tau,
+			EpsLB:       bounds.SpaceExponentLB(q),
+			Predicted:   stats[0] / math.Pow(float64(p), 1/tau),
+			Measured:    res.MaxLoadBits(),
+			InputServer: core.RunPlanInputServers(pl, db, cfg.Seed).MaxLoadBits(),
+			Answers:     res.Output.NumTuples(),
+			AGM:         bounds.AGMBound(sizes, cover),
+			Expected:    bounds.ExpectedOutput(q, sizes, float64(n)),
+			MeanAnswers: mean,
+			AnswersSE:   math.Sqrt(math.Max(variance, 0) / answerSamples),
+		})
 	}
-	t.Note("p=%d, m=%d tuples per relation; measured load is bits received in the single shuffle round", p, m)
-	return t
+	return out
 }
 
-func expString(e []float64) string {
-	s := "("
-	for i, v := range e {
-		if i > 0 {
-			s += ","
-		}
-		s += fmt.Sprintf("%.2f", v)
-	}
-	return s + ")"
+// CrossoverRow is one server count of E3.
+type CrossoverRow struct {
+	P         int
+	Packing   []float64 // the packing vertex u* attaining L_lower
+	Speedup   float64   // the speedup exponent at p
+	Predicted float64   // L_lower bits
+	Measured  float64   // max load bits
 }
 
 // TriangleUnequalSizes regenerates Example 3.17 and Lemma 3.18: with
-// M1 < M2 = M3, the optimal packing vertex switches from a unit vector
-// (linear speedup, small relation broadcast) to (1/2,1/2,1/2) as p crosses
-// M/M1, and the measured HyperCube load follows.
-func TriangleUnequalSizes(cfg Config) *Table {
-	t := &Table{
-		ID:    "E3",
-		Ref:   "Example 3.17 / Lemma 3.18",
-		Title: "triangle with unequal sizes: packing crossover at p = M/M1",
-		Columns: []string{"p", "best packing u*", "speedup exponent",
-			"predicted L (bits)", "measured L (bits)", "measured/predicted"},
-	}
+// M1 = M2/16 = M3/16, the optimal packing vertex switches from a unit
+// vector (linear speedup, small relation broadcast) to (1/2,1/2,1/2) as p
+// crosses M/M1 = 16, and the measured HyperCube load follows.
+func TriangleUnequalSizes(cfg Config) []CrossoverRow {
 	q := query.Triangle()
 	m1 := cfg.scale(500, 120)
-	m := 16 * m1 // crossover at p = M/M1 = 16
+	m := 16 * m1
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	n := int64(8 * m)
 	db := data.NewDatabase(n)
@@ -79,76 +111,68 @@ func TriangleUnequalSizes(cfg Config) *Table {
 	db.Add(data.RandomMatching(rng, "S2", 2, m, n))
 	db.Add(data.RandomMatching(rng, "S3", 2, m, n))
 	stats := core.StatsBits(q, db)
+	var out []CrossoverRow
 	for _, p := range []int{4, 8, 16, 64, 256} {
 		lower, u := packing.LLower(q, stats, float64(p))
-		se := packing.SpeedupExponent(q, stats, float64(p))
-		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
-		t.Add(p, packString(u), se, lower, res.MaxLoadBits(), res.MaxLoadBits()/lower)
+		out = append(out, CrossoverRow{
+			P:         p,
+			Packing:   u,
+			Speedup:   packing.SpeedupExponent(q, stats, float64(p)),
+			Predicted: lower,
+			Measured:  core.Run(q, db, p, cfg.Seed, core.SkewFree).MaxLoadBits(),
+		})
 	}
-	t.Note("M1 = M/16: for p ≤ 16 the unit-vector packing wins (broadcast S1, linear speedup); beyond, (1/2,1/2,1/2) with p^{2/3} speedup")
-	return t
+	return out
 }
 
-func packString(u []float64) string {
-	s := "("
-	for i, v := range u {
-		if i > 0 {
-			s += ","
-		}
-		s += trimFloat(v)
-	}
-	return s + ")"
-}
-
-func trimFloat(v float64) string {
-	if v == math.Trunc(v) {
-		return fmt.Sprintf("%d", int(v))
-	}
-	return fmt.Sprintf("%.2g", v)
+// ReplicationRow is one server count of E4.
+type ReplicationRow struct {
+	P           int
+	Measured    float64 // max load bits L
+	Replication float64 // measured replication rate r
+	Shape       float64 // sqrt(M/L), the bound's shape without constants
+	LB          float64 // the Corollary 3.19 bound with its constants
 }
 
 // ReplicationRate regenerates Corollary 3.19 / Example 3.20: the measured
 // replication rate of the HyperCube algorithm on C3 against the
-// Ω(sqrt(M/L)) lower-bound shape.
-func ReplicationRate(cfg Config) *Table {
-	t := &Table{
-		ID:    "E4",
-		Ref:   "Corollary 3.19 / Example 3.20",
-		Title: "replication rate vs load for the triangle query",
-		Columns: []string{"p", "measured L (bits)", "measured r",
-			"shape sqrt(M/L)", "bound with constants", "r/shape"},
-	}
+// Ω(sqrt(M/L)) lower-bound shape. The HyperCube rate ≈ p^{1/3} meets the
+// shape: r/shape stays Θ(1) as p grows.
+func ReplicationRate(cfg Config) []ReplicationRow {
 	q := query.Triangle()
 	m := cfg.scale(4000, 600)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	db := data.MatchingDatabase(rng, q, m, int64(8*m))
 	stats := core.StatsBits(q, db)
+	var out []ReplicationRow
 	for _, p := range []int{8, 27, 64, 216} {
 		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
 		L := res.MaxLoadBits()
-		shape := bounds.ReplicationRateShape(q, stats[0], L)
-		lb := bounds.ReplicationRateLB(q, stats, L)
-		t.Add(p, L, res.ReplicationRate(), shape, lb, res.ReplicationRate()/shape)
+		out = append(out, ReplicationRow{
+			P:           p,
+			Measured:    L,
+			Replication: res.ReplicationRate(),
+			Shape:       bounds.ReplicationRateShape(q, stats[0], L),
+			LB:          bounds.ReplicationRateLB(q, stats, L),
+		})
 	}
-	t.Note("the HyperCube replication rate ≈ p^{1/3} meets the sqrt(M/L) shape: r/shape stays Θ(1) as p grows")
-	return t
+	return out
+}
+
+// LowerUpperRow is the single row of E12.
+type LowerUpperRow struct {
+	Trials     int
+	MaxGap     float64 // max |log L_lower − log L_upper|
+	WorstQuery string
 }
 
 // LowerEqualsUpper regenerates Theorem 3.15 numerically: over random
 // queries and statistics, max_u L(u,M,p) over packing vertices equals the
-// share-LP optimum p^λ.
-func LowerEqualsUpper(cfg Config) *Table {
-	t := &Table{
-		ID:      "E12",
-		Ref:     "Theorem 3.15",
-		Title:   "L_lower = L_upper over random queries and statistics",
-		Columns: []string{"trials", "max |log L_lower − log L_upper|", "worst query"},
-	}
-	trials := cfg.scale(300, 60)
+// share-LP optimum p^λ. Gaps at the 1e-9 level are LP solver tolerance.
+func LowerEqualsUpper(cfg Config) []LowerUpperRow {
+	row := LowerUpperRow{Trials: cfg.scale(300, 60)}
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
-	worstGap := 0.0
-	worstQuery := ""
-	for i := 0; i < trials; i++ {
+	for i := 0; i < row.Trials; i++ {
 		q := randomConnectedQuery(rng)
 		p := math.Pow(2, float64(2+rng.Intn(8)))
 		M := make([]float64, q.NumAtoms())
@@ -157,15 +181,12 @@ func LowerEqualsUpper(cfg Config) *Table {
 		}
 		lower, _ := packing.LLower(q, M, p)
 		upper := packing.ShareExponents(q, M, p).Load()
-		gap := math.Abs(math.Log(lower) - math.Log(upper))
-		if gap > worstGap {
-			worstGap = gap
-			worstQuery = q.String()
+		if gap := math.Abs(math.Log(lower) - math.Log(upper)); gap > row.MaxGap {
+			row.MaxGap = gap
+			row.WorstQuery = q.String()
 		}
 	}
-	t.Add(trials, worstGap, worstQuery)
-	t.Note("gaps at the 1e-9 level are LP solver tolerance; the theorem predicts exact equality")
-	return t
+	return []LowerUpperRow{row}
 }
 
 func randomConnectedQuery(r *rand.Rand) *query.Query {
@@ -175,7 +196,7 @@ func randomConnectedQuery(r *rand.Rand) *query.Query {
 	for j := 0; j < l; j++ {
 		a := r.Intn(k)
 		if j > 0 {
-			a = r.Intn(minInt(k, j+1))
+			a = r.Intn(min(k, j+1))
 		}
 		b := r.Intn(k)
 		atoms = append(atoms, query.Atom{
@@ -184,11 +205,4 @@ func randomConnectedQuery(r *rand.Rand) *query.Query {
 		})
 	}
 	return query.New("rand", atoms...)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

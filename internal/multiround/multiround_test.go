@@ -179,7 +179,7 @@ func TestChainEpsPlanMatchesLemma(t *testing.T) {
 		if err := plan.Verify(); err != nil {
 			t.Errorf("L%d ε=%v: %v", tt.k, tt.eps, err)
 		}
-		want := bounds.ChainRoundsLB(tt.k, tt.eps)
+		want := bounds.ChainRounds(tt.k, tt.eps)
 		if got := plan.RoundsLB(); got != want {
 			t.Errorf("L%d ε=%v: plan LB %d want %d", tt.k, tt.eps, got, want)
 		}
@@ -219,6 +219,46 @@ func TestUpperMeetsLower(t *testing.T) {
 			lb := ChainEpsPlan(k, eps).RoundsLB()
 			if ub != lb {
 				t.Errorf("L%d ε=%v: UB %d != LB %d", k, eps, ub, lb)
+			}
+		}
+	}
+}
+
+// TestRoundBoundCells pins GreedyPlan's rounds and the Lemma 5.18 lower
+// bound on C_k and L_k, k = 3…10, ε ∈ {0, 1/4, 1/2}, cell by cell, and
+// checks every cell against the paper's bounds: a cycle lies in
+// [CycleRoundsLB, RoundsUB (Lemma 5.4)], and a chain meets ChainRounds,
+// which Corollary 5.15 makes tight. The cycles sit one round above their
+// lower bound at C5, C9 and C10 for ε < 1/2; the paper leaves C5 open
+// (Example 5.19).
+func TestRoundBoundCells(t *testing.T) {
+	for _, row := range []struct {
+		eps      float64
+		cycles   [8]int // C3 … C10
+		cycleLBs [8]int
+		chains   [8]int // L3 … L10
+	}{
+		{0, [8]int{2, 2, 3, 3, 3, 3, 4, 4}, [8]int{2, 2, 2, 3, 3, 3, 3, 3}, [8]int{2, 2, 3, 3, 3, 3, 4, 4}},
+		{0.25, [8]int{2, 2, 3, 3, 3, 3, 4, 4}, [8]int{2, 2, 2, 3, 3, 3, 3, 3}, [8]int{2, 2, 3, 3, 3, 3, 4, 4}},
+		{0.5, [8]int{1, 1, 2, 2, 2, 2, 2, 2}, [8]int{1, 1, 2, 2, 2, 2, 2, 2}, [8]int{1, 1, 2, 2, 2, 2, 2, 2}},
+	} {
+		for i := range row.cycles {
+			k := i + 3
+			c, l := query.Cycle(k), query.Chain(k)
+			if got := GreedyPlan(c, row.eps).Rounds(); got != row.cycles[i] {
+				t.Errorf("C%d ε=%v: %d rounds, want %d", k, row.eps, got, row.cycles[i])
+			}
+			if got := bounds.CycleRoundsLB(k, row.eps); got != row.cycleLBs[i] {
+				t.Errorf("C%d ε=%v: CycleRoundsLB %d, want %d", k, row.eps, got, row.cycleLBs[i])
+			}
+			if ub := bounds.RoundsUB(c, row.eps); row.cycles[i] < row.cycleLBs[i] || row.cycles[i] > ub {
+				t.Errorf("C%d ε=%v: %d rounds outside [%d, %d]", k, row.eps, row.cycles[i], row.cycleLBs[i], ub)
+			}
+			if got := GreedyPlan(l, row.eps).Rounds(); got != row.chains[i] {
+				t.Errorf("L%d ε=%v: %d rounds, want %d", k, row.eps, got, row.chains[i])
+			}
+			if want := bounds.ChainRounds(k, row.eps); row.chains[i] != want || want > bounds.RoundsUB(l, row.eps) {
+				t.Errorf("L%d ε=%v: %d rounds, ChainRounds %d, RoundsUB %d", k, row.eps, row.chains[i], want, bounds.RoundsUB(l, row.eps))
 			}
 		}
 	}

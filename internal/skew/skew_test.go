@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/query"
@@ -276,29 +275,5 @@ func TestRunStarSampledLoadNearExact(t *testing.T) {
 	}
 	if sampled.MaxLoadBits() > 4*exact.MaxLoadBits() {
 		t.Errorf("sampled load %v far above exact %v", sampled.MaxLoadBits(), exact.MaxLoadBits())
-	}
-}
-
-// TestTriangleMeasuredAboveGeneralLB ties the triangle run to the
-// general Theorem 4.4 machinery: the measured skew-aware load must dominate
-// the skewed lower bound computed from the x1-statistics.
-func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	q := query.Triangle()
-	m := 3000
-	p := 64
-	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, m/2)
-	aware := runGeneric(q, db, p, 3)
-
-	// x1-statistics in bits for S1 (col 0) and S3 (col 1); S2 has no x1.
-	bits := make([]map[int64]float64, 3)
-	bits[0] = data.FrequenciesBits(refCounts(db.Get("S1"), 0), 2, db.N)
-	bits[2] = data.FrequenciesBits(refCounts(db.Get("S3"), 1), 2, db.N)
-	lb := bounds.SkewedLB(q, bounds.FreqStats{Var: "x1", Bits: bits}, float64(p))
-	if lb <= 0 {
-		t.Fatal("vacuous lower bound")
-	}
-	if aware.MaxLoadBits() < lb/8 { // paper constant is min_j (a_j−d_j)/(4a_j) = 1/8
-		t.Errorf("measured %v below the Theorem 4.4 bound %v", aware.MaxLoadBits(), lb)
 	}
 }

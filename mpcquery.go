@@ -34,7 +34,9 @@
 //     aggregation (senders combine same-group tuples before routing —
 //     WithAggregatePushdown, Report.AggregateBitsSaved).
 //
-// cmd/mpcbench regenerates the paper's tables.
+// cmd/mpcbench prints the paper's tables, E1–E17, as rows of measured and
+// predicted values; the internal/experiments tests assert the paper's
+// statements on the same rows.
 //
 // Quick start:
 //

@@ -197,26 +197,9 @@ func resultTypes(fl *ast.FieldList) string {
 // internal/ that no non-test file calls, each with the reason it stays.
 // Keys are "<dir>.<Func>" or "<dir>.<Type>.<Method>".
 var idleExportAllowlist = map[string]string{
-	// Statements of the paper, kept to become gates that assert each
-	// theorem against measured runs.
-	"internal/bounds.ChainRoundsLB":                "Corollary 5.15: rounds for L_k",
-	"internal/bounds.ConnectedComponentsRoundsLB":  "Theorem 5.20: rounds for connected components",
-	"internal/bounds.CycleRoundsLB":                "Lemma 5.18: rounds for C_k",
-	"internal/bounds.ExpectedOutput":               "Lemma 3.6: expected answers on matching databases",
-	"internal/bounds.SkewedLB":                     "Section 4: heavy-hitter load lower bound",
-	"internal/core.RunPlanInputServers":            "Section 2.1: the input-server model; frozen by TestStrategyEntryPointSurface",
-	"internal/entropy.AGMBound":                    "Section 2.4: AGM output bound; a ceiling for the local join's intermediates",
-	"internal/entropy.Binary":                      "Proposition 3.11: binary entropy",
-	"internal/entropy.Conditional":                 "equation (4): conditional entropy",
-	"internal/entropy.Friedgut":                    "inequality (7): Friedgut",
-	"internal/entropy.Proposition314Holds":         "Proposition 3.14: matching entropy against size",
-	"internal/multiround.EpsPlan.OutputFractionUB": "Theorem 5.11: answer fraction of r+1 rounds",
-
 	// Referenced by tests only: accessors and references the tests assert
 	// through.
 	"internal/aggregate.FoldTable.Len":            "aggregate tests count groups without finalizing",
-	"internal/aggregate.Semiring.Identity":        "the semiring law tests check the identity element",
-	"internal/aggregate.Semiring.Name":            "the semiring law tests name the failing semiring",
 	"internal/core.SequentialAnswerWithSelfJoins": "oracle of the self-join tests",
 	"internal/data.Relation.IsView":               "zero-copy view tests",
 	"internal/engine.Inbox.NumBatches":            "engine tests compare batch layout across delivery paths",
