@@ -13,8 +13,8 @@ import (
 // maxDegree returns the largest frequency in the column.
 func maxDegree(r *Relation, col int) int {
 	best := 0
-	for _, run := range ColumnRuns(r, col, 1) {
-		best = max(best, run.Count)
+	for _, c := range ColumnFrequencies(r, col) {
+		best = max(best, c)
 	}
 	return best
 }
@@ -202,10 +202,10 @@ func TestSkewedTriangleDatabase(t *testing.T) {
 }
 
 func TestHeavyHitters(t *testing.T) {
-	freq := map[int64]int{1: 100, 2: 50, 3: 5, 4: 5}
-	hh := HeavyHitters(freq, 50)
-	if len(hh) != 2 || hh[1] != 100 || hh[2] != 50 {
-		t.Errorf("heavy hitters: %v", hh)
+	col := slices.Concat(slices.Repeat([]int64{3}, 5), slices.Repeat([]int64{2}, 50), slices.Repeat([]int64{1}, 100), []int64{4, 4, 4, 4, 4})
+	hh := Heavy(col, 1, 0, 50)
+	if want := []Run{{1, 100}, {2, 50}}; !slices.Equal(hh, want) {
+		t.Errorf("heavy hitters: %v, want %v", hh, want)
 	}
 }
 

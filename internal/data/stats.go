@@ -1,6 +1,10 @@
 package data
 
-import "slices"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // SortedKeys returns m's keys in ascending order. Go randomizes map
 // iteration, so a loop whose effects are order-sensitive — emitting
@@ -16,127 +20,95 @@ func SortedKeys[V any](m map[int64]V) []int64 {
 	return keys
 }
 
-// Run is one distinct value of a sorted column with its number of
-// occurrences (m_j(h) of Section 4.2, as a count).
+// Run is one distinct value of a column with its number of occurrences
+// (m_j(h) of Section 4.2, as a count).
 type Run struct {
 	Value int64
 	Count int
 }
 
-// SortValues sorts vals ascending and returns the sorted slice, which is vals
-// or a scratch copy of it; vals is clobbered either way. It is an LSD radix
-// sort on 11-bit digits (2048 counters stay in L1, six digits cover an
-// int64): the sign bit is flipped so negative values order first, and a
-// digit on which every value agrees costs no pass — a column over a domain
-// of 2²² values is sorted in two. This is the one way the repository orders
-// a column for counting: a comparison sort is 5× slower at m ≥ 10⁴, a
-// frequency map slower still and unordered. Below smallSort values, the
-// measured crossover on two-digit columns (wider ones break even near
-// 2 048), the radix's counter clears and copy cost more than comparisons,
-// and slices.Sort sorts vals in place.
-func SortValues(vals []int64) []int64 {
-	if len(vals) < smallSort {
-		slices.Sort(vals)
-		return vals
+// Heavy returns the values of the strided column vals[col], vals[col+stride],
+// … (stride ≥ 1) that occur at least cut times (a cut below 1 counts as 1),
+// with their exact counts, ascending by value. With the paper's heavy-hitter cut m_j/p (Section 4.2)
+// that is at most p values, however many distinct values the column has.
+// This is the one way the repository finds the heavy values of a column. It
+// sorts only its result, after two passes:
+//   - a screen counts the column into 2^b ≥ max(1024, 8·⌈n/cut⌉) hash
+//     buckets. A bucket's count bounds the count of every value in it, so the
+//     screen returns nothing as soon as the largest bucket plus the values
+//     still unread falls below the cut: at cut n (share 1) it stops as soon
+//     as two values fall in different buckets;
+//   - a map counts exactly the values whose bucket reached the cut, at most
+//     n/cut buckets of them.
+func Heavy(vals []int64, stride, col, cut int) []Run {
+	n, cut := 0, max(cut, 1)
+	if col < len(vals) {
+		n = (len(vals) - col + stride - 1) / stride
 	}
-	const bits, mask = 11, 1<<11 - 1
-	var diff uint64
-	for _, v := range vals {
-		diff |= uint64(v ^ vals[0])
+	if n < cut {
+		return nil
 	}
-	src, dst := vals, make([]int64, len(vals))
-	var count [mask + 1]int
-	for shift := uint(0); shift < 64; shift += bits {
-		if diff>>shift&mask == 0 {
-			continue
+	b := max(10, bits.Len(uint(8*((n+cut-1)/cut)-1)))
+	buckets := make([]int32, 1<<b)
+	top, left := 0, n
+	for i := col; i < len(vals); i += stride {
+		h := bucket(vals[i], b)
+		buckets[h]++
+		top = max(top, int(buckets[h]))
+		if left--; top+left < cut {
+			return nil
 		}
-		clear(count[:])
-		for _, v := range src {
-			count[(uint64(v)^1<<63)>>shift&mask]++
-		}
-		at := 0
-		for d, c := range count {
-			count[d], at = at, at+c
-		}
-		for _, v := range src {
-			d := (uint64(v) ^ 1<<63) >> shift & mask
-			dst[count[d]] = v
-			count[d]++
-		}
-		src, dst = dst, src
 	}
-	return src
-}
-
-const smallSort = 1024 // SortValues' cutoff
-
-// SortedColumn returns the given column of r in ascending order.
-func SortedColumn(r *Relation, col int) []int64 {
-	vals := make([]int64, r.NumTuples())
-	for i := range vals {
-		vals[i] = r.vals[i*r.Arity+col]
+	counts := map[int64]int{}
+	for i := col; i < len(vals); i += stride {
+		if v := vals[i]; int(buckets[bucket(v, b)]) >= cut {
+			counts[v]++
+		}
 	}
-	return SortValues(vals)
-}
-
-// Runs returns the runs of an ascending slice that are at least floor long,
-// ascending by value. With the paper's heavy-hitter floor m_j/p (Section
-// 4.2) that is at most p runs, however many distinct values the column has.
-func Runs(sorted []int64, floor int) []Run {
 	var runs []Run
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
+	for v, c := range counts {
+		if c >= cut {
+			runs = append(runs, Run{v, c})
 		}
-		if j-i >= floor {
-			runs = append(runs, Run{sorted[i], j - i})
-		}
-		i = j
 	}
+	slices.SortFunc(runs, func(x, y Run) int { return cmp.Compare(x.Value, y.Value) })
 	return runs
 }
 
-// ColumnRuns counts one column: its distinct values of frequency ≥ floor
-// with their exact frequencies, ascending by value.
-func ColumnRuns(r *Relation, col, floor int) []Run {
-	return Runs(SortedColumn(r, col), floor)
-}
+// bucket hashes v into one of 2^b buckets: the top b bits of a Fibonacci
+// multiplicative hash.
+func bucket(v int64, b int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 >> (64 - b) }
 
-// CountOf returns how often v occurs in an ascending slice — the exact
-// frequency of a value known to matter (heavy in another relation) without a
-// table of all the values that do not.
-func CountOf(sorted []int64, v int64) int {
-	lo, _ := slices.BinarySearch(sorted, v)
-	hi := lo
-	for hi < len(sorted) && sorted[hi] == v {
-		hi++
+// Counts returns how often each of the given values occurs in the strided
+// column vals[col], vals[col+stride], …, leaving out those that do not: the
+// exact count of a value known to matter (heavy in another column) where it
+// may be light.
+func Counts(vals []int64, stride, col int, of []int64) map[int64]int {
+	counts := make(map[int64]int, len(of))
+	for _, v := range of {
+		counts[v] = 0
 	}
-	return hi - lo
+	for i := col; i < len(vals); i += stride {
+		if c, ok := counts[vals[i]]; ok {
+			counts[vals[i]] = c + 1
+		}
+	}
+	for v, c := range counts {
+		if c == 0 {
+			delete(counts, v)
+		}
+	}
+	return counts
 }
 
 // ColumnFrequencies returns the frequency of every value in the given column
 // as a map, for callers that look values up at random.
 func ColumnFrequencies(r *Relation, col int) map[int64]int {
-	runs := ColumnRuns(r, col, 1)
-	freq := make(map[int64]int, len(runs))
-	for _, run := range runs {
-		freq[run.Value] = run.Count
+	freq := map[int64]int{}
+	for i := col; i < len(r.vals); i += r.Arity {
+		freq[r.vals[i]]++
 	}
 	return freq
-}
-
-// HeavyHitters returns the values whose frequency is at least threshold,
-// with their exact frequencies. The paper's threshold is m_j/p (Section 4.2),
-// which guarantees at most p heavy hitters per relation.
-func HeavyHitters(freq map[int64]int, threshold int) map[int64]int {
-	out := make(map[int64]int)
-	for v, c := range freq {
-		if c >= threshold {
-			out[v] = c
-		}
-	}
-	return out
 }
 
 // FrequenciesBits converts count frequencies to the paper's bit measure

@@ -9,9 +9,8 @@ import (
 	"testing"
 )
 
-// mapRuns is the reference ColumnRuns is checked against, written the way
-// the repository counted columns before the sort-and-count pass: a frequency
-// map over every value, thresholded, keys sorted.
+// mapRuns is the reference Heavy is checked against: a frequency map over
+// every value, thresholded, keys sorted.
 func mapRuns(r *Relation, col, floor int) []Run {
 	freq := map[int64]int{}
 	for i := 0; i < r.NumTuples(); i++ {
@@ -26,16 +25,17 @@ func mapRuns(r *Relation, col, floor int) []Run {
 	return runs
 }
 
-// checkColumnRuns compares every column of r with the map reference at the
-// floors 1, 2, m and m+1, and the map façade with it.
+// checkColumnRuns compares every column of r with the map reference: Heavy
+// at the cuts 1, 2, m and m+1, the map façade, and Counts of every value
+// and of one value the column does not hold.
 func checkColumnRuns(t *testing.T, r *Relation) {
 	t.Helper()
 	m := r.NumTuples()
 	for col := 0; col < r.Arity; col++ {
-		for _, floor := range []int{1, 2, m, m + 1} {
-			got, want := ColumnRuns(r, col, floor), mapRuns(r, col, floor)
+		for _, cut := range []int{1, 2, m, m + 1} {
+			got, want := Heavy(r.Vals(), r.Arity, col, cut), mapRuns(r, col, cut)
 			if !slices.Equal(got, want) {
-				t.Fatalf("column %d floor %d of %d tuples: runs %v, map reference %v", col, floor, m, got, want)
+				t.Fatalf("column %d cut %d of %d tuples: Heavy %v, map reference %v", col, cut, m, got, want)
 			}
 		}
 		all := mapRuns(r, col, 1)
@@ -43,12 +43,23 @@ func checkColumnRuns(t *testing.T, r *Relation) {
 		if len(freq) != len(all) {
 			t.Fatalf("column %d: ColumnFrequencies holds %d values, want %d", col, len(freq), len(all))
 		}
-		sorted := SortedColumn(r, col)
+		absent := int64(0)
+		for freq[absent] > 0 {
+			absent++
+		}
+		of := []int64{absent}
 		for _, run := range all {
-			if freq[run.Value] != run.Count || CountOf(sorted, run.Value) != run.Count {
-				t.Fatalf("column %d value %d: map %d, CountOf %d, want %d",
-					col, run.Value, freq[run.Value], CountOf(sorted, run.Value), run.Count)
+			of = append(of, run.Value)
+		}
+		counts := Counts(r.Vals(), r.Arity, col, of)
+		for _, run := range all {
+			if freq[run.Value] != run.Count || counts[run.Value] != run.Count {
+				t.Fatalf("column %d value %d: map %d, Counts %d, want %d",
+					col, run.Value, freq[run.Value], counts[run.Value], run.Count)
 			}
+		}
+		if len(counts) != len(all) {
+			t.Fatalf("column %d: Counts holds %d values, want the %d that occur", col, len(counts), len(all))
 		}
 	}
 }
@@ -66,8 +77,18 @@ func TestColumnRunsMatchesMapReference(t *testing.T) {
 		}
 		return r
 	}
-	// 40 and 5000 tuples: below and above the size where SortValues leaves
-	// the comparison sort for the radix passes.
+	// k·φ⁻¹ for k < 2⁴⁸ lands in bucket 0 of the screen's Fibonacci hash
+	// (multiplying by φ gives back k), at every size up to 2¹⁶ buckets: the
+	// one-bucket case fills a single bucket, so the exact count decides.
+	inv := uint64(0x9e3779b97f4a7c15)
+	for range 5 {
+		inv *= 2 - 0x9e3779b97f4a7c15*inv
+	}
+	if bucket(int64(12345*inv), 16) != 0 || bucket(int64(12346*inv), 10) != 0 {
+		t.Fatal("the one-bucket values spread over several buckets")
+	}
+	// 40 and 5000 tuples: Heavy's screen has 1 024 buckets at every cut of
+	// 40 tuples, and up to 64 Ki at cut 1 of 5000.
 	for _, m := range []int{0, 1, 40, 5000} {
 		for arity := 1; arity <= 4; arity++ {
 			cases := map[string]func(i, c int) int64{
@@ -79,6 +100,7 @@ func TestColumnRunsMatchesMapReference(t *testing.T) {
 				"extremes": func(i, c int) int64 {
 					return []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}[rng.Intn(5)]
 				},
+				"one-bucket": func(i, c int) int64 { return int64(uint64(i/3+c+1) * inv) },
 				"planted": func(i, c int) int64 {
 					if i%3 == 0 {
 						return 7
@@ -95,72 +117,48 @@ func TestColumnRunsMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestSortValuesAroundCutoff holds SortValues to slices.Sort on both sides
-// of smallSort, where it switches from the comparison sort to the radix
-// passes, over columns with negatives, duplicates and the int64 extremes.
-func TestSortValuesAroundCutoff(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	gens := map[string]func() int64{
-		"negatives":  func() int64 { return -rng.Int63n(1 << 20) },
-		"mixed-dups": func() int64 { return rng.Int63n(16) - 8 },
-		"wide":       func() int64 { return int64(rng.Uint64()) },
-		"extremes": func() int64 {
-			return []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 40}[rng.Intn(5)]
-		},
-	}
-	for name, gen := range gens {
-		for _, n := range []int{0, 1, 2, smallSort - 2, smallSort - 1, smallSort, smallSort + 1, 2 * smallSort} {
-			vals := make([]int64, n)
-			for i := range vals {
-				vals[i] = gen()
-			}
-			want := slices.Clone(vals)
-			slices.Sort(want)
-			if got := SortValues(slices.Clone(vals)); !slices.Equal(got, want) {
-				t.Fatalf("%s, %d values: SortValues differs from slices.Sort", name, n)
-			}
-		}
-	}
-}
-
-// FuzzColumnRuns decodes a column and a floor from the input — 8-byte values
-// while they last, so every bit of an int64 is reachable — repeats it so
-// that runs longer than one exist, and holds the counting pass to the map
-// reference.
-func FuzzColumnRuns(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 0x80}, uint8(2), uint8(1))
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0, 0, 0, 0, 0x80, 3}, uint8(1), uint8(40))
-	f.Add([]byte{}, uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, b []byte, floor, repeat uint8) {
-		var col []int64
+// FuzzHeavy decodes a column layout and a cut from the input — 8-byte
+// values while they last, so every bit of an int64 is reachable, then
+// signed bytes — repeats the values so that counts above one exist, lays
+// them out as a relation of arity stride, and holds Heavy on column col to
+// the map reference at a cut in [1, n+1].
+func FuzzHeavy(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 0x80}, uint8(2), uint8(1), uint8(0), uint8(1))
+	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0, 0, 0, 0, 0x80, 3}, uint8(1), uint8(40), uint8(2), uint8(1))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, b []byte, cut, repeat, stride, col uint8) {
+		var vals []int64
 		for ; len(b) >= 8; b = b[8:] {
-			col = append(col, int64(binary.LittleEndian.Uint64(b)))
+			vals = append(vals, int64(binary.LittleEndian.Uint64(b)))
 		}
 		for _, x := range b {
-			col = append(col, int64(int8(x)))
+			vals = append(vals, int64(int8(x)))
 		}
-		r := NewRelation("fz", 1)
+		arity := 1 + int(stride%4)
+		r := NewRelation("fz", arity)
 		for i := 0; i <= int(repeat); i++ {
-			r.AppendVals(col)
+			r.AppendVals(vals[:len(vals)/arity*arity])
 		}
-		got, want := ColumnRuns(r, 0, int(floor)), mapRuns(r, 0, int(floor))
+		c, n := int(col)%arity, r.NumTuples()
+		k := 1 + int(cut)%(n+1)
+		got, want := Heavy(r.Vals(), arity, c, k), mapRuns(r, c, k)
 		if !slices.Equal(got, want) {
-			t.Fatalf("floor %d over %v: runs %v, map reference %v", floor, r.Vals(), got, want)
+			t.Fatalf("column %d of arity %d, cut %d over %v: Heavy %v, map reference %v", c, arity, k, r.Vals(), got, want)
 		}
 	})
 }
 
-// plantedColumn is a unary relation of m values over a domain of 16·m, a
-// quarter of them one planted hitter — the shape of the skew workloads.
-func plantedColumn(m int) *Relation {
+// plantedColumn is column 0 of m binary tuples over a domain of 16·m, with
+// the given number of planted values of degree 2·m/64 each.
+func plantedColumn(m, planted int) *Relation {
 	rng := rand.New(rand.NewSource(1))
-	r := NewRelation("R", 1)
+	r := NewRelation("R", 2)
 	r.Grow(m)
 	for i := 0; i < m; i++ {
-		if i%4 == 0 {
-			r.Append(7)
+		if h := i / (2 * m / 64); h < planted {
+			r.Append(int64(h), rng.Int63n(int64(16*m)))
 		} else {
-			r.Append(rng.Int63n(int64(16 * m)))
+			r.Append(rng.Int63n(int64(16*m)), rng.Int63n(int64(16*m)))
 		}
 	}
 	return r
@@ -168,16 +166,18 @@ func plantedColumn(m int) *Relation {
 
 var runsSink []Run
 
-// BenchmarkColumnRuns times the counting pass at the heavy-hitter floor m/p
-// of p = 64 servers, at sizes where its growth against a frequency map shows.
-func BenchmarkColumnRuns(b *testing.B) {
-	for _, m := range []int{10_000, 100_000, 1_000_000} {
-		r := plantedColumn(m)
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				runsSink = ColumnRuns(r, 0, m/64)
-			}
-		})
+// BenchmarkHeavy times Heavy at the cut m/64, the heavy-hitter cut of a
+// variable with share 64, with four values of twice the cut and with none.
+func BenchmarkHeavy(b *testing.B) {
+	for _, m := range []int{100_000, 1_000_000} {
+		for _, planted := range []int{4, 0} {
+			r := plantedColumn(m, planted)
+			b.Run(fmt.Sprintf("m=%d/hitters=%d", m, planted), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					runsSink = Heavy(r.Vals(), 2, 0, m/64)
+				}
+			})
+		}
 	}
 }

@@ -162,7 +162,10 @@ func triangleBound(db *data.Database, M, p float64) float64 {
 	bpv := data.BitsPerValue(db.N)
 	heavyBits := func(rel *data.Relation, col int) map[int64]float64 {
 		thr := max(int(float64(rel.NumTuples())/math.Cbrt(p)), 2)
-		hh := data.HeavyHitters(data.ColumnFrequencies(rel, col), thr)
+		hh := map[int64]int{}
+		for _, run := range data.Heavy(rel.Vals(), rel.Arity, col, thr) {
+			hh[run.Value] = run.Count
+		}
 		return data.FrequenciesBits(hh, rel.Arity, int64(1)<<uint(bpv))
 	}
 	s1, s2, s3 := db.Get("S1"), db.Get("S2"), db.Get("S3")

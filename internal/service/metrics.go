@@ -99,9 +99,9 @@ type Summary struct {
 	LatencyP99 time.Duration `json:"latency_p99_ns"`
 	LatencyMax time.Duration `json:"latency_max_ns"`
 
-	TotalBits   float64 `json:"total_bits"`    // Σ communication over all queries
+	TotalBits   float64 `json:"total_bits"`    // Σ communication over executed requests; a coalesced completion adds none
 	MaxLoadBits float64 `json:"max_load_bits"` // worst per-server load seen
-	TotalRounds int64   `json:"total_rounds"`
+	TotalRounds int64   `json:"total_rounds"`  // Σ rounds over executed requests; a coalesced completion adds none
 }
 
 // Snapshot computes the summary over everything recorded so far. The

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/bits"
 	"slices"
 
 	"mpcquery/internal/aggregate"
@@ -151,19 +150,14 @@ func skewFreeShares(q *query.Query, db *data.Database, p int) []int {
 func heavyCut(m, s int) int { return max(2, m/s) }
 
 // exactCounts returns, per atom and column, the exact count of every value
-// that reaches its cut in some column of its variable. Every column is
-// screened first (concurrently). Under share 1 the cut is the column's size,
-// so only a constant column holds a candidate; any other column is sorted,
-// for its runs of at least the cut (at most s_v), only if mayReach says it
-// may hold one. Each candidate is then counted in all of its variable's
-// columns, sorted for it, also where it is light, since every atom's
-// fragment of a pinned value is its own count there. The counts equal those
-// of sorting every column.
+// that reaches its cut in some column of its variable. Every column's heavy
+// values are found first (concurrently, data.Heavy). Each candidate is then
+// counted in all of its variable's columns, also where it is light, since
+// every atom's fragment of a pinned value is its own count there.
 func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]int {
 	type column struct {
 		rel          *data.Relation
 		j, c, v, cut int
-		sorted       []int64
 		runs         []data.Run
 	}
 	var cols []column
@@ -175,13 +169,8 @@ func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]i
 		}
 	}
 	engine.ParallelFor(len(cols), func(n int) {
-		col, m := &cols[n], cols[n].rel.NumTuples()
-		if s := light[col.v]; s == 1 && m >= col.cut && isConstant(col.rel, col.c) {
-			col.runs = []data.Run{{Value: col.rel.At(0, col.c), Count: m}}
-		} else if s > 1 && mayReach(col.rel, col.c, s, col.cut) {
-			col.sorted = data.SortedColumn(col.rel, col.c)
-			col.runs = data.Runs(col.sorted, col.cut)
-		}
+		col := &cols[n]
+		col.runs = data.Heavy(col.rel.Vals(), col.rel.Arity, col.c, col.cut)
 	})
 	candidates := make([][]int64, q.NumVars())
 	for _, c := range cols {
@@ -189,57 +178,26 @@ func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]i
 			candidates[c.v] = append(candidates[c.v], run.Value)
 		}
 	}
-	engine.ParallelFor(len(cols), func(n int) {
-		if col := &cols[n]; col.sorted == nil && len(candidates[col.v]) > 0 {
-			col.sorted = data.SortedColumn(col.rel, col.c)
-		}
-	})
 	counts := make([][]map[int64]int, q.NumAtoms())
 	for j, a := range q.Atoms {
 		counts[j] = make([]map[int64]int, a.Arity())
 	}
-	for _, c := range cols {
-		counts[c.j][c.c] = make(map[int64]int, len(candidates[c.v]))
-		for _, val := range candidates[c.v] {
-			if n := data.CountOf(c.sorted, val); n > 0 {
-				counts[c.j][c.c][val] = n
+	engine.ParallelFor(len(cols), func(n int) {
+		col := &cols[n]
+		own := make(map[int64]int, len(col.runs))
+		for _, run := range col.runs {
+			own[run.Value] = run.Count
+		}
+		for _, val := range candidates[col.v] {
+			if _, ok := own[val]; !ok {
+				own = data.Counts(col.rel.Vals(), col.rel.Arity, col.c, candidates[col.v])
+				break
 			}
 		}
-	}
+		counts[col.j][col.c] = own
+	})
 	return counts
 }
-
-// isConstant reports whether column c of rel holds one value, stopping at
-// the first that differs.
-func isConstant(rel *data.Relation, c int) bool {
-	vals := rel.Vals()
-	for i := c; i < len(vals); i += rel.Arity {
-		if vals[i] != vals[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// mayReach reports whether some value may occur at least cut times in
-// column c of rel, for a variable of share s. It counts the column into
-// 2^b ≥ max(1024, 8s) hash buckets: a bucket's count bounds the count of
-// every value in it, so a false answer is exact.
-func mayReach(rel *data.Relation, c, s, cut int) bool {
-	b, vals := max(10, bits.Len(uint(8*s-1))), rel.Vals()
-	buckets := make([]int32, 1<<b)
-	for i := c; i < len(vals); i += rel.Arity {
-		h := bucketOf(vals[i], b)
-		if buckets[h]++; int(buckets[h]) >= cut {
-			return true
-		}
-	}
-	return false
-}
-
-// bucketOf hashes v into one of 2^b buckets: the top b bits of a Fibonacci
-// multiplicative hash.
-func bucketOf(v int64, b int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 >> (64 - b) }
 
 // newGenericPlan picks the heavy values from the given counts — every value
 // whose count in some column of its variable v reaches heavyCut(m_j,

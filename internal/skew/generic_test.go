@@ -128,19 +128,27 @@ func TestGenericBeatsVanillaUnderSkew(t *testing.T) {
 	}
 }
 
-// refSortedCounts is exactCounts without the screen: every column is sorted,
-// its runs of at least the cut are the candidates, and each candidate is
-// counted in all of its variable's columns.
-func refSortedCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]int {
-	sorted := make([][][]int64, q.NumAtoms())
-	candidates := make([][]int64, q.NumVars())
+// refMapCounts is exactCounts written as plain map counts: every column
+// is counted in full, its values of at least the cut are the candidates, and
+// each candidate's count is read in all of its variable's columns.
+func refMapCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]int {
+	full := make([][]map[int64]int, q.NumAtoms())
+	candidates := make([]map[int64]bool, q.NumVars())
+	for v := range candidates {
+		candidates[v] = map[int64]bool{}
+	}
 	for j, a := range q.Atoms {
 		rel := db.Get(a.Name)
 		for c, v := range a.Vars {
-			col := data.SortedColumn(rel, c)
-			sorted[j] = append(sorted[j], col)
-			for _, run := range data.Runs(col, heavyCut(rel.NumTuples(), light[q.VarIndex(v)])) {
-				candidates[q.VarIndex(v)] = append(candidates[q.VarIndex(v)], run.Value)
+			col := map[int64]int{}
+			for i := 0; i < rel.NumTuples(); i++ {
+				col[rel.At(i, c)]++
+			}
+			full[j] = append(full[j], col)
+			for val, n := range col {
+				if n >= heavyCut(rel.NumTuples(), light[q.VarIndex(v)]) {
+					candidates[q.VarIndex(v)][val] = true
+				}
 			}
 		}
 	}
@@ -148,8 +156,8 @@ func refSortedCounts(q *query.Query, db *data.Database, light []int) [][]map[int
 	for j, a := range q.Atoms {
 		for c, v := range a.Vars {
 			col := map[int64]int{}
-			for _, val := range candidates[q.VarIndex(v)] {
-				if n := data.CountOf(sorted[j][c], val); n > 0 {
+			for val := range candidates[q.VarIndex(v)] {
+				if n := full[j][c][val]; n > 0 {
 					col[val] = n
 				}
 			}
@@ -159,12 +167,18 @@ func refSortedCounts(q *query.Query, db *data.Database, light []int) [][]map[int
 	return counts
 }
 
-// TestGenericScreenMatchesSortedCounts: screening columns before sorting
-// them changes no count. The cases put a value at the cut and one just
-// below it, many distinct values in one hash bucket (so the screen passes a
-// column without a candidate and the sort must decide), constant and
-// nearly constant columns of share-1 variables, relations of 0, 1 and 2
-// tuples, a repeated variable, and random columns.
+// screenBucket is data.Heavy's screen hash (2^b buckets, a Fibonacci
+// multiplicative hash), which the cases below fill on purpose.
+func screenBucket(v int64, b int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 >> (64 - b) }
+
+// TestGenericScreenMatchesSortedCounts: finding each column's heavy values
+// with data.Heavy and counting the candidates where they are light gives the
+// counts of a full map count. The cases put values at cut − 1, the cut and
+// cut + 1, distinct values in one screen bucket (so the bucket reaches the
+// cut, the screen cannot stop early and the exact count must decide),
+// constant and nearly constant columns of share-1 variables, negative
+// values, relations of 0, 1 and 2 tuples, a repeated variable, and random
+// columns.
 func TestGenericScreenMatchesSortedCounts(t *testing.T) {
 	db := func(rels ...*data.Relation) *data.Database {
 		d := data.NewDatabase(1 << 20)
@@ -185,9 +199,9 @@ func TestGenericScreenMatchesSortedCounts(t *testing.T) {
 	repeat := func(v int64, n int) []int64 { return slices.Repeat([]int64{v}, n) }
 	check := func(name string, q *query.Query, d *data.Database, light []int) [][]map[int64]int {
 		t.Helper()
-		got, want := exactCounts(q, d, light), refSortedCounts(q, d, light)
+		got, want := exactCounts(q, d, light), refMapCounts(q, d, light)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: counts %v, sorted reference %v", name, got, want)
+			t.Errorf("%s: counts %v, map reference %v", name, got, want)
 		}
 		return got
 	}
@@ -200,14 +214,29 @@ func TestGenericScreenMatchesSortedCounts(t *testing.T) {
 		t.Errorf("cut: x counts %v, want only 1000 at the cut", got[0][0])
 	}
 
-	// Twelve distinct values the screen (1024 buckets at share 4) puts in
-	// one bucket, three times each: the bucket reaches the cut 10, no value
-	// does.
+	// Hitters at cut − 1, the cut and cut + 1 over ten distinct values.
+	planted := pairs("R", slices.Concat(repeat(3000, 9), repeat(1000, 10), repeat(2000, 11), data.SampleDistinct(rand.New(rand.NewSource(2)), 10, 1<<20))...)
+	if got := check("cut±1", one, db(planted), []int{4, 4}); !reflect.DeepEqual(got[0][0], map[int64]int{1000: 10, 2000: 11}) {
+		t.Errorf("cut±1: x counts %v, want 1000 and 2000, not 3000", got[0][0])
+	}
+	// The same with negative values.
+	planted = pairs("R", slices.Concat(repeat(-3, 9), repeat(-1, 10), repeat(-2, 11), repeat(-1<<40, 1), []int64{-5, -6, -7, -8, -9, -10, -11, -12, -13})...)
+	if got := check("negative", one, db(planted), []int{4, 4}); !reflect.DeepEqual(got[0][0], map[int64]int{-1: 10, -2: 11}) {
+		t.Errorf("negative: x counts %v, want -1 and -2, not -3", got[0][0])
+	}
+
+	// Values the screen (1024 buckets for 40 tuples at cut 10 or 40) puts in
+	// one bucket, so that bucket reaches the cut and no value does: 40
+	// distinct ones, at share 4 and at share 1, and twelve thrice each with
+	// four others.
 	var same []int64
-	for v := int64(1); len(same) < 12; v++ {
-		if bucketOf(v, 10) == bucketOf(0, 10) {
+	for v := int64(1); len(same) < 40; v++ {
+		if screenBucket(v, 10) == screenBucket(0, 10) {
 			same = append(same, v)
 		}
+	}
+	for _, light := range [][]int{{4, 4}, {1, 1}} {
+		check(fmt.Sprintf("bucket/distinct/%v", light), one, db(pairs("R", same...)), light)
 	}
 	thrice := func(vs []int64) (out []int64) {
 		for _, v := range vs {
@@ -215,19 +244,15 @@ func TestGenericScreenMatchesSortedCounts(t *testing.T) {
 		}
 		return out
 	}
-	crowded := append(thrice(same), 1, 2, 3, 4)
-	if !mayReach(pairs("R", crowded...), 0, 4, 10) {
-		t.Fatal("the crowded bucket stays below the cut; the fallback sort is not exercised")
-	}
-	check("bucket", one, db(pairs("R", crowded...)), []int{4, 4})
+	check("bucket", one, db(pairs("R", append(thrice(same[:12]), 1, 2, 3, 4)...)), []int{4, 4})
 	// The same bucket, 40 tuples, with one of its values at the cut.
-	crowded = append(repeat(same[0], 10), thrice(same[1:11])...)
+	crowded := append(repeat(same[0], 10), thrice(same[1:11])...)
 	if got := check("bucket/cut", one, db(pairs("R", crowded...)), []int{4, 4}); !reflect.DeepEqual(got[0][0], map[int64]int{same[0]: 10}) {
 		t.Errorf("bucket/cut: x counts %v, want only %d at the cut", got[0][0], same[0])
 	}
 
 	// Share 1: the cut is m, so only a constant column holds a candidate.
-	for _, xs := range [][]int64{{5, 5, 5, 5, 5, 5}, {5, 5, 5, 5, 5, 6}, {6, 5, 5, 5, 5, 5}, {5, 5}, {5, 6}, {5}, {}} {
+	for _, xs := range [][]int64{repeat(5, 40), {5, 5, 5, 5, 5, 5}, {5, 5, 5, 5, 5, 6}, {6, 5, 5, 5, 5, 5}, {5, 5}, {5, 6}, {5}, {}} {
 		for _, light := range [][]int{{1, 1}, {1, 2}, {2, 1}, {4, 4}} {
 			check(fmt.Sprintf("constant/%v/%v", xs, light), one, db(pairs("R", xs...)), light)
 		}

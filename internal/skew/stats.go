@@ -141,14 +141,11 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 				}
 			}
 			scale := float64(local) / float64(n)
-			floor := candidateFloor(spec.Thresholds[j], scale, n)
-			if floor > n {
-				continue // no sampled value can reach the threshold
-			}
 			// Broadcast candidates in ascending value order: emission order
 			// reaches every inbox (and, distributed, the wire), so it must be
-			// a pure function of the sampled counts — the sorted runs are.
-			for _, run := range data.Runs(data.SortValues(vals), floor) {
+			// a pure function of the sampled counts — Heavy's runs are. A
+			// floor above n finds none.
+			for _, run := range data.Heavy(vals, 1, 0, candidateFloor(spec.Thresholds[j], scale, n)) {
 				pair[0], pair[1] = run.Value, int64(float64(run.Count)*scale)
 				emit.EmitTuple(engine.Broadcast, j, pair)
 			}

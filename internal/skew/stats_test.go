@@ -208,16 +208,17 @@ func TestCandidateFloorKeepsEveryCandidate(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Int63n(int64(1 + rng.Intn(n)))
 		}
-		sorted := data.SortValues(vals)
-		var want, got []data.Run
-		for _, run := range data.Runs(sorted, 1) {
-			if int(float64(run.Count)*scale) >= thr {
-				want = append(want, run)
+		freq := map[int64]int{}
+		for _, v := range vals {
+			freq[v]++
+		}
+		var want []data.Run
+		for _, v := range data.SortedKeys(freq) {
+			if int(float64(freq[v])*scale) >= thr {
+				want = append(want, data.Run{Value: v, Count: freq[v]})
 			}
 		}
-		if floor <= n {
-			got = data.Runs(sorted, floor)
-		}
+		got := data.Heavy(vals, 1, 0, floor)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("threshold %d, scale %d/%d: candidates %v, want %v", thr, local, n, got, want)
 		}

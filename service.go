@@ -569,9 +569,9 @@ type ServiceStats struct {
 	LatencyP99 time.Duration
 	LatencyMax time.Duration
 
-	TotalBits   float64 // Σ Report.TotalBits over the stream
+	TotalBits   float64 // Σ Report.TotalBits over executed requests; a coalesced completion adds none
 	MaxLoadBits float64 // max Report.MaxLoadBits seen
-	TotalRounds int64   // Σ Report.Rounds
+	TotalRounds int64   // Σ Report.Rounds over executed requests; a coalesced completion adds none
 
 	Cache ServiceCacheStats // plans and statistics results
 

@@ -53,7 +53,8 @@ func TestServiceContextCanceled(t *testing.T) {
 
 // TestServiceRequestCoalescing asserts concurrent identical requests share
 // one execution: at least one hit is counted, every caller still gets the
-// bit-identical Report, and the stats expose the hit rate.
+// bit-identical Report, the stats expose the hit rate, and the communication
+// totals count only executed requests.
 func TestServiceRequestCoalescing(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	q := Star(2)
@@ -63,20 +64,15 @@ func TestServiceRequestCoalescing(t *testing.T) {
 	defer svc.Close()
 
 	const clients = 16
-	fps := make([]string, clients)
+	reps := make([]*Report, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rep, err := svc.Run(context.Background(), q, db,
+			reps[c], errs[c] = svc.Run(context.Background(), q, db,
 				WithStrategy(HyperCube()), WithServers(32), WithSeed(5))
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			fps[c] = rep.Fingerprint()
 		}(c)
 	}
 	wg.Wait()
@@ -86,8 +82,8 @@ func TestServiceRequestCoalescing(t *testing.T) {
 		}
 	}
 	for c := 1; c < clients; c++ {
-		if fps[c] != fps[0] {
-			t.Fatalf("client %d got a different Report:\n%s\n%s", c, fps[c], fps[0])
+		if reps[c].Fingerprint() != reps[0].Fingerprint() {
+			t.Fatalf("client %d got a different Report:\n%s\n%s", c, reps[c].Fingerprint(), reps[0].Fingerprint())
 		}
 	}
 	st := svc.Stats()
@@ -99,6 +95,13 @@ func TestServiceRequestCoalescing(t *testing.T) {
 	}
 	if st.Completed != clients {
 		t.Fatalf("Completed = %d, want %d (coalesced requests count as served)", st.Completed, clients)
+	}
+	executed := st.Completed - st.Coalesced
+	if want := float64(executed) * reps[0].TotalBits; st.TotalBits != want {
+		t.Errorf("TotalBits = %v, want %d executed requests × %v bits = %v", st.TotalBits, executed, reps[0].TotalBits, want)
+	}
+	if want := executed * int64(reps[0].Rounds); st.TotalRounds != want {
+		t.Errorf("TotalRounds = %d, want %d executed requests × %d rounds", st.TotalRounds, executed, reps[0].Rounds)
 	}
 }
 
