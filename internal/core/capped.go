@@ -3,8 +3,8 @@ package core
 import (
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
-	"mpcquery/internal/hashing"
 	"mpcquery/internal/localjoin"
+	"mpcquery/internal/skew"
 )
 
 // CappedResult reports a load-capped HyperCube run: servers accept at most
@@ -27,22 +27,18 @@ type CappedResult struct {
 // before local evaluation). The fraction of the true answer set that
 // survives is the quantity bounded by Theorem 3.5.
 func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *CappedResult {
-	q := pl.Query
-	grid := hashing.NewGrid(pl.Shares)
-	gp := grid.P()
-	family := hashing.NewFamily(seed, q.NumVars())
-	bpv := data.BitsPerValue(db.N)
-	cluster := engine.NewCluster(gp, bpv)
+	q, gp := pl.Query, skew.GridPlan(pl.Query, db, pl.Shares)
+	n, bpv := gp.ServersUsed(), data.BitsPerValue(db.N)
+	cluster := engine.NewCluster(n, bpv)
 	defer cluster.Release()
-
-	cluster.SeedPartitioned(gp, q, db)
-	hyperCubeShuffle(cluster, "capped-shuffle", hashing.NewBlock(0, grid, q.AtomDims()), family)
+	cluster.SeedPartitioned(n, q, db)
+	gp.Shuffle(cluster, seed)
 
 	// Computation phase under the cap: each server accepts messages in
 	// arrival order until capBits is exhausted. Budget cuts make fragments
 	// diverge across servers, so no index cache — just per-worker scratch.
-	outputs := make([]*data.Relation, gp)
-	dropped := make([]float64, gp)
+	outputs := make([]*data.Relation, n)
+	dropped := make([]float64, n)
 	scratches := localjoin.NewWorkerScratches()
 	cluster.Compute(func(s int, ib *engine.Inbox, w int) {
 		sc := scratches.Worker(w)
@@ -63,7 +59,7 @@ func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *Ca
 
 	answers := 0
 	droppedTotal := 0.0
-	for s := 0; s < gp; s++ {
+	for s := 0; s < n; s++ {
 		answers += outputs[s].NumTuples()
 		droppedTotal += dropped[s]
 	}

@@ -1,5 +1,5 @@
-// Package core implements the paper's primary contribution: the HyperCube
-// (HC) one-round algorithm of Section 3.1. Servers are organized as a
+// Package core plans the paper's primary contribution, the HyperCube (HC)
+// one-round algorithm of Section 3.1. Servers are organized as a
 // k-dimensional grid [p1]×…×[pk] with one dimension per query variable;
 // each input tuple is hashed on the variables of its atom and replicated to
 // the destination subcube D(t) of equation (9); every server then evaluates
@@ -8,7 +8,9 @@
 //
 // Share exponents come from LP (10) (skew-free optimal, Theorem 3.4) or
 // LP (18) (skew-oblivious worst case, Section 4.1), and are rounded to
-// integer shares with product ≤ p.
+// integer shares with product ≤ p. The package only plans: a Plan runs as
+// skew.GridPlan on its shares, through the one data-round router of
+// internal/skew, and the RunPlan* functions are adapters over it.
 package core
 
 import (
@@ -19,10 +21,10 @@ import (
 	"mpcquery/internal/aggregate"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
-	"mpcquery/internal/hashing"
 	"mpcquery/internal/localjoin"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
+	"mpcquery/internal/skew"
 )
 
 // Mode selects which share-optimization LP drives the plan.
@@ -163,14 +165,10 @@ func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64,
 // relation — (group key..., value) tuples sorted lexicographically, the
 // synthetic key of a global aggregate dropped — identical whether or not
 // pushdown ran; only the second round's bits differ. A nil agg is the plain
-// join (one round).
+// join (one round). The plan runs as skew.GridPlan on its shares.
 func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
-	return runPlanSeeded(pl, db, seed, capBits, agg, (*engine.Cluster).SeedPartitioned, env)
+	return skew.RunGenericPlannedNet(skew.GridPlan(pl.Query, db, pl.Shares), pl.Query, db, seed, capBits, agg, env)
 }
-
-// seeding places the free initial input on a fresh cluster of gp servers; the
-// partitioned-input model of Section 2.1 is Cluster.SeedPartitioned.
-type seeding func(cluster *engine.Cluster, gp int, q *query.Query, db *data.Database)
 
 // RunPlanInputServers executes under the input-server model of Section 2.1:
 // relation S_j starts wholly on server j mod p. HyperCube routing depends
@@ -178,58 +176,15 @@ type seeding func(cluster *engine.Cluster, gp int, q *query.Query, db *data.Data
 // partitioned-input run — the equivalence the paper uses to transfer its
 // lower bounds between the two models.
 func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *engine.RunRecord {
-	return runPlanSeeded(pl, db, seed, 0, nil, func(cluster *engine.Cluster, gp int, q *query.Query, db *data.Database) {
-		for j, a := range q.Atoms {
-			rel := db.Get(a.Name)
-			cluster.SeedBatch(j%gp, j, rel.Arity, rel.Vals())
-		}
-	}, engine.Env{})
-}
-
-func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput seeding, env engine.Env) *engine.RunRecord {
-	q := pl.Query
-	grid := hashing.NewGrid(pl.Shares)
-	gp := grid.P()
-	family := hashing.NewFamily(seed, q.NumVars())
-	cluster := engine.NewClusterEnv(env, gp, data.BitsPerValue(db.N))
+	q, gp := pl.Query, skew.GridPlan(pl.Query, db, pl.Shares)
+	cluster := engine.NewCluster(gp.ServersUsed(), data.BitsPerValue(db.N))
 	defer cluster.Release()
-	if capBits > 0 {
-		cluster.SetLoadCap(capBits)
+	for j, a := range q.Atoms {
+		rel := db.Get(a.Name)
+		cluster.SeedBatch(j%gp.ServersUsed(), j, rel.Arity, rel.Vals())
 	}
-
-	seedInput(cluster, gp, q, db)
-	layout := hashing.Layout{hashing.NewBlock(0, grid, q.AtomDims())}
-	hyperCubeShuffle(cluster, "hypercube-shuffle", layout[0], family)
-
-	// Computation phase: local evaluation on every server (no
-	// communication), and the aggregate tail when agg is set. The shuffle's
-	// block doubles as the provenance of what each server received, so the
-	// servers of a route's subcube, which hold the same fragment, share its
-	// index builds.
-	out, saved := localjoin.Output(cluster, q, env, layout, agg)
-	rec := cluster.Record(out, InputBits(q, db))
-	rec.AggregateBitsSaved = saved
-	return rec
-}
-
-// InputBits is the input size Σ_j M_j of q's atoms in db, in bits.
-func InputBits(q *query.Query, db *data.Database) float64 {
-	total := 0.0
-	for _, a := range q.Atoms {
-		total += db.Get(a.Name).SizeBits(db.N)
-	}
-	return total
-}
-
-// hyperCubeShuffle runs the HyperCube communication round: every server
-// routes its local tuples (message kind = atom index) to their destination
-// subcubes D(t) of equation (9) in block.
-func hyperCubeShuffle(cluster *engine.Cluster, name string, block *hashing.Block, family *hashing.Family) {
-	cluster.Round(name, func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		inbox.EachBatch(func(b engine.Batch) {
-			emit.EmitRouted(block, family, b.Kind, b.Arity, b.Vals)
-		})
-	})
+	out, _ := localjoin.Output(cluster, q, engine.Env{}, gp.Shuffle(cluster, seed), nil)
+	return cluster.Record(out, engine.InputBits(q, db))
 }
 
 // SequentialAnswer computes q(db) on one node — the ground truth for

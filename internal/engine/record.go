@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/query"
 )
 
 // RunRecord is the one report every strategy family's executor returns: the
@@ -36,6 +37,15 @@ func (c *Cluster) Record(out *data.Relation, inputBits float64) *RunRecord {
 		ServersUsed: c.p,
 		InputBits:   inputBits,
 	}
+}
+
+// InputBits is the input size Σ_j M_j of q's atoms in db, in bits.
+func InputBits(q *query.Query, db *data.Database) float64 {
+	total := 0.0
+	for _, a := range q.Atoms {
+		total += db.Get(a.Name).SizeBits(db.N)
+	}
+	return total
 }
 
 // MaxLoadBits returns L, the maximum number of bits received by any server

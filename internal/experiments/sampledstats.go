@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 	"mpcquery/internal/skew"
 )
@@ -34,8 +35,12 @@ func SampledStats(cfg Config) []SampledStatsRow {
 	})
 	oracle := skewAware(q, db, p, cfg.Seed)
 	var out []SampledStatsRow
+	spec := skew.StarStatsSpec(q, db, p)
 	for _, sample := range []int{10, 50, 200, m} {
-		sampled := skew.RunStarSampled(q, db, p, cfg.Seed, sample)
+		st := spec.Run(p, sample, cfg.Seed, 0)
+		gp := skew.PrepareGenericFromStats(q, db, p, spec, st.PerAtom)
+		sampled := skew.RunGenericPlannedNet(gp, q, db, cfg.Seed, 0, nil, engine.Env{})
+		skew.AddStatsCharges(sampled, st)
 		out = append(out, SampledStatsRow{
 			Sample:   sample,
 			Oracle:   oracle.MaxLoadBits(),

@@ -57,29 +57,28 @@ func Execute(p *Plan, db *data.Database, servers int, seed int64) *engine.RunRec
 //
 // The records of one level's nodes, which share its round on disjoint
 // servers, merge Beside each other, and each level follows the previous
-// one. The plan's record spans the servers budget and the whole database's
-// input, and its HeavyHitters sums the nodes'.
+// one. The plan's record spans the servers budget and its leaves' input,
+// and its HeavyHitters sums the nodes'.
 func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *engine.RunRecord {
 	if servers < 1 {
 		panic("multiround: need at least one server")
 	}
 	levels := make([][]*Node, p.Rounds()+1) // by depth; every depth has a node
+	rec := &engine.RunRecord{ServersUsed: servers}
 	var collect func(n *Node)
 	collect = func(n *Node) {
-		if !n.IsLeaf() {
-			levels[n.Depth()] = append(levels[n.Depth()], n)
-			for _, c := range n.Children {
-				collect(c)
-			}
+		if n.IsLeaf() {
+			rec.InputBits += db.Get(n.Name).SizeBits(db.N)
+			return
+		}
+		levels[n.Depth()] = append(levels[n.Depth()], n)
+		for _, c := range n.Children {
+			collect(c)
 		}
 	}
 	collect(p.Root)
 
 	materialized := maps.Clone(db.Relations)
-	rec := &engine.RunRecord{ServersUsed: servers}
-	for _, r := range db.Relations {
-		rec.InputBits += r.SizeBits(db.N)
-	}
 	for d := 1; d < len(levels); d++ {
 		nodes := levels[d]
 		perNode := max(1, servers/len(nodes))

@@ -27,6 +27,12 @@
 // algorithm may use Θ(p) servers, and loads are compared against bounds
 // parameterized by the requested p. Where every bin holds one value, the
 // plan is the per-value one: a block per heavy/light pattern.
+//
+// GridPlan is HyperCube (Section 3.1): the plan with no heavy value, whose
+// all-light block is the grid of the given shares. Its data round,
+// (*GenericPlan).Shuffle, is the one router of a join's data: HyperCube
+// grids (core plans only their shares), heavy/light layouts and every
+// multi-round plan node all route through it.
 package skew
 
 import (
@@ -37,7 +43,6 @@ import (
 	"slices"
 
 	"mpcquery/internal/aggregate"
-	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
@@ -50,8 +55,9 @@ import (
 // the heavy values with their bins, and every bin pattern with its
 // sub-blocks and routes. Preparing it costs one share-LP solve per bin
 // pattern, so a service caches it per (query shape, database, p). It is
-// immutable and safe for concurrent RunGenericPlannedNet calls.
+// immutable and safe for concurrent RunGenericPlannedNet and Shuffle calls.
 type GenericPlan struct {
+	round        string               // the data round's name in RoundStats and traces
 	heavy        []map[int64]heavyVal // per variable: heavy value → its bin and rank
 	patterns     []*binPattern
 	layout       hashing.Layout // every pattern's sub-blocks, in pattern order
@@ -135,6 +141,19 @@ func PrepareGenericFromStats(q *query.Query, db *data.Database, p int, spec Stat
 	return newGenericPlan(q, db, p, skewFreeShares(q, db, p), counts)
 }
 
+// GridPlan is HyperCube (Section 3.1) on the given integer shares, one per
+// variable: the plan with no heavy value, whose one all-light block is the
+// grid, with the input dealt over its Π shares servers.
+func GridPlan(q *query.Query, db *data.Database, shares []int) *GenericPlan {
+	counts := make([][]map[int64]int, q.NumAtoms())
+	for j, a := range q.Atoms {
+		counts[j] = make([]map[int64]int, a.Arity())
+	}
+	gp := newGenericPlan(q, db, hashing.NewGrid(shares).P(), shares, counts)
+	gp.round = "hypercube-shuffle"
+	return gp
+}
+
 // skewFreeShares returns the integer HyperCube shares of q's all-light grid
 // on p servers, from which the heavy cuts are taken.
 func skewFreeShares(q *query.Query, db *data.Database, p int) []int {
@@ -206,7 +225,7 @@ func exactCounts(q *query.Query, db *data.Database, light []int) [][]map[int64]i
 // over v's columns.
 func newGenericPlan(q *query.Query, db *data.Database, p int, light []int, counts [][]map[int64]int) *GenericPlan {
 	k, atomDims, bpv := q.NumVars(), q.AtomDims(), data.BitsPerValue(db.N)
-	gp := &GenericPlan{heavy: make([]map[int64]heavyVal, k), inputServers: p}
+	gp := &GenericPlan{round: "skew-generic", heavy: make([]map[int64]heavyVal, k), inputServers: p}
 	bins := make([][][]int64, k) // bins[v][b]: the values of v's bin b, by rank
 	for v := range k {
 		set := map[int64]bool{}
@@ -398,17 +417,15 @@ func (gp *GenericPlan) route(dst []*hashing.Block, j int, tuple []int64, ranks [
 	return dst
 }
 
-// RunGenericPlannedNet executes the pattern-routing data round under a
-// prepared layout: routing, local evaluation and metering, with the
-// statistics phase already paid for (or cached) by the caller. Running a
-// prepared plan is bit-identical to preparing it anew — preparation only
-// moves work, never accounting. The layout spans the plan's own servers.
-// It runs every multi-round plan node too, where most atoms hold no heavy
-// value: such an atom's batches go out whole, with no per-tuple lookup.
-// capBits is a declared per-round load cap in bits (Section 2.1's abort
-// semantics; 0 = none); agg, when set, aggregates the output with one more
-// round, as core.RunPlanAggregateNet does (nil: the plain join); round
-// delivery goes through env (the zero Env = in-process, untraced).
+// RunGenericPlannedNet executes a prepared layout: routing, local
+// evaluation and metering, with the statistics phase already paid for (or
+// cached) by the caller. Running a prepared plan is bit-identical to
+// preparing it anew — preparation only moves work, never accounting. The
+// layout spans the plan's own servers. It runs HyperCube (GridPlan), every
+// heavy/light layout and every multi-round plan node. capBits is a declared
+// per-round load cap in bits (Section 2.1's abort semantics; 0 = none); agg,
+// when set, aggregates the output with one more round (nil: the plain join);
+// round delivery goes through env (the zero Env = in-process, untraced).
 func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *engine.RunRecord {
 	cluster := engine.NewClusterEnv(env, gp.totalServers, data.BitsPerValue(db.N))
 	defer cluster.Release()
@@ -416,14 +433,35 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, se
 		cluster.SetLoadCap(capBits)
 	}
 	cluster.SeedPartitioned(gp.inputServers, q, db)
+	layout := gp.Shuffle(cluster, seed)
 
-	family := hashing.NewFamily(seed, q.NumVars())
+	// A sub-block receives only the tuples that match it on every column:
+	// in the pinned bin and group where its pattern pins the variable, light
+	// where it does not. Every variable sits in some atom, so every output
+	// row of a sub-block matches it too, no row needs filtering, and each
+	// is produced, and folded, once.
+	out, saved := localjoin.Output(cluster, q, env, layout, agg)
+
+	rec := cluster.Record(out, engine.InputBits(q, db))
+	rec.AggregateBitsSaved = saved
+	rec.HeavyHitters = gp.nHeavy
+	return rec
+}
+
+// Shuffle runs the plan's data round on cluster, whose servers hold the
+// input as batches tagged with their atom's index: every tuple goes to the
+// sub-blocks of every pattern consistent with it, hashed by the family of
+// seed. It returns the layout, the provenance of what each server received,
+// for the computation phase: the servers of a route's subcube hold the same
+// fragment and share its index builds.
+func (gp *GenericPlan) Shuffle(cluster *engine.Cluster, seed int64) hashing.Layout {
+	family := hashing.NewFamily(seed, len(gp.heavy))
 
 	// Consecutive tuples routed to the same blocks go out as one EmitRouted per
 	// block: the blocks cover disjoint servers, so each keeps inbox order. An
 	// atom with one route has no heavy value, so all of a batch goes where its
 	// first tuple does: light values have rank 0 and never drop a tuple.
-	cluster.Round("skew-generic", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
+	cluster.Round(gp.round, func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		var ranks []int
 		var run, dst []*hashing.Block
 		inbox.EachBatch(func(b engine.Batch) {
@@ -452,18 +490,7 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, se
 			}
 		})
 	})
-
-	// A sub-block receives only the tuples that match it on every column:
-	// in the pinned bin and group where its pattern pins the variable, light
-	// where it does not. Every variable sits in some atom, so every output
-	// row of a sub-block matches it too, no row needs filtering, and each
-	// is produced, and folded, once.
-	out, saved := localjoin.Output(cluster, q, env, gp.layout, agg)
-
-	rec := cluster.Record(out, core.InputBits(q, db))
-	rec.AggregateBitsSaved = saved
-	rec.HeavyHitters = gp.nHeavy
-	return rec
+	return gp.layout
 }
 
 // statsFor bounds every atom's fragment under a pattern, in bits: the atom's

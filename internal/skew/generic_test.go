@@ -8,9 +8,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
+	"mpcquery/internal/localjoin"
+	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
 
@@ -20,12 +21,40 @@ func runGeneric(q *query.Query, db *data.Database, p int, seed int64) *engine.Ru
 	return RunGenericPlannedNet(PrepareGeneric(q, db, p), q, db, seed, 0, nil, engine.Env{})
 }
 
+// runHyperCube runs HyperCube on p servers: GridPlan on the integer shares
+// of the skew-free share LP (10), or of the skew-oblivious LP (18).
+func runHyperCube(q *query.Query, db *data.Database, p int, seed int64, oblivious bool) *engine.RunRecord {
+	stats := make([]float64, q.NumAtoms())
+	for j, a := range q.Atoms {
+		stats[j] = db.Get(a.Name).SizeBits(db.N)
+	}
+	exponents := packing.ShareExponents
+	if oblivious {
+		exponents = packing.SkewShareExponents
+	}
+	return runShares(q, db, packing.IntegerShares(exponents(q, stats, float64(p)).Exponents, p), seed)
+}
+
+// runShares runs HyperCube on explicit integer shares.
+func runShares(q *query.Query, db *data.Database, shares []int, seed int64) *engine.RunRecord {
+	return RunGenericPlannedNet(GridPlan(q, db, shares), q, db, seed, 0, nil, engine.Env{})
+}
+
+// sequentialAnswer is q(db) on one node, the oracle of the skew tests.
+func sequentialAnswer(q *query.Query, db *data.Database) *data.Relation {
+	rels := make(map[string]*data.Relation, q.NumAtoms())
+	for _, a := range q.Atoms {
+		rels[a.Name] = db.Get(a.Name)
+	}
+	return localjoin.Evaluate(q, rels)
+}
+
 func TestGenericNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, q := range []*query.Query{query.Triangle(), query.Chain(3), query.Star(3)} {
 		db := data.MatchingDatabase(rng, q, 400, 1<<20)
 		res := runGeneric(q, db, 16, 7)
-		if !data.Equal(res.Output, core.SequentialAnswer(q, db)) {
+		if !data.Equal(res.Output, sequentialAnswer(q, db)) {
 			t.Errorf("%s: generic output mismatch", q.Name)
 		}
 		if len(res.Rounds) != 1 {
@@ -40,7 +69,7 @@ func TestGenericStarSkew(t *testing.T) {
 	m := 500
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m / 2, 9: m / 4})
 	res := runGeneric(q, db, 16, 3)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -54,7 +83,7 @@ func TestGenericTriangleSkew(t *testing.T) {
 	q := query.Triangle()
 	db := data.SkewedTriangleDatabase(rng, 500, 1<<20, 5, 150)
 	res := runGeneric(q, db, 27, 5)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -82,7 +111,7 @@ func TestGenericChainSkew(t *testing.T) {
 	db.Add(s2)
 	db.Add(data.RandomMatching(rng, "S3", 2, m, n))
 	res := runGeneric(q, db, 16, 9)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic chain: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -104,7 +133,7 @@ func TestGenericDenseRandom(t *testing.T) {
 			db.Add(rel)
 		}
 		res := runGeneric(q, db, 8, seed)
-		return data.Equal(res.Output, core.SequentialAnswer(q, db))
+		return data.Equal(res.Output, sequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rng}); err != nil {
 		t.Error(err)
@@ -117,7 +146,7 @@ func TestGenericBeatsVanillaUnderSkew(t *testing.T) {
 	m := 800 // fully skewed: output is m², keep it small
 	p := 16
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	vanilla := core.Run(q, db, p, 3, core.SkewFree)
+	vanilla := runHyperCube(q, db, p, 3, false)
 	gen := runGeneric(q, db, p, 3)
 	if !data.Equal(vanilla.Output, gen.Output) {
 		t.Fatal("outputs differ")

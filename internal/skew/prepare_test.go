@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
@@ -309,7 +308,7 @@ func TestPreparedRunsMatchUnprepared(t *testing.T) {
 // TestAddStatsChargesAccounting asserts the cached-vs-charged seam: merging
 // a StatsResult must list its round first, so it adds to the rounds and the
 // bits, takes part in the load max, the replication and the abort flag —
-// exactly what RunStarSampled does inline — and leave the (shared, cached)
+// exactly what a sampled star run does — and leave the (shared, cached)
 // StatsResult as it was.
 func TestAddStatsChargesAccounting(t *testing.T) {
 	rec := &engine.RunRecord{
@@ -555,7 +554,7 @@ func TestGenericDenseBinBounds(t *testing.T) {
 			if want := baseline.Evaluate(q, rels); !data.EqualMultiset(rec.Output, want) {
 				t.Fatalf("output: %d tuples, reference %d", rec.Output.NumTuples(), want.NumTuples())
 			}
-			hc := core.Run(q, db, p, 7, core.SkewOblivious).MaxLoadBits()
+			hc := runHyperCube(q, db, p, 7, true).MaxLoadBits()
 			if got := rec.MaxLoadBits(); got > hc {
 				t.Errorf("MaxLoadBits %v above oblivious HyperCube's %v", got, hc)
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/query"
 )
@@ -15,7 +14,7 @@ func TestStarNoSkewMatchesSequential(t *testing.T) {
 	q := query.Star(3)
 	db := data.MatchingDatabase(rng, q, 400, 1<<20)
 	res := runGeneric(q, db, 16, 99)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew star: got %d want %d tuples", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -34,7 +33,7 @@ func TestSimpleJoinFullSkewCorrect(t *testing.T) {
 	m := 500
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
 	res := runGeneric(q, db, 16, 5)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if want.NumTuples() != m*m {
 		t.Fatalf("worst case should produce m² = %d outputs, got %d", m*m, want.NumTuples())
 	}
@@ -59,7 +58,7 @@ func TestSimpleJoinSkewSeparation(t *testing.T) {
 	zi := q.VarIndex("z")
 	shares := []int{1, 1, 1}
 	shares[zi] = p
-	naive := core.RunPlan(core.PlanWithShares(q, db, shares), db, 5)
+	naive := runShares(q, db, shares, 5)
 
 	aware := runGeneric(q, db, p, 5)
 	if !data.Equal(naive.Output, aware.Output) {
@@ -81,7 +80,7 @@ func TestStarMixedSkewCorrect(t *testing.T) {
 
 	db := data.SkewedStarDatabase(rng, 3, m, 1<<20, heavy)
 	res := runGeneric(q, db, 27, 17)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("mixed star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -115,7 +114,7 @@ func TestStarRandomized(t *testing.T) {
 		db := data.SkewedStarDatabase(r, k, m, 1<<20, heavy)
 		p := []int{4, 8, 16, 27}[r.Intn(4)]
 		res := runGeneric(q, db, p, seed)
-		return data.Equal(res.Output, core.SequentialAnswer(q, db))
+		return data.Equal(res.Output, sequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rng}); err != nil {
 		t.Error(err)
@@ -127,7 +126,7 @@ func TestTriangleNoSkewMatchesSequential(t *testing.T) {
 	q := query.Triangle()
 	db := data.MatchingDatabase(rng, q, 500, 1<<20)
 	res := runGeneric(q, db, 27, 3)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -142,7 +141,7 @@ func TestTriangleOneHeavyCorrect(t *testing.T) {
 	m := 600
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, 200)
 	res := runGeneric(q, db, 27, 13)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("one-heavy triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -173,7 +172,7 @@ func TestTriangleDensePlusHeavy(t *testing.T) {
 		db.Add(rel)
 	}
 	res := runGeneric(q, db, 27, 11)
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	// Dense random data yields duplicate input tuples, so compare as sets.
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("dense triangle: got %d want %d distinct",
@@ -191,7 +190,7 @@ func TestTriangleRandomized(t *testing.T) {
 		db := data.SkewedTriangleDatabase(r, m, 1<<20, int64(r.Intn(10)), heavyCount)
 		p := []int{8, 27, 64}[r.Intn(3)]
 		res := runGeneric(q, db, p, seed)
-		return data.Equal(res.Output, core.SequentialAnswer(q, db))
+		return data.Equal(res.Output, sequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rng}); err != nil {
 		t.Error(err)
@@ -207,7 +206,7 @@ func TestTriangleSkewSeparation(t *testing.T) {
 	m := 4000
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<22, 5, m/2)
-	vanilla := core.Run(q, db, p, 3, core.SkewFree)
+	vanilla := runHyperCube(q, db, p, 3, false)
 	aware := runGeneric(q, db, p, 3)
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
@@ -250,8 +249,8 @@ func TestRunStarSampledCorrect(t *testing.T) {
 	q := query.Star(2)
 	m := 1000
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m / 2})
-	res := RunStarSampled(q, db, 16, 9, 100)
-	want := core.SequentialAnswer(q, db)
+	res := runStarSampled(q, db, 16, 9, 100)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("sampled star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -269,7 +268,7 @@ func TestRunStarSampledLoadNearExact(t *testing.T) {
 	m := 1200
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
 	exact := runGeneric(q, db, 16, 9)
-	sampled := RunStarSampled(q, db, 16, 9, 200)
+	sampled := runStarSampled(q, db, 16, 9, 200)
 	if !data.Equal(exact.Output, sampled.Output) {
 		t.Fatal("outputs differ")
 	}

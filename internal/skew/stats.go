@@ -33,8 +33,9 @@ type StatsSpec struct {
 	Thresholds []int
 }
 
-// StarStatsSpec returns the spec RunStarSampled uses for a star query: every
-// atom's z-column, with the conservative m_j/(4p) candidate cut.
+// StarStatsSpec returns the sampling spec of a star query, the one the
+// skewed-star-sampled strategy runs: every atom's z-column, with the
+// conservative m_j/(4p) candidate cut.
 func StarStatsSpec(q *query.Query, db *data.Database, p int) StatsSpec {
 	zName := q.Atoms[0].Vars[0]
 	l := q.NumAtoms()
@@ -178,23 +179,6 @@ func candidateFloor(threshold int, scale float64, n int) int {
 		c++
 	}
 	return c
-}
-
-// RunStarSampled runs the skew-aware algorithm on a star end to end without
-// a statistics oracle: a first round gathers sampled z-frequencies for all ℓ
-// atoms with StarStatsSpec's protocol, and the data round runs the generic
-// planner on the estimates. Output correctness is unconditional; only the
-// load depends on estimate quality.
-//
-// The accounting is honest about both cost dimensions: the statistics
-// protocol executes as one genuine round, listed before the data round, so
-// its communication counts in the total and its load in the maximum.
-func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *engine.RunRecord {
-	spec := StarStatsSpec(q, db, p)
-	st := spec.Run(p, sampleSize, seed, 0)
-	rec := RunGenericPlannedNet(PrepareGenericFromStats(q, db, p, spec, st.PerAtom), q, db, seed, 0, nil, engine.Env{})
-	AddStatsCharges(rec, st)
-	return rec
 }
 
 // AddStatsCharges charges the statistics round to a data-round record: a

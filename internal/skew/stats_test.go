@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"testing"
 
-	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -89,6 +89,17 @@ func TestStatsProtocolWithoutRelations(t *testing.T) {
 	}
 }
 
+// runStarSampled is SkewedStarSampled's run without an aggregate: the
+// sampling round on StarStatsSpec's columns, the generic planner on its
+// estimates, and the round charged before the data round.
+func runStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *engine.RunRecord {
+	spec := StarStatsSpec(q, db, p)
+	st := spec.Run(p, sampleSize, seed, 0)
+	rec := RunGenericPlannedNet(PrepareGenericFromStats(q, db, p, spec, st.PerAtom), q, db, seed, 0, nil, engine.Env{})
+	AddStatsCharges(rec, st)
+	return rec
+}
+
 // TestRunStarSampledHonestAccounting pins the corrected end-to-end numbers:
 // Rounds counts the stats round as one genuine round, TotalBits includes
 // the stats communication, MaxLoadBits is the max over the stats and data
@@ -98,7 +109,7 @@ func TestRunStarSampledHonestAccounting(t *testing.T) {
 	db := fullySkewedStar(2, m)
 	q := query.Star(2)
 
-	res := RunStarSampled(q, db, p, 3, m)
+	res := runStarSampled(q, db, p, 3, m)
 	oracle := runGeneric(q, db, p, 3)
 
 	if len(res.Rounds) != len(oracle.Rounds)+1 {
@@ -134,11 +145,11 @@ func TestRunStarSampledHeavyDetected(t *testing.T) {
 	const m, p = 400, 4
 	db := fullySkewedStar(2, m)
 	q := query.Star(2)
-	res := RunStarSampled(q, db, p, 3, m)
+	res := runStarSampled(q, db, p, 3, m)
 	if res.HeavyHitters != 1 {
 		t.Errorf("heavy hitters=%d want 1 (z=7)", res.HeavyHitters)
 	}
-	want := core.SequentialAnswer(q, db)
+	want := sequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Errorf("output %d tuples, want %d", res.Output.NumTuples(), want.NumTuples())
 	}
@@ -171,7 +182,7 @@ func TestStatsRoundThatDrawsIsPinned(t *testing.T) {
 	// bits (the deleted star planner's residual shares read 10 668) — each
 	// hitter's block is shaped by the share LP and integer shares on its
 	// per-atom counts, with value 5 absent from S2's estimates.
-	res := RunStarSampled(q, db, 16, 7, 50)
+	res := runStarSampled(q, db, 16, 7, 50)
 	if res.MaxLoadBits() != 10920 || res.TotalBits() != 288360 || res.HeavyHitters != 2 || res.ServersUsed != 31 {
 		t.Errorf("sampled run: load %v, total %v, %d heavy, %d servers; pinned 10920, 288360, 2, 31",
 			res.MaxLoadBits(), res.TotalBits(), res.HeavyHitters, res.ServersUsed)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mpcquery/internal/core"
 	"mpcquery/internal/data"
 	"mpcquery/internal/engine"
 	"mpcquery/internal/hashing"
@@ -67,7 +66,7 @@ func TestTriangleSweep(t *testing.T) {
 				if got := rec.MaxLoadBits(); got > before {
 					t.Errorf("MaxLoadBits %v above the hand-built triangle planner's %v", got, before)
 				}
-				if got, hc := rec.MaxLoadBits(), core.Run(q, r.db, p, 7, core.SkewOblivious).MaxLoadBits(); got > hc {
+				if got, hc := rec.MaxLoadBits(), runHyperCube(q, r.db, p, 7, true).MaxLoadBits(); got > hc {
 					t.Errorf("MaxLoadBits %v above oblivious HyperCube's %v", got, hc)
 				}
 				checkServers(t, rec, p, gp)
@@ -159,7 +158,7 @@ func TestStarSweep(t *testing.T) {
 				if got := rec.MaxLoadBits(); got > starLoadSlack*before {
 					t.Errorf("MaxLoadBits %v above %v × the star planner's %v", got, starLoadSlack, before)
 				}
-				if got, hc := rec.MaxLoadBits(), core.Run(q, db, p, 7, core.SkewOblivious).MaxLoadBits(); got > hc {
+				if got, hc := rec.MaxLoadBits(), runHyperCube(q, db, p, 7, true).MaxLoadBits(); got > hc {
 					t.Errorf("MaxLoadBits %v above oblivious HyperCube's %v", got, hc)
 				}
 				if r.deg == r.m/p && rec.HeavyHitters < 1 {

@@ -3,6 +3,7 @@ package mpcquery
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mpcquery/internal/advisor"
 	"mpcquery/internal/core"
@@ -93,13 +94,20 @@ func (s hyperCubeStrategy) Name() string {
 
 func (hyperCubeStrategy) supportsAggregate() {}
 
+// hyperCubePlan is a cached HyperCube plan: the share plan and the grid it
+// runs as.
+type hyperCubePlan struct {
+	plan *core.Plan
+	grid *skew.GenericPlan
+}
+
 func (s hyperCubeStrategy) Execute(ctx ExecContext) (*Report, error) {
-	plan := ctx.cached(fmt.Sprintf("hc|m%d", s.mode), func() any {
-		return core.PlanForDatabase(ctx.Query, ctx.DB, ctx.Servers, s.mode)
-	}).(*core.Plan)
-	rec := core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
-	rep := hyperCubeReport(s.Name(), ctx.Query, plan, rec)
-	rep.PredictedLoadBits = plan.PredictedLoadBits()
+	hc := ctx.cached(fmt.Sprintf("hc|m%d", s.mode), func() any {
+		plan := core.PlanForDatabase(ctx.Query, ctx.DB, ctx.Servers, s.mode)
+		return hyperCubePlan{plan, skew.GridPlan(ctx.Query, ctx.DB, plan.Shares)}
+	}).(hyperCubePlan)
+	rep := runLayout(s.Name(), ctx, hc.grid, nil, hc.plan.Shares)
+	rep.PredictedLoadBits = hc.plan.PredictedLoadBits()
 	return rep, nil
 }
 
@@ -130,9 +138,7 @@ func (s sharesStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: HyperCubeShares: shares must be ≥ 1, got %v", s.shares)
 		}
 	}
-	plan := core.PlanWithShares(ctx.Query, ctx.DB, s.shares)
-	rec := core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
-	return hyperCubeReport(s.Name(), ctx.Query, plan, rec), nil
+	return runLayout(s.Name(), ctx, skew.GridPlan(ctx.Query, ctx.DB, s.shares), nil, s.shares), nil
 }
 
 // ---- self-joins ------------------------------------------------------------
@@ -223,9 +229,7 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		spec := skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers)
 		return skew.PrepareGenericFromStats(ctx.Query, ctx.DB, ctx.Servers, spec, st.PerAtom)
 	}).(*skew.GenericPlan)
-	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
-	skew.AddStatsCharges(rec, st)
-	return newReport(s.Name(), ctx.Query, rec), nil
+	return runLayout(s.Name(), ctx, gp, st, nil), nil
 }
 
 // isStarQuery reports whether every atom starts with the same variable —
@@ -303,8 +307,20 @@ func runGeneric(name string, ctx ExecContext) *Report {
 	gp := ctx.cached("generic", func() any {
 		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers)
 	}).(*skew.GenericPlan)
+	return runLayout(name, ctx, gp, nil, nil)
+}
+
+// runLayout is where every one-round strategy finishes: it runs gp's data
+// round for ctx and reports it. st, when set, is the statistics round,
+// charged before the data round; shares, when set, are the HyperCube grid's.
+func runLayout(name string, ctx ExecContext, gp *skew.GenericPlan, st *skew.StatsResult, shares []int) *Report {
 	rec := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), ctx.env)
-	return newReport(name, ctx.Query, rec)
+	if st != nil {
+		skew.AddStatsCharges(rec, st)
+	}
+	rep := newReport(name, ctx.Query, rec)
+	rep.Shares = slices.Clone(shares)
+	return rep
 }
 
 // ---- multi-round strategies ------------------------------------------------
@@ -374,8 +390,8 @@ func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps 
 	rec := multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.aggregatePlan(), memo, ctx.env)
 	rep := newReport(name, ctx.Query, rec)
 	maxM := 0.0
-	for _, r := range ctx.DB.Relations {
-		maxM = max(maxM, r.SizeBits(ctx.DB.N))
+	for _, a := range ctx.Query.Atoms {
+		maxM = max(maxM, ctx.DB.Relations[a.Name].SizeBits(ctx.DB.N))
 	}
 	rep.PredictedLoadBits = maxM / math.Pow(float64(ctx.Servers), 1-eps)
 	return rep, nil
@@ -450,13 +466,5 @@ func newReport(name string, q *Query, rec *engine.RunRecord) *Report {
 	for i, rs := range rec.Rounds {
 		rep.RoundStats = append(rep.RoundStats, RoundStat{Round: i + 1, MaxLoadBits: rs.MaxRecvBits})
 	}
-	return rep
-}
-
-// hyperCubeReport is newReport for a run of one HyperCube grid: it also
-// reports the plan's shares.
-func hyperCubeReport(name string, q *Query, plan *core.Plan, rec *engine.RunRecord) *Report {
-	rep := newReport(name, q, rec)
-	rep.Shares = append([]int(nil), plan.Shares...)
 	return rep
 }

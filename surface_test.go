@@ -19,7 +19,11 @@ import (
 // functions and methods of the three strategy-family packages: one full form
 // per family (the one strategy.go and benchmark/ call), a zero-option
 // convenience only where non-test code calls it, and the two other-model
-// runs of core. It also freezes what they return: every strategy run reports
+// runs of core. core's are adapters that run a Plan as skew.GridPlan through
+// skew's one router (TestOneRouter), kept because benchmark/ and the
+// experiments call them; the sampled star has no run of its own, its
+// strategy chaining the statistics round and the generic planner. It also
+// freezes what they return: every strategy run reports
 // one engine.RunRecord — only the answer-fraction run (RunPlanCapped) and the
 // statistics protocol (StatsSpec.Run*, whose round AddStatsCharges folds
 // into a record) return something else — and the packages declare no other
@@ -31,7 +35,7 @@ func TestStrategyEntryPointSurface(t *testing.T) {
 			"RunPlanInputServers", "RunPlanWithCapNet",
 		},
 		"internal/skew": {
-			"RunGenericPlannedNet", "RunStarPlannedNet", "RunStarSampled",
+			"RunGenericPlannedNet", "RunStarPlannedNet",
 			"RunTrianglePlannedNet", "StatsSpec.Run", "StatsSpec.RunNet",
 		},
 		"internal/multiround": {
@@ -136,6 +140,46 @@ func TestOneComputationPhase(t *testing.T) {
 		"NewIndexCache": true, "NewWorkerScratches": true,
 		"EvaluateAtoms": true, "EvaluateAtomsStream": true, "engine.Concat": true,
 	}
+	eachStrategyCall(t, func(path string, pos token.Position, name string) {
+		if path == "internal/core/capped.go" {
+			return
+		}
+		if forbidden[name] {
+			t.Errorf("%s calls %s: use the localjoin computation phase — do not add a second one", pos, name)
+		}
+		if name == "Inbox" && !inboxReads[path] {
+			t.Errorf("%s calls .Inbox(: a rank holds only its owned servers' inboxes — read inside the phase", pos)
+		}
+	})
+}
+
+// TestOneRouter keeps every data round of a join on skew's one router,
+// (*GenericPlan).Shuffle, which runs HyperCube grids (GridPlan), heavy/light
+// layouts and multi-round plan nodes alike: no other non-test file of core,
+// skew or multiround routes a tuple (EmitRouted), draws a hash family
+// (hashing.NewFamily) or runs a round (Cluster.Round). skew/stats.go runs
+// the sampling round, and multiround/cc.go the connected-components rounds,
+// which are not joins.
+func TestOneRouter(t *testing.T) {
+	const router = "internal/skew/generic.go"
+	allowed := map[string]map[string]bool{
+		"EmitRouted":        {router: true},
+		"hashing.NewFamily": {router: true, "internal/multiround/cc.go": true},
+		"Round":             {router: true, "internal/skew/stats.go": true, "internal/multiround/cc.go": true},
+	}
+	eachStrategyCall(t, func(path string, pos token.Position, name string) {
+		if files, ok := allowed[name]; ok && !files[path] {
+			t.Errorf("%s calls %s: route through (*skew.GenericPlan).Shuffle — do not add a second router", pos, name)
+		}
+	})
+}
+
+// eachStrategyCall calls f for every method or package-qualified call in the
+// non-test files of core, skew and multiround, with the file's slash path
+// and the called name, prefixed "engine." or "hashing." for those packages'
+// functions.
+func eachStrategyCall(t *testing.T, f func(path string, pos token.Position, name string)) {
+	t.Helper()
 	for _, dir := range []string{"internal/core", "internal/skew", "internal/multiround"} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, nonTest, parser.SkipObjectResolution)
@@ -144,9 +188,6 @@ func TestOneComputationPhase(t *testing.T) {
 		}
 		for _, pkg := range pkgs {
 			for path, file := range pkg.Files {
-				if filepath.ToSlash(path) == "internal/core/capped.go" {
-					continue
-				}
 				ast.Inspect(file, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
@@ -157,17 +198,10 @@ func TestOneComputationPhase(t *testing.T) {
 						return true
 					}
 					name := sel.Sel.Name
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "engine" {
-						name = "engine." + name
+					if x, ok := sel.X.(*ast.Ident); ok && (x.Name == "engine" || x.Name == "hashing") {
+						name = x.Name + "." + name
 					}
-					if forbidden[name] {
-						t.Errorf("%s calls %s: use the localjoin computation phase — do not add a second one",
-							fset.Position(call.Pos()), name)
-					}
-					if name == "Inbox" && !inboxReads[filepath.ToSlash(path)] {
-						t.Errorf("%s calls .Inbox(: a rank holds only its owned servers' inboxes — read inside the phase",
-							fset.Position(call.Pos()))
-					}
+					f(filepath.ToSlash(path), fset.Position(call.Pos()), name)
 					return true
 				})
 			}
@@ -216,7 +250,6 @@ var idleExportAllowlist = map[string]string{
 	"internal/packing.VertexCover":                "packing tests check τ* against the dual LP",
 	"internal/skew.GenericPlan.HeavyHitters":      "generic-plan tests count the planned heavy values",
 	"internal/skew.GenericPlan.NumPatterns":       "generic-plan tests",
-	"internal/skew.GenericPlan.ServersUsed":       "generic-plan tests bound the layout's servers",
 
 	// Fixtures that tests in several packages share: moving them into
 	// _test.go files would duplicate them, not remove them.
