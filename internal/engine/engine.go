@@ -8,8 +8,7 @@
 // the number of rounds r, and the maximum load L — the number of bits any
 // server *receives* in a round. The initial partitioned input (each server
 // holds M/p bits) is free, as in the paper; every subsequent delivery is
-// charged at Arity·⌈log₂ n⌉ bits per tuple, and a broadcast is charged to
-// every one of its p receivers.
+// charged at Arity·⌈log₂ n⌉ bits per tuple to every one of its receivers.
 //
 // Communication is batched and columnar: a server's emissions are grouped
 // into flat []int64 buffers per (sender → target) and message kind, where a
@@ -36,11 +35,6 @@ import (
 	"mpcquery/internal/obs"
 	"mpcquery/internal/query"
 )
-
-// Broadcast is the destination pseudo-id that delivers a batch to every
-// server. Each of the p copies is charged to its receiver, as the model
-// requires.
-const Broadcast = -1
 
 // Batch is a read-only view of one columnar group of same-kind tuples: the
 // values of NumTuples() tuples of the given arity, stored row-major in one
@@ -81,15 +75,13 @@ type span struct {
 
 	// Streaming tags, meaningful only while an inbox is accumulating
 	// pipelined chunks (see stream.go): the sending server, the sequence
-	// number of the batch the chunk belongs to, the sender's per-round flush
-	// sequence number, and the class (0 = unicast and multicast, 1 =
-	// broadcast). finalizeStream sorts on (sender, cls, run, seq) to
+	// number of the batch the chunk belongs to, and the sender's per-round
+	// flush sequence number. finalizeStream sorts on (sender, run, seq) to
 	// reproduce the barrier delivery order; barrier-path spans leave the
 	// tags zero.
 	sender int32
 	run    int32
 	seq    int32
-	cls    int8
 }
 
 // Inbox holds what one server received in the most recent round (or its
@@ -318,8 +310,8 @@ type groupRef struct {
 	ownBefore int32
 }
 
-// sendBuf accumulates a sender's pending batches for one destination (or
-// its broadcasts). Resetting keeps every vals backing array for reuse.
+// sendBuf accumulates a sender's pending batches for one destination.
+// Resetting keeps every vals backing array for reuse.
 type sendBuf struct {
 	batches []outBatch
 	slot    int32 // running EmitRouted's table: 1 + index of the batch to it, or of the group it heads
@@ -355,7 +347,6 @@ type Emitter struct {
 	perDest []sendBuf // lazily allocated, one per destination
 	touched []int     // destinations with pending batches or refs, in first-touch order
 	slotted []int32   // destinations whose sendBuf.slot the running EmitRouted has set
-	bcast   sendBuf
 
 	// Multicast staging: the batches addressed to subcubes, in the order
 	// they were opened, and per destination (sized with perDest) the
@@ -418,14 +409,6 @@ func (e *Emitter) dest(dest int) *sendBuf {
 	return sb
 }
 
-func (e *Emitter) buf(dest int) *sendBuf {
-	if dest == Broadcast {
-		return &e.bcast
-	}
-	e.checkDest(dest)
-	return e.dest(dest)
-}
-
 // openGroup starts a batch for the subcube base+offsets[·], every member
 // checked once here rather than once per tuple, references it under every
 // member, and returns its index in e.groups.
@@ -460,11 +443,12 @@ func (e *Emitter) label(b *outBatch, kind, arity int) {
 	}
 }
 
-// batch returns the batch to stage (kind, arity) tuples to dest (or
-// Broadcast) in: the target's last batch when it holds that kind; otherwise
-// a new batch, or in a pipelined round the last batch flushed and relabelled.
+// batch returns the batch to stage (kind, arity) tuples to dest in: the
+// target's last batch when it holds that kind; otherwise a new batch, or in a
+// pipelined round the last batch flushed and relabelled.
 func (e *Emitter) batch(dest, kind, arity int) *outBatch {
-	sb := e.buf(dest)
+	e.checkDest(dest)
+	sb := e.dest(dest)
 	if n := len(sb.batches); n > 0 {
 		switch last := &sb.batches[n-1]; {
 		case last.kind == kind && last.arity == arity:
@@ -502,9 +486,9 @@ func (e *Emitter) group(base int, offsets []int, kind, arity int) int {
 	return e.openGroup(base, offsets, kind, arity)
 }
 
-// EmitTuple sends one tuple of the given kind to dest (or Broadcast). This
-// is the fast path for per-tuple routing decisions; the values are copied
-// into the sender's batch buffer for dest.
+// EmitTuple sends one tuple of the given kind to dest. This is the fast path
+// for per-tuple routing decisions; the values are copied into the sender's
+// batch buffer for dest.
 func (e *Emitter) EmitTuple(dest, kind int, tuple []int64) {
 	if len(tuple) == 0 {
 		panic("engine: cannot emit an empty tuple")
@@ -612,8 +596,8 @@ func appendTuple(dst, tuple []int64) []int64 {
 }
 
 // EmitBatch sends a whole flat block of same-kind tuples (len(vals) must be
-// a multiple of arity) to dest (or Broadcast) in one call — the bulk path
-// for algorithms that route contiguous runs of tuples to one destination.
+// a multiple of arity) to dest in one call — the bulk path for algorithms
+// that route contiguous runs of tuples to one destination.
 func (e *Emitter) EmitBatch(dest, kind, arity int, vals []int64) {
 	if arity < 1 {
 		panic("engine: batch arity must be positive")
@@ -660,11 +644,6 @@ type Cluster struct {
 	// landed. gathers counts the cluster's output gathers (Gather).
 	lo, hi  int
 	gathers int
-
-	// landed is the staging the last round was landed from: the cluster's
-	// emitters, or, over a link, the link's receive-side emitters for the
-	// senders another process owns (see EachBroadcast).
-	landed []*Emitter
 
 	// streamChunk > 0 enables chunked streaming rounds (SetStreamChunk):
 	// pipelined mid-emission flushes when link is nil; over a transport the
@@ -746,7 +725,6 @@ func (c *Cluster) Release() {
 		_ = c.link.Close()
 		c.link = nil
 	}
-	c.landed = nil
 	for s := 0; s < c.p; s++ {
 		if c.inbox[s] != nil {
 			c.inbox[s].reset()
@@ -878,21 +856,6 @@ func (c *Cluster) deal(servers int, ds []dealt) {
 // inbox of a server another process owns is empty.
 func (c *Cluster) Inbox(server int) *Inbox { return c.inbox[server] }
 
-// EachBroadcast calls f for every tuple broadcast in the last round, in
-// delivery order, read from the staging that round was landed from — how a
-// process that owns no server of a linked cluster reads what every server
-// received. It is valid until the next Round and visits nothing after a
-// pipelined round, whose broadcasts were flushed as they were staged.
-func (c *Cluster) EachBroadcast(f func(kind int, tuple []int64)) {
-	for _, em := range c.landed {
-		for _, b := range em.bcast.batches {
-			for vals := b.vals; len(vals) >= b.arity; vals = vals[b.arity:] {
-				f(b.kind, vals[:b.arity:b.arity])
-			}
-		}
-	}
-}
-
 // Round executes one MPC round: every owned server runs f concurrently over
 // its current inbox, emitting batches; the engine then delivers all
 // emissions in parallel (sharded by destination), replacing each owned
@@ -901,15 +864,15 @@ func (c *Cluster) EachBroadcast(f func(kind int, tuple []int64)) {
 //
 // Delivery order is deterministic, and the same for barrier, pipelined and
 // link delivery: per destination, senders ascending; within one sender, its
-// batches in the order it opened them, then its broadcasts. A batch is a
-// maximal run of same-kind tuples the sender emitted to one target — a server
-// (EmitTuple, EmitBatch, EmitRouted at fan-out 1) or a subcube (EmitFanout,
-// EmitRouted) — with no tuple of another kind to that target in between;
-// tuples keep their emission order, or block order, inside a batch. For a
-// sender that only emits to single servers this is emission order per
-// destination. A sender that interleaves, tuple by tuple, two
-// targets sharing a destination has that destination receive one target's
-// batch after the other's, not the interleaving.
+// batches in the order it opened them. A batch is a maximal run of same-kind
+// tuples the sender emitted to one target — a server (EmitTuple, EmitBatch,
+// EmitRouted at fan-out 1) or a subcube, the whole grid included
+// (EmitFanout, EmitRouted) — with no tuple of another kind to that target in
+// between; tuples keep their emission order, or block order, inside a batch.
+// For a sender that only emits to single servers this is emission order per
+// destination. A sender that interleaves, tuple by tuple, two targets
+// sharing a destination has that destination receive one target's batch
+// after the other's, not the interleaving.
 func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emitter)) RoundStats {
 	// Computation + emission phase: every server concurrently on a small
 	// worker set (ParallelFor), not a goroutine per server — skew-aware
@@ -960,7 +923,6 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 	// panic, mapped to a typed error at the API boundary.
 	t1 := c.tr.Start()
 	var destSecs []float64
-	c.landed = nil
 	if pipelined {
 		// Most of the round's traffic already flushed during emission; what
 		// remains is the leftover partial chunks, then each destination
@@ -1009,7 +971,6 @@ func (c *Cluster) Round(name string, f func(server int, inbox *Inbox, emit *Emit
 			DeliverLocal(io)
 		}
 		destSecs = io.PerDestSeconds
-		c.landed = io.Senders
 	}
 	commDur := c.tr.Seconds(t1)
 	c.inbox, c.spare = c.spare, c.inbox

@@ -39,15 +39,17 @@ func TestRoundDeliveryAndLoad(t *testing.T) {
 	}
 }
 
-// TestBroadcastChargesEveryReceiver pins the model's broadcast accounting:
-// one broadcast tuple is charged once to EVERY one of the p receivers, both
-// in tuples and in bits, under the batched parallel delivery.
+// TestBroadcastChargesEveryReceiver pins the model's broadcast accounting: a
+// broadcast is a multicast to every server, and one tuple multicast that way
+// is charged once to EVERY one of the p receivers, both in tuples and in
+// bits, under the batched parallel delivery.
 func TestBroadcastChargesEveryReceiver(t *testing.T) {
 	c := NewCluster(8, 4)
 	c.Seed(2, 0, []int64{9})
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	st := c.Round("bcast", func(s int, inbox *Inbox, emit *Emitter) {
 		inbox.Each(func(kind int, tuple []int64) {
-			emit.EmitTuple(Broadcast, kind, tuple)
+			emit.EmitFanout(0, all, kind, tuple)
 		})
 	})
 	if st.TotalRecvTuples != 8 {
@@ -66,14 +68,18 @@ func TestBroadcastChargesEveryReceiver(t *testing.T) {
 	}
 }
 
-// TestBroadcastBatchCharges is the EmitBatch counterpart: a whole batch
-// broadcast to p servers is charged per receiver per tuple.
+// TestBroadcastBatchCharges is the batch counterpart: a whole batch
+// multicast to every one of the p servers is charged per receiver per tuple.
 func TestBroadcastBatchCharges(t *testing.T) {
 	c := NewCluster(4, 8)
 	c.Seed(0, 3, []int64{1, 2})
+	all := []int{0, 1, 2, 3}
 	st := c.Round("bcast-batch", func(s int, inbox *Inbox, emit *Emitter) {
 		if s == 0 {
-			emit.EmitBatch(Broadcast, 3, 2, []int64{1, 2, 3, 4, 5, 6}) // 3 tuples
+			vals := []int64{1, 2, 3, 4, 5, 6} // 3 tuples
+			for i := 0; i < len(vals); i += 2 {
+				emit.EmitFanout(0, all, 3, vals[i:i+2])
+			}
 		}
 	})
 	if st.TotalRecvTuples != 3*4 {
@@ -81,6 +87,11 @@ func TestBroadcastBatchCharges(t *testing.T) {
 	}
 	if st.MaxRecvBits != 3*2*8 {
 		t.Fatalf("per-receiver bits=%v want 48", st.MaxRecvBits)
+	}
+	for s := 0; s < 4; s++ {
+		if ib := c.Inbox(s); ib.NumTuples() != 3 || ib.NumBatches() != 1 {
+			t.Fatalf("server %d inbox: %d tuples in %d batches, want 3 in 1", s, ib.NumTuples(), ib.NumBatches())
+		}
 	}
 }
 
@@ -248,26 +259,27 @@ func TestRoundPanicLeavesClusterUsable(t *testing.T) {
 	}
 }
 
-// TestConservation: total received bits equal total emitted bits (with
-// broadcast counting p receivers) — the engine neither loses nor invents
-// communication.
+// TestConservation: total received bits equal total emitted bits (with a
+// multicast to every server counting p receivers) — the engine neither loses
+// nor invents communication.
 func TestConservation(t *testing.T) {
 	c := NewCluster(5, 3)
 	c.Seed(0, 0, []int64{1, 2})
 	c.Seed(0, 1, []int64{3})
 	c.Seed(2, 0, []int64{4, 5, 6})
+	all := []int{0, 1, 2, 3, 4}
 	st := c.Round("mix", func(s int, inbox *Inbox, emit *Emitter) {
 		i := 0
 		inbox.Each(func(kind int, tuple []int64) {
 			if i%2 == 0 {
-				emit.EmitTuple(Broadcast, kind, tuple)
+				emit.EmitFanout(0, all, kind, tuple)
 			} else {
 				emit.EmitTuple((s+1)%5, kind, tuple)
 			}
 			i++
 		})
 	})
-	// Broadcast tuples: (1,2) from s0 and (4,5,6) from s2 => (2+3)*3 bits × 5.
+	// Multicast tuples: (1,2) from s0 and (4,5,6) from s2 => (2+3)*3 bits × 5.
 	// Unicast: (3) => 1*3 bits.
 	want := float64((2+3)*3*5 + 1*3)
 	if st.TotalRecvBits != want {

@@ -14,8 +14,8 @@ import (
 // every delivery path of the engine is compared with it.
 
 // emitOp is one scripted emitter call of kind-tagged tuples: EmitFanout to
-// base+offsets[·] when offsets is set, else EmitTuple / EmitBatch to dest
-// (which may be Broadcast). vals holds one or more tuples of arityOf(kind).
+// base+offsets[·] when offsets is set, else EmitTuple / EmitBatch to dest.
+// vals holds one or more tuples of arityOf(kind).
 type emitOp struct {
 	dest    int
 	base    int
@@ -72,28 +72,24 @@ func (sc script) run(c *Cluster) []delivered {
 // sender emitted to one target with no tuple of another kind to that target
 // in between.
 type modelBatch struct {
-	members []int // every server for a broadcast
+	members []int
 	kind    int
 	vals    []int64
 }
 
 // want computes, from the log alone, what the contract on Cluster.Round says
 // each round delivers: per destination, senders ascending; within one sender
-// its batches in the order it opened them, then its broadcasts.
+// its batches in the order it opened them.
 func (sc script) want(p, bitsPerValue int) []delivered {
-	everyone := make([]int, p)
-	for d := range everyone {
-		everyone[d] = d
-	}
 	var out []delivered
 	for r := range sc {
 		inboxes := make([]strings.Builder, p)
 		d := delivered{recvBits: make([]float64, p), recvTuples: make([]int, p)}
 		for s := 0; s < p; s++ {
-			var batches, bcasts []*modelBatch
+			var batches []*modelBatch
 			open := map[string]*modelBatch{} // target -> its latest batch
 			for _, op := range sc[r][s] {
-				list, target, members := &batches, fmt.Sprint("server ", op.dest), []int{op.dest}
+				target, members := fmt.Sprint("server ", op.dest), []int{op.dest}
 				switch {
 				case len(op.offsets) > 1:
 					target, members = fmt.Sprint("subcube ", op.base, op.offsets), nil
@@ -102,18 +98,16 @@ func (sc script) want(p, bitsPerValue int) []delivered {
 					}
 				case len(op.offsets) == 1: // a group of one is its server
 					target, members = fmt.Sprint("server ", op.base+op.offsets[0]), []int{op.base + op.offsets[0]}
-				case op.dest == Broadcast:
-					list, target, members = &bcasts, "broadcast", everyone
 				}
 				b := open[target]
 				if b == nil || b.kind != op.kind {
 					b = &modelBatch{members: members, kind: op.kind}
 					open[target] = b
-					*list = append(*list, b)
+					batches = append(batches, b)
 				}
 				b.vals = append(b.vals, op.vals...)
 			}
-			for _, b := range append(batches, bcasts...) {
+			for _, b := range batches {
 				arity := arityOf(b.kind)
 				for _, m := range b.members {
 					for off := 0; off < len(b.vals); off += arity {
@@ -255,6 +249,7 @@ func tuple(kind, sender, i int) []int64 {
 // has a rule for; the comments give what it says.
 func contractScript() script {
 	g123, g234 := []int{0, 1, 2}, []int{0, 1, 2} // equal tables, distinct slices
+	all := []int{0, 1, 2, 3, 4, 5}
 	uni := func(dest, kind, sender, i int) emitOp {
 		return emitOp{dest: dest, kind: kind, vals: tuple(kind, sender, i)}
 	}
@@ -270,14 +265,15 @@ func contractScript() script {
 		1: {fan(5, []int{0}, 1, 1, 0), uni(5, 1, 1, 1), fan(3, []int{2}, 1, 1, 2)},
 		// A group containing its sender, fed alternating kinds: three batches.
 		2: {fan(0, []int{0, 2, 4}, 0, 2, 0), fan(0, []int{0, 2, 4}, 1, 2, 1), fan(0, []int{0, 2, 4}, 0, 2, 2)},
-		// Unicast, multicast and broadcast to server 4: the unicast batch
-		// (tuples 0 and 3, nothing else went to that target in between), the
-		// multicast batch (1 and 4), then the broadcast (2).
-		3: {uni(4, 0, 3, 0), fan(3, g123, 0, 3, 1), uni(Broadcast, 0, 3, 2), uni(4, 0, 3, 3), fan(3, g123, 0, 3, 4)},
+		// Unicast, a subcube and the whole grid to server 4, in the order the
+		// sender opened them: the unicast batch (tuples 0 and 3, nothing else
+		// went to that target in between), the subcube's (1 and 4), then the
+		// whole grid's (2).
+		3: {uni(4, 0, 3, 0), fan(3, g123, 0, 3, 1), fan(0, all, 0, 3, 2), uni(4, 0, 3, 3), fan(3, g123, 0, 3, 4)},
 		// Bulk emission and an unsorted table: members 1, 4, 2 in that order.
 		4: {
 			{dest: 2, kind: 1, vals: slices.Concat(tuple(1, 4, 0), tuple(1, 4, 1), tuple(1, 4, 2))},
-			{dest: Broadcast, kind: 0, vals: slices.Concat(tuple(0, 4, 3), tuple(0, 4, 4))},
+			fan(0, all, 0, 4, 3), fan(0, all, 0, 4, 4),
 			fan(1, []int{0, 3, 1}, 1, 4, 5), uni(2, 1, 4, 6),
 		},
 		5: nil,
@@ -286,10 +282,15 @@ func contractScript() script {
 }
 
 // randomScript draws nRounds rounds of 30 calls per server: unicast tuples
-// and blocks, broadcasts, and fan-outs over a few shared offset tables, so
-// that groups overlap, share first members and are fed by many senders.
+// and blocks, fan-outs to every server, and fan-outs over a few shared offset
+// tables, so that groups overlap, share first members and are fed by many
+// senders.
 func randomScript(seed int64, p, nRounds int) script {
 	tables := [][]int{{0, 2, 1}, {0, 1}, {0, 3, 1, 2}, {1, 0}, {0}}
+	all := make([]int, p)
+	for d := range all {
+		all[d] = d
+	}
 	sc := make(script, nRounds)
 	for r := range sc {
 		sc[r] = make([][]emitOp, p)
@@ -306,10 +307,8 @@ func randomScript(seed int64, p, nRounds int) script {
 					sc[r][s] = append(sc[r][s], emitOp{dest: rng.Intn(p), kind: kind, vals: tuple(kind, s, i)})
 				case 1:
 					sc[r][s] = append(sc[r][s], emitOp{dest: rng.Intn(p), kind: kind, vals: block})
-				case 2:
-					sc[r][s] = append(sc[r][s], emitOp{dest: Broadcast, kind: kind, vals: tuple(kind, s, i)})
-				case 3:
-					sc[r][s] = append(sc[r][s], emitOp{dest: Broadcast, kind: kind, vals: block})
+				case 2, 3:
+					sc[r][s] = append(sc[r][s], emitOp{offsets: all, kind: kind, vals: tuple(kind, s, i)})
 				default:
 					sc[r][s] = append(sc[r][s], emitOp{base: rng.Intn(p - 3), offsets: tables[rng.Intn(len(tables))], kind: kind, vals: tuple(kind, s, i)})
 				}
@@ -395,7 +394,7 @@ func TestEmitFanoutMatchesEmitTuple(t *testing.T) {
 // staging and arenas: clusters of p = 64 → 7 → 100 run back to back on every
 // delivery path, each preceded by a cluster of another size and mode whose
 // round function panics after its servers staged unicast, multicast and
-// broadcast output, and which is released dirty. Every run must deliver what
+// whole-grid output, and which is released dirty. Every run must deliver what
 // the contract says — no stale batch, no stale group — and a released inbox
 // must hold no span at all, in particular none into another inbox's arena.
 func TestPooledStagingIsClean(t *testing.T) {
@@ -415,10 +414,14 @@ func TestPooledStagingIsClean(t *testing.T) {
 				}
 			}()
 			deliveryModes[(i+1)%len(deliveryModes)].apply(c)
+			all := make([]int, c.P())
+			for d := range all {
+				all[d] = d
+			}
 			c.Round("poison", func(s int, _ *Inbox, emit *Emitter) {
 				emit.EmitBatch(s/2, 1, 2, []int64{-1, -1, -2, -2, -3, -3, -4, -4})
 				emit.EmitFanout(s/3, []int{0, 2, 1}, 0, []int64{-5, -5})
-				emit.EmitTuple(Broadcast, 2, []int64{-9})
+				emit.EmitFanout(0, all, 2, []int64{-9})
 				if s == c.P()/2 {
 					panic("engine: poisoned round")
 				}
@@ -542,23 +545,25 @@ func TestKindViews(t *testing.T) {
 
 // stagedRound runs, on a cluster of 8 servers with a link and chunk 2, a
 // round in which every server stages own batches, multicast batches and
-// broadcasts, and returns the cluster with that staging still in place.
+// batches to every server, and returns the cluster with that staging still
+// in place.
 func stagedRound() *Cluster {
 	c := NewCluster(8, 8)
 	c.SetStreamChunk(2)
 	c.link = replayLink{}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	c.Round("stage", func(s int, _ *Inbox, emit *Emitter) {
 		for i := 0; i < 9; i++ {
 			emit.EmitTuple((s+i)%8, 0, tuple(0, s, i))
 			emit.EmitFanout(s%4, []int{0, 2, 4}, 1, tuple(1, s, i))
-			emit.EmitTuple(Broadcast, 0, tuple(0, s, i))
+			emit.EmitFanout(0, all, 0, tuple(0, s, i))
 		}
 	})
 	return c
 }
 
 // TestWalkStagedAllocatesNothing: walking a sender's staging for a transport
-// — own batches, multicast batches once, broadcasts — costs no allocation.
+// — own batches, multicast batches once — costs no allocation.
 func TestWalkStagedAllocatesNothing(t *testing.T) {
 	c := stagedRound()
 	defer c.Release()
@@ -574,8 +579,8 @@ func TestWalkStagedAllocatesNothing(t *testing.T) {
 }
 
 // TestRestageAllocatesNothing: restaging a walked round on a warm
-// receive-side emitter — own batches, groups, broadcasts, pieces continued
-// with StageMore — allocates nothing per item or group.
+// receive-side emitter — own batches, groups, pieces continued with
+// StageMore — allocates nothing per item or group.
 func TestRestageAllocatesNothing(t *testing.T) {
 	c := stagedRound()
 	defer c.Release()
@@ -586,7 +591,7 @@ func TestRestageAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a warm restage allocates %v objects per round", allocs)
 	}
-	if len(recv.groups) == 0 || len(recv.bcast.batches) == 0 {
-		t.Fatal("no group or broadcast was restaged: the test did not exercise them")
+	if len(recv.groups) == 0 {
+		t.Fatal("no group was restaged: the test did not exercise StageGroup")
 	}
 }

@@ -24,7 +24,7 @@ import (
 //
 //   - Pipelined (no transport link): a full batch flushes mid-emission
 //     directly into the destination spare inboxes under per-destination
-//     locks, tagged with (sender, class, batch, sequence); a multicast chunk
+//     locks, tagged with (sender, batch, sequence); a multicast chunk
 //     is copied once, into its group's first member, and listed under every
 //     member. When the sender switches kind on a target, the target's batch
 //     is flushed and relabelled, so each target keeps one buffer.
@@ -127,10 +127,10 @@ func (ib *Inbox) listChunk(tag *span) {
 
 // finalizeStream orders a streamed inbox's spans into the barrier delivery
 // order — sender ascending, the sender's batches in the order it opened them
-// (each batch's chunks in flush order), then its broadcasts — and returns the
-// inbox's receive accounting; every listed chunk is charged, wherever it was
-// landed. The sort key is unique per span (a sender's flush sequence numbers
-// never repeat), so the logical tuple order is exactly DeliverLocal's. On a
+// (each batch's chunks in flush order) — and returns the inbox's receive
+// accounting; every listed chunk is charged, wherever it was landed. The
+// sort key is unique per span (a sender's flush sequence numbers never
+// repeat), so the logical tuple order is exactly DeliverLocal's. On a
 // non-streamed inbox it only computes the accounting.
 func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 	if ib.streamed {
@@ -138,9 +138,6 @@ func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 			a, b := &ib.spans[i], &ib.spans[j]
 			if a.sender != b.sender {
 				return a.sender < b.sender
-			}
-			if a.cls != b.cls {
-				return a.cls < b.cls
 			}
 			if a.run != b.run {
 				return a.run < b.run
@@ -156,8 +153,7 @@ func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 }
 
 // flushChunk moves a batch's unflushed values, as one chunk, into its
-// destination's spare inbox (all p of them for a broadcast, each charged to
-// its receiver at finalize), tagged for deterministic reordering, and
+// destination's spare inbox, tagged for deterministic reordering, and
 // recycles the buffer.
 func (e *Emitter) flushChunk(dest int, b *outBatch) {
 	n := len(b.vals)
@@ -167,18 +163,9 @@ func (e *Emitter) flushChunk(dest int, b *outBatch) {
 	c := e.c
 	tag := span{kind: b.kind, arity: b.arity, sender: int32(e.self), run: b.run, seq: e.seq}
 	e.seq++
-	if dest == Broadcast {
-		tag.cls = 1
-		for d := 0; d < c.p; d++ {
-			c.destMu[d].Lock()
-			c.spare[d].landChunk(&tag, b.vals)
-			c.destMu[d].Unlock()
-		}
-	} else {
-		c.destMu[dest].Lock()
-		c.spare[dest].landChunk(&tag, b.vals)
-		c.destMu[dest].Unlock()
-	}
+	c.destMu[dest].Lock()
+	c.spare[dest].landChunk(&tag, b.vals)
+	c.destMu[dest].Unlock()
 	e.flushes++
 	b.vals = b.vals[:0]
 }
@@ -227,7 +214,7 @@ func (e *Emitter) noteStaged() {
 	e.stagedHW = max(e.stagedHW, n)
 }
 
-// eachBatch calls f for every batch staged: to a server, a subcube (g), or all.
+// eachBatch calls f for every batch staged: to a server, or to a subcube (g).
 func (e *Emitter) eachBatch(f func(dest int, b *outBatch, g *groupBatch)) {
 	for _, d := range e.touched {
 		for i := range e.perDest[d].batches {
@@ -236,9 +223,6 @@ func (e *Emitter) eachBatch(f func(dest int, b *outBatch, g *groupBatch)) {
 	}
 	for i := range e.groups {
 		f(0, &e.groups[i].outBatch, &e.groups[i])
-	}
-	for i := range e.bcast.batches {
-		f(Broadcast, &e.bcast.batches[i], nil)
 	}
 }
 

@@ -30,8 +30,8 @@ func TestSetStreamChunkValidation(t *testing.T) {
 // TestStagedHighWater pins the engine-buffer peak of one sender's round. The
 // sender holds 2 values for server 1 when its group batch fills (4 values:
 // 6 held, the pipelined peak), holds 2 when a kind switch flushes server 1's
-// batch, and ends holding 4. Delivery lands 16 values (the group once),
-// and a barrier round holds all 10 it staged.
+// batch, and ends holding 4. Delivery lands 10 values (each group once, the
+// one of every server too), and a barrier round holds all 10 it staged.
 func TestStagedHighWater(t *testing.T) {
 	for _, tc := range []struct {
 		chunk int
@@ -48,9 +48,9 @@ func TestStagedHighWater(t *testing.T) {
 			emit.EmitFanout(2, []int{0, 1}, 1, []int64{3, 4})
 			emit.EmitFanout(2, []int{0, 1}, 1, []int64{5, 6})
 			emit.EmitTuple(1, 3, []int64{7, 8})
-			emit.EmitTuple(Broadcast, 4, []int64{9, 10})
+			emit.EmitFanout(0, []int{0, 1, 2, 3}, 4, []int64{9, 10})
 		})
-		if got, want := c.mem.Peak(), (tc.held+16)*8; got != want {
+		if got, want := c.mem.Peak(), (tc.held+10)*8; got != want {
 			t.Errorf("chunk %d: peak %d B, want %d", tc.chunk, got, want)
 		}
 		c.Release()

@@ -212,9 +212,6 @@ func (io *DeliveryRound) landAndList(d int, ib *Inbox) {
 				ib.appendBlock(b.kind, b.arity, b.vals)
 			}
 		}
-		for _, b := range em.bcast.batches {
-			ib.appendBlock(b.kind, b.arity, b.vals)
-		}
 	}
 	io.charge(d, len(ib.arena), ib.tuples)
 }
@@ -230,17 +227,14 @@ type region struct {
 }
 
 // land fills destination d's arena without listing anything: first its own
-// batches and the broadcasts, in delivery order, then one region per (group,
-// kind) for the groups d is the home of. Every batch landed in a region
-// records where, for its members to list.
+// batches, in delivery order, then one region per (group, kind) for the
+// groups d is the home of. Every batch landed in a region records where, for
+// its members to list.
 func (io *DeliveryRound) land(d int, ib *Inbox) {
 	regions, total := ib.regions[:0], 0
 	for _, em := range io.Senders {
 		own, refs := em.pending(d)
 		for _, b := range own {
-			total += len(b.vals)
-		}
-		for _, b := range em.bcast.batches {
 			total += len(b.vals)
 		}
 		for _, ref := range refs {
@@ -281,17 +275,14 @@ func (io *DeliveryRound) land(d int, ib *Inbox) {
 				regions[g.region].next += copy(ib.arena[g.landed:], g.vals)
 			}
 		}
-		for _, b := range em.bcast.batches {
-			next += copy(ib.arena[next:], b.vals)
-		}
 	}
 }
 
 // list writes destination d's span list once every arena has landed, in
 // delivery order: per sender, its own batches to d and its group batches d is
-// a member of, merged in the order the sender opened them, then its
-// broadcasts. Own batches and broadcasts sit in d's arena in exactly this
-// order; a group batch sits where its home landed it.
+// a member of, merged in the order the sender opened them. Own batches sit in
+// d's arena in exactly this order; a group batch sits where its home landed
+// it.
 func (io *DeliveryRound) list(d int, ib *Inbox) {
 	next, values := 0, 0
 	landed := func(b *outBatch) {
@@ -316,18 +307,14 @@ func (io *DeliveryRound) list(d int, ib *Inbox) {
 		for ; listed < len(own); listed++ {
 			landed(&own[listed])
 		}
-		for i := range em.bcast.batches {
-			landed(&em.bcast.batches[i])
-		}
 	}
 	io.charge(d, values+next, ib.tuples)
 }
 
 // Staged is one batch of a sender's staging as a transport moves it: a batch
-// to the server Dest, a broadcast (Dest == Broadcast), or — when Offsets is
-// non-nil — a batch to the subcube Base+Offsets[·], staged once for the
-// whole group. Vals holds its tuples, row-major, Arity values each, and
-// aliases the staging.
+// to the server Dest, or — when Offsets is non-nil — a batch to the subcube
+// Base+Offsets[·], staged once for the whole group. Vals holds its tuples,
+// row-major, Arity values each, and aliases the staging.
 type Staged struct {
 	Dest        int
 	Base        int
@@ -339,10 +326,10 @@ type Staged struct {
 // WalkStaged visits the emitter's staged batches in replay order: the group
 // batches in the order they were opened, each preceded, for every member, by
 // the batches to that member opened before it; then every destination's
-// remaining batches; then the broadcasts. Staging the visited batches
-// afresh, in this order, on an empty emitter (StageBatch, StageGroup)
-// rebuilds a staging that DeliverLocal delivers exactly as this one — which
-// is how a transport moves a sender's round, each multicast batch once.
+// remaining batches. Staging the visited batches afresh, in this order, on
+// an empty emitter (StageBatch, StageGroup) rebuilds a staging that
+// DeliverLocal delivers exactly as this one — which is how a transport moves
+// a sender's round, each multicast batch once.
 // WalkStaged walks a staged round (barrier, or streamed over a link) and
 // allocates nothing once warm.
 func (e *Emitter) WalkStaged(f func(Staged)) {
@@ -363,10 +350,6 @@ func (e *Emitter) WalkStaged(f func(Staged)) {
 	}
 	for _, d := range e.touched {
 		e.walkOwn(d, len(e.perDest[d].batches), f)
-	}
-	for i := range e.bcast.batches {
-		b := &e.bcast.batches[i]
-		f(Staged{Dest: Broadcast, Kind: b.kind, Arity: b.arity, Vals: b.vals})
 	}
 }
 
@@ -398,17 +381,16 @@ func (e *Emitter) Restage(p int) {
 		e.groups[i].offsets = nil
 	}
 	e.groups = e.groups[:0]
-	e.bcast.reset()
 	e.p = p
 	e.last = nil
 	e.runs, e.seq, e.flushes, e.stagedHW = 0, 0, 0, 0
 }
 
-// StageBatch opens a fresh batch of n values of one kind to dest — the
-// sender's next broadcast when dest is Broadcast — on a receive-side
-// emitter, and returns the values for the caller to fill.
+// StageBatch opens a fresh batch of n values of one kind to dest on a
+// receive-side emitter, and returns the values for the caller to fill.
 func (e *Emitter) StageBatch(dest, kind, arity, n int) []int64 {
-	b := e.buf(dest).openNew()
+	e.checkDest(dest)
+	b := e.dest(dest).openNew()
 	e.label(b, kind, arity)
 	return e.stage(&b.vals, n)
 }

@@ -18,9 +18,9 @@ type StatsResult struct {
 	Round engine.RoundStats
 }
 
-// statsBitsPerValue is the fixed width charged per broadcast value:
-// candidates travel as (value, count) pairs of int64s, a generous width
-// that upper-bounds ⌈log₂ n⌉ for any int64 domain.
+// statsBitsPerValue is the fixed width charged per candidate value, to each
+// of the p servers it reaches: candidates travel as (value, count) pairs of
+// int64s, a generous width that upper-bounds ⌈log₂ n⌉ for any int64 domain.
 const statsBitsPerValue = 64
 
 // StatsSpec pins down one invocation of the sampling protocol: the relation
@@ -74,10 +74,16 @@ func (spec StatsSpec) Run(p, sampleSize int, seed int64, capBits float64) *Stats
 //     model), tagged with its atom index as the message kind;
 //   - each server samples up to sampleSize of its local tuples per
 //     relation, counts the sampled values, scales to its partition size,
-//     and broadcasts every candidate whose scaled estimate reaches that
-//     relation's candidate threshold, tagged with the atom's kind;
-//   - every server sums the broadcast estimates per atom, so afterwards all
+//     and multicasts every candidate whose scaled estimate reaches that
+//     relation's candidate threshold to all p servers (EmitFanout over a
+//     table of every server, each member charged), tagged with the atom's
+//     kind;
+//   - every server sums the received estimates per atom, so afterwards all
 //     servers agree on the (approximate) statistics, as the model assumes.
+//     Every server holds the same candidates, so the result is read from
+//     server 0's inbox in a computation phase and gathered to every process
+//     of a runtime (Cluster.Gather, which charges nothing): a process may
+//     own no server of the cluster.
 //
 // Because all ℓ atoms share one communication round, a server's load is the
 // SUM of the candidate traffic across atoms — the honest accounting for the
@@ -89,7 +95,7 @@ func (spec StatsSpec) Run(p, sampleSize int, seed int64, capBits float64) *Stats
 //
 // capBits > 0 declares a load cap for the round (0 = none). Round delivery
 // goes through env (the zero Env = in-process, untraced) — the sampling
-// round's broadcast traffic crosses the wire like any data round.
+// round's multicast traffic crosses the wire like any data round.
 func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env engine.Env) *StatsResult {
 	l := len(spec.Rels)
 	cluster := engine.NewClusterEnv(env, p, statsBitsPerValue)
@@ -98,6 +104,10 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 		cluster.SetLoadCap(capBits)
 	}
 	cluster.SeedRelations(p, spec.Rels)
+	all := make([]int, p) // the whole grid, every candidate's destination
+	for s := range all {
+		all[s] = s
+	}
 	st := cluster.Round("stats-sample", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
 		// Collect each atom's local tuples (batch views — seeding coalesces
 		// each atom's round-robin share into contiguous batches).
@@ -142,29 +152,35 @@ func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env
 				}
 			}
 			scale := float64(local) / float64(n)
-			// Broadcast candidates in ascending value order: emission order
+			// Multicast candidates in ascending value order: emission order
 			// reaches every inbox (and, distributed, the wire), so it must be
 			// a pure function of the sampled counts — Heavy's runs are. A
 			// floor above n finds none.
 			for _, run := range data.Heavy(vals, 1, 0, candidateFloor(spec.Thresholds[j], scale, n)) {
 				pair[0], pair[1] = run.Value, int64(float64(run.Count)*scale)
-				emit.EmitTuple(engine.Broadcast, j, pair)
+				emit.EmitFanout(0, all, j, pair)
 			}
 		}
 	})
-	// Every server received the same broadcasts: read them from an owned
-	// server's inbox, or, owning none, from the round's staging.
-	each := cluster.EachBroadcast
-	if lo, hi := cluster.Owned(); lo < hi {
-		each = cluster.Inbox(lo).Each
-	}
+	parts := make([]*data.Relation, p)
+	cluster.Compute(func(s int, inbox *engine.Inbox, _ int) {
+		if s != 0 {
+			return
+		}
+		cands := make([]int64, 0, 3*inbox.NumTuples())
+		inbox.Each(func(kind int, tuple []int64) {
+			cands = append(cands, int64(kind), tuple[0], tuple[1])
+		})
+		parts[0] = data.FromVals("stats-candidates", 3, cands)
+	})
 	perAtom := make([]map[int64]int, l)
 	for j := range perAtom {
 		perAtom[j] = make(map[int64]int)
 	}
-	each(func(kind int, tuple []int64) {
-		perAtom[kind][tuple[0]] += int(tuple[1])
-	})
+	cands := cluster.Gather("stats-candidates", 3, parts).Vals()
+	for ; len(cands) > 0; cands = cands[3:] {
+		perAtom[cands[0]][cands[1]] += int(cands[2])
+	}
 	return &StatsResult{PerAtom: perAtom, Round: st}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // fullySkewedStar builds a star database where EVERY tuple of every atom
 // shares z = 7, so with exhaustive sampling each of the p servers
-// broadcasts exactly one candidate (value 7) per atom — making the stats
-// round's load computable by hand.
+// multicasts exactly one candidate (value 7) per atom to every server —
+// making the stats round's load computable by hand.
 func fullySkewedStar(k, m int) *data.Database {
 	db := data.NewDatabase(1 << 16)
 	for j := 1; j <= k; j++ {
@@ -40,8 +40,8 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	thr := []int{m / (4 * p), m / (4 * p)} // 25: well below the 100 local copies of z=7
 
 	// Exhaustive sampling (sampleSize ≥ local partition) makes candidates
-	// deterministic: every server broadcasts exactly one (7, 100) pair per
-	// atom.
+	// deterministic: every server multicasts exactly one (7, 100) pair per
+	// atom to every server.
 	st := StatsSpec{Rels: rels, Cols: cols, Thresholds: thr}.Run(p, m, 3, 0)
 	if st.Round.Name != "stats-sample" {
 		t.Fatalf("stats protocol must be one genuine round, got %+v", st.Round)
@@ -54,7 +54,7 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 			t.Errorf("atom %d estimate for z=7: %d want %d (exhaustive sampling is exact)", j, est, m)
 		}
 	}
-	// Load by hand: per atom, each of the p servers broadcasts one
+	// Load by hand: per atom, each of the p servers multicasts one
 	// (value, estimate) pair = 2 values × 64 bits, delivered to every
 	// server. Per receiver and atom: p·2·64 bits; the round carges the SUM
 	// over both atoms.

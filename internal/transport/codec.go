@@ -12,13 +12,13 @@
 // servers it owns. Each round, a rank serializes its senders' staging — one
 // record per (server, round) and peer — and ships a peer only the items
 // with a destination that peer owns: a batch to its destination's owner, a
-// subcube batch to every rank owning a member, a broadcast to every rank.
-// Its own senders' staging it lands directly. A receiving rank restages
-// each remote sender from the records it received and lands the round
-// through engine.DeliverLocal, so the wire is load-bearing for correctness
-// — a dropped or corrupted frame changes the answer, it does not just skew
-// a counter. Every round-end frame declares what the sending rank's senders
-// sent each of the p destinations, so every rank meters the whole round,
+// subcube batch to every rank owning a member. Its own senders' staging it
+// lands directly. A receiving rank restages each remote sender from the
+// records it received and lands the round through engine.DeliverLocal, so
+// the wire is load-bearing for correctness — a dropped or corrupted frame
+// changes the answer, it does not just skew a counter. Every round-end
+// frame declares what the sending rank's senders sent each of the p
+// destinations, so every rank meters the whole round,
 // and identical RoundStats, at every rank. A destination's owner checks the
 // declared sum against what landed; with more than two ranks it also
 // confirms what landed to every peer, which checks it against what it
@@ -79,14 +79,16 @@ const ctrlOK uint32 = 1
 
 const (
 	helloMagic uint32 = 0x4d504351 // "MPCQ"
-	// helloVersion 4 made the protocol owner-computes: records are routed to
-	// the owners of their destinations, round-ends declare per-destination
-	// counts, owners confirm them in groups of more than two ranks, and
-	// output gathers close computation phases. Version 3
-	// replaced the per-batch data frame with the per-sender record frame;
-	// version 2 added the hello epoch field and the frameCtrl frame type
-	// (recovery barriers). Older peers are refused at the handshake.
-	helloVersion uint32 = 4
+	// helloVersion 5 dropped the broadcast item (tag 3): a batch to every
+	// server travels as a group item naming every member. Version 4 made the
+	// protocol owner-computes: records are routed to the owners of their
+	// destinations, round-ends declare per-destination counts, owners
+	// confirm them in groups of more than two ranks, and output gathers
+	// close computation phases. Version 3 replaced the per-batch data frame
+	// with the per-sender record frame; version 2 added the hello epoch
+	// field and the frameCtrl frame type (recovery barriers). Older peers
+	// are refused at the handshake.
+	helloVersion uint32 = 5
 )
 
 // recordHeaderLen is the fixed part of a record frame's body: cluster(4),
@@ -109,8 +111,7 @@ const DataFrameOverheadBytes = 4 + 1 + recordHeaderLen
 const (
 	itemBatch byte = 1 // + kind, dest: a batch to one server
 	itemGroup byte = 2 // + kind, base, members, one offset per member: a batch to the subcube base+offset[·]
-	itemBcast byte = 3 // + kind: a broadcast batch
-	itemMore  byte = 4 // nothing more: further tuples of the item before it
+	itemMore  byte = 4 // nothing more: further tuples of the item before it; tag 3 is unused
 )
 
 // minItemLen is the shortest item: a tag, a width and two one-byte varints.
@@ -229,8 +230,6 @@ func appendItemHeader(dst []byte, tag, width byte, it *engine.Staged, count int)
 		for _, off := range it.Offsets {
 			dst = binary.AppendUvarint(dst, uint64(off))
 		}
-	case itemBcast:
-		dst = binary.AppendUvarint(dst, uint64(it.Kind))
 	}
 	return dst
 }
@@ -264,11 +263,8 @@ func (w *recordWriter) begin(cluster, round uint32, maxBody int) {
 // add appends one staged batch of sender's record, width bytes per value.
 func (w *recordWriter) add(sender uint32, it *engine.Staged, width uint8) {
 	tag := itemBatch
-	switch {
-	case it.Offsets != nil:
+	if it.Offsets != nil {
 		tag = itemGroup
-	case it.Dest == engine.Broadcast:
-		tag = itemBcast
 	}
 	row := it.Arity * int(width)
 	for vals := it.Vals; len(vals) > 0; {
@@ -555,8 +551,6 @@ func (r *replayer) record(rec *recordFrame, em *engine.Emitter) error {
 		case itemGroup:
 			kind, base = items.field(), items.field()
 			offsets = r.members(&items, base)
-		case itemBcast:
-			kind, dest = items.field(), engine.Broadcast
 		case itemMore:
 			if items.arity != r.arity {
 				items.fail("continuation of arity %d, the open item has %d", items.arity, r.arity)

@@ -95,7 +95,7 @@ func readStream(t *testing.T, stream []byte) []recordFrame {
 }
 
 // TestCodecRoundTripProperty stages random rounds — batches, group batches
-// over shared offset tables and broadcasts, with annotation-width and
+// over shared offset tables and over every server, with annotation-width and
 // negative values — cuts the record at random frame caps,
 // replays the frames on a fresh emitter, and requires the replay to land
 // the same inboxes and accounting through DeliverLocal as the original.
@@ -103,6 +103,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	const p = 7
 	rng := rand.New(rand.NewSource(42))
 	tables := [][]int{{0, 2, 1}, {0, 1}, {0, 3, 1, 2}}
+	all := []int{0, 1, 2, 3, 4, 5, 6}
 	for iter := 0; iter < 300; iter++ {
 		bpv := 1 + rng.Intn(64)
 		src := &engine.Emitter{}
@@ -116,7 +117,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			case 0:
 				vals = src.StageBatch(rng.Intn(p), kind, arity, size)
 			case 1:
-				vals = src.StageBatch(engine.Broadcast, kind, arity, size)
+				vals = src.StageGroup(0, all, kind, arity, size)
 			default:
 				vals = src.StageGroup(rng.Intn(p-3), tables[rng.Intn(len(tables))], kind, arity, size)
 			}
@@ -152,17 +153,17 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 // TestReplayAllocatesNothing: replaying a warm round's records — batches,
-// group batches whose offset tables are interned, broadcasts and cut
-// continuations — allocates nothing per item or group.
+// group batches whose offset tables are interned, the whole grid's among
+// them, and cut continuations — allocates nothing per item or group.
 func TestReplayAllocatesNothing(t *testing.T) {
 	const p = 8
 	src := &engine.Emitter{}
 	src.Restage(p)
-	table := []int{0, 2, 4}
+	table, all := []int{0, 2, 4}, []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for i := 0; i < 9; i++ {
 		copy(src.StageBatch((3+i)%p, 0, 2, 6), []int64{int64(i), 1, 2, 3, 4, 5})
 		copy(src.StageGroup(i%4, table, 1, 3, 3), []int64{int64(i), 2, 3})
-		copy(src.StageBatch(engine.Broadcast, 0, 2, 2), []int64{int64(i), 4})
+		copy(src.StageGroup(0, all, 0, 2, 2), []int64{int64(i), 4})
 	}
 	var w recordWriter
 	w.begin(0, 0, 32)
@@ -267,6 +268,7 @@ func TestDecodeMalformed(t *testing.T) {
 		"hello short":      {frameHello, 1, 2},
 		"hello bad magic":  append([]byte{frameHello}, make([]byte, 16)...),
 		"hello version 2":  mutate(appendHello(nil, 1, 0)[4:], 1+4, 2),
+		"hello version 4":  mutate(appendHello(nil, 1, 0)[4:], 1+4, 4),
 		"round-end short":  {frameRoundEnd, 1},
 		"round-end ragged": appendRoundEnd(nil, 1, 2, 3, []uint32{4, 2, 1})[4:],
 		"record no header": {frameRecord, 1, 2, 3},
@@ -289,6 +291,7 @@ func TestDecodeMalformed(t *testing.T) {
 		"field overflows":       {rawItem(itemBatch, 1, []uint64{1, 1 << 40, 0, 1}, one)},
 		"payload short":         {rawItem(itemBatch, 2, []uint64{1, 1, 0, 1}, one)},
 		"unknown tag":           {rawItem(9, 1, []uint64{1, 1}, one)},
+		"retired broadcast tag": {rawItem(3, 1, []uint64{1, 1, 0}, one)},
 		"nothing to continue":   {rawItem(itemMore, 1, []uint64{1, 1}, one)},
 		"continuation arity":    {batch, rawItem(itemMore, 1, []uint64{2, 1}, []byte{1, 2})},
 		"header truncated":      {batch[:3]},

@@ -8,7 +8,17 @@ import (
 )
 
 // fuzzServers is the server count fuzzed records are replayed at.
-const fuzzServers = 6
+const fuzzServers = 64
+
+// wholeGrid returns the header fields of a group item of count tuples of the
+// given arity, kind 0, addressed to every one of the fuzzServers servers.
+func wholeGrid(arity, count uint64) []uint64 {
+	fields := []uint64{arity, count, 0, 0, fuzzServers}
+	for off := uint64(0); off < fuzzServers; off++ {
+		fields = append(fields, off)
+	}
+	return fields
+}
 
 // FuzzFrameDecode is the decoder's safety contract: arbitrary bytes must
 // either decode into a well-formed frame or return an error — never panic,
@@ -19,8 +29,9 @@ const fuzzServers = 6
 // name. The record is also walked as one server's part of an output gather
 // of arity 1, 2 and 3: it is either rejected as malformed or places no more
 // values than the frame has bytes, each decoded from a payload that holds
-// it. Seeds cover every frame type and every item type; the checked-in
-// corpus under testdata/fuzz/FuzzFrameDecode pins regression inputs.
+// it. Seeds cover every frame type, every item type and the retired
+// broadcast tag 3; the checked-in corpus under testdata/fuzz/FuzzFrameDecode
+// pins regression inputs.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendHello(nil, 3, 0)[4:])
 	f.Add(appendRoundEnd(nil, 1, 2, 3, make([]uint32, 2*fuzzServers))[4:])
@@ -32,12 +43,13 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendCtrl(nil, ctrlReady, 2, 1)[4:])
 	f.Add(rawRecord(2, rawItem(itemBatch, 2, []uint64{2, 2, 0, 5}, []byte{1, 0, 2, 0, 3, 0, 4, 0}))[4:])
 	f.Add(rawRecord(0, rawItem(itemGroup, 8, []uint64{1, 1, 1, 2, 3, 0, 1, 3}, appendValues(nil, []int64{-1}, 8)))[4:])
-	f.Add(rawRecord(5, rawItem(itemBcast, 1, []uint64{3, 1, 0}, []byte{1, 2, 3}))[4:])
+	f.Add(rawRecord(5, rawItem(itemGroup, 1, wholeGrid(3, 1), []byte{1, 2, 3}))[4:])
 	f.Add(rawRecord(1, rawItem(itemBatch, 1, []uint64{1, 1, 0, 0}, []byte{9}), rawItem(itemMore, 1, []uint64{1, 2}, []byte{8, 7}))[4:])
 	f.Add([]byte{})
 	f.Add([]byte{frameRecord})
-	f.Add(mutate(rawRecord(1, rawItem(itemBcast, 1, []uint64{1, 1, 0}, []byte{1}))[4:], 1+16, 0xff, 0xff, 0xff, 0xff))
+	f.Add(mutate(rawRecord(1, rawItem(itemGroup, 1, wholeGrid(1, 1), []byte{1}))[4:], 1+16, 0xff, 0xff, 0xff, 0xff))
 	f.Add(rawRecord(1, rawItem(itemGroup, 1, []uint64{1, 1, 0, 4, 2, 0, 2}, []byte{1}))[4:])
+	f.Add(rawRecord(2, rawItem(3, 1, []uint64{2, 1, 0}, []byte{1, 2}))[4:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)
 		l := &tcpLink{s: &Session{n: 1}, p: fuzzServers}
@@ -88,11 +100,8 @@ func FuzzFrameDecode(f *testing.F) {
 		for _, em := range senders {
 			em.WalkStaged(func(it engine.Staged) {
 				members := 1
-				switch {
-				case it.Offsets != nil:
+				if it.Offsets != nil {
 					members = len(it.Offsets)
-				case it.Dest == engine.Broadcast:
-					members = fuzzServers
 				}
 				values += len(it.Vals)
 				tuples += len(it.Vals) / it.Arity * members

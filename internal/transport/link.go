@@ -227,7 +227,6 @@ func (l *tcpLink) serialize(io *engine.DeliveryRound) error {
 	}
 	sent := l.sent
 	clear(sent)
-	var bcVals, bcTuples uint64
 	var tally [numCounters]int64 // the round's wire counts
 	for sv := l.lo; sv < l.hi; sv++ {
 		io.Senders[sv].WalkStaged(func(it engine.Staged) {
@@ -235,53 +234,40 @@ func (l *tcpLink) serialize(io *engine.DeliveryRound) error {
 			pb := int64(len(it.Vals)) * int64(width)
 			cb := int64(len(it.Vals)) * int64(l.bpv)
 			vals, tuples := uint64(len(it.Vals)), uint64(len(it.Vals)/it.Arity)
-			ship := func(r, payload int) {
+			ship := func(r int) {
 				if r != s.rank {
 					l.w[r].add(uint32(sv), &it, width)
-					tally[payload] += pb
+					tally[cPayloadBytes] += pb
 				}
 			}
-			switch {
-			case it.Offsets != nil:
-				// Billed and charged to every member; shipped once to
-				// every rank owning one.
-				tally[cBilledPayloadBytes] += pb * int64(len(it.Offsets))
-				tally[cUnicastChargedBits] += cb * int64(len(it.Offsets))
-				for _, off := range it.Offsets {
-					d := it.Base + off
-					sent[2*d] += vals
-					sent[2*d+1] += tuples
-					l.to[l.owner[d]] = true
-				}
-				for r, to := range l.to {
-					if to {
-						l.to[r] = false
-						ship(r, cUnicastPayloadBytes)
-					}
-				}
-			case it.Dest == engine.Broadcast:
-				tally[cBilledPayloadBytes] += pb * int64(io.P)
-				tally[cBroadcastChargedBits] += cb * int64(io.P)
-				bcVals += vals
-				bcTuples += tuples
-				for r := range l.w {
-					ship(r, cBroadcastPayloadBytes)
-				}
-			default:
+			if it.Offsets == nil {
 				tally[cBilledPayloadBytes] += pb
-				tally[cUnicastChargedBits] += cb
+				tally[cChargedBits] += cb
 				sent[2*it.Dest] += vals
 				sent[2*it.Dest+1] += tuples
-				ship(int(l.owner[it.Dest]), cUnicastPayloadBytes)
+				ship(int(l.owner[it.Dest]))
+				return
+			}
+			// Billed and charged to every member; shipped once to every
+			// rank owning one.
+			tally[cBilledPayloadBytes] += pb * int64(len(it.Offsets))
+			tally[cChargedBits] += cb * int64(len(it.Offsets))
+			for _, off := range it.Offsets {
+				d := it.Base + off
+				sent[2*d] += vals
+				sent[2*d+1] += tuples
+				l.to[l.owner[d]] = true
+			}
+			for r, to := range l.to {
+				if to {
+					l.to[r] = false
+					ship(r)
+				}
 			}
 		})
 		for r := range l.w {
 			l.w[r].close()
 		}
-	}
-	for d := 0; d < io.P; d++ {
-		sent[2*d] += bcVals
-		sent[2*d+1] += bcTuples
 	}
 	if err := l.declare(sent); err != nil {
 		return fmt.Errorf("rank %d: cluster %d round %d: %w", s.rank, l.id, round, err)
@@ -296,7 +282,6 @@ func (l *tcpLink) serialize(io *engine.DeliveryRound) error {
 		tally[cHeaderBytes] += w.headers
 	}
 	tally[cCtrlFrames] = int64(s.n - 1)
-	tally[cPayloadBytes] = tally[cUnicastPayloadBytes] + tally[cBroadcastPayloadBytes]
 	for k, v := range tally {
 		s.ctr.add(k, v)
 	}

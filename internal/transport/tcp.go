@@ -122,21 +122,16 @@ type WireStats struct {
 
 	// PayloadBytes / HeaderBytes split the record frames of rounds shipped
 	// to peers into value payload and framing overhead
-	// (DataFrameOverheadBytes per frame plus every item's header).
+	// (DataFrameOverheadBytes per frame plus every item's header). A batch
+	// to a subcube ships once to every rank owning a member.
 	PayloadBytes int64
 	HeaderBytes  int64
 
-	// UnicastPayloadBytes and BroadcastPayloadBytes split PayloadBytes
-	// by delivery mode; a batch to a subcube is unicast, shipped once to
-	// every rank owning a member.
-	UnicastPayloadBytes   int64
-	BroadcastPayloadBytes int64
-
 	// BilledPayloadBytes weights each batch's payload by its number of
 	// model receivers: ×1 for a batch to one server, ×members for a batch
-	// to a subcube, ×p for a broadcast (the model charges every receiver;
-	// the wire ships at most one copy per rank). This is the wire-side
-	// quantity TotalBits is compared to.
+	// to a subcube (the model charges every receiver; the wire ships at
+	// most one copy per rank). This is the wire-side quantity TotalBits is
+	// compared to.
 	BilledPayloadBytes int64
 
 	// GatherBytes is every byte of the output gathers this rank shipped:
@@ -146,11 +141,9 @@ type WireStats struct {
 	// WireBytes, it is never rewound.
 	GatherBytes int64
 
-	// UnicastChargedBits / BroadcastChargedBits are the model bits
-	// charged for this rank's sends: count×arity×bitsPerValue per batch,
-	// ×members per subcube batch, ×p per broadcast.
-	UnicastChargedBits   int64
-	BroadcastChargedBits int64
+	// chargedBits is the model bits charged for this rank's sends:
+	// count×arity×bitsPerValue per batch, ×members per subcube batch.
+	chargedBits int64
 
 	// AbandonedBytes is the payload+header bytes of abandoned attempts:
 	// serialized, possibly shipped, then backed out of the charged
@@ -173,7 +166,7 @@ type WireStats struct {
 
 // ChargedBits is the total model communication charged to this rank's
 // owned senders.
-func (w WireStats) ChargedBits() int64 { return w.UnicastChargedBits + w.BroadcastChargedBits }
+func (w WireStats) ChargedBits() int64 { return w.chargedBits }
 
 // Wire counters: one per WireStats field, in field order, indexing a
 // session's wireCounters.
@@ -183,12 +176,9 @@ const (
 	cWireBytes
 	cPayloadBytes
 	cHeaderBytes
-	cUnicastPayloadBytes
-	cBroadcastPayloadBytes
 	cBilledPayloadBytes
 	cGatherBytes
-	cUnicastChargedBits
-	cBroadcastChargedBits
+	cChargedBits
 	cAbandonedBytes
 	cAbandonedChargedBits
 	cFaultsInjected
@@ -227,22 +217,19 @@ func (c *wireCounters) add(k int, v int64) {
 // fields maps every wire counter to its WireStats field.
 func (w *WireStats) fields() [numCounters]*int64 {
 	return [numCounters]*int64{
-		cDataFrames:            &w.DataFrames,
-		cCtrlFrames:            &w.CtrlFrames,
-		cWireBytes:             &w.WireBytes,
-		cPayloadBytes:          &w.PayloadBytes,
-		cHeaderBytes:           &w.HeaderBytes,
-		cUnicastPayloadBytes:   &w.UnicastPayloadBytes,
-		cBroadcastPayloadBytes: &w.BroadcastPayloadBytes,
-		cBilledPayloadBytes:    &w.BilledPayloadBytes,
-		cGatherBytes:           &w.GatherBytes,
-		cUnicastChargedBits:    &w.UnicastChargedBits,
-		cBroadcastChargedBits:  &w.BroadcastChargedBits,
-		cAbandonedBytes:        &w.AbandonedBytes,
-		cAbandonedChargedBits:  &w.AbandonedChargedBits,
-		cFaultsInjected:        &w.FaultsInjected,
-		cRedials:               &w.Redials,
-		cResends:               &w.Resends,
+		cDataFrames:           &w.DataFrames,
+		cCtrlFrames:           &w.CtrlFrames,
+		cWireBytes:            &w.WireBytes,
+		cPayloadBytes:         &w.PayloadBytes,
+		cHeaderBytes:          &w.HeaderBytes,
+		cBilledPayloadBytes:   &w.BilledPayloadBytes,
+		cGatherBytes:          &w.GatherBytes,
+		cChargedBits:          &w.chargedBits,
+		cAbandonedBytes:       &w.AbandonedBytes,
+		cAbandonedChargedBits: &w.AbandonedChargedBits,
+		cFaultsInjected:       &w.FaultsInjected,
+		cRedials:              &w.Redials,
+		cResends:              &w.Resends,
 	}
 }
 
@@ -961,8 +948,7 @@ func (s *Session) barrier(kind, flags uint32) (uint32, error) {
 // rewound lists the counters of an attempt's model accounting: Rewind backs
 // them out of a failed attempt, and the process-wide totals keep them.
 var rewound = [...]int{
-	cDataFrames, cPayloadBytes, cHeaderBytes, cUnicastPayloadBytes,
-	cBroadcastPayloadBytes, cBilledPayloadBytes, cUnicastChargedBits, cBroadcastChargedBits,
+	cDataFrames, cPayloadBytes, cHeaderBytes, cBilledPayloadBytes, cChargedBits,
 }
 
 // Rewind discards the failed attempt at this rank: all receive state at
@@ -1003,7 +989,7 @@ func (s *Session) Rewind(m RunMark) error {
 		s.ctr[k].Add(-back[k])
 	}
 	s.ctr.add(cAbandonedBytes, back[cPayloadBytes]+back[cHeaderBytes])
-	s.ctr.add(cAbandonedChargedBits, back[cUnicastChargedBits]+back[cBroadcastChargedBits])
+	s.ctr.add(cAbandonedChargedBits, back[cChargedBits])
 	return nil
 }
 

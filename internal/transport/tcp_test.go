@@ -102,9 +102,9 @@ func tracedCluster(tr engine.Transport, p, bpv int) (*engine.Cluster, *obs.Trace
 }
 
 // exerciseCluster drives a small but representative engine program:
-// unicast shuffles, a broadcast round, an empty round (barrier only), and
-// a round carrying annotation-width and negative values that force the
-// codec's width-widening path.
+// unicast shuffles next to a multicast to every server, an empty round
+// (barrier only), and a round carrying annotation-width and negative values
+// that force the codec's width-widening path.
 func exerciseCluster(tr engine.Transport) (clusterView, float64) {
 	const p, bpv = 5, 16
 	c, trace := tracedCluster(tr, p, bpv)
@@ -122,7 +122,7 @@ func exerciseCluster(tr engine.Transport) (clusterView, float64) {
 			}
 		})
 		if s == 0 {
-			em.EmitTuple(engine.Broadcast, 2, []int64{999, 42})
+			em.EmitFanout(0, []int{0, 1, 2, 3, 4}, 2, []int64{999, 42})
 		}
 	})
 	c.Round("wide-values", func(s int, in *engine.Inbox, em *engine.Emitter) {
@@ -441,6 +441,12 @@ func TestOwnedRange(t *testing.T) {
 	}
 }
 
+// runRanksTimeout bounds every exchange of a runRanks session, and a
+// barrier at twice that: the tests' exchanges take milliseconds, so a rank
+// that never arrives fails the test within 10 s rather than after the
+// default RoundTimeout.
+const runRanksTimeout = 5 * time.Second
+
 // runRanks runs f on every rank of a fresh n-rank loopback session group,
 // the ranks concurrently, and fails the test if a rank cannot dial.
 func runRanks(t *testing.T, n int, f func(s *Session)) {
@@ -455,7 +461,7 @@ func runRanks(t *testing.T, n int, f func(s *Session)) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			s, err := Dial(r, addrs, nil)
+			s, err := Dial(r, addrs, &Options{RoundTimeout: runRanksTimeout})
 			if err != nil {
 				errs[r] = err
 				return
@@ -474,10 +480,10 @@ func runRanks(t *testing.T, n int, f func(s *Session)) {
 
 // multicastRound runs one round in which every server replicates tuples
 // through overlapping subcubes that share their first member, next to a
-// kind fed both through a subcube and by unicast, and a broadcast of an
-// annotation-width value, at the given chunk size. It calls inspect, when
-// set, before the cluster is released, and renders every inbox — its
-// batches and its kind views — and the round's accounting.
+// kind fed both through a subcube and by unicast, and a multicast of an
+// annotation-width value to every server, at the given chunk size. It calls
+// inspect, when set, before the cluster is released, and renders every
+// inbox — its batches and its kind views — and the round's accounting.
 func multicastRound(tr engine.Transport, chunk int, inspect func()) clusterView {
 	const p, kinds = 6, 5
 	c, trace := tracedCluster(tr, p, 12)
@@ -495,7 +501,7 @@ func multicastRound(tr engine.Transport, chunk int, inspect func()) clusterView 
 				em.EmitTuple((s+i)%p, 3, tu)
 			}
 		}
-		em.EmitTuple(engine.Broadcast, 4, []int64{1<<40 + int64(s)})
+		em.EmitFanout(0, []int{0, 1, 2, 3, 4, 5}, 4, []int64{1<<40 + int64(s)})
 	})
 	if inspect != nil {
 		inspect()
@@ -523,6 +529,58 @@ func TestSessionMulticastMatchesLocalDelivery(t *testing.T) {
 			if d := got[r].diff(want); d != "" || got[r].owned() != 3 {
 				t.Errorf("chunk %d, rank %d (%d servers owned):\n%s", chunk, r, got[r].owned(), d)
 			}
+		}
+	}
+}
+
+// wholeGridRound runs one round at p = 6 in which every server sends runs of
+// tuples of interleaved kinds to every server: each tuple through one
+// EmitFanout over a table of every server when fanout is set, else through
+// one EmitTuple per server. It renders every owned inbox's tuples in
+// delivery order and the round's accounting.
+func wholeGridRound(tr engine.Transport, chunk int, fanout bool) clusterView {
+	all := []int{0, 1, 2, 3, 4, 5}
+	c, trace := tracedCluster(tr, len(all), 12)
+	defer c.Release()
+	c.SetStreamChunk(chunk)
+	c.Round("whole-grid", func(s int, _ *engine.Inbox, em *engine.Emitter) {
+		for i := 0; i < 10+s; i++ {
+			kind := i / 2 % 3
+			tu := []int64{int64(s), int64(i), int64(100*s + i)}[:2+kind%2]
+			if fanout {
+				em.EmitFanout(0, all, kind, tu)
+				continue
+			}
+			for _, d := range all {
+				em.EmitTuple(d, kind, tu)
+			}
+		}
+	})
+	return newClusterView(c, trace, func(ib *engine.Inbox, b *strings.Builder) {
+		ib.Each(func(kind int, tu []int64) { fmt.Fprintf(b, " k%d %v;", kind, tu) })
+	})
+}
+
+// TestWholeGridMulticastMatchesUnicasts: a multicast to every server — an
+// EmitFanout over a table of all p — delivers what one EmitTuple per server
+// delivers: every inbox the same tuples in the same order, and every server
+// charged the same bits and tuples. It holds in a barrier round, pipelined
+// at chunks 1 and 7, and over two ranks.
+func TestWholeGridMulticastMatchesUnicasts(t *testing.T) {
+	want := wholeGridRound(nil, 0, false)
+	for _, chunk := range []int{0, 1, 7} {
+		if d := wholeGridRound(nil, chunk, true).diff(want); d != "" {
+			t.Errorf("chunk %d, in process:\n%s", chunk, d)
+		}
+		if d := wholeGridRound(nil, chunk, false).diff(want); d != "" {
+			t.Errorf("chunk %d, one EmitTuple per server, in process:\n%s", chunk, d)
+		}
+	}
+	got := make([]clusterView, 2)
+	runRanks(t, 2, func(s *Session) { got[s.Rank()] = wholeGridRound(s, 0, true) })
+	for r := range got {
+		if d := got[r].diff(want); d != "" || got[r].owned() != 3 {
+			t.Errorf("two ranks, rank %d (%d servers owned):\n%s", r, got[r].owned(), d)
 		}
 	}
 }
@@ -569,8 +627,6 @@ func recordTuples(rec *recordFrame) int {
 			for m := next(); m > 0; m-- {
 				next()
 			}
-		case itemBcast:
-			next()
 		}
 		body = body[count*arity*width:]
 		tuples += count

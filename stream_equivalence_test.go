@@ -70,6 +70,7 @@ func TestStreamingDistributedMatchesInProcess(t *testing.T) {
 	pick := map[string]bool{
 		"hypercube":           true,
 		"skewed-star":         true,
+		"skewed-star-sampled": true,
 		"chain-plan":          true,
 		"hypercube-agg-count": true,
 	}

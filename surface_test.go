@@ -130,11 +130,10 @@ func nonTest(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.
 // exempt: Theorem 3.5's budget-cut fragments are not inbox fragments. Nor
 // does any of them read an inbox outside a phase (Cluster.Inbox): under a
 // runtime a rank holds only its owned servers' inboxes. core/capped.go and
-// multiround/cc.go build clusters no runtime ever links, and skew/stats.go
-// reads the statistics round's broadcasts from an owned server's inbox.
+// multiround/cc.go build clusters no runtime ever links.
 func TestOneComputationPhase(t *testing.T) {
 	inboxReads := map[string]bool{
-		"internal/core/capped.go": true, "internal/multiround/cc.go": true, "internal/skew/stats.go": true,
+		"internal/core/capped.go": true, "internal/multiround/cc.go": true,
 	}
 	forbidden := map[string]bool{
 		"NewIndexCache": true, "NewWorkerScratches": true,
@@ -237,7 +236,6 @@ var idleExportAllowlist = map[string]string{
 	"internal/core.SequentialAnswerWithSelfJoins": "oracle of the self-join tests",
 	"internal/data.Relation.IsView":               "zero-copy view tests",
 	"internal/engine.Inbox.NumBatches":            "engine tests compare batch layout across delivery paths",
-	"internal/engine.Emitter.EmitFanout":          "delivery-order and transport tests script multicasts tuple by tuple; EmitRouted stages the same groups from a route",
 	"internal/hashing.Grid.CoordsOf":              "hashing tests invert the grid",
 	"internal/hashing.Grid.ServerOf":              "hashing tests invert the grid",
 	"internal/hashing.Grid.SubcubeSize":           "hashing and routing tests",
